@@ -54,24 +54,30 @@ test:
 # internal/graph carries the versioned store (snapshot isolation under
 # concurrent updates + compaction); algorithms carries the store-backed
 # registry instances; bitvec backs every frontier the workers share and gen
-# feeds the parallel generators. All matter under -race.
+# feeds the parallel generators; sched is the worker pool every phase runs
+# on and kernels holds the dispatch table those workers read (ForceBackend
+# swaps it under test). All matter under -race. CI runs this target, so the
+# package list lives here only.
 race:
-	$(GO) test -race ./internal/core/... ./internal/sched/... ./internal/sparse/... ./internal/distributed/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
+	$(GO) test -race ./internal/core/... ./internal/sched/... ./internal/kernels/... ./internal/sparse/... ./internal/distributed/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
 
-# Fuzz smoke over the graph readers and the SIMD kernel backends: 10s per
-# target (go test takes one -fuzz pattern at a time). The reader targets
-# assert parallel parse ≡ sequential parse; the kernel targets assert every
-# SIMD backend ≡ the scalar oracle bit for bit.
+# Fuzz smoke over the graph readers, the SIMD kernel backends and the column
+# walks: 10s per target (go test takes one -fuzz pattern at a time). The
+# reader targets assert parallel parse ≡ sequential parse; the kernel targets
+# assert every SIMD backend ≡ the scalar oracle bit for bit; the walk target
+# asserts pull ≡ push ≡ a naive fold of the live edge set over random
+# base+delta partitions, frontiers and row cuts. CI runs this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMTX$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzBitvecWords$$' -fuzztime=10s ./internal/kernels
 	$(GO) test -run='^$$' -fuzz='^FuzzDenseFold$$' -fuzztime=10s ./internal/kernels
+	$(GO) test -run='^$$' -fuzz='^FuzzLayeredWalk$$' -fuzztime=10s ./internal/core
 
-# The kernel backend parity matrix from CI: the differential suites under
-# each backend forced via GRAPHMAT_KERNEL (unsupported names fall back to
-# scalar, covering the fallback path).
+# The kernel backend parity matrix (CI runs this target): the differential
+# suites under each backend forced via GRAPHMAT_KERNEL (unsupported names
+# fall back to scalar, covering the fallback path).
 kernel-parity:
 	for backend in scalar avx2 neon; do \
 		GRAPHMAT_KERNEL=$$backend $(GO) test -count=1 ./internal/kernels ./internal/bitvec ./internal/core ./algorithms || exit 1; \

@@ -114,7 +114,9 @@ const (
 	PerCall = core.PerCall
 )
 
-// VectorKind selects the sparse message-vector representation.
+// VectorKind selects the sparse message-vector representation. Sorted is
+// supported with Boxed dispatch only (together the Figure 7 "naive" step);
+// Sorted with Inlined is a configuration error.
 type VectorKind = core.VectorKind
 
 // Engine ablation knobs (see the Figure 7 reproduction).
@@ -176,8 +178,8 @@ func New[V, E any](adj *COO[E], opts Options) (*Graph[V, E], error) {
 }
 
 // Run executes a vertex program until convergence or cfg.MaxIterations. It
-// is RunContext without a context: it cannot be canceled and the error is
-// always nil.
+// is RunContext without a context: it cannot be canceled, so the only error
+// is a rejected configuration (Sorted with Inlined dispatch).
 func Run[V, E, M, R any, P Program[V, E, M, R]](g *Graph[V, E], p P, cfg Config) (Stats, error) {
 	return core.Run(g, p, cfg)
 }
@@ -231,8 +233,8 @@ func RunContext[V, E, M, R any, P Program[V, E, M, R]](
 type Workspace[M, R any] = core.Workspace[M, R]
 
 // NewWorkspace allocates engine scratch for n-vertex graphs. The vector kind
-// must match the Config the workspace will run under (Bitvector unless the
-// naive ablation mode is requested).
+// must match the Config the workspace will run under — Bitvector for every
+// run that uses a workspace (the naive ablation's Boxed path keeps its own).
 func NewWorkspace[M, R any](n int, kind VectorKind) *Workspace[M, R] {
 	return core.NewWorkspace[M, R](n, kind)
 }

@@ -60,11 +60,10 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestPublicAPIAblationKnobs(t *testing.T) {
-	// All four knob combinations must agree (the Figure 7 configurations
-	// change performance, never results).
+	// All three supported knob combinations must agree (the Figure 7
+	// configurations change performance, never results).
 	configs := []graphmat.Config{
 		{Vector: graphmat.Bitvector, Dispatch: graphmat.Inlined},
-		{Vector: graphmat.Sorted, Dispatch: graphmat.Inlined},
 		{Vector: graphmat.Bitvector, Dispatch: graphmat.Boxed},
 		{Vector: graphmat.Sorted, Dispatch: graphmat.Boxed, Schedule: graphmat.Static},
 	}
@@ -76,10 +75,20 @@ func TestPublicAPIAblationKnobs(t *testing.T) {
 		g.SetAllProps(math.MaxFloat32)
 		g.SetProp(0, 0)
 		g.SetActive(0)
-		graphmat.Run(g, publicSSSP{}, cfg)
+		if _, err := graphmat.Run(g, publicSSSP{}, cfg); err != nil {
+			t.Fatalf("cfg %+v: %v", cfg, err)
+		}
 		if g.Prop(4) != 4 {
 			t.Errorf("cfg %+v: dist[E] = %v, want 4", cfg, g.Prop(4))
 		}
+	}
+	// The fourth combination has no code path and must say so.
+	g, err := graphmat.New[float32](fig3Edges(), graphmat.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := graphmat.Run(g, publicSSSP{}, graphmat.Config{Vector: graphmat.Sorted, Dispatch: graphmat.Inlined}); err == nil {
+		t.Error("Sorted+Inlined accepted")
 	}
 }
 

@@ -55,15 +55,8 @@ func (b *BlockVector[T]) Width() int { return b.k }
 func (b *BlockVector[T]) Reset() { b.summary.Reset() }
 
 // touch ensures vertex v's column mask is valid after a Reset, returning it.
-// Single-writer per 64-aligned vertex range, like all engine vector writes.
 func (b *BlockVector[T]) touch(v uint32) uint64 {
-	w := b.summary.Words()
-	bit := uint64(1) << (v & 63)
-	if w[v>>6]&bit == 0 {
-		w[v>>6] |= bit
-		b.cols[v] = 0
-	}
-	return b.cols[v]
+	return touchRow(b.summary.Words(), b.cols, v)
 }
 
 // Set stores val at (vertex v, column s).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 )
@@ -80,14 +81,18 @@ const DefaultPushThreshold = 20
 
 // VectorKind selects the sparse-vector representation for the message
 // vector (paper §4.4.2 discusses both and measures the bitvector faster).
+// The supported Vector × Dispatch combinations are Bitvector with either
+// dispatch and Sorted with Boxed; see Config.Vector.
 type VectorKind int
 
 const (
 	// Bitvector stores messages in a bitvector-masked dense array — the
-	// representation the paper selects.
+	// representation the paper selects, and the only one the kernel walks
+	// read.
 	Bitvector VectorKind = iota
 	// Sorted stores messages as a sorted (index, value) tuple array — the
-	// paper's rejected alternative, kept as the Figure 7 "naive" baseline.
+	// paper's rejected alternative. It exists on the Boxed dispatch path
+	// only, where together they form the Figure 7 "naive" baseline.
 	Sorted
 )
 
@@ -158,7 +163,9 @@ type Config struct {
 	// MaxIterations caps the superstep count; <= 0 means run until no
 	// vertex is active (the paper's -1 convention).
 	MaxIterations int
-	// Vector selects the message-vector representation.
+	// Vector selects the message-vector representation. Sorted is valid
+	// only with Dispatch: Boxed (the Figure 7 "naive" step); Sorted with
+	// Inlined dispatch is a configuration error, not a fallback.
 	Vector VectorKind
 	// Dispatch selects inlined or boxed user-callback invocation.
 	Dispatch Dispatch
@@ -179,6 +186,15 @@ type Config struct {
 	// shaping; PerCall keeps the legacy per-call goroutine fan-out with
 	// partition-granular tasks (the scheduling ablation baseline).
 	Runtime Runtime
+}
+
+// validate rejects the one Vector × Dispatch combination with no code path:
+// the inlined kernels read the bitvector frontier only.
+func (c Config) validate() error {
+	if c.Vector == Sorted && c.Dispatch == Inlined {
+		return errors.New("core: Config{Vector: Sorted, Dispatch: Inlined} is not supported: the sorted message vector exists only on the Boxed dispatch path")
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {

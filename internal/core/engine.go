@@ -9,7 +9,6 @@ import (
 
 	"graphmat/internal/graph"
 	"graphmat/internal/sched"
-	"graphmat/internal/sparse"
 )
 
 // Run executes program p on graph g until convergence or the configured
@@ -20,9 +19,9 @@ import (
 // applies the reduced values (Apply), and activates the vertices whose state
 // changed. The run mutates g's vertex properties and active set.
 //
-// Run is RunContext without a context: it cannot be canceled and the error
-// is always nil. Callers that need cancellation, deadlines or per-superstep
-// observation use RunContext.
+// Run is RunContext without a context: it cannot be canceled, so the only
+// error is a rejected configuration (see Config.Vector). Callers that need
+// cancellation, deadlines or per-superstep observation use RunContext.
 func Run[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config) (Stats, error) {
 	return RunContext[V, E, M, R, P](context.Background(), g, p, cfg, nil)
 }
@@ -180,49 +179,13 @@ func runTyped[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 	n := int(g.NumVertices())
 	props := g.Props()
 	active := g.Active()
-	dir := p.Direction()
 
-	// The traversal structures are pinned once here as base+delta layers:
-	// whatever the graph's owning store publishes later, this run keeps
-	// iterating exactly this epoch's edge set.
-	var outLayers, inLayers []sparse.Layered[E]
-	if dir&graph.Out != 0 {
-		outLayers = g.OutLayers()
-	}
-	if dir&graph.In != 0 {
-		inLayers = g.InLayers()
-	}
+	rp := planRun(g, p.Direction(), cfg)
+	autoDegs := rp.autoDegs
 
-	// Auto mode needs the frontier's edge work each superstep: the degree of
-	// every sender with respect to the traversal structures in play. The sum
-	// is tallied for free during the SendMessage phase (one array load per
-	// sender); fixed modes skip the accounting entirely. The structure-side
-	// costs are fixed for the whole run.
-	var autoDegs []uint32
-	var costs KernelCosts
-	if cfg.Mode == Auto {
-		switch dir & graph.Both {
-		case graph.Out:
-			autoDegs = g.OutDegrees()
-		case graph.In:
-			autoDegs = g.InDegrees()
-		default:
-			outDegs, inDegs := g.OutDegrees(), g.InDegrees()
-			autoDegs = make([]uint32, n)
-			for v := range autoDegs {
-				autoDegs[v] = outDegs[v] + inDegs[v]
-			}
-		}
-		costs = AddLayers(AddLayers(costs, outLayers), inLayers)
-	}
-
-	x, xs, y := ws.x, ws.xs, ws.y
-
-	// Multiply-phase task lists, prepared once per run and direction: a
-	// partition-granular list plus the nnz-weighted shaped list the pooled
-	// runtime uses on pull supersteps (see shapeTasks).
-	outPlan := shapeTasks(outLayers, cfg.Threads, cfg.Runtime)
-	inPlan := shapeTasks(inLayers, cfg.Threads, cfg.Runtime)
+	x, y := ws.x, ws.y
+	xw := x.Mask().Words()
+	sink := scalarSink(p, x, props, y)
 
 	var tally sched.Tally
 	ex := cfg.exec(&tally)
@@ -231,12 +194,6 @@ func runTyped[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 	chunks := chunkBounds(n, cfg.Threads*4)
 	nchunks := len(chunks) - 1
 	locals := make([]localStats, cfg.Threads)
-	// Sorted mode gathers per-chunk entry runs and concatenates them in
-	// chunk order, preserving global index order.
-	var sortedRuns [][]sparse.Entry[M]
-	if xs != nil {
-		sortedRuns = make([][]sparse.Entry[M], nchunks)
-	}
 
 	maxIter := cfg.MaxIterations
 	if maxIter <= 0 {
@@ -258,56 +215,28 @@ func runTyped[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 
 		// Phase 1: SendMessage over active vertices builds the sparse
 		// message vector (Algorithm 2 lines 3-5).
-		if x != nil {
-			x.Reset()
-			parallelFor(ex, nchunks, stop, func(c, w int) {
-				st := &locals[w]
-				active.IterateRange(chunks[c], chunks[c+1], func(v uint32) {
-					if m, ok := p.SendMessage(v, props[v]); ok {
-						x.Set(v, m)
-						if autoDegs != nil {
-							st.degSum += int64(autoDegs[v])
-						}
+		x.Reset()
+		parallelFor(ex, nchunks, stop, func(c, w int) {
+			st := &locals[w]
+			active.IterateRange(chunks[c], chunks[c+1], func(v uint32) {
+				if m, ok := p.SendMessage(v, props[v]); ok {
+					x.Set(v, m)
+					if autoDegs != nil {
+						st.degSum += int64(autoDegs[v])
 					}
-				})
-			})
-		} else {
-			xs.Reset()
-			parallelFor(ex, nchunks, stop, func(c, w int) {
-				st := &locals[w]
-				var run []sparse.Entry[M]
-				active.IterateRange(chunks[c], chunks[c+1], func(v uint32) {
-					if m, ok := p.SendMessage(v, props[v]); ok {
-						run = append(run, sparse.Entry[M]{Idx: v, Val: m})
-						if autoDegs != nil {
-							st.degSum += int64(autoDegs[v])
-						}
-					}
-				})
-				sortedRuns[c] = run
-			})
-			for c := 0; c < nchunks; c++ {
-				for _, e := range sortedRuns[c] {
-					xs.Append(e.Idx, e.Val)
 				}
-				sortedRuns[c] = nil
-			}
-		}
-		// The frontier sizes come off the occupancy masks, not per-Set
+			})
+		})
+		// The frontier size comes off the occupancy mask, not per-Set
 		// counters: one popcount sweep per phase feeds the cost model and
 		// the stats.
-		var sent int64
-		if x != nil {
-			sent = int64(x.NNZ())
-		} else {
-			sent = int64(xs.NNZ())
-		}
+		sent := int64(x.NNZ())
 		stats.MessagesSent += sent
 		_, degSum := stats.absorb(locals)
 
 		// Per-superstep direction optimization: resolve Auto from the
 		// frontier's size and edge work against the structure-side costs.
-		stepMode := costs.Choose(cfg.Mode, cfg.PushThreshold, sent, degSum)
+		stepMode := rp.costs.Choose(cfg.Mode, cfg.PushThreshold, sent, degSum)
 
 		var applies, nactive int64
 		if sent > 0 {
@@ -317,51 +246,9 @@ func runTyped[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 				stats.PullSupersteps++
 			}
 			// Phase 2: generalized SpMV (Algorithm 1) through the selected
-			// kernel. Each partition owns a disjoint 64-aligned output row
-			// range, so no synchronization on y. Partitions with a delta
-			// overlay run the merged two-layer kernels; the rest take the
-			// single-layer fast path.
+			// walk, folding into y.
 			y.Reset()
-			for di, layers := range [2][]sparse.Layered[E]{outLayers, inLayers} {
-				if layers == nil {
-					continue
-				}
-				plan := &outPlan
-				if di == 1 {
-					plan = &inPlan
-				}
-				tasks := plan.pick(stepMode, x == nil)
-				parallelFor(ex, len(tasks), stop, func(ti, w int) {
-					t := tasks[ti]
-					l := layers[t.layer]
-					if l.Delta == nil {
-						switch {
-						case x != nil && stepMode == Push:
-							spmvPushBitvec(l.Base, x, props, p, y, &locals[w], t.rlo, t.rhi)
-						case x != nil:
-							spmvPullBitvec(l.Base, x, props, p, y, &locals[w], t.rlo, t.rhi)
-						case stepMode == Push:
-							spmvPushSorted(l.Base, xs, props, p, y, &locals[w])
-						default:
-							spmvPullSorted(l.Base, xs, props, p, y, &locals[w])
-						}
-						return
-					}
-					// Layered partitions are never row-split (shapeTasks
-					// keeps them whole): the merged two-layer kernels run
-					// partition-granular.
-					switch {
-					case x != nil && stepMode == Push:
-						spmvPushBitvecLayered(l, x, props, p, y, &locals[w])
-					case x != nil:
-						spmvPullBitvecLayered(l, x, props, p, y, &locals[w])
-					case stepMode == Push:
-						spmvPushSortedLayered(l, xs, props, p, y, &locals[w])
-					default:
-						spmvPullSortedLayered(l, xs, props, p, y, &locals[w])
-					}
-				})
-			}
+			rp.multiplyPhase(ex, stop, stepMode, xw, sink, locals)
 
 			// A stop raised mid-SpMV must not Apply a partially reduced y:
 			// return the partial tallies without touching vertex state

@@ -9,7 +9,6 @@ import (
 
 	"graphmat/internal/graph"
 	"graphmat/internal/sched"
-	"graphmat/internal/sparse"
 )
 
 // This file is the multi-source BSP driver: the same three-phase superstep
@@ -41,8 +40,9 @@ func RunBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 // allocates fresh scratch.
 //
 // The block path always runs the optimized configuration: bitvector-style
-// occupancy and inlined dispatch (Config.Vector and Config.Dispatch are
-// ignored — the Sorted and Boxed ablation paths exist only scalar-side).
+// occupancy and inlined dispatch. Config.Vector and Config.Dispatch are
+// ignored — the Figure 7 ablation (sorted message vector, boxed callbacks)
+// is a scalar-engine path (boxed.go).
 // Mode (Auto/Pull/Push), Threads, Schedule, MaxIterations, observers and
 // cancellation behave exactly as in RunContext.
 //
@@ -81,44 +81,17 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 	n := int(g.NumVertices())
 	k := bst.k
 	props := bst.props
-	dir := p.Direction()
-
-	var outLayers, inLayers []sparse.Layered[E]
-	if dir&graph.Out != 0 {
-		outLayers = g.OutLayers()
-	}
-	if dir&graph.In != 0 {
-		inLayers = g.InLayers()
-	}
 
 	// Auto accounting, as in runTyped: per-sender degrees tallied during
 	// SendMessage. A sender's edge work counts once per live column — the
 	// block multiply really does fold each of its edges that many times.
-	var autoDegs []uint32
-	var costs KernelCosts
-	if cfg.Mode == Auto {
-		switch dir & graph.Both {
-		case graph.Out:
-			autoDegs = g.OutDegrees()
-		case graph.In:
-			autoDegs = g.InDegrees()
-		default:
-			outDegs, inDegs := g.OutDegrees(), g.InDegrees()
-			autoDegs = make([]uint32, n)
-			for v := range autoDegs {
-				autoDegs[v] = outDegs[v] + inDegs[v]
-			}
-		}
-		costs = AddLayers(AddLayers(costs, outLayers), inLayers)
-	}
+	rp := planRun(g, p.Direction(), cfg)
+	autoDegs := rp.autoDegs
 
 	x, y := ws.x, ws.y
+	xw := x.summary.Words()
+	sink := blockSink(p, x, y)
 	active, actCols := bst.summary, bst.active
-
-	// Multiply-phase task plans, as in runTyped: nnz-weighted row-split
-	// tasks for pull supersteps, partition-granular for push.
-	outPlan := shapeTasks(outLayers, cfg.Threads, cfg.Runtime)
-	inPlan := shapeTasks(inLayers, cfg.Threads, cfg.Runtime)
 
 	var tally sched.Tally
 	ex := cfg.exec(&tally)
@@ -175,7 +148,7 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 
 		// The push probe bill scales with distinct sender vertices, not
 		// (vertex, column) pairs — one AUX lookup serves all columns.
-		stepMode := costs.Choose(cfg.Mode, cfg.PushThreshold, senders, degSum)
+		stepMode := rp.costs.Choose(cfg.Mode, cfg.PushThreshold, senders, degSum)
 
 		var applies, nactive int64
 		if sent > 0 {
@@ -184,39 +157,10 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 			} else {
 				stats.PullSupersteps++
 			}
-			// Phase 2: the SpMM. Partition dispatch mirrors runTyped's:
-			// layered kernels where a delta overlay exists, single-layer fast
-			// path elsewhere.
+			// Phase 2: the SpMM — runTyped's walks over the block frontier's
+			// vertex summary, folding k-wide into y.
 			y.Reset()
-			for di, layers := range [2][]sparse.Layered[E]{outLayers, inLayers} {
-				if layers == nil {
-					continue
-				}
-				plan := &outPlan
-				if di == 1 {
-					plan = &inPlan
-				}
-				tasks := plan.pick(stepMode, false)
-				parallelFor(ex, len(tasks), stop, func(ti, w int) {
-					t := tasks[ti]
-					l := layers[t.layer]
-					if l.Delta == nil {
-						if stepMode == Push {
-							spmmPushBitvec(l.Base, x, p, y, &locals[w], t.rlo, t.rhi)
-						} else {
-							spmmPullBitvec(l.Base, x, p, y, &locals[w], t.rlo, t.rhi)
-						}
-						return
-					}
-					// Layered partitions stay whole (shapeTasks never
-					// splits them).
-					if stepMode == Push {
-						spmmPushLayered(l, x, p, y, &locals[w])
-					} else {
-						spmmPullLayered(l, x, p, y, &locals[w])
-					}
-				})
-			}
+			rp.multiplyPhase(ex, stop, stepMode, xw, sink, locals)
 			if r, ok := ctrl.stopped(); ok {
 				stats.absorb(locals)
 				stats.Reason = r

@@ -65,7 +65,6 @@ func TestSSSPFigure3(t *testing.T) {
 		{},
 		{Threads: 1},
 		{Threads: 2, Schedule: Static},
-		{Vector: Sorted},
 		{Dispatch: Boxed},
 		{Dispatch: Boxed, Vector: Sorted},
 	} {
@@ -238,7 +237,6 @@ func TestQuickConfigEquivalence(t *testing.T) {
 		{Threads: 1},
 		{Threads: 2},
 		{Threads: 2, Schedule: Static},
-		{Threads: 2, Vector: Sorted},
 		{Threads: 1, Dispatch: Boxed},
 		{Threads: 2, Dispatch: Boxed, Vector: Sorted},
 	}

@@ -1,210 +1,163 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 
 	"graphmat/internal/kernels"
 	"graphmat/internal/sparse"
 )
 
-// This file is the kernel-backend layer: the generalized sparse
-// matrix–sparse vector multiplication of Algorithm 1 in two directions —
-// the paper's column-driven pull probe and a frontier-driven push SpMSpV —
-// over both message-vector representations, plus the per-superstep adaptive
-// dispatch between them (GraphBLAST/Ligra-style direction optimization).
-// Every kernel preserves two invariants the engine depends on:
+// This file is the traversal half of the kernel layer: the generalized
+// sparse matrix–sparse vector multiplication of Algorithm 1 as two column
+// walks — the paper's column-driven pull probe and a frontier-driven push
+// SpMSpV — plus the per-superstep adaptive choice between them
+// (GraphBLAST/Ligra-style direction optimization). A walk decides WHICH
+// live columns of a partition a frontier reaches and in what order; what
+// happens to a column's edges is the sink's business (kernel_fold.go for
+// the scalar engine, kernel_block.go for the k-wide block engine), so both
+// engines, the single-shot SpMV and the distributed simulator share these
+// two traversals.
 //
-//  1. the partition owns a disjoint 64-aligned output row range, so writes
-//     to y's mask words and values need no synchronization;
-//  2. columns are processed in ascending column id within the partition, so
-//     Reduce folds in an identical order in every mode and all modes produce
-//     bit-identical results.
+// Every partition is a sparse.Layered — an immutable base DCSC plus an
+// optional delta DCSC of whole-column overrides carrying live edge updates;
+// a plain partition is the nil-Delta case of the same walk. The invariants
+// the engine depends on:
+//
+//  1. the partition owns a disjoint 64-aligned output row range (the delta
+//     covers the same range as its base), so a sink's writes to the output
+//     mask words and values need no synchronization;
+//  2. live columns are visited in ascending column id, merged across the two
+//     layers, with a delta override replacing (never joining) its base
+//     column — so the per-destination fold order is identical in both
+//     directions and equal to what a from-scratch build of the live edge set
+//     would produce: all modes, and overlay versus fresh build, are
+//     bit-identical;
+//  3. an override with zero entries is a tombstone: it masks its base column
+//     and is neither visited nor counted as a probe, matching the fresh
+//     build in which the column does not exist.
+//
+// rlo/rhi bound the destination rows a call folds (the scheduler's
+// nnz-weighted sub-partition tasks); the whole-partition sentinel is rlo=0,
+// rhi=^uint32(0). Rows ascend within each column, so a bounded call takes a
+// contiguous sub-run per column — per-destination fold order is exactly the
+// unbounded call's, and the bounded calls of any 64-aligned cut compose to
+// the whole-partition call.
 
-// spmvPullBitvec is Algorithm 1 of the paper specialized to the bitvector
-// message-vector representation: traverse the nonzero columns of the
-// partition, probe the message vector's bitvector for a message from that
-// column (line 4 — "becomes faster due to use of the bitvector"), and for
-// each edge in the column compute ProcessMessage and fold into the output
-// with Reduce.
-//
-// The function is generic: the compiler monomorphizes it per program type,
-// inlining the user callbacks into the inner loop — the reproduction's
-// analogue of compiling the C++ with -ipo (§4.5 item 2).
-//
-// rlo/rhi bound the destination rows this call folds (the scheduler's
-// nnz-weighted sub-partition tasks); the whole-partition sentinel is
-// rlo=0, rhi=^uint32(0). Rows ascend within each DCSC column, so a
-// bounded call takes a contiguous sub-run per column — per-destination
-// fold order is exactly the unbounded call's.
-func spmvPullBitvec[V, E, M, R any, P Program[V, E, M, R]](
-	part *sparse.DCSC[E],
-	x *sparse.Vector[M],
-	props []V,
-	p P,
-	y *sparse.Vector[R],
-	st *localStats,
-	rlo, rhi uint32,
-) {
-	jc, cp, ir, vals := part.JC, part.CP, part.IR, part.Val
-	bounded := rlo > part.RowLo || rhi < part.RowHi
-	xw := x.Mask().Words()
-	xvals := x.Values()
-	yw := y.Mask().Words()
-	yvals := y.Values()
-	_, dstFree := any(p).(DstIndependent)
-	var zeroV V
-	edges := int64(0)
-	if sf := sumFoldScalarView(p, x, y); sf.ok {
-		// (+, passthrough) float64 programs take the fused column fold: the
-		// whole per-edge loop is one arch-dispatched scatter-add per column.
-		for ci, j := range jc {
-			if xw[j>>6]&(1<<(j&63)) == 0 {
-				continue
-			}
-			lo, hi := cp[ci], cp[ci+1]
-			irc := ir[lo:hi]
-			if bounded {
-				l, r := rowSpan(irc, rlo, rhi)
-				irc = irc[l:r]
-				if len(irc) == 0 {
-					continue
-				}
-			}
-			edges += int64(len(irc))
-			kernels.ScatterAddF64(yw, sf.y, irc, sf.x[j])
-		}
-		st.probes += int64(len(jc))
-		st.edges += edges
-		return
-	}
-	if ff := f32FoldScalarView(p, x, y); ff.kind != f32FoldNone {
-		// float32 path-semiring programs ((min,+) SSSP, (max,min) widest
-		// paths) take the fused column fold when the edge weights are
-		// float32 too.
-		if wv, ok := any(vals).([]float32); ok {
-			for ci, j := range jc {
-				if xw[j>>6]&(1<<(j&63)) == 0 {
-					continue
-				}
-				lo, hi := cp[ci], cp[ci+1]
-				irc := ir[lo:hi]
-				wc := wv[lo:hi:hi]
-				if bounded {
-					l, r := rowSpan(irc, rlo, rhi)
-					irc, wc = irc[l:r], wc[l:r]
-					if len(irc) == 0 {
-						continue
-					}
-				}
-				edges += int64(len(irc))
-				ff.scatter(yw, irc, wc, ff.x[j])
-			}
-			st.probes += int64(len(jc))
-			st.edges += edges
-			return
-		}
-	}
-	for ci, j := range jc {
-		if xw[j>>6]&(1<<(j&63)) == 0 {
-			continue
-		}
-		m := xvals[j]
-		lo, hi := cp[ci], cp[ci+1]
-		// Subslice the column so the inner loop is bounds-check free.
-		irc := ir[lo:hi]
-		vc := vals[lo:hi:hi]
-		if bounded {
-			l, r := rowSpan(irc, rlo, rhi)
-			irc, vc = irc[l:r], vc[l:r]
-			if len(irc) == 0 {
-				continue
-			}
-		}
-		edges += int64(len(irc))
-		if dstFree {
-			// The program declared ProcessMessage ignores the destination
-			// property: skip the per-edge random load of props[dst].
-			for k, dst := range irc {
-				r := p.ProcessMessage(m, vc[k], zeroV)
-				w := &yw[dst>>6]
-				bit := uint64(1) << (dst & 63)
-				if *w&bit != 0 {
-					yvals[dst] = p.Reduce(yvals[dst], r)
-				} else {
-					yvals[dst] = r
-					*w |= bit
-				}
-			}
-			continue
-		}
-		for k, dst := range irc {
-			r := p.ProcessMessage(m, vc[k], props[dst])
-			w := &yw[dst>>6]
-			bit := uint64(1) << (dst & 63)
-			if *w&bit != 0 {
-				yvals[dst] = p.Reduce(yvals[dst], r)
-			} else {
-				yvals[dst] = r
-				*w |= bit
-			}
-		}
-	}
-	st.probes += int64(len(jc))
-	st.edges += edges
+// colRef is one live column a walk hands its sink: the column id and the
+// position range of its edges in the owning layer's IR/Val arrays, already
+// clipped to the call's row bounds.
+type colRef struct{ j, lo, hi uint32 }
+
+// walkBatch sizes the walks' column buffer. A sink is a dynamic call (the
+// fold is resolved once per run, not compiled into the walk), and with a
+// handful of edges per column a call per column would cost as much as the
+// fold itself — so the walks gather the columns a frontier reaches and pay
+// one call per batch.
+const walkBatch = 64
+
+// colSink is the fold half of a kernel call: it consumes the live columns a
+// walk visits. fold folds the edges of each column of cols, in order — the
+// rows ir[c.lo:c.hi] (ascending) with their edge values val[c.lo:c.hi] —
+// into the output and returns the number of edge folds it performed. Sinks
+// are resolved once per run from the program and its vectors and shared
+// read-only by every task; the per-edge loop lives inside the concrete sink.
+type colSink[E any] interface {
+	fold(ir []uint32, val []E, cols []colRef) int
 }
 
-// spmvPushBitvec is the frontier-driven dual of spmvPullBitvec — a true
-// SpMSpV: iterate the message vector's nonzeros in ascending index order
-// (the frontier) and look each up in the partition's AUX column index
+// multiply runs one multiply-phase task: the walk mode selects (Auto must
+// be resolved first, see KernelCosts.Choose) over partition l against the
+// frontier occupancy words xw, restricted to destination rows [rlo, rhi).
+func multiply[E any](mode Mode, l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink colSink[E], st *localStats) {
+	if mode == Push {
+		walkPush(l, xw, rlo, rhi, sink, st)
+	} else {
+		walkPull(l, xw, rlo, rhi, sink, st)
+	}
+}
+
+// walkPull is Algorithm 1's traversal: step through the partition's live
+// columns and probe the frontier bitvector for a message from each (line 4
+// — "becomes faster due to use of the bitvector"). The two layers merge by
+// runs: one arch-dispatched SpanLess scan takes every base column below the
+// next override, then the override itself. A plain partition is one run —
+// a straight scan of the base.
+func walkPull[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink colSink[E], st *localStats) {
+	base, delta := l.Base, l.Delta
+	bjc, bcp := base.JC, base.CP
+	var djc []uint32
+	if delta != nil {
+		djc = delta.JC
+	}
+	var buf [walkBatch]colRef
+	probes, edges := 0, 0
+	bi, di := 0, 0
+	for {
+		run := bjc[bi:]
+		if di < len(djc) {
+			run = run[:kernels.SpanLess(run, djc[di])]
+		}
+		probes += len(run)
+		// Gather a buffer's worth of columns at a time: the probe loop
+		// stays call-free, so a sparse frontier sweeps the column list at
+		// full speed.
+		for len(run) > 0 {
+			chunk := run[:min(len(run), walkBatch)]
+			if n := gather(&buf, chunk, bcp[bi:], xw); n > 0 {
+				edges += emit(sink, base, buf[:n], rlo, rhi)
+			}
+			bi += len(chunk)
+			run = run[len(chunk):]
+		}
+		if di == len(djc) {
+			break
+		}
+		j := djc[di]
+		if bi < len(bjc) && bjc[bi] == j {
+			bi++ // base column overridden
+		}
+		if lo, hi := delta.CP[di], delta.CP[di+1]; lo != hi { // else a tombstone: not live, not probed
+			probes++
+			if xw[j>>6]&(1<<(j&63)) != 0 {
+				buf[0] = colRef{j, lo, hi}
+				edges += emit(sink, delta, buf[:1], rlo, rhi)
+			}
+		}
+		di++
+	}
+	st.probes += int64(probes)
+	st.edges += int64(edges)
+}
+
+// walkPush is the frontier-driven dual — a true SpMSpV: iterate the
+// frontier's set bits in ascending index order and look each up in the
+// partition's column index (delta first: an override is authoritative)
 // instead of probing every stored column. Work is proportional to
-// |frontier| × O(1) lookups plus the frontier's edges, not to the
-// partition's nonzero column count, which is what makes a 10-vertex BFS
-// frontier cheap on a scale-18 graph. Columns are still visited in
-// ascending id, so the Reduce fold order — and therefore the result —
-// is bit-identical to the pull kernel's.
-//
-// rlo/rhi bound the destination rows, as in spmvPullBitvec (whole-partition
-// sentinel rlo=0, rhi=^uint32(0)).
-func spmvPushBitvec[V, E, M, R any, P Program[V, E, M, R]](
-	part *sparse.DCSC[E],
-	x *sparse.Vector[M],
-	props []V,
-	p P,
-	y *sparse.Vector[R],
-	st *localStats,
-	rlo, rhi uint32,
-) {
-	jc, cp, ir, vals := part.JC, part.CP, part.IR, part.Val
-	if len(jc) == 0 {
-		return
-	}
-	bounded := rlo > part.RowLo || rhi < part.RowHi
-	aux, shift := part.Aux, part.AuxShift
-	if aux == nil {
-		// Hand-assembled DCSCs (no AUX index) take FindColumn's
-		// binary-search fallback; BuildDCSC always indexes, so the engine
-		// never lands here.
-		spmvPushNoAux(part, x, props, p, y, st, rlo, rhi)
-		return
-	}
-	xw := x.Mask().Words()
-	xvals := x.Values()
-	yw := y.Mask().Words()
-	yvals := y.Values()
-	_, dstFree := any(p).(DstIndependent)
-	sf := sumFoldScalarView(p, x, y)
-	ff := f32FoldScalarView(p, x, y)
-	wv, wvOK := any(vals).([]float32)
-	ffOK := ff.kind != f32FoldNone && wvOK
-	var zeroV V
-	probes, edges := int64(0), int64(0)
-	// Only frontier words overlapping the partition's stored column range
+// |frontier| × O(1) AUX lookups plus the frontier's edges, not to the
+// partition's live column count, which is what makes a 10-vertex BFS
+// frontier cheap on a scale-18 graph. Hand-assembled layers without the AUX
+// index take FindColumn's binary-search fallback.
+func walkPush[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink colSink[E], st *localStats) {
+	base, delta := l.Base, l.Delta
+	// Only frontier words overlapping either layer's stored column range
 	// can match; everything outside is skipped wholesale.
-	loW := int(jc[0] >> 6)
-	hiW := int(jc[len(jc)-1]>>6) + 1
-	if hiW > len(xw) {
-		hiW = len(xw)
+	loCol, hiCol := uint32(math.MaxUint32), uint32(0)
+	for _, d := range [2]*sparse.DCSC[E]{base, delta} {
+		if d != nil && len(d.JC) > 0 {
+			loCol = min(loCol, d.JC[0])
+			hiCol = max(hiCol, d.JC[len(d.JC)-1])
+		}
 	}
+	if loCol > hiCol {
+		return // no stored columns in either layer
+	}
+	// buf[:n] holds found columns of layer cur awaiting their fold.
+	var buf [walkBatch]colRef
+	cur, n := base, 0
+	probes, edges := 0, 0
+	loW := int(loCol >> 6)
+	hiW := min(int(hiCol>>6)+1, len(xw))
 	for wi := loW; wi < hiW; wi++ {
 		w := xw[wi]
 		if w == 0 {
@@ -217,134 +170,81 @@ func spmvPushBitvec[V, E, M, R any, P Program[V, E, M, R]](
 			wi += skip
 			w = xw[wi]
 		}
-		base := uint32(wi) << 6
-		for w != 0 {
-			j := base + uint32(bits.TrailingZeros64(w))
-			w &= w - 1
+		for ; w != 0; w &= w - 1 {
+			j := uint32(wi)<<6 + uint32(bits.TrailingZeros64(w))
 			probes++
-			// AUX lookup, hand-inlined: scan the one bucket that could hold
-			// column j.
-			b := j >> shift
-			ci := int(aux[b])
-			ciHi := int(aux[b+1])
-			for ; ci < ciHi; ci++ {
-				if jc[ci] >= j {
-					break
-				}
+			d, ci, ok := delta, 0, false
+			if delta != nil {
+				ci, ok = delta.FindColumn(j)
 			}
-			if ci == ciHi || jc[ci] != j {
+			if !ok {
+				d = base
+				ci, ok = base.FindColumn(j)
+			}
+			if !ok {
 				continue
 			}
-			m := xvals[j]
-			lo, hi := cp[ci], cp[ci+1]
-			irc := ir[lo:hi]
-			if ffOK {
-				wc := wv[lo:hi:hi]
-				if bounded {
-					l, r := rowSpan(irc, rlo, rhi)
-					irc, wc = irc[l:r], wc[l:r]
-					if len(irc) == 0 {
-						continue
-					}
-				}
-				edges += int64(len(irc))
-				ff.scatter(yw, irc, wc, ff.x[j])
-				continue
+			lo, hi := d.CP[ci], d.CP[ci+1]
+			if lo == hi {
+				continue // tombstone
 			}
-			vc := vals[lo:hi:hi]
-			if bounded {
-				l, r := rowSpan(irc, rlo, rhi)
-				irc, vc = irc[l:r], vc[l:r]
-				if len(irc) == 0 {
-					continue
-				}
+			if n == len(buf) || (d != cur && n > 0) {
+				edges += emit(sink, cur, buf[:n], rlo, rhi)
+				n = 0
 			}
-			edges += int64(len(irc))
-			if sf.ok {
-				kernels.ScatterAddF64(yw, sf.y, irc, sf.x[j])
-				continue
-			}
-			if dstFree {
-				for k, dst := range irc {
-					r := p.ProcessMessage(m, vc[k], zeroV)
-					w := &yw[dst>>6]
-					bit := uint64(1) << (dst & 63)
-					if *w&bit != 0 {
-						yvals[dst] = p.Reduce(yvals[dst], r)
-					} else {
-						yvals[dst] = r
-						*w |= bit
-					}
-				}
-				continue
-			}
-			for k, dst := range irc {
-				r := p.ProcessMessage(m, vc[k], props[dst])
-				w := &yw[dst>>6]
-				bit := uint64(1) << (dst & 63)
-				if *w&bit != 0 {
-					yvals[dst] = p.Reduce(yvals[dst], r)
-				} else {
-					yvals[dst] = r
-					*w |= bit
-				}
-			}
+			cur = d
+			buf[n] = colRef{j, lo, hi}
+			n++
 		}
 	}
-	st.probes += probes
-	st.edges += edges
+	if n > 0 {
+		edges += emit(sink, cur, buf[:n], rlo, rhi)
+	}
+	st.probes += int64(probes)
+	st.edges += int64(edges)
 }
 
-// spmvPushNoAux is the push kernel's fallback for partitions without the AUX
-// index: identical traversal and fold order, with FindColumn (binary search)
-// as the per-frontier-vertex probe.
-func spmvPushNoAux[V, E, M, R any, P Program[V, E, M, R]](
-	part *sparse.DCSC[E],
-	x *sparse.Vector[M],
-	props []V,
-	p P,
-	y *sparse.Vector[R],
-	st *localStats,
-	rlo, rhi uint32,
-) {
-	jc, cp, ir, vals := part.JC, part.CP, part.IR, part.Val
-	bounded := rlo > part.RowLo || rhi < part.RowHi
-	xvals := x.Values()
-	ymask := y.Mask()
-	yvals := y.Values()
-	probes, edges := int64(0), int64(0)
-	x.Mask().IterateRange(jc[0], jc[len(jc)-1]+1, func(j uint32) {
-		probes++
-		ci, ok := part.FindColumn(j)
-		if !ok {
-			return
+// gather probes the frontier words xw for each stored column jc[i] (at most
+// walkBatch of them; its edges lie at positions cp[i]..cp[i+1]) and collects
+// the ones that hold a message into buf, returning their count. Kept out of
+// line: as its own function the probe loop holds its counters in registers;
+// inlined into walkPull's register pressure they spill to the stack, which
+// about doubles the cost of sweeping past a column a sparse frontier misses.
+//
+//go:noinline
+func gather(buf *[walkBatch]colRef, jc, cp []uint32, xw []uint64) int {
+	n := 0
+	for i, j := range jc {
+		if xw[j>>6]&(1<<(j&63)) != 0 {
+			buf[n] = colRef{j, cp[i], cp[i+1]}
+			n++
 		}
-		m := xvals[j]
-		lo, hi := cp[ci], cp[ci+1]
-		irc := ir[lo:hi]
-		vc := vals[lo:hi:hi]
-		if bounded {
-			l, r := rowSpan(irc, rlo, rhi)
-			irc, vc = irc[l:r], vc[l:r]
-		}
-		edges += int64(len(irc))
-		for k, dst := range irc {
-			r := p.ProcessMessage(m, vc[k], props[dst])
-			if ymask.Get(dst) {
-				yvals[dst] = p.Reduce(yvals[dst], r)
-			} else {
-				yvals[dst] = r
-				ymask.Set(dst)
+	}
+	return n
+}
+
+// emit hands the gathered columns of layer d to the sink and returns its
+// edge-fold count. A sub-partition task — [rlo, rhi) narrower than the
+// layer's row range — first clips each column to those rows, in place,
+// dropping columns with no rows there.
+func emit[E any](sink colSink[E], d *sparse.DCSC[E], cols []colRef, rlo, rhi uint32) int {
+	if rlo > d.RowLo || rhi < d.RowHi {
+		kept := cols[:0]
+		for _, c := range cols {
+			if l, r := rowSpan(d.IR[c.lo:c.hi], rlo, rhi); l < r {
+				kept = append(kept, colRef{c.j, c.lo + uint32(l), c.lo + uint32(r)})
 			}
 		}
-	})
-	st.probes += probes
-	st.edges += edges
+		if cols = kept; len(cols) == 0 {
+			return 0
+		}
+	}
+	return sink.fold(d.IR, d.Val, cols)
 }
 
 // rowSpan returns the half-open index range of irc — one column's
-// ascending destination-row run — whose rows fall in [rlo, rhi). Two
-// binary searches, paid only by bounded (sub-partition) kernel tasks.
+// ascending destination-row run — whose rows fall in [rlo, rhi): two binary
+// searches behind endpoint fast paths.
 func rowSpan(irc []uint32, rlo, rhi uint32) (int, int) {
 	// Endpoint fast paths: a bounded task checks every live column of its
 	// partition, but each column intersects only the few tasks its row
@@ -379,86 +279,6 @@ func rowSpan(irc []uint32, rlo, rhi uint32) (int, int) {
 	return l, lo
 }
 
-// spmvPullSorted is the pull kernel against the sorted-tuple message vector
-// (§4.4.2's rejected representation, retained for the Figure 7 "naive"
-// ablation step): the per-column presence probe is a binary search instead
-// of a bit test.
-func spmvPullSorted[V, E, M, R any, P Program[V, E, M, R]](
-	part *sparse.DCSC[E],
-	xs *sparse.SortedVector[M],
-	props []V,
-	p P,
-	y *sparse.Vector[R],
-	st *localStats,
-) {
-	jc, cp, ir, vals := part.JC, part.CP, part.IR, part.Val
-	ymask := y.Mask()
-	yvals := y.Values()
-	edges := int64(0)
-	for ci, j := range jc {
-		if !xs.Has(j) {
-			continue
-		}
-		m := xs.Get(j)
-		lo, hi := cp[ci], cp[ci+1]
-		edges += int64(hi - lo)
-		for k := lo; k < hi; k++ {
-			dst := ir[k]
-			r := p.ProcessMessage(m, vals[k], props[dst])
-			if ymask.Get(dst) {
-				yvals[dst] = p.Reduce(yvals[dst], r)
-			} else {
-				yvals[dst] = r
-				ymask.Set(dst)
-			}
-		}
-	}
-	st.probes += int64(len(jc))
-	st.edges += edges
-}
-
-// spmvPushSorted is the push kernel against the sorted-tuple message vector:
-// the frontier is already an ascending entry list, so the kernel walks it
-// directly and AUX-probes the partition per entry. Fold order matches
-// spmvPullSorted exactly.
-func spmvPushSorted[V, E, M, R any, P Program[V, E, M, R]](
-	part *sparse.DCSC[E],
-	xs *sparse.SortedVector[M],
-	props []V,
-	p P,
-	y *sparse.Vector[R],
-	st *localStats,
-) {
-	jc, cp, ir, vals := part.JC, part.CP, part.IR, part.Val
-	if len(jc) == 0 {
-		return
-	}
-	ymask := y.Mask()
-	yvals := y.Values()
-	probes, edges := int64(0), int64(0)
-	xs.Iterate(func(j uint32, m M) {
-		probes++
-		ci, ok := part.FindColumn(j)
-		if !ok {
-			return
-		}
-		lo, hi := cp[ci], cp[ci+1]
-		edges += int64(hi - lo)
-		for k := lo; k < hi; k++ {
-			dst := ir[k]
-			r := p.ProcessMessage(m, vals[k], props[dst])
-			if ymask.Get(dst) {
-				yvals[dst] = p.Reduce(yvals[dst], r)
-			} else {
-				yvals[dst] = r
-				ymask.Set(dst)
-			}
-		}
-	})
-	st.probes += probes
-	st.edges += edges
-}
-
 // pushProbeCost is how many pull probes one push probe is worth in the Auto
 // cost model. A pull probe is a sequential JC scan step with a bit test — a
 // load and a branch the prefetcher hides; a push probe is an AUX bucket
@@ -482,13 +302,26 @@ type KernelCosts struct {
 	Partitions int
 }
 
-// AddParts folds a partition set into the cost model.
+// AddParts folds a plain partition set into the cost model.
 func AddParts[E any](c KernelCosts, parts []*sparse.DCSC[E]) KernelCosts {
 	for _, pt := range parts {
 		c.TotalEdges += int64(pt.NNZ())
 		c.TotalNZCols += int64(pt.NZColumns())
 	}
 	c.Partitions += len(parts)
+	return c
+}
+
+// addLayers folds a layered partition set into the cost model using the
+// LIVE quantities — the edge and column counts the walks will actually see,
+// not the base's. liveNNZ is the layers' live edge weights (liveWeights),
+// computed once per run and shared with the task shaper.
+func addLayers[E any](c KernelCosts, layers []sparse.Layered[E], liveNNZ []int) KernelCosts {
+	for i, l := range layers {
+		c.TotalEdges += int64(liveNNZ[i])
+		c.TotalNZCols += int64(l.LiveNZColumns())
+	}
+	c.Partitions += len(layers)
 	return c
 }
 
@@ -523,14 +356,14 @@ func (c KernelCosts) Choose(mode Mode, threshold float64, frontierSize, frontier
 	return Push
 }
 
-// MultiplyPartition applies one partition of the generalized SpMV
+// MultiplyPartition applies one plain partition of the generalized SpMV
 // y ← y ⊕ (Gᵀ_part ⊗ x) with the given kernel mode (Auto must be resolved
-// first via ChooseMode). It is the exported seam of the kernel layer: the
-// single-shot SpMV helper and the distributed simulator route their
-// supersteps through it so every execution path shares one dispatch. The
-// partition must own a disjoint 64-aligned output row range (BuildDCSC /
-// PartitionRows guarantee this) and y must be written only by this
-// goroutine for that range. Returns the edge and probe tallies of the call.
+// first via KernelCosts.Choose). It is the exported seam of the kernel
+// layer: the distributed simulator routes its supersteps through it so
+// every execution path shares the same walks and folds. The partition must
+// own a disjoint 64-aligned output row range (BuildDCSC / PartitionRows
+// guarantee this) and y must be written only by this goroutine for that
+// range. Returns the edge and probe tallies of the call.
 func MultiplyPartition[V, E, M, R any, P Program[V, E, M, R]](
 	mode Mode,
 	part *sparse.DCSC[E],
@@ -540,11 +373,7 @@ func MultiplyPartition[V, E, M, R any, P Program[V, E, M, R]](
 	y *sparse.Vector[R],
 ) (edges, probes int64) {
 	var st localStats
-	if mode == Push {
-		spmvPushBitvec(part, x, props, p, y, &st, 0, ^uint32(0))
-	} else {
-		spmvPullBitvec(part, x, props, p, y, &st, 0, ^uint32(0))
-	}
+	multiply(mode, sparse.Layered[E]{Base: part}, x.Mask().Words(), 0, ^uint32(0), scalarSink(p, x, props, y), &st)
 	return st.edges, st.probes
 }
 

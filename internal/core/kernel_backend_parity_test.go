@@ -13,10 +13,10 @@ import (
 // Engine-level backend differential: for every SIMD backend the CPU supports,
 // a run must be bit-identical — vertex properties, frontiers, work tallies —
 // to the same run under the scalar oracle, across the full kernel matrix:
-// {pull, push, auto} × {bitvector, sorted} × {base, layered overlay}, for
-// both the generic fold path and the SumFoldF64 fast path, scalar (SpMV) and
-// block (SpMM) engines. This is the engine-shaped complement of the
-// primitive-level parity tests in internal/kernels.
+// {pull, push, auto} × {base, layered overlay}, for both the generic fold
+// path and the SumFoldF64 fast path, scalar (SpMV) and block (SpMM) engines.
+// This is the engine-shaped complement of the primitive-level parity tests
+// in internal/kernels.
 
 // sumFoldProg is a (+, passthrough) float64 program carrying the SumFoldF64
 // marker, routing its column folds through ScatterAddF64 (scalar engine) and
@@ -140,40 +140,38 @@ func TestKernelBackendParityScalarEngine(t *testing.T) {
 
 	for _, p := range progs {
 		for _, layered := range []bool{false, true} {
-			for _, kind := range []VectorKind{Bitvector, Sorted} {
-				for _, mode := range []Mode{Pull, Push, Auto} {
-					name := fmt.Sprintf("%s/layered_%v/vec_%d/mode_%s", p.name, layered, kind, mode)
-					t.Run(name, func(t *testing.T) {
-						cfg := Config{Threads: 3, MaxIterations: 12, Vector: kind, Mode: mode}
-						restore := forceBackendOrFatal(t, kernels.Scalar)
-						ref := runOne(t, p, layered, cfg)
+			for _, mode := range []Mode{Pull, Push, Auto} {
+				name := fmt.Sprintf("%s/layered_%v/mode_%s", p.name, layered, mode)
+				t.Run(name, func(t *testing.T) {
+					cfg := Config{Threads: 3, MaxIterations: 12, Mode: mode}
+					restore := forceBackendOrFatal(t, kernels.Scalar)
+					ref := runOne(t, p, layered, cfg)
+					restore()
+					for _, b := range simd {
+						restore := forceBackendOrFatal(t, b)
+						got := runOne(t, p, layered, cfg)
 						restore()
-						for _, b := range simd {
-							restore := forceBackendOrFatal(t, b)
-							got := runOne(t, p, layered, cfg)
-							restore()
-							for v := range ref.props {
-								if math.Float64bits(got.props[v]) != math.Float64bits(ref.props[v]) {
-									t.Fatalf("%s: prop[%d] = %v (%x), scalar %v (%x)", b, v,
-										got.props[v], math.Float64bits(got.props[v]),
-										ref.props[v], math.Float64bits(ref.props[v]))
-								}
-							}
-							for w := range ref.active {
-								if got.active[w] != ref.active[w] {
-									t.Fatalf("%s: frontier word %d = %#x, scalar %#x", b, w, got.active[w], ref.active[w])
-								}
-							}
-							// Sched carries wall-clock counters (BusyNS,
-							// Steals); backend parity compares the
-							// deterministic engine tallies only.
-							got.stats.Sched, ref.stats.Sched = SchedStats{}, SchedStats{}
-							if got.stats != ref.stats {
-								t.Fatalf("%s: stats %+v, scalar %+v", b, got.stats, ref.stats)
+						for v := range ref.props {
+							if math.Float64bits(got.props[v]) != math.Float64bits(ref.props[v]) {
+								t.Fatalf("%s: prop[%d] = %v (%x), scalar %v (%x)", b, v,
+									got.props[v], math.Float64bits(got.props[v]),
+									ref.props[v], math.Float64bits(ref.props[v]))
 							}
 						}
-					})
-				}
+						for w := range ref.active {
+							if got.active[w] != ref.active[w] {
+								t.Fatalf("%s: frontier word %d = %#x, scalar %#x", b, w, got.active[w], ref.active[w])
+							}
+						}
+						// Sched carries wall-clock counters (BusyNS,
+						// Steals); backend parity compares the
+						// deterministic engine tallies only.
+						got.stats.Sched, ref.stats.Sched = SchedStats{}, SchedStats{}
+						if got.stats != ref.stats {
+							t.Fatalf("%s: stats %+v, scalar %+v", b, got.stats, ref.stats)
+						}
+					}
+				})
 			}
 		}
 	}
@@ -214,29 +212,27 @@ func TestKernelBackendParityGenericFold(t *testing.T) {
 		}
 		return append([]float32(nil), g.Props()...), stats
 	}
-	for _, kind := range []VectorKind{Bitvector, Sorted} {
-		for _, mode := range []Mode{Pull, Push, Auto} {
-			t.Run(fmt.Sprintf("vec_%d/mode_%s", kind, mode), func(t *testing.T) {
-				cfg := Config{Threads: 3, MaxIterations: 40, Vector: kind, Mode: mode}
-				restore := forceBackendOrFatal(t, kernels.Scalar)
-				refProps, refStats := runOne(t, cfg)
+	for _, mode := range []Mode{Pull, Push, Auto} {
+		t.Run(fmt.Sprintf("mode_%s", mode), func(t *testing.T) {
+			cfg := Config{Threads: 3, MaxIterations: 40, Mode: mode}
+			restore := forceBackendOrFatal(t, kernels.Scalar)
+			refProps, refStats := runOne(t, cfg)
+			restore()
+			for _, b := range simd {
+				restore := forceBackendOrFatal(t, b)
+				gotProps, gotStats := runOne(t, cfg)
 				restore()
-				for _, b := range simd {
-					restore := forceBackendOrFatal(t, b)
-					gotProps, gotStats := runOne(t, cfg)
-					restore()
-					for v := range refProps {
-						if math.Float32bits(gotProps[v]) != math.Float32bits(refProps[v]) {
-							t.Fatalf("%s: prop[%d] = %v, scalar %v", b, v, gotProps[v], refProps[v])
-						}
-					}
-					gotStats.Sched, refStats.Sched = SchedStats{}, SchedStats{}
-					if gotStats != refStats {
-						t.Fatalf("%s: stats %+v, scalar %+v", b, gotStats, refStats)
+				for v := range refProps {
+					if math.Float32bits(gotProps[v]) != math.Float32bits(refProps[v]) {
+						t.Fatalf("%s: prop[%d] = %v, scalar %v", b, v, gotProps[v], refProps[v])
 					}
 				}
-			})
-		}
+				gotStats.Sched, refStats.Sched = SchedStats{}, SchedStats{}
+				if gotStats != refStats {
+					t.Fatalf("%s: stats %+v, scalar %+v", b, gotStats, refStats)
+				}
+			}
+		})
 	}
 }
 

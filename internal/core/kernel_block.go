@@ -1,357 +1,123 @@
 package core
 
 import (
-	"math"
 	"math/bits"
 
 	"graphmat/internal/kernels"
-	"graphmat/internal/sparse"
 )
 
-// This file is the multi-source half of the kernel layer: the generalized
-// sparse matrix–sparse MATRIX multiplication (SpMM) over n×k block vectors —
-// one sweep of the adjacency structure advancing up to 64 source columns at
-// once, in pull (column probe) and push (frontier-driven SpMSpV) directions,
-// over single-layer and layered (base+delta overlay) partitions. The point of
-// the widening is amortization: the column probes and edge-list walks that
-// dominate a scalar superstep are paid once per edge instead of once per
-// (edge, source).
+// This file is the block engine's fold half of the kernel layer: the column
+// sinks the two walks of kernel.go feed when the frontier and the output
+// are n×k block vectors — the generalized sparse matrix–sparse MATRIX
+// multiplication (SpMM), one sweep of the adjacency structure advancing up
+// to 64 source columns at once. The walks read only the block frontier's
+// vertex-level summary, so the traversal is the scalar engine's, bit for
+// bit; the point of the widening is amortization: the column probes and
+// edge-list walks that dominate a scalar superstep are paid once per edge
+// instead of once per (edge, source).
 //
-// The scalar kernels' invariants carry over per column:
-//
-//  1. partitions own disjoint 64-aligned output row ranges — no
-//     synchronization on the output block;
-//  2. columns of the adjacency structure are visited in ascending id in
-//     every mode, and within one destination the per-source fold order
-//     follows the same edge order the scalar kernels use — so for each
-//     source s, a block run folds exactly the values, in exactly the order,
-//     of a scalar run from that source alone. That is the bit-identity
-//     contract the differential suite asserts.
+// Within one destination the per-source fold order follows the same edge
+// order the scalar sinks see — so for each source s, a block run folds
+// exactly the values, in exactly the order, of a scalar run from that
+// source alone. That is the bit-identity contract the differential suite
+// asserts.
 //
 // The fold uses the BlockProgram's Semiring half (Mul/Add): Mul has no
 // destination parameter, which is what makes sharing one edge traversal
 // across k columns sound. First writes store the raw Mul result under a mask
-// bit, exactly like the scalar fold — Identity() is never fed to Add.
+// bit, exactly like the scalar fold — Identity() is never fed to Add. Edge
+// folds are tallied per (edge, live source column).
 
-// foldBlockColumn folds one adjacency column into the output block for every
-// source in cm: per edge, one Mul per live source column, Add on collisions.
-// xrow is the sender's k-wide message row; irc/vc the column's edge targets
-// and values.
-func foldBlockColumn[V, E, M, R any, P BlockProgram[V, E, M, R]](
-	p P, k int, cm uint64, xrow []M, irc []uint32, vc []E,
-	ysw []uint64, ycols []uint64, yvals []R,
-) {
-	for kk, dst := range irc {
-		e := vc[kk]
-		w := &ysw[dst>>6]
-		bit := uint64(1) << (dst & 63)
-		if *w&bit == 0 {
-			*w |= bit
-			ycols[dst] = 0
+// blockSink resolves block program p's column fold from message block x
+// into reduction block y, once per run — the block analogue of scalarSink,
+// with the same fused float64-sum and float32 path-semiring fast paths.
+func blockSink[V, E, M, R any, P BlockProgram[V, E, M, R]](p P, x *BlockVector[M], y *BlockVector[R]) colSink[E] {
+	if _, ok := any(p).(SumFoldF64); ok {
+		xf, okX := any(x).(*BlockVector[float64])
+		yf, okY := any(y).(*BlockVector[float64])
+		if okX && okY {
+			return &blockSumSinkF64[E]{x: xf, y: yf}
 		}
-		ym := ycols[dst]
-		yrow := yvals[int(dst)*k : int(dst)*k+k]
-		for m := cm; m != 0; m &= m - 1 {
-			s := bits.TrailingZeros64(m)
-			r := p.Mul(xrow[s], e)
-			if ym&(1<<uint(s)) != 0 {
-				yrow[s] = p.Add(yrow[s], r)
-			} else {
-				yrow[s] = r
-				ym |= 1 << uint(s)
-			}
-		}
-		ycols[dst] = ym
 	}
+	if kind := f32FoldKindOf(p); kind != f32FoldNone {
+		xf, okX := any(x).(*BlockVector[float32])
+		yf, okY := any(y).(*BlockVector[float32])
+		if s, okE := any(&blockPathSinkF32{kind: kind, x: xf, y: yf}).(colSink[E]); okX && okY && okE {
+			return s
+		}
+	}
+	return &blockFoldSink[V, E, M, R, P]{p: p, x: x, y: y}
 }
 
-// spmmPullBitvec is spmvPullBitvec widened to k columns: traverse the
-// partition's nonzero columns in ascending id, probe the block frontier's
-// summary bit, and fold each edge once per live source column.
-// rlo/rhi bound the destination rows (the scheduler's nnz-weighted
-// sub-partition tasks), exactly as in spmvPullBitvec.
-func spmmPullBitvec[V, E, M, R any, P BlockProgram[V, E, M, R]](
-	part *sparse.DCSC[E],
-	x *BlockVector[M],
-	p P,
-	y *BlockVector[R],
-	st *localStats,
-	rlo, rhi uint32,
-) {
-	jc, cp, ir, vals := part.JC, part.CP, part.IR, part.Val
-	bounded := rlo > part.RowLo || rhi < part.RowHi
-	k := x.k
-	xw := x.summary.Words()
-	xcols, xvals := x.cols, x.vals
-	ysw := y.summary.Words()
-	ycols, yvals := y.cols, y.vals
-	xf, yf, sumOK := sumFoldBlockView(p, x, y)
-	fk, xg, yg := f32FoldBlockView(p, x, y)
-	wv, wvOK := any(vals).([]float32)
-	ffOK := fk != f32FoldNone && wvOK
-	edges := int64(0)
-	for ci, j := range jc {
-		if xw[j>>6]&(1<<(j&63)) == 0 {
-			continue
-		}
-		cm := xcols[j]
-		if cm == 0 {
-			continue
-		}
-		lo, hi := cp[ci], cp[ci+1]
-		irc := ir[lo:hi]
-		if ffOK {
-			wc := wv[lo:hi:hi]
-			if bounded {
-				l, r := rowSpan(irc, rlo, rhi)
-				irc, wc = irc[l:r], wc[l:r]
-				if len(irc) == 0 {
-					continue
+// touchRow returns vertex v's column mask in a block vector's two-level
+// occupancy (summary words, per-vertex masks), zeroing it on the first
+// touch of v after a Reset. Single-writer per 64-aligned vertex range, like
+// all engine vector writes.
+func touchRow(summary, cols []uint64, v uint32) uint64 {
+	w := &summary[v>>6]
+	bit := uint64(1) << (v & 63)
+	if *w&bit == 0 {
+		*w |= bit
+		cols[v] = 0
+	}
+	return cols[v]
+}
+
+// blockFoldSink is the generic block fold: per edge, one Mul per live
+// source column of the sender, Add on collisions.
+type blockFoldSink[V, E, M, R any, P BlockProgram[V, E, M, R]] struct {
+	p P
+	x *BlockVector[M]
+	y *BlockVector[R]
+}
+
+func (s *blockFoldSink[V, E, M, R, P]) fold(ir []uint32, val []E, cols []colRef) int {
+	p, x, y := s.p, s.x, s.y
+	ysw, ycols := y.summary.Words(), y.cols
+	edges := 0
+	for _, c := range cols {
+		cm, xrow := x.cols[c.j], x.Row(c.j)
+		irc, vc := ir[c.lo:c.hi], val[c.lo:c.hi:c.hi]
+		edges += len(irc) * bits.OnesCount64(cm)
+		for kk, dst := range irc {
+			e := vc[kk]
+			ym := touchRow(ysw, ycols, dst)
+			yrow := y.Row(dst)
+			for m := cm; m != 0; m &= m - 1 {
+				col := bits.TrailingZeros64(m)
+				r := p.Mul(xrow[col], e)
+				if ym&(1<<uint(col)) != 0 {
+					yrow[col] = p.Add(yrow[col], r)
+				} else {
+					yrow[col] = r
 				}
 			}
-			edges += int64(len(irc)) * int64(bits.OnesCount64(cm))
-			foldBlockColumnF32(fk, k, cm, xg[int(j)*k:int(j)*k+k], irc, wc, ysw, ycols, yg)
-			continue
+			ycols[dst] = ym | cm
 		}
-		vc := vals[lo:hi:hi]
-		if bounded {
-			l, r := rowSpan(irc, rlo, rhi)
-			irc, vc = irc[l:r], vc[l:r]
-			if len(irc) == 0 {
-				continue
-			}
-		}
-		edges += int64(len(irc)) * int64(bits.OnesCount64(cm))
-		if sumOK {
-			foldBlockColumnSumF64(k, cm, xf[int(j)*k:int(j)*k+k], irc, ysw, ycols, yf)
-			continue
-		}
-		xrow := xvals[int(j)*k : int(j)*k+k]
-		foldBlockColumn(p, k, cm, xrow, irc, vc, ysw, ycols, yvals)
 	}
-	st.probes += int64(len(jc))
-	st.edges += edges
+	return edges
 }
 
-// spmmPushBitvec is spmvPushBitvec widened to k columns: iterate the block
-// frontier's summary in ascending vertex order and AUX-probe the partition
-// per sender, folding each found column once per live source column.
-func spmmPushBitvec[V, E, M, R any, P BlockProgram[V, E, M, R]](
-	part *sparse.DCSC[E],
-	x *BlockVector[M],
-	p P,
-	y *BlockVector[R],
-	st *localStats,
-	rlo, rhi uint32,
-) {
-	jc, cp, ir, vals := part.JC, part.CP, part.IR, part.Val
-	if len(jc) == 0 {
-		return
-	}
-	bounded := rlo > part.RowLo || rhi < part.RowHi
-	k := x.k
-	xw := x.summary.Words()
-	xcols, xvals := x.cols, x.vals
-	ysw := y.summary.Words()
-	ycols, yvals := y.cols, y.vals
-	xf, yf, sumOK := sumFoldBlockView(p, x, y)
-	fk, xg, yg := f32FoldBlockView(p, x, y)
-	wv, wvOK := any(vals).([]float32)
-	ffOK := fk != f32FoldNone && wvOK
-	probes, edges := int64(0), int64(0)
-	loW := int(jc[0] >> 6)
-	hiW := int(jc[len(jc)-1]>>6) + 1
-	if hiW > len(xw) {
-		hiW = len(xw)
-	}
-	for wi := loW; wi < hiW; wi++ {
-		w := xw[wi]
-		if w == 0 {
-			skip := kernels.FirstNonzero(xw[wi:hiW])
-			if skip < 0 {
-				break
-			}
-			wi += skip
-			w = xw[wi]
-		}
-		base := uint32(wi) << 6
-		for w != 0 {
-			j := base + uint32(bits.TrailingZeros64(w))
-			w &= w - 1
-			cm := xcols[j]
-			if cm == 0 {
-				continue
-			}
-			probes++
-			ci, ok := part.FindColumn(j)
-			if !ok {
-				continue
-			}
-			lo, hi := cp[ci], cp[ci+1]
-			irc := ir[lo:hi]
-			if ffOK {
-				wc := wv[lo:hi:hi]
-				if bounded {
-					l, r := rowSpan(irc, rlo, rhi)
-					irc, wc = irc[l:r], wc[l:r]
-					if len(irc) == 0 {
-						continue
-					}
-				}
-				edges += int64(len(irc)) * int64(bits.OnesCount64(cm))
-				foldBlockColumnF32(fk, k, cm, xg[int(j)*k:int(j)*k+k], irc, wc, ysw, ycols, yg)
-				continue
-			}
-			vc := vals[lo:hi:hi]
-			if bounded {
-				l, r := rowSpan(irc, rlo, rhi)
-				irc, vc = irc[l:r], vc[l:r]
-				if len(irc) == 0 {
-					continue
-				}
-			}
-			edges += int64(len(irc)) * int64(bits.OnesCount64(cm))
-			if sumOK {
-				foldBlockColumnSumF64(k, cm, xf[int(j)*k:int(j)*k+k], irc, ysw, ycols, yf)
-				continue
-			}
-			xrow := xvals[int(j)*k : int(j)*k+k]
-			foldBlockColumn(p, k, cm, xrow, irc, vc, ysw, ycols, yvals)
-		}
-	}
-	st.probes += probes
-	st.edges += edges
+// blockSumSinkF64 is the (+, passthrough) float64 block fold: per edge, one
+// masked k-lane add through the kernels backend. Lanes are independent and
+// first writes store the raw message, exactly like the generic loop.
+type blockSumSinkF64[E any] struct {
+	x, y *BlockVector[float64]
 }
 
-// spmmPullLayered is the pull SpMM over a base+delta overlay: the layered
-// scalar kernel's two-pointer column merge with the block fold inside. Delta
-// overrides replace base columns; empty overrides are tombstones.
-func spmmPullLayered[V, E, M, R any, P BlockProgram[V, E, M, R]](
-	l sparse.Layered[E],
-	x *BlockVector[M],
-	p P,
-	y *BlockVector[R],
-	st *localStats,
-) {
-	base, delta := l.Base, l.Delta
-	bjc, djc := base.JC, delta.JC
-	k := x.k
-	xw := x.summary.Words()
-	xcols, xvals := x.cols, x.vals
-	ysw := y.summary.Words()
-	ycols, yvals := y.cols, y.vals
-	xf, yf, sumOK := sumFoldBlockView(p, x, y)
-	probes, edges := int64(0), int64(0)
-	// Run-based merge, like spmvPullBitvecLayered: one SpanLess scan takes
-	// the whole run of base columns below the next delta column.
-	foldLive := func(j uint32, irc []uint32, vc []E) {
-		probes++
-		if xw[j>>6]&(1<<(j&63)) == 0 {
-			return
-		}
-		cm := xcols[j]
-		if cm == 0 {
-			return
-		}
-		edges += int64(len(irc)) * int64(bits.OnesCount64(cm))
-		if sumOK {
-			foldBlockColumnSumF64(k, cm, xf[int(j)*k:int(j)*k+k], irc, ysw, ycols, yf)
-			return
-		}
-		foldBlockColumn(p, k, cm, xvals[int(j)*k:int(j)*k+k], irc, vc, ysw, ycols, yvals)
-	}
-	bi, di := 0, 0
-	for bi < len(bjc) || di < len(djc) {
-		next := uint32(math.MaxUint32)
-		if di < len(djc) {
-			next = djc[di]
-		}
-		for end := bi + kernels.SpanLess(bjc[bi:], next); bi < end; bi++ {
-			lo, hi := base.CP[bi], base.CP[bi+1]
-			foldLive(bjc[bi], base.IR[lo:hi], base.Val[lo:hi:hi])
-		}
-		if di >= len(djc) {
-			break
-		}
-		j := next
-		if bi < len(bjc) && bjc[bi] == j {
-			bi++ // base column overridden
-		}
-		lo, hi := delta.CP[di], delta.CP[di+1]
-		di++
-		if lo == hi {
-			continue // tombstone
-		}
-		foldLive(j, delta.IR[lo:hi], delta.Val[lo:hi:hi])
-	}
-	st.probes += probes
-	st.edges += edges
-}
-
-// spmmPushLayered is the push SpMM over a base+delta overlay: block frontier
-// iteration with delta-first column resolution.
-func spmmPushLayered[V, E, M, R any, P BlockProgram[V, E, M, R]](
-	l sparse.Layered[E],
-	x *BlockVector[M],
-	p P,
-	y *BlockVector[R],
-	st *localStats,
-) {
-	base, delta := l.Base, l.Delta
-	if len(base.JC) == 0 && len(delta.JC) == 0 {
-		return
-	}
-	k := x.k
-	xw := x.summary.Words()
-	xcols, xvals := x.cols, x.vals
-	ysw := y.summary.Words()
-	ycols, yvals := y.cols, y.vals
-	xf, yf, sumOK := sumFoldBlockView(p, x, y)
-	probes, edges := int64(0), int64(0)
-	loCol, hiCol := ^uint32(0), uint32(0)
-	if len(base.JC) > 0 {
-		loCol, hiCol = base.JC[0], base.JC[len(base.JC)-1]
-	}
-	if len(delta.JC) > 0 {
-		loCol = min(loCol, delta.JC[0])
-		hiCol = max(hiCol, delta.JC[len(delta.JC)-1])
-	}
-	loW := int(loCol >> 6)
-	hiW := int(hiCol>>6) + 1
-	if hiW > len(xw) {
-		hiW = len(xw)
-	}
-	for wi := loW; wi < hiW; wi++ {
-		w := xw[wi]
-		if w == 0 {
-			skip := kernels.FirstNonzero(xw[wi:hiW])
-			if skip < 0 {
-				break
-			}
-			wi += skip
-			w = xw[wi]
-		}
-		base32 := uint32(wi) << 6
-		for w != 0 {
-			j := base32 + uint32(bits.TrailingZeros64(w))
-			w &= w - 1
-			cm := xcols[j]
-			if cm == 0 {
-				continue
-			}
-			probes++
-			irc, vc, ok := liveColumn(base, delta, j)
-			if !ok {
-				continue
-			}
-			edges += int64(len(irc)) * int64(bits.OnesCount64(cm))
-			if sumOK {
-				foldBlockColumnSumF64(k, cm, xf[int(j)*k:int(j)*k+k], irc, ysw, ycols, yf)
-				continue
-			}
-			foldBlockColumn(p, k, cm, xvals[int(j)*k:int(j)*k+k], irc, vc, ysw, ycols, yvals)
+func (s *blockSumSinkF64[E]) fold(ir []uint32, _ []E, cols []colRef) int {
+	x, y := s.x, s.y
+	ysw, ycols := y.summary.Words(), y.cols
+	edges := 0
+	for _, c := range cols {
+		cm, xrow := x.cols[c.j], x.Row(c.j)
+		irc := ir[c.lo:c.hi]
+		edges += len(irc) * bits.OnesCount64(cm)
+		for _, dst := range irc {
+			ym := touchRow(ysw, ycols, dst)
+			kernels.BlockAddF64(y.Row(dst), xrow, cm, ym)
+			ycols[dst] = ym | cm
 		}
 	}
-	st.probes += probes
-	st.edges += edges
+	return edges
 }

@@ -5,9 +5,13 @@ import (
 	"graphmat/internal/sparse"
 )
 
-// This file is the seam between the generic kernels and the arch-dispatched
-// fold primitives in internal/kernels: the SumFoldF64 declaration and the
-// helpers that resolve a program to the fused float64 fold when it qualifies.
+// This file is the scalar engine's fold half of the kernel layer: the column
+// sinks the two walks of kernel.go feed when the output is one reduction
+// vector, and the seam to the arch-dispatched fold primitives in
+// internal/kernels. scalarSink resolves a program to its sink once per run:
+// the fused float64 sum fold or a fused float32 path-semiring fold when the
+// program declares one and the element types really match, the generic
+// callback loop otherwise.
 
 // SumFoldF64 is an optional marker for programs whose fold is the
 // (+, passthrough) monoid over float64: ProcessMessage (and Mul, for block
@@ -15,9 +19,9 @@ import (
 // and destination — and Reduce (and Add) is float64 addition. PageRank, PPR
 // and HITS are this shape: the per-edge work is pure gather-and-accumulate.
 //
-// Declaring it lets the kernels replace the per-edge callback loop with the
-// kernels backend's fused primitives — ScatterAddF64 for the scalar SpMV
-// column fold, BlockAddF64 for the SpMM's k-wide masked lane add — which is
+// Declaring it lets the sinks replace the per-edge callback loop with the
+// kernels backend's fused primitives — ScatterAddF64 for the scalar column
+// fold, BlockAddF64 for the block fold's k-wide masked lane add — which is
 // where the AVX2/NEON backends earn their keep on the dense-frontier
 // algorithms. The declaration is a promise, like DstIndependent: the fused
 // fold must be indistinguishable from the generic loop. The differential
@@ -31,61 +35,98 @@ type SumFoldF64 interface {
 	ReducesBySumF64()
 }
 
-// sumFoldF64 is the resolved fast-path view of a scalar-engine kernel call:
-// ok only when the program declares SumFoldF64 AND both vector element types
-// really are float64.
-type sumFoldF64 struct {
-	ok   bool
+// scalarSink resolves program p's column fold from message vector x into
+// reduction vector y. The result only reads p and views of the vectors'
+// backing arrays (stable across Reset), so one sink serves every task of
+// every superstep of a run.
+func scalarSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *sparse.Vector[M], props []V, y *sparse.Vector[R]) colSink[E] {
+	yw := y.Mask().Words()
+	if _, ok := any(p).(SumFoldF64); ok {
+		xv, okX := any(x.Values()).([]float64)
+		yv, okY := any(y.Values()).([]float64)
+		if okX && okY {
+			return &sumSinkF64[E]{yw: yw, x: xv, y: yv}
+		}
+	}
+	if kind := f32FoldKindOf(p); kind != f32FoldNone {
+		xv, okX := any(x.Values()).([]float32)
+		yv, okY := any(y.Values()).([]float32)
+		// The weight operand must be float32 too: the sink is a colSink[E]
+		// only when E is.
+		if s, okE := any(&pathSinkF32{kind: kind, yw: yw, x: xv, y: yv}).(colSink[E]); okX && okY && okE {
+			return s
+		}
+	}
+	_, dstFree := any(p).(DstIndependent)
+	return &foldSink[V, E, M, R, P]{p: p, dstFree: dstFree, x: x.Values(), props: props, yw: yw, y: y.Values()}
+}
+
+// sumSinkF64 is the (+, passthrough) float64 fold: the whole per-edge loop
+// is one arch-dispatched scatter-add per column; edge values are never read.
+type sumSinkF64[E any] struct {
+	yw   []uint64
 	x, y []float64
 }
 
-func sumFoldScalarView[V, E, M, R any, P Program[V, E, M, R]](
-	p P, x *sparse.Vector[M], y *sparse.Vector[R],
-) (sf sumFoldF64) {
-	if _, ok := any(p).(SumFoldF64); !ok {
-		return sf
+func (s *sumSinkF64[E]) fold(ir []uint32, _ []E, cols []colRef) int {
+	edges := 0
+	for _, c := range cols {
+		irc := ir[c.lo:c.hi]
+		edges += len(irc)
+		kernels.ScatterAddF64(s.yw, s.y, irc, s.x[c.j])
 	}
-	xv, okX := any(x.Values()).([]float64)
-	yv, okY := any(y.Values()).([]float64)
-	if !okX || !okY {
-		return sf
-	}
-	return sumFoldF64{ok: true, x: xv, y: yv}
+	return edges
 }
 
-// sumFoldBlockView is the block-engine analogue: the raw n×k value arrays of
-// the message and reduction blocks when the program qualifies.
-func sumFoldBlockView[V, E, M, R any, P BlockProgram[V, E, M, R]](
-	p P, x *BlockVector[M], y *BlockVector[R],
-) (xvals, yvals []float64, ok bool) {
-	if _, mk := any(p).(SumFoldF64); !mk {
-		return nil, nil, false
-	}
-	xv, okX := any(x.vals).([]float64)
-	yv, okY := any(y.vals).([]float64)
-	if !okX || !okY {
-		return nil, nil, false
-	}
-	return xv, yv, true
+// foldSink is the generic fold: ProcessMessage on every edge, Reduce on
+// collisions, first writes stored raw under a mask bit. The type is
+// instantiated per program, so the compiler specializes the loop — the
+// reproduction's analogue of compiling the C++ with -ipo (§4.5 item 2).
+type foldSink[V, E, M, R any, P Program[V, E, M, R]] struct {
+	p P
+	// dstFree: the program declared ProcessMessage ignores the destination
+	// property, so the per-edge random load of props[dst] is skipped.
+	dstFree bool
+	x       []M
+	props   []V
+	yw      []uint64
+	y       []R
 }
 
-// foldBlockColumnSumF64 is foldBlockColumn for (+, passthrough) float64
-// programs: per edge, one masked k-lane add through the kernels backend
-// instead of a per-source Mul/Add loop. Identical fold semantics — lanes are
-// independent and first writes store the raw message, exactly like the
-// generic loop.
-func foldBlockColumnSumF64(
-	k int, cm uint64, xrow []float64, irc []uint32,
-	ysw []uint64, ycols []uint64, yvals []float64,
-) {
-	for _, dst := range irc {
-		w := &ysw[dst>>6]
-		bit := uint64(1) << (dst & 63)
-		if *w&bit == 0 {
-			*w |= bit
-			ycols[dst] = 0
+func (s *foldSink[V, E, M, R, P]) fold(ir []uint32, val []E, cols []colRef) int {
+	p, props, yw, y := s.p, s.props, s.yw, s.y
+	var zeroV V
+	edges := 0
+	for _, c := range cols {
+		m := s.x[c.j]
+		// Subslice the column so the inner loop is bounds-check free.
+		irc, vc := ir[c.lo:c.hi], val[c.lo:c.hi:c.hi]
+		edges += len(irc)
+		if s.dstFree {
+			for k, dst := range irc {
+				r := p.ProcessMessage(m, vc[k], zeroV)
+				w := &yw[dst>>6]
+				bit := uint64(1) << (dst & 63)
+				if *w&bit != 0 {
+					y[dst] = p.Reduce(y[dst], r)
+				} else {
+					y[dst] = r
+					*w |= bit
+				}
+			}
+			continue
 		}
-		kernels.BlockAddF64(yvals[int(dst)*k:int(dst)*k+k], xrow, cm, ycols[dst])
-		ycols[dst] |= cm
+		for k, dst := range irc {
+			r := p.ProcessMessage(m, vc[k], props[dst])
+			w := &yw[dst>>6]
+			bit := uint64(1) << (dst & 63)
+			if *w&bit != 0 {
+				y[dst] = p.Reduce(y[dst], r)
+			} else {
+				y[dst] = r
+				*w |= bit
+			}
+		}
 	}
+	return edges
 }

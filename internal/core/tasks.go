@@ -1,6 +1,11 @@
 package core
 
-import "graphmat/internal/sparse"
+import (
+	"sync/atomic"
+
+	"graphmat/internal/graph"
+	"graphmat/internal/sparse"
+)
 
 // This file is the nnz-weighted task-shaping half of the scheduler work:
 // turning a run's partition list into multiply-phase task lists whose units
@@ -16,6 +21,91 @@ import "graphmat/internal/sparse"
 // sequence. (Splitting by column range instead would both race on shared
 // destination rows and recombine partial folds, which float reduction
 // orders forbid.)
+//
+// The same preparation serves the scalar and the block engine: runPlan
+// pins a run's layers, weighs them once, and runs each superstep's
+// multiply phase over the resulting task lists.
+
+// runPlan is one run's multiply-phase preparation: per scatter direction,
+// the pinned base+delta layers and their task lists; plus the Auto cost
+// model's structure side and per-vertex degrees. It depends only on the
+// pinned structures and the run config, so it is built once per run.
+type runPlan[E any] struct {
+	dirs [2]dirPlan[E] // out-edge scatter, in-edge scatter; unused ones stay empty
+	// costs and autoDegs feed KernelCosts.Choose; zero/nil unless the run
+	// is in Auto mode. autoDegs[v] is v's degree over the directions in
+	// play — the SendMessage phase sums it over the senders, one array load
+	// each, so fixed modes skip the accounting entirely.
+	costs    KernelCosts
+	autoDegs []uint32
+}
+
+type dirPlan[E any] struct {
+	layers []sparse.Layered[E]
+	tasks  taskPlan
+}
+
+// planRun pins g's traversal structures for the directions dir names and
+// prepares their task lists. Whatever the graph's owning store publishes
+// later, the run keeps iterating exactly this epoch's edge set. Each
+// layer's live edge weight — O(delta columns) lookups on an overlay — is
+// computed once here and shared by the task shaper and the cost model.
+func planRun[V, E any](g *graph.Graph[V, E], dir graph.Direction, cfg Config) runPlan[E] {
+	var rp runPlan[E]
+	if dir&graph.Out != 0 {
+		rp.dirs[0].layers = g.OutLayers()
+	}
+	if dir&graph.In != 0 {
+		rp.dirs[1].layers = g.InLayers()
+	}
+	for i := range rp.dirs {
+		d := &rp.dirs[i]
+		weights := liveWeights(d.layers)
+		d.tasks = shapeTasks(d.layers, weights, cfg.Threads, cfg.Runtime)
+		if cfg.Mode == Auto {
+			rp.costs = addLayers(rp.costs, d.layers, weights)
+		}
+	}
+	if cfg.Mode == Auto {
+		switch dir & graph.Both {
+		case graph.Out:
+			rp.autoDegs = g.OutDegrees()
+		case graph.In:
+			rp.autoDegs = g.InDegrees()
+		default:
+			outDegs, inDegs := g.OutDegrees(), g.InDegrees()
+			rp.autoDegs = make([]uint32, len(outDegs))
+			for v := range rp.autoDegs {
+				rp.autoDegs[v] = outDegs[v] + inDegs[v]
+			}
+		}
+	}
+	return rp
+}
+
+// multiplyPhase runs one superstep's generalized multiply (Algorithm 1): every
+// task of every direction in play through the walk mode selects, against
+// the frontier occupancy words xw, folding into sink. Each task owns a
+// disjoint 64-aligned output row range, so the sink's output needs no
+// synchronization.
+func (rp *runPlan[E]) multiplyPhase(ex execCfg, stop *atomic.Int32, mode Mode, xw []uint64, sink colSink[E], locals []localStats) {
+	for _, d := range rp.dirs {
+		tasks := d.tasks.pick(mode)
+		parallelFor(ex, len(tasks), stop, func(ti, w int) {
+			t := tasks[ti]
+			multiply(mode, d.layers[t.layer], xw, t.rlo, t.rhi, sink, &locals[w])
+		})
+	}
+}
+
+// liveWeights returns each layer's live edge count under its overlay.
+func liveWeights[E any](layers []sparse.Layered[E]) []int {
+	weights := make([]int, len(layers))
+	for i, l := range layers {
+		weights[i] = l.LiveNNZ()
+	}
+	return weights
+}
 
 // spmvTask is one unit of multiply-phase work: a partition (by layer
 // index) and a destination-row range. Whole-partition tasks use the full
@@ -29,9 +119,9 @@ type spmvTask struct {
 type taskPlan struct {
 	// whole is partition-granular: one task per layer, in layer order.
 	whole []spmvTask
-	// shaped is the nnz-weighted list: heavy single-layer partitions are
-	// split into 64-aligned destination-row sub-ranges of roughly equal
-	// live-edge weight; light and layered partitions stay whole.
+	// shaped is the nnz-weighted list: heavy partitions are split into
+	// 64-aligned destination-row sub-ranges of roughly equal edge weight;
+	// light partitions stay whole.
 	shaped []spmvTask
 }
 
@@ -53,18 +143,20 @@ const (
 	shapeSweepCost = 4
 )
 
-// shapeTasks builds the task plan for one direction's layers. The grain is
-// total live edge weight over workers × shapeTasksPerWorker (floored at
-// shapeMinGrain); partitions above twice the grain are split at
-// destination-row boundaries chosen by per-row nnz weight — the same
-// balance-and-64-align cut PartitionRows applies at build time, here at
-// sub-partition scale. Only single-layer partitions split (the layered
-// merge kernels are partition-granular); delta overlays stay whole.
+// shapeTasks builds the task plan for one direction's layers from their
+// live edge weights (liveWeights). The grain is total live weight over
+// workers × shapeTasksPerWorker (floored at shapeMinGrain); partitions
+// above twice the grain are split at destination-row boundaries chosen by
+// the BASE's per-row nnz weight — the same balance-and-64-align cut
+// PartitionRows applies at build time, here at sub-partition scale. An
+// overlay is cut on its base's boundaries too: any 64-aligned cut is
+// correct, and a delta small enough to have escaped compaction only
+// perturbs the balance.
 //
 // The plan depends only on the pinned structures and the run config, so
 // repeated runs shape identically — engine tallies that count per-task
 // sweeps (ColumnsProbed) stay deterministic per configuration.
-func shapeTasks[E any](layers []sparse.Layered[E], workers int, rt Runtime) taskPlan {
+func shapeTasks[E any](layers []sparse.Layered[E], weights []int, workers int, rt Runtime) taskPlan {
 	plan := taskPlan{whole: make([]spmvTask, len(layers))}
 	for i := range plan.whole {
 		plan.whole[i] = spmvTask{layer: int32(i), rhi: ^uint32(0)}
@@ -74,8 +166,8 @@ func shapeTasks[E any](layers []sparse.Layered[E], workers int, rt Runtime) task
 		return plan
 	}
 	total := 0
-	for _, l := range layers {
-		total += l.LiveNNZ()
+	for _, w := range weights {
+		total += w
 	}
 	grain := total / (workers * shapeTasksPerWorker)
 	if grain < shapeMinGrain {
@@ -84,8 +176,8 @@ func shapeTasks[E any](layers []sparse.Layered[E], workers int, rt Runtime) task
 	shaped := make([]spmvTask, 0, len(layers))
 	split := false
 	for i, l := range layers {
-		w := l.LiveNNZ()
-		if l.Delta != nil || w <= 2*grain {
+		w := weights[i]
+		if w <= 2*grain {
 			shaped = append(shaped, plan.whole[i])
 			continue
 		}
@@ -94,14 +186,18 @@ func shapeTasks[E any](layers []sparse.Layered[E], workers int, rt Runtime) task
 		if s > shapeMaxSplit {
 			s = shapeMaxSplit
 		}
-		// Every sub-task re-sweeps the partition's whole live-column list —
-		// a frontier probe and a row-range check per column — so splitting
-		// an s-way partition adds (s-1)·NZColumns sweep steps on top of the
-		// unchanged edge work. Cap s so that bill stays a small fraction of
-		// the edge work it buys balance for: column-rich hypersparse
-		// partitions (few edges per live column) stay coarse, edge-dense
-		// ones split freely.
-		if c := part.NZColumns(); c > 0 && s > w/(shapeSweepCost*c) {
+		// Every sub-task re-sweeps the partition's whole stored-column list
+		// (both layers) — a frontier probe and a row-range check per column
+		// — so splitting an s-way partition adds (s-1)·columns sweep steps
+		// on top of the unchanged edge work. Cap s so that bill stays a
+		// small fraction of the edge work it buys balance for: column-rich
+		// hypersparse partitions (few edges per live column) stay coarse,
+		// edge-dense ones split freely.
+		c := part.NZColumns()
+		if l.Delta != nil {
+			c += l.Delta.NZColumns()
+		}
+		if c > 0 && s > w/(shapeSweepCost*c) {
 			s = w / (shapeSweepCost * c)
 		}
 		// 64-aligned boundaries bound the useful split count: sub-ranges
@@ -130,14 +226,13 @@ func shapeTasks[E any](layers []sparse.Layered[E], workers int, rt Runtime) task
 }
 
 // pick selects one superstep's task list. Shaped tasks serve pull
-// supersteps over the bitvector frontier: the column-sweep bill is fixed,
-// so cutting heavy partitions buys balance for a cheap per-column row
-// search. Push supersteps and the sorted-vector ablation stay
+// supersteps: the column-sweep bill is fixed, so cutting heavy partitions
+// buys balance for a cheap per-column row search. Push supersteps stay
 // partition-granular — push work is frontier-proportional, and splitting
 // would multiply the per-frontier-vertex probe bill by the split factor
 // (the adaptive-grain rule: sparse-frontier supersteps must not shatter).
-func (tp *taskPlan) pick(mode Mode, sorted bool) []spmvTask {
-	if mode == Push || sorted {
+func (tp *taskPlan) pick(mode Mode) []spmvTask {
+	if mode == Push {
 		return tp.whole
 	}
 	return tp.shaped

@@ -244,8 +244,8 @@ func (g *Graph[V, E]) InPartitions() []*sparse.DCSC[E] {
 }
 
 // OutLayers returns the out-edge traversal structure as base+delta pairs —
-// the view the engine kernels iterate. Partitions without pending mutations
-// have a nil Delta and take the single-layer fast path.
+// the view the engine's column walks iterate. Partitions without pending
+// mutations have a nil Delta.
 func (g *Graph[V, E]) OutLayers() []sparse.Layered[E] {
 	return zipLayers(g.OutPartitions(), g.outDelta)
 }

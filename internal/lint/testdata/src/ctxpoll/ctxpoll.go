@@ -7,8 +7,14 @@ import (
 	"sync/atomic"
 )
 
-// spmvPull stands in for a kernel entry point (matches the spmv* pattern).
-func spmvPull(part int) {}
+// walkPull stands in for a kernel entry point: one of the two column walks
+// every engine shares (an exact name in the default funcs pattern).
+func walkPull(part int) {}
+
+// multiply stands in for the per-task entry that selects a walk by mode, and
+// spmvBoxedBitvec for a boxed ablation kernel (the spmvBoxed* prefix).
+func multiply(mode, part int)  { walkPull(part) }
+func spmvBoxedBitvec(part int) {}
 
 // execCfg stands in for the engine's execution config.
 type execCfg struct{ workers int }
@@ -44,14 +50,14 @@ func (p *pool) RunOptions(ntasks int, stop *atomic.Int32, opts int, fn func(task
 
 func sweepNoPoll(parts []int) {
 	for _, p := range parts { // want "without polling"
-		spmvPull(p)
+		walkPull(p)
 	}
 }
 
 func supersteps(parts []int, iters int) {
 	for it := 0; it < iters; it++ { // want "without polling"
 		for _, p := range parts { // want "without polling"
-			spmvPull(p)
+			walkPull(p)
 		}
 	}
 }
@@ -59,7 +65,7 @@ func supersteps(parts []int, iters int) {
 func sweepWrapperNil(parts []int) {
 	for round := 0; round < 3; round++ { // want "without polling"
 		parallelFor(execCfg{4}, len(parts), nil, func(i, w int) {
-			spmvPull(parts[i])
+			walkPull(parts[i])
 		})
 	}
 }
@@ -67,8 +73,20 @@ func sweepWrapperNil(parts []int) {
 func sweepPoolNil(parts []int, p *pool) {
 	for round := 0; round < 3; round++ { // want "without polling"
 		p.Run(len(parts), nil, func(i, w int) {
-			spmvPull(parts[i])
+			walkPull(parts[i])
 		})
+	}
+}
+
+func sweepTaskEntryNoPoll(parts []int) {
+	for _, p := range parts { // want "without polling"
+		multiply(1, p)
+	}
+}
+
+func sweepBoxedNoPoll(parts []int) {
+	for _, p := range parts { // want "without polling"
+		spmvBoxedBitvec(p)
 	}
 }
 
@@ -77,7 +95,7 @@ func sweepAtomic(parts []int, stop *atomic.Int32) {
 		if stop.Load() != 0 {
 			return
 		}
-		spmvPull(p)
+		walkPull(p)
 	}
 }
 
@@ -86,7 +104,7 @@ func sweepCtx(ctx context.Context, parts []int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		spmvPull(p)
+		walkPull(p)
 	}
 	return nil
 }
@@ -94,7 +112,7 @@ func sweepCtx(ctx context.Context, parts []int) error {
 func sweepWrapper(parts []int, stop *atomic.Int32) {
 	for round := 0; round < 3; round++ {
 		parallelFor(execCfg{4}, len(parts), stop, func(i, w int) {
-			spmvPull(parts[i])
+			walkPull(parts[i])
 		})
 	}
 }
@@ -102,7 +120,7 @@ func sweepWrapper(parts []int, stop *atomic.Int32) {
 func sweepPool(parts []int, p *pool, stop *atomic.Int32) {
 	for round := 0; round < 3; round++ {
 		p.Run(len(parts), stop, func(i, w int) {
-			spmvPull(parts[i])
+			walkPull(parts[i])
 		})
 	}
 }
@@ -110,7 +128,7 @@ func sweepPool(parts []int, p *pool, stop *atomic.Int32) {
 func sweepPoolOptions(parts []int, p *pool, stop *atomic.Int32) {
 	for round := 0; round < 3; round++ {
 		p.RunOptions(len(parts), stop, 1, func(i, w int) {
-			spmvPull(parts[i])
+			walkPull(parts[i])
 		})
 	}
 }

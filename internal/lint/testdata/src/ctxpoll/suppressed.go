@@ -6,6 +6,6 @@ package ctxpoll
 func suppressedSweep(parts [4]int) {
 	//lint:graphmat ctxpoll bounded to 4 partitions, sub-millisecond sweep
 	for _, p := range parts {
-		spmvPull(p)
+		walkPull(p)
 	}
 }

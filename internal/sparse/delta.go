@@ -21,8 +21,8 @@ type Mut[E any] struct {
 
 // Layered is one row partition of a versioned matrix: the immutable base
 // DCSC plus an optional delta DCSC of whole-column overrides. A nil Delta
-// means the partition has no pending mutations and kernels take the plain
-// single-layer path.
+// means the partition has no pending mutations: the plain partition is the
+// degenerate case of the same kernel walks, not a separate path.
 type Layered[E any] struct {
 	Base  *DCSC[E]
 	Delta *DCSC[E]
