@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt lint graphmatlint staticcheck govulncheck test race bench bench-engine bench-engine-record bench-sched bench-store bench-multi bench-snap fuzz kernel-parity ci
+.PHONY: all build fmt lint graphmatlint staticcheck govulncheck test bench-module race bench bench-engine bench-engine-record bench-sched bench-store bench-multi bench-snap fuzz kernel-parity ci
 
 all: build
 
@@ -50,6 +50,14 @@ govulncheck:
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is its own Go module (replace graphmat => ../), so the root
+# `go build/vet/test ./...` never compile it: without this target an API
+# removal here could break the repository's benchmark unnoticed. Its smoke
+# test drives all four workloads against a live graphmatd with bit-identical
+# oracles. CI runs this target.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # internal/graph carries the versioned store (snapshot isolation under
 # concurrent updates + compaction); algorithms carries the store-backed
@@ -123,4 +131,4 @@ bench-snap:
 	$(GO) test -bench='^(BenchmarkSnapWrite|BenchmarkSnapBoot|BenchmarkSnapParseBuild)$$' -benchtime=1s -run='^$$' .
 	$(GO) test -bench='^BenchmarkWAL' -benchtime=1s -run='^$$' ./internal/snap
 
-ci: build lint test kernel-parity race fuzz bench
+ci: build lint test bench-module kernel-parity race fuzz bench

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,17 @@ import (
 	"graphmat/internal/reference"
 	"graphmat/internal/sparse"
 )
+
+var bg = context.Background()
+
+// must unwraps a Run function's result for tests that run uncancelled with
+// fresh scratch, where an error can only be a bug.
+func must[T any](out T, stats graphmat.Stats, err error) (T, graphmat.Stats) {
+	if err != nil {
+		panic(err)
+	}
+	return out, stats
+}
 
 // rmatEdges produces a deduplicated RMAT edge list for tests.
 func rmatEdges(seed uint64, scale, ef, maxW int) *sparse.COO[float32] {
@@ -30,7 +42,7 @@ func TestPageRankMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	const iters = 20
-	got, stats := PageRank(g, PageRankOptions{MaxIterations: iters, Config: graphmat.Config{Threads: 2}})
+	got, stats := must(RunPageRank(bg, g, WithIterations(iters), WithThreads(2)))
 	want := reference.PageRank(n, refEdges, 0.15, iters)
 	for v := uint32(0); v < n; v++ {
 		if math.Abs(got[v]-want[v]) > 1e-9 {
@@ -48,7 +60,7 @@ func TestPageRankConvergesWithTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats := PageRank(g, PageRankOptions{MaxIterations: 500, Tolerance: 1e-10})
+	_, stats := must(RunPageRank(bg, g, WithIterations(500), WithTolerance(1e-10)))
 	if stats.Iterations >= 500 {
 		t.Errorf("did not converge in %d iterations", stats.Iterations)
 	}
@@ -68,7 +80,7 @@ func TestPageRankRanksAreProbabilistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranks, _ := PageRank(g, PageRankOptions{MaxIterations: 50})
+	ranks, _ := must(RunPageRank(bg, g, WithIterations(50)))
 	for v, r := range ranks {
 		if math.Abs(r-1) > 1e-9 {
 			t.Errorf("cycle rank[%d] = %v, want 1", v, r)
@@ -85,7 +97,7 @@ func TestBFSMatchesReference(t *testing.T) {
 	// The reference must see the symmetrized edges the graph actually holds.
 	sym := g.Adjacency()
 	root := uint32(0)
-	got, _ := BFS(g, root, graphmat.Config{Threads: 2})
+	got, _ := must(RunBFS(bg, g, root, WithThreads(2)))
 	want := reference.BFS(g.NumVertices(), sym.Entries, root)
 	for v := range want {
 		if got[v] != want[v] {
@@ -103,7 +115,7 @@ func TestBFSUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, _ := BFS(g, 0, graphmat.Config{})
+	dist, _ := must(RunBFS(bg, g, 0))
 	if dist[0] != 0 || dist[1] != 1 {
 		t.Errorf("reachable distances wrong: %v", dist)
 	}
@@ -119,7 +131,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 		t.Fatal(err)
 	}
 	adj := g.Adjacency()
-	got, _ := SSSP(g, 0, graphmat.Config{Threads: 2})
+	got, _ := must(RunSSSP(bg, g, 0, WithThreads(2)))
 	want := reference.SSSP(g.NumVertices(), adj.Entries, 0)
 	for v := range want {
 		if got[v] != want[v] {
@@ -135,7 +147,7 @@ func TestTriangleCountMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	dag := g.Adjacency()
-	got, _ := TriangleCount(g, graphmat.Config{Threads: 2})
+	got, _ := must(RunTriangleCount(bg, g, WithThreads(2)))
 	want := reference.Triangles(g.NumVertices(), dag.Entries)
 	if got != want {
 		t.Fatalf("triangles = %d, want %d", got, want)
@@ -159,7 +171,7 @@ func TestTriangleCountKnownGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := TriangleCount(g, graphmat.Config{}); got != 4 {
+	if got, _ := must(RunTriangleCount(bg, g)); got != 4 {
 		t.Errorf("K4 triangles = %d, want 4", got)
 	}
 	// A 4-cycle has none.
@@ -171,7 +183,7 @@ func TestTriangleCountKnownGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := TriangleCount(g2, graphmat.Config{}); got != 0 {
+	if got, _ := must(RunTriangleCount(bg, g2)); got != 0 {
 		t.Errorf("C4 triangles = %d, want 0", got)
 	}
 }
@@ -182,8 +194,8 @@ func TestTriangleCountReusable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := TriangleCount(g, graphmat.Config{})
-	b, _ := TriangleCount(g, graphmat.Config{})
+	a, _ := must(RunTriangleCount(bg, g))
+	b, _ := must(RunTriangleCount(bg, g))
 	if a != b {
 		t.Errorf("second run differs: %d vs %d", a, b)
 	}
@@ -243,7 +255,7 @@ func TestConnectedComponentsMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	sym := g.Adjacency()
-	got, _ := ConnectedComponents(g, graphmat.Config{Threads: 2})
+	got, _ := must(RunConnectedComponents(bg, g, WithThreads(2)))
 	want := reference.ConnectedComponents(g.NumVertices(), sym.Entries)
 	for v := range want {
 		if got[v] != want[v] {
@@ -282,7 +294,7 @@ func TestQuickSSSPAgainstDijkstra(t *testing.T) {
 			t.Fatal(err)
 		}
 		adj := g.Adjacency()
-		got, _ := SSSP(g, 0, graphmat.Config{Threads: 2})
+		got, _ := must(RunSSSP(bg, g, 0, WithThreads(2)))
 		want := reference.SSSP(g.NumVertices(), adj.Entries, 0)
 		for v := range want {
 			if got[v] != want[v] {
@@ -305,7 +317,7 @@ func TestQuickTrianglesAgainstBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		dag := g.Adjacency()
-		got, _ := TriangleCount(g, graphmat.Config{Threads: 2})
+		got, _ := must(RunTriangleCount(bg, g, WithThreads(2)))
 		return got == reference.Triangles(g.NumVertices(), dag.Entries)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
@@ -336,7 +348,7 @@ func TestQuickPageRankMassConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranks, _ := PageRank(g, PageRankOptions{MaxIterations: 30, Config: graphmat.Config{Threads: 2}})
+		ranks, _ := must(RunPageRank(bg, g, WithIterations(30), WithThreads(2)))
 		sum := 0.0
 		for _, r := range ranks {
 			sum += r

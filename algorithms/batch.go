@@ -133,14 +133,14 @@ func RunPersonalizedPageRankBatch(ctx context.Context, g *graphmat.Graph[PPRVert
 			return nil, graphmat.Stats{}, err
 		}
 	}
-	opt := set.pageRankOptions().withDefaults()
+	restart, maxIters := set.rankDefaults()
 	inv := make([]float64, n)
 	for v := 0; v < n; v++ {
 		if d := g.OutDegree(uint32(v)); d > 0 {
 			inv[v] = 1 / float64(d)
 		}
 	}
-	prog := PersonalizedPageRankProgram{RestartProb: opt.RestartProb, Tolerance: opt.Tolerance}
+	prog := PersonalizedPageRankProgram{RestartProb: restart, Tolerance: set.tol}
 	cfg := set.cfg
 	cfg.MaxIterations = 1
 	sess := newSession(set.obs)
@@ -158,14 +158,14 @@ func RunPersonalizedPageRankBatch(ctx context.Context, g *graphmat.Graph[PPRVert
 				// A single-source personalization set: the whole teleport
 				// mass and the initial rank live at the source (matching the
 				// scalar driver with len(sources) == 1).
-				p.Restart = opt.RestartProb
+				p.Restart = restart
 				p.Rank = 1
 			}
 			return p
 		})
 		ws := graphmat.NewBlockWorkspace[float64, float64](n, k)
 		live := fullMask(k)
-		for it := 0; it < opt.MaxIterations && live != 0; it++ {
+		for it := 0; it < maxIters && live != 0; it++ {
 			st.ActivateAllMask(live)
 			s, err := graphmat.RunBlockContext(ctx, g, prog, st, cfg, ws, sess.options()...)
 			accumulate(&stats, s)

@@ -55,57 +55,33 @@ func (BFSProgram) ProcessIgnoresDst() {}
 // preprocessing: self-loops removed and the edge set symmetrized ("we
 // replicate edges ... to obtain a symmetric graph"). The input is consumed.
 func NewBFSGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[uint32, float32], error) {
-	adj.RemoveSelfLoops()
-	adj.SortRowMajor()
-	adj.DedupKeepFirst()
-	adj.Symmetrize()
-	return graphmat.New[uint32](adj, graphmat.Options{Partitions: partitions})
+	return bfsAlgo.newGraph(adj, partitions)
 }
 
 // NewBFSStore is NewBFSGraph as a versioned store: the same preprocessing
 // and epoch-0 graph, plus live edge updates via ApplyEdges.
 func NewBFSStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[uint32, float32], error) {
-	adj.RemoveSelfLoops()
-	adj.SortRowMajor()
-	adj.DedupKeepFirst()
-	adj.Symmetrize()
-	return graphmat.NewStore[uint32](adj, graphmat.Options{Partitions: partitions})
+	return bfsAlgo.newStore(adj, partitions)
 }
 
-// BFS computes hop distances from root on a graph built by NewBFSGraph.
-// Unreachable vertices report Unreached.
-//
-// Deprecated: use RunBFS with WithConfig.
-func BFS(g *graphmat.Graph[uint32, float32], root uint32, cfg graphmat.Config) ([]uint32, graphmat.Stats) {
-	ws := graphmat.NewWorkspace[uint32, uint32](int(g.NumVertices()), cfg.Vector)
-	dist, stats, err := BFSWithWorkspace(g, root, cfg, ws)
+// RunBFS computes hop distances from root on a graph built by NewBFSGraph;
+// unreachable vertices report Unreached. Options: WithConfig/WithThreads/
+// WithMode, WithWorkspace (*graphmat.Workspace[uint32, uint32]),
+// WithObserver. The run is a cancelable, observable session: ctx stops the
+// traversal cooperatively, the observer receives one report per superstep.
+// A stopped run returns the partial distances reached so far together with
+// the stop cause; Stats.Reason classifies the ending.
+func RunBFS(ctx context.Context, g *graphmat.Graph[uint32, float32], root uint32, opts ...Option) ([]uint32, graphmat.Stats, error) {
+	set := newSettings(opts)
+	ws, err := settingsWorkspace[uint32, uint32](int(g.NumVertices()), set)
 	if err != nil {
-		panic(err) // workspace built for this graph and config above
+		return nil, graphmat.Stats{}, err
 	}
-	return dist, stats
-}
-
-// BFSWithWorkspace is BFS with caller-managed engine scratch for repeated
-// traversals on one graph.
-//
-// Deprecated: use RunBFS with WithWorkspace.
-func BFSWithWorkspace(g *graphmat.Graph[uint32, float32], root uint32, cfg graphmat.Config, ws *graphmat.Workspace[uint32, uint32]) ([]uint32, graphmat.Stats, error) {
-	return BFSContext(context.Background(), g, root, cfg, ws, nil)
-}
-
-// BFSContext is BFS as a cancelable, observable session: ctx stops the
-// traversal cooperatively, obs (when non-nil) receives one report per
-// superstep. A stopped run returns the partial distances reached so far
-// together with the stop cause; Stats.Reason classifies the ending.
-//
-// Deprecated: use RunBFS with WithObserver; this remains the implementation
-// behind it.
-func BFSContext(ctx context.Context, g *graphmat.Graph[uint32, float32], root uint32, cfg graphmat.Config, ws *graphmat.Workspace[uint32, uint32], obs Observer) ([]uint32, graphmat.Stats, error) {
 	g.SetAllProps(Unreached)
 	g.SetProp(root, 0)
 	g.ClearActive()
 	g.SetActive(root)
-	stats, err := graphmat.RunContext(ctx, g, BFSProgram{}, cfg, ws, newSession(obs).options()...)
+	stats, err := graphmat.RunContext(ctx, g, BFSProgram{}, set.cfg, ws, newSession(set.obs).options()...)
 	dist := make([]uint32, g.NumVertices())
 	for v := range dist {
 		dist[v] = g.Prop(uint32(v))

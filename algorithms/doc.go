@@ -10,22 +10,24 @@
 //     own pipelines;
 //   - a New*Graph constructor that applies the paper's dataset preprocessing
 //     (§5.1) and builds the property graph;
-//   - a runner (e.g. SSSP) that initializes vertex state, executes the
-//     program and extracts results.
+//   - one runner, Run<Algo>(ctx, g, ...required args, opts...) (e.g.
+//     RunSSSP), that initializes vertex state, executes the program and
+//     extracts results. Options (options.go) carry everything else: engine
+//     configuration, caller-managed scratch, iteration caps, an observer.
 //
-// Every runner also has a Context variant (e.g. SSSPContext) that executes
-// as a cancelable, observable session: a context.Context stops the engine
-// cooperatively mid-run, and an optional Observer receives one progress
-// report per superstep — with iteration numbers counting the algorithm's
-// global supersteps even for drivers that invoke the engine one superstep
-// at a time. Stopped runs return their partial results alongside the stop
-// cause, and Stats.Reason classifies every ending. The registry mirrors
-// this: Instance.RunContext is the session form of Instance.Run.
+// Every runner executes as a cancelable, observable session: the
+// context.Context stops the engine cooperatively mid-run, and an optional
+// Observer receives one progress report per superstep — with iteration
+// numbers counting the algorithm's global supersteps even for drivers that
+// invoke the engine one superstep at a time. Stopped runs return their
+// partial results alongside the stop cause, and Stats.Reason classifies every
+// ending. The registry (registry.go) serves the same runners by name: one
+// table row per algorithm, one generic Instance over all of them.
 //
-// Every runner accepts the engine's kernel mode through its Config (and the
-// registry's global "mode" parameter): Pull probes every stored column per
-// superstep, Push iterates the frontier (a true SpMSpV), and Auto — the
-// default — switches per superstep by frontier density against the
+// Every runner accepts the engine's kernel mode through WithMode/WithConfig
+// (and the registry's global "mode" parameter): Pull probes every stored
+// column per superstep, Push iterates the frontier (a true SpMSpV), and Auto
+// — the default — switches per superstep by frontier density against the
 // configured PushThreshold. Modes are bit-identical in results and differ
 // only in speed: push wins high-diameter, sparse-frontier traversals (BFS
 // and SSSP on road networks, low-reach sources on scale-free graphs), pull

@@ -20,7 +20,7 @@ func TestHITSOnKnownGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, stats := HITS(g, HITSOptions{Iterations: 10, Config: graphmat.Config{Threads: 2}})
+	scores, stats := must(RunHITS(bg, g, WithIterations(10), WithThreads(2)))
 	if stats.Iterations != 20 { // two half-steps per iteration
 		t.Errorf("Iterations = %d, want 20", stats.Iterations)
 	}
@@ -47,7 +47,7 @@ func TestHITSNormalized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, _ := HITS(g, HITSOptions{Iterations: 15, Config: graphmat.Config{Threads: 2}})
+	scores, _ := must(RunHITS(bg, g, WithIterations(15), WithThreads(2)))
 	var hub2, auth2 float64
 	for _, s := range scores {
 		hub2 += s.Hub * s.Hub
@@ -73,8 +73,8 @@ func TestHITSPowerIterationConverges(t *testing.T) {
 		}
 		return g
 	}
-	a, _ := HITS(build(), HITSOptions{Iterations: 30})
-	b, _ := HITS(build(), HITSOptions{Iterations: 60})
+	a, _ := must(RunHITS(bg, build(), WithIterations(30)))
+	b, _ := must(RunHITS(bg, build(), WithIterations(60)))
 	var maxDiff float64
 	for v := range a {
 		maxDiff = math.Max(maxDiff, math.Abs(a[v].Auth-b[v].Auth))
@@ -112,7 +112,7 @@ func TestPersonalizedPageRankLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := []uint32{0, 1}
-	ranks, _ := PersonalizedPageRank(g, sources, PageRankOptions{MaxIterations: 100, Tolerance: 1e-12})
+	ranks, _ := must(RunPersonalizedPageRank(bg, g, sources, WithIterations(100), WithTolerance(1e-12)))
 
 	// Unreachable component must have zero rank.
 	for v := n / 2; v < n; v++ {
@@ -154,13 +154,13 @@ func TestPersonalizedPageRankReducesToUniformTeleport(t *testing.T) {
 	for i := range all {
 		all[i] = uint32(i)
 	}
-	ppr, _ := PersonalizedPageRank(gPPR, all, PageRankOptions{MaxIterations: 60})
+	ppr, _ := must(RunPersonalizedPageRank(bg, gPPR, all, WithIterations(60)))
 
 	gPR, err := NewPageRankGraph(coo.Clone(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, _ := PageRank(gPR, PageRankOptions{MaxIterations: 60})
+	pr, _ := must(RunPageRank(bg, gPR, WithIterations(60)))
 
 	// PPR with uniform sources = PR / n (ranks are distributions vs counts).
 	for v := uint32(0); v < n; v++ {

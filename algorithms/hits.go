@@ -51,64 +51,42 @@ func (hitsHubProg) Direction() graphmat.Direction { return graphmat.In }
 func (hitsHubProg) ProcessIgnoresDst()            {}
 func (hitsHubProg) ReducesBySumF64()              {}
 
-// HITSOptions configures a HITS run.
-type HITSOptions struct {
-	Iterations int // 0 means 20
-	Config     graphmat.Config
-}
-
 // NewHITSGraph builds the HITS property graph (self-loops removed, both
-// traversal directions materialized).
+// traversal directions materialized). The input is consumed.
 func NewHITSGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[HITSVertex, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.New[HITSVertex](adj, graphmat.Options{Partitions: partitions, Directions: graphmat.Both})
+	return hitsAlgo.newGraph(adj, partitions)
 }
 
 // NewHITSStore is NewHITSGraph as a versioned store: the same preprocessing
 // and epoch-0 graph (both directions materialized), plus live edge updates
 // via ApplyEdges.
 func NewHITSStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[HITSVertex, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.NewStore[HITSVertex](adj, graphmat.Options{Partitions: partitions, Directions: graphmat.Both})
+	return hitsAlgo.newStore(adj, partitions)
 }
 
-// HITS computes hub and authority scores with iterations of the two
-// half-steps, L2-normalizing after each (the standard formulation). Returns
-// the final scores indexed by vertex.
+// RunHITS computes hub and authority scores on a graph built by
+// NewHITSGraph, with iterations of the two half-steps, L2-normalizing after
+// each (the standard formulation). Returns the final scores indexed by
+// vertex. Options: WithIterations (0 means 20) plus the engine options; both
+// half-steps carry float64 messages, so one *graphmat.Workspace[float64,
+// float64] serves the whole run.
 //
-// Deprecated: use RunHITS with WithIterations.
-func HITS(g *graphmat.Graph[HITSVertex, float32], opt HITSOptions) ([]HITSVertex, graphmat.Stats) {
-	ws := graphmat.NewWorkspace[float64, float64](int(g.NumVertices()), opt.Config.Vector)
-	out, stats, err := HITSWithWorkspace(g, opt, ws)
+// The run is a cancelable, observable session. The observer sees one report
+// per engine superstep — two per HITS iteration (the authority half-step,
+// then the hub half-step). A stopped run returns the scores as of the stop
+// together with the stop cause.
+func RunHITS(ctx context.Context, g *graphmat.Graph[HITSVertex, float32], opts ...Option) ([]HITSVertex, graphmat.Stats, error) {
+	set := newSettings(opts)
+	ws, err := settingsWorkspace[float64, float64](int(g.NumVertices()), set)
 	if err != nil {
-		panic(err) // workspace built for this graph and config above
+		return nil, graphmat.Stats{}, err
 	}
-	return out, stats
-}
-
-// HITSWithWorkspace is HITS with caller-managed engine scratch for repeated
-// runs on one graph. Both half-steps carry float64 messages, so one
-// workspace serves the whole run.
-//
-// Deprecated: use RunHITS with WithWorkspace.
-func HITSWithWorkspace(g *graphmat.Graph[HITSVertex, float32], opt HITSOptions, ws *graphmat.Workspace[float64, float64]) ([]HITSVertex, graphmat.Stats, error) {
-	return HITSContext(context.Background(), g, opt, ws, nil)
-}
-
-// HITSContext is HITS as a cancelable, observable session. The observer sees
-// one report per engine superstep — two per HITS iteration (the authority
-// half-step, then the hub half-step). A stopped run returns the scores as of
-// the stop together with the stop cause.
-//
-// Deprecated: use RunHITS with WithObserver; this remains the
-// implementation behind it.
-func HITSContext(ctx context.Context, g *graphmat.Graph[HITSVertex, float32], opt HITSOptions, ws *graphmat.Workspace[float64, float64], obs Observer) ([]HITSVertex, graphmat.Stats, error) {
-	iters := opt.Iterations
+	iters := set.iters
 	if iters <= 0 {
 		iters = 20
 	}
 	g.SetAllProps(HITSVertex{Hub: 1, Auth: 1})
-	cfg := opt.Config
+	cfg := set.cfg
 	cfg.MaxIterations = 1
 
 	props := g.Props()
@@ -127,7 +105,7 @@ func HITSContext(ctx context.Context, g *graphmat.Graph[HITSVertex, float32], op
 		}
 	}
 
-	sess := newSession(obs)
+	sess := newSession(set.obs)
 	scores := func() []HITSVertex {
 		out := make([]HITSVertex, len(props))
 		copy(out, props)

@@ -53,14 +53,12 @@ func (ReachabilityProgram) ProcessIgnoresDst() {}
 // NewReachabilityGraph builds the reachability property graph: self-loops
 // removed, directed edges kept as-is. The input is consumed.
 func NewReachabilityGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[uint32, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.New[uint32](adj, graphmat.Options{Partitions: partitions})
+	return reachabilityAlgo.newGraph(adj, partitions)
 }
 
 // NewReachabilityStore is NewReachabilityGraph as a versioned store.
 func NewReachabilityStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[uint32, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.NewStore[uint32](adj, graphmat.Options{Partitions: partitions})
+	return reachabilityAlgo.newStore(adj, partitions)
 }
 
 // RunReachability computes the set of vertices reachable from src along

@@ -3,16 +3,18 @@ package algorithms
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"graphmat"
 )
 
 // This file is the package's named-constructor table: every ready-made
-// algorithm registered under a stable name with a declared parameter schema,
-// a graph builder (the algorithm-specific preprocessing of §5.1) and a
+// algorithm is one row (an algo[V] value) giving its stable name, declared
+// parameter schema, preprocessing kind (§5.1) and the closures that run it,
+// and one generic instance[V] turns any row into a served Instance with the
 // uniform result shape. The analytics server dispatches HTTP queries through
 // it and the graphmat CLI resolves -algorithm through the same table, so the
 // two front ends can never drift apart.
@@ -21,9 +23,14 @@ import (
 // algorithm does not declare in its Spec are rejected by ParseParams, not
 // silently ignored.
 type Params struct {
-	// Source is the start vertex for traversals (bfs, sssp).
+	// Source is the start vertex for traversals (bfs, sssp, reachability,
+	// widest).
 	Source uint32
-	// Sources is the personalization set for ppr; empty means {Source}.
+	// Sources, when non-empty, takes precedence over Source. RunBatch runs
+	// once per element. Run treats it as the personalization set for ppr and,
+	// for the single-source traversals, accepts exactly one element (the
+	// start vertex) — a longer list is an error pointing at RunBatch, never
+	// silently truncated.
 	Sources []uint32
 	// Iterations caps iterative algorithms (pagerank, ppr, hits); 0 means
 	// the algorithm's default.
@@ -101,6 +108,10 @@ type ParamSpec struct {
 	Name string    `json:"name"`
 	Kind ParamKind `json:"-"`
 	Desc string    `json:"desc"`
+	// set validates one raw value and stores it into the Params field the
+	// parameter stands for. ParseParams rejects a declared parameter without
+	// one, so a parameter cannot be listed and then silently dropped.
+	set func(p *Params, raw any) error
 }
 
 // Instance is an algorithm bound to a built property graph, ready to run
@@ -191,6 +202,8 @@ type Spec struct {
 	// Batchable marks algorithms whose Instance supports multi-source
 	// RunBatch (source-parameterized traversals and personalized ranking);
 	// the serving layer only coalesces requests for batchable algorithms.
+	// For the built-in algorithms it is derived from the row having a batch
+	// closure, so it cannot disagree with what RunBatch does.
 	Batchable bool `json:"batchable"`
 	// Build constructs the algorithm's property graph from adjacency
 	// triples, applying the algorithm's preprocessing. The input is
@@ -207,86 +220,78 @@ type Spec struct {
 	Open func(img *graphmat.SnapImage) (Instance, error) `json:"-"`
 }
 
+// engineParams are accepted by every algorithm: both are engine performance
+// knobs that cannot change a result.
+var engineParams = []ParamSpec{
+	uintParam("threads", "engine worker count (0 = GOMAXPROCS)", func(p *Params, n uint64) { p.Threads = int(n) }),
+	{Name: "mode", Desc: "SpMV kernel: auto, pull or push", set: func(p *Params, raw any) error {
+		name, ok := raw.(string)
+		if !ok {
+			return fmt.Errorf("expected a string (auto, pull or push), got %T", raw)
+		}
+		mode, err := graphmat.ParseMode(name)
+		p.Mode = mode
+		return err
+	}},
+}
+
 // ParseParams validates raw key/value parameters (JSON-decoded: numbers as
 // float64, lists as []any) against the spec's declared schema. Unknown keys
-// error. "threads" and "mode" are accepted for every algorithm — both are
-// engine performance knobs that cannot change a result.
+// error. "threads" and "mode" are accepted for every algorithm. Keys are
+// visited in sorted order, so a body with several bad keys always reports
+// the same one.
 func (s Spec) ParseParams(raw map[string]any) (Params, error) {
 	var p Params
-	for key, val := range raw {
-		if key == "threads" {
-			n, err := asUint(val)
-			if err != nil {
-				return p, fmt.Errorf("parameter threads: %w", err)
-			}
-			p.Threads = int(n)
-			continue
-		}
-		if key == "mode" {
-			name, ok := val.(string)
-			if !ok {
-				return p, fmt.Errorf("parameter mode: expected a string (auto, pull or push), got %T", val)
-			}
-			mode, err := graphmat.ParseMode(name)
-			if err != nil {
-				return p, fmt.Errorf("parameter mode: %w", err)
-			}
-			p.Mode = mode
-			continue
-		}
-		var spec *ParamSpec
-		for i := range s.Params {
-			if s.Params[i].Name == key {
-				spec = &s.Params[i]
-				break
-			}
-		}
-		if spec == nil {
+	for _, key := range slices.Sorted(maps.Keys(raw)) {
+		decl, ok := s.param(key)
+		if !ok {
 			return p, fmt.Errorf("algorithm %s does not accept parameter %q", s.Name, key)
 		}
-		switch spec.Kind {
-		case Uint:
-			n, err := asUint(val)
-			if err != nil {
-				return p, fmt.Errorf("parameter %s: %w", key, err)
-			}
-			switch key {
-			case "source":
-				p.Source = uint32(n)
-			case "iters":
-				p.Iterations = int(n)
-			}
-		case Float:
-			f, err := asFloat(val)
-			if err != nil {
-				return p, fmt.Errorf("parameter %s: %w", key, err)
-			}
-			switch key {
-			case "tolerance":
-				p.Tolerance = f
-			case "restart":
-				p.RestartProb = f
-			}
-		case UintList:
-			list, ok := val.([]any)
-			if !ok {
-				return p, fmt.Errorf("parameter %s: expected a list of vertex ids", key)
-			}
-			for _, item := range list {
-				n, err := asUint(item)
-				if err != nil {
-					return p, fmt.Errorf("parameter %s: %w", key, err)
-				}
-				p.Sources = append(p.Sources, uint32(n))
-			}
+		if decl.set == nil {
+			return p, fmt.Errorf("algorithm %s declares parameter %q without a setter", s.Name, key)
+		}
+		if err := decl.set(&p, raw[key]); err != nil {
+			return p, fmt.Errorf("parameter %s: %w", key, err)
 		}
 	}
 	return p, nil
 }
 
+// param finds key among the spec's declared parameters, then the engine's.
+func (s Spec) param(key string) (ParamSpec, bool) {
+	for _, decl := range [][]ParamSpec{s.Params, engineParams} {
+		if at := slices.IndexFunc(decl, func(ps ParamSpec) bool { return ps.Name == key }); at >= 0 {
+			return decl[at], true
+		}
+	}
+	return ParamSpec{}, false
+}
+
+// uintParam declares a non-negative integer parameter stored by store.
+func uintParam(name, desc string, store func(p *Params, n uint64)) ParamSpec {
+	return ParamSpec{Name: name, Kind: Uint, Desc: desc, set: func(p *Params, raw any) error {
+		n, err := asUint(raw)
+		if err == nil {
+			store(p, n)
+		}
+		return err
+	}}
+}
+
+// floatParam declares a floating-point parameter stored by store.
+func floatParam(name, desc string, store func(p *Params, f float64)) ParamSpec {
+	return ParamSpec{Name: name, Kind: Float, Desc: desc, set: func(p *Params, raw any) error {
+		f, err := asFloat(raw)
+		if err == nil {
+			store(p, f)
+		}
+		return err
+	}}
+}
+
 // asUint parses a non-negative integer no larger than math.MaxUint32 (the
-// engine's vertex-id and iteration domain), so narrowing to uint32/int below
-// can never silently truncate.
+// engine's vertex-id and iteration domain), so narrowing to uint32/int in
+// the setters can never silently truncate.
 func asUint(v any) (uint64, error) {
 	switch x := v.(type) {
 	case float64:
@@ -340,12 +345,7 @@ func Lookup(name string) (Spec, bool) {
 
 // Names returns the registered algorithm names, sorted.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(registry))
 }
 
 // Specs returns all registered specs, sorted by name.
@@ -358,190 +358,227 @@ func Specs() []Spec {
 }
 
 var (
-	paramSource    = ParamSpec{Name: "source", Kind: Uint, Desc: "start vertex id"}
-	paramSources   = ParamSpec{Name: "sources", Kind: UintList, Desc: "personalization vertex ids"}
-	paramIters     = ParamSpec{Name: "iters", Kind: Uint, Desc: "iteration cap (0 = default)"}
-	paramTolerance = ParamSpec{Name: "tolerance", Kind: Float, Desc: "convergence threshold"}
-	paramRestart   = ParamSpec{Name: "restart", Kind: Float, Desc: "teleport probability (0 = 0.15)"}
+	paramSource  = uintParam("source", "start vertex id", func(p *Params, n uint64) { p.Source = uint32(n) })
+	paramSources = ParamSpec{Name: "sources", Kind: UintList, Desc: "personalization vertex ids", set: func(p *Params, raw any) error {
+		list, ok := raw.([]any)
+		if !ok {
+			return fmt.Errorf("expected a list of vertex ids")
+		}
+		p.Sources = make([]uint32, 0, len(list))
+		for _, item := range list {
+			n, err := asUint(item)
+			if err != nil {
+				return err
+			}
+			p.Sources = append(p.Sources, uint32(n))
+		}
+		return nil
+	}}
+	paramIters     = uintParam("iters", "iteration cap (0 = default)", func(p *Params, n uint64) { p.Iterations = int(n) })
+	paramTolerance = floatParam("tolerance", "convergence threshold", func(p *Params, f float64) { p.Tolerance = f })
+	paramRestart   = floatParam("restart", "teleport probability (0 = 0.15)", func(p *Params, f float64) { p.RestartProb = f })
 )
 
-func init() {
-	Register(Spec{
-		Name:        "pagerank",
-		Description: "PageRank over out-edges (paper equation 1)",
-		Params:      []ParamSpec{paramIters, paramTolerance, paramRestart},
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewPageRankStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &pagerankInstance{liveGraph: liveGraph[PRVertex]{store: st, kind: updDirected}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[PRVertex](img)
-			if err != nil {
-				return nil, err
-			}
-			return &pagerankInstance{liveGraph: liveGraph[PRVertex]{store: st, kind: updDirected}}, nil
-		},
-	})
-	Register(Spec{
-		Name:        "bfs",
-		Description: "breadth-first hop distances on the symmetrized graph",
-		Params:      []ParamSpec{paramSource, paramSources},
-		Batchable:   true,
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewBFSStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &bfsInstance{liveGraph[uint32]{store: st, kind: updSymmetric}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[uint32](img)
-			if err != nil {
-				return nil, err
-			}
-			return &bfsInstance{liveGraph[uint32]{store: st, kind: updSymmetric}}, nil
-		},
-	})
-	Register(Spec{
-		Name:        "sssp",
-		Description: "single-source shortest paths (frontier Bellman-Ford)",
-		Params:      []ParamSpec{paramSource, paramSources},
-		Batchable:   true,
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewSSSPStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &ssspInstance{liveGraph[float32]{store: st, kind: updDirected}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[float32](img)
-			if err != nil {
-				return nil, err
-			}
-			return &ssspInstance{liveGraph[float32]{store: st, kind: updDirected}}, nil
+// algo is one row of the algorithm table: everything the registry needs to
+// serve a vertex program over property type V. The row is the single place an
+// algorithm's preprocessing kind is stated — its New*Graph and New*Store
+// constructors, Spec.Build, Spec.Open and the live-update translation all
+// derive from it.
+type algo[V any] struct {
+	name, desc string
+	params     []ParamSpec
+	// kind is the §5.1 edge preprocessing (see updateKind.preprocess), which
+	// is also what a raw edge update must be translated through.
+	kind updateKind
+	// directions selects the traversal structures to build; zero means Out.
+	directions graphmat.Direction
+	// sourceSet marks an algorithm whose scalar run is personalized to the
+	// whole source list (ppr). Every other algorithm declaring "source" runs
+	// from exactly one vertex.
+	sourceSet bool
+	// scratch allocates the reusable engine workspace for n vertices — the
+	// type the algorithm's Run function accepts through WithWorkspace.
+	scratch func(n int) any
+	// run calls the algorithm's Run function on g and projects its typed
+	// output into the uniform Result (Epoch is filled in by the instance).
+	// p arrives with its source parameters resolved and range-checked.
+	run func(ctx context.Context, g *graphmat.Graph[V, float32], p Params, opt Option) (Result, error)
+	// batch is the multi-source form, one value series per source; nil for
+	// algorithms with no source to batch over.
+	batch func(ctx context.Context, g *graphmat.Graph[V, float32], sources []uint32, opts ...Option) ([][]float64, graphmat.Stats, error)
+}
+
+// The table. Adding an algorithm is adding a row here (plus its program).
+var (
+	pagerankAlgo = register(&algo[PRVertex]{
+		name:    "pagerank",
+		desc:    "PageRank over out-edges (paper equation 1)",
+		params:  []ParamSpec{paramIters, paramTolerance, paramRestart},
+		kind:    updDirected,
+		scratch: workspace[float64, float64],
+		run: func(ctx context.Context, g *graphmat.Graph[PRVertex, float32], _ Params, opt Option) (Result, error) {
+			ranks, stats, err := RunPageRank(ctx, g, opt)
+			return Result{Values: ranks, Stats: stats}, err
 		},
 	})
-	Register(Spec{
-		Name:        "components",
-		Description: "connected components by min-label propagation",
-		Params:      nil,
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewCCStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &componentsInstance{liveGraph: liveGraph[uint32]{store: st, kind: updSymmetric}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[uint32](img)
-			if err != nil {
-				return nil, err
-			}
-			return &componentsInstance{liveGraph: liveGraph[uint32]{store: st, kind: updSymmetric}}, nil
+	bfsAlgo = register(&algo[uint32]{
+		name:    "bfs",
+		desc:    "breadth-first hop distances on the symmetrized graph",
+		params:  []ParamSpec{paramSource, paramSources},
+		kind:    updSymmetric,
+		scratch: workspace[uint32, uint32],
+		run:     single(RunBFS),
+		batch:   multi(RunBFSBatch),
+	})
+	ssspAlgo = register(&algo[float32]{
+		name:    "sssp",
+		desc:    "single-source shortest paths (frontier Bellman-Ford)",
+		params:  []ParamSpec{paramSource, paramSources},
+		kind:    updDirected,
+		scratch: workspace[float32, float32],
+		run:     single(RunSSSP),
+		batch:   multi(RunSSSPBatch),
+	})
+	ccAlgo = register(&algo[uint32]{
+		name:    "components",
+		desc:    "connected components by min-label propagation",
+		kind:    updSymmetric,
+		scratch: workspace[uint32, uint32],
+		run: func(ctx context.Context, g *graphmat.Graph[uint32, float32], _ Params, opt Option) (Result, error) {
+			labels, stats, err := RunConnectedComponents(ctx, g, opt)
+			return Result{Values: widen(labels), Stats: stats}, err
 		},
 	})
-	Register(Spec{
-		Name:        "ppr",
-		Description: "personalized PageRank toward a source set",
-		Params:      []ParamSpec{paramSource, paramSources, paramIters, paramTolerance, paramRestart},
-		Batchable:   true,
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewPersonalizedPageRankStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &pprInstance{liveGraph[PPRVertex]{store: st, kind: updDirected}}, nil
+	pprAlgo = register(&algo[PPRVertex]{
+		name:      "ppr",
+		desc:      "personalized PageRank toward a source set",
+		params:    []ParamSpec{paramSource, paramSources, paramIters, paramTolerance, paramRestart},
+		kind:      updDirected,
+		sourceSet: true,
+		scratch:   workspace[float64, float64],
+		run: func(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], p Params, opt Option) (Result, error) {
+			ranks, stats, err := RunPersonalizedPageRank(ctx, g, p.Sources, opt)
+			return Result{Values: ranks, Stats: stats}, err
 		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[PPRVertex](img)
-			if err != nil {
-				return nil, err
-			}
-			return &pprInstance{liveGraph[PPRVertex]{store: st, kind: updDirected}}, nil
+		// Note the semantic difference from run: run with k sources computes
+		// ONE rank vector personalized to the whole set, batch computes k
+		// independent vectors, one per source.
+		batch: RunPersonalizedPageRankBatch,
+	})
+	reachabilityAlgo = register(&algo[uint32]{
+		name:    "reachability",
+		desc:    "directed reachability over the boolean (OR, AND) semiring",
+		params:  []ParamSpec{paramSource, paramSources},
+		kind:    updDirected,
+		scratch: workspace[uint32, uint32],
+		run:     single(RunReachability),
+		batch:   multi(RunReachabilityBatch),
+	})
+	widestAlgo = register(&algo[float32]{
+		name:    "widest",
+		desc:    "widest (bottleneck) paths over the (max, min) semiring",
+		params:  []ParamSpec{paramSource, paramSources},
+		kind:    updDirected,
+		scratch: workspace[float32, float32],
+		run:     single(RunWidestPath),
+		batch:   multi(RunWidestPathBatch),
+	})
+	trianglesAlgo = register(&algo[TCVertex]{
+		name:    "triangles",
+		desc:    "triangle count via the two-phase neighbor-intersection pipeline",
+		kind:    updUpperTriangle,
+		scratch: func(n int) any { return NewTriangleScratch(n, graphmat.Bitvector) },
+		run: func(ctx context.Context, g *graphmat.Graph[TCVertex, float32], _ Params, opt Option) (Result, error) {
+			count, stats, err := RunTriangleCount(ctx, g, opt)
+			return Result{Count: &count, Stats: stats}, err
 		},
 	})
-	Register(Spec{
-		Name:        "reachability",
-		Description: "directed reachability over the boolean (OR, AND) semiring",
-		Params:      []ParamSpec{paramSource, paramSources},
-		Batchable:   true,
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewReachabilityStore(adj, partitions)
-			if err != nil {
-				return nil, err
+	hitsAlgo = register(&algo[HITSVertex]{
+		name:       "hits",
+		desc:       "HITS hub and authority scores (L2-normalized half-steps)",
+		params:     []ParamSpec{paramIters},
+		kind:       updDirected,
+		directions: graphmat.Both,
+		scratch:    workspace[float64, float64],
+		run: func(ctx context.Context, g *graphmat.Graph[HITSVertex, float32], _ Params, opt Option) (Result, error) {
+			scores, stats, err := RunHITS(ctx, g, opt)
+			hub := make([]float64, len(scores))
+			auth := make([]float64, len(scores))
+			for v, s := range scores {
+				hub[v], auth[v] = s.Hub, s.Auth
 			}
-			return &reachabilityInstance{liveGraph[uint32]{store: st, kind: updDirected}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[uint32](img)
-			if err != nil {
-				return nil, err
-			}
-			return &reachabilityInstance{liveGraph[uint32]{store: st, kind: updDirected}}, nil
-		},
-	})
-	Register(Spec{
-		Name:        "widest",
-		Description: "widest (bottleneck) paths over the (max, min) semiring",
-		Params:      []ParamSpec{paramSource, paramSources},
-		Batchable:   true,
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewWidestPathStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &widestInstance{liveGraph[float32]{store: st, kind: updDirected}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[float32](img)
-			if err != nil {
-				return nil, err
-			}
-			return &widestInstance{liveGraph[float32]{store: st, kind: updDirected}}, nil
+			// A stopped run still carries the scores as of the stop, matching
+			// the other algorithms' partial-result contract.
+			return Result{Series: map[string][]float64{"hub": hub, "auth": auth}, Stats: stats}, err
 		},
 	})
+)
+
+// register publishes a row as a Spec and returns it, so the table's var
+// block both names each row (for the New*Graph constructors) and registers
+// it in one statement.
+func register[V any](a *algo[V]) *algo[V] {
+	bind := func(st *graphmat.Store[V, float32], err error) (Instance, error) {
+		if err != nil {
+			return nil, err
+		}
+		return &instance[V]{liveGraph[V]{store: st, kind: a.kind}, a}, nil
+	}
 	Register(Spec{
-		Name:        "triangles",
-		Description: "triangle count via the two-phase neighbor-intersection pipeline",
-		Params:      nil,
+		Name:        a.name,
+		Description: a.desc,
+		Params:      a.params,
+		Batchable:   a.batch != nil,
 		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewTriangleStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &trianglesInstance{liveGraph: liveGraph[TCVertex]{store: st, kind: updUpperTriangle}}, nil
+			return bind(a.newStore(adj, partitions))
 		},
 		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[TCVertex](img)
-			if err != nil {
-				return nil, err
-			}
-			return &trianglesInstance{liveGraph: liveGraph[TCVertex]{store: st, kind: updUpperTriangle}}, nil
+			return bind(graphmat.NewStoreFromImage[V](img))
 		},
 	})
-	Register(Spec{
-		Name:        "hits",
-		Description: "HITS hub and authority scores (L2-normalized half-steps)",
-		Params:      []ParamSpec{paramIters},
-		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			st, err := NewHITSStore(adj, partitions)
-			if err != nil {
-				return nil, err
-			}
-			return &hitsInstance{liveGraph: liveGraph[HITSVertex]{store: st, kind: updDirected}}, nil
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			st, err := graphmat.NewStoreFromImage[HITSVertex](img)
-			if err != nil {
-				return nil, err
-			}
-			return &hitsInstance{liveGraph: liveGraph[HITSVertex]{store: st, kind: updDirected}}, nil
-		},
-	})
+	return a
+}
+
+// buildOptions is the graph-construction half of the row. The input is
+// consumed: preprocess rewrites it in place.
+func (a *algo[V]) buildOptions(adj *graphmat.COO[float32], partitions int) graphmat.Options {
+	a.kind.preprocess(adj)
+	return graphmat.Options{Partitions: partitions, Directions: a.directions}
+}
+
+func (a *algo[V]) newGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[V, float32], error) {
+	return graphmat.New[V](adj, a.buildOptions(adj, partitions))
+}
+
+func (a *algo[V]) newStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[V, float32], error) {
+	return graphmat.NewStore[V](adj, a.buildOptions(adj, partitions))
+}
+
+// bindSources decides, once for every algorithm, what a scalar run's source
+// parameters mean, and range-checks them: p.Sources overrides p.Source; a
+// source-set algorithm (ppr) takes the whole list, every other algorithm
+// declaring "source" takes exactly one vertex and rejects a longer list
+// instead of quietly running from vertex p.Source.
+func (a *algo[V]) bindSources(p *Params, n uint32) error {
+	if !slices.ContainsFunc(a.params, func(ps ParamSpec) bool { return ps.Name == paramSource.Name }) {
+		return nil
+	}
+	what := "source"
+	if a.sourceSet {
+		what = "personalization"
+	} else if len(p.Sources) > 1 {
+		return fmt.Errorf("algorithm %s runs from one source, got %d: use RunBatch (over HTTP, the request's top-level \"sources\") for one run per source", a.name, len(p.Sources))
+	}
+	if len(p.Sources) == 0 {
+		p.Sources = []uint32{p.Source}
+	}
+	for _, s := range p.Sources {
+		if err := checkSource(s, n, what); err != nil {
+			return err
+		}
+	}
+	p.Source = p.Sources[0]
+	return nil
 }
 
 func checkSource(v uint32, n uint32, what string) error {
@@ -551,238 +588,84 @@ func checkSource(v uint32, n uint32, what string) error {
 	return nil
 }
 
-// noBatch is the RunBatch stub embedded by instances of algorithms with no
-// source parameter to batch over.
-type noBatch struct{}
-
-func (noBatch) RunBatch(context.Context, Params, Observer) (BatchResult, error) {
-	return BatchResult{}, ErrBatchUnsupported
+// instance is the package's only Instance struct: a table row bound to a
+// versioned property graph.
+type instance[V any] struct {
+	liveGraph[V]
+	row *algo[V]
 }
 
-func (noBatch) RunBatchPinned(context.Context, Pin, Params, Observer) (BatchResult, error) {
-	return BatchResult{}, ErrBatchUnsupported
+func (i *instance[V]) NewScratch() any { return i.row.scratch(int(i.NumVertices())) }
+
+func (i *instance[V]) Run(p Params, scratch any) (Result, error) {
+	return i.RunContext(context.Background(), p, scratch, nil)
 }
 
-// batchSources resolves the source list of a RunBatch call: p.Sources, with
-// {p.Source} as the single-source fallback so every Run-able parameter set
-// is also RunBatch-able.
-func batchSources(p Params) []uint32 {
-	if len(p.Sources) > 0 {
-		return p.Sources
+// RunContext is the one scalar run path: resolve and range-check the
+// sources, pin a snapshot, run on it with the caller's (type-checked by the
+// Run function) or fresh scratch, stamp the pinned epoch.
+func (i *instance[V]) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
+	if err := i.row.bindSources(&p, i.NumVertices()); err != nil {
+		return Result{}, err
 	}
-	return []uint32{p.Source}
+	snap := i.store.Acquire()
+	defer snap.Release()
+	res, err := i.row.run(ctx, snap.Graph(), p, p.option(scratch, obs))
+	res.Epoch = snap.Epoch()
+	return res, err
 }
 
-// pinnedSnap coerces a Pin handed to RunBatchPinned back to the instance's
-// concrete snapshot type. A mismatch means the caller pinned a different
-// instance's graph — a programming error surfaced as an error, not a panic,
-// because the serving layer routes pins across goroutines.
-func pinnedSnap[V any](pin Pin) (*graphmat.Snapshot[V, float32], error) {
-	s, ok := pin.(*graphmat.Snapshot[V, float32])
+func (i *instance[V]) RunBatch(ctx context.Context, p Params, obs Observer) (BatchResult, error) {
+	snap := i.store.Acquire()
+	defer snap.Release()
+	return i.runBatch(ctx, snap, p, obs)
+}
+
+// RunBatchPinned coerces the Pin back to this instance's snapshot type. A
+// mismatch means the caller pinned a different algorithm's graph — surfaced
+// as an error, not a panic, because the serving layer routes pins across
+// goroutines.
+func (i *instance[V]) RunBatchPinned(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
+	snap, ok := pin.(*graphmat.Snapshot[V, float32])
 	if !ok {
-		return nil, fmt.Errorf("algorithms: pin of type %T does not belong to this algorithm's property graph", pin)
+		return BatchResult{}, fmt.Errorf("algorithms: pin of type %T does not belong to this algorithm's property graph", pin)
 	}
-	return s, nil
+	return i.runBatch(ctx, snap, p, obs)
 }
 
-// typedScratch coerces a pooled scratch value to the instance's workspace
-// type, allocating a fresh one when the caller passed nil.
-func typedScratch[T any](scratch any, fresh func() any) (T, error) {
-	if scratch == nil {
-		scratch = fresh()
+// runBatch runs once per source in p.Sources, with {p.Source} as the
+// single-source fallback so every Run-able parameter set is RunBatch-able.
+// The batch functions range-check the sources themselves.
+func (i *instance[V]) runBatch(ctx context.Context, snap *graphmat.Snapshot[V, float32], p Params, obs Observer) (BatchResult, error) {
+	if i.row.batch == nil {
+		return BatchResult{}, ErrBatchUnsupported
 	}
-	t, ok := scratch.(T)
-	if !ok {
-		var zero T
-		return zero, fmt.Errorf("scratch type %T does not belong to this algorithm", scratch)
-	}
-	return t, nil
-}
-
-type pagerankInstance struct {
-	liveGraph[PRVertex]
-	noBatch
-}
-
-func (i *pagerankInstance) NewScratch() any {
-	return graphmat.NewWorkspace[float64, float64](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *pagerankInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *pagerankInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	ws, err := typedScratch[*graphmat.Workspace[float64, float64]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	opt := PageRankOptions{MaxIterations: p.Iterations, Tolerance: p.Tolerance, RestartProb: p.RestartProb, Config: p.config()}
-	ranks, stats, err := PageRankContext(ctx, snap.Graph(), opt, ws, obs)
-	return Result{Values: ranks, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-type bfsInstance struct {
-	liveGraph[uint32]
-}
-
-func (i *bfsInstance) NewScratch() any {
-	return graphmat.NewWorkspace[uint32, uint32](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *bfsInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *bfsInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	if err := checkSource(p.Source, i.NumVertices(), "source"); err != nil {
-		return Result{}, err
-	}
-	ws, err := typedScratch[*graphmat.Workspace[uint32, uint32]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	dist, stats, err := BFSContext(ctx, snap.Graph(), p.Source, p.config(), ws, obs)
-	return Result{Values: uintValues(dist), Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-type ssspInstance struct {
-	liveGraph[float32]
-}
-
-func (i *ssspInstance) NewScratch() any {
-	return graphmat.NewWorkspace[float32, float32](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *ssspInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *ssspInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	if err := checkSource(p.Source, i.NumVertices(), "source"); err != nil {
-		return Result{}, err
-	}
-	ws, err := typedScratch[*graphmat.Workspace[float32, float32]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	dist, stats, err := SSSPContext(ctx, snap.Graph(), p.Source, p.config(), ws, obs)
-	values := make([]float64, len(dist))
-	for v, d := range dist {
-		values[v] = float64(d)
-	}
-	return Result{Values: values, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-type componentsInstance struct {
-	liveGraph[uint32]
-	noBatch
-}
-
-func (i *componentsInstance) NewScratch() any {
-	return graphmat.NewWorkspace[uint32, uint32](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *componentsInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *componentsInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	ws, err := typedScratch[*graphmat.Workspace[uint32, uint32]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	labels, stats, err := ConnectedComponentsContext(ctx, snap.Graph(), p.config(), ws, obs)
-	return Result{Values: uintValues(labels), Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-type pprInstance struct {
-	liveGraph[PPRVertex]
-}
-
-func (i *pprInstance) NewScratch() any {
-	return graphmat.NewWorkspace[float64, float64](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *pprInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *pprInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
 	sources := p.Sources
 	if len(sources) == 0 {
 		sources = []uint32{p.Source}
 	}
-	for _, s := range sources {
-		if err := checkSource(s, i.NumVertices(), "personalization"); err != nil {
-			return Result{}, err
-		}
-	}
-	ws, err := typedScratch[*graphmat.Workspace[float64, float64]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	opt := PageRankOptions{MaxIterations: p.Iterations, Tolerance: p.Tolerance, RestartProb: p.RestartProb, Config: p.config()}
-	ranks, stats, err := PersonalizedPageRankContext(ctx, snap.Graph(), sources, opt, ws, obs)
-	return Result{Values: ranks, Stats: stats, Epoch: snap.Epoch()}, err
+	values, stats, err := i.row.batch(ctx, snap.Graph(), sources, p.option(nil, obs))
+	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err
 }
 
-type trianglesInstance struct {
-	liveGraph[TCVertex]
-	noBatch
+// option lowers parsed parameters plus a run's scratch and observer into the
+// Run functions' option set; fields an algorithm has no use for are ignored
+// there.
+func (p Params) option(scratch any, obs Observer) Option {
+	set := settings{cfg: p.config(), ws: scratch, obs: obs, iters: p.Iterations, tol: p.Tolerance, restart: p.RestartProb}
+	return func(s *settings) { *s = set }
 }
 
-func (i *trianglesInstance) NewScratch() any {
-	return NewTriangleScratch(int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *trianglesInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *trianglesInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	sc, err := typedScratch[*TriangleScratch](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	count, stats, err := TriangleCountContext(ctx, snap.Graph(), p.config(), sc, obs)
-	return Result{Count: &count, Stats: stats, Epoch: snap.Epoch()}, err
+// workspace is the scratch constructor of every algorithm with one message
+// and one reduction type.
+func workspace[M, R any](n int) any {
+	return graphmat.NewWorkspace[M, R](n, graphmat.Bitvector)
 }
 
-type hitsInstance struct {
-	liveGraph[HITSVertex]
-	noBatch
-}
-
-func (i *hitsInstance) NewScratch() any {
-	return graphmat.NewWorkspace[float64, float64](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *hitsInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *hitsInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	ws, err := typedScratch[*graphmat.Workspace[float64, float64]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	scores, stats, err := HITSContext(ctx, snap.Graph(), HITSOptions{Iterations: p.Iterations, Config: p.config()}, ws, obs)
-	hub := make([]float64, len(scores))
-	auth := make([]float64, len(scores))
-	for v, s := range scores {
-		hub[v] = s.Hub
-		auth[v] = s.Auth
-	}
-	// A stopped run still carries the scores as of the stop, matching the
-	// other algorithms' partial-result contract.
-	return Result{Series: map[string][]float64{"hub": hub, "auth": auth}, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-// uintValues widens a uint32 result series to the registry's float64 result
-// shape; uint32 is exactly representable in float64, so the conversion is
-// lossless.
-func uintValues(s []uint32) []float64 {
+// widen converts a typed result series to the registry's float64 result
+// shape; uint32 and float32 are both exactly representable in float64, so
+// the conversion is lossless.
+func widen[T uint32 | float32](s []T) []float64 {
 	out := make([]float64, len(s))
 	for v, x := range s {
 		out[v] = float64(x)
@@ -790,184 +673,24 @@ func uintValues(s []uint32) []float64 {
 	return out
 }
 
-// RunBatch executes one BFS per source as a single multi-source block run;
-// per-source distances are bit-identical to single-source Run calls.
-func (i *bfsInstance) RunBatch(ctx context.Context, p Params, obs Observer) (BatchResult, error) {
-	snap := i.store.Acquire()
-	defer snap.Release()
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *bfsInstance) RunBatchPinned(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
-	snap, err := pinnedSnap[uint32](pin)
-	if err != nil {
-		return BatchResult{}, err
+// single adapts a one-source traversal (RunBFS and friends) to a row's run
+// closure.
+func single[V any, T uint32 | float32](run func(context.Context, *graphmat.Graph[V, float32], uint32, ...Option) ([]T, graphmat.Stats, error)) func(context.Context, *graphmat.Graph[V, float32], Params, Option) (Result, error) {
+	return func(ctx context.Context, g *graphmat.Graph[V, float32], p Params, opt Option) (Result, error) {
+		values, stats, err := run(ctx, g, p.Source, opt)
+		return Result{Values: widen(values), Stats: stats}, err
 	}
-	return i.runBatch(ctx, snap, p, obs)
 }
 
-func (i *bfsInstance) runBatch(ctx context.Context, snap *graphmat.Snapshot[uint32, float32], p Params, obs Observer) (BatchResult, error) {
-	sources := batchSources(p)
-	dists, stats, err := RunBFSBatch(ctx, snap.Graph(), sources, WithConfig(p.config()), WithObserver(obs))
-	values := make([][]float64, len(dists))
-	for s, d := range dists {
-		values[s] = uintValues(d)
-	}
-	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-// RunBatch executes one SSSP per source as a single multi-source block run.
-func (i *ssspInstance) RunBatch(ctx context.Context, p Params, obs Observer) (BatchResult, error) {
-	snap := i.store.Acquire()
-	defer snap.Release()
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *ssspInstance) RunBatchPinned(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
-	snap, err := pinnedSnap[float32](pin)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *ssspInstance) runBatch(ctx context.Context, snap *graphmat.Snapshot[float32, float32], p Params, obs Observer) (BatchResult, error) {
-	sources := batchSources(p)
-	dists, stats, err := RunSSSPBatch(ctx, snap.Graph(), sources, WithConfig(p.config()), WithObserver(obs))
-	values := make([][]float64, len(dists))
-	for s, d := range dists {
-		row := make([]float64, len(d))
-		for v, x := range d {
-			row[v] = float64(x)
+// multi adapts a multi-source traversal (RunBFSBatch and friends) to a row's
+// batch closure.
+func multi[V any, T uint32 | float32](run func(context.Context, *graphmat.Graph[V, float32], []uint32, ...Option) ([][]T, graphmat.Stats, error)) func(context.Context, *graphmat.Graph[V, float32], []uint32, ...Option) ([][]float64, graphmat.Stats, error) {
+	return func(ctx context.Context, g *graphmat.Graph[V, float32], sources []uint32, opts ...Option) ([][]float64, graphmat.Stats, error) {
+		rows, stats, err := run(ctx, g, sources, opts...)
+		values := make([][]float64, len(rows))
+		for s, row := range rows {
+			values[s] = widen(row)
 		}
-		values[s] = row
+		return values, stats, err
 	}
-	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-// RunBatch executes one single-source personalized PageRank per source as a
-// multi-source block run. Note the semantic difference from Run: Run with k
-// sources computes ONE rank vector personalized to the whole set, RunBatch
-// computes k independent vectors, one per source.
-func (i *pprInstance) RunBatch(ctx context.Context, p Params, obs Observer) (BatchResult, error) {
-	snap := i.store.Acquire()
-	defer snap.Release()
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *pprInstance) RunBatchPinned(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
-	snap, err := pinnedSnap[PPRVertex](pin)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *pprInstance) runBatch(ctx context.Context, snap *graphmat.Snapshot[PPRVertex, float32], p Params, obs Observer) (BatchResult, error) {
-	sources := batchSources(p)
-	values, stats, err := RunPersonalizedPageRankBatch(ctx, snap.Graph(), sources,
-		WithConfig(p.config()), WithIterations(p.Iterations), WithTolerance(p.Tolerance), WithRestartProb(p.RestartProb), WithObserver(obs))
-	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-type reachabilityInstance struct {
-	liveGraph[uint32]
-}
-
-func (i *reachabilityInstance) NewScratch() any {
-	return graphmat.NewWorkspace[uint32, uint32](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *reachabilityInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *reachabilityInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	if err := checkSource(p.Source, i.NumVertices(), "source"); err != nil {
-		return Result{}, err
-	}
-	ws, err := typedScratch[*graphmat.Workspace[uint32, uint32]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	reached, stats, err := RunReachability(ctx, snap.Graph(), p.Source, WithConfig(p.config()), WithWorkspace(ws), WithObserver(obs))
-	return Result{Values: uintValues(reached), Stats: stats, Epoch: snap.Epoch()}, err
-}
-func (i *reachabilityInstance) RunBatch(ctx context.Context, p Params, obs Observer) (BatchResult, error) {
-	snap := i.store.Acquire()
-	defer snap.Release()
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *reachabilityInstance) RunBatchPinned(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
-	snap, err := pinnedSnap[uint32](pin)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *reachabilityInstance) runBatch(ctx context.Context, snap *graphmat.Snapshot[uint32, float32], p Params, obs Observer) (BatchResult, error) {
-	sources := batchSources(p)
-	flags, stats, err := RunReachabilityBatch(ctx, snap.Graph(), sources, WithConfig(p.config()), WithObserver(obs))
-	values := make([][]float64, len(flags))
-	for s, f := range flags {
-		values[s] = uintValues(f)
-	}
-	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err
-}
-
-type widestInstance struct {
-	liveGraph[float32]
-}
-
-func (i *widestInstance) NewScratch() any {
-	return graphmat.NewWorkspace[float32, float32](int(i.NumVertices()), graphmat.Bitvector)
-}
-func (i *widestInstance) Run(p Params, scratch any) (Result, error) {
-	return i.RunContext(context.Background(), p, scratch, nil)
-}
-func (i *widestInstance) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	if err := checkSource(p.Source, i.NumVertices(), "source"); err != nil {
-		return Result{}, err
-	}
-	ws, err := typedScratch[*graphmat.Workspace[float32, float32]](scratch, i.NewScratch)
-	if err != nil {
-		return Result{}, err
-	}
-	snap := i.store.Acquire()
-	defer snap.Release()
-	width, stats, err := RunWidestPath(ctx, snap.Graph(), p.Source, WithConfig(p.config()), WithWorkspace(ws), WithObserver(obs))
-	values := make([]float64, len(width))
-	for v, x := range width {
-		values[v] = float64(x)
-	}
-	return Result{Values: values, Stats: stats, Epoch: snap.Epoch()}, err
-}
-func (i *widestInstance) RunBatch(ctx context.Context, p Params, obs Observer) (BatchResult, error) {
-	snap := i.store.Acquire()
-	defer snap.Release()
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *widestInstance) RunBatchPinned(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
-	snap, err := pinnedSnap[float32](pin)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return i.runBatch(ctx, snap, p, obs)
-}
-
-func (i *widestInstance) runBatch(ctx context.Context, snap *graphmat.Snapshot[float32, float32], p Params, obs Observer) (BatchResult, error) {
-	sources := batchSources(p)
-	widths, stats, err := RunWidestPathBatch(ctx, snap.Graph(), sources, WithConfig(p.config()), WithObserver(obs))
-	values := make([][]float64, len(widths))
-	for s, w := range widths {
-		row := make([]float64, len(w))
-		for v, x := range w {
-			row[v] = float64(x)
-		}
-		values[s] = row
-	}
-	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err
 }

@@ -1,10 +1,9 @@
 package algorithms_test
 
 import (
-	"math"
+	"context"
 	"testing"
 
-	"graphmat"
 	"graphmat/algorithms"
 	"graphmat/internal/gen"
 	"graphmat/internal/sparse"
@@ -53,7 +52,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.PageRank(g, algorithms.PageRankOptions{MaxIterations: 15})
+		want, _, err := algorithms.RunPageRank(context.Background(), g, algorithms.WithIterations(15))
+		if err != nil {
+			t.Fatal(err)
+		}
 		compareFloat64(t, res.Values, want)
 	})
 	t.Run("bfs", func(t *testing.T) {
@@ -66,7 +68,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.BFS(g, 3, graphmat.Config{})
+		want, _, err := algorithms.RunBFS(context.Background(), g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range want {
 			if res.Values[v] != float64(want[v]) {
 				t.Fatalf("vertex %d: got %v, want %d", v, res.Values[v], want[v])
@@ -83,7 +88,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.SSSP(g, 5, graphmat.Config{})
+		want, _, err := algorithms.RunSSSP(context.Background(), g, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range want {
 			if res.Values[v] != float64(want[v]) {
 				t.Fatalf("vertex %d: got %v, want %v", v, res.Values[v], want[v])
@@ -100,7 +108,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.ConnectedComponents(g, graphmat.Config{})
+		want, _, err := algorithms.RunConnectedComponents(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range want {
 			if res.Values[v] != float64(want[v]) {
 				t.Fatalf("vertex %d: got %v, want %d", v, res.Values[v], want[v])
@@ -117,7 +128,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.PersonalizedPageRank(g, []uint32{1, 2}, algorithms.PageRankOptions{MaxIterations: 10})
+		want, _, err := algorithms.RunPersonalizedPageRank(context.Background(), g, []uint32{1, 2}, algorithms.WithIterations(10))
+		if err != nil {
+			t.Fatal(err)
+		}
 		compareFloat64(t, res.Values, want)
 	})
 	t.Run("triangles", func(t *testing.T) {
@@ -130,7 +144,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.TriangleCount(g, graphmat.Config{})
+		want, _, err := algorithms.RunTriangleCount(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Count == nil || *res.Count != want {
 			t.Fatalf("count = %v, want %d", res.Count, want)
 		}
@@ -145,7 +162,10 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := algorithms.HITS(g, algorithms.HITSOptions{Iterations: 8})
+		want, _, err := algorithms.RunHITS(context.Background(), g, algorithms.WithIterations(8))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range want {
 			if res.Series["hub"][v] != want[v].Hub || res.Series["auth"][v] != want[v].Auth {
 				t.Fatalf("vertex %d: got hub=%v auth=%v, want %+v", v, res.Series["hub"][v], res.Series["auth"][v], want[v])
@@ -175,27 +195,6 @@ func TestScratchReuse(t *testing.T) {
 				compareResults(t, res, fresh)
 			}
 		})
-	}
-}
-
-func TestScratchTypeMismatch(t *testing.T) {
-	_, bfs := buildInstance(t, "bfs")
-	_, pr := buildInstance(t, "pagerank")
-	if _, err := bfs.Run(algorithms.Params{}, pr.NewScratch()); err == nil {
-		t.Fatal("expected error passing pagerank scratch to bfs")
-	}
-}
-
-func TestSourceOutOfRange(t *testing.T) {
-	for _, name := range []string{"bfs", "sssp"} {
-		_, inst := buildInstance(t, name)
-		if _, err := inst.Run(algorithms.Params{Source: inst.NumVertices()}, nil); err == nil {
-			t.Fatalf("%s: expected out-of-range error", name)
-		}
-	}
-	_, ppr := buildInstance(t, "ppr")
-	if _, err := ppr.Run(algorithms.Params{Sources: []uint32{math.MaxUint32}}, nil); err == nil {
-		t.Fatal("ppr: expected out-of-range error")
 	}
 }
 

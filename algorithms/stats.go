@@ -6,8 +6,8 @@ import (
 	"graphmat"
 )
 
-// Observer is a per-superstep progress callback, shared by every algorithm's
-// Context variant; a non-nil error return stops the run (the engine reports
+// Observer is a per-superstep progress callback, attached to any algorithm's
+// run with WithObserver; a non-nil error return stops the run (the engine reports
 // reason StoppedByObserver). Iteration numbers count the algorithm's global
 // supersteps, even for algorithms that drive the engine one superstep (or
 // one phase) at a time.

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"graphmat"
@@ -85,37 +86,13 @@ func intersectCount(a, b []uint32) int64 {
 // lower triangle discarded so the graph is a DAG with every edge u→v
 // satisfying u < v. The input is consumed.
 func NewTriangleGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[TCVertex, float32], error) {
-	adj.RemoveSelfLoops()
-	adj.SortRowMajor()
-	adj.DedupKeepFirst()
-	adj.Symmetrize()
-	adj.UpperTriangle()
-	return graphmat.New[TCVertex](adj, graphmat.Options{Partitions: partitions})
+	return trianglesAlgo.newGraph(adj, partitions)
 }
 
 // NewTriangleStore is NewTriangleGraph as a versioned store: the same
 // preprocessing and epoch-0 graph, plus live edge updates via ApplyEdges.
 func NewTriangleStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[TCVertex, float32], error) {
-	adj.RemoveSelfLoops()
-	adj.SortRowMajor()
-	adj.DedupKeepFirst()
-	adj.Symmetrize()
-	adj.UpperTriangle()
-	return graphmat.NewStore[TCVertex](adj, graphmat.Options{Partitions: partitions})
-}
-
-// TriangleCount runs the two-phase vertex-program pipeline and returns the
-// number of triangles. Vertex state is reinitialized, so the graph is
-// reusable across runs.
-//
-// Deprecated: use RunTriangleCount.
-func TriangleCount(g *graphmat.Graph[TCVertex, float32], cfg graphmat.Config) (int64, graphmat.Stats) {
-	scratch := NewTriangleScratch(int(g.NumVertices()), cfg.Vector)
-	count, stats, err := TriangleCountWithWorkspace(g, cfg, scratch)
-	if err != nil {
-		panic(err) // scratch built for this graph and config above
-	}
-	return count, stats
+	return trianglesAlgo.newStore(adj, partitions)
 }
 
 // TriangleScratch is the reusable engine scratch for the two-phase triangle
@@ -140,25 +117,28 @@ func (s *TriangleScratch) Reset() {
 	s.Phase2.Reset()
 }
 
-// TriangleCountWithWorkspace is TriangleCount with caller-managed scratch
-// for repeated counts on one graph.
+// RunTriangleCount runs the two-phase vertex-program pipeline on a graph
+// built by NewTriangleGraph and returns the number of triangles. Vertex
+// state is reinitialized, so the graph is reusable across runs. Options: the
+// engine options; the workspace type is *TriangleScratch.
 //
-// Deprecated: use RunTriangleCount with WithWorkspace.
-func TriangleCountWithWorkspace(g *graphmat.Graph[TCVertex, float32], cfg graphmat.Config, scratch *TriangleScratch) (int64, graphmat.Stats, error) {
-	return TriangleCountContext(context.Background(), g, cfg, scratch, nil)
-}
-
-// TriangleCountContext is TriangleCount as a cancelable, observable session.
-// The observer sees one report per phase (the pipeline is two one-superstep
-// vertex programs). A stopped run returns count 0 with the stop cause.
-//
-// Deprecated: use RunTriangleCount with WithObserver; this remains the
-// implementation behind it.
-func TriangleCountContext(ctx context.Context, g *graphmat.Graph[TCVertex, float32], cfg graphmat.Config, scratch *TriangleScratch, obs Observer) (int64, graphmat.Stats, error) {
+// The run is a cancelable, observable session. The observer sees one report
+// per phase (the pipeline is two one-superstep vertex programs). A stopped
+// run returns count 0 with the stop cause.
+func RunTriangleCount(ctx context.Context, g *graphmat.Graph[TCVertex, float32], opts ...Option) (int64, graphmat.Stats, error) {
+	set := newSettings(opts)
+	scratch, ok := set.ws.(*TriangleScratch)
+	if set.ws != nil && !ok {
+		return 0, graphmat.Stats{}, fmt.Errorf("algorithms: workspace type %T does not belong to this algorithm", set.ws)
+	}
+	if scratch == nil {
+		scratch = NewTriangleScratch(int(g.NumVertices()), set.cfg.Vector)
+	}
 	g.SetAllProps(TCVertex{})
 	g.SetAllActive()
+	cfg := set.cfg
 	cfg.MaxIterations = 1
-	sess := newSession(obs)
+	sess := newSession(set.obs)
 	stats, err := graphmat.RunContext(ctx, g, tcPhase1{}, cfg, scratch.Phase1, sess.options()...)
 	if err != nil {
 		return 0, stats, err

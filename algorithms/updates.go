@@ -28,7 +28,9 @@ type EdgeLookup = func(src, dst uint32) (float32, bool)
 // UpdateResult reports what one translated batch did to a property graph.
 type UpdateResult = graphmat.ApplyResult
 
-// updateKind classifies an algorithm's preprocessing for update translation.
+// updateKind names an algorithm's preprocessing: the recipe applied to the
+// raw edges at build time (preprocess) and, equivalently, the translation a
+// raw edge update goes through afterwards (translateUpdates).
 type updateKind int
 
 const (
@@ -43,6 +45,24 @@ const (
 	// (triangles).
 	updUpperTriangle
 )
+
+// preprocess applies the kind's §5.1 recipe to adj in place: self-loops
+// always go; the symmetric kinds then replicate every edge in reverse ("we
+// replicate edges ... to obtain a symmetric graph"), original edges taking
+// value precedence, and the upper-triangle kind discards the lower triangle
+// so the graph is a DAG with every edge u→v satisfying u < v.
+func (k updateKind) preprocess(adj *graphmat.COO[float32]) {
+	adj.RemoveSelfLoops()
+	if k == updDirected {
+		return
+	}
+	adj.SortRowMajor()
+	adj.DedupKeepFirst()
+	adj.Symmetrize()
+	if k == updUpperTriangle {
+		adj.UpperTriangle()
+	}
+}
 
 // translateUpdates maps raw edge updates into the property-graph updates an
 // algorithm's preprocessing implies. The lookup must reflect the POST-batch

@@ -62,14 +62,12 @@ func (WidestPathProgram) ReducesByMaxMinF32() {}
 // removed, directed weighted edges kept as-is (weights are capacities). The
 // input is consumed.
 func NewWidestPathGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[float32, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.New[float32](adj, graphmat.Options{Partitions: partitions})
+	return widestAlgo.newGraph(adj, partitions)
 }
 
 // NewWidestPathStore is NewWidestPathGraph as a versioned store.
 func NewWidestPathStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32, float32], error) {
-	adj.RemoveSelfLoops()
-	return graphmat.NewStore[float32](adj, graphmat.Options{Partitions: partitions})
+	return widestAlgo.newStore(adj, partitions)
 }
 
 // RunWidestPath computes bottleneck path widths from src: out[v] is the

@@ -33,7 +33,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "generator seed")
 		maxWeight = flag.Int("maxweight", 0, "uniform integer edge weights in [1,maxweight]; 0 = unweighted")
 		jobs      = flag.Int("j", 0, "sections in .bin output, encoded in parallel; readers fan sections out to workers (0 = default)")
-		binV1     = flag.Bool("binv1", false, "write the legacy unsectioned GMATBIN1 format for .bin output")
 
 		scale  = flag.Int("scale", 16, "rmat: vertices = 2^scale")
 		ef     = flag.Int("ef", 16, "rmat/er: edges per vertex")
@@ -89,12 +88,9 @@ func main() {
 		fatal("%v", err)
 	}
 	defer f.Close()
-	switch {
-	case strings.HasSuffix(*out, ".bin") && *binV1:
-		err = graph.WriteBinary(f, coo)
-	case strings.HasSuffix(*out, ".bin"):
+	if strings.HasSuffix(*out, ".bin") {
 		err = graph.WriteBinary2(f, coo, *jobs)
-	default:
+	} else {
 		err = graph.WriteMTX(f, coo)
 	}
 	if err != nil {

@@ -13,8 +13,7 @@
 // daemon boots from the snapshot (zero-copy map, no re-parse) and replays
 // the WAL, so acked edge updates survive crashes.
 //
-// Endpoints (all under /v1; the unversioned forms are deprecated aliases
-// answering with a Deprecation header):
+// Endpoints (all under /v1):
 //
 //	GET    /v1/healthz                    liveness
 //	GET    /v1/stats                      per-endpoint, per-algorithm, cache and batcher tallies
@@ -65,7 +64,7 @@ func main() {
 		cacheSize  = flag.Int("cache", 128, "result-cache capacity in entries (negative disables)")
 		partitions = flag.Int("partitions", 0, "matrix partitions per graph build (0 = auto)")
 		jobs       = flag.Int("j", 0, "ingestion workers for uploads and preloads (0 = GOMAXPROCS, 1 = sequential)")
-		maxUpload  = flag.Int64("max-upload", 0, "largest accepted POST /graphs upload in bytes (0 = 1 GiB)")
+		maxUpload  = flag.Int64("max-upload", 0, "largest accepted POST /v1/graphs upload in bytes (0 = 1 GiB)")
 		batchWin   = flag.Duration("batch-window", 0, "admission window coalescing concurrent single-source /v1 runs into multi-source batches (0 = 2ms default, negative disables)")
 		dataDir    = flag.String("data-dir", "", "persistence root: graphs checkpoint to mmap-ready snapshots + WAL under this directory and reboot from them instantly (empty = volatile)")
 		quiet      = flag.Bool("quiet", false, "suppress per-request logging")

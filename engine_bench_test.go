@@ -1,6 +1,7 @@
 package graphmat_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -81,7 +82,7 @@ func BenchmarkEngineBFS(b *testing.B) {
 					b.SetBytes(g.NumEdges()) // edges traversed per op, for MB/s-style throughput
 					var sched graphmat.SchedStats
 					for i := 0; i < b.N; i++ {
-						_, stats, err := algorithms.BFSWithWorkspace(g, root, graphmat.Config{Threads: workers, Mode: mode}, ws)
+						_, stats, err := algorithms.RunBFS(context.Background(), g, root, algorithms.WithThreads(workers), algorithms.WithMode(mode), algorithms.WithWorkspace(ws))
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -108,13 +109,9 @@ func BenchmarkEnginePageRank(b *testing.B) {
 		for _, mode := range engineModes() {
 			for _, workers := range engineWorkers {
 				b.Run(fmt.Sprintf("mode_%s/workers_%d", mode, workers), func(b *testing.B) {
-					opt := algorithms.PageRankOptions{
-						MaxIterations: 10,
-						Config:        graphmat.Config{Threads: workers, Mode: mode},
-					}
 					var sched graphmat.SchedStats
 					for i := 0; i < b.N; i++ {
-						_, stats, err := algorithms.PageRankWithWorkspace(g, opt, ws)
+						_, stats, err := algorithms.RunPageRank(context.Background(), g, algorithms.WithIterations(10), algorithms.WithThreads(workers), algorithms.WithMode(mode), algorithms.WithWorkspace(ws))
 						if err != nil {
 							b.Fatal(err)
 						}

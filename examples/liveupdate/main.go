@@ -57,7 +57,7 @@ func main() {
 		res.Epoch, top(res), res.Values[top(res)], inst.NumEdges())
 
 	// The crowd moves on: batches strip the hub's inlinks and point them at
-	// site 42. Each batch is one POST /graphs/{name}/edges in graphmatd.
+	// site 42. Each batch is one POST /v1/graphs/{name}/edges in graphmatd.
 	for b := 0; b < 4; b++ {
 		var batch []algorithms.EdgeUpdate
 		for v := uint32(1 + 16*b); v < uint32(16*(b+1)+1) && v < n; v++ {

@@ -7,11 +7,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"time"
 
-	"graphmat"
 	"graphmat/algorithms"
 	"graphmat/datagen"
 )
@@ -19,6 +19,7 @@ import (
 func main() {
 	scale := flag.Int("scale", 14, "social graph has 2^scale members")
 	flag.Parse()
+	ctx := context.Background()
 
 	fmt.Printf("generating a synthetic social network: RMAT scale %d (A=0.45, B=C=0.15)\n", *scale)
 	adj := datagen.RMAT(datagen.RMATOptions{
@@ -31,7 +32,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	triangles, _ := algorithms.TriangleCount(tg, graphmat.Config{})
+	triangles, _, err := algorithms.RunTriangleCount(ctx, tg)
+	if err != nil {
+		panic(err)
+	}
 	edges := tg.NumEdges() // undirected friendships after preprocessing
 	fmt.Printf("triangles: %d across %d friendships (%.3fs)\n",
 		triangles, edges, time.Since(start).Seconds())
@@ -58,7 +62,10 @@ func main() {
 			root, best = v, d
 		}
 	}
-	dist, stats := algorithms.BFS(bg, root, graphmat.Config{})
+	dist, stats, err := algorithms.RunBFS(ctx, bg, root)
+	if err != nil {
+		panic(err)
+	}
 	hist := map[uint32]int{}
 	reached := 0
 	for _, d := range dist {
@@ -81,7 +88,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	labels, _ := algorithms.ConnectedComponents(cg, graphmat.Config{})
+	labels, _, err := algorithms.RunConnectedComponents(ctx, cg)
+	if err != nil {
+		panic(err)
+	}
 	sizes := map[uint32]int{}
 	for _, l := range labels {
 		sizes[l]++

@@ -7,12 +7,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"sort"
 	"time"
 
-	"graphmat"
 	"graphmat/algorithms"
 	"graphmat/datagen"
 )
@@ -36,10 +36,10 @@ func main() {
 		g.NumVertices(), g.NumEdges(), time.Since(start).Seconds())
 
 	start = time.Now()
-	ranks, stats := algorithms.PageRank(g, algorithms.PageRankOptions{
-		MaxIterations: *iters,
-		Config:        graphmat.Config{},
-	})
+	ranks, stats, err := algorithms.RunPageRank(context.Background(), g, algorithms.WithIterations(*iters))
+	if err != nil {
+		panic(err)
+	}
 	el := time.Since(start)
 	fmt.Printf("ranked in %.3fs (%.2fms/iteration, %d iterations)\n",
 		el.Seconds(), el.Seconds()*1e3/float64(stats.Iterations), stats.Iterations)

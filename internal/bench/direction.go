@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"graphmat"
@@ -55,17 +56,13 @@ func DirectionOptimization(o Options) *Table {
 	}
 	workloads := []func(cfg graphmat.Config){
 		func(cfg graphmat.Config) {
-			if _, _, err := algorithms.BFSWithWorkspace(bfsRMAT, bfsRMATRoot, cfg, bfsWS); err != nil {
-				panic(err)
-			}
+			must(algorithms.RunBFS(context.Background(), bfsRMAT, bfsRMATRoot, algorithms.WithConfig(cfg), algorithms.WithWorkspace(bfsWS)))
 		},
 		func(cfg graphmat.Config) {
-			if _, _, err := algorithms.BFSWithWorkspace(bfsGrid, 0, cfg, gridWS); err != nil {
-				panic(err)
-			}
+			must(algorithms.RunBFS(context.Background(), bfsGrid, 0, algorithms.WithConfig(cfg), algorithms.WithWorkspace(gridWS)))
 		},
 		func(cfg graphmat.Config) {
-			algorithms.PageRank(prGraph, algorithms.PageRankOptions{MaxIterations: o.PRIters, Config: cfg})
+			must(algorithms.RunPageRank(context.Background(), prGraph, algorithms.WithConfig(cfg), algorithms.WithIterations(o.PRIters)))
 		},
 	}
 	var base []float64

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"graphmat"
 	"graphmat/algorithms"
 	"graphmat/internal/baselines/matrixengine"
@@ -123,9 +125,7 @@ func PageRankRunners(data *sparse.COO[float32], threads, iters int) []Runner {
 				gmGraph = g
 			},
 			Execute: func() RunResult {
-				ranks, stats := algorithms.PageRank(gmGraph, algorithms.PageRankOptions{
-					MaxIterations: iters, Config: graphmat.Config{Threads: threads},
-				})
+				ranks, stats := must(algorithms.RunPageRank(context.Background(), gmGraph, algorithms.WithIterations(iters), algorithms.WithThreads(threads)))
 				return RunResult{Value: sumRanks(ranks), Set: graphMatSet(stats)}
 			},
 		},
@@ -207,7 +207,7 @@ func BFSRunners(data *sparse.COO[float32], threads int) []Runner {
 				gmGraph = g
 			},
 			Execute: func() RunResult {
-				d, stats := algorithms.BFS(gmGraph, root, graphmat.Config{Threads: threads})
+				d, stats := must(algorithms.RunBFS(context.Background(), gmGraph, root, algorithms.WithThreads(threads)))
 				return RunResult{Value: sumDist(d), Set: graphMatSet(stats)}
 			},
 		},
@@ -285,7 +285,7 @@ func SSSPRunners(data *sparse.COO[float32], threads int, delta float32) []Runner
 				gmGraph = g
 			},
 			Execute: func() RunResult {
-				d, stats := algorithms.SSSP(gmGraph, root, graphmat.Config{Threads: threads})
+				d, stats := must(algorithms.RunSSSP(context.Background(), gmGraph, root, algorithms.WithThreads(threads)))
 				return RunResult{Value: sumDist(d), Set: graphMatSet(stats)}
 			},
 		},
@@ -381,7 +381,7 @@ func TCRunners(data *sparse.COO[float32], threads int, spgemmCap int64) []Runner
 				gmGraph = g
 			},
 			Execute: func() RunResult {
-				count, stats := algorithms.TriangleCount(gmGraph, graphmat.Config{Threads: threads})
+				count, stats := must(algorithms.RunTriangleCount(context.Background(), gmGraph, algorithms.WithThreads(threads)))
 				set := graphMatSet(stats)
 				set.WorkItems += intersectWork
 				set.StreamedBytes += 4 * intersectWork // sorted lists stream
@@ -552,9 +552,7 @@ func PageRankRunnerWithPartitions(data *sparse.COO[float32], threads, iters, par
 			g = gg
 		},
 		Execute: func() RunResult {
-			ranks, stats := algorithms.PageRank(g, algorithms.PageRankOptions{
-				MaxIterations: iters, Config: graphmat.Config{Threads: threads},
-			})
+			ranks, stats := must(algorithms.RunPageRank(context.Background(), g, algorithms.WithIterations(iters), algorithms.WithThreads(threads)))
 			s := 0.0
 			for _, r := range ranks {
 				s += r

@@ -152,7 +152,7 @@ func TestParallelParseDifferential(t *testing.T) {
 	}
 }
 
-// writeAllFormats materializes adj as .mtx, edge list, GMATBIN1 and GMATBIN2
+// writeAllFormats materializes adj as .mtx, edge list and GMATBIN2
 // files and returns their paths.
 func writeAllFormats(t *testing.T, dir string, adj *sparse.COO[float32]) map[string]string {
 	t.Helper()
@@ -173,7 +173,6 @@ func writeAllFormats(t *testing.T, dir string, adj *sparse.COO[float32]) map[str
 		return path
 	}
 	out["mtx"] = write("g.mtx", func(f *os.File) error { return WriteMTX(f, adj) })
-	out["binv1"] = write("g1.bin", func(f *os.File) error { return WriteBinary(f, adj) })
 	out["binv2"] = write("g2.bin", func(f *os.File) error { return WriteBinary2(f, adj, 7) })
 	out["edgelist"] = write("g.txt", func(f *os.File) error {
 		coo := adj.Clone()

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -88,7 +89,10 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-// binV1 hand-assembles a GMATBIN1 payload with an arbitrary header edge count.
+// binV1 hand-assembles a payload in the removed GMATBIN1 format (nothing
+// writes it any more), with an arbitrary header edge count: the reader must
+// turn every such input into ErrBinaryV1, never a panic or an allocation
+// sized by the header.
 func binV1(n uint32, claimed uint64, records []byte) []byte {
 	var buf bytes.Buffer
 	buf.WriteString("GMATBIN1")
@@ -142,5 +146,10 @@ func FuzzReadBinary(f *testing.F) {
 		sameParse(t, "binary", func(p int) (*COOF, error) {
 			return ParseBinary(data, LoadOptions{Parallelism: p})
 		})
+		if bytes.HasPrefix(data, []byte("GMATBIN1")) {
+			if _, err := ParseBinary(data, LoadOptions{}); !errors.Is(err, ErrBinaryV1) {
+				t.Fatalf("GMATBIN1 input: err = %v, want ErrBinaryV1", err)
+			}
+		}
 	})
 }

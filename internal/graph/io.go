@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -18,9 +19,8 @@ import (
 // This file implements the graph interchange formats the paper's tooling
 // consumes: Matrix Market coordinate files (the University of Florida sparse
 // collection format, §5.1) both read and write, whitespace edge lists, and
-// two binary formats — the legacy GMATBIN1 record stream and the sectioned
-// GMATBIN2 (the C++ GraphMat release similarly ships an MTX-to-binary
-// converter).
+// the sectioned GMATBIN2 binary format (the C++ GraphMat release similarly
+// ships an MTX-to-binary converter).
 //
 // All text parsers are chunk-parallel: the input is split on line boundaries,
 // chunks parse in worker goroutines, and the per-chunk fragments concatenate
@@ -447,16 +447,14 @@ func parseEdgeChunk(c lineChunk) edgeFragment {
 }
 
 // ---------------------------------------------------------------------------
-// Binary formats
+// Binary format
 
 const (
-	binMagic  = "GMATBIN1"
-	binMagic2 = "GMATBIN2"
+	binMagic2  = "GMATBIN2"
+	binMagicV1 = "GMATBIN1" // recognised only to be rejected by name
 
 	binRecordSize = 12 // u32 src, u32 dst, u32 float bits
 
-	// binV1HeaderSize is magic + u32 nrows + u64 nedges.
-	binV1HeaderSize = 8 + 4 + 8
 	// binV2HeaderSize is magic + u32 nrows + u32 ncols + u64 nedges +
 	// u32 nsections; the section table follows.
 	binV2HeaderSize     = 8 + 4 + 4 + 8 + 4
@@ -464,41 +462,6 @@ const (
 	binV2MaxSections    = 1 << 16
 	binV2DefaultSection = 16
 )
-
-// WriteBinary writes the legacy GMATBIN1 format: an 8-byte magic, vertex
-// count, edge count, then (src,dst,weight) little-endian triples. New files
-// should prefer WriteBinary2, whose section table lets readers fan chunks out
-// to workers.
-//
-// The V1 header has one dimension field, so only square matrices round-trip;
-// a rectangular coo is rejected rather than silently read back as NCols ==
-// NRows.
-func WriteBinary(w io.Writer, coo *sparse.COO[float32]) error {
-	if coo.NRows != coo.NCols {
-		return fmt.Errorf("binary graph: GMATBIN1 cannot represent a %dx%d matrix (one dimension field); use WriteBinary2",
-			coo.NRows, coo.NCols)
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binMagic); err != nil {
-		return err
-	}
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:4], coo.NRows)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(coo.Entries)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	rec := make([]byte, binRecordSize)
-	for _, t := range coo.Entries {
-		binary.LittleEndian.PutUint32(rec[0:4], t.Row)
-		binary.LittleEndian.PutUint32(rec[4:8], t.Col)
-		binary.LittleEndian.PutUint32(rec[8:12], floatBits(t.Val))
-		if _, err := bw.Write(rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
 
 // WriteBinary2 writes the sectioned GMATBIN2 format: magic, dimensions, edge
 // count, then a table of (first edge, edge count) sections covering the
@@ -562,7 +525,7 @@ func WriteBinary2(w io.Writer, coo *sparse.COO[float32], sections int) error {
 	return nil
 }
 
-// ReadBinary reads either binary format sequentially; see ParseBinary.
+// ReadBinary reads a GMATBIN2 stream sequentially; see ParseBinary.
 func ReadBinary(r io.Reader) (*sparse.COO[float32], error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -571,8 +534,12 @@ func ReadBinary(r io.Reader) (*sparse.COO[float32], error) {
 	return ParseBinary(data, LoadOptions{Parallelism: 1})
 }
 
-// ParseBinary reads a GMATBIN1 or GMATBIN2 payload, dispatching on the magic.
-// Headers are validated against the actual input length before any
+// ErrBinaryV1 reports a file in the removed GMATBIN1 format (a bare record
+// stream with one dimension field). Nothing writes it any more; the graph
+// has to be regenerated, or re-encoded from its source, as GMATBIN2.
+var ErrBinaryV1 = errors.New("binary graph: the GMATBIN1 format is no longer supported; regenerate the file with graphgen (it writes GMATBIN2)")
+
+// ParseBinary reads a GMATBIN2 payload. The header is validated against the actual input length before any
 // allocation, so a forged edge count can never over-allocate. Record decoding
 // fans out to opt.Parallelism workers over disjoint ranges of the result.
 func ParseBinary(data []byte, opt LoadOptions) (*sparse.COO[float32], error) {
@@ -580,29 +547,12 @@ func ParseBinary(data []byte, opt LoadOptions) (*sparse.COO[float32], error) {
 		return nil, fmt.Errorf("binary graph: truncated magic (%d bytes)", len(data))
 	}
 	switch string(data[:8]) {
-	case binMagic:
-		return parseBinaryV1(data, opt)
 	case binMagic2:
 		return parseBinaryV2(data, opt)
+	case binMagicV1:
+		return nil, ErrBinaryV1
 	}
 	return nil, fmt.Errorf("binary graph: bad magic %q", data[:8])
-}
-
-func parseBinaryV1(data []byte, opt LoadOptions) (*sparse.COO[float32], error) {
-	if len(data) < binV1HeaderSize {
-		return nil, fmt.Errorf("binary graph: truncated header (%d bytes)", len(data))
-	}
-	n := binary.LittleEndian.Uint32(data[8:12])
-	m := binary.LittleEndian.Uint64(data[12:20])
-	payload := data[binV1HeaderSize:]
-	if m > uint64(len(payload)/binRecordSize) {
-		return nil, fmt.Errorf("binary graph: header claims %d edges, input holds %d",
-			m, len(payload)/binRecordSize)
-	}
-	coo := sparse.NewCOO[float32](n, n)
-	coo.Entries = make([]sparse.Triple[float32], m)
-	decodeRecords(coo.Entries, payload, opt.workers())
-	return coo, nil
 }
 
 func parseBinaryV2(data []byte, opt LoadOptions) (*sparse.COO[float32], error) {

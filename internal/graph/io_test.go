@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,7 +129,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		coo.Add(i, i+1, float32(i)*0.5)
 	}
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, coo); err != nil {
+	if err := WriteBinary2(&buf, coo, 0); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadBinary(&buf)
@@ -152,45 +153,33 @@ func TestBinaryErrors(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader([]byte("WRONGMAG...."))); err == nil {
 		t.Error("bad magic accepted")
 	}
-	var buf bytes.Buffer
+	// The removed GMATBIN1 format is rejected by name, whatever follows the
+	// magic, so the user learns to regenerate the file instead of reading
+	// "bad magic".
+	if _, err := ReadBinary(bytes.NewReader([]byte("GMATBIN1\x02\x00\x00\x00"))); !errors.Is(err, ErrBinaryV1) {
+		t.Errorf("GMATBIN1 input: err = %v, want ErrBinaryV1", err)
+	} else if !strings.Contains(err.Error(), "graphgen") {
+		t.Errorf("GMATBIN1 rejection = %q, want a pointer at graphgen", err)
+	}
 	coo := sparse.NewCOO[float32](10, 10)
 	coo.Add(0, 1, 1)
 	coo.Add(1, 2, 1)
-	if err := WriteBinary(&buf, coo); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-6]
-	// Truncation diagnostics name both sides of the mismatch — the claimed
-	// edge count and how many records the input actually holds — in both
-	// formats. (The V1 message used to repeat the holds count in the claims
-	// slot.)
-	_, err := ReadBinary(bytes.NewReader(trunc))
-	if err == nil {
-		t.Error("truncated V1 body accepted")
-	} else if !strings.Contains(err.Error(), "header claims 2 edges, input holds 1") {
-		t.Errorf("V1 truncation message = %q", err)
-	}
+	// Truncation diagnostics name both sides of the mismatch: the claimed
+	// edge count and how many records the input actually holds.
 	var buf2 bytes.Buffer
 	if err := WriteBinary2(&buf2, coo, 1); err != nil {
 		t.Fatal(err)
 	}
-	_, err = ReadBinary(bytes.NewReader(buf2.Bytes()[:buf2.Len()-6]))
+	_, err := ReadBinary(bytes.NewReader(buf2.Bytes()[:buf2.Len()-6]))
 	if err == nil {
-		t.Error("truncated V2 body accepted")
+		t.Error("truncated body accepted")
 	} else if !strings.Contains(err.Error(), "header claims 2 edges, input holds 1") {
-		t.Errorf("V2 truncation message = %q", err)
+		t.Errorf("truncation message = %q", err)
 	}
 
-	// GMATBIN1 has a single dimension field: a rectangular matrix must be
-	// rejected (pointing at WriteBinary2) rather than silently written as
-	// square and read back with the wrong NCols.
+	// Both dimensions are in the header, so rectangular matrices round-trip.
 	rect := sparse.NewCOO[float32](3, 2)
 	rect.Add(0, 1, 1)
-	if err := WriteBinary(&bytes.Buffer{}, rect); err == nil {
-		t.Error("WriteBinary accepted a 3x2 matrix")
-	} else if !strings.Contains(err.Error(), "WriteBinary2") {
-		t.Errorf("non-square rejection = %q, want a pointer at WriteBinary2", err)
-	}
 	var rectBuf bytes.Buffer
 	if err := WriteBinary2(&rectBuf, rect, 0); err != nil {
 		t.Fatal(err)
@@ -200,7 +189,7 @@ func TestBinaryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.NRows != 3 || back.NCols != 2 {
-		t.Errorf("V2 rectangular round-trip = %dx%d, want 3x2", back.NRows, back.NCols)
+		t.Errorf("rectangular round-trip = %dx%d, want 3x2", back.NRows, back.NCols)
 	}
 }
 
@@ -226,7 +215,7 @@ func TestLoadFileDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinary(f, coo); err != nil {
+	if err := WriteBinary2(f, coo, 0); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

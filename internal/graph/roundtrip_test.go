@@ -72,11 +72,6 @@ func TestRoundTripAllFormats(t *testing.T) {
 			},
 			keepDims: true, // recovered via MinVertices
 		},
-		"binv1": {
-			write:    WriteBinary,
-			read:     func(d []byte, _ uint32) (*COOF, error) { return ParseBinary(d, LoadOptions{Parallelism: 3}) },
-			keepDims: true,
-		},
 		"binv2": {
 			write:    func(w io.Writer, c *COOF) error { return WriteBinary2(w, c, 3) },
 			read:     func(d []byte, _ uint32) (*COOF, error) { return ParseBinary(d, LoadOptions{Parallelism: 3}) },
@@ -126,16 +121,8 @@ func TestRoundTripChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b1 bytes.Buffer
-	if err := WriteBinary(&b1, fromEL); err != nil {
-		t.Fatal(err)
-	}
-	fromB1, err := ParseBinary(b1.Bytes(), LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var b2 bytes.Buffer
-	if err := WriteBinary2(&b2, fromB1, 2); err != nil {
+	if err := WriteBinary2(&b2, fromEL, 2); err != nil {
 		t.Fatal(err)
 	}
 	final, err := ParseBinary(b2.Bytes(), LoadOptions{})
@@ -234,24 +221,12 @@ func TestParseBinaryHeaderHardening(t *testing.T) {
 	g := NewCOOF(3)
 	g.Add(0, 1, 1)
 	g.Add(1, 2, 2)
-	var v1, v2 bytes.Buffer
-	if err := WriteBinary(&v1, g); err != nil {
-		t.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := WriteBinary2(&v2, g, 2); err != nil {
 		t.Fatal(err)
 	}
 
-	// v1: forge the 8-byte edge count at offset 12 to 2^61.
-	forged := bytes.Clone(v1.Bytes())
-	for i, b := range []byte{0, 0, 0, 0, 0, 0, 0, 0x20} {
-		forged[12+i] = b
-	}
-	if _, err := ParseBinary(forged, LoadOptions{}); err == nil {
-		t.Error("v1 forged edge count accepted")
-	}
-
-	// v2: forge the edge count, the section count, and the section table.
+	// Forge the edge count, the section count, and the section table.
 	base := v2.Bytes()
 	cases := map[string]func([]byte){
 		"edge count": func(b []byte) { b[16], b[23] = 0xff, 0x20 },
@@ -264,16 +239,14 @@ func TestParseBinaryHeaderHardening(t *testing.T) {
 		forged := bytes.Clone(base)
 		mutate(forged)
 		if _, err := ParseBinary(forged, LoadOptions{}); err == nil {
-			t.Errorf("v2 forged %s accepted", name)
+			t.Errorf("forged %s accepted", name)
 		}
 	}
 
 	// Truncations at every prefix length must error, never panic.
-	for _, data := range [][]byte{v1.Bytes(), base} {
-		for cut := 0; cut < len(data); cut++ {
-			if _, err := ParseBinary(data[:cut], LoadOptions{Parallelism: 2}); err == nil {
-				t.Fatalf("truncation to %d bytes accepted", cut)
-			}
+	for cut := 0; cut < len(base); cut++ {
+		if _, err := ParseBinary(base[:cut], LoadOptions{Parallelism: 2}); err == nil {
+			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}
 }

@@ -10,6 +10,7 @@
 package graph_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -65,8 +66,7 @@ func TestStoreSnapshotIsolationRace(t *testing.T) {
 	record := func(epoch uint64) {
 		snap := oracle.Acquire()
 		defer snap.Release()
-		dist, _, err := algorithms.BFSWithWorkspace(snap.View(), root, graphmat.Config{Threads: 2},
-			graphmat.NewWorkspace[uint32, uint32](int(n), graphmat.Bitvector))
+		dist, _, err := algorithms.RunBFS(context.Background(), snap.View(), root, algorithms.WithThreads(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestStoreSnapshotIsolationRace(t *testing.T) {
 				epoch := snap.Epoch()
 				g := snap.View() // private run state over shared structure
 				edgesBefore := g.NumEdges()
-				dist, _, err := algorithms.BFSWithWorkspace(g, root, graphmat.Config{Threads: 2}, ws)
+				dist, _, err := algorithms.RunBFS(context.Background(), g, root, algorithms.WithThreads(2), algorithms.WithWorkspace(ws))
 				if err != nil {
 					errc <- err
 					snap.Release()

@@ -1,10 +1,10 @@
 package reference_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"graphmat"
 	"graphmat/algorithms"
 	"graphmat/internal/gen"
 	"graphmat/internal/reference"
@@ -32,7 +32,10 @@ func TestReferencePageRankAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := algorithms.PageRank(g, algorithms.PageRankOptions{MaxIterations: iters})
+	got, _, err := algorithms.RunPageRank(context.Background(), g, algorithms.WithIterations(iters))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	pre := adj.Clone()
 	pre.RemoveSelfLoops()
@@ -56,7 +59,10 @@ func TestReferenceBFSAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := algorithms.BFS(g, 3, graphmat.Config{})
+	got, _, err := algorithms.RunBFS(context.Background(), g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	pre := adj.Clone()
 	pre.RemoveSelfLoops()
@@ -78,7 +84,10 @@ func TestReferenceSSSPAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := algorithms.SSSP(g, 0, graphmat.Config{})
+	got, _, err := algorithms.RunSSSP(context.Background(), g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	pre := adj.Clone()
 	pre.RemoveSelfLoops()
@@ -99,7 +108,10 @@ func TestReferenceComponentsAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := algorithms.ConnectedComponents(g, graphmat.Config{})
+	got, _, err := algorithms.RunConnectedComponents(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	pre := adj.Clone()
 	pre.RemoveSelfLoops()
@@ -119,7 +131,10 @@ func TestReferenceTrianglesAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := algorithms.TriangleCount(g, graphmat.Config{})
+	got, _, err := algorithms.RunTriangleCount(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	pre := adj.Clone()
 	pre.RemoveSelfLoops()

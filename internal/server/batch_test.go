@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,58 +27,90 @@ func splitNDJSON(t *testing.T, body []byte) [][]byte {
 	return lines
 }
 
-// Tests of the v1 API surface: versioned routing with deprecation aliases,
-// the unified run endpoint's scalar/batch forms, and the admission batcher's
-// coalescing differential — coalesced responses must be payload-identical
-// (values, epoch) to uncoalesced ones.
+// Tests of the v1 API surface: /v1-only routing, the unified run endpoint's
+// scalar/batch forms, and the admission batcher's coalescing differential —
+// coalesced responses must be payload-identical (values, epoch) to
+// uncoalesced ones.
 
-// TestV1RoutingAndDeprecation checks that every endpoint answers under /v1
-// without deprecation markers and under its legacy alias with them.
-func TestV1RoutingAndDeprecation(t *testing.T) {
+// TestV1OnlyRouting checks that every endpoint the OpenAPI document lists
+// answers under /v1 and that its unversioned form is a plain 404: the
+// pre-versioning aliases are gone, not deprecated.
+func TestV1OnlyRouting(t *testing.T) {
 	_, ts := newTestServer(t)
-	addTestGraph(t, ts, "g")
 
-	for _, path := range []string{"/healthz", "/algorithms", "/graphs", "/graphs/g", "/stats"} {
-		legacy, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
+	cases := []struct {
+		method, path, body string
+		want               int
+	}{
+		{http.MethodGet, "/healthz", "", http.StatusOK},
+		{http.MethodGet, "/stats", "", http.StatusOK},
+		{http.MethodGet, "/algorithms", "", http.StatusOK},
+		{http.MethodGet, "/openapi.json", "", http.StatusOK},
+		{http.MethodGet, "/graphs", "", http.StatusOK},
+		{http.MethodPost, "/graphs", `{"name":"h","generator":"rmat","scale":4}`, http.StatusCreated},
+		{http.MethodGet, "/graphs/{name}", "", http.StatusOK},
+		{http.MethodPost, "/graphs/{name}/edges", "add 0 1\n", http.StatusOK},
+		{http.MethodPost, "/graphs/{name}/run", `{"algo":"bfs","sources":[3]}`, http.StatusOK},
+		{http.MethodPost, "/graphs/{name}/run/{algo}", `{"source":3}`, http.StatusOK},
+		{http.MethodDelete, "/graphs/{name}", "", http.StatusOK}, // last: it removes the graph the rows above use
+	}
+	fill := strings.NewReplacer("{name}", "h", "{algo}", "bfs")
+	for _, tc := range cases {
+		path := fill.Replace(tc.path)
+		if code, body := doRaw(t, ts, tc.method, path, tc.body); code != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404 (unversioned routes are removed): %s", tc.method, path, code, body)
 		}
-		legacy.Body.Close()
-		if legacy.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d", path, legacy.StatusCode)
-		}
-		if legacy.Header.Get("Deprecation") != "true" {
-			t.Fatalf("GET %s: missing Deprecation header", path)
-		}
-		if want := `</v1` + path + `>; rel="successor-version"`; legacy.Header.Get("Link") != want {
-			t.Fatalf("GET %s: Link = %q, want %q", path, legacy.Header.Get("Link"), want)
-		}
-		v1, err := http.Get(ts.URL + "/v1" + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1.Body.Close()
-		if v1.StatusCode != http.StatusOK {
-			t.Fatalf("GET /v1%s = %d", path, v1.StatusCode)
-		}
-		if v1.Header.Get("Deprecation") != "" {
-			t.Fatalf("GET /v1%s: v1 route must not be deprecated", path)
+		if code, body := doRaw(t, ts, tc.method, "/v1"+path, tc.body); code != tc.want {
+			t.Errorf("%s /v1%s = %d, want %d: %s", tc.method, path, code, tc.want, body)
 		}
 	}
 
-	// The legacy run endpoint is aliased too, bit-identical either way.
-	legacy := runAlgo(t, ts, "g", "bfs", map[string]any{"source": 3})
-	code, body := do(t, ts, http.MethodPost, "/v1/graphs/g/run/bfs", map[string]any{"source": 3})
-	if code != http.StatusOK {
-		t.Fatalf("v1 aliased run = %d: %s", code, body)
+	// The case list is the whole API: every (method, path) the OpenAPI
+	// document describes has a row above.
+	_, body := do(t, ts, http.MethodGet, "/v1/openapi.json", nil)
+	var doc struct {
+		Paths map[string]map[string]any `json:"paths"`
 	}
-	var v1run runReply
-	if err := json.Unmarshal(body, &v1run); err != nil {
+	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatal(err)
 	}
-	for v := range legacy.Values {
-		if legacy.Values[v] != v1run.Values[v] {
-			t.Fatalf("vertex %d: legacy %v vs v1 %v", v, legacy.Values[v], v1run.Values[v])
+	for path, methods := range doc.Paths {
+		for method := range methods {
+			covered := false
+			for _, tc := range cases {
+				covered = covered || (strings.EqualFold(tc.method, method) && "/v1"+tc.path == path)
+			}
+			if !covered {
+				t.Errorf("%s %s is served but has no routing case", strings.ToUpper(method), path)
+			}
+		}
+	}
+}
+
+// TestAPIListingsMatchParentGolden pins the two self-describing endpoints to
+// the bytes served by the commit before the registry became one generic
+// instance (testdata/*.parent.json, captured from a live daemon): the table
+// rewrite must not change a name, a description, a parameter, its order or a
+// batchable flag. The single permitted difference is the OpenAPI sentence
+// about the unversioned aliases, which were removed in the same change.
+func TestAPIListingsMatchParentGolden(t *testing.T) {
+	_, ts := newTestServer(t)
+	const aliasSentence = " Unversioned paths are deprecated aliases of /v1 and answer with a Deprecation header."
+	for path, golden := range map[string]string{
+		"/v1/algorithms":   "testdata/v1_algorithms.parent.json",
+		"/v1/openapi.json": "testdata/v1_openapi.parent.json",
+	} {
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = bytes.Replace(want, []byte(aliasSentence), nil, 1)
+		code, got := do(t, ts, http.MethodGet, path, nil)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, code)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("GET %s differs from %s:\n got: %s\nwant: %s", path, golden, got, want)
 		}
 	}
 }

@@ -64,7 +64,7 @@ type batcher struct {
 	mu      sync.Mutex
 	pending map[batchKey]*pendingBatch
 
-	// Tallies for GET /stats.
+	// Tallies for GET /v1/stats.
 	submitted int64 // single-source requests admitted
 	batches   int64 // block runs dispatched
 	coalesced int64 // requests that shared a run with at least one other
@@ -175,7 +175,7 @@ func (b *batcher) flush(key batchKey, pb *pendingBatch) {
 	close(pb.done)
 }
 
-// batcherStats is the GET /stats view of the admission layer.
+// batcherStats is the GET /v1/stats view of the admission layer.
 type batcherStats struct {
 	Submitted int64 `json:"submitted"`
 	Batches   int64 `json:"batches"`

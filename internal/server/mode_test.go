@@ -10,7 +10,7 @@ import (
 
 // TestRunModeParam covers the mode= run parameter end to end: query form,
 // body form, precedence, rejection of garbage, bit-identical results across
-// modes, and the per-mode /stats tallies.
+// modes, and the per-mode /v1/stats tallies.
 func TestRunModeParam(t *testing.T) {
 	_, ts := newTestServer(t)
 	addTestGraph(t, ts, "g")
@@ -21,7 +21,7 @@ func TestRunModeParam(t *testing.T) {
 	// deliberately not part of the cache key), so compare against a
 	// stream=1 run, which bypasses the read side of the cache.
 	for _, mode := range []string{"pull", "push"} {
-		code, body := do(t, ts, http.MethodPost, "/graphs/g/run/bfs?stream=1&mode="+mode, map[string]any{"source": float64(0)})
+		code, body := do(t, ts, http.MethodPost, "/v1/graphs/g/run/bfs?stream=1&mode="+mode, map[string]any{"source": float64(0)})
 		if code != http.StatusOK {
 			t.Fatalf("mode=%s: %d %s", mode, code, body)
 		}
@@ -44,23 +44,23 @@ func TestRunModeParam(t *testing.T) {
 	}
 
 	// Body form parses through the registry's global "mode" parameter.
-	if code, body := do(t, ts, http.MethodPost, "/graphs/g/run/bfs?stream=1", map[string]any{"source": float64(0), "mode": "push"}); code != http.StatusOK {
+	if code, body := do(t, ts, http.MethodPost, "/v1/graphs/g/run/bfs?stream=1", map[string]any{"source": float64(0), "mode": "push"}); code != http.StatusOK {
 		t.Fatalf("body mode: %d %s", code, body)
 	}
 
 	// Garbage is rejected in both positions.
-	if code, _ := do(t, ts, http.MethodPost, "/graphs/g/run/bfs?mode=sideways", map[string]any{"source": float64(0)}); code != http.StatusBadRequest {
+	if code, _ := do(t, ts, http.MethodPost, "/v1/graphs/g/run/bfs?mode=sideways", map[string]any{"source": float64(0)}); code != http.StatusBadRequest {
 		t.Errorf("query mode=sideways accepted: %d", code)
 	}
-	if code, _ := do(t, ts, http.MethodPost, "/graphs/g/run/bfs", map[string]any{"source": float64(0), "mode": "sideways"}); code != http.StatusBadRequest {
+	if code, _ := do(t, ts, http.MethodPost, "/v1/graphs/g/run/bfs", map[string]any{"source": float64(0), "mode": "sideways"}); code != http.StatusBadRequest {
 		t.Errorf("body mode=sideways accepted: %d", code)
 	}
 
-	// /stats reports the per-mode run tallies and the engine's superstep
+	// /v1/stats reports the per-mode run tallies and the engine's superstep
 	// split.
-	code, body := do(t, ts, http.MethodGet, "/stats", nil)
+	code, body := do(t, ts, http.MethodGet, "/v1/stats", nil)
 	if code != http.StatusOK {
-		t.Fatalf("GET /stats = %d", code)
+		t.Fatalf("GET /v1/stats = %d", code)
 	}
 	var stats struct {
 		ModeRuns map[string]int64 `json:"mode_runs"`

@@ -53,7 +53,7 @@ func buildOpenAPI() map[string]any {
 		"info": map[string]any{
 			"title":       "graphmatd",
 			"version":     "v1",
-			"description": "Resident graph analytics service: registered graphs, live edge updates, and semiring algorithm runs (single- and multi-source). Unversioned paths are deprecated aliases of /v1 and answer with a Deprecation header.",
+			"description": "Resident graph analytics service: registered graphs, live edge updates, and semiring algorithm runs (single- and multi-source).",
 		},
 		"paths": map[string]any{
 			"/v1/healthz": map[string]any{"get": map[string]any{

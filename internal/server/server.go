@@ -38,7 +38,7 @@ type Config struct {
 	// Workers is the ingestion parallelism for graph uploads (chunked
 	// parsing); 0 means GOMAXPROCS, 1 forces sequential parsing.
 	Workers int
-	// MaxUploadBytes caps the POST /graphs upload body; 0 means the default
+	// MaxUploadBytes caps the POST /v1/graphs upload body; 0 means the default
 	// (1 GiB).
 	MaxUploadBytes int64
 	// DataDir, when non-empty, enables persistence: each graph gets
@@ -72,7 +72,7 @@ type Server struct {
 	requests map[string]int64
 	// modeRuns tallies /run requests by the kernel mode they asked for
 	// (auto, pull, push) — the serving-side view of the direction-
-	// optimization knob, surfaced in GET /stats.
+	// optimization knob, surfaced in GET /v1/stats.
 	modeRuns map[string]int64
 }
 
@@ -94,35 +94,19 @@ func New(cfg Config) *Server {
 	if cfg.BatchWindow >= 0 {
 		s.batcher = newBatcher(cfg.BatchWindow)
 	}
-	// Every endpoint lives under /v1; the unversioned forms are deprecated
-	// aliases (the pre-versioning API) answering identically but flagged with
-	// a Deprecation header.
-	s.route("GET", "/healthz", s.handleHealthz)
-	s.route("GET", "/stats", s.handleStats)
-	s.route("GET", "/algorithms", s.handleAlgorithms)
-	s.route("GET", "/graphs", s.handleListGraphs)
-	s.route("POST", "/graphs", s.handleAddGraph)
-	s.route("GET", "/graphs/{name}", s.handleGetGraph)
-	s.route("DELETE", "/graphs/{name}", s.handleDeleteGraph)
-	s.route("POST", "/graphs/{name}/edges", s.handleUpdateEdges)
-	s.route("POST", "/graphs/{name}/run/{algo}", s.handleRun)
-	// v1-only surface: the unified run endpoint and the API description.
-	s.handle("POST /v1/graphs/{name}/run", s.handleRunV1)
+	// Every endpoint lives under /v1 and nowhere else.
+	s.handle("GET /v1/healthz", s.handleHealthz)
+	s.handle("GET /v1/stats", s.handleStats)
+	s.handle("GET /v1/algorithms", s.handleAlgorithms)
 	s.handle("GET /v1/openapi.json", s.handleOpenAPI)
+	s.handle("GET /v1/graphs", s.handleListGraphs)
+	s.handle("POST /v1/graphs", s.handleAddGraph)
+	s.handle("GET /v1/graphs/{name}", s.handleGetGraph)
+	s.handle("DELETE /v1/graphs/{name}", s.handleDeleteGraph)
+	s.handle("POST /v1/graphs/{name}/edges", s.handleUpdateEdges)
+	s.handle("POST /v1/graphs/{name}/run", s.handleRunV1)
+	s.handle("POST /v1/graphs/{name}/run/{algo}", s.handleRun)
 	return s
-}
-
-// route registers a handler at its canonical /v1 path and at the legacy
-// unversioned alias. Legacy responses carry `Deprecation: true` plus a Link
-// header naming the successor, so existing clients keep working while every
-// response points them at /v1.
-func (s *Server) route(method, path string, h http.HandlerFunc) {
-	s.handle(method+" /v1"+path, h)
-	s.handle(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1`+r.URL.Path+`>; rel="successor-version"`)
-		h(w, r)
-	})
 }
 
 // AddGraph loads a source and registers it (the -graph preload path).
@@ -137,7 +121,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // handle registers a pattern with per-endpoint request counting and optional
-// request logging — the tallies surface in GET /stats.
+// request logging — the tallies surface in GET /v1/stats.
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		s.epMu.Lock()
@@ -214,7 +198,7 @@ func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"graphs": infos})
 }
 
-// addGraphRequest is the POST /graphs JSON body: a name plus a flattened
+// addGraphRequest is the POST /v1/graphs JSON body: a name plus a flattened
 // Source.
 type addGraphRequest struct {
 	Name string `json:"name"`
@@ -244,7 +228,7 @@ func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, infoOf(entry))
 }
 
-// handleUploadGraph is the upload half of POST /graphs: build the graph from
+// handleUploadGraph is the upload half of POST /v1/graphs: build the graph from
 // the request body and register it. An uploaded graph is indistinguishable
 // from one loaded at boot — same registry entry, same lazily built
 // per-algorithm property graphs and workspace pools — so /run results match
@@ -313,7 +297,7 @@ func (s *Server) handleUploadGraph(w http.ResponseWriter, r *http.Request, forma
 	writeJSON(w, http.StatusCreated, infoOf(entry))
 }
 
-// updateResponse is the POST /graphs/{name}/edges reply.
+// updateResponse is the POST /v1/graphs/{name}/edges reply.
 type updateResponse struct {
 	Graph string `json:"graph"`
 	// Epoch is the graph's new edge-set version.
@@ -412,7 +396,7 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
-// algorithmInfo is the GET /algorithms view of one registry spec.
+// algorithmInfo is the GET /v1/algorithms view of one registry spec.
 type algorithmInfo struct {
 	Name        string          `json:"name"`
 	Description string          `json:"description"`
@@ -474,7 +458,7 @@ type runRequest struct {
 	// Mode selects the SpMV kernel (auto, pull or push); empty means auto.
 	Mode string `json:"mode,omitempty"`
 	// Params carries the algorithm's own parameters, validated against its
-	// declared schema exactly like the legacy endpoint's body.
+	// declared schema exactly like the per-algorithm endpoint's body.
 	Params map[string]any `json:"params,omitempty"`
 	// TimeoutMS bounds the run's wall time; expiry returns 504.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -484,8 +468,8 @@ type runRequest struct {
 }
 
 // handleRunV1 is the unified v1 query endpoint. Requests without a sources
-// list behave exactly like the legacy per-algorithm endpoint (cache fast
-// path included). Requests with sources take the multi-source path: k
+// list behave exactly like the per-algorithm endpoint (cache fast path
+// included). Requests with sources take the multi-source path: k
 // independent runs advanced as one block batch, bit-identical per source to
 // k solo runs. Single-source requests go through the admission batcher,
 // which coalesces concurrent compatible requests into shared block runs —
@@ -532,7 +516,8 @@ func (s *Server) handleRunV1(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	if len(req.Sources) == 0 {
-		// Scalar form — params may still carry source/sources the legacy way.
+		// Scalar form — params may carry source/sources; the instance
+		// decides what they mean.
 		s.finishRun(ctx, w, g, name, req.Algo, params, req.Stream)
 		return
 	}
@@ -646,7 +631,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // finishRun executes a fully parsed scalar run: the per-mode tally, the
 // stream branch, the cache fast path, the engine run, and the response. Both
-// the legacy path-parameter endpoint and the v1 unified endpoint end here.
+// the path-parameter endpoint and the unified endpoint end here.
 func (s *Server) finishRun(ctx context.Context, w http.ResponseWriter, g *GraphEntry, name, algo string, params algorithms.Params, stream bool) {
 	// Tally after all parameter validation: rejected requests must not skew
 	// the per-mode counters.
@@ -834,7 +819,7 @@ type GraphStats struct {
 	Persist *PersistStats `json:"persist,omitempty"`
 }
 
-// statsResponse is the GET /stats reply.
+// statsResponse is the GET /v1/stats reply.
 type statsResponse struct {
 	UptimeSeconds float64          `json:"uptime_seconds"`
 	Requests      map[string]int64 `json:"requests"`

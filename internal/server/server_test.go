@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -34,11 +35,11 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 
 func addTestGraph(t *testing.T, ts *httptest.Server, name string) {
 	t.Helper()
-	code, body := do(t, ts, http.MethodPost, "/graphs", map[string]any{
+	code, body := do(t, ts, http.MethodPost, "/v1/graphs", map[string]any{
 		"name": name, "generator": "rmat", "scale": testScale, "edgefactor": 8, "seed": testSeed, "maxweight": 10,
 	})
 	if code != http.StatusCreated {
-		t.Fatalf("POST /graphs = %d: %s", code, body)
+		t.Fatalf("POST /v1/graphs = %d: %s", code, body)
 	}
 }
 
@@ -79,7 +80,7 @@ type runReply struct {
 
 func runAlgo(t *testing.T, ts *httptest.Server, graph, algo string, params map[string]any) runReply {
 	t.Helper()
-	code, body := do(t, ts, http.MethodPost, "/graphs/"+graph+"/run/"+algo, params)
+	code, body := do(t, ts, http.MethodPost, "/v1/graphs/"+graph+"/run/"+algo, params)
 	if code != http.StatusOK {
 		t.Fatalf("run %s: %d: %s", algo, code, body)
 	}
@@ -281,7 +282,7 @@ func TestResultCache(t *testing.T) {
 	var stats struct {
 		Cache cacheStats `json:"cache"`
 	}
-	_, body := do(t, ts, http.MethodGet, "/stats", nil)
+	_, body := do(t, ts, http.MethodGet, "/v1/stats", nil)
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
@@ -295,17 +296,17 @@ func TestResultCache(t *testing.T) {
 func TestGraphLifecycle(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	if code, _ := do(t, ts, http.MethodGet, "/graphs/none", nil); code != http.StatusNotFound {
+	if code, _ := do(t, ts, http.MethodGet, "/v1/graphs/none", nil); code != http.StatusNotFound {
 		t.Fatalf("GET missing graph = %d, want 404", code)
 	}
 	addTestGraph(t, ts, "g")
-	if code, body := do(t, ts, http.MethodPost, "/graphs", map[string]any{"name": "g", "generator": "rmat", "scale": 4}); code != http.StatusConflict {
+	if code, body := do(t, ts, http.MethodPost, "/v1/graphs", map[string]any{"name": "g", "generator": "rmat", "scale": 4}); code != http.StatusConflict {
 		t.Fatalf("duplicate register = %d: %s", code, body)
 	}
 
-	code, body := do(t, ts, http.MethodGet, "/graphs", nil)
+	code, body := do(t, ts, http.MethodGet, "/v1/graphs", nil)
 	if code != http.StatusOK {
-		t.Fatalf("GET /graphs = %d", code)
+		t.Fatalf("GET /v1/graphs = %d", code)
 	}
 	var list struct {
 		Graphs []graphInfo `json:"graphs"`
@@ -318,13 +319,13 @@ func TestGraphLifecycle(t *testing.T) {
 	}
 
 	runAlgo(t, ts, "g", "components", nil)
-	if code, _ = do(t, ts, http.MethodDelete, "/graphs/g", nil); code != http.StatusOK {
+	if code, _ = do(t, ts, http.MethodDelete, "/v1/graphs/g", nil); code != http.StatusOK {
 		t.Fatalf("DELETE = %d", code)
 	}
-	if code, _ = do(t, ts, http.MethodDelete, "/graphs/g", nil); code != http.StatusNotFound {
+	if code, _ = do(t, ts, http.MethodDelete, "/v1/graphs/g", nil); code != http.StatusNotFound {
 		t.Fatalf("second DELETE = %d, want 404", code)
 	}
-	if code, _ = do(t, ts, http.MethodPost, "/graphs/g/run/components", nil); code != http.StatusNotFound {
+	if code, _ = do(t, ts, http.MethodPost, "/v1/graphs/g/run/components", nil); code != http.StatusNotFound {
 		t.Fatalf("run on deleted graph = %d, want 404", code)
 	}
 
@@ -348,15 +349,17 @@ func TestBadRequests(t *testing.T) {
 		body   any
 		want   int
 	}{
-		{"unknown algorithm", http.MethodPost, "/graphs/g/run/nope", nil, http.StatusNotFound},
-		{"unknown param", http.MethodPost, "/graphs/g/run/pagerank", map[string]any{"bogus": 1}, http.StatusBadRequest},
-		{"wrong param type", http.MethodPost, "/graphs/g/run/bfs", map[string]any{"source": "x"}, http.StatusBadRequest},
-		{"source out of range", http.MethodPost, "/graphs/g/run/bfs", map[string]any{"source": 1 << 20}, http.StatusBadRequest},
-		{"param not accepted", http.MethodPost, "/graphs/g/run/components", map[string]any{"source": 1}, http.StatusBadRequest},
-		{"missing source", http.MethodPost, "/graphs", map[string]any{"name": "h"}, http.StatusBadRequest},
-		{"bad generator", http.MethodPost, "/graphs", map[string]any{"name": "h", "generator": "mystery"}, http.StatusBadRequest},
-		{"empty name", http.MethodPost, "/graphs", map[string]any{"generator": "rmat", "scale": 4}, http.StatusBadRequest},
-		{"unknown body field", http.MethodPost, "/graphs", map[string]any{"name": "h", "generator": "rmat", "scale": 4, "wat": 1}, http.StatusBadRequest},
+		{"unknown algorithm", http.MethodPost, "/v1/graphs/g/run/nope", nil, http.StatusNotFound},
+		{"unknown param", http.MethodPost, "/v1/graphs/g/run/pagerank", map[string]any{"bogus": 1}, http.StatusBadRequest},
+		{"wrong param type", http.MethodPost, "/v1/graphs/g/run/bfs", map[string]any{"source": "x"}, http.StatusBadRequest},
+		{"source out of range", http.MethodPost, "/v1/graphs/g/run/bfs", map[string]any{"source": 1 << 20}, http.StatusBadRequest},
+		{"param not accepted", http.MethodPost, "/v1/graphs/g/run/components", map[string]any{"source": 1}, http.StatusBadRequest},
+		{"scalar run, several sources", http.MethodPost, "/v1/graphs/g/run/bfs", map[string]any{"sources": []int{1, 2}}, http.StatusBadRequest},
+		{"unified run, several params.sources", http.MethodPost, "/v1/graphs/g/run", map[string]any{"algo": "sssp", "params": map[string]any{"sources": []int{1, 2}}}, http.StatusBadRequest},
+		{"missing source", http.MethodPost, "/v1/graphs", map[string]any{"name": "h"}, http.StatusBadRequest},
+		{"bad generator", http.MethodPost, "/v1/graphs", map[string]any{"name": "h", "generator": "mystery"}, http.StatusBadRequest},
+		{"empty name", http.MethodPost, "/v1/graphs", map[string]any{"generator": "rmat", "scale": 4}, http.StatusBadRequest},
+		{"unknown body field", http.MethodPost, "/v1/graphs", map[string]any{"name": "h", "generator": "rmat", "scale": 4, "wat": 1}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -368,7 +371,32 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestStatsEndpoint checks the /stats shape: per-endpoint request tallies,
+// TestParamsSourcesIsTheSource: a scalar run given a one-element
+// params.sources runs from that vertex on both run endpoints — it used to be
+// dropped, answering from vertex 0 with no error.
+func TestParamsSourcesIsTheSource(t *testing.T) {
+	_, ts := newTestServer(t)
+	addTestGraph(t, ts, "g")
+	for _, algo := range []string{"bfs", "sssp", "reachability", "widest"} {
+		want := direct(t, algo, algorithms.Params{Source: 7}).Values
+		perAlgo := runAlgo(t, ts, "g", algo, map[string]any{"sources": []int{7}})
+		code, body := do(t, ts, http.MethodPost, "/v1/graphs/g/run", map[string]any{"algo": algo, "params": map[string]any{"sources": []int{7}}})
+		if code != http.StatusOK {
+			t.Fatalf("%s unified run = %d: %s", algo, code, body)
+		}
+		var unified runReply
+		if err := json.Unmarshal(body, &unified); err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string][]float64{"run/" + algo: perAlgo.Values, "run": unified.Values} {
+			if !slices.Equal(got, want) {
+				t.Errorf("%s via %s with params.sources=[7] does not match a run from vertex 7", algo, name)
+			}
+		}
+	}
+}
+
+// TestStatsEndpoint checks the /v1/stats shape: per-endpoint request tallies,
 // per-algorithm engine stats and counter proxies.
 func TestStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -376,9 +404,9 @@ func TestStatsEndpoint(t *testing.T) {
 	runAlgo(t, ts, "g", "pagerank", map[string]any{"iters": 5})
 	runAlgo(t, ts, "g", "bfs", map[string]any{"source": 0})
 
-	code, body := do(t, ts, http.MethodGet, "/stats", nil)
+	code, body := do(t, ts, http.MethodGet, "/v1/stats", nil)
 	if code != http.StatusOK {
-		t.Fatalf("GET /stats = %d", code)
+		t.Fatalf("GET /v1/stats = %d", code)
 	}
 	var stats struct {
 		UptimeSeconds float64               `json:"uptime_seconds"`
@@ -388,10 +416,10 @@ func TestStatsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Requests["POST /graphs/{name}/run/{algo}"] != 2 {
-		t.Fatalf("run endpoint tally = %d, want 2 (%v)", stats.Requests["POST /graphs/{name}/run/{algo}"], stats.Requests)
+	if stats.Requests["POST /v1/graphs/{name}/run/{algo}"] != 2 {
+		t.Fatalf("run endpoint tally = %d, want 2 (%v)", stats.Requests["POST /v1/graphs/{name}/run/{algo}"], stats.Requests)
 	}
-	if stats.Requests["POST /graphs"] != 1 {
+	if stats.Requests["POST /v1/graphs"] != 1 {
 		t.Fatalf("register tally = %v", stats.Requests)
 	}
 	if stats.Graphs["g"].Epoch != 0 || stats.Graphs["g"].UpdatesApplied != 0 {
@@ -410,18 +438,18 @@ func TestStatsEndpoint(t *testing.T) {
 // TestHealthz sanity-checks the liveness endpoint.
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t)
-	code, body := do(t, ts, http.MethodGet, "/healthz", nil)
+	code, body := do(t, ts, http.MethodGet, "/v1/healthz", nil)
 	if code != http.StatusOK {
-		t.Fatalf("GET /healthz = %d: %s", code, body)
+		t.Fatalf("GET /v1/healthz = %d: %s", code, body)
 	}
 }
 
 // TestAlgorithmsEndpoint checks the discovery listing.
 func TestAlgorithmsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	code, body := do(t, ts, http.MethodGet, "/algorithms", nil)
+	code, body := do(t, ts, http.MethodGet, "/v1/algorithms", nil)
 	if code != http.StatusOK {
-		t.Fatalf("GET /algorithms = %d", code)
+		t.Fatalf("GET /v1/algorithms = %d", code)
 	}
 	var list struct {
 		Algorithms []algorithmInfo `json:"algorithms"`
@@ -454,9 +482,9 @@ func TestLoadFromFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(mtx), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, body := do(t, ts, http.MethodPost, "/graphs", map[string]any{"name": "tiny", "path": path})
+	code, body := do(t, ts, http.MethodPost, "/v1/graphs", map[string]any{"name": "tiny", "path": path})
 	if code != http.StatusCreated {
-		t.Fatalf("POST /graphs = %d: %s", code, body)
+		t.Fatalf("POST /v1/graphs = %d: %s", code, body)
 	}
 	reply := runAlgo(t, ts, "tiny", "sssp", map[string]any{"source": 0})
 	want := []float64{0, 1, 3, 4.5}

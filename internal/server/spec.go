@@ -12,7 +12,7 @@ import (
 
 // Source describes where a graph's edges come from: a file on disk or one of
 // the synthetic generators. Exactly one of Path and Generator must be set.
-// The same struct is the JSON body of POST /graphs and the value of
+// The same struct is the JSON body of POST /v1/graphs and the value of
 // graphmatd's -graph flag (via ParseSourceSpec), so the two registration
 // paths cannot diverge.
 type Source struct {

@@ -18,11 +18,11 @@ import (
 // takes many seconds — the workload the cancellation tests interrupt.
 func slowGraph(t *testing.T, ts *httptest.Server, name string) {
 	t.Helper()
-	code, body := do(t, ts, http.MethodPost, "/graphs", map[string]any{
+	code, body := do(t, ts, http.MethodPost, "/v1/graphs", map[string]any{
 		"name": name, "generator": "rmat", "scale": 14, "edgefactor": 8, "seed": testSeed,
 	})
 	if code != http.StatusCreated {
-		t.Fatalf("POST /graphs = %d: %s", code, body)
+		t.Fatalf("POST /v1/graphs = %d: %s", code, body)
 	}
 }
 
@@ -40,7 +40,7 @@ func TestStreamMatchesBlocking(t *testing.T) {
 	if err := json.NewEncoder(&buf).Encode(map[string]any{"iters": 7}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/graphs/g/run/pagerank?stream=1", "application/json", &buf)
+	resp, err := http.Post(ts.URL+"/v1/graphs/g/run/pagerank?stream=1", "application/json", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRunTimeoutMS(t *testing.T) {
 
 	start := time.Now()
 	code, body := do(t, ts, http.MethodPost,
-		"/graphs/big/run/pagerank?timeout_ms=150", map[string]any{"iters": 10000000})
+		"/v1/graphs/big/run/pagerank?timeout_ms=150", map[string]any{"iters": 10000000})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (%s), want 504", code, body)
 	}
@@ -136,7 +136,7 @@ func TestRunTimeoutMS(t *testing.T) {
 		t.Fatalf("timed-out run returned after %s", elapsed)
 	}
 
-	if code, body := do(t, ts, http.MethodPost, "/graphs/big/run/pagerank?timeout_ms=banana", nil); code != http.StatusBadRequest {
+	if code, body := do(t, ts, http.MethodPost, "/v1/graphs/big/run/pagerank?timeout_ms=banana", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad timeout_ms = %d (%s), want 400", code, body)
 	}
 }
@@ -159,7 +159,7 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 	if err := json.NewEncoder(&buf).Encode(map[string]any{"iters": 10000000}); err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/graphs/big/run/pagerank", &buf)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/graphs/big/run/pagerank", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestEdgesEndpointStaleCache(t *testing.T) {
 	for v := 1; v < n; v++ {
 		fmt.Fprintf(&batch, "{\"src\":%d,\"dst\":0,\"weight\":1}\n", v)
 	}
-	code, body := doRaw(t, ts, http.MethodPost, "/graphs/g/edges", batch.String())
+	code, body := doRaw(t, ts, http.MethodPost, "/v1/graphs/g/edges", batch.String())
 	if code != http.StatusOK {
 		t.Fatalf("POST /edges = %d: %s", code, body)
 	}
@@ -117,7 +118,7 @@ func TestEdgesEndpointMatchesFreshUpload(t *testing.T) {
 	runAlgo(t, ts, "live", "pagerank", map[string]any{"iters": 8})
 
 	batch := "add 0 63 2\ndel 1 0\nadd 62 61 3\ndel 62 61\nadd 62 61 4\n"
-	if code, body := doRaw(t, ts, http.MethodPost, "/graphs/live/edges?format=edgelist", batch); code != http.StatusOK {
+	if code, body := doRaw(t, ts, http.MethodPost, "/v1/graphs/live/edges?format=edgelist", batch); code != http.StatusOK {
 		t.Fatalf("POST /edges = %d: %s", code, body)
 	}
 
@@ -136,7 +137,7 @@ func TestEdgesEndpointMatchesFreshUpload(t *testing.T) {
 	if err := graph.WriteMTX(&mtx, adj); err != nil {
 		t.Fatal(err)
 	}
-	if code, body := doRaw(t, ts, http.MethodPost, "/graphs?name=fresh&format=mtx", mtx.String()); code != http.StatusCreated {
+	if code, body := doRaw(t, ts, http.MethodPost, "/v1/graphs?name=fresh&format=mtx", mtx.String()); code != http.StatusCreated {
 		t.Fatalf("upload fresh = %d: %s", code, body)
 	}
 
@@ -163,26 +164,26 @@ func TestEdgesEndpointErrors(t *testing.T) {
 	_, ts := newTestServer(t)
 	addTestGraph(t, ts, "g")
 
-	if code, _ := doRaw(t, ts, http.MethodPost, "/graphs/nope/edges", "add 0 1\n"); code != http.StatusNotFound {
+	if code, _ := doRaw(t, ts, http.MethodPost, "/v1/graphs/nope/edges", "add 0 1\n"); code != http.StatusNotFound {
 		t.Errorf("missing graph = %d", code)
 	}
-	if code, _ := doRaw(t, ts, http.MethodPost, "/graphs/g/edges", ""); code != http.StatusBadRequest {
+	if code, _ := doRaw(t, ts, http.MethodPost, "/v1/graphs/g/edges", ""); code != http.StatusBadRequest {
 		t.Errorf("empty batch = %d", code)
 	}
-	if code, _ := doRaw(t, ts, http.MethodPost, "/graphs/g/edges", "add 0\n"); code != http.StatusBadRequest {
+	if code, _ := doRaw(t, ts, http.MethodPost, "/v1/graphs/g/edges", "add 0\n"); code != http.StatusBadRequest {
 		t.Errorf("malformed line = %d", code)
 	}
-	if code, _ := doRaw(t, ts, http.MethodPost, "/graphs/g/edges?format=bogus", "add 0 1\n"); code != http.StatusBadRequest {
+	if code, _ := doRaw(t, ts, http.MethodPost, "/v1/graphs/g/edges?format=bogus", "add 0 1\n"); code != http.StatusBadRequest {
 		t.Errorf("bad format = %d", code)
 	}
 	// Vertex out of range: the whole batch must be rejected and the epoch
 	// unmoved.
-	if code, _ := doRaw(t, ts, http.MethodPost, "/graphs/g/edges", "add 0 999999\n"); code != http.StatusBadRequest {
+	if code, _ := doRaw(t, ts, http.MethodPost, "/v1/graphs/g/edges", "add 0 999999\n"); code != http.StatusBadRequest {
 		t.Errorf("out-of-range vertex = %d", code)
 	}
-	code, body := doRaw(t, ts, http.MethodGet, "/graphs/g", "")
+	code, body := doRaw(t, ts, http.MethodGet, "/v1/graphs/g", "")
 	if code != http.StatusOK {
-		t.Fatalf("GET /graphs/g = %d", code)
+		t.Fatalf("GET /v1/graphs/g = %d", code)
 	}
 	var info struct {
 		Epoch uint64 `json:"epoch"`
@@ -199,12 +200,16 @@ func TestEdgesEndpointErrors(t *testing.T) {
 // pooled workspaces: the vertex count is fixed, so runs across epochs keep
 // reusing the same scratch instead of re-allocating.
 func TestUpdateAwareWorkspacePools(t *testing.T) {
+	// sync.Pool keeps one private item per P that other Ps cannot take, so
+	// the exact reuse count below only holds when every request's handler
+	// runs on the same P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	srv, ts := newTestServer(t)
 	addTestGraph(t, ts, "g")
 
 	for i := 0; i < 3; i++ {
 		runAlgo(t, ts, "g", "bfs", map[string]any{"source": float64(i)})
-		if code, body := doRaw(t, ts, http.MethodPost, "/graphs/g/edges",
+		if code, body := doRaw(t, ts, http.MethodPost, "/v1/graphs/g/edges",
 			fmt.Sprintf("add %d %d\n", i, i+10)); code != http.StatusOK {
 			t.Fatalf("batch %d: %d %s", i, code, body)
 		}
@@ -224,8 +229,8 @@ func TestUpdateAwareWorkspacePools(t *testing.T) {
 		t.Errorf("bfs store stats = %+v", st.Store)
 	}
 
-	// Epoch surfaces in /stats and /graphs.
-	code, body := doRaw(t, ts, http.MethodGet, "/stats", "")
+	// Epoch surfaces in /v1/stats and /v1/graphs.
+	code, body := doRaw(t, ts, http.MethodGet, "/v1/stats", "")
 	if code != http.StatusOK {
 		t.Fatal(code)
 	}
@@ -251,7 +256,7 @@ func TestLazyInstanceAfterUpdates(t *testing.T) {
 	if r := runAlgo(t, ts, "g", "components", nil); len(r.Values) == 0 {
 		t.Fatal("pre-update components run returned nothing")
 	}
-	if code, body := doRaw(t, ts, http.MethodPost, "/graphs/g/edges", "add 0 63\nadd 63 62\ndel 1 2\n"); code != http.StatusOK {
+	if code, body := doRaw(t, ts, http.MethodPost, "/v1/graphs/g/edges", "add 0 63\nadd 63 62\ndel 1 2\n"); code != http.StatusOK {
 		t.Fatalf("POST /edges = %d: %s", code, body)
 	}
 	afterBuiltBefore := runAlgo(t, ts, "g", "components", nil)

@@ -11,11 +11,11 @@ import (
 	"graphmat/internal/sparse"
 )
 
-// uploadBody POSTs raw bytes to /graphs with upload query parameters.
+// uploadBody POSTs raw bytes to /v1/graphs with upload query parameters.
 func uploadBody(t *testing.T, ts *httptest.Server, name, format string, body []byte) (int, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost,
-		fmt.Sprintf("%s/graphs?name=%s&format=%s", ts.URL, name, format), bytes.NewReader(body))
+		fmt.Sprintf("%s/v1/graphs?name=%s&format=%s", ts.URL, name, format), bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func encodeTestGraph(t *testing.T, format string) []byte {
 	return buf.Bytes()
 }
 
-// TestUploadFormatsMatchBootLoaded is the acceptance check: POST /graphs
+// TestUploadFormatsMatchBootLoaded is the acceptance check: POST /v1/graphs
 // upload → /run must return results identical to the same graph registered at
 // boot, for every upload format.
 func TestUploadFormatsMatchBootLoaded(t *testing.T) {
@@ -115,16 +115,16 @@ func TestUploadLifecycle(t *testing.T) {
 		t.Fatalf("upload = %d", code)
 	}
 	// Listed with an upload: source tag.
-	code, body := do(t, ts, http.MethodGet, "/graphs/g", nil)
+	code, body := do(t, ts, http.MethodGet, "/v1/graphs/g", nil)
 	if code != http.StatusOK || !bytes.Contains(body, []byte(`"upload:mtx`)) {
-		t.Fatalf("GET /graphs/g = %d: %s", code, body)
+		t.Fatalf("GET /v1/graphs/g = %d: %s", code, body)
 	}
 	// Duplicate names conflict.
 	if code, _ := uploadBody(t, ts, "g", "mtx", encodeTestGraph(t, "mtx")); code != http.StatusConflict {
 		t.Fatalf("duplicate upload = %d, want 409", code)
 	}
 	// DELETE then re-upload works.
-	if code, body := do(t, ts, http.MethodDelete, "/graphs/g", nil); code != http.StatusOK {
+	if code, body := do(t, ts, http.MethodDelete, "/v1/graphs/g", nil); code != http.StatusOK {
 		t.Fatalf("DELETE = %d: %s", code, body)
 	}
 	if code, _ := uploadBody(t, ts, "g", "mtx", encodeTestGraph(t, "mtx")); code != http.StatusCreated {
@@ -139,11 +139,11 @@ func TestUploadErrors(t *testing.T) {
 		body      string
 		wantCode  int
 	}{
-		{"missing name", "/graphs?format=mtx", "%%MatrixMarket matrix coordinate real general\n1 1 0\n", http.StatusBadRequest},
-		{"unknown format", "/graphs?name=g&format=parquet", "x", http.StatusBadRequest},
-		{"malformed mtx", "/graphs?name=g&format=mtx", "not a matrix", http.StatusBadRequest},
-		{"malformed edgelist", "/graphs?name=g&format=edgelist", "0 nope", http.StatusBadRequest},
-		{"malformed binary", "/graphs?name=g&format=bin", "GMATBIN9????", http.StatusBadRequest},
+		{"missing name", "/v1/graphs?format=mtx", "%%MatrixMarket matrix coordinate real general\n1 1 0\n", http.StatusBadRequest},
+		{"unknown format", "/v1/graphs?name=g&format=parquet", "x", http.StatusBadRequest},
+		{"malformed mtx", "/v1/graphs?name=g&format=mtx", "not a matrix", http.StatusBadRequest},
+		{"malformed edgelist", "/v1/graphs?name=g&format=edgelist", "0 nope", http.StatusBadRequest},
+		{"malformed binary", "/v1/graphs?name=g&format=bin", "GMATBIN9????", http.StatusBadRequest},
 	} {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+tc.url, bytes.NewReader([]byte(tc.body)))
 		if err != nil {
@@ -168,14 +168,14 @@ func TestUploadErrors(t *testing.T) {
 	oob := sparse.NewCOO[float32](2, 2)
 	oob.Add(0, 5, 1) // col 5 outside a 2-vertex graph
 	var oobBuf bytes.Buffer
-	if err := graph.WriteBinary(&oobBuf, oob); err != nil {
+	if err := graph.WriteBinary2(&oobBuf, oob, 1); err != nil {
 		t.Fatal(err)
 	}
 	if code, body := uploadBody(t, ts, "oob", "bin", oobBuf.Bytes()); code != http.StatusBadRequest {
 		t.Errorf("out-of-bounds binary upload = %d: %s", code, body)
 	}
 	for _, name := range []string{"rect", "oob"} {
-		if code, _ := do(t, ts, http.MethodGet, "/graphs/"+name, nil); code != http.StatusNotFound {
+		if code, _ := do(t, ts, http.MethodGet, "/v1/graphs/"+name, nil); code != http.StatusNotFound {
 			t.Errorf("rejected upload %q was registered", name)
 		}
 	}
