@@ -69,9 +69,11 @@ bench-module:
 race:
 	$(GO) test -race ./internal/core/... ./internal/sched/... ./internal/kernels/... ./internal/sparse/... ./internal/distributed/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
 
-# Fuzz smoke over the graph readers, the SIMD kernel backends and the column
-# walks: 10s per target (go test takes one -fuzz pattern at a time). The
-# reader targets assert parallel parse ≡ sequential parse; the kernel targets
+# Fuzz smoke over the graph readers, the update-stream parser, the SIMD kernel
+# backends and the column walks: 10s per target (go test takes one -fuzz
+# pattern at a time). The reader targets assert parallel parse ≡ sequential
+# parse; the update target asserts an accepted batch round-trips through
+# WriteUpdates; the kernel targets
 # assert every SIMD backend ≡ the scalar oracle bit for bit; the walk target
 # asserts pull ≡ push ≡ a naive fold of the live edge set over random
 # base+delta partitions, frontiers and row cuts. CI runs this target.
@@ -79,6 +81,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMTX$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=10s ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzParseUpdates$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzBitvecWords$$' -fuzztime=10s ./internal/kernels
 	$(GO) test -run='^$$' -fuzz='^FuzzDenseFold$$' -fuzztime=10s ./internal/kernels
 	$(GO) test -run='^$$' -fuzz='^FuzzLayeredWalk$$' -fuzztime=10s ./internal/core
@@ -115,9 +118,11 @@ bench-sched:
 	$(GO) test -bench=. -benchtime=1s -run='^$$' -cpu=1,4 ./internal/sched
 
 # The versioned-store baseline: 1% update-batch application and overlay
-# compaction, behind BENCH_store.json. Real measurement (1s per case).
+# compaction, behind BENCH_store.json, plus the serving entry's acknowledgement
+# path (master apply, no instances) at two graph sizes — its ns/op must not
+# grow with |E|. Real measurement (1s per case).
 bench-store:
-	$(GO) test -bench='^(BenchmarkApplyEdges|BenchmarkCompaction)' -benchtime=1s -run='^$$' .
+	$(GO) test -bench='^(BenchmarkApplyEdges|BenchmarkCompaction|BenchmarkEntryApplyEdges)' -benchtime=1s -run='^$$' .
 
 # The multi-source block-run baseline: k ∈ {1, 8, 32} sources per batched
 # BFS/PPR run, behind BENCH_multi.json. Real measurement (1s per case).

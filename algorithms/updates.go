@@ -13,16 +13,16 @@ import (
 // property-graph mutations that preprocessing implies. The translation of a
 // delete on a symmetrized graph needs to know whether the REVERSE raw edge
 // still exists — that context comes from the EdgeLookup oracle over the
-// post-batch raw edge set, which the serving layer maintains as its master
-// copy.
+// post-batch raw edge set, which the serving layer maintains as its
+// log-structured master.
 
 // EdgeUpdate is one raw edge mutation (weighted, Del for deletes).
 type EdgeUpdate = graphmat.EdgeUpdate
 
 // EdgeLookup reports whether the raw directed edge src→dst exists AFTER the
-// batch being applied, and its weight. Implementations are typically a
-// binary search over the caller's updated master adjacency
-// (graphmat.LookupEdge-style).
+// batch being applied, and its weight. The serving layer passes its master's
+// Lookup (overlay, then a binary search of the base); library callers that
+// keep a plain adjacency use NewRawEdgeLookup.
 type EdgeLookup = func(src, dst uint32) (float32, bool)
 
 // UpdateResult reports what one translated batch did to a property graph.

@@ -153,3 +153,45 @@ func FuzzReadBinary(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseUpdates holds the update-stream parser (both wire forms, sniffed)
+// to the same promises: arbitrary input never panics, and an accepted batch
+// survives WriteUpdates → ParseUpdates unchanged. Delete records carry no
+// weight on the wire, so a delete's value is not compared.
+func FuzzParseUpdates(f *testing.F) {
+	f.Add([]byte("{\"src\":1,\"dst\":2,\"weight\":1.5}\n\n{\"src\":3,\"dst\":4,\"del\":true}\n{\"src\":5,\"dst\":6}\n"))
+	f.Add([]byte("# comment\nadd 1 2 1.5\ndel 3 4\n5 6\n"))
+	f.Add([]byte("{\"src\":3,\"dst\":4}{\"src\":5,\"dst\":6}"))
+	f.Add([]byte("{\"src\":1,\"dst\":2} junk"))
+	f.Add([]byte("{\"src\":4294967296,\"dst\":0}"))
+	f.Add([]byte("{\"src\":1,\"dst\":2,\"weight\":1e39}"))
+	f.Add([]byte("{\"src\":1,\"dst\":2,\"weight\":-0.0,\"del\":true}"))
+	f.Add([]byte("add 1 2 NaN\n1 2 -inf\n"))
+	f.Add([]byte("del 7 7 ignored\nadd 4294967295 0 1e-45\n"))
+	f.Add([]byte(" \n\t{"))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ups, err := ParseUpdates(data)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteUpdates(&buf, ups); err != nil {
+			t.Fatalf("WriteUpdates of an accepted batch: %v", err)
+		}
+		back, err := ParseUpdatesNDJSON(buf.Bytes())
+		if err != nil {
+			t.Fatalf("re-parsing WriteUpdates output: %v", err)
+		}
+		if len(back) != len(ups) {
+			t.Fatalf("round trip: %d updates, want %d", len(back), len(ups))
+		}
+		for i, u := range ups {
+			b := back[i]
+			if b.Src != u.Src || b.Dst != u.Dst || b.Del != u.Del ||
+				(!u.Del && math.Float32bits(b.Val) != math.Float32bits(u.Val)) {
+				t.Fatalf("round trip[%d] = %+v, want %+v", i, b, u)
+			}
+		}
+	})
+}

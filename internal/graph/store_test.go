@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"graphmat/internal/sparse"
@@ -445,6 +446,26 @@ func TestParseUpdates(t *testing.T) {
 	}
 	if _, err := ParseUpdates([]byte("add 1\n")); err == nil {
 		t.Error("short text line accepted")
+	}
+	// One object per NDJSON line: trailing bytes used to be dropped silently,
+	// acknowledging updates that were never applied.
+	for _, bad := range []string{
+		"{\"src\":1,\"dst\":2}\n{\"src\":1,\"dst\":2} junk\n",
+		"{\"src\":1,\"dst\":2}\n{\"src\":3,\"dst\":4}{\"src\":5,\"dst\":6}\n",
+		"{\"src\":1,\"dst\":2}\n{\"src\":3,\"dst\":4} \t]",
+	} {
+		_, err := ParseUpdates([]byte(bad))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("ParseUpdates(%q) = %v, want a line-2 error", bad, err)
+		}
+	}
+	if _, err := ParseUpdates([]byte("{\"src\":1,\"dst\":2} \t\r\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+	for _, bad := range []string{"add 1 2 NaN\n", "1 2 +Inf\n"} {
+		if _, err := ParseUpdates([]byte(bad)); err == nil {
+			t.Errorf("ParseUpdates(%q) accepted a non-finite weight", bad)
+		}
 	}
 	// Round trip.
 	var buf bytes.Buffer

@@ -100,13 +100,26 @@ func NormalizeAdjacency[E any](adj *sparse.COO[E], workers int) {
 // is not modified — callers keep serving reads from it while the successor is
 // assembled.
 func ApplyToAdjacency[E any](adj *sparse.COO[E], batch []Update[E]) (*sparse.COO[E], error) {
+	if err := checkUpdates(batch, adj.NRows, adj.NCols); err != nil {
+		return nil, err
+	}
+	return mergeUpdates(adj, normalizeUpdates(batch)), nil
+}
+
+// checkUpdates rejects a batch that references a vertex outside an
+// nrows×ncols adjacency.
+func checkUpdates[E any](batch []Update[E], nrows, ncols uint32) error {
 	for _, u := range batch {
-		if u.Src >= adj.NRows || u.Dst >= adj.NCols {
-			return nil, fmt.Errorf("graph: update (%d,%d) outside %dx%d adjacency",
-				u.Src, u.Dst, adj.NRows, adj.NCols)
+		if u.Src >= nrows || u.Dst >= ncols {
+			return fmt.Errorf("graph: update (%d,%d) outside %dx%d adjacency", u.Src, u.Dst, nrows, ncols)
 		}
 	}
-	norm := normalizeUpdates(batch)
+	return nil
+}
+
+// mergeUpdates returns a new adjacency: normalized adj with norm — sorted by
+// (src, dst), one mutation per key — merged in. adj is not modified.
+func mergeUpdates[E any](adj *sparse.COO[E], norm []Update[E]) *sparse.COO[E] {
 	out := &sparse.COO[E]{NRows: adj.NRows, NCols: adj.NCols}
 	out.Entries = make([]sparse.Triple[E], 0, len(adj.Entries)+len(norm))
 	src := adj.Entries
@@ -124,7 +137,7 @@ func ApplyToAdjacency[E any](adj *sparse.COO[E], batch []Update[E]) (*sparse.COO
 		}
 	}
 	out.Entries = append(out.Entries, src[i:]...)
-	return out, nil
+	return out
 }
 
 // LookupEdge binary-searches a normalized (row-major sorted, deduplicated)

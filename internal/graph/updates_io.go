@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 )
@@ -26,8 +27,10 @@ type updateRecord struct {
 	Del    bool     `json:"del,omitempty"`
 }
 
-// ParseUpdatesNDJSON parses an NDJSON update stream. Blank lines are
-// skipped; errors carry 1-based line numbers.
+// ParseUpdatesNDJSON parses an NDJSON update stream: exactly one object per
+// line. Blank lines are skipped; anything after a line's object is an error
+// (a second object glued to the first would otherwise be acknowledged and
+// dropped); errors carry 1-based line numbers.
 func ParseUpdatesNDJSON(data []byte) ([]Update[float32], error) {
 	var ups []Update[float32]
 	lineno := 0
@@ -49,6 +52,9 @@ func ParseUpdatesNDJSON(data []byte) ([]Update[float32], error) {
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("updates line %d: %v", lineno, err)
 		}
+		if rest := bytes.TrimSpace(line[dec.InputOffset():]); len(rest) > 0 {
+			return nil, fmt.Errorf("updates line %d: unexpected %.32q after the update object", lineno, rest)
+		}
 		w := float32(1)
 		if rec.Weight != nil {
 			w = *rec.Weight
@@ -60,7 +66,8 @@ func ParseUpdatesNDJSON(data []byte) ([]Update[float32], error) {
 
 // ParseUpdateList parses the text update form: one update per line, fields
 // whitespace-separated — ["add"|"del"] src dst [weight] — with '#' comment
-// lines. A line without an op is an add; weight defaults to 1 and is
+// lines. A line without an op is an add; weight defaults to 1, must be
+// finite (the NDJSON form and WriteUpdates cannot carry NaN or ±Inf), and is
 // ignored on del lines.
 func ParseUpdateList(data []byte) ([]Update[float32], error) {
 	var ups []Update[float32]
@@ -99,6 +106,9 @@ func ParseUpdateList(data []byte) ([]Update[float32], error) {
 		w := float32(1)
 		if len(fields) == 3 && !del {
 			f, err := strconv.ParseFloat(string(fields[2]), 32)
+			if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+				err = fmt.Errorf("%q is not finite", fields[2])
+			}
 			if err != nil {
 				return nil, fmt.Errorf("updates line %d: weight: %v", lineno, err)
 			}

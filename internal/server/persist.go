@@ -22,13 +22,13 @@ import (
 //   - Each accepted update batch is appended (and fsynced) to a per-graph
 //     write-ahead log BEFORE any in-memory state advances, so an acknowledged
 //     batch survives a crash at any later point.
-//   - A checkpoint captures the whole entry at one tag — the raw master
-//     adjacency plus every built algorithm instance's property graph — as
-//     GMATSNAP files, rotates the WAL, and atomically flips the CURRENT
-//     manifest. Checkpoints ride on the store's own compaction cadence (the
-//     OnCompact hook marks the entry dirty; the update batch that compacted
-//     pays for the rotation), so WAL length stays proportional to the
-//     un-compacted overlay.
+//   - A checkpoint captures the whole entry at one tag — the raw master,
+//     folded so its base is the whole edge set, plus every built algorithm
+//     instance's property graph — as GMATSNAP files, rotates the WAL, and
+//     atomically flips the CURRENT manifest. Checkpoints ride on the store's
+//     own compaction cadence (the OnCompact hook marks the entry dirty; the
+//     update batch that compacted pays for the rotation), so WAL length stays
+//     proportional to the un-compacted overlay.
 //   - Boot mmaps the manifest's snapshot files and serves queries over
 //     zero-copy views of the mappings, replaying WAL records newer than each
 //     component's tag. A damaged current generation falls back to the
@@ -118,16 +118,18 @@ func (p *persister) logBatch(epoch uint64, batch []graphmat.EdgeUpdate) error {
 	return p.wal.Append(epoch, recs)
 }
 
-// checkpoint captures the whole entry at its current epoch: master adjacency
-// and every built instance as snapshot files at one tag, a fresh WAL, and an
-// atomic manifest flip. Caller holds the entry's updMu (no batch can be in
-// flight), so the master and every instance agree on the edge set. Files of
+// checkpoint captures the whole entry at its current epoch: the master
+// (folded first — the one O(|E|) merge a checkpoint adds to the O(|E|) file
+// write) and every built instance as snapshot files at one tag, a fresh WAL,
+// and an atomic manifest flip. Caller holds the entry's updMu (no batch can be
+// in flight), so the master and every instance agree on the edge set. Files of
 // the grandparent generation are deleted after the flip; the previous
 // generation stays as the fallback target.
 func (p *persister) checkpoint(g *GraphEntry) error {
-	g.adjMu.RLock()
-	adj, tag, updates := g.adj, g.epoch, g.updates
-	g.adjMu.RUnlock()
+	adj := g.master.Fold()
+	g.verMu.RLock()
+	tag, updates := g.epoch, g.updates
+	g.verMu.RUnlock()
 
 	g.mu.Lock()
 	insts := make(map[string]*algoInstance, len(g.insts))
@@ -184,9 +186,7 @@ func (p *persister) checkpoint(g *GraphEntry) error {
 // own tag are skipped for it — the build already contained them. Caller
 // holds the entry's updMu.
 func (p *persister) persistInstance(g *GraphEntry, algo string, ai *algoInstance) error {
-	g.adjMu.RLock()
-	tag := g.epoch
-	g.adjMu.RUnlock()
+	tag := g.Epoch()
 	img, err := ai.inst.SnapImage(tag)
 	if err != nil {
 		return fmt.Errorf("persist: imaging %s: %w", algo, err)
@@ -263,7 +263,7 @@ func (p *persister) onBuild(g *GraphEntry, algo string, ai *algoInstance) {
 	}
 }
 
-// masterImage wraps the raw master adjacency as a snapshot image
+// masterImage wraps the raw master's folded base as a snapshot image
 // (Directions 0: dims and row-major triples only).
 func masterImage(adj *sparse.COO[float32], tag uint64) *snap.Image {
 	return &snap.Image{
@@ -354,7 +354,7 @@ func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, 
 		source:     source,
 		partitions: r.partitions,
 		workers:    r.workers,
-		adj:        &sparse.COO[float32]{NRows: mimg.NRows, NCols: mimg.NCols, Entries: mimg.Fwd},
+		master:     graph.NewMaster(&sparse.COO[float32]{NRows: mimg.NRows, NCols: mimg.NCols, Entries: mimg.Fwd}),
 		epoch:      gen.Tag,
 		updates:    gen.Updates,
 		insts:      make(map[string]*algoInstance),
@@ -428,25 +428,22 @@ func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, 
 	return entry, nil
 }
 
-// replayBatch re-applies one logged batch during boot: master merge, then
-// fan-out to each instance whose snapshot predates the batch. The entry is
-// unpublished, so no locking.
+// replayBatch re-applies one logged batch during boot: into the master's
+// overlay, then fan-out to each instance whose snapshot predates the batch.
+// The entry is unpublished, so no locking.
 func replayBatch(entry *GraphEntry, instTags map[string]uint64, b snap.WALBatch) error {
 	batch := make([]graphmat.EdgeUpdate, len(b.Updates))
 	for i, u := range b.Updates {
 		batch[i] = graphmat.EdgeUpdate{Src: u.Src, Dst: u.Dst, Val: u.Val, Del: u.Del}
 	}
-	next, err := graph.ApplyToAdjacency(entry.adj, batch)
-	if err != nil {
+	if err := entry.master.Apply(batch); err != nil {
 		return fmt.Errorf("persist: replaying WAL batch for epoch %d: %w", b.Epoch, err)
 	}
-	entry.adj = next
-	lookup := algorithms.NewRawEdgeLookup(next)
 	for algo, ai := range entry.insts {
 		if b.Epoch <= instTags[algo] {
 			continue
 		}
-		if _, err := ai.inst.ApplyUpdates(batch, lookup); err != nil {
+		if _, err := ai.inst.ApplyUpdates(batch, entry.master.Lookup); err != nil {
 			return fmt.Errorf("persist: replaying WAL batch for epoch %d into %s: %w", b.Epoch, algo, err)
 		}
 	}

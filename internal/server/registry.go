@@ -19,10 +19,10 @@ import (
 )
 
 // Registry is the server's concurrent-safe table of loaded graphs. Each
-// entry keeps the raw adjacency triples as an immutable master copy;
+// entry keeps the raw edge set in a log-structured master (graph.Master);
 // algorithm-specific property graphs (which preprocess the edges in place)
-// are built lazily from clones and cached per algorithm, each with its own
-// workspace pool.
+// are built lazily from materialized copies of it and cached per algorithm,
+// each with its own workspace pool.
 type Registry struct {
 	partitions int
 	workers    int
@@ -41,24 +41,31 @@ func NewRegistry(partitions, workers int, dataDir string) *Registry {
 	return &Registry{partitions: partitions, workers: workers, dataDir: dataDir, graphs: make(map[string]*GraphEntry)}
 }
 
-// GraphEntry is one registered graph. The master adjacency is the raw edge
-// set's source of truth: normalized (row-major sorted, deduplicated) at
-// registration and replaced wholesale by each update batch, so readers
-// (lazy instance builds, update translation lookups) always see a complete
-// epoch. Per-algorithm property graphs are versioned stores; an update batch
-// fans out to every built instance through its own preprocessing.
+// GraphEntry is one registered graph. The master is the raw edge set's
+// source of truth: the adjacency normalized (row-major sorted, deduplicated)
+// at registration is its immutable base, and each update batch lands in its
+// overlay — the final state of every touched edge — in O(batch), under the
+// master's lock, so readers (lazy instance builds, update translation
+// lookups, edge counts) always see a complete epoch. The O(|E|) merge of
+// overlay into base happens only where O(|E|) is being paid anyway: a lazy
+// instance build materializes a private copy, a checkpoint folds and writes
+// the base, and the master folds by itself once the overlay outgrows
+// graph.DefaultCompactFraction of the base. Per-algorithm property graphs
+// are versioned stores; an update batch fans out to every built instance
+// through its own preprocessing.
 type GraphEntry struct {
 	name       string
 	source     string
 	partitions int
 	workers    int
 
-	// updMu serializes whole update batches (master swap + instance
+	// updMu serializes whole update batches (master apply + instance
 	// fan-out) so every instance sees batches in the same order.
 	updMu sync.Mutex
 
-	adjMu   sync.RWMutex
-	adj     *sparse.COO[float32] // normalized master; replaced, never mutated
+	master *graph.Master[float32]
+
+	verMu   sync.RWMutex
 	epoch   uint64
 	updates int64 // raw edge updates applied over the entry's lifetime
 
@@ -119,6 +126,9 @@ var (
 	ErrGraphExists   = fmt.Errorf("graph already registered")
 	ErrGraphNotFound = fmt.Errorf("graph not found")
 	ErrAlgoNotFound  = fmt.Errorf("algorithm not found")
+	// ErrInvalidBatch marks an update batch rejected by validation (a vertex
+	// id outside the graph): the caller's fault, nothing was applied.
+	ErrInvalidBatch = fmt.Errorf("invalid update batch")
 )
 
 // CheckName rejects unusable or already-taken graph names. Callers about to
@@ -182,7 +192,7 @@ func (r *Registry) publish(entry *GraphEntry) (*GraphEntry, error) {
 // Source. The entry lazily builds per-algorithm property graphs and workspace
 // pools exactly like a Source-loaded graph. The triples are normalized in
 // place into the canonical master form (every builder deduplicates the same
-// way, so results are unchanged); edge updates then apply by linear merge.
+// way, so results are unchanged) and become the master's base.
 func (r *Registry) AddCOO(name, source string, adj *sparse.COO[float32]) (*GraphEntry, error) {
 	if name == "" || strings.ContainsAny(name, "\x00/") {
 		return nil, fmt.Errorf("invalid graph name %q", name)
@@ -191,7 +201,7 @@ func (r *Registry) AddCOO(name, source string, adj *sparse.COO[float32]) (*Graph
 	entry := &GraphEntry{
 		name:       name,
 		source:     source,
-		adj:        adj,
+		master:     graph.NewMaster(adj),
 		partitions: r.partitions,
 		workers:    r.workers,
 		insts:      make(map[string]*algoInstance),
@@ -256,57 +266,52 @@ func (g *GraphEntry) Name() string { return g.name }
 func (g *GraphEntry) Source() string { return g.source }
 
 // NumVertices reports the raw graph's vertex count (fixed across updates).
-func (g *GraphEntry) NumVertices() uint32 {
-	g.adjMu.RLock()
-	defer g.adjMu.RUnlock()
-	return g.adj.NRows
-}
+func (g *GraphEntry) NumVertices() uint32 { return g.master.NumVertices() }
 
 // NumEdges reports the current raw edge count (before per-algorithm
 // preprocessing).
-func (g *GraphEntry) NumEdges() int {
-	g.adjMu.RLock()
-	defer g.adjMu.RUnlock()
-	return g.adj.NNZ()
-}
+func (g *GraphEntry) NumEdges() int { return g.master.NumEdges() }
+
+// MasterStats reports the raw master's overlay size, fold count and edge
+// counts.
+func (g *GraphEntry) MasterStats() graph.MasterStats { return g.master.Stats() }
 
 // Epoch reports the entry's raw edge-set version: 0 at registration, +1 per
 // applied update batch. Instances built after updates landed start life
 // already containing them (their own store epochs count batches applied to
 // the instance, not the entry).
 func (g *GraphEntry) Epoch() uint64 {
-	g.adjMu.RLock()
-	defer g.adjMu.RUnlock()
+	g.verMu.RLock()
+	defer g.verMu.RUnlock()
 	return g.epoch
 }
 
 // UpdatesApplied reports the total raw edge updates the entry has absorbed.
 func (g *GraphEntry) UpdatesApplied() int64 {
-	g.adjMu.RLock()
-	defer g.adjMu.RUnlock()
+	g.verMu.RLock()
+	defer g.verMu.RUnlock()
 	return g.updates
 }
 
 // ApplyEdges applies one batch of raw edge updates to the entry: the master
-// adjacency advances one epoch and every BUILT per-algorithm property graph
+// absorbs the batch in O(batch) and every BUILT per-algorithm property graph
 // receives the batch through its own preprocessing (a new store snapshot —
 // queries in flight keep the epoch they pinned; workspace pools survive, as
 // updates never change the vertex count). Instances built later start from
 // the updated master, so built-before and built-after converge on the same
 // edge set; re-application races during a concurrent lazy build are benign
 // because batch application is idempotent (upserts and deletes are
-// last-write-wins). Returns the entry's new epoch and per-instance results.
+// last-write-wins). An error wrapping ErrInvalidBatch means the batch was
+// rejected whole and nothing changed; any other error is a server-side fault
+// (the batch could not be logged, or — after it became durable and the epoch
+// advanced — an instance diverged). Returns the entry's new epoch and
+// per-instance results.
 func (g *GraphEntry) ApplyEdges(batch []algorithms.EdgeUpdate) (uint64, map[string]graphmat.ApplyResult, error) {
 	g.updMu.Lock()
 	defer g.updMu.Unlock()
 
-	g.adjMu.RLock()
-	cur := g.adj
-	curEpoch := g.epoch
-	g.adjMu.RUnlock()
-	next, err := graph.ApplyToAdjacency(cur, batch)
-	if err != nil {
-		return 0, nil, err
+	if err := g.master.Check(batch); err != nil {
+		return 0, nil, fmt.Errorf("%w: %v", ErrInvalidBatch, err)
 	}
 	// Durability point: the validated batch goes to the write-ahead log —
 	// fsynced — BEFORE any in-memory state advances. A crash after this line
@@ -314,24 +319,23 @@ func (g *GraphEntry) ApplyEdges(batch []algorithms.EdgeUpdate) (uint64, map[stri
 	// batch. A batch that cannot be logged is rejected whole, leaving every
 	// structure at the old epoch.
 	if g.pers != nil {
-		if err := g.pers.logBatch(curEpoch+1, batch); err != nil {
+		if err := g.pers.logBatch(g.Epoch()+1, batch); err != nil {
 			return 0, nil, err
 		}
 	}
-	// Ordering matters for the epoch-keyed result cache: the master swaps
-	// first (lazy instance builds and lookups must see the post-batch edge
-	// set), the ENTRY EPOCH advances LAST, after every built instance has
-	// the batch. A run that reads the new epoch therefore always pins a
-	// post-batch snapshot, so nothing stale can ever be cached under the
-	// new epoch's key. The reverse window is benign: a run that read the
-	// OLD epoch may cache a result of either side of the batch under the
-	// old key, which becomes unreachable the moment the epoch advances and
-	// is swept by the caller's invalidation.
-	g.adjMu.Lock()
-	g.adj = next
-	g.adjMu.Unlock()
+	// Ordering matters for the epoch-keyed result cache: the master takes
+	// the batch first (lazy instance builds and lookups must see the
+	// post-batch edge set), the ENTRY EPOCH advances LAST, after every built
+	// instance has the batch. A run that reads the new epoch therefore
+	// always pins a post-batch snapshot, so nothing stale can ever be cached
+	// under the new epoch's key. The reverse window is benign: a run that
+	// read the OLD epoch may cache a result of either side of the batch
+	// under the old key, which becomes unreachable the moment the epoch
+	// advances and is swept by the caller's invalidation.
+	if err := g.master.Apply(batch); err != nil {
+		return 0, nil, err // unreachable: Check passed and updMu is held
+	}
 
-	lookup := algorithms.NewRawEdgeLookup(next)
 	g.mu.Lock()
 	insts := make(map[string]*algoInstance, len(g.insts))
 	for n, ai := range g.insts {
@@ -341,24 +345,24 @@ func (g *GraphEntry) ApplyEdges(batch []algorithms.EdgeUpdate) (uint64, map[stri
 	results := make(map[string]graphmat.ApplyResult, len(insts))
 	var fanErr error
 	for name, ai := range insts {
-		res, err := ai.inst.ApplyUpdates(batch, lookup)
+		res, err := ai.inst.ApplyUpdates(batch, g.master.Lookup)
 		if err != nil {
 			// The master already advanced and earlier instances applied;
 			// surface the divergence loudly rather than hiding it, but
 			// still advance the epoch below — the raw edge set DID change,
 			// and leaving the epoch behind would let post-batch results be
-			// cached under the old key forever. (With ids validated by
-			// ApplyToAdjacency above, translation cannot fail in practice.)
+			// cached under the old key forever. (With ids validated by the
+			// master's Check above, translation cannot fail in practice.)
 			fanErr = fmt.Errorf("applying updates to %s/%s: %w", g.name, name, err)
 			break
 		}
 		results[name] = res
 	}
-	g.adjMu.Lock()
+	g.verMu.Lock()
 	g.epoch++
 	g.updates += int64(len(batch))
 	epoch := g.epoch
-	g.adjMu.Unlock()
+	g.verMu.Unlock()
 	// If the batch compacted some instance's overlay (the OnCompact hooks
 	// set the dirty flag), rotate the generation while still under updMu:
 	// snapshot files at this epoch, fresh WAL, atomic CURRENT flip. The WAL
@@ -383,7 +387,7 @@ func (g *GraphEntry) BuiltAlgorithms() []string {
 }
 
 // instance returns the built (graph, algorithm) pair, building it on first
-// use. The build consumes a clone, so the master adjacency stays pristine
+// use. The build consumes a materialized copy, so the master stays pristine
 // for the other algorithms' preprocessing. On a persistent entry a fresh
 // build is captured into the current generation so the next boot opens it
 // instead of rebuilding.
@@ -414,10 +418,7 @@ func (g *GraphEntry) lockedInstance(algo string) (*algoInstance, bool, error) {
 	if ai, ok := g.insts[algo]; ok {
 		return ai, false, nil
 	}
-	g.adjMu.RLock()
-	adj := g.adj.Clone()
-	g.adjMu.RUnlock()
-	inst, err := spec.Build(adj, g.partitions)
+	inst, err := spec.Build(g.master.Materialize(), g.partitions)
 	if err != nil {
 		return nil, false, fmt.Errorf("building %s graph for %s: %w", algo, g.name, err)
 	}

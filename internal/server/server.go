@@ -365,7 +365,15 @@ func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
 	// the cache key); the sweep keeps them from squatting in the LRU.
 	s.cache.invalidateGraph(g.Name())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		// Only a batch the master's validation rejected is the client's
+		// fault. A failed WAL append left everything at the old epoch; an
+		// instance fan-out divergence happened after the batch became
+		// durable and the epoch advanced. Both are server faults.
+		code := http.StatusInternalServerError
+		if errors.Is(err, ErrInvalidBatch) {
+			code = http.StatusBadRequest
+		}
+		writeError(w, code, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, updateResponse{
@@ -811,6 +819,10 @@ type GraphStats struct {
 	// UpdatesApplied counts raw edge updates absorbed over the graph's
 	// lifetime.
 	UpdatesApplied int64 `json:"updates_applied"`
+	// Master is the raw edge set's log-structured master: live and base
+	// edge counts, overlay size, and folds (a batch whose duration_ms stands
+	// out against a fold-count step paid an O(|E|) merge).
+	Master graph.MasterStats `json:"master"`
 	// Algorithms is the per-(graph, algorithm) view, including each
 	// instance's versioned-store counters.
 	Algorithms map[string]AlgoStats `json:"algorithms"`
@@ -856,6 +868,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			gs := GraphStats{
 				Epoch:          g.Epoch(),
 				UpdatesApplied: g.UpdatesApplied(),
+				Master:         g.MasterStats(),
 				Algorithms:     g.Stats(),
 			}
 			if ps := g.PersistStats(); ps.Enabled {

@@ -1,5 +1,7 @@
 package sparse
 
+import "slices"
+
 // This file is the overlay half of the versioned storage layer: a DCSC
 // partition plus an optional delta DCSC of whole-column overrides, built from
 // batched edge mutations. The delta granularity is the column, not the entry:
@@ -122,83 +124,132 @@ func Assemble[E any](nrows, ncols, rowLo, rowHi uint32, jc, cp, ir []uint32, val
 // one exists, the base column otherwise); untouched old overrides carry over
 // unchanged. Returns old (possibly nil) when muts is empty, and nil when the
 // merge leaves no overrides.
+//
+// The output arrays are sized exactly by a first walk over the touched
+// columns (a binary search per mutation) and filled by a second: maximal runs
+// of untouched overrides are copied in bulk, touched columns merge straight
+// into place.
 func MergeDelta[E any](base, old *DCSC[E], muts []Mut[E]) *DCSC[E] {
 	if len(muts) == 0 {
 		return old
 	}
-	var oldJC []uint32
-	if old != nil {
-		oldJC = old.JC
+	if old == nil {
+		old = &DCSC[E]{}
 	}
-	var jc, cp, ir []uint32
-	var val []E
-	emit := func(col uint32, rows []uint32, vals []E) {
-		jc = append(jc, col)
-		cp = append(cp, uint32(len(ir)))
-		ir = append(ir, rows...)
-		val = append(val, vals...)
-	}
-	oi := 0
-	for mi := 0; mi < len(muts); {
-		j := muts[mi].Col
-		me := mi
-		for me < len(muts) && muts[me].Col == j {
-			me++
+	ncols, nnz := len(old.JC), len(old.IR)
+	for t := nextTouched(base, old, muts, 0); t.muts != nil; t = nextTouched(base, old, t.rest, t.oi) {
+		if t.overridden {
+			ncols--
+			nnz -= len(t.rows)
 		}
-		// Old overrides below the touched column carry over as-is.
-		for oi < len(oldJC) && oldJC[oi] < j {
-			s, e := old.CP[oi], old.CP[oi+1]
-			emit(oldJC[oi], old.IR[s:e], old.Val[s:e])
-			oi++
-		}
-		// Prior content of the touched column, plus whether the base stores
-		// it (an emptied column must stay as a tombstone only if it masks
-		// something).
-		var prow []uint32
-		var pval []E
-		_, baseHas := base.FindColumn(j)
-		if oi < len(oldJC) && oldJC[oi] == j {
-			s, e := old.CP[oi], old.CP[oi+1]
-			prow, pval = old.IR[s:e], old.Val[s:e]
-			oi++
-		} else if baseHas {
-			prow, pval = base.Column(j)
-		}
-		// Merge prior rows with the mutation group, both ascending by row.
-		rows := make([]uint32, 0, len(prow)+(me-mi))
-		vals := make([]E, 0, len(prow)+(me-mi))
-		pi := 0
-		for k := mi; k < me; k++ {
-			mrow := muts[k].Row
-			for pi < len(prow) && prow[pi] < mrow {
-				rows = append(rows, prow[pi])
-				vals = append(vals, pval[pi])
-				pi++
-			}
-			if pi < len(prow) && prow[pi] == mrow {
-				pi++
-			}
-			if !muts[k].Del {
-				rows = append(rows, mrow)
-				vals = append(vals, muts[k].Val)
+		n, rows := len(t.rows), t.rows
+		for _, m := range t.muts {
+			i, hit := slices.BinarySearch(rows, m.Row)
+			rows = rows[i:]
+			if hit && m.Del {
+				n--
+			} else if !hit && !m.Del {
+				n++
 			}
 		}
-		rows = append(rows, prow[pi:]...)
-		vals = append(vals, pval[pi:]...)
-		if len(rows) > 0 || baseHas {
-			emit(j, rows, vals)
+		if n > 0 || t.inBase {
+			ncols++
+			nnz += n
 		}
-		mi = me
 	}
-	for ; oi < len(oldJC); oi++ {
-		s, e := old.CP[oi], old.CP[oi+1]
-		emit(oldJC[oi], old.IR[s:e], old.Val[s:e])
-	}
-	if len(jc) == 0 {
+	if ncols == 0 {
 		return nil
 	}
+	jc := make([]uint32, 0, ncols)
+	cp := make([]uint32, 0, ncols+1)
+	ir := make([]uint32, 0, nnz)
+	val := make([]E, 0, nnz)
+	// carry copies the old override columns [lo, hi) — a maximal untouched
+	// run — in bulk, rebasing their column pointers.
+	carry := func(lo, hi int) {
+		if lo == hi {
+			return
+		}
+		s, e := old.CP[lo], old.CP[hi]
+		shift := uint32(len(ir)) - s
+		jc = append(jc, old.JC[lo:hi]...)
+		for _, c := range old.CP[lo:hi] {
+			cp = append(cp, c+shift)
+		}
+		ir = append(ir, old.IR[s:e]...)
+		val = append(val, old.Val[s:e]...)
+	}
+	carried := 0 // old override columns below this index are placed or replaced
+	for t := nextTouched(base, old, muts, 0); t.muts != nil; t = nextTouched(base, old, t.rest, t.oi) {
+		carry(carried, t.oi)
+		carried = t.oi
+		if t.overridden {
+			carried++
+		}
+		start, rows, vals := len(ir), t.rows, t.vals
+		for _, m := range t.muts {
+			i, hit := slices.BinarySearch(rows, m.Row)
+			ir = append(ir, rows[:i]...)
+			val = append(val, vals[:i]...)
+			if hit {
+				i++
+			}
+			rows, vals = rows[i:], vals[i:]
+			if !m.Del {
+				ir = append(ir, m.Row)
+				val = append(val, m.Val)
+			}
+		}
+		ir = append(ir, rows...)
+		val = append(val, vals...)
+		// An emptied column stays, as a tombstone, only if it masks something.
+		if len(ir) > start || t.inBase {
+			jc = append(jc, t.muts[0].Col)
+			cp = append(cp, uint32(start))
+		}
+	}
+	carry(carried, len(old.JC))
 	cp = append(cp, uint32(len(ir)))
 	return Assemble(base.NRows, base.NCols, base.RowLo, base.RowHi, jc, cp, ir, val)
+}
+
+// touchedColumn is one column a mutation batch touches: its mutation group,
+// the mutations after it, and the column's prior content — the old override
+// when one exists (overridden; it is old.JC[oi]), the base column otherwise
+// (inBase: the base stores the column at all). oi counts the old override
+// columns below this one.
+type touchedColumn[E any] struct {
+	muts, rest         []Mut[E]
+	oi                 int
+	rows               []uint32
+	vals               []E
+	overridden, inBase bool
+}
+
+// nextTouched describes the first column muts touches, scanning old's
+// override columns from index oi on. Its muts field is nil once muts is
+// exhausted.
+func nextTouched[E any](base, old *DCSC[E], muts []Mut[E], oi int) touchedColumn[E] {
+	if len(muts) == 0 {
+		return touchedColumn[E]{}
+	}
+	j := muts[0].Col
+	me := 1
+	for me < len(muts) && muts[me].Col == j {
+		me++
+	}
+	for oi < len(old.JC) && old.JC[oi] < j {
+		oi++
+	}
+	t := touchedColumn[E]{muts: muts[:me], rest: muts[me:], oi: oi}
+	_, t.inBase = base.FindColumn(j)
+	if t.overridden = oi < len(old.JC) && old.JC[oi] == j; t.overridden {
+		s, e := old.CP[oi], old.CP[oi+1]
+		t.rows, t.vals = old.IR[s:e], old.Val[s:e]
+	} else if t.inBase {
+		t.rows, t.vals = base.Column(j)
+	}
+	return t
 }
 
 // OverheadNNZ is the overlay's storage cost in entries: stored nonzeros plus

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -161,6 +162,69 @@ func TestMergeDeltaStacked(t *testing.T) {
 	}
 	if rows, _ := l.Column(5); rows != nil {
 		t.Errorf("Column(5) = %v, want empty", rows)
+	}
+}
+
+// TestMergeDeltaRandomStacked stacks seeded random batches on one partition:
+// after every batch the overlay must hold exactly the brute-force live set,
+// tombstones must exist only over base columns, and the delta's arrays must be
+// sized exactly (carried-over runs and merged columns fill them with no slack).
+func TestMergeDeltaRandomStacked(t *testing.T) {
+	const n = 24
+	rng := rand.New(rand.NewSource(14))
+	var seed [][3]int
+	for i := 0; i < 60; i++ {
+		seed = append(seed, [3]int{rng.Intn(n), rng.Intn(n), 1 + rng.Intn(9)})
+	}
+	base := buildCOO(n, seed)
+	for _, b := range [][2]uint32{{0, n}, {5, 17}} {
+		dc := BuildDCSC(base, b[0], b[1])
+		live := applyMuts(base, nil, b[0], b[1])
+		var delta *DCSC[int]
+		for round := 0; round < 80; round++ {
+			byKey := map[[2]uint32]Mut[int]{}
+			for k := rng.Intn(6); k >= 0; k-- {
+				m := Mut[int]{
+					Row: b[0] + uint32(rng.Intn(int(b[1]-b[0]))),
+					Col: uint32(rng.Intn(n)),
+					Val: 10 + round,
+					Del: rng.Intn(3) == 0,
+				}
+				byKey[[2]uint32{m.Row, m.Col}] = m
+			}
+			var muts []Mut[int]
+			for key, m := range byKey {
+				muts = append(muts, m)
+				if m.Del {
+					delete(live, key)
+				} else {
+					live[key] = m.Val
+				}
+			}
+			delta = MergeDelta(dc, delta, sortMuts(muts))
+			got := collect(t, Layered[int]{Base: dc, Delta: delta})
+			if len(got) != len(live) {
+				t.Fatalf("rows[%d,%d) round %d: %d live entries, want %d", b[0], b[1], round, len(got), len(live))
+			}
+			for k, v := range live {
+				if got[k] != v {
+					t.Fatalf("rows[%d,%d) round %d: entry %v = %d, want %d", b[0], b[1], round, k, got[k], v)
+				}
+			}
+			if delta == nil {
+				continue
+			}
+			if cap(delta.JC) != len(delta.JC) || cap(delta.CP) != len(delta.CP) ||
+				cap(delta.IR) != len(delta.IR) || cap(delta.Val) != len(delta.Val) {
+				t.Fatalf("rows[%d,%d) round %d: delta arrays carry slack: JC %d/%d CP %d/%d IR %d/%d Val %d/%d", b[0], b[1], round,
+					len(delta.JC), cap(delta.JC), len(delta.CP), cap(delta.CP), len(delta.IR), cap(delta.IR), len(delta.Val), cap(delta.Val))
+			}
+			for ci, j := range delta.JC {
+				if _, inBase := dc.FindColumn(j); !inBase && delta.CP[ci] == delta.CP[ci+1] {
+					t.Fatalf("rows[%d,%d) round %d: tombstone for column %d masks nothing", b[0], b[1], round, j)
+				}
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"graphmat"
 	"graphmat/internal/gen"
 	"graphmat/internal/graph"
+	"graphmat/internal/server"
 )
 
 // Store-side benchmarks: the cost of landing an update batch as delta
@@ -16,16 +17,22 @@ import (
 // the other benchmarks (default -3 → RMAT scale 11); the batch is 1% of the
 // edges, the acceptance test's shape.
 
+// benchBatch draws count generated updates against adj as one batch.
+func benchBatch(adj *graphmat.COO[float32], count int) []graphmat.EdgeUpdate {
+	ops := gen.Updates(adj, gen.UpdateOptions{Count: count, DeleteFraction: 0.3, MaxWeight: 255, Seed: 9})
+	batch := make([]graphmat.EdgeUpdate, len(ops))
+	for i, op := range ops {
+		batch[i] = graphmat.EdgeUpdate{Src: op.Src, Dst: op.Dst, Val: op.Weight, Del: op.Del}
+	}
+	return batch
+}
+
 // storeBenchFixture builds a Both-direction store and its 1% update batch.
 func storeBenchFixture(b *testing.B, compactFraction float64) (*graphmat.Store[uint32, float32], []graphmat.EdgeUpdate) {
 	b.Helper()
 	scale := 14 + benchShift()
 	adj := gen.RMAT(gen.RMATOptions{Scale: scale, EdgeFactor: 16, Seed: 20150831, MaxWeight: 255})
-	ops := gen.Updates(adj, gen.UpdateOptions{Count: len(adj.Entries) / 100, DeleteFraction: 0.3, MaxWeight: 255, Seed: 9})
-	batch := make([]graphmat.EdgeUpdate, len(ops))
-	for i, op := range ops {
-		batch[i] = graphmat.EdgeUpdate{Src: op.Src, Dst: op.Dst, Val: op.Weight, Del: op.Del}
-	}
+	batch := benchBatch(adj, len(adj.Entries)/100)
 	st, err := graphmat.NewStore[uint32](adj, graphmat.Options{
 		Directions:      graph.Both,
 		CompactFraction: compactFraction,
@@ -53,11 +60,7 @@ func BenchmarkApplyEdges(b *testing.B) {
 		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
 			scale := 14 + benchShift()
 			adj := gen.RMAT(gen.RMATOptions{Scale: scale, EdgeFactor: 16, Seed: 20150831, MaxWeight: 255})
-			ops := gen.Updates(adj, gen.UpdateOptions{Count: len(adj.Entries) / 100, DeleteFraction: 0.3, MaxWeight: 255, Seed: 9})
-			batch := make([]graphmat.EdgeUpdate, len(ops))
-			for i, op := range ops {
-				batch[i] = graphmat.EdgeUpdate{Src: op.Src, Dst: op.Dst, Val: op.Weight, Del: op.Del}
-			}
+			batch := benchBatch(adj, len(adj.Entries)/100)
 			st, err := graphmat.NewStore[uint32](adj, graphmat.Options{
 				Directions:      graph.Both,
 				Workers:         workers,
@@ -100,5 +103,35 @@ func BenchmarkCompaction(b *testing.B) {
 	}
 	if st.Stats().OverlayNNZ != 0 {
 		b.Fatalf("overlay survived compaction: %+v", st.Stats())
+	}
+}
+
+// BenchmarkEntryApplyEdges is the serving entry's acknowledgement path on its
+// own — master apply, no instance built, no WAL — for 500-update batches at
+// two graph sizes. The master is log-structured, so ns/op and B/op must be
+// the same at scale 13 and scale 16; a cost that grows 8x between them means
+// something on the ack path is O(|E|) again.
+func BenchmarkEntryApplyEdges(b *testing.B) {
+	for _, scale := range []int{13, 16} {
+		b.Run(fmt.Sprintf("scale_%d", scale), func(b *testing.B) {
+			adj := gen.RMAT(gen.RMATOptions{Scale: scale, EdgeFactor: 16, Seed: 20150831, MaxWeight: 255})
+			batch := benchBatch(adj, 500)
+			entry, err := server.NewRegistry(0, 0, "").AddCOO("g", "rmat", adj)
+			if err != nil {
+				b.Fatal(err)
+			}
+			inverse := invert(batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				use := batch
+				if i%2 == 1 {
+					use = inverse
+				}
+				if _, _, err := entry.ApplyEdges(use); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
