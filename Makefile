@@ -69,19 +69,23 @@ bench-module:
 race:
 	$(GO) test -race ./internal/core/... ./internal/sched/... ./internal/kernels/... ./internal/sparse/... ./internal/distributed/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
 
-# Fuzz smoke over the graph readers, the update-stream parser, the SIMD kernel
-# backends and the column walks: 10s per target (go test takes one -fuzz
-# pattern at a time). The reader targets assert parallel parse ≡ sequential
-# parse; the update target asserts an accepted batch round-trips through
-# WriteUpdates; the kernel targets
-# assert every SIMD backend ≡ the scalar oracle bit for bit; the walk target
-# asserts pull ≡ push ≡ a naive fold of the live edge set over random
-# base+delta partitions, frontiers and row cuts. CI runs this target.
+# Fuzz smoke over the graph readers, the update-stream parser, the run-reply
+# number encoder, the SIMD kernel backends and the column walks: 10s per
+# target (go test takes one -fuzz pattern at a time). The reader targets
+# assert parallel parse ≡ sequential parse; the update target asserts the
+# single-pass NDJSON parser ≡ the per-line encoding/json oracle and that an
+# accepted batch round-trips through WriteUpdates; the reply target asserts
+# every finite float64 is encoded byte for byte as encoding/json encodes it;
+# the kernel targets assert every SIMD backend ≡ the scalar oracle bit for
+# bit; the walk target asserts pull ≡ push ≡ a naive fold of the live edge set
+# over random base+delta partitions, frontiers and row cuts. CI runs this
+# target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMTX$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzParseUpdates$$' -fuzztime=10s ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzAppendJSONFloat$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzBitvecWords$$' -fuzztime=10s ./internal/kernels
 	$(GO) test -run='^$$' -fuzz='^FuzzDenseFold$$' -fuzztime=10s ./internal/kernels
 	$(GO) test -run='^$$' -fuzz='^FuzzLayeredWalk$$' -fuzztime=10s ./internal/core

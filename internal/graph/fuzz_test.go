@@ -3,7 +3,9 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -154,23 +156,119 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
+// parseUpdatesNDJSONPerLine is ParseUpdatesNDJSON as it was before the
+// single-pass parser: one encoding/json Decoder per line. It defines what the
+// NDJSON form accepts, with which values and which error, and is kept here as
+// the oracle.
+func parseUpdatesNDJSONPerLine(data []byte) ([]Update[float32], error) {
+	var ups []Update[float32]
+	lineno := 0
+	for len(data) > 0 {
+		lineno++
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
+			continue
+		}
+		var rec updateRecord
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&rec); err != nil {
+			return nil, fmt.Errorf("updates line %d: %v", lineno, err)
+		}
+		if rest := bytes.TrimSpace(line[dec.InputOffset():]); len(rest) > 0 {
+			return nil, fmt.Errorf("updates line %d: unexpected %.32q after the update object", lineno, rest)
+		}
+		w := float32(1)
+		if rec.Weight != nil {
+			w = *rec.Weight
+		}
+		ups = append(ups, Update[float32]{Src: rec.Src, Dst: rec.Dst, Val: w, Del: rec.Del})
+	}
+	return ups, nil
+}
+
+// sameAsPerLine holds ParseUpdatesNDJSON to the per-line oracle on data: the
+// same accept/reject decision, the same error (so the same 1-based line
+// number) and bit-identical updates.
+func sameAsPerLine(t *testing.T, data []byte) {
+	t.Helper()
+	got, gotErr := ParseUpdatesNDJSON(data)
+	want, wantErr := parseUpdatesNDJSONPerLine(data)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%q: error %v, the per-line decoder says %v", data, gotErr, wantErr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%q: %d updates, the per-line decoder says %d", data, len(got), len(want))
+	}
+	for i, w := range want {
+		if g := got[i]; g.Src != w.Src || g.Dst != w.Dst || g.Del != w.Del || math.Float32bits(g.Val) != math.Float32bits(w.Val) {
+			t.Fatalf("%q: update %d = %+v, the per-line decoder says %+v", data, i, g, w)
+		}
+	}
+}
+
+// updateLineCorpus is NDJSON on both sides of every line the single-pass
+// parser draws: what it takes itself, what it must hand to encoding/json, and
+// what both must refuse.
+var updateLineCorpus = []string{
+	// Plain form, as WriteUpdates emits it and as people type it.
+	`{"src":1,"dst":2,"weight":1.5}`, `{"src":3,"dst":4,"del":true}`, `{"src":5,"dst":6}`,
+	`{ "src" : 7 ,	"dst":8 , "del" : false }`, `{"del":true,"weight":2,"dst":4294967295,"src":0}`,
+	`{"src":1,"dst":2,"weight":16}`, `{"src":1,"dst":2,"weight":9999999}`, `{"src":1,"dst":2,"weight":10000000}`,
+	`{"src":1,"dst":2,"weight":16777217}`, `{"src":1,"dst":2,"weight":-0}`, `{"src":1,"dst":2,"weight":-0.0,"del":true}`,
+	`{"src":1,"dst":2,"weight":1e-45}`, `{"src":1,"dst":2,"weight":1E+2}`, `{"src":1,"dst":2,"weight":3.4028235e38}`,
+	`{"src":1,"dst":2,"weight":0.1}`, `{"src":1,"dst":2,"weight":1e-400}`, `{}`, `{ }`,
+	// Valid, but only encoding/json knows what it means.
+	`{"SRC":1,"Dst":2,"WEIGHT":3,"dEl":true}`, `{"\u0073rc":1,"dst":2}`, "{\"\u017frc\":1,\"d\u017ft\":2}",
+	`{"src":1,"src":2,"dst":3}`, `{"src":1,"dst":2,"weight":4,"weight":null}`, `{"src":1,"dst":2,"del":true,"del":null}`,
+	`{"src":null,"dst":null,"weight":null,"del":null}`, `null`, "{\"src\":1,\r\"dst\":2}", "\v{\"src\":1,\"dst\":2}\u00a0",
+	// Refused by both.
+	`{"src":1,"dst":2} junk`, `{"src":3,"dst":4}{"src":5,"dst":6}`, `{"src":1,"dst":2,"extra":3}`, `{"src":1,"dst":2,}`,
+	`{"src":4294967296,"dst":0}`, `{"src":99999999999,"dst":0}`, `{"src":-1,"dst":0}`, `{"src":01,"dst":0}`,
+	`{"src":1.0,"dst":0}`, `{"src":1e2,"dst":0}`, `{"src":"1","dst":0}`, `{"src":1,"dst":2,"weight":1e39}`,
+	`{"src":1,"dst":2,"weight":1.}`, `{"src":1,"dst":2,"weight":.5}`, `{"src":1,"dst":2,"weight":1e}`, `{"src":1,"dst":2,"weight":-}`,
+	`{"src":1,"dst":2,"weight":00}`, `{"src":1,"dst":2,"weight":NaN}`, `{"src":1,"dst":2,"del":truex}`, `{"src":1,"dst":2,"del":1}`,
+	`{"src":1 "dst":2}`, `{"src"1,"dst":2}`, `{"src":1,"dst":2`, `{"src":`, `{"src"`, `{`, `[1,2]`, `12`, `true`, `nullx`, `{"src":1,"dst":2}}`,
+}
+
+func TestParseUpdatesNDJSONMatchesPerLineDecoder(t *testing.T) {
+	for _, line := range updateLineCorpus {
+		sameAsPerLine(t, []byte(line))
+		// The same line amid good ones: values land in order, and an error
+		// names line 3.
+		sameAsPerLine(t, []byte("{\"src\":1,\"dst\":2}\n\n"+line+"\r\n{\"src\":3,\"dst\":4,\"del\":true}"))
+	}
+	var stream bytes.Buffer
+	if err := WriteUpdates(&stream, []Update[float32]{{Src: 1, Dst: 2, Val: 0.25}, {Src: 3, Dst: 4, Del: true}, {Src: 0, Dst: math.MaxUint32, Val: math.MaxFloat32}}); err != nil {
+		t.Fatal(err)
+	}
+	sameAsPerLine(t, stream.Bytes())
+}
+
 // FuzzParseUpdates holds the update-stream parser (both wire forms, sniffed)
-// to the same promises: arbitrary input never panics, and an accepted batch
-// survives WriteUpdates → ParseUpdates unchanged. Delete records carry no
-// weight on the wire, so a delete's value is not compared.
+// to three promises: arbitrary input never panics; the single-pass NDJSON
+// parser agrees with the per-line encoding/json oracle on every input —
+// accept or reject, error text, values; and an accepted batch survives
+// WriteUpdates → ParseUpdates unchanged. Delete records carry no weight on
+// the wire, so a delete's value is not compared in the round trip.
 func FuzzParseUpdates(f *testing.F) {
 	f.Add([]byte("{\"src\":1,\"dst\":2,\"weight\":1.5}\n\n{\"src\":3,\"dst\":4,\"del\":true}\n{\"src\":5,\"dst\":6}\n"))
 	f.Add([]byte("# comment\nadd 1 2 1.5\ndel 3 4\n5 6\n"))
-	f.Add([]byte("{\"src\":3,\"dst\":4}{\"src\":5,\"dst\":6}"))
-	f.Add([]byte("{\"src\":1,\"dst\":2} junk"))
-	f.Add([]byte("{\"src\":4294967296,\"dst\":0}"))
-	f.Add([]byte("{\"src\":1,\"dst\":2,\"weight\":1e39}"))
-	f.Add([]byte("{\"src\":1,\"dst\":2,\"weight\":-0.0,\"del\":true}"))
 	f.Add([]byte("add 1 2 NaN\n1 2 -inf\n"))
 	f.Add([]byte("del 7 7 ignored\nadd 4294967295 0 1e-45\n"))
 	f.Add([]byte(" \n\t{"))
 	f.Add([]byte(""))
+	for _, line := range updateLineCorpus {
+		f.Add([]byte(line))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameAsPerLine(t, data)
 		ups, err := ParseUpdates(data)
 		if err != nil {
 			return

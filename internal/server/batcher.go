@@ -21,7 +21,11 @@ import (
 // The coalescing window is deliberately short (default 2ms): it exists to
 // catch requests that are already in flight together, not to delay lone
 // queries hoping company shows up. A batch that reaches the block width
-// (graphmat.MaxBlockSources) flushes immediately.
+// (graphmat.MaxBlockSources) flushes immediately. A window that closes with
+// one source in it — most of them, at two closed-loop clients — has nothing
+// to share a sweep with, and GraphEntry.RunBatchPinned runs it on the scalar
+// engine with pooled scratch; only real coalescing widens to the block
+// engine.
 
 const defaultBatchWindow = 2 * time.Millisecond
 
@@ -66,7 +70,7 @@ type batcher struct {
 
 	// Tallies for GET /v1/stats.
 	submitted int64 // single-source requests admitted
-	batches   int64 // block runs dispatched
+	batches   int64 // batch runs dispatched, of any width
 	coalesced int64 // requests that shared a run with at least one other
 
 	// onFlush, when set, observes each dispatched block run's width — a test
@@ -83,10 +87,11 @@ func newBatcher(window time.Duration) *batcher {
 
 // submit admits one single-source request. It joins (or opens) the pending
 // batch for the request's key, waits for the coalesced run, and returns this
-// request's column as an ordinary single-source Result. The Stats are the
-// whole batch's aggregate — batching trades per-request stat attribution for
-// shared sweeps. The second return reports whether the run was shared with
-// other requests.
+// request's column as an ordinary single-source Result. The Stats of a
+// coalesced run are the whole batch's aggregate — batching trades per-request
+// stat attribution for shared sweeps; a request that ran alone (width 1)
+// carries the scalar engine's Stats for exactly its own run. The second
+// return reports whether the run was shared with other requests.
 //
 // ctx bounds only this caller's wait: a coalesced run is not canceled when
 // one of its waiters gives up, since the others still want the result.
@@ -144,7 +149,7 @@ func (b *batcher) submit(ctx context.Context, g *GraphEntry, algo string, p algo
 	}, len(pb.res.Sources) > 1, nil
 }
 
-// flush closes the batch's admission window and executes the block run on
+// flush closes the batch's admission window and executes the batch run on
 // the snapshot pinned at admission, then releases the pin. Idempotent: the
 // width-triggered flush and the timer both call it, the first one wins. The
 // run uses a background context — see submit.

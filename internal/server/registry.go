@@ -93,16 +93,28 @@ type algoInstance struct {
 	allocs atomic.Int64 // workspaces created by the pool
 	runs   atomic.Int64
 
-	// batchRuns counts multi-source block runs; batchedSources the total
-	// source columns they advanced. batchedSources / batchRuns is the mean
-	// batch width — the serving-side view of how well admission batching and
-	// explicit multi-source requests amortize adjacency sweeps.
-	batchRuns      atomic.Int64
-	batchedSources atomic.Int64
+	// batchRuns counts RunBatch executions of any width; batchedSources the
+	// total source columns they advanced. batchedSources / batchRuns is the
+	// mean batch width — the serving-side view of how well admission batching
+	// and explicit multi-source requests amortize adjacency sweeps.
+	// scalarBatchRuns is the part of batchRuns that was one source wide and
+	// therefore ran on the scalar engine; the rest ran on the block engine.
+	batchRuns       atomic.Int64
+	batchedSources  atomic.Int64
+	scalarBatchRuns atomic.Int64
 
 	statsMu sync.Mutex
 	engine  graphmat.Stats
 	wall    float64 // seconds spent inside the engine
+}
+
+// recycle returns a scalar workspace to the pool, cleared: stale messages must
+// not leak into the next query (a canceled run leaves some behind).
+func (ai *algoInstance) recycle(scratch any) {
+	if rs, ok := scratch.(interface{ Reset() }); ok {
+		rs.Reset()
+	}
+	ai.pool.Put(scratch)
 }
 
 // record accumulates one completed run's engine stats and wall time into the
@@ -455,10 +467,7 @@ func (g *GraphEntry) RunContext(ctx context.Context, algo string, p algorithms.P
 	start := time.Now()
 	res, err := ai.inst.RunContext(ctx, p, scratch, obs)
 	wall := time.Since(start).Seconds()
-	if rs, ok := scratch.(interface{ Reset() }); ok {
-		rs.Reset() // stale messages must not leak into the next query
-	}
-	ai.pool.Put(scratch)
+	ai.recycle(scratch)
 	if err != nil {
 		return res, err
 	}
@@ -467,28 +476,17 @@ func (g *GraphEntry) RunContext(ctx context.Context, algo string, p algorithms.P
 	return res, nil
 }
 
-// RunBatch executes one multi-source query: k independent single-source runs
-// advanced as one block run on one pinned snapshot, per-source results
-// bit-identical to k Run calls. Like RunContext it serializes on the instance
-// and accumulates engine stats; block scratch is allocated per run (the
-// pooled scalar workspaces do not fit the n×k layout). Algorithms without a
-// source parameter return algorithms.ErrBatchUnsupported.
+// RunBatch executes one multi-source query: one independent single-source run
+// per element of p.Sources on one pinned snapshot, per-source results
+// bit-identical to that many Run calls. Like RunContext it serializes on the
+// instance and accumulates engine stats. Two or more sources advance as one
+// block run whose n×k scratch is allocated per run; a lone source runs on the
+// scalar engine with a pooled scalar workspace, exactly as RunContext does
+// (see algorithms.Instance.RunBatch), and is still tallied as a batch run of
+// width 1. Algorithms without a source parameter return
+// algorithms.ErrBatchUnsupported.
 func (g *GraphEntry) RunBatch(ctx context.Context, algo string, p algorithms.Params, obs algorithms.Observer) (algorithms.BatchResult, error) {
-	ai, err := g.instance(algo)
-	if err != nil {
-		return algorithms.BatchResult{}, err
-	}
-	ai.runMu.Lock()
-	defer ai.runMu.Unlock()
-	start := time.Now()
-	res, err := ai.inst.RunBatch(ctx, p, obs)
-	if err != nil {
-		return res, err
-	}
-	ai.batchRuns.Add(1)
-	ai.batchedSources.Add(int64(len(res.Sources)))
-	ai.record(res.Stats, time.Since(start).Seconds())
-	return res, nil
+	return g.runBatch(ctx, algo, nil, p, obs)
 }
 
 // RunBatchPinned is RunBatch against a snapshot the caller pinned earlier
@@ -496,19 +494,43 @@ func (g *GraphEntry) RunBatch(ctx context.Context, algo string, p algorithms.Par
 // epoch promised at admission must be the epoch the run executes on. The
 // pin stays owned by the caller.
 func (g *GraphEntry) RunBatchPinned(ctx context.Context, algo string, pin algorithms.Pin, p algorithms.Params, obs algorithms.Observer) (algorithms.BatchResult, error) {
+	return g.runBatch(ctx, algo, pin, p, obs)
+}
+
+// runBatch is the one batch run path; a nil pin means the current snapshot.
+// runMu covers every width: a block run keeps its state in its own scratch,
+// but a width-1 run is a scalar run and writes the pinned snapshot's vertex
+// state like any other.
+func (g *GraphEntry) runBatch(ctx context.Context, algo string, pin algorithms.Pin, p algorithms.Params, obs algorithms.Observer) (algorithms.BatchResult, error) {
 	ai, err := g.instance(algo)
 	if err != nil {
 		return algorithms.BatchResult{}, err
 	}
+	if !ai.spec.Batchable {
+		return algorithms.BatchResult{}, algorithms.ErrBatchUnsupported
+	}
 	ai.runMu.Lock()
 	defer ai.runMu.Unlock()
+	var scratch any
+	if len(p.Sources) <= 1 {
+		scratch = ai.pool.Get()
+		defer ai.recycle(scratch)
+	}
 	start := time.Now()
-	res, err := ai.inst.RunBatchPinned(ctx, pin, p, obs)
+	var res algorithms.BatchResult
+	if pin == nil {
+		res, err = ai.inst.RunBatch(ctx, p, scratch, obs)
+	} else {
+		res, err = ai.inst.RunBatchPinned(ctx, pin, p, scratch, obs)
+	}
 	if err != nil {
 		return res, err
 	}
 	ai.batchRuns.Add(1)
 	ai.batchedSources.Add(int64(len(res.Sources)))
+	if len(res.Sources) == 1 {
+		ai.scalarBatchRuns.Add(1)
+	}
 	ai.record(res.Stats, time.Since(start).Seconds())
 	return res, nil
 }
@@ -516,10 +538,13 @@ func (g *GraphEntry) RunBatchPinned(ctx context.Context, algo string, pin algori
 // AlgoStats is the /stats view of one (graph, algorithm) pair.
 type AlgoStats struct {
 	Runs int64 `json:"runs"`
-	// BatchRuns counts multi-source block runs; BatchedSources the source
+	// BatchRuns counts batch runs of any width; BatchedSources the source
 	// columns they carried (their ratio is the mean batch width).
-	BatchRuns      int64 `json:"batch_runs"`
-	BatchedSources int64 `json:"batched_sources"`
+	// ScalarBatchRuns counts the width-1 batch runs, which the scalar engine
+	// served; BatchRuns - ScalarBatchRuns ran on the block engine.
+	BatchRuns       int64 `json:"batch_runs"`
+	BatchedSources  int64 `json:"batched_sources"`
+	ScalarBatchRuns int64 `json:"scalar_batch_runs"`
 	// WorkspaceAllocs counts workspaces the pool actually created; runs
 	// beyond this number reused pooled scratch. Pools survive edge updates
 	// (the vertex count is fixed), so this should stay flat under update
@@ -550,6 +575,7 @@ func (g *GraphEntry) Stats() map[string]AlgoStats {
 			Runs:            ai.runs.Load(),
 			BatchRuns:       ai.batchRuns.Load(),
 			BatchedSources:  ai.batchedSources.Load(),
+			ScalarBatchRuns: ai.scalarBatchRuns.Load(),
 			WorkspaceAllocs: ai.allocs.Load(),
 			Engine:          engine,
 			Counters:        counterSet(engine, wall),

@@ -137,11 +137,19 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	})
 }
 
+// writeJSON answers with a small control reply (everything but run results,
+// which stream through reply.go). The body is marshaled before the status
+// line goes out, so a value that will not marshal is a 500 with a reason, not
+// the intended status over an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "encoding reply: " + err.Error()}) // a string map always marshals
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n')) // a failed write means the client is gone
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -557,7 +565,7 @@ func (s *Server) handleRunV1(w http.ResponseWriter, r *http.Request) {
 			writeError(w, runErrorCode(err), "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, runResponse{
+		writeRunReply(w, runResponse{
 			Graph:      name,
 			Algorithm:  req.Algo,
 			Coalesced:  coalesced,
@@ -572,7 +580,7 @@ func (s *Server) handleRunV1(w http.ResponseWriter, r *http.Request) {
 		writeError(w, runErrorCode(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, batchRunResponse{
+	writeBatchRunReply(w, batchRunResponse{
 		Graph:       name,
 		Algorithm:   req.Algo,
 		DurationMS:  ms(time.Since(start)),
@@ -659,7 +667,7 @@ func (s *Server) finishRun(ctx context.Context, w http.ResponseWriter, g *GraphE
 	epoch := g.Epoch()
 	key := cacheKey(name, epoch, algo, params)
 	if res, ok := s.cache.get(key); ok {
-		writeJSON(w, http.StatusOK, runResponse{Graph: name, Algorithm: algo, Cached: true, Result: res})
+		writeRunReply(w, runResponse{Graph: name, Algorithm: algo, Cached: true, Result: res})
 		return
 	}
 	start := time.Now()
@@ -681,10 +689,10 @@ func (s *Server) finishRun(ctx context.Context, w http.ResponseWriter, g *GraphE
 	if !s.reg.Has(g) {
 		s.cache.invalidateGraph(name)
 	}
-	writeJSON(w, http.StatusOK, runResponse{
+	writeRunReply(w, runResponse{
 		Graph:      name,
 		Algorithm:  algo,
-		DurationMS: float64(time.Since(start).Microseconds()) / 1000,
+		DurationMS: ms(time.Since(start)),
 		Result:     res,
 	})
 }
@@ -715,6 +723,53 @@ type streamProgress struct {
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
+// ndjsonStream is the response of a stream=1 run: a 200 whose body is
+// written and flushed a line at a time. The short progress and error lines go
+// through encoding/json; the final result line is a run reply and goes
+// through the reply encoder, then flush.
+type ndjsonStream struct {
+	enc     *json.Encoder
+	flusher http.Flusher // nil when the ResponseWriter cannot flush
+}
+
+func startStream(w http.ResponseWriter) ndjsonStream {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	return ndjsonStream{enc: json.NewEncoder(w), flusher: flusher}
+}
+
+func (out ndjsonStream) flush() {
+	if out.flusher != nil {
+		out.flusher.Flush()
+	}
+}
+
+func (out ndjsonStream) line(v any) error {
+	err := out.enc.Encode(v)
+	out.flush()
+	return err
+}
+
+// progress is the run's observer: one line per superstep. A write failure —
+// the client hung up — stops the run through the error return.
+func (out ndjsonStream) progress(info graphmat.IterationInfo) error {
+	return out.line(streamProgress{
+		Iteration:  info.Iteration,
+		Active:     info.Active,
+		Sent:       info.Sent,
+		NextActive: info.NextActive,
+		ElapsedMS:  ms(info.Elapsed),
+		TotalMS:    ms(info.Total),
+	})
+}
+
+// fail reports a run that stopped mid-stream as the final line (the status
+// was 200 long ago).
+func (out ndjsonStream) fail(err error, reason graphmat.StopReason) {
+	_ = out.line(map[string]string{"error": err.Error(), "reason": reason.String()}) // best effort: the client may be what stopped the run
+}
+
 // streamRun executes a run in streaming mode. The result cache is bypassed
 // on the read side (a cache hit would defeat the point of watching
 // progress), but the computed result is still published to it. Because
@@ -723,34 +778,12 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 // {"error": ...} line instead of a status code. A write failure — the
 // client hung up — stops the run through the observer's error return.
 func (s *Server) streamRun(ctx context.Context, w http.ResponseWriter, g *GraphEntry, name, algo string, params algorithms.Params) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	writeLine := func(v any) error {
-		if err := enc.Encode(v); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}
-
+	out := startStream(w)
 	start := time.Now()
 	epoch := g.Epoch()
-	res, err := g.RunContext(ctx, algo, params, func(info graphmat.IterationInfo) error {
-		return writeLine(streamProgress{
-			Iteration:  info.Iteration,
-			Active:     info.Active,
-			Sent:       info.Sent,
-			NextActive: info.NextActive,
-			ElapsedMS:  ms(info.Elapsed),
-			TotalMS:    ms(info.Total),
-		})
-	})
+	res, err := g.RunContext(ctx, algo, params, out.progress)
 	if err != nil {
-		_ = writeLine(map[string]string{"error": err.Error(), "reason": res.Stats.Reason.String()})
+		out.fail(err, res.Stats.Reason)
 		return
 	}
 	if g.Epoch() == epoch {
@@ -759,12 +792,13 @@ func (s *Server) streamRun(ctx context.Context, w http.ResponseWriter, g *GraphE
 	if !s.reg.Has(g) {
 		s.cache.invalidateGraph(name)
 	}
-	_ = writeLine(runResponse{
+	abortOn(encodeRunResponse(w, runResponse{
 		Graph:      name,
 		Algorithm:  algo,
 		DurationMS: ms(time.Since(start)),
 		Result:     res,
-	})
+	}))
+	out.flush()
 }
 
 // streamRunBatch is streamRun's multi-source form: progress lines cover the
@@ -772,42 +806,21 @@ func (s *Server) streamRun(ctx context.Context, w http.ResponseWriter, g *GraphE
 // line is the batchRunResponse shape. The admission batcher and the result
 // cache are both bypassed — a streaming client wants to watch its own run.
 func (s *Server) streamRunBatch(ctx context.Context, w http.ResponseWriter, g *GraphEntry, name, algo string, sources []uint32, params algorithms.Params) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	writeLine := func(v any) error {
-		if err := enc.Encode(v); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}
-
+	out := startStream(w)
 	params.Source, params.Sources = 0, sources
 	start := time.Now()
-	res, err := g.RunBatch(ctx, algo, params, func(info graphmat.IterationInfo) error {
-		return writeLine(streamProgress{
-			Iteration:  info.Iteration,
-			Active:     info.Active,
-			Sent:       info.Sent,
-			NextActive: info.NextActive,
-			ElapsedMS:  ms(info.Elapsed),
-			TotalMS:    ms(info.Total),
-		})
-	})
+	res, err := g.RunBatch(ctx, algo, params, out.progress)
 	if err != nil {
-		_ = writeLine(map[string]string{"error": err.Error(), "reason": res.Stats.Reason.String()})
+		out.fail(err, res.Stats.Reason)
 		return
 	}
-	_ = writeLine(batchRunResponse{
+	abortOn(encodeBatchRunResponse(w, batchRunResponse{
 		Graph:       name,
 		Algorithm:   algo,
 		DurationMS:  ms(time.Since(start)),
 		BatchResult: res,
-	})
+	}))
+	out.flush()
 }
 
 // GraphStats is the /stats view of one registered graph: its edge-set
