@@ -1,0 +1,151 @@
+package core
+
+import (
+	"context"
+	"slices"
+	"testing"
+
+	"graphmat/internal/gen"
+	"graphmat/internal/graph"
+)
+
+// pinStats is the deterministic part of a run's Stats (Sched.Steals and
+// Sched.BusyNS are scheduling outcomes).
+type pinStats struct {
+	Iterations                            int
+	MessagesSent, EdgesProcessed, Applies int64
+	ActiveSum, ColumnsProbed              int64
+	PushSupersteps, PullSupersteps        int64
+	Reason                                StopReason
+	Workers                               int
+	Tasks                                 int64
+}
+
+// pinStep is the deterministic part of one IterationInfo (Elapsed and Total
+// are wall-clock).
+type pinStep struct {
+	Iteration                         int
+	Active, Sent, Applies, NextActive int64
+	Mode                              Mode
+}
+
+// withModes stamps one mode per superstep onto a frontier profile.
+func withModes(profile []pinStep, modes ...Mode) []pinStep {
+	out := slices.Clone(profile)
+	for i := range out {
+		out[i].Mode = modes[i]
+	}
+	return out
+}
+
+// TestStatsPinned holds every deterministic engine tally and the
+// per-superstep observer stream of fixed seeded SSSP runs to literal values
+// recorded before the three superstep drivers were folded into one loop: the
+// scalar engine under each mode at one and three workers, the block engine
+// at k=1 and k=3, and the boxed ablation with either message vector. The
+// workload — a seeded weighted RMAT in two partitions — is edge-dense enough
+// that a 3-worker pull superstep runs row-split tasks (ColumnsProbed doubles
+// against one worker) and an Auto run takes both push and pull supersteps.
+// A change to the loop, the cost model's inputs, the task shaper or the
+// phase dispatch that moves any value fails here by name.
+func TestStatsPinned(t *testing.T) {
+	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
+	adj.RemoveSelfLoops()
+	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(g.NumVertices())
+	sources := []uint32{1, 40, 700}
+
+	scalar := func(cfg Config) func(Observer) (Stats, error) {
+		return func(obs Observer) (Stats, error) {
+			g.SetAllProps(inf)
+			g.SetProp(sources[0], 0)
+			g.ClearActive()
+			g.SetActive(sources[0])
+			return RunContext(context.Background(), g, ssspProg{}, cfg, nil, WithObserver(obs))
+		}
+	}
+	block := func(k int) func(Observer) (Stats, error) {
+		return func(obs Observer) (Stats, error) {
+			st := NewBlockState[float32](n, k)
+			st.SetAllProps(inf)
+			for s, src := range sources[:k] {
+				st.SetProp(src, s, 0)
+				st.Activate(src, s)
+			}
+			return RunBlockContext(context.Background(), g, ssspBlockProg{}, st, Config{Threads: 3}, nil, WithObserver(obs))
+		}
+	}
+
+	const pl, ps = Pull, Push
+	// One source's frontier profile: every single-source run walks it,
+	// whatever engine and mode.
+	solo := []pinStep{
+		{1, 1, 1, 1, 1, 0}, {2, 1, 1, 109, 109, 0}, {3, 109, 109, 1278, 1238, 0},
+		{4, 1238, 1238, 1523, 1323, 0}, {5, 1323, 1323, 1419, 875, 0}, {6, 875, 875, 1181, 374, 0},
+		{7, 374, 374, 724, 72, 0}, {8, 72, 72, 201, 6, 0}, {9, 6, 6, 13, 0, 0},
+	}
+	// Three sources: Active counts vertices, Sent and Applies count
+	// (vertex, column) pairs.
+	trio := []pinStep{
+		{1, 3, 3, 5, 5, ps}, {2, 5, 5, 713, 631, ps}, {3, 631, 709, 2765, 1506, pl},
+		{4, 1506, 2504, 2978, 1468, pl}, {5, 1468, 2308, 2693, 1065, pl}, {6, 1065, 1386, 2074, 472, pl},
+		{7, 472, 528, 1156, 98, pl}, {8, 98, 104, 307, 6, ps}, {9, 6, 6, 13, 0, ps},
+	}
+	auto := withModes(solo, ps, ps, pl, pl, pl, pl, pl, ps, ps)
+	pull := withModes(solo, pl, pl, pl, pl, pl, pl, pl, pl, pl)
+	push := withModes(solo, ps, ps, ps, ps, ps, ps, ps, ps, ps)
+
+	cases := []struct {
+		name  string
+		run   func(Observer) (Stats, error)
+		stats pinStats
+		steps []pinStep
+	}{
+		{"scalar/auto/threads1", scalar(Config{Mode: Auto, Threads: 1}),
+			pinStats{9, 3999, 61592, 6449, 3999, 13595, 4, 5, Converged, 1, 90}, auto},
+		{"scalar/auto/threads3", scalar(Config{Mode: Auto, Threads: 3}),
+			pinStats{9, 3999, 61592, 6449, 3999, 27030, 4, 5, Converged, 3, 226}, auto},
+		{"scalar/pull/threads1", scalar(Config{Mode: Pull, Threads: 1}),
+			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 1, 90}, pull},
+		{"scalar/pull/threads3", scalar(Config{Mode: Pull, Threads: 3}),
+			pinStats{9, 3999, 61592, 6449, 3999, 48366, 0, 9, Converged, 3, 234}, pull},
+		{"scalar/push/threads1", scalar(Config{Mode: Push, Threads: 1}),
+			pinStats{9, 3999, 61592, 6449, 3999, 7998, 9, 0, Converged, 1, 90}, push},
+		{"scalar/push/threads3", scalar(Config{Mode: Push, Threads: 3}),
+			pinStats{9, 3999, 61592, 6449, 3999, 7998, 9, 0, Converged, 3, 216}, push},
+		{"block/k1", block(1),
+			pinStats{9, 3999, 61592, 6449, 3999, 27030, 4, 5, Converged, 3, 226}, auto},
+		{"block/k3", block(3),
+			pinStats{9, 7553, 118790, 12704, 5254, 27094, 4, 5, Converged, 3, 226}, trio},
+		{"boxed/bitvector", scalar(Config{Dispatch: Boxed, Vector: Bitvector, Threads: 3}),
+			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 3, 216}, pull},
+		{"boxed/sorted", scalar(Config{Dispatch: Boxed, Vector: Sorted, Threads: 3}),
+			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 3, 216}, pull},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var steps []pinStep
+			s, err := tc.run(func(info IterationInfo) error {
+				steps = append(steps, pinStep{info.Iteration, info.Active, info.Sent, info.Applies, info.NextActive, info.Mode})
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := pinStats{
+				s.Iterations, s.MessagesSent, s.EdgesProcessed, s.Applies,
+				s.ActiveSum, s.ColumnsProbed, s.PushSupersteps, s.PullSupersteps,
+				s.Reason, s.Sched.Workers, s.Sched.Tasks,
+			}
+			if got != tc.stats {
+				t.Errorf("stats\n got %+v\nwant %+v", got, tc.stats)
+			}
+			if !slices.Equal(steps, tc.steps) {
+				t.Errorf("observer stream\n got %v\nwant %v", steps, tc.steps)
+			}
+		})
+	}
+}
