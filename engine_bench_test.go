@@ -12,9 +12,9 @@ import (
 )
 
 // Engine-side benchmarks: the kernel backend × mode × worker matrix for one
-// traversal workload (BFS) and one dense iterative workload (PageRank). These
-// are the BENCH_engine.json baseline — the ingestion benchmarks
-// (BENCH_ingest.json) cover the load path; these cover the superstep loop.
+// traversal workload (BFS) and one dense iterative workload (PageRank) — make
+// bench-engine. The ingestion benchmarks cover the load path; these cover the
+// superstep loop.
 // Dataset size follows GRAPHMAT_BENCH_SHIFT like the figure benchmarks
 // (default -3 → RMAT scale 11).
 //
@@ -36,7 +36,7 @@ var engineWorkers = []int{1, 4, 8}
 // reportSchedMetrics attaches the scheduler runtime's utilization counters
 // to the benchmark result: tasks and steals per op, and busy-util — the
 // fraction of worker×wall time spent inside task bodies (1.0 = perfectly
-// busy workers). benchrecord folds these into BENCH_engine.json.
+// busy workers).
 func reportSchedMetrics(b *testing.B, s graphmat.SchedStats, workers int) {
 	b.ReportMetric(float64(s.Tasks)/float64(b.N), "sched-tasks/op")
 	b.ReportMetric(float64(s.Steals)/float64(b.N), "steals/op")

@@ -102,18 +102,6 @@ type Stats = core.Stats
 // dispatched, steals, and busy nanoseconds for one run.
 type SchedStats = core.SchedStats
 
-// Runtime selects how a run's parallel phases execute: Pooled (the default)
-// dispatches onto the process-wide persistent work-stealing pool; PerCall
-// spawns goroutines per phase, the pre-scheduler baseline kept for
-// ablation.
-type Runtime = core.Runtime
-
-// Runtime values.
-const (
-	Pooled  = core.Pooled
-	PerCall = core.PerCall
-)
-
 // VectorKind selects the sparse message-vector representation. Sorted is
 // supported with Boxed dispatch only (together the Figure 7 "naive" step);
 // Sorted with Inlined is a configuration error.

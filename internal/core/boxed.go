@@ -1,11 +1,7 @@
 package core
 
 import (
-	"math"
-	"time"
-
 	"graphmat/internal/graph"
-	"graphmat/internal/sched"
 	"graphmat/internal/sparse"
 )
 
@@ -182,157 +178,94 @@ func spmvBoxedSorted(part boxedPartition, xs *sparse.SortedVector[any], bp boxed
 	st.edges += edges
 }
 
-func runBoxed[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config, ctrl *controller) (stats Stats, err error) {
+// runBoxed is the boxed ablation's front-end: type-erased scratch of its
+// own, whole-partition multiply tasks (its kernels take whole partitions),
+// and no direction choice — the naive path predates the kernel layer's push
+// mode, so it always pulls.
+func runBoxed[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config, ctrl *controller) (Stats, error) {
 	n := int(g.NumVertices())
+	d := newDriver(cfg, ctrl, n)
 	active := g.Active()
 	dir := p.Direction()
 	bp := &boxedAdapter[V, E, M, R]{p: p, props: g.Props()}
 
-	var outParts, inParts []boxedPartition
+	var dirs [][]boxedPartition
 	if dir&graph.Out != 0 {
-		outParts = boxLayers(g.OutLayers())
+		dirs = append(dirs, boxLayers(g.OutLayers()))
 	}
 	if dir&graph.In != 0 {
-		inParts = boxLayers(g.InLayers())
+		dirs = append(dirs, boxLayers(g.InLayers()))
 	}
 
+	// Exactly one of x and xs is the run's message vector.
 	var x *sparse.Vector[any]
 	var xs *sparse.SortedVector[any]
+	var send func() (int64, int64)
 	if cfg.Vector == Bitvector {
 		x = sparse.NewVector[any](n)
-	} else {
-		xs = sparse.NewSortedVector[any](n)
-	}
-	y := sparse.NewVector[any](n)
-
-	chunks := chunkBounds(n, cfg.Threads*4)
-	nchunks := len(chunks) - 1
-	locals := make([]localStats, cfg.Threads)
-	// The boxed ablation keeps partition-granular tasks (its kernels take
-	// whole partitions) but still runs on the shared pool.
-	var tally sched.Tally
-	ex := cfg.exec(&tally)
-	defer func() { stats.Sched = ex.schedStats() }()
-	var sortedRuns [][]sparse.Entry[any]
-	if xs != nil {
-		sortedRuns = make([][]sparse.Entry[any], nchunks)
-	}
-
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = math.MaxInt
-	}
-	stop := ctrl.flag()
-	runStart := time.Now() //lint:graphmat bannedcalls one clock read per run, off the per-edge path
-
-	stats.Reason = MaxIterations
-	for iter := 0; iter < maxIter; iter++ {
-		if r, ok := ctrl.stopped(); ok {
-			stats.Reason = r
-			return stats, r.err()
-		}
-		stepStart := time.Now() //lint:graphmat bannedcalls one clock read per superstep, off the per-edge path
-		frontier := int64(active.Count())
-		stats.ActiveSum += frontier
-		stats.Iterations++
-
-		if x != nil {
-			x.Reset()
-			parallelFor(ex, nchunks, stop, func(c, w int) {
-				active.IterateRange(chunks[c], chunks[c+1], func(v uint32) {
-					if m, ok := bp.send(v); ok {
-						x.Set(v, m)
-					}
-				})
+		sendChunks := d.overChunks(func(lo, hi uint32, _ *localStats) {
+			active.IterateRange(lo, hi, func(v uint32) {
+				if m, ok := bp.send(v); ok {
+					x.Set(v, m)
+				}
 			})
-		} else {
+		})
+		send = func() (int64, int64) {
+			x.Reset()
+			sendChunks()
+			sent := int64(x.NNZ())
+			return sent, sent
+		}
+	} else {
+		// A sorted vector only appends: chunks collect their runs in
+		// parallel and the caller concatenates them in chunk order.
+		xs = sparse.NewSortedVector[any](n)
+		runs := make([][]sparse.Entry[any], len(d.chunks)-1)
+		send = func() (int64, int64) {
 			xs.Reset()
-			parallelFor(ex, nchunks, stop, func(c, w int) {
+			parallelFor(d.ex, len(runs), d.stop, func(c, w int) {
 				var run []sparse.Entry[any]
-				active.IterateRange(chunks[c], chunks[c+1], func(v uint32) {
+				active.IterateRange(d.chunks[c], d.chunks[c+1], func(v uint32) {
 					if m, ok := bp.send(v); ok {
 						run = append(run, sparse.Entry[any]{Idx: v, Val: m})
 					}
 				})
-				sortedRuns[c] = run
+				runs[c] = run
 			})
-			for c := 0; c < nchunks; c++ {
-				for _, e := range sortedRuns[c] {
+			for c, run := range runs {
+				for _, e := range run {
 					xs.Append(e.Idx, e.Val)
 				}
-				sortedRuns[c] = nil
+				runs[c] = nil
 			}
-		}
-		var sent int64
-		if x != nil {
-			sent = int64(x.NNZ())
-		} else {
-			sent = int64(xs.NNZ())
-		}
-		stats.MessagesSent += sent
-		stats.absorb(locals)
-		var applies, nactive int64
-		if sent > 0 {
-			// The boxed (naive) path predates the kernel layer's push mode:
-			// it always pulls, whatever Config.Mode says.
-			stats.PullSupersteps++
-			y.Reset()
-			for _, parts := range [][]boxedPartition{outParts, inParts} {
-				if parts == nil {
-					continue
-				}
-				parallelFor(ex, len(parts), stop, func(i, w int) {
-					if x != nil {
-						spmvBoxedBitvec(parts[i], x, bp, y, &locals[w])
-					} else {
-						spmvBoxedSorted(parts[i], xs, bp, y, &locals[w])
-					}
-				})
-			}
-
-			if r, ok := ctrl.stopped(); ok {
-				stats.absorb(locals)
-				stats.Reason = r
-				return stats, r.err()
-			}
-
-			active.Reset()
-			parallelFor(ex, nchunks, stop, func(c, w int) {
-				st := &locals[w]
-				y.IterateRange(chunks[c], chunks[c+1], func(v uint32, r any) {
-					st.applies++
-					if bp.apply(r, v) {
-						active.Set(v)
-					}
-				})
-			})
-			applies, _ = stats.absorb(locals)
-			nactive = int64(active.Count())
-		}
-		if r, ok := ctrl.stopped(); ok {
-			stats.Reason = r
-			return stats, r.err()
-		}
-		if ctrl.observer != nil {
-			err := ctrl.observer(IterationInfo{
-				Iteration:  iter + 1,
-				Active:     frontier,
-				Sent:       sent,
-				Applies:    applies,
-				NextActive: nactive,
-				Mode:       Pull,
-				Elapsed:    time.Since(stepStart), //lint:graphmat bannedcalls per-superstep stats, two reads per superstep
-				Total:      time.Since(runStart),
-			})
-			if err != nil {
-				stats.Reason = StoppedByObserver
-				return stats, err
-			}
-		}
-		if sent == 0 || nactive == 0 {
-			stats.Reason = Converged
-			break
+			sent := int64(xs.NNZ())
+			return sent, sent
 		}
 	}
-	return stats, nil
+	y := sparse.NewVector[any](n)
+
+	return d.run(phaseSet{
+		active: active, mode: Pull,
+		send: send,
+		multiply: func(Mode) {
+			y.Reset()
+			for _, parts := range dirs {
+				parallelFor(d.ex, len(parts), d.stop, func(i, w int) {
+					if x != nil {
+						spmvBoxedBitvec(parts[i], x, bp, y, &d.locals[w])
+					} else {
+						spmvBoxedSorted(parts[i], xs, bp, y, &d.locals[w])
+					}
+				})
+			}
+		},
+		apply: d.overChunks(func(lo, hi uint32, st *localStats) {
+			y.IterateRange(lo, hi, func(v uint32, r any) {
+				st.applies++
+				if bp.apply(r, v) {
+					active.Set(v)
+				}
+			})
+		}),
+	})
 }

@@ -111,37 +111,6 @@ const (
 	Boxed
 )
 
-// Runtime selects the parallel execution substrate the engine phases run
-// on. Like Mode and Schedule it is purely a performance knob: tasks write
-// disjoint 64-aligned output ranges and fold in a fixed order inside each
-// task, so both runtimes produce bit-identical results.
-type Runtime int
-
-const (
-	// Pooled (the zero value) dispatches phases through the persistent
-	// shared worker pool (internal/sched): workers are spawned once per
-	// process and parked between phases, tasks are dealt as per-worker
-	// spans with work stealing, and pull-superstep SpMV tasks are
-	// nnz-weighted — heavy partitions split into row sub-ranges of
-	// roughly equal edge work (see shapeTasks).
-	Pooled Runtime = iota
-	// PerCall spawns fresh goroutines on every phase call and hands out
-	// partition-granular SpMV tasks — the pre-pool engine behavior, kept
-	// as the scheduling ablation baseline.
-	PerCall
-)
-
-// String names the runtime for flags, logs and JSON.
-func (r Runtime) String() string {
-	switch r {
-	case Pooled:
-		return "pooled"
-	case PerCall:
-		return "percall"
-	}
-	return fmt.Sprintf("runtime(%d)", int(r))
-}
-
 // Schedule selects how matrix partitions are assigned to worker goroutines.
 type Schedule int
 
@@ -181,11 +150,6 @@ type Config struct {
 	// structure's total edge count. 0 means DefaultPushThreshold (20);
 	// higher values push less often.
 	PushThreshold float64
-	// Runtime selects the execution substrate: Pooled (default) runs
-	// phases on the persistent work-stealing pool with nnz-weighted task
-	// shaping; PerCall keeps the legacy per-call goroutine fan-out with
-	// partition-granular tasks (the scheduling ablation baseline).
-	Runtime Runtime
 }
 
 // validate rejects the one Vector × Dispatch combination with no code path:

@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"graphmat/internal/bitvec"
 	"graphmat/internal/graph"
 	"graphmat/internal/sched"
 )
@@ -76,17 +76,16 @@ func chunkBounds(n, k int) []uint32 {
 }
 
 // execCfg carries one run's scheduling parameters into the phase dispatch
-// helper: worker count, schedule, runtime selection, and the per-run tally
-// the scheduler work is accounted to.
+// helper: worker count, schedule, and the per-run tally the scheduler work
+// is accounted to.
 type execCfg struct {
 	workers int
 	sc      Schedule
-	rt      Runtime
 	tally   *sched.Tally
 }
 
 func (c Config) exec(t *sched.Tally) execCfg {
-	return execCfg{workers: c.Threads, sc: c.Schedule, rt: c.Runtime, tally: t}
+	return execCfg{workers: c.Threads, sc: c.Schedule, tally: t}
 }
 
 // schedStats converts a run tally into the Stats view.
@@ -101,190 +100,147 @@ func (ex execCfg) schedStats() SchedStats {
 }
 
 // parallelFor runs fn(task, worker) over tasks [0, ntasks) on up to
-// ex.workers executors. Under the Pooled runtime (default) the tasks go to
-// the persistent shared worker pool — parked workers are woken instead of
-// spawned, with Dynamic runs rebalanced by work stealing and Static runs
-// pinned to their initial contiguous spans; PerCall keeps the legacy
-// goroutine fan-out. stop, when non-nil, is polled before each task under
-// either runtime: once it goes nonzero the remaining tasks are abandoned,
-// which is how a cancellation aborts a multi-second SpMV without waiting
-// for the superstep to finish.
+// ex.workers executors of the persistent shared worker pool: parked workers
+// are woken, not spawned, with Dynamic runs rebalanced by work stealing and
+// Static runs pinned to their initial contiguous spans. A phase with one
+// worker or one task runs inline on the caller through the same pool, so
+// its work still reaches the run tally and the pool counters. stop, when
+// non-nil, is polled before each task: once it goes nonzero the remaining
+// tasks are abandoned, which is how a cancellation aborts a multi-second
+// SpMV without waiting for the superstep to finish.
 func parallelFor(ex execCfg, ntasks int, stop *atomic.Int32, fn func(task, worker int)) {
-	nworkers := ex.workers
-	if nworkers > ntasks {
-		nworkers = ntasks
-	}
-	if nworkers <= 1 {
-		ran := int64(0)
-		for i := 0; i < ntasks; i++ {
-			if stop != nil && stop.Load() != 0 {
-				break
-			}
-			fn(i, 0)
-			ran++
-		}
-		if ex.tally != nil {
-			ex.tally.Tasks.Add(ran)
-		}
-		return
-	}
-	if ex.rt == PerCall {
-		spawnFor(nworkers, ntasks, ex.sc, stop, fn)
-		return
-	}
-	sched.Shared(nworkers).RunOptions(ntasks, stop, sched.Options{NoSteal: ex.sc == Static, Tally: ex.tally}, fn)
+	sched.Shared(min(ex.workers, ntasks)).RunOptions(ntasks, stop, sched.Options{NoSteal: ex.sc == Static, Tally: ex.tally}, fn)
 }
 
-// spawnFor is the PerCall runtime: fresh goroutines and a WaitGroup
-// barrier on every call, with Dynamic pulling tasks from a shared atomic
-// counter and Static pre-assigning them round-robin. Kept as the
-// scheduling ablation baseline the pooled runtime is gated against.
-func spawnFor(nworkers, ntasks int, sc Schedule, stop *atomic.Int32, fn func(task, worker int)) {
-	var wg sync.WaitGroup
-	wg.Add(nworkers)
-	if sc == Dynamic {
-		var next atomic.Int64
-		for w := 0; w < nworkers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for {
-					if stop != nil && stop.Load() != 0 {
-						return
-					}
-					i := int(next.Add(1) - 1)
-					if i >= ntasks {
-						return
-					}
-					fn(i, w)
-				}
-			}(w)
-		}
-	} else {
-		for w := 0; w < nworkers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < ntasks; i += nworkers {
-					if stop != nil && stop.Load() != 0 {
-						return
-					}
-					fn(i, w)
-				}
-			}(w)
-		}
-	}
-	wg.Wait()
+// phaseSet is what an engine front-end — scalar (runTyped), block (runBlock)
+// or the boxed ablation (runBoxed) — contributes to the one superstep loop:
+// its frontier and its three phase bodies, closed once per run over the
+// front-end's own monomorphised SendMessage / fold / Apply code. The loop is
+// not generic and calls each body once per superstep, so no per-vertex or
+// per-edge call goes through it.
+type phaseSet struct {
+	// active is the frontier's vertex occupancy: counted entering a
+	// superstep, cleared before apply and counted again after it.
+	active *bitvec.Vector
+	// mode is the configured kernel mode and costs the structure side of its
+	// Auto resolution. The boxed ablation predates the push kernel: it sets
+	// Pull whatever Config.Mode says, and leaves costs zero.
+	mode  Mode
+	costs KernelCosts
+	// send clears the message vector, runs SendMessage over the active set
+	// (Algorithm 2 lines 3-5) and returns the messages produced and the
+	// frontier size the push probe bill scales with. Both come off the
+	// occupancy masks after the phase — one popcount sweep, no per-Set
+	// counters. They are the same number for a scalar vector; a block
+	// bills its distinct sender vertices, since one column lookup serves
+	// all of a vertex's source columns. Under Auto, send also tallies the
+	// senders' degrees into localStats.degSum.
+	send func() (sent, senders int64)
+	// multiply clears the reduction vector and runs the generalized
+	// multiply (Algorithm 1) in the resolved mode.
+	multiply func(mode Mode)
+	// apply runs Apply over every reduced value, re-activating the vertices
+	// whose state changed (Algorithm 2 lines 7-13).
+	apply func()
 }
 
-func runTyped[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config, ws *Workspace[M, R], ctrl *controller) (stats Stats, err error) {
-	n := int(g.NumVertices())
-	props := g.Props()
-	active := g.Active()
+// driver is one run's scaffolding — stop machinery, phase dispatch, vertex
+// chunks and per-worker tallies — shared by the superstep loop and the
+// phase bodies it calls.
+type driver struct {
+	cfg    Config
+	ctrl   *controller
+	stop   *atomic.Int32
+	tally  sched.Tally
+	ex     execCfg
+	chunks []uint32
+	locals []localStats
+}
 
-	rp := planRun(g, p.Direction(), cfg)
-	autoDegs := rp.autoDegs
+func newDriver(cfg Config, ctrl *controller, n int) *driver {
+	d := &driver{
+		cfg: cfg, ctrl: ctrl, stop: ctrl.flag(),
+		chunks: chunkBounds(n, cfg.Threads*4),
+		locals: make([]localStats, cfg.Threads),
+	}
+	d.ex = cfg.exec(&d.tally)
+	return d
+}
 
-	x, y := ws.x, ws.y
-	xw := x.Mask().Words()
-	sink := scalarSink(p, x, props, y)
+// overChunks returns a phase body running fn over every vertex chunk in
+// parallel. Chunks own disjoint 64-aligned vertex ranges, so fn may write
+// chunk-local mask words and lazily zeroed rows without synchronization.
+func (d *driver) overChunks(fn func(lo, hi uint32, st *localStats)) func() {
+	task := func(c, w int) { fn(d.chunks[c], d.chunks[c+1], &d.locals[w]) }
+	return func() { parallelFor(d.ex, len(d.chunks)-1, d.stop, task) }
+}
 
-	var tally sched.Tally
-	ex := cfg.exec(&tally)
-	defer func() { stats.Sched = ex.schedStats() }()
-
-	chunks := chunkBounds(n, cfg.Threads*4)
-	nchunks := len(chunks) - 1
-	locals := make([]localStats, cfg.Threads)
-
-	maxIter := cfg.MaxIterations
+// run is the BSP superstep loop (Algorithm 2), the only one: iteration cap,
+// stop checks, clocks, Stats, the per-superstep direction choice, the
+// observer report and the convergence test, around ps's phases.
+func (d *driver) run(ps phaseSet) (stats Stats, err error) {
+	defer func() { stats.Sched = d.ex.schedStats() }()
+	halt := func(r StopReason) (Stats, error) {
+		stats.Reason = r
+		return stats, r.err()
+	}
+	maxIter := d.cfg.MaxIterations
 	if maxIter <= 0 {
 		maxIter = math.MaxInt
 	}
-	stop := ctrl.flag()
 	runStart := time.Now() //lint:graphmat bannedcalls one clock read per run, off the per-edge path
 
 	stats.Reason = MaxIterations // what remains if the loop runs out
 	for iter := 0; iter < maxIter; iter++ {
-		if r, ok := ctrl.stopped(); ok {
-			stats.Reason = r
-			return stats, r.err()
+		if r, ok := d.ctrl.stopped(); ok {
+			return halt(r)
 		}
 		stepStart := time.Now() //lint:graphmat bannedcalls one clock read per superstep, off the per-edge path
-		frontier := int64(active.Count())
+		frontier := int64(ps.active.Count())
 		stats.ActiveSum += frontier
 		stats.Iterations++
 
-		// Phase 1: SendMessage over active vertices builds the sparse
-		// message vector (Algorithm 2 lines 3-5).
-		x.Reset()
-		parallelFor(ex, nchunks, stop, func(c, w int) {
-			st := &locals[w]
-			active.IterateRange(chunks[c], chunks[c+1], func(v uint32) {
-				if m, ok := p.SendMessage(v, props[v]); ok {
-					x.Set(v, m)
-					if autoDegs != nil {
-						st.degSum += int64(autoDegs[v])
-					}
-				}
-			})
-		})
-		// The frontier size comes off the occupancy mask, not per-Set
-		// counters: one popcount sweep per phase feeds the cost model and
-		// the stats.
-		sent := int64(x.NNZ())
+		sent, senders := ps.send()
 		stats.MessagesSent += sent
-		_, degSum := stats.absorb(locals)
+		_, degSum := stats.absorb(d.locals)
 
 		// Per-superstep direction optimization: resolve Auto from the
 		// frontier's size and edge work against the structure-side costs.
-		stepMode := rp.costs.Choose(cfg.Mode, cfg.PushThreshold, sent, degSum)
+		mode := ps.costs.Choose(ps.mode, d.cfg.PushThreshold, senders, degSum)
 
 		var applies, nactive int64
 		if sent > 0 {
-			if stepMode == Push {
+			if mode == Push {
 				stats.PushSupersteps++
 			} else {
 				stats.PullSupersteps++
 			}
-			// Phase 2: generalized SpMV (Algorithm 1) through the selected
-			// walk, folding into y.
-			y.Reset()
-			rp.multiplyPhase(ex, stop, stepMode, xw, sink, locals)
+			ps.multiply(mode)
 
-			// A stop raised mid-SpMV must not Apply a partially reduced y:
-			// return the partial tallies without touching vertex state
+			// A stop raised mid-multiply must not Apply a partially reduced
+			// y: return the partial tallies without touching vertex state
 			// further.
-			if r, ok := ctrl.stopped(); ok {
-				stats.absorb(locals)
-				stats.Reason = r
-				return stats, r.err()
+			if r, ok := d.ctrl.stopped(); ok {
+				stats.absorb(d.locals)
+				return halt(r)
 			}
 
-			// Phase 3: Apply and re-activation (Algorithm 2 lines 7-13).
-			active.Reset()
-			parallelFor(ex, nchunks, stop, func(c, w int) {
-				st := &locals[w]
-				y.IterateRange(chunks[c], chunks[c+1], func(v uint32, r R) {
-					st.applies++
-					if p.Apply(r, v, &props[v]) {
-						active.Set(v)
-					}
-				})
-			})
-			applies, _ = stats.absorb(locals)
-			nactive = int64(active.Count())
+			ps.active.Reset()
+			ps.apply()
+			applies, _ = stats.absorb(d.locals)
+			nactive = int64(ps.active.Count())
 		}
-		if r, ok := ctrl.stopped(); ok {
-			stats.Reason = r
-			return stats, r.err()
+		if r, ok := d.ctrl.stopped(); ok {
+			return halt(r)
 		}
-		if ctrl.observer != nil {
-			err := ctrl.observer(IterationInfo{
+		if d.ctrl.observer != nil {
+			err := d.ctrl.observer(IterationInfo{
 				Iteration:  iter + 1,
 				Active:     frontier,
 				Sent:       sent,
 				Applies:    applies,
 				NextActive: nactive,
-				Mode:       stepMode,
+				Mode:       mode,
 				Elapsed:    time.Since(stepStart), //lint:graphmat bannedcalls per-superstep stats, two reads per superstep
 				Total:      time.Since(runStart),
 			})
@@ -299,4 +255,51 @@ func runTyped[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 		}
 	}
 	return stats, nil
+}
+
+// runTyped is the scalar engine's front-end: a width-1 bitvector message
+// vector, the scalar fold sinks, vertex state in the graph.
+func runTyped[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config, ws *Workspace[M, R], ctrl *controller) (Stats, error) {
+	d := newDriver(cfg, ctrl, int(g.NumVertices()))
+	props := g.Props()
+	active := g.Active()
+
+	rp := planRun(g, p.Direction(), cfg)
+	autoDegs := rp.autoDegs
+
+	x, y := ws.x, ws.y
+	xw := x.Mask().Words()
+	sink := scalarSink(p, x, props, y)
+
+	send := d.overChunks(func(lo, hi uint32, st *localStats) {
+		active.IterateRange(lo, hi, func(v uint32) {
+			if m, ok := p.SendMessage(v, props[v]); ok {
+				x.Set(v, m)
+				if autoDegs != nil {
+					st.degSum += int64(autoDegs[v])
+				}
+			}
+		})
+	})
+	return d.run(phaseSet{
+		active: active, mode: cfg.Mode, costs: rp.costs,
+		send: func() (int64, int64) {
+			x.Reset()
+			send()
+			sent := int64(x.NNZ())
+			return sent, sent
+		},
+		multiply: func(mode Mode) {
+			y.Reset()
+			rp.multiplyPhase(d.ex, d.stop, mode, xw, sink, d.locals)
+		},
+		apply: d.overChunks(func(lo, hi uint32, st *localStats) {
+			y.IterateRange(lo, hi, func(v uint32, r R) {
+				st.applies++
+				if p.Apply(r, v, &props[v]) {
+					active.Set(v)
+				}
+			})
+		}),
+	})
 }

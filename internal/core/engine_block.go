@@ -3,20 +3,18 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
-	"time"
 
 	"graphmat/internal/graph"
-	"graphmat/internal/sched"
 )
 
-// This file is the multi-source BSP driver: the same three-phase superstep
-// loop as runTyped — SendMessage, generalized multiply, Apply — widened to an
-// n×k block of independent source columns sharing one traversal of the
-// adjacency structure per superstep. Vertex state lives in a BlockState, not
-// the graph, so a block run never disturbs the graph's scalar props/active
-// and can share a pinned snapshot with scalar runs.
+// This file is the multi-source front-end of the superstep loop (driver.run,
+// engine.go): the same three phases as runTyped — SendMessage, generalized
+// multiply, Apply — widened to an n×k block of independent source columns
+// sharing one traversal of the adjacency structure per superstep. Vertex
+// state lives in a BlockState, not the graph, so a block run never disturbs
+// the graph's scalar props/active and can share a pinned snapshot with
+// scalar runs.
 //
 // Convergence is per column and structural: a source column whose vertices
 // all go inactive simply stops contributing frontier bits, so it drops out of
@@ -44,7 +42,10 @@ func RunBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 // ignored — the Figure 7 ablation (sorted message vector, boxed callbacks)
 // is a scalar-engine path (boxed.go).
 // Mode (Auto/Pull/Push), Threads, Schedule, MaxIterations, observers and
-// cancellation behave exactly as in RunContext.
+// cancellation are the shared superstep loop's (driver.run), so they behave
+// as documented on RunContext; the one difference is that Auto bills the
+// push probe cost per distinct sender vertex, not per (vertex, column)
+// message.
 //
 // When p's Semiring contract holds (see BlockProgram), the run's results are
 // bit-identical per column to scalar runs of the same program from each
@@ -75,10 +76,12 @@ func RunBlockContext[V, E, M, R any, P BlockProgram[V, E, M, R]](
 	return runBlock(g, p, st, cfg, ws, ctrl)
 }
 
+// runBlock is the block engine's front-end: n×k message and reduction
+// blocks, the k-wide fold sinks, vertex state in bst.
 func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 	g *graph.Graph[V, E], p P, bst *BlockState[V], cfg Config, ws *BlockWorkspace[M, R], ctrl *controller,
-) (stats Stats, err error) {
-	n := int(g.NumVertices())
+) (Stats, error) {
+	d := newDriver(cfg, ctrl, int(g.NumVertices()))
 	k := bst.k
 	props := bst.props
 
@@ -93,132 +96,58 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 	sink := blockSink(p, x, y)
 	active, actCols := bst.summary, bst.active
 
-	var tally sched.Tally
-	ex := cfg.exec(&tally)
-	defer func() { stats.Sched = ex.schedStats() }()
-
-	chunks := chunkBounds(n, cfg.Threads*4)
-	nchunks := len(chunks) - 1
-	locals := make([]localStats, cfg.Threads)
-
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = math.MaxInt
-	}
-	stop := ctrl.flag()
-	runStart := time.Now() //lint:graphmat bannedcalls one clock read per run, off the per-edge path
-
-	stats.Reason = MaxIterations
-	for iter := 0; iter < maxIter; iter++ {
-		if r, ok := ctrl.stopped(); ok {
-			stats.Reason = r
-			return stats, r.err()
-		}
-		stepStart := time.Now() //lint:graphmat bannedcalls one clock read per superstep, off the per-edge path
-		frontier := int64(active.Count())
-		stats.ActiveSum += frontier
-		stats.Iterations++
-
-		// Phase 1: SendMessage per active (vertex, column) pair builds the
-		// n×k message block. Chunks own disjoint 64-aligned vertex ranges, so
-		// the block vector's lazy-zero writes need no synchronization.
-		x.Reset()
-		parallelFor(ex, nchunks, stop, func(c, w int) {
-			st := &locals[w]
-			active.IterateRange(chunks[c], chunks[c+1], func(v uint32) {
-				am := actCols[v]
-				for m := am; m != 0; m &= m - 1 {
-					s := bits.TrailingZeros64(m)
-					if msg, ok := p.SendMessage(v, props[int(v)*k+s]); ok {
-						x.Set(v, s, msg)
-						if autoDegs != nil {
-							st.degSum += int64(autoDegs[v])
-						}
+	// SendMessage per active (vertex, column) pair builds the n×k message
+	// block.
+	send := d.overChunks(func(lo, hi uint32, st *localStats) {
+		active.IterateRange(lo, hi, func(v uint32) {
+			am := actCols[v]
+			for m := am; m != 0; m &= m - 1 {
+				s := bits.TrailingZeros64(m)
+				if msg, ok := p.SendMessage(v, props[int(v)*k+s]); ok {
+					x.Set(v, s, msg)
+					if autoDegs != nil {
+						st.degSum += int64(autoDegs[v])
 					}
 				}
-			})
+			}
 		})
-		// Frontier sizes come off the message block's occupancy masks after
-		// the phase — a popcount sweep instead of per-Set counters and a
-		// per-vertex sentAny branch in the send loop.
-		sendersN, sentN := x.Occupancy()
-		sent, senders := int64(sentN), int64(sendersN)
-		stats.MessagesSent += sent
-		_, degSum := stats.absorb(locals)
-
-		// The push probe bill scales with distinct sender vertices, not
-		// (vertex, column) pairs — one AUX lookup serves all columns.
-		stepMode := rp.costs.Choose(cfg.Mode, cfg.PushThreshold, senders, degSum)
-
-		var applies, nactive int64
-		if sent > 0 {
-			if stepMode == Push {
-				stats.PushSupersteps++
-			} else {
-				stats.PullSupersteps++
-			}
-			// Phase 2: the SpMM — runTyped's walks over the block frontier's
-			// vertex summary, folding k-wide into y.
+	})
+	return d.run(phaseSet{
+		active: active, mode: cfg.Mode, costs: rp.costs,
+		send: func() (int64, int64) {
+			x.Reset()
+			send()
+			senders, sent := x.Occupancy()
+			return int64(sent), int64(senders)
+		},
+		// The SpMM: runTyped's walks over the block frontier's vertex
+		// summary, folding k-wide into y.
+		multiply: func(mode Mode) {
 			y.Reset()
-			rp.multiplyPhase(ex, stop, stepMode, xw, sink, locals)
-			if r, ok := ctrl.stopped(); ok {
-				stats.absorb(locals)
-				stats.Reason = r
-				return stats, r.err()
-			}
-
-			// Phase 3: Apply per received (vertex, column) pair, rebuilding
-			// the active block.
-			active.Reset()
-			parallelFor(ex, nchunks, stop, func(c, w int) {
-				st := &locals[w]
-				ysum := y.summary
-				ycols := y.cols
-				ysum.IterateRange(chunks[c], chunks[c+1], func(v uint32) {
-					ym := ycols[v]
-					yrow := y.vals[int(v)*k : int(v)*k+k]
-					prow := props[int(v)*k : int(v)*k+k]
-					var am uint64
-					for m := ym; m != 0; m &= m - 1 {
-						s := bits.TrailingZeros64(m)
-						st.applies++
-						if p.Apply(yrow[s], v, &prow[s]) {
-							am |= 1 << uint(s)
-						}
+			rp.multiplyPhase(d.ex, d.stop, mode, xw, sink, d.locals)
+		},
+		// Apply per received (vertex, column) pair, rebuilding the active
+		// block.
+		apply: d.overChunks(func(lo, hi uint32, st *localStats) {
+			ysum := y.summary
+			ycols := y.cols
+			ysum.IterateRange(lo, hi, func(v uint32) {
+				ym := ycols[v]
+				yrow := y.vals[int(v)*k : int(v)*k+k]
+				prow := props[int(v)*k : int(v)*k+k]
+				var am uint64
+				for m := ym; m != 0; m &= m - 1 {
+					s := bits.TrailingZeros64(m)
+					st.applies++
+					if p.Apply(yrow[s], v, &prow[s]) {
+						am |= 1 << uint(s)
 					}
-					if am != 0 {
-						active.Words()[v>>6] |= uint64(1) << (v & 63)
-						actCols[v] = am
-					}
-				})
+				}
+				if am != 0 {
+					active.Words()[v>>6] |= uint64(1) << (v & 63)
+					actCols[v] = am
+				}
 			})
-			applies, _ = stats.absorb(locals)
-			nactive = int64(active.Count())
-		}
-		if r, ok := ctrl.stopped(); ok {
-			stats.Reason = r
-			return stats, r.err()
-		}
-		if ctrl.observer != nil {
-			err := ctrl.observer(IterationInfo{
-				Iteration:  iter + 1,
-				Active:     frontier,
-				Sent:       sent,
-				Applies:    applies,
-				NextActive: nactive,
-				Mode:       stepMode,
-				Elapsed:    time.Since(stepStart), //lint:graphmat bannedcalls per-superstep stats, two reads per superstep
-				Total:      time.Since(runStart),
-			})
-			if err != nil {
-				stats.Reason = StoppedByObserver
-				return stats, err
-			}
-		}
-		if sent == 0 || nactive == 0 {
-			stats.Reason = Converged
-			break
-		}
-	}
-	return stats, nil
+		}),
+	})
 }

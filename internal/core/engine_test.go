@@ -7,6 +7,7 @@ import (
 
 	"graphmat/internal/gen"
 	"graphmat/internal/graph"
+	"graphmat/internal/sched"
 	"graphmat/internal/sparse"
 )
 
@@ -344,5 +345,86 @@ func TestChunkBounds(t *testing.T) {
 				t.Errorf("chunkBounds(%d,%d) interior bound %d unaligned", c.n, c.k, b[i])
 			}
 		}
+	}
+}
+
+// wsumProg folds message × edge weight into an integer sum, so the result
+// is independent of fold order and a naive pass over the edge list is its
+// oracle.
+type wsumProg struct{ dir graph.Direction }
+
+func (wsumProg) SendMessage(v VertexID, _ int64) (int64, bool)    { return int64(v) + 1, true }
+func (wsumProg) ProcessMessage(m int64, e float32, _ int64) int64 { return m * int64(e) }
+func (wsumProg) Reduce(a, b int64) int64                          { return a + b }
+func (wsumProg) Apply(r int64, _ VertexID, prop *int64) bool      { *prop = r; return false }
+func (p wsumProg) Direction() graph.Direction                     { return p.dir }
+
+// TestSpMVDirectionsMatchNaiveFold checks the single-shot SpMV against a
+// naive fold of the edge list for every scatter direction and kernel mode.
+// Under Both a message travels along its sender's out-edges AND in-edges —
+// the same edge set the superstep loop walks.
+func TestSpMVDirectionsMatchNaiveFold(t *testing.T) {
+	coo := gen.RMAT(gen.RMATOptions{Scale: 7, EdgeFactor: 4, Seed: 5, MaxWeight: 10})
+	coo.RemoveSelfLoops()
+	coo.SortRowMajor()
+	coo.DedupSum(func(a, b float32) float32 { return min(a, b) })
+	edges := append([]sparse.Triple[float32](nil), coo.Entries...)
+	n := coo.NRows
+	g, err := graph.NewFromCOO[int64, float32](coo, graph.Options{Partitions: 3, Directions: graph.Both})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := sparse.NewVector[int64](int(n))
+	for v := uint32(0); v < n; v += 3 {
+		x.Set(v, int64(v)+1)
+	}
+
+	for _, dir := range []graph.Direction{graph.Out, graph.In, graph.Both} {
+		want := make([]int64, n)
+		for _, e := range edges {
+			if dir&graph.Out != 0 && x.Has(e.Row) {
+				want[e.Col] += x.Get(e.Row) * int64(e.Val)
+			}
+			if dir&graph.In != 0 && x.Has(e.Col) {
+				want[e.Row] += x.Get(e.Col) * int64(e.Val)
+			}
+		}
+		for _, mode := range []Mode{Pull, Push, Auto} {
+			y := SpMV(g, x, wsumProg{dir: dir}, Config{Mode: mode, Threads: 3})
+			for v := uint32(0); v < n; v++ {
+				if got, _ := y.GetChecked(v); got != want[v] {
+					t.Fatalf("dir %v mode %s: y[%d] = %d, want %d", dir, mode, v, got, want[v])
+				}
+			}
+		}
+	}
+}
+
+// TestSingleWorkerRunReportsBusyTime runs TestStatsPinned's
+// scalar/auto/threads1 case again for what its table cannot hold: a one-worker phase goes through
+// the shared pool's inline path like any other, so its busy time reaches the
+// run's Stats and its tasks the process-wide pool counters behind /v1/stats.
+func TestSingleWorkerRunReportsBusyTime(t *testing.T) {
+	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
+	adj.RemoveSelfLoops()
+	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetAllProps(inf)
+	g.SetProp(1, 0)
+	g.SetActive(1)
+	before := sched.Shared(1).Stats()[0]
+	stats, err := Run(g, ssspProg{}, Config{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pinnedTasks = 90
+	if stats.Sched.Tasks != pinnedTasks || stats.Sched.BusyNS <= 0 {
+		t.Errorf("Sched = %+v, want %d tasks and nonzero busy time", stats.Sched, pinnedTasks)
+	}
+	after := sched.Shared(1).Stats()[0]
+	if after.Tasks-before.Tasks < pinnedTasks || after.BusyNS <= before.BusyNS {
+		t.Errorf("one-slot pool counters moved %+v -> %+v, want at least %d more tasks and more busy time", before, after, pinnedTasks)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // the same promise SumFoldF64 does: the fused column fold must be
 // bit-identical to the generic callback loop. These tests run marked
 // programs against their unmarked twins — same fold, forced down the
-// generic path — across modes, threads, runtimes, both engines, and plain
-// versus overlay (base+delta) partitions.
+// generic path — across modes, threads, both engines, and plain versus
+// overlay (base+delta) partitions.
 
 // ssspFused is ssspProg plus the (min, +) marker: the kernels must take the
 // fused float32 fold and produce identical bits.
@@ -158,30 +158,28 @@ func TestF32FoldFastPathParityScalarEngine(t *testing.T) {
 
 func testF32FoldParityScalar(t *testing.T, world string, g *graph.Graph[float32, float32]) {
 	for _, mode := range []Mode{Pull, Push, Auto} {
-		for _, rt := range []Runtime{Pooled, PerCall} {
-			for _, threads := range []int{1, 3} {
-				cfg := Config{Mode: mode, Threads: threads, Runtime: rt}
-				t.Run(fmt.Sprintf("%s/sssp/mode_%s_rt_%s_threads_%d", world, mode, rt, threads), func(t *testing.T) {
-					ref := runF32Prog(t, g, ssspProg{}, cfg, inf, 0, 0)
-					got := runF32Prog(t, g, ssspFused{}, cfg, inf, 0, 0)
-					for v := range ref {
-						if math.Float32bits(got[v]) != math.Float32bits(ref[v]) {
-							t.Fatalf("dist[%d] = %v (%x), generic %v (%x)", v,
-								got[v], math.Float32bits(got[v]), ref[v], math.Float32bits(ref[v]))
-						}
+		for _, threads := range []int{1, 3} {
+			cfg := Config{Mode: mode, Threads: threads}
+			t.Run(fmt.Sprintf("%s/sssp/mode_%s_threads_%d", world, mode, threads), func(t *testing.T) {
+				ref := runF32Prog(t, g, ssspProg{}, cfg, inf, 0, 0)
+				got := runF32Prog(t, g, ssspFused{}, cfg, inf, 0, 0)
+				for v := range ref {
+					if math.Float32bits(got[v]) != math.Float32bits(ref[v]) {
+						t.Fatalf("dist[%d] = %v (%x), generic %v (%x)", v,
+							got[v], math.Float32bits(got[v]), ref[v], math.Float32bits(ref[v]))
 					}
-				})
-				t.Run(fmt.Sprintf("%s/widest/mode_%s_rt_%s_threads_%d", world, mode, rt, threads), func(t *testing.T) {
-					ref := runF32Prog(t, g, widestProg{}, cfg, 0, 0, float32(math.MaxFloat32))
-					got := runF32Prog(t, g, widestFused{}, cfg, 0, 0, float32(math.MaxFloat32))
-					for v := range ref {
-						if math.Float32bits(got[v]) != math.Float32bits(ref[v]) {
-							t.Fatalf("width[%d] = %v (%x), generic %v (%x)", v,
-								got[v], math.Float32bits(got[v]), ref[v], math.Float32bits(ref[v]))
-						}
+				}
+			})
+			t.Run(fmt.Sprintf("%s/widest/mode_%s_threads_%d", world, mode, threads), func(t *testing.T) {
+				ref := runF32Prog(t, g, widestProg{}, cfg, 0, 0, float32(math.MaxFloat32))
+				got := runF32Prog(t, g, widestFused{}, cfg, 0, 0, float32(math.MaxFloat32))
+				for v := range ref {
+					if math.Float32bits(got[v]) != math.Float32bits(ref[v]) {
+						t.Fatalf("width[%d] = %v (%x), generic %v (%x)", v,
+							got[v], math.Float32bits(got[v]), ref[v], math.Float32bits(ref[v]))
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

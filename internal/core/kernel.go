@@ -376,13 +376,3 @@ func MultiplyPartition[V, E, M, R any, P Program[V, E, M, R]](
 	multiply(mode, sparse.Layered[E]{Base: part}, x.Mask().Words(), 0, ^uint32(0), scalarSink(p, x, props, y), &st)
 	return st.edges, st.probes
 }
-
-// frontierWork sums the traversal-structure degrees of the frontier for the
-// Auto decision. The engine accumulates this during the SendMessage phase
-// instead (one add per sender); this helper serves the single-shot SpMV
-// path, where the frontier arrives pre-built.
-func frontierWork[M any](x *sparse.Vector[M], degs []uint32) int64 {
-	var sum int64
-	x.Mask().Iterate(func(v uint32) { sum += int64(degs[v]) })
-	return sum
-}

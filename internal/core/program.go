@@ -1,10 +1,17 @@
 // Package core implements the GraphMat engine: the vertex-program contract
-// (paper §4.1), the BSP driver loop (Algorithm 2), and the generalized sparse
-// matrix–sparse vector multiplication backend (Algorithm 1) with the
+// (paper §4.1), the BSP superstep loop (Algorithm 2), and the generalized
+// sparse matrix–sparse vector multiplication backend (Algorithm 1) with the
 // optimizations of §4.5 — bitvector message vectors, monomorphized (inlined)
 // user callbacks, partition-parallel SpMV and dynamic load balancing. Each of
 // these optimizations can be disabled individually to reproduce the Figure 7
 // ablation.
+//
+// There is one superstep loop (driver.run, engine.go) and three front-ends
+// that hand it their send / multiply / apply phases: the scalar engine
+// (runTyped), the n×k multi-source block engine (runBlock, engine_block.go)
+// and the boxed-dispatch ablation (runBoxed, boxed.go). Iteration cap, stop
+// checks, Stats, direction choice and the observer report live in the loop;
+// everything per vertex or per edge lives in the front-ends.
 //
 // The SpMV backend is a kernel layer (kernel.go) with two directions: the
 // paper's column-driven pull probe and a frontier-driven push SpMSpV, chosen

@@ -18,8 +18,9 @@ func SpMV[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], x *sparse
 }
 
 // SpMVContext is the single-shot generalized SpMV as a full citizen of the
-// engine configuration: it runs the same walks and folds as the superstep
-// loop — cfg.Mode selects pull, push, or the per-call Auto density decision
+// engine configuration: it plans and multiplies exactly as one superstep of
+// the loop does (planRun + multiplyPhase) — every direction p.Direction()
+// names, cfg.Mode selecting pull, push, or the per-call Auto density decision
 // — and ctx cancellation aborts the partition loop cooperatively through
 // the same stop flag the engine polls. A canceled call returns the partial
 // y alongside ctx.Err(). A configuration with no code path (Vector: Sorted with
@@ -34,25 +35,18 @@ func SpMVContext[V, E, M, R any, P Program[V, E, M, R]](
 	ctrl, release := newController(ctx, runOptions{})
 	defer release()
 
+	rp := planRun(g, p.Direction(), cfg)
+	// Under Auto, the frontier's edge work: what the loop's send phase
+	// tallies per sender, summed here over a frontier that arrives built.
+	var work int64
+	if rp.autoDegs != nil {
+		x.Mask().Iterate(func(v uint32) { work += int64(rp.autoDegs[v]) })
+	}
+	mode := rp.costs.Choose(cfg.Mode, cfg.PushThreshold, int64(x.NNZ()), work)
+
 	y := sparse.NewVector[R](int(g.NumVertices()))
 	locals := make([]localStats, cfg.Threads)
-	layers := g.OutLayers()
-	degs := g.OutDegrees()
-	if p.Direction()&graph.In != 0 {
-		layers = g.InLayers()
-		degs = g.InDegrees()
-	}
-	mode := cfg.Mode
-	if mode == Auto {
-		costs := addLayers(KernelCosts{}, layers, liveWeights(layers))
-		mode = costs.Choose(mode, cfg.PushThreshold, int64(x.NNZ()), frontierWork(x, degs))
-	}
-
-	xw := x.Mask().Words()
-	sink := scalarSink(p, x, g.Props(), y)
-	parallelFor(cfg.exec(nil), len(layers), ctrl.flag(), func(i, w int) {
-		multiply(mode, layers[i], xw, 0, ^uint32(0), sink, &locals[w])
-	})
+	rp.multiplyPhase(cfg.exec(nil), ctrl.flag(), mode, x.Mask().Words(), scalarSink(p, x, g.Props(), y), locals)
 	if r, ok := ctrl.stopped(); ok {
 		return y, r.err()
 	}

@@ -22,9 +22,9 @@ import (
 // destination rows and recombine partial folds, which float reduction
 // orders forbid.)
 //
-// The same preparation serves the scalar and the block engine: runPlan
-// pins a run's layers, weighs them once, and runs each superstep's
-// multiply phase over the resulting task lists.
+// The same preparation serves the scalar engine, the block engine and the
+// single-shot SpMV: runPlan pins a run's layers, weighs them once, and runs
+// each multiply phase over the resulting task lists.
 
 // runPlan is one run's multiply-phase preparation: per scatter direction,
 // the pinned base+delta layers and their task lists; plus the Auto cost
@@ -61,7 +61,7 @@ func planRun[V, E any](g *graph.Graph[V, E], dir graph.Direction, cfg Config) ru
 	for i := range rp.dirs {
 		d := &rp.dirs[i]
 		weights := liveWeights(d.layers)
-		d.tasks = shapeTasks(d.layers, weights, cfg.Threads, cfg.Runtime)
+		d.tasks = shapeTasks(d.layers, weights, cfg.Threads)
 		if cfg.Mode == Auto {
 			rp.costs = addLayers(rp.costs, d.layers, weights)
 		}
@@ -156,13 +156,13 @@ const (
 // The plan depends only on the pinned structures and the run config, so
 // repeated runs shape identically — engine tallies that count per-task
 // sweeps (ColumnsProbed) stay deterministic per configuration.
-func shapeTasks[E any](layers []sparse.Layered[E], weights []int, workers int, rt Runtime) taskPlan {
+func shapeTasks[E any](layers []sparse.Layered[E], weights []int, workers int) taskPlan {
 	plan := taskPlan{whole: make([]spmvTask, len(layers))}
 	for i := range plan.whole {
 		plan.whole[i] = spmvTask{layer: int32(i), rhi: ^uint32(0)}
 	}
 	plan.shaped = plan.whole
-	if rt != Pooled || workers <= 1 || len(layers) == 0 {
+	if workers <= 1 || len(layers) == 0 {
 		return plan
 	}
 	total := 0

@@ -1,8 +1,10 @@
-// Package sched is the engine's persistent worker-pool runtime: one set of
-// long-lived worker goroutines per worker count, parked on a condition
-// variable between phases and woken in O(1) when a run arrives, replacing
-// the per-call goroutine fan-outs the engine phases used to pay on every
-// superstep (spawn + WaitGroup barrier, ~µs each, × 3 phases × supersteps).
+// Package sched is the engine's one parallel runtime, a persistent worker
+// pool: one set of long-lived worker goroutines per worker count, parked on a
+// condition variable between phases and woken in O(1) when a run arrives.
+// Every engine phase — send, multiply, apply, × supersteps — dispatches
+// through it, single-worker phases included (they run inline on the caller
+// and are counted like any other), so no phase pays a goroutine spawn and a
+// WaitGroup barrier.
 //
 // Execution model. A Run call packs its tasks into per-slot spans —
 // contiguous [lo, hi) index ranges, one per worker slot, stored as a single
@@ -270,7 +272,8 @@ func (p *Pool) RunOptions(ntasks int, stop *atomic.Int32, opts Options, fn func(
 }
 
 // runInline executes the job on the calling goroutine alone (single-slot
-// pools and single-task jobs skip the publish/park machinery entirely).
+// pools and single-task jobs skip the publish/park machinery entirely) and
+// accounts it to slot 0 and the tally like a published job.
 func (p *Pool) runInline(ntasks int, stop *atomic.Int32, opts Options, fn func(task, worker int)) {
 	t0 := time.Now()
 	ran := int64(0)
@@ -329,10 +332,12 @@ func (p *Pool) nextJob(wid int) *job {
 
 // work participates in job j as slot wid until the job has no task this
 // executor could acquire: claim unclaimed spans and drain them from the
-// owner end, then steal from the thief end of the others.
+// owner end, then steal from the thief end of the others. Its counts are
+// flushed before its tasks are marked finished, so a Run that returns has
+// every executor's tasks, steals and busy time in the tally.
 func (p *Pool) work(wid int, j *job) {
 	t0 := time.Now()
-	var ran, stolen int64
+	var taken, ran, stolen int64
 	for {
 		if si := int(j.claim.Add(1) - 1); si < len(j.spans) {
 			for {
@@ -340,7 +345,8 @@ func (p *Pool) work(wid int, j *job) {
 				if !ok {
 					break
 				}
-				p.exec(j, task, wid, &ran)
+				taken++
+				ran += j.exec(task, wid)
 			}
 			continue
 		}
@@ -357,34 +363,40 @@ func (p *Pool) work(wid int, j *job) {
 		if si < 0 {
 			break
 		}
+		taken++
 		stolen++
-		p.exec(j, task, wid, &ran)
+		ran += j.exec(task, wid)
 	}
-	if ran == 0 && stolen == 0 {
+	if taken == 0 {
 		return
 	}
-	busy := time.Since(t0).Nanoseconds()
-	c := &p.counters[wid]
-	c.tasks.Add(ran)
-	c.steals.Add(stolen)
-	c.busyNS.Add(busy)
-	if t := j.tally; t != nil {
-		t.Tasks.Add(ran)
-		t.Steals.Add(stolen)
-		t.BusyNS.Add(busy)
+	if ran > 0 || stolen > 0 {
+		busy := time.Since(t0).Nanoseconds()
+		c := &p.counters[wid]
+		c.tasks.Add(ran)
+		c.steals.Add(stolen)
+		c.busyNS.Add(busy)
+		if t := j.tally; t != nil {
+			t.Tasks.Add(ran)
+			t.Steals.Add(stolen)
+			t.BusyNS.Add(busy)
+		}
+	}
+	// The executor that accounts for the last outstanding task completes
+	// the job.
+	if j.remaining.Add(-taken) == 0 {
+		close(j.done)
 	}
 }
 
-// exec runs (or, once stopped, abandons) one task and completes the job
-// when it was the last.
-func (p *Pool) exec(j *job, task, wid int, ran *int64) {
-	if j.stop == nil || j.stop.Load() == 0 {
-		j.fn(task, wid)
-		*ran++
+// exec runs one task, or abandons it once the job is stopped; it returns
+// the number of tasks run.
+func (j *job) exec(task, wid int) int64 {
+	if j.stop != nil && j.stop.Load() != 0 {
+		return 0
 	}
-	if j.remaining.Add(-1) == 0 {
-		close(j.done)
-	}
+	j.fn(task, wid)
+	return 1
 }
 
 // Shared pools, keyed by worker count: the process-wide persistent runtime.

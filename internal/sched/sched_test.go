@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,6 +229,25 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if tasks != nt || busy <= 0 {
 		t.Fatalf("pool counters tasks=%d busy=%d, want tasks=%d busy>0", tasks, busy, nt)
+	}
+}
+
+// TestTallyCompleteWhenRunReturns asserts a Run's counts are flushed before
+// it returns, not merely before its workers park: the engine reads a run's
+// tally right after its last phase, and Stats.Sched.Tasks is documented (and
+// pinned by tests) as deterministic.
+func TestTallyCompleteWhenRunReturns(t *testing.T) {
+	p := NewPool(4)
+	defer p.Close()
+	var tl Tally
+	const nt = 8
+	for round := int64(1); round <= 5000; round++ {
+		// Yielding tasks give the parked workers time to join, so the last
+		// task — whose completion releases the caller — often runs on one.
+		p.RunOptions(nt, nil, Options{Tally: &tl}, func(int, int) { runtime.Gosched() })
+		if got := tl.Tasks.Load(); got != round*nt {
+			t.Fatalf("round %d: tally holds %d tasks on return, want %d", round, got, round*nt)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // WAL benchmarks: the per-batch durability cost an ApplyEdges caller pays
 // before its ack (Append fsyncs every record) and the boot-time replay read.
-// Part of the BENCH_snap.json baseline.
+// Part of make bench-snap.
 
 func walBenchUpdates(n int) []snap.WALUpdate {
 	ups := make([]snap.WALUpdate, n)

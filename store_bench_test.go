@@ -12,10 +12,10 @@ import (
 
 // Store-side benchmarks: the cost of landing an update batch as delta
 // overlays (BenchmarkApplyEdges) and of folding the overlay back into the
-// base through the parallel rebuild (BenchmarkCompaction). These are the
-// BENCH_store.json baseline. Dataset size follows GRAPHMAT_BENCH_SHIFT like
-// the other benchmarks (default -3 → RMAT scale 11); the batch is 1% of the
-// edges, the acceptance test's shape.
+// base through the parallel rebuild (BenchmarkCompaction); make bench-store
+// runs them. Dataset size follows GRAPHMAT_BENCH_SHIFT like the other
+// benchmarks (default -3 → RMAT scale 11); the batch is 1% of the edges, the
+// acceptance test's shape.
 
 // benchBatch draws count generated updates against adj as one batch.
 func benchBatch(adj *graphmat.COO[float32], count int) []graphmat.EdgeUpdate {
