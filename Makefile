@@ -104,8 +104,9 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # The engine kernel matrix: backend {scalar, avx2|neon} × mode
-# {pull, push, auto} × workers {1, 4, 8}. Real measurement (1s per case),
-# unlike the bench smoke.
+# {pull, push, auto} × workers {1, 4, 8}, plus the all-live pull row
+# (BenchmarkEngineAllLive: ns per edge fold and the share folded flat). Real
+# measurement (1s per case), unlike the bench smoke.
 bench-engine:
 	$(GO) test -bench='^BenchmarkEngine' -benchtime=1s -run='^$$' .
 

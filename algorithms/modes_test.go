@@ -128,6 +128,39 @@ func TestAlgorithmsModeDifferential(t *testing.T) {
 	}
 }
 
+// TestFlatFoldScopedToDenseFrontiers holds the pull walk's flat fold to the
+// supersteps it is for. A single-root traversal's frontier rarely fills a
+// column batch: forced onto the push walk it never folds flat, and under
+// Auto only the chance full batch of a mid-run pull superstep does — under
+// 1 % of the edges. (What the all-active algorithms report is asserted in
+// TestAllActiveDifferential.)
+func TestFlatFoldScopedToDenseFrontiers(t *testing.T) {
+	cases := map[string]struct {
+		algo  string
+		build func() *graphmat.COO[float32]
+	}{
+		"grid_sssp": {"sssp", func() *graphmat.COO[float32] {
+			return gen.Grid(gen.GridOptions{Width: 96, Height: 96, Seed: 5})
+		}},
+		"rmat_bfs": {"bfs", modeGoldens()["rmat"]},
+	}
+	for name, c := range cases {
+		// One worker: every pull task spans its partition's rows, so no
+		// batch is kept off the flat fold by row clipping.
+		push := modeRun(t, c.algo, c.build, Params{Source: 1, Mode: graphmat.Push, Threads: 1})
+		if push.Stats.FlatEdges != 0 {
+			t.Errorf("%s: push supersteps folded %d edges flat", name, push.Stats.FlatEdges)
+		}
+		auto := modeRun(t, c.algo, c.build, Params{Source: 1, Mode: graphmat.Auto, Threads: 1})
+		if auto.Stats.PushSupersteps == 0 || auto.Stats.PullSupersteps == 0 {
+			t.Fatalf("%s: fixture took %d push and %d pull supersteps, want both", name, auto.Stats.PushSupersteps, auto.Stats.PullSupersteps)
+		}
+		if flat, edges := auto.Stats.FlatEdges, auto.Stats.EdgesProcessed; flat*100 > edges {
+			t.Errorf("%s: FlatEdges = %d of %d edges under Auto, want at most 1%%", name, flat, edges)
+		}
+	}
+}
+
 // TestBFSIsolatedRootModes is the empty-frontier traversal: the source sends
 // but nothing receives, so the run converges after one superstep in every
 // mode with the root at distance 0 and everything else unreached.

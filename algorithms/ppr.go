@@ -100,21 +100,25 @@ func RunPersonalizedPageRank(ctx context.Context, g *graphmat.Graph[PPRVertex, f
 	}
 	restart, maxIters := set.rankDefaults()
 	perSource := restart / float64(len(sources))
-	isSource := make(map[uint32]bool, len(sources))
-	for _, s := range sources {
-		isSource[s] = true
-	}
+	// Every vertex starts with no rank and no restart weight; then the
+	// (few) sources are patched in. A duplicated source is assigned, not
+	// accumulated, and still counts in len(sources); an id outside the graph
+	// names no vertex.
 	g.InitProps(func(v uint32) PPRVertex {
 		p := PPRVertex{}
 		if d := g.OutDegree(v); d > 0 {
 			p.InvDeg = 1 / float64(d)
 		}
-		if isSource[v] {
-			p.Restart = perSource
-			p.Rank = 1 / float64(len(sources))
-		}
 		return p
 	})
+	for _, s := range sources {
+		if s < g.NumVertices() {
+			p := g.Prop(s)
+			p.Restart = perSource
+			p.Rank = 1 / float64(len(sources))
+			g.SetProp(s, p)
+		}
+	}
 	prog := PersonalizedPageRankProgram{RestartProb: restart, Tolerance: set.tol}
 	cfg := set.cfg
 	cfg.MaxIterations = 1

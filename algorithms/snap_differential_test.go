@@ -86,6 +86,27 @@ func TestSnapDifferentialAllAlgorithmsAllModes(t *testing.T) {
 				sameResult(t, algo+" mapped, mode "+mode.String(), refRes, gotRes)
 			}
 
+			// The flat fold over a mapped base: its source-column index is
+			// derived state, built on the heap beside the mapping on the
+			// first all-active superstep. One worker keeps every pull task
+			// whole, whatever GOMAXPROCS is.
+			if allActive := map[string]bool{"pagerank": true, "ppr": true, "hits": true, "components": true}; allActive[algo] {
+				pm := p
+				pm.Mode, pm.Threads = graphmat.Pull, 1
+				refRes, err := heap.Run(pm, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotRes, err := mapped.Run(pm, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, algo+" mapped, all-active pull", refRes, gotRes)
+				if flat := gotRes.Stats.FlatEdges; flat == 0 || flat != refRes.Stats.FlatEdges {
+					t.Errorf("mapped all-active pull folded %d edges flat, heap %d", flat, refRes.Stats.FlatEdges)
+				}
+			}
+
 			// Updates over the mapped base — the boot-time WAL replay path —
 			// must track the on-heap instance batch for batch.
 			m := master

@@ -23,6 +23,7 @@ func accumulate(dst *graphmat.Stats, s graphmat.Stats) {
 	dst.Applies += s.Applies
 	dst.ActiveSum += s.ActiveSum
 	dst.ColumnsProbed += s.ColumnsProbed
+	dst.FlatEdges += s.FlatEdges
 	dst.PushSupersteps += s.PushSupersteps
 	dst.PullSupersteps += s.PullSupersteps
 	dst.Sched.Workers = s.Sched.Workers

@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"graphmat"
@@ -166,6 +168,93 @@ func TestStoreDifferentialAllAlgorithmsAllModes(t *testing.T) {
 				sameResult(t, algo+" mode "+mode.String(), refRes, gotRes)
 			}
 		})
+	}
+}
+
+// TestAllActiveDifferential is the regime the pull walk's flat fold serves:
+// every vertex active, so every stored column carries a message and whole
+// column batches are folded as edge ranges. PageRank (the fused sum sink),
+// PPR from one source (the same sink, most vertices sending zeros) and
+// components (the generic sink; all-active on its first superstep only) must
+// give the boxed oracle's bits under Pull, Push and Auto, at one and three
+// workers, on a plain graph and on a store snapshot with a pending overlay —
+// where overrides and tombstones split the flat runs. 16 partitions keep the
+// three-worker pull tasks whole, so the plain PageRank run is flat edge for
+// edge.
+func TestAllActiveDifferential(t *testing.T) {
+	adj := gen.RMAT(gen.RMATOptions{Scale: 10, EdgeFactor: 8, Seed: 42, MaxWeight: 10})
+	t.Run("pagerank", func(t *testing.T) { allActiveDifferential(t, pagerankAlgo, adj, Params{Iterations: 3}, true) })
+	t.Run("ppr", func(t *testing.T) {
+		allActiveDifferential(t, pprAlgo, adj, Params{Sources: []uint32{3}, Iterations: 3}, true)
+	})
+	t.Run("components", func(t *testing.T) { allActiveDifferential(t, ccAlgo, adj, Params{}, false) })
+}
+
+// allActiveDifferential runs row a on adj, plain and with updateBatches
+// pending in a store's overlay. allFlat: every superstep is all-active, so a
+// plain-graph pull run must fold every edge flat.
+func allActiveDifferential[V any](t *testing.T, a *algo[V], adj *graphmat.COO[float32], p Params, allFlat bool) {
+	const parts = 16
+	ctx := context.Background()
+	plain, err := a.newGraph(adj.Clone(), parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := a.newStore(adj.Clone(), parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	master := adj.Clone()
+	graphmat.NormalizeAdjacency(master, 0)
+	for _, b := range updateBatches(adj.NRows) {
+		if master, err = graphmat.ApplyToAdjacency(master, b); err != nil {
+			t.Fatal(err)
+		}
+		prop, err := translateUpdates(a.kind, b, NewRawEdgeLookup(master))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.ApplyEdges(prop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := store.Stats(); st.OverlayNNZ == 0 {
+		t.Fatalf("fixture: the batches left no pending overlay: %+v", st)
+	}
+	snap := store.Acquire()
+	defer snap.Release()
+
+	for world, g := range map[string]*graphmat.Graph[V, float32]{"plain": plain, "overlay": snap.Graph()} {
+		for _, threads := range []int{1, 3} {
+			run := func(cfg graphmat.Config) Result {
+				cfg.Threads = threads
+				res, err := a.run(ctx, g, p, func(s *settings) { s.cfg, s.iters = cfg, p.Iterations })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			oracle := run(graphmat.Config{Dispatch: graphmat.Boxed})
+			if oracle.Stats.FlatEdges != 0 {
+				t.Errorf("%s threads %d: the boxed oracle folded %d edges flat", world, threads, oracle.Stats.FlatEdges)
+			}
+			for _, mode := range []graphmat.Mode{graphmat.Pull, graphmat.Push, graphmat.Auto} {
+				got := run(graphmat.Config{Mode: mode})
+				what := fmt.Sprintf("%s %s threads %d mode %s", a.name, world, threads, mode)
+				sameResult(t, what, oracle, got)
+				flat, edges := got.Stats.FlatEdges, got.Stats.EdgesProcessed
+				switch {
+				case mode == graphmat.Push && flat != 0:
+					t.Errorf("%s: a push run folded %d edges flat", what, flat)
+				case mode == graphmat.Pull && flat == 0:
+					t.Errorf("%s: an all-active pull run never took the flat fold", what)
+				case mode == graphmat.Pull && allFlat && world == "plain" && flat != edges:
+					t.Errorf("%s: FlatEdges = %d, EdgesProcessed = %d", what, flat, edges)
+				case flat > edges:
+					t.Errorf("%s: FlatEdges = %d exceeds EdgesProcessed = %d", what, flat, edges)
+				}
+			}
+		}
 	}
 }
 

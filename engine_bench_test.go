@@ -12,7 +12,8 @@ import (
 )
 
 // Engine-side benchmarks: the kernel backend × mode × worker matrix for one
-// traversal workload (BFS) and one dense iterative workload (PageRank) — make
+// traversal workload (BFS) and one dense iterative workload (PageRank), plus
+// the all-live pull row at a larger scale (BenchmarkEngineAllLive) — make
 // bench-engine. The ingestion benchmarks cover the load path; these cover the
 // superstep loop.
 // Dataset size follows GRAPHMAT_BENCH_SHIFT like the figure benchmarks
@@ -120,6 +121,60 @@ func BenchmarkEnginePageRank(b *testing.B) {
 						sched.BusyNS += stats.Sched.BusyNS
 					}
 					reportSchedMetrics(b, sched, workers)
+				})
+			}
+		}
+	})
+}
+
+// BenchmarkEngineAllLive is the matrix's dense row: all-active pull
+// supersteps, where every column batch is fully live and the walk folds it
+// as one edge range (Stats.FlatEdges) — PageRank ×10 through the fused sum
+// sink and components (all-live on its first superstep) through the generic
+// sink. It runs five scales above the rows before it (RMAT scale 16 at the
+// default shift) and reports ns/edge — wall time per edge fold — next to the
+// share of folds that went flat. There is one code path and no ablation
+// switch: the comparison is against another commit's run.
+func BenchmarkEngineAllLive(b *testing.B) {
+	adj := gen.RMAT(gen.RMATOptions{Scale: engineBenchScale() + 5, EdgeFactor: 16, Seed: 20150831, MaxWeight: 0})
+	pr, err := algorithms.NewPageRankGraph(adj.Clone(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cc, err := algorithms.NewCCGraph(adj, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prWS := graphmat.NewWorkspace[float64, float64](int(pr.NumVertices()), graphmat.Bitvector)
+	ccWS := graphmat.NewWorkspace[uint32, uint32](int(cc.NumVertices()), graphmat.Bitvector)
+	cases := []struct {
+		name string
+		run  func(opts ...algorithms.Option) (graphmat.Stats, error)
+	}{
+		{"pagerank", func(opts ...algorithms.Option) (graphmat.Stats, error) {
+			_, stats, err := algorithms.RunPageRank(context.Background(), pr, append(opts, algorithms.WithIterations(10), algorithms.WithWorkspace(prWS))...)
+			return stats, err
+		}},
+		{"components", func(opts ...algorithms.Option) (graphmat.Stats, error) {
+			_, stats, err := algorithms.RunConnectedComponents(context.Background(), cc, append(opts, algorithms.WithWorkspace(ccWS))...)
+			return stats, err
+		}},
+	}
+	benchBackends(b, func(b *testing.B) {
+		for _, c := range cases {
+			for _, workers := range engineWorkers {
+				b.Run(fmt.Sprintf("%s/workers_%d", c.name, workers), func(b *testing.B) {
+					var edges, flat int64
+					for i := 0; i < b.N; i++ {
+						stats, err := c.run(algorithms.WithThreads(workers), algorithms.WithMode(graphmat.Pull))
+						if err != nil {
+							b.Fatal(err)
+						}
+						edges += stats.EdgesProcessed
+						flat += stats.FlatEdges
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/edge")
+					b.ReportMetric(float64(flat)/float64(edges), "flat-frac")
 				})
 			}
 		}

@@ -78,6 +78,18 @@ func (v *Vector) Reset() {
 	clear(v.words)
 }
 
+// SetAll sets every bit: a whole-word fill, with the last word masked so the
+// bits at and beyond Len stay clear — Count, Any and the popcount frontier
+// sizes read whole words and rely on that.
+func (v *Vector) SetAll() {
+	for i := range v.words {
+		v.words[i] = ^uint64(0)
+	}
+	if tail := v.n & wordMask; tail != 0 {
+		v.words[len(v.words)-1] = 1<<tail - 1
+	}
+}
+
 // Count returns the number of set bits. It is a whole-word popcount sweep
 // through the kernels backend — the cheap frontier-size tally the engine's
 // cost model reads once per phase instead of maintaining per-Set counters in

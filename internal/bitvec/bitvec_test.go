@@ -53,6 +53,40 @@ func TestCountAndAny(t *testing.T) {
 	}
 }
 
+func TestSetAll(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		v := New(n)
+		if n > 2 {
+			v.Set(2) // SetAll overwrites, it does not toggle
+		}
+		v.SetAll()
+		if got := v.Count(); got != n {
+			t.Errorf("n=%d: Count = %d after SetAll", n, got)
+		}
+		if v.Any() != (n > 0) {
+			t.Errorf("n=%d: Any = %v after SetAll", n, v.Any())
+		}
+		// No bit at or beyond n, in the tail word or anywhere else.
+		for wi, w := range v.Words() {
+			for b := 0; b < 64; b++ {
+				if i := wi*64 + b; (w>>b)&1 != 0 && i >= n {
+					t.Errorf("n=%d: bit %d set beyond Len", n, i)
+				}
+			}
+		}
+		next := uint32(0)
+		v.IterateRange(0, uint32(n)+128, func(i uint32) {
+			if i != next {
+				t.Fatalf("n=%d: IterateRange visited %d, want %d", n, i, next)
+			}
+			next++
+		})
+		if int(next) != n {
+			t.Errorf("n=%d: IterateRange visited [0, %d), want [0, %d)", n, next, n)
+		}
+	}
+}
+
 func TestIterateOrder(t *testing.T) {
 	v := New(300)
 	want := []uint32{0, 5, 63, 64, 100, 255, 299}

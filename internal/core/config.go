@@ -183,9 +183,16 @@ type Stats struct {
 	// ActiveSum is the cumulative size of the active set over supersteps.
 	ActiveSum int64
 	// ColumnsProbed counts presence probes: per pull superstep, one per
-	// stored column; per push superstep, one per frontier vertex per
-	// partition (the column-index lookups).
+	// stored column of every task's partition; per push superstep, one
+	// column-index lookup per frontier vertex in each partition whose
+	// stored column range reaches the vertex's frontier word.
 	ColumnsProbed int64
+	// FlatEdges is the part of EdgesProcessed the pull walk folded as flat
+	// edge ranges: batches of stored columns that all carried a message, in
+	// tasks covering their partition's whole row range. It equals
+	// EdgesProcessed on an all-active pull run over a plain graph and is 0
+	// for push supersteps and for the block and boxed engines.
+	FlatEdges int64
 	// PushSupersteps counts supersteps executed with the push (SpMSpV)
 	// kernel; PullSupersteps counts supersteps executed with the pull
 	// kernel. Supersteps that sent no messages run no kernel and count in

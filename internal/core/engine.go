@@ -36,17 +36,21 @@ type localStats struct {
 	edges   int64
 	probes  int64
 	applies int64
+	// flat is the part of edges the pull walk folded through a sink's
+	// foldFlat (fully-live column batches).
+	flat int64
 	// degSum accumulates the traversal-structure degrees of the vertices
 	// that sent a message — the frontier's edge work, the numerator of the
 	// Auto push/pull decision. Only tallied when the run is in Auto mode.
 	degSum int64
-	_      [32]byte
+	_      [24]byte
 }
 
 func (s *Stats) absorb(locals []localStats) (applies, degSum int64) {
 	for i := range locals {
 		s.EdgesProcessed += locals[i].edges
 		s.ColumnsProbed += locals[i].probes
+		s.FlatEdges += locals[i].flat
 		s.Applies += locals[i].applies
 		applies += locals[i].applies
 		degSum += locals[i].degSum

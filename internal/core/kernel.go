@@ -35,7 +35,9 @@ import (
 //     bit-identical;
 //  3. an override with zero entries is a tombstone: it masks its base column
 //     and is neither visited nor counted as a probe, matching the fresh
-//     build in which the column does not exist.
+//     build in which the column does not exist;
+//  4. a fully-live batch of base columns is folded as one edge range; order
+//     and tallies as the column path.
 //
 // rlo/rhi bound the destination rows a call folds (the scheduler's
 // nnz-weighted sub-partition tasks); the whole-partition sentinel is rlo=0,
@@ -62,8 +64,24 @@ const walkBatch = 64
 // into the output and returns the number of edge folds it performed. Sinks
 // are resolved once per run from the program and its vectors and shared
 // read-only by every task; the per-edge loop lives inside the concrete sink.
+//
+// A sink may also be a flatSink; the pull walk then hands it fully-live
+// column batches as one edge range instead of column by column.
 type colSink[E any] interface {
 	fold(ir []uint32, val []E, cols []colRef) int
+}
+
+// flatSink is the optional second entry of a colSink: foldFlat folds a run
+// of consecutive stored columns that ALL carry a message as one flat loop
+// over their edges — edge k goes to row ir[k] with value val[k] from source
+// column src[k] (sparse.DCSC.EdgeCols) — in ascending k. That is the fold
+// sequence fold performs over the same columns (ascending column, ascending
+// row within it), so the two are interchangeable bit for bit; what foldFlat
+// drops is the per-column loop nest, whose exit mispredicts once per column
+// on graphs averaging a handful of edges per column segment. The scalar
+// sinks implement it; the block sinks keep the column fold.
+type flatSink[E any] interface {
+	foldFlat(ir []uint32, val []E, src []uint32)
 }
 
 // multiply runs one multiply-phase task: the walk mode selects (Auto must
@@ -83,6 +101,13 @@ func multiply[E any](mode Mode, l sparse.Layered[E], xw []uint64, rlo, rhi uint3
 // runs: one arch-dispatched SpanLess scan takes every base column below the
 // next override, then the override itself. A plain partition is one run —
 // a straight scan of the base.
+//
+// When gather finds every column of a batch live — each batch of an
+// all-active superstep, which is every superstep of PageRank, PPR and HITS —
+// and the call covers the partition's whole row range, the batch's edges
+// are the contiguous positions CP[bi]..CP[bi+n] and go to a flatSink as one
+// range. Anything else (a partly live batch, an override, a row-clipped
+// sub-partition task, a sink without foldFlat) takes the column path.
 func walkPull[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink colSink[E], st *localStats) {
 	base, delta := l.Base, l.Delta
 	bjc, bcp := base.JC, base.CP
@@ -90,8 +115,13 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 	if delta != nil {
 		djc = delta.JC
 	}
+	var flat flatSink[E]
+	if rlo <= base.RowLo && rhi >= base.RowHi {
+		flat, _ = sink.(flatSink[E])
+	}
+	var src []uint32 // base.EdgeCols(), fetched on the first fully-live batch
 	var buf [walkBatch]colRef
-	probes, edges := 0, 0
+	probes, edges, flatEdges := 0, 0, 0
 	bi, di := 0, 0
 	for {
 		run := bjc[bi:]
@@ -104,7 +134,14 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 		// full speed.
 		for len(run) > 0 {
 			chunk := run[:min(len(run), walkBatch)]
-			if n := gather(&buf, chunk, bcp[bi:], xw); n > 0 {
+			if n := gather(&buf, chunk, bcp[bi:], xw); n == len(chunk) && flat != nil {
+				if src == nil {
+					src = base.EdgeCols()
+				}
+				lo, hi := bcp[bi], bcp[bi+n]
+				flat.foldFlat(base.IR[lo:hi], base.Val[lo:hi], src[lo:hi])
+				flatEdges += int(hi - lo)
+			} else if n > 0 {
 				edges += emit(sink, base, buf[:n], rlo, rhi)
 			}
 			bi += len(chunk)
@@ -127,7 +164,8 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 		di++
 	}
 	st.probes += int64(probes)
-	st.edges += int64(edges)
+	st.edges += int64(edges + flatEdges)
+	st.flat += int64(flatEdges)
 }
 
 // walkPush is the frontier-driven dual — a true SpMSpV: iterate the

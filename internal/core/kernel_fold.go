@@ -78,6 +78,10 @@ func (s *sumSinkF64[E]) fold(ir []uint32, _ []E, cols []colRef) int {
 	return edges
 }
 
+func (s *sumSinkF64[E]) foldFlat(ir []uint32, _ []E, src []uint32) {
+	kernels.FlatAddF64(s.yw, s.y, ir, src, s.x)
+}
+
 // foldSink is the generic fold: ProcessMessage on every edge, Reduce on
 // collisions, first writes stored raw under a mask bit. The type is
 // instantiated per program, so the compiler specializes the loop — the
@@ -129,4 +133,36 @@ func (s *foldSink[V, E, M, R, P]) fold(ir []uint32, val []E, cols []colRef) int 
 		}
 	}
 	return edges
+}
+
+func (s *foldSink[V, E, M, R, P]) foldFlat(ir []uint32, val []E, src []uint32) {
+	p, x, props, yw, y := s.p, s.x, s.props, s.yw, s.y
+	var zeroV V
+	// Reslice to ir's length so the loops are bounds-check free.
+	val, src = val[:len(ir)], src[:len(ir)]
+	if s.dstFree {
+		for k, dst := range ir {
+			r := p.ProcessMessage(x[src[k]], val[k], zeroV)
+			w := &yw[dst>>6]
+			bit := uint64(1) << (dst & 63)
+			if *w&bit != 0 {
+				y[dst] = p.Reduce(y[dst], r)
+			} else {
+				y[dst] = r
+				*w |= bit
+			}
+		}
+		return
+	}
+	for k, dst := range ir {
+		r := p.ProcessMessage(x[src[k]], val[k], props[dst])
+		w := &yw[dst>>6]
+		bit := uint64(1) << (dst & 63)
+		if *w&bit != 0 {
+			y[dst] = p.Reduce(y[dst], r)
+		} else {
+			y[dst] = r
+			*w |= bit
+		}
+	}
 }

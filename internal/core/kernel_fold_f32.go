@@ -75,6 +75,39 @@ func (s *pathSinkF32) fold(ir []uint32, val []float32, cols []colRef) int {
 	return edges
 }
 
+// foldFlat is the same fold over a fully-live run of columns: the candidate
+// and the builtin min/max argument order are the scatter primitives', with
+// the message read per edge.
+func (s *pathSinkF32) foldFlat(ir []uint32, val []float32, src []uint32) {
+	x, yw, y := s.x, s.yw, s.y
+	val, src = val[:len(ir)], src[:len(ir)]
+	if s.kind == f32FoldMinPlus {
+		for k, dst := range ir {
+			r := x[src[k]] + val[k]
+			w := &yw[dst>>6]
+			bit := uint64(1) << (dst & 63)
+			if *w&bit != 0 {
+				y[dst] = min(y[dst], r)
+			} else {
+				y[dst] = r
+				*w |= bit
+			}
+		}
+		return
+	}
+	for k, dst := range ir {
+		r := min(x[src[k]], val[k])
+		w := &yw[dst>>6]
+		bit := uint64(1) << (dst & 63)
+		if *w&bit != 0 {
+			y[dst] = max(y[dst], r)
+		} else {
+			y[dst] = r
+			*w |= bit
+		}
+	}
+}
+
 // blockPathSinkF32 is the block fused fold: per edge, one masked k-lane
 // fold through the kernels backend instead of a per-source Mul/Add loop.
 // Identical fold semantics — lanes are independent and first writes store

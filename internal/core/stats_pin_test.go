@@ -19,6 +19,7 @@ type pinStats struct {
 	Reason                                StopReason
 	Workers                               int
 	Tasks                                 int64
+	FlatEdges                             int64
 }
 
 // pinStep is the deterministic part of one IterationInfo (Elapsed and Total
@@ -48,6 +49,12 @@ func withModes(profile []pinStep, modes ...Mode) []pinStep {
 // against one worker) and an Auto run takes both push and pull supersteps.
 // A change to the loop, the cost model's inputs, the task shaper or the
 // phase dispatch that moves any value fails here by name.
+//
+// FlatEdges was added with the pull walk's flat fold. The two 118s are one
+// batch: the 8-column tail of a partition's 1352-column list, which one
+// mid-run frontier happens to cover; the 3-worker pull tasks are
+// row-clipped, push supersteps never fold flat, and the block and boxed
+// sinks have no flat fold, so every other case pins 0.
 func TestStatsPinned(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
 	adj.RemoveSelfLoops()
@@ -105,25 +112,25 @@ func TestStatsPinned(t *testing.T) {
 		steps []pinStep
 	}{
 		{"scalar/auto/threads1", scalar(Config{Mode: Auto, Threads: 1}),
-			pinStats{9, 3999, 61592, 6449, 3999, 13595, 4, 5, Converged, 1, 90}, auto},
+			pinStats{9, 3999, 61592, 6449, 3999, 13595, 4, 5, Converged, 1, 90, 118}, auto},
 		{"scalar/auto/threads3", scalar(Config{Mode: Auto, Threads: 3}),
-			pinStats{9, 3999, 61592, 6449, 3999, 27030, 4, 5, Converged, 3, 226}, auto},
+			pinStats{9, 3999, 61592, 6449, 3999, 27030, 4, 5, Converged, 3, 226, 0}, auto},
 		{"scalar/pull/threads1", scalar(Config{Mode: Pull, Threads: 1}),
-			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 1, 90}, pull},
+			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 1, 90, 118}, pull},
 		{"scalar/pull/threads3", scalar(Config{Mode: Pull, Threads: 3}),
-			pinStats{9, 3999, 61592, 6449, 3999, 48366, 0, 9, Converged, 3, 234}, pull},
+			pinStats{9, 3999, 61592, 6449, 3999, 48366, 0, 9, Converged, 3, 234, 0}, pull},
 		{"scalar/push/threads1", scalar(Config{Mode: Push, Threads: 1}),
-			pinStats{9, 3999, 61592, 6449, 3999, 7998, 9, 0, Converged, 1, 90}, push},
+			pinStats{9, 3999, 61592, 6449, 3999, 7998, 9, 0, Converged, 1, 90, 0}, push},
 		{"scalar/push/threads3", scalar(Config{Mode: Push, Threads: 3}),
-			pinStats{9, 3999, 61592, 6449, 3999, 7998, 9, 0, Converged, 3, 216}, push},
+			pinStats{9, 3999, 61592, 6449, 3999, 7998, 9, 0, Converged, 3, 216, 0}, push},
 		{"block/k1", block(1),
-			pinStats{9, 3999, 61592, 6449, 3999, 27030, 4, 5, Converged, 3, 226}, auto},
+			pinStats{9, 3999, 61592, 6449, 3999, 27030, 4, 5, Converged, 3, 226, 0}, auto},
 		{"block/k3", block(3),
-			pinStats{9, 7553, 118790, 12704, 5254, 27094, 4, 5, Converged, 3, 226}, trio},
+			pinStats{9, 7553, 118790, 12704, 5254, 27094, 4, 5, Converged, 3, 226, 0}, trio},
 		{"boxed/bitvector", scalar(Config{Dispatch: Boxed, Vector: Bitvector, Threads: 3}),
-			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 3, 216}, pull},
+			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 3, 216, 0}, pull},
 		{"boxed/sorted", scalar(Config{Dispatch: Boxed, Vector: Sorted, Threads: 3}),
-			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 3, 216}, pull},
+			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 3, 216, 0}, pull},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,7 +145,7 @@ func TestStatsPinned(t *testing.T) {
 			got := pinStats{
 				s.Iterations, s.MessagesSent, s.EdgesProcessed, s.Applies,
 				s.ActiveSum, s.ColumnsProbed, s.PushSupersteps, s.PullSupersteps,
-				s.Reason, s.Sched.Workers, s.Sched.Tasks,
+				s.Reason, s.Sched.Workers, s.Sched.Tasks, s.FlatEdges,
 			}
 			if got != tc.stats {
 				t.Errorf("stats\n got %+v\nwant %+v", got, tc.stats)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
+	"sync"
 	"testing"
 
 	"graphmat/internal/gen"
@@ -16,11 +18,22 @@ import (
 // fold over a fresh DCSC build of the live edge set. The fold is a
 // non-commutative hash, so a reordered, repeated, dropped or misplaced edge
 // fold changes the result — value equality asserts the exact per-destination
-// fold sequence, not just the edge multiset.
+// fold sequence, not just the edge multiset. The pull walk's flat fold is
+// covered by the same cases: a frontier that fills a column batch sends it
+// down foldFlat, and FlatEdges must equal the edges of exactly those batches.
 
 // hashProg folds uint64 messages order-sensitively and reads the destination
 // property, so the scalar runs take the generic (non-DstIndependent) loop.
+// hashProgFree is the same fold without the destination read, declared
+// DstIndependent: the generic sink's other arm.
 type hashProg struct{}
+
+type hashProgFree struct{ hashProg }
+
+func (hashProgFree) ProcessMessage(m uint64, e uint32, _ uint64) uint64 {
+	return hashProg{}.Mul(m, e)
+}
+func (hashProgFree) ProcessIgnoresDst() {}
 
 func (hashProg) SendMessage(_ VertexID, p uint64) (uint64, bool) { return p, true }
 func (hashProg) ProcessMessage(m uint64, e uint32, dst uint64) uint64 {
@@ -61,6 +74,30 @@ type walkCase struct {
 	props  []uint64
 	x      *sparse.Vector[uint64] // scalar frontier
 	blocks map[int]*BlockVector[uint64]
+
+	// The same partition, fresh build and frontier with float32 edge values
+	// and float messages, for the fused sum and path sinks (a pathSinkF32 is
+	// a colSink[float32] only).
+	lf     sparse.Layered[float32]
+	freshf *sparse.DCSC[float32]
+	xf64   *sparse.Vector[float64]
+	xf32   *sparse.Vector[float32]
+}
+
+// f32Twin is d with its edge values mapped to small float32 weights; the
+// index arrays are shared.
+func f32Twin(d *sparse.DCSC[uint32]) *sparse.DCSC[float32] {
+	if d == nil {
+		return nil
+	}
+	val := make([]float32, len(d.Val))
+	for k, v := range d.Val {
+		val[k] = float32(v%2048) / 8
+	}
+	return &sparse.DCSC[float32]{
+		NRows: d.NRows, NCols: d.NCols, JC: d.JC, CP: d.CP, IR: d.IR, Val: val,
+		Aux: d.Aux, AuxShift: d.AuxShift, RowLo: d.RowLo, RowHi: d.RowHi,
+	}
 }
 
 // stripAux returns d without its AUX index (a hand-assembled DCSC): column
@@ -79,8 +116,9 @@ func stripAux(d *sparse.DCSC[uint32]) *sparse.DCSC[uint32] {
 // matrix: nbase random base entries, then nmut mutations merged into a delta
 // — upserts into existing and brand-new columns (overrides, delta-only
 // columns), single-entry deletes, and whole-column deletes (tombstones).
-// density/256 is the frontier fill. The live edge set is tracked by brute
-// force, independent of the structures under test.
+// density/256 is the frontier fill; 256 is every vertex, the only fill that
+// reliably makes whole column batches live. The live edge set is tracked by
+// brute force, independent of the structures under test.
 func newWalkCase(seed uint64, nblk, nbase, nmut, density int, noAux bool) *walkCase {
 	rng := gen.NewRNG(seed)
 	pad := rng.Intn(3) // blocks of rows before the partition
@@ -139,15 +177,24 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, noAux bool) *walkC
 		c.l.Base, c.l.Delta = stripAux(c.l.Base), stripAux(c.l.Delta)
 	}
 
+	c.lf = sparse.Layered[float32]{Base: f32Twin(c.l.Base), Delta: f32Twin(c.l.Delta)}
+	c.freshf = f32Twin(c.fresh)
+
 	c.props = make([]uint64, n)
 	c.x = sparse.NewVector[uint64](n)
+	c.xf64, c.xf32 = sparse.NewVector[float64](n), sparse.NewVector[float32](n)
 	c.blocks = map[int]*BlockVector[uint64]{1: NewBlockVector[uint64](n, 1), 3: NewBlockVector[uint64](n, 3)}
 	for v := 0; v < n; v++ {
 		c.props[v] = rng.Uint64()
 		if rng.Intn(256) >= density {
 			continue
 		}
-		c.x.Set(uint32(v), rng.Uint64())
+		m := rng.Uint64()
+		c.x.Set(uint32(v), m)
+		// Spread the float64 messages over 40 binades so their sum depends
+		// on the order of the adds.
+		c.xf64.Set(uint32(v), math.Ldexp(1+float64(m>>12)/(1<<52), int(m%41)-20))
+		c.xf32.Set(uint32(v), float32(m%4096)/16)
 		for k, b := range c.blocks {
 			for cm := 1 + rng.Intn(1<<k-1); cm != 0; cm &= cm - 1 {
 				b.Set(uint32(v), bits.TrailingZeros(uint(cm)), rng.Uint64())
@@ -179,6 +226,7 @@ type walkOut struct {
 	vals          []uint64 // scalar: n values; block: n*k, meaningful at set (row, column) pairs
 	cols          []uint64 // block only: per-row column masks
 	edges, probes int64
+	flat          int64 // the part of edges folded through foldFlat
 }
 
 func (o walkOut) equal(p walkOut) error {
@@ -214,103 +262,189 @@ func (o walkOut) equal(p walkOut) error {
 // words is the mask word count of an n-vertex vector.
 func (c *walkCase) words() int { return (c.n + 63) / 64 }
 
-// scalar runs the scalar sink through the walk `mode` selects, one call per
-// cut, into one output vector.
-func (c *walkCase) scalar(mode Mode, cuts [][2]uint32) walkOut {
-	y := sparse.NewVector[uint64](c.n)
-	sink := scalarSink[uint64, uint32, uint64, uint64](hashProg{}, c.x, c.props, y)
-	var st localStats
-	for _, cut := range cuts {
-		multiply(mode, c.l, c.x.Mask().Words(), cut[0], cut[1], sink, &st)
-	}
-	out := walkOut{mask: y.Mask().Words(), vals: make([]uint64, c.words()*64), edges: st.edges, probes: st.probes}
-	copy(out.vals, y.Values())
-	return out
+// walkFold is one sink under test: its run through a walk and its oracle.
+type walkFold struct {
+	name string
+	// flat: the sink has a flat fold, so a pull call covering the partition's
+	// whole row range tallies its fully-live batches in FlatEdges.
+	flat bool
+	live func(j uint32) bool // frontier membership
+	// run folds the partition through the walk mode selects, one call per
+	// cut, into one output vector.
+	run func(mode Mode, cuts [][2]uint32) walkOut
+	// naive folds the fresh build of the live edge set column by column
+	// with no kernel code.
+	naive func() walkOut
 }
 
-// block is scalar for the k-wide sink.
-func (c *walkCase) block(k int, mode Mode, cuts [][2]uint32) walkOut {
-	x, y := c.blocks[k], NewBlockVector[uint64](c.n, k)
-	sink := blockSink[uint64, uint32, uint64, uint64](hashProg{}, x, y)
-	var st localStats
-	for _, cut := range cuts {
-		multiply(mode, c.l, x.summary.Words(), cut[0], cut[1], sink, &st)
+// scalarFold builds the walkFold of program p's scalar sink over layered
+// partition l, against fresh (the live edge set built from scratch). bitsOf
+// maps a reduced value to the bits compared.
+func scalarFold[V, E, M, R any, P Program[V, E, M, R]](c *walkCase, name string, p P, l sparse.Layered[E], fresh *sparse.DCSC[E], x *sparse.Vector[M], props []V, bitsOf func(R) uint64) walkFold {
+	return walkFold{
+		name: name, flat: true, live: x.Has,
+		run: func(mode Mode, cuts [][2]uint32) walkOut {
+			y := sparse.NewVector[R](c.n)
+			sink := scalarSink(p, x, props, y)
+			var st localStats
+			for _, cut := range cuts {
+				multiply(mode, l, x.Mask().Words(), cut[0], cut[1], sink, &st)
+			}
+			out := walkOut{mask: y.Mask().Words(), vals: make([]uint64, c.words()*64), edges: st.edges, probes: st.probes, flat: st.flat}
+			for i, r := range y.Values() {
+				out.vals[i] = bitsOf(r)
+			}
+			return out
+		},
+		naive: func() walkOut {
+			out := walkOut{mask: make([]uint64, c.words()), vals: make([]uint64, c.words()*64)}
+			acc := make([]R, c.n)
+			fresh.Iterate(func(row, col uint32, e E) {
+				if !x.Has(col) {
+					return
+				}
+				r := p.ProcessMessage(x.Get(col), e, props[row])
+				if out.mask[row>>6]&(1<<(row&63)) != 0 {
+					r = p.Reduce(acc[row], r)
+				}
+				acc[row] = r
+				out.vals[row] = bitsOf(r)
+				out.mask[row>>6] |= 1 << (row & 63)
+				out.edges++
+			})
+			return out
+		},
 	}
-	out := walkOut{mask: y.summary.Words(), vals: make([]uint64, c.words()*64*k), cols: make([]uint64, c.words()*64), edges: st.edges, probes: st.probes}
-	copy(out.vals, y.vals)
-	copy(out.cols, y.cols)
-	return out
 }
 
-// naive folds the fresh build of the live edge set column by column with no
-// kernel code: the oracle for k == 0 (scalar) and the block widths.
-func (c *walkCase) naive(k int) walkOut {
-	p := hashProg{}
-	out := walkOut{mask: make([]uint64, c.words()), vals: make([]uint64, c.words()*64*max(k, 1))}
-	if k > 0 {
-		out.cols = make([]uint64, c.words()*64)
+// blockFold is the walkFold of hashProg's k-wide block sink.
+func (c *walkCase) blockFold(k int) walkFold {
+	x := c.blocks[k]
+	return walkFold{
+		name: fmt.Sprintf("block_k%d", k), live: x.summary.Get,
+		run: func(mode Mode, cuts [][2]uint32) walkOut {
+			y := NewBlockVector[uint64](c.n, k)
+			sink := blockSink[uint64, uint32, uint64, uint64](hashProg{}, x, y)
+			var st localStats
+			for _, cut := range cuts {
+				multiply(mode, c.l, x.summary.Words(), cut[0], cut[1], sink, &st)
+			}
+			out := walkOut{mask: y.summary.Words(), vals: make([]uint64, c.words()*64*k), cols: make([]uint64, c.words()*64), edges: st.edges, probes: st.probes, flat: st.flat}
+			copy(out.vals, y.vals)
+			copy(out.cols, y.cols)
+			return out
+		},
+		naive: func() walkOut {
+			p := hashProg{}
+			out := walkOut{mask: make([]uint64, c.words()), vals: make([]uint64, c.words()*64*k), cols: make([]uint64, c.words()*64)}
+			c.fresh.Iterate(func(row, col uint32, e uint32) {
+				for cm := x.ColMask(col); cm != 0; cm &= cm - 1 {
+					s := bits.TrailingZeros64(cm)
+					r := p.Mul(x.Row(col)[s], e)
+					i := int(row)*k + s
+					if out.cols[row]&(1<<s) != 0 {
+						r = p.Reduce(out.vals[i], r)
+					}
+					out.vals[i] = r
+					out.cols[row] |= 1 << s
+					out.mask[row>>6] |= 1 << (row & 63)
+					out.edges++
+				}
+			})
+			return out
+		},
 	}
-	c.fresh.Iterate(func(row, col uint32, e uint32) {
-		cm, stride := uint64(1), 1
-		if k > 0 {
-			cm, stride = c.blocks[k].ColMask(col), k
-		} else if !c.x.Has(col) {
-			cm = 0
+}
+
+// folds lists every sink the walks feed: the generic scalar fold with and
+// without the destination read, the three fused scalar folds, and the block
+// fold at two widths.
+func (c *walkCase) folds() []walkFold {
+	u64 := func(r uint64) uint64 { return r }
+	f32 := func(r float32) uint64 { return uint64(math.Float32bits(r)) }
+	return []walkFold{
+		scalarFold(c, "generic", hashProg{}, c.l, c.fresh, c.x, c.props, u64),
+		scalarFold(c, "generic_dstfree", hashProgFree{}, c.l, c.fresh, c.x, c.props, u64),
+		scalarFold(c, "sum_f64", sumFoldProg{}, c.lf, c.freshf, c.xf64, make([]float64, c.n), math.Float64bits),
+		scalarFold(c, "minplus_f32", ssspFused{}, c.lf, c.freshf, c.xf32, make([]float32, c.n), f32),
+		scalarFold(c, "maxmin_f32", widestFused{}, c.lf, c.freshf, c.xf32, make([]float32, c.n), f32),
+		c.blockFold(1),
+		c.blockFold(3),
+	}
+}
+
+// flatEdges is the FlatEdges oracle of one whole-partition pull call: the
+// edges of every batch — up to walkBatch consecutive stored base columns,
+// batches restarting after each delta column — whose columns are all live.
+func (c *walkCase) flatEdges(live func(j uint32) bool) int64 {
+	base := c.l.Base
+	var flat int64
+	bi := 0
+	run := func(end int) { // base columns [bi, end) lie between two delta columns
+		for bi < end {
+			stop := min(bi+walkBatch, end)
+			all := true
+			for _, j := range base.JC[bi:stop] {
+				all = all && live(j)
+			}
+			if all {
+				flat += int64(base.CP[stop] - base.CP[bi])
+			}
+			bi = stop
 		}
-		for ; cm != 0; cm &= cm - 1 {
-			s := bits.TrailingZeros64(cm)
-			var r uint64
-			if k > 0 {
-				r = p.Mul(c.blocks[k].Row(col)[s], e)
-			} else {
-				r = p.ProcessMessage(c.x.Get(col), e, c.props[row])
+	}
+	if c.l.Delta != nil {
+		for _, dj := range c.l.Delta.JC {
+			at := sort.Search(len(base.JC), func(i int) bool { return base.JC[i] >= dj })
+			run(at)
+			if at < len(base.JC) && base.JC[at] == dj {
+				bi = at + 1 // overridden: the delta's column, never a flat one
 			}
-			i := int(row)*stride + s
-			seen := out.mask[row>>6]&(1<<(row&63)) != 0
-			if k > 0 {
-				seen = seen && out.cols[row]&(1<<s) != 0
-				out.cols[row] |= 1 << s
-			}
-			if seen {
-				out.vals[i] = p.Reduce(out.vals[i], r)
-			} else {
-				out.vals[i] = r
-			}
-			out.mask[row>>6] |= 1 << (row & 63)
-			out.edges++
 		}
-	})
-	return out
+	}
+	run(len(base.JC))
+	return flat
 }
 
-// check asserts, for the scalar sink and both block widths: whole-partition
-// pull == whole-partition push == the naive fold, the pull probe count is
-// the fresh build's column count, and for every given row cut the bounded
-// calls compose to the whole-partition call — output bits and summed edge
-// tallies — in both directions.
+// check asserts, for every sink: whole-partition pull == whole-partition
+// push == the naive fold, the pull probe count is the fresh build's column
+// count, and for every given row cut the bounded calls compose to the
+// whole-partition call — output bits and summed edge tallies — in both
+// directions. FlatEdges must be the flatEdges oracle for a scalar sink's
+// unclipped pull call and 0 everywhere else: push, block sinks, and any cut
+// that clips the call's rows.
 func (c *walkCase) check(t *testing.T, picks []uint) {
 	t.Helper()
 	whole := [][2]uint32{{0, ^uint32(0)}}
-	for _, k := range []int{0, 1, 3} {
-		run := func(mode Mode, cuts [][2]uint32) walkOut {
-			if k == 0 {
-				return c.scalar(mode, cuts)
-			}
-			return c.block(k, mode, cuts)
-		}
-		want := c.naive(k)
+	for _, f := range c.folds() {
+		want := f.naive()
 		for _, mode := range []Mode{Pull, Push} {
-			got := run(mode, whole)
+			got := f.run(mode, whole)
 			if err := got.equal(want); err != nil {
-				t.Fatalf("k=%d %s whole partition vs naive fold: %v", k, mode, err)
+				t.Fatalf("%s %s whole partition vs naive fold: %v", f.name, mode, err)
 			}
 			if mode == Pull && got.probes != int64(c.fresh.NZColumns()) {
-				t.Fatalf("k=%d pull probed %d columns, fresh build has %d", k, got.probes, c.fresh.NZColumns())
+				t.Fatalf("%s pull probed %d columns, fresh build has %d", f.name, got.probes, c.fresh.NZColumns())
+			}
+			var wantFlat int64
+			if mode == Pull && f.flat {
+				wantFlat = c.flatEdges(f.live)
+			}
+			if got.flat != wantFlat {
+				t.Fatalf("%s %s whole partition folded %d edges flat, want %d", f.name, mode, got.flat, wantFlat)
 			}
 			for _, pick := range picks {
 				cuts := c.rowCuts(pick)
-				if err := run(mode, cuts).equal(got); err != nil {
-					t.Fatalf("k=%d %s cuts %v vs whole partition: %v", k, mode, cuts, err)
+				cut := f.run(mode, cuts)
+				if err := cut.equal(got); err != nil {
+					t.Fatalf("%s %s cuts %v vs whole partition: %v", f.name, mode, cuts, err)
+				}
+				wantCut := wantFlat // one cut is the partition's own row range
+				if len(cuts) > 1 {
+					wantCut = 0 // every call is row-clipped
+				}
+				if cut.flat != wantCut {
+					t.Fatalf("%s %s cuts %v folded %d edges flat, want %d", f.name, mode, cuts, cut.flat, wantCut)
 				}
 			}
 		}
@@ -329,13 +463,64 @@ func TestBoundedCallsCompose(t *testing.T) {
 		for _, nmut := range []int{0, 40} {
 			for _, noAux := range []bool{false, true} {
 				t.Run(fmt.Sprintf("seed_%d/muts_%d/noaux_%v", seed, nmut, noAux), func(t *testing.T) {
-					c := newWalkCase(seed, 4, 300, nmut, 160, noAux)
-					if (c.l.Delta != nil) != (nmut > 0) {
-						t.Fatalf("fixture: delta presence %v with %d mutations", c.l.Delta != nil, nmut)
+					for _, density := range []int{160, 256} {
+						t.Run(fmt.Sprintf("density_%d", density), func(t *testing.T) {
+							c := newWalkCase(seed, 4, 300, nmut, density, noAux)
+							if (c.l.Delta != nil) != (nmut > 0) {
+								t.Fatalf("fixture: delta presence %v with %d mutations", c.l.Delta != nil, nmut)
+							}
+							// A full frontier must exercise the flat fold —
+							// all of a plain partition, the base runs between
+							// the overrides of an overlay — or check's
+							// FlatEdges comparison is 0 == 0.
+							if flat, nnz := c.flatEdges(c.x.Has), int64(c.fresh.NNZ()); density == 256 && (flat == 0 || (nmut == 0 && flat != nnz)) {
+								t.Fatalf("fixture: full frontier, %d mutations: %d of %d edges fold flat", nmut, flat, nnz)
+							}
+							c.check(t, allCuts)
+						})
 					}
-					c.check(t, allCuts)
 				})
 			}
+		}
+	}
+}
+
+// TestFlatIndexRace races the first all-live multiply on one partition: the
+// goroutines all find the source-column index missing, one of them builds
+// it, and every call — the builder's and the waiters' — must fold the naive
+// result into its private output from the one shared array.
+func TestFlatIndexRace(t *testing.T) {
+	c := newWalkCase(11, 4, 20000, 0, 256, false)
+	want := scalarFold(c, "generic", hashProg{}, c.l, c.fresh, c.x, c.props, func(r uint64) uint64 { return r }).naive()
+	const racers = 8
+	type result struct {
+		y     *sparse.Vector[uint64]
+		edges int64
+		index *uint32
+	}
+	results := make([]result, racers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			y := sparse.NewVector[uint64](c.n)
+			<-start
+			edges, _ := MultiplyPartition(Pull, c.l.Base, c.x, c.props, hashProg{}, y)
+			results[i] = result{y, edges, &c.l.Base.EdgeCols()[0]}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, r := range results {
+		got := walkOut{mask: r.y.Mask().Words(), vals: make([]uint64, c.words()*64), edges: r.edges}
+		copy(got.vals, r.y.Values())
+		if err := got.equal(want); err != nil {
+			t.Errorf("racer %d vs naive fold: %v", i, err)
+		}
+		if r.index != results[0].index {
+			t.Errorf("racer %d read a second copy of the source-column index", i)
 		}
 	}
 }
@@ -345,15 +530,22 @@ func TestBoundedCallsCompose(t *testing.T) {
 // present or absent — with random frontiers and random 64-aligned row cuts,
 // against the naive fold over a fresh build of the live edge set. Any
 // out-of-range or misplaced write shows up as a diverging output bit (the
-// fold is order- and duplicate-sensitive); a panic fails the target.
+// fold is order- and duplicate-sensitive); a panic fails the target. density
+// 255 is the full frontier, which sends whole batches down the flat fold.
 func FuzzLayeredWalk(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(0), false)   // empty partition, full frontier
 	f.Add(uint64(2), uint8(2), uint8(200), uint8(0), uint8(128), uint8(1), false) // plain
 	f.Add(uint64(3), uint8(4), uint8(250), uint8(60), uint8(200), uint8(5), false)
 	f.Add(uint64(4), uint8(3), uint8(40), uint8(90), uint8(30), uint8(3), true) // delta-heavy, no AUX
 	f.Add(uint64(5), uint8(4), uint8(0), uint8(50), uint8(255), uint8(7), false)
+	f.Add(uint64(6), uint8(3), uint8(255), uint8(0), uint8(255), uint8(0), false) // plain, every batch flat
+	f.Add(uint64(7), uint8(4), uint8(220), uint8(70), uint8(255), uint8(2), true) // flat runs between overrides, no AUX
 	f.Fuzz(func(t *testing.T, seed uint64, nblk, nbase, nmut, density, pick uint8, noAux bool) {
-		c := newWalkCase(seed, 1+int(nblk%4), int(nbase), int(nmut), int(density), noAux)
+		fill := int(density)
+		if fill == 255 {
+			fill = 256 // the top of the range is the full frontier
+		}
+		c := newWalkCase(seed, 1+int(nblk%4), int(nbase), int(nmut), fill, noAux)
 		c.check(t, []uint{uint(pick)})
 	})
 }

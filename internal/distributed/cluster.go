@@ -183,12 +183,12 @@ func (c *Cluster[V, E]) SetActive(v uint32) {
 	c.nodes[c.Owner(v)].active.Set(v)
 }
 
-// SetAllActive marks every vertex active.
+// SetAllActive marks every vertex active. A node only ever reads its own
+// [lo, hi) of its active vector, so filling the whole vector is the same as
+// setting the owned range.
 func (c *Cluster[V, E]) SetAllActive() {
 	for _, nd := range c.nodes {
-		for v := nd.lo; v < nd.hi; v++ {
-			nd.active.Set(v)
-		}
+		nd.active.SetAll()
 	}
 }
 

@@ -193,11 +193,7 @@ func (g *Graph[V, E]) Active() *bitvec.Vector { return g.active }
 func (g *Graph[V, E]) SetActive(v uint32) { g.active.Set(v) }
 
 // SetAllActive marks every vertex active.
-func (g *Graph[V, E]) SetAllActive() {
-	for v := uint32(0); v < g.n; v++ {
-		g.active.Set(v)
-	}
-}
+func (g *Graph[V, E]) SetAllActive() { g.active.SetAll() }
 
 // ClearActive deactivates every vertex.
 func (g *Graph[V, E]) ClearActive() { g.active.Reset() }

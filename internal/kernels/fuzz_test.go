@@ -10,7 +10,7 @@ import (
 // The fuzz differentials: every SIMD backend must match the scalar oracle
 // bit for bit on arbitrary inputs, not just the structured cases the parity
 // tests enumerate. FuzzBitvecWords covers the integer word primitives,
-// FuzzDenseFold the two float64 folds. Both run as regular seed-corpus tests
+// FuzzDenseFold the float64 folds. Both run as regular seed-corpus tests
 // under `go test` (the CI fuzz-smoke additionally runs them with -fuzz for a
 // bounded wall-clock slice).
 
@@ -107,8 +107,10 @@ func FuzzBitvecWords(f *testing.F) {
 
 // FuzzDenseFold drives the float64 folds — BlockAddF64's masked lane add and
 // ScatterAddF64's column scatter — through every supported SIMD backend
-// against the scalar reference, comparing results as raw bit patterns so NaN
-// payloads, signed zeros and infinities all count.
+// against the scalar reference, and FlatAddF64's edge-flat scatter through
+// every backend against its definition, ScatterAddF64 applied one edge at a
+// time; results are compared as raw bit patterns so NaN payloads, signed
+// zeros and infinities all count.
 func FuzzDenseFold(f *testing.F) {
 	f.Add([]byte{}, uint64(0), uint64(0), uint64(0))
 	seed := make([]byte, 8*70)
@@ -154,6 +156,34 @@ func FuzzDenseFold(f *testing.F) {
 		wantW := ywInit
 		wantV := append([]float64(nil), yvInit...)
 		scalarScatterAddF64(wantW[:], wantV, idx, m)
+
+		// FlatAddF64: the same destinations, each edge's message gathered
+		// from x = vals (one slot at least) through a source index cut from
+		// the raw bytes; the oracle is the column scatter applied edge by edge.
+		x := append(vals, m)
+		wantFlatW := ywInit
+		wantFlatV := append([]float64(nil), yvInit...)
+		src := make([]uint32, len(idx))
+		for i := range src {
+			src[i] = uint32(bits.RotateLeft8(data[i], 3)^byte(i)) % uint32(len(x))
+			scalarScatterAddF64(wantFlatW[:], wantFlatV, idx[i:i+1], x[src[i]])
+		}
+
+		for _, backend := range Supported() {
+			tab := backendTable(backend)
+			gotW := ywInit
+			gotV := append([]float64(nil), yvInit...)
+			tab.flatAddF64(gotW[:], gotV, idx, src, x)
+			if gotW != wantFlatW {
+				t.Fatalf("%s flatadd: mask %#x, edge-by-edge scatter %#x", backend, gotW, wantFlatW)
+			}
+			for i := range gotV {
+				if math.Float64bits(gotV[i]) != math.Float64bits(wantFlatV[i]) {
+					t.Fatalf("%s flatadd: y[%d] = %v (%#x), edge-by-edge scatter %v (%#x)",
+						backend, i, gotV[i], math.Float64bits(gotV[i]), wantFlatV[i], math.Float64bits(wantFlatV[i]))
+				}
+			}
+		}
 
 		for _, backend := range simdBackends() {
 			tab := backendTable(backend)

@@ -83,6 +83,7 @@ type table struct {
 	spanLess      func(a []uint32, v uint32) int
 	blockAddF64   func(yrow, xrow []float64, cm, ym uint64)
 	scatterAddF64 func(yw []uint64, yvals []float64, idx []uint32, m float64)
+	flatAddF64    func(yw []uint64, yvals []float64, idx, src []uint32, x []float64)
 
 	// float32 path-semiring folds: (min, +) and (max, min). Scalar-only for
 	// now — SIMD variants slot in per primitive like the f64 folds.
@@ -103,6 +104,7 @@ var scalarTable = table{
 	spanLess:      scalarSpanLess,
 	blockAddF64:   scalarBlockAddF64,
 	scatterAddF64: scalarScatterAddF64,
+	flatAddF64:    scalarFlatAddF64,
 
 	scatterMinPlusF32: scalarScatterMinPlusF32,
 	scatterMaxMinF32:  scalarScatterMaxMinF32,
@@ -236,6 +238,24 @@ func BlockAddF64(yrow, xrow []float64, cm, ym uint64) { active.blockAddF64(yrow,
 // the scalar reference stores it raw.
 func ScatterAddF64(yw []uint64, yvals []float64, idx []uint32, m float64) {
 	active.scatterAddF64(yw, yvals, idx, m)
+}
+
+// FlatAddF64 is the scalar-engine float64 sum fold of a run of adjacency
+// columns that all carry a message, as one loop over their edges: edge k
+// goes to destination idx[k] from source column src[k], whose message is
+// x[src[k]] —
+//
+//	yvals[dst] = yvals[dst] + x[src[k]]   if yw bit dst set
+//	yvals[dst] = x[src[k]]                otherwise (first write), then set the bit
+//
+// in ascending k, which is exactly ScatterAddF64 over the columns in order:
+// the same adds in the same sequence, without a loop exit per column.
+// len(src) must equal len(idx); src entries must be < len(x); idx and the
+// signaling-NaN boundary as in ScatterAddF64. Every backend serves it from
+// the scalar reference: the loop is a dependent gather feeding a scatter, and
+// the column loop's cost was its exits, not its arithmetic.
+func FlatAddF64(yw []uint64, yvals []float64, idx, src []uint32, x []float64) {
+	active.flatAddF64(yw, yvals, idx, src, x)
 }
 
 // ScatterMinPlusF32 is the scalar-engine (min, +) float32 fold of one

@@ -83,6 +83,21 @@ func scalarScatterAddF64(yw []uint64, yvals []float64, idx []uint32, m float64) 
 	}
 }
 
+func scalarFlatAddF64(yw []uint64, yvals []float64, idx, src []uint32, x []float64) {
+	src = src[:len(idx)]
+	for k, dst := range idx {
+		m := x[src[k]]
+		w := &yw[dst>>6]
+		bit := uint64(1) << (dst & 63)
+		if *w&bit != 0 {
+			yvals[dst] += m
+		} else {
+			yvals[dst] = m
+			*w |= bit
+		}
+	}
+}
+
 func scalarScatterMinPlusF32(yw []uint64, yvals []float32, idx []uint32, wv []float32, m float32) {
 	for k, dst := range idx {
 		r := m + wv[k]

@@ -127,6 +127,7 @@ func (ai *algoInstance) record(s graphmat.Stats, wall float64) {
 	ai.engine.Applies += s.Applies
 	ai.engine.ActiveSum += s.ActiveSum
 	ai.engine.ColumnsProbed += s.ColumnsProbed
+	ai.engine.FlatEdges += s.FlatEdges
 	ai.engine.PushSupersteps += s.PushSupersteps
 	ai.engine.PullSupersteps += s.PullSupersteps
 	ai.wall += wall

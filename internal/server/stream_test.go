@@ -14,8 +14,18 @@ import (
 	"graphmat/algorithms"
 )
 
-// slowGraph registers an RMAT graph big enough that an uncapped PageRank run
-// takes many seconds — the workload the cancellation tests interrupt.
+// endlessPageRank is a PageRank request that cannot finish by itself, the
+// workload the cancellation tests interrupt: no rank change is ever <= the
+// negative tolerance, so no vertex deactivates and the run goes on for the
+// ten million supersteps it asks for. (Left to converge, PageRank on
+// slowGraph reaches a float64 fixed point after 221 supersteps — a tenth of
+// a second, less than the timeouts and sleeps below.)
+func endlessPageRank() map[string]any {
+	return map[string]any{"iters": 10000000, "tolerance": -1}
+}
+
+// slowGraph registers the RMAT graph the cancellation tests run
+// endlessPageRank on.
 func slowGraph(t *testing.T, ts *httptest.Server, name string) {
 	t.Helper()
 	code, body := do(t, ts, http.MethodPost, "/v1/graphs", map[string]any{
@@ -128,7 +138,7 @@ func TestRunTimeoutMS(t *testing.T) {
 
 	start := time.Now()
 	code, body := do(t, ts, http.MethodPost,
-		"/v1/graphs/big/run/pagerank?timeout_ms=150", map[string]any{"iters": 10000000})
+		"/v1/graphs/big/run/pagerank?timeout_ms=150", endlessPageRank())
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (%s), want 504", code, body)
 	}
@@ -156,7 +166,7 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(map[string]any{"iters": 10000000}); err != nil {
+	if err := json.NewEncoder(&buf).Encode(endlessPageRank()); err != nil {
 		t.Fatal(err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/graphs/big/run/pagerank", &buf)

@@ -51,6 +51,34 @@ type DCSC[E any] struct {
 		nparts int
 		bounds []uint32
 	}
+
+	// edgeCols memoizes EdgeCols, the per-edge source-column array the pull
+	// walk's flat fold reads: 4 B per stored edge, built on the first
+	// fully-live column batch a walk meets in this structure and never
+	// before, so a structure only ever traversed by sparse frontiers does
+	// not pay for it. It is derived state — never serialised.
+	edgeCols struct {
+		once sync.Once
+		cols []uint32
+	}
+}
+
+// EdgeCols returns the COO expansion of JC/CP: EdgeCols()[k] is the column
+// id of the edge stored at IR[k]/Val[k]. The array is built on first use
+// (O(nnz)), memoized, and must be treated as read-only. Safe for concurrent
+// use: racing first callers build it once.
+func (m *DCSC[E]) EdgeCols() []uint32 {
+	m.edgeCols.once.Do(func() {
+		cols := make([]uint32, len(m.IR))
+		for ci, j := range m.JC {
+			seg := cols[m.CP[ci]:m.CP[ci+1]]
+			for k := range seg {
+				seg[k] = j
+			}
+		}
+		m.edgeCols.cols = cols
+	})
+	return m.edgeCols.cols
 }
 
 // SplitBounds partitions this structure's destination rows [RowLo, RowHi)

@@ -76,6 +76,31 @@ func TestDCSCRowRange(t *testing.T) {
 	}
 }
 
+// TestEdgeCols holds the memoized per-edge column array to the traversal
+// order: EdgeCols()[k] is the column Iterate reports for the k-th edge, on a
+// partition of a hypersparse matrix and on an empty one.
+func TestEdgeCols(t *testing.T) {
+	for _, m := range []*DCSC[int]{
+		BuildDCSC(randCOO(3, 256, 4096, 900), 64, 192),
+		BuildDCSC(NewCOO[int](8, 8), 0, 8),
+	} {
+		cols := m.EdgeCols()
+		if len(cols) != m.NNZ() {
+			t.Fatalf("EdgeCols has %d entries for %d edges", len(cols), m.NNZ())
+		}
+		k := 0
+		m.Iterate(func(_, col uint32, _ int) {
+			if cols[k] != col {
+				t.Fatalf("EdgeCols()[%d] = %d, edge %d lies in column %d", k, cols[k], k, col)
+			}
+			k++
+		})
+		if again := m.EdgeCols(); len(again) > 0 && &again[0] != &cols[0] {
+			t.Error("second EdgeCols call rebuilt the array")
+		}
+	}
+}
+
 func TestDCSCEmpty(t *testing.T) {
 	c := NewCOO[int](10, 10)
 	c.SortColMajor()
