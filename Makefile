@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt lint graphmatlint staticcheck govulncheck test bench-module race bench bench-engine bench-sched bench-store bench-multi bench-snap fuzz kernel-parity ci
+.PHONY: all build fmt lint graphmatlint staticcheck govulncheck test bench-module race bench bench-engine bench-sched bench-store bench-snap fuzz kernel-parity ci
 
 all: build
 
@@ -122,11 +122,6 @@ bench-sched:
 # measurement (1s per case).
 bench-store:
 	$(GO) test -bench='^(BenchmarkApplyEdges|BenchmarkCompaction|BenchmarkEntryApplyEdges)' -benchtime=1s -run='^$$' .
-
-# The multi-source block-run benchmarks: k ∈ {1, 8, 32} sources per batched
-# BFS/PPR run. Real measurement (1s per case).
-bench-multi:
-	$(GO) test -bench='^(BenchmarkBatchBFS|BenchmarkBatchPPR)' -benchtime=1s -run='^$$' .
 
 # The persistence benchmarks: snapshot write / mmap boot / parse+rebuild (the
 # restart ratio) plus WAL append and replay. Real measurement (1s per case).

@@ -180,12 +180,10 @@ func RunPersonalizedPageRankBatch(ctx context.Context, g *graphmat.Graph[PPRVert
 		if live != 0 {
 			stats.Reason = graphmat.MaxIterations
 		}
-		row := make([]PPRVertex, n)
 		for s := range chunk {
-			st.Column(s, row)
 			ranks := make([]float64, n)
 			for v := range ranks {
-				ranks[v] = row[v].Rank
+				ranks[v] = st.Prop(uint32(v), s).Rank
 			}
 			out[lo+s] = ranks
 		}

@@ -51,7 +51,7 @@ func TestBatchDifferentialAllModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := inst.RunBatch(context.Background(), Params{}, nil, nil); err != ErrBatchUnsupported {
+			if _, err := inst.RunBatch(context.Background(), nil, Params{}, nil); err != ErrBatchUnsupported {
 				t.Fatalf("%s: RunBatch error = %v, want ErrBatchUnsupported", algo, err)
 			}
 			continue
@@ -92,7 +92,7 @@ func TestBatchDifferentialAllModes(t *testing.T) {
 				for _, mode := range []graphmat.Mode{graphmat.Pull, graphmat.Push, graphmat.Auto} {
 					p := bp
 					p.Mode = mode
-					got, err := inst.RunBatch(context.Background(), p, nil, nil)
+					got, err := inst.RunBatch(context.Background(), nil, p, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

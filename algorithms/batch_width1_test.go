@@ -8,14 +8,15 @@ import (
 	"graphmat/internal/gen"
 )
 
-// The width-1 differential. Instance.RunBatch with exactly one source runs
-// the row's scalar closure where two or more run the block engine, on the
-// claim that the scalar engine IS the block engine at k=1. These tests hold
-// the three spellings of one single-source query to each other bit for bit,
-// for every batchable Spec: RunBatch with one source, the public
-// Run<Algo>Batch with a one-element source list (pure block engine, k=1) and
-// the scalar RunContext — on the as-built graph, on a pending overlay, and
-// on a snapshot pinned before updates that have since become current.
+// The width-1 differential. The engine runs a one-column block on the scalar
+// phases (core.RunBlockContext), so nothing above it chooses an engine by
+// source count. These tests hold the spellings of one single-source query to
+// each other bit for bit — values, epoch and engine Stats — for every
+// batchable Spec: RunBatch with one source (by Source, by a one-element
+// Sources, on a caller's pin), the public Run<Algo>Batch with a one-element
+// source list and the scalar RunContext — on the as-built graph, on a pending
+// overlay, and on a snapshot pinned before updates that have since become
+// current.
 
 // blockK1 is the block-engine oracle: the row's batch closure — the public
 // Run<Algo>Batch function plus widening — on the pinned snapshot. Declared on
@@ -61,14 +62,12 @@ func sameAsScalar(t *testing.T, what string, want Result, got BatchResult) {
 	}
 }
 
-// checkWidth1 holds RunBatch / RunBatchPinned / block k=1 / RunContext to
-// each other for every test source and mode on the instance's current
-// snapshot, reusing one scratch across all of it, and returns the Auto-mode
-// scalar results by source.
+// checkWidth1 holds RunBatch (unpinned and pinned) / block k=1 / RunContext
+// to each other for every test source and mode on the instance's current
+// snapshot, and returns the Auto-mode scalar results by source.
 func checkWidth1(t *testing.T, what string, spec Spec, inst Instance) map[uint32]Result {
 	t.Helper()
 	ctx := context.Background()
-	scratch := inst.NewScratch()
 	pin := inst.AcquirePin()
 	defer pin.Release()
 	scalar := map[uint32]Result{}
@@ -93,22 +92,22 @@ func checkWidth1(t *testing.T, what string, spec Spec, inst Instance) map[uint32
 			sameSeries(t, what+": block k=1 vs scalar run", want.Values, block)
 
 			// The three ways a caller can say "one source".
-			bySource, err := inst.RunBatch(ctx, p, scratch, nil)
+			bySource, err := inst.RunBatch(ctx, nil, p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameAsScalar(t, what+": RunBatch{Source}", want, bySource)
 			p.Source, p.Sources = 0, []uint32{src}
-			byList, err := inst.RunBatch(ctx, p, scratch, nil)
+			byList, err := inst.RunBatch(ctx, nil, p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameAsScalar(t, what+": RunBatch{Sources:[s]}", want, byList)
-			pinned, err := inst.RunBatchPinned(ctx, pin, p, nil, nil)
+			pinned, err := inst.RunBatch(ctx, pin, p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameAsScalar(t, what+": RunBatchPinned", want, pinned)
+			sameAsScalar(t, what+": RunBatch on a pin", want, pinned)
 		}
 	}
 	return scalar
@@ -158,7 +157,7 @@ func TestBatchWidth1IsTheScalarRun(t *testing.T) {
 			for _, src := range width1Sources {
 				p := width1Params(spec)
 				p.Sources = []uint32{src}
-				got, err := inst.RunBatchPinned(ctx, old, p, nil, nil)
+				got, err := inst.RunBatch(ctx, old, p, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,24 +181,40 @@ func TestBatchWidth1IsTheScalarRun(t *testing.T) {
 	}
 }
 
-// TestBatchWidth1Scratch: a width-1 batch type-checks its scratch exactly as
-// Run does, and wider batches ignore it.
-func TestBatchWidth1Scratch(t *testing.T) {
-	adj := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 8, Seed: 42, MaxWeight: 10})
+// TestPPRBatchWidth1Converges: the batched PPR driver tracks convergence per
+// column (live &= ActiveColumns()), and a one-column block keeps no column
+// masks — its one column is live while any vertex is active. It must settle
+// on the scalar driver's superstep, under the tolerance and not the cap.
+func TestPPRBatchWidth1Converges(t *testing.T) {
 	ctx := context.Background()
-	for _, spec := range Specs() {
-		if !spec.Batchable {
-			continue
+	g, err := NewPersonalizedPageRankGraph(gen.RMAT(gen.RMATOptions{Scale: 9, EdgeFactor: 8, Seed: 5}), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iterCap = 200
+	var sources []uint32
+	for v := uint32(0); len(sources) < 2; v += 37 {
+		if g.OutDegree(v) > 1 {
+			sources = append(sources, v)
 		}
-		inst, err := spec.Build(adj.Clone(), 4)
+	}
+	for _, src := range sources {
+		opts := []Option{WithIterations(iterCap), WithTolerance(1e-6)}
+		want, ws, err := RunPersonalizedPageRank(ctx, g, []uint32{src}, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := inst.RunBatch(ctx, Params{Source: 2}, new(int), nil); err == nil {
-			t.Errorf("%s: width-1 RunBatch accepted scratch of a foreign type", spec.Name)
+		got, gs, err := RunPersonalizedPageRankBatch(ctx, g, []uint32{src}, opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := inst.RunBatch(ctx, Params{Sources: []uint32{2, 3}}, new(int), nil); err != nil {
-			t.Errorf("%s: a block run has no use for scratch and must ignore it: %v", spec.Name, err)
+		sameSeries(t, "ppr k=1 vs scalar", want, got[0])
+		if ws.Reason != graphmat.Converged || ws.Iterations < 2 || ws.Iterations >= iterCap {
+			t.Fatalf("source %d: the scalar run must converge under the cap to prove anything: %+v", src, ws)
+		}
+		gs.Sched, ws.Sched = graphmat.SchedStats{}, graphmat.SchedStats{}
+		if gs != ws {
+			t.Fatalf("source %d: batch k=1 stats\n got %+v\nwant %+v", src, gs, ws)
 		}
 	}
 }

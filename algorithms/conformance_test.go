@@ -60,18 +60,18 @@ func TestRegistryConformance(t *testing.T) {
 			t.Run("batchable iff RunBatch is supported", func(t *testing.T) {
 				pin := inst.AcquirePin()
 				defer pin.Release()
-				_, errPinned := inst.RunBatchPinned(ctx, pin, p, nil, nil)
-				batch, err := inst.RunBatch(ctx, p, nil, nil)
+				_, errPinned := inst.RunBatch(ctx, pin, p, nil)
+				batch, err := inst.RunBatch(ctx, nil, p, nil)
 				for _, e := range []error{err, errPinned} {
 					if errors.Is(e, ErrBatchUnsupported) == spec.Batchable {
-						t.Fatalf("Batchable=%v but RunBatch/RunBatchPinned error = %v", spec.Batchable, e)
+						t.Fatalf("Batchable=%v but RunBatch (unpinned, pinned) error = %v", spec.Batchable, e)
 					}
 				}
 				if !spec.Batchable {
 					return
 				}
 				if err != nil || errPinned != nil {
-					t.Fatalf("RunBatch: %v; RunBatchPinned: %v", err, errPinned)
+					t.Fatalf("RunBatch: %v; on a pin: %v", err, errPinned)
 				}
 				// The single-source fallback: every Run-able parameter set
 				// is RunBatch-able. (ppr's batch is one vector per source
@@ -87,8 +87,8 @@ func TestRegistryConformance(t *testing.T) {
 				if _, err := inst.Run(p, new(int)); err == nil {
 					t.Error("Run accepted scratch of a foreign type")
 				}
-				if _, err := inst.RunBatchPinned(ctx, foreignPin{}, p, nil, nil); err == nil {
-					t.Error("RunBatchPinned accepted a pin no instance handed out")
+				if _, err := inst.RunBatch(ctx, foreignPin{}, p, nil); err == nil {
+					t.Error("RunBatch accepted a pin no instance handed out")
 				}
 			})
 
@@ -114,7 +114,7 @@ func TestRegistryConformance(t *testing.T) {
 					if !spec.Batchable {
 						continue
 					}
-					if _, err := inst.RunBatch(ctx, bp, nil, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
+					if _, err := inst.RunBatch(ctx, nil, bp, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
 						t.Errorf("RunBatch(%+v) error = %v, want out of range", bp, err)
 					}
 				}
@@ -164,7 +164,7 @@ func TestRegistryConformance(t *testing.T) {
 				if !spec.Batchable {
 					return
 				}
-				batch, err := inst.RunBatch(dead, p, nil, nil)
+				batch, err := inst.RunBatch(dead, nil, p, nil)
 				if !errors.Is(err, context.Canceled) || batch.Stats.Reason != graphmat.Canceled {
 					t.Fatalf("batch: error = %v, reason = %v", err, batch.Stats.Reason)
 				}

@@ -27,8 +27,8 @@
 // Every runner accepts the engine's kernel mode through WithMode/WithConfig
 // (and the registry's global "mode" parameter): Pull probes every stored
 // column per superstep, Push iterates the frontier (a true SpMSpV), and Auto
-// — the default — switches per superstep by frontier density against the
-// configured PushThreshold. Modes are bit-identical in results and differ
+// — the default — switches per superstep by frontier density (Ligra's |E|/20
+// rule plus a probe-cost rule). Modes are bit-identical in results and differ
 // only in speed: push wins high-diameter, sparse-frontier traversals (BFS
 // and SSSP on road networks, low-reach sources on scale-free graphs), pull
 // wins dense iterative ranking (PageRank, PPR, HITS, where every vertex is

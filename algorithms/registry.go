@@ -117,9 +117,9 @@ type ParamSpec struct {
 // Instance is an algorithm bound to a built property graph, ready to run
 // queries. The property graph is versioned: ApplyUpdates publishes a new
 // epoch, runs pin the epoch current when they start, and a run in flight is
-// never disturbed by updates landing under it. Run mutates the pinned
-// snapshot's vertex state, so it is NOT safe for concurrent use on one
-// Instance; callers serialize (the server holds a per-instance lock).
+// never disturbed by updates landing under it. Run and RunContext mutate the
+// pinned snapshot's vertex state, so they are NOT safe for concurrent use on
+// one Instance; callers serialize (the server holds a per-instance lock).
 // ApplyUpdates itself may race freely with runs — that is the point.
 type Instance interface {
 	// Run executes the algorithm. scratch, if non-nil, must be a value
@@ -134,24 +134,18 @@ type Instance interface {
 	// stop cause.
 	RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error)
 	// RunBatch executes the algorithm once per source in p.Sources (falling
-	// back to {p.Source} when empty) on one pinned snapshot; per-source
-	// results are bit-identical to the corresponding single-source Run
-	// calls. Two or more sources advance as one multi-source block run,
-	// chunks of up to graphmat.MaxBlockSources sharing each adjacency sweep,
-	// with block scratch allocated per run. Exactly one source has nothing
-	// to share a sweep with and runs on the scalar engine — the block
-	// engine's k=1 case without the k-wide fold — using scratch as Run does
-	// (nil allocates), with Stats the scalar engine's; wider batches ignore
-	// scratch. Algorithms with no source parameter return
-	// ErrBatchUnsupported (their Spec says Batchable: false). Like Run, not
-	// safe for concurrent use on one Instance.
-	RunBatch(ctx context.Context, p Params, scratch any, obs Observer) (BatchResult, error)
-	// RunBatchPinned is RunBatch against a snapshot the caller already
-	// pinned with AcquirePin: the run executes on exactly that epoch's
-	// edge set, whatever updates landed since the pin was taken. The pin
-	// stays owned by the caller (Release after the call returns);
-	// algorithms with no source parameter return ErrBatchUnsupported.
-	RunBatchPinned(ctx context.Context, pin Pin, p Params, scratch any, obs Observer) (BatchResult, error)
+	// back to {p.Source} when empty) on one pinned snapshot, as one
+	// multi-source block run: chunks of up to graphmat.MaxBlockSources share
+	// each adjacency sweep, and per-source results are bit-identical to the
+	// corresponding single-source Run calls. pin, when non-nil, is a snapshot
+	// the caller pinned with AcquirePin — the run executes on exactly that
+	// epoch's edge set, whatever updates landed since, and the pin stays
+	// owned by the caller (Release after the call returns); nil pins the
+	// current snapshot for the duration of the call. A batch run of any
+	// width keeps all vertex state in scratch allocated per run and never
+	// writes the snapshot's. Algorithms with no source parameter return
+	// ErrBatchUnsupported (their Spec says Batchable: false).
+	RunBatch(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error)
 	// AcquirePin pins the instance's current property-graph snapshot and
 	// hands ownership to the caller: exactly one Release per pin. The
 	// serving layer's admission batcher pins at admission time so a batch
@@ -192,7 +186,7 @@ type Instance interface {
 // can be scheduled now and executed later against the same epoch. Epoch
 // reports the pinned version; Release discharges the pin (exactly once).
 // Values are produced by Instance.AcquirePin and consumed by
-// Instance.RunBatchPinned.
+// Instance.RunBatch.
 type Pin interface {
 	Epoch() uint64
 	Release()
@@ -619,47 +613,26 @@ func (i *instance[V]) RunContext(ctx context.Context, p Params, scratch any, obs
 	return res, err
 }
 
-func (i *instance[V]) RunBatch(ctx context.Context, p Params, scratch any, obs Observer) (BatchResult, error) {
-	snap := i.store.Acquire()
-	defer snap.Release()
-	return i.runBatch(ctx, snap, p, scratch, obs)
-}
-
-// RunBatchPinned coerces the Pin back to this instance's snapshot type. A
+// RunBatch coerces a caller's Pin back to this instance's snapshot type. A
 // mismatch means the caller pinned a different algorithm's graph — surfaced
 // as an error, not a panic, because the serving layer routes pins across
-// goroutines.
-func (i *instance[V]) RunBatchPinned(ctx context.Context, pin Pin, p Params, scratch any, obs Observer) (BatchResult, error) {
+// goroutines. The batch functions range-check the sources themselves.
+func (i *instance[V]) RunBatch(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
+	if i.row.batch == nil {
+		return BatchResult{}, ErrBatchUnsupported
+	}
+	if pin == nil {
+		own := i.store.Acquire()
+		defer own.Release()
+		pin = own
+	}
 	snap, ok := pin.(*graphmat.Snapshot[V, float32])
 	if !ok {
 		return BatchResult{}, fmt.Errorf("algorithms: pin of type %T does not belong to this algorithm's property graph", pin)
 	}
-	return i.runBatch(ctx, snap, p, scratch, obs)
-}
-
-// runBatch runs once per source in p.Sources, with {p.Source} as the
-// single-source fallback so every Run-able parameter set is RunBatch-able.
-// A lone source is the row's scalar run wrapped as a one-column batch: the
-// scalar engine is what the block engine computes at k=1 (the differential
-// suites hold every block column bit-identical to its solo run) minus the
-// per-edge k-wide fold, so nothing but time distinguishes the two. The batch
-// functions range-check the sources themselves; the scalar branch does it
-// with the same message.
-func (i *instance[V]) runBatch(ctx context.Context, snap *graphmat.Snapshot[V, float32], p Params, scratch any, obs Observer) (BatchResult, error) {
-	if i.row.batch == nil {
-		return BatchResult{}, ErrBatchUnsupported
-	}
 	sources := p.Sources
 	if len(sources) == 0 {
 		sources = []uint32{p.Source}
-	}
-	if len(sources) == 1 {
-		if err := checkSource(sources[0], i.NumVertices(), "source"); err != nil {
-			return BatchResult{}, err
-		}
-		p.Source, p.Sources = sources[0], sources
-		res, err := i.row.run(ctx, snap.Graph(), p, p.option(scratch, obs))
-		return BatchResult{Sources: sources, Values: [][]float64{res.Values}, Stats: res.Stats, Epoch: snap.Epoch()}, err
 	}
 	values, stats, err := i.row.batch(ctx, snap.Graph(), sources, p.option(nil, obs))
 	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err

@@ -206,15 +206,11 @@ func main() {
 		}
 		params := algorithms.Params{Sources: sourceList, Iterations: *iters, Threads: *threads, Mode: mode}
 		start = time.Now()
-		bres, err := inst.RunBatch(ctx, params, nil, obs)
+		bres, err := inst.RunBatch(ctx, nil, params, obs)
 		reportStop(bres.Stats, err)
 		report(build, time.Since(start), bres.Stats.Iterations)
-		if len(bres.Sources) == 1 {
-			fmt.Println("one source: ran on the scalar engine")
-		} else {
-			blocks := (len(bres.Sources) + graphmat.MaxBlockSources - 1) / graphmat.MaxBlockSources
-			fmt.Printf("batched %d sources across %d block run(s)\n", len(bres.Sources), blocks)
-		}
+		blocks := (len(bres.Sources) + graphmat.MaxBlockSources - 1) / graphmat.MaxBlockSources
+		fmt.Printf("batched %d sources across %d block run(s)\n", len(bres.Sources), blocks)
 		for i, src := range bres.Sources {
 			fmt.Printf("source %d:\n", src)
 			printResult(name, algorithms.Result{Values: bres.Values[i]}, uint(src), *top)

@@ -134,8 +134,8 @@ const (
 // string means Auto.
 func ParseMode(s string) (Mode, error) { return core.ParseMode(s) }
 
-// DefaultPushThreshold is the Auto density cutoff used when
-// Config.PushThreshold is zero.
+// DefaultPushThreshold is the Auto density cutoff: frontier edge work × 20
+// must fit in the structure's total edge count for a superstep to push.
 const DefaultPushThreshold = core.DefaultPushThreshold
 
 // COO is an edge-triple list with explicit dimensions, the interchange
@@ -276,7 +276,9 @@ func RunBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 
 // RunBlockContext is the multi-source analogue of RunContext: one n×k SpMM
 // sweep per superstep advances up to 64 independent source columns, each
-// column dropping out of the sweep as it converges. See core.RunBlockContext.
+// column dropping out of the sweep as it converges. One column runs the scalar
+// engine's phases over st and ws, so a k = 1 block run costs and reports what
+// RunContext does. See core.RunBlockContext.
 func RunBlockContext[V, E, M, R any, P BlockProgram[V, E, M, R]](
 	ctx context.Context, g *Graph[V, E], p P, st *BlockState[V], cfg Config, ws *BlockWorkspace[M, R], opts ...RunOption,
 ) (Stats, error) {

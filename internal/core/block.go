@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"graphmat/internal/bitvec"
+	"graphmat/internal/sparse"
 )
 
 // This file holds the n×k block analogues of the engine's sparse vectors and
@@ -13,6 +14,11 @@ import (
 // state of a multi-source run (BlockState). k is capped at 64 so every
 // per-vertex column set is one machine word; batches wider than 64 sources
 // split into word-sized blocks one level up (algorithms.RunBatch).
+//
+// At k = 1 a vertex's only possible column set is {0}, so the summary bit IS
+// column 0: a one-column block keeps no per-vertex masks (cols / active are
+// nil) and is, array for array, the scalar engine's sparse vector and vertex
+// state — which is how runBlock hands a k = 1 run to the scalar phases.
 
 // MaxBlockSources is the widest block the engine accepts: per-vertex column
 // masks are single uint64 words.
@@ -31,12 +37,19 @@ const MaxBlockSources = 64
 type BlockVector[T any] struct {
 	n, k    int
 	summary *bitvec.Vector
-	cols    []uint64
+	cols    []uint64 // nil at k = 1
 	vals    []T
+	// scalar is the k = 1 block seen as the sparse vector it is (summary and
+	// vals are its mask and values); nil for wider blocks.
+	scalar *sparse.Vector[T]
 }
 
 // NewBlockVector allocates an empty n×k block vector.
 func NewBlockVector[T any](n, k int) *BlockVector[T] {
+	if k == 1 {
+		sv := sparse.NewVector[T](n)
+		return &BlockVector[T]{n: n, k: 1, summary: sv.Mask(), vals: sv.Values(), scalar: sv}
+	}
 	return &BlockVector[T]{
 		n: n, k: k,
 		summary: bitvec.New(n),
@@ -54,15 +67,13 @@ func (b *BlockVector[T]) Width() int { return b.k }
 // Reset removes all entries in O(n/64) by clearing the summary alone.
 func (b *BlockVector[T]) Reset() { b.summary.Reset() }
 
-// touch ensures vertex v's column mask is valid after a Reset, returning it.
-func (b *BlockVector[T]) touch(v uint32) uint64 {
-	return touchRow(b.summary.Words(), b.cols, v)
-}
-
 // Set stores val at (vertex v, column s).
 func (b *BlockVector[T]) Set(v uint32, s int, val T) {
-	cm := b.touch(v)
-	b.cols[v] = cm | 1<<uint(s)
+	if b.cols == nil {
+		b.scalar.Set(v, val)
+		return
+	}
+	b.cols[v] = touchRow(b.summary.Words(), b.cols, v) | 1<<uint(s)
 	b.vals[int(v)*b.k+s] = val
 }
 
@@ -70,6 +81,9 @@ func (b *BlockVector[T]) Set(v uint32, s int, val T) {
 func (b *BlockVector[T]) ColMask(v uint32) uint64 {
 	if !b.summary.Get(v) {
 		return 0
+	}
+	if b.cols == nil {
+		return 1
 	}
 	return b.cols[v]
 }
@@ -87,6 +101,10 @@ func (b *BlockVector[T]) Summary() *bitvec.Vector { return b.summary }
 // (vertex, column) entries — popcounts of the occupancy masks, read once per
 // phase by the engine instead of tallying counters per Set in the send loop.
 func (b *BlockVector[T]) Occupancy() (vertices, entries int) {
+	if b.cols == nil {
+		vertices = b.summary.Count()
+		return vertices, vertices
+	}
 	for wi, w := range b.summary.Words() {
 		base := uint32(wi) << 6
 		for ; w != 0; w &= w - 1 {
@@ -140,13 +158,14 @@ func (ws *BlockWorkspace[M, R]) Reset() {
 // BlockState is the per-run vertex state of a multi-source run: the n×k
 // property block (props[v*k+s] is vertex v's property in source column s) and
 // the n×k active set, stored like a BlockVector's occupancy (summary +
-// per-vertex column masks, lazily zeroed). It replaces the graph's scalar
-// props/active for block runs — a block run never touches the graph's own
-// vertex state, so scalar and block runs can share one pinned snapshot.
+// per-vertex column masks, lazily zeroed; the summary alone at k = 1). It
+// replaces the graph's scalar props/active for block runs — a block run of
+// any width never touches the graph's own vertex state, so scalar and block
+// runs can share one pinned snapshot.
 type BlockState[V any] struct {
 	n, k    int
 	props   []V
-	active  []uint64
+	active  []uint64 // nil at k = 1
 	summary *bitvec.Vector
 }
 
@@ -156,12 +175,11 @@ func NewBlockState[V any](n, k int) *BlockState[V] {
 	if k < 1 || k > MaxBlockSources {
 		panic(fmt.Sprintf("core: block width %d outside [1, %d]", k, MaxBlockSources))
 	}
-	return &BlockState[V]{
-		n: n, k: k,
-		props:   make([]V, n*k),
-		active:  make([]uint64, n),
-		summary: bitvec.New(n),
+	st := &BlockState[V]{n: n, k: k, props: make([]V, n*k), summary: bitvec.New(n)}
+	if k > 1 {
+		st.active = make([]uint64, n)
 	}
+	return st
 }
 
 // Size reports the vertex count.
@@ -203,6 +221,10 @@ func (st *BlockState[V]) Column(s int, out []V) {
 
 // Activate marks (vertex v, column s) active for the next superstep.
 func (st *BlockState[V]) Activate(v uint32, s int) {
+	if st.active == nil {
+		st.summary.Set(v)
+		return
+	}
 	w := st.summary.Words()
 	bit := uint64(1) << (v & 63)
 	if w[v>>6]&bit == 0 {
@@ -216,19 +238,13 @@ func (st *BlockState[V]) Activate(v uint32, s int) {
 // block analogue of SetAllActive restricted to the still-live columns (the
 // batched PPR driver's per-outer-iteration reactivation).
 func (st *BlockState[V]) ActivateAllMask(mask uint64) {
-	if mask == 0 || st.n == 0 {
+	if mask == 0 {
 		return
 	}
-	for v := 0; v < st.n; v++ {
+	for v := range st.active {
 		st.active[v] = mask
 	}
-	w := st.summary.Words()
-	for i := range w {
-		w[i] = ^uint64(0)
-	}
-	if r := st.n & 63; r != 0 {
-		w[len(w)-1] = (uint64(1) << uint(r)) - 1
-	}
+	st.summary.SetAll()
 }
 
 // ClearActive deactivates every (vertex, column) pair in O(n/64).
@@ -238,6 +254,12 @@ func (st *BlockState[V]) ClearActive() { st.summary.Reset() }
 // means column s still has at least one active vertex. Batch drivers use it
 // for per-column convergence tracking.
 func (st *BlockState[V]) ActiveColumns() uint64 {
+	if st.active == nil {
+		if st.summary.Any() {
+			return 1
+		}
+		return 0
+	}
 	var live uint64
 	st.summary.Iterate(func(v uint32) { live |= st.active[v] })
 	return live

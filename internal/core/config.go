@@ -17,7 +17,7 @@ type Mode int
 const (
 	// Auto (the zero value) chooses per superstep: push when the frontier's
 	// outgoing edge work is a small fraction of the structure's total edges,
-	// pull otherwise. See Config.PushThreshold.
+	// pull otherwise. See KernelCosts.Choose.
 	Auto Mode = iota
 	// Pull always runs the column-driven kernel: probe every stored column
 	// of every partition against the message vector (Algorithm 1 as the
@@ -74,9 +74,9 @@ func ParseMode(s string) (Mode, error) {
 	return Auto, fmt.Errorf("core: unknown kernel mode %q (want auto, pull or push)", s)
 }
 
-// DefaultPushThreshold is the Auto density cutoff when Config.PushThreshold
-// is zero: a superstep pushes when frontier edge work × 20 fits in the
-// structure's total edge count — Ligra's |E|/20 heuristic.
+// DefaultPushThreshold is the Auto density cutoff: a superstep pushes when
+// frontier edge work × 20 fits in the structure's total edge count — Ligra's
+// |E|/20 heuristic.
 const DefaultPushThreshold = 20
 
 // VectorKind selects the sparse-vector representation for the message
@@ -145,11 +145,6 @@ type Config struct {
 	// Push force one kernel. All three produce bit-identical results. The
 	// boxed (naive) dispatch path ignores Mode and always pulls.
 	Mode Mode
-	// PushThreshold tunes Auto: a superstep pushes when the frontier's
-	// outgoing edge work × PushThreshold is at most the traversal
-	// structure's total edge count. 0 means DefaultPushThreshold (20);
-	// higher values push less often.
-	PushThreshold float64
 }
 
 // validate rejects the one Vector × Dispatch combination with no code path:
@@ -191,7 +186,8 @@ type Stats struct {
 	// edge ranges: batches of stored columns that all carried a message, in
 	// tasks covering their partition's whole row range. It equals
 	// EdgesProcessed on an all-active pull run over a plain graph and is 0
-	// for push supersteps and for the block and boxed engines.
+	// for push supersteps, for block runs of two or more columns and for the
+	// boxed path.
 	FlatEdges int64
 	// PushSupersteps counts supersteps executed with the push (SpMSpV)
 	// kernel; PullSupersteps counts supersteps executed with the pull

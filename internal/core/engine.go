@@ -9,6 +9,7 @@ import (
 	"graphmat/internal/bitvec"
 	"graphmat/internal/graph"
 	"graphmat/internal/sched"
+	"graphmat/internal/sparse"
 )
 
 // Run executes program p on graph g until convergence or the configured
@@ -116,7 +117,7 @@ func parallelFor(ex execCfg, ntasks int, stop *atomic.Int32, fn func(task, worke
 	sched.Shared(min(ex.workers, ntasks)).RunOptions(ntasks, stop, sched.Options{NoSteal: ex.sc == Static, Tally: ex.tally}, fn)
 }
 
-// phaseSet is what an engine front-end — scalar (runTyped), block (runBlock)
+// phaseSet is what an engine front-end — scalar (runScalar), block (runBlock)
 // or the boxed ablation (runBoxed) — contributes to the one superstep loop:
 // its frontier and its three phase bodies, closed once per run over the
 // front-end's own monomorphised SendMessage / fold / Apply code. The loop is
@@ -210,7 +211,7 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 
 		// Per-superstep direction optimization: resolve Auto from the
 		// frontier's size and edge work against the structure-side costs.
-		mode := ps.costs.Choose(ps.mode, d.cfg.PushThreshold, senders, degSum)
+		mode := ps.costs.Choose(ps.mode, senders, degSum)
 
 		var applies, nactive int64
 		if sent > 0 {
@@ -261,17 +262,21 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 	return stats, nil
 }
 
-// runTyped is the scalar engine's front-end: a width-1 bitvector message
-// vector, the scalar fold sinks, vertex state in the graph.
-func runTyped[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config, ws *Workspace[M, R], ctrl *controller) (Stats, error) {
+// runScalar is the width-1 front-end: a bitvector message vector, the scalar
+// fold sinks, one property and one active bit per vertex. The scalar engine
+// (RunContext) runs it over the graph's own vertex state and its workspace;
+// the block engine (runBlock) runs it over a one-column BlockState and
+// BlockWorkspace, whose arrays are exactly these — so a vector is the k=1
+// block in the code as in the algebra, and width is decided here only.
+func runScalar[V, E, M, R any, P Program[V, E, M, R]](
+	g *graph.Graph[V, E], p P, cfg Config, ctrl *controller,
+	props []V, active *bitvec.Vector, x *sparse.Vector[M], y *sparse.Vector[R],
+) (Stats, error) {
 	d := newDriver(cfg, ctrl, int(g.NumVertices()))
-	props := g.Props()
-	active := g.Active()
 
 	rp := planRun(g, p.Direction(), cfg)
 	autoDegs := rp.autoDegs
 
-	x, y := ws.x, ws.y
 	xw := x.Mask().Words()
 	sink := scalarSink(p, x, props, y)
 

@@ -9,12 +9,13 @@ import (
 )
 
 // This file is the multi-source front-end of the superstep loop (driver.run,
-// engine.go): the same three phases as runTyped — SendMessage, generalized
+// engine.go): the same three phases as runScalar — SendMessage, generalized
 // multiply, Apply — widened to an n×k block of independent source columns
 // sharing one traversal of the adjacency structure per superstep. Vertex
 // state lives in a BlockState, not the graph, so a block run never disturbs
 // the graph's scalar props/active and can share a pinned snapshot with
-// scalar runs.
+// scalar runs. One column has nothing to share a traversal with: a k = 1
+// run IS runScalar, over the block state's and workspace's own arrays.
 //
 // Convergence is per column and structural: a source column whose vertices
 // all go inactive simply stops contributing frontier bits, so it drops out of
@@ -36,6 +37,11 @@ func RunBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 // per-column results with BlockState.Column. ws, when non-nil, is
 // caller-managed scratch (must match g's vertex count and st's width); nil
 // allocates fresh scratch.
+//
+// A one-column run (st.Width() == 1) executes the scalar engine's phases —
+// its sinks, flat fold included, its send and apply — over st and ws, and
+// reports the scalar engine's Stats field for field; two or more columns run
+// the k-wide block sinks, whose Stats.FlatEdges is 0.
 //
 // The block path always runs the optimized configuration: bitvector-style
 // occupancy and inlined dispatch. Config.Vector and Config.Dispatch are
@@ -77,15 +83,19 @@ func RunBlockContext[V, E, M, R any, P BlockProgram[V, E, M, R]](
 }
 
 // runBlock is the block engine's front-end: n×k message and reduction
-// blocks, the k-wide fold sinks, vertex state in bst.
+// blocks, the k-wide fold sinks, vertex state in bst. This is the one place
+// a run's width selects code.
 func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 	g *graph.Graph[V, E], p P, bst *BlockState[V], cfg Config, ws *BlockWorkspace[M, R], ctrl *controller,
 ) (Stats, error) {
-	d := newDriver(cfg, ctrl, int(g.NumVertices()))
 	k := bst.k
 	props := bst.props
+	if k == 1 {
+		return runScalar(g, p, cfg, ctrl, props, bst.summary, ws.x.scalar, ws.y.scalar)
+	}
+	d := newDriver(cfg, ctrl, int(g.NumVertices()))
 
-	// Auto accounting, as in runTyped: per-sender degrees tallied during
+	// Auto accounting, as in runScalar: per-sender degrees tallied during
 	// SendMessage. A sender's edge work counts once per live column — the
 	// block multiply really does fold each of its edges that many times.
 	rp := planRun(g, p.Direction(), cfg)
@@ -120,7 +130,7 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 			senders, sent := x.Occupancy()
 			return int64(sent), int64(senders)
 		},
-		// The SpMM: runTyped's walks over the block frontier's vertex
+		// The SpMM: runScalar's walks over the block frontier's vertex
 		// summary, folding k-wide into y.
 		multiply: func(mode Mode) {
 			y.Reset()

@@ -368,8 +368,8 @@ func addLayers[E any](c KernelCosts, layers []sparse.Layered[E], liveNNZ []int) 
 //
 //  1. the Ligra-style edge-work rule — the frontier's outgoing edge work
 //     (the degree sum of the sending vertices with respect to the traversal
-//     structure) times the threshold fits within the structure's total edge
-//     count, so the superstep is frontier-sparse;
+//     structure) times DefaultPushThreshold fits within the structure's
+//     total edge count, so the superstep is frontier-sparse;
 //  2. the probe rule — the push kernel's lookup bill (frontier size ×
 //     partitions, each lookup worth pushProbeCost pull probes) undercuts the
 //     pull kernel's fixed per-superstep column-scan bill.
@@ -377,15 +377,11 @@ func addLayers[E any](c KernelCosts, layers []sparse.Layered[E], liveNNZ []int) 
 // Rule 1 keeps dense frontiers (PageRank, BFS's middle supersteps) on pull;
 // rule 2 keeps mid-size frontiers on pull when per-vertex lookups across
 // many partitions would cost more than one sequential sweep of the columns.
-// threshold <= 0 means DefaultPushThreshold.
-func (c KernelCosts) Choose(mode Mode, threshold float64, frontierSize, frontierEdges int64) Mode {
+func (c KernelCosts) Choose(mode Mode, frontierSize, frontierEdges int64) Mode {
 	if mode != Auto {
 		return mode
 	}
-	if threshold <= 0 {
-		threshold = DefaultPushThreshold
-	}
-	if float64(frontierEdges)*threshold > float64(c.TotalEdges) {
+	if float64(frontierEdges)*DefaultPushThreshold > float64(c.TotalEdges) {
 		return Pull
 	}
 	if frontierSize*int64(c.Partitions)*pushProbeCost > c.TotalNZCols {

@@ -30,7 +30,9 @@ import (
 
 // blockSink resolves block program p's column fold from message block x
 // into reduction block y, once per run — the block analogue of scalarSink,
-// with the same fused float64-sum and float32 path-semiring fast paths.
+// with the same fused float64-sum and float32 path-semiring fast paths. The
+// sinks read per-vertex column masks, so they serve blocks of two or more
+// columns only; runBlock gives a one-column block to scalarSink.
 func blockSink[V, E, M, R any, P BlockProgram[V, E, M, R]](p P, x *BlockVector[M], y *BlockVector[R]) colSink[E] {
 	if _, ok := any(p).(SumFoldF64); ok {
 		xf, okX := any(x).(*BlockVector[float64])

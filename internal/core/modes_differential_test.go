@@ -273,13 +273,9 @@ func TestChooseMode(t *testing.T) {
 		{Auto, 0, 0, Push, "empty frontier trivially pushes"},
 	}
 	for _, c := range cases {
-		if got := costs.Choose(c.mode, 0, c.size, c.edges); got != c.want {
+		if got := costs.Choose(c.mode, c.size, c.edges); got != c.want {
 			t.Errorf("%s: Choose(%s, size=%d, edges=%d) = %s, want %s", c.why, c.mode, c.size, c.edges, got, c.want)
 		}
-	}
-	// Threshold tuning: a huge threshold forbids pushing any nonzero edge work.
-	if got := costs.Choose(Auto, 1e9, 1, 1); got != Pull {
-		t.Errorf("huge threshold should force pull, got %s", got)
 	}
 }
 

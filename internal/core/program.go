@@ -8,10 +8,13 @@
 //
 // There is one superstep loop (driver.run, engine.go) and three front-ends
 // that hand it their send / multiply / apply phases: the scalar engine
-// (runTyped), the n×k multi-source block engine (runBlock, engine_block.go)
+// (runScalar), the n×k multi-source block engine (runBlock, engine_block.go)
 // and the boxed-dispatch ablation (runBoxed, boxed.go). Iteration cap, stop
 // checks, Stats, direction choice and the observer report live in the loop;
-// everything per vertex or per edge lives in the front-ends.
+// everything per vertex or per edge lives in the front-ends. A vector is a
+// one-column block: runBlock at k = 1 calls runScalar over the block state's
+// own arrays, so the two engines share every phase there and callers never
+// choose an engine by source count.
 //
 // The SpMV backend is a kernel layer (kernel.go) with two directions: the
 // paper's column-driven pull probe and a frontier-driven push SpMSpV, chosen

@@ -265,5 +265,5 @@ func RunContext[V, E, M, R any, P Program[V, E, M, R]](
 	} else if err := ws.Check(int(g.NumVertices()), cfg.Vector); err != nil {
 		return Stats{}, err
 	}
-	return runTyped(g, p, cfg, ws, ctrl)
+	return runScalar(g, p, cfg, ctrl, g.Props(), g.Active(), ws.x, ws.y)
 }

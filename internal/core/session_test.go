@@ -15,8 +15,10 @@ import (
 // returned, no Apply after a stop raised mid-multiply, scratch reusable
 // after a stopped run, the per-superstep observer stream — belongs to the
 // one superstep loop, so every test below asserts it once per front-end:
-// the scalar engine, the boxed ablation and the block engine (at k=1, whose
-// frontier is the scalar run's).
+// the scalar engine, the boxed ablation, and the block engine twice — at
+// k=2 with the second column idle, so the k-wide phases run a frontier that
+// is the scalar run's, and at k=1, where the scalar phases run over the block
+// state's arrays.
 
 type frontEnd int
 
@@ -24,13 +26,14 @@ const (
 	scalarFE frontEnd = iota
 	boxedFE
 	blockFE
+	block1FE
 )
 
-func (fe frontEnd) String() string { return [...]string{"scalar", "boxed", "block"}[fe] }
+func (fe frontEnd) String() string { return [...]string{"scalar", "boxed", "block", "block_k1"}[fe] }
 
 // eachFrontEnd runs fn as one subtest per front-end.
 func eachFrontEnd(t *testing.T, fn func(t *testing.T, fe frontEnd)) {
-	for _, fe := range []frontEnd{scalarFE, boxedFE, blockFE} {
+	for _, fe := range []frontEnd{scalarFE, boxedFE, blockFE, block1FE} {
 		t.Run(fe.String(), func(t *testing.T) { fn(t, fe) })
 	}
 }
@@ -51,18 +54,21 @@ type session[V, M, R any, P BlockProgram[V, float32, M, R]] struct {
 func newSession[V, M, R any, P BlockProgram[V, float32, M, R]](fe frontEnd, g *graph.Graph[V, float32], p P) *session[V, M, R, P] {
 	n := int(g.NumVertices())
 	s := &session[V, M, R, P]{fe: fe, g: g, p: p}
-	if fe == blockFE {
+	switch fe {
+	case blockFE:
+		s.bws, s.st = NewBlockWorkspace[M, R](n, 2), NewBlockState[V](n, 2)
+	case block1FE:
 		s.bws, s.st = NewBlockWorkspace[M, R](n, 1), NewBlockState[V](n, 1)
-	} else {
+	default:
 		s.ws = NewWorkspace[M, R](n, Bitvector)
 	}
 	return s
 }
 
 // reset sets every property to prop and activates exactly the given
-// vertices, or all of them when none are given.
+// vertices, or all of them when none are given (in column 0 of a block).
 func (s *session[V, M, R, P]) reset(prop V, active ...uint32) {
-	if s.fe == blockFE {
+	if s.st != nil {
 		s.st.SetAllProps(prop)
 		s.st.ClearActive()
 		if len(active) == 0 {
@@ -84,7 +90,7 @@ func (s *session[V, M, R, P]) reset(prop V, active ...uint32) {
 }
 
 func (s *session[V, M, R, P]) setProp(v uint32, prop V) {
-	if s.fe == blockFE {
+	if s.st != nil {
 		s.st.SetProp(v, 0, prop)
 	} else {
 		s.g.SetProp(v, prop)
@@ -93,7 +99,7 @@ func (s *session[V, M, R, P]) setProp(v uint32, prop V) {
 
 func (s *session[V, M, R, P]) props() []V {
 	out := make([]V, s.g.NumVertices())
-	if s.fe == blockFE {
+	if s.st != nil {
 		s.st.Column(0, out)
 	} else {
 		copy(out, s.g.Props())
@@ -103,7 +109,7 @@ func (s *session[V, M, R, P]) props() []V {
 
 func (s *session[V, M, R, P]) run(ctx context.Context, cfg Config, opts ...RunOption) (Stats, error) {
 	switch s.fe {
-	case blockFE:
+	case blockFE, block1FE:
 		return RunBlockContext(ctx, s.g, s.p, s.st, cfg, s.bws, opts...)
 	case boxedFE:
 		cfg.Dispatch = Boxed

@@ -42,7 +42,7 @@ func SpMVContext[V, E, M, R any, P Program[V, E, M, R]](
 	if rp.autoDegs != nil {
 		x.Mask().Iterate(func(v uint32) { work += int64(rp.autoDegs[v]) })
 	}
-	mode := rp.costs.Choose(cfg.Mode, cfg.PushThreshold, int64(x.NNZ()), work)
+	mode := rp.costs.Choose(cfg.Mode, int64(x.NNZ()), work)
 
 	y := sparse.NewVector[R](int(g.NumVertices()))
 	locals := make([]localStats, cfg.Threads)

@@ -53,8 +53,9 @@ func withModes(profile []pinStep, modes ...Mode) []pinStep {
 // FlatEdges was added with the pull walk's flat fold. The two 118s are one
 // batch: the 8-column tail of a partition's 1352-column list, which one
 // mid-run frontier happens to cover; the 3-worker pull tasks are
-// row-clipped, push supersteps never fold flat, and the block and boxed
-// sinks have no flat fold, so every other case pins 0.
+// row-clipped (block/k1 included: it runs the scalar phases, at three
+// workers), push supersteps never fold flat, and the k-wide block sinks and
+// the boxed path have no flat fold, so every other case pins 0.
 func TestStatsPinned(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
 	adj.RemoveSelfLoops()

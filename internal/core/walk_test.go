@@ -183,7 +183,7 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, noAux bool) *walkC
 	c.props = make([]uint64, n)
 	c.x = sparse.NewVector[uint64](n)
 	c.xf64, c.xf32 = sparse.NewVector[float64](n), sparse.NewVector[float32](n)
-	c.blocks = map[int]*BlockVector[uint64]{1: NewBlockVector[uint64](n, 1), 3: NewBlockVector[uint64](n, 3)}
+	c.blocks = map[int]*BlockVector[uint64]{2: NewBlockVector[uint64](n, 2), 3: NewBlockVector[uint64](n, 3)}
 	for v := 0; v < n; v++ {
 		c.props[v] = rng.Uint64()
 		if rng.Intn(256) >= density {
@@ -368,7 +368,7 @@ func (c *walkCase) folds() []walkFold {
 		scalarFold(c, "sum_f64", sumFoldProg{}, c.lf, c.freshf, c.xf64, make([]float64, c.n), math.Float64bits),
 		scalarFold(c, "minplus_f32", ssspFused{}, c.lf, c.freshf, c.xf32, make([]float32, c.n), f32),
 		scalarFold(c, "maxmin_f32", widestFused{}, c.lf, c.freshf, c.xf32, make([]float32, c.n), f32),
-		c.blockFold(1),
+		c.blockFold(2),
 		c.blockFold(3),
 	}
 }

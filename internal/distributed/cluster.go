@@ -309,7 +309,7 @@ func RunModeContext[V, E, M, R any, P core.Program[V, E, M, R]](ctx context.Cont
 		if totalSent == 0 {
 			break
 		}
-		stepMode := c.costs.Choose(mode, 0, int64(totalSent), frontierEdges)
+		stepMode := c.costs.Choose(mode, int64(totalSent), frontierEdges)
 		if stepMode == core.Push {
 			stats.PushSupersteps++
 		} else {

@@ -22,10 +22,8 @@ import (
 // catch requests that are already in flight together, not to delay lone
 // queries hoping company shows up. A batch that reaches the block width
 // (graphmat.MaxBlockSources) flushes immediately. A window that closes with
-// one source in it — most of them, at two closed-loop clients — has nothing
-// to share a sweep with, and GraphEntry.RunBatchPinned runs it on the scalar
-// engine with pooled scratch; only real coalescing widens to the block
-// engine.
+// one source in it — most of them, at two closed-loop clients — flushes like
+// any other: what a one-column block run costs is the engine's business.
 
 const defaultBatchWindow = 2 * time.Millisecond
 
@@ -89,9 +87,9 @@ func newBatcher(window time.Duration) *batcher {
 // batch for the request's key, waits for the coalesced run, and returns this
 // request's column as an ordinary single-source Result. The Stats of a
 // coalesced run are the whole batch's aggregate — batching trades per-request
-// stat attribution for shared sweeps; a request that ran alone (width 1)
-// carries the scalar engine's Stats for exactly its own run. The second
-// return reports whether the run was shared with other requests.
+// stat attribution for shared sweeps; a request that ran alone carries the
+// Stats of exactly its own run. The second return reports whether the run
+// was shared with other requests.
 //
 // ctx bounds only this caller's wait: a coalesced run is not canceled when
 // one of its waiters gives up, since the others still want the result.

@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -269,6 +272,53 @@ func TestUpdateEdgesStatusCodes(t *testing.T) {
 	if entry.Epoch() != 0 || entry.NumEdges() != edges || entry.MasterStats().OverlayKeys != 0 {
 		t.Errorf("rejected batches moved the graph: epoch %d, %d edges (was %d), master %+v",
 			entry.Epoch(), entry.NumEdges(), edges, entry.MasterStats())
+	}
+}
+
+// TestJSONBodyStatusCodes: the three routes that take a JSON document accept
+// exactly one of at most maxJSONBody bytes, and both run endpoints bound
+// timeout_ms to what a time.Duration can hold — through the one function
+// they share, so each case is posed to both spellings of the query.
+func TestJSONBodyStatusCodes(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	t.Cleanup(ts.Close)
+	addTestGraph(t, ts, "g")
+	pad := strings.Repeat(" ", maxJSONBody)
+	sources := `{"algo":"bfs","sources":[` + strings.Repeat("1,", maxJSONBody/2) + `1]}`
+	const run, bfs, graphs = "/v1/graphs/g/run", "/v1/graphs/g/run/bfs", "/v1/graphs"
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"one document", run, `{"algo":"bfs"}`, http.StatusOK},
+		{"trailing whitespace", run, "{\"algo\":\"bfs\"} \n\t\r\n", http.StatusOK},
+		{"trailing garbage", run, `{"algo":"bfs"}garbage`, http.StatusBadRequest},
+		{"second document", run, `{"algo":"bfs"}{"algo":"sssp"}`, http.StatusBadRequest},
+		{"oversized sources list", run, sources, http.StatusRequestEntityTooLarge},
+		{"garbage past the cap", run, `{"algo":"bfs"}` + pad + "x", http.StatusRequestEntityTooLarge},
+		{"alias: empty body", bfs, "", http.StatusOK},
+		{"alias: one document", bfs, `{"source":3}`, http.StatusOK},
+		{"alias: trailing garbage", bfs, `{"source":3}garbage`, http.StatusBadRequest},
+		{"alias: oversized", bfs, `{"source":3}` + pad + "x", http.StatusRequestEntityTooLarge},
+		{"add graph: trailing garbage", graphs, `{"name":"h","generator":"grid","width":4,"height":4}x`, http.StatusBadRequest},
+		{"add graph: oversized", graphs, `{"name":"h","generator":"grid","width":4,"height":4}` + pad + "x", http.StatusRequestEntityTooLarge},
+		{"add graph: one document", graphs, `{"name":"h","generator":"grid","width":4,"height":4}`, http.StatusCreated},
+
+		{"timeout at the bound", run, fmt.Sprintf(`{"algo":"bfs","timeout_ms":%d}`, maxTimeoutMS), http.StatusOK},
+		{"timeout past the bound", run, fmt.Sprintf(`{"algo":"bfs","timeout_ms":%d}`, maxTimeoutMS+1), http.StatusBadRequest},
+		{"timeout MaxInt64", run, fmt.Sprintf(`{"algo":"bfs","timeout_ms":%d}`, int64(math.MaxInt64)), http.StatusBadRequest},
+		{"alias: timeout at the bound", fmt.Sprintf("%s?timeout_ms=%d", bfs, maxTimeoutMS), "", http.StatusOK},
+		{"alias: timeout past the bound", fmt.Sprintf("%s?timeout_ms=%d", bfs, maxTimeoutMS+1), "", http.StatusBadRequest},
+		{"alias: timeout zero", bfs + "?timeout_ms=0", "", http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		code, body := doRaw(t, ts, http.MethodPost, tc.path, tc.body)
+		if code != tc.want {
+			t.Errorf("%s = %d, want %d: %.200s", tc.name, code, tc.want, body)
+		}
+		if code == http.StatusBadRequest && strings.Contains(tc.name, "timeout") && !bytes.Contains(body, []byte("invalid timeout_ms")) {
+			t.Errorf("%s: error %s does not name timeout_ms", tc.name, body)
+		}
 	}
 }
 

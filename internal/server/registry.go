@@ -79,11 +79,11 @@ type GraphEntry struct {
 }
 
 // algoInstance is one built (graph, algorithm) pair: the property graph, a
-// sync.Pool of engine workspaces reused across queries, and run tallies. Run
-// serializes on runMu because the engine mutates the property graph's vertex
-// state; the workspace pool means back-to-back queries reuse scratch instead
-// of paying two vertex-sized allocations each (the RedisGraph-style shared
-// engine state this server exists to provide).
+// sync.Pool of engine workspaces reused across scalar queries, and run
+// tallies. Runs serialize on runMu because a scalar run mutates the property
+// graph's vertex state; the workspace pool means back-to-back scalar queries
+// reuse scratch instead of paying two vertex-sized allocations each (the
+// RedisGraph-style shared engine state this server exists to provide).
 type algoInstance struct {
 	spec algorithms.Spec
 	inst algorithms.Instance
@@ -97,24 +97,12 @@ type algoInstance struct {
 	// total source columns they advanced. batchedSources / batchRuns is the
 	// mean batch width — the serving-side view of how well admission batching
 	// and explicit multi-source requests amortize adjacency sweeps.
-	// scalarBatchRuns is the part of batchRuns that was one source wide and
-	// therefore ran on the scalar engine; the rest ran on the block engine.
-	batchRuns       atomic.Int64
-	batchedSources  atomic.Int64
-	scalarBatchRuns atomic.Int64
+	batchRuns      atomic.Int64
+	batchedSources atomic.Int64
 
 	statsMu sync.Mutex
 	engine  graphmat.Stats
 	wall    float64 // seconds spent inside the engine
-}
-
-// recycle returns a scalar workspace to the pool, cleared: stale messages must
-// not leak into the next query (a canceled run leaves some behind).
-func (ai *algoInstance) recycle(scratch any) {
-	if rs, ok := scratch.(interface{ Reset() }); ok {
-		rs.Reset()
-	}
-	ai.pool.Put(scratch)
 }
 
 // record accumulates one completed run's engine stats and wall time into the
@@ -468,7 +456,12 @@ func (g *GraphEntry) RunContext(ctx context.Context, algo string, p algorithms.P
 	start := time.Now()
 	res, err := ai.inst.RunContext(ctx, p, scratch, obs)
 	wall := time.Since(start).Seconds()
-	ai.recycle(scratch)
+	// Cleared before it is pooled: stale messages must not leak into the next
+	// query (a canceled run leaves some behind).
+	if rs, ok := scratch.(interface{ Reset() }); ok {
+		rs.Reset()
+	}
+	ai.pool.Put(scratch)
 	if err != nil {
 		return res, err
 	}
@@ -478,31 +471,25 @@ func (g *GraphEntry) RunContext(ctx context.Context, algo string, p algorithms.P
 }
 
 // RunBatch executes one multi-source query: one independent single-source run
-// per element of p.Sources on one pinned snapshot, per-source results
-// bit-identical to that many Run calls. Like RunContext it serializes on the
-// instance and accumulates engine stats. Two or more sources advance as one
-// block run whose n×k scratch is allocated per run; a lone source runs on the
-// scalar engine with a pooled scalar workspace, exactly as RunContext does
-// (see algorithms.Instance.RunBatch), and is still tallied as a batch run of
-// width 1. Algorithms without a source parameter return
-// algorithms.ErrBatchUnsupported.
+// per element of p.Sources on one pinned snapshot, advanced together as one
+// block run, per-source results bit-identical to that many Run calls. Like
+// RunContext it serializes on the instance and accumulates engine stats; the
+// run's scratch is allocated per run, not drawn from the workspace pool.
+// Algorithms without a source parameter return algorithms.ErrBatchUnsupported.
 func (g *GraphEntry) RunBatch(ctx context.Context, algo string, p algorithms.Params, obs algorithms.Observer) (algorithms.BatchResult, error) {
-	return g.runBatch(ctx, algo, nil, p, obs)
+	return g.RunBatchPinned(ctx, algo, nil, p, obs)
 }
 
 // RunBatchPinned is RunBatch against a snapshot the caller pinned earlier
 // with the instance's AcquirePin — the admission batcher's path, where the
 // epoch promised at admission must be the epoch the run executes on. The
-// pin stays owned by the caller.
+// pin stays owned by the caller; a nil pin means the current snapshot.
+//
+// A batch run of any width keeps its vertex state in its own scratch and
+// never writes the pinned snapshot's, so runMu is no longer what keeps it
+// correct beside a scalar run; it still holds the lock, which keeps each
+// instance to one engine run on the worker pool at a time.
 func (g *GraphEntry) RunBatchPinned(ctx context.Context, algo string, pin algorithms.Pin, p algorithms.Params, obs algorithms.Observer) (algorithms.BatchResult, error) {
-	return g.runBatch(ctx, algo, pin, p, obs)
-}
-
-// runBatch is the one batch run path; a nil pin means the current snapshot.
-// runMu covers every width: a block run keeps its state in its own scratch,
-// but a width-1 run is a scalar run and writes the pinned snapshot's vertex
-// state like any other.
-func (g *GraphEntry) runBatch(ctx context.Context, algo string, pin algorithms.Pin, p algorithms.Params, obs algorithms.Observer) (algorithms.BatchResult, error) {
 	ai, err := g.instance(algo)
 	if err != nil {
 		return algorithms.BatchResult{}, err
@@ -512,26 +499,13 @@ func (g *GraphEntry) runBatch(ctx context.Context, algo string, pin algorithms.P
 	}
 	ai.runMu.Lock()
 	defer ai.runMu.Unlock()
-	var scratch any
-	if len(p.Sources) <= 1 {
-		scratch = ai.pool.Get()
-		defer ai.recycle(scratch)
-	}
 	start := time.Now()
-	var res algorithms.BatchResult
-	if pin == nil {
-		res, err = ai.inst.RunBatch(ctx, p, scratch, obs)
-	} else {
-		res, err = ai.inst.RunBatchPinned(ctx, pin, p, scratch, obs)
-	}
+	res, err := ai.inst.RunBatch(ctx, pin, p, obs)
 	if err != nil {
 		return res, err
 	}
 	ai.batchRuns.Add(1)
 	ai.batchedSources.Add(int64(len(res.Sources)))
-	if len(res.Sources) == 1 {
-		ai.scalarBatchRuns.Add(1)
-	}
 	ai.record(res.Stats, time.Since(start).Seconds())
 	return res, nil
 }
@@ -541,12 +515,9 @@ type AlgoStats struct {
 	Runs int64 `json:"runs"`
 	// BatchRuns counts batch runs of any width; BatchedSources the source
 	// columns they carried (their ratio is the mean batch width).
-	// ScalarBatchRuns counts the width-1 batch runs, which the scalar engine
-	// served; BatchRuns - ScalarBatchRuns ran on the block engine.
-	BatchRuns       int64 `json:"batch_runs"`
-	BatchedSources  int64 `json:"batched_sources"`
-	ScalarBatchRuns int64 `json:"scalar_batch_runs"`
-	// WorkspaceAllocs counts workspaces the pool actually created; runs
+	BatchRuns      int64 `json:"batch_runs"`
+	BatchedSources int64 `json:"batched_sources"`
+	// WorkspaceAllocs counts workspaces the pool actually created; scalar runs
 	// beyond this number reused pooled scratch. Pools survive edge updates
 	// (the vertex count is fixed), so this should stay flat under update
 	// traffic.
@@ -576,7 +547,6 @@ func (g *GraphEntry) Stats() map[string]AlgoStats {
 			Runs:            ai.runs.Load(),
 			BatchRuns:       ai.batchRuns.Load(),
 			BatchedSources:  ai.batchedSources.Load(),
-			ScalarBatchRuns: ai.scalarBatchRuns.Load(),
 			WorkspaceAllocs: ai.allocs.Load(),
 			Engine:          engine,
 			Counters:        counterSet(engine, wall),

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -224,8 +225,8 @@ func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req addGraphRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeError(w, bodyErrorCode(err), "decoding request: %v", err)
 		return
 	}
 	entry, err := s.reg.Add(req.Name, req.Source)
@@ -259,14 +260,7 @@ func (s *Server) handleUploadGraph(w http.ResponseWriter, r *http.Request, forma
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
 	if err != nil {
-		// Only an over-limit body is the client's size problem; anything
-		// else (disconnect, reset) is a plain bad request.
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, "reading upload: %v", err)
+		writeError(w, bodyErrorCode(err), "reading upload: %v", err)
 		return
 	}
 	opt := graph.LoadOptions{Parallelism: s.cfg.Workers}
@@ -339,12 +333,7 @@ func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, "reading update batch: %v", err)
+		writeError(w, bodyErrorCode(err), "reading update batch: %v", err)
 		return
 	}
 	var batch []graphmat.EdgeUpdate
@@ -462,7 +451,8 @@ type batchRunResponse struct {
 }
 
 // runRequest is the POST /v1/graphs/{name}/run body — the whole query in one
-// document instead of spread across the path, the query string and the body.
+// document — and what the per-algorithm endpoint translates its path, query
+// string and body into.
 type runRequest struct {
 	// Algo names the registry algorithm to run.
 	Algo string `json:"algo"`
@@ -483,24 +473,59 @@ type runRequest struct {
 	Stream bool `json:"stream,omitempty"`
 }
 
-// handleRunV1 is the unified v1 query endpoint. Requests without a sources
-// list behave exactly like the per-algorithm endpoint (cache fast path
-// included). Requests with sources take the multi-source path: k
+// handleRunV1 is the unified v1 query endpoint: the whole query is the body.
+func (s *Server) handleRunV1(w http.ResponseWriter, r *http.Request) {
+	var req runRequest
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeError(w, bodyErrorCode(err), "decoding request: %v", err)
+		return
+	}
+	s.runQuery(w, r, req)
+}
+
+// handleRun is the per-algorithm spelling of the same query: the algorithm
+// comes from the path, its parameters are the (possibly empty) body, and
+// mode, timeout_ms and stream (1 or true) arrive as query parameters. It only
+// translates; runQuery does the rest, so the two endpoints cannot drift.
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	req := runRequest{Algo: r.PathValue("algo")}
+	if err := decodeJSON(w, r, &req.Params); err != nil && err != io.EOF {
+		writeError(w, bodyErrorCode(err), "decoding params: %v", err)
+		return
+	}
+	q := r.URL.Query()
+	req.Mode = q.Get("mode")
+	if tms := q.Get("timeout_ms"); tms != "" {
+		n, err := strconv.ParseInt(tms, 10, 64)
+		if err != nil || n <= 0 {
+			writeError(w, http.StatusBadRequest, "invalid timeout_ms %q: want a positive integer", tms)
+			return
+		}
+		req.TimeoutMS = n
+	}
+	stream := q.Get("stream")
+	req.Stream = stream == "1" || stream == "true"
+	s.runQuery(w, r, req)
+}
+
+// maxTimeoutMS is the largest timeout_ms whose time.Duration does not
+// overflow (and wrap negative: an instant 504 for the longest timeout).
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
+// runQuery executes one decoded query; both run endpoints end here. The run
+// inherits the request's context, so a client that disconnects cancels its
+// engine work. Requests without a sources list are scalar runs (cache fast
+// path included). Requests with sources take the multi-source path: k
 // independent runs advanced as one block batch, bit-identical per source to
 // k solo runs. Single-source requests go through the admission batcher,
 // which coalesces concurrent compatible requests into shared block runs —
 // the LRU cache is deliberately not consulted on this path; shared sweeps,
 // not memoization, are the v1 dedup mechanism.
-func (s *Server) handleRunV1(w http.ResponseWriter, r *http.Request) {
+func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req runRequest) {
 	name := r.PathValue("name")
 	g, err := s.reg.Get(name)
 	if err != nil {
 		writeError(w, errorCode(err), "%v", err)
-		return
-	}
-	var req runRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	spec, ok := algorithms.Lookup(req.Algo)
@@ -513,6 +538,9 @@ func (s *Server) handleRunV1(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// The request-level mode wins over a "mode" algorithm parameter. Mode is
+	// a performance knob: all modes are bit-identical, so it does not
+	// participate in the result-cache key.
 	if req.Mode != "" {
 		mode, err := graphmat.ParseMode(req.Mode)
 		if err != nil {
@@ -523,7 +551,7 @@ func (s *Server) handleRunV1(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	if req.TimeoutMS != 0 {
-		if req.TimeoutMS < 0 {
+		if req.TimeoutMS < 0 || req.TimeoutMS > maxTimeoutMS {
 			writeError(w, http.StatusBadRequest, "invalid timeout_ms %d: want a positive integer", req.TimeoutMS)
 			return
 		}
@@ -588,66 +616,8 @@ func (s *Server) handleRunV1(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleRun executes one query. The run inherits the request's context, so a
-// client that disconnects cancels its engine work; two query parameters
-// refine the session: timeout_ms bounds the run's wall time (expiry returns
-// 504), and stream=1 switches the response to NDJSON — one progress line per
-// superstep while the run is in flight, then a final line with the same
-// shape as the blocking response.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	name, algo := r.PathValue("name"), r.PathValue("algo")
-	g, err := s.reg.Get(name)
-	if err != nil {
-		writeError(w, errorCode(err), "%v", err)
-		return
-	}
-	spec, ok := algorithms.Lookup(algo)
-	if !ok {
-		writeError(w, http.StatusNotFound, "%v: %s (have %v)", ErrAlgoNotFound, algo, algorithms.Names())
-		return
-	}
-	raw := map[string]any{}
-	if err := decodeJSON(r, &raw); err != nil && err != io.EOF {
-		writeError(w, http.StatusBadRequest, "decoding params: %v", err)
-		return
-	}
-	params, err := spec.ParseParams(raw)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	q := r.URL.Query()
-	// mode= selects the engine's SpMV kernel for this run (auto, pull,
-	// push); it can also arrive as a body parameter — the query form wins.
-	// Mode is a performance knob: all modes are bit-identical, so it does
-	// not participate in the result-cache key.
-	if qm := q.Get("mode"); qm != "" {
-		mode, err := graphmat.ParseMode(qm)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid mode %q: want auto, pull or push", qm)
-			return
-		}
-		params.Mode = mode
-	}
-	ctx := r.Context()
-	if tms := q.Get("timeout_ms"); tms != "" {
-		n, err := strconv.ParseInt(tms, 10, 64)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, "invalid timeout_ms %q: want a positive integer", tms)
-			return
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(n)*time.Millisecond)
-		defer cancel()
-	}
-	stream := q.Get("stream")
-	s.finishRun(ctx, w, g, name, algo, params, stream == "1" || stream == "true")
-}
-
 // finishRun executes a fully parsed scalar run: the per-mode tally, the
-// stream branch, the cache fast path, the engine run, and the response. Both
-// the path-parameter endpoint and the unified endpoint end here.
+// stream branch, the cache fast path, the engine run, and the response.
 func (s *Server) finishRun(ctx context.Context, w http.ResponseWriter, g *GraphEntry, name, algo string, params algorithms.Params, stream bool) {
 	// Tally after all parameter validation: rejected requests must not skew
 	// the per-mode counters.
@@ -905,9 +875,37 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeJSON strictly decodes a request body; empty bodies return io.EOF.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxJSONBody caps a JSON request document (a run query, a graph source). The
+// graph data itself travels on the upload and update routes, under
+// Config.MaxUploadBytes.
+const maxJSONBody = 1 << 20
+
+// decodeJSON strictly decodes a request body holding exactly one JSON
+// document of at most maxJSONBody bytes: unknown fields, anything but
+// whitespace after the document, and a longer body are errors. Empty bodies
+// return io.EOF.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("unexpected data after the JSON document")
+		}
+		return err
+	}
+	return nil
+}
+
+// bodyErrorCode maps a failure to read or decode a request body to a status:
+// only an over-limit body is the client's size problem; anything else
+// (malformed, disconnect, reset) is a plain bad request.
+func bodyErrorCode(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
