@@ -70,7 +70,7 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/sched/... ./internal/kernels/... ./internal/sparse/... ./internal/distributed/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
 
 # Fuzz smoke over the graph readers, the update-stream parser, the run-reply
-# number encoder, the SIMD kernel backends and the column walks: 10s per
+# number encoder, the SIMD kernel backends and the kernel walks: 10s per
 # target (go test takes one -fuzz pattern at a time). The reader targets
 # assert parallel parse ≡ sequential parse; the update target asserts the
 # single-pass NDJSON parser ≡ the per-line encoding/json oracle and that an
@@ -78,8 +78,9 @@ race:
 # every finite float64 is encoded byte for byte as encoding/json encodes it;
 # the kernel targets assert every SIMD backend ≡ the scalar oracle bit for
 # bit; the walk target asserts pull ≡ push ≡ a naive fold of the live edge set
-# over random base+delta partitions, frontiers and row cuts. CI runs this
-# target.
+# and the row walk ≡ a naive "first live in-neighbour of each unsettled row"
+# over random base+delta partitions, frontiers, settled sets and row cuts. CI
+# runs this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMTX$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/graph
@@ -104,7 +105,9 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # The engine kernel matrix: backend {scalar, avx2|neon} × mode
-# {pull, push, auto} × workers {1, 4, 8}, plus the all-live pull row
+# {pull, push, auto} × workers {1, 4, 8}, plus the direction-optimizing BFS
+# row (BenchmarkEngineBFS/hub_auto: ns per input edge and the share of
+# supersteps that ran the row walk) and the all-live pull row
 # (BenchmarkEngineAllLive: ns per edge fold and the share folded flat). Real
 # measurement (1s per case), unlike the bench smoke.
 bench-engine:

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"context"
 	"math"
+	"slices"
 
 	"graphmat"
 )
@@ -51,6 +52,15 @@ func (BFSProgram) Direction() graphmat.Direction { return graphmat.Out }
 // destination property, enabling the backend's fast path.
 func (BFSProgram) ProcessIgnoresDst() {}
 
+// Unsettled declares graphmat.FirstMessageFinal: a vertex waits for its
+// first message while it is Unreached. The promise holds for a
+// level-synchronous traversal — every active vertex at one distance, every
+// other visited vertex no farther, the rest Unreached, which is how RunBFS
+// and the registry start one: all of a superstep's messages then carry the
+// same level, no smaller than any visited vertex's distance, so Apply
+// ignores them there and min over them is the first.
+func (BFSProgram) Unsettled(prop uint32) bool { return prop == Unreached }
+
 // NewBFSGraph builds the BFS property graph, applying the paper's
 // preprocessing: self-loops removed and the edge set symmetrized ("we
 // replicate edges ... to obtain a symmetric graph"). The input is consumed.
@@ -82,9 +92,5 @@ func RunBFS(ctx context.Context, g *graphmat.Graph[uint32, float32], root uint32
 	g.ClearActive()
 	g.SetActive(root)
 	stats, err := graphmat.RunContext(ctx, g, BFSProgram{}, set.cfg, ws, newSession(set.obs).options()...)
-	dist := make([]uint32, g.NumVertices())
-	for v := range dist {
-		dist[v] = g.Prop(uint32(v))
-	}
-	return dist, stats, err
+	return slices.Clone(g.Props()), stats, err
 }

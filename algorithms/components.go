@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"context"
+	"slices"
 
 	"graphmat"
 )
@@ -64,11 +65,7 @@ func RunConnectedComponents(ctx context.Context, g *graphmat.Graph[uint32, float
 	g.InitProps(func(v uint32) uint32 { return v })
 	g.SetAllActive()
 	stats, err := graphmat.RunContext(ctx, g, CCProgram{}, set.cfg, ws, newSession(set.obs).options()...)
-	labels := make([]uint32, g.NumVertices())
-	for v := range labels {
-		labels[v] = g.Prop(uint32(v))
-	}
-	return labels, stats, err
+	return slices.Clone(g.Props()), stats, err
 }
 
 // DegreeProgram counts arriving messages: run for one superstep with all

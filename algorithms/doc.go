@@ -33,7 +33,12 @@
 // and SSSP on road networks, low-reach sources on scale-free graphs), pull
 // wins dense iterative ranking (PageRank, PPR, HITS, where every vertex is
 // active every superstep), and Auto tracks the winner, recording its choices
-// in Stats.PushSupersteps/PullSupersteps.
+// in Stats.PushSupersteps/PullSupersteps. BFS and reachability also declare
+// graphmat.FirstMessageFinal, so their dense pull supersteps gather by
+// destination row — skipping visited vertices, stopping at the first parent —
+// which Stats.RowSupersteps counts; for those two the work tallies
+// (EdgesProcessed, Applies, ColumnsProbed) therefore differ between modes,
+// the results never.
 //
 // The benchmark harness builds graphs once and calls runners repeatedly, so
 // graph construction time is excluded from measurements exactly as the paper

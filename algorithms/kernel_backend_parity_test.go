@@ -9,7 +9,9 @@ import (
 
 // Algorithm-level backend differential: every registered algorithm, under
 // every kernel mode, must produce bit-identical results and work tallies on
-// every SIMD backend the CPU supports as it does under the scalar oracle.
+// every SIMD backend the CPU supports as it does under the scalar oracle —
+// which traversal a superstep takes, the row walk included, is decided from
+// counts no backend changes, so RowSupersteps is one of those tallies.
 // The SumFoldF64 programs (pagerank, ppr, hits) route through the SIMD
 // scatter/fold fast paths; the rest prove the frontier word ops and scans the
 // generic kernels sit on are backend-oblivious too. Skipped on CPUs with no
@@ -63,7 +65,8 @@ func TestAlgorithmsKernelBackendParity(t *testing.T) {
 						if res.Stats.Iterations != ref.Stats.Iterations ||
 							res.Stats.EdgesProcessed != ref.Stats.EdgesProcessed ||
 							res.Stats.MessagesSent != ref.Stats.MessagesSent ||
-							res.Stats.Applies != ref.Stats.Applies {
+							res.Stats.Applies != ref.Stats.Applies ||
+							res.Stats.RowSupersteps != ref.Stats.RowSupersteps {
 							t.Errorf("%s: stats %+v, scalar %+v", tag, res.Stats, ref.Stats)
 						}
 					}

@@ -1,7 +1,9 @@
 package algorithms
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"graphmat"
@@ -11,10 +13,12 @@ import (
 // Algorithm-level mode differential: for every traversal and ranking driver
 // the registry serves, pull, push and auto must produce bit-identical result
 // series (compared as float64 bit patterns — "close enough" would hide a
-// fold-order divergence) and identical engine work tallies. The per-superstep
-// y-vector differential lives in internal/core; this level proves the whole
-// driver stack — preprocessing, workspaces, multi-run sessions — is
-// mode-oblivious too.
+// fold-order divergence) and identical engine work tallies — except that the
+// two FirstMessageFinal programs, bfs and reachability, may do less work
+// where a pulling superstep gathered by rows (sameTallies states both
+// cases). The per-superstep y-vector differential lives in internal/core;
+// this level proves the whole driver stack — preprocessing, workspaces,
+// multi-run sessions — is mode-oblivious too.
 
 // modeGoldens returns adversarial edge sets: the RMAT stand-in plus the
 // shapes that historically break frontier kernels (empty frontier via an
@@ -78,9 +82,10 @@ func sameSeries(t *testing.T, what string, ref, got []float64) {
 	}
 }
 
-// TestAlgorithmsModeDifferential sweeps bfs/sssp/pagerank/ppr × goldens ×
-// sources (a connected root and — where the graph has one — an isolated
-// root, the empty-frontier-after-one-superstep case).
+// TestAlgorithmsModeDifferential sweeps every registered algorithm × goldens
+// (for the traversals: from a connected root and — where the graph has one —
+// an isolated root, the empty-frontier-after-one-superstep case). Forced push
+// is the reference: it folds every frontier edge whatever the program.
 func TestAlgorithmsModeDifferential(t *testing.T) {
 	algos := []struct {
 		name   string
@@ -93,6 +98,8 @@ func TestAlgorithmsModeDifferential(t *testing.T) {
 		{"components", Params{}},
 		{"triangles", Params{}},
 		{"hits", Params{Iterations: 12}},
+		{"reachability", Params{Source: 0}},
+		{"widest", Params{Source: 0}},
 	}
 	for name, build := range modeGoldens() {
 		for _, a := range algos {
@@ -101,9 +108,12 @@ func TestAlgorithmsModeDifferential(t *testing.T) {
 				pull.Mode = graphmat.Pull
 				push.Mode = graphmat.Push
 				auto.Mode = graphmat.Auto
-				ref := modeRun(t, a.name, build, pull)
+				ref := modeRun(t, a.name, build, push)
+				if ref.Stats.RowSupersteps != 0 {
+					t.Errorf("%s (push): %d row-walk supersteps under forced push", a.name, ref.Stats.RowSupersteps)
+				}
 				for mode, res := range map[string]Result{
-					"push": modeRun(t, a.name, build, push),
+					"pull": modeRun(t, a.name, build, pull),
 					"auto": modeRun(t, a.name, build, auto),
 				} {
 					sameSeries(t, a.name+" values ("+mode+")", ref.Values, res.Values)
@@ -111,20 +121,96 @@ func TestAlgorithmsModeDifferential(t *testing.T) {
 						sameSeries(t, a.name+" series "+series+" ("+mode+")", ref.Series[series], res.Series[series])
 					}
 					if (ref.Count == nil) != (res.Count == nil) || (ref.Count != nil && *res.Count != *ref.Count) {
-						t.Errorf("%s (%s): count %v vs pull %v", a.name, mode, res.Count, ref.Count)
+						t.Errorf("%s (%s): count %v vs push %v", a.name, mode, res.Count, ref.Count)
 					}
-					if res.Stats.Iterations != ref.Stats.Iterations {
-						t.Errorf("%s (%s): iterations %d vs pull %d", a.name, mode, res.Stats.Iterations, ref.Stats.Iterations)
-					}
-					if res.Stats.EdgesProcessed != ref.Stats.EdgesProcessed {
-						t.Errorf("%s (%s): edges %d vs pull %d", a.name, mode, res.Stats.EdgesProcessed, ref.Stats.EdgesProcessed)
-					}
-					if res.Stats.MessagesSent != ref.Stats.MessagesSent {
-						t.Errorf("%s (%s): sent %d vs pull %d", a.name, mode, res.Stats.MessagesSent, ref.Stats.MessagesSent)
-					}
+					sameTallies(t, a.name+" ("+mode+" vs push)", a.name, ref.Stats, res.Stats)
 				}
 			})
 		}
+	}
+}
+
+// hubOf returns the vertex of adj with the most non-loop out-edges: on the
+// RMAT goldens, a root inside the giant component.
+func hubOf(adj *graphmat.COO[float32]) uint32 {
+	hub, outDeg := uint32(0), make([]int, adj.NRows)
+	for _, e := range adj.Entries {
+		if e.Row != e.Col {
+			if outDeg[e.Row]++; outDeg[e.Row] > outDeg[hub] {
+				hub = e.Row
+			}
+		}
+	}
+	return hub
+}
+
+// TestRowWalkScope holds the row walk to where it belongs, for both programs
+// that declare FirstMessageFinal. From the hub of the RMAT golden's giant
+// component, pull and auto must gather — and then examine fewer edge slots
+// and apply fewer values than push, with the same answer — while forced push
+// and the boxed oracle never do and agree with each other on every tally.
+// From an isolated root no frontier ever outweighs the unsettled graph: no
+// mode gathers and all tallies are equal. (That no other program ever runs
+// it is TestAlgorithmsModeDifferential's sameTallies.)
+func TestRowWalkScope(t *testing.T) {
+	type runFn func(root uint32, opt Option) ([]uint32, graphmat.Stats)
+	// runner builds one algorithm's graph and returns its run function.
+	runner := func(build func(*graphmat.COO[float32], int) (*graphmat.Graph[uint32, float32], error),
+		run func(context.Context, *graphmat.Graph[uint32, float32], uint32, ...Option) ([]uint32, graphmat.Stats, error),
+	) func(adj *graphmat.COO[float32]) runFn {
+		return func(adj *graphmat.COO[float32]) runFn {
+			g, err := build(adj, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(root uint32, opt Option) ([]uint32, graphmat.Stats) {
+				out, stats, err := run(context.Background(), g, root, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out, stats
+			}
+		}
+	}
+	runners := map[string]func(adj *graphmat.COO[float32]) runFn{
+		"bfs":          runner(NewBFSGraph, RunBFS),
+		"reachability": runner(NewReachabilityGraph, RunReachability),
+	}
+	hub := hubOf(modeGoldens()["rmat"]())
+	boxed := WithConfig(graphmat.Config{Dispatch: graphmat.Boxed})
+	for algo, open := range runners {
+		t.Run(algo, func(t *testing.T) {
+			run := open(modeGoldens()["rmat"]())
+			ref, push := run(hub, WithMode(graphmat.Push))
+			oracle, boxedStats := run(hub, boxed)
+			if !slices.Equal(oracle, ref) {
+				t.Errorf("hub: forced push and the boxed oracle disagree")
+			}
+			sameTallies(t, "hub boxed vs push", algo, push, boxedStats)
+			if push.RowSupersteps != 0 || boxedStats.RowSupersteps != 0 {
+				t.Errorf("hub: row-walk supersteps under forced push (%d) or on the boxed path (%d)", push.RowSupersteps, boxedStats.RowSupersteps)
+			}
+			for _, mode := range []graphmat.Mode{graphmat.Pull, graphmat.Auto} {
+				got, stats := run(hub, WithMode(mode))
+				if !slices.Equal(got, ref) {
+					t.Errorf("hub %s: result differs from forced push", mode)
+				}
+				sameTallies(t, "hub "+mode.String()+" vs push", algo, push, stats)
+				if stats.RowSupersteps == 0 || stats.EdgesProcessed >= push.EdgesProcessed {
+					t.Errorf("hub %s: %d row-walk supersteps, %d edge slots against push's %d: the giant component's dense supersteps should gather", mode, stats.RowSupersteps, stats.EdgesProcessed, push.EdgesProcessed)
+				}
+			}
+
+			run = open(modeGoldens()["isolated_tail"]())
+			_, push = run(600, WithMode(graphmat.Push))
+			for _, mode := range []graphmat.Mode{graphmat.Pull, graphmat.Auto} {
+				_, stats := run(600, WithMode(mode))
+				sameTallies(t, "isolated root "+mode.String()+" vs push", algo, push, stats)
+				if stats.RowSupersteps != 0 {
+					t.Errorf("isolated root %s: %d row-walk supersteps", mode, stats.RowSupersteps)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"context"
+	"slices"
 
 	"graphmat"
 )
@@ -50,6 +51,12 @@ func (ReachabilityProgram) Direction() graphmat.Direction { return graphmat.Out 
 // ProcessIgnoresDst declares the fast path.
 func (ReachabilityProgram) ProcessIgnoresDst() {}
 
+// Unsettled declares graphmat.FirstMessageFinal: a vertex waits for its
+// first message while it is unreached. Apply never changes a reached vertex,
+// and every message is a sender's reached flag — 1 — so the OR of a
+// superstep's messages is the first of them.
+func (ReachabilityProgram) Unsettled(prop uint32) bool { return prop == 0 }
+
 // NewReachabilityGraph builds the reachability property graph: self-loops
 // removed, directed edges kept as-is. The input is consumed.
 func NewReachabilityGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[uint32, float32], error) {
@@ -76,9 +83,5 @@ func RunReachability(ctx context.Context, g *graphmat.Graph[uint32, float32], sr
 	g.ClearActive()
 	g.SetActive(src)
 	stats, err := graphmat.RunContext(ctx, g, ReachabilityProgram{}, set.cfg, ws, newSession(set.obs).options()...)
-	reached := make([]uint32, g.NumVertices())
-	for v := range reached {
-		reached[v] = g.Prop(uint32(v))
-	}
-	return reached, stats, err
+	return slices.Clone(g.Props()), stats, err
 }

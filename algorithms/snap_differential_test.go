@@ -33,6 +33,7 @@ func TestSnapDifferentialAllAlgorithmsAllModes(t *testing.T) {
 		"reachability": {Source: 0},
 		"widest":       {Source: 0},
 	}
+	hub := hubOf(baseAdj)
 	dir := t.TempDir()
 	for _, algo := range Names() {
 		p, ok := params[algo]
@@ -104,6 +105,27 @@ func TestSnapDifferentialAllAlgorithmsAllModes(t *testing.T) {
 				sameResult(t, algo+" mapped, all-active pull", refRes, gotRes)
 				if flat := gotRes.Stats.FlatEdges; flat == 0 || flat != refRes.Stats.FlatEdges {
 					t.Errorf("mapped all-active pull folded %d edges flat, heap %d", flat, refRes.Stats.FlatEdges)
+				}
+			}
+
+			// The row walk over a mapped base: its row-major view is derived
+			// state too, built on the heap beside the mapping by the first
+			// superstep that gathers. From the hub of the giant component a
+			// forced-pull run of either FirstMessageFinal program must
+			// gather, and on the same supersteps as the heap instance.
+			if declaresFirstMessageFinal(t, algo) {
+				pm := Params{Source: hub, Mode: graphmat.Pull}
+				refRes, err := heap.Run(pm, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotRes, err := mapped.Run(pm, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, algo+" mapped, row walk", refRes, gotRes)
+				if rows := gotRes.Stats.RowSupersteps; rows == 0 || rows != refRes.Stats.RowSupersteps {
+					t.Errorf("mapped pull from the hub ran %d row-walk supersteps, heap %d", rows, refRes.Stats.RowSupersteps)
 				}
 			}
 

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"context"
 	"math"
+	"slices"
 
 	"graphmat"
 )
@@ -86,9 +87,5 @@ func RunSSSP(ctx context.Context, g *graphmat.Graph[float32, float32], src uint3
 	g.ClearActive()
 	g.SetActive(src)
 	stats, err := graphmat.RunContext(ctx, g, SSSPProgram{}, set.cfg, ws, newSession(set.obs).options()...)
-	dist := make([]float32, g.NumVertices())
-	for v := range dist {
-		dist[v] = g.Prop(uint32(v))
-	}
-	return dist, stats, err
+	return slices.Clone(g.Props()), stats, err
 }

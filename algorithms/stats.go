@@ -26,6 +26,7 @@ func accumulate(dst *graphmat.Stats, s graphmat.Stats) {
 	dst.FlatEdges += s.FlatEdges
 	dst.PushSupersteps += s.PushSupersteps
 	dst.PullSupersteps += s.PullSupersteps
+	dst.RowSupersteps += s.RowSupersteps
 	dst.Sched.Workers = s.Sched.Workers
 	dst.Sched.Tasks += s.Sched.Tasks
 	dst.Sched.Steals += s.Sched.Steals

@@ -76,7 +76,8 @@ func applyRawBrute(adj *graphmat.COO[float32], batches [][]EdgeUpdate) *graphmat
 	return out
 }
 
-func sameResult(t *testing.T, what string, ref, got Result) {
+// sameAnswer holds got's values, series and count to ref's, bit for bit.
+func sameAnswer(t *testing.T, what string, ref, got Result) {
 	t.Helper()
 	sameSeries(t, what+" values", ref.Values, got.Values)
 	if len(ref.Series) != len(got.Series) {
@@ -88,11 +89,36 @@ func sameResult(t *testing.T, what string, ref, got Result) {
 	if (ref.Count == nil) != (got.Count == nil) || (ref.Count != nil && *got.Count != *ref.Count) {
 		t.Fatalf("%s: count %v vs %v", what, got.Count, ref.Count)
 	}
+}
+
+// sameResult is sameAnswer plus equal engine work: for two runs that must
+// take the same traversal on every superstep — the same mode over the same
+// layers, whoever holds them.
+func sameResult(t *testing.T, what string, ref, got Result) {
+	t.Helper()
+	sameAnswer(t, what, ref, got)
 	if got.Stats.Iterations != ref.Stats.Iterations ||
 		got.Stats.MessagesSent != ref.Stats.MessagesSent ||
 		got.Stats.EdgesProcessed != ref.Stats.EdgesProcessed {
 		t.Fatalf("%s: stats diverge: %+v vs %+v", what, got.Stats, ref.Stats)
 	}
+}
+
+// sameAcrossLayouts compares an overlay run with the fresh build's in the
+// same mode. Their answers are equal; so is their work, unless the program
+// declares FirstMessageFinal: the row walk reads a layer's base only, so a
+// partition with pending updates keeps the column walk where the fresh
+// build's gathers, and the two runs are each held to their own layout's
+// forced-push run instead (sameTallies).
+func sameAcrossLayouts(t *testing.T, what, algo string, fresh, updated, freshPush, updatedPush Result) {
+	t.Helper()
+	if !declaresFirstMessageFinal(t, algo) {
+		sameResult(t, what, fresh, updated)
+		return
+	}
+	sameAnswer(t, what, fresh, updated)
+	sameTallies(t, what+", fresh build vs its push run", algo, freshPush.Stats, fresh.Stats)
+	sameTallies(t, what+", overlay vs its push run", algo, updatedPush.Stats, updated.Stats)
 }
 
 func TestStoreDifferentialAllAlgorithmsAllModes(t *testing.T) {
@@ -151,7 +177,11 @@ func TestStoreDifferentialAllAlgorithmsAllModes(t *testing.T) {
 			if updated.NumEdges() != fresh.NumEdges() {
 				t.Fatalf("edge counts diverge: updated %d vs fresh %d", updated.NumEdges(), fresh.NumEdges())
 			}
-			for _, mode := range []graphmat.Mode{graphmat.Pull, graphmat.Push, graphmat.Auto} {
+			// Push first: forced push folds every frontier edge whatever the
+			// layout, so the two push runs agree on every tally and are what
+			// sameAcrossLayouts holds the other modes' work to.
+			var refPush, gotPush Result
+			for _, mode := range []graphmat.Mode{graphmat.Push, graphmat.Pull, graphmat.Auto} {
 				pm := p
 				pm.Mode = mode
 				refRes, err := fresh.Run(pm, nil)
@@ -165,7 +195,12 @@ func TestStoreDifferentialAllAlgorithmsAllModes(t *testing.T) {
 				if gotRes.Epoch != uint64(len(batches)) {
 					t.Errorf("mode %s: run epoch %d, want %d", mode, gotRes.Epoch, len(batches))
 				}
-				sameResult(t, algo+" mode "+mode.String(), refRes, gotRes)
+				if mode == graphmat.Push {
+					refPush, gotPush = refRes, gotRes
+					sameResult(t, algo+" mode push", refRes, gotRes)
+					continue
+				}
+				sameAcrossLayouts(t, algo+" mode "+mode.String(), algo, refRes, gotRes, refPush, gotPush)
 			}
 		})
 	}
@@ -304,16 +339,14 @@ func TestStoreDifferentialAfterCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := Params{Iterations: 10}
-		refRes, err := fresh.Run(p, nil)
-		if err != nil {
-			t.Fatal(err)
+		run := func(inst Instance, mode graphmat.Mode) Result {
+			res, err := inst.Run(Params{Iterations: 10, Mode: mode}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		gotRes, err := updated.Run(p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, algo+" post-compaction", refRes, gotRes)
+		sameAcrossLayouts(t, algo+" post-compaction", algo, run(fresh, graphmat.Auto), run(updated, graphmat.Auto), run(fresh, graphmat.Push), run(updated, graphmat.Push))
 	}
 }
 

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"context"
 	"math"
+	"slices"
 
 	"graphmat"
 )
@@ -86,9 +87,5 @@ func RunWidestPath(ctx context.Context, g *graphmat.Graph[float32, float32], src
 	g.ClearActive()
 	g.SetActive(src)
 	stats, err := graphmat.RunContext(ctx, g, WidestPathProgram{}, set.cfg, ws, newSession(set.obs).options()...)
-	width := make([]float32, g.NumVertices())
-	for v := range width {
-		width[v] = g.Prop(uint32(v))
-	}
-	return width, stats, err
+	return slices.Clone(g.Props()), stats, err
 }

@@ -61,8 +61,10 @@ func benchBackends(b *testing.B, body func(b *testing.B)) {
 	}
 }
 
-func BenchmarkEngineBFS(b *testing.B) {
-	scale := engineBenchScale()
+// bfsBenchGraph builds the symmetrized RMAT graph of the given scale and
+// returns it with its hub — the highest-degree vertex, a root inside the
+// giant component — and a workspace.
+func bfsBenchGraph(b *testing.B, scale int) (*graphmat.Graph[uint32, float32], uint32, *graphmat.Workspace[uint32, uint32]) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: scale, EdgeFactor: 16, Seed: 20150831, MaxWeight: 255})
 	g, err := algorithms.NewBFSGraph(adj, 0)
 	if err != nil {
@@ -75,7 +77,17 @@ func BenchmarkEngineBFS(b *testing.B) {
 			best, root = d, v
 		}
 	}
-	ws := graphmat.NewWorkspace[uint32, uint32](int(g.NumVertices()), graphmat.Bitvector)
+	return g, root, graphmat.NewWorkspace[uint32, uint32](int(g.NumVertices()), graphmat.Bitvector)
+}
+
+// BenchmarkEngineBFS is the traversal matrix, from the hub. Its last rows
+// (hub_auto) are the direction-optimizing run as a caller gets it — Auto,
+// five scales up, where the two or three dense supersteps dominate — and
+// report ns per input edge (wall time over the graph's stored edges: what a
+// traversal costs per edge it was given, however few it examines) next to
+// the share of supersteps that ran the row walk.
+func BenchmarkEngineBFS(b *testing.B) {
+	g, root, ws := bfsBenchGraph(b, engineBenchScale())
 	benchBackends(b, func(b *testing.B) {
 		for _, mode := range engineModes() {
 			for _, workers := range engineWorkers {
@@ -96,6 +108,23 @@ func BenchmarkEngineBFS(b *testing.B) {
 			}
 		}
 	})
+
+	g, root, ws = bfsBenchGraph(b, engineBenchScale()+5)
+	for _, workers := range engineWorkers {
+		b.Run(fmt.Sprintf("hub_auto/workers_%d", workers), func(b *testing.B) {
+			var steps, rowSteps int64
+			for i := 0; i < b.N; i++ {
+				_, stats, err := algorithms.RunBFS(context.Background(), g, root, algorithms.WithThreads(workers), algorithms.WithWorkspace(ws))
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += int64(stats.Iterations)
+				rowSteps += stats.RowSupersteps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*g.NumEdges()), "ns/input-edge")
+			b.ReportMetric(float64(rowSteps)/float64(steps), "row-walk-frac")
+		})
+	}
 }
 
 func BenchmarkEnginePageRank(b *testing.B) {

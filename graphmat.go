@@ -62,6 +62,14 @@ type DstIndependent = core.DstIndependent
 // kernel backends. See core.SumFoldF64.
 type SumFoldF64 = core.SumFoldF64
 
+// FirstMessageFinal is the optional marker for traversal programs in which
+// the first message to reach a vertex decides it (BFS, reachability);
+// implementing it lets dense pull supersteps gather by destination row —
+// skip settled vertices, stop at the first frontier in-neighbour — instead
+// of sweeping every stored column. See core.FirstMessageFinal for the
+// promise it makes.
+type FirstMessageFinal[V any] = core.FirstMessageFinal[V]
+
 // MinPlusFoldF32 is the optional marker for programs whose fold is the
 // float32 (min, +) tropical semiring (SSSP-shaped folds); implementing it
 // routes the SpMV/SpMM column folds through the kernel backends' fused

@@ -11,8 +11,10 @@ import (
 
 // DirectionOptimization measures the push-vs-pull-vs-auto kernel ablation in
 // the Figure 7 style: the same workloads under explicit engine
-// configurations, reported as speedup over the pull baseline (the engine
-// before this layer existed). The three workloads bracket the regimes:
+// configurations, reported as speedup over the pull baseline (the paper's
+// column sweep on every superstep — except that BFS declares
+// FirstMessageFinal, so its dense pull supersteps gather by rows under Pull
+// and Auto alike). The three workloads bracket the regimes:
 //
 //   - BFS on the RMAT stand-in: scale-free, low diameter — a few dense
 //     supersteps pull, the sparse head and tail push;

@@ -247,7 +247,7 @@ func runBoxed[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 	return d.run(phaseSet{
 		active: active, mode: Pull,
 		send: send,
-		multiply: func(Mode) {
+		multiply: func(Mode, bool) {
 			y.Reset()
 			for _, parts := range dirs {
 				parallelFor(d.ex, len(parts), d.stop, func(i, w int) {

@@ -6,12 +6,16 @@ import (
 	"runtime"
 )
 
-// Mode selects the SpMV kernel backend a superstep runs (the
-// direction-optimization axis of GraphBLAST/Ligra: a column-driven "pull"
-// probe of every stored column versus a frontier-driven "push" SpMSpV).
-// Every mode produces bit-identical results — both kernels fold reductions
-// in ascending column order within each partition's disjoint output row
-// range — so Mode, like Threads, is purely a performance knob.
+// Mode selects how a superstep's multiply finds the frontier's columns: a
+// sweep of every stored column probing the frontier ("pull", Algorithm 1 as
+// the paper wrote it) versus a frontier-driven SpMSpV that looks each sender
+// up in the column index ("push"). Both are scatters; the direction change
+// of GraphBLAST/Ligra-style direction optimization is the row walk, which a
+// Pull superstep takes on its own for FirstMessageFinal programs (see
+// Stats.RowSupersteps). Every mode produces bit-identical results — all
+// three traversals fold a destination's messages in ascending source order
+// within each partition's disjoint output row range — so Mode, like
+// Threads, is purely a performance knob.
 type Mode int
 
 const (
@@ -171,7 +175,9 @@ type Stats struct {
 	Iterations int
 	// MessagesSent counts SendMessage calls that produced a message.
 	MessagesSent int64
-	// EdgesProcessed counts ProcessMessage calls (edge traversals).
+	// EdgesProcessed counts edge traversals: ProcessMessage calls on a
+	// column-walk superstep, edge slots examined on a row-walk superstep
+	// (see RowSupersteps).
 	EdgesProcessed int64
 	// Applies counts Apply calls (vertices that received a reduced value).
 	Applies int64
@@ -196,6 +202,21 @@ type Stats struct {
 	PushSupersteps int64
 	// PullSupersteps counts supersteps executed with the pull kernel.
 	PullSupersteps int64
+	// RowSupersteps counts the Pull supersteps (they are in PullSupersteps
+	// too) that ran the row walk: the destination-driven gather a
+	// FirstMessageFinal program — BFS, reachability — takes once its
+	// frontier's edge work outweighs what is left unsettled. It is 0 for
+	// every other program, under forced Push, on the boxed path and for
+	// block runs of two or more columns. On these supersteps the work
+	// tallies are walk-dependent, which is why they differ between modes for
+	// those two programs and no others: EdgesProcessed counts edge slots
+	// examined (settled rows are skipped, an unsettled row is left at its
+	// first frontier in-neighbour — usually far fewer than the frontier's
+	// edges, at most 14 times as many), ColumnsProbed counts nothing (layers
+	// with pending updates keep the column walk and its tallies) and Applies
+	// counts only the unsettled vertices a message reached. Vertex state,
+	// Iterations, MessagesSent and ActiveSum do not depend on the walk.
+	RowSupersteps int64
 	// Reason records why the run ended (Converged, MaxIterations, Canceled,
 	// DeadlineExceeded, StoppedByObserver). Aggregated stats — sums over
 	// many runs — leave it at ReasonNone.

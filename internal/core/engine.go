@@ -42,12 +42,18 @@ type localStats struct {
 	flat int64
 	// degSum accumulates the traversal-structure degrees of the vertices
 	// that sent a message — the frontier's edge work, the numerator of the
-	// Auto push/pull decision. Only tallied when the run is in Auto mode.
+	// Auto push/pull decision and of the row-walk test. Only tallied when
+	// the run makes one of those decisions (runPlan.sendDegs).
 	degSum int64
-	_      [24]byte
+	// settled accumulates the receiving-side degrees of the vertices an
+	// apply phase settled — what the row-walk test's count of unsettled
+	// edge slots shrinks by. Only tallied when the run can take the row
+	// walk (runPlan.recvDegs).
+	settled int64
+	_       [16]byte
 }
 
-func (s *Stats) absorb(locals []localStats) (applies, degSum int64) {
+func (s *Stats) absorb(locals []localStats) (applies, degSum, settled int64) {
 	for i := range locals {
 		s.EdgesProcessed += locals[i].edges
 		s.ColumnsProbed += locals[i].probes
@@ -55,9 +61,10 @@ func (s *Stats) absorb(locals []localStats) (applies, degSum int64) {
 		s.Applies += locals[i].applies
 		applies += locals[i].applies
 		degSum += locals[i].degSum
+		settled += locals[i].settled
 		locals[i] = localStats{}
 	}
-	return applies, degSum
+	return applies, degSum, settled
 }
 
 // chunkBounds splits [0, n) into at most k contiguous chunks whose interior
@@ -141,9 +148,20 @@ type phaseSet struct {
 	// all of a vertex's source columns. Under Auto, send also tallies the
 	// senders' degrees into localStats.degSum.
 	send func() (sent, senders int64)
+	// unsettledEdges is nil unless the front-end can run the row walk (the
+	// scalar front-end of a FirstMessageFinal program, see runPlan.recvDegs).
+	// It returns the receiving-side degree sum of the vertices still
+	// unsettled — the edge slots a row walk could examine at most — from one
+	// chunked pass over the properties. The loop calls it once, on the
+	// first superstep that resolves to Pull, and keeps the sum current from
+	// what each later apply phase reports settled (localStats.settled): a
+	// run that never pulls never pays the pass, and one that always does
+	// pays no extra dispatch per superstep.
+	unsettledEdges func() int64
 	// multiply clears the reduction vector and runs the generalized
-	// multiply (Algorithm 1) in the resolved mode.
-	multiply func(mode Mode)
+	// multiply (Algorithm 1) in the resolved mode — by the row walk when
+	// rowWalk is set, which the loop only does for Pull.
+	multiply func(mode Mode, rowWalk bool)
 	// apply runs Apply over every reduced value, re-activating the vertices
 	// whose state changed (Algorithm 2 lines 7-13).
 	apply func()
@@ -180,6 +198,14 @@ func (d *driver) overChunks(fn func(lo, hi uint32, st *localStats)) func() {
 	return func() { parallelFor(d.ex, len(d.chunks)-1, d.stop, task) }
 }
 
+// sumChunks runs fn over every vertex chunk in parallel and returns the sum
+// of its results.
+func (d *driver) sumChunks(fn func(lo, hi uint32) int64) int64 {
+	var total atomic.Int64
+	parallelFor(d.ex, len(d.chunks)-1, d.stop, func(c, _ int) { total.Add(fn(d.chunks[c], d.chunks[c+1])) })
+	return total.Load()
+}
+
 // run is the BSP superstep loop (Algorithm 2), the only one: iteration cap,
 // stop checks, clocks, Stats, the per-superstep direction choice, the
 // observer report and the convergence test, around ps's phases.
@@ -195,6 +221,10 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 	}
 	runStart := time.Now() //lint:graphmat bannedcalls one clock read per run, off the per-edge path
 
+	// unsettled is the row-walk test's count of unsettled edge slots
+	// (phaseSet.unsettledEdges); negative until a superstep first needs it.
+	unsettled := int64(-1)
+
 	stats.Reason = MaxIterations // what remains if the loop runs out
 	for iter := 0; iter < maxIter; iter++ {
 		if r, ok := d.ctrl.stopped(); ok {
@@ -207,11 +237,20 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 
 		sent, senders := ps.send()
 		stats.MessagesSent += sent
-		_, degSum := stats.absorb(d.locals)
+		_, degSum, _ := stats.absorb(d.locals)
 
-		// Per-superstep direction optimization: resolve Auto from the
-		// frontier's size and edge work against the structure-side costs.
+		// Per-superstep traversal choice: resolve Auto from the frontier's
+		// size and edge work against the structure-side costs, then let a
+		// Pull superstep gather by rows when the front-end can and the
+		// frontier's edge work outweighs what is left unsettled.
 		mode := ps.costs.Choose(ps.mode, senders, degSum)
+		rowWalk := false
+		if sent > 0 && mode == Pull && ps.unsettledEdges != nil {
+			if unsettled < 0 {
+				unsettled = ps.unsettledEdges()
+			}
+			rowWalk = rowWalkPays(degSum, unsettled)
+		}
 
 		var applies, nactive int64
 		if sent > 0 {
@@ -220,7 +259,10 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 			} else {
 				stats.PullSupersteps++
 			}
-			ps.multiply(mode)
+			if rowWalk {
+				stats.RowSupersteps++
+			}
+			ps.multiply(mode, rowWalk)
 
 			// A stop raised mid-multiply must not Apply a partially reduced
 			// y: return the partial tallies without touching vertex state
@@ -232,7 +274,11 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 
 			ps.active.Reset()
 			ps.apply()
-			applies, _ = stats.absorb(d.locals)
+			var settled int64
+			applies, _, settled = stats.absorb(d.locals)
+			if unsettled >= 0 {
+				unsettled -= settled
+			}
 			nactive = int64(ps.active.Count())
 		}
 		if r, ok := d.ctrl.stopped(); ok {
@@ -246,6 +292,7 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 				Applies:    applies,
 				NextActive: nactive,
 				Mode:       mode,
+				RowWalk:    rowWalk,
 				Elapsed:    time.Since(stepStart), //lint:graphmat bannedcalls per-superstep stats, two reads per superstep
 				Total:      time.Since(runStart),
 			})
@@ -274,23 +321,24 @@ func runScalar[V, E, M, R any, P Program[V, E, M, R]](
 ) (Stats, error) {
 	d := newDriver(cfg, ctrl, int(g.NumVertices()))
 
-	rp := planRun(g, p.Direction(), cfg)
-	autoDegs := rp.autoDegs
-
 	xw := x.Mask().Words()
 	sink := scalarSink(p, x, props, y)
+	rows, _ := sink.(rowSink[E])
+	rp := planRun(g, p.Direction(), cfg, rows != nil)
+	sendDegs, recvDegs := rp.sendDegs, rp.recvDegs
+	settling, _ := any(p).(FirstMessageFinal[V]) // non-nil whenever recvDegs is
 
 	send := d.overChunks(func(lo, hi uint32, st *localStats) {
 		active.IterateRange(lo, hi, func(v uint32) {
 			if m, ok := p.SendMessage(v, props[v]); ok {
 				x.Set(v, m)
-				if autoDegs != nil {
-					st.degSum += int64(autoDegs[v])
+				if sendDegs != nil {
+					st.degSum += int64(sendDegs[v])
 				}
 			}
 		})
 	})
-	return d.run(phaseSet{
+	ps := phaseSet{
 		active: active, mode: cfg.Mode, costs: rp.costs,
 		send: func() (int64, int64) {
 			x.Reset()
@@ -298,17 +346,41 @@ func runScalar[V, E, M, R any, P Program[V, E, M, R]](
 			sent := int64(x.NNZ())
 			return sent, sent
 		},
-		multiply: func(mode Mode) {
+		multiply: func(mode Mode, rowWalk bool) {
 			y.Reset()
-			rp.multiplyPhase(d.ex, d.stop, mode, xw, sink, d.locals)
+			var gather rowSink[E] // nil: the column walk of mode
+			if rowWalk {
+				gather = rows
+			}
+			rp.multiplyPhase(d.ex, d.stop, mode, xw, sink, gather, d.locals)
 		},
 		apply: d.overChunks(func(lo, hi uint32, st *localStats) {
 			y.IterateRange(lo, hi, func(v uint32, r R) {
 				st.applies++
 				if p.Apply(r, v, &props[v]) {
 					active.Set(v)
+					// Only an unsettled vertex activates (the mask promise),
+					// so one that did and is settled now was settled by this
+					// Apply.
+					if recvDegs != nil && !settling.Unsettled(props[v]) {
+						st.settled += int64(recvDegs[v])
+					}
 				}
 			})
 		}),
-	})
+	}
+	if recvDegs != nil {
+		ps.unsettledEdges = func() int64 {
+			return d.sumChunks(func(lo, hi uint32) (deg int64) {
+				degs := recvDegs[lo:hi]
+				for v, prop := range props[lo:hi] {
+					if settling.Unsettled(prop) {
+						deg += int64(degs[v])
+					}
+				}
+				return deg
+			})
+		}
+	}
+	return d.run(ps)
 }

@@ -98,8 +98,8 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 	// Auto accounting, as in runScalar: per-sender degrees tallied during
 	// SendMessage. A sender's edge work counts once per live column — the
 	// block multiply really does fold each of its edges that many times.
-	rp := planRun(g, p.Direction(), cfg)
-	autoDegs := rp.autoDegs
+	rp := planRun(g, p.Direction(), cfg, false)
+	sendDegs := rp.sendDegs
 
 	x, y := ws.x, ws.y
 	xw := x.summary.Words()
@@ -115,8 +115,8 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 				s := bits.TrailingZeros64(m)
 				if msg, ok := p.SendMessage(v, props[int(v)*k+s]); ok {
 					x.Set(v, s, msg)
-					if autoDegs != nil {
-						st.degSum += int64(autoDegs[v])
+					if sendDegs != nil {
+						st.degSum += int64(sendDegs[v])
 					}
 				}
 			}
@@ -132,9 +132,9 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 		},
 		// The SpMM: runScalar's walks over the block frontier's vertex
 		// summary, folding k-wide into y.
-		multiply: func(mode Mode) {
+		multiply: func(mode Mode, _ bool) {
 			y.Reset()
-			rp.multiplyPhase(d.ex, d.stop, mode, xw, sink, d.locals)
+			rp.multiplyPhase(d.ex, d.stop, mode, xw, sink, nil, d.locals)
 		},
 		// Apply per received (vertex, column) pair, rebuilding the active
 		// block.

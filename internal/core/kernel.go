@@ -9,15 +9,27 @@ import (
 )
 
 // This file is the traversal half of the kernel layer: the generalized
-// sparse matrix–sparse vector multiplication of Algorithm 1 as two column
-// walks — the paper's column-driven pull probe and a frontier-driven push
-// SpMSpV — plus the per-superstep adaptive choice between them
-// (GraphBLAST/Ligra-style direction optimization). A walk decides WHICH
-// live columns of a partition a frontier reaches and in what order; what
-// happens to a column's edges is the sink's business (kernel_fold.go for
-// the scalar engine, kernel_block.go for the k-wide block engine), so both
-// engines, the single-shot SpMV and the distributed simulator share these
-// two traversals.
+// sparse matrix–sparse vector multiplication of Algorithm 1 as three
+// traversals of one partition, chosen per superstep (KernelCosts.Choose, then
+// rowWalkPays):
+//
+//   - walkPull, the paper's column sweep: step through every stored column
+//     and probe the frontier for a message from it. Input-dense, and a
+//     scatter — it is driven by sources, so it cannot skip a destination;
+//   - walkPush, the frontier-driven SpMSpV: look each frontier vertex up in
+//     the column index. The same scatter over the frontier's columns only;
+//   - walkRows, the destination-driven gather (the bottom-up step of
+//     direction-optimizing BFS; GraphBLAST's masked pull): scan the
+//     in-neighbours of each still-unsettled destination and stop at the
+//     first one on the frontier. Only for programs that declare
+//     FirstMessageFinal, over the base's RowIndex.
+//
+// A column walk decides WHICH live columns of a partition a frontier reaches
+// and in what order; what happens to a column's edges is the sink's business
+// (kernel_fold.go for the scalar engine, kernel_block.go for the k-wide block
+// engine), so both engines, the single-shot SpMV and the distributed
+// simulator share the two column walks. The row walk hands whole row ranges
+// to a rowSink, which only the scalar generic fold implements.
 //
 // Every partition is a sparse.Layered — an immutable base DCSC plus an
 // optional delta DCSC of whole-column overrides carrying live edge updates;
@@ -27,17 +39,22 @@ import (
 //  1. the partition owns a disjoint 64-aligned output row range (the delta
 //     covers the same range as its base), so a sink's writes to the output
 //     mask words and values need no synchronization;
-//  2. live columns are visited in ascending column id, merged across the two
-//     layers, with a delta override replacing (never joining) its base
-//     column — so the per-destination fold order is identical in both
-//     directions and equal to what a from-scratch build of the live edge set
-//     would produce: all modes, and overlay versus fresh build, are
+//  2. all three traversals fold a destination's messages in ascending source
+//     id. The column walks visit live columns in ascending column id, merged
+//     across the two layers, with a delta override replacing (never joining)
+//     its base column; the row walk scans a row's sources ascending and
+//     takes the first. So the per-destination fold order is identical in
+//     every traversal and equal to what a from-scratch build of the live
+//     edge set would produce: all modes, and overlay versus fresh build, are
 //     bit-identical;
 //  3. an override with zero entries is a tombstone: it masks its base column
 //     and is neither visited nor counted as a probe, matching the fresh
 //     build in which the column does not exist;
 //  4. a fully-live batch of base columns is folded as one edge range; order
-//     and tallies as the column path.
+//     and tallies as the column path;
+//  5. the row walk reads the base only, so a layer with a pending delta
+//     keeps the column walk until compaction folds the delta away. Both
+//     write the same rows to the same bits, so they mix within a superstep.
 //
 // rlo/rhi bound the destination rows a call folds (the scheduler's
 // nnz-weighted sub-partition tasks); the whole-partition sentinel is rlo=0,
@@ -84,15 +101,45 @@ type flatSink[E any] interface {
 	foldFlat(ir []uint32, val []E, src []uint32)
 }
 
-// multiply runs one multiply-phase task: the walk mode selects (Auto must
-// be resolved first, see KernelCosts.Choose) over partition l against the
-// frontier occupancy words xw, restricted to destination rows [rlo, rhi).
-func multiply[E any](mode Mode, l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink colSink[E], st *localStats) {
-	if mode == Push {
+// rowSink is a colSink that can also gather: foldRows visits destination
+// rows [rlo, rhi) of rows' structure — in range by the caller's clipping —
+// and, for each one the program still reports unsettled, scans its sources
+// in ascending id for the first with a frontier bit in xw, folds that one
+// edge into the output and leaves the row. It returns the number of edge
+// slots it examined. Only the generic scalar fold of a FirstMessageFinal
+// program is one (kernel_fold.go).
+type rowSink[E any] interface {
+	colSink[E]
+	foldRows(rows *sparse.RowIndex[E], xw []uint64, rlo, rhi uint32) int
+}
+
+// multiply runs one multiply-phase task over partition l against the
+// frontier occupancy words xw, restricted to destination rows [rlo, rhi):
+// the row walk when the superstep chose it (rows non-nil) and the layer has
+// no pending delta, else the column walk mode selects (Auto must be resolved
+// first, see KernelCosts.Choose).
+func multiply[E any](mode Mode, l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink colSink[E], rows rowSink[E], st *localStats) {
+	switch {
+	case rows != nil && l.Delta == nil:
+		walkRows(l.Base, xw, rlo, rhi, rows, st)
+	case mode == Push:
 		walkPush(l, xw, rlo, rhi, sink, st)
-	} else {
+	default:
 		walkPull(l, xw, rlo, rhi, sink, st)
 	}
+}
+
+// walkRows is the destination-driven traversal: the rows of [rlo, rhi) that
+// fall in base's range, through the sink's gather, over base's row-major
+// view — built here, by the first task to need it, so the partitions of a
+// first row-walk superstep build theirs in parallel. It probes no columns;
+// the frontier tests it makes are the edge slots it examines.
+func walkRows[E any](base *sparse.DCSC[E], xw []uint64, rlo, rhi uint32, sink rowSink[E], st *localStats) {
+	rlo, rhi = max(rlo, base.RowLo), min(rhi, base.RowHi)
+	if rlo >= rhi {
+		return
+	}
+	st.edges += int64(sink.foldRows(base.RowIndex(), xw, rlo, rhi))
 }
 
 // walkPull is Algorithm 1's traversal: step through the partition's live
@@ -190,6 +237,10 @@ func walkPush[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 	if loCol > hiCol {
 		return // no stored columns in either layer
 	}
+	// The base lookup is DCSC.FindColumn's AUX arm written out below: that
+	// method is past the inlining budget, and its call per frontier vertex
+	// per partition was a tenth of an all-push BFS.
+	baux, bshift, bjc := base.Aux, base.AuxShift, base.JC
 	// buf[:n] holds found columns of layer cur awaiting their fold.
 	var buf [walkBatch]colRef
 	cur, n := base, 0
@@ -217,7 +268,16 @@ func walkPush[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 			}
 			if !ok {
 				d = base
-				ci, ok = base.FindColumn(j)
+				if baux == nil {
+					ci, ok = base.FindColumn(j)
+				} else if b := int(j >> bshift); b+1 < len(baux) {
+					for c, end := int(baux[b]), int(baux[b+1]); c < end; c++ {
+						if bjc[c] >= j {
+							ci, ok = c, bjc[c] == j
+							break
+						}
+					}
+				}
 			}
 			if !ok {
 				continue
@@ -363,20 +423,27 @@ func addLayers[E any](c KernelCosts, layers []sparse.Layered[E], liveNNZ []int) 
 	return c
 }
 
-// Choose resolves a configured mode for one superstep. Pull and Push pass
-// through. Auto pushes only when both sides of the cost model agree:
+// Choose resolves a configured mode for one superstep to one of the two
+// column walks. Pull and Push pass through. Auto pushes only when both sides
+// of the cost model agree:
 //
 //  1. the Ligra-style edge-work rule — the frontier's outgoing edge work
 //     (the degree sum of the sending vertices with respect to the traversal
 //     structure) times DefaultPushThreshold fits within the structure's
 //     total edge count, so the superstep is frontier-sparse;
-//  2. the probe rule — the push kernel's lookup bill (frontier size ×
-//     partitions, each lookup worth pushProbeCost pull probes) undercuts the
-//     pull kernel's fixed per-superstep column-scan bill.
+//  2. the probe rule — the push walk's lookup bill (frontier size ×
+//     partitions, each lookup worth pushProbeCost column-sweep probes)
+//     undercuts the column sweep's fixed per-superstep bill.
 //
-// Rule 1 keeps dense frontiers (PageRank, BFS's middle supersteps) on pull;
-// rule 2 keeps mid-size frontiers on pull when per-vertex lookups across
-// many partitions would cost more than one sequential sweep of the columns.
+// Rule 1 keeps dense frontiers (PageRank, BFS's middle supersteps) on the
+// column sweep; rule 2 keeps mid-size frontiers there when per-vertex
+// lookups across many partitions would cost more than one sequential sweep
+// of the columns. Both outcomes are scatters driven by source columns — this
+// is a choice of how to find the frontier's columns, not of direction. The
+// direction change of Beamer-style BFS is the third traversal, the row walk,
+// which a Pull superstep of a FirstMessageFinal program takes when
+// rowWalkPays. All three fold each destination's messages in ascending
+// source id, which is why the choice never shows in the results.
 func (c KernelCosts) Choose(mode Mode, frontierSize, frontierEdges int64) Mode {
 	if mode != Auto {
 		return mode
@@ -388,6 +455,25 @@ func (c KernelCosts) Choose(mode Mode, frontierSize, frontierEdges int64) Mode {
 		return Pull
 	}
 	return Push
+}
+
+// rowWalkGain is the Beamer ratio of the row-walk decision: how many edge
+// slots of unsettled rows one frontier edge is worth. The column sweep pays
+// a fold — a random read-modify-write of y through two callbacks — for every
+// frontier edge, settled destination or not; the row walk pays a frontier
+// bit test on a sequentially read source id per slot, and stops at the first
+// hit, so it rarely examines all of them.
+const rowWalkGain = 14
+
+// rowWalkPays is the Beamer test for one Pull superstep of a
+// FirstMessageFinal program: gather when the frontier's edge work — every
+// edge the column sweep would fold — times rowWalkGain exceeds the degree
+// sum of the still-unsettled vertices, which bounds the slots a row walk can
+// examine. A handful of frontier vertices in a mostly unsettled graph keeps
+// the sweep; BFS's middle supersteps, and every superstep once most of the
+// graph is settled, gather.
+func rowWalkPays(frontierEdges, unsettledEdges int64) bool {
+	return frontierEdges*rowWalkGain > unsettledEdges
 }
 
 // MultiplyPartition applies one plain partition of the generalized SpMV
@@ -407,6 +493,6 @@ func MultiplyPartition[V, E, M, R any, P Program[V, E, M, R]](
 	y *sparse.Vector[R],
 ) (edges, probes int64) {
 	var st localStats
-	multiply(mode, sparse.Layered[E]{Base: part}, x.Mask().Words(), 0, ^uint32(0), scalarSink(p, x, props, y), &st)
+	multiply(mode, sparse.Layered[E]{Base: part}, x.Mask().Words(), 0, ^uint32(0), scalarSink(p, x, props, y), nil, &st)
 	return st.edges, st.probes
 }

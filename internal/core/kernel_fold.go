@@ -5,13 +5,14 @@ import (
 	"graphmat/internal/sparse"
 )
 
-// This file is the scalar engine's fold half of the kernel layer: the column
-// sinks the two walks of kernel.go feed when the output is one reduction
-// vector, and the seam to the arch-dispatched fold primitives in
-// internal/kernels. scalarSink resolves a program to its sink once per run:
-// the fused float64 sum fold or a fused float32 path-semiring fold when the
-// program declares one and the element types really match, the generic
-// callback loop otherwise.
+// This file is the scalar engine's fold half of the kernel layer: the sinks
+// the walks of kernel.go feed when the output is one reduction vector, and
+// the seam to the arch-dispatched fold primitives in internal/kernels.
+// scalarSink resolves a program to its sink once per run: the fused float64
+// sum fold or a fused float32 path-semiring fold when the program declares
+// one and the element types really match, the generic callback loop
+// otherwise — with the row walk's gather beside it when the program declares
+// FirstMessageFinal.
 
 // SumFoldF64 is an optional marker for programs whose fold is the
 // (+, passthrough) monoid over float64: ProcessMessage (and Mul, for block
@@ -58,7 +59,11 @@ func scalarSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *sparse.Vector[M],
 		}
 	}
 	_, dstFree := any(p).(DstIndependent)
-	return &foldSink[V, E, M, R, P]{p: p, dstFree: dstFree, x: x.Values(), props: props, yw: yw, y: y.Values()}
+	fold := foldSink[V, E, M, R, P]{p: p, dstFree: dstFree, x: x.Values(), props: props, yw: yw, y: y.Values()}
+	if settling, ok := any(p).(FirstMessageFinal[V]); ok {
+		return &gatherSink[V, E, M, R, P]{foldSink: fold, settling: settling}
+	}
+	return &fold
 }
 
 // sumSinkF64 is the (+, passthrough) float64 fold: the whole per-edge loop
@@ -165,4 +170,39 @@ func (s *foldSink[V, E, M, R, P]) foldFlat(ir []uint32, val []E, src []uint32) {
 			*w |= bit
 		}
 	}
+}
+
+// gatherSink is the generic fold of a FirstMessageFinal program: the column
+// folds of foldSink, plus the row walk's gather. The two produce different y
+// vectors — the gather leaves settled rows and all but the first message of
+// an unsettled row unfolded — that Apply, by the program's promise, turns
+// into the same vertex state.
+type gatherSink[V, E, M, R any, P Program[V, E, M, R]] struct {
+	foldSink[V, E, M, R, P]
+	settling FirstMessageFinal[V]
+}
+
+func (s *gatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []uint64, rlo, rhi uint32) int {
+	p, x, props, yw, y := s.p, s.x, s.props, s.yw, s.y
+	ptr := rows.Ptr[rlo-rows.RowLo : rhi-rows.RowLo+1]
+	examined := 0
+	for i, prop := range props[rlo:rhi] {
+		if !s.settling.Unsettled(prop) {
+			continue
+		}
+		in := rows.Entries[ptr[i]:ptr[i+1]]
+		k := 0
+		for k < len(in) && xw[in[k].Src>>6]&(1<<(in[k].Src&63)) == 0 {
+			k++
+		}
+		examined += k
+		if k == len(in) {
+			continue // no in-neighbour on the frontier
+		}
+		examined++
+		dst := rlo + uint32(i)
+		y[dst] = p.ProcessMessage(x[in[k].Src], in[k].Val, prop)
+		yw[dst>>6] |= 1 << (dst & 63)
+	}
+	return examined
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"graphmat/internal/gen"
@@ -195,6 +196,60 @@ func TestModesDifferentialBFSFastPath(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// bfsFirstDir is bfsFirst scattering along dir.
+type bfsFirstDir struct {
+	bfsFirst
+	dir graph.Direction
+}
+
+func (p bfsFirstDir) Direction() graph.Direction { return p.dir }
+
+// TestRowWalkDirections runs the marker program along each scatter direction
+// from the hub of a directed RMAT graph. Out and In both gather under Pull —
+// the row walk reads whichever layers the direction names, and weighs the
+// frontier by the degrees on its sending side against the unsettled by
+// theirs on the receiving side — and agree with forced push. Both keeps the
+// column walks: its two directions fold into one y, where a gather each
+// would fold two first messages.
+func TestRowWalkDirections(t *testing.T) {
+	adj := gen.RMAT(gen.RMATOptions{Scale: 10, EdgeFactor: 12, Seed: 5, MaxWeight: 9})
+	adj.RemoveSelfLoops()
+	g, err := graph.NewFromCOO[uint32, float32](adj, graph.Options{Partitions: 4, Directions: graph.Both})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := uint32(0)
+	for v := uint32(0); v < g.NumVertices(); v++ {
+		if g.OutDegree(v)+g.InDegree(v) > g.OutDegree(hub)+g.InDegree(hub) {
+			hub = v
+		}
+	}
+	for _, dir := range []graph.Direction{graph.Out, graph.In, graph.Both} {
+		run := func(mode Mode) ([]uint32, Stats) {
+			g.SetAllProps(^uint32(0))
+			g.SetProp(hub, 0)
+			g.ClearActive()
+			g.SetActive(hub)
+			s, err := Run(g, bfsFirstDir{dir: dir}, Config{Mode: mode, Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return slices.Clone(g.Props()), s
+		}
+		want, push := run(Push)
+		got, pull := run(Pull)
+		if !slices.Equal(got, want) {
+			t.Errorf("direction %v: pull and push distances differ", dir)
+		}
+		if push.RowSupersteps != 0 || (pull.RowSupersteps != 0) != (dir != graph.Both) {
+			t.Errorf("direction %v: %d row-walk supersteps under push, %d under pull", dir, push.RowSupersteps, pull.RowSupersteps)
+		}
+		if dir == graph.Both && (pull.EdgesProcessed != push.EdgesProcessed || pull.Applies != push.Applies) {
+			t.Errorf("direction both: the column walks' tallies differ: pull %+v, push %+v", pull, push)
+		}
 	}
 }
 

@@ -16,11 +16,15 @@
 // own arrays, so the two engines share every phase there and callers never
 // choose an engine by source count.
 //
-// The SpMV backend is a kernel layer (kernel.go) with two directions: the
-// paper's column-driven pull probe and a frontier-driven push SpMSpV, chosen
-// per superstep by a density threshold when Config.Mode is Auto
-// (direction optimization à la Ligra/GraphBLAST). All modes produce
-// bit-identical results.
+// The SpMV backend is a kernel layer (kernel.go) with three traversals. Two
+// are column walks, scatters driven by source columns: the paper's sweep of
+// every stored column (Pull) and a frontier-driven SpMSpV (Push), chosen per
+// superstep by a density threshold when Config.Mode is Auto. The third is the
+// row walk, a gather driven by destinations — the bottom-up step of
+// direction-optimizing BFS — which a Pull superstep takes for programs that
+// declare FirstMessageFinal once the frontier's edge work outweighs what is
+// left unsettled. All three fold a destination's messages in ascending
+// source order, so every mode produces bit-identical results.
 package core
 
 import "graphmat/internal/graph"
@@ -39,6 +43,13 @@ type VertexID = uint32
 // on every vertex that received a reduced value. Reduce must be commutative
 // and associative: partitions fold results in structure order, which is not
 // the message send order.
+//
+// Optional marker interfaces let a program tell the backend what its
+// callbacks cannot say: DstIndependent (ProcessMessage ignores the
+// destination), SumFoldF64 and the float32 path folds (the fold is a known
+// semiring the kernels fuse), FirstMessageFinal (the first message to reach
+// a vertex decides it, so dense supersteps may gather by destination). Each
+// is a promise the differential suites hold the program to.
 type Program[V, E, M, R any] interface {
 	// SendMessage produces vertex v's message from its property. Returning
 	// send=false suppresses the message (the C++ API's boolean return).
@@ -72,4 +83,28 @@ type Program[V, E, M, R any] interface {
 // cannot prove the load dead, so the contract is explicit.
 type DstIndependent interface {
 	ProcessIgnoresDst()
+}
+
+// FirstMessageFinal is an optional marker for traversal programs in which a
+// vertex is decided by the first message that reaches it — BFS levels,
+// reachability. Unsettled reports, from the vertex property alone, whether a
+// vertex is still waiting for that message. Declaring it is a promise about
+// every superstep of every run the program is used for:
+//
+//   - mask: Apply on a vertex that is not unsettled returns false and leaves
+//     its property unchanged, for any reduced value the run can deliver;
+//   - first message final: on an unsettled vertex, the reduction of all of a
+//     superstep's messages equals the result of the first one folded (in
+//     ascending source order, the order every traversal folds in).
+//
+// The promise lets a dense pull superstep run the row walk (kernel.go): skip
+// settled destinations outright and leave an unsettled one at its first
+// frontier in-neighbour. Vertex state, frontiers and the Iterations /
+// MessagesSent / ActiveSum tallies are unchanged by it; the work tallies
+// change meaning on those supersteps (see Stats.RowSupersteps). A program
+// whose messages can differ within a superstep (SSSP, widest path, label
+// propagation) or that accumulates (PageRank) must not declare it: it would
+// get wrong answers on exactly the supersteps that gather.
+type FirstMessageFinal[V any] interface {
+	Unsettled(prop V) bool
 }

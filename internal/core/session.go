@@ -105,6 +105,11 @@ type IterationInfo struct {
 	// messages ran no kernel and reports the mode that would have been
 	// chosen.
 	Mode Mode `json:"mode"`
+	// RowWalk reports that this Pull superstep gathered by destination row
+	// instead of sweeping columns (see Stats.RowSupersteps). Applies is
+	// walk-dependent: it then counts only the unsettled vertices a message
+	// reached. Active, Sent and NextActive are not.
+	RowWalk bool `json:"row_walk"`
 	// Elapsed is this superstep's wall time.
 	Elapsed time.Duration `json:"elapsed"`
 	// Total is the wall time since the run (or the driving algorithm's

@@ -35,18 +35,18 @@ func SpMVContext[V, E, M, R any, P Program[V, E, M, R]](
 	ctrl, release := newController(ctx, runOptions{})
 	defer release()
 
-	rp := planRun(g, p.Direction(), cfg)
+	rp := planRun(g, p.Direction(), cfg, false)
 	// Under Auto, the frontier's edge work: what the loop's send phase
 	// tallies per sender, summed here over a frontier that arrives built.
 	var work int64
-	if rp.autoDegs != nil {
-		x.Mask().Iterate(func(v uint32) { work += int64(rp.autoDegs[v]) })
+	if rp.sendDegs != nil {
+		x.Mask().Iterate(func(v uint32) { work += int64(rp.sendDegs[v]) })
 	}
 	mode := rp.costs.Choose(cfg.Mode, int64(x.NNZ()), work)
 
 	y := sparse.NewVector[R](int(g.NumVertices()))
 	locals := make([]localStats, cfg.Threads)
-	rp.multiplyPhase(cfg.exec(nil), ctrl.flag(), mode, x.Mask().Words(), scalarSink(p, x, g.Props(), y), locals)
+	rp.multiplyPhase(cfg.exec(nil), ctrl.flag(), mode, x.Mask().Words(), scalarSink(p, x, g.Props(), y), nil, locals)
 	if r, ok := ctrl.stopped(); ok {
 		return y, r.err()
 	}

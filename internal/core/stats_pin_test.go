@@ -56,6 +56,13 @@ func withModes(profile []pinStep, modes ...Mode) []pinStep {
 // row-clipped (block/k1 included: it runs the scalar phases, at three
 // workers), push supersteps never fold flat, and the k-wide block sinks and
 // the boxed path have no flat fold, so every other case pins 0.
+//
+// The row walk re-recorded nothing here: SSSP does not declare
+// FirstMessageFinal, so every row must stay as it was — the test now also
+// fails if one of these runs reports a row-walk superstep — and the push
+// rows pin that writing FindColumn's AUX arm out in walkPush kept its probe
+// tally. What the row walk does to a program that declares the marker is
+// pinned in TestStatsPinnedRowWalk.
 func TestStatsPinned(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
 	adj.RemoveSelfLoops()
@@ -136,8 +143,12 @@ func TestStatsPinned(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var steps []pinStep
+			rowWalks := 0
 			s, err := tc.run(func(info IterationInfo) error {
 				steps = append(steps, pinStep{info.Iteration, info.Active, info.Sent, info.Applies, info.NextActive, info.Mode})
+				if info.RowWalk {
+					rowWalks++
+				}
 				return nil
 			})
 			if err != nil {
@@ -153,6 +164,85 @@ func TestStatsPinned(t *testing.T) {
 			}
 			if !slices.Equal(steps, tc.steps) {
 				t.Errorf("observer stream\n got %v\nwant %v", steps, tc.steps)
+			}
+			if s.RowSupersteps != 0 || rowWalks != 0 {
+				t.Errorf("a program without FirstMessageFinal ran the row walk: RowSupersteps %d, %d observer reports", s.RowSupersteps, rowWalks)
+			}
+		})
+	}
+}
+
+// bfsFirst is bfsProg declaring FirstMessageFinal, which single-root hop
+// counting keeps: all of a superstep's messages carry one level.
+type bfsFirst struct{ bfsProg }
+
+func (bfsFirst) Unsettled(prop uint32) bool { return prop == ^uint32(0) }
+
+// TestStatsPinnedRowWalk pins what the row walk changes, on TestStatsPinned's
+// graph under single-root BFS with the marker declared: forced Push and the
+// boxed ablation are the all-edges baseline (every tally equal, no row-walk
+// superstep), and each run that may pull pins which supersteps gathered —
+// RowSupersteps, the observer's RowWalk flags — and the smaller
+// EdgesProcessed, Applies and ColumnsProbed that follow, while Iterations,
+// MessagesSent, ActiveSum and the frontier profile stay the baseline's.
+func TestStatsPinnedRowWalk(t *testing.T) {
+	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
+	adj.RemoveSelfLoops()
+	g, err := graph.NewFromCOO[uint32, float32](adj, graph.Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type rowStats struct {
+		Iterations                                          int
+		MessagesSent, EdgesProcessed, Applies, ActiveSum    int64
+		ColumnsProbed, PushSupersteps, PullSupersteps, Rows int64
+	}
+	cases := []struct {
+		name  string
+		cfg   Config
+		stats rowStats
+		walks string // per superstep: s push, l pull by columns, r pull by rows
+	}{
+		{"push/threads1", Config{Mode: Push, Threads: 1}, rowStats{6, 1552, 25225, 3023, 1552, 3104, 6, 0, 0}, "ssssss"},
+		{"boxed/threads3", Config{Dispatch: Boxed, Threads: 3}, rowStats{6, 1552, 25225, 3023, 1552, 16122, 0, 6, 0}, "llllll"},
+		{"auto/threads1", Config{Mode: Auto, Threads: 1}, rowStats{6, 1552, 3003, 1810, 1552, 536, 4, 2, 2}, "ssrrss"},
+		{"auto/threads3", Config{Mode: Auto, Threads: 3}, rowStats{6, 1552, 3003, 1810, 1552, 536, 4, 2, 2}, "ssrrss"},
+		{"pull/threads1", Config{Mode: Pull, Threads: 1}, rowStats{6, 1552, 2498, 1551, 1552, 5374, 0, 6, 4}, "llrrrr"},
+		{"pull/threads3", Config{Mode: Pull, Threads: 3}, rowStats{6, 1552, 2498, 1551, 1552, 10748, 0, 6, 4}, "llrrrr"},
+	}
+	var ref []uint32
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g.SetAllProps(^uint32(0))
+			g.SetProp(1, 0)
+			g.ClearActive()
+			g.SetActive(1)
+			walks := ""
+			s, err := RunContext(context.Background(), g, bfsFirst{}, tc.cfg, nil, WithObserver(func(info IterationInfo) error {
+				switch {
+				case info.RowWalk:
+					walks += "r"
+				case info.Mode == Pull:
+					walks += "l"
+				default:
+					walks += "s"
+				}
+				return nil
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rowStats{
+				s.Iterations, s.MessagesSent, s.EdgesProcessed, s.Applies, s.ActiveSum,
+				s.ColumnsProbed, s.PushSupersteps, s.PullSupersteps, s.RowSupersteps,
+			}
+			if got != tc.stats || walks != tc.walks {
+				t.Errorf("stats, walks\n got %+v %q\nwant %+v %q", got, walks, tc.stats, tc.walks)
+			}
+			if ref == nil {
+				ref = slices.Clone(g.Props())
+			} else if !slices.Equal(g.Props(), ref) {
+				t.Errorf("distances differ from the forced-push run's")
 			}
 		})
 	}

@@ -32,12 +32,19 @@ import (
 // pinned structures and the run config, so it is built once per run.
 type runPlan[E any] struct {
 	dirs [2]dirPlan[E] // out-edge scatter, in-edge scatter; unused ones stay empty
-	// costs and autoDegs feed KernelCosts.Choose; zero/nil unless the run
-	// is in Auto mode. autoDegs[v] is v's degree over the directions in
-	// play — the SendMessage phase sums it over the senders, one array load
-	// each, so fixed modes skip the accounting entirely.
-	costs    KernelCosts
-	autoDegs []uint32
+	// costs feeds KernelCosts.Choose; zero unless the run is in Auto mode.
+	costs KernelCosts
+	// sendDegs[v] is v's degree as a sender over the directions in play —
+	// the SendMessage phase sums it over the senders, one array load each,
+	// into the frontier's edge work. Nil unless a decision needs that sum:
+	// Auto's, or the row walk's under configured Pull, so other fixed-mode
+	// runs skip the accounting entirely.
+	sendDegs []uint32
+	// recvDegs[v] is v's degree as a receiver — the length of its row in
+	// the layers, which the row walk scans. Nil unless the run can take the
+	// row walk: the program asked for it and scatters one way, the mode is
+	// not forced Push and some layer has no pending delta.
+	recvDegs []uint32
 }
 
 type dirPlan[E any] struct {
@@ -50,7 +57,8 @@ type dirPlan[E any] struct {
 // later, the run keeps iterating exactly this epoch's edge set. Each
 // layer's live edge weight — O(delta columns) lookups on an overlay — is
 // computed once here and shared by the task shaper and the cost model.
-func planRun[V, E any](g *graph.Graph[V, E], dir graph.Direction, cfg Config) runPlan[E] {
+// rowWalk says the program's sink can gather (see rowSink).
+func planRun[V, E any](g *graph.Graph[V, E], dir graph.Direction, cfg Config, rowWalk bool) runPlan[E] {
 	var rp runPlan[E]
 	if dir&graph.Out != 0 {
 		rp.dirs[0].layers = g.OutLayers()
@@ -58,6 +66,7 @@ func planRun[V, E any](g *graph.Graph[V, E], dir graph.Direction, cfg Config) ru
 	if dir&graph.In != 0 {
 		rp.dirs[1].layers = g.InLayers()
 	}
+	plain := false // some layer has no pending delta
 	for i := range rp.dirs {
 		d := &rp.dirs[i]
 		weights := liveWeights(d.layers)
@@ -65,35 +74,52 @@ func planRun[V, E any](g *graph.Graph[V, E], dir graph.Direction, cfg Config) ru
 		if cfg.Mode == Auto {
 			rp.costs = addLayers(rp.costs, d.layers, weights)
 		}
-	}
-	if cfg.Mode == Auto {
-		switch dir & graph.Both {
-		case graph.Out:
-			rp.autoDegs = g.OutDegrees()
-		case graph.In:
-			rp.autoDegs = g.InDegrees()
-		default:
-			outDegs, inDegs := g.OutDegrees(), g.InDegrees()
-			rp.autoDegs = make([]uint32, len(outDegs))
-			for v := range rp.autoDegs {
-				rp.autoDegs[v] = outDegs[v] + inDegs[v]
-			}
+		for _, l := range d.layers {
+			plain = plain || l.Delta == nil
 		}
+	}
+	// A program scattering both ways keeps the column walks: its two
+	// directions fold into one y, and a gather per direction would fold two
+	// first messages where the promise covers one.
+	rowWalk = rowWalk && plain && cfg.Mode != Push && dir&graph.Both != graph.Both
+	if cfg.Mode == Auto || rowWalk {
+		rp.sendDegs = degreesAlong(g, dir)
+	}
+	if rowWalk {
+		// An out-edge scatter lands on its receivers' in-edges, and back.
+		rp.recvDegs = degreesAlong(g, dir^graph.Both)
 	}
 	return rp
 }
 
+// degreesAlong returns each vertex's edge count along the directions of dir.
+func degreesAlong[V, E any](g *graph.Graph[V, E], dir graph.Direction) []uint32 {
+	switch dir & graph.Both {
+	case graph.Out:
+		return g.OutDegrees()
+	case graph.In:
+		return g.InDegrees()
+	}
+	outDegs, inDegs := g.OutDegrees(), g.InDegrees()
+	degs := make([]uint32, len(outDegs))
+	for v := range degs {
+		degs[v] = outDegs[v] + inDegs[v]
+	}
+	return degs
+}
+
 // multiplyPhase runs one superstep's generalized multiply (Algorithm 1): every
-// task of every direction in play through the walk mode selects, against
-// the frontier occupancy words xw, folding into sink. Each task owns a
-// disjoint 64-aligned output row range, so the sink's output needs no
-// synchronization.
-func (rp *runPlan[E]) multiplyPhase(ex execCfg, stop *atomic.Int32, mode Mode, xw []uint64, sink colSink[E], locals []localStats) {
+// task of every direction in play through the walk the superstep chose — the
+// column walk mode selects, or, with rows non-nil, the row walk on every
+// layer that can take it — against the frontier occupancy words xw, folding
+// into sink. Each task owns a disjoint 64-aligned output row range, so the
+// sink's output needs no synchronization.
+func (rp *runPlan[E]) multiplyPhase(ex execCfg, stop *atomic.Int32, mode Mode, xw []uint64, sink colSink[E], rows rowSink[E], locals []localStats) {
 	for _, d := range rp.dirs {
 		tasks := d.tasks.pick(mode)
 		parallelFor(ex, len(tasks), stop, func(ti, w int) {
 			t := tasks[ti]
-			multiply(mode, d.layers[t.layer], xw, t.rlo, t.rhi, sink, &locals[w])
+			multiply(mode, d.layers[t.layer], xw, t.rlo, t.rhi, sink, rows, &locals[w])
 		})
 	}
 }

@@ -13,14 +13,16 @@ import (
 	"graphmat/internal/sparse"
 )
 
-// Kernel-level tests of the two column walks: every (direction, sink, row
-// cut) combination over a plain or overlay partition must equal a naive
-// fold over a fresh DCSC build of the live edge set. The fold is a
-// non-commutative hash, so a reordered, repeated, dropped or misplaced edge
-// fold changes the result — value equality asserts the exact per-destination
-// fold sequence, not just the edge multiset. The pull walk's flat fold is
-// covered by the same cases: a frontier that fills a column batch sends it
-// down foldFlat, and FlatEdges must equal the edges of exactly those batches.
+// Kernel-level tests of the three traversals: every (walk, sink, row cut)
+// combination over a plain or overlay partition must equal a naive fold over
+// a fresh DCSC build of the live edge set. The fold is a non-commutative
+// hash, so a reordered, repeated, dropped or misplaced edge fold changes the
+// result — value equality asserts the exact per-destination fold sequence,
+// not just the edge multiset. The pull walk's flat fold is covered by the
+// same cases: a frontier that fills a column batch sends it down foldFlat,
+// and FlatEdges must equal the edges of exactly those batches. The row walk
+// runs over firstProg, whose naive fold is "the first live in-neighbour of
+// each unsettled row, in ascending source order".
 
 // hashProg folds uint64 messages order-sensitively and reads the destination
 // property, so the scalar runs take the generic (non-DstIndependent) loop.
@@ -47,6 +49,15 @@ func (hashProg) Add(a, b uint64) uint64               { return a*1099511628211 +
 func (hashProg) Identity() uint64                     { return 0 }
 
 var _ BlockProgram[uint64, uint32, uint64, uint64] = hashProg{}
+
+// firstProg is hashProg declaring FirstMessageFinal over the property's low
+// bit, so the random properties of a walkCase are a random settled set. It
+// keeps no such promise — its Reduce is a hash — which no kernel-level test
+// needs: they compare the y a walk wrote, and the row walk's is defined by
+// the marker alone.
+type firstProg struct{ hashProg }
+
+func (firstProg) Unsettled(prop uint64) bool { return prop&1 == 0 }
 
 // walkKey addresses one matrix entry; sortedWalkKeys orders a set of them
 // column-major, the order DCSC builds and mutation batches require.
@@ -269,26 +280,36 @@ type walkFold struct {
 	// whole row range tallies its fully-live batches in FlatEdges.
 	flat bool
 	live func(j uint32) bool // frontier membership
-	// run folds the partition through the walk mode selects, one call per
-	// cut, into one output vector.
-	run func(mode Mode, cuts [][2]uint32) walkOut
+	// run folds the partition through the walk mode selects — or, with
+	// rowWalk set, through the row walk where the layer can take it — one
+	// call per cut, into one output vector.
+	run func(mode Mode, rowWalk bool, cuts [][2]uint32) walkOut
 	// naive folds the fresh build of the live edge set column by column
 	// with no kernel code.
 	naive func() walkOut
+	// naiveRows, set for the sink of a FirstMessageFinal program only, is
+	// the row walk's oracle: each unsettled row of the fresh build takes the
+	// first live source of its ascending list; edges counts the entries
+	// looked at on the way.
+	naiveRows func() walkOut
 }
 
 // scalarFold builds the walkFold of program p's scalar sink over layered
 // partition l, against fresh (the live edge set built from scratch). bitsOf
 // maps a reduced value to the bits compared.
 func scalarFold[V, E, M, R any, P Program[V, E, M, R]](c *walkCase, name string, p P, l sparse.Layered[E], fresh *sparse.DCSC[E], x *sparse.Vector[M], props []V, bitsOf func(R) uint64) walkFold {
-	return walkFold{
+	f := walkFold{
 		name: name, flat: true, live: x.Has,
-		run: func(mode Mode, cuts [][2]uint32) walkOut {
+		run: func(mode Mode, rowWalk bool, cuts [][2]uint32) walkOut {
 			y := sparse.NewVector[R](c.n)
 			sink := scalarSink(p, x, props, y)
+			var rows rowSink[E]
+			if rowWalk {
+				rows = sink.(rowSink[E])
+			}
 			var st localStats
 			for _, cut := range cuts {
-				multiply(mode, l, x.Mask().Words(), cut[0], cut[1], sink, &st)
+				multiply(mode, l, x.Mask().Words(), cut[0], cut[1], sink, rows, &st)
 			}
 			out := walkOut{mask: y.Mask().Words(), vals: make([]uint64, c.words()*64), edges: st.edges, probes: st.probes, flat: st.flat}
 			for i, r := range y.Values() {
@@ -315,6 +336,25 @@ func scalarFold[V, E, M, R any, P Program[V, E, M, R]](c *walkCase, name string,
 			return out
 		},
 	}
+	if settling, ok := any(p).(FirstMessageFinal[V]); ok {
+		f.naiveRows = func() walkOut {
+			out := walkOut{mask: make([]uint64, c.words()), vals: make([]uint64, c.words()*64)}
+			// Column-major, columns ascending: the first live entry Iterate
+			// reports for a row is its first live source.
+			fresh.Iterate(func(row, col uint32, e E) {
+				if !settling.Unsettled(props[row]) || out.mask[row>>6]&(1<<(row&63)) != 0 {
+					return
+				}
+				out.edges++
+				if x.Has(col) {
+					out.vals[row] = bitsOf(p.ProcessMessage(x.Get(col), e, props[row]))
+					out.mask[row>>6] |= 1 << (row & 63)
+				}
+			})
+			return out
+		}
+	}
+	return f
 }
 
 // blockFold is the walkFold of hashProg's k-wide block sink.
@@ -322,12 +362,12 @@ func (c *walkCase) blockFold(k int) walkFold {
 	x := c.blocks[k]
 	return walkFold{
 		name: fmt.Sprintf("block_k%d", k), live: x.summary.Get,
-		run: func(mode Mode, cuts [][2]uint32) walkOut {
+		run: func(mode Mode, _ bool, cuts [][2]uint32) walkOut {
 			y := NewBlockVector[uint64](c.n, k)
 			sink := blockSink[uint64, uint32, uint64, uint64](hashProg{}, x, y)
 			var st localStats
 			for _, cut := range cuts {
-				multiply(mode, c.l, x.summary.Words(), cut[0], cut[1], sink, &st)
+				multiply(mode, c.l, x.summary.Words(), cut[0], cut[1], sink, nil, &st)
 			}
 			out := walkOut{mask: y.summary.Words(), vals: make([]uint64, c.words()*64*k), cols: make([]uint64, c.words()*64), edges: st.edges, probes: st.probes, flat: st.flat}
 			copy(out.vals, y.vals)
@@ -357,14 +397,15 @@ func (c *walkCase) blockFold(k int) walkFold {
 }
 
 // folds lists every sink the walks feed: the generic scalar fold with and
-// without the destination read, the three fused scalar folds, and the block
-// fold at two widths.
+// without the destination read and with the row walk's gather beside it, the
+// three fused scalar folds, and the block fold at two widths.
 func (c *walkCase) folds() []walkFold {
 	u64 := func(r uint64) uint64 { return r }
 	f32 := func(r float32) uint64 { return uint64(math.Float32bits(r)) }
 	return []walkFold{
 		scalarFold(c, "generic", hashProg{}, c.l, c.fresh, c.x, c.props, u64),
 		scalarFold(c, "generic_dstfree", hashProgFree{}, c.l, c.fresh, c.x, c.props, u64),
+		scalarFold(c, "generic_gather", firstProg{}, c.l, c.fresh, c.x, c.props, u64),
 		scalarFold(c, "sum_f64", sumFoldProg{}, c.lf, c.freshf, c.xf64, make([]float64, c.n), math.Float64bits),
 		scalarFold(c, "minplus_f32", ssspFused{}, c.lf, c.freshf, c.xf32, make([]float32, c.n), f32),
 		scalarFold(c, "maxmin_f32", widestFused{}, c.lf, c.freshf, c.xf32, make([]float32, c.n), f32),
@@ -412,14 +453,17 @@ func (c *walkCase) flatEdges(live func(j uint32) bool) int64 {
 // whole-partition call — output bits and summed edge tallies — in both
 // directions. FlatEdges must be the flatEdges oracle for a scalar sink's
 // unclipped pull call and 0 everywhere else: push, block sinks, and any cut
-// that clips the call's rows.
+// that clips the call's rows. A sink with a gather then runs the row walk
+// the same way: on a plain partition it must equal naiveRows having probed
+// no column, on an overlay it must have fallen back to the column walk and
+// equal that — and the bounded calls compose either way.
 func (c *walkCase) check(t *testing.T, picks []uint) {
 	t.Helper()
 	whole := [][2]uint32{{0, ^uint32(0)}}
 	for _, f := range c.folds() {
 		want := f.naive()
 		for _, mode := range []Mode{Pull, Push} {
-			got := f.run(mode, whole)
+			got := f.run(mode, false, whole)
 			if err := got.equal(want); err != nil {
 				t.Fatalf("%s %s whole partition vs naive fold: %v", f.name, mode, err)
 			}
@@ -435,7 +479,7 @@ func (c *walkCase) check(t *testing.T, picks []uint) {
 			}
 			for _, pick := range picks {
 				cuts := c.rowCuts(pick)
-				cut := f.run(mode, cuts)
+				cut := f.run(mode, false, cuts)
 				if err := cut.equal(got); err != nil {
 					t.Fatalf("%s %s cuts %v vs whole partition: %v", f.name, mode, cuts, err)
 				}
@@ -448,6 +492,26 @@ func (c *walkCase) check(t *testing.T, picks []uint) {
 				}
 			}
 		}
+		if f.naiveRows == nil {
+			continue
+		}
+		got := f.run(Pull, true, whole)
+		if c.l.Delta == nil {
+			if err := got.equal(f.naiveRows()); err != nil {
+				t.Fatalf("%s row walk whole partition vs first live in-neighbour: %v", f.name, err)
+			}
+			if got.probes != 0 || got.flat != 0 {
+				t.Fatalf("%s row walk probed %d columns and folded %d edges flat", f.name, got.probes, got.flat)
+			}
+		} else if err := got.equal(want); err != nil {
+			t.Fatalf("%s row walk on an overlay vs the column walk it falls back to: %v", f.name, err)
+		}
+		for _, pick := range picks {
+			cuts := c.rowCuts(pick)
+			if err := f.run(Pull, true, cuts).equal(got); err != nil {
+				t.Fatalf("%s row walk cuts %v vs whole partition: %v", f.name, cuts, err)
+			}
+		}
 	}
 }
 
@@ -455,8 +519,8 @@ func (c *walkCase) check(t *testing.T, picks []uint) {
 // row-bounded kernel calls over ANY 64-aligned cut of a partition equals the
 // whole-partition call bit for bit — per-destination fold order unchanged,
 // EdgesProcessed summing to the same tally — on plain and overlay
-// partitions, with and without the AUX index, pull and push, scalar and
-// block sinks.
+// partitions, with and without the AUX index, pull, push and the row walk,
+// scalar and block sinks.
 func TestBoundedCallsCompose(t *testing.T) {
 	allCuts := []uint{0, 1, 2, 3, 4, 5, 6, 7} // every subset of a 4-block partition's 3 interior boundaries
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -525,13 +589,56 @@ func TestFlatIndexRace(t *testing.T) {
 	}
 }
 
-// FuzzLayeredWalk drives both walks and both sink families over random
+// TestRowIndexRace races the first row-walk multiply on one partition: the
+// goroutines all find the row-major view missing, one of them builds it, and
+// every call — the builder's and the waiters' — must gather the naive result
+// into its private output from the one shared view.
+func TestRowIndexRace(t *testing.T) {
+	c := newWalkCase(12, 4, 20000, 0, 40, false)
+	want := scalarFold(c, "generic_gather", firstProg{}, c.l, c.fresh, c.x, c.props, func(r uint64) uint64 { return r }).naiveRows()
+	const racers = 8
+	type result struct {
+		y     *sparse.Vector[uint64]
+		edges int64
+		index *sparse.RowIndex[uint32]
+	}
+	results := make([]result, racers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			y := sparse.NewVector[uint64](c.n)
+			sink := scalarSink(firstProg{}, c.x, c.props, y)
+			var st localStats
+			<-start
+			multiply(Pull, c.l, c.x.Mask().Words(), 0, ^uint32(0), sink, sink.(rowSink[uint32]), &st)
+			results[i] = result{y, st.edges, c.l.Base.RowIndex()}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, r := range results {
+		got := walkOut{mask: r.y.Mask().Words(), vals: make([]uint64, c.words()*64), edges: r.edges}
+		copy(got.vals, r.y.Values())
+		if err := got.equal(want); err != nil {
+			t.Errorf("racer %d vs first live in-neighbour: %v", i, err)
+		}
+		if r.index != results[0].index {
+			t.Errorf("racer %d read a second copy of the row-major view", i)
+		}
+	}
+}
+
+// FuzzLayeredWalk drives all three walks and both sink families over random
 // layered partitions — overrides, tombstones, delta-only columns, AUX
-// present or absent — with random frontiers and random 64-aligned row cuts,
-// against the naive fold over a fresh build of the live edge set. Any
-// out-of-range or misplaced write shows up as a diverging output bit (the
-// fold is order- and duplicate-sensitive); a panic fails the target. density
-// 255 is the full frontier, which sends whole batches down the flat fold.
+// present or absent — with random frontiers, random settled sets and random
+// 64-aligned row cuts, against the naive folds over a fresh build of the
+// live edge set. Any out-of-range or misplaced write shows up as a diverging
+// output bit (the fold is order- and duplicate-sensitive); a panic fails the
+// target. density 255 is the full frontier, which sends whole batches down
+// the flat fold and stops every row walk at a row's first entry.
 func FuzzLayeredWalk(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(0), false)   // empty partition, full frontier
 	f.Add(uint64(2), uint8(2), uint8(200), uint8(0), uint8(128), uint8(1), false) // plain

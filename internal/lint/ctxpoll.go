@@ -4,7 +4,7 @@ package lint
 // RunContext: a cancel (client disconnect, deadline, SIGINT) must abort a
 // multi-second sweep between partitions, not after it. Mechanically: inside
 // the engine packages, any loop whose body dispatches a kernel — the
-// multiply task entry, one of the two column walks under it, a boxed
+// multiply task entry, one of the three walks under it, a boxed
 // ablation kernel, or core.MultiplyPartition — must also poll a stop signal
 // in that body. A poll is any of:
 //
@@ -43,7 +43,7 @@ func newCtxpoll() *analysis.Analyzer {
 	a.Flags.Init("ctxpoll", flag.ContinueOnError)
 	a.Flags.String("pkgs", "graphmat/internal/core,graphmat/internal/distributed,graphmat/internal/kernels",
 		"comma-separated package scope (path or suffix) the polling rule applies to")
-	a.Flags.String("funcs", "multiply,walkPull,walkPush,spmvBoxed*,MultiplyPartition",
+	a.Flags.String("funcs", "multiply,walkPull,walkPush,walkRows,spmvBoxed*,MultiplyPartition",
 		"comma-separated kernel entry points (name or prefix*) whose dispatch loops must poll")
 	a.Flags.String("wrappers", "parallelFor:2,Run:1,RunOptions:1",
 		"comma-separated name:argIndex pairs of dispatch helpers that poll internally when the given argument is non-nil")

@@ -118,6 +118,7 @@ func (ai *algoInstance) record(s graphmat.Stats, wall float64) {
 	ai.engine.FlatEdges += s.FlatEdges
 	ai.engine.PushSupersteps += s.PushSupersteps
 	ai.engine.PullSupersteps += s.PullSupersteps
+	ai.engine.RowSupersteps += s.RowSupersteps
 	ai.wall += wall
 	ai.statsMu.Unlock()
 }

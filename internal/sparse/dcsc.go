@@ -1,6 +1,9 @@
 package sparse
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // DCSC is the Doubly Compressed Sparse Column format of Buluç & Gilbert,
 // the matrix representation GraphMat uses (paper §4.4.1). Unlike CSC, the
@@ -61,6 +64,64 @@ type DCSC[E any] struct {
 		once sync.Once
 		cols []uint32
 	}
+
+	// rowIndex memoizes RowIndex, the row-major view the row walk scans:
+	// built by the first row-walk task that reaches this structure and never
+	// before, so a structure no settled-mask program ever pulls through does
+	// not pay for it. Derived state, like edgeCols — never serialised.
+	rowIndex struct {
+		once sync.Once
+		idx  *RowIndex[E]
+	}
+}
+
+// RowIndex is the row-major (CSR) view of one DCSC: the same stored entries
+// grouped by destination row instead of by source column. Row r of the
+// structure's range holds Entries[Ptr[r-RowLo]:Ptr[r-RowLo+1]] — its entries
+// in ascending source column id. That is exactly the order in which the
+// column walks deliver a row's entries, so a fold over a row visits the same
+// sequence. A scan of a row that stops early finds the value of the entry it
+// stopped at on the cache line it just read, which is why source and value
+// are interleaved. It costs 4 B plus one E per stored entry (8 B for float32
+// weights) and 4 B per row.
+type RowIndex[E any] struct {
+	RowLo   uint32
+	Ptr     []uint32
+	Entries []RowEntry[E]
+}
+
+// RowEntry is one stored entry of a RowIndex row: its source column and value.
+type RowEntry[E any] struct {
+	Src uint32
+	Val E
+}
+
+// RowIndex returns the row-major view of m. It is built on first use (one
+// counting sort, O(nnz + rows)), memoized, and must be treated as read-only.
+// Safe for concurrent use: racing first callers build it once.
+func (m *DCSC[E]) RowIndex() *RowIndex[E] {
+	m.rowIndex.once.Do(func() {
+		ptr := make([]uint32, m.RowHi-m.RowLo+1)
+		for _, r := range m.IR {
+			ptr[r-m.RowLo+1]++
+		}
+		for i := 1; i < len(ptr); i++ {
+			ptr[i] += ptr[i-1]
+		}
+		entries := make([]RowEntry[E], len(m.IR))
+		// Columns ascend, so filling each row left to right leaves its
+		// sources ascending. next[r] is row r's fill position.
+		next := slices.Clone(ptr[:len(ptr)-1])
+		for ci, j := range m.JC {
+			for k := m.CP[ci]; k < m.CP[ci+1]; k++ {
+				at := &next[m.IR[k]-m.RowLo]
+				entries[*at] = RowEntry[E]{Src: j, Val: m.Val[k]}
+				*at++
+			}
+		}
+		m.rowIndex.idx = &RowIndex[E]{RowLo: m.RowLo, Ptr: ptr, Entries: entries}
+	})
+	return m.rowIndex.idx
 }
 
 // EdgeCols returns the COO expansion of JC/CP: EdgeCols()[k] is the column

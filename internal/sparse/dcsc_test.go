@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +98,46 @@ func TestEdgeCols(t *testing.T) {
 		})
 		if again := m.EdgeCols(); len(again) > 0 && &again[0] != &cols[0] {
 			t.Error("second EdgeCols call rebuilt the array")
+		}
+	}
+}
+
+// TestRowIndex holds the memoized row-major view to the stored entries: row
+// by row it lists exactly the structure's entries of that row, sources
+// ascending, each with its value — on a partition of a hypersparse matrix
+// (most rows of the range empty), a dense one, and an empty partition.
+func TestRowIndex(t *testing.T) {
+	for name, m := range map[string]*DCSC[int]{
+		"hypersparse": BuildDCSC(randCOO(3, 256, 4096, 90), 64, 192),
+		"dense":       BuildDCSC(randCOO(4, 128, 96, 5000), 64, 128),
+		"empty":       BuildDCSC(NewCOO[int](8, 8), 0, 8),
+	} {
+		idx := m.RowIndex()
+		if idx.RowLo != m.RowLo || len(idx.Ptr) != int(m.RowHi-m.RowLo)+1 || len(idx.Entries) != m.NNZ() {
+			t.Fatalf("%s: RowIndex from row %d with %d pointers and %d entries; structure covers [%d, %d) with %d",
+				name, idx.RowLo, len(idx.Ptr), len(idx.Entries), m.RowLo, m.RowHi, m.NNZ())
+		}
+		// Iterate is column-major with columns ascending, so appending each
+		// entry to its row's list leaves every list in ascending source order.
+		want := make([][]RowEntry[int], m.RowHi-m.RowLo)
+		m.Iterate(func(row, col uint32, v int) {
+			want[row-m.RowLo] = append(want[row-m.RowLo], RowEntry[int]{col, v})
+		})
+		empty := 0
+		for r, w := range want {
+			got := idx.Entries[idx.Ptr[r]:idx.Ptr[r+1]]
+			if !slices.Equal(got, w) {
+				t.Fatalf("%s: row %d = %v, want %v", name, int(m.RowLo)+r, got, w)
+			}
+			if len(w) == 0 {
+				empty++
+			}
+		}
+		if name == "hypersparse" && empty == 0 {
+			t.Errorf("fixture: no empty row in the hypersparse partition")
+		}
+		if again := m.RowIndex(); again != idx {
+			t.Errorf("%s: second RowIndex call rebuilt the view", name)
 		}
 	}
 }
