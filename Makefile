@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt lint graphmatlint staticcheck govulncheck test bench-module race bench bench-engine bench-sched bench-store bench-snap fuzz kernel-parity ci
+.PHONY: all build fmt lint graphmatlint staticcheck govulncheck test bench-module race bench fuzz kernel-parity test-cpus crash ci
 
 all: build
 
@@ -67,7 +67,7 @@ bench-module:
 # swaps it under test). All matter under -race. CI runs this target, so the
 # package list lives here only.
 race:
-	$(GO) test -race ./internal/core/... ./internal/sched/... ./internal/kernels/... ./internal/sparse/... ./internal/distributed/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
+	$(GO) test -race ./internal/core/... ./internal/sched/... ./internal/kernels/... ./internal/sparse/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
 
 # Fuzz smoke over the graph readers, the update-stream parser, the run-reply
 # number encoder, the SIMD kernel backends and the kernel walks: 10s per
@@ -104,32 +104,19 @@ kernel-parity:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# The engine kernel matrix: backend {scalar, avx2|neon} × mode
-# {pull, push, auto} × workers {1, 4, 8}, plus the direction-optimizing BFS
-# row (BenchmarkEngineBFS/hub_auto: ns per input edge and the share of
-# supersteps that ran the row walk) and the all-live pull row
-# (BenchmarkEngineAllLive: ns per edge fold and the share folded flat). Real
-# measurement (1s per case), unlike the bench smoke.
-bench-engine:
-	$(GO) test -bench='^BenchmarkEngine' -benchtime=1s -run='^$$' .
+# The scheduler and the engine at one and four procs: -cpu 1 runs every phase
+# inline on the caller (the one-slot pool), -cpu 4 parks and wakes workers and
+# steals across them. The same asserting tests cover both paths side by side.
+# CI runs this target.
+test-cpus:
+	$(GO) test -count=1 -cpu=1,4 ./internal/sched ./internal/core
 
-# The scheduler runtime microbenches: pool wake vs goroutine-spawn dispatch
-# latency, plus the steal-overhead / balanced pair. -cpu 1,4 exercises both
-# the inline single-worker path and real cross-worker stealing.
-bench-sched:
-	$(GO) test -bench=. -benchtime=1s -run='^$$' -cpu=1,4 ./internal/sched
+# The durability contract by name: a daemon SIGKILLed after acking update
+# batches but before any checkpoint reboots from snapshot + WAL with every
+# acked batch intact, and a torn snapshot falls back to the previous
+# generation. `test` runs these too; the separate target keeps crash safety
+# visible as its own gate. CI runs this target.
+crash:
+	$(GO) test -run='TestPersistCrashRecovery|TestPersistTornSnapshotFallback' -v -count=1 ./internal/server
 
-# The versioned-store benchmarks: 1% update-batch application and overlay
-# compaction, plus the serving entry's acknowledgement path (master apply, no
-# instances) at two graph sizes — its ns/op must not grow with |E|. Real
-# measurement (1s per case).
-bench-store:
-	$(GO) test -bench='^(BenchmarkApplyEdges|BenchmarkCompaction|BenchmarkEntryApplyEdges)' -benchtime=1s -run='^$$' .
-
-# The persistence benchmarks: snapshot write / mmap boot / parse+rebuild (the
-# restart ratio) plus WAL append and replay. Real measurement (1s per case).
-bench-snap:
-	$(GO) test -bench='^(BenchmarkSnapWrite|BenchmarkSnapBoot|BenchmarkSnapParseBuild)$$' -benchtime=1s -run='^$$' .
-	$(GO) test -bench='^BenchmarkWAL' -benchtime=1s -run='^$$' ./internal/snap
-
-ci: build lint test bench-module kernel-parity race fuzz bench
+ci: build lint test bench-module kernel-parity race fuzz bench test-cpus crash

@@ -36,7 +36,7 @@ func main() {
 		maxThreads = flag.Int("maxthreads", 0, "figure 5 sweep upper bound (0 = GOMAXPROCS)")
 		prIters    = flag.Int("priters", 10, "PageRank iterations (time/iteration plots)")
 		cfIters    = flag.Int("cfiters", 5, "CF iterations (time/iteration plots)")
-		repeats    = flag.Int("repeats", 1, "repetitions per measurement (minimum kept)")
+		repeats    = flag.Int("repeats", 1, "warm repetitions per measurement after its cold first run (minimum kept)")
 		dataset    = flag.String("dataset", "", "restrict to datasets whose name contains this substring")
 		frameworks = flag.String("frameworks", "", "comma-separated framework filter (e.g. GraphMat,Native)")
 		quiet      = flag.Bool("quiet", false, "suppress progress lines")

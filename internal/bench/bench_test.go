@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // tinyOpts shrinks every dataset far below default so the whole harness runs
@@ -170,10 +171,17 @@ func TestDatasetsGenerateAtDefaultShiftHaveSaneSizes(t *testing.T) {
 }
 
 func TestMeasureRecordsWallSeconds(t *testing.T) {
+	// The first call is slow, the way a run that builds its traversal views
+	// is: it must land in ColdSeconds and stay out of the warm minimum.
+	calls := 0
 	r := Runner{
 		Framework: "test",
 		Prepare:   func() {},
 		Execute: func() RunResult {
+			calls++
+			if calls == 1 {
+				time.Sleep(20 * time.Millisecond)
+			}
 			s := 0.0
 			for i := 0; i < 1_000_00; i++ {
 				s += float64(i)
@@ -184,5 +192,11 @@ func TestMeasureRecordsWallSeconds(t *testing.T) {
 	c := measure(r, 2)
 	if c.Seconds <= 0 || c.Set.WallSeconds != c.Seconds {
 		t.Errorf("measure cell = %+v", c)
+	}
+	if calls != 3 {
+		t.Errorf("measure(r, 2) made %d calls, want one cold and two warm", calls)
+	}
+	if c.ColdSeconds < 0.020 || c.Seconds >= c.ColdSeconds {
+		t.Errorf("cold %.4fs, warm %.4fs: the slow first call is not billed to cold alone", c.ColdSeconds, c.Seconds)
 	}
 }

@@ -533,31 +533,3 @@ func maxI64(a, b int64) int64 {
 	}
 	return b
 }
-
-// PageRankRunnerWithPartitions is the GraphMat PageRank runner with an
-// explicit partition count, for the partition-sensitivity ablation bench.
-func PageRankRunnerWithPartitions(data *sparse.COO[float32], threads, iters, partitions int) Runner {
-	canon := data
-	canon.RemoveSelfLoops()
-	canon.SortRowMajor()
-	canon.DedupKeepFirst()
-	var g *graphmat.Graph[algorithms.PRVertex, float32]
-	return Runner{
-		Framework: FwGraphMat,
-		Prepare: func() {
-			gg, err := algorithms.NewPageRankGraph(canon, partitions)
-			if err != nil {
-				panic(err)
-			}
-			g = gg
-		},
-		Execute: func() RunResult {
-			ranks, stats := must(algorithms.RunPageRank(context.Background(), g, algorithms.WithIterations(iters), algorithms.WithThreads(threads)))
-			s := 0.0
-			for _, r := range ranks {
-				s += r
-			}
-			return RunResult{Value: s, Set: graphMatSet(stats)}
-		},
-	}
-}

@@ -1,11 +1,10 @@
 // Package bitvec provides a dense bitvector used throughout GraphMat for
 // sparse-vector occupancy masks and active-vertex sets (paper §4.4.2).
 //
-// The representation is a []uint64 word array. All single-bit operations are
-// available in both plain and atomic flavors: the engine uses plain writes
-// when a partition owns a disjoint index range and atomic writes when many
-// goroutines may set bits concurrently (e.g. marking vertices active during
-// Apply).
+// The representation is a []uint64 word array. Setting a bit comes in a plain
+// and an atomic flavor: the engine uses plain writes when a partition owns a
+// disjoint index range and atomic writes when many goroutines may set bits
+// concurrently (e.g. marking vertices active during Apply).
 package bitvec
 
 import (
@@ -66,11 +65,6 @@ func (v *Vector) SetAtomic(i uint32) bool {
 			return true
 		}
 	}
-}
-
-// GetAtomic reports whether bit i is set using an atomic load.
-func (v *Vector) GetAtomic(i uint32) bool {
-	return atomic.LoadUint64(&v.words[i>>wordShift])&(1<<(i&wordMask)) != 0
 }
 
 // Reset clears every bit.
@@ -154,35 +148,6 @@ func (v *Vector) NextSet(i uint32) (uint32, bool) {
 	}
 	wi += 1 + rest
 	return uint32(wi)<<wordShift + uint32(bits.TrailingZeros64(v.words[wi])), true
-}
-
-// CopyFrom copies the contents of src into v. The vectors must have the same
-// length.
-func (v *Vector) CopyFrom(src *Vector) {
-	copy(v.words, src.words)
-}
-
-// Or sets v to the bitwise OR of v and other. Lengths must match.
-func (v *Vector) Or(other *Vector) {
-	kernels.OrInto(v.words, other.words)
-}
-
-// And sets v to the bitwise AND of a and b. All three must have equal length.
-func (v *Vector) And(a, b *Vector) {
-	kernels.And(v.words, a.words, b.words)
-}
-
-// AndNot sets v to a AND NOT b (the bits of a not in b). All three must have
-// equal length.
-func (v *Vector) AndNot(a, b *Vector) {
-	kernels.AndNot(v.words, a.words, b.words)
-}
-
-// CountRange returns the number of set bits i with lo <= i < hi.
-func (v *Vector) CountRange(lo, hi uint32) int {
-	c := 0
-	v.IterateRange(lo, hi, func(uint32) { c++ })
-	return c
 }
 
 // Words exposes the underlying word slice for read-only word-at-a-time scans

@@ -208,27 +208,6 @@ func TestSetAtomicConcurrent(t *testing.T) {
 	}
 }
 
-func TestOrAndCopy(t *testing.T) {
-	a := New(128)
-	b := New(128)
-	a.Set(1)
-	b.Set(2)
-	b.Set(1)
-	a.Or(b)
-	if !a.Get(1) || !a.Get(2) {
-		t.Error("Or missing bits")
-	}
-	c := New(128)
-	c.CopyFrom(a)
-	if c.Count() != a.Count() {
-		t.Error("CopyFrom mismatch")
-	}
-	a.Clear(1)
-	if !c.Get(1) {
-		t.Error("CopyFrom aliased storage")
-	}
-}
-
 // Property: Count equals the size of the set of indices inserted.
 func TestQuickCountMatchesSet(t *testing.T) {
 	f := func(raw []uint16) bool {

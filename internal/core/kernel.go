@@ -27,8 +27,8 @@ import (
 // A column walk decides WHICH live columns of a partition a frontier reaches
 // and in what order; what happens to a column's edges is the sink's business
 // (kernel_fold.go for the scalar engine, kernel_block.go for the k-wide block
-// engine), so both engines, the single-shot SpMV and the distributed
-// simulator share the two column walks. The row walk hands whole row ranges
+// engine), so both engines and the single-shot SpMV share the two column
+// walks. The row walk hands whole row ranges
 // to a rowSink, which only the scalar generic fold implements.
 //
 // Every partition is a sparse.Layered — an immutable base DCSC plus an
@@ -400,16 +400,6 @@ type KernelCosts struct {
 	Partitions int
 }
 
-// AddParts folds a plain partition set into the cost model.
-func AddParts[E any](c KernelCosts, parts []*sparse.DCSC[E]) KernelCosts {
-	for _, pt := range parts {
-		c.TotalEdges += int64(pt.NNZ())
-		c.TotalNZCols += int64(pt.NZColumns())
-	}
-	c.Partitions += len(parts)
-	return c
-}
-
 // addLayers folds a layered partition set into the cost model using the
 // LIVE quantities — the edge and column counts the walks will actually see,
 // not the base's. liveNNZ is the layers' live edge weights (liveWeights),
@@ -474,25 +464,4 @@ const rowWalkGain = 14
 // graph is settled, gather.
 func rowWalkPays(frontierEdges, unsettledEdges int64) bool {
 	return frontierEdges*rowWalkGain > unsettledEdges
-}
-
-// MultiplyPartition applies one plain partition of the generalized SpMV
-// y ← y ⊕ (Gᵀ_part ⊗ x) with the given kernel mode (Auto must be resolved
-// first via KernelCosts.Choose). It is the exported seam of the kernel
-// layer: the distributed simulator routes its supersteps through it so
-// every execution path shares the same walks and folds. The partition must
-// own a disjoint 64-aligned output row range (BuildDCSC / PartitionRows
-// guarantee this) and y must be written only by this goroutine for that
-// range. Returns the edge and probe tallies of the call.
-func MultiplyPartition[V, E, M, R any, P Program[V, E, M, R]](
-	mode Mode,
-	part *sparse.DCSC[E],
-	x *sparse.Vector[M],
-	props []V,
-	p P,
-	y *sparse.Vector[R],
-) (edges, probes int64) {
-	var st localStats
-	multiply(mode, sparse.Layered[E]{Base: part}, x.Mask().Words(), 0, ^uint32(0), scalarSink(p, x, props, y), nil, &st)
-	return st.edges, st.probes
 }

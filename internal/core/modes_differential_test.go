@@ -361,10 +361,10 @@ func TestModeJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMultiplyPartitionNoAux covers the exported kernel seam with a
-// hand-assembled DCSC that lacks the AUX index: the push kernel must fall
-// back to binary search, not panic, and still match pull bit for bit.
-func TestMultiplyPartitionNoAux(t *testing.T) {
+// TestMultiplyNoAux runs the per-task multiply entry on a hand-assembled
+// DCSC that lacks the AUX index: the push kernel must fall back to binary
+// search, not panic, and still match pull bit for bit.
+func TestMultiplyNoAux(t *testing.T) {
 	coo := gen.RMAT(gen.RMATOptions{Scale: 7, EdgeFactor: 4, Seed: 2, MaxWeight: 9})
 	coo.SortColMajor()
 	coo.DedupKeepFirst()
@@ -382,7 +382,8 @@ func TestMultiplyPartitionNoAux(t *testing.T) {
 	}
 	run := func(part *sparse.DCSC[float32], mode Mode) *sparse.Vector[float32] {
 		y := sparse.NewVector[float32](n)
-		MultiplyPartition(mode, part, x, props, ssspProg{}, y)
+		var st localStats
+		multiply(mode, sparse.Layered[float32]{Base: part}, x.Mask().Words(), 0, ^uint32(0), scalarSink(ssspProg{}, x, props, y), nil, &st)
 		return y
 	}
 	ref := run(full, Pull)

@@ -571,8 +571,9 @@ func TestFlatIndexRace(t *testing.T) {
 			defer wg.Done()
 			y := sparse.NewVector[uint64](c.n)
 			<-start
-			edges, _ := MultiplyPartition(Pull, c.l.Base, c.x, c.props, hashProg{}, y)
-			results[i] = result{y, edges, &c.l.Base.EdgeCols()[0]}
+			var st localStats
+			multiply(Pull, sparse.Layered[uint32]{Base: c.l.Base}, c.x.Mask().Words(), 0, ^uint32(0), scalarSink(hashProg{}, c.x, c.props, y), nil, &st)
+			results[i] = result{y, st.edges, &c.l.Base.EdgeCols()[0]}
 		}()
 	}
 	close(start)

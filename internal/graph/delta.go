@@ -20,7 +20,7 @@ import (
 // minParallelDeltaMuts is the mutation count below which delta merges run on
 // the calling goroutine. MergeDelta is a linear merge over the touched
 // columns; for typical small batches the per-batch goroutine fan-out/park
-// cycle dominates the merge itself (BenchmarkApplyEdges at 4 workers).
+// cycle dominates the merge itself (the board's graph.apply_ms at 4 workers).
 const minParallelDeltaMuts = 1 << 12
 
 // ApplyResult reports what one update batch did.

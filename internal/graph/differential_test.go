@@ -179,7 +179,7 @@ func writeAllFormats(t *testing.T, dir string, adj *sparse.COO[float32]) map[str
 		// An edge list cannot express trailing isolated vertices; pin the
 		// count with a self-loop on the last vertex.
 		coo.Add(adj.NRows-1, adj.NRows-1, 1)
-		return WriteEdgeList(f, coo)
+		return writeEdgeList(f, coo)
 	})
 	return out
 }

@@ -151,15 +151,6 @@ func lineCap(inputLen int) int {
 // ---------------------------------------------------------------------------
 // Matrix Market
 
-// ReadMTX parses a Matrix Market coordinate file sequentially; see ParseMTX.
-func ReadMTX(r io.Reader) (*sparse.COO[float32], error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("mtx: %v", err)
-	}
-	return ParseMTX(data, LoadOptions{Parallelism: 1})
-}
-
 // ParseMTX parses a Matrix Market coordinate file into adjacency triples with
 // Row = source, Col = destination (1-based indices in the file, 0-based in
 // the result). Supported qualifiers: real/integer/pattern values and
@@ -336,15 +327,6 @@ func WriteMTX(w io.Writer, coo *sparse.COO[float32]) error {
 // ---------------------------------------------------------------------------
 // Edge lists
 
-// ReadEdgeList parses an edge list sequentially; see ParseEdgeList.
-func ReadEdgeList(r io.Reader, minVertices uint32) (*sparse.COO[float32], error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return ParseEdgeList(data, LoadOptions{Parallelism: 1, MinVertices: minVertices})
-}
-
 // ParseEdgeList parses whitespace-separated "src dst [weight]" lines with
 // 0-based vertex ids on opt.Parallelism workers. Lines starting with '#' or
 // '%' are comments. The vertex count is one more than the maximum id seen, or
@@ -383,19 +365,6 @@ func ParseEdgeList(data []byte, opt LoadOptions) (*sparse.COO[float32], error) {
 	}
 	coo.NRows, coo.NCols = n, n
 	return coo, nil
-}
-
-// WriteEdgeList writes "src dst weight" lines with 0-based ids. Note the
-// format cannot express trailing isolated vertices: ParseEdgeList infers the
-// vertex count from the largest id present (or its MinVertices option).
-func WriteEdgeList(w io.Writer, coo *sparse.COO[float32]) error {
-	bw := bufio.NewWriter(w)
-	for _, t := range coo.Entries {
-		if _, err := fmt.Fprintf(bw, "%d %d %g\n", t.Row, t.Col, t.Val); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 type edgeFragment struct {
@@ -523,15 +492,6 @@ func WriteBinary2(w io.Writer, coo *sparse.COO[float32], sections int) error {
 		}
 	}
 	return nil
-}
-
-// ReadBinary reads a GMATBIN2 stream sequentially; see ParseBinary.
-func ReadBinary(r io.Reader) (*sparse.COO[float32], error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("binary graph: %v", err)
-	}
-	return ParseBinary(data, LoadOptions{Parallelism: 1})
 }
 
 // ErrBinaryV1 reports a file in the removed GMATBIN1 format (a bare record

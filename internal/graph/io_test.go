@@ -20,7 +20,7 @@ func TestReadMTXGeneral(t *testing.T) {
 3 1 0.5
 1 3 1.0
 `
-	coo, err := ReadMTX(strings.NewReader(in))
+	coo, err := ParseMTX([]byte(in), LoadOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestReadMTXSymmetric(t *testing.T) {
 2 1
 3 3
 `
-	coo, err := ReadMTX(strings.NewReader(in))
+	coo, err := ParseMTX([]byte(in), LoadOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestReadMTXErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
 	}
 	for i, in := range cases {
-		if _, err := ReadMTX(strings.NewReader(in)); err == nil {
+		if _, err := ParseMTX([]byte(in), LoadOptions{Parallelism: 1}); err == nil {
 			t.Errorf("case %d: bad input accepted", i)
 		}
 	}
@@ -78,7 +78,7 @@ func TestMTXRoundTrip(t *testing.T) {
 	if err := WriteMTX(&buf, coo); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadMTX(&buf)
+	back, err := ParseMTX(buf.Bytes(), LoadOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestReadEdgeList(t *testing.T) {
 
 2 0 0.25
 `
-	coo, err := ReadEdgeList(strings.NewReader(in), 0)
+	coo, err := ParseEdgeList([]byte(in), LoadOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestReadEdgeList(t *testing.T) {
 		t.Errorf("default weight = %v", coo.Entries[0].Val)
 	}
 	// minVertices grows the matrix.
-	coo2, err := ReadEdgeList(strings.NewReader("0 1\n"), 10)
+	coo2, err := ParseEdgeList([]byte("0 1\n"), LoadOptions{Parallelism: 1, MinVertices: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary2(&buf, coo, 0); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, err := ParseBinary(buf.Bytes(), LoadOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,16 +147,16 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryErrors(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("short"))); err == nil {
+	if _, err := ParseBinary([]byte("short"), LoadOptions{Parallelism: 1}); err == nil {
 		t.Error("truncated magic accepted")
 	}
-	if _, err := ReadBinary(bytes.NewReader([]byte("WRONGMAG...."))); err == nil {
+	if _, err := ParseBinary([]byte("WRONGMAG...."), LoadOptions{Parallelism: 1}); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// The removed GMATBIN1 format is rejected by name, whatever follows the
 	// magic, so the user learns to regenerate the file instead of reading
 	// "bad magic".
-	if _, err := ReadBinary(bytes.NewReader([]byte("GMATBIN1\x02\x00\x00\x00"))); !errors.Is(err, ErrBinaryV1) {
+	if _, err := ParseBinary([]byte("GMATBIN1\x02\x00\x00\x00"), LoadOptions{Parallelism: 1}); !errors.Is(err, ErrBinaryV1) {
 		t.Errorf("GMATBIN1 input: err = %v, want ErrBinaryV1", err)
 	} else if !strings.Contains(err.Error(), "graphgen") {
 		t.Errorf("GMATBIN1 rejection = %q, want a pointer at graphgen", err)
@@ -170,7 +170,7 @@ func TestBinaryErrors(t *testing.T) {
 	if err := WriteBinary2(&buf2, coo, 1); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadBinary(bytes.NewReader(buf2.Bytes()[:buf2.Len()-6]))
+	_, err := ParseBinary(buf2.Bytes()[:buf2.Len()-6], LoadOptions{Parallelism: 1})
 	if err == nil {
 		t.Error("truncated body accepted")
 	} else if !strings.Contains(err.Error(), "header claims 2 edges, input holds 1") {
@@ -184,7 +184,7 @@ func TestBinaryErrors(t *testing.T) {
 	if err := WriteBinary2(&rectBuf, rect, 0); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&rectBuf)
+	back, err := ParseBinary(rectBuf.Bytes(), LoadOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,18 +13,6 @@ import "math/bits"
 // multiples of the body's block size; pointers are to the first element.
 //
 //go:noescape
-func andBodyAVX2(dst, a, b *uint64, n int)
-
-//go:noescape
-func orBodyAVX2(dst, a, b *uint64, n int)
-
-//go:noescape
-func andNotBodyAVX2(dst, a, b *uint64, n int)
-
-//go:noescape
-func orIntoBodyAVX2(dst, src *uint64, n int)
-
-//go:noescape
 func popcountBodyAVX2(w *uint64, n int) int
 
 //go:noescape
@@ -38,46 +26,6 @@ func blockAddF64BodyAVX2(yrow, xrow *float64, n int, cm, ym uint64)
 
 //go:noescape
 func scatterAddF64BodyAVX2(yw *uint64, yvals *float64, idx *uint32, n int, m float64)
-
-func avx2And(dst, a, b []uint64) {
-	n := len(dst) &^ 3
-	if n > 0 {
-		andBodyAVX2(&dst[0], &a[0], &b[0], n)
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] = a[i] & b[i]
-	}
-}
-
-func avx2Or(dst, a, b []uint64) {
-	n := len(dst) &^ 3
-	if n > 0 {
-		orBodyAVX2(&dst[0], &a[0], &b[0], n)
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] = a[i] | b[i]
-	}
-}
-
-func avx2AndNot(dst, a, b []uint64) {
-	n := len(dst) &^ 3
-	if n > 0 {
-		andNotBodyAVX2(&dst[0], &a[0], &b[0], n)
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] = a[i] &^ b[i]
-	}
-}
-
-func avx2OrInto(dst, src []uint64) {
-	n := len(dst) &^ 3
-	if n > 0 {
-		orIntoBodyAVX2(&dst[0], &src[0], n)
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] |= src[i]
-	}
-}
 
 func avx2PopcountSum(w []uint64) int {
 	n := len(w) &^ 3

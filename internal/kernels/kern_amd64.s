@@ -35,87 +35,6 @@ DATA signFlip32<>+16(SB)/8, $0x8000000080000000
 DATA signFlip32<>+24(SB)/8, $0x8000000080000000
 GLOBL signFlip32<>(SB), RODATA|NOPTR, $32
 
-// func andBodyAVX2(dst, a, b *uint64, n int)
-TEXT ·andBodyAVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	SHRQ $2, CX
-
-andloop:
-	VMOVDQU (SI), Y0
-	VPAND   (DX), Y0, Y0
-	VMOVDQU Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     andloop
-	VZEROUPPER
-	RET
-
-// func orBodyAVX2(dst, a, b *uint64, n int)
-TEXT ·orBodyAVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	SHRQ $2, CX
-
-orloop:
-	VMOVDQU (SI), Y0
-	VPOR    (DX), Y0, Y0
-	VMOVDQU Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     orloop
-	VZEROUPPER
-	RET
-
-// func andNotBodyAVX2(dst, a, b *uint64, n int)
-// dst = a &^ b = ^b & a: VPANDN computes ^src1 & src2 with src1 the middle
-// operand in Go syntax, so b rides the middle slot.
-TEXT ·andNotBodyAVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	SHRQ $2, CX
-
-andnotloop:
-	VMOVDQU (SI), Y0
-	VMOVDQU (DX), Y1
-	VPANDN  Y0, Y1, Y0
-	VMOVDQU Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     andnotloop
-	VZEROUPPER
-	RET
-
-// func orIntoBodyAVX2(dst, src *uint64, n int)
-TEXT ·orIntoBodyAVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	SHRQ $2, CX
-
-orintoloop:
-	VMOVDQU (DI), Y0
-	VPOR    (SI), Y0, Y0
-	VMOVDQU Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     orintoloop
-	VZEROUPPER
-	RET
-
 // func popcountBodyAVX2(w *uint64, n int) int
 // Mula's nibble-LUT popcount: per 32-byte block, VPSHUFB maps low and high
 // nibbles to per-byte counts, VPSADBW folds bytes to qword partials, and a

@@ -5,76 +5,6 @@
 // NEON (ASIMD) bodies: whole 16-byte blocks, element counts pre-rounded by
 // the Go wrappers in neon_arm64.go.
 
-// func andBodyNEON(dst, a, b *uint64, n int)
-TEXT ·andBodyNEON(SB), NOSPLIT, $0-32
-	MOVD dst+0(FP), R0
-	MOVD a+8(FP), R1
-	MOVD b+16(FP), R2
-	MOVD n+24(FP), R3
-	LSR  $1, R3, R3
-
-andloop:
-	VLD1.P 16(R1), [V0.B16]
-	VLD1.P 16(R2), [V1.B16]
-	VAND   V1.B16, V0.B16, V2.B16
-	VST1.P [V2.B16], 16(R0)
-	SUB    $1, R3, R3
-	CBNZ   R3, andloop
-	RET
-
-// func orBodyNEON(dst, a, b *uint64, n int)
-TEXT ·orBodyNEON(SB), NOSPLIT, $0-32
-	MOVD dst+0(FP), R0
-	MOVD a+8(FP), R1
-	MOVD b+16(FP), R2
-	MOVD n+24(FP), R3
-	LSR  $1, R3, R3
-
-orloop:
-	VLD1.P 16(R1), [V0.B16]
-	VLD1.P 16(R2), [V1.B16]
-	VORR   V1.B16, V0.B16, V2.B16
-	VST1.P [V2.B16], 16(R0)
-	SUB    $1, R3, R3
-	CBNZ   R3, orloop
-	RET
-
-// func andNotBodyNEON(dst, a, b *uint64, n int)
-// dst = a &^ b via the identity a &^ b == (a ^ b) & a (the assembler has no
-// VBIC spelling).
-TEXT ·andNotBodyNEON(SB), NOSPLIT, $0-32
-	MOVD dst+0(FP), R0
-	MOVD a+8(FP), R1
-	MOVD b+16(FP), R2
-	MOVD n+24(FP), R3
-	LSR  $1, R3, R3
-
-andnotloop:
-	VLD1.P 16(R1), [V0.B16]
-	VLD1.P 16(R2), [V1.B16]
-	VEOR   V1.B16, V0.B16, V2.B16
-	VAND   V0.B16, V2.B16, V2.B16
-	VST1.P [V2.B16], 16(R0)
-	SUB    $1, R3, R3
-	CBNZ   R3, andnotloop
-	RET
-
-// func orIntoBodyNEON(dst, src *uint64, n int)
-TEXT ·orIntoBodyNEON(SB), NOSPLIT, $0-24
-	MOVD dst+0(FP), R0
-	MOVD src+8(FP), R1
-	MOVD n+16(FP), R3
-	LSR  $1, R3, R3
-
-orintoloop:
-	VLD1   (R0), [V0.B16]
-	VLD1.P 16(R1), [V1.B16]
-	VORR   V1.B16, V0.B16, V2.B16
-	VST1.P [V2.B16], 16(R0)
-	SUB    $1, R3, R3
-	CBNZ   R3, orintoloop
-	RET
-
 // func popcountBodyNEON(w *uint64, n int) int
 // VCNT gives per-byte popcounts; VUADDLV folds the 16 bytes to one scalar.
 TEXT ·popcountBodyNEON(SB), NOSPLIT, $0-24

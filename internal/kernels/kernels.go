@@ -1,9 +1,9 @@
 // Package kernels is the arch-dispatched backend layer for the engine's hot
 // fold primitives (paper §4.5: the hand-tuned-backend half of GraphMat's
 // thesis). It exposes the small set of monomorphic inner loops the SpMV/SpMM
-// kernels and the bitvector frontier machinery spend their cycles in — word
-// ops over frontier masks, popcount sweeps, nonzero-word scans, the layered
-// merge's run scan, and the float64 sum folds — each with a pure-Go scalar
+// kernels and the bitvector frontier machinery spend their cycles in —
+// popcount sweeps, nonzero-word scans, the layered merge's run scan, and the
+// float64 and float32 folds — each with a pure-Go scalar
 // reference implementation plus SIMD variants (AVX2 on amd64, NEON on arm64)
 // selected once at init by a CPU feature probe.
 //
@@ -15,10 +15,9 @@
 //
 // Backend selection: the best backend the CPU supports wins at init; the
 // GRAPHMAT_KERNEL environment variable (scalar|avx2|neon) overrides it for
-// testing and benchmarking, falling back to scalar (with the reason recorded
-// in SelectionNote) when the named backend is unsupported on the running CPU.
-// Dispatch is per primitive: a backend that accelerates only some primitives
-// serves the rest from the scalar reference.
+// testing and benchmarking, falling back to scalar when the named backend is
+// unsupported on the running CPU. Dispatch is per primitive: a backend that
+// accelerates only some primitives serves the rest from the scalar reference.
 package kernels
 
 import (
@@ -74,10 +73,6 @@ const EnvVar = "GRAPHMAT_KERNEL"
 // table is one backend's implementation set. Entries a backend does not
 // accelerate point at the scalar reference, so dispatch is per primitive.
 type table struct {
-	and           func(dst, a, b []uint64)
-	or            func(dst, a, b []uint64)
-	andNot        func(dst, a, b []uint64)
-	orInto        func(dst, src []uint64)
 	popcountSum   func(w []uint64) int
 	firstNonzero  func(w []uint64) int
 	spanLess      func(a []uint32, v uint32) int
@@ -95,10 +90,6 @@ type table struct {
 
 // scalarTable is the always-available reference backend.
 var scalarTable = table{
-	and:           scalarAnd,
-	or:            scalarOr,
-	andNot:        scalarAndNot,
-	orInto:        scalarOrInto,
 	popcountSum:   scalarPopcountSum,
 	firstNonzero:  scalarFirstNonzero,
 	spanLess:      scalarSpanLess,
@@ -115,21 +106,17 @@ var scalarTable = table{
 var (
 	active        table
 	activeBackend Backend
-	selectionNote string
 )
 
 func init() {
-	best, note := probeBest()
 	want, fromEnv := lookupEnvBackend()
 	switch {
 	case !fromEnv:
-		activeBackend, selectionNote = best, note
+		activeBackend = probeBest()
 	case backendSupported(want):
 		activeBackend = want
-		selectionNote = EnvVar + "=" + want.String()
 	default:
 		activeBackend = Scalar
-		selectionNote = EnvVar + "=" + want.String() + " unsupported on this CPU; fell back to scalar"
 	}
 	active = backendTable(activeBackend)
 }
@@ -148,10 +135,6 @@ func lookupEnvBackend() (Backend, bool) {
 
 // Active returns the backend currently serving dispatch.
 func Active() Backend { return activeBackend }
-
-// SelectionNote reports how the active backend was chosen: the probe result,
-// the environment override, or the fallback reason.
-func SelectionNote() string { return selectionNote }
 
 // Supported returns the backends the running CPU can execute, Scalar first.
 // The slice is freshly allocated; callers may reorder it.
@@ -174,28 +157,13 @@ func ForceBackend(b Backend) (restore func(), ok bool) {
 	if !backendSupported(b) {
 		return nil, false
 	}
-	prevTable, prevBackend, prevNote := active, activeBackend, selectionNote
+	prevTable, prevBackend := active, activeBackend
 	active = backendTable(b)
 	activeBackend = b
-	selectionNote = "forced by ForceBackend"
 	return func() {
-		active, activeBackend, selectionNote = prevTable, prevBackend, prevNote
+		active, activeBackend = prevTable, prevBackend
 	}, true
 }
-
-// And stores a AND b into dst, word-wise over len(dst) words. a and b must
-// have at least len(dst) words.
-func And(dst, a, b []uint64) { active.and(dst, a, b) }
-
-// Or stores a OR b into dst, word-wise over len(dst) words.
-func Or(dst, a, b []uint64) { active.or(dst, a, b) }
-
-// AndNot stores a AND NOT b (a &^ b) into dst, word-wise over len(dst) words.
-func AndNot(dst, a, b []uint64) { active.andNot(dst, a, b) }
-
-// OrInto folds src into dst word-wise (dst |= src) over len(dst) words. src
-// must have at least len(dst) words.
-func OrInto(dst, src []uint64) { active.orInto(dst, src) }
 
 // PopcountSum returns the total set-bit count of w — the word-sweep Count()
 // behind frontier sizing and the kernel cost model.

@@ -36,48 +36,6 @@ func randWords(rng *rand.Rand, n int) []uint64 {
 // both the 4-word AVX2 and 2-word NEON block sizes.
 var wordLens = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 65, 100, 257}
 
-func TestWordOpsParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, b := range simdBackends() {
-		bt := backendTable(b)
-		for _, n := range wordLens {
-			for trial := 0; trial < 8; trial++ {
-				a := randWords(rng, n)
-				bw := randWords(rng, n)
-				want := make([]uint64, n)
-				got := make([]uint64, n)
-
-				scalarAnd(want, a, bw)
-				bt.and(got, a, bw)
-				checkWords(t, b, "and", n, want, got)
-
-				scalarOr(want, a, bw)
-				bt.or(got, a, bw)
-				checkWords(t, b, "or", n, want, got)
-
-				scalarAndNot(want, a, bw)
-				bt.andNot(got, a, bw)
-				checkWords(t, b, "andNot", n, want, got)
-
-				copy(want, a)
-				copy(got, a)
-				scalarOrInto(want, bw)
-				bt.orInto(got, bw)
-				checkWords(t, b, "orInto", n, want, got)
-			}
-		}
-	}
-}
-
-func checkWords(t *testing.T, b Backend, op string, n int, want, got []uint64) {
-	t.Helper()
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("%s %s n=%d: word %d = %#x, scalar %#x", b, op, n, i, got[i], want[i])
-		}
-	}
-}
-
 func TestPopcountSumParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, b := range simdBackends() {

@@ -6,30 +6,6 @@ package kernels
 // oracle, and they are also the fallback on CPUs without SIMD support, so
 // they must stay correct and readable before fast.
 
-func scalarAnd(dst, a, b []uint64) {
-	for i := range dst {
-		dst[i] = a[i] & b[i]
-	}
-}
-
-func scalarOr(dst, a, b []uint64) {
-	for i := range dst {
-		dst[i] = a[i] | b[i]
-	}
-}
-
-func scalarAndNot(dst, a, b []uint64) {
-	for i := range dst {
-		dst[i] = a[i] &^ b[i]
-	}
-}
-
-func scalarOrInto(dst, src []uint64) {
-	for i := range dst {
-		dst[i] |= src[i]
-	}
-}
-
 func scalarPopcountSum(w []uint64) int {
 	c := 0
 	for _, x := range w {

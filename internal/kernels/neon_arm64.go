@@ -8,59 +8,7 @@ import "math/bits"
 // (kern_arm64.s), scalar tails in Go — the same split as the AVX2 backend.
 
 //go:noescape
-func andBodyNEON(dst, a, b *uint64, n int)
-
-//go:noescape
-func orBodyNEON(dst, a, b *uint64, n int)
-
-//go:noescape
-func andNotBodyNEON(dst, a, b *uint64, n int)
-
-//go:noescape
-func orIntoBodyNEON(dst, src *uint64, n int)
-
-//go:noescape
 func popcountBodyNEON(w *uint64, n int) int
-
-func neonAnd(dst, a, b []uint64) {
-	n := len(dst) &^ 1
-	if n > 0 {
-		andBodyNEON(&dst[0], &a[0], &b[0], n)
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] = a[i] & b[i]
-	}
-}
-
-func neonOr(dst, a, b []uint64) {
-	n := len(dst) &^ 1
-	if n > 0 {
-		orBodyNEON(&dst[0], &a[0], &b[0], n)
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] = a[i] | b[i]
-	}
-}
-
-func neonAndNot(dst, a, b []uint64) {
-	n := len(dst) &^ 1
-	if n > 0 {
-		andNotBodyNEON(&dst[0], &a[0], &b[0], n)
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] = a[i] &^ b[i]
-	}
-}
-
-func neonOrInto(dst, src []uint64) {
-	n := len(dst) &^ 1
-	if n > 0 {
-		orIntoBodyNEON(&dst[0], &src[0], n)
-	}
-	for i := n; i < len(dst); i++ {
-		dst[i] |= src[i]
-	}
-}
 
 func neonPopcountSum(w []uint64) int {
 	n := len(w) &^ 1

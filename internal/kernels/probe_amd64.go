@@ -16,41 +16,33 @@ func xgetbv() (eax, edx uint32)
 // backend selection in kernels.go runs from an init() too, and Go orders
 // init() funcs by file name — variable initialization always happens first,
 // so the selection sees a settled probe regardless of file ordering.
-var hasAVX2, cpuFeatures = probeCPU()
+var hasAVX2 = probeAVX2()
 
-func probeCPU() (avx2 bool, features string) {
+func probeAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false, ""
+		return false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const osxsaveBit = 1 << 27
 	const avxBit = 1 << 28
-	const fmaBit = 1 << 12
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return false, ""
+		return false
 	}
 	xcr0, _ := xgetbv()
 	if xcr0&0x6 != 0x6 { // XMM and YMM state enabled by the OS
-		return false, ""
+		return false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	const avx2Bit = 1 << 5
-	if ebx7&avx2Bit == 0 {
-		return false, "avx"
-	}
-	features = "avx,avx2"
-	if ecx1&fmaBit != 0 {
-		features += ",fma"
-	}
-	return true, features
+	return ebx7&avx2Bit != 0
 }
 
-func probeBest() (Backend, string) {
+func probeBest() Backend {
 	if hasAVX2 {
-		return AVX2, "cpuid probe: avx2 with OS-enabled ymm state"
+		return AVX2
 	}
-	return Scalar, "cpuid probe: no avx2"
+	return Scalar
 }
 
 func backendSupported(b Backend) bool {
@@ -66,10 +58,6 @@ func backendSupported(b Backend) bool {
 func backendTable(b Backend) table {
 	if b == AVX2 && hasAVX2 {
 		t := scalarTable
-		t.and = avx2And
-		t.or = avx2Or
-		t.andNot = avx2AndNot
-		t.orInto = avx2OrInto
 		t.popcountSum = avx2PopcountSum
 		t.firstNonzero = avx2FirstNonzero
 		t.spanLess = avx2SpanLess
@@ -79,7 +67,3 @@ func backendTable(b Backend) table {
 	}
 	return scalarTable
 }
-
-// CPUFeatures reports the SIMD-relevant CPU feature flags the probe saw
-// (recorded into benchmark environment blocks).
-func CPUFeatures() string { return cpuFeatures }

@@ -6,17 +6,13 @@ package kernels
 // arm64 the Go toolchain targets, so no runtime probe is needed — the only
 // question is whether the user forced scalar via GRAPHMAT_KERNEL.
 
-func probeBest() (Backend, string) { return NEON, "arm64: asimd is baseline" }
+func probeBest() Backend { return NEON }
 
 func backendSupported(b Backend) bool { return b == Scalar || b == NEON }
 
 func backendTable(b Backend) table {
 	if b == NEON {
 		t := scalarTable
-		t.and = neonAnd
-		t.or = neonOr
-		t.andNot = neonAndNot
-		t.orInto = neonOrInto
 		t.popcountSum = neonPopcountSum
 		// firstNonzero, spanLess and the float64 folds stay on the scalar
 		// reference: gc's arm64 codegen already keeps those loops in
@@ -26,6 +22,3 @@ func backendTable(b Backend) table {
 	}
 	return scalarTable
 }
-
-// CPUFeatures reports the SIMD-relevant CPU feature flags the probe saw.
-func CPUFeatures() string { return "asimd" }

@@ -4,12 +4,8 @@ package kernels
 
 // Architectures without a SIMD backend run the scalar reference everywhere.
 
-func probeBest() (Backend, string) { return Scalar, "no SIMD backend for this GOARCH" }
+func probeBest() Backend { return Scalar }
 
 func backendSupported(b Backend) bool { return b == Scalar }
 
 func backendTable(b Backend) table { return scalarTable }
-
-// CPUFeatures reports the SIMD-relevant CPU feature flags the probe saw;
-// empty when the architecture has no probe.
-func CPUFeatures() string { return "" }

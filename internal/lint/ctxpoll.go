@@ -4,9 +4,9 @@ package lint
 // RunContext: a cancel (client disconnect, deadline, SIGINT) must abort a
 // multi-second sweep between partitions, not after it. Mechanically: inside
 // the engine packages, any loop whose body dispatches a kernel — the
-// multiply task entry, one of the three walks under it, a boxed
-// ablation kernel, or core.MultiplyPartition — must also poll a stop signal
-// in that body. A poll is any of:
+// multiply task entry, one of the three walks under it, or a boxed
+// ablation kernel — must also poll a stop signal in that body. A poll is any
+// of:
 //
 //   - an atomic load (.Load()) — the engine's stop flag idiom;
 //   - a controller check (.stopped() / .Stopped());
@@ -41,9 +41,9 @@ func newCtxpoll() *analysis.Analyzer {
 		Run: runCtxpoll,
 	}
 	a.Flags.Init("ctxpoll", flag.ContinueOnError)
-	a.Flags.String("pkgs", "graphmat/internal/core,graphmat/internal/distributed,graphmat/internal/kernels",
+	a.Flags.String("pkgs", "graphmat/internal/core,graphmat/internal/kernels",
 		"comma-separated package scope (path or suffix) the polling rule applies to")
-	a.Flags.String("funcs", "multiply,walkPull,walkPush,walkRows,spmvBoxed*,MultiplyPartition",
+	a.Flags.String("funcs", "multiply,walkPull,walkPush,walkRows,spmvBoxed*",
 		"comma-separated kernel entry points (name or prefix*) whose dispatch loops must poll")
 	a.Flags.String("wrappers", "parallelFor:2,Run:1,RunOptions:1",
 		"comma-separated name:argIndex pairs of dispatch helpers that poll internally when the given argument is non-nil")

@@ -7,9 +7,11 @@ import (
 	"sync/atomic"
 )
 
-// walkPull stands in for a kernel entry point: one of the two column walks
-// every engine shares (an exact name in the default funcs pattern).
+// walkPull, walkPush and walkRows stand in for the three traversals every
+// engine shares (exact names in the default funcs pattern).
 func walkPull(part int) {}
+func walkPush(part int) {}
+func walkRows(part int) {}
 
 // multiply stands in for the per-task entry that selects a walk by mode, and
 // spmvBoxedBitvec for a boxed ablation kernel (the spmvBoxed* prefix).
@@ -75,6 +77,15 @@ func sweepPoolNil(parts []int, p *pool) {
 		p.Run(len(parts), nil, func(i, w int) {
 			walkPull(parts[i])
 		})
+	}
+}
+
+func sweepOtherWalksNoPoll(parts []int) {
+	for _, p := range parts { // want "without polling"
+		walkPush(p)
+	}
+	for _, p := range parts { // want "without polling"
+		walkRows(p)
 	}
 }
 

@@ -7,7 +7,6 @@ package reference
 import (
 	"container/heap"
 	"math"
-	"sort"
 
 	"graphmat/internal/sparse"
 )
@@ -211,11 +210,4 @@ func ConnectedComponents(n uint32, edges []sparse.Triple[float32]) []uint32 {
 		labels[v] = find(v)
 	}
 	return labels
-}
-
-// SortedCopy returns a sorted copy of s (test helper).
-func SortedCopy(s []uint32) []uint32 {
-	out := append([]uint32(nil), s...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

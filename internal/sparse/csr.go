@@ -39,16 +39,6 @@ func BuildCSR[E any](c *COO[E]) *CSR[E] {
 	return m
 }
 
-// BuildCSC constructs the compressed sparse *column* view of the entries:
-// the returned CSR is the transpose (rows are the original columns). The
-// input must be col-major sorted.
-func BuildCSC[E any](c *COO[E]) *CSR[E] {
-	t := c.Clone()
-	t.Transpose()
-	t.SortRowMajor()
-	return BuildCSR(t)
-}
-
 // NNZ returns the number of stored nonzeros.
 func (m *CSR[E]) NNZ() int { return len(m.ColIdx) }
 

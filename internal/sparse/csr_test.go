@@ -33,23 +33,6 @@ func TestCSRBasic(t *testing.T) {
 	}
 }
 
-func TestBuildCSC(t *testing.T) {
-	c := NewCOO[int](3, 4)
-	c.Add(0, 1, 10)
-	c.Add(2, 1, 20)
-	c.Add(1, 3, 30)
-	c.SortColMajor()
-	csc := BuildCSC(c)
-	// CSC rows are original columns.
-	if csc.NRows != 4 || csc.NCols != 3 {
-		t.Fatalf("CSC dims %dx%d", csc.NRows, csc.NCols)
-	}
-	rows, vals := csc.Row(1) // column 1 of the original: entries (0,1,10),(2,1,20)
-	if len(rows) != 2 || rows[0] != 0 || rows[1] != 2 || vals[0] != 10 || vals[1] != 20 {
-		t.Errorf("column 1 = %v %v", rows, vals)
-	}
-}
-
 // Property: CSR round trip through COO is the identity.
 func TestQuickCSRRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
