@@ -7,9 +7,15 @@ GO ?= go
 
 all: build
 
+# The arm64 lines keep the other kernels backend honest: the dispatch table
+# and the .s files are per-architecture, so an amd64-only change can break the
+# arm64 build — or its assembly declarations, which vet checks — unseen. Both
+# run offline (cross-compiling pure Go needs no toolchain beyond go itself).
 build:
 	$(GO) build ./...
 	$(GO) build ./examples/... ./cmd/...
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/kernels
 
 fmt:
 	gofmt -w .

@@ -14,7 +14,11 @@ import (
 // run — the block engine's semiring contract, asserted end-to-end by the
 // package's differential suite — so batching is purely a throughput knob:
 // the column probes and edge walks that dominate a traversal are paid once
-// per edge instead of once per (edge, source).
+// per edge instead of once per (edge, source). What a single-source run
+// gains from its program's markers a batch gains too: bfs and reachability
+// batches gather their dense supersteps by destination row, all columns per
+// row scan (graphmat.FirstMessageFinal), and sssp and widest batches fold
+// each edge's columns eight SIMD lanes at a time.
 
 // ErrBatchUnsupported reports a RunBatch call on an algorithm with no
 // multi-source form (pagerank, components, triangles, hits — their runs are
@@ -77,11 +81,7 @@ func runTraversalBatch[V any, P graphmat.BlockProgram[V, float32, V, V]](
 		if s.Reason != graphmat.Converged {
 			stats.Reason = s.Reason
 		}
-		for s := range chunk {
-			col := make([]V, n)
-			st.Column(s, col)
-			out[lo+s] = col
-		}
+		copy(out[lo:hi], st.Columns())
 	}
 	return out, stats, nil
 }
@@ -180,12 +180,14 @@ func RunPersonalizedPageRankBatch(ctx context.Context, g *graphmat.Graph[PPRVert
 		if live != 0 {
 			stats.Reason = graphmat.MaxIterations
 		}
-		for s := range chunk {
-			ranks := make([]float64, n)
-			for v := range ranks {
-				ranks[v] = st.Prop(uint32(v), s).Rank
+		ranks := out[lo:hi]
+		for s := range ranks {
+			ranks[s] = make([]float64, n)
+		}
+		for v := 0; v < n; v++ { // one pass over the property rows
+			for s := range ranks {
+				ranks[s][v] = st.Prop(uint32(v), s).Rank
 			}
-			out[lo+s] = ranks
 		}
 	}
 	return out, stats, nil

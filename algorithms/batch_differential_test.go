@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"graphmat"
@@ -9,11 +10,14 @@ import (
 )
 
 // The batch-layer differential — the tentpole's acceptance bar: for EVERY
-// batchable algorithm × {Pull, Push, Auto} × {as-built graph, delta-overlay
-// snapshot}, a k-source RunBatch must be bit-identical per source to k
-// single-source Run calls. The scalar engine is the oracle (its own
-// differential suite pins it across modes), so one scalar sweep per source
-// serves as the reference for every batched mode.
+// batchable algorithm × {Pull, Push, Auto} × {1, 2, 4 threads} × {as-built
+// graph, delta-overlay snapshot}, a k-source RunBatch must be bit-identical
+// per source to k single-source Run calls. The scalar engine is the oracle
+// (its own differential suite pins it across modes), so one scalar sweep per
+// source serves as the reference for every batched mode. The same sweep
+// holds the k-wide gather to its scope: bfs and reachability batches gather,
+// sssp, widest and ppr batches never do, and the frontier tallies of a batch
+// that gathered are its column-walk run's.
 
 func TestBatchDifferentialAllModes(t *testing.T) {
 	baseAdj := gen.RMAT(gen.RMATOptions{Scale: 10, EdgeFactor: 8, Seed: 42, MaxWeight: 10})
@@ -89,28 +93,43 @@ func TestBatchDifferentialAllModes(t *testing.T) {
 					}
 					oracle[i] = res.Values
 				}
-				for _, mode := range []graphmat.Mode{graphmat.Pull, graphmat.Push, graphmat.Auto} {
-					p := bp
-					p.Mode = mode
-					got, err := inst.RunBatch(context.Background(), nil, p, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Epoch != wantEpoch {
-						t.Fatalf("%s mode %s: batch epoch %d, want %d", name, mode, got.Epoch, wantEpoch)
-					}
-					if len(got.Values) != len(sources) {
-						t.Fatalf("%s mode %s: %d value series for %d sources", name, mode, len(got.Values), len(sources))
-					}
-					for i := range sources {
-						if len(got.Values[i]) != len(oracle[i]) {
-							t.Fatalf("%s mode %s source %d: series length %d vs %d", name, mode, sources[i], len(got.Values[i]), len(oracle[i]))
+				// Push first: forced push folds every frontier edge, so its
+				// batch is the column-walk run the gathering modes' frontier
+				// tallies are held to. Sources 0, 1 and 3 are hubs of the
+				// giant component, whose dense supersteps a bfs or
+				// reachability batch must gather on the as-built graph (the
+				// overlay's layers with pending updates keep the column walk;
+				// TestStoreBatchOverOverlay pins that side).
+				for _, threads := range []int{1, 2, 4} {
+					var push graphmat.Stats
+					for _, mode := range []graphmat.Mode{graphmat.Push, graphmat.Pull, graphmat.Auto} {
+						p := bp
+						p.Mode, p.Threads = mode, threads
+						what := fmt.Sprintf("%s mode %s threads %d", name, mode, threads)
+						got, err := inst.RunBatch(context.Background(), nil, p, nil)
+						if err != nil {
+							t.Fatal(err)
 						}
-						for v := range oracle[i] {
-							if got.Values[i][v] != oracle[i][v] {
-								t.Fatalf("%s mode %s source %d: value[%d] = %v, want %v",
-									name, mode, sources[i], v, got.Values[i][v], oracle[i][v])
+						if got.Epoch != wantEpoch {
+							t.Fatalf("%s: batch epoch %d, want %d", what, got.Epoch, wantEpoch)
+						}
+						if len(got.Values) != len(sources) {
+							t.Fatalf("%s: %d value series for %d sources", what, len(got.Values), len(sources))
+						}
+						for i := range sources {
+							sameSeries(t, fmt.Sprintf("%s source %d", what, sources[i]), oracle[i], got.Values[i])
+						}
+						if mode == graphmat.Push {
+							push = got.Stats
+						}
+						sameTallies(t, what+" vs the push batch", algo, push, got.Stats)
+						switch rows := got.Stats.RowSupersteps; {
+						case !declaresFirstMessageFinal(t, algo) || mode == graphmat.Push:
+							if rows != 0 {
+								t.Errorf("%s: %d row-walk supersteps", what, rows)
 							}
+						case name == "base" && rows == 0:
+							t.Errorf("%s: a hub-root batch on a graph with no pending updates never gathered", what)
 						}
 					}
 				}

@@ -35,7 +35,8 @@
 // active every superstep), and Auto tracks the winner, recording its choices
 // in Stats.PushSupersteps/PullSupersteps. BFS and reachability also declare
 // graphmat.FirstMessageFinal, so their dense pull supersteps gather by
-// destination row — skipping visited vertices, stopping at the first parent —
+// destination row — skipping visited vertices, stopping at the first parent;
+// a multi-source batch scans each row once for all its unvisited columns —
 // which Stats.RowSupersteps counts; for those two the work tallies
 // (EdgesProcessed, Applies, ColumnsProbed) therefore differ between modes,
 // the results never.

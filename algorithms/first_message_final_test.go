@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"graphmat"
@@ -123,15 +125,21 @@ type firstOf[R any] struct{ first, all R }
 // promiseProbe runs program P with its promise under watch. The reduction
 // carries the first folded result beside the real one — the scalar fold
 // stores a destination's first result raw and calls Reduce(accumulated, next)
-// after that, so first survives every Reduce — and Apply checks both halves
-// of the promise on every vertex that receives a value. The probe declares
-// nothing itself: run under forced push it folds every frontier edge, which
-// is the behaviour the row walk's shortcut has to be equivalent to.
+// after that, and the block fold does the same per column through Mul and
+// Add, so first survives every fold — and Apply checks both halves of the
+// promise on every vertex, and in a block run every (vertex, column), that
+// receives a value. The probe declares nothing itself: run under forced push
+// it folds every frontier edge, which is the behaviour the row walk's
+// shortcut, scalar or k-wide, has to be equivalent to.
 type promiseProbe[V, R comparable, M any, P interface {
-	graphmat.Program[V, float32, M, R]
+	graphmat.BlockProgram[V, float32, M, R]
 	graphmat.FirstMessageFinal[V]
 }] struct {
-	t *testing.T
+	// t takes the broken promises: a *testing.T, or a recorder when the
+	// probe itself is under test.
+	t interface {
+		Errorf(format string, args ...any)
+	}
 	p P
 }
 
@@ -146,6 +154,19 @@ func (pp promiseProbe[V, R, M, P]) ProcessMessage(m M, e float32, dst V) firstOf
 
 func (pp promiseProbe[V, R, M, P]) Reduce(a, b firstOf[R]) firstOf[R] {
 	return firstOf[R]{a.first, pp.p.Reduce(a.all, b.all)}
+}
+
+func (pp promiseProbe[V, R, M, P]) Mul(m M, e float32) firstOf[R] {
+	r := pp.p.Mul(m, e)
+	return firstOf[R]{r, r}
+}
+
+func (pp promiseProbe[V, R, M, P]) Add(a, b firstOf[R]) firstOf[R] {
+	return firstOf[R]{a.first, pp.p.Add(a.all, b.all)}
+}
+
+func (pp promiseProbe[V, R, M, P]) Identity() firstOf[R] {
+	return firstOf[R]{pp.p.Identity(), pp.p.Identity()}
 }
 
 func (pp promiseProbe[V, R, M, P]) Apply(r firstOf[R], v graphmat.VertexID, prop *V) bool {
@@ -164,25 +185,53 @@ func (pp promiseProbe[V, R, M, P]) Apply(r firstOf[R], v graphmat.VertexID, prop
 func (pp promiseProbe[V, R, M, P]) Direction() graphmat.Direction { return pp.p.Direction() }
 
 // probePromise runs p from each root under the probe, forced onto the push
-// walk, and holds the result to want's.
+// walk — through the scalar engine one root at a time, then through the block
+// engine with every root a column of one batch, which since the k-wide gather
+// depends on the promise as much — and holds each result to want's. A
+// traversal starts with unreached at every vertex but the root, which holds
+// source.
 func probePromise[P interface {
-	graphmat.Program[uint32, float32, uint32, uint32]
+	graphmat.BlockProgram[uint32, float32, uint32, uint32]
 	graphmat.FirstMessageFinal[uint32]
-}](t *testing.T, p P, g *graphmat.Graph[uint32, float32], roots []uint32, start func(root uint32), want func(root uint32) []uint32) {
+}](t *testing.T, p P, g *graphmat.Graph[uint32, float32], roots []uint32, unreached, source uint32, want func(root uint32) []uint32) {
 	t.Helper()
+	ctx := context.Background()
+	cfg := graphmat.Config{Mode: graphmat.Push, Threads: 2}
 	probe := promiseProbe[uint32, uint32, uint32, P]{t, p}
-	for _, root := range roots {
-		expect := want(root)
-		start(root)
-		stats, err := graphmat.RunContext[uint32, float32, uint32, firstOf[uint32]](context.Background(), g, probe, graphmat.Config{Mode: graphmat.Push, Threads: 2}, nil)
+	expect := make([][]uint32, len(roots))
+	for i, root := range roots {
+		expect[i] = want(root)
+		g.SetAllProps(unreached)
+		g.SetProp(root, source)
+		g.ClearActive()
+		g.SetActive(root)
+		stats, err := graphmat.RunContext[uint32, float32, uint32, firstOf[uint32]](ctx, g, probe, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.Applies == 0 || stats.RowSupersteps != 0 {
 			t.Fatalf("root %d: the probe run applied %d values and took %d row-walk supersteps", root, stats.Applies, stats.RowSupersteps)
 		}
-		if !slices.Equal(g.Props(), expect) {
+		if !slices.Equal(g.Props(), expect[i]) {
 			t.Errorf("root %d: the probed run's result differs from the algorithm's", root)
+		}
+	}
+	st := graphmat.NewBlockState[uint32](int(g.NumVertices()), len(roots))
+	st.SetAllProps(unreached)
+	for s, root := range roots {
+		st.SetProp(root, s, source)
+		st.Activate(root, s)
+	}
+	stats, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, g, probe, st, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Applies == 0 || stats.RowSupersteps != 0 {
+		t.Fatalf("the probed batch applied %d values and took %d row-walk supersteps", stats.Applies, stats.RowSupersteps)
+	}
+	for s, col := range st.Columns() {
+		if !slices.Equal(col, expect[s]) {
+			t.Errorf("root %d: the probed batch's column differs from the algorithm's result", roots[s])
 		}
 	}
 }
@@ -207,13 +256,7 @@ func TestFirstMessageFinalPromise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			probePromise(t, BFSProgram{}, g, []uint32{0, 1, 7, 600},
-				func(root uint32) {
-					g.SetAllProps(Unreached)
-					g.SetProp(root, 0)
-					g.ClearActive()
-					g.SetActive(root)
-				},
+			probePromise(t, BFSProgram{}, g, []uint32{0, 1, 7, 600}, Unreached, 0,
 				func(root uint32) []uint32 {
 					dist, _, err := RunBFS(ctx, g, root)
 					if err != nil {
@@ -228,13 +271,7 @@ func TestFirstMessageFinalPromise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			probePromise(t, ReachabilityProgram{}, g, []uint32{0, 1, 7, 600},
-				func(root uint32) {
-					g.SetAllProps(0)
-					g.SetProp(root, 1)
-					g.ClearActive()
-					g.SetActive(root)
-				},
+			probePromise(t, ReachabilityProgram{}, g, []uint32{0, 1, 7, 600}, 0, 1,
 				func(root uint32) []uint32 {
 					reached, _, err := RunReachability(ctx, g, root)
 					if err != nil {
@@ -248,5 +285,67 @@ func TestFirstMessageFinalPromise(t *testing.T) {
 		if row.declares && !checked[name] {
 			t.Errorf("%s declares FirstMessageFinal but no probe run checks it", name)
 		}
+	}
+}
+
+// ccMarked is connected components wrongly declaring FirstMessageFinal: a
+// labelled vertex keeps taking smaller labels (the mask half) and a
+// superstep's labels differ (the first-message half), whatever Unsettled
+// says — here, that an even label still waits.
+type ccMarked struct{ CCProgram }
+
+func (ccMarked) Unsettled(prop uint32) bool     { return prop%2 == 0 }
+func (ccMarked) Mul(m uint32, _ float32) uint32 { return m }
+func (ccMarked) Add(a, b uint32) uint32         { return min(a, b) }
+func (ccMarked) Identity() uint32               { return Unreached }
+
+// brokenPromises counts what a promiseProbe reports, from every worker's
+// Applies at once.
+type brokenPromises struct{ mask, first atomic.Int64 }
+
+func (b *brokenPromises) Errorf(format string, _ ...any) {
+	if strings.HasPrefix(format, "mask broken") {
+		b.mask.Add(1)
+	} else {
+		b.first.Add(1)
+	}
+}
+
+// TestPromiseProbeCatchesBrokenPromise turns the probe on a program that
+// breaks the promise: both halves must be reported, by the scalar engine's
+// Applies and by the block engine's per-column ones — a probe that cannot
+// fail proves nothing about the programs that pass it.
+func TestPromiseProbeCatchesBrokenPromise(t *testing.T) {
+	g, err := NewCCGraph(gen.RMAT(gen.RMATOptions{Scale: 9, EdgeFactor: 8, Seed: 7, MaxWeight: 9}), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := graphmat.Config{Mode: graphmat.Push, Threads: 2}
+
+	var scalar brokenPromises
+	g.InitProps(func(v uint32) uint32 { return v })
+	g.SetAllActive()
+	probe := promiseProbe[uint32, uint32, uint32, ccMarked]{&scalar, ccMarked{}}
+	if _, err := graphmat.RunContext[uint32, float32, uint32, firstOf[uint32]](ctx, g, probe, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	mask, first := scalar.mask.Load(), scalar.first.Load()
+	if mask == 0 || first == 0 {
+		t.Errorf("scalar run: the probe reported %d mask and %d first-message breaks of a program that keeps neither half", mask, first)
+	}
+
+	var block brokenPromises
+	const k = 3
+	st := graphmat.NewBlockState[uint32](int(g.NumVertices()), k)
+	st.InitProps(func(v uint32, _ int) uint32 { return v })
+	st.ActivateAllMask(fullMask(k))
+	probe.t = &block
+	if _, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, g, probe, st, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if bm, bf := block.mask.Load(), block.first.Load(); bm != k*mask || bf != k*first {
+		t.Errorf("block run of %d identical columns: the probe reported %d mask and %d first-message breaks, want %d times the scalar run's %d and %d",
+			k, bm, bf, k, mask, first)
 	}
 }

@@ -293,6 +293,77 @@ func allActiveDifferential[V any](t *testing.T, a *algo[V], adj *graphmat.COO[fl
 	}
 }
 
+// TestStoreBatchOverOverlay is the k-wide gather's fallback: the row walk
+// reads a layer's base only, so a batch over a snapshot whose every layer
+// carries pending updates keeps the column walk on all of them — RowSupersteps
+// 0 where the fresh build of the same edge set gathers — and answers the same,
+// column for column, with the same frontier tallies.
+func TestStoreBatchOverOverlay(t *testing.T) {
+	baseAdj := gen.RMAT(gen.RMATOptions{Scale: 10, EdgeFactor: 8, Seed: 42, MaxWeight: 10})
+	n := baseAdj.NRows
+	// One upsert into every 32nd row and column: every 64-aligned partition,
+	// of either scatter direction, takes a delta.
+	var touch []EdgeUpdate
+	for v := uint32(0); v+1 < n; v += 32 {
+		touch = append(touch, EdgeUpdate{Src: v, Dst: v + 1, Val: 2}, EdgeUpdate{Src: v + 1, Dst: v, Val: 3})
+	}
+	batches := append(updateBatches(n), touch)
+	master := baseAdj.Clone()
+	graphmat.NormalizeAdjacency(master, 0)
+	var err error
+	for _, b := range batches {
+		if master, err = graphmat.ApplyToAdjacency(master, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lookup := NewRawEdgeLookup(master)
+	equivalent := applyRawBrute(baseAdj, batches)
+
+	for _, algo := range []string{"bfs", "reachability", "sssp"} {
+		t.Run(algo, func(t *testing.T) {
+			spec, _ := Lookup(algo)
+			updated, err := spec.Build(baseAdj.Clone(), 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range batches {
+				if _, err := updated.ApplyUpdates(b, lookup); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := updated.StoreStats(); st.Compactions != 0 {
+				t.Fatalf("fixture: the updates compacted the overlay away: %+v", st)
+			}
+			fresh, err := spec.Build(equivalent.Clone(), 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range []graphmat.Mode{graphmat.Pull, graphmat.Auto} {
+				p := Params{Sources: []uint32{0, 1, 3, 17, 900}, Mode: mode, Threads: 2}
+				want, err := fresh.RunBatch(context.Background(), nil, p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := updated.RunBatch(context.Background(), nil, p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("%s mode %s", algo, mode)
+				for i, src := range p.Sources {
+					sameSeries(t, fmt.Sprintf("%s source %d, overlay vs fresh build", what, src), want.Values[i], got.Values[i])
+				}
+				sameTallies(t, what+", fresh build vs overlay", algo, got.Stats, want.Stats)
+				if rows := got.Stats.RowSupersteps; rows != 0 {
+					t.Errorf("%s: %d row-walk supersteps over layers that all carry a delta", what, rows)
+				}
+				if rows := want.Stats.RowSupersteps; (rows > 0) != declaresFirstMessageFinal(t, algo) {
+					t.Errorf("%s: the fresh build's batch ran %d row-walk supersteps", what, rows)
+				}
+			}
+		})
+	}
+}
+
 // TestStoreDifferentialAfterCompaction re-checks one symmetrized and one
 // directed algorithm after forcing heavy churn through the compaction path:
 // the folded base must serve the same results as the overlay did.

@@ -176,8 +176,9 @@ type Stats struct {
 	// MessagesSent counts SendMessage calls that produced a message.
 	MessagesSent int64
 	// EdgesProcessed counts edge traversals: ProcessMessage calls on a
-	// column-walk superstep, edge slots examined on a row-walk superstep
-	// (see RowSupersteps).
+	// column-walk superstep — one per (edge, live source column) in a block
+	// run — and edge slots examined on a row-walk superstep, each counted
+	// once however many columns of a block waited at it (see RowSupersteps).
 	EdgesProcessed int64
 	// Applies counts Apply calls (vertices that received a reduced value).
 	Applies int64
@@ -205,16 +206,18 @@ type Stats struct {
 	// RowSupersteps counts the Pull supersteps (they are in PullSupersteps
 	// too) that ran the row walk: the destination-driven gather a
 	// FirstMessageFinal program — BFS, reachability — takes once its
-	// frontier's edge work outweighs what is left unsettled. It is 0 for
-	// every other program, under forced Push, on the boxed path and for
-	// block runs of two or more columns. On these supersteps the work
+	// frontier's edge work outweighs what is left unsettled; a block run
+	// takes it over all its columns at once, scanning a row for the columns
+	// still unsettled in it. It is 0 for every other program, under forced
+	// Push and on the boxed path. On these supersteps the work
 	// tallies are walk-dependent, which is why they differ between modes for
 	// those two programs and no others: EdgesProcessed counts edge slots
 	// examined (settled rows are skipped, an unsettled row is left at its
 	// first frontier in-neighbour — usually far fewer than the frontier's
 	// edges, at most 14 times as many), ColumnsProbed counts nothing (layers
 	// with pending updates keep the column walk and its tallies) and Applies
-	// counts only the unsettled vertices a message reached. Vertex state,
+	// counts only the unsettled vertices — (vertex, column) pairs of a block
+	// — a message reached. Vertex state,
 	// Iterations, MessagesSent and ActiveSum do not depend on the walk.
 	RowSupersteps int64
 	// Reason records why the run ended (Converged, MaxIterations, Canceled,

@@ -149,10 +149,12 @@ type phaseSet struct {
 	// senders' degrees into localStats.degSum.
 	send func() (sent, senders int64)
 	// unsettledEdges is nil unless the front-end can run the row walk (the
-	// scalar front-end of a FirstMessageFinal program, see runPlan.recvDegs).
-	// It returns the receiving-side degree sum of the vertices still
-	// unsettled — the edge slots a row walk could examine at most — from one
-	// chunked pass over the properties. The loop calls it once, on the
+	// scalar or block front-end of a FirstMessageFinal program, see
+	// runPlan.recvDegs). It returns the receiving-side degree sum of the
+	// vertices still unsettled — counted once per unsettled column in a
+	// block, as degSum counts a sender once per message — which bounds the
+	// edge slots a row walk could examine, from one chunked pass over the
+	// properties. The loop calls it once, on the
 	// first superstep that resolves to Pull, and keeps the sum current from
 	// what each later apply phase reports settled (localStats.settled): a
 	// run that never pulls never pays the pass, and one that always does

@@ -34,14 +34,18 @@ func RunBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 // columns of st, under ctx: the multi-source analogue of RunContext. st
 // carries the per-(vertex, column) properties and active set — initialize
 // per-column starting state there before the call; after it, extract
-// per-column results with BlockState.Column. ws, when non-nil, is
+// per-column results with BlockState.Columns. ws, when non-nil, is
 // caller-managed scratch (must match g's vertex count and st's width); nil
 // allocates fresh scratch.
 //
 // A one-column run (st.Width() == 1) executes the scalar engine's phases —
 // its sinks, flat fold included, its send and apply — over st and ws, and
 // reports the scalar engine's Stats field for field; two or more columns run
-// the k-wide block sinks, whose Stats.FlatEdges is 0.
+// the k-wide block sinks, whose Stats.FlatEdges is 0. Either way a
+// FirstMessageFinal program's dense Pull supersteps gather by destination
+// row (Stats.RowSupersteps): the k-wide gather scans a row once for all the
+// columns still unsettled in it, chosen by the same per-superstep test with
+// both sides billed per (vertex, column).
 //
 // The block path always runs the optimized configuration: bitvector-style
 // occupancy and inlined dispatch. Config.Vector and Config.Dispatch are
@@ -95,15 +99,17 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 	}
 	d := newDriver(cfg, ctrl, int(g.NumVertices()))
 
-	// Auto accounting, as in runScalar: per-sender degrees tallied during
-	// SendMessage. A sender's edge work counts once per live column — the
-	// block multiply really does fold each of its edges that many times.
-	rp := planRun(g, p.Direction(), cfg, false)
-	sendDegs := rp.sendDegs
-
 	x, y := ws.x, ws.y
 	xw := x.summary.Words()
-	sink := blockSink(p, x, y)
+	sink := blockSink(p, x, props, y)
+	rows, _ := sink.(rowSink[E])
+	// Auto and row-walk accounting, as in runScalar, per (vertex, column): a
+	// sender's edge work counts once per live column — the block multiply
+	// really does fold each of its edges that many times — and a vertex's
+	// row counts as unsettled once per column still waiting in it.
+	rp := planRun(g, p.Direction(), cfg, rows != nil)
+	sendDegs, recvDegs := rp.sendDegs, rp.recvDegs
+	settling, _ := any(p).(FirstMessageFinal[V]) // non-nil whenever recvDegs is
 	active, actCols := bst.summary, bst.active
 
 	// SendMessage per active (vertex, column) pair builds the n×k message
@@ -122,7 +128,7 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 			}
 		})
 	})
-	return d.run(phaseSet{
+	ps := phaseSet{
 		active: active, mode: cfg.Mode, costs: rp.costs,
 		send: func() (int64, int64) {
 			x.Reset()
@@ -132,9 +138,13 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 		},
 		// The SpMM: runScalar's walks over the block frontier's vertex
 		// summary, folding k-wide into y.
-		multiply: func(mode Mode, _ bool) {
+		multiply: func(mode Mode, rowWalk bool) {
 			y.Reset()
-			rp.multiplyPhase(d.ex, d.stop, mode, xw, sink, nil, d.locals)
+			var gather rowSink[E] // nil: the column walk of mode
+			if rowWalk {
+				gather = rows
+			}
+			rp.multiplyPhase(d.ex, d.stop, mode, xw, sink, gather, d.locals)
 		},
 		// Apply per received (vertex, column) pair, rebuilding the active
 		// block.
@@ -151,6 +161,11 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 					st.applies++
 					if p.Apply(yrow[s], v, &prow[s]) {
 						am |= 1 << uint(s)
+						// As in runScalar: an activated pair that is settled
+						// now was settled by this Apply.
+						if recvDegs != nil && !settling.Unsettled(prow[s]) {
+							st.settled += int64(recvDegs[v])
+						}
 					}
 				}
 				if am != 0 {
@@ -159,5 +174,17 @@ func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 				}
 			})
 		}),
-	})
+	}
+	if recvDegs != nil {
+		ps.unsettledEdges = func() int64 {
+			return d.sumChunks(func(lo, hi uint32) (deg int64) {
+				for v := lo; v < hi; v++ {
+					waiting := waitingCols(settling, props[int(v)*k:int(v)*k+k])
+					deg += int64(bits.OnesCount64(waiting)) * int64(recvDegs[v])
+				}
+				return deg
+			})
+		}
+	}
+	return d.run(ps)
 }

@@ -28,8 +28,9 @@ import (
 // and in what order; what happens to a column's edges is the sink's business
 // (kernel_fold.go for the scalar engine, kernel_block.go for the k-wide block
 // engine), so both engines and the single-shot SpMV share the two column
-// walks. The row walk hands whole row ranges
-// to a rowSink, which only the scalar generic fold implements.
+// walks. The row walk hands whole row ranges to a rowSink, which the generic
+// fold of each engine is for a FirstMessageFinal program: the scalar gather
+// (kernel_fold.go) and the k-wide one (kernel_block.go).
 //
 // Every partition is a sparse.Layered — an immutable base DCSC plus an
 // optional delta DCSC of whole-column overrides carrying live edge updates;
@@ -105,9 +106,11 @@ type flatSink[E any] interface {
 // rows [rlo, rhi) of rows' structure — in range by the caller's clipping —
 // and, for each one the program still reports unsettled, scans its sources
 // in ascending id for the first with a frontier bit in xw, folds that one
-// edge into the output and leaves the row. It returns the number of edge
-// slots it examined. Only the generic scalar fold of a FirstMessageFinal
-// program is one (kernel_fold.go).
+// edge into the output and leaves the row — per column, in the block engine,
+// whose row scan ends when every waiting column has had its first. It
+// returns the number of edge slots it examined. The generic fold of a
+// FirstMessageFinal program is one, scalar (kernel_fold.go) or k-wide
+// (kernel_block.go); the fused sum and path sinks are not.
 type rowSink[E any] interface {
 	colSink[E]
 	foldRows(rows *sparse.RowIndex[E], xw []uint64, rlo, rhi uint32) int

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"graphmat/internal/kernels"
+	"graphmat/internal/sparse"
 )
 
 // This file is the block engine's fold half of the kernel layer: the column
@@ -30,10 +31,13 @@ import (
 
 // blockSink resolves block program p's column fold from message block x
 // into reduction block y, once per run — the block analogue of scalarSink,
-// with the same fused float64-sum and float32 path-semiring fast paths. The
-// sinks read per-vertex column masks, so they serve blocks of two or more
-// columns only; runBlock gives a one-column block to scalarSink.
-func blockSink[V, E, M, R any, P BlockProgram[V, E, M, R]](p P, x *BlockVector[M], y *BlockVector[R]) colSink[E] {
+// with the same fused float64-sum and float32 path-semiring fast paths, and
+// the row walk's k-wide gather beside the generic fold when the program
+// declares FirstMessageFinal (props is the run's n×k property block, which
+// only the gather reads). The sinks read per-vertex column masks, so they
+// serve blocks of two or more columns only; runBlock gives a one-column
+// block to scalarSink.
+func blockSink[V, E, M, R any, P BlockProgram[V, E, M, R]](p P, x *BlockVector[M], props []V, y *BlockVector[R]) colSink[E] {
 	if _, ok := any(p).(SumFoldF64); ok {
 		xf, okX := any(x).(*BlockVector[float64])
 		yf, okY := any(y).(*BlockVector[float64])
@@ -48,7 +52,11 @@ func blockSink[V, E, M, R any, P BlockProgram[V, E, M, R]](p P, x *BlockVector[M
 			return s
 		}
 	}
-	return &blockFoldSink[V, E, M, R, P]{p: p, x: x, y: y}
+	fold := blockFoldSink[V, E, M, R, P]{p: p, x: x, y: y}
+	if settling, ok := any(p).(FirstMessageFinal[V]); ok {
+		return &blockGatherSink[V, E, M, R, P]{blockFoldSink: fold, props: props, settling: settling}
+	}
+	return &fold
 }
 
 // touchRow returns vertex v's column mask in a block vector's two-level
@@ -98,6 +106,74 @@ func (s *blockFoldSink[V, E, M, R, P]) fold(ir []uint32, val []E, cols []colRef)
 		}
 	}
 	return edges
+}
+
+// blockGatherSink is the generic block fold of a FirstMessageFinal program:
+// the column folds of blockFoldSink, plus the row walk's gather over all k
+// columns at once. Per column the gather is gatherSink's — skip a settled
+// (vertex, column), take the first frontier in-neighbour in ascending source
+// id — so each column's y, and what Apply makes of it, is its solo run's;
+// what the width shares is the scan of the row.
+type blockGatherSink[V, E, M, R any, P BlockProgram[V, E, M, R]] struct {
+	blockFoldSink[V, E, M, R, P]
+	props    []V // n×k, row-major like the blocks
+	settling FirstMessageFinal[V]
+}
+
+// waitingCols returns the mask of the columns of one vertex's property row
+// that are still unsettled.
+func waitingCols[V any](settling FirstMessageFinal[V], prow []V) (waiting uint64) {
+	for c, prop := range prow {
+		if settling.Unsettled(prop) {
+			waiting |= 1 << uint(c)
+		}
+	}
+	return waiting
+}
+
+// foldRows scans each row of [rlo, rhi) for the columns in which its vertex
+// is still unsettled: a frontier source retires the columns it carries a
+// message in, and the scan leaves the row when none is left. It returns the
+// edge slots it examined, each counted once however many columns waited at
+// it.
+func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []uint64, rlo, rhi uint32) int {
+	p, x, y, k := s.p, s.x, s.y, s.x.k
+	xcols, ysw, ycols := x.cols, y.summary.Words(), y.cols
+	ptr := rows.Ptr[rlo-rows.RowLo : rhi-rows.RowLo+1]
+	examined := 0
+	for i := range ptr[1:] {
+		dst := rlo + uint32(i)
+		waiting := waitingCols(s.settling, s.props[int(dst)*k:int(dst)*k+k])
+		if waiting == 0 {
+			continue
+		}
+		var got uint64
+		yrow := y.Row(dst)
+		in := rows.Entries[ptr[i]:ptr[i+1]]
+		j := 0
+		for ; j < len(in) && waiting != 0; j++ {
+			src := in[j].Src
+			if xw[src>>6]&(1<<(src&63)) == 0 {
+				continue
+			}
+			hit := xcols[src] & waiting
+			xrow := x.Row(src)
+			for m := hit; m != 0; m &= m - 1 {
+				col := bits.TrailingZeros64(m)
+				yrow[col] = p.Mul(xrow[col], in[j].Val)
+			}
+			got |= hit
+			waiting &^= hit
+		}
+		examined += j
+		if got != 0 {
+			// The row is this task's alone and a gathering layer writes it
+			// nowhere else, so its mask is stored, not merged.
+			ysw[dst>>6] |= 1 << (dst & 63)
+			ycols[dst] = got
+		}
+	}
+	return examined
 }
 
 // blockSumSinkF64 is the (+, passthrough) float64 block fold: per edge, one

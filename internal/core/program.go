@@ -23,7 +23,8 @@
 // row walk, a gather driven by destinations — the bottom-up step of
 // direction-optimizing BFS — which a Pull superstep takes for programs that
 // declare FirstMessageFinal once the frontier's edge work outweighs what is
-// left unsettled. All three fold a destination's messages in ascending
+// left unsettled, in the scalar engine and, k columns per row scan, in the
+// block engine. All three fold a destination's messages in ascending
 // source order, so every mode produces bit-identical results.
 package core
 

@@ -178,6 +178,22 @@ type bfsFirst struct{ bfsProg }
 
 func (bfsFirst) Unsettled(prop uint32) bool { return prop == ^uint32(0) }
 
+// walkLetters returns an observer spelling a run's walks into *walks, one
+// letter per superstep: s push, l pull by columns, r pull by rows.
+func walkLetters(walks *string) Observer {
+	return func(info IterationInfo) error {
+		switch {
+		case info.RowWalk:
+			*walks += "r"
+		case info.Mode == Pull:
+			*walks += "l"
+		default:
+			*walks += "s"
+		}
+		return nil
+	}
+}
+
 // TestStatsPinnedRowWalk pins what the row walk changes, on TestStatsPinned's
 // graph under single-root BFS with the marker declared: forced Push and the
 // boxed ablation are the all-edges baseline (every tally equal, no row-walk
@@ -201,7 +217,7 @@ func TestStatsPinnedRowWalk(t *testing.T) {
 		name  string
 		cfg   Config
 		stats rowStats
-		walks string // per superstep: s push, l pull by columns, r pull by rows
+		walks string // see walkLetters
 	}{
 		{"push/threads1", Config{Mode: Push, Threads: 1}, rowStats{6, 1552, 25225, 3023, 1552, 3104, 6, 0, 0}, "ssssss"},
 		{"boxed/threads3", Config{Dispatch: Boxed, Threads: 3}, rowStats{6, 1552, 25225, 3023, 1552, 16122, 0, 6, 0}, "llllll"},
@@ -218,17 +234,7 @@ func TestStatsPinnedRowWalk(t *testing.T) {
 			g.ClearActive()
 			g.SetActive(1)
 			walks := ""
-			s, err := RunContext(context.Background(), g, bfsFirst{}, tc.cfg, nil, WithObserver(func(info IterationInfo) error {
-				switch {
-				case info.RowWalk:
-					walks += "r"
-				case info.Mode == Pull:
-					walks += "l"
-				default:
-					walks += "s"
-				}
-				return nil
-			}))
+			s, err := RunContext(context.Background(), g, bfsFirst{}, tc.cfg, nil, WithObserver(walkLetters(&walks)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,6 +249,85 @@ func TestStatsPinnedRowWalk(t *testing.T) {
 				ref = slices.Clone(g.Props())
 			} else if !slices.Equal(g.Props(), ref) {
 				t.Errorf("distances differ from the forced-push run's")
+			}
+		})
+	}
+}
+
+// Mul, Add and Identity make bfsFirst a block program: hop counting never
+// reads the destination.
+func (bfsFirst) Mul(m uint32, _ float32) uint32 { return m + 1 }
+func (bfsFirst) Add(a, b uint32) uint32         { return min(a, b) }
+func (bfsFirst) Identity() uint32               { return ^uint32(0) }
+
+// TestStatsPinnedBlockRowWalk pins the k-wide gather on TestStatsPinned's
+// graph: a 4-source and a 16-source BFS block under forced Push — the
+// column-walk run — and under Auto and Pull, which gather. Iterations,
+// MessagesSent and ActiveSum are the column-walk run's; EdgesProcessed,
+// Applies and the per-superstep walks are what the gather makes of them; and
+// every column is its solo run's distances under every mode.
+func TestStatsPinnedBlockRowWalk(t *testing.T) {
+	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
+	adj.RemoveSelfLoops()
+	g, err := graph.NewFromCOO[uint32, float32](adj, graph.Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(g.NumVertices())
+	sources := []uint32{1, 40, 700, 3, 9, 2047, 64, 65, 128, 1000, 1500, 5, 6, 7, 8, 300}
+	solo := make([][]uint32, len(sources))
+	for s, src := range sources {
+		g.SetAllProps(^uint32(0))
+		g.SetProp(src, 0)
+		g.ClearActive()
+		g.SetActive(src)
+		if _, err := RunContext(context.Background(), g, bfsFirst{}, Config{Mode: Push, Threads: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+		solo[s] = slices.Clone(g.Props())
+	}
+	type rowStats struct {
+		Iterations                                       int
+		MessagesSent, ActiveSum, EdgesProcessed, Applies int64
+		Rows                                             int64
+	}
+	cases := []struct {
+		name  string
+		k     int
+		cfg   Config
+		stats rowStats
+		walks string // see walkLetters
+	}{
+		{"k4/push", 4, Config{Mode: Push, Threads: 1}, rowStats{6, 4658, 2596, 75678, 9029, 0}, "ssssss"},
+		{"k4/auto/threads1", 4, Config{Mode: Auto, Threads: 1}, rowStats{6, 4658, 2596, 53244, 5297, 2}, "ssrrls"},
+		{"k4/auto/threads3", 4, Config{Mode: Auto, Threads: 3}, rowStats{6, 4658, 2596, 53244, 5297, 2}, "ssrrls"},
+		{"k4/pull/threads3", 4, Config{Mode: Pull, Threads: 3}, rowStats{6, 4658, 2596, 53244, 5297, 2}, "llrrll"},
+		{"k16/push", 16, Config{Mode: Push, Threads: 3}, rowStats{7, 15529, 4431, 252256, 30045, 0}, "sssssss"},
+		{"k16/auto/threads1", 16, Config{Mode: Auto, Threads: 1}, rowStats{7, 15529, 4431, 83196, 15907, 3}, "slrrrss"},
+		{"k16/auto/threads3", 16, Config{Mode: Auto, Threads: 3}, rowStats{7, 15529, 4431, 83196, 15907, 3}, "slrrrss"},
+		{"k16/pull/threads3", 16, Config{Mode: Pull, Threads: 3}, rowStats{7, 15529, 4431, 83196, 15907, 3}, "llrrrll"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewBlockState[uint32](n, tc.k)
+			st.SetAllProps(^uint32(0))
+			for s, src := range sources[:tc.k] {
+				st.SetProp(src, s, 0)
+				st.Activate(src, s)
+			}
+			walks := ""
+			s, err := RunBlockContext(context.Background(), g, bfsFirst{}, st, tc.cfg, nil, WithObserver(walkLetters(&walks)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rowStats{s.Iterations, s.MessagesSent, s.ActiveSum, s.EdgesProcessed, s.Applies, s.RowSupersteps}
+			if got != tc.stats || walks != tc.walks {
+				t.Errorf("stats, walks\n got %+v %q\nwant %+v %q", got, walks, tc.stats, tc.walks)
+			}
+			for c, col := range st.Columns() {
+				if !slices.Equal(col, solo[c]) {
+					t.Errorf("column %d (source %d) differs from its solo run", c, sources[c])
+				}
 			}
 		})
 	}

@@ -41,9 +41,9 @@ type runPlan[E any] struct {
 	// runs skip the accounting entirely.
 	sendDegs []uint32
 	// recvDegs[v] is v's degree as a receiver — the length of its row in
-	// the layers, which the row walk scans. Nil unless the run can take the
-	// row walk: the program asked for it and scatters one way, the mode is
-	// not forced Push and some layer has no pending delta.
+	// the layers, which the row walk scans. Nil unless the run, scalar or
+	// block, can take the row walk: the program asked for it and scatters one
+	// way, the mode is not forced Push and some layer has no pending delta.
 	recvDegs []uint32
 }
 

@@ -22,7 +22,8 @@ import (
 // same cases: a frontier that fills a column batch sends it down foldFlat,
 // and FlatEdges must equal the edges of exactly those batches. The row walk
 // runs over firstProg, whose naive fold is "the first live in-neighbour of
-// each unsettled row, in ascending source order".
+// each unsettled row, in ascending source order" — per column, for the block
+// sink's k-wide gather.
 
 // hashProg folds uint64 messages order-sensitively and reads the destination
 // property, so the scalar runs take the generic (non-DstIndependent) loop.
@@ -85,6 +86,9 @@ type walkCase struct {
 	props  []uint64
 	x      *sparse.Vector[uint64] // scalar frontier
 	blocks map[int]*BlockVector[uint64]
+	// blockProps[k] is a random n×k property block: under firstProg, a
+	// random settled set per (vertex, column).
+	blockProps map[int][]uint64
 
 	// The same partition, fresh build and frontier with float32 edge values
 	// and float messages, for the fused sum and path sinks (a pathSinkF32 is
@@ -195,6 +199,14 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, noAux bool) *walkC
 	c.x = sparse.NewVector[uint64](n)
 	c.xf64, c.xf32 = sparse.NewVector[float64](n), sparse.NewVector[float32](n)
 	c.blocks = map[int]*BlockVector[uint64]{2: NewBlockVector[uint64](n, 2), 3: NewBlockVector[uint64](n, 3)}
+	c.blockProps = map[int][]uint64{}
+	prng := gen.NewRNG(seed ^ 0xB10C) // its own stream: the draws below keep their sequence
+	for _, k := range []int{2, 3} {
+		c.blockProps[k] = make([]uint64, n*k)
+		for i := range c.blockProps[k] {
+			c.blockProps[k][i] = prng.Uint64()
+		}
+	}
 	for v := 0; v < n; v++ {
 		c.props[v] = rng.Uint64()
 		if rng.Intn(256) >= density {
@@ -357,26 +369,35 @@ func scalarFold[V, E, M, R any, P Program[V, E, M, R]](c *walkCase, name string,
 	return f
 }
 
-// blockFold is the walkFold of hashProg's k-wide block sink.
-func (c *walkCase) blockFold(k int) walkFold {
-	x := c.blocks[k]
-	return walkFold{
-		name: fmt.Sprintf("block_k%d", k), live: x.summary.Get,
-		run: func(mode Mode, _ bool, cuts [][2]uint32) walkOut {
+// blockFold is the walkFold of p's k-wide block sink: hashProg for the column
+// folds alone, firstProg for the k-wide gather beside them, over the case's
+// random per-(vertex, column) settled masks.
+func blockFold[P BlockProgram[uint64, uint32, uint64, uint64]](c *walkCase, name string, p P, k int) walkFold {
+	x, props := c.blocks[k], c.blockProps[k]
+	newOut := func() walkOut {
+		return walkOut{mask: make([]uint64, c.words()), vals: make([]uint64, c.words()*64*k), cols: make([]uint64, c.words()*64)}
+	}
+	f := walkFold{
+		name: fmt.Sprintf("%s_k%d", name, k), live: x.summary.Get,
+		run: func(mode Mode, rowWalk bool, cuts [][2]uint32) walkOut {
 			y := NewBlockVector[uint64](c.n, k)
-			sink := blockSink[uint64, uint32, uint64, uint64](hashProg{}, x, y)
+			sink := blockSink[uint64, uint32, uint64, uint64](p, x, props, y)
+			var rows rowSink[uint32]
+			if rowWalk {
+				rows = sink.(rowSink[uint32])
+			}
 			var st localStats
 			for _, cut := range cuts {
-				multiply(mode, c.l, x.summary.Words(), cut[0], cut[1], sink, nil, &st)
+				multiply(mode, c.l, x.summary.Words(), cut[0], cut[1], sink, rows, &st)
 			}
-			out := walkOut{mask: y.summary.Words(), vals: make([]uint64, c.words()*64*k), cols: make([]uint64, c.words()*64), edges: st.edges, probes: st.probes, flat: st.flat}
+			out := newOut()
+			out.mask, out.edges, out.probes, out.flat = y.summary.Words(), st.edges, st.probes, st.flat
 			copy(out.vals, y.vals)
 			copy(out.cols, y.cols)
 			return out
 		},
 		naive: func() walkOut {
-			p := hashProg{}
-			out := walkOut{mask: make([]uint64, c.words()), vals: make([]uint64, c.words()*64*k), cols: make([]uint64, c.words()*64)}
+			out := newOut()
 			c.fresh.Iterate(func(row, col uint32, e uint32) {
 				for cm := x.ColMask(col); cm != 0; cm &= cm - 1 {
 					s := bits.TrailingZeros64(cm)
@@ -394,11 +415,42 @@ func (c *walkCase) blockFold(k int) walkFold {
 			return out
 		},
 	}
+	if settling, ok := any(p).(FirstMessageFinal[uint64]); ok {
+		// Per column, the first live in-neighbour in ascending source order
+		// of each (row, column) still unsettled; a slot counts as examined
+		// while any column of its row is still waiting.
+		f.naiveRows = func() walkOut {
+			out := newOut()
+			waiting := make([]uint64, c.n)
+			for i, prop := range props {
+				if settling.Unsettled(prop) {
+					waiting[i/k] |= 1 << (i % k)
+				}
+			}
+			c.fresh.Iterate(func(row, col uint32, e uint32) {
+				if waiting[row] == 0 {
+					return
+				}
+				out.edges++
+				hit := x.ColMask(col) & waiting[row]
+				waiting[row] &^= hit
+				for ; hit != 0; hit &= hit - 1 {
+					s := bits.TrailingZeros64(hit)
+					out.vals[int(row)*k+s] = p.Mul(x.Row(col)[s], e)
+					out.cols[row] |= 1 << s
+					out.mask[row>>6] |= 1 << (row & 63)
+				}
+			})
+			return out
+		}
+	}
+	return f
 }
 
 // folds lists every sink the walks feed: the generic scalar fold with and
 // without the destination read and with the row walk's gather beside it, the
-// three fused scalar folds, and the block fold at two widths.
+// three fused scalar folds, and the block fold at two widths, each with the
+// k-wide gather beside it.
 func (c *walkCase) folds() []walkFold {
 	u64 := func(r uint64) uint64 { return r }
 	f32 := func(r float32) uint64 { return uint64(math.Float32bits(r)) }
@@ -409,8 +461,10 @@ func (c *walkCase) folds() []walkFold {
 		scalarFold(c, "sum_f64", sumFoldProg{}, c.lf, c.freshf, c.xf64, make([]float64, c.n), math.Float64bits),
 		scalarFold(c, "minplus_f32", ssspFused{}, c.lf, c.freshf, c.xf32, make([]float32, c.n), f32),
 		scalarFold(c, "maxmin_f32", widestFused{}, c.lf, c.freshf, c.xf32, make([]float32, c.n), f32),
-		c.blockFold(2),
-		c.blockFold(3),
+		blockFold(c, "block", hashProg{}, 2),
+		blockFold(c, "block", hashProg{}, 3),
+		blockFold(c, "block_gather", firstProg{}, 2),
+		blockFold(c, "block_gather", firstProg{}, 3),
 	}
 }
 

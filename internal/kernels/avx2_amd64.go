@@ -27,6 +27,15 @@ func blockAddF64BodyAVX2(yrow, xrow *float64, n int, cm, ym uint64)
 //go:noescape
 func scatterAddF64BodyAVX2(yw *uint64, yvals *float64, idx *uint32, n int, m float64)
 
+// The f32 path-fold bodies return the 8-lane groups they left to the scalar
+// loop (bit g = lanes 8g..8g+7): the ones holding a NaN.
+//
+//go:noescape
+func blockMinPlusF32BodyAVX2(yrow, xrow *float32, n int, w float32, cm, ym uint64) (nan uint64)
+
+//go:noescape
+func blockMaxMinF32BodyAVX2(yrow, xrow *float32, n int, w float32, cm, ym uint64) (nan uint64)
+
 func avx2PopcountSum(w []uint64) int {
 	n := len(w) &^ 3
 	c := 0
@@ -104,4 +113,34 @@ func avx2ScatterAddF64(yw []uint64, yvals []float64, idx []uint32, m float64) {
 		scatterAddF64BodyAVX2(&yw[0], &yvals[0], &idx[0], n, m)
 	}
 	scalarScatterAddF64(yw, yvals, idx[n:], m)
+}
+
+func avx2BlockMinPlusF32(yrow, xrow []float32, w float32, cm, ym uint64) {
+	n := len(yrow) &^ 7
+	var redo uint64
+	if n > 0 {
+		redo = blockMinPlusF32BodyAVX2(&yrow[0], &xrow[0], n, w, cm, ym)
+	}
+	if n < len(yrow) {
+		redo |= 1 << (n >> 3) // the tail group
+	}
+	for ; redo != 0; redo &= redo - 1 {
+		lo := bits.TrailingZeros64(redo) << 3
+		scalarBlockMinPlusF32(yrow[lo:min(lo+8, len(yrow))], xrow[lo:], w, cm>>lo, ym>>lo)
+	}
+}
+
+func avx2BlockMaxMinF32(yrow, xrow []float32, w float32, cm, ym uint64) {
+	n := len(yrow) &^ 7
+	var redo uint64
+	if n > 0 {
+		redo = blockMaxMinF32BodyAVX2(&yrow[0], &xrow[0], n, w, cm, ym)
+	}
+	if n < len(yrow) {
+		redo |= 1 << (n >> 3) // the tail group
+	}
+	for ; redo != 0; redo &= redo - 1 {
+		lo := bits.TrailingZeros64(redo) << 3
+		scalarBlockMaxMinF32(yrow[lo:min(lo+8, len(yrow))], xrow[lo:], w, cm>>lo, ym>>lo)
+	}
 }

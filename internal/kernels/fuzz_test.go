@@ -10,7 +10,7 @@ import (
 // The fuzz differentials: every SIMD backend must match the scalar oracle
 // bit for bit on arbitrary inputs, not just the structured cases the parity
 // tests enumerate. FuzzBitvecWords covers the integer word primitives,
-// FuzzDenseFold the float64 folds. Both run as regular seed-corpus tests
+// FuzzDenseFold the float64 and float32 folds. Both run as regular seed-corpus tests
 // under `go test` (the CI fuzz-smoke additionally runs them with -fuzz for a
 // bounded wall-clock slice).
 
@@ -72,11 +72,11 @@ func FuzzBitvecWords(f *testing.F) {
 }
 
 // FuzzDenseFold drives the float64 folds — BlockAddF64's masked lane add and
-// ScatterAddF64's column scatter — through every supported SIMD backend
-// against the scalar reference, and FlatAddF64's edge-flat scatter through
-// every backend against its definition, ScatterAddF64 applied one edge at a
-// time; results are compared as raw bit patterns so NaN payloads, signed
-// zeros and infinities all count.
+// ScatterAddF64's column scatter — and the two float32 path-semiring block
+// folds through every supported SIMD backend against the scalar reference,
+// and FlatAddF64's edge-flat scatter through every backend against its
+// definition, ScatterAddF64 applied one edge at a time; results are compared
+// as raw bit patterns so NaN payloads, signed zeros and infinities all count.
 func FuzzDenseFold(f *testing.F) {
 	f.Add([]byte{}, uint64(0), uint64(0), uint64(0))
 	seed := make([]byte, 8*70)
@@ -105,6 +105,22 @@ func FuzzDenseFold(f *testing.F) {
 		}
 		wantY := append([]float64(nil), yinit...)
 		scalarBlockAddF64(wantY, xrow, cm, ym)
+
+		// BlockMinPlusF32 / BlockMaxMinF32: the same bytes as float32 lanes
+		// (any bit pattern, signaling NaNs too — a NaN lane group is the
+		// scalar loop's), up to 64 of them; the weight is mraw's low half.
+		k32 := min(len(data)/4, 64)
+		x32, y32 := make([]float32, k32), make([]float32, k32)
+		for i := range x32 {
+			lane := binary.LittleEndian.Uint32(data[i*4:])
+			x32[i] = math.Float32frombits(lane)
+			y32[i] = math.Float32frombits(bits.RotateLeft32(lane, 9) ^ uint32(mraw>>32))
+		}
+		w32 := math.Float32frombits(uint32(mraw))
+		wantMinPlus := append([]float32(nil), y32...)
+		scalarBlockMinPlusF32(wantMinPlus, x32, w32, cm, ym)
+		wantMaxMin := append([]float32(nil), y32...)
+		scalarBlockMaxMinF32(wantMaxMin, x32, w32, cm, ym)
 
 		// ScatterAddF64: a 256-slot destination, targets from the raw bytes
 		// (duplicates folded in order), occupancy seeded from ym.
@@ -160,6 +176,24 @@ func FuzzDenseFold(f *testing.F) {
 				if math.Float64bits(gotY[i]) != math.Float64bits(wantY[i]) {
 					t.Fatalf("%s blockadd: lane %d = %v (%#x), scalar %v (%#x)",
 						backend, i, gotY[i], math.Float64bits(gotY[i]), wantY[i], math.Float64bits(wantY[i]))
+				}
+			}
+
+			for _, f32 := range []struct {
+				name string
+				fold func(yrow, xrow []float32, w float32, cm, ym uint64)
+				want []float32
+			}{
+				{"blockminplus", tab.blockMinPlusF32, wantMinPlus},
+				{"blockmaxmin", tab.blockMaxMinF32, wantMaxMin},
+			} {
+				got := append([]float32(nil), y32...)
+				f32.fold(got, x32, w32, cm, ym)
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(f32.want[i]) {
+						t.Fatalf("%s %s: lane %d = %#x, scalar %#x (x %#x, y %#x, w %#x, cm %#x, ym %#x)", backend, f32.name, i,
+							math.Float32bits(got[i]), math.Float32bits(f32.want[i]), math.Float32bits(x32[i]), math.Float32bits(y32[i]), math.Float32bits(w32), cm, ym)
+					}
 				}
 			}
 

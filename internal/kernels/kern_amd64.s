@@ -209,3 +209,119 @@ scatterloop:
 	DECQ    CX
 	JNZ     scatterloop
 	RET
+
+// Per-lane dword bits {1, 2, ..., 128}: expanding a mask byte to eight
+// all-ones/all-zero dword lanes is (broadcast(byte) AND laneBits32) ==
+// laneBits32, the f32 twin of laneBits.
+DATA laneBits32<>+0(SB)/8, $0x0000000200000001
+DATA laneBits32<>+8(SB)/8, $0x0000000800000004
+DATA laneBits32<>+16(SB)/8, $0x0000002000000010
+DATA laneBits32<>+24(SB)/8, $0x0000008000000040
+GLOBL laneBits32<>(SB), RODATA|NOPTR, $32
+
+// EXPAND8 turns the low byte of mask register R into the eight dword lane
+// masks of Y (through X, Y's low half) and shifts R on to the next byte.
+// Y15 holds laneBits32.
+#define EXPAND8(R, X, Y) \
+	VMOVQ        R, X      \
+	VPBROADCASTD X, Y      \
+	VPAND        Y15, Y, Y \
+	VPCMPEQD     Y15, Y, Y \
+	SHRQ         $8, R
+
+// The two f32 path-semiring block folds share one frame and one loop shape:
+// eight source lanes per step, Y2 = cm lanes, Y3 = ym lanes, Y4 = x, Y5 =
+// yold, Y6 = the candidate r, Y7 = ym ? yold : r — so a first-write lane
+// reduces r with itself, which is r — and the result blended over yold under
+// cm. Go's builtin min and max order -0 below +0 where VMINPS/VMAXPS return
+// their second operand for a pair of zeros; taking the instruction in both
+// operand orders and OR-ing (min: either -0 wins) or AND-ing (max: either +0
+// wins) the results is exact, and a no-op when the operands are not both
+// zero. NaNs are the scalar loop's: a group whose candidate or live yold
+// holds one in a cm lane is left unwritten and reported in the returned
+// group mask (bit g = lanes 8g..8g+7).
+#define PATHFOLD_PROLOGUE \
+	MOVQ         yrow+0(FP), DI  \
+	MOVQ         xrow+8(FP), SI  \
+	MOVQ         n+16(FP), CX    \
+	VBROADCASTSS w+24(FP), Y14   \
+	MOVQ         cm+32(FP), R8   \
+	MOVQ         ym+40(FP), R9   \
+	SHRQ         $3, CX          \
+	VMOVDQU      laneBits32<>(SB), Y15 \
+	XORQ         AX, AX          \
+	MOVQ         $1, BX
+
+// func blockMinPlusF32BodyAVX2(yrow, xrow *float32, n int, w float32, cm, ym uint64) (nan uint64)
+TEXT ·blockMinPlusF32BodyAVX2(SB), NOSPLIT, $0-56
+	PATHFOLD_PROLOGUE
+
+minplusloop:
+	EXPAND8(R8, X2, Y2)
+	EXPAND8(R9, X3, Y3)
+	VMOVUPS   (SI), Y4
+	VMOVUPS   (DI), Y5
+	VADDPS    Y14, Y4, Y6      // r = x + w
+	VBLENDVPS Y3, Y5, Y6, Y7
+	VCMPPS    $3, Y6, Y7, Y8   // unordered: r or the value it meets is a NaN
+	VPAND     Y2, Y8, Y8
+	VMOVMSKPS Y8, DX
+	TESTL     DX, DX
+	JNZ       minplusnan
+	VMINPS    Y6, Y7, Y8
+	VMINPS    Y7, Y6, Y9
+	VORPS     Y9, Y8, Y8       // min(yold, r)
+	VBLENDVPS Y2, Y8, Y5, Y8
+	VMOVUPS   Y8, (DI)
+
+minplusnext:
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SHLQ $1, BX
+	DECQ CX
+	JNZ  minplusloop
+	MOVQ AX, nan+48(FP)
+	VZEROUPPER
+	RET
+
+minplusnan:
+	ORQ BX, AX
+	JMP minplusnext
+
+// func blockMaxMinF32BodyAVX2(yrow, xrow *float32, n int, w float32, cm, ym uint64) (nan uint64)
+TEXT ·blockMaxMinF32BodyAVX2(SB), NOSPLIT, $0-56
+	PATHFOLD_PROLOGUE
+
+maxminloop:
+	EXPAND8(R8, X2, Y2)
+	EXPAND8(R9, X3, Y3)
+	VMOVUPS   (SI), Y4
+	VMOVUPS   (DI), Y5
+	VMINPS    Y14, Y4, Y6
+	VMINPS    Y4, Y14, Y7
+	VORPS     Y7, Y6, Y6       // r = min(x, w); a NaN if either is
+	VBLENDVPS Y3, Y5, Y6, Y7
+	VCMPPS    $3, Y6, Y7, Y8
+	VPAND     Y2, Y8, Y8
+	VMOVMSKPS Y8, DX
+	TESTL     DX, DX
+	JNZ       maxminnan
+	VMAXPS    Y6, Y7, Y8
+	VMAXPS    Y7, Y6, Y9
+	VANDPS    Y9, Y8, Y8       // max(yold, r)
+	VBLENDVPS Y2, Y8, Y5, Y8
+	VMOVUPS   Y8, (DI)
+
+maxminnext:
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SHLQ $1, BX
+	DECQ CX
+	JNZ  maxminloop
+	MOVQ AX, nan+48(FP)
+	VZEROUPPER
+	RET
+
+maxminnan:
+	ORQ BX, AX
+	JMP maxminnext

@@ -3,9 +3,9 @@
 // thesis). It exposes the small set of monomorphic inner loops the SpMV/SpMM
 // kernels and the bitvector frontier machinery spend their cycles in —
 // popcount sweeps, nonzero-word scans, the layered merge's run scan, and the
-// float64 and float32 folds — each with a pure-Go scalar
-// reference implementation plus SIMD variants (AVX2 on amd64, NEON on arm64)
-// selected once at init by a CPU feature probe.
+// float64 and float32 folds — each with a pure-Go scalar reference
+// implementation, and SIMD variants where they pay (AVX2 on amd64, NEON on
+// arm64) selected once at init by a CPU feature probe.
 //
 // The scalar implementations are the differential oracle: every SIMD variant
 // must be bit-identical to its scalar reference on every input the engine can
@@ -80,8 +80,8 @@ type table struct {
 	scatterAddF64 func(yw []uint64, yvals []float64, idx []uint32, m float64)
 	flatAddF64    func(yw []uint64, yvals []float64, idx, src []uint32, x []float64)
 
-	// float32 path-semiring folds: (min, +) and (max, min). Scalar-only for
-	// now — SIMD variants slot in per primitive like the f64 folds.
+	// float32 path-semiring folds: (min, +) and (max, min). The block folds
+	// have AVX2 bodies; the scatters are scalar on every backend.
 	scatterMinPlusF32 func(yw []uint64, yvals []float32, idx []uint32, wv []float32, m float32)
 	scatterMaxMinF32  func(yw []uint64, yvals []float32, idx []uint32, wv []float32, m float32)
 	blockMinPlusF32   func(yrow, xrow []float32, w float32, cm, ym uint64)
@@ -258,6 +258,9 @@ func ScatterMaxMinF32(yw []uint64, yvals []float32, idx []uint32, wv []float32, 
 //	    yrow[s] = xrow[s] + w               otherwise (first write)
 //
 // Lanes outside cm are untouched. len(xrow) >= len(yrow), len(yrow) <= 64.
+// min is the builtin's — -0 below +0, a NaN if either operand is one — which
+// the SIMD variants reproduce bit for bit on eight lanes at a time, leaving
+// any lane group that holds a NaN to the scalar loop.
 func BlockMinPlusF32(yrow, xrow []float32, w float32, cm, ym uint64) {
 	active.blockMinPlusF32(yrow, xrow, w, cm, ym)
 }

@@ -272,6 +272,81 @@ func TestFlatAddF64Parity(t *testing.T) {
 	}
 }
 
+// f32Specials are the bit patterns where a SIMD min/max and Go's builtins
+// could part ways: signed zeros, infinities (whose sum is a NaN), the largest
+// finite value (whose sum overflows), subnormals and quiet NaNs with
+// distinct payloads.
+var f32Specials = []uint32{
+	0x00000000, 0x80000000, // ±0
+	0x7f800000, 0xff800000, // ±Inf
+	0x7f7fffff, 0xff7fffff, // ±MaxFloat32
+	0x00000001, 0x80000001, 0x007fffff, // subnormals
+	0x7fc00000, 0xffc00000, 0x7fc00abc, // quiet NaNs
+}
+
+func randFloats32(rng *rand.Rand, n int) []float32 {
+	f := make([]float32, n)
+	for i := range f {
+		if rng.Intn(2) == 0 {
+			f[i] = math.Float32frombits(f32Specials[rng.Intn(len(f32Specials))])
+		} else {
+			f[i] = float32((rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(40)-20))
+		}
+	}
+	return f
+}
+
+type blockPathFoldF32 func(yrow, xrow []float32, w float32, cm, ym uint64)
+
+// blockPathF32Parity holds every SIMD backend's f32 path-semiring block
+// fold to the scalar table's, bit for bit: widths on both sides of every
+// 8-lane boundary, random masks (lanes outside cm must come back untouched,
+// stale NaNs included), weights and lanes drawn from f32Specials half the
+// time.
+func blockPathF32Parity(t *testing.T, name string, seed int64, pick func(table) blockPathFoldF32) {
+	rng := rand.New(rand.NewSource(seed))
+	scalar := pick(scalarTable)
+	for _, b := range simdBackends() {
+		fold := pick(backendTable(b))
+		for k := 2; k <= 64; k++ {
+			for trial := 0; trial < 48; trial++ {
+				x, y0 := randFloats32(rng, k), randFloats32(rng, k)
+				w := randFloats32(rng, 1)[0]
+				cm, ym := rng.Uint64(), rng.Uint64()
+				switch trial % 4 {
+				case 0:
+					cm = ^uint64(0)
+				case 1:
+					ym = ^uint64(0)
+				}
+				if k < 64 {
+					cm &= 1<<uint(k) - 1
+					ym &= 1<<uint(k) - 1
+				}
+				want := append([]float32(nil), y0...)
+				got := append([]float32(nil), y0...)
+				scalar(want, x, w, cm, ym)
+				fold(got, x, w, cm, ym)
+				for s := range want {
+					if math.Float32bits(want[s]) != math.Float32bits(got[s]) {
+						t.Fatalf("%s %s k=%d w=%x cm=%#x ym=%#x lane %d (x %x, y %x): got %x, scalar %x",
+							b, name, k, math.Float32bits(w), cm, ym, s, math.Float32bits(x[s]), math.Float32bits(y0[s]),
+							math.Float32bits(got[s]), math.Float32bits(want[s]))
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestBlockMinPlusF32Parity(t *testing.T) {
+	blockPathF32Parity(t, "blockMinPlusF32", 8, func(tab table) blockPathFoldF32 { return tab.blockMinPlusF32 })
+}
+
+func TestBlockMaxMinF32Parity(t *testing.T) {
+	blockPathF32Parity(t, "blockMaxMinF32", 9, func(tab table) blockPathFoldF32 { return tab.blockMaxMinF32 })
+}
+
 func TestParseBackendRoundTrip(t *testing.T) {
 	for _, b := range []Backend{Scalar, AVX2, NEON} {
 		got, ok := ParseBackend(b.String())

@@ -63,6 +63,8 @@ func backendTable(b Backend) table {
 		t.spanLess = avx2SpanLess
 		t.blockAddF64 = avx2BlockAddF64
 		t.scatterAddF64 = avx2ScatterAddF64
+		t.blockMinPlusF32 = avx2BlockMinPlusF32
+		t.blockMaxMinF32 = avx2BlockMaxMinF32
 		return t
 	}
 	return scalarTable

@@ -683,12 +683,15 @@ func runErrorCode(err error) int {
 
 // streamProgress is one NDJSON progress line of a stream=1 run.
 type streamProgress struct {
-	Iteration  int     `json:"iteration"`
-	Active     int64   `json:"active"`
-	Sent       int64   `json:"sent"`
-	NextActive int64   `json:"next_active"`
-	ElapsedMS  float64 `json:"elapsed_ms"`
-	TotalMS    float64 `json:"total_ms"`
+	Iteration  int   `json:"iteration"`
+	Active     int64 `json:"active"`
+	Sent       int64 `json:"sent"`
+	NextActive int64 `json:"next_active"`
+	// RowWalk marks a superstep that gathered by destination row (see
+	// graphmat.IterationInfo); absent on every other line.
+	RowWalk   bool    `json:"row_walk,omitempty"`
+	ElapsedMS float64 `json:"elapsed_ms"`
+	TotalMS   float64 `json:"total_ms"`
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
@@ -729,6 +732,7 @@ func (out ndjsonStream) progress(info graphmat.IterationInfo) error {
 		Active:     info.Active,
 		Sent:       info.Sent,
 		NextActive: info.NextActive,
+		RowWalk:    info.RowWalk,
 		ElapsedMS:  ms(info.Elapsed),
 		TotalMS:    ms(info.Total),
 	})
