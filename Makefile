@@ -75,23 +75,28 @@ bench-module:
 race:
 	$(GO) test -race ./internal/core/... ./internal/sched/... ./internal/kernels/... ./internal/sparse/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
 
-# Fuzz smoke over the graph readers, the update-stream parser, the run-reply
-# number encoder, the SIMD kernel backends and the kernel walks: 10s per
-# target (go test takes one -fuzz pattern at a time). The reader targets
-# assert parallel parse ≡ sequential parse; the update target asserts the
-# single-pass NDJSON parser ≡ the per-line encoding/json oracle and that an
-# accepted batch round-trips through WriteUpdates; the reply target asserts
-# every finite float64 is encoded byte for byte as encoding/json encodes it;
-# the kernel targets assert every SIMD backend ≡ the scalar oracle bit for
-# bit; the walk target asserts pull ≡ push ≡ a naive fold of the live edge set
-# and the row walk ≡ a naive "first live in-neighbour of each unsettled row"
-# over random base+delta partitions, frontiers, settled sets and row cuts. CI
-# runs this target.
+# Fuzz smoke over the graph readers, the update-stream parser, the snapshot
+# reader, the run-reply number encoder, the SIMD kernel backends and the
+# kernel walks: 10s per target (go test takes one -fuzz pattern at a time).
+# The reader targets assert parallel parse ≡ sequential parse; the update
+# target asserts the single-pass NDJSON parser ≡ the per-line encoding/json
+# oracle and that an accepted batch round-trips through WriteUpdates; the
+# snapshot target asserts GMATSNAP Open/Verify never panic on torn, mutated or
+# forged-and-re-signed files and that an image they accept validates and
+# assembles into a store (its minimizer is capped: on ~1 KB seeds the default
+# 60 s budget would eat the whole run); the reply target asserts every finite
+# float64 is encoded byte for byte as encoding/json encodes it; the kernel
+# targets assert every SIMD backend ≡ the scalar oracle bit for bit; the walk
+# target asserts pull ≡ push ≡ a naive fold of the live edge set and the row
+# walk ≡ a naive "first live in-neighbour of each unsettled row" over random
+# base+delta partitions, frontiers, settled sets and row cuts. CI runs this
+# target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMTX$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzParseUpdates$$' -fuzztime=10s ./internal/graph
+	$(GO) test -run='^$$' -fuzz='^FuzzOpenSnap$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/snap
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendJSONFloat$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzBitvecWords$$' -fuzztime=10s ./internal/kernels
 	$(GO) test -run='^$$' -fuzz='^FuzzDenseFold$$' -fuzztime=10s ./internal/kernels

@@ -73,7 +73,7 @@ func runTraversalBatch[V any, P graphmat.BlockProgram[V, float32, V, V]](
 			st.Activate(src, s)
 		}
 		s, err := graphmat.RunBlockContext(ctx, g, p, st, set.cfg, nil, sess.options()...)
-		accumulate(&stats, s)
+		stats.Add(s)
 		if err != nil {
 			stats.Reason = s.Reason
 			return out, stats, err
@@ -168,7 +168,7 @@ func RunPersonalizedPageRankBatch(ctx context.Context, g *graphmat.Graph[PPRVert
 		for it := 0; it < maxIters && live != 0; it++ {
 			st.ActivateAllMask(live)
 			s, err := graphmat.RunBlockContext(ctx, g, prog, st, cfg, ws, sess.options()...)
-			accumulate(&stats, s)
+			stats.Add(s)
 			if err != nil {
 				stats.Reason = s.Reason
 				return out, stats, err

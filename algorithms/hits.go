@@ -122,7 +122,7 @@ func RunHITS(ctx context.Context, g *graphmat.Graph[HITSVertex, float32], opts .
 		}
 		g.SetAllActive()
 		s, err := graphmat.RunContext(ctx, g, hitsAuthProg{}, cfg, ws, sess.options()...)
-		accumulate(&stats, s)
+		stats.Add(s)
 		if err != nil {
 			stats.Reason = s.Reason
 			return scores(), stats, err
@@ -133,7 +133,7 @@ func RunHITS(ctx context.Context, g *graphmat.Graph[HITSVertex, float32], opts .
 		}
 		g.SetAllActive()
 		s, err = graphmat.RunContext(ctx, g, hitsHubProg{}, cfg, ws, sess.options()...)
-		accumulate(&stats, s)
+		stats.Add(s)
 		if err != nil {
 			stats.Reason = s.Reason
 			return scores(), stats, err

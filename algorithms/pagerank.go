@@ -118,7 +118,7 @@ func RunPageRank(ctx context.Context, g *graphmat.Graph[PRVertex, float32], opts
 	for it := 0; it < maxIters; it++ {
 		g.SetAllActive()
 		s, err := graphmat.RunContext(ctx, g, prog, cfg, ws, sess.options()...)
-		accumulate(&stats, s)
+		stats.Add(s)
 		if err != nil {
 			stats.Reason = s.Reason
 			return ranksOf(g), stats, err

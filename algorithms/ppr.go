@@ -135,7 +135,7 @@ func RunPersonalizedPageRank(ctx context.Context, g *graphmat.Graph[PPRVertex, f
 	for it := 0; it < maxIters; it++ {
 		g.SetAllActive()
 		s, err := graphmat.RunContext(ctx, g, prog, cfg, ws, sess.options()...)
-		accumulate(&stats, s)
+		stats.Add(s)
 		if err != nil {
 			stats.Reason = s.Reason
 			return pprRanks(), stats, err

@@ -13,26 +13,6 @@ import (
 // one phase) at a time.
 type Observer = graphmat.Observer
 
-// accumulate folds one superstep's engine stats into a running total (the
-// multi-run accumulation every iterative driver repeats). Reason is per-run
-// and is set by the driver, not summed.
-func accumulate(dst *graphmat.Stats, s graphmat.Stats) {
-	dst.Iterations += s.Iterations
-	dst.MessagesSent += s.MessagesSent
-	dst.EdgesProcessed += s.EdgesProcessed
-	dst.Applies += s.Applies
-	dst.ActiveSum += s.ActiveSum
-	dst.ColumnsProbed += s.ColumnsProbed
-	dst.FlatEdges += s.FlatEdges
-	dst.PushSupersteps += s.PushSupersteps
-	dst.PullSupersteps += s.PullSupersteps
-	dst.RowSupersteps += s.RowSupersteps
-	dst.Sched.Workers = s.Sched.Workers
-	dst.Sched.Tasks += s.Sched.Tasks
-	dst.Sched.Steals += s.Sched.Steals
-	dst.Sched.BusyNS += s.Sched.BusyNS
-}
-
 // session adapts a caller's observer to a driver loop that invokes the
 // engine repeatedly (PageRank's one-superstep-at-a-time loop, HITS's
 // half-steps, the triangle phases): each engine call restarts its iteration

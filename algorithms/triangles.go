@@ -146,7 +146,7 @@ func RunTriangleCount(ctx context.Context, g *graphmat.Graph[TCVertex, float32],
 
 	g.SetAllActive()
 	s2, err := graphmat.RunContext(ctx, g, tcPhase2{}, cfg, scratch.Phase2, sess.options()...)
-	accumulate(&stats, s2)
+	stats.Add(s2)
 	if err != nil {
 		stats.Reason = s2.Reason
 		return 0, stats, err

@@ -20,8 +20,8 @@
 //
 // The snap subcommands work with GMATSNAP persistence files — the format
 // graphmatd's -data-dir checkpoints use. inspect decodes the header and
-// section table of a snapshot (with -verify adding the deep payload-CRC
-// pass); convert parses a graph file once and writes it as a snapshot, so
+// section table of a snapshot (with -verify adding the deep pass: payload
+// CRCs and full structural validation); convert parses a graph file once and writes it as a snapshot, so
 // later boots mmap the arrays instead of re-parsing text.
 //
 // -sources runs one independent single-source query per listed vertex as a
@@ -322,10 +322,10 @@ func snapMain(args []string) {
 }
 
 // snapInspect decodes a snapshot's header and section table; -verify adds
-// the deep payload-CRC pass over every section.
+// the deep pass: every section's payload CRC and the image's validation.
 func snapInspect(args []string) {
 	fs := flag.NewFlagSet("graphmat snap inspect", flag.ExitOnError)
-	verify := fs.Bool("verify", false, "recompute and check every section's payload CRC")
+	verify := fs.Bool("verify", false, "recompute and check every section's payload CRC and validate the image")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "graphmat snap inspect: want exactly one snapshot file")
@@ -350,7 +350,7 @@ func snapInspect(args []string) {
 		if err := sf.Verify(); err != nil {
 			fatal("verify: %v", err)
 		}
-		fmt.Println("  verify: all section CRCs match")
+		fmt.Println("  verify: all section CRCs match, image validates")
 	}
 }
 

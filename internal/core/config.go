@@ -230,6 +230,27 @@ type Stats struct {
 	Sched SchedStats
 }
 
+// Add folds another run's tallies into s: every counter is summed,
+// Sched.Workers is taken from o, and Reason — per-run, set by whoever drives
+// the runs — is left alone. It is the one place a multi-run total is formed,
+// so a new counter is summed everywhere or nowhere (TestStatsAddCoversEveryTally).
+func (s *Stats) Add(o Stats) {
+	s.Iterations += o.Iterations
+	s.MessagesSent += o.MessagesSent
+	s.EdgesProcessed += o.EdgesProcessed
+	s.Applies += o.Applies
+	s.ActiveSum += o.ActiveSum
+	s.ColumnsProbed += o.ColumnsProbed
+	s.FlatEdges += o.FlatEdges
+	s.PushSupersteps += o.PushSupersteps
+	s.PullSupersteps += o.PullSupersteps
+	s.RowSupersteps += o.RowSupersteps
+	s.Sched.Workers = o.Sched.Workers
+	s.Sched.Tasks += o.Sched.Tasks
+	s.Sched.Steals += o.Sched.Steals
+	s.Sched.BusyNS += o.Sched.BusyNS
+}
+
 // SchedStats is one run's view of the worker-pool runtime: how many tasks
 // the run's phases dispatched, how many of them moved between workers by
 // stealing, and the summed busy time of every participating worker. Tasks

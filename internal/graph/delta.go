@@ -11,11 +11,11 @@ import (
 
 // This file is the mutation half of the versioned store: applying a batch of
 // edge updates to an immutable Graph produces a NEW Graph one epoch later
-// that shares the base structures (partitions, triple lists) and carries the
-// divergence as per-partition delta overlays, plus the compaction that folds
-// an oversized overlay back into the base through the parallel rebuild
-// pipeline. Nothing here mutates the receiver — snapshot isolation falls out
-// of the sharing discipline, not locking.
+// that shares the base partitions and carries the divergence as per-partition
+// delta overlays, plus the compaction that folds an oversized overlay back
+// into the base through the parallel rebuild pipeline. Nothing here mutates
+// the receiver — snapshot isolation falls out of the sharing discipline, not
+// locking.
 
 // minParallelDeltaMuts is the mutation count below which delta merges run on
 // the calling goroutine. MergeDelta is a linear merge over the touched
@@ -59,25 +59,21 @@ func (g *Graph[V, E]) applyBatch(batch []Update[E]) (*Graph[V, E], ApplyResult, 
 	// construction and are immutable, while a direction some run built
 	// LAZILY mutates the shared snapshot graph and may be mid-build on
 	// another goroutine right now. Such extras are deliberately not carried
-	// into the successor — it rebuilds them (with pending replay) if asked.
+	// into the successor — it rebuilds them from its own live set if asked.
 	hasOut := g.opts.Directions&Out != 0
 	hasIn := g.opts.Directions&In != 0
 	ng := &Graph[V, E]{
 		n: g.n, m: g.m,
-		fwd:   g.fwd,
-		opts:  g.opts,
-		epoch: g.epoch + 1,
+		opts:           g.opts,
+		epoch:          g.epoch + 1,
+		pendingUpdates: g.pendingUpdates + len(norm),
 	}
 	if hasOut {
 		ng.outParts = g.outParts
 	}
 	if hasIn {
-		ng.bwd, ng.inParts = g.bwd, g.inParts
+		ng.inParts = g.inParts
 	}
-	// Shared log: the tip extends in place (amortized O(batch)); only a
-	// branch off an older epoch pays the prefix copy. Either way no prior
-	// epoch's view is disturbed.
-	ng.log, ng.logLen = g.log.extend(g.logLen, norm)
 	ng.outDeg = slices.Clone(g.outDeg)
 	ng.inDeg = slices.Clone(g.inDeg)
 
@@ -159,51 +155,23 @@ func findPartition[E any](parts []*sparse.DCSC[E], r uint32) int {
 // lazily built extras) — delta override first (authoritative), base column
 // otherwise — and never triggers a lazy direction build.
 func (g *Graph[V, E]) HasEdge(src, dst uint32) (E, bool) {
+	// Forward structure: Row = dst, Col = src; backward: Row = src, Col = dst.
+	parts, deltas, row, col := g.outParts, g.outDelta, dst, src
+	if g.opts.Directions&Out == 0 {
+		parts, deltas, row, col = g.inParts, g.inDelta, src, dst
+	}
 	var zero E
-	switch {
-	case g.opts.Directions&Out != 0 && g.outParts != nil:
-		// Forward structure: Row = dst, Col = src.
-		p := findPartition(g.outParts, dst)
-		if p >= len(g.outParts) {
-			return zero, false
-		}
-		l := sparse.Layered[E]{Base: g.outParts[p]}
-		if g.outDelta != nil {
-			l.Delta = g.outDelta[p]
-		}
-		rows, vals := l.Column(src)
-		if i, ok := findRow(rows, dst); ok {
-			return vals[i], true
-		}
-	case g.opts.Directions&In != 0 && g.inParts != nil:
-		// Backward structure: Row = src, Col = dst.
-		p := findPartition(g.inParts, src)
-		if p >= len(g.inParts) {
-			return zero, false
-		}
-		l := sparse.Layered[E]{Base: g.inParts[p]}
-		if g.inDelta != nil {
-			l.Delta = g.inDelta[p]
-		}
-		rows, vals := l.Column(dst)
-		if i, ok := findRow(rows, src); ok {
-			return vals[i], true
-		}
-	default:
-		// No traversal structure built yet (cannot happen through NewFromCOO,
-		// which always builds at least one direction): consult the triple
-		// lists via the pending log semantics.
-		log := g.pending()
-		for i := len(log) - 1; i >= 0; i-- {
-			if u := log[i]; u.Src == src && u.Dst == dst {
-				return u.Val, !u.Del
-			}
-		}
-		for _, t := range g.fwd.Entries {
-			if t.Col == src && t.Row == dst {
-				return t.Val, true
-			}
-		}
+	p := findPartition(parts, row)
+	if p >= len(parts) {
+		return zero, false
+	}
+	l := sparse.Layered[E]{Base: parts[p]}
+	if deltas != nil {
+		l.Delta = deltas[p]
+	}
+	rows, vals := l.Column(col)
+	if i, ok := findRow(rows, row); ok {
+		return vals[i], true
 	}
 	return zero, false
 }
@@ -217,59 +185,24 @@ func findRow(rows []uint32, r uint32) (int, bool) {
 	return 0, false
 }
 
-// materializeFwd returns the live forward triples (Row = dst, Col = src,
-// column-major sorted): the base list with the pending log's final state per
-// key merged in. With no pending mutations it is a plain clone.
-func (g *Graph[V, E]) materializeFwd() *sparse.COO[E] {
-	if g.logLen == 0 {
-		return g.fwd.Clone()
-	}
-	// The log normalizes across batches exactly like within one: a stable
-	// (src, dst) sort keeps application order inside each key, and keep-last
-	// is the final state.
-	final := normalizeUpdates(g.pending())
-	out := &sparse.COO[E]{NRows: g.fwd.NRows, NCols: g.fwd.NCols}
-	out.Entries = make([]sparse.Triple[E], 0, len(g.fwd.Entries)+len(final))
-	src := g.fwd.Entries
-	i := 0
-	for _, u := range final {
-		// Forward order: (Col = src, Row = dst) ascending — the same order
-		// normalizeUpdates leaves the log in.
-		for i < len(src) && (src[i].Col < u.Src || (src[i].Col == u.Src && src[i].Row < u.Dst)) {
-			out.Entries = append(out.Entries, src[i])
-			i++
-		}
-		if i < len(src) && src[i].Col == u.Src && src[i].Row == u.Dst {
-			i++
-		}
-		if !u.Del {
-			out.Entries = append(out.Entries, sparse.Triple[E]{Row: u.Dst, Col: u.Src, Val: u.Val})
-		}
-	}
-	out.Entries = append(out.Entries, src[i:]...)
-	return out
-}
-
 // compacted returns a Graph with the same epoch and live edge set but no
-// overlay: the pending log is materialized into a fresh forward triple list
-// and the traversal structures are rebuilt through the parallel partition
-// pipeline. The receiver is untouched, so pinned snapshots of it stay valid.
+// overlay: each built direction's live triples are materialized from its
+// layers and rebuilt into fresh base partitions through the parallel
+// partition pipeline. Degrees and the edge count describe the live set
+// already and carry over. The receiver is untouched, so pinned snapshots of
+// it stay valid.
 func (g *Graph[V, E]) compacted() *Graph[V, E] {
-	if g.logLen == 0 {
+	if g.pendingUpdates == 0 {
 		return g
 	}
-	ng := &Graph[V, E]{n: g.n, opts: g.opts, epoch: g.epoch}
-	ng.fwd = g.materializeFwd()
-	ng.m = int64(len(ng.fwd.Entries))
-	ng.outDeg = ng.fwd.ColCounts()
-	ng.inDeg = ng.fwd.RowCounts()
+	ng := &Graph[V, E]{n: g.n, m: g.m, opts: g.opts, epoch: g.epoch, outDeg: g.outDeg, inDeg: g.inDeg}
 	// Rebuild per Options.Directions, not per runtime nil checks — the
 	// same shared-mutation discipline applyBatch follows.
 	if g.opts.Directions&Out != 0 {
-		ng.outParts = sparse.BuildPartitionedDCSCParallel(ng.fwd, g.opts.Partitions, g.opts.Workers)
+		ng.outParts = ng.build(g.triples(Out))
 	}
 	if g.opts.Directions&In != 0 {
-		ng.buildBackward()
+		ng.inParts = ng.build(g.triples(In))
 	}
 	ng.props = make([]V, g.n)
 	ng.active = bitvec.New(int(g.n))

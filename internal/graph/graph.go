@@ -70,38 +70,31 @@ type Graph[V, E any] struct {
 	n uint32
 	m int64
 
-	// fwd holds Gᵀ triples (Row = dst, Col = src), col-major sorted and
-	// deduplicated — the orientation Algorithm 1 iterates. Retained so the
-	// matrix can be repartitioned (the Figure 7 load-balance ablation).
-	fwd *sparse.COO[E]
-	// bwd holds G triples (Row = src, Col = dst); built only when Direction
-	// In is requested.
-	bwd *sparse.COO[E]
-
+	// outParts/inParts are the BASE row partitions of Gᵀ (Row = dst,
+	// Col = src — the orientation Algorithm 1 iterates) and of G (Row = src,
+	// Col = dst). With their deltas they are the graph's only copy of the
+	// edge set: whatever needs the edges as triples (compaction, Repartition,
+	// Adjacency, a lazily requested direction) materializes them from the
+	// layers on demand (see triples) and drops them again.
 	outParts []*sparse.DCSC[E]
 	inParts  []*sparse.DCSC[E]
 
 	// outDelta/inDelta are per-partition whole-column overrides holding the
 	// live edge set's divergence from the base partitions; nil (or nil per
 	// entry) when a partition has no pending mutations. They are produced by
-	// applyBatch and folded back into the base by compaction. fwd/bwd and the
-	// base partitions describe the BASE edge set; pending records the
-	// mutations separating it from the live one.
+	// applyBatch and folded back into the base by compaction.
 	outDelta, inDelta []*sparse.DCSC[E]
 	// overlayNNZ is the overlay's storage cost in entries across both
 	// directions — the compaction trigger input.
 	overlayNNZ int64
+	// pendingUpdates counts the normalized mutations applied since the base
+	// partitions were built: carried down the epoch chain by applyBatch,
+	// zeroed by compaction.
+	pendingUpdates int
 	// epoch numbers the live edge-set version; 0 is the as-built graph and
 	// every applied batch increments it. Compaction changes the
 	// representation, not the edge set, so it keeps the epoch.
 	epoch uint64
-	// log/logLen view the shared append-only mutation log: the first logLen
-	// entries are the normalized mutations since the base was built, in
-	// application order. They replay onto lazily built traversal structures
-	// and materialize the live edge set for compaction. The backing log is
-	// shared down the epoch chain (see updateLog); use pending() to read.
-	log    *updateLog[E]
-	logLen int
 
 	props  []V
 	active *bitvec.Vector
@@ -113,9 +106,10 @@ type Graph[V, E any] struct {
 
 // NewFromCOO builds a graph from adjacency triples in the natural
 // orientation: Triple.Row = source, Triple.Col = destination. The input is
-// consumed (sorted and deduplicated in place, keeping the first value of any
-// duplicate edge). Self-loops are preserved; use COO.RemoveSelfLoops first to
-// follow the paper's preprocessing.
+// consumed — transposed, sorted and deduplicated in place, keeping the first
+// value of any duplicate edge — and the graph does not retain it: the
+// partitions built from it are the edge set. Self-loops are preserved; use
+// COO.RemoveSelfLoops first to follow the paper's preprocessing.
 func NewFromCOO[V, E any](adj *sparse.COO[E], opts Options) (*Graph[V, E], error) {
 	if adj.NRows != adj.NCols {
 		return nil, fmt.Errorf("graph: adjacency matrix must be square, got %dx%d", adj.NRows, adj.NCols)
@@ -130,17 +124,19 @@ func NewFromCOO[V, E any](adj *sparse.COO[E], opts Options) (*Graph[V, E], error
 	adj.Transpose()
 	adj.SortColMajorParallel(opts.Workers)
 	adj.DedupKeepFirstParallel(opts.Workers)
-	g.fwd = adj
 	g.m = int64(len(adj.Entries))
 
 	g.outDeg = adj.ColCounts()
 	g.inDeg = adj.RowCounts()
 
 	if opts.Directions&Out != 0 {
-		g.outParts = sparse.BuildPartitionedDCSCParallel(g.fwd, opts.Partitions, opts.Workers)
+		g.outParts = g.build(adj)
 	}
 	if opts.Directions&In != 0 {
-		g.buildBackward()
+		// Back to G: row = src, col = dst.
+		adj.Transpose()
+		adj.SortColMajorParallel(opts.Workers)
+		g.inParts = g.build(adj)
 	}
 
 	g.props = make([]V, g.n)
@@ -148,11 +144,63 @@ func NewFromCOO[V, E any](adj *sparse.COO[E], opts Options) (*Graph[V, E], error
 	return g, nil
 }
 
-func (g *Graph[V, E]) buildBackward() {
-	g.bwd = g.fwd.Clone()
-	g.bwd.Transpose()
-	g.bwd.SortColMajorParallel(g.opts.Workers)
-	g.inParts = sparse.BuildPartitionedDCSCParallel(g.bwd, g.opts.Partitions, g.opts.Workers)
+// build partitions col-major sorted triples at the graph's partition count.
+func (g *Graph[V, E]) build(c *sparse.COO[E]) []*sparse.DCSC[E] {
+	return sparse.BuildPartitionedDCSCParallel(c, g.opts.Partitions, g.opts.Workers)
+}
+
+// triples materializes the live edge set as the col-major sorted triples of
+// one traversal matrix — Gᵀ (Row = dst, Col = src) for Out, G (Row = src,
+// Col = dst) for In — exactly the input a fresh build of that direction
+// takes. It walks the layers of a direction the graph was BUILT with (want's
+// own when Options.Directions has it, the other otherwise: those structures
+// are immutable, unlike lazily built extras), partition by partition in
+// ascending row range through Layered.Columns, and counting-scatters every
+// entry into its column's slot range, sized by the degree array the graph
+// maintains exactly. A column's entries arrive in ascending row order either
+// way — across partitions and then within each when the walk is want's own,
+// in the walked partition's column order when it is the transpose — so the
+// result needs no sort.
+func (g *Graph[V, E]) triples(want Direction) *sparse.COO[E] {
+	colDeg := g.outDeg // the column counts of Gᵀ
+	if want == In {
+		colDeg = g.inDeg
+	}
+	next := make([]int, g.n) // next free slot of each column
+	slot := 0
+	for c, d := range colDeg {
+		next[c] = slot
+		slot += int(d)
+	}
+	walked := want
+	if g.opts.Directions&want == 0 {
+		walked = g.opts.Directions
+	}
+	parts, deltas := g.outParts, g.outDelta
+	if walked == In {
+		parts, deltas = g.inParts, g.inDelta
+	}
+	entries := make([]sparse.Triple[E], g.m)
+	place := func(col uint32, rows []uint32, vals []E) {
+		at := next[col]
+		for i, r := range rows {
+			entries[at+i] = sparse.Triple[E]{Row: r, Col: col, Val: vals[i]}
+		}
+		next[col] = at + len(rows)
+	}
+	if walked != want {
+		// The walked matrix is want's transpose: its rows are want's columns.
+		place = func(col uint32, rows []uint32, vals []E) {
+			for i, r := range rows {
+				entries[next[r]] = sparse.Triple[E]{Row: col, Col: r, Val: vals[i]}
+				next[r]++
+			}
+		}
+	}
+	for _, l := range zipLayers(parts, deltas) {
+		l.Columns(place)
+	}
+	return &sparse.COO[E]{NRows: g.n, NCols: g.n, Entries: entries}
 }
 
 // NumVertices returns the number of vertices.
@@ -210,31 +258,24 @@ func (g *Graph[V, E]) OutDegrees() []uint32 { return g.outDeg }
 // InDegrees returns the in-degree array indexed by vertex.
 func (g *Graph[V, E]) InDegrees() []uint32 { return g.inDeg }
 
-// OutPartitions returns the BASE row partitions of Gᵀ (out-edge scatter),
-// building them on first use if the graph was constructed without
-// Direction Out. On a graph carrying live updates the base excludes the
-// overlay; kernels and materializers use OutLayers, which pairs each base
-// partition with its delta.
+// OutPartitions returns the BASE row partitions of Gᵀ (out-edge scatter).
+// On a graph carrying live updates the base excludes the overlay; kernels
+// and materializers use OutLayers, which pairs each base partition with its
+// delta. A graph constructed without Direction Out builds them on first use
+// from the live edge set, so that base is current and carries no delta.
 func (g *Graph[V, E]) OutPartitions() []*sparse.DCSC[E] {
 	if g.outParts == nil {
-		g.outParts = sparse.BuildPartitionedDCSCParallel(g.fwd, g.opts.Partitions, g.opts.Workers)
-		if g.logLen > 0 {
-			g.outDelta = buildDeltas(g.outParts, nil, fwdMuts(normalizeUpdates(g.pending())), g.opts.Workers)
-		}
+		g.outParts = g.build(g.triples(Out))
 	}
 	return g.outParts
 }
 
 // InPartitions returns the BASE row partitions of G (in-edge scatter),
-// building them on first use if the graph was constructed without Direction
-// In. Like OutPartitions, a lazy build replays the pending mutation log so
-// the new direction agrees with the live edge set.
+// building them on first use — from the live edge set, like OutPartitions —
+// if the graph was constructed without Direction In.
 func (g *Graph[V, E]) InPartitions() []*sparse.DCSC[E] {
 	if g.inParts == nil {
-		g.buildBackward()
-		if g.logLen > 0 {
-			g.inDelta = buildDeltas(g.inParts, nil, bwdMuts(normalizeUpdates(g.pending())), g.opts.Workers)
-		}
+		g.inParts = g.build(g.triples(In))
 	}
 	return g.inParts
 }
@@ -272,54 +313,41 @@ func (g *Graph[V, E]) OverlayNNZ() int64 { return g.overlayNNZ }
 
 // PendingUpdates reports the number of normalized mutations separating the
 // live edge set from the base structures.
-func (g *Graph[V, E]) PendingUpdates() int { return g.logLen }
-
-// pending returns this epoch's view of the mutation log (read-only).
-func (g *Graph[V, E]) pending() []Update[E] { return g.log.view(g.logLen) }
+func (g *Graph[V, E]) PendingUpdates() int { return g.pendingUpdates }
 
 // Partitions returns the current partition count.
 func (g *Graph[V, E]) Partitions() int { return g.opts.Partitions }
 
 // Repartition rebuilds the traversal structures with a new partition count.
 // The Figure 7 ablation uses this to compare partitions=threads (static)
-// against partitions=8×threads (dynamic load balancing). A graph carrying
-// live updates folds its overlay into the triple lists first — materialize
-// only, no interim partition build — so the single rebuild below sees the
-// live edge set at the new count. Repartition mutates the receiver: it is
-// for single-owner graphs, never published store snapshots.
+// against partitions=8×threads (dynamic load balancing). Every direction
+// that exists is rebuilt from the live edge set, so a graph carrying live
+// updates comes out with its overlay folded in. Repartition mutates the
+// receiver: it is for single-owner graphs, never published store snapshots.
 func (g *Graph[V, E]) Repartition(nparts int) {
-	if nparts < 1 {
-		nparts = 1
+	var out, in *sparse.COO[E]
+	if g.outParts != nil {
+		out = g.triples(Out)
 	}
-	hadOut, hadIn := g.outParts != nil, g.inParts != nil
-	if g.logLen > 0 {
-		g.fwd = g.materializeFwd()
-		g.m = int64(len(g.fwd.Entries))
-		g.outDeg = g.fwd.ColCounts()
-		g.inDeg = g.fwd.RowCounts()
-		g.bwd, g.outParts, g.inParts = nil, nil, nil
-		g.outDelta, g.inDelta = nil, nil
-		g.log, g.logLen, g.overlayNNZ = nil, 0, 0
+	if g.inParts != nil {
+		in = g.triples(In)
 	}
-	g.opts.Partitions = nparts
-	if hadOut {
-		g.outParts = sparse.BuildPartitionedDCSCParallel(g.fwd, nparts, g.opts.Workers)
+	g.opts.Partitions = max(nparts, 1)
+	g.outDelta, g.inDelta = nil, nil
+	g.overlayNNZ, g.pendingUpdates = 0, 0
+	if out != nil {
+		g.outParts = g.build(out)
 	}
-	if hadIn {
-		if g.bwd != nil {
-			g.inParts = sparse.BuildPartitionedDCSCParallel(g.bwd, nparts, g.opts.Workers)
-		} else {
-			g.buildBackward()
-		}
+	if in != nil {
+		g.inParts = g.build(in)
 	}
 }
 
-// Adjacency returns a copy of the live forward adjacency (Row = src,
-// Col = dst), row-major sorted. Baseline engines use it to build their own
-// structures; on a graph carrying updates the overlay is materialized in.
+// Adjacency returns the live forward adjacency (Row = src, Col = dst),
+// row-major sorted, as a fresh copy: the overlay of a graph carrying updates
+// is materialized in. Baseline engines use it to build their own structures.
 func (g *Graph[V, E]) Adjacency() *sparse.COO[E] {
-	adj := g.materializeFwd()
+	adj := g.triples(Out) // sorted by (src, dst)
 	adj.Transpose()
-	adj.SortRowMajorParallel(g.opts.Workers)
 	return adj
 }

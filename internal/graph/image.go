@@ -13,9 +13,11 @@ import (
 // image the snapshot writer can lay out, and NewStoreFromImage rebuilds a
 // store from such an image — zero-copy when the image's arrays are views
 // into an mmap'd file, turning boot from an O(edges) rebuild into
-// O(partitions) pointer assembly. The edge type is fixed to float32: that is
-// the one edge type every registered algorithm uses, and a single concrete
-// type is what gives the format a single triple layout.
+// O(partitions) pointer assembly. A property graph's image is its partition
+// arrays, its degree arrays and a header — the partitions are the edge set,
+// in the file as in memory. The edge type is fixed to float32: that is the
+// one edge type every registered algorithm uses, and a single concrete type
+// is what gives the format a single value layout.
 
 // StoreImage captures a point-in-time image of the store's current graph,
 // compacting any pending overlay first (the image format carries base
@@ -32,7 +34,7 @@ func StoreImage[V any](s *Store[V, float32], tag uint64) (*snap.Image, error) {
 	defer s.mu.Unlock()
 	old := s.cur.Load()
 	g := old.g
-	if g.logLen != 0 {
+	if g.pendingUpdates != 0 {
 		g = g.compacted()
 		s.cur.Store(&Snapshot[V, float32]{store: s, g: g})
 		s.compactions.Add(1)
@@ -43,17 +45,16 @@ func StoreImage[V any](s *Store[V, float32], tag uint64) (*snap.Image, error) {
 
 // imageOf dumps one overlay-free graph's internals as a snapshot image.
 func imageOf[V any](g *Graph[V, float32], tag uint64) (*snap.Image, error) {
-	if g.logLen != 0 {
-		return nil, fmt.Errorf("graph: cannot image a graph with %d pending updates (compact first)", g.logLen)
+	if g.pendingUpdates != 0 {
+		return nil, fmt.Errorf("graph: cannot image a graph with %d pending updates (compact first)", g.pendingUpdates)
 	}
 	img := &snap.Image{
 		Epoch:      g.epoch,
 		Tag:        tag,
-		NRows:      g.fwd.NRows,
-		NCols:      g.fwd.NCols,
-		NEdges:     uint64(len(g.fwd.Entries)),
+		NRows:      g.n,
+		NCols:      g.n,
+		NEdges:     uint64(g.m),
 		Partitions: uint32(g.opts.Partitions),
-		Fwd:        g.fwd.Entries,
 		OutDeg:     g.outDeg,
 		InDeg:      g.inDeg,
 	}
@@ -63,7 +64,6 @@ func imageOf[V any](g *Graph[V, float32], tag uint64) (*snap.Image, error) {
 	}
 	if g.opts.Directions&In != 0 {
 		img.Directions |= snap.DirsIn
-		img.Bwd = g.bwd.Entries
 		img.In = partImages(g.inParts)
 	}
 	return img, nil
@@ -88,8 +88,8 @@ func partImages(parts []*sparse.DCSC[float32]) []snap.PartImage {
 
 // NewGraphFromImage reconstructs a property graph over an image's arrays
 // without copying or rebuilding anything: partitions are assembled through
-// sparse.NewDCSCView (which adopts the serialized AUX index), triples and
-// degree arrays are adopted as-is. When the image is an mmap view the
+// sparse.NewDCSCView (which adopts the serialized AUX index) and the degree
+// arrays are adopted as-is. When the image is an mmap view the
 // resulting graph's structural arrays live in the page cache — the on-heap
 // build path (NewFromCOO over the same input) remains the differential
 // oracle asserting the two are bit-identical.
@@ -112,7 +112,6 @@ func NewGraphFromImage[V any](img *snap.Image) (*Graph[V, float32], error) {
 	g := &Graph[V, float32]{
 		n:      n,
 		m:      int64(img.NEdges),
-		fwd:    &sparse.COO[float32]{NRows: img.NRows, NCols: img.NCols, Entries: img.Fwd},
 		epoch:  img.Epoch,
 		outDeg: img.OutDeg,
 		inDeg:  img.InDeg,
@@ -125,7 +124,6 @@ func NewGraphFromImage[V any](img *snap.Image) (*Graph[V, float32], error) {
 		}
 	}
 	if img.Directions&snap.DirsIn != 0 {
-		g.bwd = &sparse.COO[float32]{NRows: img.NRows, NCols: img.NCols, Entries: img.Bwd}
 		if g.inParts, err = viewParts(img.In, n); err != nil {
 			return nil, fmt.Errorf("graph: in %w", err)
 		}

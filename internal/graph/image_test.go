@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -21,8 +22,8 @@ func imageTestAdj() *sparse.COO[float32] {
 // TestStoreImageRoundTrip proves the persistence contract at the graph
 // layer: a store imaged, written to a GMATSNAP file, mapped back and
 // reassembled through NewStoreFromImage is structurally identical to the
-// original — same epoch, same triples, same degree arrays, same partition
-// arrays — and keeps accepting update batches afterwards.
+// original — same epoch, same live triples, same degree arrays, same
+// partition arrays — and keeps accepting update batches afterwards.
 func TestStoreImageRoundTrip(t *testing.T) {
 	adj := imageTestAdj()
 	st, err := NewStore[uint32, float32](adj.Clone(), Options{Partitions: 3, Directions: Both})
@@ -75,26 +76,17 @@ func TestStoreImageRoundTrip(t *testing.T) {
 	defer s1.Release()
 	defer s2.Release()
 	g1, g2 := s1.g, s2.g
-	if !reflect.DeepEqual(g1.fwd.Entries, g2.fwd.Entries) {
+	if !reflect.DeepEqual(g1.triples(Out).Entries, g2.triples(Out).Entries) {
 		t.Error("forward triples differ after round trip")
 	}
-	if !reflect.DeepEqual(g1.bwd.Entries, g2.bwd.Entries) {
+	if !reflect.DeepEqual(g1.triples(In).Entries, g2.triples(In).Entries) {
 		t.Error("backward triples differ after round trip")
 	}
 	if !reflect.DeepEqual(g1.outDeg, g2.outDeg) || !reflect.DeepEqual(g1.inDeg, g2.inDeg) {
 		t.Error("degree arrays differ after round trip")
 	}
-	if len(g1.outParts) != len(g2.outParts) || len(g1.inParts) != len(g2.inParts) {
-		t.Fatalf("partition counts differ: out %d/%d in %d/%d",
-			len(g1.outParts), len(g2.outParts), len(g1.inParts), len(g2.inParts))
-	}
-	for i := range g1.outParts {
-		p1, p2 := g1.outParts[i], g2.outParts[i]
-		if !reflect.DeepEqual(p1.JC, p2.JC) || !reflect.DeepEqual(p1.CP, p2.CP) ||
-			!reflect.DeepEqual(p1.IR, p2.IR) || !reflect.DeepEqual(p1.Val, p2.Val) {
-			t.Errorf("out partition %d arrays differ after round trip", i)
-		}
-	}
+	sameDCSCs(t, "out partitions after round trip", g1.outParts, g2.outParts)
+	sameDCSCs(t, "in partitions after round trip", g1.inParts, g2.inParts)
 
 	// The mapped base keeps taking updates like a built one.
 	if _, err := st2.ApplyEdges([]Update[float32]{{Src: 5, Dst: 0, Val: 1}, {Src: 0, Dst: 1, Del: true}}); err != nil {
@@ -112,5 +104,36 @@ func TestImageRejectsRawForStore(t *testing.T) {
 		Fwd: []sparse.Triple[float32]{{Row: 0, Col: 1, Val: 1}}}
 	if _, err := NewStoreFromImage[uint32](raw); err == nil {
 		t.Fatal("raw adjacency image accepted as a property graph")
+	}
+}
+
+// TestPropertyImageIsPartitionsOnly pins the image's size to what a property
+// graph is: partition arrays, degree arrays and a header. An RMAT store's
+// GMATSNAP file is at most 12 bytes per edge and has no triple section (with
+// the forward triples riding along it was 22.9 at this size).
+func TestPropertyImageIsPartitionsOnly(t *testing.T) {
+	st, err := NewStore[uint32](oneCopyAdj(), Options{Partitions: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := StoreImage[uint32](st, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.Fwd != nil {
+		t.Error("a property image carries triples")
+	}
+	path := filepath.Join(t.TempDir(), "g.snap")
+	if err := snap.Write(path, img); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEdge := float64(fi.Size()) / float64(st.NumEdges())
+	t.Logf("%d edges, %d-byte image: %.1f B/edge", st.NumEdges(), fi.Size(), perEdge)
+	if perEdge > 12 {
+		t.Errorf("property image is %.1f B/edge, want <= 12", perEdge)
 	}
 }

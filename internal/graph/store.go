@@ -109,7 +109,7 @@ func (s *Store[V, E]) ApplyEdges(batch []Update[E]) (ApplyResult, error) {
 	if frac == 0 {
 		frac = DefaultCompactFraction
 	}
-	if frac > 0 && float64(ng.overlayNNZ) > frac*float64(s.baseNNZ(ng)) {
+	if frac > 0 && float64(ng.overlayNNZ) > frac*float64(ng.baseNNZ()) {
 		ng = ng.compacted()
 		s.compactions.Add(1)
 		res.Compacted = true
@@ -143,21 +143,28 @@ func (s *Store[V, E]) notifyCompact(epoch uint64) {
 	}
 }
 
-// baseNNZ is the base structures' stored entry count: the forward triples
-// once per built direction — the denominator of the compaction trigger.
-func (s *Store[V, E]) baseNNZ(g *Graph[V, E]) int64 {
-	n := int64(len(g.fwd.Entries))
-	total := int64(0)
-	if g.outParts != nil {
-		total += n
+// baseNNZ is the base structures' stored entry count: the base's edges once
+// per built direction — the denominator of the compaction trigger.
+func (g *Graph[V, E]) baseNNZ() int64 {
+	n := g.baseEdges()
+	if g.opts.Directions == Both {
+		n *= 2
 	}
-	if g.inParts != nil {
-		total += n
+	return n
+}
+
+// baseEdges is the edge count of the base structures: the stored entries
+// of one built direction's base partitions.
+func (g *Graph[V, E]) baseEdges() int64 {
+	parts := g.outParts
+	if g.opts.Directions&Out == 0 {
+		parts = g.inParts
 	}
-	if total == 0 {
-		total = n
+	var n int64
+	for _, p := range parts {
+		n += int64(p.NNZ())
 	}
-	return total
+	return n
 }
 
 // Compact folds the current snapshot's overlay into freshly built base
@@ -168,7 +175,7 @@ func (s *Store[V, E]) Compact() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.cur.Load()
-	if old.g.logLen == 0 {
+	if old.g.pendingUpdates == 0 {
 		return
 	}
 	ng := old.g.compacted()
@@ -194,7 +201,8 @@ type StoreStats struct {
 	LiveEdges int64 `json:"live_edges"`
 	BaseEdges int64 `json:"base_edges"`
 	// OverlayNNZ is the overlay's storage cost in entries;
-	// PendingUpdates the normalized mutations awaiting compaction.
+	// PendingUpdates the normalized mutations applied since the base was
+	// built (0 right after a compaction).
 	OverlayNNZ     int64 `json:"overlay_nnz"`
 	PendingUpdates int   `json:"pending_updates"`
 }
@@ -208,9 +216,9 @@ func (s *Store[V, E]) Stats() StoreStats {
 		Compactions:    s.compactions.Load(),
 		Pinned:         s.pinned.Load(),
 		LiveEdges:      g.m,
-		BaseEdges:      int64(len(g.fwd.Entries)),
+		BaseEdges:      g.baseEdges(),
 		OverlayNNZ:     g.overlayNNZ,
-		PendingUpdates: g.logLen,
+		PendingUpdates: g.pendingUpdates,
 	}
 }
 
@@ -238,7 +246,7 @@ func (sn *Snapshot[V, E]) Release() {
 func (sn *Snapshot[V, E]) Pins() int64 { return sn.pins.Load() }
 
 // View returns a graph sharing this snapshot's immutable structure (base
-// partitions, deltas, degrees, triple lists) with FRESH vertex properties
+// partitions, deltas, degrees) with FRESH vertex properties
 // and active set, so multiple runs can execute concurrently against one
 // pinned epoch without sharing mutable state. Build stores with the
 // Directions your programs need: a lazy direction build on a view is

@@ -294,7 +294,8 @@ func TestStoreSnapshotImmutability(t *testing.T) {
 }
 
 // TestStoreLazyDirectionReplay builds Out-only, applies updates, then asks
-// for the In direction: the lazy build must replay the pending log.
+// for the In direction: the lazy build must see the pending updates (it is
+// built from the live edge set, not the base).
 func TestStoreLazyDirectionReplay(t *testing.T) {
 	adj := testAdj(96, 11)
 	batches := [][]Update[float32]{

@@ -28,6 +28,7 @@
 package sched
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -261,12 +262,12 @@ func (p *Pool) RunOptions(ntasks int, stop *atomic.Int32, opts Options, fn func(
 	p.work(0, j)
 	<-j.done
 
+	// slices.Delete zeroes the vacated tail slot: a plain append-shift would
+	// leave the finished job — and everything its closure captured —
+	// reachable from the backing array until the next job overwrote it.
 	p.mu.Lock()
-	for i, q := range p.jobs {
-		if q == j {
-			p.jobs = append(p.jobs[:i], p.jobs[i+1:]...)
-			break
-		}
+	if i := slices.Index(p.jobs, j); i >= 0 {
+		p.jobs = slices.Delete(p.jobs, i, i+1)
 	}
 	p.mu.Unlock()
 }

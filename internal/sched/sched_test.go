@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRunExecutesEveryTaskOnce covers the basic contract across worker and
@@ -273,5 +274,39 @@ func TestSharedPoolIdentity(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("Snapshot is missing the 3-worker shared pool")
+	}
+}
+
+// TestPoolReleasesFinishedJob asserts a returned Run leaves nothing of the
+// job reachable from the pool: the task closure captures an object with a
+// finalizer, and two collections after Run returns — with no later job to
+// overwrite a stale slot — the finalizer has fired. Covers the published
+// multi-worker path and the inline one.
+func TestPoolReleasesFinishedJob(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		workers, ntasks int
+	}{
+		{"published", 4, 64},
+		{"inline", 1, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPool(tc.workers)
+			defer p.Close()
+			finalized := make(chan struct{})
+			func() {
+				captured := new([1 << 16]byte)
+				runtime.SetFinalizer(captured, func(*[1 << 16]byte) { close(finalized) })
+				p.Run(tc.ntasks, nil, func(task, _ int) { captured[task]++ })
+			}()
+			for i := 0; i < 2; i++ {
+				runtime.GC()
+			}
+			select {
+			case <-finalized:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the pool still reaches the finished job's closure after two GCs")
+			}
+		})
 	}
 }

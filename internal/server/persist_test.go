@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"graphmat/algorithms"
+	"graphmat/internal/graph"
 	"graphmat/internal/snap"
 	"graphmat/internal/sparse"
 )
@@ -335,5 +336,102 @@ func TestPersistStatsSurface(t *testing.T) {
 	ps := pentry.PersistStats()
 	if !ps.Enabled || ps.Boot != "created" {
 		t.Errorf("persistent entry stats = %+v", ps)
+	}
+}
+
+// TestPersistBootsLegacyTripleSections boots a data directory whose instance
+// snapshots are in the layout written before the partitions became a
+// property graph's only copy of its edges — each file also carries the Gᵀ
+// triples in a section of its own. The new reader does not look the section
+// up: the boot is the same snapshot+wal boot, every acked batch replays, and
+// the answers are bit-identical.
+func TestPersistBootsLegacyTripleSections(t *testing.T) {
+	dir := t.TempDir()
+	reg := NewRegistry(0, 1, dir)
+	entry, err := reg.AddCOO("g", "seed", persistTestAdj(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// hits is built with both directions (its old files carried backward
+	// triples too; whatever the section, it goes unread), bfs with one.
+	params := algorithms.Params{Source: 0, Iterations: 5}
+	for _, algo := range []string{"bfs", "hits"} {
+		if _, err := entry.Run(algo, params); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range persistTestBatches() {
+		if _, _, err := entry.ApplyEdges(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := map[string]algorithms.Result{}
+	for _, algo := range []string{"bfs", "hits"} {
+		if ref[algo], err = entry.Run(algo, params); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Rewrite every instance file with its triples riding along.
+	gdir := filepath.Join(dir, "g")
+	man, err := snap.ReadManifest(gdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := 0
+	for comp, file := range man.Files {
+		if comp == compMaster {
+			continue
+		}
+		path := filepath.Join(gdir, file)
+		sf, err := snap.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := *sf.Image()
+		g, err := graph.NewGraphFromImage[uint32](&img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fwd := g.Adjacency()
+		fwd.Transpose() // Row = dst, Col = src, col-major: the old Fwd section
+		img.Fwd = fwd.Entries
+		before, _ := os.Stat(path)
+		if err := snap.Write(path, &img); err != nil {
+			t.Fatal(err)
+		}
+		sf.Close()
+		if after, _ := os.Stat(path); after.Size() < before.Size()+12*int64(len(fwd.Entries)) {
+			t.Fatalf("%s: rewrite did not add a triple section (%d -> %d bytes)", file, before.Size(), after.Size())
+		}
+		rewritten++
+	}
+	if rewritten != 2 {
+		t.Fatalf("rewrote %d instance files, want 2", rewritten)
+	}
+
+	entry2, err := NewRegistry(0, 1, dir).Add("g", mustNotParseSource(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps := entry2.PersistStats(); ps.Boot != "snapshot+wal" || ps.ReplayedBatches != 2 || ps.ReplayedRecords != 6 {
+		t.Errorf("legacy boot = %+v, want snapshot+wal replaying 2 batches / 6 records", ps)
+	}
+	if got := entry2.BuiltAlgorithms(); len(got) != 2 {
+		t.Errorf("built after boot = %v, want both instances from their snapshots", got)
+	}
+	if entry2.Epoch() != entry.Epoch() || entry2.NumEdges() != entry.NumEdges() {
+		t.Errorf("legacy boot state = (epoch %d, %d edges), want (%d, %d)",
+			entry2.Epoch(), entry2.NumEdges(), entry.Epoch(), entry.NumEdges())
+	}
+	for algo, want := range ref {
+		got, err := entry2.Run(algo, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameValues(t, algo+" after legacy boot", want.Values, got.Values)
+		for name, series := range want.Series {
+			sameValues(t, algo+" "+name+" after legacy boot", series, got.Series[name])
+		}
 	}
 }

@@ -109,16 +109,7 @@ type algoInstance struct {
 // instance tallies.
 func (ai *algoInstance) record(s graphmat.Stats, wall float64) {
 	ai.statsMu.Lock()
-	ai.engine.Iterations += s.Iterations
-	ai.engine.MessagesSent += s.MessagesSent
-	ai.engine.EdgesProcessed += s.EdgesProcessed
-	ai.engine.Applies += s.Applies
-	ai.engine.ActiveSum += s.ActiveSum
-	ai.engine.ColumnsProbed += s.ColumnsProbed
-	ai.engine.FlatEdges += s.FlatEdges
-	ai.engine.PushSupersteps += s.PushSupersteps
-	ai.engine.PullSupersteps += s.PullSupersteps
-	ai.engine.RowSupersteps += s.RowSupersteps
+	ai.engine.Add(s)
 	ai.wall += wall
 	ai.statsMu.Unlock()
 }

@@ -1,9 +1,11 @@
 // Package snap defines GMATSNAP, the on-disk snapshot container for
 // graphmat's versioned graphs: a fixed header, a CRC-guarded section table,
-// and 64-byte-aligned raw array sections (per-partition DCSC column
-// pointers, row ids, values, AUX index, degree arrays, forward/backward
-// triples) laid out so that internal/sparse partition arrays can be served
-// as zero-copy views straight out of an mmap'd file. The package also holds
+// and 64-byte-aligned raw array sections laid out so that internal/sparse
+// partition arrays can be served as zero-copy views straight out of an
+// mmap'd file. A property graph's file holds its per-partition DCSC arrays
+// (column ids, column pointers, row ids, values, AUX index) and its degree
+// arrays — the partitions are the edge set, stored once; edge triples are
+// the payload of a raw adjacency master copy only. The package also holds
 // the two companions a persistent store needs: a per-graph write-ahead log
 // of accepted update batches (wal.go) and the atomically flipped
 // epoch-pointer manifest that makes snapshot rotation crash-safe
@@ -41,10 +43,13 @@ const (
 )
 
 // Section kinds. A section is one raw array; (kind, dir, part) identifies
-// it uniquely within a file.
+// it uniquely within a file. Property images written before the partitions
+// became the only copy also carry secFwd (and secBwd with the In direction):
+// the table is keyed, those keys are not looked up, and the file opens as if
+// they were absent — which is why dropping them needed no format version.
 const (
-	secFwd      uint32 = iota + 1 // forward triples ([]Triple[float32])
-	secBwd                        // backward triples (In direction only)
+	secFwd      uint32 = iota + 1 // a raw master image's triples ([]Triple[float32])
+	secBwd                        // reserved: backward triples of old property images, never read
 	secOutDeg                     // out-degree array ([]uint32)
 	secInDeg                      // in-degree array ([]uint32)
 	secPartMeta                   // per-direction partition metadata ([]uint32, 4 words/partition)

@@ -19,12 +19,12 @@ type PartImage struct {
 	Aux          []uint32
 }
 
-// Image is the serializable form of one graph snapshot. For a property
-// graph (Directions != 0) it is a verbatim dump of the graph's internals:
-// Fwd holds the Gᵀ triples (Row = dst, Col = src, col-major sorted), Bwd
-// the G triples when the In direction is built, and Out/In the partition
-// arrays. For a raw adjacency master copy (Directions == 0) only the dims
-// and Fwd (Row = src, Col = dst, row-major sorted) are populated.
+// Image is the serializable form of one graph snapshot. A property graph's
+// image (Directions != 0) is its partition arrays (Out, In), its degree
+// arrays and the header fields: the partitions are the edge set, so there is
+// no triple list beside them. Triples are the payload of a raw adjacency
+// master copy only (Directions == 0): the dims and Fwd (Row = src,
+// Col = dst, row-major sorted), no partitions, no degrees.
 //
 // Epoch is the store's snapshot epoch at write time; Tag is a
 // writer-assigned consistency mark (the serving layer stamps the graph
@@ -38,8 +38,10 @@ type Image struct {
 	Directions   uint32 // DirsOut | DirsIn; 0 = raw adjacency image
 	Partitions   uint32 // the graph's Options.Partitions (0 for raw images)
 
+	// Fwd is a raw master image's edge list. Property images leave it nil;
+	// files written before the partitions became the only copy carry triple
+	// sections for them too, which Open does not look up.
 	Fwd []sparse.Triple[float32]
-	Bwd []sparse.Triple[float32]
 
 	OutDeg, InDeg []uint32
 
@@ -60,67 +62,80 @@ func checkLayout() error {
 	return nil
 }
 
-// Validate checks the image's structural invariants: dimension and length
-// consistency, direction bits matching the populated arrays, and per
-// partition the DCSC shape contract (CP brackets JC, the last column
-// pointer covers IR and Val, AUX ends at the column count). It reads every
-// CP array once — O(columns), no allocation — so the writer can afford it
-// unconditionally.
+// Validate checks the image's structural invariants: checkShape's length
+// and direction consistency, plus per partition the monotonicity of CP. It
+// reads every CP array once — O(columns), no allocation — so the writer can
+// afford it unconditionally.
 func (img *Image) Validate() error {
 	if err := checkLayout(); err != nil {
 		return err
 	}
-	if img.NEdges != uint64(len(img.Fwd)) {
-		return fmt.Errorf("snap: NEdges %d does not match %d forward triples", img.NEdges, len(img.Fwd))
-	}
-	if img.Directions == 0 {
-		if len(img.Out) != 0 || len(img.In) != 0 || img.Bwd != nil {
-			return fmt.Errorf("snap: raw adjacency image (Directions 0) must not carry partitions or backward triples")
-		}
-		return nil
-	}
-	if img.Directions&^(DirsOut|DirsIn) != 0 {
-		return fmt.Errorf("snap: unknown direction bits %#x", img.Directions)
-	}
-	if len(img.OutDeg) != int(img.NRows) || len(img.InDeg) != int(img.NRows) {
-		return fmt.Errorf("snap: degree arrays (%d out, %d in) do not match %d vertices",
-			len(img.OutDeg), len(img.InDeg), img.NRows)
-	}
-	if img.Directions&DirsOut != 0 {
-		if len(img.Out) == 0 {
-			return fmt.Errorf("snap: Out direction declared but no out partitions present")
-		}
-	} else if len(img.Out) != 0 {
-		return fmt.Errorf("snap: out partitions present but Out direction not declared")
-	}
-	if img.Directions&DirsIn != 0 {
-		if len(img.In) == 0 {
-			return fmt.Errorf("snap: In direction declared but no in partitions present")
-		}
-		if uint64(len(img.Bwd)) != img.NEdges {
-			return fmt.Errorf("snap: %d backward triples do not match %d edges", len(img.Bwd), img.NEdges)
-		}
-	} else {
-		if len(img.In) != 0 {
-			return fmt.Errorf("snap: in partitions present but In direction not declared")
-		}
-		if img.Bwd != nil {
-			return fmt.Errorf("snap: backward triples present but In direction not declared")
-		}
+	if err := img.checkShape(); err != nil {
+		return fmt.Errorf("snap: %w", err)
 	}
 	for d, parts := range [][]PartImage{img.Out, img.In} {
-		name := [2]string{"out", "in"}[d]
 		for i := range parts {
-			if err := checkPart(&parts[i], img.NRows); err != nil {
-				return fmt.Errorf("snap: %s partition %d: %w", name, i, err)
+			cp := parts[i].CP
+			for c := 1; c < len(cp); c++ {
+				if cp[c] < cp[c-1] {
+					return fmt.Errorf("snap: %s partition %d: CP not monotone at column %d (%d < %d)", dirName(uint32(d)), i, c, cp[c], cp[c-1])
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// checkPart enforces one partition's DCSC shape contract in O(columns).
-func checkPart(p *PartImage, nrows uint32) error {
+// checkShape is the part of validation that reads lengths only — O(1) per
+// array — so Open runs it on every mapped file without touching a payload
+// page beyond each partition's first and last column pointer: NEdges
+// against the edges actually present (a raw image's triples, each built
+// direction's partition row ids), direction bits against the populated
+// arrays, degree arrays against the vertex count, and per partition the
+// DCSC shape contract (CP brackets JC, the last column pointer covers IR
+// and Val, AUX ends at the column count).
+func (img *Image) checkShape() error {
+	if img.Directions == 0 {
+		if len(img.Out) != 0 || len(img.In) != 0 {
+			return fmt.Errorf("raw adjacency image (Directions 0) must not carry partitions")
+		}
+		if img.NEdges != uint64(len(img.Fwd)) {
+			return fmt.Errorf("NEdges %d does not match %d triples: torn or corrupt snapshot", img.NEdges, len(img.Fwd))
+		}
+		return nil
+	}
+	if img.Directions&^(DirsOut|DirsIn) != 0 {
+		return fmt.Errorf("unknown direction bits %#x", img.Directions)
+	}
+	if len(img.OutDeg) != int(img.NRows) || len(img.InDeg) != int(img.NRows) {
+		return fmt.Errorf("degree arrays (%d out, %d in) do not match %d vertices",
+			len(img.OutDeg), len(img.InDeg), img.NRows)
+	}
+	for d, parts := range [][]PartImage{img.Out, img.In} {
+		name := dirName(uint32(d))
+		if declared := img.Directions&(1<<d) != 0; declared != (len(parts) != 0) {
+			return fmt.Errorf("direction %s declared %t but %d partitions present", name, declared, len(parts))
+		}
+		if len(parts) == 0 {
+			continue
+		}
+		edges := uint64(0)
+		for i := range parts {
+			if err := checkPartShape(&parts[i], img.NRows); err != nil {
+				return fmt.Errorf("%s partition %d: %w", name, i, err)
+			}
+			edges += uint64(len(parts[i].IR))
+		}
+		if edges != img.NEdges {
+			return fmt.Errorf("NEdges %d does not match the %d edges the %s partitions hold: torn or corrupt snapshot", img.NEdges, edges, name)
+		}
+	}
+	return nil
+}
+
+// checkPartShape enforces the length consistency between one partition's
+// arrays.
+func checkPartShape(p *PartImage, nrows uint32) error {
 	if p.RowLo > p.RowHi || p.RowHi > nrows {
 		return fmt.Errorf("row range [%d, %d) outside [0, %d)", p.RowLo, p.RowHi, nrows)
 	}
@@ -130,22 +145,12 @@ func checkPart(p *PartImage, nrows uint32) error {
 	if p.CP[0] != 0 {
 		return fmt.Errorf("CP must start at 0, got %d", p.CP[0])
 	}
-	for i := 1; i < len(p.CP); i++ {
-		if p.CP[i] < p.CP[i-1] {
-			return fmt.Errorf("CP not monotone at column %d (%d < %d)", i, p.CP[i], p.CP[i-1])
-		}
-	}
 	nnz := p.CP[len(p.CP)-1]
 	if uint32(len(p.IR)) != nnz || uint32(len(p.Val)) != nnz {
 		return fmt.Errorf("IR/Val lengths (%d, %d) must equal CP's final pointer %d", len(p.IR), len(p.Val), nnz)
 	}
-	if p.Aux != nil {
-		if len(p.Aux) < 2 {
-			return fmt.Errorf("AUX index has %d entries, need at least 2", len(p.Aux))
-		}
-		if got := p.Aux[len(p.Aux)-1]; got != uint32(len(p.JC)) {
-			return fmt.Errorf("AUX must end at the column count %d, got %d", len(p.JC), got)
-		}
+	if p.Aux != nil && (len(p.Aux) < 2 || p.Aux[len(p.Aux)-1] != uint32(len(p.JC))) {
+		return fmt.Errorf("AUX index shape is inconsistent with %d columns", len(p.JC))
 	}
 	return nil
 }
@@ -168,7 +173,6 @@ func (img *Image) sections() []secData {
 		out = append(out, secData{kind: kind, dir: dir, part: part, elem: elem, data: data})
 	}
 	add(secFwd, dirNone, 0, tripleSize, tripleBytes(img.Fwd))
-	add(secBwd, dirNone, 0, tripleSize, tripleBytes(img.Bwd))
 	add(secOutDeg, dirNone, 0, 4, u32Bytes(img.OutDeg))
 	add(secInDeg, dirNone, 0, 4, u32Bytes(img.InDeg))
 	for d, parts := range [][]PartImage{img.Out, img.In} {

@@ -25,8 +25,8 @@ type Snapshot struct {
 
 // Open maps path and validates it just enough to trust the layout: magic,
 // version, header CRC, table CRC, and every section's bounds, alignment
-// and element size, plus O(1) shape checks tying the partition arrays
-// together. That is O(header + table) work — no payload scan — so opening
+// and element size, plus the O(1) shape checks tying the arrays together
+// (Image.checkShape). That is O(header + table) work — no payload scan — so opening
 // a multi-gigabyte snapshot costs page-table setup, not I/O. Payload CRCs
 // are checked by Verify (the CLI's inspect -verify and the tests), not
 // here.
@@ -97,8 +97,9 @@ func (sn *Snapshot) decode() error {
 			return fmt.Errorf("section %d (kind %d) has element size %d, format says %d", i, s.kind, s.elem, want)
 		}
 	}
-	img.Fwd = viewTriples(byKey[key{secFwd, dirNone, 0}])
-	img.Bwd = viewTriples(byKey[key{secBwd, dirNone, 0}])
+	if img.Directions == 0 {
+		img.Fwd = viewTriples(byKey[key{secFwd, dirNone, 0}])
+	}
 	img.OutDeg = viewU32(byKey[key{secOutDeg, dirNone, 0}])
 	img.InDeg = viewU32(byKey[key{secInDeg, dirNone, 0}])
 	for _, dir := range []uint32{dirOut, dirIn} {
@@ -122,9 +123,6 @@ func (sn *Snapshot) decode() error {
 				Val:      viewF32(byKey[key{secVal, dir, uint32(i)}]),
 				Aux:      viewU32(byKey[key{secAux, dir, uint32(i)}]),
 			}
-			if err := checkPartShape(&parts[i], img.NRows); err != nil {
-				return fmt.Errorf("dir %d partition %d: %w", dir, i, err)
-			}
 		}
 		if dir == dirOut {
 			img.Out = parts
@@ -132,39 +130,10 @@ func (sn *Snapshot) decode() error {
 			img.In = parts
 		}
 	}
-	if img.NEdges != uint64(len(img.Fwd)) {
-		return fmt.Errorf("header claims %d edges, forward section holds %d: torn or corrupt snapshot", img.NEdges, len(img.Fwd))
-	}
-	if img.Directions&DirsOut != 0 && len(img.Out) == 0 {
-		return fmt.Errorf("header declares the Out direction but no out partitions are present")
-	}
-	if img.Directions&DirsIn != 0 && (len(img.In) == 0 || uint64(len(img.Bwd)) != img.NEdges) {
-		return fmt.Errorf("header declares the In direction but its sections are missing or inconsistent")
+	if err := img.checkShape(); err != nil {
+		return err
 	}
 	sn.img = img
-	return nil
-}
-
-// checkPartShape is the O(1) subset of checkPart run on every Open: length
-// consistency between the partition's arrays, without the O(columns) CP
-// monotonicity scan (Verify and the writer's Validate do that).
-func checkPartShape(p *PartImage, nrows uint32) error {
-	if p.RowLo > p.RowHi || p.RowHi > nrows {
-		return fmt.Errorf("row range [%d, %d) outside [0, %d)", p.RowLo, p.RowHi, nrows)
-	}
-	if len(p.CP) != len(p.JC)+1 {
-		return fmt.Errorf("CP length %d must be JC length %d + 1", len(p.CP), len(p.JC))
-	}
-	if p.CP[0] != 0 {
-		return fmt.Errorf("CP must start at 0, got %d", p.CP[0])
-	}
-	nnz := p.CP[len(p.CP)-1]
-	if uint32(len(p.IR)) != nnz || uint32(len(p.Val)) != nnz {
-		return fmt.Errorf("IR/Val lengths (%d, %d) must equal CP's final pointer %d", len(p.IR), len(p.Val), nnz)
-	}
-	if p.Aux != nil && (len(p.Aux) < 2 || p.Aux[len(p.Aux)-1] != uint32(len(p.JC))) {
-		return fmt.Errorf("AUX index shape is inconsistent with %d columns", len(p.JC))
-	}
 	return nil
 }
 
@@ -175,8 +144,9 @@ func (sn *Snapshot) Image() *Image { return sn.img }
 // Path returns the file the snapshot was opened from.
 func (sn *Snapshot) Path() string { return sn.path }
 
-// Verify checks every section's payload CRC — the deep integrity pass Open
-// deliberately skips. It faults in the whole file.
+// Verify is the deep integrity pass Open deliberately skips: every section's
+// payload CRC, then the image's full Validate (Open ran only its O(1) shape
+// half). It faults in the whole file.
 func (sn *Snapshot) Verify() error {
 	for i, s := range sn.secs {
 		if got := crc32.Checksum(sn.data[s.off:s.off+s.length], crcTable); got != s.crc {
@@ -184,7 +154,7 @@ func (sn *Snapshot) Verify() error {
 				sn.path, i, s.kind, s.dir, s.part, got, s.crc)
 		}
 	}
-	return nil
+	return sn.img.Validate()
 }
 
 // Close unmaps the file. Every view handed out through Image becomes

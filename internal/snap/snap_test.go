@@ -29,7 +29,8 @@ func rawImage() *snap.Image {
 }
 
 // propImage is a hand-built property-graph image with two out partitions,
-// exercising every section kind except the In direction.
+// exercising every section kind a property image has except the In
+// direction's.
 func propImage() *snap.Image {
 	return &snap.Image{
 		Epoch:      3,
@@ -39,13 +40,8 @@ func propImage() *snap.Image {
 		NEdges:     3,
 		Directions: snap.DirsOut,
 		Partitions: 2,
-		Fwd: []sparse.Triple[float32]{
-			{Row: 1, Col: 0, Val: 1},
-			{Row: 1, Col: 2, Val: 2},
-			{Row: 2, Col: 1, Val: 3},
-		},
-		OutDeg: []uint32{1, 1, 1, 0},
-		InDeg:  []uint32{0, 2, 1, 0},
+		OutDeg:     []uint32{1, 1, 1, 0},
+		InDeg:      []uint32{0, 2, 1, 0},
 		Out: []snap.PartImage{
 			{
 				RowLo: 0, RowHi: 2, AuxShift: 1,
@@ -84,9 +80,6 @@ func sameImage(t *testing.T, got, want *snap.Image) {
 	}
 	if !reflect.DeepEqual(got.Fwd, want.Fwd) {
 		t.Errorf("Fwd = %v, want %v", got.Fwd, want.Fwd)
-	}
-	if !reflect.DeepEqual(got.Bwd, want.Bwd) {
-		t.Errorf("Bwd = %v, want %v", got.Bwd, want.Bwd)
 	}
 	if !reflect.DeepEqual(got.OutDeg, want.OutDeg) || !reflect.DeepEqual(got.InDeg, want.InDeg) {
 		t.Errorf("degrees differ: out %v/%v in %v/%v", got.OutDeg, want.OutDeg, got.InDeg, want.InDeg)
@@ -142,6 +135,45 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// legacyPropImage is propImage as builds before the partitions became the
+// only copy wrote it: the Gᵀ triples (Row = dst, Col = src) ride along in a
+// section of their own.
+func legacyPropImage() *snap.Image {
+	img := propImage()
+	img.Fwd = []sparse.Triple[float32]{
+		{Row: 1, Col: 0, Val: 1},
+		{Row: 2, Col: 1, Val: 3},
+		{Row: 1, Col: 2, Val: 2},
+	}
+	return img
+}
+
+// TestOpenIgnoresLegacyTripleSections opens a property image in the old
+// layout: the triple section is in the file and in Info, passes its CRC, and
+// is not part of the decoded image — which equals the new-layout one.
+func TestOpenIgnoresLegacyTripleSections(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.snap")
+	if err := snap.Write(path, legacyPropImage()); err != nil {
+		t.Fatal(err)
+	}
+	sf, err := snap.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	hasFwd := false
+	for _, s := range sf.Info().Sections {
+		hasFwd = hasFwd || s.Kind == "fwd"
+	}
+	if !hasFwd {
+		t.Fatal("the legacy file carries no triple section: the test is not testing the old layout")
+	}
+	sameImage(t, sf.Image(), propImage())
+	if err := sf.Verify(); err != nil {
+		t.Errorf("verify: %v", err)
 	}
 }
 
@@ -241,6 +273,11 @@ func TestValidateRejectsInconsistentImages(t *testing.T) {
 	bad.NEdges = 99
 	if err := bad.Validate(); err == nil {
 		t.Error("NEdges mismatch validated")
+	}
+	bad = propImage()
+	bad.NEdges = 2
+	if err := bad.Validate(); err == nil {
+		t.Error("NEdges disagreeing with the partitions' row ids validated")
 	}
 	bad = propImage()
 	bad.Directions = 1 << 7

@@ -76,22 +76,21 @@ func (l Layered[E]) Column(col uint32) ([]uint32, []E) {
 	return l.Base.Column(col)
 }
 
-// Iterate calls fn(row, col, val) for every live nonzero in column-major
-// order — the same visit order a fresh DCSC build of the live edge set
-// would produce.
-func (l Layered[E]) Iterate(fn func(row, col uint32, val E)) {
-	if l.Delta == nil {
-		l.Base.Iterate(fn)
-		return
-	}
+// Columns calls fn(col, rows, vals) for every stored column of the live
+// partition in ascending column order: the delta override where one exists
+// (a tombstone arrives with no rows), the base column otherwise. Rows ascend
+// within a column, so entry by entry this is the visit order a fresh DCSC
+// build of the live edge set would produce. The slices alias the partition.
+func (l Layered[E]) Columns(fn func(col uint32, rows []uint32, vals []E)) {
 	b, d := l.Base, l.Delta
+	if d == nil {
+		d = &DCSC[E]{}
+	}
 	bi, di := 0, 0
 	for bi < len(b.JC) || di < len(d.JC) {
 		if di >= len(d.JC) || (bi < len(b.JC) && b.JC[bi] < d.JC[di]) {
-			col := b.JC[bi]
-			for k := b.CP[bi]; k < b.CP[bi+1]; k++ {
-				fn(b.IR[k], col, b.Val[k])
-			}
+			s, e := b.CP[bi], b.CP[bi+1]
+			fn(b.JC[bi], b.IR[s:e], b.Val[s:e])
 			bi++
 			continue
 		}
@@ -99,11 +98,20 @@ func (l Layered[E]) Iterate(fn func(row, col uint32, val E)) {
 		if bi < len(b.JC) && b.JC[bi] == col {
 			bi++ // base column overridden
 		}
-		for k := d.CP[di]; k < d.CP[di+1]; k++ {
-			fn(d.IR[k], col, d.Val[k])
-		}
+		s, e := d.CP[di], d.CP[di+1]
+		fn(col, d.IR[s:e], d.Val[s:e])
 		di++
 	}
+}
+
+// Iterate calls fn(row, col, val) for every live nonzero in column-major
+// order (see Columns).
+func (l Layered[E]) Iterate(fn func(row, col uint32, val E)) {
+	l.Columns(func(col uint32, rows []uint32, vals []E) {
+		for i, r := range rows {
+			fn(r, col, vals[i])
+		}
+	})
 }
 
 // Assemble builds a DCSC directly from pre-constructed arrays and indexes it
