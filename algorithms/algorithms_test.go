@@ -359,3 +359,41 @@ func TestQuickPageRankMassConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// rejected reports whether a runner returned values, and its error.
+func rejected[T any](out []T, _ graphmat.Stats, err error) (values bool, _ error) {
+	return out != nil, err
+}
+
+// TestRunnersRejectBadSources holds the five source-parameterized runners to
+// the registry's check: a source outside the graph — and, for the
+// personalization set, no source at all — is an error, not a panic or a
+// quietly wrong answer.
+func TestRunnersRejectBadSources(t *testing.T) {
+	adj := func() *graphmat.COO[float32] { return gen.Grid(gen.GridOptions{Width: 4, Height: 3, Seed: 1}) }
+	bfs, _ := NewBFSGraph(adj(), 2)
+	sssp, _ := NewSSSPGraph(adj(), 2)
+	reach, _ := NewReachabilityGraph(adj(), 2)
+	widest, _ := NewWidestPathGraph(adj(), 2)
+	ppr, _ := NewPersonalizedPageRankGraph(adj(), 2)
+	n := bfs.NumVertices()
+	cases := map[string]func() (bool, error){
+		"bfs/out_of_range":          func() (bool, error) { return rejected(RunBFS(bg, bfs, n)) },
+		"sssp/out_of_range":         func() (bool, error) { return rejected(RunSSSP(bg, sssp, n)) },
+		"reachability/out_of_range": func() (bool, error) { return rejected(RunReachability(bg, reach, n+7)) },
+		"widest/out_of_range":       func() (bool, error) { return rejected(RunWidestPath(bg, widest, ^uint32(0))) },
+		"ppr/out_of_range":          func() (bool, error) { return rejected(RunPersonalizedPageRank(bg, ppr, []uint32{1, n})) },
+		"ppr/empty":                 func() (bool, error) { return rejected(RunPersonalizedPageRank(bg, ppr, nil)) },
+	}
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			if values, err := run(); err == nil || values {
+				t.Errorf("values returned: %v, err = %v; want no values and an error", values, err)
+			}
+		})
+	}
+	// The last valid vertex still runs.
+	if _, _, err := RunBFS(bg, bfs, n-1); err != nil {
+		t.Errorf("RunBFS from vertex %d: %v", n-1, err)
+	}
+}

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"graphmat"
 )
@@ -11,8 +12,9 @@ import (
 // up to graphmat.MaxBlockSources independent source columns per adjacency
 // sweep, with wider batches split into word-sized blocks. Every batched
 // algorithm is bit-identical per source to the corresponding single-source
-// run — the block engine's semiring contract, asserted end-to-end by the
-// package's differential suite — so batching is purely a throughput knob:
+// run — the block engine folds with the program's own ProcessMessage and
+// Reduce in the scalar engine's order, and the package's differential suite
+// asserts it end to end — so batching is purely a throughput knob:
 // the column probes and edge walks that dominate a traversal are paid once
 // per edge instead of once per (edge, source). What a single-source run
 // gains from its program's markers a batch gains too: bfs and reachability
@@ -44,19 +46,43 @@ func fullMask(k int) uint64 {
 	return uint64(1)<<uint(k) - 1
 }
 
-// runTraversalBatch is the shared driver of the single-shot traversal family
+// runTraversal is the shared single-source driver of the traversal family
 // (BFS, SSSP, reachability, widest paths): property, message and reduction
-// types coincide, every column starts as {unreached everywhere, sourceVal at
-// its source} and the block run iterates until every column's frontier dies.
-func runTraversalBatch[V any, P graphmat.BlockProgram[V, float32, V, V]](
+// types coincide, the graph starts as {unreached everywhere, sourceVal at
+// src} with src alone active, and the run iterates until the frontier dies.
+// A stopped run returns the state reached so far with the stop cause.
+func runTraversal[V any, P graphmat.Program[V, float32, V, V]](
+	ctx context.Context, g *graphmat.Graph[V, float32], p P, src uint32,
+	unreached, sourceVal V, set *settings,
+) ([]V, graphmat.Stats, error) {
+	if err := checkSource(src, g.NumVertices(), "source"); err != nil {
+		return nil, graphmat.Stats{}, err
+	}
+	ws, err := settingsWorkspace[V, V](int(g.NumVertices()), set)
+	if err != nil {
+		return nil, graphmat.Stats{}, err
+	}
+	g.SetAllProps(unreached)
+	g.SetProp(src, sourceVal)
+	g.ClearActive()
+	g.SetActive(src)
+	stats, err := graphmat.RunContext(ctx, g, p, set.cfg, ws, newSession(set.obs).options()...)
+	return slices.Clone(g.Props()), stats, err
+}
+
+// runTraversalBatch is runTraversal over a block of sources: every column
+// starts as {unreached everywhere, sourceVal at its source} and the block run
+// iterates until every column's frontier dies.
+func runTraversalBatch[V any, P interface {
+	graphmat.Program[V, float32, V, V]
+	graphmat.DstIndependent
+}](
 	ctx context.Context, g *graphmat.Graph[V, float32], p P, sources []uint32,
 	unreached, sourceVal V, set *settings,
 ) ([][]V, graphmat.Stats, error) {
 	n := int(g.NumVertices())
-	for _, src := range sources {
-		if err := checkSource(src, g.NumVertices(), "source"); err != nil {
-			return nil, graphmat.Stats{}, err
-		}
+	if err := checkSources(sources, g.NumVertices(), "source"); err != nil {
+		return nil, graphmat.Stats{}, err
 	}
 	sess := newSession(set.obs)
 	out := make([][]V, len(sources))
@@ -128,10 +154,8 @@ func RunWidestPathBatch(ctx context.Context, g *graphmat.Graph[float32, float32]
 func RunPersonalizedPageRankBatch(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sources []uint32, opts ...Option) ([][]float64, graphmat.Stats, error) {
 	set := newSettings(opts)
 	n := int(g.NumVertices())
-	for _, src := range sources {
-		if err := checkSource(src, g.NumVertices(), "source"); err != nil {
-			return nil, graphmat.Stats{}, err
-		}
+	if err := checkSources(sources, g.NumVertices(), "source"); err != nil {
+		return nil, graphmat.Stats{}, err
 	}
 	restart, maxIters := set.rankDefaults()
 	inv := make([]float64, n)

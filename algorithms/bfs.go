@@ -3,7 +3,6 @@ package algorithms
 import (
 	"context"
 	"math"
-	"slices"
 
 	"graphmat"
 )
@@ -34,22 +33,12 @@ func (BFSProgram) Apply(r uint32, _ graphmat.VertexID, prop *uint32) bool {
 	return false
 }
 
-// Mul is ProcessMessage as a destination-free semiring multiply: the hop
-// count never reads the destination, so one edge traversal can serve every
-// source column of a multi-source block run.
-func (BFSProgram) Mul(m uint32, _ float32) uint32 { return m + 1 }
-
-// Add is Reduce under its semiring name.
-func (BFSProgram) Add(a, b uint32) uint32 { return min(a, b) }
-
-// Identity is the fold's neutral element: an unreached distance.
-func (BFSProgram) Identity() uint32 { return Unreached }
-
 // Direction scatters along out-edges (BFS inputs are symmetrized, §5.1).
 func (BFSProgram) Direction() graphmat.Direction { return graphmat.Out }
 
 // ProcessIgnoresDst declares that ProcessMessage never reads the
-// destination property, enabling the backend's fast path.
+// destination property: the backend's fast path, and what lets one edge
+// traversal serve every source column of a multi-source block run.
 func (BFSProgram) ProcessIgnoresDst() {}
 
 // Unsettled declares graphmat.FirstMessageFinal: a vertex waits for its
@@ -80,17 +69,8 @@ func NewBFSStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[ui
 // WithObserver. The run is a cancelable, observable session: ctx stops the
 // traversal cooperatively, the observer receives one report per superstep.
 // A stopped run returns the partial distances reached so far together with
-// the stop cause; Stats.Reason classifies the ending.
+// the stop cause; Stats.Reason classifies the ending. A root outside the
+// graph is an error.
 func RunBFS(ctx context.Context, g *graphmat.Graph[uint32, float32], root uint32, opts ...Option) ([]uint32, graphmat.Stats, error) {
-	set := newSettings(opts)
-	ws, err := settingsWorkspace[uint32, uint32](int(g.NumVertices()), set)
-	if err != nil {
-		return nil, graphmat.Stats{}, err
-	}
-	g.SetAllProps(Unreached)
-	g.SetProp(root, 0)
-	g.ClearActive()
-	g.SetActive(root)
-	stats, err := graphmat.RunContext(ctx, g, BFSProgram{}, set.cfg, ws, newSession(set.obs).options()...)
-	return slices.Clone(g.Props()), stats, err
+	return runTraversal(ctx, g, BFSProgram{}, root, uint32(Unreached), 0, newSettings(opts))
 }

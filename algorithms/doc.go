@@ -41,6 +41,14 @@
 // (EdgesProcessed, Applies, ColumnsProbed) therefore differ between modes,
 // the results never.
 //
+// The source-parameterized algorithms (bfs, sssp, reachability, widest, ppr)
+// also have a Run<Algo>Batch form (batch.go): one block run advancing up to
+// 64 sources per adjacency sweep. The block engine folds with the program's
+// own ProcessMessage and Reduce, so a program needs nothing beyond the
+// graphmat.DstIndependent marker to batch, and every column is bit-identical
+// to its single-source run. A source outside the graph is an error from
+// every runner, single or batch.
+//
 // The benchmark harness builds graphs once and calls runners repeatedly, so
 // graph construction time is excluded from measurements exactly as the paper
 // excludes load time.

@@ -125,14 +125,16 @@ type firstOf[R any] struct{ first, all R }
 // promiseProbe runs program P with its promise under watch. The reduction
 // carries the first folded result beside the real one — the scalar fold
 // stores a destination's first result raw and calls Reduce(accumulated, next)
-// after that, and the block fold does the same per column through Mul and
-// Add, so first survives every fold — and Apply checks both halves of the
-// promise on every vertex, and in a block run every (vertex, column), that
-// receives a value. The probe declares nothing itself: run under forced push
-// it folds every frontier edge, which is the behaviour the row walk's
-// shortcut, scalar or k-wide, has to be equivalent to.
+// after that, and the block fold does the same per column, so first survives
+// every fold — and Apply checks both halves of the promise on every vertex,
+// and in a block run every (vertex, column), that receives a value. Of P's
+// markers the probe passes on only DstIndependent, which the block engine
+// requires: run under forced push it folds every frontier edge, which is the
+// behaviour the row walk's shortcut, scalar or k-wide, has to be equivalent
+// to.
 type promiseProbe[V, R comparable, M any, P interface {
-	graphmat.BlockProgram[V, float32, M, R]
+	graphmat.Program[V, float32, M, R]
+	graphmat.DstIndependent
 	graphmat.FirstMessageFinal[V]
 }] struct {
 	// t takes the broken promises: a *testing.T, or a recorder when the
@@ -156,18 +158,7 @@ func (pp promiseProbe[V, R, M, P]) Reduce(a, b firstOf[R]) firstOf[R] {
 	return firstOf[R]{a.first, pp.p.Reduce(a.all, b.all)}
 }
 
-func (pp promiseProbe[V, R, M, P]) Mul(m M, e float32) firstOf[R] {
-	r := pp.p.Mul(m, e)
-	return firstOf[R]{r, r}
-}
-
-func (pp promiseProbe[V, R, M, P]) Add(a, b firstOf[R]) firstOf[R] {
-	return firstOf[R]{a.first, pp.p.Add(a.all, b.all)}
-}
-
-func (pp promiseProbe[V, R, M, P]) Identity() firstOf[R] {
-	return firstOf[R]{pp.p.Identity(), pp.p.Identity()}
-}
+func (pp promiseProbe[V, R, M, P]) ProcessIgnoresDst() {}
 
 func (pp promiseProbe[V, R, M, P]) Apply(r firstOf[R], v graphmat.VertexID, prop *V) bool {
 	before := *prop
@@ -191,7 +182,8 @@ func (pp promiseProbe[V, R, M, P]) Direction() graphmat.Direction { return pp.p.
 // traversal starts with unreached at every vertex but the root, which holds
 // source.
 func probePromise[P interface {
-	graphmat.BlockProgram[uint32, float32, uint32, uint32]
+	graphmat.Program[uint32, float32, uint32, uint32]
+	graphmat.DstIndependent
 	graphmat.FirstMessageFinal[uint32]
 }](t *testing.T, p P, g *graphmat.Graph[uint32, float32], roots []uint32, unreached, source uint32, want func(root uint32) []uint32) {
 	t.Helper()
@@ -294,10 +286,7 @@ func TestFirstMessageFinalPromise(t *testing.T) {
 // says — here, that an even label still waits.
 type ccMarked struct{ CCProgram }
 
-func (ccMarked) Unsettled(prop uint32) bool     { return prop%2 == 0 }
-func (ccMarked) Mul(m uint32, _ float32) uint32 { return m }
-func (ccMarked) Add(a, b uint32) uint32         { return min(a, b) }
-func (ccMarked) Identity() uint32               { return Unreached }
+func (ccMarked) Unsettled(prop uint32) bool { return prop%2 == 0 }
 
 // brokenPromises counts what a promiseProbe reports, from every worker's
 // Applies at once.

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"context"
+	"errors"
 	"math"
 
 	"graphmat"
@@ -51,27 +52,16 @@ func (p PersonalizedPageRankProgram) Apply(sum float64, _ graphmat.VertexID, pro
 	return changed
 }
 
-// Mul is ProcessMessage as a destination-free semiring multiply (the
-// (+, ×) fold with the × already folded into the message), qualifying PPR
-// for multi-source block runs.
-func (PersonalizedPageRankProgram) Mul(m float64, _ float32) float64 { return m }
-
-// Add is Reduce under its semiring name.
-func (PersonalizedPageRankProgram) Add(a, b float64) float64 { return a + b }
-
-// Identity is the fold's neutral element (never fed to Add by the kernels,
-// so the IEEE 0 + -0 subtlety cannot arise).
-func (PersonalizedPageRankProgram) Identity() float64 { return 0 }
-
 // Direction scatters rank along out-edges.
 func (PersonalizedPageRankProgram) Direction() graphmat.Direction { return graphmat.Out }
 
-// ProcessIgnoresDst declares the fast path.
+// ProcessIgnoresDst declares the fast path and qualifies PPR for
+// multi-source block runs.
 func (PersonalizedPageRankProgram) ProcessIgnoresDst() {}
 
 // ReducesBySumF64 declares the (+, passthrough) float64 fold — for both the
-// scalar SpMV and, through the Semiring half, the multi-source SpMM — routing
-// the column folds through the SIMD kernel backends.
+// scalar SpMV and the multi-source SpMM — routing the column folds through
+// the SIMD kernel backends.
 func (PersonalizedPageRankProgram) ReducesBySumF64() {}
 
 // NewPersonalizedPageRankGraph builds the PPR property graph (self-loops
@@ -90,10 +80,16 @@ func NewPersonalizedPageRankStore(adj *graphmat.COO[float32], partitions int) (*
 // RunPersonalizedPageRank ranks vertices by proximity to the source set on a
 // graph built by NewPersonalizedPageRankGraph (or any Graph[PPRVertex,
 // float32]). Ranks are a probability distribution over vertices (they sum to
-// ~1 on source-reachable graphs). Options and session contract as in
-// RunPageRank.
+// ~1 on source-reachable graphs). An empty source list or a source outside
+// the graph is an error. Options and session contract as in RunPageRank.
 func RunPersonalizedPageRank(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sources []uint32, opts ...Option) ([]float64, graphmat.Stats, error) {
 	set := newSettings(opts)
+	if len(sources) == 0 {
+		return nil, graphmat.Stats{}, errors.New("algorithms: personalized pagerank needs at least one source vertex")
+	}
+	if err := checkSources(sources, g.NumVertices(), "personalization"); err != nil {
+		return nil, graphmat.Stats{}, err
+	}
 	ws, err := settingsWorkspace[float64, float64](int(g.NumVertices()), set)
 	if err != nil {
 		return nil, graphmat.Stats{}, err
@@ -102,8 +98,7 @@ func RunPersonalizedPageRank(ctx context.Context, g *graphmat.Graph[PPRVertex, f
 	perSource := restart / float64(len(sources))
 	// Every vertex starts with no rank and no restart weight; then the
 	// (few) sources are patched in. A duplicated source is assigned, not
-	// accumulated, and still counts in len(sources); an id outside the graph
-	// names no vertex.
+	// accumulated, and still counts in len(sources).
 	g.InitProps(func(v uint32) PPRVertex {
 		p := PPRVertex{}
 		if d := g.OutDegree(v); d > 0 {
@@ -112,12 +107,10 @@ func RunPersonalizedPageRank(ctx context.Context, g *graphmat.Graph[PPRVertex, f
 		return p
 	})
 	for _, s := range sources {
-		if s < g.NumVertices() {
-			p := g.Prop(s)
-			p.Restart = perSource
-			p.Rank = 1 / float64(len(sources))
-			g.SetProp(s, p)
-		}
+		p := g.Prop(s)
+		p.Restart = perSource
+		p.Rank = 1 / float64(len(sources))
+		g.SetProp(s, p)
 	}
 	prog := PersonalizedPageRankProgram{RestartProb: restart, Tolerance: set.tol}
 	cfg := set.cfg

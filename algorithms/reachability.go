@@ -2,7 +2,6 @@ package algorithms
 
 import (
 	"context"
-	"slices"
 
 	"graphmat"
 )
@@ -36,19 +35,11 @@ func (ReachabilityProgram) Apply(r uint32, _ graphmat.VertexID, prop *uint32) bo
 	return false
 }
 
-// Mul is ProcessMessage as a destination-free semiring multiply.
-func (ReachabilityProgram) Mul(m uint32, _ float32) uint32 { return m }
-
-// Add is Reduce under its semiring name.
-func (ReachabilityProgram) Add(a, b uint32) uint32 { return a | b }
-
-// Identity is the OR fold's neutral element.
-func (ReachabilityProgram) Identity() uint32 { return 0 }
-
 // Direction follows out-edges: directed reachability.
 func (ReachabilityProgram) Direction() graphmat.Direction { return graphmat.Out }
 
-// ProcessIgnoresDst declares the fast path.
+// ProcessIgnoresDst declares the fast path and qualifies the program for
+// multi-source block runs.
 func (ReachabilityProgram) ProcessIgnoresDst() {}
 
 // Unsettled declares graphmat.FirstMessageFinal: a vertex waits for its
@@ -73,15 +64,5 @@ func NewReachabilityStore(adj *graphmat.COO[float32], partitions int) (*graphmat
 // Options: WithConfig/WithThreads/WithMode, WithWorkspace
 // (*graphmat.Workspace[uint32, uint32]), WithObserver.
 func RunReachability(ctx context.Context, g *graphmat.Graph[uint32, float32], src uint32, opts ...Option) ([]uint32, graphmat.Stats, error) {
-	set := newSettings(opts)
-	ws, err := settingsWorkspace[uint32, uint32](int(g.NumVertices()), set)
-	if err != nil {
-		return nil, graphmat.Stats{}, err
-	}
-	g.SetAllProps(0)
-	g.SetProp(src, 1)
-	g.ClearActive()
-	g.SetActive(src)
-	stats, err := graphmat.RunContext(ctx, g, ReachabilityProgram{}, set.cfg, ws, newSession(set.obs).options()...)
-	return slices.Clone(g.Props()), stats, err
+	return runTraversal(ctx, g, ReachabilityProgram{}, src, 0, 1, newSettings(opts))
 }

@@ -570,12 +570,19 @@ func (a *algo[V]) bindSources(p *Params, n uint32) error {
 	if len(p.Sources) == 0 {
 		p.Sources = []uint32{p.Source}
 	}
-	for _, s := range p.Sources {
+	if err := checkSources(p.Sources, n, what); err != nil {
+		return err
+	}
+	p.Source = p.Sources[0]
+	return nil
+}
+
+func checkSources(sources []uint32, n uint32, what string) error {
+	for _, s := range sources {
 		if err := checkSource(s, n, what); err != nil {
 			return err
 		}
 	}
-	p.Source = p.Sources[0]
 	return nil
 }
 

@@ -3,7 +3,6 @@ package algorithms
 import (
 	"context"
 	"math"
-	"slices"
 
 	"graphmat"
 )
@@ -37,22 +36,13 @@ func (SSSPProgram) Apply(r float32, _ graphmat.VertexID, prop *float32) bool {
 	return false
 }
 
-// Mul is ProcessMessage as a destination-free semiring multiply (the
-// (min, +) tropical semiring), qualifying SSSP for multi-source block runs.
-func (SSSPProgram) Mul(m float32, w float32) float32 { return m + w }
-
-// Add is Reduce under its semiring name.
-func (SSSPProgram) Add(a, b float32) float32 { return min(a, b) }
-
-// Identity is the fold's neutral element: an unreachable distance.
-func (SSSPProgram) Identity() float32 { return InfDist }
-
 // Direction performs path traversals only via out-edges (appendix:
 // "order = OUT_EDGES").
 func (SSSPProgram) Direction() graphmat.Direction { return graphmat.Out }
 
 // ProcessIgnoresDst declares that ProcessMessage never reads the
-// destination property, enabling the backend's fast path.
+// destination property: the backend's fast path, and what qualifies SSSP
+// for multi-source block runs.
 func (SSSPProgram) ProcessIgnoresDst() {}
 
 // ReducesByMinPlusF32 declares the float32 (min, +) tropical fold, routing
@@ -77,15 +67,5 @@ func NewSSSPStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[f
 // contract as in RunBFS (workspace type *graphmat.Workspace[float32,
 // float32]); a stopped run returns the best distances found so far.
 func RunSSSP(ctx context.Context, g *graphmat.Graph[float32, float32], src uint32, opts ...Option) ([]float32, graphmat.Stats, error) {
-	set := newSettings(opts)
-	ws, err := settingsWorkspace[float32, float32](int(g.NumVertices()), set)
-	if err != nil {
-		return nil, graphmat.Stats{}, err
-	}
-	g.SetAllProps(InfDist)
-	g.SetProp(src, 0)
-	g.ClearActive()
-	g.SetActive(src)
-	stats, err := graphmat.RunContext(ctx, g, SSSPProgram{}, set.cfg, ws, newSession(set.obs).options()...)
-	return slices.Clone(g.Props()), stats, err
+	return runTraversal(ctx, g, SSSPProgram{}, src, InfDist, 0, newSettings(opts))
 }

@@ -3,7 +3,6 @@ package algorithms
 import (
 	"context"
 	"math"
-	"slices"
 
 	"graphmat"
 )
@@ -39,19 +38,11 @@ func (WidestPathProgram) Apply(r float32, _ graphmat.VertexID, prop *float32) bo
 	return false
 }
 
-// Mul is ProcessMessage as a destination-free semiring multiply.
-func (WidestPathProgram) Mul(m float32, w float32) float32 { return min(m, w) }
-
-// Add is Reduce under its semiring name.
-func (WidestPathProgram) Add(a, b float32) float32 { return max(a, b) }
-
-// Identity is the max fold's neutral element: zero width.
-func (WidestPathProgram) Identity() float32 { return 0 }
-
 // Direction follows out-edges, like SSSP.
 func (WidestPathProgram) Direction() graphmat.Direction { return graphmat.Out }
 
-// ProcessIgnoresDst declares the fast path.
+// ProcessIgnoresDst declares the fast path and qualifies the program for
+// multi-source block runs.
 func (WidestPathProgram) ProcessIgnoresDst() {}
 
 // ReducesByMaxMinF32 declares the float32 (max, min) bottleneck fold,
@@ -77,15 +68,5 @@ func NewWidestPathStore(adj *graphmat.COO[float32], partitions int) (*graphmat.S
 // WithConfig/WithThreads/WithMode, WithWorkspace
 // (*graphmat.Workspace[float32, float32]), WithObserver.
 func RunWidestPath(ctx context.Context, g *graphmat.Graph[float32, float32], src uint32, opts ...Option) ([]float32, graphmat.Stats, error) {
-	set := newSettings(opts)
-	ws, err := settingsWorkspace[float32, float32](int(g.NumVertices()), set)
-	if err != nil {
-		return nil, graphmat.Stats{}, err
-	}
-	g.SetAllProps(0)
-	g.SetProp(src, WidestSourceCap)
-	g.ClearActive()
-	g.SetActive(src)
-	stats, err := graphmat.RunContext(ctx, g, WidestPathProgram{}, set.cfg, ws, newSession(set.obs).options()...)
-	return slices.Clone(g.Props()), stats, err
+	return runTraversal(ctx, g, WidestPathProgram{}, src, 0, WidestSourceCap, newSettings(opts))
 }

@@ -3,7 +3,9 @@
 // frontier block (k ≤ graphmat.MaxBlockSources), so up to 64 BFS frontiers
 // or PPR personalization vectors share every adjacency sweep — the batching
 // the service's /v1 run endpoint uses to coalesce concurrent requests.
-// Per-source results are bit-identical to running each source alone; the
+// The block run folds with the same ProcessMessage/Reduce as a single-source
+// run — a program only has to declare graphmat.DstIndependent to batch — so
+// per-source results are bit-identical to running each source alone; the
 // batch is purely a throughput knob.
 //
 //	go run ./examples/multisource [-scale 16] [-k 32]

@@ -53,7 +53,8 @@ type Program[V, E, M, R any] = core.Program[V, E, M, R]
 
 // DstIndependent is the optional marker for programs whose ProcessMessage
 // ignores the destination vertex property; implementing it removes one
-// random memory stream from the SpMV inner loop. See core.DstIndependent.
+// random memory stream from the SpMV inner loop and admits the program to
+// multi-source block runs (RunBlockContext). See core.DstIndependent.
 type DstIndependent = core.DstIndependent
 
 // SumFoldF64 is the optional marker for programs whose fold is the
@@ -241,16 +242,6 @@ func RunWithWorkspace[V, E, M, R any, P Program[V, E, M, R]](g *Graph[V, E], p P
 	return core.RunWithWorkspace(g, p, cfg, ws)
 }
 
-// Semiring is the explicit (add, mul, identity) contract of a program's
-// message fold — the GraphBLAS view the multi-source engine requires. See
-// core.Semiring for the exact contract tying it to Program.
-type Semiring[E, M, R any] = core.Semiring[E, M, R]
-
-// BlockProgram is a vertex program that also exposes its fold as a Semiring,
-// qualifying it for the multi-source block engine. When the contract holds, a
-// k-source block run is bit-identical per source to k scalar runs.
-type BlockProgram[V, E, M, R any] = core.BlockProgram[V, E, M, R]
-
 // MaxBlockSources is the widest source block one engine run accepts (64, so
 // per-vertex column masks are single machine words). Wider batches split at
 // the algorithms layer.
@@ -274,9 +265,12 @@ func NewBlockWorkspace[M, R any](n, k int) *BlockWorkspace[M, R] {
 	return core.NewBlockWorkspace[M, R](n, k)
 }
 
-// RunBlock executes a BlockProgram over the k source columns of st until
-// every column converges; it is RunBlockContext without a context.
-func RunBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
+// RunBlock executes a DstIndependent program over the k source columns of st
+// until every column converges; it is RunBlockContext without a context.
+func RunBlock[V, E, M, R any, P interface {
+	Program[V, E, M, R]
+	DstIndependent
+}](
 	g *Graph[V, E], p P, st *BlockState[V], cfg Config, ws *BlockWorkspace[M, R],
 ) (Stats, error) {
 	return core.RunBlock[V, E, M, R, P](g, p, st, cfg, ws)
@@ -286,8 +280,13 @@ func RunBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 // sweep per superstep advances up to 64 independent source columns, each
 // column dropping out of the sweep as it converges. One column runs the scalar
 // engine's phases over st and ws, so a k = 1 block run costs and reports what
-// RunContext does. See core.RunBlockContext.
-func RunBlockContext[V, E, M, R any, P BlockProgram[V, E, M, R]](
+// RunContext does. The block fold is p's own ProcessMessage and Reduce, so a
+// k-source run is bit-identical per source to k scalar runs. See
+// core.RunBlockContext.
+func RunBlockContext[V, E, M, R any, P interface {
+	Program[V, E, M, R]
+	DstIndependent
+}](
 	ctx context.Context, g *Graph[V, E], p P, st *BlockState[V], cfg Config, ws *BlockWorkspace[M, R], opts ...RunOption,
 ) (Stats, error) {
 	return core.RunBlockContext[V, E, M, R, P](ctx, g, p, st, cfg, ws, opts...)

@@ -128,9 +128,6 @@ func NewMatrix(adj *sparse.COO[float32], threads int) *Matrix {
 // N returns the matrix dimension.
 func (m *Matrix) N() uint32 { return m.n }
 
-// Grid returns the process-grid side length.
-func (m *Matrix) Grid() int { return m.grid }
-
 // Workers returns the parallelism the engine actually uses (grid²) — the
 // CombBLAS square-process-count restriction.
 func (m *Matrix) Workers() int { return m.grid * m.grid }

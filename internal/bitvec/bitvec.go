@@ -131,25 +131,6 @@ func (v *Vector) IterateRange(lo, hi uint32, fn func(i uint32)) {
 	}
 }
 
-// NextSet returns the index of the first set bit >= i, and ok=false if there
-// is none. The partial first word is checked inline; the remaining whole
-// words go through the kernels nonzero-word scan.
-func (v *Vector) NextSet(i uint32) (uint32, bool) {
-	if int(i) >= v.n {
-		return 0, false
-	}
-	wi := int(i >> wordShift)
-	if w := v.words[wi] & (^uint64(0) << (i & wordMask)); w != 0 {
-		return uint32(wi)<<wordShift + uint32(bits.TrailingZeros64(w)), true
-	}
-	rest := kernels.FirstNonzero(v.words[wi+1:])
-	if rest < 0 {
-		return 0, false
-	}
-	wi += 1 + rest
-	return uint32(wi)<<wordShift + uint32(bits.TrailingZeros64(v.words[wi])), true
-}
-
 // Words exposes the underlying word slice for read-only word-at-a-time scans
 // (used by the SpMV inner loop to skip empty regions quickly).
 func (v *Vector) Words() []uint64 { return v.words }

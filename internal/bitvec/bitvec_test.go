@@ -142,33 +142,6 @@ func TestIterateRange(t *testing.T) {
 	}
 }
 
-func TestNextSet(t *testing.T) {
-	v := New(300)
-	v.Set(10)
-	v.Set(64)
-	v.Set(299)
-	cases := []struct {
-		from uint32
-		want uint32
-		ok   bool
-	}{
-		{0, 10, true},
-		{10, 10, true},
-		{11, 64, true},
-		{65, 299, true},
-		{299, 299, true},
-	}
-	for _, c := range cases {
-		got, ok := v.NextSet(c.from)
-		if ok != c.ok || got != c.want {
-			t.Errorf("NextSet(%d) = (%d,%v), want (%d,%v)", c.from, got, ok, c.want, c.ok)
-		}
-	}
-	if _, ok := v.NextSet(300); ok {
-		t.Error("NextSet past end returned ok")
-	}
-}
-
 func TestSetAtomicDeduplicates(t *testing.T) {
 	v := New(64)
 	if !v.SetAtomic(7) {

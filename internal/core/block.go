@@ -94,9 +94,6 @@ func (b *BlockVector[T]) Row(v uint32) []T {
 	return b.vals[int(v)*b.k : int(v)*b.k+b.k]
 }
 
-// Summary exposes the vertex-level occupancy bitvector (read-only use).
-func (b *BlockVector[T]) Summary() *bitvec.Vector { return b.summary }
-
 // Occupancy returns the number of live vertices (distinct senders) and live
 // (vertex, column) entries — popcounts of the occupancy masks, read once per
 // phase by the engine instead of tallying counters per Set in the send loop.

@@ -11,15 +11,12 @@ import (
 	"graphmat/internal/graph"
 )
 
-// ssspBlockProg is ssspProg plus its explicit semiring — the BlockProgram the
-// multi-source differential tests drive. Mul(m, e) = ProcessMessage(m, e, ·)
-// and Add = Reduce bit-for-bit, so scalar runs are the oracle.
+// ssspBlockProg is ssspProg declared DstIndependent — the program the
+// multi-source differential tests drive. The block engine folds with its
+// ProcessMessage and Reduce, so scalar runs are the oracle.
 type ssspBlockProg struct{ ssspProg }
 
-func (ssspBlockProg) Mul(m float32, e float32) float32 { return m + e }
-func (ssspBlockProg) Add(a, b float32) float32         { return min(a, b) }
-func (ssspBlockProg) Identity() float32                { return inf }
-func (ssspBlockProg) ProcessIgnoresDst()               {}
+func (ssspBlockProg) ProcessIgnoresDst() {}
 
 // blockTestGraph builds a small RMAT-derived weighted graph.
 func blockTestGraph(t testing.TB, nparts int) *graph.Graph[float32, float32] {
@@ -90,7 +87,10 @@ func TestBlockSSSPMatchesScalar(t *testing.T) {
 // singleColumnCase runs program p from one start state on the scalar engine
 // and on the block engine at k=1 and holds the two to each other: properties
 // bit for bit, Stats field for field (Sched is wall-clock dependent).
-func singleColumnCase[V comparable, M, R any, P BlockProgram[V, float32, M, R]](
+func singleColumnCase[V comparable, M, R any, P interface {
+	Program[V, float32, M, R]
+	DstIndependent
+}](
 	t *testing.T, g *graph.Graph[V, float32], p P, cfg Config, start func(*session[V, M, R, P]),
 ) Stats {
 	t.Helper()
@@ -138,8 +138,8 @@ func TestBlockSingleColumn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats := singleColumnCase(t, gf, sumFoldBlockProg{}, Config{Mode: Pull, Threads: 1, MaxIterations: 3},
-			func(s *session[float64, float64, float64, sumFoldBlockProg]) { s.reset(1) })
+		stats := singleColumnCase(t, gf, sumFoldProg{}, Config{Mode: Pull, Threads: 1, MaxIterations: 3},
+			func(s *session[float64, float64, float64, sumFoldProg]) { s.reset(1) })
 		if stats.FlatEdges == 0 {
 			t.Fatalf("the case must fold some edges flat to tell the sinks apart: %+v", stats)
 		}

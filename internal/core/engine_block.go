@@ -22,21 +22,23 @@ import (
 // the sweep at zero cost while the remaining columns keep iterating. The run
 // ends when no column has active vertices.
 
-// RunBlock executes block program p over k source columns until every column
+// RunBlock executes program p over k source columns until every column
 // converges or the iteration cap. It is RunBlockContext without a context.
-func RunBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
+func RunBlock[V, E, M, R any, P interface {
+	Program[V, E, M, R]
+	DstIndependent
+}](
 	g *graph.Graph[V, E], p P, st *BlockState[V], cfg Config, ws *BlockWorkspace[M, R],
 ) (Stats, error) {
 	return RunBlockContext[V, E, M, R, P](context.Background(), g, p, st, cfg, ws)
 }
 
-// RunBlockContext executes block program p on graph g over the k source
-// columns of st, under ctx: the multi-source analogue of RunContext. st
-// carries the per-(vertex, column) properties and active set — initialize
-// per-column starting state there before the call; after it, extract
-// per-column results with BlockState.Columns. ws, when non-nil, is
-// caller-managed scratch (must match g's vertex count and st's width); nil
-// allocates fresh scratch.
+// RunBlockContext executes program p on graph g over the k source columns
+// of st, under ctx: the multi-source analogue of RunContext. st carries the
+// per-(vertex, column) properties and active set — initialize per-column
+// starting state there before the call; after it, extract per-column results
+// with BlockState.Columns. ws, when non-nil, is caller-managed scratch (must
+// match g's vertex count and st's width); nil allocates fresh scratch.
 //
 // A one-column run (st.Width() == 1) executes the scalar engine's phases —
 // its sinks, flat fold included, its send and apply — over st and ws, and
@@ -57,10 +59,15 @@ func RunBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
 // push probe cost per distinct sender vertex, not per (vertex, column)
 // message.
 //
-// When p's Semiring contract holds (see BlockProgram), the run's results are
-// bit-identical per column to scalar runs of the same program from each
-// column's starting state alone.
-func RunBlockContext[V, E, M, R any, P BlockProgram[V, E, M, R]](
+// p must declare DstIndependent: one traversal of an edge serves every
+// column's own destination. The block sinks fold with p's ProcessMessage
+// (given the zero V, as the scalar fold gives such a program) and Reduce in
+// the scalar engine's order, so the results are bit-identical per column to
+// scalar runs of p from each column's starting state alone.
+func RunBlockContext[V, E, M, R any, P interface {
+	Program[V, E, M, R]
+	DstIndependent
+}](
 	ctx context.Context, g *graph.Graph[V, E], p P, st *BlockState[V], cfg Config, ws *BlockWorkspace[M, R], opts ...RunOption,
 ) (Stats, error) {
 	cfg = cfg.withDefaults()
@@ -89,7 +96,10 @@ func RunBlockContext[V, E, M, R any, P BlockProgram[V, E, M, R]](
 // runBlock is the block engine's front-end: n×k message and reduction
 // blocks, the k-wide fold sinks, vertex state in bst. This is the one place
 // a run's width selects code.
-func runBlock[V, E, M, R any, P BlockProgram[V, E, M, R]](
+func runBlock[V, E, M, R any, P interface {
+	Program[V, E, M, R]
+	DstIndependent
+}](
 	g *graph.Graph[V, E], p P, bst *BlockState[V], cfg Config, ws *BlockWorkspace[M, R], ctrl *controller,
 ) (Stats, error) {
 	k := bst.k

@@ -201,7 +201,10 @@ func testF32FoldParityBlock(t *testing.T, world string, g *graph.Graph[float32, 
 	sources := []uint32{0, 3, 17, 42, 100, 101, 200, 255}
 	k := len(sources)
 
-	runBlockOnce := func(p BlockProgram[float32, float32, float32, float32], mode Mode) [][]float32 {
+	runBlockOnce := func(p interface {
+		Program[float32, float32, float32, float32]
+		DstIndependent
+	}, mode Mode) [][]float32 {
 		st := NewBlockState[float32](n, k)
 		st.SetAllProps(inf)
 		for s, src := range sources {

@@ -20,7 +20,7 @@ import (
 
 // sumFoldProg is a (+, passthrough) float64 program carrying the SumFoldF64
 // marker, routing its column folds through ScatterAddF64 (scalar engine) and
-// BlockAddF64 (block engine, via the Semiring half below). Mass grows hop by
+// BlockAddF64 (block engine). Mass grows hop by
 // hop, so every superstep up to the iteration cap keeps a live frontier.
 type sumFoldProg struct{}
 
@@ -34,13 +34,6 @@ func (sumFoldProg) Apply(r float64, _ VertexID, p *float64) bool {
 func (sumFoldProg) Direction() graph.Direction { return graph.Out }
 func (sumFoldProg) ProcessIgnoresDst()         {}
 func (sumFoldProg) ReducesBySumF64()           {}
-
-// sumFoldBlockProg adds the explicit semiring for block runs.
-type sumFoldBlockProg struct{ sumFoldProg }
-
-func (sumFoldBlockProg) Mul(m float64, _ float32) float64 { return m }
-func (sumFoldBlockProg) Add(a, b float64) float64         { return a + b }
-func (sumFoldBlockProg) Identity() float64                { return 0 }
 
 // backendParityFixture builds the two graph worlds once: a fresh base build
 // and a layered snapshot (base + overlay batches) of the equivalent edge set
@@ -256,7 +249,7 @@ func TestKernelBackendParityBlockEngine(t *testing.T) {
 			st.SetProp(src, s, 1)
 			st.Activate(src, s)
 		}
-		stats, err := RunBlock(g, sumFoldBlockProg{}, st, cfg, nil)
+		stats, err := RunBlock(g, sumFoldProg{}, st, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,8 +290,5 @@ func TestKernelBackendParityBlockEngine(t *testing.T) {
 	}
 }
 
-// Compile-time contract checks for the test programs.
-var (
-	_ Program[float64, float32, float64, float64]      = sumFoldProg{}
-	_ BlockProgram[float64, float32, float64, float64] = sumFoldBlockProg{}
-)
+// Compile-time contract check for the test program.
+var _ Program[float64, float32, float64, float64] = sumFoldProg{}

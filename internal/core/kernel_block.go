@@ -23,11 +23,12 @@ import (
 // source alone. That is the bit-identity contract the differential suite
 // asserts.
 //
-// The fold uses the BlockProgram's Semiring half (Mul/Add): Mul has no
-// destination parameter, which is what makes sharing one edge traversal
-// across k columns sound. First writes store the raw Mul result under a mask
-// bit, exactly like the scalar fold — Identity() is never fed to Add. Edge
-// folds are tallied per (edge, live source column).
+// The generic fold calls the program's own ProcessMessage and Reduce, as
+// foldSink's DstIndependent arm does: ProcessMessage gets the zero V for the
+// destination it has promised not to read, which is what makes sharing one
+// edge traversal across k columns sound. First writes store the raw result
+// under a mask bit, exactly like the scalar fold. Edge folds are tallied per
+// (edge, live source column).
 
 // blockSink resolves block program p's column fold from message block x
 // into reduction block y, once per run — the block analogue of scalarSink,
@@ -37,7 +38,10 @@ import (
 // only the gather reads). The sinks read per-vertex column masks, so they
 // serve blocks of two or more columns only; runBlock gives a one-column
 // block to scalarSink.
-func blockSink[V, E, M, R any, P BlockProgram[V, E, M, R]](p P, x *BlockVector[M], props []V, y *BlockVector[R]) colSink[E] {
+func blockSink[V, E, M, R any, P interface {
+	Program[V, E, M, R]
+	DstIndependent
+}](p P, x *BlockVector[M], props []V, y *BlockVector[R]) colSink[E] {
 	if _, ok := any(p).(SumFoldF64); ok {
 		xf, okX := any(x).(*BlockVector[float64])
 		yf, okY := any(y).(*BlockVector[float64])
@@ -73,9 +77,9 @@ func touchRow(summary, cols []uint64, v uint32) uint64 {
 	return cols[v]
 }
 
-// blockFoldSink is the generic block fold: per edge, one Mul per live
-// source column of the sender, Add on collisions.
-type blockFoldSink[V, E, M, R any, P BlockProgram[V, E, M, R]] struct {
+// blockFoldSink is the generic block fold: per edge, one ProcessMessage per
+// live source column of the sender, Reduce on collisions.
+type blockFoldSink[V, E, M, R any, P Program[V, E, M, R]] struct {
 	p P
 	x *BlockVector[M]
 	y *BlockVector[R]
@@ -84,6 +88,7 @@ type blockFoldSink[V, E, M, R any, P BlockProgram[V, E, M, R]] struct {
 func (s *blockFoldSink[V, E, M, R, P]) fold(ir []uint32, val []E, cols []colRef) int {
 	p, x, y := s.p, s.x, s.y
 	ysw, ycols := y.summary.Words(), y.cols
+	var zeroV V
 	edges := 0
 	for _, c := range cols {
 		cm, xrow := x.cols[c.j], x.Row(c.j)
@@ -95,9 +100,9 @@ func (s *blockFoldSink[V, E, M, R, P]) fold(ir []uint32, val []E, cols []colRef)
 			yrow := y.Row(dst)
 			for m := cm; m != 0; m &= m - 1 {
 				col := bits.TrailingZeros64(m)
-				r := p.Mul(xrow[col], e)
+				r := p.ProcessMessage(xrow[col], e, zeroV)
 				if ym&(1<<uint(col)) != 0 {
-					yrow[col] = p.Add(yrow[col], r)
+					yrow[col] = p.Reduce(yrow[col], r)
 				} else {
 					yrow[col] = r
 				}
@@ -114,7 +119,7 @@ func (s *blockFoldSink[V, E, M, R, P]) fold(ir []uint32, val []E, cols []colRef)
 // (vertex, column), take the first frontier in-neighbour in ascending source
 // id — so each column's y, and what Apply makes of it, is its solo run's;
 // what the width shares is the scan of the row.
-type blockGatherSink[V, E, M, R any, P BlockProgram[V, E, M, R]] struct {
+type blockGatherSink[V, E, M, R any, P Program[V, E, M, R]] struct {
 	blockFoldSink[V, E, M, R, P]
 	props    []V // n×k, row-major like the blocks
 	settling FirstMessageFinal[V]
@@ -139,6 +144,7 @@ func waitingCols[V any](settling FirstMessageFinal[V], prow []V) (waiting uint64
 func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []uint64, rlo, rhi uint32) int {
 	p, x, y, k := s.p, s.x, s.y, s.x.k
 	xcols, ysw, ycols := x.cols, y.summary.Words(), y.cols
+	var zeroV V
 	ptr := rows.Ptr[rlo-rows.RowLo : rhi-rows.RowLo+1]
 	examined := 0
 	for i := range ptr[1:] {
@@ -160,7 +166,7 @@ func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw [
 			xrow := x.Row(src)
 			for m := hit; m != 0; m &= m - 1 {
 				col := bits.TrailingZeros64(m)
-				yrow[col] = p.Mul(xrow[col], in[j].Val)
+				yrow[col] = p.ProcessMessage(xrow[col], in[j].Val, zeroV)
 			}
 			got |= hit
 			waiting &^= hit

@@ -15,10 +15,10 @@ import (
 // FirstMessageFinal.
 
 // SumFoldF64 is an optional marker for programs whose fold is the
-// (+, passthrough) monoid over float64: ProcessMessage (and Mul, for block
-// programs) returns the message unchanged — bit-for-bit, for every edge value
-// and destination — and Reduce (and Add) is float64 addition. PageRank, PPR
-// and HITS are this shape: the per-edge work is pure gather-and-accumulate.
+// (+, passthrough) monoid over float64: ProcessMessage returns the message
+// unchanged — bit-for-bit, for every edge value and destination — and Reduce
+// is float64 addition. PageRank, PPR and HITS are this shape: the per-edge
+// work is pure gather-and-accumulate.
 //
 // Declaring it lets the sinks replace the per-edge callback loop with the
 // kernels backend's fused primitives — ScatterAddF64 for the scalar column

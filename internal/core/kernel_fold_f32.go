@@ -14,9 +14,9 @@ import (
 // the sinks are colSink[float32] and serve only float32-weighted graphs.
 
 // MinPlusFoldF32 is an optional marker for programs whose fold is the
-// float32 tropical semiring: ProcessMessage (and Mul) is message + edge
-// weight — bit-for-bit, ignoring the destination property — and Reduce
-// (and Add) is the builtin min. SSSP is this shape.
+// float32 tropical semiring: ProcessMessage is message + edge weight —
+// bit-for-bit, ignoring the destination property — and Reduce is the builtin
+// min. SSSP is this shape.
 //
 // Like SumFoldF64, the declaration is a promise the differential suites
 // enforce: the fused fold must be indistinguishable from the generic
@@ -27,9 +27,9 @@ type MinPlusFoldF32 interface {
 	ReducesByMinPlusF32()
 }
 
-// MaxMinFoldF32 is the (max, min) analogue: ProcessMessage (and Mul) is
-// the builtin min of message and edge weight, Reduce (and Add) the builtin
-// max. Widest paths are this shape.
+// MaxMinFoldF32 is the (max, min) analogue: ProcessMessage is the builtin
+// min of message and edge weight, Reduce the builtin max. Widest paths are
+// this shape.
 type MaxMinFoldF32 interface {
 	ReducesByMaxMinF32()
 }
@@ -109,7 +109,7 @@ func (s *pathSinkF32) foldFlat(ir []uint32, val []float32, src []uint32) {
 }
 
 // blockPathSinkF32 is the block fused fold: per edge, one masked k-lane
-// fold through the kernels backend instead of a per-source Mul/Add loop.
+// fold through the kernels backend instead of a per-source callback loop.
 // Identical fold semantics — lanes are independent and first writes store
 // the raw candidate, exactly like the generic loop.
 type blockPathSinkF32 struct {

@@ -81,7 +81,9 @@ type Program[V, E, M, R any] interface {
 // The backend then skips the per-edge property load — one fewer random
 // memory stream in the SpMV inner loop. The C++ release gets this for free
 // from template inlining and dead-code elimination; Go's generic dictionaries
-// cannot prove the load dead, so the contract is explicit.
+// cannot prove the load dead, so the contract is explicit: the folds pass
+// such a program the zero V. It is also what admits a program to the block
+// engine (RunBlockContext), where one edge serves k columns' destinations.
 type DstIndependent interface {
 	ProcessIgnoresDst()
 }

@@ -42,7 +42,10 @@ func eachFrontEnd(t *testing.T, fn func(t *testing.T, fe frontEnd)) {
 // reusable scratch, hiding where each keeps them: the graph and a Workspace
 // for the scalar engine (the boxed path ignores the workspace), a BlockState
 // and BlockWorkspace for the block engine.
-type session[V, M, R any, P BlockProgram[V, float32, M, R]] struct {
+type session[V, M, R any, P interface {
+	Program[V, float32, M, R]
+	DstIndependent
+}] struct {
 	fe  frontEnd
 	g   *graph.Graph[V, float32]
 	p   P
@@ -51,7 +54,10 @@ type session[V, M, R any, P BlockProgram[V, float32, M, R]] struct {
 	st  *BlockState[V]
 }
 
-func newSession[V, M, R any, P BlockProgram[V, float32, M, R]](fe frontEnd, g *graph.Graph[V, float32], p P) *session[V, M, R, P] {
+func newSession[V, M, R any, P interface {
+	Program[V, float32, M, R]
+	DstIndependent
+}](fe frontEnd, g *graph.Graph[V, float32], p P) *session[V, M, R, P] {
 	n := int(g.NumVertices())
 	s := &session[V, M, R, P]{fe: fe, g: g, p: p}
 	switch fe {
@@ -117,12 +123,11 @@ func (s *session[V, M, R, P]) run(ctx context.Context, cfg Config, opts ...RunOp
 	return RunContext(ctx, s.g, s.p, cfg, s.ws, opts...)
 }
 
-// alwaysActiveBlock is alwaysActive with its (+, passthrough) semiring.
+// alwaysActiveBlock is alwaysActive declared DstIndependent, which admits it
+// to the block engine.
 type alwaysActiveBlock struct{ alwaysActive }
 
-func (alwaysActiveBlock) Mul(m int64, _ float32) int64 { return m }
-func (alwaysActiveBlock) Add(a, b int64) int64         { return a + b }
-func (alwaysActiveBlock) Identity() int64              { return 0 }
+func (alwaysActiveBlock) ProcessIgnoresDst() {}
 
 // endlessGraph builds an RMAT graph whose alwaysActive run never converges —
 // the cancellation tests' workload.
@@ -203,8 +208,9 @@ type cancelInMultiply struct {
 }
 
 func (cancelInMultiply) SendMessage(VertexID, int64) (int64, bool) { return 1, true }
-func (p cancelInMultiply) ProcessMessage(m int64, e float32, _ int64) int64 {
-	return p.Mul(m, e)
+func (p cancelInMultiply) ProcessMessage(m int64, _ float32, _ int64) int64 {
+	p.cancel()
+	return m
 }
 func (cancelInMultiply) Reduce(a, b int64) int64 { return a + b }
 func (p cancelInMultiply) Apply(int64, VertexID, *int64) bool {
@@ -212,12 +218,7 @@ func (p cancelInMultiply) Apply(int64, VertexID, *int64) bool {
 	return true
 }
 func (cancelInMultiply) Direction() graph.Direction { return graph.Out }
-func (p cancelInMultiply) Mul(m int64, _ float32) int64 {
-	p.cancel()
-	return m
-}
-func (cancelInMultiply) Add(a, b int64) int64 { return a + b }
-func (cancelInMultiply) Identity() int64      { return 0 }
+func (cancelInMultiply) ProcessIgnoresDst()         {}
 
 // TestStopMidMultiplySkipsApply raises the stop inside the multiply phase:
 // the loop must return the partial tallies — messages sent, the edges folded

@@ -254,12 +254,6 @@ func TestStatsPinnedRowWalk(t *testing.T) {
 	}
 }
 
-// Mul, Add and Identity make bfsFirst a block program: hop counting never
-// reads the destination.
-func (bfsFirst) Mul(m uint32, _ float32) uint32 { return m + 1 }
-func (bfsFirst) Add(a, b uint32) uint32         { return min(a, b) }
-func (bfsFirst) Identity() uint32               { return ^uint32(0) }
-
 // TestStatsPinnedBlockRowWalk pins the k-wide gather on TestStatsPinned's
 // graph: a 4-source and a 16-source BFS block under forced Push — the
 // column-walk run — and under Auto and Pull, which gather. Iterations,

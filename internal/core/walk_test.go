@@ -28,13 +28,13 @@ import (
 // hashProg folds uint64 messages order-sensitively and reads the destination
 // property, so the scalar runs take the generic (non-DstIndependent) loop.
 // hashProgFree is the same fold without the destination read, declared
-// DstIndependent: the generic sink's other arm.
+// DstIndependent: the generic sink's other arm, and the block sinks' program.
 type hashProg struct{}
 
 type hashProgFree struct{ hashProg }
 
 func (hashProgFree) ProcessMessage(m uint64, e uint32, _ uint64) uint64 {
-	return hashProg{}.Mul(m, e)
+	return m*0x9E3779B97F4A7C15 + uint64(e)
 }
 func (hashProgFree) ProcessIgnoresDst() {}
 
@@ -45,11 +45,6 @@ func (hashProg) ProcessMessage(m uint64, e uint32, dst uint64) uint64 {
 func (hashProg) Reduce(a, b uint64) uint64            { return a*1099511628211 + b }
 func (hashProg) Apply(uint64, VertexID, *uint64) bool { return false }
 func (hashProg) Direction() graph.Direction           { return graph.Out }
-func (hashProg) Mul(m uint64, e uint32) uint64        { return m*0x9E3779B97F4A7C15 + uint64(e) }
-func (hashProg) Add(a, b uint64) uint64               { return a*1099511628211 + b }
-func (hashProg) Identity() uint64                     { return 0 }
-
-var _ BlockProgram[uint64, uint32, uint64, uint64] = hashProg{}
 
 // firstProg is hashProg declaring FirstMessageFinal over the property's low
 // bit, so the random properties of a walkCase are a random settled set. It
@@ -59,6 +54,12 @@ var _ BlockProgram[uint64, uint32, uint64, uint64] = hashProg{}
 type firstProg struct{ hashProg }
 
 func (firstProg) Unsettled(prop uint64) bool { return prop&1 == 0 }
+
+// firstProgFree is hashProgFree with the same declaration: the k-wide
+// gather's program.
+type firstProgFree struct{ hashProgFree }
+
+func (firstProgFree) Unsettled(prop uint64) bool { return prop&1 == 0 }
 
 // walkKey addresses one matrix entry; sortedWalkKeys orders a set of them
 // column-major, the order DCSC builds and mutation batches require.
@@ -369,10 +370,13 @@ func scalarFold[V, E, M, R any, P Program[V, E, M, R]](c *walkCase, name string,
 	return f
 }
 
-// blockFold is the walkFold of p's k-wide block sink: hashProg for the column
-// folds alone, firstProg for the k-wide gather beside them, over the case's
-// random per-(vertex, column) settled masks.
-func blockFold[P BlockProgram[uint64, uint32, uint64, uint64]](c *walkCase, name string, p P, k int) walkFold {
+// blockFold is the walkFold of p's k-wide block sink: hashProgFree for the
+// column folds alone, firstProgFree for the k-wide gather beside them, over
+// the case's random per-(vertex, column) settled masks.
+func blockFold[P interface {
+	Program[uint64, uint32, uint64, uint64]
+	DstIndependent
+}](c *walkCase, name string, p P, k int) walkFold {
 	x, props := c.blocks[k], c.blockProps[k]
 	newOut := func() walkOut {
 		return walkOut{mask: make([]uint64, c.words()), vals: make([]uint64, c.words()*64*k), cols: make([]uint64, c.words()*64)}
@@ -401,7 +405,7 @@ func blockFold[P BlockProgram[uint64, uint32, uint64, uint64]](c *walkCase, name
 			c.fresh.Iterate(func(row, col uint32, e uint32) {
 				for cm := x.ColMask(col); cm != 0; cm &= cm - 1 {
 					s := bits.TrailingZeros64(cm)
-					r := p.Mul(x.Row(col)[s], e)
+					r := p.ProcessMessage(x.Row(col)[s], e, 0)
 					i := int(row)*k + s
 					if out.cols[row]&(1<<s) != 0 {
 						r = p.Reduce(out.vals[i], r)
@@ -436,7 +440,7 @@ func blockFold[P BlockProgram[uint64, uint32, uint64, uint64]](c *walkCase, name
 				waiting[row] &^= hit
 				for ; hit != 0; hit &= hit - 1 {
 					s := bits.TrailingZeros64(hit)
-					out.vals[int(row)*k+s] = p.Mul(x.Row(col)[s], e)
+					out.vals[int(row)*k+s] = p.ProcessMessage(x.Row(col)[s], e, 0)
 					out.cols[row] |= 1 << s
 					out.mask[row>>6] |= 1 << (row & 63)
 				}
@@ -461,10 +465,10 @@ func (c *walkCase) folds() []walkFold {
 		scalarFold(c, "sum_f64", sumFoldProg{}, c.lf, c.freshf, c.xf64, make([]float64, c.n), math.Float64bits),
 		scalarFold(c, "minplus_f32", ssspFused{}, c.lf, c.freshf, c.xf32, make([]float32, c.n), f32),
 		scalarFold(c, "maxmin_f32", widestFused{}, c.lf, c.freshf, c.xf32, make([]float32, c.n), f32),
-		blockFold(c, "block", hashProg{}, 2),
-		blockFold(c, "block", hashProg{}, 3),
-		blockFold(c, "block_gather", firstProg{}, 2),
-		blockFold(c, "block_gather", firstProg{}, 3),
+		blockFold(c, "block", hashProgFree{}, 2),
+		blockFold(c, "block", hashProgFree{}, 3),
+		blockFold(c, "block_gather", firstProgFree{}, 2),
+		blockFold(c, "block_gather", firstProgFree{}, 3),
 	}
 }
 

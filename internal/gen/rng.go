@@ -43,11 +43,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Fork returns an independent generator derived from this one's stream,
-// letting parallel generation remain deterministic regardless of
-// interleaving.
-func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }
-
 // Perm returns a deterministic pseudo-random permutation of [0, n) via
 // Fisher–Yates.
 func (r *RNG) Perm(n uint32) []uint32 {

@@ -311,10 +311,6 @@ func (g *Graph[V, E]) Epoch() uint64 { return g.epoch }
 // fully compacted graph).
 func (g *Graph[V, E]) OverlayNNZ() int64 { return g.overlayNNZ }
 
-// PendingUpdates reports the number of normalized mutations separating the
-// live edge set from the base structures.
-func (g *Graph[V, E]) PendingUpdates() int { return g.pendingUpdates }
-
 // Partitions returns the current partition count.
 func (g *Graph[V, E]) Partitions() int { return g.opts.Partitions }
 

@@ -169,8 +169,8 @@ func TestRepartitionFoldsOverlay(t *testing.T) {
 	}
 	sameDCSCs(t, "repartitioned out", g.outParts, fresh.outParts)
 	sameDCSCs(t, "repartitioned in", g.inParts, fresh.inParts)
-	if g.OverlayNNZ() != 0 || g.PendingUpdates() != 0 || g.outDelta != nil {
-		t.Fatalf("overlay survived Repartition: %d nnz, %d pending", g.OverlayNNZ(), g.PendingUpdates())
+	if g.OverlayNNZ() != 0 || g.pendingUpdates != 0 || g.outDelta != nil {
+		t.Fatalf("overlay survived Repartition: %d nnz, %d pending", g.OverlayNNZ(), g.pendingUpdates)
 	}
 	sameLiveSet(t, "repartitioned", g, ref, nil)
 }

@@ -242,9 +242,6 @@ func (sn *Snapshot[V, E]) Release() {
 	sn.store.pinned.Add(-1)
 }
 
-// Pins reports the snapshot's current pin count.
-func (sn *Snapshot[V, E]) Pins() int64 { return sn.pins.Load() }
-
 // View returns a graph sharing this snapshot's immutable structure (base
 // partitions, deltas, degrees) with FRESH vertex properties
 // and active set, so multiple runs can execute concurrently against one

@@ -205,9 +205,9 @@ func TestStoreApplyMatchesFreshBuild(t *testing.T) {
 			t.Fatalf("compaction changed the epoch: %d -> %d", preEpoch, st.Epoch())
 		}
 		snap := st.Acquire()
-		if snap.Graph().OverlayNNZ() != 0 || snap.Graph().PendingUpdates() != 0 {
+		if snap.Graph().OverlayNNZ() != 0 || snap.Graph().pendingUpdates != 0 {
 			t.Fatalf("overlay survived compaction: %d nnz, %d pending",
-				snap.Graph().OverlayNNZ(), snap.Graph().PendingUpdates())
+				snap.Graph().OverlayNNZ(), snap.Graph().pendingUpdates)
 		}
 		want, err := NewFromCOO[uint32](equivalentAdj(adj, batches), opts)
 		if err != nil {
@@ -284,8 +284,8 @@ func TestStoreSnapshotImmutability(t *testing.T) {
 	if st.Epoch() != 1 {
 		t.Fatalf("store epoch = %d", st.Epoch())
 	}
-	if old.Pins() != 1 {
-		t.Fatalf("pins = %d", old.Pins())
+	if old.pins.Load() != 1 {
+		t.Fatalf("pins = %d", old.pins.Load())
 	}
 	old.Release()
 	if st.Stats().Pinned != 0 {

@@ -12,9 +12,8 @@
 //     across modes.
 //   - ctxpoll: long partition loops poll the cooperative-cancellation stop
 //     flag (or ctx) so a cancel never waits on a multi-second sweep.
-//   - purefold: semiring/program fold operators (ProcessMessage, Reduce,
-//     Mul, Add, Identity) are pure — no receiver or global writes, no
-//     impure stdlib calls.
+//   - purefold: a program's fold operators (ProcessMessage, Reduce) are
+//     pure — no receiver or global writes, no impure stdlib calls.
 //   - bannedcalls: a deny-list (time.Now, fmt.Sprintf, panic, ...) for
 //     hot-path packages.
 //

@@ -2,16 +2,14 @@ package lint
 
 // purefold enforces the purity contract of the fold operators. The engine's
 // determinism story (and the batcher's ability to coalesce requests into one
-// block run) rests on ProcessMessage/Reduce — and their semiring faces
-// Mul/Add/Identity — being pure functions: partitions fold in structure
-// order, workers race freely, and the block engine replays the same operator
-// across k columns. An operator that writes receiver or package state is a
+// block run) rests on ProcessMessage/Reduce being pure functions: partitions
+// fold in structure order, workers race freely, and the block engine replays
+// the same operator across k columns. An operator that writes receiver or package state is a
 // data race and an order dependence at once; one that calls into fmt, time
 // or math/rand is impure (and allocates) on the hottest path in the system.
 //
 // Mechanically: a type qualifies as a program when it declares both
-// ProcessMessage and Reduce, and as a semiring when it declares Mul, Add and
-// Identity. Inside those five methods the analyzer reports:
+// ProcessMessage and Reduce. Inside those two methods the analyzer reports:
 //
 //   - assignments (incl. ++/--, op=) whose target is rooted at the receiver
 //     or at a package-level variable — including such writes from closures;
@@ -34,14 +32,13 @@ import (
 var PurefoldAnalyzer = newPurefold()
 
 var programMethods = map[string]bool{"ProcessMessage": true, "Reduce": true}
-var semiringMethods = map[string]bool{"Mul": true, "Add": true, "Identity": true}
 
 func newPurefold() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "purefold",
-		Doc: "require semiring and vertex-program fold operators to be pure\n\n" +
-			"ProcessMessage/Reduce and Mul/Add/Identity run once per edge inside\n" +
-			"racing partition workers, in structure order. Writing receiver or\n" +
+		Doc: "require vertex-program fold operators to be pure\n\n" +
+			"ProcessMessage and Reduce run once per edge inside racing partition\n" +
+			"workers, in structure order. Writing receiver or\n" +
 			"global state, or calling impure stdlib (fmt, time, math/rand), makes\n" +
 			"the fold order observable — the exact property the differential\n" +
 			"suites exist to rule out.",
@@ -56,51 +53,26 @@ func newPurefold() *analysis.Analyzer {
 func runPurefold(pass *analysis.Pass) error {
 	deny := pass.Analyzer.Flags.Lookup("deny").Value.String()
 
-	// First pass: which receiver types declare which candidate methods.
-	declared := map[string]map[string]bool{} // receiver type name -> method set
+	// First pass: how many of the two operators each receiver type declares.
+	// A type cannot declare a method twice, so two means both.
+	operators := map[string]int{} // receiver type name -> count
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && programMethods[fd.Name.Name] {
+				operators[recvTypeName(fd)]++
 			}
-			name := fd.Name.Name
-			if !programMethods[name] && !semiringMethods[name] {
-				continue
-			}
-			recv := recvTypeName(fd)
-			if recv == "" {
-				continue
-			}
-			if declared[recv] == nil {
-				declared[recv] = map[string]bool{}
-			}
-			declared[recv][name] = true
 		}
-	}
-
-	qualifies := func(recv, method string) bool {
-		ms := declared[recv]
-		if programMethods[method] {
-			return ms["ProcessMessage"] && ms["Reduce"]
-		}
-		return ms["Mul"] && ms["Add"] && ms["Identity"]
 	}
 
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
+			if !ok || fd.Recv == nil || fd.Body == nil || !programMethods[fd.Name.Name] {
 				continue
 			}
-			name := fd.Name.Name
-			if !programMethods[name] && !semiringMethods[name] {
-				continue
+			if recv := recvTypeName(fd); recv != "" && operators[recv] == 2 {
+				checkFoldMethod(pass, fd, deny)
 			}
-			if !qualifies(recvTypeName(fd), name) {
-				continue
-			}
-			checkFoldMethod(pass, fd, deny)
 		}
 	}
 	return nil

@@ -3,12 +3,6 @@ package purefold
 // Pure operators and non-qualifying method sets: none of these may be
 // flagged.
 
-type GoodRing struct{}
-
-func (GoodRing) Mul(a, b float64) float64 { return a * b }
-func (GoodRing) Add(a, b float64) float64 { return a + b }
-func (GoodRing) Identity() float64        { return 0 }
-
 type GoodProg struct{}
 
 func (GoodProg) ProcessMessage(m, e int) int { return m + e }
@@ -20,23 +14,22 @@ func (GoodProg) Reduce(a, b int) int {
 	return b
 }
 
-// NotARing declares only Mul, so the semiring purity contract does not
-// apply: a type needs the full Mul/Add/Identity set to qualify.
-type NotARing struct{ calls int }
+// NotAProgram declares only Reduce, so the purity contract does not apply:
+// a type needs both ProcessMessage and Reduce to qualify.
+type NotAProgram struct{ calls int }
 
-func (n *NotARing) Mul(a, b int) int {
+func (n *NotAProgram) Reduce(a, b int) int {
 	n.calls++
-	return a * b
+	return a + b
 }
 
 // Local state inside an operator is fine: purity is about state that outlives
 // the call.
-type LocalsRing struct{}
+type LocalsProg struct{}
 
-func (LocalsRing) Mul(a, b int) int { return a * b }
-func (LocalsRing) Add(a, b int) int {
+func (LocalsProg) ProcessMessage(m, e int) int { return m * e }
+func (LocalsProg) Reduce(a, b int) int {
 	acc := a
 	acc += b
 	return acc
 }
-func (LocalsRing) Identity() int { return 0 }

@@ -1,39 +1,26 @@
-// Fixture for the purefold analyzer: semiring and vertex-program operator
-// sets with every class of impurity, plus pure and non-qualifying types.
+// Fixture for the purefold analyzer: a vertex program's fold operators with
+// every class of impurity, plus pure and non-qualifying types.
 package purefold
 
 import "fmt"
 
-var totalAdds int
+var totalReduces int
 var sink chan int
 
-type BadRing struct {
-	adds int
-}
-
-func (r *BadRing) Mul(a, b float64) float64 { return a * b }
-
-func (r *BadRing) Add(a, b float64) float64 {
-	r.adds++    // want "writes receiver state"
-	totalAdds++ // want "writes package-level state"
-	return a + b
-}
-
-func (r *BadRing) Identity() float64 {
-	_ = fmt.Sprintf("identity") // want "calls fmt.Sprintf"
-	return 0
-}
-
 type BadProg struct {
-	seen []int
+	seen    []int
+	reduces int
 }
 
 func (p *BadProg) ProcessMessage(m, e int) int {
-	p.seen = append(p.seen, m) // want "writes receiver state"
+	p.seen = append(p.seen, m)       // want "writes receiver state"
+	_ = fmt.Sprintf("message %d", m) // want "calls fmt.Sprintf"
 	return m + e
 }
 
 func (p *BadProg) Reduce(a, b int) int {
+	p.reduces++    // want "writes receiver state"
+	totalReduces++ // want "writes package-level state"
 	go func() {}() // want "starts a goroutine"
 	sink <- a      // want "sends on a channel"
 	if a > b {

@@ -1,15 +1,13 @@
 package purefold
 
-// Negative fixture: an instrumented ring whose receiver write carries the
+// Negative fixture: an instrumented program whose receiver write carries the
 // justified directive purefold requires. No diagnostics in this file.
 
-type AuditedRing struct{ adds int }
+type AuditedProg struct{ reduces int }
 
-func (r *AuditedRing) Mul(a, b int) int { return a * b }
+func (p *AuditedProg) ProcessMessage(m, e int) int { return m * e }
 
-func (r *AuditedRing) Add(a, b int) int {
-	r.adds++ //lint:graphmat purefold debug-only ring, run single-worker under a build tag
+func (p *AuditedProg) Reduce(a, b int) int {
+	p.reduces++ //lint:graphmat purefold debug-only program, run single-worker under a build tag
 	return a + b
 }
-
-func (r *AuditedRing) Identity() int { return 0 }
