@@ -218,17 +218,23 @@ func TestRowWalkScope(t *testing.T) {
 // supersteps it is for. A single-root traversal's frontier rarely fills a
 // column batch: forced onto the push walk it never folds flat, and under
 // Auto only the chance full batch of a mid-run pull superstep does — under
-// 1 % of the edges. (What the all-active algorithms report is asserted in
+// 1 % of the edges. The RMAT fixtures take both walks under Auto. The grid
+// takes only one: its row partitions each store a band of columns, so a push
+// lookup reaches about one partition per vertex, and SSSP's wave never
+// outbids a sweep of every column — Auto is forced Push there, tally for
+// tally. (What the all-active algorithms report is asserted in
 // TestAllActiveDifferential.)
 func TestFlatFoldScopedToDenseFrontiers(t *testing.T) {
 	cases := map[string]struct {
 		algo  string
 		build func() *graphmat.COO[float32]
+		mixes bool // Auto takes both walks
 	}{
 		"grid_sssp": {"sssp", func() *graphmat.COO[float32] {
 			return gen.Grid(gen.GridOptions{Width: 96, Height: 96, Seed: 5})
-		}},
-		"rmat_bfs": {"bfs", modeGoldens()["rmat"]},
+		}, false},
+		"rmat_bfs":  {"bfs", modeGoldens()["rmat"], true},
+		"rmat_sssp": {"sssp", modeGoldens()["rmat"], true},
 	}
 	for name, c := range cases {
 		// One worker: every pull task spans its partition's rows, so no
@@ -238,8 +244,14 @@ func TestFlatFoldScopedToDenseFrontiers(t *testing.T) {
 			t.Errorf("%s: push supersteps folded %d edges flat", name, push.Stats.FlatEdges)
 		}
 		auto := modeRun(t, c.algo, c.build, Params{Source: 1, Mode: graphmat.Auto, Threads: 1})
-		if auto.Stats.PushSupersteps == 0 || auto.Stats.PullSupersteps == 0 {
+		if c.mixes && (auto.Stats.PushSupersteps == 0 || auto.Stats.PullSupersteps == 0) {
 			t.Fatalf("%s: fixture took %d push and %d pull supersteps, want both", name, auto.Stats.PushSupersteps, auto.Stats.PullSupersteps)
+		}
+		if !c.mixes {
+			auto.Stats.Sched, push.Stats.Sched = graphmat.SchedStats{}, graphmat.SchedStats{}
+			if auto.Stats != push.Stats {
+				t.Errorf("%s: Auto's tallies differ from forced Push's\nauto %+v\npush %+v", name, auto.Stats, push.Stats)
+			}
 		}
 		if flat, edges := auto.Stats.FlatEdges, auto.Stats.EdgesProcessed; flat*100 > edges {
 			t.Errorf("%s: FlatEdges = %d of %d edges under Auto, want at most 1%%", name, flat, edges)

@@ -95,8 +95,12 @@ func main() {
 	var obs algorithms.Observer
 	if *progress {
 		obs = func(info graphmat.IterationInfo) error {
-			fmt.Printf("  superstep %3d [%s]: %d active, %d sent, %s\n",
+			fmt.Printf("  superstep %3d [%s]: %d active, %d sent, %s",
 				info.Iteration, info.Mode, info.Active, info.Sent, info.Elapsed.Round(time.Microsecond))
+			if info.PullBill > 0 { // Auto chose the mode: show what from
+				fmt.Printf(" (frontier edges %d, push est %d vs pull %d)", info.FrontierEdges, info.PushEstimate, info.PullBill)
+			}
+			fmt.Println()
 			return nil
 		}
 	}

@@ -20,8 +20,12 @@ type Mode int
 
 const (
 	// Auto (the zero value) chooses per superstep: push when the frontier's
-	// outgoing edge work is a small fraction of the structure's total edges,
-	// pull otherwise. See KernelCosts.Choose.
+	// outgoing edge work is a small fraction of the structure's total edges
+	// and its column lookups — one per frontier vertex in each partition
+	// whose stored column range covers it — cost no more than sweeping every
+	// stored column; pull otherwise. See KernelCosts.Choose; an observer sees
+	// both sides of each decision (IterationInfo.FrontierEdges,
+	// PushEstimate, PullBill).
 	Auto Mode = iota
 	// Pull always runs the column-driven kernel: probe every stored column
 	// of every partition against the message vector (Algorithm 1 as the
@@ -104,10 +108,17 @@ const (
 type Dispatch int
 
 const (
-	// Inlined uses the generic (monomorphized) SpMV: the Go compiler
-	// specializes the kernel per program, inlining the callbacks. This is
-	// the analogue of the paper's -ipo inter-procedural optimization (§4.5
-	// item 2).
+	// Inlined uses the generic SpMV: the program, its vectors and its value
+	// types are type parameters, so no message or result is boxed and no
+	// callback goes through an interface value. It does NOT inline the
+	// callbacks: Go 1.24 compiles one body per GC shape and calls a type
+	// parameter's methods through that body's dictionary, so a CPU profile
+	// shows CCProgram.Reduce, CCProgram.ProcessMessage or SSSPProgram.Apply
+	// as frames of their own. What the paper's -ipo (§4.5 item 2) buys by
+	// inlining, this engine buys where it matters with the fused sinks
+	// (SumFoldF64, MinPlusFoldF32, MaxMinFoldF32), whose per-edge loops call
+	// nothing, and the markers (DstIndependent, FirstMessageFinal) that let
+	// the walks skip work a callback cannot say is dead.
 	Inlined Dispatch = iota
 	// Boxed routes every message and result through interface{} values and
 	// func-typed callbacks, preventing inlining — the pre-"+ipo" scalar

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -87,6 +88,13 @@ func chunkBounds(n, k int) []uint32 {
 	return bounds
 }
 
+// chunkWords returns the mask words [wlo, whi) holding the bits of vertex
+// chunk [lo, hi): lo is 64-aligned, and hi is too unless it is the vertex
+// count, whose tail bits no mask sets.
+func chunkWords(lo, hi uint32) (wlo, whi int) {
+	return int(lo >> 6), (int(hi) + 63) >> 6
+}
+
 // execCfg carries one run's scheduling parameters into the phase dispatch
 // helper: worker count, schedule, and the per-run tally the scheduler work
 // is accounted to.
@@ -127,7 +135,7 @@ func parallelFor(ex execCfg, ntasks int, stop *atomic.Int32, fn func(task, worke
 // phaseSet is what an engine front-end — scalar (runScalar), block (runBlock)
 // or the boxed ablation (runBoxed) — contributes to the one superstep loop:
 // its frontier and its three phase bodies, closed once per run over the
-// front-end's own monomorphised SendMessage / fold / Apply code. The loop is
+// front-end's own generic SendMessage / fold / Apply code. The loop is
 // not generic and calls each body once per superstep, so no per-vertex or
 // per-edge call goes through it.
 type phaseSet struct {
@@ -287,7 +295,7 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 			return halt(r)
 		}
 		if d.ctrl.observer != nil {
-			err := d.ctrl.observer(IterationInfo{
+			info := IterationInfo{
 				Iteration:  iter + 1,
 				Active:     frontier,
 				Sent:       sent,
@@ -297,8 +305,13 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 				RowWalk:    rowWalk,
 				Elapsed:    time.Since(stepStart), //lint:graphmat bannedcalls per-superstep stats, two reads per superstep
 				Total:      time.Since(runStart),
-			})
-			if err != nil {
+			}
+			if ps.mode == Auto {
+				info.FrontierEdges = degSum
+				info.PushEstimate = ps.costs.pushBill(senders)
+				info.PullBill = ps.costs.TotalNZCols
+			}
+			if err := d.ctrl.observer(info); err != nil {
 				stats.Reason = StoppedByObserver
 				return stats, err
 			}
@@ -323,7 +336,15 @@ func runScalar[V, E, M, R any, P Program[V, E, M, R]](
 ) (Stats, error) {
 	d := newDriver(cfg, ctrl, int(g.NumVertices()))
 
-	xw := x.Mask().Words()
+	// The send and apply phases walk their chunk's mask words directly: each
+	// word's set bits in ascending order, with the output mask word — x's in
+	// send, active's in apply — assembled in a register and stored once.
+	// Chunks are 64-aligned (chunkBounds), so no word is shared between
+	// tasks, and no mask holds a bit at or past n, so a chunk's words are
+	// exactly its vertices. A chunk abandoned by a stop leaves its output
+	// words as the phase's Reset left them: empty.
+	aw, xw, yw := active.Words(), x.Mask().Words(), y.Mask().Words()
+	xv, yv := x.Values(), y.Values()
 	sink := scalarSink(p, x, props, y)
 	rows, _ := sink.(rowSink[E])
 	rp := planRun(g, p.Direction(), cfg, rows != nil)
@@ -331,14 +352,25 @@ func runScalar[V, E, M, R any, P Program[V, E, M, R]](
 	settling, _ := any(p).(FirstMessageFinal[V]) // non-nil whenever recvDegs is
 
 	send := d.overChunks(func(lo, hi uint32, st *localStats) {
-		active.IterateRange(lo, hi, func(v uint32) {
-			if m, ok := p.SendMessage(v, props[v]); ok {
-				x.Set(v, m)
-				if sendDegs != nil {
-					st.degSum += int64(sendDegs[v])
+		wlo, whi := chunkWords(lo, hi)
+		for wi := wlo; wi < whi; wi++ {
+			w := aw[wi]
+			if w == 0 {
+				continue
+			}
+			var out uint64
+			for ; w != 0; w &= w - 1 {
+				v := uint32(wi)<<6 | uint32(bits.TrailingZeros64(w))
+				if m, ok := p.SendMessage(v, props[v]); ok {
+					xv[v] = m
+					out |= w & -w
+					if sendDegs != nil {
+						st.degSum += int64(sendDegs[v])
+					}
 				}
 			}
-		})
+			xw[wi] = out
+		}
 	})
 	ps := phaseSet{
 		active: active, mode: cfg.Mode, costs: rp.costs,
@@ -357,18 +389,28 @@ func runScalar[V, E, M, R any, P Program[V, E, M, R]](
 			rp.multiplyPhase(d.ex, d.stop, mode, xw, sink, gather, d.locals)
 		},
 		apply: d.overChunks(func(lo, hi uint32, st *localStats) {
-			y.IterateRange(lo, hi, func(v uint32, r R) {
-				st.applies++
-				if p.Apply(r, v, &props[v]) {
-					active.Set(v)
-					// Only an unsettled vertex activates (the mask promise),
-					// so one that did and is settled now was settled by this
-					// Apply.
-					if recvDegs != nil && !settling.Unsettled(props[v]) {
-						st.settled += int64(recvDegs[v])
+			wlo, whi := chunkWords(lo, hi)
+			for wi := wlo; wi < whi; wi++ {
+				w := yw[wi]
+				if w == 0 {
+					continue
+				}
+				st.applies += int64(bits.OnesCount64(w))
+				var next uint64
+				for ; w != 0; w &= w - 1 {
+					v := uint32(wi)<<6 | uint32(bits.TrailingZeros64(w))
+					if p.Apply(yv[v], v, &props[v]) {
+						next |= w & -w
+						// Only an unsettled vertex activates (the mask
+						// promise), so one that did and is settled now was
+						// settled by this Apply.
+						if recvDegs != nil && !settling.Unsettled(props[v]) {
+							st.settled += int64(recvDegs[v])
+						}
 					}
 				}
-			})
+				aw[wi] = next
+			}
 		}),
 	}
 	if recvDegs != nil {

@@ -230,16 +230,8 @@ func walkPush[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 	base, delta := l.Base, l.Delta
 	// Only frontier words overlapping either layer's stored column range
 	// can match; everything outside is skipped wholesale.
-	loCol, hiCol := uint32(math.MaxUint32), uint32(0)
-	for _, d := range [2]*sparse.DCSC[E]{base, delta} {
-		if d != nil && len(d.JC) > 0 {
-			loCol = min(loCol, d.JC[0])
-			hiCol = max(hiCol, d.JC[len(d.JC)-1])
-		}
-	}
-	if loCol > hiCol {
-		return // no stored columns in either layer
-	}
+	loW, hiW := pushWords(l)
+	hiW = min(hiW, len(xw))
 	// The base lookup is DCSC.FindColumn's AUX arm written out below: that
 	// method is past the inlining budget, and its call per frontier vertex
 	// per partition was a tenth of an all-push BFS.
@@ -248,8 +240,6 @@ func walkPush[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 	var buf [walkBatch]colRef
 	cur, n := base, 0
 	probes, edges := 0, 0
-	loW := int(loCol >> 6)
-	hiW := min(int(hiCol>>6)+1, len(xw))
 	for wi := loW; wi < hiW; wi++ {
 		w := xw[wi]
 		if w == 0 {
@@ -303,6 +293,23 @@ func walkPush[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 	}
 	st.probes += int64(probes)
 	st.edges += int64(edges)
+}
+
+// pushWords returns the frontier words [loW, hiW) walkPush scans for layer
+// l: those overlapping the stored column range of either layer, tombstones
+// included. The range is empty when neither layer stores a column.
+func pushWords[E any](l sparse.Layered[E]) (loW, hiW int) {
+	loCol, hiCol := uint32(math.MaxUint32), uint32(0)
+	for _, d := range [2]*sparse.DCSC[E]{l.Base, l.Delta} {
+		if d != nil && len(d.JC) > 0 {
+			loCol = min(loCol, d.JC[0])
+			hiCol = max(hiCol, d.JC[len(d.JC)-1])
+		}
+	}
+	if loCol > hiCol {
+		return 0, 0
+	}
+	return int(loCol >> 6), int(hiCol>>6) + 1
 }
 
 // gather probes the frontier words xw for each stored column jc[i] (at most
@@ -398,21 +405,33 @@ type KernelCosts struct {
 	// exactly the probe bill a pull superstep pays regardless of frontier
 	// size.
 	TotalNZCols int64
-	// Partitions is the partition count: a push superstep pays one column
-	// lookup per frontier vertex per partition.
-	Partitions int
+	// Reach is how many partitions a push superstep looks a frontier vertex
+	// up in, on average: the frontier words each layer's push walk scans
+	// (pushWords, 64 columns each), summed over every layer in play and
+	// divided by the vertex count. A vertex outside a layer's stored column
+	// range costs that layer nothing. On a permuted RMAT graph every
+	// partition stores columns across the whole id range, so Reach is the
+	// partition count; a grid's row partitions store a band of columns each,
+	// and Reach is about 1.
+	Reach float64
 }
 
-// addLayers folds a layered partition set into the cost model using the
-// LIVE quantities — the edge and column counts the walks will actually see,
-// not the base's. liveNNZ is the layers' live edge weights (liveWeights),
-// computed once per run and shared with the task shaper.
-func addLayers[E any](c KernelCosts, layers []sparse.Layered[E], liveNNZ []int) KernelCosts {
+// addLayers folds a layered partition set over n vertices into the cost
+// model using the LIVE quantities — the edge and column counts the walks
+// will actually see, not the base's. liveNNZ is the layers' live edge
+// weights (liveWeights), computed once per run and shared with the task
+// shaper.
+func addLayers[E any](c KernelCosts, layers []sparse.Layered[E], liveNNZ []int, n int) KernelCosts {
+	span := 0
 	for i, l := range layers {
 		c.TotalEdges += int64(liveNNZ[i])
 		c.TotalNZCols += int64(l.LiveNZColumns())
+		loW, hiW := pushWords(l)
+		span += (hiW - loW) * 64
 	}
-	c.Partitions += len(layers)
+	if n > 0 {
+		c.Reach += float64(span) / float64(n)
+	}
 	return c
 }
 
@@ -424,19 +443,20 @@ func addLayers[E any](c KernelCosts, layers []sparse.Layered[E], liveNNZ []int) 
 //     (the degree sum of the sending vertices with respect to the traversal
 //     structure) times DefaultPushThreshold fits within the structure's
 //     total edge count, so the superstep is frontier-sparse;
-//  2. the probe rule — the push walk's lookup bill (frontier size ×
-//     partitions, each lookup worth pushProbeCost column-sweep probes)
-//     undercuts the column sweep's fixed per-superstep bill.
+//  2. the probe rule — the push walk's lookup bill (pushBill: frontier size
+//     × Reach, each lookup worth pushProbeCost column-sweep probes) does not
+//     exceed the column sweep's fixed per-superstep bill, TotalNZCols.
 //
 // Rule 1 keeps dense frontiers (PageRank, BFS's middle supersteps) on the
 // column sweep; rule 2 keeps mid-size frontiers there when per-vertex
-// lookups across many partitions would cost more than one sequential sweep
-// of the columns. Both outcomes are scatters driven by source columns — this
-// is a choice of how to find the frontier's columns, not of direction. The
-// direction change of Beamer-style BFS is the third traversal, the row walk,
-// which a Pull superstep of a FirstMessageFinal program takes when
-// rowWalkPays. All three fold each destination's messages in ascending
-// source id, which is why the choice never shows in the results.
+// lookups across the partitions they reach would cost more than one
+// sequential sweep of the columns. Both outcomes are scatters driven by
+// source columns — this is a choice of how to find the frontier's columns,
+// not of direction. The direction change of Beamer-style BFS is the third
+// traversal, the row walk, which a Pull superstep of a FirstMessageFinal
+// program takes when rowWalkPays. All three fold each destination's
+// messages in ascending source id, which is why the choice never shows in
+// the results.
 func (c KernelCosts) Choose(mode Mode, frontierSize, frontierEdges int64) Mode {
 	if mode != Auto {
 		return mode
@@ -444,10 +464,18 @@ func (c KernelCosts) Choose(mode Mode, frontierSize, frontierEdges int64) Mode {
 	if float64(frontierEdges)*DefaultPushThreshold > float64(c.TotalEdges) {
 		return Pull
 	}
-	if frontierSize*int64(c.Partitions)*pushProbeCost > c.TotalNZCols {
+	if c.pushBill(frontierSize) > c.TotalNZCols {
 		return Pull
 	}
 	return Push
+}
+
+// pushBill is the probe rule's push side for a frontier of frontierSize
+// vertices, in pull-probe units: frontierSize × Reach × pushProbeCost,
+// rounded up, so that it exceeds TotalNZCols exactly when the unrounded
+// product does.
+func (c KernelCosts) pushBill(frontierSize int64) int64 {
+	return int64(math.Ceil(float64(frontierSize) * c.Reach * pushProbeCost))
 }
 
 // rowWalkGain is the Beamer ratio of the row-walk decision: how many edge

@@ -88,9 +88,13 @@ func (s *sumSinkF64[E]) foldFlat(ir []uint32, _ []E, src []uint32) {
 }
 
 // foldSink is the generic fold: ProcessMessage on every edge, Reduce on
-// collisions, first writes stored raw under a mask bit. The type is
-// instantiated per program, so the compiler specializes the loop — the
-// reproduction's analogue of compiling the C++ with -ipo (§4.5 item 2).
+// collisions, first writes stored raw under a mask bit. Messages and results
+// stay unboxed, but the two callbacks are real calls: Go instantiates the
+// loop per GC shape, not per program, and calls P's methods through the
+// instantiation's dictionary, so a profile shows e.g. CCProgram.Reduce as
+// its own frame. The fused sinks (sumSinkF64, pathSinkF32) are where this
+// engine gets what compiling the C++ with -ipo (§4.5 item 2) gets: a
+// per-edge loop with no call in it.
 type foldSink[V, E, M, R any, P Program[V, E, M, R]] struct {
 	p P
 	// dstFree: the program declared ProcessMessage ignores the destination

@@ -311,26 +311,96 @@ func runDifferentialWS[P Program[float32, float32, float32, float32]](t *testing
 	}
 }
 
-// TestChooseMode pins the two-sided Auto decision.
+// TestChooseMode pins the two-sided Auto decision over the structure's reach.
+// A spanning structure — every one of 8 partitions stores columns across the
+// whole id range, as on a permuted RMAT graph — bills a push lookup in all 8
+// and decides as the partition-count rule did; a banded one (reach 1.04, a
+// grid's row partitions) pushes frontiers that rule sent to the sweep, and
+// still pulls once even one lookup per vertex outbids the sweep.
 func TestChooseMode(t *testing.T) {
-	costs := KernelCosts{TotalEdges: 10000, TotalNZCols: 4000, Partitions: 8}
+	spanning := KernelCosts{TotalEdges: 10000, TotalNZCols: 4000, Reach: 8}
+	banded := KernelCosts{TotalEdges: 10000, TotalNZCols: 4000, Reach: 1.04}
 	cases := []struct {
+		costs       KernelCosts
 		mode        Mode
 		size, edges int64
 		want        Mode
 		why         string
 	}{
-		{Pull, 1, 1, Pull, "explicit pull passes through"},
-		{Push, 1 << 20, 1 << 30, Push, "explicit push passes through"},
-		{Auto, 10, 100, Push, "sparse frontier pushes"},
-		{Auto, 10, 5000, Pull, "edge-heavy frontier pulls (Ligra rule)"},
-		{Auto, 500, 100, Pull, "wide frontier pulls (probe rule: 500*8*4 > 4000)"},
-		{Auto, 0, 0, Push, "empty frontier trivially pushes"},
+		{spanning, Pull, 1, 1, Pull, "explicit pull passes through"},
+		{spanning, Push, 1 << 20, 1 << 30, Push, "explicit push passes through"},
+		{spanning, Auto, 10, 100, Push, "sparse frontier pushes"},
+		{spanning, Auto, 10, 5000, Pull, "edge-heavy frontier pulls (Ligra rule)"},
+		{spanning, Auto, 500, 100, Pull, "wide frontier pulls (probe rule: 500*8*4 > 4000)"},
+		{spanning, Auto, 125, 100, Push, "tie pushes (probe rule: 125*8*4 = 4000)"},
+		{spanning, Auto, 0, 0, Push, "empty frontier trivially pushes"},
+		{banded, Pull, 1, 1, Pull, "explicit pull passes through a banded structure"},
+		{banded, Auto, 500, 100, Push, "banded: the wide frontier pushes (500*1.04*4 = 2080 <= 4000)"},
+		{banded, Auto, 962, 100, Pull, "banded: probe rule still binds (962*1.04*4 > 4000)"},
+		{banded, Auto, 10, 5000, Pull, "banded: edge-heavy frontier pulls (Ligra rule)"},
 	}
 	for _, c := range cases {
-		if got := costs.Choose(c.mode, c.size, c.edges); got != c.want {
-			t.Errorf("%s: Choose(%s, size=%d, edges=%d) = %s, want %s", c.why, c.mode, c.size, c.edges, got, c.want)
+		if got := c.costs.Choose(c.mode, c.size, c.edges); got != c.want {
+			t.Errorf("%s: Choose(%s, size=%d, edges=%d) with reach %v = %s, want %s", c.why, c.mode, c.size, c.edges, c.costs.Reach, got, c.want)
 		}
+	}
+}
+
+// TestPlanRunReach pins the reach planRun measures for the probe rule: about
+// one partition per vertex on a grid, whose row partitions each store a band
+// of source columns, and exactly the partition count on a permuted RMAT
+// graph, whose partitions each store columns across the whole id range — so
+// every Auto decision on RMAT is the one the partition-count rule made.
+func TestPlanRunReach(t *testing.T) {
+	reach := func(adj *sparse.COO[float32], parts int) float64 {
+		g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return planRun(g, graph.Out, Config{Mode: Auto, Threads: 2}, false).costs.Reach
+	}
+	if r := reach(gen.Grid(gen.GridOptions{Width: 256, Height: 256, Seed: 5}), 8); r >= 1.1 || r < 1 {
+		t.Errorf("grid: reach %v, want in [1, 1.1)", r)
+	}
+	for _, parts := range []int{2, 16} {
+		adj := gen.RMAT(gen.RMATOptions{Scale: 12, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
+		if r := reach(adj, parts); r != float64(parts) {
+			t.Errorf("rmat, %d partitions: reach %v, want exactly %d", parts, r, parts)
+		}
+	}
+}
+
+// TestAutoPushesGridSSSP is the reach rule's reason to exist: SSSP on a grid
+// never has a frontier wide enough to pay for sweeping every column, so
+// Auto pushes every superstep and probes exactly what forced Push probes.
+// Billing a push lookup in every one of the 32 partitions, Auto used to send
+// 40 of the wave's 129 supersteps to the sweep. (Weights up to 2 keep the
+// wave thin: with the generator's default of 10, a grid this small fills
+// more than a twentieth of its edges per superstep and the edge rule pulls.)
+func TestAutoPushesGridSSSP(t *testing.T) {
+	adj := gen.Grid(gen.GridOptions{Width: 128, Height: 128, Seed: 5, MaxWeight: 2})
+	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(mode Mode) Stats {
+		src := uint32(64*128 + 64)
+		g.SetAllProps(inf)
+		g.SetProp(src, 0)
+		g.ClearActive()
+		g.SetActive(src)
+		stats, err := Run(g, ssspProg{}, Config{Mode: mode, Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	push, auto := run(Push), run(Auto)
+	if auto.PullSupersteps != 0 || auto.PushSupersteps != push.PushSupersteps {
+		t.Errorf("auto took %d push and %d pull supersteps, want forced push's %d and 0", auto.PushSupersteps, auto.PullSupersteps, push.PushSupersteps)
+	}
+	if auto.ColumnsProbed != push.ColumnsProbed {
+		t.Errorf("auto probed %d columns, forced push %d", auto.ColumnsProbed, push.ColumnsProbed)
 	}
 }
 

@@ -1,10 +1,14 @@
 // Package core implements the GraphMat engine: the vertex-program contract
 // (paper §4.1), the BSP superstep loop (Algorithm 2), and the generalized
 // sparse matrix–sparse vector multiplication backend (Algorithm 1) with the
-// optimizations of §4.5 — bitvector message vectors, monomorphized (inlined)
-// user callbacks, partition-parallel SpMV and dynamic load balancing. Each of
+// optimizations of §4.5 — bitvector message vectors, unboxed generic user
+// callbacks, partition-parallel SpMV and dynamic load balancing. Each of
 // these optimizations can be disabled individually to reproduce the Figure 7
-// ablation.
+// ablation. The generic callbacks are not inlined — Go compiles one body per
+// GC shape and calls a type parameter's methods through its dictionary (see
+// Inlined) — so the paper's -ipo step has a different analogue here: the
+// fused fold sinks and the program markers, which take the calls off the
+// per-edge path or skip the work outright.
 //
 // There is one superstep loop (driver.run, engine.go) and three front-ends
 // that hand it their send / multiply / apply phases: the scalar engine
@@ -19,7 +23,10 @@
 // The SpMV backend is a kernel layer (kernel.go) with three traversals. Two
 // are column walks, scatters driven by source columns: the paper's sweep of
 // every stored column (Pull) and a frontier-driven SpMSpV (Push), chosen per
-// superstep by a density threshold when Config.Mode is Auto. The third is the
+// superstep when Config.Mode is Auto by a work-counting cost model
+// (KernelCosts.Choose): the frontier's edge work against the structure's
+// edges, and its column lookups — in each partition whose stored columns
+// can hold the vertex — against a sweep of every column. The third is the
 // row walk, a gather driven by destinations — the bottom-up step of
 // direction-optimizing BFS — which a Pull superstep takes for programs that
 // declare FirstMessageFinal once the frontier's edge work outweighs what is

@@ -110,6 +110,17 @@ type IterationInfo struct {
 	// walk-dependent: it then counts only the unsettled vertices a message
 	// reached. Active, Sent and NextActive are not.
 	RowWalk bool `json:"row_walk"`
+	// FrontierEdges, PushEstimate and PullBill are what an Auto superstep's
+	// mode was chosen from (KernelCosts.Choose): the frontier's edge work,
+	// which the edge rule holds against the traversal structure's live edge
+	// count, and the two sides of the probe rule — the push walk's estimated
+	// lookup bill and the column sweep's bill, both in column probes. Mode is
+	// Push exactly when FrontierEdges × DefaultPushThreshold is at most the
+	// live edge count and PushEstimate is at most PullBill. All three are
+	// zero when Config.Mode forces the walk.
+	FrontierEdges int64 `json:"frontier_edges"`
+	PushEstimate  int64 `json:"push_estimate"`
+	PullBill      int64 `json:"pull_bill"`
 	// Elapsed is this superstep's wall time.
 	Elapsed time.Duration `json:"elapsed"`
 	// Total is the wall time since the run (or the driving algorithm's

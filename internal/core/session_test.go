@@ -381,6 +381,52 @@ func TestObserverIterationInfo(t *testing.T) {
 	})
 }
 
+// TestObserverModeInputs checks that each superstep reports what its mode was
+// chosen from: under Auto, Mode is Push exactly when the reported frontier
+// edge work passes the edge rule against the graph's edge count and the
+// reported push estimate does not exceed the reported pull bill; under a
+// forced mode, and on the boxed path (which always pulls), all three read 0.
+// The workload is TestStatsPinned's, whose Auto run takes both walks.
+func TestObserverModeInputs(t *testing.T) {
+	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
+	adj.RemoveSelfLoops()
+	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eachFrontEnd(t, func(t *testing.T, fe frontEnd) {
+		s := newSession(fe, g, ssspBlockProg{})
+		for _, mode := range []Mode{Auto, Pull, Push} {
+			s.reset(inf, 1)
+			s.setProp(1, 0)
+			walks := map[Mode]int{}
+			_, err := s.run(context.Background(), Config{Mode: mode, Threads: 2}, WithObserver(func(info IterationInfo) error {
+				walks[info.Mode]++
+				if mode != Auto || fe == boxedFE {
+					if info.FrontierEdges != 0 || info.PushEstimate != 0 || info.PullBill != 0 {
+						t.Errorf("%s superstep %d: mode inputs %d/%d/%d, want zeros", mode, info.Iteration, info.FrontierEdges, info.PushEstimate, info.PullBill)
+					}
+					return nil
+				}
+				if info.PullBill <= 0 || info.PushEstimate <= 0 || info.FrontierEdges <= 0 {
+					t.Errorf("superstep %d: mode inputs %d/%d/%d, want all positive", info.Iteration, info.FrontierEdges, info.PushEstimate, info.PullBill)
+				}
+				push := info.FrontierEdges*DefaultPushThreshold <= g.NumEdges() && info.PushEstimate <= info.PullBill
+				if (info.Mode == Push) != push {
+					t.Errorf("superstep %d ran %s from frontier edges %d (of %d), push estimate %d, pull bill %d", info.Iteration, info.Mode, info.FrontierEdges, g.NumEdges(), info.PushEstimate, info.PullBill)
+				}
+				return nil
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == Auto && fe != boxedFE && (walks[Push] == 0 || walks[Pull] == 0) {
+				t.Errorf("auto took %d push and %d pull supersteps, want both", walks[Push], walks[Pull])
+			}
+		}
+	})
+}
+
 // TestStopReasons checks the terminal classification of uncanceled runs and
 // the JSON round-trip of the typed reason.
 func TestStopReasons(t *testing.T) {

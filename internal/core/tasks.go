@@ -72,7 +72,7 @@ func planRun[V, E any](g *graph.Graph[V, E], dir graph.Direction, cfg Config, ro
 		weights := liveWeights(d.layers)
 		d.tasks = shapeTasks(d.layers, weights, cfg.Threads)
 		if cfg.Mode == Auto {
-			rp.costs = addLayers(rp.costs, d.layers, weights)
+			rp.costs = addLayers(rp.costs, d.layers, weights, int(g.NumVertices()))
 		}
 		for _, l := range d.layers {
 			plain = plain || l.Delta == nil
