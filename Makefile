@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt lint graphmatlint staticcheck govulncheck test bench-module race bench fuzz kernel-parity test-cpus crash ci
+.PHONY: all build fmt lint graphmatlint staticcheck govulncheck test bench-module race fuzz kernel-parity test-cpus crash ci
 
 all: build
 
@@ -110,11 +110,6 @@ kernel-parity:
 		GRAPHMAT_KERNEL=$$backend $(GO) test -count=1 ./internal/kernels ./internal/bitvec ./internal/core ./algorithms || exit 1; \
 	done
 
-# One pass over every benchmark: perf regressions that break a benchmark
-# surface as failures-to-run.
-bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
 # The scheduler and the engine at one and four procs: -cpu 1 runs every phase
 # inline on the caller (the one-slot pool), -cpu 4 parks and wakes workers and
 # steals across them. The same asserting tests cover both paths side by side.
@@ -130,4 +125,4 @@ test-cpus:
 crash:
 	$(GO) test -run='TestPersistCrashRecovery|TestPersistTornSnapshotFallback' -v -count=1 ./internal/server
 
-ci: build lint test bench-module kernel-parity race fuzz bench test-cpus crash
+ci: build lint test bench-module kernel-parity race fuzz test-cpus crash

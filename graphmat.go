@@ -278,10 +278,12 @@ func RunBlock[V, E, M, R any, P interface {
 
 // RunBlockContext is the multi-source analogue of RunContext: one n×k SpMM
 // sweep per superstep advances up to 64 independent source columns, each
-// column dropping out of the sweep as it converges. One column runs the scalar
-// engine's phases over st and ws, so a k = 1 block run costs and reports what
-// RunContext does. The block fold is p's own ProcessMessage and Reduce, so a
-// k-source run is bit-identical per source to k scalar runs. See
+// column dropping out of the sweep as it converges. Every width runs the
+// scalar engine's send and apply over st and ws, and one column folds
+// through the scalar engine's sinks, so a k = 1 block run costs and reports
+// what RunContext does. The block fold is p's own ProcessMessage
+// and Reduce, so a k-source run is bit-identical per source to k scalar runs.
+// See
 // core.RunBlockContext.
 func RunBlockContext[V, E, M, R any, P interface {
 	Program[V, E, M, R]

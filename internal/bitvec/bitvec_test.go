@@ -251,23 +251,3 @@ func TestQuickIterateRange(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkSet(b *testing.B) {
-	v := New(1 << 20)
-	for i := 0; i < b.N; i++ {
-		v.Set(uint32(i) & (1<<20 - 1))
-	}
-}
-
-func BenchmarkIterateSparse(b *testing.B) {
-	v := New(1 << 20)
-	for i := uint32(0); i < 1<<20; i += 1024 {
-		v.Set(i)
-	}
-	b.ResetTimer()
-	sum := uint32(0)
-	for i := 0; i < b.N; i++ {
-		v.Iterate(func(j uint32) { sum += j })
-	}
-	_ = sum
-}

@@ -18,7 +18,7 @@ import (
 // At k = 1 a vertex's only possible column set is {0}, so the summary bit IS
 // column 0: a one-column block keeps no per-vertex masks (cols / active are
 // nil) and is, array for array, the scalar engine's sparse vector and vertex
-// state — which is how runBlock hands a k = 1 run to the scalar phases.
+// state — which is why one front-end (runPhases) serves every width.
 
 // MaxBlockSources is the widest block the engine accepts: per-vertex column
 // masks are single uint64 words.
@@ -35,7 +35,7 @@ const MaxBlockSources = 64
 // the scalar sparse.Vector, values are never cleared — the masks are the
 // source of truth.
 type BlockVector[T any] struct {
-	n, k    int
+	k       int
 	summary *bitvec.Vector
 	cols    []uint64 // nil at k = 1
 	vals    []T
@@ -47,35 +47,23 @@ type BlockVector[T any] struct {
 // NewBlockVector allocates an empty n×k block vector.
 func NewBlockVector[T any](n, k int) *BlockVector[T] {
 	if k == 1 {
-		sv := sparse.NewVector[T](n)
-		return &BlockVector[T]{n: n, k: 1, summary: sv.Mask(), vals: sv.Values(), scalar: sv}
+		return vectorBlock(sparse.NewVector[T](n))
 	}
 	return &BlockVector[T]{
-		n: n, k: k,
+		k:       k,
 		summary: bitvec.New(n),
 		cols:    make([]uint64, n),
 		vals:    make([]T, n*k),
 	}
 }
 
-// Len returns the vertex dimension n.
-func (b *BlockVector[T]) Len() int { return b.n }
-
-// Width returns the column count k.
-func (b *BlockVector[T]) Width() int { return b.k }
+// vectorBlock views sparse vector sv as the one-column block it is.
+func vectorBlock[T any](sv *sparse.Vector[T]) *BlockVector[T] {
+	return &BlockVector[T]{k: 1, summary: sv.Mask(), vals: sv.Values(), scalar: sv}
+}
 
 // Reset removes all entries in O(n/64) by clearing the summary alone.
 func (b *BlockVector[T]) Reset() { b.summary.Reset() }
-
-// Set stores val at (vertex v, column s).
-func (b *BlockVector[T]) Set(v uint32, s int, val T) {
-	if b.cols == nil {
-		b.scalar.Set(v, val)
-		return
-	}
-	b.cols[v] = touchRow(b.summary.Words(), b.cols, v) | 1<<uint(s)
-	b.vals[int(v)*b.k+s] = val
-}
 
 // ColMask returns vertex v's live-column mask (0 when v has no entries).
 func (b *BlockVector[T]) ColMask(v uint32) uint64 {

@@ -181,7 +181,9 @@ func spmvBoxedSorted(part boxedPartition, xs *sparse.SortedVector[any], bp boxed
 // runBoxed is the boxed ablation's front-end: type-erased scratch of its
 // own, whole-partition multiply tasks (its kernels take whole partitions),
 // and no direction choice — the naive path predates the kernel layer's push
-// mode, so it always pulls.
+// mode, so it always pulls. It keeps its own send and apply rather than
+// runPhases' typed word loops because its interface-boxed callbacks are what
+// Figure 7's "naive" and "+bitvector" rows measure against "+ipo".
 func runBoxed[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config, ctrl *controller) (Stats, error) {
 	n := int(g.NumVertices())
 	d := newDriver(cfg, ctrl, n)

@@ -10,7 +10,6 @@ import (
 	"graphmat/internal/bitvec"
 	"graphmat/internal/graph"
 	"graphmat/internal/sched"
-	"graphmat/internal/sparse"
 )
 
 // Run executes program p on graph g until convergence or the configured
@@ -132,7 +131,7 @@ func parallelFor(ex execCfg, ntasks int, stop *atomic.Int32, fn func(task, worke
 	sched.Shared(min(ex.workers, ntasks)).RunOptions(ntasks, stop, sched.Options{NoSteal: ex.sc == Static, Tally: ex.tally}, fn)
 }
 
-// phaseSet is what an engine front-end — scalar (runScalar), block (runBlock)
+// phaseSet is what an engine front-end — runPhases, the one for every width,
 // or the boxed ablation (runBoxed) — contributes to the one superstep loop:
 // its frontier and its three phase bodies, closed once per run over the
 // front-end's own generic SendMessage / fold / Apply code. The loop is
@@ -151,21 +150,20 @@ type phaseSet struct {
 	// (Algorithm 2 lines 3-5) and returns the messages produced and the
 	// frontier size the push probe bill scales with. Both come off the
 	// occupancy masks after the phase — one popcount sweep, no per-Set
-	// counters. They are the same number for a scalar vector; a block
-	// bills its distinct sender vertices, since one column lookup serves
-	// all of a vertex's source columns. Under Auto, send also tallies the
-	// senders' degrees into localStats.degSum.
+	// counters. They are the same number at k = 1; a wider block bills its
+	// distinct sender vertices, since one column lookup serves all of a
+	// vertex's source columns. Under Auto, send also tallies the senders'
+	// degrees into localStats.degSum.
 	send func() (sent, senders int64)
-	// unsettledEdges is nil unless the front-end can run the row walk (the
-	// scalar or block front-end of a FirstMessageFinal program, see
-	// runPlan.recvDegs). It returns the receiving-side degree sum of the
-	// vertices still unsettled — counted once per unsettled column in a
-	// block, as degSum counts a sender once per message — which bounds the
-	// edge slots a row walk could examine, from one chunked pass over the
-	// properties. The loop calls it once, on the
-	// first superstep that resolves to Pull, and keeps the sum current from
-	// what each later apply phase reports settled (localStats.settled): a
-	// run that never pulls never pays the pass, and one that always does
+	// unsettledEdges is nil unless the front-end can run the row walk
+	// (runPhases for a FirstMessageFinal program, see runPlan.recvDegs). It
+	// returns the receiving-side degree sum of the vertices still unsettled
+	// — counted once per unsettled column, as degSum counts a sender once
+	// per message — which bounds the edge slots a row walk could examine,
+	// from one chunked pass over the properties. The loop calls it once, on
+	// the first superstep that resolves to Pull, and keeps the sum current
+	// from what each later apply phase reports settled (localStats.settled):
+	// a run that never pulls never pays the pass, and one that always does
 	// pays no extra dispatch per superstep.
 	unsettledEdges func() int64
 	// multiply clears the reduction vector and runs the generalized
@@ -324,29 +322,62 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 	return stats, nil
 }
 
-// runScalar is the width-1 front-end: a bitvector message vector, the scalar
-// fold sinks, one property and one active bit per vertex. The scalar engine
-// (RunContext) runs it over the graph's own vertex state and its workspace;
-// the block engine (runBlock) runs it over a one-column BlockState and
-// BlockWorkspace, whose arrays are exactly these — so a vector is the k=1
-// block in the code as in the algebra, and width is decided here only.
-func runScalar[V, E, M, R any, P Program[V, E, M, R]](
+// nextRow splits mask word w, word wi of a block vector's or state's
+// summary whose per-vertex column masks are cols, into its first row and the
+// rest: the row's first vertex v, its column mask m, and the slot base its
+// column s adds to. A row is what one column mask covers: at k ≥ 2 the
+// word's lowest vertex, whose column s sits at slot v*k+s; at k = 1, where a
+// block keeps no per-vertex masks, the whole word, whose 64 columns are its
+// vertices — vertex v|s at slot v|s. So a one-column run walks its mask
+// words bit by bit, as the scalar engine always has, with no per-vertex
+// column loop.
+func nextRow(wi int, w uint64, cols []uint64, k int) (v uint32, m uint64, base int, rest uint64) {
+	if cols == nil {
+		v = uint32(wi) << 6
+		return v, w, int(v), 0
+	}
+	v = uint32(wi)<<6 | uint32(bits.TrailingZeros64(w))
+	return v, cols[v], int(v) * k, w & (w - 1)
+}
+
+// runPhases is the engine's front-end for every width: SendMessage, the
+// generalized multiply through sink, and Apply, over the n×k vertex state bst
+// and the message and reduction blocks x and y, whose (vertex v, column s)
+// slot is v*k+s. The phases walk rows (nextRow) and each row's columns, so a
+// one-column block — the block engine at k = 1, and the scalar engine over
+// the graph's own state — runs the same loops as a wide one. Width selects
+// the sink (blockSink, scalarSink) and the shape of a row, nothing else.
+func runPhases[V, E, M, R any, P Program[V, E, M, R]](
 	g *graph.Graph[V, E], p P, cfg Config, ctrl *controller,
-	props []V, active *bitvec.Vector, x *sparse.Vector[M], y *sparse.Vector[R],
+	bst *BlockState[V], x *BlockVector[M], y *BlockVector[R], sink colSink[E],
 ) (Stats, error) {
 	d := newDriver(cfg, ctrl, int(g.NumVertices()))
 
 	// The send and apply phases walk their chunk's mask words directly: each
-	// word's set bits in ascending order, with the output mask word — x's in
-	// send, active's in apply — assembled in a register and stored once.
-	// Chunks are 64-aligned (chunkBounds), so no word is shared between
-	// tasks, and no mask holds a bit at or past n, so a chunk's words are
-	// exactly its vertices. A chunk abandoned by a stop leaves its output
-	// words as the phase's Reset left them: empty.
-	aw, xw, yw := active.Words(), x.Mask().Words(), y.Mask().Words()
-	xv, yv := x.Values(), y.Values()
-	sink := scalarSink(p, x, props, y)
+	// word's rows in ascending order and each row's columns in ascending
+	// order, with the output mask word — x's in send, active's in apply —
+	// assembled in a register and stored once, and a vertex's output column
+	// mask stored once where the block keeps one. Chunks are 64-aligned
+	// (chunkBounds), so no word is shared between tasks, and no mask holds a
+	// bit at or past n, so a chunk's words are exactly its vertices. A chunk
+	// abandoned by a stop leaves its output words as the phase's Reset left
+	// them: empty.
+	k, props, active := bst.k, bst.props, bst.summary
+	aw, xw, yw := active.Words(), x.summary.Words(), y.summary.Words()
+	acols, xcols, ycols := bst.active, x.cols, y.cols
+	xv, yv := x.vals, y.vals
+	// slotVertex masks the bits of a row's column s that name the slot's
+	// vertex within the row: all six at k = 1, where a row's columns are its
+	// vertices, and none at k ≥ 2, where every column is the row's vertex's.
+	slotVertex := uint32(0)
+	if k == 1 {
+		slotVertex = 63
+	}
 	rows, _ := sink.(rowSink[E])
+	// Auto and row-walk accounting per (vertex, column): a sender's edge work
+	// counts once per column it sends in — the multiply really does fold each
+	// of its edges that many times — and a vertex's row counts as unsettled
+	// once per column still waiting in it.
 	rp := planRun(g, p.Direction(), cfg, rows != nil)
 	sendDegs, recvDegs := rp.sendDegs, rp.recvDegs
 	settling, _ := any(p).(FirstMessageFinal[V]) // non-nil whenever recvDegs is
@@ -359,14 +390,26 @@ func runScalar[V, E, M, R any, P Program[V, E, M, R]](
 				continue
 			}
 			var out uint64
-			for ; w != 0; w &= w - 1 {
-				v := uint32(wi)<<6 | uint32(bits.TrailingZeros64(w))
-				if m, ok := p.SendMessage(v, props[v]); ok {
-					xv[v] = m
-					out |= w & -w
-					if sendDegs != nil {
-						st.degSum += int64(sendDegs[v])
+			for w != 0 {
+				v, m, base, rest := nextRow(wi, w, acols, k)
+				w = rest
+				var sent uint64
+				for ; m != 0; m &= m - 1 {
+					s := bits.TrailingZeros64(m)
+					u, i := v|uint32(s)&slotVertex, base+s
+					if msg, ok := p.SendMessage(u, props[i]); ok {
+						xv[i] = msg
+						sent |= m & -m
+						if sendDegs != nil {
+							st.degSum += int64(sendDegs[u])
+						}
 					}
+				}
+				if xcols == nil {
+					out = sent // the row is the word
+				} else if sent != 0 {
+					out |= 1 << (v & 63)
+					xcols[v] = sent
 				}
 			}
 			xw[wi] = out
@@ -377,8 +420,8 @@ func runScalar[V, E, M, R any, P Program[V, E, M, R]](
 		send: func() (int64, int64) {
 			x.Reset()
 			send()
-			sent := int64(x.NNZ())
-			return sent, sent
+			senders, sent := x.Occupancy()
+			return int64(sent), int64(senders)
 		},
 		multiply: func(mode Mode, rowWalk bool) {
 			y.Reset()
@@ -390,36 +433,54 @@ func runScalar[V, E, M, R any, P Program[V, E, M, R]](
 		},
 		apply: d.overChunks(func(lo, hi uint32, st *localStats) {
 			wlo, whi := chunkWords(lo, hi)
+			applies := 0
 			for wi := wlo; wi < whi; wi++ {
 				w := yw[wi]
 				if w == 0 {
 					continue
 				}
-				st.applies += int64(bits.OnesCount64(w))
 				var next uint64
-				for ; w != 0; w &= w - 1 {
-					v := uint32(wi)<<6 | uint32(bits.TrailingZeros64(w))
-					if p.Apply(yv[v], v, &props[v]) {
-						next |= w & -w
-						// Only an unsettled vertex activates (the mask
-						// promise), so one that did and is settled now was
-						// settled by this Apply.
-						if recvDegs != nil && !settling.Unsettled(props[v]) {
-							st.settled += int64(recvDegs[v])
+				for w != 0 {
+					v, m, base, rest := nextRow(wi, w, ycols, k)
+					w = rest
+					applies += bits.OnesCount64(m)
+					var am uint64
+					for ; m != 0; m &= m - 1 {
+						s := bits.TrailingZeros64(m)
+						u, i := v|uint32(s)&slotVertex, base+s
+						if p.Apply(yv[i], u, &props[i]) {
+							am |= m & -m
+							// Only an unsettled pair activates (the mask
+							// promise), so one that did and is settled now
+							// was settled by this Apply.
+							if recvDegs != nil && !settling.Unsettled(props[i]) {
+								st.settled += int64(recvDegs[u])
+							}
 						}
+					}
+					if acols == nil {
+						next = am // the row is the word
+					} else if am != 0 {
+						next |= 1 << (v & 63)
+						acols[v] = am
 					}
 				}
 				aw[wi] = next
 			}
+			st.applies += int64(applies)
 		}),
 	}
 	if recvDegs != nil {
 		ps.unsettledEdges = func() int64 {
 			return d.sumChunks(func(lo, hi uint32) (deg int64) {
-				degs := recvDegs[lo:hi]
-				for v, prop := range props[lo:hi] {
+				// The chunk's slots in order; slot s of vertex v's row.
+				v, s := lo, 0
+				for _, prop := range props[int(lo)*k : int(hi)*k] {
 					if settling.Unsettled(prop) {
-						deg += int64(degs[v])
+						deg += int64(recvDegs[v])
+					}
+					if s++; s == k {
+						v, s = v+1, 0
 					}
 				}
 				return deg

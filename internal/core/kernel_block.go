@@ -35,13 +35,17 @@ import (
 // with the same fused float64-sum and float32 path-semiring fast paths, and
 // the row walk's k-wide gather beside the generic fold when the program
 // declares FirstMessageFinal (props is the run's n×k property block, which
-// only the gather reads). The sinks read per-vertex column masks, so they
-// serve blocks of two or more columns only; runBlock gives a one-column
-// block to scalarSink.
+// only the gather reads). The block sinks read per-vertex column masks, so
+// they serve blocks of two or more columns; a one-column block, the sparse
+// vector it is, takes scalarSink. This is where a run's width selects its
+// sink.
 func blockSink[V, E, M, R any, P interface {
 	Program[V, E, M, R]
 	DstIndependent
 }](p P, x *BlockVector[M], props []V, y *BlockVector[R]) colSink[E] {
+	if x.k == 1 {
+		return scalarSink(p, x.scalar, props, y.scalar)
+	}
 	if _, ok := any(p).(SumFoldF64); ok {
 		xf, okX := any(x).(*BlockVector[float64])
 		yf, okY := any(y).(*BlockVector[float64])

@@ -10,15 +10,18 @@
 // fused fold sinks and the program markers, which take the calls off the
 // per-edge path or skip the work outright.
 //
-// There is one superstep loop (driver.run, engine.go) and three front-ends
-// that hand it their send / multiply / apply phases: the scalar engine
-// (runScalar), the n×k multi-source block engine (runBlock, engine_block.go)
-// and the boxed-dispatch ablation (runBoxed, boxed.go). Iteration cap, stop
-// checks, Stats, direction choice and the observer report live in the loop;
-// everything per vertex or per edge lives in the front-ends. A vector is a
-// one-column block: runBlock at k = 1 calls runScalar over the block state's
-// own arrays, so the two engines share every phase there and callers never
-// choose an engine by source count.
+// There is one superstep loop (driver.run, engine.go) and two front-ends
+// that hand it their send / multiply / apply phases: runPhases (engine.go),
+// which serves the scalar engine and the n×k multi-source block engine
+// (engine_block.go) alike, and the boxed-dispatch ablation (runBoxed,
+// boxed.go). Iteration cap, stop checks, Stats, direction choice and the
+// observer report live in the loop; everything per vertex or per edge lives
+// in the front-ends. A vector is a one-column block: runPhases walks the
+// frontier's rows and each row's column mask, where a row is one vertex of
+// a block with per-vertex masks and, at k = 1 — the scalar engine over the
+// graph's own state and a block of width 1 — a whole mask word whose columns
+// are its vertices. So width selects the fold sink and the shape of a row,
+// nothing else, and callers never choose an engine by source count.
 //
 // The SpMV backend is a kernel layer (kernel.go) with three traversals. Two
 // are column walks, scatters driven by source columns: the paper's sweep of

@@ -276,10 +276,14 @@ func RunContext[V, E, M, R any, P Program[V, E, M, R]](
 		// scratch and ignores ws.
 		return runBoxed(g, p, cfg, ctrl)
 	}
+	n := int(g.NumVertices())
 	if ws == nil {
-		ws = NewWorkspace[M, R](int(g.NumVertices()), cfg.Vector)
-	} else if err := ws.Check(int(g.NumVertices()), cfg.Vector); err != nil {
+		ws = NewWorkspace[M, R](n, cfg.Vector)
+	} else if err := ws.Check(n, cfg.Vector); err != nil {
 		return Stats{}, err
 	}
-	return runScalar(g, p, cfg, ctrl, g.Props(), g.Active(), ws.x, ws.y)
+	// The graph's own vertex state and the workspace's vectors, seen as the
+	// one-column block they are.
+	st := &BlockState[V]{n: n, k: 1, props: g.Props(), summary: g.Active()}
+	return runPhases(g, p, cfg, ctrl, st, vectorBlock(ws.x), vectorBlock(ws.y), scalarSink(p, ws.x, st.props, ws.y))
 }

@@ -220,8 +220,11 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, noAux bool) *walkC
 		c.xf64.Set(uint32(v), math.Ldexp(1+float64(m>>12)/(1<<52), int(m%41)-20))
 		c.xf32.Set(uint32(v), float32(m%4096)/16)
 		for k, b := range c.blocks {
-			for cm := 1 + rng.Intn(1<<k-1); cm != 0; cm &= cm - 1 {
-				b.Set(uint32(v), bits.TrailingZeros(uint(cm)), rng.Uint64())
+			cm := uint64(1 + rng.Intn(1<<k-1))
+			b.summary.Set(uint32(v))
+			b.cols[v] = cm
+			for ; cm != 0; cm &= cm - 1 {
+				b.vals[v*k+bits.TrailingZeros64(cm)] = rng.Uint64()
 			}
 		}
 	}

@@ -260,53 +260,3 @@ func TestControlReplyThatWillNotMarshalIs500(t *testing.T) {
 		t.Fatalf("status %d body %q", ok.Code, ok.Body.Bytes())
 	}
 }
-
-// oldWriteReply is the reply path before the reply encoder, kept as the
-// benchmark's baseline.
-func oldWriteReply(w io.Writer, v any) error { return json.NewEncoder(w).Encode(v) }
-
-// BenchmarkRunReplyEncode: one reply of 65 536 vertices (the serve_query
-// graph) per source, old against new, for the three value populations the
-// registry produces: integers (bfs, components, reachability), float32
-// widened to float64 (sssp, widest) and full float64 (pagerank, ppr).
-func BenchmarkRunReplyEncode(b *testing.B) {
-	const n = 1 << 16
-	rng := gen.NewRNG(11)
-	kinds := []struct {
-		name string
-		at   func() float64
-	}{
-		{"ints", func() float64 { return float64(rng.Intn(12)) }},
-		{"float32", func() float64 { return float64(float32(rng.Float64() * 40)) }},
-		{"float64", func() float64 { return rng.Float64() / n }},
-	}
-	for _, kind := range kinds {
-		columns := make([][]float64, 16)
-		sources := make([]uint32, 16)
-		for s := range columns {
-			columns[s] = ramp(n, func(int) float64 { return kind.at() })
-			sources[s] = uint32(s)
-		}
-		single := runResponse{Graph: "g", Algorithm: "bfs", DurationMS: 24.5, Result: algorithms.Result{Values: columns[0], Stats: goldenStats()}}
-		wide := batchRunResponse{Graph: "g", Algorithm: "bfs", DurationMS: 108, BatchResult: algorithms.BatchResult{Sources: sources, Values: columns, Stats: goldenStats()}}
-		encoders := []struct {
-			name   string
-			encode func() error
-		}{
-			{"k=1/old", func() error { return oldWriteReply(io.Discard, single) }},
-			{"k=1/new", func() error { return encodeRunResponse(io.Discard, single) }},
-			{"k=16/old", func() error { return oldWriteReply(io.Discard, wide) }},
-			{"k=16/new", func() error { return encodeBatchRunResponse(io.Discard, wide) }},
-		}
-		for _, enc := range encoders {
-			b.Run(kind.name+"/"+enc.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for b.Loop() {
-					if err := enc.encode(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}

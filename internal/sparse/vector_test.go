@@ -127,35 +127,3 @@ func TestQuickVectorRepresentationsAgree(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkVectorProbeBitvector(b *testing.B) {
-	n := 1 << 18
-	v := NewVector[float64](n)
-	for i := 0; i < n; i += 16 {
-		v.Set(uint32(i), 1)
-	}
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		if v.Has(uint32(i) & uint32(n-1)) {
-			hits++
-		}
-	}
-	_ = hits
-}
-
-func BenchmarkVectorProbeSorted(b *testing.B) {
-	n := 1 << 18
-	v := NewSortedVector[float64](n)
-	for i := 0; i < n; i += 16 {
-		v.Append(uint32(i), 1)
-	}
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		if v.Has(uint32(i) & uint32(n-1)) {
-			hits++
-		}
-	}
-	_ = hits
-}
