@@ -70,10 +70,12 @@ bench-module:
 # registry instances; bitvec backs every frontier the workers share and gen
 # feeds the parallel generators; sched is the worker pool every phase runs
 # on and kernels holds the dispatch table those workers read (ForceBackend
-# swaps it under test). All matter under -race. CI runs this target, so the
-# package list lives here only.
+# swaps it under test). The root package's acceptance tests (batch PPR,
+# direction-optimized BFS, snapshot restart, live-update BFS) drive the whole
+# stack at once, scaled down under -race (raceEnabled). All matter under
+# -race. CI runs this target, so the package list lives here only.
 race:
-	$(GO) test -race ./internal/core/... ./internal/sched/... ./internal/kernels/... ./internal/sparse/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
+	$(GO) test -race . ./internal/core/... ./internal/sched/... ./internal/kernels/... ./internal/sparse/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
 
 # Fuzz smoke over the graph readers, the update-stream parser, the snapshot
 # reader, the run-reply number encoder, the SIMD kernel backends and the

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -264,23 +265,61 @@ func TestConnectedComponentsMatchesReference(t *testing.T) {
 	}
 }
 
+// TestStoppedBatchKeepsEverySeries: a batch stopped in its first block of
+// sources still returns one series per source — the stopped block's partial
+// state, and the seeded start state of the block that never ran.
+func TestStoppedBatchKeepsEverySeries(t *testing.T) {
+	g, err := NewBFSGraph(rmatEdges(7, 8, 8, 0), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := make([]uint32, graphmat.MaxBlockSources+6)
+	for i := range sources {
+		sources[i] = uint32(i)
+	}
+	stop := errors.New("stop")
+	out, stats, err := RunBFSBatch(bg, g, sources, WithObserver(func(graphmat.IterationInfo) error { return stop }))
+	if !errors.Is(err, stop) || stats.Reason != graphmat.StoppedByObserver || stats.Iterations != 1 {
+		t.Fatalf("err = %v, stats = %+v; want the observer's stop after one superstep", err, stats)
+	}
+	if len(out) != len(sources) {
+		t.Fatalf("%d series for %d sources", len(out), len(sources))
+	}
+	for i, dist := range out {
+		if len(dist) != int(g.NumVertices()) || dist[sources[i]] != 0 {
+			t.Fatalf("series %d: %d values, distance %d at its source", i, len(dist), dist[sources[i]])
+		}
+	}
+	for i, dist := range out[graphmat.MaxBlockSources:] {
+		for v, d := range dist {
+			if (d == 0) != (uint32(v) == sources[graphmat.MaxBlockSources+i]) || (d != 0 && d != Unreached) {
+				t.Fatalf("unrun block: series %d has distance %d at %d, want its seeded start", i, d, v)
+			}
+		}
+	}
+}
+
 func TestDegreesMatchGraph(t *testing.T) {
 	coo := rmatEdges(61, 7, 4, 0)
 	g, err := graphmat.New[uint32](coo, graphmat.Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, _ := Degrees(g, graphmat.Out, graphmat.Config{Threads: 2})
+	in, _ := must(Degrees(g, graphmat.Out, graphmat.Config{Threads: 2}))
 	for v := uint32(0); v < g.NumVertices(); v++ {
 		if in[v] != g.InDegree(v) {
 			t.Fatalf("indeg[%d] = %d, want %d", v, in[v], g.InDegree(v))
 		}
 	}
-	out, _ := Degrees(g, graphmat.In, graphmat.Config{Threads: 2})
+	out, _ := must(Degrees(g, graphmat.In, graphmat.Config{Threads: 2}))
 	for v := uint32(0); v < g.NumVertices(); v++ {
 		if out[v] != g.OutDegree(v) {
 			t.Fatalf("outdeg[%d] = %d, want %d", v, out[v], g.OutDegree(v))
 		}
+	}
+	// A configuration the engine rejects is an error, not all-zero counts.
+	if deg, _, err := Degrees(g, graphmat.Out, graphmat.Config{Vector: graphmat.Sorted}); err == nil {
+		t.Fatalf("Sorted+Inlined config accepted: %v", deg)
 	}
 }
 

@@ -3,18 +3,19 @@ package algorithms
 import (
 	"context"
 	"errors"
-	"slices"
 
 	"graphmat"
 )
 
 // This file is the multi-source batch layer: one engine block run advancing
 // up to graphmat.MaxBlockSources independent source columns per adjacency
-// sweep, with wider batches split into word-sized blocks. Every batched
-// algorithm is bit-identical per source to the corresponding single-source
-// run — the block engine folds with the program's own ProcessMessage and
-// Reduce in the scalar engine's order, and the package's differential suite
-// asserts it end to end — so batching is purely a throughput knob:
+// sweep, with wider batches split into word-sized blocks. It is the only
+// driver of the source-parameterized algorithms: a single-source run is a
+// batch of one. Every batched algorithm is bit-identical per source to the
+// corresponding single-source run — the block engine folds with the
+// program's own ProcessMessage and Reduce in the scalar engine's order, and
+// the package's differential suite asserts it end to end — so batching is
+// purely a throughput knob:
 // the column probes and edge walks that dominate a traversal are paid once
 // per edge instead of once per (edge, source). What a single-source run
 // gains from its program's markers a batch gains too: bfs and reachability
@@ -46,33 +47,55 @@ func fullMask(k int) uint64 {
 	return uint64(1)<<uint(k) - 1
 }
 
-// runTraversal is the shared single-source driver of the traversal family
-// (BFS, SSSP, reachability, widest paths): property, message and reduction
-// types coincide, the graph starts as {unreached everywhere, sourceVal at
-// src} with src alone active, and the run iterates until the frontier dies.
-// A stopped run returns the state reached so far with the stop cause.
-func runTraversal[V any, P graphmat.Program[V, float32, V, V]](
-	ctx context.Context, g *graphmat.Graph[V, float32], p P, src uint32,
-	unreached, sourceVal V, set *settings,
-) ([]V, graphmat.Stats, error) {
-	if err := checkSource(src, g.NumVertices(), "source"); err != nil {
-		return nil, graphmat.Stats{}, err
-	}
-	ws, err := settingsWorkspace[V, V](int(g.NumVertices()), set)
+// runBlocks is the chunk loop under every source-parameterized runner, at
+// every width: the columns split into blocks of at most
+// graphmat.MaxBlockSources, each block's own BlockState seeded by seed,
+// driven by run and read out by extract (one series per column). The
+// caller's workspace (WithWorkspace) serves the block whose width matches it;
+// the others get fresh scratch. Stats sum over the blocks, and Reason is
+// Converged unless some block ended otherwise. A stop ends the loop but not
+// the read-out: a stopped block yields each column's partial state and a
+// block that never ran its seeded one, so every column has its series.
+func runBlocks[V, M, R, C, T any](
+	g *graphmat.Graph[V, float32], cols []C, set *settings,
+	seed func(st *graphmat.BlockState[V], chunk []C),
+	run func(st *graphmat.BlockState[V], ws *graphmat.BlockWorkspace[M, R]) (graphmat.Stats, error),
+	extract func(st *graphmat.BlockState[V]) [][]T,
+) ([][]T, graphmat.Stats, error) {
+	caller, err := callerWorkspace[M, R](set)
 	if err != nil {
 		return nil, graphmat.Stats{}, err
 	}
-	g.SetAllProps(unreached)
-	g.SetProp(src, sourceVal)
-	g.ClearActive()
-	g.SetActive(src)
-	stats, err := graphmat.RunContext(ctx, g, p, set.cfg, ws, newSession(set.obs).options()...)
-	return slices.Clone(g.Props()), stats, err
+	n := int(g.NumVertices())
+	out := make([][]T, len(cols))
+	var stats graphmat.Stats
+	stats.Reason = graphmat.Converged
+	for lo := 0; lo < len(cols); lo += graphmat.MaxBlockSources {
+		hi := min(lo+graphmat.MaxBlockSources, len(cols))
+		st := graphmat.NewBlockState[V](n, hi-lo)
+		seed(st, cols[lo:hi])
+		if err == nil {
+			ws := caller
+			if ws == nil || ws.Width() != hi-lo {
+				ws = graphmat.NewBlockWorkspace[M, R](n, hi-lo)
+			}
+			var s graphmat.Stats
+			s, err = run(st, ws)
+			stats.Add(s)
+			if s.Reason != graphmat.Converged {
+				stats.Reason = s.Reason
+			}
+		}
+		copy(out[lo:hi], extract(st))
+	}
+	return out, stats, err
 }
 
-// runTraversalBatch is runTraversal over a block of sources: every column
-// starts as {unreached everywhere, sourceVal at its source} and the block run
-// iterates until every column's frontier dies.
+// runTraversalBatch is the one driver of the traversal family (BFS, SSSP,
+// reachability, widest paths): property, message and reduction types
+// coincide, every column starts as {unreached everywhere, sourceVal at its
+// source} with its source alone active, and the block run iterates until
+// every column's frontier dies. A single-source runner is its batch of one.
 func runTraversalBatch[V any, P interface {
 	graphmat.Program[V, float32, V, V]
 	graphmat.DstIndependent
@@ -80,44 +103,40 @@ func runTraversalBatch[V any, P interface {
 	ctx context.Context, g *graphmat.Graph[V, float32], p P, sources []uint32,
 	unreached, sourceVal V, set *settings,
 ) ([][]V, graphmat.Stats, error) {
-	n := int(g.NumVertices())
 	if err := checkSources(sources, g.NumVertices(), "source"); err != nil {
 		return nil, graphmat.Stats{}, err
 	}
 	sess := newSession(set.obs)
-	out := make([][]V, len(sources))
-	var stats graphmat.Stats
-	stats.Reason = graphmat.Converged
-	for lo := 0; lo < len(sources); lo += graphmat.MaxBlockSources {
-		hi := min(lo+graphmat.MaxBlockSources, len(sources))
-		chunk := sources[lo:hi]
-		k := len(chunk)
-		st := graphmat.NewBlockState[V](n, k)
-		st.SetAllProps(unreached)
-		for s, src := range chunk {
-			st.SetProp(src, s, sourceVal)
-			st.Activate(src, s)
-		}
-		s, err := graphmat.RunBlockContext(ctx, g, p, st, set.cfg, nil, sess.options()...)
-		stats.Add(s)
-		if err != nil {
-			stats.Reason = s.Reason
-			return out, stats, err
-		}
-		if s.Reason != graphmat.Converged {
-			stats.Reason = s.Reason
-		}
-		copy(out[lo:hi], st.Columns())
+	return runBlocks(g, sources, set,
+		func(st *graphmat.BlockState[V], chunk []uint32) {
+			st.SetAllProps(unreached)
+			for s, src := range chunk {
+				st.SetProp(src, s, sourceVal)
+				st.Activate(src, s)
+			}
+		},
+		func(st *graphmat.BlockState[V], ws *graphmat.BlockWorkspace[V, V]) (graphmat.Stats, error) {
+			return graphmat.RunBlockContext(ctx, g, p, st, set.cfg, ws, sess.options()...)
+		},
+		(*graphmat.BlockState[V]).Columns)
+}
+
+// batchOfOne is a single-source runner's result: the one series of its
+// batch of one, or none when the batch was rejected before it ran.
+func batchOfOne[T any](out [][]T, stats graphmat.Stats, err error) ([]T, graphmat.Stats, error) {
+	if len(out) == 0 {
+		return nil, stats, err
 	}
-	return out, stats, nil
+	return out[0], stats, err
 }
 
 // RunBFSBatch computes hop distances from every source in one multi-source
 // block run (chunks of up to graphmat.MaxBlockSources share each adjacency
 // sweep). out[i][v] is the distance from sources[i] to v, bit-identical to
 // RunBFS(ctx, g, sources[i]). Engine options apply (WithConfig/WithThreads/
-// WithMode, WithObserver); WithWorkspace is ignored — block scratch is
-// allocated per chunk.
+// WithMode, WithObserver, WithWorkspace: a *graphmat.BlockWorkspace[uint32,
+// uint32] serves the chunk of its width). A stopped run returns every
+// source's partial distances with the stop cause.
 func RunBFSBatch(ctx context.Context, g *graphmat.Graph[uint32, float32], sources []uint32, opts ...Option) ([][]uint32, graphmat.Stats, error) {
 	return runTraversalBatch(ctx, g, BFSProgram{}, sources, uint32(Unreached), 0, newSettings(opts))
 }
@@ -149,70 +168,15 @@ func RunWidestPathBatch(ctx context.Context, g *graphmat.Graph[float32, float32]
 // out[i] is bit-identical to RunPersonalizedPageRank(ctx, g, []uint32{
 // sources[i]}, ...): each column converges (or hits the iteration cap) on
 // its own schedule and then drops out of the sweep. Options: WithIterations/
-// WithTolerance/WithRestartProb plus the engine options; WithWorkspace is
-// ignored.
+// WithTolerance/WithRestartProb plus the engine options, WithWorkspace
+// (*graphmat.BlockWorkspace[float64, float64]) as in RunBFSBatch.
 func RunPersonalizedPageRankBatch(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sources []uint32, opts ...Option) ([][]float64, graphmat.Stats, error) {
-	set := newSettings(opts)
-	n := int(g.NumVertices())
 	if err := checkSources(sources, g.NumVertices(), "source"); err != nil {
 		return nil, graphmat.Stats{}, err
 	}
-	restart, maxIters := set.rankDefaults()
-	inv := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if d := g.OutDegree(uint32(v)); d > 0 {
-			inv[v] = 1 / float64(d)
-		}
+	sets := make([][]uint32, len(sources))
+	for s := range sources {
+		sets[s] = sources[s : s+1]
 	}
-	prog := PersonalizedPageRankProgram{RestartProb: restart, Tolerance: set.tol}
-	cfg := set.cfg
-	cfg.MaxIterations = 1
-	sess := newSession(set.obs)
-	out := make([][]float64, len(sources))
-	var stats graphmat.Stats
-	stats.Reason = graphmat.Converged
-	for lo := 0; lo < len(sources); lo += graphmat.MaxBlockSources {
-		hi := min(lo+graphmat.MaxBlockSources, len(sources))
-		chunk := sources[lo:hi]
-		k := len(chunk)
-		st := graphmat.NewBlockState[PPRVertex](n, k)
-		st.InitProps(func(v uint32, s int) PPRVertex {
-			p := PPRVertex{InvDeg: inv[v]}
-			if v == chunk[s] {
-				// A single-source personalization set: the whole teleport
-				// mass and the initial rank live at the source (matching the
-				// scalar driver with len(sources) == 1).
-				p.Restart = restart
-				p.Rank = 1
-			}
-			return p
-		})
-		ws := graphmat.NewBlockWorkspace[float64, float64](n, k)
-		live := fullMask(k)
-		for it := 0; it < maxIters && live != 0; it++ {
-			st.ActivateAllMask(live)
-			s, err := graphmat.RunBlockContext(ctx, g, prog, st, cfg, ws, sess.options()...)
-			stats.Add(s)
-			if err != nil {
-				stats.Reason = s.Reason
-				return out, stats, err
-			}
-			// A column with no vertex left active has settled within
-			// Tolerance everywhere: converged, out of the sweep.
-			live &= st.ActiveColumns()
-		}
-		if live != 0 {
-			stats.Reason = graphmat.MaxIterations
-		}
-		ranks := out[lo:hi]
-		for s := range ranks {
-			ranks[s] = make([]float64, n)
-		}
-		for v := 0; v < n; v++ { // one pass over the property rows
-			for s := range ranks {
-				ranks[s][v] = st.Prop(uint32(v), s).Rank
-			}
-		}
-	}
-	return out, stats, nil
+	return runPPR(ctx, g, sets, newSettings(opts))
 }

@@ -70,7 +70,9 @@ func NewBFSStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[ui
 // traversal cooperatively, the observer receives one report per superstep.
 // A stopped run returns the partial distances reached so far together with
 // the stop cause; Stats.Reason classifies the ending. A root outside the
-// graph is an error.
+// graph is an error. RunBFS is RunBFSBatch over one source: the traversal's
+// vertex state is a run-owned one-column BlockState, and g's own vertex
+// state is left alone.
 func RunBFS(ctx context.Context, g *graphmat.Graph[uint32, float32], root uint32, opts ...Option) ([]uint32, graphmat.Stats, error) {
-	return runTraversal(ctx, g, BFSProgram{}, root, uint32(Unreached), 0, newSettings(opts))
+	return batchOfOne(RunBFSBatch(ctx, g, []uint32{root}, opts...))
 }

@@ -106,15 +106,15 @@ func (p DegreeProgram) Direction() graphmat.Direction {
 func (DegreeProgram) ProcessIgnoresDst() {}
 
 // Degrees runs DegreeProgram for one superstep and returns the per-vertex
-// counts.
-func Degrees(g *graphmat.Graph[uint32, float32], dir graphmat.Direction, cfg graphmat.Config) ([]uint32, graphmat.Stats) {
+// counts. The error is the engine's rejection of cfg (Sorted with Inlined
+// dispatch); the counts are nil then.
+func Degrees(g *graphmat.Graph[uint32, float32], dir graphmat.Direction, cfg graphmat.Config) ([]uint32, graphmat.Stats, error) {
 	g.SetAllProps(0)
 	g.SetAllActive()
 	cfg.MaxIterations = 1
-	stats, _ := graphmat.Run(g, DegreeProgram{Dir: dir}, cfg) // contextless Run cannot fail
-	deg := make([]uint32, g.NumVertices())
-	for v := range deg {
-		deg[v] = g.Prop(uint32(v))
+	stats, err := graphmat.Run(g, DegreeProgram{Dir: dir}, cfg)
+	if err != nil {
+		return nil, stats, err
 	}
-	return deg, stats
+	return slices.Clone(g.Props()), stats, nil
 }

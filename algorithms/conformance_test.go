@@ -164,9 +164,19 @@ func TestRegistryConformance(t *testing.T) {
 				if !spec.Batchable {
 					return
 				}
-				batch, err := inst.RunBatch(dead, nil, p, nil)
+				bp := p
+				bp.Sources = []uint32{p.Source, 1}
+				batch, err := inst.RunBatch(dead, nil, bp, nil)
 				if !errors.Is(err, context.Canceled) || batch.Stats.Reason != graphmat.Canceled {
 					t.Fatalf("batch: error = %v, reason = %v", err, batch.Stats.Reason)
+				}
+				if len(batch.Values) != len(bp.Sources) {
+					t.Fatalf("partial batch lost its shape: %d series for %d sources", len(batch.Values), len(bp.Sources))
+				}
+				for i, series := range batch.Values {
+					if len(series) != int(n) {
+						t.Fatalf("partial batch series %d has %d values, want %d", i, len(series), n)
+					}
 				}
 			})
 

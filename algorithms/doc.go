@@ -46,8 +46,12 @@
 // 64 sources per adjacency sweep. The block engine folds with the program's
 // own ProcessMessage and Reduce, so a program needs nothing beyond the
 // graphmat.DstIndependent marker to batch, and every column is bit-identical
-// to its single-source run. A source outside the graph is an error from
-// every runner, single or batch.
+// to its single-source run. The batch driver is the only one: RunBFS,
+// RunSSSP, RunReachability and RunWidestPath are their batches of one, and
+// RunPersonalizedPageRank is the PPR block driver with one column
+// personalized to the whole source set. Their vertex state lives in a
+// run-owned graphmat.BlockState, never in the graph. A source outside the
+// graph is an error from every runner, single or batch.
 //
 // The benchmark harness builds graphs once and calls runners repeatedly, so
 // graph construction time is excluded from measurements exactly as the paper

@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -134,6 +136,35 @@ func TestPersonalizedPageRankLocality(t *testing.T) {
 	}
 	if sum <= 0 || sum > 1.5 {
 		t.Errorf("rank mass = %v", sum)
+	}
+}
+
+// TestPersonalizedPageRankSetGolden pins a PPR run over a personalization
+// set, duplicate included, bit for bit: an FNV-1a hash of every rank's
+// float64 bits, and the engine tallies. A duplicated source is assigned its
+// share, not accumulated, and still counts in the set's size, so the set's
+// teleport mass is 3/4 of the restart probability.
+func TestPersonalizedPageRankSetGolden(t *testing.T) {
+	g, err := NewPersonalizedPageRankGraph(gen.RMAT(gen.RMATOptions{Scale: 9, EdgeFactor: 8, Seed: 11}), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks, stats := must(RunPersonalizedPageRank(bg, g, []uint32{3, 40, 3, 77}, WithIterations(200), WithTolerance(1e-9), WithThreads(2)))
+	h := fnv.New64a()
+	for _, r := range ranks {
+		binary.Write(h, binary.LittleEndian, math.Float64bits(r))
+	}
+	const (
+		wantHash    = uint64(0xe44dd082673e9eed)
+		wantIters   = 72
+		wantSent    = int64(25632)
+		wantApplies = int64(25848)
+	)
+	if got := h.Sum64(); got != wantHash {
+		t.Errorf("rank hash = %#x, want %#x", got, wantHash)
+	}
+	if stats.Iterations != wantIters || stats.MessagesSent != wantSent || stats.Applies != wantApplies || stats.Reason != graphmat.Converged {
+		t.Errorf("stats = %+v, want %d supersteps, %d messages, %d applies, converged", stats, wantIters, wantSent, wantApplies)
 	}
 }
 

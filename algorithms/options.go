@@ -12,7 +12,8 @@ import (
 // Options an algorithm has no use for are simply ignored (WithTolerance on BFS
 // does nothing). A workspace passed via WithWorkspace must be of the
 // algorithm's scratch type (the same value NewScratch-style constructors
-// return); a mismatch is an error, nil allocates fresh scratch.
+// return); a mismatch is an error, nil allocates fresh scratch. A batch
+// runner uses it for the chunk of sources whose width it matches.
 
 // Option configures one unified algorithm run.
 type Option func(*settings)
@@ -51,7 +52,8 @@ func WithMode(m graphmat.Mode) Option { return func(s *settings) { s.cfg.Mode = 
 
 // WithWorkspace supplies caller-managed engine scratch for repeated runs on
 // one graph. The value must be the algorithm's scratch type (for most, a
-// *graphmat.Workspace[M, R] of the algorithm's message/reduction types; for
+// *graphmat.Workspace[M, R] of the algorithm's message/reduction types, the
+// one-column BlockWorkspace — batch runners take one of any width; for
 // triangle counting a *TriangleScratch); nil allocates fresh scratch.
 func WithWorkspace(ws any) Option { return func(s *settings) { s.ws = ws } }
 
@@ -70,21 +72,25 @@ func WithTolerance(t float64) Option { return func(s *settings) { s.tol = t } }
 // 0.15.
 func WithRestartProb(r float64) Option { return func(s *settings) { s.restart = r } }
 
-// settingsWorkspace resolves the run's engine workspace: the caller's via
-// WithWorkspace when its type fits, fresh scratch otherwise (nil — including
-// a typed nil pointer — allocates).
-func settingsWorkspace[M, R any](n int, set *settings) (*graphmat.Workspace[M, R], error) {
-	if set.ws == nil {
-		return graphmat.NewWorkspace[M, R](n, set.cfg.Vector), nil
-	}
-	ws, ok := set.ws.(*graphmat.Workspace[M, R])
-	if !ok {
+// callerWorkspace returns the workspace passed via WithWorkspace: nil when
+// there is none (a typed nil pointer included), an error when its type does
+// not fit.
+func callerWorkspace[M, R any](set *settings) (*graphmat.BlockWorkspace[M, R], error) {
+	ws, ok := set.ws.(*graphmat.BlockWorkspace[M, R])
+	if !ok && set.ws != nil {
 		return nil, fmt.Errorf("algorithms: workspace type %T does not belong to this algorithm", set.ws)
 	}
-	if ws == nil {
-		return graphmat.NewWorkspace[M, R](n, set.cfg.Vector), nil
-	}
 	return ws, nil
+}
+
+// settingsWorkspace resolves a one-column run's engine workspace: the
+// caller's when its type fits, fresh scratch when there is none.
+func settingsWorkspace[M, R any](n int, set *settings) (*graphmat.Workspace[M, R], error) {
+	ws, err := callerWorkspace[M, R](set)
+	if ws == nil && err == nil {
+		ws = graphmat.NewWorkspace[M, R](n, set.cfg.Vector)
+	}
+	return ws, err
 }
 
 // rankDefaults resolves the zero values of the ranking options (pagerank,

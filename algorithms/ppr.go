@@ -81,62 +81,81 @@ func NewPersonalizedPageRankStore(adj *graphmat.COO[float32], partitions int) (*
 // graph built by NewPersonalizedPageRankGraph (or any Graph[PPRVertex,
 // float32]). Ranks are a probability distribution over vertices (they sum to
 // ~1 on source-reachable graphs). An empty source list or a source outside
-// the graph is an error. Options and session contract as in RunPageRank.
+// the graph is an error. Options and session contract as in RunPageRank,
+// except that the workspace type is *graphmat.Workspace[float64, float64]
+// and the graph's vertex state is left alone: the run is the one-column case
+// of RunPersonalizedPageRankBatch's driver, its column personalized to the
+// whole set.
 func RunPersonalizedPageRank(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sources []uint32, opts ...Option) ([]float64, graphmat.Stats, error) {
-	set := newSettings(opts)
 	if len(sources) == 0 {
 		return nil, graphmat.Stats{}, errors.New("algorithms: personalized pagerank needs at least one source vertex")
 	}
 	if err := checkSources(sources, g.NumVertices(), "personalization"); err != nil {
 		return nil, graphmat.Stats{}, err
 	}
-	ws, err := settingsWorkspace[float64, float64](int(g.NumVertices()), set)
-	if err != nil {
-		return nil, graphmat.Stats{}, err
-	}
+	return batchOfOne(runPPR(ctx, g, [][]uint32{sources}, newSettings(opts)))
+}
+
+// runPPR is the personalized PageRank driver at every width: column s ranks
+// toward personalization set sets[s]. Every member of a set starts with
+// 1/len(set) of the rank and carries restart/len(set) of teleport weight; a
+// duplicated member is assigned its share, not accumulated, and still counts
+// in len(set). Each outer iteration re-activates the still-unconverged
+// columns for one superstep; a column with no vertex left active has settled
+// within Tolerance everywhere and drops out of the sweep, and the run ends
+// when every column has, or at the iteration cap.
+func runPPR(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sets [][]uint32, set *settings) ([][]float64, graphmat.Stats, error) {
+	n := int(g.NumVertices())
 	restart, maxIters := set.rankDefaults()
-	perSource := restart / float64(len(sources))
-	// Every vertex starts with no rank and no restart weight; then the
-	// (few) sources are patched in. A duplicated source is assigned, not
-	// accumulated, and still counts in len(sources).
-	g.InitProps(func(v uint32) PPRVertex {
-		p := PPRVertex{}
-		if d := g.OutDegree(v); d > 0 {
-			p.InvDeg = 1 / float64(d)
+	inv := make([]float64, n)
+	for v := 0; v < n; v++ {
+		if d := g.OutDegree(uint32(v)); d > 0 {
+			inv[v] = 1 / float64(d)
 		}
-		return p
-	})
-	for _, s := range sources {
-		p := g.Prop(s)
-		p.Restart = perSource
-		p.Rank = 1 / float64(len(sources))
-		g.SetProp(s, p)
 	}
 	prog := PersonalizedPageRankProgram{RestartProb: restart, Tolerance: set.tol}
 	cfg := set.cfg
 	cfg.MaxIterations = 1
 	sess := newSession(set.obs)
-	var stats graphmat.Stats
-	stats.Reason = graphmat.MaxIterations
-	pprRanks := func() []float64 {
-		ranks := make([]float64, g.NumVertices())
-		for v := range ranks {
-			ranks[v] = g.Prop(uint32(v)).Rank
-		}
-		return ranks
-	}
-	for it := 0; it < maxIters; it++ {
-		g.SetAllActive()
-		s, err := graphmat.RunContext(ctx, g, prog, cfg, ws, sess.options()...)
-		stats.Add(s)
-		if err != nil {
-			stats.Reason = s.Reason
-			return pprRanks(), stats, err
-		}
-		if !g.Active().Any() {
+	return runBlocks(g, sets, set,
+		func(st *graphmat.BlockState[PPRVertex], chunk [][]uint32) {
+			st.InitProps(func(v uint32, _ int) PPRVertex { return PPRVertex{InvDeg: inv[v]} })
+			for s, members := range chunk {
+				share := float64(len(members))
+				for _, v := range members {
+					st.SetProp(v, s, PPRVertex{Rank: 1 / share, InvDeg: inv[v], Restart: restart / share})
+				}
+			}
+		},
+		func(st *graphmat.BlockState[PPRVertex], ws *graphmat.BlockWorkspace[float64, float64]) (graphmat.Stats, error) {
+			var stats graphmat.Stats
+			live := fullMask(st.Width())
+			for it := 0; it < maxIters && live != 0; it++ {
+				st.ActivateAllMask(live)
+				s, err := graphmat.RunBlockContext(ctx, g, prog, st, cfg, ws, sess.options()...)
+				stats.Add(s)
+				if err != nil {
+					stats.Reason = s.Reason
+					return stats, err
+				}
+				live &= st.ActiveColumns()
+			}
 			stats.Reason = graphmat.Converged
-			break
-		}
-	}
-	return pprRanks(), stats, nil
+			if live != 0 {
+				stats.Reason = graphmat.MaxIterations
+			}
+			return stats, nil
+		},
+		func(st *graphmat.BlockState[PPRVertex]) [][]float64 {
+			ranks := make([][]float64, st.Width())
+			for s := range ranks {
+				ranks[s] = make([]float64, n)
+			}
+			for v := 0; v < n; v++ { // one pass over the property rows
+				for s := range ranks {
+					ranks[s][v] = st.Prop(uint32(v), s).Rank
+				}
+			}
+			return ranks
+		})
 }

@@ -61,8 +61,9 @@ func NewReachabilityStore(adj *graphmat.COO[float32], partitions int) (*graphmat
 
 // RunReachability computes the set of vertices reachable from src along
 // directed edges: out[v] is 1 if reachable, 0 otherwise (src itself is 1).
-// Options: WithConfig/WithThreads/WithMode, WithWorkspace
-// (*graphmat.Workspace[uint32, uint32]), WithObserver.
+// Options and session contract as in RunBFS (workspace type
+// *graphmat.Workspace[uint32, uint32]). It is RunReachabilityBatch over one
+// source.
 func RunReachability(ctx context.Context, g *graphmat.Graph[uint32, float32], src uint32, opts ...Option) ([]uint32, graphmat.Stats, error) {
-	return runTraversal(ctx, g, ReachabilityProgram{}, src, 0, 1, newSettings(opts))
+	return batchOfOne(RunReachabilityBatch(ctx, g, []uint32{src}, opts...))
 }

@@ -117,10 +117,14 @@ type ParamSpec struct {
 // Instance is an algorithm bound to a built property graph, ready to run
 // queries. The property graph is versioned: ApplyUpdates publishes a new
 // epoch, runs pin the epoch current when they start, and a run in flight is
-// never disturbed by updates landing under it. Run and RunContext mutate the
-// pinned snapshot's vertex state, so they are NOT safe for concurrent use on
-// one Instance; callers serialize (the server holds a per-instance lock).
-// ApplyUpdates itself may race freely with runs — that is the point.
+// never disturbed by updates landing under it. Run and RunContext of the
+// algorithms with no source parameter (pagerank, components, triangles,
+// hits) mutate the pinned snapshot's vertex state, so they are NOT safe for
+// concurrent use on one Instance; callers serialize (the server holds a
+// per-instance lock). The source-parameterized ones (Spec.Batchable) run
+// every query, scalar or batch, over a run-owned BlockState and never write
+// the snapshot's vertex state. ApplyUpdates itself may race freely with runs
+// — that is the point.
 type Instance interface {
 	// Run executes the algorithm. scratch, if non-nil, must be a value
 	// returned by NewScratch on an instance over the same graph; nil
@@ -399,7 +403,8 @@ type algo[V any] struct {
 	scratch func(n int) any
 	// run calls the algorithm's Run function on g and projects its typed
 	// output into the uniform Result (Epoch is filled in by the instance).
-	// p arrives with its source parameters resolved and range-checked.
+	// p arrives with its source parameters resolved and range-checked. A row
+	// that declares batch and no run runs its batch of one (register).
 	run func(ctx context.Context, g *graphmat.Graph[V, float32], p Params, opt Option) (Result, error)
 	// batch is the multi-source form, one value series per source; nil for
 	// algorithms with no source to batch over.
@@ -425,7 +430,6 @@ var (
 		params:  []ParamSpec{paramSource, paramSources},
 		kind:    updSymmetric,
 		scratch: workspace[uint32, uint32],
-		run:     single(RunBFS),
 		batch:   multi(RunBFSBatch),
 	})
 	ssspAlgo = register(&algo[float32]{
@@ -434,7 +438,6 @@ var (
 		params:  []ParamSpec{paramSource, paramSources},
 		kind:    updDirected,
 		scratch: workspace[float32, float32],
-		run:     single(RunSSSP),
 		batch:   multi(RunSSSPBatch),
 	})
 	ccAlgo = register(&algo[uint32]{
@@ -469,7 +472,6 @@ var (
 		params:  []ParamSpec{paramSource, paramSources},
 		kind:    updDirected,
 		scratch: workspace[uint32, uint32],
-		run:     single(RunReachability),
 		batch:   multi(RunReachabilityBatch),
 	})
 	widestAlgo = register(&algo[float32]{
@@ -478,7 +480,6 @@ var (
 		params:  []ParamSpec{paramSource, paramSources},
 		kind:    updDirected,
 		scratch: workspace[float32, float32],
-		run:     single(RunWidestPath),
 		batch:   multi(RunWidestPathBatch),
 	})
 	trianglesAlgo = register(&algo[TCVertex]{
@@ -514,8 +515,11 @@ var (
 
 // register publishes a row as a Spec and returns it, so the table's var
 // block both names each row (for the New*Graph constructors) and registers
-// it in one statement.
+// it in one statement. A single-source row's scalar run is its batch of one.
 func register[V any](a *algo[V]) *algo[V] {
+	if a.run == nil {
+		a.run = a.batchOfOne
+	}
 	bind := func(st *graphmat.Store[V, float32], err error) (Instance, error) {
 		if err != nil {
 			return nil, err
@@ -670,13 +674,11 @@ func widen[T uint32 | float32](s []T) []float64 {
 	return out
 }
 
-// single adapts a one-source traversal (RunBFS and friends) to a row's run
-// closure.
-func single[V any, T uint32 | float32](run func(context.Context, *graphmat.Graph[V, float32], uint32, ...Option) ([]T, graphmat.Stats, error)) func(context.Context, *graphmat.Graph[V, float32], Params, Option) (Result, error) {
-	return func(ctx context.Context, g *graphmat.Graph[V, float32], p Params, opt Option) (Result, error) {
-		values, stats, err := run(ctx, g, p.Source, opt)
-		return Result{Values: widen(values), Stats: stats}, err
-	}
+// batchOfOne is the scalar run of a row with a batch closure and no run
+// closure: the batch over p.Source alone.
+func (a *algo[V]) batchOfOne(ctx context.Context, g *graphmat.Graph[V, float32], p Params, opt Option) (Result, error) {
+	values, stats, err := batchOfOne(a.batch(ctx, g, []uint32{p.Source}, opt))
+	return Result{Values: values, Stats: stats}, err
 }
 
 // multi adapts a multi-source traversal (RunBFSBatch and friends) to a row's

@@ -65,7 +65,8 @@ func NewSSSPStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[f
 // RunSSSP computes shortest-path distances from src on a graph built by
 // NewSSSPGraph; unreachable vertices report InfDist. Options and session
 // contract as in RunBFS (workspace type *graphmat.Workspace[float32,
-// float32]); a stopped run returns the best distances found so far.
+// float32]); a stopped run returns the best distances found so far. It is
+// RunSSSPBatch over one source.
 func RunSSSP(ctx context.Context, g *graphmat.Graph[float32, float32], src uint32, opts ...Option) ([]float32, graphmat.Stats, error) {
-	return runTraversal(ctx, g, SSSPProgram{}, src, InfDist, 0, newSettings(opts))
+	return batchOfOne(RunSSSPBatch(ctx, g, []uint32{src}, opts...))
 }

@@ -64,9 +64,9 @@ func NewWidestPathStore(adj *graphmat.COO[float32], partitions int) (*graphmat.S
 
 // RunWidestPath computes bottleneck path widths from src: out[v] is the
 // maximum over paths src→v of the minimum edge weight along the path, 0 for
-// unreachable vertices and WidestSourceCap at src itself. Options:
-// WithConfig/WithThreads/WithMode, WithWorkspace
-// (*graphmat.Workspace[float32, float32]), WithObserver.
+// unreachable vertices and WidestSourceCap at src itself. Options and session
+// contract as in RunBFS (workspace type *graphmat.Workspace[float32,
+// float32]). It is RunWidestPathBatch over one source.
 func RunWidestPath(ctx context.Context, g *graphmat.Graph[float32, float32], src uint32, opts ...Option) ([]float32, graphmat.Stats, error) {
-	return runTraversal(ctx, g, WidestPathProgram{}, src, 0, WidestSourceCap, newSettings(opts))
+	return batchOfOne(RunWidestPathBatch(ctx, g, []uint32{src}, opts...))
 }

@@ -173,7 +173,10 @@ func main() {
 		}
 		build := time.Since(start)
 		start = time.Now()
-		deg, stats := algorithms.Degrees(g, graphmat.Out, cfg)
+		deg, stats, err := algorithms.Degrees(g, graphmat.Out, cfg)
+		if err != nil {
+			fatal("%v", err)
+		}
 		report(build, time.Since(start), stats.Iterations)
 		ranks := make([]float64, len(deg))
 		for i, d := range deg {

@@ -226,20 +226,14 @@ func RunContext[V, E, M, R any, P Program[V, E, M, R]](
 }
 
 // Workspace is reusable engine scratch (the C++ API's graph_program_init /
-// graph_program_clear); see core.Workspace.
+// graph_program_clear) for one-column runs: the one-column BlockWorkspace.
 type Workspace[M, R any] = core.Workspace[M, R]
 
-// NewWorkspace allocates engine scratch for n-vertex graphs. The vector kind
-// must match the Config the workspace will run under — Bitvector for every
-// run that uses a workspace (the naive ablation's Boxed path keeps its own).
+// NewWorkspace allocates one-column engine scratch for n-vertex graphs. The
+// vector kind is not recorded: one workspace serves every configuration (the
+// naive ablation's Boxed path keeps its own scratch).
 func NewWorkspace[M, R any](n int, kind VectorKind) *Workspace[M, R] {
 	return core.NewWorkspace[M, R](n, kind)
-}
-
-// RunWithWorkspace is Run with caller-managed scratch, for drivers that
-// invoke the engine repeatedly.
-func RunWithWorkspace[V, E, M, R any, P Program[V, E, M, R]](g *Graph[V, E], p P, cfg Config, ws *Workspace[M, R]) (Stats, error) {
-	return core.RunWithWorkspace(g, p, cfg, ws)
 }
 
 // MaxBlockSources is the widest source block one engine run accepts (64, so
@@ -265,25 +259,15 @@ func NewBlockWorkspace[M, R any](n, k int) *BlockWorkspace[M, R] {
 	return core.NewBlockWorkspace[M, R](n, k)
 }
 
-// RunBlock executes a DstIndependent program over the k source columns of st
-// until every column converges; it is RunBlockContext without a context.
-func RunBlock[V, E, M, R any, P interface {
-	Program[V, E, M, R]
-	DstIndependent
-}](
-	g *Graph[V, E], p P, st *BlockState[V], cfg Config, ws *BlockWorkspace[M, R],
-) (Stats, error) {
-	return core.RunBlock[V, E, M, R, P](g, p, st, cfg, ws)
-}
-
-// RunBlockContext is the multi-source analogue of RunContext: one n×k SpMM
+// RunBlockContext is the multi-source form of RunContext: one n×k SpMM
 // sweep per superstep advances up to 64 independent source columns, each
 // column dropping out of the sweep as it converges. Every width runs the
 // scalar engine's send and apply over st and ws, and one column folds
 // through the scalar engine's sinks, so a k = 1 block run costs and reports
-// what RunContext does. The block fold is p's own ProcessMessage
-// and Reduce, so a k-source run is bit-identical per source to k scalar runs.
-// See
+// what RunContext does — RunContext is that run over the graph's own vertex
+// state. The block fold is p's own ProcessMessage and Reduce, so a k-source
+// run is bit-identical per source to k scalar runs. Config is validated at
+// the run's width: Boxed dispatch runs one column only. See
 // core.RunBlockContext.
 func RunBlockContext[V, E, M, R any, P interface {
 	Program[V, E, M, R]

@@ -106,9 +106,6 @@ func New(adj *sparse.COO[float32]) *Engine {
 	return e
 }
 
-// NumVertices returns the vertex count.
-func (e *Engine) NumVertices() uint32 { return e.n }
-
 // Init sets every vertex's data.
 func (e *Engine) Init(fn func(v uint32) any) {
 	for v := uint32(0); v < e.n; v++ {

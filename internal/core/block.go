@@ -8,10 +8,10 @@ import (
 	"graphmat/internal/sparse"
 )
 
-// This file holds the n×k block analogues of the engine's sparse vectors and
-// per-run vertex state: a block frontier/reduction vector (BlockVector), the
-// engine scratch pairing two of them (BlockWorkspace), and the per-run vertex
-// state of a multi-source run (BlockState). k is capped at 64 so every
+// This file holds the engine's n×k run state: a block frontier/reduction
+// vector (BlockVector), the engine scratch pairing two of them
+// (BlockWorkspace, whose one-column case is Workspace), and the per-run
+// vertex state (BlockState). k is capped at 64 so every
 // per-vertex column set is one machine word; batches wider than 64 sources
 // split into word-sized blocks one level up (algorithms.RunBatch).
 //
@@ -100,8 +100,12 @@ func (b *BlockVector[T]) Occupancy() (vertices, entries int) {
 	return vertices, entries
 }
 
-// BlockWorkspace is the block engine's reusable scratch: the n×k message
-// block and the n×k reduction block — the multi-source analogue of Workspace.
+// BlockWorkspace is the engine's reusable scratch: the n×k message block and
+// the n×k reduction block. It mirrors the C++ API's graph_program_init /
+// graph_program_clear pair (see the paper's appendix): drivers that run a
+// program repeatedly — PageRank's per-superstep loop, the HITS half-steps —
+// allocate one workspace and pass it to every run instead of paying two
+// vertex-sized allocations per call.
 type BlockWorkspace[M, R any] struct {
 	n, k int
 	x    *BlockVector[M]
@@ -117,9 +121,6 @@ func NewBlockWorkspace[M, R any](n, k int) *BlockWorkspace[M, R] {
 	}
 }
 
-// Size reports the vertex count the workspace was allocated for.
-func (ws *BlockWorkspace[M, R]) Size() int { return ws.n }
-
 // Width reports the source count the workspace was allocated for.
 func (ws *BlockWorkspace[M, R]) Width() int { return ws.k }
 
@@ -134,19 +135,33 @@ func (ws *BlockWorkspace[M, R]) Check(n, k int) error {
 	return nil
 }
 
-// Reset clears both scratch blocks; pools call it when recycling.
+// Reset clears both scratch blocks. The engine resets them at the start of
+// every superstep, so Reset is not required between runs; pools call it when
+// recycling a workspace so stale messages never leak across queries.
 func (ws *BlockWorkspace[M, R]) Reset() {
 	ws.x.Reset()
 	ws.y.Reset()
 }
 
-// BlockState is the per-run vertex state of a multi-source run: the n×k
-// property block (props[v*k+s] is vertex v's property in source column s) and
-// the n×k active set, stored like a BlockVector's occupancy (summary +
-// per-vertex column masks, lazily zeroed; the summary alone at k = 1). It
-// replaces the graph's scalar props/active for block runs — a block run of
-// any width never touches the graph's own vertex state, so scalar and block
-// runs can share one pinned snapshot.
+// Workspace is the one-column BlockWorkspace: the scratch of RunContext, and
+// of any block run over a single source column.
+type Workspace[M, R any] = BlockWorkspace[M, R]
+
+// NewWorkspace allocates one-column scratch for n-vertex graphs. The vector
+// kind is not recorded: every inlined run reads the bitvector frontier, and
+// the boxed ablation, the only path the Sorted vector exists on, manages its
+// own scratch.
+func NewWorkspace[M, R any](n int, _ VectorKind) *Workspace[M, R] {
+	return NewBlockWorkspace[M, R](n, 1)
+}
+
+// BlockState is the per-run vertex state of a block run: the n×k property
+// block (props[v*k+s] is vertex v's property in source column s) and the n×k
+// active set, stored like a BlockVector's occupancy (summary + per-vertex
+// column masks, lazily zeroed; the summary alone at k = 1). RunContext runs
+// over the graph's own props/active seen as a one-column BlockState; a
+// RunBlockContext run of any width owns its state and never touches the
+// graph's, so any number of them can share one pinned snapshot.
 type BlockState[V any] struct {
 	n, k    int
 	props   []V
@@ -166,9 +181,6 @@ func NewBlockState[V any](n, k int) *BlockState[V] {
 	}
 	return st
 }
-
-// Size reports the vertex count.
-func (st *BlockState[V]) Size() int { return st.n }
 
 // Width reports the source-column count.
 func (st *BlockState[V]) Width() int { return st.k }
@@ -211,6 +223,10 @@ func (st *BlockState[V]) Columns() [][]V {
 	cols := make([][]V, st.k)
 	for s := range cols {
 		cols[s] = make([]V, st.n)
+	}
+	if st.k == 1 {
+		copy(cols[0], st.props)
+		return cols
 	}
 	for v := 0; v < st.n; v++ {
 		for s, p := range st.props[v*st.k : (v+1)*st.k] {

@@ -84,7 +84,7 @@ func blockSSSPMatchesScalar(t *testing.T, name string, g *graph.Graph[float32, f
 					st.SetProp(src, s, 0)
 					st.Activate(src, s)
 				}
-				stats, err := RunBlock(g, ssspBlockProg{}, st, Config{Mode: mode, Threads: threads}, nil)
+				stats, err := RunBlockContext(context.Background(), g, ssspBlockProg{}, st, Config{Mode: mode, Threads: threads}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,7 +197,7 @@ func TestBlockSingleColumnAccessors(t *testing.T) {
 	st.Activate(9, 0)
 
 	ws := NewBlockWorkspace[float32, float32](n, 1)
-	if _, err := RunBlock(g, ssspBlockProg{}, st, Config{}, ws); err != nil {
+	if _, err := RunBlockContext(context.Background(), g, ssspBlockProg{}, st, Config{}, ws); err != nil {
 		t.Fatal(err)
 	}
 	if st.ActiveColumns() != 0 {
@@ -253,7 +253,7 @@ func TestBlockWorkspaceReuse(t *testing.T) {
 			st.SetProp(src, s, 0)
 			st.Activate(src, s)
 		}
-		if _, err := RunBlock(g, ssspBlockProg{}, st, Config{}, ws); err != nil {
+		if _, err := RunBlockContext(context.Background(), g, ssspBlockProg{}, st, Config{}, ws); err != nil {
 			t.Fatal(err)
 		}
 		for s := 0; s < 2; s++ {

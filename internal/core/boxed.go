@@ -178,18 +178,19 @@ func spmvBoxedSorted(part boxedPartition, xs *sparse.SortedVector[any], bp boxed
 	st.edges += edges
 }
 
-// runBoxed is the boxed ablation's front-end: type-erased scratch of its
-// own, whole-partition multiply tasks (its kernels take whole partitions),
-// and no direction choice — the naive path predates the kernel layer's push
-// mode, so it always pulls. It keeps its own send and apply rather than
-// runPhases' typed word loops because its interface-boxed callbacks are what
-// Figure 7's "naive" and "+bitvector" rows measure against "+ipo".
-func runBoxed[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config, ctrl *controller) (Stats, error) {
+// runBoxed is the boxed ablation's front-end, over one-column state st:
+// type-erased scratch of its own, whole-partition multiply tasks (its kernels
+// take whole partitions), and no direction choice — the naive path predates
+// the kernel layer's push mode, so it always pulls. It keeps its own send and
+// apply rather than runPhases' typed word loops because its interface-boxed
+// callbacks are what Figure 7's "naive" and "+bitvector" rows measure against
+// "+ipo".
+func runBoxed[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config, ctrl *controller, st *BlockState[V]) (Stats, error) {
 	n := int(g.NumVertices())
 	d := newDriver(cfg, ctrl, n)
-	active := g.Active()
+	active := st.summary
 	dir := p.Direction()
-	bp := &boxedAdapter[V, E, M, R]{p: p, props: g.Props()}
+	bp := &boxedAdapter[V, E, M, R]{p: p, props: st.props}
 
 	var dirs [][]boxedPartition
 	if dir&graph.Out != 0 {

@@ -151,7 +151,8 @@ type Config struct {
 	// only with Dispatch: Boxed (the Figure 7 "naive" step); Sorted with
 	// Inlined dispatch is a configuration error, not a fallback.
 	Vector VectorKind
-	// Dispatch selects inlined or boxed user-callback invocation.
+	// Dispatch selects inlined or boxed user-callback invocation. Boxed
+	// runs one column: a block run of two or more columns rejects it.
 	Dispatch Dispatch
 	// Schedule selects dynamic or static partition assignment.
 	Schedule Schedule
@@ -162,11 +163,15 @@ type Config struct {
 	Mode Mode
 }
 
-// validate rejects the one Vector × Dispatch combination with no code path:
-// the inlined kernels read the bitvector frontier only.
-func (c Config) validate() error {
+// validate rejects the configurations with no code path at width k: the
+// inlined kernels read the bitvector frontier only, and the boxed ablation
+// runs one column.
+func (c Config) validate(k int) error {
 	if c.Vector == Sorted && c.Dispatch == Inlined {
 		return errors.New("core: Config{Vector: Sorted, Dispatch: Inlined} is not supported: the sorted message vector exists only on the Boxed dispatch path")
+	}
+	if c.Dispatch == Boxed && k > 1 {
+		return fmt.Errorf("core: Config{Dispatch: Boxed} is not supported on a %d-column run: the boxed ablation runs one column", k)
 	}
 	return nil
 }

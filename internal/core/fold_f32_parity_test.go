@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -211,7 +212,7 @@ func testF32FoldParityBlock(t *testing.T, world string, g *graph.Graph[float32, 
 			st.SetProp(src, s, 0)
 			st.Activate(src, s)
 		}
-		if _, err := RunBlock(g, p, st, Config{Mode: mode, Threads: 3}, nil); err != nil {
+		if _, err := RunBlockContext(context.Background(), g, p, st, Config{Mode: mode, Threads: 3}, nil); err != nil {
 			t.Fatal(err)
 		}
 		cols := make([][]float32, k)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -249,7 +250,7 @@ func TestKernelBackendParityBlockEngine(t *testing.T) {
 			st.SetProp(src, s, 1)
 			st.Activate(src, s)
 		}
-		stats, err := RunBlock(g, sumFoldProg{}, st, cfg, nil)
+		stats, err := RunBlockContext(context.Background(), g, sumFoldProg{}, st, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,11 +38,10 @@ import (
 // only the gather reads). The block sinks read per-vertex column masks, so
 // they serve blocks of two or more columns; a one-column block, the sparse
 // vector it is, takes scalarSink. This is where a run's width selects its
-// sink.
-func blockSink[V, E, M, R any, P interface {
-	Program[V, E, M, R]
-	DstIndependent
-}](p P, x *BlockVector[M], props []V, y *BlockVector[R]) colSink[E] {
+// sink. p must be DstIndependent when x is two or more columns wide, which
+// RunBlockContext's signature guarantees; a one-column run may read its
+// destination (scalarSink).
+func blockSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *BlockVector[M], props []V, y *BlockVector[R]) colSink[E] {
 	if x.k == 1 {
 		return scalarSink(p, x.scalar, props, y.scalar)
 	}

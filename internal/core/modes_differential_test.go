@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -116,11 +117,11 @@ func captureStep[V any, M, R comparable](t *testing.T, g *graph.Graph[V, float32
 	t.Helper()
 	props = append(props, g.Props()...)
 	active = append(active, g.Active().Words()...)
-	yMask = append(yMask, ws.y.Mask().Words()...)
+	yMask = append(yMask, ws.y.scalar.Mask().Words()...)
 	// Only masked y values are meaningful; normalize the rest to zero.
-	vals := ws.y.Values()
+	vals := ws.y.scalar.Values()
 	yVals = make([]R, len(vals))
-	ws.y.Iterate(func(i uint32, v R) { yVals[i] = v })
+	ws.y.scalar.Iterate(func(i uint32, v R) { yVals[i] = v })
 	return
 }
 
@@ -255,7 +256,7 @@ func TestRowWalkDirections(t *testing.T) {
 
 // runDifferentialWS drives one (program, graph) pair superstep-by-superstep
 // (MaxIterations=1 per call) under pull, push and auto, through
-// RunWithWorkspace so ws.y is inspectable, and asserts bit-identical
+// RunContext so ws.y is inspectable, and asserts bit-identical
 // properties, frontiers and y vectors at every superstep boundary.
 func runDifferentialWS[P Program[float32, float32, float32, float32]](t *testing.T, d diffGraph, p P) {
 	t.Helper()
@@ -274,7 +275,7 @@ func runDifferentialWS[P Program[float32, float32, float32, float32]](t *testing
 		var refYVals []float32
 		for i, mode := range modes {
 			cfg := Config{Threads: 3, MaxIterations: 1, Mode: mode}
-			stats, err := RunWithWorkspace(graphs[i], p, cfg, wss[i])
+			stats, err := RunContext(context.Background(), graphs[i], p, cfg, wss[i])
 			if err != nil {
 				t.Fatalf("%s mode %s step %d: %v", d.name, mode, step, err)
 			}

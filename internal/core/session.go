@@ -12,8 +12,8 @@ import (
 // This file is the context-aware execution API: RunContext drives the same
 // superstep loop as Run, but the run is observable (a per-superstep callback)
 // and stoppable (context cancellation, a wall-clock budget, or the observer
-// itself). Every other entry point — Run, RunWithWorkspace — is a thin
-// wrapper over RunContext.
+// itself). Run is a thin wrapper over RunContext, and RunContext over the
+// entry body it shares with RunBlockContext (runColumns, engine_block.go).
 
 // StopReason classifies why a run ended; it is recorded in Stats.Reason.
 type StopReason int
@@ -244,10 +244,9 @@ func ctxReason(err error) StopReason {
 // RunContext executes program p on graph g like Run, under ctx: cancellation
 // and deadlines stop the run cooperatively — checked between supersteps and
 // via an atomic flag inside the parallel partition loops, so even long SpMVs
-// abort promptly. ws, when non-nil, is caller-managed scratch (it must match
-// the graph's vertex count and the configuration's vector kind); nil
-// allocates fresh scratch. Options attach a per-superstep observer and a
-// wall-clock budget.
+// abort promptly. ws, when non-nil, is caller-managed one-column scratch (it
+// must match the graph's vertex count); nil allocates fresh scratch. Options
+// attach a per-superstep observer and a wall-clock budget.
 //
 // A configuration with no code path (Vector: Sorted with Inlined dispatch,
 // see Config.Vector) or a mismatched workspace is rejected before any work.
@@ -258,32 +257,12 @@ func ctxReason(err error) StopReason {
 // graph's vertex state and active set are partial — mid-algorithm — but the
 // workspace is reusable as-is: the engine clears scratch at the start of
 // every superstep.
+//
+// RunContext is the one-column case of RunBlockContext, over the graph's own
+// vertex state.
 func RunContext[V, E, M, R any, P Program[V, E, M, R]](
 	ctx context.Context, g *graph.Graph[V, E], p P, cfg Config, ws *Workspace[M, R], opts ...RunOption,
 ) (Stats, error) {
-	if err := cfg.validate(); err != nil {
-		return Stats{}, err
-	}
-	cfg = cfg.withDefaults()
-	var ro runOptions
-	for _, opt := range opts {
-		opt(&ro)
-	}
-	ctrl, release := newController(ctx, ro)
-	defer release()
-	if cfg.Dispatch == Boxed {
-		// The boxed (naive) dispatch path manages its own type-erased
-		// scratch and ignores ws.
-		return runBoxed(g, p, cfg, ctrl)
-	}
-	n := int(g.NumVertices())
-	if ws == nil {
-		ws = NewWorkspace[M, R](n, cfg.Vector)
-	} else if err := ws.Check(n, cfg.Vector); err != nil {
-		return Stats{}, err
-	}
-	// The graph's own vertex state and the workspace's vectors, seen as the
-	// one-column block they are.
-	st := &BlockState[V]{n: n, k: 1, props: g.Props(), summary: g.Active()}
-	return runPhases(g, p, cfg, ctrl, st, vectorBlock(ws.x), vectorBlock(ws.y), scalarSink(p, ws.x, st.props, ws.y))
+	st := &BlockState[V]{n: int(g.NumVertices()), k: 1, props: g.Props(), summary: g.Active()}
+	return runColumns(ctx, g, p, st, cfg, ws, opts)
 }

@@ -28,7 +28,7 @@ func SpMV[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], x *sparse
 func SpMVContext[V, E, M, R any, P Program[V, E, M, R]](
 	ctx context.Context, g *graph.Graph[V, E], x *sparse.Vector[M], p P, cfg Config,
 ) (*sparse.Vector[R], error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validate(1); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()

@@ -303,10 +303,6 @@ func zipLayers[E any](parts, deltas []*sparse.DCSC[E]) []sparse.Layered[E] {
 	return layers
 }
 
-// Epoch reports the graph's edge-set version: 0 as built, +1 per applied
-// update batch.
-func (g *Graph[V, E]) Epoch() uint64 { return g.epoch }
-
 // OverlayNNZ reports the delta overlay's storage cost in entries (0 on a
 // fully compacted graph).
 func (g *Graph[V, E]) OverlayNNZ() int64 { return g.overlayNNZ }

@@ -59,11 +59,3 @@ type Diagnostic struct {
 	Pos     token.Pos
 	Message string
 }
-
-// Inspect walks every file in the pass in depth-first order, calling fn for
-// each node; fn returning false prunes the subtree (ast.Inspect semantics).
-func (p *Pass) Inspect(fn func(ast.Node) bool) {
-	for _, f := range p.Files {
-		ast.Inspect(f, fn)
-	}
-}

@@ -2,63 +2,120 @@ package lint
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// keptForTests lists the exported internal functions and methods no command,
-// example, facade or benchmark file names, each with the reason it stays.
-// Everything else in internal/... must be reachable by name from a non-test
-// file.
+// keptForTests lists the exported internal declarations — funcs, methods,
+// types, vars and consts — no command, example, facade or benchmark file
+// reaches, each with the reason it stays. Everything else exported in
+// internal/... must be reachable from a non-test file.
 var keptForTests = map[string]string{
-	"internal/sparse.BuildPartitionedDCSC": "serial reference builder the parallel-build differentials compare against",
-	"internal/reference.Triangles":         "triangle-count oracle of the algorithm and baseline tests",
-	"internal/reference.CFLoss":            "collaborative-filtering loss oracle of the algorithm and baseline tests",
-	"internal/kernels.Supported":           "backend roster the engine and algorithm parity suites iterate",
-	"internal/lint/analysistest.Run":       "fixture harness of the analyzer tests",
-	"internal/sparse.CSR.ToCOO":            "round-trip oracle of the CSR build test",
-	"internal/sparse.DCSC.ToCOO":           "round-trip oracle of the DCSC build test",
-	"internal/sparse.Vector.GetChecked":    "presence-aware read (graphmat.Vector's, publicly) the SpMV and mode differentials compare outputs through",
-	"internal/core.BlockVector.ColMask":    "occupancy-checked mask read of the block kernel tests' naive folds",
-	"internal/graph.Snapshot.View":         "private-state view of a pinned epoch (graphmat.Snapshot's, publicly) the store race and overlay differentials run on",
+	"internal/sparse.BuildPartitionedDCSC":           "serial reference builder the parallel-build differentials compare against",
+	"internal/reference.Triangles":                   "triangle-count oracle of the algorithm and baseline tests",
+	"internal/reference.CFLoss":                      "collaborative-filtering loss oracle of the algorithm and baseline tests",
+	"internal/kernels.Supported":                     "backend roster the engine and algorithm parity suites iterate",
+	"internal/lint/analysistest.Run":                 "fixture harness of the analyzer tests",
+	"internal/sparse.CSR.ToCOO":                      "round-trip oracle of the CSR build test",
+	"internal/sparse.DCSC.ToCOO":                     "round-trip oracle of the DCSC build test",
+	"internal/sparse.Vector.GetChecked":              "presence-aware read (graphmat.Vector's, publicly) the SpMV and mode differentials compare outputs through",
+	"internal/core.BlockVector.ColMask":              "occupancy-checked mask read of the block kernel tests' naive folds",
+	"internal/graph.Snapshot.View":                   "private-state view of a pinned epoch (graphmat.Snapshot's, publicly) the store race and overlay differentials run on",
+	"internal/core.BlockState.Column":                "one column's read-out the block differentials compare against solo runs",
+	"internal/core.BlockState.ClearActive":           "frontier reset of the block tests that reseed one state",
+	"internal/graph.Graph.ClearActive":               "frontier reset (graphmat.Graph's, publicly) of the engine tests that start runs from a chosen vertex",
+	"internal/graph.Graph.OverlayNNZ":                "overlay size (graphmat.Graph's, publicly) the store and layered-walk tests assert",
+	"internal/graph.Graph.Partitions":                "partition count (graphmat.Graph's, publicly) the repartition test asserts",
+	"internal/baselines/matrixengine.Matrix.Workers": "the grid² worker count the CombBLAS stand-in's test asserts",
+	"internal/counters.Set.Add":                      "multi-phase accumulation the counters test checks",
+	"internal/counters.AxisNames":                    "Figure 6 series labels the counters test holds the ratio order to",
+	"internal/sched.Pool.Workers":                    "worker-slot count the pool tests assert",
+	"internal/server.GraphEntry.Run":                 "one-entry scalar run the master tests compare served answers with",
+	"internal/server.Source.Load":                    "graph-source loader the spec tests drive",
+	"internal/sparse.COO.NNZ":                        "stored-entry count the generator and spec tests assert",
+	"internal/sparse.CSR.HasEdge":                    "edge lookup of the CSR build test",
+	"internal/sparse.Layered.Iterate":                "merged live-edge walk the overlay tests compare against",
+	"internal/sparse.Vector.Len":                     "dimension read of the sparse vector tests",
+	"internal/sparse.Vector.Clear":                   "single-entry removal of the sparse vector tests",
+	"internal/sparse.SortedVector.Len":               "dimension read of the sparse vector tests",
+	"internal/sparse.SortedVector.Iterate":           "ordered walk of the sparse vector tests",
 }
 
-// stdlibCalls lists the method names the standard library calls through its
-// own interfaces, which no selector in this module shows.
-var stdlibCalls = map[string]string{
-	"MarshalJSON":   "encoding/json.Marshaler",
-	"UnmarshalJSON": "encoding/json.Unmarshaler",
-	"Less":          "sort.Interface, under container/heap",
-	"Swap":          "sort.Interface, under container/heap",
+// stdlibIfaces are the standard-library interfaces through which the
+// standard library calls this module's methods, which no selector in the
+// module shows.
+var stdlibIfaces = [][2]string{
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
+	{"fmt", "Stringer"},
+	{"net/http", "Handler"},
+	{"container/heap", "Interface"},
+}
+
+// loader type-checks the module's packages from their non-test files,
+// resolving the module's own import paths to those packages and the
+// standard library through the source importer.
+type loader struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // import path → non-test files
+	pkgs  map[string]*types.Package
+	infos map[string]*types.Info
+	std   types.Importer
+}
+
+func (l *loader) Import(ipath string) (*types.Package, error) {
+	if l.files[ipath] == nil {
+		return l.std.Import(ipath)
+	}
+	if p := l.pkgs[ipath]; p != nil {
+		return p, nil
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	p, err := (&types.Config{Importer: l}).Check(ipath, l.fset, l.files[ipath], info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[ipath], l.infos[ipath] = p, info
+	return p, nil
 }
 
 // TestInternalFuncsAreReachable is the standing form of the "only what runs
-// stays" audit: an exported package-level func or exported method of an
-// internal/... package must be named by a non-test .go file of a package
-// that the commands, examples, facade, algorithms or benchmark/ reach through
-// non-test imports. It is a by-name check over the syntax trees, so it needs
-// no type information: a func is named by a qualified pkg.Name through the
-// file's imports or a bare Name inside the declaring package; a method by any
-// value.Name selector in a reachable package, whatever the value's type —
-// which is how a call through an interface or a type parameter looks too —
-// or by the standard library (stdlibCalls).
+// stays" audit: every exported package-level func, type, var and const of an
+// internal/... package, and every exported method, must be used by a non-test
+// .go file of a package that the commands, examples, facade, algorithms or
+// benchmark/ reach through non-test imports. Uses are resolved by go/types
+// over the module and benchmark/ (module graphmat/benchmark, so its import
+// paths map onto directories like the rest): a method T.M counts as used
+// when live code selects it on T — a generic type's method by its origin —
+// or calls M through an interface (a type parameter's constraint included)
+// whose methods T's method set has, or T satisfies a standard-library
+// interface the standard library calls (stdlibIfaces). A type named only in
+// its own methods' receivers is not used.
 func TestInternalFuncsAreReachable(t *testing.T) {
-	const module = "graphmat/"
+	const module = "graphmat"
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
 
-	byDir := map[string][]*ast.File{} // slash-separated dir relative to root → non-test files
+	l := &loader{
+		fset: fset, files: map[string][]*ast.File{},
+		pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{},
+		std: importer.ForCompiler(fset, "source", nil),
+	}
+	recvIdents := map[*ast.Ident]bool{} // type names in method receivers
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		name := d.Name()
+		name, dir := d.Name(), filepath.Dir(p)
 		if d.IsDir() {
 			if p != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
@@ -68,126 +125,164 @@ func TestInternalFuncsAreReachable(t *testing.T) {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
+		if ok, err := build.Default.MatchFile(dir, name); !ok || err != nil {
+			return err
+		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		rel, err := filepath.Rel(root, filepath.Dir(p))
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
+				ast.Inspect(fn.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						recvIdents[id] = true
+					}
+					return true
+				})
+			}
+		}
+		rel, err := filepath.Rel(root, dir)
 		if err != nil {
 			return err
 		}
-		byDir[filepath.ToSlash(rel)] = append(byDir[filepath.ToSlash(rel)], f)
+		ipath := path.Join(module, filepath.ToSlash(rel))
+		l.files[ipath] = append(l.files[ipath], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// inModule resolves an import spec to the module-relative dir it names
-	// ("graphmat" itself is the root dir "."), or ok=false for the stdlib.
-	inModule := func(imp *ast.ImportSpec) (dir string, ok bool) {
-		ipath, _ := strconv.Unquote(imp.Path.Value)
-		if ipath+"/" == module {
-			return ".", true
+	for ipath := range l.files {
+		if _, err := l.Import(ipath); err != nil {
+			t.Fatal(err)
 		}
-		return strings.TrimPrefix(ipath, module), strings.HasPrefix(ipath, module)
+	}
+	internal := func(ipath string) (dir string, ok bool) {
+		dir = strings.TrimPrefix(ipath, module+"/")
+		return dir, strings.HasPrefix(dir, "internal/")
 	}
 
 	// live: the packages reachable from everything outside internal/.
-	live := map[string]bool{}
-	var visit func(dir string)
-	visit = func(dir string) {
-		if live[dir] {
+	live := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if live[p] || l.pkgs[p.Path()] == nil {
 			return
 		}
-		live[dir] = true
-		for _, f := range byDir[dir] {
-			for _, imp := range f.Imports {
-				if target, ok := inModule(imp); ok {
-					visit(target)
-				}
-			}
+		live[p] = true
+		for _, imp := range p.Imports() {
+			visit(imp)
 		}
 	}
-	for dir := range byDir {
-		if !strings.HasPrefix(dir, "internal/") {
-			visit(dir)
+	for ipath, p := range l.pkgs {
+		if _, ok := internal(ipath); !ok {
+			visit(p)
 		}
 	}
 
-	declared := map[string]token.Pos{} // "internal/pkg.Func" or "internal/pkg.Type.Method" → its declaration
-	used := map[string]bool{}          // the func keys, named from a live package
-	methods := map[string]string{}     // the method keys → the bare method name
-	called := map[string]bool{}        // names selected from a value in a live package
-	for dir, files := range byDir {
-		for _, f := range files {
-			// Local import name → module-relative dir of an in-module import.
-			imports := map[string]string{}
-			for _, imp := range f.Imports {
-				target, ok := inModule(imp)
-				if !ok || len(byDir[target]) == 0 {
-					continue
-				}
-				local := byDir[target][0].Name.Name
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-				imports[local] = target
+	used := map[types.Object]bool{}       // objects a live package names, by origin
+	ifaces := map[*types.Interface]bool{} // interfaces whose methods live code calls
+	for p := range live {
+		for id, obj := range l.infos[p.Path()].Uses {
+			if recvIdents[id] {
+				continue
 			}
-			skip := map[*ast.Ident]bool{} // declaration names and selector fields
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					skip[n.Name] = true
-					if strings.HasPrefix(dir, "internal/") && n.Name.IsExported() {
-						key := dir + "." + n.Name.Name
-						if n.Recv != nil {
-							key = dir + "." + recvTypeName(n) + "." + n.Name.Name
-							methods[key] = n.Name.Name
-						}
-						declared[key] = n.Pos()
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+				if recv := o.Signature().Recv(); recv != nil {
+					rt := recv.Type()
+					if tp, ok := rt.(*types.TypeParam); ok {
+						rt = tp.Constraint()
 					}
-				case *ast.SelectorExpr:
-					skip[n.Sel] = true
-					if !live[dir] {
-						break
-					}
-					if x, ok := n.X.(*ast.Ident); ok {
-						if target, ok := imports[x.Name]; ok {
-							used[target+"."+n.Sel.Name] = true
-							break
-						}
-					}
-					called[n.Sel.Name] = true
-				case *ast.Ident:
-					if !skip[n] && live[dir] {
-						used[dir+"."+n.Name] = true
+					if iface, ok := rt.Underlying().(*types.Interface); ok {
+						ifaces[iface] = true
 					}
 				}
+			case *types.Var:
+				obj = o.Origin()
+			}
+			used[obj] = true
+		}
+	}
+	for _, si := range stdlibIfaces {
+		p, err := l.std.Import(si[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ifaces[p.Scope().Lookup(si[1]).Type().Underlying().(*types.Interface)] = true
+	}
+
+	// viaInterface reports whether method m is called through an interface
+	// its receiver type's method set covers.
+	viaInterface := func(m *types.Func) bool {
+		recv := m.Signature().Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		mset := types.NewMethodSet(types.NewPointer(recv))
+		for iface := range ifaces {
+			named, covered := false, true
+			for i := 0; i < iface.NumMethods() && covered; i++ {
+				im := iface.Method(i)
+				named = named || im.Name() == m.Name()
+				covered = mset.Lookup(im.Pkg(), im.Name()) != nil
+			}
+			if named && covered {
 				return true
-			})
+			}
 		}
+		return false
 	}
 
-	for key, name := range methods {
-		used[key] = called[name] || stdlibCalls[name] != ""
+	declared := map[string]types.Object{} // "internal/pkg.Name" or "internal/pkg.Type.Method"
+	for ipath, p := range l.pkgs {
+		dir, ok := internal(ipath)
+		if !ok {
+			continue
+		}
+		for _, name := range p.Scope().Names() {
+			obj := p.Scope().Lookup(name)
+			if obj.Exported() {
+				declared[dir+"."+name] = obj
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok {
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() {
+						declared[dir+"."+name+"."+m.Name()] = m
+					}
+				}
+			}
+		}
+	}
+	reached := func(obj types.Object) bool {
+		if used[obj] {
+			return true
+		}
+		m, ok := obj.(*types.Func)
+		return ok && m.Signature().Recv() != nil && viaInterface(m)
 	}
 
 	var dead []string
-	for name, pos := range declared {
-		if !used[name] && keptForTests[name] == "" {
-			dead = append(dead, fset.Position(pos).String()+": "+name)
+	for name, obj := range declared {
+		if !reached(obj) && keptForTests[name] == "" {
+			dead = append(dead, fset.Position(obj.Pos()).String()+": "+name)
 		}
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s is named by no non-test file of a reachable package: delete it, or list it in keptForTests with a reason", d)
+		t.Errorf("%s is used by no non-test file of a reachable package: delete it, or list it in keptForTests with a reason", d)
 	}
 	for name := range keptForTests {
-		if _, ok := declared[name]; !ok {
+		if obj, ok := declared[name]; !ok {
 			t.Errorf("keptForTests lists %s, which no longer exists", name)
-		} else if used[name] {
-			t.Errorf("keptForTests lists %s, which non-test code now names: drop the entry", name)
+		} else if reached(obj) {
+			t.Errorf("keptForTests lists %s, which non-test code now uses: drop the entry", name)
 		}
 	}
 }

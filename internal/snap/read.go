@@ -141,9 +141,6 @@ func (sn *Snapshot) decode() error {
 // until Close, and read-only.
 func (sn *Snapshot) Image() *Image { return sn.img }
 
-// Path returns the file the snapshot was opened from.
-func (sn *Snapshot) Path() string { return sn.path }
-
 // Verify is the deep integrity pass Open deliberately skips: every section's
 // payload CRC, then the image's full Validate (Open ran only its O(1) shape
 // half). It faults in the whole file.

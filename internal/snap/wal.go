@@ -209,9 +209,6 @@ func (w *WAL) Batches() int64 { return w.batches }
 // handle.
 func (w *WAL) Records() int64 { return w.records }
 
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
-
 // Close closes the log file.
 func (w *WAL) Close() error {
 	if w.f == nil {
