@@ -174,9 +174,9 @@ func TestRegistryMatchesDirectCalls(t *testing.T) {
 	})
 }
 
-// TestScratchReuse checks that reusing one pooled scratch across runs gives
-// bit-identical results to fresh allocation — the property the server's
-// workspace pool depends on.
+// TestScratchReuse checks that reusing one scratch across runs gives
+// bit-identical results to fresh allocation — the property a library caller
+// that passes NewScratch's value to every run depends on.
 func TestScratchReuse(t *testing.T) {
 	for _, name := range algorithms.Names() {
 		t.Run(name, func(t *testing.T) {

@@ -111,7 +111,8 @@ func NewTriangleScratch(n int, kind graphmat.VectorKind) *TriangleScratch {
 	}
 }
 
-// Reset clears both phase workspaces (pool recycling).
+// Reset clears both phase workspaces, for callers that reuse the scratch
+// across runs.
 func (s *TriangleScratch) Reset() {
 	s.Phase1.Reset()
 	s.Phase2.Reset()

@@ -1,7 +1,7 @@
 // Command graphmatd is the GraphMat analytics service: a long-running HTTP
-// daemon that keeps graphs and engine scratch resident so many clients share
-// one loaded graph across queries (the RedisGraph deployment model for a
-// GraphBLAS-style engine).
+// daemon that keeps graphs and their per-algorithm property graphs resident
+// so many clients share one loaded graph across queries (the RedisGraph
+// deployment model for a GraphBLAS-style engine). Engine scratch is per run.
 //
 // Usage:
 //

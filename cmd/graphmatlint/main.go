@@ -2,16 +2,13 @@
 // (internal/lint): snappin, detfold, ctxpoll, purefold, bannedcalls — the
 // engine's correctness invariants, enforced at compile time.
 //
-// It runs two ways:
+// It runs under go vet, which is what `make lint` and CI run:
 //
-//	go vet -vettool=$(go env GOPATH)/bin/graphmatlint ./...   # vet protocol
-//	graphmatlint ./...                                        # standalone
+//	go vet -vettool=$(go env GOPATH)/bin/graphmatlint ./...
 //
-// The vet form is what CI runs: go vet hands the tool one type-checked
-// package at a time (export data for dependencies included), covers test
-// files, and caches results. The standalone form loads packages itself via
-// `go list -export` and checks non-test sources; it exists so `make lint`
-// and editors need no vet plumbing.
+// go vet hands the tool one type-checked package at a time (export data for
+// dependencies included), covers test files, and caches results. Any
+// argument other than one unitchecker .cfg file is a usage error.
 //
 // The tool speaks cmd/go's vettool protocol (-V=full, -flags, unitchecker
 // config files) with no dependency outside the standard library: the repo
@@ -48,7 +45,7 @@ func main() {
 
 	fs := flag.NewFlagSet("graphmatlint", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: graphmatlint [flags] <packages|unitchecker.cfg>\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: graphmatlint [flags] <unitchecker.cfg>\n\nRun it as go vet -vettool=$(go env GOPATH)/bin/graphmatlint ./...\n\nAnalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
 		}
@@ -84,14 +81,11 @@ func main() {
 	}
 
 	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		os.Exit(unitcheck(rest[0], active, *jsonOut))
-	}
-	if len(rest) == 0 {
+	if len(rest) != 1 || !strings.HasSuffix(rest[0], ".cfg") {
 		fs.Usage()
 		os.Exit(2)
 	}
-	os.Exit(standalone(rest, active))
+	os.Exit(unitcheck(rest[0], active, *jsonOut))
 }
 
 // printVersion implements -V=full: cmd/go uses the output (which must have
@@ -271,107 +265,4 @@ func build() string {
 		return "amd64"
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// listedPackage is the slice of `go list -json` output the standalone
-// loader needs.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	CgoFiles   []string
-	ImportMap  map[string]string
-}
-
-// standalone loads and checks package patterns without vet: one
-// `go list -deps -export -json` supplies the dependency export data, and
-// each matched package is type-checked from source. Test files are not
-// loaded in this mode (run via go vet for full coverage).
-func standalone(patterns []string, analyzers []*analysis.Analyzer) int {
-	targets, err := goList(append([]string{"-find"}, patterns...))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	want := map[string]bool{}
-	for _, p := range targets {
-		want[p.ImportPath] = true
-	}
-	all, err := goList(append([]string{"-deps", "-export"}, patterns...))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	exports := map[string]string{}
-	for _, p := range all {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-
-	exit := 0
-	for _, p := range all {
-		if !want[p.ImportPath] {
-			continue
-		}
-		if len(p.CgoFiles) > 0 {
-			fmt.Fprintf(os.Stderr, "graphmatlint: skipping %s (cgo not supported)\n", p.ImportPath)
-			continue
-		}
-		var goFiles []string
-		for _, f := range p.GoFiles {
-			goFiles = append(goFiles, p.Dir+string(os.PathSeparator)+f)
-		}
-		importMap := p.ImportMap
-		fset := token.NewFileSet()
-		files, info, pkg, err := typecheck(fset, goFiles, p.ImportPath, "gc", func(path string) (io.ReadCloser, error) {
-			if mapped, ok := importMap[path]; ok {
-				path = mapped
-			}
-			file, ok := exports[path]
-			if !ok {
-				return nil, fmt.Errorf("no export data for %q", path)
-			}
-			return os.Open(file)
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "graphmatlint: %s: %v\n", p.ImportPath, err)
-			exit = 1
-			continue
-		}
-		findings, err := lint.Check(analyzers, fset, files, pkg, info)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "graphmatlint: %s: %v\n", p.ImportPath, err)
-			exit = 1
-			continue
-		}
-		for _, f := range findings {
-			fmt.Printf("%s: %s\n", f.Pos, f.Message)
-		}
-		if len(findings) > 0 && exit == 0 {
-			exit = 2
-		}
-	}
-	return exit
-}
-
-// goList shells out to `go list -json` and decodes the package stream.
-func goList(args []string) ([]listedPackage, error) {
-	cmd := exec.Command("go", append([]string{"list", "-json"}, args...)...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list: %w", err)
-	}
-	var pkgs []listedPackage
-	dec := json.NewDecoder(strings.NewReader(string(out)))
-	for dec.More() {
-		var p listedPackage
-		if err := dec.Decode(&p); err != nil {
-			return nil, fmt.Errorf("go list output: %w", err)
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
 }

@@ -15,8 +15,8 @@
 //
 // Runs are sessions: RunContext executes the same superstep loop under a
 // context.Context, so callers can cancel abandoned work, bound wall time
-// (context deadlines or WithMaxDuration), and watch progress with a
-// per-superstep observer:
+// with a context deadline (which stops even a superstep in flight), and watch
+// progress with a per-superstep observer:
 //
 //	stats, err := graphmat.RunContext(ctx, g, prog, cfg, nil,
 //		graphmat.WithObserver(func(info graphmat.IterationInfo) error {
@@ -37,7 +37,6 @@ package graphmat
 import (
 	"context"
 	"io"
-	"time"
 
 	"graphmat/internal/core"
 	"graphmat/internal/graph"
@@ -208,10 +207,6 @@ type RunOption = core.RunOption
 // progress (iteration number, frontier size, messages sent, wall time). An
 // error return stops the run.
 func WithObserver(fn Observer) RunOption { return core.WithObserver(fn) }
-
-// WithMaxDuration bounds the run's wall time; expiry stops the run promptly
-// — even mid-superstep — with reason DeadlineExceeded.
-func WithMaxDuration(d time.Duration) RunOption { return core.WithMaxDuration(d) }
 
 // RunContext executes a vertex program under ctx: cancellation and deadlines
 // stop the run cooperatively, checked between supersteps and inside the

@@ -439,30 +439,24 @@ func Fig6(results []*Fig4Result) []*Table {
 	return tables
 }
 
-// Fig7Step is one Figure 7 ablation configuration with its two workloads
-// bound and ready to run (used both by the Fig7 table and the root
-// benchmarks).
-type Fig7Step struct {
-	Name    string
-	RunPR   func()
-	RunSSSP func()
-	// Repartition switches the shared graphs to this step's partitioning;
-	// call it before timing the step's runs.
-	Repartition func()
-}
-
-// Fig7Steps prepares the five ablation configurations on the Figure 7
-// workloads (PageRank on the Facebook stand-in, SSSP on the Flickr
-// stand-in). Steps must be run in order — each repartitions the shared
-// graphs when invoked.
-func Fig7Steps(o Options) []Fig7Step {
+// Fig7 measures the optimization ablation (Figure 7): cumulative speedup of
+// the engine configurations from naive scalar code to the fully optimized
+// parallel engine, for PageRank on the Facebook stand-in and SSSP on the
+// Flickr stand-in. Both graphs are built once; each step repartitions them
+// before its runs are timed, so the steps run in order.
+func Fig7(o Options) *Table {
 	o = o.withDefaults()
-	type step struct {
+	t := &Table{
+		Title: "Figure 7: effect of optimizations (cumulative speedup over naive)",
+		Caption: "paper reaches 27.3x (PageRank/facebook) and 19.9x (SSSP/flickr) on 24 cores;\n" +
+			"parallel steps scale with the cores available here",
+		Header: []string{"configuration", "PageRank/facebook", "SSSP/flickr"},
+	}
+	steps := []struct {
 		name  string
 		cfg   graphmat.Config
 		parts int
-	}
-	steps := []step{
+	}{
 		{"naive", graphmat.Config{Threads: 1, Vector: graphmat.Sorted, Dispatch: graphmat.Boxed}, 1},
 		{"+bitvector", graphmat.Config{Threads: 1, Vector: graphmat.Bitvector, Dispatch: graphmat.Boxed}, 1},
 		{"+ipo", graphmat.Config{Threads: 1, Vector: graphmat.Bitvector, Dispatch: graphmat.Inlined}, 1},
@@ -472,11 +466,7 @@ func Fig7Steps(o Options) []Fig7Step {
 
 	fb, _ := DatasetByName("Facebook")
 	fl, _ := DatasetByName("Flickr")
-	fbData := fb.Generate(o.Shift)
-	flData := fl.Generate(o.Shift)
-
-	// Build the two graphs once; each step repartitions.
-	prData := fbData.Clone()
+	prData := fb.Generate(o.Shift)
 	prData.RemoveSelfLoops()
 	prData.SortRowMajor()
 	prData.DedupKeepFirst()
@@ -484,7 +474,7 @@ func Fig7Steps(o Options) []Fig7Step {
 	if err != nil {
 		panic(err)
 	}
-	ssspData := flData.Clone()
+	ssspData := fl.Generate(o.Shift)
 	ssspData.RemoveSelfLoops()
 	ssspData.SortRowMajor()
 	ssspData.DedupKeepFirst()
@@ -494,42 +484,17 @@ func Fig7Steps(o Options) []Fig7Step {
 		panic(err)
 	}
 
-	out := make([]Fig7Step, 0, len(steps))
-	for _, s := range steps {
-		cfg := s.cfg
-		parts := s.parts
-		out = append(out, Fig7Step{
-			Name:        s.name,
-			Repartition: func() { prGraph.Repartition(parts); ssspGraph.Repartition(parts) },
-			RunPR:       func() { runPageRankAblation(prGraph, o.PRIters, cfg) },
-			RunSSSP:     func() { runSSSPAblation(ssspGraph, ssspRoot, cfg) },
-		})
-	}
-	return out
-}
-
-// Fig7 measures the optimization ablation (Figure 7): cumulative speedup of
-// the engine configurations from naive scalar code to the fully optimized
-// parallel engine, for PageRank on the Facebook stand-in and SSSP on the
-// Flickr stand-in.
-func Fig7(o Options) *Table {
-	o = o.withDefaults()
-	t := &Table{
-		Title: "Figure 7: effect of optimizations (cumulative speedup over naive)",
-		Caption: "paper reaches 27.3x (PageRank/facebook) and 19.9x (SSSP/flickr) on 24 cores;\n" +
-			"parallel steps scale with the cores available here",
-		Header: []string{"configuration", "PageRank/facebook", "SSSP/flickr"},
-	}
 	var prBase, ssspBase float64
-	for i, s := range Fig7Steps(o) {
-		s.Repartition()
-		o.progress("Fig7 %s", s.Name)
-		prSecs := timeBest(o.Repeats, s.RunPR)
-		ssspSecs := timeBest(o.Repeats, s.RunSSSP)
+	for i, s := range steps {
+		prGraph.Repartition(s.parts)
+		ssspGraph.Repartition(s.parts)
+		o.progress("Fig7 %s", s.name)
+		prSecs := timeBest(o.Repeats, func() { runPageRankAblation(prGraph, o.PRIters, s.cfg) })
+		ssspSecs := timeBest(o.Repeats, func() { runSSSPAblation(ssspGraph, ssspRoot, s.cfg) })
 		if i == 0 {
 			prBase, ssspBase = prSecs, ssspSecs
 		}
-		t.Rows = append(t.Rows, []string{s.Name, FormatRatio(prBase / prSecs), FormatRatio(ssspBase / ssspSecs)})
+		t.Rows = append(t.Rows, []string{s.name, FormatRatio(prBase / prSecs), FormatRatio(ssspBase / ssspSecs)})
 	}
 	return t
 }

@@ -208,15 +208,6 @@ func (st *BlockState[V]) InitProps(fn func(v uint32, s int) V) {
 	}
 }
 
-// Column copies the per-vertex properties of source column s into out (length
-// n) — one source's result. Extracting every column this way is k strided
-// passes over the block; Columns does it in one.
-func (st *BlockState[V]) Column(s int, out []V) {
-	for v := 0; v < st.n; v++ {
-		out[v] = st.props[v*st.k+s]
-	}
-}
-
 // Columns returns every source column's per-vertex properties, cols[s][v] —
 // the whole batch's result extraction, in one pass over the property rows.
 func (st *BlockState[V]) Columns() [][]V {

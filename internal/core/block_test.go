@@ -91,9 +91,9 @@ func blockSSSPMatchesScalar(t *testing.T, name string, g *graph.Graph[float32, f
 				if stats.Reason != Converged {
 					t.Fatalf("block run did not converge: %+v", stats)
 				}
-				col := make([]float32, n)
+				cols := st.Columns()
 				for s := range sources {
-					st.Column(s, col)
+					col := cols[s]
 					for v := range col {
 						if col[v] != oracle[s][v] {
 							t.Fatalf("source %d: dist[%d] = %v, want %v", sources[s], v, col[v], oracle[s][v])
@@ -203,10 +203,9 @@ func TestBlockSingleColumnAccessors(t *testing.T) {
 	if st.ActiveColumns() != 0 {
 		t.Fatal("a converged column is still live")
 	}
-	col := make([]float32, n)
-	st.Column(0, col)
+	col := st.Columns()[0]
 	if !slices.Equal(col, st.props) || col[9] != 0 {
-		t.Fatal("Column(0) is not the property column")
+		t.Fatal("Columns()[0] is not the property column")
 	}
 
 	x := ws.x
@@ -257,8 +256,7 @@ func TestBlockWorkspaceReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		for s := 0; s < 2; s++ {
-			col := make([]float32, n)
-			st.Column(s, col)
+			col := st.Columns()[s]
 			if round == 0 {
 				want[s] = col
 				continue

@@ -215,12 +215,7 @@ func testF32FoldParityBlock(t *testing.T, world string, g *graph.Graph[float32, 
 		if _, err := RunBlockContext(context.Background(), g, p, st, Config{Mode: mode, Threads: 3}, nil); err != nil {
 			t.Fatal(err)
 		}
-		cols := make([][]float32, k)
-		for s := range cols {
-			cols[s] = make([]float32, n)
-			st.Column(s, cols[s])
-		}
-		return cols
+		return st.Columns()
 	}
 
 	for _, mode := range []Mode{Pull, Push, Auto} {

@@ -254,12 +254,7 @@ func TestKernelBackendParityBlockEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cols := make([][]float64, k)
-		for s := range cols {
-			cols[s] = make([]float64, fix.n)
-			st.Column(s, cols[s])
-		}
-		return cols, stats
+		return st.Columns(), stats
 	}
 	for _, layered := range []bool{false, true} {
 		for _, mode := range []Mode{Pull, Push, Auto} {

@@ -29,8 +29,7 @@ const (
 	MaxIterations
 	// Canceled means the run's context was canceled.
 	Canceled
-	// DeadlineExceeded means the context deadline or WithMaxDuration budget
-	// expired.
+	// DeadlineExceeded means the context deadline expired.
 	DeadlineExceeded
 	// StoppedByObserver means a WithObserver callback returned an error.
 	StoppedByObserver
@@ -138,22 +137,13 @@ type Observer = func(IterationInfo) error
 type RunOption func(*runOptions)
 
 type runOptions struct {
-	observer    Observer
-	maxDuration time.Duration
+	observer Observer
 }
 
 // WithObserver invokes fn after every superstep with that superstep's
 // progress. An error return stops the run (reason StoppedByObserver).
 func WithObserver(fn Observer) RunOption {
 	return func(o *runOptions) { o.observer = fn }
-}
-
-// WithMaxDuration bounds the run's wall time; when the budget expires the run
-// stops promptly — even mid-superstep — with reason DeadlineExceeded. It is
-// the engine-level equivalent of a context deadline for callers that do not
-// carry a context.
-func WithMaxDuration(d time.Duration) RunOption {
-	return func(o *runOptions) { o.maxDuration = d }
 }
 
 // controller carries a run's stop machinery into the superstep loop. The
@@ -196,15 +186,11 @@ func (c *controller) flag() *atomic.Int32 {
 	return &c.stop
 }
 
-// newController builds the run's controller, arming the context watcher and
-// the wall-clock budget. The returned release func must be called when the
-// run ends; it stops the timer and the watcher goroutine.
+// newController builds the run's controller, arming the context watcher. The
+// returned release func must be called when the run ends; it stops the
+// watcher goroutine.
 func newController(ctx context.Context, ro runOptions) (*controller, func()) {
 	c := &controller{observer: ro.observer}
-	var timer *time.Timer
-	if ro.maxDuration > 0 {
-		timer = time.AfterFunc(ro.maxDuration, func() { c.signal(DeadlineExceeded) })
-	}
 	var watchDone chan struct{}
 	if ctx != nil && ctx.Done() != nil {
 		c.ctx = ctx
@@ -223,9 +209,6 @@ func newController(ctx context.Context, ro runOptions) (*controller, func()) {
 		}
 	}
 	release := func() {
-		if timer != nil {
-			timer.Stop()
-		}
 		if watchDone != nil {
 			close(watchDone)
 		}

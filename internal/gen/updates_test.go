@@ -6,12 +6,12 @@ import (
 
 func TestUpdatesGenerator(t *testing.T) {
 	base := RMAT(RMATOptions{Scale: 8, EdgeFactor: 8, Seed: 3, MaxWeight: 10})
-	nnzBefore := base.NNZ()
+	nnzBefore := len(base.Entries)
 	ups := Updates(base, UpdateOptions{Count: 500, DeleteFraction: 0.4, MaxWeight: 9, Seed: 1})
 	if len(ups) != 500 {
 		t.Fatalf("got %d updates, want 500", len(ups))
 	}
-	if base.NNZ() != nnzBefore {
+	if len(base.Entries) != nnzBefore {
 		t.Fatalf("generator mutated the base graph")
 	}
 	baseEdges := map[[2]uint32]bool{}

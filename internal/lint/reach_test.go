@@ -30,7 +30,6 @@ var keptForTests = map[string]string{
 	"internal/sparse.Vector.GetChecked":              "presence-aware read (graphmat.Vector's, publicly) the SpMV and mode differentials compare outputs through",
 	"internal/core.BlockVector.ColMask":              "occupancy-checked mask read of the block kernel tests' naive folds",
 	"internal/graph.Snapshot.View":                   "private-state view of a pinned epoch (graphmat.Snapshot's, publicly) the store race and overlay differentials run on",
-	"internal/core.BlockState.Column":                "one column's read-out the block differentials compare against solo runs",
 	"internal/core.BlockState.ClearActive":           "frontier reset of the block tests that reseed one state",
 	"internal/graph.Graph.ClearActive":               "frontier reset (graphmat.Graph's, publicly) of the engine tests that start runs from a chosen vertex",
 	"internal/graph.Graph.OverlayNNZ":                "overlay size (graphmat.Graph's, publicly) the store and layered-walk tests assert",
@@ -39,9 +38,6 @@ var keptForTests = map[string]string{
 	"internal/counters.Set.Add":                      "multi-phase accumulation the counters test checks",
 	"internal/counters.AxisNames":                    "Figure 6 series labels the counters test holds the ratio order to",
 	"internal/sched.Pool.Workers":                    "worker-slot count the pool tests assert",
-	"internal/server.GraphEntry.Run":                 "one-entry scalar run the master tests compare served answers with",
-	"internal/server.Source.Load":                    "graph-source loader the spec tests drive",
-	"internal/sparse.COO.NNZ":                        "stored-entry count the generator and spec tests assert",
 	"internal/sparse.CSR.HasEdge":                    "edge lookup of the CSR build test",
 	"internal/sparse.Layered.Iterate":                "merged live-edge walk the overlay tests compare against",
 	"internal/sparse.Vector.Len":                     "dimension read of the sparse vector tests",

@@ -74,11 +74,11 @@ func sameAsFresh(t *testing.T, what string, entry *GraphEntry, ref *sparse.COO[f
 		"sssp":     {Source: 3},
 		"pagerank": {Iterations: 6},
 	} {
-		want, err := fresh.Run(algo, p)
+		want, err := fresh.RunContext(t.Context(), algo, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := entry.Run(algo, p)
+		got, err := entry.RunContext(t.Context(), algo, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestEntryMasterDifferentialAndReplay(t *testing.T) {
 	// Phase 2: built instances compact, compactions checkpoint, checkpoints
 	// fold the master. Small batches, so several land between checkpoints.
 	for _, algo := range []string{"bfs", "pagerank"} {
-		if _, err := entry.Run(algo, algorithms.Params{Source: 3, Iterations: 6}); err != nil {
+		if _, err := entry.RunContext(t.Context(), algo, algorithms.Params{Source: 3, Iterations: 6}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,7 +228,7 @@ func TestLazyBuildRacesWriter(t *testing.T) {
 		}
 	}()
 	for _, algo := range []string{"bfs", "sssp", "pagerank"} {
-		if _, err := entry.Run(algo, algorithms.Params{Source: 3, Iterations: 6}); err != nil {
+		if _, err := entry.RunContext(t.Context(), algo, algorithms.Params{Source: 3, Iterations: 6}, nil); err != nil {
 			t.Error(err)
 		}
 		_ = entry.NumEdges()

@@ -380,12 +380,7 @@ func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, 
 		if err != nil {
 			return nil, fmt.Errorf("persist: opening %s from %s: %w", algo, file, err)
 		}
-		ai := &algoInstance{spec: spec, inst: inst}
-		ai.pool.New = func() any {
-			ai.allocs.Add(1)
-			return ai.inst.NewScratch()
-		}
-		entry.insts[algo] = ai
+		entry.insts[algo] = &algoInstance{spec: spec, inst: inst}
 		instTags[algo] = sf.Image().Tag
 	}
 

@@ -34,7 +34,7 @@ func TestPersistCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := entry.Run("bfs", algorithms.Params{Source: 0}); err != nil {
+	if _, err := entry.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,11 +91,11 @@ func TestPersistCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ref, err := oracle.Run("bfs", algorithms.Params{Source: 0})
+	ref, err := oracle.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := entry2.Run("bfs", algorithms.Params{Source: 0})
+	got, err := entry2.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,10 +73,10 @@ func TestPersistRestartRoundTrip(t *testing.T) {
 
 	// Two built instances (one symmetrized, one directed) so the restart has
 	// instance snapshots to open.
-	if _, err := entry.Run("bfs", algorithms.Params{Source: 0}); err != nil {
+	if _, err := entry.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := entry.Run("pagerank", algorithms.Params{Iterations: 10}); err != nil {
+	if _, err := entry.RunContext(t.Context(), "pagerank", algorithms.Params{Iterations: 10}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range persistTestBatches() {
@@ -88,11 +88,11 @@ func TestPersistRestartRoundTrip(t *testing.T) {
 			t.Fatalf("batch %d produced epoch %d", i, epoch)
 		}
 	}
-	refBFS, err := entry.Run("bfs", algorithms.Params{Source: 0})
+	refBFS, err := entry.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refPR, err := entry.Run("pagerank", algorithms.Params{Iterations: 10})
+	refPR, err := entry.RunContext(t.Context(), "pagerank", algorithms.Params{Iterations: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +125,12 @@ func TestPersistRestartRoundTrip(t *testing.T) {
 		t.Errorf("built after boot = %v, want [bfs pagerank]", got)
 	}
 
-	gotBFS, err := entry2.Run("bfs", algorithms.Params{Source: 0})
+	gotBFS, err := entry2.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameValues(t, "bfs after restart", refBFS.Values, gotBFS.Values)
-	gotPR, err := entry2.Run("pagerank", algorithms.Params{Iterations: 10})
+	gotPR, err := entry2.RunContext(t.Context(), "pagerank", algorithms.Params{Iterations: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestPersistTornSnapshotFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := entry.Run("bfs", algorithms.Params{Source: 0}); err != nil {
+	if _, err := entry.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	batches := persistTestBatches()
@@ -179,7 +179,7 @@ func TestPersistTornSnapshotFallback(t *testing.T) {
 	if _, _, err := entry.ApplyEdges(batches[1]); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := entry.Run("bfs", algorithms.Params{Source: 0})
+	ref, err := entry.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestPersistTornSnapshotFallback(t *testing.T) {
 	if entry2.Epoch() != 2 {
 		t.Errorf("epoch after fallback = %d, want 2", entry2.Epoch())
 	}
-	got, err := entry2.Run("bfs", algorithms.Params{Source: 0})
+	got, err := entry2.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestPersistTornSnapshotFallback(t *testing.T) {
 	if ps := entry3.PersistStats(); ps.Boot != "snapshot" {
 		t.Errorf("boot after heal = %q, want snapshot", ps.Boot)
 	}
-	got3, err := entry3.Run("bfs", algorithms.Params{Source: 0})
+	got3, err := entry3.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestPersistCheckpointOnCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := entry.Run("bfs", algorithms.Params{Source: 0}); err != nil {
+	if _, err := entry.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := entry.PersistStats().Checkpoints
@@ -300,11 +300,11 @@ func TestPersistCheckpointOnCompaction(t *testing.T) {
 	if entry2.Epoch() != 12 {
 		t.Errorf("epoch after reboot = %d, want 12", entry2.Epoch())
 	}
-	ref, err := entry.Run("bfs", algorithms.Params{Source: 0})
+	ref, err := entry.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := entry2.Run("bfs", algorithms.Params{Source: 0})
+	got, err := entry2.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestPersistBootsLegacyTripleSections(t *testing.T) {
 	// triples too; whatever the section, it goes unread), bfs with one.
 	params := algorithms.Params{Source: 0, Iterations: 5}
 	for _, algo := range []string{"bfs", "hits"} {
-		if _, err := entry.Run(algo, params); err != nil {
+		if _, err := entry.RunContext(t.Context(), algo, params, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,7 +367,7 @@ func TestPersistBootsLegacyTripleSections(t *testing.T) {
 	}
 	ref := map[string]algorithms.Result{}
 	for _, algo := range []string{"bfs", "hits"} {
-		if ref[algo], err = entry.Run(algo, params); err != nil {
+		if ref[algo], err = entry.RunContext(t.Context(), algo, params, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -425,7 +425,7 @@ func TestPersistBootsLegacyTripleSections(t *testing.T) {
 			entry2.Epoch(), entry2.NumEdges(), entry.Epoch(), entry.NumEdges())
 	}
 	for algo, want := range ref {
-		got, err := entry2.Run(algo, params)
+		got, err := entry2.RunContext(t.Context(), algo, params, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

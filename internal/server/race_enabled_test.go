@@ -2,7 +2,6 @@
 
 package server
 
-// raceEnabled relaxes assertions that depend on sync.Pool retention: race
-// builds make the pool drop items randomly on purpose, so exact
-// workspace-reuse counts only hold without the detector.
+// raceEnabled skips assertions on allocated bytes: the race detector's shadow
+// allocations are not the code's.
 const raceEnabled = true

@@ -21,8 +21,7 @@ import (
 // Registry is the server's concurrent-safe table of loaded graphs. Each
 // entry keeps the raw edge set in a log-structured master (graph.Master);
 // algorithm-specific property graphs (which preprocess the edges in place)
-// are built lazily from materialized copies of it and cached per algorithm,
-// each with its own workspace pool.
+// are built lazily from materialized copies of it and cached per algorithm.
 type Registry struct {
 	partitions int
 	workers    int
@@ -78,20 +77,17 @@ type GraphEntry struct {
 	pers *persister
 }
 
-// algoInstance is one built (graph, algorithm) pair: the property graph, a
-// sync.Pool of engine workspaces reused across scalar queries, and run
-// tallies. Runs serialize on runMu because a scalar run mutates the property
-// graph's vertex state; the workspace pool means back-to-back scalar queries
-// reuse scratch instead of paying two vertex-sized allocations each (the
-// RedisGraph-style shared engine state this server exists to provide).
+// algoInstance is one built (graph, algorithm) pair: the property graph and
+// its run tallies. Every run allocates its own engine scratch. Runs serialize
+// on runMu: a run of an algorithm with no source parameter writes the pinned
+// snapshot's vertex state, and the lock keeps each instance to one engine run
+// on the worker pool at a time.
 type algoInstance struct {
 	spec algorithms.Spec
 	inst algorithms.Instance
 
-	runMu  sync.Mutex
-	pool   sync.Pool
-	allocs atomic.Int64 // workspaces created by the pool
-	runs   atomic.Int64
+	runMu sync.Mutex
+	runs  atomic.Int64
 
 	// batchRuns counts RunBatch executions of any width; batchedSources the
 	// total source columns they advanced. batchedSources / batchRuns is the
@@ -182,10 +178,10 @@ func (r *Registry) publish(entry *GraphEntry) (*GraphEntry, error) {
 
 // AddCOO registers already-parsed adjacency triples under name — the upload
 // path, where the edges arrived in the request body rather than from a
-// Source. The entry lazily builds per-algorithm property graphs and workspace
-// pools exactly like a Source-loaded graph. The triples are normalized in
-// place into the canonical master form (every builder deduplicates the same
-// way, so results are unchanged) and become the master's base.
+// Source. The entry lazily builds per-algorithm property graphs exactly like
+// a Source-loaded graph. The triples are normalized in place into the
+// canonical master form (every builder deduplicates the same way, so results
+// are unchanged) and become the master's base.
 func (r *Registry) AddCOO(name, source string, adj *sparse.COO[float32]) (*GraphEntry, error) {
 	if name == "" || strings.ContainsAny(name, "\x00/") {
 		return nil, fmt.Errorf("invalid graph name %q", name)
@@ -289,11 +285,10 @@ func (g *GraphEntry) UpdatesApplied() int64 {
 // ApplyEdges applies one batch of raw edge updates to the entry: the master
 // absorbs the batch in O(batch) and every BUILT per-algorithm property graph
 // receives the batch through its own preprocessing (a new store snapshot —
-// queries in flight keep the epoch they pinned; workspace pools survive, as
-// updates never change the vertex count). Instances built later start from
-// the updated master, so built-before and built-after converge on the same
-// edge set; re-application races during a concurrent lazy build are benign
-// because batch application is idempotent (upserts and deletes are
+// queries in flight keep the epoch they pinned). Instances built later start
+// from the updated master, so built-before and built-after converge on the
+// same edge set; re-application races during a concurrent lazy build are
+// benign because batch application is idempotent (upserts and deletes are
 // last-write-wins). An error wrapping ErrInvalidBatch means the batch was
 // rejected whole and nothing changed; any other error is a server-side fault
 // (the batch could not be logged, or — after it became durable and the epoch
@@ -416,57 +411,27 @@ func (g *GraphEntry) lockedInstance(algo string) (*algoInstance, bool, error) {
 		return nil, false, fmt.Errorf("building %s graph for %s: %w", algo, g.name, err)
 	}
 	ai := &algoInstance{spec: spec, inst: inst}
-	ai.pool.New = func() any {
-		ai.allocs.Add(1)
-		return ai.inst.NewScratch()
-	}
 	g.insts[algo] = ai
 	return ai, true, nil
 }
 
-// Run executes one query. It serializes on the instance (vertex state is
-// shared), drives the engine through a pooled workspace, and accumulates the
-// run's engine stats into the instance tallies.
-func (g *GraphEntry) Run(algo string, p algorithms.Params) (algorithms.Result, error) {
-	return g.RunContext(context.Background(), algo, p, nil)
-}
-
-// RunContext is Run under a context: when ctx is canceled — a client
-// disconnect, a per-request timeout — the engine aborts cooperatively
-// mid-run, releasing the instance lock for the next query; a canceled run's
-// workspace is still recycled (the engine leaves scratch reusable). obs,
-// when non-nil, receives one progress report per superstep while the run is
-// in flight.
-func (g *GraphEntry) RunContext(ctx context.Context, algo string, p algorithms.Params, obs algorithms.Observer) (algorithms.Result, error) {
-	ai, err := g.instance(algo)
-	if err != nil {
-		return algorithms.Result{}, err
-	}
-	ai.runMu.Lock()
-	defer ai.runMu.Unlock()
-	scratch := ai.pool.Get()
-	start := time.Now()
-	res, err := ai.inst.RunContext(ctx, p, scratch, obs)
-	wall := time.Since(start).Seconds()
-	// Cleared before it is pooled: stale messages must not leak into the next
-	// query (a canceled run leaves some behind).
-	if rs, ok := scratch.(interface{ Reset() }); ok {
-		rs.Reset()
-	}
-	ai.pool.Put(scratch)
-	if err != nil {
-		return res, err
-	}
-	ai.runs.Add(1)
-	ai.record(res.Stats, wall)
-	return res, nil
+// RunContext executes one scalar query under ctx: when ctx is canceled — a
+// client disconnect, a per-request timeout — the engine aborts cooperatively
+// mid-run, releasing the instance lock for the next query. obs, when non-nil,
+// receives one progress report per superstep while the run is in flight. A
+// stopped run returns its error beside a Result whose Stats.Reason records
+// the stop cause.
+func (g *GraphEntry) RunContext(ctx context.Context, algo string, p algorithms.Params, obs algorithms.Observer) (res algorithms.Result, err error) {
+	err = g.run(algo, false, func(inst algorithms.Instance) (graphmat.Stats, int, error) {
+		res, err = inst.RunContext(ctx, p, nil, obs)
+		return res.Stats, 0, err
+	})
+	return res, err
 }
 
 // RunBatch executes one multi-source query: one independent single-source run
 // per element of p.Sources on one pinned snapshot, advanced together as one
-// block run, per-source results bit-identical to that many Run calls. Like
-// RunContext it serializes on the instance and accumulates engine stats; the
-// run's scratch is allocated per run, not drawn from the workspace pool.
+// block run, per-source results bit-identical to that many RunContext calls.
 // Algorithms without a source parameter return algorithms.ErrBatchUnsupported.
 func (g *GraphEntry) RunBatch(ctx context.Context, algo string, p algorithms.Params, obs algorithms.Observer) (algorithms.BatchResult, error) {
 	return g.RunBatchPinned(ctx, algo, nil, p, obs)
@@ -476,30 +441,43 @@ func (g *GraphEntry) RunBatch(ctx context.Context, algo string, p algorithms.Par
 // with the instance's AcquirePin — the admission batcher's path, where the
 // epoch promised at admission must be the epoch the run executes on. The
 // pin stays owned by the caller; a nil pin means the current snapshot.
-//
-// A batch run of any width keeps its vertex state in its own scratch and
-// never writes the pinned snapshot's, so runMu is no longer what keeps it
-// correct beside a scalar run; it still holds the lock, which keeps each
-// instance to one engine run on the worker pool at a time.
-func (g *GraphEntry) RunBatchPinned(ctx context.Context, algo string, pin algorithms.Pin, p algorithms.Params, obs algorithms.Observer) (algorithms.BatchResult, error) {
+func (g *GraphEntry) RunBatchPinned(ctx context.Context, algo string, pin algorithms.Pin, p algorithms.Params, obs algorithms.Observer) (res algorithms.BatchResult, err error) {
+	err = g.run(algo, true, func(inst algorithms.Instance) (graphmat.Stats, int, error) {
+		res, err = inst.RunBatch(ctx, pin, p, obs)
+		return res.Stats, len(res.Sources), err
+	})
+	return res, err
+}
+
+// run is the one body of every served run, scalar or batch: look the
+// instance up (building it on first use), refuse a batch of an algorithm
+// with no source, serialize on runMu, and time the engine call exec makes.
+// A run that completes is tallied — as a scalar run, or as a batch run of
+// the source columns exec reports — and its engine stats and wall time
+// accumulate into the instance's; a failed or stopped run leaves no tally.
+func (g *GraphEntry) run(algo string, batch bool, exec func(algorithms.Instance) (graphmat.Stats, int, error)) error {
 	ai, err := g.instance(algo)
 	if err != nil {
-		return algorithms.BatchResult{}, err
+		return err
 	}
-	if !ai.spec.Batchable {
-		return algorithms.BatchResult{}, algorithms.ErrBatchUnsupported
+	if batch && !ai.spec.Batchable {
+		return algorithms.ErrBatchUnsupported
 	}
 	ai.runMu.Lock()
 	defer ai.runMu.Unlock()
 	start := time.Now()
-	res, err := ai.inst.RunBatch(ctx, pin, p, obs)
+	stats, sources, err := exec(ai.inst)
 	if err != nil {
-		return res, err
+		return err
 	}
-	ai.batchRuns.Add(1)
-	ai.batchedSources.Add(int64(len(res.Sources)))
-	ai.record(res.Stats, time.Since(start).Seconds())
-	return res, nil
+	if batch {
+		ai.batchRuns.Add(1)
+		ai.batchedSources.Add(int64(sources))
+	} else {
+		ai.runs.Add(1)
+	}
+	ai.record(stats, time.Since(start).Seconds())
+	return nil
 }
 
 // AlgoStats is the /stats view of one (graph, algorithm) pair.
@@ -507,15 +485,10 @@ type AlgoStats struct {
 	Runs int64 `json:"runs"`
 	// BatchRuns counts batch runs of any width; BatchedSources the source
 	// columns they carried (their ratio is the mean batch width).
-	BatchRuns      int64 `json:"batch_runs"`
-	BatchedSources int64 `json:"batched_sources"`
-	// WorkspaceAllocs counts workspaces the pool actually created; scalar runs
-	// beyond this number reused pooled scratch. Pools survive edge updates
-	// (the vertex count is fixed), so this should stay flat under update
-	// traffic.
-	WorkspaceAllocs int64          `json:"workspace_allocs"`
-	Engine          graphmat.Stats `json:"engine"`
-	Counters        counters.Set   `json:"counters"`
+	BatchRuns      int64          `json:"batch_runs"`
+	BatchedSources int64          `json:"batched_sources"`
+	Engine         graphmat.Stats `json:"engine"`
+	Counters       counters.Set   `json:"counters"`
 	// Store is the instance's versioned-store view: snapshot epoch, overlay
 	// size, compactions, pinned snapshots.
 	Store graphmat.StoreStats `json:"store"`
@@ -536,13 +509,12 @@ func (g *GraphEntry) Stats() map[string]AlgoStats {
 		engine, wall := ai.engine, ai.wall
 		ai.statsMu.Unlock()
 		out[n] = AlgoStats{
-			Runs:            ai.runs.Load(),
-			BatchRuns:       ai.batchRuns.Load(),
-			BatchedSources:  ai.batchedSources.Load(),
-			WorkspaceAllocs: ai.allocs.Load(),
-			Engine:          engine,
-			Counters:        counterSet(engine, wall),
-			Store:           ai.inst.StoreStats(),
+			Runs:           ai.runs.Load(),
+			BatchRuns:      ai.batchRuns.Load(),
+			BatchedSources: ai.batchedSources.Load(),
+			Engine:         engine,
+			Counters:       counterSet(engine, wall),
+			Store:          ai.inst.StoreStats(),
 		}
 	}
 	return out

@@ -235,21 +235,21 @@ func encodeBatchRunResponse(w io.Writer, r batchRunResponse) error {
 	})
 }
 
+// runDoc is a run reply of either shape, encoded as one line of JSON.
+type runDoc interface{ encode(w io.Writer) error }
+
+func (r runResponse) encode(w io.Writer) error      { return encodeRunResponse(w, r) }
+func (r batchRunResponse) encode(w io.Writer) error { return encodeBatchRunResponse(w, r) }
+
 // writeRunReply answers 200 with r, streamed. By the time an unencodable
 // value turns up, the status line and part of the body may be on the wire, so
 // the only honest way out is to abort the response: the client sees a broken
 // transfer, never a document that is invalid or — worse — parses although it
 // was cut short. No registry algorithm can produce such a value today, and
 // encoding/json would refuse it just the same.
-func writeRunReply(w http.ResponseWriter, r runResponse) {
+func writeRunReply(w http.ResponseWriter, r runDoc) {
 	w.Header().Set("Content-Type", "application/json")
-	abortOn(encodeRunResponse(w, r))
-}
-
-// writeBatchRunReply is writeRunReply for the multi-source shape.
-func writeBatchRunReply(w http.ResponseWriter, r batchRunResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	abortOn(encodeBatchRunResponse(w, r))
+	abortOn(r.encode(w))
 }
 
 // abortOn aborts the response in flight when its reply could not be encoded.

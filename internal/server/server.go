@@ -1,10 +1,11 @@
 // Package server implements graphmatd, the long-running graph analytics
-// service: a registry of loaded graphs, per-graph pools of reusable engine
-// workspaces, a named-algorithm dispatch table over the algorithms registry,
-// an LRU result cache, and an HTTP/JSON API. The design follows RedisGraph
-// (Cailliau et al., 2019): a GraphBLAS-style engine gains most of its
-// serving throughput from keeping graphs and engine scratch resident across
-// queries rather than rebuilding them per request.
+// service: a registry of loaded graphs, a named-algorithm dispatch table over
+// the algorithms registry, an admission batcher, an LRU result cache, and an
+// HTTP/JSON API. The design follows RedisGraph (Cailliau et al., 2019): a
+// GraphBLAS-style engine gains most of its serving throughput from keeping
+// graphs resident and built across queries rather than rebuilding them per
+// request. Engine scratch is per run: every query, scalar or batch, runs
+// through one GraphEntry body on scratch its driver allocates.
 package server
 
 import (
@@ -240,8 +241,8 @@ func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 // handleUploadGraph is the upload half of POST /v1/graphs: build the graph from
 // the request body and register it. An uploaded graph is indistinguishable
 // from one loaded at boot — same registry entry, same lazily built
-// per-algorithm property graphs and workspace pools — so /run results match
-// a boot-loaded copy of the same edges exactly.
+// per-algorithm property graphs — so /run results match a boot-loaded copy
+// of the same edges exactly.
 func (s *Server) handleUploadGraph(w http.ResponseWriter, r *http.Request, format string) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
@@ -512,15 +513,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // overflow (and wrap negative: an instant 504 for the longest timeout).
 const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 
-// runQuery executes one decoded query; both run endpoints end here. The run
+// runQuery validates one decoded query, tallies its mode and answers it
+// through execute, blocking or streamed; both run endpoints end here. The run
 // inherits the request's context, so a client that disconnects cancels its
-// engine work. Requests without a sources list are scalar runs (cache fast
-// path included). Requests with sources take the multi-source path: k
-// independent runs advanced as one block batch, bit-identical per source to
-// k solo runs. Single-source requests go through the admission batcher,
-// which coalesces concurrent compatible requests into shared block runs —
-// the LRU cache is deliberately not consulted on this path; shared sweeps,
-// not memoization, are the v1 dedup mechanism.
+// engine work.
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req runRequest) {
 	name := r.PathValue("name")
 	g, err := s.reg.Get(name)
@@ -559,112 +555,98 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req runRequest
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	if len(req.Sources) == 0 {
-		// Scalar form — params may carry source/sources; the instance
-		// decides what they mean.
-		s.finishRun(ctx, w, g, name, req.Algo, params, req.Stream)
-		return
-	}
-	if !spec.Batchable {
+	if len(req.Sources) > 0 && !spec.Batchable {
 		writeError(w, http.StatusBadRequest, "algorithm %q has no source parameter to batch over; omit sources", req.Algo)
 		return
 	}
-	s.epMu.Lock()
-	s.modeRuns[params.Mode.String()]++
-	s.epMu.Unlock()
-	if req.Stream {
-		s.streamRunBatch(ctx, w, g, name, req.Algo, req.Sources, params)
-		return
-	}
-	start := time.Now()
-	if len(req.Sources) == 1 {
-		params.Source, params.Sources = req.Sources[0], nil
-		var res algorithms.Result
-		var coalesced bool
-		if s.batcher != nil {
-			res, coalesced, err = s.batcher.submit(ctx, g, req.Algo, params)
-		} else {
-			var batch algorithms.BatchResult
-			if batch, err = g.RunBatch(ctx, req.Algo, params, nil); err == nil {
-				res = algorithms.Result{Values: batch.Values[0], Stats: batch.Stats, Epoch: batch.Epoch}
-			}
-		}
-		if err != nil {
-			writeError(w, runErrorCode(err), "%v", err)
-			return
-		}
-		writeRunReply(w, runResponse{
-			Graph:      name,
-			Algorithm:  req.Algo,
-			Coalesced:  coalesced,
-			DurationMS: ms(time.Since(start)),
-			Result:     res,
-		})
-		return
-	}
-	params.Source, params.Sources = 0, req.Sources
-	batch, err := g.RunBatch(ctx, req.Algo, params, nil)
-	if err != nil {
-		writeError(w, runErrorCode(err), "%v", err)
-		return
-	}
-	writeBatchRunReply(w, batchRunResponse{
-		Graph:       name,
-		Algorithm:   req.Algo,
-		DurationMS:  ms(time.Since(start)),
-		BatchResult: batch,
-	})
-}
-
-// finishRun executes a fully parsed scalar run: the per-mode tally, the
-// stream branch, the cache fast path, the engine run, and the response.
-func (s *Server) finishRun(ctx context.Context, w http.ResponseWriter, g *GraphEntry, name, algo string, params algorithms.Params, stream bool) {
 	// Tally after all parameter validation: rejected requests must not skew
 	// the per-mode counters.
 	s.epMu.Lock()
 	s.modeRuns[params.Mode.String()]++
 	s.epMu.Unlock()
-	if stream {
-		s.streamRun(ctx, w, g, name, algo, params)
+	if req.Stream {
+		s.streamRun(ctx, w, g, name, req.Algo, req.Sources, params)
 		return
 	}
-
-	// The epoch read here keys the cache: a batch landing after this point
-	// changes the epoch, so the result computed below would be published
-	// under a key no future reader of the new epoch consults — and the
-	// post-run epoch check drops it entirely rather than cache a result
-	// whose provenance is ambiguous.
-	epoch := g.Epoch()
-	key := cacheKey(name, epoch, algo, params)
-	if res, ok := s.cache.get(key); ok {
-		writeRunReply(w, runResponse{Graph: name, Algorithm: algo, Cached: true, Result: res})
-		return
-	}
-	start := time.Now()
-	res, err := g.RunContext(ctx, algo, params, nil)
+	doc, _, err := s.execute(ctx, g, name, req.Algo, req.Sources, params, nil)
 	if err != nil {
 		writeError(w, runErrorCode(err), "%v", err)
 		return
 	}
-	// Don't cache under a name whose graph was deleted (or replaced)
-	// mid-run: the next registration of that name must never see it. The
-	// liveness check comes AFTER the put — if a concurrent delete's
-	// invalidation raced between our put and this check, Has is false and
-	// we invalidate again; checking before the put would leave a window
-	// where the stale entry survives. An epoch moved by a concurrent update
-	// batch skips the put the same way.
-	if g.Epoch() == epoch {
-		s.cache.put(key, res)
+	writeRunReply(w, doc)
+}
+
+// execute runs one validated query and returns its reply. Without sources it
+// is a scalar run — params may carry source/sources; the instance decides
+// what they mean — answered from the result cache when it can be and
+// published to it after. With sources it is k independent runs advanced as
+// one block batch, bit-identical per source to k solo runs. One source goes
+// through the admission batcher, which coalesces concurrent compatible
+// requests into shared block runs, and keeps the scalar reply shape; the
+// cache is deliberately not consulted on that path — shared sweeps, not
+// memoization, are the v1 dedup mechanism. A watched run (obs non-nil: a
+// stream) neither reads the cache nor joins the batcher — its client wants to
+// watch its own run — and any sources give it the batch shape. A failed run
+// returns the reason it stopped beside the error.
+func (s *Server) execute(ctx context.Context, g *GraphEntry, name, algo string, sources []uint32, params algorithms.Params, obs algorithms.Observer) (runDoc, graphmat.StopReason, error) {
+	start := time.Now()
+	switch {
+	case len(sources) == 0:
+		// The epoch read here keys the cache: a batch landing after this
+		// point changes the epoch, so the result computed below would be
+		// published under a key no future reader of the new epoch consults —
+		// and the post-run epoch check drops it entirely rather than cache a
+		// result whose provenance is ambiguous.
+		epoch := g.Epoch()
+		key := cacheKey(name, epoch, algo, params)
+		if obs == nil {
+			if res, ok := s.cache.get(key); ok {
+				return runResponse{Graph: name, Algorithm: algo, Cached: true, Result: res}, 0, nil
+			}
+		}
+		res, err := g.RunContext(ctx, algo, params, obs)
+		if err != nil {
+			return nil, res.Stats.Reason, err
+		}
+		// Don't cache under a name whose graph was deleted (or replaced)
+		// mid-run: the next registration of that name must never see it. The
+		// liveness check comes AFTER the put — if a concurrent delete's
+		// invalidation raced between our put and this check, Has is false and
+		// we invalidate again; checking before the put would leave a window
+		// where the stale entry survives. An epoch moved by a concurrent
+		// update batch skips the put the same way.
+		if g.Epoch() == epoch {
+			s.cache.put(key, res)
+		}
+		if !s.reg.Has(g) {
+			s.cache.invalidateGraph(name)
+		}
+		return runResponse{Graph: name, Algorithm: algo, DurationMS: ms(time.Since(start)), Result: res}, 0, nil
+	case len(sources) == 1 && obs == nil:
+		params.Source, params.Sources = sources[0], nil
+		var res algorithms.Result
+		var coalesced bool
+		var err error
+		if s.batcher != nil {
+			res, coalesced, err = s.batcher.submit(ctx, g, algo, params)
+		} else {
+			var batch algorithms.BatchResult
+			if batch, err = g.RunBatch(ctx, algo, params, nil); err == nil {
+				res = algorithms.Result{Values: batch.Values[0], Stats: batch.Stats, Epoch: batch.Epoch}
+			}
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		return runResponse{Graph: name, Algorithm: algo, Coalesced: coalesced, DurationMS: ms(time.Since(start)), Result: res}, 0, nil
+	default:
+		params.Source, params.Sources = 0, sources
+		res, err := g.RunBatch(ctx, algo, params, obs)
+		if err != nil {
+			return nil, res.Stats.Reason, err
+		}
+		return batchRunResponse{Graph: name, Algorithm: algo, DurationMS: ms(time.Since(start)), BatchResult: res}, 0, nil
 	}
-	if !s.reg.Has(g) {
-		s.cache.invalidateGraph(name)
-	}
-	writeRunReply(w, runResponse{
-		Graph:      name,
-		Algorithm:  algo,
-		DurationMS: ms(time.Since(start)),
-		Result:     res,
-	})
 }
 
 // runErrorCode maps a run failure to an HTTP status: an expired per-request
@@ -744,56 +726,21 @@ func (out ndjsonStream) fail(err error, reason graphmat.StopReason) {
 	_ = out.line(map[string]string{"error": err.Error(), "reason": reason.String()}) // best effort: the client may be what stopped the run
 }
 
-// streamRun executes a run in streaming mode. The result cache is bypassed
-// on the read side (a cache hit would defeat the point of watching
-// progress), but the computed result is still published to it. Because
-// progress lines flush before the run finishes, the HTTP status is always
-// 200; a run that fails mid-stream reports the failure as a final
-// {"error": ...} line instead of a status code. A write failure — the
-// client hung up — stops the run through the observer's error return.
-func (s *Server) streamRun(ctx context.Context, w http.ResponseWriter, g *GraphEntry, name, algo string, params algorithms.Params) {
+// streamRun executes a query in streaming mode: one NDJSON progress line per
+// superstep — for a batch, totals across every live column — then the reply
+// execute returns, in either shape, as the final line. Because progress lines
+// flush before the run finishes, the HTTP status is always 200; a run that
+// fails mid-stream reports the failure as a final {"error": ...} line instead
+// of a status code. A write failure — the client hung up — stops the run
+// through the observer's error return.
+func (s *Server) streamRun(ctx context.Context, w http.ResponseWriter, g *GraphEntry, name, algo string, sources []uint32, params algorithms.Params) {
 	out := startStream(w)
-	start := time.Now()
-	epoch := g.Epoch()
-	res, err := g.RunContext(ctx, algo, params, out.progress)
+	doc, reason, err := s.execute(ctx, g, name, algo, sources, params, out.progress)
 	if err != nil {
-		out.fail(err, res.Stats.Reason)
+		out.fail(err, reason)
 		return
 	}
-	if g.Epoch() == epoch {
-		s.cache.put(cacheKey(name, epoch, algo, params), res)
-	}
-	if !s.reg.Has(g) {
-		s.cache.invalidateGraph(name)
-	}
-	abortOn(encodeRunResponse(w, runResponse{
-		Graph:      name,
-		Algorithm:  algo,
-		DurationMS: ms(time.Since(start)),
-		Result:     res,
-	}))
-	out.flush()
-}
-
-// streamRunBatch is streamRun's multi-source form: progress lines cover the
-// whole block run (per-superstep totals across every live column), the final
-// line is the batchRunResponse shape. The admission batcher and the result
-// cache are both bypassed — a streaming client wants to watch its own run.
-func (s *Server) streamRunBatch(ctx context.Context, w http.ResponseWriter, g *GraphEntry, name, algo string, sources []uint32, params algorithms.Params) {
-	out := startStream(w)
-	params.Source, params.Sources = 0, sources
-	start := time.Now()
-	res, err := g.RunBatch(ctx, algo, params, out.progress)
-	if err != nil {
-		out.fail(err, res.Stats.Reason)
-		return
-	}
-	abortOn(encodeBatchRunResponse(w, batchRunResponse{
-		Graph:       name,
-		Algorithm:   algo,
-		DurationMS:  ms(time.Since(start)),
-		BatchResult: res,
-	}))
+	abortOn(doc.encode(w))
 	out.flush()
 }
 

@@ -168,8 +168,8 @@ func TestServeAllAlgorithms(t *testing.T) {
 
 // TestConcurrentRequests fires 20 concurrent queries (4 algorithms x 5
 // sources/variants) against one registered graph and checks every response
-// matches the direct algorithms call bit for bit, then verifies the
-// workspace pool served the runs instead of per-request allocation.
+// matches the direct algorithms call bit for bit, then checks the run
+// tallies.
 func TestConcurrentRequests(t *testing.T) {
 	srv, ts := newTestServer(t)
 	addTestGraph(t, ts, "g")
@@ -215,41 +215,24 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 
 	// The identical "components" queries may be served from the result
-	// cache; every computed run must have gone through the pool. Because
-	// runs on one instance serialize, the pool never needs more than one
-	// workspace per (graph, algorithm) — so allocations must be far below
-	// the run count, proving scratch reuse rather than per-request
-	// allocation.
+	// cache; every other query is a computed run.
 	g, err := srv.reg.Get("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var runs, allocs int64
+	var runs int64
 	for algo, st := range g.Stats() {
 		if st.Runs == 0 {
 			t.Fatalf("%s: no runs recorded", algo)
 		}
 		runs += st.Runs
-		allocs += st.WorkspaceAllocs
-		if st.WorkspaceAllocs > st.Runs {
-			t.Fatalf("%s: %d workspace allocs for %d runs", algo, st.WorkspaceAllocs, st.Runs)
-		}
 	}
 	if runs < 16 {
 		t.Fatalf("expected at least 16 computed runs, got %d", runs)
 	}
-	if allocs >= runs {
-		t.Fatalf("workspace pool not in use: %d allocs for %d runs", allocs, runs)
-	}
-	// bfs ran 5 distinct sources under one serialized instance: pooled
-	// scratch must have served several of them (sync.Pool may shed an item
-	// across a GC cycle, so assert reuse rather than exactly one alloc).
 	bfs := g.Stats()["bfs"]
 	if bfs.Runs != 5 {
 		t.Fatalf("bfs runs = %d, want 5", bfs.Runs)
-	}
-	if bfs.WorkspaceAllocs >= bfs.Runs {
-		t.Fatalf("bfs workspace allocs = %d for %d runs, want pool reuse", bfs.WorkspaceAllocs, bfs.Runs)
 	}
 }
 

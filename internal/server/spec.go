@@ -64,13 +64,9 @@ func (s Source) Describe() string {
 	return "unknown"
 }
 
-// Load produces the adjacency triples the source describes.
-func (s Source) Load() (*sparse.COO[float32], error) {
-	return s.LoadWorkers(0)
-}
-
-// LoadWorkers is Load with an explicit ingestion worker count for file
-// sources (0 = GOMAXPROCS, 1 = sequential); generators are unaffected.
+// LoadWorkers produces the adjacency triples the source describes, with an
+// explicit ingestion worker count for file sources (0 = GOMAXPROCS, 1 =
+// sequential); generators are unaffected.
 func (s Source) LoadWorkers(workers int) (*sparse.COO[float32], error) {
 	if s.Path != "" && s.Generator != "" {
 		return nil, fmt.Errorf("graph source: path and generator are mutually exclusive")

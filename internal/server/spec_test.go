@@ -53,7 +53,7 @@ func TestSourceLoadValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.src.Load()
+			_, err := tc.src.LoadWorkers(0)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.want)
 			}
@@ -68,11 +68,11 @@ func TestSourceLoadGenerators(t *testing.T) {
 		{Generator: "grid", Width: 6, Height: 5, Seed: 1},
 		{Generator: "bipartite", Users: 20, Items: 10, Ratings: 100, Seed: 1},
 	} {
-		adj, err := src.Load()
+		adj, err := src.LoadWorkers(0)
 		if err != nil {
 			t.Fatalf("%s: %v", src.Describe(), err)
 		}
-		if adj.NNZ() == 0 || adj.NRows == 0 {
+		if len(adj.Entries) == 0 || adj.NRows == 0 {
 			t.Fatalf("%s: empty graph", src.Describe())
 		}
 	}

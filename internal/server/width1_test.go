@@ -18,9 +18,9 @@ import (
 
 // Tests of the served width-1 path: a single-source request that shared its
 // admission window with nobody is a one-column block run — which the engine
-// executes on the scalar phases — so it is tallied as a batch of one, draws
-// nothing from the scalar workspace pool, and answers with exactly the scalar
-// run's payload and stats, whichever of the three ways in it took.
+// executes on the scalar phases — so it is tallied as a batch of one and
+// answers with exactly the scalar run's payload and stats, whichever of the
+// three ways in it took.
 
 func algoStats(t *testing.T, ts *httptest.Server, graph, algo string) AlgoStats {
 	t.Helper()
@@ -89,19 +89,15 @@ func TestWidth1BatchRunsOnTheScalarEngine(t *testing.T) {
 				if st.BatchRuns != requests || st.BatchedSources != requests || st.Runs != 0 {
 					t.Fatalf("%s tallies after %d lone requests: %+v", algo, requests, st)
 				}
-				if st.WorkspaceAllocs != 0 {
-					t.Errorf("%s: a batch-only workload drew %d scalar workspaces from the pool", algo, st.WorkspaceAllocs)
-				}
 			}
 
-			// A wider batch is tallied the same way and draws no workspace
-			// from the pool either.
+			// A wider batch is tallied the same way.
 			code, raw := do(t, ts, http.MethodPost, "/v1/graphs/g/run", map[string]any{"algo": "bfs", "sources": []int{1, 2, 3}})
 			if code != http.StatusOK {
 				t.Fatalf("k=3 = %d: %s", code, raw)
 			}
 			st := algoStats(t, ts, "g", "bfs")
-			if st.BatchRuns != requests+1 || st.BatchedSources != requests+3 || st.WorkspaceAllocs != 0 {
+			if st.BatchRuns != requests+1 || st.BatchedSources != requests+3 {
 				t.Fatalf("bfs tallies after a k=3 run: %+v", st)
 			}
 		})
@@ -119,7 +115,7 @@ func TestRunBatchUnsupportedDrawsNoWorkspace(t *testing.T) {
 	if _, err := entry.RunBatch(t.Context(), "pagerank", algorithms.Params{}, nil); err != algorithms.ErrBatchUnsupported {
 		t.Fatalf("RunBatch(pagerank) error = %v, want ErrBatchUnsupported", err)
 	}
-	if st := entry.Stats()["pagerank"]; st.WorkspaceAllocs != 0 || st.BatchRuns != 0 {
+	if st := entry.Stats()["pagerank"]; st.BatchRuns != 0 {
 		t.Fatalf("refused batch run left tallies %+v", st)
 	}
 }

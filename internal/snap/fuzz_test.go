@@ -1,6 +1,7 @@
 package snap_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -98,6 +99,113 @@ func FuzzOpenSnap(f *testing.F) {
 		}
 		if ss := st.Stats(); ss.Epoch != img.Epoch || uint64(ss.LiveEdges) != img.NEdges || uint64(ss.BaseEdges) != img.NEdges {
 			t.Fatalf("store stats %+v disagree with the header (epoch %d, %d edges)", ss, img.Epoch, img.NEdges)
+		}
+	})
+}
+
+// resignWAL recomputes the CRC of every record whose declared length fits in
+// data, so a mutation reaches the record decoder instead of dying at the
+// checksum. It mirrors wal.go's record layout on purpose.
+func resignWAL(data []byte) []byte {
+	const headerSize, updateSize = 16, 16
+	out := slices.Clone(data)
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for off := 0; off+headerSize <= len(out); {
+		count := uint64(binary.LittleEndian.Uint32(out[off+4 : off+8]))
+		end := uint64(off) + headerSize + count*updateSize + 4
+		if end > uint64(len(out)) {
+			break
+		}
+		binary.LittleEndian.PutUint32(out[end-4:end], crc32.Checksum(out[off+4:end-4], castagnoli))
+		off = int(end)
+	}
+	return out
+}
+
+// walBytes appends batches to a fresh log at path and returns the file.
+func walBytes(t testing.TB, path string, batches []snap.WALBatch) []byte {
+	t.Helper()
+	w, err := snap.CreateWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		if err := w.Append(b.Epoch, b.Updates); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// FuzzReadWAL throws torn, bit-flipped and re-signed logs at WAL replay. For
+// any bytes: ReadWAL and OpenWAL do not panic; the batches they replay,
+// appended to a fresh log, are byte for byte a prefix of the input — the
+// valid prefix; OpenWAL truncates the file to exactly that prefix; and a
+// batch appended through OpenWAL's handle replays after the old ones.
+func FuzzReadWAL(f *testing.F) {
+	log := walBytes(f, filepath.Join(f.TempDir(), "seed.log"), []snap.WALBatch{
+		{Epoch: 1, Updates: []snap.WALUpdate{{Src: 0, Dst: 1, Val: 2.5}, {Src: 4, Dst: 2, Val: -0.125}}},
+		{Epoch: 2, Updates: []snap.WALUpdate{{Src: 0, Dst: 1, Del: true}, {Src: 3, Dst: 3, Val: 7}}},
+		{Epoch: 3, Updates: []snap.WALUpdate{{Src: 9, Dst: 5, Val: 1}}},
+	})
+	const first = 16 + 2*16 + 4 // the first record's length
+	f.Add(log, false)
+	for _, cut := range []int{first - 4, first, first + 8, first + 16, first + 16 + 16, len(log) - 4, len(log) - 1} {
+		f.Add(log[:cut], false) // torn inside a CRC, at a record end, mid-header, after a header, after an update
+	}
+	for _, bit := range []int{0, 4 * 8, 8 * 8, first*8 + 16*8 + 12*8, first*8 - 1} {
+		flipped := slices.Clone(log)
+		flipped[bit/8] ^= 1 << (bit % 8) // magic, count, epoch, flags, CRC
+		f.Add(flipped, false)
+		f.Add(flipped, true)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, signed bool) {
+		if signed {
+			data = resignWAL(data)
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "f.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		read, err := snap.ReadWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := walBytes(t, filepath.Join(dir, "re.log"), read)
+		if !bytes.HasPrefix(data, prefix) {
+			t.Fatalf("re-appending the %d replayed batches does not reproduce the input's prefix", len(read))
+		}
+
+		w, opened, err := snap.OpenWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		if got := walBytes(t, filepath.Join(dir, "reopen.log"), opened); !bytes.Equal(got, prefix) {
+			t.Fatalf("OpenWAL replayed %d batches, ReadWAL %d", len(opened), len(read))
+		}
+		if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, prefix) {
+			t.Fatalf("OpenWAL left %d bytes, want the %d-byte valid prefix (%v)", len(kept), len(prefix), err)
+		}
+		next := snap.WALBatch{Epoch: 1 << 40, Updates: []snap.WALUpdate{{Src: 7, Dst: 8, Val: 3, Del: true}}}
+		if err := w.Append(next.Epoch, next.Updates); err != nil {
+			t.Fatal(err)
+		}
+		after, err := snap.ReadWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(read)+1 || !bytes.Equal(walBytes(t, filepath.Join(dir, "after.log"), after), append(prefix, walBytes(t, filepath.Join(dir, "next.log"), []snap.WALBatch{next})...)) {
+			t.Fatalf("after an append OpenWAL's log replays %d batches, want the %d old ones then the new one", len(after), len(read))
 		}
 	})
 }

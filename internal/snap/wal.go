@@ -17,6 +17,9 @@ import (
 //	count × { src u32, dst u32, valbits u32 (IEEE-754), flags u32 (bit0 = delete) }
 //	crc    u32  CRC-32C over count..updates
 //
+// The other 31 flag bits are reserved and written as zero; a record with one
+// set is corrupt, so every record replay accepts re-encodes to its own bytes.
+//
 // Append fsyncs before returning, so a batch is only acknowledged to the
 // client once it is durable. Replay reads the longest valid prefix and
 // truncates anything after it — a torn tail (the crash happened mid-append,
@@ -157,6 +160,9 @@ func parseWALRecord(b []byte) (WALBatch, int) {
 	}
 	for i := range rec.Updates {
 		u := b[walHeaderSize+i*walRecordSize:]
+		if binary.LittleEndian.Uint32(u[12:16]) > 1 {
+			return WALBatch{}, 0
+		}
 		rec.Updates[i] = WALUpdate{
 			Src: binary.LittleEndian.Uint32(u[0:4]),
 			Dst: binary.LittleEndian.Uint32(u[4:8]),

@@ -40,9 +40,6 @@ func (c *COO[E]) Add(row, col uint32, val E) {
 	c.Entries = append(c.Entries, Triple[E]{Row: row, Col: col, Val: val})
 }
 
-// NNZ returns the number of stored entries (including any duplicates).
-func (c *COO[E]) NNZ() int { return len(c.Entries) }
-
 // Validate checks that every entry is within the matrix dimensions.
 func (c *COO[E]) Validate() error {
 	for i, t := range c.Entries {
