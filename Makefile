@@ -78,8 +78,9 @@ race:
 	$(GO) test -race . ./internal/core/... ./internal/sched/... ./internal/kernels/... ./internal/sparse/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
 
 # Fuzz smoke over the graph readers, the update-stream parser, the snapshot
-# reader, WAL replay, the run-reply number encoder, the SIMD kernel backends and the
-# kernel walks: 10s per target (go test takes one -fuzz pattern at a time).
+# reader, WAL replay, the run-reply number encoder, the SIMD kernel backends, the
+# DCSC column index and the kernel walks: 10s per target (go test takes one
+# -fuzz pattern at a time).
 # The reader targets assert parallel parse ≡ sequential parse; the update
 # target asserts the single-pass NDJSON parser ≡ the per-line encoding/json
 # oracle and that an accepted batch round-trips through WriteUpdates; the
@@ -91,7 +92,9 @@ race:
 # replay re-append to exactly the file's valid prefix, that OpenWAL truncates
 # to that prefix and that an append after it replays last; the reply target asserts every finite
 # float64 is encoded byte for byte as encoding/json encodes it; the kernel
-# targets assert every SIMD backend ≡ the scalar oracle bit for bit; the walk
+# targets assert every SIMD backend ≡ the scalar oracle bit for bit; the
+# column-index target asserts FindColumn ≡ a linear search of JC for every id
+# and one bitmap bit per stored column, tombstones included; the walk
 # target asserts pull ≡ push ≡ a naive fold of the live edge set and the row
 # walk ≡ a naive "first live in-neighbour of each unsettled row" over random
 # base+delta partitions, frontiers, settled sets and row cuts. CI runs this
@@ -106,6 +109,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendJSONFloat$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzBitvecWords$$' -fuzztime=10s ./internal/kernels
 	$(GO) test -run='^$$' -fuzz='^FuzzDenseFold$$' -fuzztime=10s ./internal/kernels
+	$(GO) test -run='^$$' -fuzz='^FuzzColumnIndex$$' -fuzztime=10s ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzLayeredWalk$$' -fuzztime=10s ./internal/core
 
 # The kernel backend parity matrix (CI runs this target): the differential

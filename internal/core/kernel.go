@@ -16,8 +16,9 @@ import (
 //   - walkPull, the paper's column sweep: step through every stored column
 //     and probe the frontier for a message from it. Input-dense, and a
 //     scatter — it is driven by sources, so it cannot skip a destination;
-//   - walkPush, the frontier-driven SpMSpV: look each frontier vertex up in
-//     the column index. The same scatter over the frontier's columns only;
+//   - walkPush, the frontier-driven SpMSpV: AND each frontier word with the
+//     column bitmap and take the columns it hits by rank. The same scatter
+//     over the frontier's columns only;
 //   - walkRows, the destination-driven gather (the bottom-up step of
 //     direction-optimizing BFS; GraphBLAST's masked pull): scan the
 //     in-neighbours of each still-unsettled destination and stop at the
@@ -218,24 +219,26 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 	st.flat += int64(flatEdges)
 }
 
-// walkPush is the frontier-driven dual — a true SpMSpV: iterate the
-// frontier's set bits in ascending index order and look each up in the
-// partition's column index (delta first: an override is authoritative)
-// instead of probing every stored column. Work is proportional to
-// |frontier| × O(1) AUX lookups plus the frontier's edges, not to the
-// partition's live column count, which is what makes a 10-vertex BFS
-// frontier cheap on a scale-18 graph. Hand-assembled layers without the AUX
-// index take FindColumn's binary-search fallback.
+// walkPush is the frontier-driven dual — a true SpMSpV: walk the frontier's
+// words in ascending order and AND each with the words of both layers'
+// column bitmaps (sparse.ColumnIndex), so only frontier vertices with a
+// stored column survive, and take each survivor's JC position by rank — a
+// popcount, with no dependent load before CP. A delta bit is authoritative:
+// the column is read from the delta, and an empty one is a tombstone. Work
+// is proportional to the frontier's words in the layer's span plus the
+// frontier's edges, not to the partition's live column count, which is what
+// makes a 10-vertex BFS frontier cheap on a scale-18 graph. Every frontier
+// bit in the span counts as a probe, hit or not.
 func walkPush[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink colSink[E], st *localStats) {
 	base, delta := l.Base, l.Delta
 	// Only frontier words overlapping either layer's stored column range
 	// can match; everything outside is skipped wholesale.
 	loW, hiW := pushWords(l)
 	hiW = min(hiW, len(xw))
-	// The base lookup is DCSC.FindColumn's AUX arm written out below: that
-	// method is past the inlining budget, and its call per frontier vertex
-	// per partition was a tenth of an all-push BFS.
-	baux, bshift, bjc := base.Aux, base.AuxShift, base.JC
+	bx, dx := base.ColumnIndex(), &sparse.ColumnIndex{}
+	if delta != nil {
+		dx = delta.ColumnIndex()
+	}
 	// buf[:n] holds found columns of layer cur awaiting their fold.
 	var buf [walkBatch]colRef
 	cur, n := base, 0
@@ -252,28 +255,20 @@ func walkPush[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 			wi += skip
 			w = xw[wi]
 		}
-		for ; w != 0; w &= w - 1 {
-			j := uint32(wi)<<6 + uint32(bits.TrailingZeros64(w))
-			probes++
-			d, ci, ok := delta, 0, false
-			if delta != nil {
-				ci, ok = delta.FindColumn(j)
-			}
-			if !ok {
-				d = base
-				if baux == nil {
-					ci, ok = base.FindColumn(j)
-				} else if b := int(j >> bshift); b+1 < len(baux) {
-					for c, end := int(baux[b]), int(baux[b+1]); c < end; c++ {
-						if bjc[c] >= j {
-							ci, ok = c, bjc[c] == j
-							break
-						}
-					}
-				}
-			}
-			if !ok {
-				continue
+		probes += bits.OnesCount64(w)
+		var bw, dw uint64
+		var br, dr uint32
+		if k := wi - bx.Lo; uint(k) < uint(len(bx.Bits)) {
+			bw, br = bx.Bits[k], bx.Rank[k]
+		}
+		if k := wi - dx.Lo; uint(k) < uint(len(dx.Bits)) {
+			dw, dr = dx.Bits[k], dx.Rank[k]
+		}
+		for hit := w & (bw | dw); hit != 0; hit &= hit - 1 {
+			bit := hit & -hit
+			d, ci := base, int(br)+bits.OnesCount64(bw&(bit-1))
+			if dw&bit != 0 {
+				d, ci = delta, int(dr)+bits.OnesCount64(dw&(bit-1))
 			}
 			lo, hi := d.CP[ci], d.CP[ci+1]
 			if lo == hi {
@@ -284,7 +279,7 @@ func walkPush[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 				n = 0
 			}
 			cur = d
-			buf[n] = colRef{j, lo, hi}
+			buf[n] = colRef{uint32(wi)<<6 + uint32(bits.TrailingZeros64(hit)), lo, hi}
 			n++
 		}
 	}
@@ -389,10 +384,13 @@ func rowSpan(irc []uint32, rlo, rhi uint32) (int, int) {
 
 // pushProbeCost is how many pull probes one push probe is worth in the Auto
 // cost model. A pull probe is a sequential JC scan step with a bit test — a
-// load and a branch the prefetcher hides; a push probe is an AUX bucket
-// lookup with two dependent loads into per-partition arrays. Measured on
-// RMAT and grid workloads the gap is 3–8×; 4 is the conservative midpoint
-// (ties go to pull, whose worst case is bounded).
+// load and a branch the prefetcher hides; a push probe is a frontier bit
+// tested against the column bitmap and, on a hit, ranked by popcount before
+// the CP load. 4 was measured against the AUX bucket lookup this index
+// replaced (3–8× on RMAT and grid workloads; ties go to pull, whose worst
+// case is bounded) and is kept so the Auto decisions stay put.
+// TestPushProbeCost measures the ratio under the bitmap, the input for
+// re-tuning it: it falls with frontier density, so no one constant fits.
 const pushProbeCost = 4
 
 // KernelCosts carries the structure-side quantities of the Auto decision,

@@ -76,7 +76,7 @@ func diffGraphs() []diffGraph {
 		{name: "isolated_vertices", coo: func() *sparse.COO[float32] {
 			// Edges only among the first 64 of 512 vertices; the rest are
 			// isolated (empty columns everywhere — the hypersparse case the
-			// AUX index must handle).
+			// column index must handle).
 			c := sparse.NewCOO[float32](512, 512)
 			for v := uint32(0); v < 64; v++ {
 				c.Add(v, (v*7+1)%64, 1)
@@ -432,10 +432,11 @@ func TestModeJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMultiplyNoAux runs the per-task multiply entry on a hand-assembled
-// DCSC that lacks the AUX index: the push kernel must fall back to binary
-// search, not panic, and still match pull bit for bit.
-func TestMultiplyNoAux(t *testing.T) {
+// TestMultiplyBareLiteral runs the per-task multiply entry on a
+// hand-assembled DCSC literal with no derived view built: the push kernel
+// must build its column index itself, not panic, and still match pull bit
+// for bit.
+func TestMultiplyBareLiteral(t *testing.T) {
 	coo := gen.RMAT(gen.RMATOptions{Scale: 7, EdgeFactor: 4, Seed: 2, MaxWeight: 9})
 	coo.SortColMajor()
 	coo.DedupKeepFirst()
@@ -462,9 +463,9 @@ func TestMultiplyNoAux(t *testing.T) {
 		name string
 		got  *sparse.Vector[float32]
 	}{
-		{"push+aux", run(full, Push)},
-		{"push-noaux", run(bare, Push)},
-		{"pull-noaux", run(bare, Pull)},
+		{"push-built", run(full, Push)},
+		{"push-bare", run(bare, Push)},
+		{"pull-bare", run(bare, Pull)},
 	} {
 		for v := uint32(0); v < uint32(n); v++ {
 			rv, rok := ref.GetChecked(v)

@@ -60,9 +60,9 @@ func withModes(profile []pinStep, modes ...Mode) []pinStep {
 // The row walk re-recorded nothing here: SSSP does not declare
 // FirstMessageFinal, so every row must stay as it was — the test now also
 // fails if one of these runs reports a row-walk superstep — and the push
-// rows pin that writing FindColumn's AUX arm out in walkPush kept its probe
-// tally. What the row walk does to a program that declares the marker is
-// pinned in TestStatsPinnedRowWalk.
+// rows pin that finding columns through the bitmap in walkPush kept its
+// probe tally. What the row walk does to a program that declares the marker
+// is pinned in TestStatsPinnedRowWalk.
 func TestStatsPinned(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
 	adj.RemoveSelfLoops()

@@ -112,13 +112,14 @@ func f32Twin(d *sparse.DCSC[uint32]) *sparse.DCSC[float32] {
 	}
 	return &sparse.DCSC[float32]{
 		NRows: d.NRows, NCols: d.NCols, JC: d.JC, CP: d.CP, IR: d.IR, Val: val,
-		Aux: d.Aux, AuxShift: d.AuxShift, RowLo: d.RowLo, RowHi: d.RowHi,
+		RowLo: d.RowLo, RowHi: d.RowHi,
 	}
 }
 
-// stripAux returns d without its AUX index (a hand-assembled DCSC): column
-// lookups fall back to binary search.
-func stripAux(d *sparse.DCSC[uint32]) *sparse.DCSC[uint32] {
+// bareLiteral returns d as a hand-assembled DCSC literal over the same
+// arrays, with none of its derived views built: the walk that reaches it
+// first builds its column index (and flat or row views) itself.
+func bareLiteral(d *sparse.DCSC[uint32]) *sparse.DCSC[uint32] {
 	if d == nil {
 		return nil
 	}
@@ -135,7 +136,7 @@ func stripAux(d *sparse.DCSC[uint32]) *sparse.DCSC[uint32] {
 // density/256 is the frontier fill; 256 is every vertex, the only fill that
 // reliably makes whole column batches live. The live edge set is tracked by
 // brute force, independent of the structures under test.
-func newWalkCase(seed uint64, nblk, nbase, nmut, density int, noAux bool) *walkCase {
+func newWalkCase(seed uint64, nblk, nbase, nmut, density int, bare bool) *walkCase {
 	rng := gen.NewRNG(seed)
 	pad := rng.Intn(3) // blocks of rows before the partition
 	n := 64 * (pad + nblk + rng.Intn(3))
@@ -189,8 +190,8 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, noAux bool) *walkC
 		}
 	}
 	c := &walkCase{n: n, l: sparse.Layered[uint32]{Base: base, Delta: sparse.MergeDelta(base, nil, batch)}, fresh: build()}
-	if noAux {
-		c.l.Base, c.l.Delta = stripAux(c.l.Base), stripAux(c.l.Delta)
+	if bare {
+		c.l.Base, c.l.Delta = bareLiteral(c.l.Base), bareLiteral(c.l.Delta)
 	}
 
 	c.lf = sparse.Layered[float32]{Base: f32Twin(c.l.Base), Delta: f32Twin(c.l.Delta)}
@@ -580,17 +581,18 @@ func (c *walkCase) check(t *testing.T, picks []uint) {
 // row-bounded kernel calls over ANY 64-aligned cut of a partition equals the
 // whole-partition call bit for bit — per-destination fold order unchanged,
 // EdgesProcessed summing to the same tally — on plain and overlay
-// partitions, with and without the AUX index, pull, push and the row walk,
-// scalar and block sinks.
+// partitions, built or as bare DCSC literals, pull, push and the row walk,
+// scalar and block sinks. The noaux_true subtests are the bare literals; the
+// label keeps its old spelling so the test ids stay stable.
 func TestBoundedCallsCompose(t *testing.T) {
 	allCuts := []uint{0, 1, 2, 3, 4, 5, 6, 7} // every subset of a 4-block partition's 3 interior boundaries
 	for seed := uint64(1); seed <= 6; seed++ {
 		for _, nmut := range []int{0, 40} {
-			for _, noAux := range []bool{false, true} {
-				t.Run(fmt.Sprintf("seed_%d/muts_%d/noaux_%v", seed, nmut, noAux), func(t *testing.T) {
+			for _, bare := range []bool{false, true} {
+				t.Run(fmt.Sprintf("seed_%d/muts_%d/noaux_%v", seed, nmut, bare), func(t *testing.T) {
 					for _, density := range []int{160, 256} {
 						t.Run(fmt.Sprintf("density_%d", density), func(t *testing.T) {
-							c := newWalkCase(seed, 4, 300, nmut, density, noAux)
+							c := newWalkCase(seed, 4, 300, nmut, density, bare)
 							if (c.l.Delta != nil) != (nmut > 0) {
 								t.Fatalf("fixture: delta presence %v with %d mutations", c.l.Delta != nil, nmut)
 							}
@@ -694,8 +696,8 @@ func TestRowIndexRace(t *testing.T) {
 }
 
 // FuzzLayeredWalk drives all three walks and both sink families over random
-// layered partitions — overrides, tombstones, delta-only columns, AUX
-// present or absent — with random frontiers, random settled sets and random
+// layered partitions — overrides, tombstones, delta-only columns, built
+// or as bare literals — with random frontiers, random settled sets and random
 // 64-aligned row cuts, against the naive folds over a fresh build of the
 // live edge set. Any out-of-range or misplaced write shows up as a diverging
 // output bit (the fold is order- and duplicate-sensitive); a panic fails the
@@ -705,16 +707,16 @@ func FuzzLayeredWalk(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(0), false)   // empty partition, full frontier
 	f.Add(uint64(2), uint8(2), uint8(200), uint8(0), uint8(128), uint8(1), false) // plain
 	f.Add(uint64(3), uint8(4), uint8(250), uint8(60), uint8(200), uint8(5), false)
-	f.Add(uint64(4), uint8(3), uint8(40), uint8(90), uint8(30), uint8(3), true) // delta-heavy, no AUX
+	f.Add(uint64(4), uint8(3), uint8(40), uint8(90), uint8(30), uint8(3), true) // delta-heavy, bare literals
 	f.Add(uint64(5), uint8(4), uint8(0), uint8(50), uint8(255), uint8(7), false)
 	f.Add(uint64(6), uint8(3), uint8(255), uint8(0), uint8(255), uint8(0), false) // plain, every batch flat
-	f.Add(uint64(7), uint8(4), uint8(220), uint8(70), uint8(255), uint8(2), true) // flat runs between overrides, no AUX
-	f.Fuzz(func(t *testing.T, seed uint64, nblk, nbase, nmut, density, pick uint8, noAux bool) {
+	f.Add(uint64(7), uint8(4), uint8(220), uint8(70), uint8(255), uint8(2), true) // flat runs between overrides, bare literals
+	f.Fuzz(func(t *testing.T, seed uint64, nblk, nbase, nmut, density, pick uint8, bare bool) {
 		fill := int(density)
 		if fill == 255 {
 			fill = 256 // the top of the range is the full frontier
 		}
-		c := newWalkCase(seed, 1+int(nblk%4), int(nbase), int(nmut), fill, noAux)
+		c := newWalkCase(seed, 1+int(nblk%4), int(nbase), int(nmut), fill, bare)
 		c.check(t, []uint{uint(pick)})
 	})
 }

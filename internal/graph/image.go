@@ -73,14 +73,12 @@ func partImages(parts []*sparse.DCSC[float32]) []snap.PartImage {
 	out := make([]snap.PartImage, len(parts))
 	for i, p := range parts {
 		out[i] = snap.PartImage{
-			RowLo:    p.RowLo,
-			RowHi:    p.RowHi,
-			AuxShift: p.AuxShift,
-			JC:       p.JC,
-			CP:       p.CP,
-			IR:       p.IR,
-			Val:      p.Val,
-			Aux:      p.Aux,
+			RowLo: p.RowLo,
+			RowHi: p.RowHi,
+			JC:    p.JC,
+			CP:    p.CP,
+			IR:    p.IR,
+			Val:   p.Val,
 		}
 	}
 	return out
@@ -88,11 +86,13 @@ func partImages(parts []*sparse.DCSC[float32]) []snap.PartImage {
 
 // NewGraphFromImage reconstructs a property graph over an image's arrays
 // without copying or rebuilding anything: partitions are assembled through
-// sparse.NewDCSCView (which adopts the serialized AUX index) and the degree
-// arrays are adopted as-is. When the image is an mmap view the
-// resulting graph's structural arrays live in the page cache — the on-heap
-// build path (NewFromCOO over the same input) remains the differential
-// oracle asserting the two are bit-identical.
+// sparse.NewDCSCView and the degree arrays are adopted as-is. Each
+// partition's column index is derived state, built on the heap by the first
+// push or column lookup that needs it, exactly as on a built graph; boot
+// builds none. When the image is an mmap view the resulting graph's
+// structural arrays live in the page cache — the on-heap build path
+// (NewFromCOO over the same input) remains the differential oracle
+// asserting the two are bit-identical.
 func NewGraphFromImage[V any](img *snap.Image) (*Graph[V, float32], error) {
 	if img.Directions == 0 {
 		return nil, fmt.Errorf("graph: image is a raw adjacency dump, not a property graph")
@@ -137,7 +137,7 @@ func viewParts(parts []snap.PartImage, n uint32) ([]*sparse.DCSC[float32], error
 	out := make([]*sparse.DCSC[float32], len(parts))
 	for i := range parts {
 		p := &parts[i]
-		d, err := sparse.NewDCSCView(n, n, p.RowLo, p.RowHi, p.JC, p.CP, p.IR, p.Val, p.Aux, p.AuxShift)
+		d, err := sparse.NewDCSCView(n, n, p.RowLo, p.RowHi, p.JC, p.CP, p.IR, p.Val)
 		if err != nil {
 			return nil, fmt.Errorf("partition %d: %w", i, err)
 		}

@@ -74,7 +74,7 @@ func sameGraph(t *testing.T, what string, got, want *Graph[uint32, float32]) {
 			}
 		}
 		// Every live column must be findable through the overlay the way the
-		// push kernel probes it (delta-first, AUX-backed), with identical
+		// push kernel probes it (delta-first, by column index), with identical
 		// content.
 		cols := map[uint32]bool{}
 		for k := range wt {

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"graphmat/algorithms"
@@ -432,6 +436,79 @@ func TestPersistBootsLegacyTripleSections(t *testing.T) {
 		sameValues(t, algo+" after legacy boot", want.Values, got.Values)
 		for name, series := range want.Series {
 			sameValues(t, algo+" "+name+" after legacy boot", series, got.Series[name])
+		}
+	}
+}
+
+// TestPersistBootsLegacyAuxSections boots testdata/legacy_aux, a data
+// directory written by a build that serialized each partition's AUX bucket
+// index: graph g over persistTestAdj(256), its master, a bfs instance
+// snapshot carrying one aux section per partition, and a WAL holding
+// persistTestBatches. The reader does not look those sections up — the
+// column index is built on the heap by the first lookup — so the boot is
+// the usual snapshot+wal boot, and every bfs reply is byte for byte that of
+// a fresh build taking the same batches over its bfs instance, its timing
+// and scheduler tallies aside.
+func TestPersistBootsLegacyAuxSections(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "legacy_aux"))); err != nil {
+		t.Fatal(err)
+	}
+	sf, err := snap.Open(filepath.Join(dir, "g", instFileName("bfs", 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	aux := 0
+	for _, s := range sf.Info().Sections {
+		if s.Kind == "aux" {
+			aux++
+		}
+	}
+	sf.Close()
+	if aux == 0 {
+		t.Fatal("the legacy instance file carries no aux section: the test is not testing the old layout")
+	}
+
+	legacy := New(Config{DataDir: dir})
+	entry, err := legacy.reg.Add("g", mustNotParseSource(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps := entry.PersistStats(); ps.Boot != "snapshot+wal" || ps.ReplayedBatches != 2 || ps.ReplayedRecords != 6 {
+		t.Errorf("legacy boot = %+v, want snapshot+wal replaying 2 batches / 6 records", ps)
+	}
+	if got := entry.BuiltAlgorithms(); len(got) != 1 || got[0] != "bfs" {
+		t.Errorf("built after boot = %v, want the bfs instance from its snapshot", got)
+	}
+
+	fresh := New(Config{})
+	fentry, err := fresh.reg.AddCOO("g", "seed", persistTestAdj(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fentry.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range persistTestBatches() {
+		if _, _, err := fentry.ApplyEdges(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lts, fts := httptest.NewServer(legacy), httptest.NewServer(fresh)
+	t.Cleanup(lts.Close)
+	t.Cleanup(fts.Close)
+	// Run time and the scheduler's tallies (steals, busy time) vary run to
+	// run; everything else in a reply is the answer.
+	clock := regexp.MustCompile(`"duration_ms":[0-9.e+-]*|"Sched":\{[^}]*\}`)
+	for _, src := range []int{0, 5, 31, 200} {
+		body := map[string]any{"source": src}
+		lcode, lbody := do(t, lts, http.MethodPost, "/v1/graphs/g/run/bfs", body)
+		fcode, fbody := do(t, fts, http.MethodPost, "/v1/graphs/g/run/bfs", body)
+		if lcode != http.StatusOK || fcode != http.StatusOK {
+			t.Fatalf("bfs from %d = %d / %d: %s / %s", src, lcode, fcode, lbody, fbody)
+		}
+		if l, f := clock.ReplaceAll(lbody, nil), clock.ReplaceAll(fbody, nil); !bytes.Equal(l, f) {
+			t.Errorf("bfs from %d after legacy boot:\n%s\nfresh build:\n%s", src, l, f)
 		}
 	}
 }

@@ -3,9 +3,10 @@
 // and 64-byte-aligned raw array sections laid out so that internal/sparse
 // partition arrays can be served as zero-copy views straight out of an
 // mmap'd file. A property graph's file holds its per-partition DCSC arrays
-// (column ids, column pointers, row ids, values, AUX index) and its degree
-// arrays — the partitions are the edge set, stored once; edge triples are
-// the payload of a raw adjacency master copy only. The package also holds
+// (column ids, column pointers, row ids, values) and its degree arrays — the
+// partitions are the edge set, stored once; edge triples are the payload of
+// a raw adjacency master copy only. Lookup indexes over those arrays are
+// derived in memory on first use, never stored. The package also holds
 // the two companions a persistent store needs: a per-graph write-ahead log
 // of accepted update batches (wal.go) and the atomically flipped
 // epoch-pointer manifest that makes snapshot rotation crash-safe
@@ -44,9 +45,11 @@ const (
 
 // Section kinds. A section is one raw array; (kind, dir, part) identifies
 // it uniquely within a file. Property images written before the partitions
-// became the only copy also carry secFwd (and secBwd with the In direction):
-// the table is keyed, those keys are not looked up, and the file opens as if
-// they were absent — which is why dropping them needed no format version.
+// became the only copy also carry secFwd (and secBwd with the In direction),
+// and files written before the column index became derived state carry a
+// secAux per partition: the table is keyed, those keys are not looked up,
+// and the file opens as if they were absent — which is why dropping them
+// needed no format version.
 const (
 	secFwd      uint32 = iota + 1 // a raw master image's triples ([]Triple[float32])
 	secBwd                        // reserved: backward triples of old property images, never read
@@ -57,7 +60,7 @@ const (
 	secCP                         // DCSC column pointers
 	secIR                         // DCSC row ids
 	secVal                        // DCSC edge values ([]float32)
-	secAux                        // DCSC AUX bucket index
+	secAux                        // reserved: the AUX bucket index of old files, never read
 )
 
 // Direction codes used in section table entries.
@@ -76,7 +79,8 @@ const (
 )
 
 // metaWords is the per-partition word count of a secPartMeta section:
-// rowLo, rowHi, auxShift, reserved.
+// rowLo, rowHi, then two reserved words written as 0. The first reserved
+// word held the AUX bucket shift in old files; the reader ignores both.
 const metaWords = 4
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

@@ -8,15 +8,13 @@ import (
 )
 
 // PartImage is the raw-array dump of one DCSC row partition: exactly the
-// slices internal/sparse.DCSC holds, plus the row range and AUX shift that
-// reconstruct it without any rebuild. When the image comes from an mmap'd
-// snapshot every slice is a zero-copy view into the mapping.
+// slices internal/sparse.DCSC holds, plus the row range that reconstructs it
+// without any rebuild. When the image comes from an mmap'd snapshot every
+// slice is a zero-copy view into the mapping.
 type PartImage struct {
 	RowLo, RowHi uint32
-	AuxShift     uint32
 	JC, CP, IR   []uint32
 	Val          []float32
-	Aux          []uint32
 }
 
 // Image is the serializable form of one graph snapshot. A property graph's
@@ -93,7 +91,7 @@ func (img *Image) Validate() error {
 // direction's partition row ids), direction bits against the populated
 // arrays, degree arrays against the vertex count, and per partition the
 // DCSC shape contract (CP brackets JC, the last column pointer covers IR
-// and Val, AUX ends at the column count).
+// and Val).
 func (img *Image) checkShape() error {
 	if img.Directions == 0 {
 		if len(img.Out) != 0 || len(img.In) != 0 {
@@ -149,9 +147,6 @@ func checkPartShape(p *PartImage, nrows uint32) error {
 	if uint32(len(p.IR)) != nnz || uint32(len(p.Val)) != nnz {
 		return fmt.Errorf("IR/Val lengths (%d, %d) must equal CP's final pointer %d", len(p.IR), len(p.Val), nnz)
 	}
-	if p.Aux != nil && (len(p.Aux) < 2 || p.Aux[len(p.Aux)-1] != uint32(len(p.JC))) {
-		return fmt.Errorf("AUX index shape is inconsistent with %d columns", len(p.JC))
-	}
 	return nil
 }
 
@@ -183,7 +178,7 @@ func (img *Image) sections() []secData {
 		meta := make([]uint32, 0, metaWords*len(parts))
 		for i := range parts {
 			p := &parts[i]
-			meta = append(meta, p.RowLo, p.RowHi, p.AuxShift, 0)
+			meta = append(meta, p.RowLo, p.RowHi, 0, 0)
 		}
 		add(secPartMeta, dir, 0, 4, u32Bytes(meta))
 		for i := range parts {
@@ -192,7 +187,6 @@ func (img *Image) sections() []secData {
 			add(secCP, dir, uint32(i), 4, u32Bytes(p.CP))
 			add(secIR, dir, uint32(i), 4, u32Bytes(p.IR))
 			add(secVal, dir, uint32(i), 4, f32Bytes(p.Val))
-			add(secAux, dir, uint32(i), 4, u32Bytes(p.Aux))
 		}
 	}
 	return out

@@ -114,14 +114,12 @@ func (sn *Snapshot) decode() error {
 		for i := range parts {
 			m := meta[i*metaWords:]
 			parts[i] = PartImage{
-				RowLo:    m[0],
-				RowHi:    m[1],
-				AuxShift: m[2],
-				JC:       viewU32(byKey[key{secJC, dir, uint32(i)}]),
-				CP:       viewU32(byKey[key{secCP, dir, uint32(i)}]),
-				IR:       viewU32(byKey[key{secIR, dir, uint32(i)}]),
-				Val:      viewF32(byKey[key{secVal, dir, uint32(i)}]),
-				Aux:      viewU32(byKey[key{secAux, dir, uint32(i)}]),
+				RowLo: m[0],
+				RowHi: m[1],
+				JC:    viewU32(byKey[key{secJC, dir, uint32(i)}]),
+				CP:    viewU32(byKey[key{secCP, dir, uint32(i)}]),
+				IR:    viewU32(byKey[key{secIR, dir, uint32(i)}]),
+				Val:   viewF32(byKey[key{secVal, dir, uint32(i)}]),
 			}
 		}
 		if dir == dirOut {

@@ -44,20 +44,18 @@ func propImage() *snap.Image {
 		InDeg:      []uint32{0, 2, 1, 0},
 		Out: []snap.PartImage{
 			{
-				RowLo: 0, RowHi: 2, AuxShift: 1,
+				RowLo: 0, RowHi: 2,
 				JC:  []uint32{0, 2},
 				CP:  []uint32{0, 1, 2},
 				IR:  []uint32{1, 1},
 				Val: []float32{1, 2},
-				Aux: []uint32{0, 1, 2},
 			},
 			{
-				RowLo: 2, RowHi: 4, AuxShift: 0,
+				RowLo: 2, RowHi: 4,
 				JC:  []uint32{1},
 				CP:  []uint32{0, 1},
 				IR:  []uint32{2},
 				Val: []float32{3},
-				Aux: []uint32{0, 1},
 			},
 		},
 	}
@@ -174,6 +172,49 @@ func TestOpenIgnoresLegacyTripleSections(t *testing.T) {
 	sameImage(t, sf.Image(), propImage())
 	if err := sf.Verify(); err != nil {
 		t.Errorf("verify: %v", err)
+	}
+}
+
+// TestOpenIgnoresLegacyAuxSections opens testdata/legacy_aux.snap: propImage
+// as written by a build that serialized each partition's AUX bucket index —
+// an aux section per partition, and the bucket shift in the first reserved
+// metadata word. The sections are in the file and in Info and pass their
+// CRCs; neither they nor the shift are part of the decoded image, which
+// equals the new-layout one. A file written now carries no aux section.
+func TestOpenIgnoresLegacyAuxSections(t *testing.T) {
+	countAux := func(sf *snap.Snapshot) int {
+		n := 0
+		for _, s := range sf.Info().Sections {
+			if s.Kind == "aux" {
+				n++
+			}
+		}
+		return n
+	}
+	sf, err := snap.Open(filepath.Join("testdata", "legacy_aux.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	if n := countAux(sf); n != len(propImage().Out) {
+		t.Fatalf("the legacy file lists %d aux sections, want one per partition (%d)", n, len(propImage().Out))
+	}
+	if err := sf.Verify(); err != nil {
+		t.Errorf("verify: %v", err)
+	}
+	sameImage(t, sf.Image(), propImage())
+
+	path := filepath.Join(t.TempDir(), "g.snap")
+	if err := snap.Write(path, propImage()); err != nil {
+		t.Fatal(err)
+	}
+	nf, err := snap.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nf.Close()
+	if n := countAux(nf); n != 0 {
+		t.Errorf("a new file carries %d aux sections", n)
 	}
 }
 

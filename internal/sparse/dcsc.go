@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -18,27 +19,18 @@ import (
 //	IR  — row indices of nonzeros, ascending within each column
 //	Val — the nonzero values, parallel to IR
 //
-// The optional auxiliary index over JC described in [9] (the AUX array) IS
-// built here, unlike the paper ("which we have not used"): the pull kernel
-// iterates JC directly and never needs it, but the push (SpMSpV) kernel looks
-// individual frontier columns up in every partition, and AUX turns that probe
-// from a binary search into an effectively O(1) bucket scan.
+// Like the paper ("which we have not used"), this DCSC carries no AUX array
+// of [9]. The pull kernel iterates JC directly; the push (SpMSpV) kernel,
+// which looks individual frontier columns up in every partition, reads the
+// ColumnIndex instead: a bitmap of JC over its word span plus a rank per
+// word, so a lookup is a bit test and a popcount with no dependent load
+// before CP — and it ANDs whole frontier words with the bitmap.
 type DCSC[E any] struct {
 	NRows, NCols uint32
 	JC           []uint32
 	CP           []uint32
 	IR           []uint32
 	Val          []E
-
-	// Aux is the column-lookup accelerator: Aux[b] is the position in JC of
-	// the first column c with c>>AuxShift >= b. A column col therefore lives,
-	// if present, in JC[Aux[col>>AuxShift] : Aux[col>>AuxShift+1]] — a bucket
-	// whose expected occupancy is below one entry, because AuxShift is chosen
-	// so the bucket count tracks len(JC). Aux is nil only for matrices with
-	// no nonzeros.
-	Aux []uint32
-	// AuxShift is the log2 bucket width of Aux.
-	AuxShift uint32
 
 	// RowLo, RowHi record the output (row) range this structure covers when
 	// it is one partition of a 1-D row decomposition; for a whole matrix they
@@ -73,6 +65,67 @@ type DCSC[E any] struct {
 		once sync.Once
 		idx  *RowIndex[E]
 	}
+
+	// colIndex memoizes ColumnIndex, the only way a column is found: built
+	// from JC by the first lookup, never before and never serialised, so a
+	// view over a mapped file stays O(1) to assemble and a hand-assembled
+	// literal indexes itself like any other.
+	colIndex struct {
+		once sync.Once
+		idx  ColumnIndex
+	}
+}
+
+// ColumnIndex locates stored columns by id. Bit j&63 of Bits[j>>6-Lo] is set
+// exactly when column j is in JC; Rank[w] is the JC position of the first
+// column of word Lo+w, the popcount of every word below it. A stored column
+// j therefore sits at JC position Rank[w] + popcount(Bits[w] & (bit-1)). The
+// span covers the words from the lowest stored id to the highest, so the
+// index costs 12 B per 64 ids of span and nothing for an empty structure.
+type ColumnIndex struct {
+	Lo   int
+	Bits []uint64
+	Rank []uint32
+}
+
+// newColumnIndex indexes the ids of jc below ncols. It builds without
+// panicking on any jc, since a mapped file's JC is shape-checked only: an
+// id at or past ncols is no column of the matrix and is left out, so it
+// cannot size the index, and every rank counts set bits, so on a JC that is
+// not strictly ascending a lookup answers wrongly but always with a
+// position inside JC.
+func newColumnIndex(jc []uint32, ncols uint32) ColumnIndex {
+	lo, hi := ncols, uint32(0)
+	for _, j := range jc {
+		if j < ncols {
+			lo, hi = min(lo, j), max(hi, j)
+		}
+	}
+	if lo > hi {
+		return ColumnIndex{}
+	}
+	x := ColumnIndex{Lo: int(lo >> 6)}
+	x.Bits = make([]uint64, int(hi>>6)-x.Lo+1)
+	x.Rank = make([]uint32, len(x.Bits))
+	for _, j := range jc {
+		if j < ncols {
+			x.Bits[int(j>>6)-x.Lo] |= 1 << (j & 63)
+		}
+	}
+	r := uint32(0)
+	for w, b := range x.Bits {
+		x.Rank[w] = r
+		r += uint32(bits.OnesCount64(b))
+	}
+	return x
+}
+
+// ColumnIndex returns m's column index, built on first use (O(len(JC) + span
+// words)) and memoized; it must be treated as read-only. Safe for concurrent
+// use: racing first callers build it once.
+func (m *DCSC[E]) ColumnIndex() *ColumnIndex {
+	m.colIndex.once.Do(func() { m.colIndex.idx = newColumnIndex(m.JC, m.NCols) })
+	return &m.colIndex.idx
 }
 
 // RowIndex is the row-major (CSR) view of one DCSC: the same stored entries
@@ -206,67 +259,22 @@ func BuildDCSC[E any](c *COO[E], rowLo, rowHi uint32) *DCSC[E] {
 		m.Val = append(m.Val, t.Val)
 	}
 	m.CP = append(m.CP, uint32(len(m.IR)))
-	m.buildAux()
 	return m
 }
 
-// buildAux constructs the AUX bucket index over JC. The shift is the smallest
-// one that keeps the bucket count within 2×len(JC), so the index costs at
-// most as much memory as JC itself while keeping expected bucket occupancy
-// under one column.
-func (m *DCSC[E]) buildAux() {
-	if len(m.JC) == 0 {
-		m.Aux, m.AuxShift = nil, 0
-		return
-	}
-	shift := uint32(0)
-	for uint64(m.NCols)>>shift > uint64(2*len(m.JC)) {
-		shift++
-	}
-	nb := int(uint64(m.NCols)>>shift) + 1
-	aux := make([]uint32, nb+1)
-	ci := 0
-	for b := 1; b <= nb; b++ {
-		for ci < len(m.JC) && m.JC[ci]>>shift < uint32(b) {
-			ci++
-		}
-		aux[b] = uint32(ci)
-	}
-	m.Aux, m.AuxShift = aux, shift
-}
-
 // FindColumn returns the position of col in JC, or ok=false if the column is
-// empty. With the AUX index the lookup scans one bucket (expected O(1));
-// without it (a hand-assembled DCSC) it falls back to binary search.
+// not stored: a bit test and a rank in the column index.
 func (m *DCSC[E]) FindColumn(col uint32) (int, bool) {
-	if m.Aux != nil {
-		b := col >> m.AuxShift
-		if int(b)+1 >= len(m.Aux) {
-			return 0, false
-		}
-		for ci, hi := int(m.Aux[b]), int(m.Aux[b+1]); ci < hi; ci++ {
-			switch c := m.JC[ci]; {
-			case c == col:
-				return ci, true
-			case c > col:
-				return 0, false
-			}
-		}
+	x := m.ColumnIndex()
+	w := int(col>>6) - x.Lo
+	if uint(w) >= uint(len(x.Bits)) {
 		return 0, false
 	}
-	lo, hi := 0, len(m.JC)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if m.JC[mid] < col {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(m.JC) || m.JC[lo] != col {
+	b, bit := x.Bits[w], uint64(1)<<(col&63)
+	if b&bit == 0 {
 		return 0, false
 	}
-	return lo, true
+	return int(x.Rank[w]) + bits.OnesCount64(b&(bit-1)), true
 }
 
 // Column returns the row indices and values of column col, or nils if the

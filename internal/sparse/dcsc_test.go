@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -258,30 +260,33 @@ func TestPartitionRowsDegenerate(t *testing.T) {
 	}
 }
 
-// TestQuickAuxIndex cross-checks the AUX bucket lookup against a plain binary
-// search over JC on hypersparse random matrices, including columns that are
-// absent, and asserts the index stays within its memory budget.
+// TestQuickAuxIndex, named for the AUX bucket index the column index
+// replaced, cross-checks FindColumn against a binary search over JC on
+// hypersparse random matrices, including absent columns, and asserts the
+// index spans exactly the words JC occupies: one bitmap word and one rank
+// per 64 ids from JC's first id to its last.
 func TestQuickAuxIndex(t *testing.T) {
 	f := func(seed int64) bool {
 		c := randCOO(seed, 64, 1<<14, 300) // hypersparse: few columns occupied
 		m := BuildDCSC(c, 0, 64)
-		if m.Aux == nil {
-			return len(m.JC) == 0
+		x := m.ColumnIndex()
+		if len(m.JC) == 0 {
+			return len(x.Bits) == 0 && len(x.Rank) == 0
 		}
-		if len(m.Aux) > 2*len(m.JC)+3 {
-			t.Fatalf("aux over budget: %d buckets for %d columns", len(m.Aux), len(m.JC))
+		span := int(m.JC[len(m.JC)-1]>>6) - int(m.JC[0]>>6) + 1
+		if len(x.Bits) != span || len(x.Rank) != span {
+			t.Fatalf("index over %d words: %d bitmap words, %d ranks", span, len(x.Bits), len(x.Rank))
 		}
-		bare := &DCSC[int]{NRows: m.NRows, NCols: m.NCols, JC: m.JC, CP: m.CP, IR: m.IR, Val: m.Val}
 		for col := uint32(0); col < m.NCols; col += 7 {
 			gi, gok := m.FindColumn(col)
-			wi, wok := bare.FindColumn(col) // binary-search fallback
-			if gi != wi || gok != wok {
-				t.Fatalf("FindColumn(%d) aux=(%d,%v) search=(%d,%v)", col, gi, gok, wi, wok)
+			wi, wok := slices.BinarySearch(m.JC, col)
+			if gok != wok || (gok && gi != wi) {
+				t.Fatalf("FindColumn(%d) index=(%d,%v) search=(%d,%v)", col, gi, gok, wi, wok)
 			}
 		}
-		for _, col := range m.JC {
-			if _, ok := m.FindColumn(col); !ok {
-				t.Fatalf("present column %d not found", col)
+		for i, col := range m.JC {
+			if ci, ok := m.FindColumn(col); !ok || ci != i {
+				t.Fatalf("present column %d at %d: FindColumn = (%d, %v)", col, i, ci, ok)
 			}
 		}
 		return true
@@ -291,10 +296,16 @@ func TestQuickAuxIndex(t *testing.T) {
 	}
 }
 
+// TestAuxIndexEmptyAndDense, named for the AUX index the column index
+// replaced, looks columns up in an empty matrix, which has no index words,
+// and in a fully dense one, where every id is stored.
 func TestAuxIndexEmptyAndDense(t *testing.T) {
 	empty := BuildDCSC(NewCOO[int](16, 16), 0, 16)
 	if _, ok := empty.FindColumn(3); ok {
 		t.Error("empty matrix claims a column")
+	}
+	if x := empty.ColumnIndex(); len(x.Bits) != 0 {
+		t.Errorf("empty matrix indexes %d words", len(x.Bits))
 	}
 	dense := NewCOO[int](8, 8)
 	for r := uint32(0); r < 8; r++ {
@@ -308,6 +319,113 @@ func TestAuxIndexEmptyAndDense(t *testing.T) {
 		ci, ok := m.FindColumn(col)
 		if !ok || m.JC[ci] != col {
 			t.Errorf("dense FindColumn(%d) = (%d, %v)", col, ci, ok)
+		}
+	}
+	if _, ok := m.FindColumn(8); ok {
+		t.Error("dense matrix claims a column past NCols")
+	}
+}
+
+// FuzzColumnIndex holds the column index to a linear search of JC: random
+// column sets over random NCols — empty, one column, the word edges 0, 63,
+// 64 and NCols-1, fully dense words, hypersparse spans — assembled as deltas
+// whose empty columns are tombstones. FindColumn must agree with the search
+// for every id up to a word past NCols, and the bitmap must hold exactly
+// one bit per stored column.
+func FuzzColumnIndex(f *testing.F) {
+	f.Add(uint32(0), uint8(0), false, int64(1))      // empty
+	f.Add(uint32(1), uint8(255), false, int64(2))    // one column
+	f.Add(uint32(130), uint8(0), true, int64(3))     // only the word edges
+	f.Add(uint32(4096), uint8(255), false, int64(4)) // every word full
+	f.Add(uint32(1<<14), uint8(2), true, int64(5))   // hypersparse
+	f.Add(uint32(1000), uint8(128), true, int64(6))  // half full, ragged last word
+	f.Fuzz(func(t *testing.T, ncols uint32, fill uint8, edges bool, seed int64) {
+		ncols %= 1 << 16
+		r := rand.New(rand.NewSource(seed))
+		var jc []uint32
+		for j := uint32(0); j < ncols; j++ {
+			edge := j == 0 || j == 63 || j == 64 || j == ncols-1
+			if (edges && edge) || r.Intn(255) < int(fill) {
+				jc = append(jc, j)
+			}
+		}
+		cp := make([]uint32, len(jc)+1)
+		var ir []uint32
+		var val []int
+		for i := range jc {
+			if r.Intn(3) > 0 { // else an empty column: a tombstone
+				ir, val = append(ir, 0), append(val, i)
+			}
+			cp[i+1] = uint32(len(ir))
+		}
+		m := Assemble(1, ncols, 0, 1, jc, cp, ir, val)
+		for j := uint32(0); j < ncols+64; j++ {
+			want, wok := slices.Index(jc, j), slices.Contains(jc, j)
+			if got, ok := m.FindColumn(j); ok != wok || (ok && got != want) {
+				t.Fatalf("FindColumn(%d) = (%d, %v), linear search (%d, %v)", j, got, ok, want, wok)
+			}
+		}
+		set := 0
+		for _, w := range m.ColumnIndex().Bits {
+			set += bits.OnesCount64(w)
+		}
+		if set != len(jc) {
+			t.Fatalf("bitmap holds %d columns, JC %d", set, len(jc))
+		}
+	})
+}
+
+// TestColumnIndexMalformedJC builds the index over JC arrays a shape-checked
+// mapped file could carry — descending, duplicated, past NCols — and looks
+// every id up: each answer may be wrong, but none may panic or point outside
+// JC.
+func TestColumnIndexMalformedJC(t *testing.T) {
+	for _, jc := range [][]uint32{
+		{9, 3, 5},
+		{4, 4, 4},
+		{200, 0, 130, 64},
+		{7, 1 << 31, 2},
+		{^uint32(0)},
+	} {
+		m := &DCSC[int]{NRows: 1, NCols: 256, JC: jc, CP: make([]uint32, len(jc)+1)}
+		for j := uint32(0); j < 512; j++ {
+			if ci, ok := m.FindColumn(j); ok && (ci < 0 || ci >= len(jc)) {
+				t.Errorf("JC %v: FindColumn(%d) = %d, outside JC", jc, j, ci)
+			}
+		}
+	}
+}
+
+// TestColumnIndexRace races the first FindColumn on a fresh partition from 8
+// goroutines: one builds the index, every caller reads that one copy, and
+// all agree with the serial answer.
+func TestColumnIndexRace(t *testing.T) {
+	ref := BuildDCSC(randCOO(7, 64, 1<<12, 2000), 0, 64)
+	m := BuildDCSC(randCOO(7, 64, 1<<12, 2000), 0, 64)
+	const racers = 8
+	idx := make([]*ColumnIndex, racers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range idx {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for j := uint32(i); j < m.NCols; j += racers {
+				gi, gok := m.FindColumn(j)
+				if wi, wok := ref.FindColumn(j); gi != wi || gok != wok {
+					t.Errorf("racer %d: FindColumn(%d) = (%d, %v), want (%d, %v)", i, j, gi, gok, wi, wok)
+					return
+				}
+			}
+			idx[i] = m.ColumnIndex()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, x := range idx {
+		if x != idx[0] {
+			t.Errorf("racer %d read a second copy of the column index", i)
 		}
 	}
 }

@@ -114,13 +114,11 @@ func (l Layered[E]) Iterate(fn func(row, col uint32, val E)) {
 	})
 }
 
-// Assemble builds a DCSC directly from pre-constructed arrays and indexes it
-// with AUX. Unlike BuildDCSC it permits empty columns (CP[i] == CP[i+1]),
-// which delta overlays use as column tombstones.
+// Assemble builds a DCSC directly from pre-constructed arrays. Unlike
+// BuildDCSC it permits empty columns (CP[i] == CP[i+1]), which delta overlays
+// use as column tombstones; the column index stores them like any column.
 func Assemble[E any](nrows, ncols, rowLo, rowHi uint32, jc, cp, ir []uint32, val []E) *DCSC[E] {
-	m := &DCSC[E]{NRows: nrows, NCols: ncols, RowLo: rowLo, RowHi: rowHi, JC: jc, CP: cp, IR: ir, Val: val}
-	m.buildAux()
-	return m
+	return &DCSC[E]{NRows: nrows, NCols: ncols, RowLo: rowLo, RowHi: rowHi, JC: jc, CP: cp, IR: ir, Val: val}
 }
 
 // MergeDelta builds the partition's next delta from the previous one and a

@@ -260,7 +260,8 @@ func TestMergeDeltaTombstoneDrops(t *testing.T) {
 }
 
 // TestAssembleAuxLookup checks FindColumn over hand-assembled deltas with
-// empty columns — the AUX path push kernels rely on.
+// empty columns: the column index the push kernels rely on must find a
+// tombstone like any other stored column and miss every absent id.
 func TestAssembleAuxLookup(t *testing.T) {
 	jc := []uint32{2, 5, 9}
 	cp := []uint32{0, 2, 2, 3} // col 5 is an empty tombstone

@@ -3,20 +3,18 @@ package sparse
 import "fmt"
 
 // NewDCSCView assembles a DCSC over externally owned arrays — typically
-// zero-copy views into an mmap'd GMATSNAP section — adopting the serialized
-// AUX index verbatim instead of rebuilding it (Assemble's buildAux
-// allocates, which would defeat the point of mapping). The arrays are NOT
+// zero-copy views into an mmap'd GMATSNAP section. The arrays are NOT
 // copied: the caller guarantees they outlive the partition and, for mapped
 // read-only memory, that nothing ever writes through it (published store
-// snapshots never do).
+// snapshots never do). The column index is derived state, built on the
+// heap by the first lookup, so nothing here allocates beyond the header.
 //
 // Validation is O(1): the length consistency that ties the arrays together
-// (CP brackets JC, CP's final pointer covers IR and Val, AUX ends at the
-// column count). Content-level invariants — sorted JC, monotone CP, row ids
-// within range — are the serializer's contract, enforced by the snapshot
-// writer's deep validation and its payload CRCs, so the boot path stays
-// O(partitions), not O(nnz).
-func NewDCSCView[E any](nrows, ncols, rowLo, rowHi uint32, jc, cp, ir []uint32, val []E, aux []uint32, auxShift uint32) (*DCSC[E], error) {
+// (CP brackets JC, CP's final pointer covers IR and Val). Content-level
+// invariants — sorted JC, monotone CP, row ids within range — are the
+// serializer's contract, enforced by the snapshot writer's deep validation
+// and its payload CRCs, so the boot path stays O(partitions), not O(nnz).
+func NewDCSCView[E any](nrows, ncols, rowLo, rowHi uint32, jc, cp, ir []uint32, val []E) (*DCSC[E], error) {
 	if rowLo > rowHi || rowHi > nrows {
 		return nil, fmt.Errorf("sparse: view row range [%d, %d) outside [0, %d)", rowLo, rowHi, nrows)
 	}
@@ -30,19 +28,14 @@ func NewDCSCView[E any](nrows, ncols, rowLo, rowHi uint32, jc, cp, ir []uint32, 
 	if uint32(len(ir)) != nnz || uint32(len(val)) != nnz {
 		return nil, fmt.Errorf("sparse: view IR/Val lengths (%d, %d) must equal CP's final pointer %d", len(ir), len(val), nnz)
 	}
-	if aux != nil && (len(aux) < 2 || aux[len(aux)-1] != uint32(len(jc))) {
-		return nil, fmt.Errorf("sparse: view AUX index shape is inconsistent with %d columns", len(jc))
-	}
 	return &DCSC[E]{
-		NRows:    nrows,
-		NCols:    ncols,
-		RowLo:    rowLo,
-		RowHi:    rowHi,
-		JC:       jc,
-		CP:       cp,
-		IR:       ir,
-		Val:      val,
-		Aux:      aux,
-		AuxShift: auxShift,
+		NRows: nrows,
+		NCols: ncols,
+		RowLo: rowLo,
+		RowHi: rowHi,
+		JC:    jc,
+		CP:    cp,
+		IR:    ir,
+		Val:   val,
 	}, nil
 }
