@@ -120,12 +120,14 @@ kernel-parity:
 		GRAPHMAT_KERNEL=$$backend $(GO) test -count=1 ./internal/kernels ./internal/bitvec ./internal/core ./algorithms || exit 1; \
 	done
 
-# The scheduler and the engine at one and four procs: -cpu 1 runs every phase
-# inline on the caller (the one-slot pool), -cpu 4 parks and wakes workers and
-# steals across them. The same asserting tests cover both paths side by side.
+# The scheduler, the engine and the algorithms at one and four procs: -cpu 1
+# runs every phase inline on the caller (the one-slot pool), -cpu 4 parks and
+# wakes workers and steals across them. The same asserting tests cover both
+# paths side by side — in algorithms, the batch ≡ solo and store differentials,
+# which run the apply phase that also sends the next superstep's messages.
 # CI runs this target.
 test-cpus:
-	$(GO) test -count=1 -cpu=1,4 ./internal/sched ./internal/core
+	$(GO) test -count=1 -cpu=1,4 ./internal/sched ./internal/core ./algorithms
 
 # The durability contract by name: a daemon SIGKILLed after acking update
 # batches but before any checkpoint reboots from snapshot + WAL with every

@@ -135,8 +135,8 @@ func (ws *BlockWorkspace[M, R]) Check(n, k int) error {
 	return nil
 }
 
-// Reset clears both scratch blocks. The engine resets them at the start of
-// every superstep, so Reset is not required between runs; pools call it when
+// Reset clears both scratch blocks. The engine resets each before the phase
+// that fills it, so Reset is not required between runs; pools call it when
 // recycling a workspace so stale messages never leak across queries.
 func (ws *BlockWorkspace[M, R]) Reset() {
 	ws.x.Reset()

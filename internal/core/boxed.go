@@ -182,9 +182,9 @@ func spmvBoxedSorted(part boxedPartition, xs *sparse.SortedVector[any], bp boxed
 // type-erased scratch of its own, whole-partition multiply tasks (its kernels
 // take whole partitions), and no direction choice — the naive path predates
 // the kernel layer's push mode, so it always pulls. It keeps its own send and
-// apply rather than runPhases' typed word loops because its interface-boxed
-// callbacks are what Figure 7's "naive" and "+bitvector" rows measure against
-// "+ipo".
+// apply rather than runPhases' typed word loops, and never fuses them into one
+// phase, because its interface-boxed callbacks are what Figure 7's "naive" and
+// "+bitvector" rows measure against "+ipo".
 func runBoxed[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config, ctrl *controller, st *BlockState[V]) (Stats, error) {
 	n := int(g.NumVertices())
 	d := newDriver(cfg, ctrl, n)
@@ -246,7 +246,17 @@ func runBoxed[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 		}
 	}
 	y := sparse.NewVector[any](n)
+	apply := d.overChunks(func(lo, hi uint32, st *localStats) {
+		y.IterateRange(lo, hi, func(v uint32, r any) {
+			st.applies++
+			if bp.apply(r, v) {
+				active.Set(v)
+			}
+		})
+	})
 
+	// No messages: the loop never asks apply to send, so every superstep
+	// runs the boxed send phase.
 	return d.run(phaseSet{
 		active: active, mode: Pull,
 		send: send,
@@ -262,13 +272,6 @@ func runBoxed[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 				})
 			}
 		},
-		apply: d.overChunks(func(lo, hi uint32, st *localStats) {
-			y.IterateRange(lo, hi, func(v uint32, r any) {
-				st.applies++
-				if bp.apply(r, v) {
-					active.Set(v)
-				}
-			})
-		}),
+		apply: func(bool) { apply() },
 	})
 }

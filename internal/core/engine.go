@@ -133,13 +133,16 @@ func parallelFor(ex execCfg, ntasks int, stop *atomic.Int32, fn func(task, worke
 
 // phaseSet is what an engine front-end — runPhases, the one for every width,
 // or the boxed ablation (runBoxed) — contributes to the one superstep loop:
-// its frontier and its three phase bodies, closed once per run over the
+// its frontier and its phase bodies, closed once per run over the
 // front-end's own generic SendMessage / fold / Apply code. The loop is
-// not generic and calls each body once per superstep, so no per-vertex or
-// per-edge call goes through it.
+// not generic and calls each body at most once per superstep, so no
+// per-vertex or per-edge call goes through it. A runPhases superstep after a
+// run's first is two phases, multiply and apply: the apply before it already
+// sent its messages. The boxed ablation runs all three every superstep.
 type phaseSet struct {
-	// active is the frontier's vertex occupancy: counted entering a
-	// superstep, cleared before apply and counted again after it.
+	// active is the frontier's vertex occupancy: counted entering a run's
+	// first superstep, cleared before apply and counted after it, which is
+	// the next superstep's frontier.
 	active *bitvec.Vector
 	// mode is the configured kernel mode and costs the structure side of its
 	// Auto resolution. The boxed ablation predates the push kernel: it sets
@@ -155,6 +158,10 @@ type phaseSet struct {
 	// vertex's source columns. Under Auto, send also tallies the senders'
 	// degrees into localStats.degSum.
 	send func() (sent, senders int64)
+	// messages returns what send returns, for the message vector a fused
+	// apply left behind. It is nil for a front-end whose apply never sends
+	// (the boxed ablation).
+	messages func() (sent, senders int64)
 	// unsettledEdges is nil unless the front-end can run the row walk
 	// (runPhases for a FirstMessageFinal program, see runPlan.recvDegs). It
 	// returns the receiving-side degree sum of the vertices still unsettled
@@ -171,8 +178,13 @@ type phaseSet struct {
 	// rowWalk is set, which the loop only does for Pull.
 	multiply func(mode Mode, rowWalk bool)
 	// apply runs Apply over every reduced value, re-activating the vertices
-	// whose state changed (Algorithm 2 lines 7-13).
-	apply func()
+	// whose state changed (Algorithm 2 lines 7-13). With sendNext it is also
+	// the next superstep's send: it clears the message vector and, right
+	// after a row's Apply calls, runs the send step on the columns they
+	// activated, while the properties they wrote are in cache. The loop sets
+	// sendNext only when messages is non-nil and another superstep will run,
+	// so no run sends past its last superstep.
+	apply func(sendNext bool)
 }
 
 // driver is one run's scaffolding — stop machinery, phase dispatch, vertex
@@ -232,6 +244,12 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 	// unsettled is the row-walk test's count of unsettled edge slots
 	// (phaseSet.unsettledEdges); negative until a superstep first needs it.
 	unsettled := int64(-1)
+	// frontier is the active set entering a superstep: counted here for the
+	// first, then the previous superstep's count after its apply.
+	frontier := int64(ps.active.Count())
+	// sendNext is whether the previous apply sent this superstep's messages,
+	// and nextDegSum the frontier edge work it tallied doing so.
+	sendNext, nextDegSum := false, int64(0)
 
 	stats.Reason = MaxIterations // what remains if the loop runs out
 	for iter := 0; iter < maxIter; iter++ {
@@ -239,13 +257,18 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 			return halt(r)
 		}
 		stepStart := time.Now() //lint:graphmat bannedcalls one clock read per superstep, off the per-edge path
-		frontier := int64(ps.active.Count())
 		stats.ActiveSum += frontier
 		stats.Iterations++
 
-		sent, senders := ps.send()
+		var sent, senders, degSum int64
+		if sendNext {
+			sent, senders = ps.messages()
+			degSum = nextDegSum
+		} else {
+			sent, senders = ps.send()
+			_, degSum, _ = stats.absorb(d.locals)
+		}
 		stats.MessagesSent += sent
-		_, degSum, _ := stats.absorb(d.locals)
 
 		// Per-superstep traversal choice: resolve Auto from the frontier's
 		// size and edge work against the structure-side costs, then let a
@@ -281,9 +304,10 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 			}
 
 			ps.active.Reset()
-			ps.apply()
+			sendNext = ps.messages != nil && iter+1 < maxIter
+			ps.apply(sendNext)
 			var settled int64
-			applies, _, settled = stats.absorb(d.locals)
+			applies, nextDegSum, settled = stats.absorb(d.locals)
 			if unsettled >= 0 {
 				unsettled -= settled
 			}
@@ -318,6 +342,7 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 			stats.Reason = Converged
 			break
 		}
+		frontier = nactive
 	}
 	return stats, nil
 }
@@ -340,6 +365,20 @@ func nextRow(wi int, w uint64, cols []uint64, k int) (v uint32, m uint64, base i
 	return v, cols[v], int(v) * k, w & (w - 1)
 }
 
+// putRow is nextRow's inverse for an output mask: it adds row v, with column
+// mask m, to the mask word out being assembled, storing m as v's column mask
+// where the block keeps them (cols non-nil), and returns the word.
+func putRow(out uint64, cols []uint64, v uint32, m uint64) uint64 {
+	if cols == nil {
+		return m // the row is the word
+	}
+	if m != 0 {
+		out |= 1 << (v & 63)
+		cols[v] = m
+	}
+	return out
+}
+
 // runPhases is the engine's front-end for every width: SendMessage, the
 // generalized multiply through sink, and Apply, over the n×k vertex state bst
 // and the message and reduction blocks x and y, whose (vertex v, column s)
@@ -353,139 +392,188 @@ func runPhases[V, E, M, R any, P Program[V, E, M, R]](
 ) (Stats, error) {
 	d := newDriver(cfg, ctrl, int(g.NumVertices()))
 
-	// The send and apply phases walk their chunk's mask words directly: each
-	// word's rows in ascending order and each row's columns in ascending
-	// order, with the output mask word — x's in send, active's in apply —
-	// assembled in a register and stored once, and a vertex's output column
-	// mask stored once where the block keeps one. Chunks are 64-aligned
-	// (chunkBounds), so no word is shared between tasks, and no mask holds a
-	// bit at or past n, so a chunk's words are exactly its vertices. A chunk
-	// abandoned by a stop leaves its output words as the phase's Reset left
-	// them: empty.
-	k, props, active := bst.k, bst.props, bst.summary
-	aw, xw, yw := active.Words(), x.summary.Words(), y.summary.Words()
-	acols, xcols, ycols := bst.active, x.cols, y.cols
-	xv, yv := x.vals, y.vals
-	// slotVertex masks the bits of a row's column s that name the slot's
-	// vertex within the row: all six at k = 1, where a row's columns are its
-	// vertices, and none at k ≥ 2, where every column is the row's vertex's.
-	slotVertex := uint32(0)
-	if k == 1 {
-		slotVertex = 63
-	}
 	rows, _ := sink.(rowSink[E])
 	// Auto and row-walk accounting per (vertex, column): a sender's edge work
 	// counts once per column it sends in — the multiply really does fold each
 	// of its edges that many times — and a vertex's row counts as unsettled
 	// once per column still waiting in it.
 	rp := planRun(g, p.Direction(), cfg, rows != nil)
-	sendDegs, recvDegs := rp.sendDegs, rp.recvDegs
-	settling, _ := any(p).(FirstMessageFinal[V]) // non-nil whenever recvDegs is
-
-	send := d.overChunks(func(lo, hi uint32, st *localStats) {
-		wlo, whi := chunkWords(lo, hi)
-		for wi := wlo; wi < whi; wi++ {
-			w := aw[wi]
-			if w == 0 {
-				continue
-			}
-			var out uint64
-			for w != 0 {
-				v, m, base, rest := nextRow(wi, w, acols, k)
-				w = rest
-				var sent uint64
-				for ; m != 0; m &= m - 1 {
-					s := bits.TrailingZeros64(m)
-					u, i := v|uint32(s)&slotVertex, base+s
-					if msg, ok := p.SendMessage(u, props[i]); ok {
-						xv[i] = msg
-						sent |= m & -m
-						if sendDegs != nil {
-							st.degSum += int64(sendDegs[u])
-						}
-					}
-				}
-				if xcols == nil {
-					out = sent // the row is the word
-				} else if sent != 0 {
-					out |= 1 << (v & 63)
-					xcols[v] = sent
-				}
-			}
-			xw[wi] = out
-		}
-	})
+	b := &phaseBody[V, E, M, R, P]{
+		p: p, k: bst.k, props: bst.props,
+		aw: bst.summary.Words(), xw: x.summary.Words(), yw: y.summary.Words(),
+		acols: bst.active, xcols: x.cols, ycols: y.cols,
+		xv: x.vals, yv: y.vals,
+		sendDegs: rp.sendDegs, recvDegs: rp.recvDegs,
+	}
+	b.settling, _ = any(p).(FirstMessageFinal[V]) // non-nil whenever recvDegs is
+	if b.k == 1 {
+		b.slotVertex = 63
+	}
+	send, apply := d.overChunks(b.send), d.overChunks(b.apply)
+	messages := func() (int64, int64) {
+		senders, sent := x.Occupancy()
+		return int64(sent), int64(senders)
+	}
 	ps := phaseSet{
-		active: active, mode: cfg.Mode, costs: rp.costs,
+		active: bst.summary, mode: cfg.Mode, costs: rp.costs,
 		send: func() (int64, int64) {
 			x.Reset()
 			send()
-			senders, sent := x.Occupancy()
-			return int64(sent), int64(senders)
+			return messages()
 		},
+		messages: messages,
 		multiply: func(mode Mode, rowWalk bool) {
 			y.Reset()
 			var gather rowSink[E] // nil: the column walk of mode
 			if rowWalk {
 				gather = rows
 			}
-			rp.multiplyPhase(d.ex, d.stop, mode, xw, sink, gather, d.locals)
+			rp.multiplyPhase(d.ex, d.stop, mode, b.xw, sink, gather, d.locals)
 		},
-		apply: d.overChunks(func(lo, hi uint32, st *localStats) {
-			wlo, whi := chunkWords(lo, hi)
-			applies := 0
-			for wi := wlo; wi < whi; wi++ {
-				w := yw[wi]
-				if w == 0 {
-					continue
-				}
-				var next uint64
-				for w != 0 {
-					v, m, base, rest := nextRow(wi, w, ycols, k)
-					w = rest
-					applies += bits.OnesCount64(m)
-					var am uint64
-					for ; m != 0; m &= m - 1 {
-						s := bits.TrailingZeros64(m)
-						u, i := v|uint32(s)&slotVertex, base+s
-						if p.Apply(yv[i], u, &props[i]) {
-							am |= m & -m
-							// Only an unsettled pair activates (the mask
-							// promise), so one that did and is settled now
-							// was settled by this Apply.
-							if recvDegs != nil && !settling.Unsettled(props[i]) {
-								st.settled += int64(recvDegs[u])
-							}
-						}
-					}
-					if acols == nil {
-						next = am // the row is the word
-					} else if am != 0 {
-						next |= 1 << (v & 63)
-						acols[v] = am
-					}
-				}
-				aw[wi] = next
+		// x is dead once the multiply returns, so a fused apply may clear it.
+		apply: func(sendNext bool) {
+			if b.sendNext = sendNext; sendNext {
+				x.Reset()
 			}
-			st.applies += int64(applies)
-		}),
+			apply()
+		},
 	}
-	if recvDegs != nil {
-		ps.unsettledEdges = func() int64 {
-			return d.sumChunks(func(lo, hi uint32) (deg int64) {
-				// The chunk's slots in order; slot s of vertex v's row.
-				v, s := lo, 0
-				for _, prop := range props[int(lo)*k : int(hi)*k] {
-					if settling.Unsettled(prop) {
-						deg += int64(recvDegs[v])
-					}
-					if s++; s == k {
-						v, s = v+1, 0
-					}
-				}
-				return deg
-			})
-		}
+	if b.recvDegs != nil {
+		ps.unsettledEdges = func() int64 { return d.sumChunks(b.unsettled) }
 	}
 	return d.run(ps)
+}
+
+// phaseBody holds runPhases' per-chunk bodies — send, apply and the
+// unsettled-edge count — over one run's arrays.
+//
+// The phases walk their chunk's mask words directly: each word's rows in
+// ascending order and each row's columns in ascending order, with the output
+// mask words — x's in send, active's and, when it sends the next superstep's
+// messages, x's in apply — assembled in registers and stored once, and a
+// vertex's output column masks stored once where the block keeps them
+// (putRow). Chunks are 64-aligned (chunkBounds), so no word is shared between
+// tasks, and no mask holds a bit at or past n, so a chunk's words are exactly
+// its vertices. A chunk abandoned by a stop leaves its output words as the
+// phase's Reset left them: empty.
+type phaseBody[V, E, M, R any, P Program[V, E, M, R]] struct {
+	p     P
+	k     int
+	props []V
+	// aw, xw and yw are the summary words of the active set, x and y; acols,
+	// xcols and ycols their per-vertex column masks (nil at k = 1).
+	aw, xw, yw          []uint64
+	acols, xcols, ycols []uint64
+	xv                  []M
+	yv                  []R
+	// slotVertex masks the bits of a row's column s that name the slot's
+	// vertex within the row: all six at k = 1, where a row's columns are its
+	// vertices, and none at k ≥ 2, where every column is the row's vertex's.
+	slotVertex uint32
+	// sendDegs and recvDegs are runPlan's; settling is p's FirstMessageFinal,
+	// non-nil whenever recvDegs is.
+	sendDegs, recvDegs []uint32
+	settling           FirstMessageFinal[V]
+	// sendNext is apply's flag (phaseSet.apply), set before each dispatch.
+	sendNext bool
+}
+
+// sendRow is the send step of row v (nextRow), written once for the send
+// phase and a fused apply: SendMessage on each of the row's columns in m,
+// each message into x and, under Auto, each sender's degree into the
+// frontier's edge work. It returns the columns that sent. A fused apply calls
+// it on a row right after the Apply calls that activated m, while the
+// properties they wrote are in cache.
+func (b *phaseBody[V, E, M, R, P]) sendRow(v uint32, m uint64, base int, st *localStats) (sent uint64) {
+	p, props, xv, sendDegs, slotVertex := b.p, b.props, b.xv, b.sendDegs, b.slotVertex
+	for ; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m)
+		u, i := v|uint32(s)&slotVertex, base+s
+		if msg, ok := p.SendMessage(u, props[i]); ok {
+			xv[i] = msg
+			sent |= m & -m
+			if sendDegs != nil {
+				st.degSum += int64(sendDegs[u])
+			}
+		}
+	}
+	return sent
+}
+
+// send is the send phase over vertex chunk [lo, hi).
+func (b *phaseBody[V, E, M, R, P]) send(lo, hi uint32, st *localStats) {
+	wlo, whi := chunkWords(lo, hi)
+	for wi := wlo; wi < whi; wi++ {
+		w := b.aw[wi]
+		if w == 0 {
+			continue
+		}
+		var out uint64
+		for w != 0 {
+			v, m, base, rest := nextRow(wi, w, b.acols, b.k)
+			w = rest
+			out = putRow(out, b.xcols, v, b.sendRow(v, m, base, st))
+		}
+		b.xw[wi] = out
+	}
+}
+
+// apply is the apply phase over vertex chunk [lo, hi), and with sendNext the
+// next superstep's send phase too.
+func (b *phaseBody[V, E, M, R, P]) apply(lo, hi uint32, st *localStats) {
+	fused := b.sendNext
+	p, props, yv, slotVertex := b.p, b.props, b.yv, b.slotVertex
+	recvDegs, settling := b.recvDegs, b.settling
+	wlo, whi := chunkWords(lo, hi)
+	applies := 0
+	for wi := wlo; wi < whi; wi++ {
+		w := b.yw[wi]
+		if w == 0 {
+			continue
+		}
+		var next, out uint64
+		for w != 0 {
+			v, m, base, rest := nextRow(wi, w, b.ycols, b.k)
+			w = rest
+			applies += bits.OnesCount64(m)
+			var am uint64
+			for ; m != 0; m &= m - 1 {
+				s := bits.TrailingZeros64(m)
+				u, i := v|uint32(s)&slotVertex, base+s
+				if p.Apply(yv[i], u, &props[i]) {
+					am |= m & -m
+					// Only an unsettled pair activates (the mask promise),
+					// so one that did and is settled now was settled by
+					// this Apply.
+					if recvDegs != nil && !settling.Unsettled(props[i]) {
+						st.settled += int64(recvDegs[u])
+					}
+				}
+			}
+			next = putRow(next, b.acols, v, am)
+			if fused {
+				out = putRow(out, b.xcols, v, b.sendRow(v, am, base, st))
+			}
+		}
+		b.aw[wi] = next
+		if fused {
+			b.xw[wi] = out
+		}
+	}
+	st.applies += int64(applies)
+}
+
+// unsettled is phaseSet.unsettledEdges over vertex chunk [lo, hi).
+func (b *phaseBody[V, E, M, R, P]) unsettled(lo, hi uint32) (deg int64) {
+	// The chunk's slots in order; slot s of vertex v's row.
+	v, s := lo, 0
+	for _, prop := range b.props[int(lo)*b.k : int(hi)*b.k] {
+		if b.settling.Unsettled(prop) {
+			deg += int64(b.recvDegs[v])
+		}
+		if s++; s == b.k {
+			v, s = v+1, 0
+		}
+	}
+	return deg
 }

@@ -8,9 +8,11 @@ import (
 )
 
 // This file is the engine's one entry body (runColumns): the scalar engine's
-// three phases — SendMessage, generalized multiply, Apply — run by one
-// front-end (runPhases, engine.go) over an n×k block of independent source
-// columns sharing one traversal of the adjacency structure per superstep.
+// phases — SendMessage, generalized multiply, Apply — run by one front-end
+// (runPhases, engine.go) over an n×k block of independent source columns
+// sharing one traversal of the adjacency structure per superstep. Only a
+// run's first superstep has a send phase; each later superstep's messages
+// are sent by the apply phase before it, so a superstep is two phases.
 // RunContext is its one-column case over the graph's own vertex state;
 // RunBlockContext hands it a BlockState the caller owns, so a block run never
 // disturbs the graph's props/active and can share a pinned snapshot with any

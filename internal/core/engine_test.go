@@ -419,7 +419,7 @@ func TestSingleWorkerRunReportsBusyTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const pinnedTasks = 90
+	const pinnedTasks = 58
 	if stats.Sched.Tasks != pinnedTasks || stats.Sched.BusyNS <= 0 {
 		t.Errorf("Sched = %+v, want %d tasks and nonzero busy time", stats.Sched, pinnedTasks)
 	}

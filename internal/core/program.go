@@ -55,6 +55,15 @@ type VertexID = uint32
 // and associative: partitions fold results in structure order, which is not
 // the message send order.
 //
+// Only a run's first superstep calls SendMessage in a phase of its own. After
+// that the engine calls it from the previous superstep's apply phase, on each
+// vertex just after the Apply that activated it, with the property that
+// Apply wrote — unless the run's MaxIterations cap ends it there, so a run
+// never sends a message it will not multiply. SendMessage must therefore be a
+// pure function of (v, prop): it runs concurrently with other vertices' Apply
+// calls, and before the superstep's observer report (graphmatlint's purefold
+// checks it with the fold operators).
+//
 // Optional marker interfaces let a program tell the backend what its
 // callbacks cannot say: DstIndependent (ProcessMessage ignores the
 // destination), SumFoldF64 and the float32 path folds (the fold is a known

@@ -97,7 +97,8 @@ type IterationInfo struct {
 	// Applies counts vertices that received a reduced value this superstep.
 	Applies int64 `json:"applies"`
 	// NextActive is the frontier size for the next superstep; 0 means the
-	// run converged.
+	// run converged. Unless the run ends here, that frontier has already
+	// sent its messages, which the next superstep's report counts in Sent.
 	NextActive int64 `json:"next_active"`
 	// Mode is the SpMV kernel the superstep ran (Pull or Push — Auto is
 	// resolved per superstep before the multiply). A superstep that sent no
@@ -131,6 +132,13 @@ type IterationInfo struct {
 // run with reason StoppedByObserver; RunContext returns that error verbatim.
 // Observers run on the engine's goroutine between supersteps, so a slow
 // observer stalls the run.
+//
+// When another superstep will run, its messages already exist when the
+// observer is called: the apply phase being reported sent them from the
+// properties it wrote (see Program). An observer must therefore not change
+// vertex state or the active set mid-run; a driver that changes them between
+// supersteps (PageRank re-activating every vertex) runs one-superstep runs
+// and changes them between runs instead.
 type Observer = func(IterationInfo) error
 
 // RunOption configures a RunContext call.
@@ -238,8 +246,8 @@ func ctxReason(err error) StopReason {
 // (Converged, MaxIterations), ctx.Err() for Canceled/DeadlineExceeded, and
 // the observer's own error for StoppedByObserver. After a stopped run the
 // graph's vertex state and active set are partial — mid-algorithm — but the
-// workspace is reusable as-is: the engine clears scratch at the start of
-// every superstep.
+// workspace is reusable as-is: the engine clears each scratch block before
+// the phase that fills it, and a run's first superstep always sends anew.
 //
 // RunContext is the one-column case of RunBlockContext, over the graph's own
 // vertex state.

@@ -12,8 +12,9 @@
 //     across modes.
 //   - ctxpoll: long partition loops poll the cooperative-cancellation stop
 //     flag (or ctx) so a cancel never waits on a multi-second sweep.
-//   - purefold: a program's fold operators (ProcessMessage, Reduce) are
-//     pure — no receiver or global writes, no impure stdlib calls.
+//   - purefold: a program's fold operators (ProcessMessage, Reduce) and its
+//     SendMessage are pure — no receiver or global writes, no impure stdlib
+//     calls.
 //   - bannedcalls: a deny-list (time.Now, fmt.Sprintf, panic, ...) for
 //     hot-path packages.
 //

@@ -1,23 +1,27 @@
 package lint
 
-// purefold enforces the purity contract of the fold operators. The engine's
-// determinism story (and the batcher's ability to coalesce requests into one
-// block run) rests on ProcessMessage/Reduce being pure functions: partitions
-// fold in structure order, workers race freely, and the block engine replays
-// the same operator across k columns. An operator that writes receiver or package state is a
-// data race and an order dependence at once; one that calls into fmt, time
-// or math/rand is impure (and allocates) on the hottest path in the system.
+// purefold enforces the purity contract of a vertex program's per-message
+// operators. The engine's determinism story (and the batcher's ability to
+// coalesce requests into one block run) rests on SendMessage, ProcessMessage
+// and Reduce being pure functions. Partitions fold in structure order, workers
+// race freely, and the block engine replays the same operator across k
+// columns. SendMessage has no phase of its own after a run's first superstep:
+// it runs inside the previous superstep's apply phase, on each vertex as Apply
+// activates it, so it must stay a function of (v, prop) alone. An operator
+// that writes receiver or package state is a data race and an order
+// dependence at once; one that calls into fmt, time or math/rand is impure
+// (and allocates) on the hottest path in the system.
 //
 // Mechanically: a type qualifies as a program when it declares both
-// ProcessMessage and Reduce. Inside those two methods the analyzer reports:
+// ProcessMessage and Reduce. Inside those two methods and its SendMessage the
+// analyzer reports:
 //
 //   - assignments (incl. ++/--, op=) whose target is rooted at the receiver
 //     or at a package-level variable — including such writes from closures;
 //   - calls into fmt, time, math/rand, os or log;
 //   - go statements and channel sends.
 //
-// SendMessage and Apply are deliberately out of scope: Apply mutates vertex
-// state by contract, and both run once per vertex, not once per edge.
+// Apply is deliberately out of scope: it mutates vertex state by contract.
 
 import (
 	"flag"
@@ -31,14 +35,20 @@ import (
 // PurefoldAnalyzer is the purefold analyzer.
 var PurefoldAnalyzer = newPurefold()
 
-var programMethods = map[string]bool{"ProcessMessage": true, "Reduce": true}
+// programMethods are the methods purefold checks on a qualifying type.
+var programMethods = map[string]bool{"SendMessage": true, "ProcessMessage": true, "Reduce": true}
+
+// foldOperator reports whether method name is one of the two fold operators
+// whose presence qualifies a type as a program.
+func foldOperator(name string) bool { return name == "ProcessMessage" || name == "Reduce" }
 
 func newPurefold() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "purefold",
-		Doc: "require vertex-program fold operators to be pure\n\n" +
+		Doc: "require vertex-program message operators to be pure\n\n" +
 			"ProcessMessage and Reduce run once per edge inside racing partition\n" +
-			"workers, in structure order. Writing receiver or\n" +
+			"workers, in structure order, and SendMessage inside the previous\n" +
+			"superstep's apply phase. Writing receiver or\n" +
 			"global state, or calling impure stdlib (fmt, time, math/rand), makes\n" +
 			"the fold order observable — the exact property the differential\n" +
 			"suites exist to rule out.",
@@ -46,19 +56,19 @@ func newPurefold() *analysis.Analyzer {
 	}
 	a.Flags.Init("purefold", flag.ContinueOnError)
 	a.Flags.String("deny", "fmt,time,math/rand,math/rand/v2,os,log",
-		"comma-separated packages fold operators must not call into")
+		"comma-separated packages message operators must not call into")
 	return a
 }
 
 func runPurefold(pass *analysis.Pass) error {
 	deny := pass.Analyzer.Flags.Lookup("deny").Value.String()
 
-	// First pass: how many of the two operators each receiver type declares.
-	// A type cannot declare a method twice, so two means both.
+	// First pass: how many of the two fold operators each receiver type
+	// declares. A type cannot declare a method twice, so two means both.
 	operators := map[string]int{} // receiver type name -> count
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && programMethods[fd.Name.Name] {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && foldOperator(fd.Name.Name) {
 				operators[recvTypeName(fd)]++
 			}
 		}
@@ -141,17 +151,17 @@ func checkFoldMethod(pass *analysis.Pass, fd *ast.FuncDecl, deny string) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				if what, bad := isImpureTarget(lhs); bad {
-					pass.Reportf(n.Pos(), "%s writes %s: fold operators must be pure (partitions fold in structure order, concurrently)", fd.Name.Name, what)
+					pass.Reportf(n.Pos(), "%s writes %s: message operators must be pure (workers run them concurrently, in structure order)", fd.Name.Name, what)
 				}
 			}
 		case *ast.IncDecStmt:
 			if what, bad := isImpureTarget(n.X); bad {
-				pass.Reportf(n.Pos(), "%s writes %s: fold operators must be pure (partitions fold in structure order, concurrently)", fd.Name.Name, what)
+				pass.Reportf(n.Pos(), "%s writes %s: message operators must be pure (workers run them concurrently, in structure order)", fd.Name.Name, what)
 			}
 		case *ast.GoStmt:
-			pass.Reportf(n.Pos(), "%s starts a goroutine: fold operators must be pure and synchronous", fd.Name.Name)
+			pass.Reportf(n.Pos(), "%s starts a goroutine: message operators must be pure and synchronous", fd.Name.Name)
 		case *ast.SendStmt:
-			pass.Reportf(n.Pos(), "%s sends on a channel: fold operators must be pure and synchronous", fd.Name.Name)
+			pass.Reportf(n.Pos(), "%s sends on a channel: message operators must be pure and synchronous", fd.Name.Name)
 		case *ast.CallExpr:
 			obj := calleeOf(info, n)
 			if obj == nil || obj.Pkg() == nil {
@@ -160,7 +170,7 @@ func checkFoldMethod(pass *analysis.Pass, fd *ast.FuncDecl, deny string) {
 			pkg := obj.Pkg().Path()
 			for _, d := range strings.Split(deny, ",") {
 				if d = strings.TrimSpace(d); d != "" && pkg == d {
-					pass.Reportf(n.Pos(), "%s calls %s.%s: fold operators must not use %s (impure and per-call allocation on the per-edge path)",
+					pass.Reportf(n.Pos(), "%s calls %s.%s: message operators must not use %s (impure and per-call allocation on the hot path)",
 						fd.Name.Name, pkg, obj.Name(), d)
 				}
 			}

@@ -33,3 +33,23 @@ func (LocalsProg) Reduce(a, b int) int {
 	acc += b
 	return acc
 }
+
+// GoodSender's SendMessage is a function of (v, prop) alone.
+type GoodSender struct{ scale int }
+
+func (p GoodSender) SendMessage(v, prop int) (int, bool) {
+	msg := prop * p.scale
+	return msg + v, prop >= 0
+}
+
+func (GoodSender) ProcessMessage(m, e int) int { return m + e }
+func (GoodSender) Reduce(a, b int) int         { return min(a, b) }
+
+// OnlySends declares SendMessage but no fold operators, so it is not a
+// program and its receiver write is not flagged.
+type OnlySends struct{ sends int }
+
+func (o *OnlySends) SendMessage(v, prop int) (int, bool) {
+	o.sends++
+	return prop, true
+}

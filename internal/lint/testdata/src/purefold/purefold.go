@@ -1,5 +1,6 @@
-// Fixture for the purefold analyzer: a vertex program's fold operators with
-// every class of impurity, plus pure and non-qualifying types.
+// Fixture for the purefold analyzer: a vertex program's fold operators and
+// SendMessage with every class of impurity, plus pure and non-qualifying
+// types.
 package purefold
 
 import "fmt"
@@ -28,3 +29,18 @@ func (p *BadProg) Reduce(a, b int) int {
 	}
 	return b
 }
+
+// BadSender's fold operators are pure, but its SendMessage, which runs inside
+// the previous superstep's apply phase, is not.
+type BadSender struct{ sends int }
+
+func (p *BadSender) SendMessage(v, prop int) (int, bool) {
+	p.sends++            // want "SendMessage writes receiver state"
+	totalReduces += prop // want "SendMessage writes package-level state"
+	_ = fmt.Sprint(v)    // want "SendMessage calls fmt.Sprint"
+	go func() {}()       // want "SendMessage starts a goroutine"
+	return prop, true
+}
+
+func (*BadSender) ProcessMessage(m, e int) int { return m + e }
+func (*BadSender) Reduce(a, b int) int         { return a + b }

@@ -1,7 +1,8 @@
 // Package sched is the engine's one parallel runtime, a persistent worker
 // pool: one set of long-lived worker goroutines per worker count, parked on a
 // condition variable between phases and woken in O(1) when a run arrives.
-// Every engine phase — send, multiply, apply, × supersteps — dispatches
+// Every engine phase — a run's first send, then multiply and apply (which
+// also sends the next superstep's messages) × supersteps — dispatches
 // through it, single-worker phases included (they run inline on the caller
 // and are counted like any other), so no phase pays a goroutine spawn and a
 // WaitGroup barrier.
