@@ -164,7 +164,7 @@ func RunWidestPathBatch(ctx context.Context, g *graphmat.Graph[float32, float32]
 
 // RunPersonalizedPageRankBatch runs one single-source personalized PageRank
 // per source — k independent personalization vectors advanced together, one
-// adjacency sweep per outer iteration serving every still-unconverged column.
+// adjacency sweep per superstep serving every still-unconverged column.
 // out[i] is bit-identical to RunPersonalizedPageRank(ctx, g, []uint32{
 // sources[i]}, ...): each column converges (or hits the iteration cap) on
 // its own schedule and then drops out of the sweep. Options: WithIterations/

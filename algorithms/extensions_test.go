@@ -166,6 +166,90 @@ func TestPersonalizedPageRankSetGolden(t *testing.T) {
 	if stats.Iterations != wantIters || stats.MessagesSent != wantSent || stats.Applies != wantApplies || stats.Reason != graphmat.Converged {
 		t.Errorf("stats = %+v, want %d supersteps, %d messages, %d applies, converged", stats, wantIters, wantSent, wantApplies)
 	}
+
+	// PageRank on the same graph, pinned the same way, converging under the
+	// cap.
+	gPR, err := NewPageRankGraph(gen.RMAT(gen.RMATOptions{Scale: 9, EdgeFactor: 8, Seed: 11}), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prRanks, prStats := must(RunPageRank(bg, gPR, WithIterations(200), WithTolerance(1e-9), WithThreads(2)))
+	hPR := fnv.New64a()
+	for _, r := range prRanks {
+		binary.Write(hPR, binary.LittleEndian, math.Float64bits(r))
+	}
+	const (
+		wantPRHash    = uint64(0xc4a68c0a53eb538f)
+		wantPRIters   = 117
+		wantPRSent    = int64(41652)
+		wantPRApplies = int64(42003)
+	)
+	if got := hPR.Sum64(); got != wantPRHash {
+		t.Errorf("pagerank rank hash = %#x, want %#x", got, wantPRHash)
+	}
+	if prStats.Iterations != wantPRIters || prStats.MessagesSent != wantPRSent || prStats.Applies != wantPRApplies || prStats.Reason != graphmat.Converged {
+		t.Errorf("pagerank stats = %+v, want %d supersteps, %d messages, %d applies, converged", prStats, wantPRIters, wantPRSent, wantPRApplies)
+	}
+}
+
+// TestRankRunWithNothingToSendConverges runs PageRank and PPR on a graph with
+// no edges, where no vertex sends: the first superstep changes nothing, so
+// each run converges there with its seeded ranks instead of spinning empty
+// supersteps to the iteration cap.
+func TestRankRunWithNothingToSendConverges(t *testing.T) {
+	const n = 64
+	check := func(t *testing.T, stats graphmat.Stats) {
+		t.Helper()
+		if stats.Iterations != 1 || stats.Reason != graphmat.Converged || stats.MessagesSent != 0 {
+			t.Errorf("stats = %+v, want one superstep, no messages, converged", stats)
+		}
+	}
+	t.Run("pagerank", func(t *testing.T) {
+		g, err := NewPageRankGraph(sparse.NewCOO[float32](n, n), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranks, stats := must(RunPageRank(bg, g, WithIterations(50)))
+		for v, r := range ranks {
+			if r != 1 {
+				t.Fatalf("rank[%d] = %v, want the seeded 1", v, r)
+			}
+		}
+		check(t, stats)
+	})
+	g, err := NewPersonalizedPageRankGraph(sparse.NewCOO[float32](n, n), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("ppr", func(t *testing.T) {
+		ranks, stats := must(RunPersonalizedPageRank(bg, g, []uint32{3, 7}, WithIterations(50)))
+		for v, r := range ranks {
+			want := 0.0
+			if v == 3 || v == 7 {
+				want = 0.5
+			}
+			if r != want {
+				t.Fatalf("rank[%d] = %v, want the seeded %v", v, r, want)
+			}
+		}
+		check(t, stats)
+	})
+	t.Run("ppr_batch", func(t *testing.T) {
+		sources := []uint32{3, 7}
+		cols, stats := must(RunPersonalizedPageRankBatch(bg, g, sources, WithIterations(50)))
+		for s, ranks := range cols {
+			for v, r := range ranks {
+				want := 0.0
+				if uint32(v) == sources[s] {
+					want = 1
+				}
+				if r != want {
+					t.Fatalf("column %d: rank[%d] = %v, want the seeded %v", s, v, r, want)
+				}
+			}
+		}
+		check(t, stats)
+	})
 }
 
 func TestPersonalizedPageRankReducesToUniformTeleport(t *testing.T) {

@@ -94,13 +94,14 @@ func settingsWorkspace[M, R any](n int, set *settings) (*graphmat.Workspace[M, R
 }
 
 // rankDefaults resolves the zero values of the ranking options (pagerank,
-// ppr): teleport probability 0.15, iteration cap 100.
+// ppr): teleport probability 0.15, iteration cap 100. A negative cap is the
+// default too, as for hits: a rank run is always capped.
 func (s *settings) rankDefaults() (restart float64, maxIters int) {
 	restart, maxIters = s.restart, s.iters
 	if restart == 0 {
 		restart = 0.15
 	}
-	if maxIters == 0 {
+	if maxIters <= 0 {
 		maxIters = 100
 	}
 	return restart, maxIters

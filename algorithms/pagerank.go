@@ -21,12 +21,16 @@ type PRVertex struct {
 //	PRₜ₊₁(v) = r + (1−r) · Σ_{(u,v)∈E} PRₜ(u)/degree(u)
 //
 // Message: PR(u)/degree(u). Process: identity. Reduce: sum. Apply: the
-// equation, activating the vertex when the rank moved more than Tolerance.
+// equation, reporting whether the rank moved more than Tolerance. Every
+// vertex sends on every superstep (AllVerticesActive), so Apply's result
+// decides only convergence.
 type PageRankProgram struct {
 	// RestartProb is r, the random-surf probability.
 	RestartProb float64
-	// Tolerance bounds the rank change below which a vertex deactivates;
-	// 0 keeps every receiving vertex active (run a fixed iteration count).
+	// Tolerance is the rank change a vertex must exceed to keep the run
+	// going: the run converges on the first superstep in which no rank moves
+	// by more. With 0 the run stops early only on a superstep that leaves
+	// every rank unchanged, bit for bit.
 	Tolerance float64
 }
 
@@ -63,6 +67,10 @@ func (PageRankProgram) ProcessIgnoresDst() {}
 // column folds through the SIMD kernel backends.
 func (PageRankProgram) ReducesBySumF64() {}
 
+// KeepsAllVerticesActive declares graphmat.AllVerticesActive: equation (1)
+// sums contributions from every vertex on every iteration.
+func (PageRankProgram) KeepsAllVerticesActive() {}
+
 // NewPageRankGraph builds the PageRank property graph from adjacency triples
 // (paper preprocessing: self-loops removed, edges kept directed). The input
 // is consumed.
@@ -78,17 +86,18 @@ func NewPageRankStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Sto
 
 // RunPageRank computes PageRank on a graph built by NewPageRankGraph,
 // returning the final rank per vertex. Vertex state is (re)initialized, so
-// the same graph can be reused across runs. Options: WithIterations (0 means
-// 100), WithTolerance (0 runs exactly the iteration cap), WithRestartProb (0
-// means 0.15), plus the engine options (workspace type
-// *graphmat.Workspace[float64, float64] — one workspace serves the whole
-// superstep loop, graph_program_init in the paper's appendix).
+// the same graph can be reused across runs. Options: WithIterations (the
+// superstep cap; 0 means 100), WithTolerance (the convergence threshold, see
+// PageRankProgram.Tolerance), WithRestartProb (0 means 0.15), plus the engine
+// options (workspace type *graphmat.Workspace[float64, float64],
+// graph_program_init in the paper's appendix).
 //
 // Equation (1) sums contributions from *every* vertex each iteration, so the
-// runner re-activates all vertices before each superstep (the paper's
-// PageRank likewise has every vertex participating each iteration — that is
-// why Figure 4a can report a stable time per iteration). Convergence is
-// detected when no vertex's rank moves beyond the tolerance.
+// program keeps every vertex active (the paper's PageRank likewise has every
+// vertex participating each iteration — that is why Figure 4a can report a
+// stable time per iteration), and the whole computation is one engine run.
+// It converges when no vertex's rank moves beyond the tolerance, or when no
+// vertex sends (a graph without edges).
 //
 // The run is a cancelable, observable session: ctx cancellation or deadline
 // stops it between (or within) supersteps, and the observer receives one
@@ -109,28 +118,12 @@ func RunPageRank(ctx context.Context, g *graphmat.Graph[PRVertex, float32], opts
 		}
 		return p
 	})
+	g.SetAllActive()
 	prog := PageRankProgram{RestartProb: restart, Tolerance: set.tol}
 	cfg := set.cfg
-	cfg.MaxIterations = 1
-	sess := newSession(set.obs)
-	var stats graphmat.Stats
-	stats.Reason = graphmat.MaxIterations
-	for it := 0; it < maxIters; it++ {
-		g.SetAllActive()
-		s, err := graphmat.RunContext(ctx, g, prog, cfg, ws, sess.options()...)
-		stats.Add(s)
-		if err != nil {
-			stats.Reason = s.Reason
-			return ranksOf(g), stats, err
-		}
-		// After the superstep the active set holds exactly the vertices
-		// whose rank moved beyond Tolerance.
-		if !g.Active().Any() {
-			stats.Reason = graphmat.Converged
-			break
-		}
-	}
-	return ranksOf(g), stats, nil
+	cfg.MaxIterations = maxIters
+	stats, err := graphmat.RunContext(ctx, g, prog, cfg, ws, newSession(set.obs).options()...)
+	return ranksOf(g), stats, err
 }
 
 func ranksOf(g *graphmat.Graph[PRVertex, float32]) []float64 {

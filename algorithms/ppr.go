@@ -16,7 +16,9 @@ import (
 type PersonalizedPageRankProgram struct {
 	// RestartProb is the teleport probability r.
 	RestartProb float64
-	// Tolerance deactivates vertices whose rank settles.
+	// Tolerance decides convergence as PageRankProgram.Tolerance does, per
+	// column: a column settles on the first superstep in which none of its
+	// ranks moves by more.
 	Tolerance float64
 }
 
@@ -64,6 +66,10 @@ func (PersonalizedPageRankProgram) ProcessIgnoresDst() {}
 // the SIMD kernel backends.
 func (PersonalizedPageRankProgram) ReducesBySumF64() {}
 
+// KeepsAllVerticesActive declares graphmat.AllVerticesActive: every vertex
+// of a column that has not settled sends on every superstep.
+func (PersonalizedPageRankProgram) KeepsAllVerticesActive() {}
+
 // NewPersonalizedPageRankGraph builds the PPR property graph (self-loops
 // removed, edges kept directed). The input is consumed.
 func NewPersonalizedPageRankGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[PPRVertex, float32], error) {
@@ -100,10 +106,10 @@ func RunPersonalizedPageRank(ctx context.Context, g *graphmat.Graph[PPRVertex, f
 // toward personalization set sets[s]. Every member of a set starts with
 // 1/len(set) of the rank and carries restart/len(set) of teleport weight; a
 // duplicated member is assigned its share, not accumulated, and still counts
-// in len(set). Each outer iteration re-activates the still-unconverged
-// columns for one superstep; a column with no vertex left active has settled
-// within Tolerance everywhere and drops out of the sweep, and the run ends
-// when every column has, or at the iteration cap.
+// in len(set). Each block is one engine run from every vertex active: the
+// program keeps every vertex of a still-unconverged column active, a column
+// whose ranks all settled within Tolerance drops out of the sweep, and the
+// run ends when every column has, or at the iteration cap.
 func runPPR(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sets [][]uint32, set *settings) ([][]float64, graphmat.Stats, error) {
 	n := int(g.NumVertices())
 	restart, maxIters := set.rankDefaults()
@@ -115,7 +121,7 @@ func runPPR(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sets [][
 	}
 	prog := PersonalizedPageRankProgram{RestartProb: restart, Tolerance: set.tol}
 	cfg := set.cfg
-	cfg.MaxIterations = 1
+	cfg.MaxIterations = maxIters
 	sess := newSession(set.obs)
 	return runBlocks(g, sets, set,
 		func(st *graphmat.BlockState[PPRVertex], chunk [][]uint32) {
@@ -128,23 +134,8 @@ func runPPR(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sets [][
 			}
 		},
 		func(st *graphmat.BlockState[PPRVertex], ws *graphmat.BlockWorkspace[float64, float64]) (graphmat.Stats, error) {
-			var stats graphmat.Stats
-			live := fullMask(st.Width())
-			for it := 0; it < maxIters && live != 0; it++ {
-				st.ActivateAllMask(live)
-				s, err := graphmat.RunBlockContext(ctx, g, prog, st, cfg, ws, sess.options()...)
-				stats.Add(s)
-				if err != nil {
-					stats.Reason = s.Reason
-					return stats, err
-				}
-				live &= st.ActiveColumns()
-			}
-			stats.Reason = graphmat.Converged
-			if live != 0 {
-				stats.Reason = graphmat.MaxIterations
-			}
-			return stats, nil
+			st.ActivateAllMask(fullMask(st.Width()))
+			return graphmat.RunBlockContext(ctx, g, prog, st, cfg, ws, sess.options()...)
 		},
 		func(st *graphmat.BlockState[PPRVertex]) [][]float64 {
 			ranks := make([][]float64, st.Width())

@@ -13,11 +13,12 @@ import (
 // one phase) at a time.
 type Observer = graphmat.Observer
 
-// session adapts a caller's observer to a driver loop that invokes the
-// engine repeatedly (PageRank's one-superstep-at-a-time loop, HITS's
-// half-steps, the triangle phases): each engine call restarts its iteration
-// count and wall clock, so the session rewrites IterationInfo.Iteration into
-// the global superstep number and Total into time since the session began.
+// session adapts a caller's observer to a driver that invokes the engine
+// more than once (HITS's half-steps, the triangle phases, a batch's blocks of
+// up to graphmat.MaxBlockSources columns): each engine call restarts its
+// iteration count and wall clock, so the session rewrites
+// IterationInfo.Iteration into the global superstep number and Total into
+// time since the session began.
 type session struct {
 	obs   Observer
 	step  int

@@ -70,6 +70,14 @@ type SumFoldF64 = core.SumFoldF64
 // promise it makes.
 type FirstMessageFinal[V any] = core.FirstMessageFinal[V]
 
+// AllVerticesActive is the optional marker for programs in which every
+// vertex is active on every superstep (PageRank, the C++ release's
+// ALL_VERTICES setting); implementing it makes the engine re-activate every
+// vertex of each still-live column between supersteps, so one run iterates
+// to convergence and Apply's result decides only convergence. See
+// core.AllVerticesActive.
+type AllVerticesActive = core.AllVerticesActive
+
 // MinPlusFoldF32 is the optional marker for programs whose fold is the
 // float32 (min, +) tropical semiring (SSSP-shaped folds); implementing it
 // routes the SpMV/SpMM column folds through the kernel backends' fused

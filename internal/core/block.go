@@ -103,9 +103,9 @@ func (b *BlockVector[T]) Occupancy() (vertices, entries int) {
 // BlockWorkspace is the engine's reusable scratch: the n×k message block and
 // the n×k reduction block. It mirrors the C++ API's graph_program_init /
 // graph_program_clear pair (see the paper's appendix): drivers that run a
-// program repeatedly — PageRank's per-superstep loop, the HITS half-steps —
-// allocate one workspace and pass it to every run instead of paying two
-// vertex-sized allocations per call.
+// program repeatedly — the HITS half-steps, a caller answering query after
+// query — allocate one workspace and pass it to every run instead of paying
+// two vertex-sized allocations per call.
 type BlockWorkspace[M, R any] struct {
 	n, k int
 	x    *BlockVector[M]
@@ -243,8 +243,8 @@ func (st *BlockState[V]) Activate(v uint32, s int) {
 }
 
 // ActivateAllMask marks every vertex active in every column of mask — the
-// block analogue of SetAllActive restricted to the still-live columns (the
-// batched PPR driver's per-outer-iteration reactivation).
+// block analogue of SetAllActive, and with the still-live columns as mask an
+// AllVerticesActive run's step between supersteps (reactivation).
 func (st *BlockState[V]) ActivateAllMask(mask uint64) {
 	if mask == 0 {
 		return
@@ -271,4 +271,19 @@ func (st *BlockState[V]) ActiveColumns() uint64 {
 	var live uint64
 	st.summary.Iterate(func(v uint32) { live |= st.active[v] })
 	return live
+}
+
+// reactivation returns the superstep loop's step between supersteps
+// (phaseSet.reactivate) for program p over st: nil unless p declares
+// AllVerticesActive, and otherwise a step that re-activates every vertex of
+// each column still holding an active pair and returns the new frontier's
+// vertex count.
+func (st *BlockState[V]) reactivation(p any) func() int64 {
+	if _, ok := p.(AllVerticesActive); !ok {
+		return nil
+	}
+	return func() int64 {
+		st.ActivateAllMask(st.ActiveColumns())
+		return int64(st.summary.Count())
+	}
 }

@@ -259,7 +259,8 @@ func runBoxed[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 	// runs the boxed send phase.
 	return d.run(phaseSet{
 		active: active, mode: Pull,
-		send: send,
+		send:       send,
+		reactivate: st.reactivation(p),
 		multiply: func(Mode, bool) {
 			y.Reset()
 			for _, parts := range dirs {

@@ -160,8 +160,14 @@ type phaseSet struct {
 	send func() (sent, senders int64)
 	// messages returns what send returns, for the message vector a fused
 	// apply left behind. It is nil for a front-end whose apply never sends
-	// (the boxed ablation).
+	// (the boxed ablation) and for a run with reactivate set, whose frontier
+	// changes after apply.
 	messages func() (sent, senders int64)
+	// reactivate is nil unless the program declares AllVerticesActive
+	// (BlockState.reactivation). The loop calls it after each superstep that
+	// does not end the run — after the observer report and the convergence
+	// test — and it returns the re-activated frontier's vertex count.
+	reactivate func() int64
 	// unsettledEdges is nil unless the front-end can run the row walk
 	// (runPhases for a FirstMessageFinal program, see runPlan.recvDegs). It
 	// returns the receiving-side degree sum of the vertices still unsettled
@@ -228,7 +234,8 @@ func (d *driver) sumChunks(fn func(lo, hi uint32) int64) int64 {
 
 // run is the BSP superstep loop (Algorithm 2), the only one: iteration cap,
 // stop checks, clocks, Stats, the per-superstep direction choice, the
-// observer report and the convergence test, around ps's phases.
+// observer report, the convergence test and an AllVerticesActive program's
+// re-activation, around ps's phases.
 func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 	defer func() { stats.Sched = d.ex.schedStats() }()
 	halt := func(r StopReason) (Stats, error) {
@@ -245,7 +252,8 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 	// (phaseSet.unsettledEdges); negative until a superstep first needs it.
 	unsettled := int64(-1)
 	// frontier is the active set entering a superstep: counted here for the
-	// first, then the previous superstep's count after its apply.
+	// first, then the previous superstep's count after its apply, or after
+	// its re-activation (phaseSet.reactivate).
 	frontier := int64(ps.active.Count())
 	// sendNext is whether the previous apply sent this superstep's messages,
 	// and nextDegSum the frontier edge work it tallied doing so.
@@ -343,6 +351,9 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 			break
 		}
 		frontier = nactive
+		if ps.reactivate != nil && iter+1 < maxIter {
+			frontier = ps.reactivate()
+		}
 	}
 	return stats, nil
 }
@@ -421,7 +432,7 @@ func runPhases[V, E, M, R any, P Program[V, E, M, R]](
 			send()
 			return messages()
 		},
-		messages: messages,
+		reactivate: bst.reactivation(p),
 		multiply: func(mode Mode, rowWalk bool) {
 			y.Reset()
 			var gather rowSink[E] // nil: the column walk of mode
@@ -437,6 +448,9 @@ func runPhases[V, E, M, R any, P Program[V, E, M, R]](
 			}
 			apply()
 		},
+	}
+	if ps.reactivate == nil {
+		ps.messages = messages
 	}
 	if b.recvDegs != nil {
 		ps.unsettledEdges = func() int64 { return d.sumChunks(b.unsettled) }

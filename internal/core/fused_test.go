@@ -16,7 +16,9 @@ import (
 // chain of MaxIterations: 1 runs, each resumed from the active set the last
 // one left, takes the standalone send phase on every superstep. The tests
 // below hold the two to the same answer and tallies, and pin that no run
-// sends a message it does not count.
+// sends a message it does not count. An AllVerticesActive program never
+// fuses; its chain re-activates every live column between runs, which is
+// the step its single run takes between supersteps.
 
 // ccProg is min-label propagation: every active vertex broadcasts its label
 // and receivers keep the smallest.
@@ -34,6 +36,41 @@ func (ccProg) Apply(r uint32, _ VertexID, prop *uint32) bool {
 }
 func (ccProg) Direction() graph.Direction { return graph.Out }
 func (ccProg) ProcessIgnoresDst()         {}
+
+// rankProg is PageRank over float64 ranks, declaring AllVerticesActive: every
+// vertex with out-edges sends rank × inv[v], its reciprocal out-degree, and
+// Apply reports whether the rank moved by more than tol.
+type rankProg struct {
+	inv []float64
+	tol float64
+}
+
+func (p rankProg) SendMessage(v VertexID, prop float64) (float64, bool) {
+	return prop * p.inv[v], p.inv[v] != 0
+}
+func (rankProg) ProcessMessage(m float64, _ float32, _ float64) float64 { return m }
+func (rankProg) Reduce(a, b float64) float64                            { return a + b }
+func (p rankProg) Apply(sum float64, _ VertexID, prop *float64) bool {
+	next := 0.15 + 0.85*sum
+	changed := math.Abs(next-*prop) > p.tol
+	*prop = next
+	return changed
+}
+func (rankProg) Direction() graph.Direction { return graph.Out }
+func (rankProg) ProcessIgnoresDst()         {}
+func (rankProg) ReducesBySumF64()           {}
+func (rankProg) KeepsAllVerticesActive()    {}
+
+// newRankProg is rankProg over g's out-degrees.
+func newRankProg[V any](g *graph.Graph[V, float32], tol float64) rankProg {
+	inv := make([]float64, g.NumVertices())
+	for v := range inv {
+		if d := g.OutDegree(uint32(v)); d > 0 {
+			inv[v] = 1 / float64(d)
+		}
+	}
+	return rankProg{inv: inv, tol: tol}
+}
 
 // stepKey is the deterministic part of one IterationInfo: everything but its
 // number (a chain restarts it at 1 every run) and its clocks.
@@ -55,6 +92,8 @@ func propBits[V any](v V) uint64 {
 	switch x := any(v).(type) {
 	case float32:
 		return uint64(math.Float32bits(x))
+	case float64:
+		return math.Float64bits(x)
 	case uint32:
 		return uint64(x)
 	}
@@ -64,13 +103,16 @@ func propBits[V any](v V) uint64 {
 // checkFusedResumed runs p to convergence from init once in a single run and
 // once as a chain of one-superstep runs resumed from the active set, and
 // requires bit-identical properties, equal summed Stats (Sched aside) and
-// equal observer streams.
+// equal observer streams. For an AllVerticesActive program the chain
+// re-activates every live column before each run after the first, and since
+// neither side fuses a send, Sched.Tasks must be equal too.
 func checkFusedResumed[V any, M, R any, P interface {
 	Program[V, float32, M, R]
 	DstIndependent
 }](t *testing.T, g *graph.Graph[V, float32], p P, k int, init func(*BlockState[V]), cfg Config) {
 	t.Helper()
 	n := int(g.NumVertices())
+	_, allActive := any(p).(AllVerticesActive)
 	run := func(st *BlockState[V], cfg Config, steps *[]stepKey) Stats {
 		t.Helper()
 		s, err := RunBlockContext(context.Background(), g, p, st, cfg, nil, WithObserver(func(info IterationInfo) error {
@@ -101,6 +143,9 @@ func checkFusedResumed[V any, M, R any, P interface {
 		if i > 4*oneStats.Iterations {
 			t.Fatalf("resumed chain still running after %d runs", i)
 		}
+		if allActive && i > 0 {
+			chain.ActivateAllMask(chain.ActiveColumns())
+		}
 		s := run(chain, step, &chainSteps)
 		chainStats.Add(s)
 		if s.Reason == Converged {
@@ -113,7 +158,12 @@ func checkFusedResumed[V any, M, R any, P interface {
 			t.Fatalf("slot %d (vertex %d, column %d): single run %v, resumed chain %v", i, i/k, i%k, one.props[i], chain.props[i])
 		}
 	}
-	oneStats.Sched, chainStats.Sched = SchedStats{}, SchedStats{}
+	if allActive {
+		oneStats.Sched.Steals, oneStats.Sched.BusyNS = 0, 0
+		chainStats.Sched.Steals, chainStats.Sched.BusyNS = 0, 0
+	} else {
+		oneStats.Sched, chainStats.Sched = SchedStats{}, SchedStats{}
+	}
 	oneStats.Reason = ReasonNone
 	if oneStats != chainStats {
 		t.Errorf("stats\n single run %+v\nresumed chain %+v", oneStats, chainStats)
@@ -127,7 +177,8 @@ func checkFusedResumed[V any, M, R any, P interface {
 // sssp, a FirstMessageFinal bfs (which takes the row walk under Pull and
 // Auto) and min-label components, at one and three columns, one and three
 // workers, under every mode, on a plain graph and on a base+delta overlay
-// snapshot.
+// snapshot. The AllVerticesActive rank program runs the same grid, plus the
+// boxed front-end at one column over both message vectors.
 func TestFusedSendMatchesResumedRuns(t *testing.T) {
 	base := gen.RMAT(gen.RMATOptions{Scale: 9, EdgeFactor: 8, Seed: 11, MaxWeight: 9})
 	base.SortRowMajor()
@@ -141,12 +192,20 @@ func TestFusedSendMatchesResumedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plainD, err := graph.NewFromCOO[float64, float32](base.Clone(), graph.Options{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := graph.Options{Partitions: 4, CompactFraction: -1}
 	storeF, err := graph.NewStore[float32, float32](base.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	storeU, err := graph.NewStore[uint32, float32](base.Clone(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeD, err := graph.NewStore[float64, float32](base.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +216,14 @@ func TestFusedSendMatchesResumedRuns(t *testing.T) {
 		if _, err := storeU.ApplyEdges(b); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := storeD.ApplyEdges(b); err != nil {
+			t.Fatal(err)
+		}
 	}
-	snapF, snapU := storeF.Acquire(), storeU.Acquire()
+	snapF, snapU, snapD := storeF.Acquire(), storeU.Acquire(), storeD.Acquire()
 	defer snapF.Release()
 	defer snapU.Release()
+	defer snapD.Release()
 	if snapF.Graph().OverlayNNZ() == 0 {
 		t.Fatal("test is vacuous: no overlay survived the batches")
 	}
@@ -186,16 +249,27 @@ func TestFusedSendMatchesResumedRuns(t *testing.T) {
 		st.InitProps(func(v uint32, s int) uint32 { return (v*uint32(2*s+1) + uint32(s)) % nv })
 		st.ActivateAllMask(1<<st.Width() - 1)
 	}
+	ranks := func(st *BlockState[float64]) {
+		// Each column starts from its own ranks, so the columns converge
+		// differently.
+		st.InitProps(func(v uint32, s int) float64 { return 1 + float64((v*uint32(2*s+1)+uint32(s))%7)/8 })
+		st.ActivateAllMask(1<<st.Width() - 1)
+	}
 
 	graphs := []struct {
 		name string
 		f    *graph.Graph[float32, float32]
 		u    *graph.Graph[uint32, float32]
+		d    *graph.Graph[float64, float32]
 	}{
-		{"plain", plainF, plainU},
-		{"overlay", snapF.View(), snapU.View()},
+		{"plain", plainF, plainU, plainD},
+		{"overlay", snapF.View(), snapU.View(), snapD.View()},
 	}
 	for _, gr := range graphs {
+		// The rank rows converge in well under rankCap supersteps; the cap
+		// turns a run that never would into a failure, not a hang.
+		const rankCap = 1000
+		rank := newRankProg(gr.d, 1e-6)
 		for _, k := range []int{1, 3} {
 			for _, threads := range []int{1, 3} {
 				for _, mode := range []Mode{Auto, Pull, Push} {
@@ -210,6 +284,20 @@ func TestFusedSendMatchesResumedRuns(t *testing.T) {
 					t.Run(name+"/components", func(t *testing.T) {
 						checkFusedResumed(t, gr.u, ccProg{}, k, labels, cfg)
 					})
+					t.Run(name+"/rank", func(t *testing.T) {
+						checkFusedResumed(t, gr.d, rank, k, ranks, Config{Mode: mode, Threads: threads, MaxIterations: rankCap})
+					})
+				}
+				if k == 1 {
+					for _, vec := range []struct {
+						name string
+						kind VectorKind
+					}{{"bitvector", Bitvector}, {"sorted", Sorted}} {
+						cfg := Config{Dispatch: Boxed, Vector: vec.kind, Threads: threads, MaxIterations: rankCap}
+						t.Run(fmt.Sprintf("%s/k1/threads%d/boxed_%s/rank", gr.name, threads, vec.name), func(t *testing.T) {
+							checkFusedResumed(t, gr.d, rank, k, ranks, cfg)
+						})
+					}
 				}
 			}
 		}
@@ -240,15 +328,31 @@ func (p countedEndless) SendMessage(v VertexID, prop int64) (int64, bool) {
 	return prop, true
 }
 
+// countedRank is rankProg counting its SendMessage calls, every one of which
+// sends (a vertex without out-edges sends a message that reaches nobody).
+type countedRank struct {
+	rankProg
+	calls *atomic.Int64
+}
+
+func (p countedRank) SendMessage(v VertexID, prop float64) (float64, bool) {
+	p.calls.Add(1)
+	return prop * p.inv[v], true
+}
+
 // TestNoSpeculativeSend pins that the fused send only ever runs for a
 // superstep that will run: every SendMessage call a run makes is a message
 // it counts, for runs that converge, runs capped by MaxIterations, and
-// PageRank-style loops of one-superstep runs that re-activate every vertex
-// between them. A send past the last superstep would be work nothing reads,
-// paid on every one-superstep run.
+// AllVerticesActive runs, capped and converged, which re-activate every
+// vertex between supersteps. A send past the last superstep would be work
+// nothing reads.
 func TestNoSpeculativeSend(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 9, EdgeFactor: 8, Seed: 3, MaxWeight: 9})
 	gf, err := graph.NewFromCOO[float32, float32](adj.Clone(), graph.Options{Partitions: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gd, err := graph.NewFromCOO[float64, float32](adj.Clone(), graph.Options{Partitions: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,23 +398,37 @@ func TestNoSpeculativeSend(t *testing.T) {
 				}
 				check(t, &calls, s, MaxIterations)
 			})
-			t.Run("one_superstep_loop", func(t *testing.T) {
-				var calls atomic.Int64
-				st := NewBlockState[int64](n, k)
-				st.SetAllProps(1)
-				ws := NewBlockWorkspace[int64, int64](n, k)
-				var total Stats
-				for range 5 {
+			// The AllVerticesActive runs also end with the active set their
+			// last apply left, not re-activated: the last report's NextActive.
+			for _, c := range []struct {
+				name   string
+				tol    float64
+				cap    int
+				reason StopReason
+			}{
+				{"all_active_capped", 0, 5, MaxIterations},
+				{"all_active_converged", 1e-6, 1000, Converged},
+			} {
+				t.Run(c.name, func(t *testing.T) {
+					var calls atomic.Int64
+					st := NewBlockState[float64](n, k)
+					st.SetAllProps(1)
 					st.ActivateAllMask(all)
-					s, err := RunBlockContext(context.Background(), gi, countedEndless{calls: &calls}, st, Config{Threads: 2, MaxIterations: 1}, ws)
+					p := countedRank{rankProg: newRankProg(gd, c.tol), calls: &calls}
+					var last IterationInfo
+					s, err := RunBlockContext(context.Background(), gd, p, st, Config{Threads: 2, MaxIterations: c.cap}, nil, WithObserver(func(info IterationInfo) error {
+						last = info
+						return nil
+					}))
 					if err != nil {
 						t.Fatal(err)
 					}
-					total.Add(s)
-					total.Reason = s.Reason
-				}
-				check(t, &calls, total, MaxIterations)
-			})
+					check(t, &calls, s, c.reason)
+					if got := int64(st.summary.Count()); got != last.NextActive {
+						t.Errorf("run ended with %d active vertices, its last superstep reported %d", got, last.NextActive)
+					}
+				})
+			}
 		})
 	}
 }

@@ -14,14 +14,15 @@
 // that hand it their send / multiply / apply phases: runPhases (engine.go),
 // which serves the scalar engine and the n×k multi-source block engine
 // (engine_block.go) alike, and the boxed-dispatch ablation (runBoxed,
-// boxed.go). Iteration cap, stop checks, Stats, direction choice and the
-// observer report live in the loop; everything per vertex or per edge lives
-// in the front-ends. A vector is a one-column block: runPhases walks the
-// frontier's rows and each row's column mask, where a row is one vertex of
-// a block with per-vertex masks and, at k = 1 — the scalar engine over the
-// graph's own state and a block of width 1 — a whole mask word whose columns
-// are its vertices. So width selects the fold sink and the shape of a row,
-// nothing else, and callers never choose an engine by source count.
+// boxed.go). Iteration cap, stop checks, Stats, direction choice, the
+// observer report and an AllVerticesActive program's re-activation live in
+// the loop; everything per vertex or per edge lives in the front-ends. A
+// vector is a one-column block: runPhases walks the frontier's rows and each
+// row's column mask, where a row is one vertex of a block with per-vertex
+// masks and, at k = 1 — the scalar engine over the graph's own state and a
+// block of width 1 — a whole mask word whose columns are its vertices. So
+// width selects the fold sink and the shape of a row, nothing else, and
+// callers never choose an engine by source count.
 //
 // The SpMV backend is a kernel layer (kernel.go) with three traversals. Two
 // are column walks, scatters driven by source columns: the paper's sweep of
@@ -59,7 +60,8 @@ type VertexID = uint32
 // that the engine calls it from the previous superstep's apply phase, on each
 // vertex just after the Apply that activated it, with the property that
 // Apply wrote — unless the run's MaxIterations cap ends it there, so a run
-// never sends a message it will not multiply. SendMessage must therefore be a
+// never sends a message it will not multiply. (An AllVerticesActive program's
+// supersteps each send in their own phase.) SendMessage must therefore be a
 // pure function of (v, prop): it runs concurrently with other vertices' Apply
 // calls, and before the superstep's observer report (graphmatlint's purefold
 // checks it with the fold operators).
@@ -68,8 +70,10 @@ type VertexID = uint32
 // callbacks cannot say: DstIndependent (ProcessMessage ignores the
 // destination), SumFoldF64 and the float32 path folds (the fold is a known
 // semiring the kernels fuse), FirstMessageFinal (the first message to reach
-// a vertex decides it, so dense supersteps may gather by destination). Each
-// is a promise the differential suites hold the program to.
+// a vertex decides it, so dense supersteps may gather by destination),
+// AllVerticesActive (every vertex of a live column is active on every
+// superstep, so Apply's result decides only convergence). Each is a promise
+// the differential suites hold the program to.
 type Program[V, E, M, R any] interface {
 	// SendMessage produces vertex v's message from its property. Returning
 	// send=false suppresses the message (the C++ API's boolean return).
@@ -105,6 +109,18 @@ type Program[V, E, M, R any] interface {
 // engine (RunBlockContext), where one edge serves k columns' destinations.
 type DstIndependent interface {
 	ProcessIgnoresDst()
+}
+
+// AllVerticesActive is an optional marker for programs in which every vertex
+// is active on every superstep — PageRank and personalized PageRank, the C++
+// release's ALL_VERTICES activity setting. After each superstep that does not
+// end the run, the engine re-activates every vertex of every column that
+// still has an active (vertex, column) pair, so Apply's return value decides
+// only convergence: a column drops out once none of its Apply calls returns
+// true, and the run converges when every column has, or when a superstep
+// sends nothing. Every superstep of such a run sends in a phase of its own.
+type AllVerticesActive interface {
+	KeepsAllVerticesActive()
 }
 
 // FirstMessageFinal is an optional marker for traversal programs in which a

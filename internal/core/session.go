@@ -99,6 +99,9 @@ type IterationInfo struct {
 	// NextActive is the frontier size for the next superstep; 0 means the
 	// run converged. Unless the run ends here, that frontier has already
 	// sent its messages, which the next superstep's report counts in Sent.
+	// For an AllVerticesActive program it counts the vertices whose Apply
+	// returned true, still 0 on convergence; the next superstep's Active is
+	// the frontier the engine re-activated after this report.
 	NextActive int64 `json:"next_active"`
 	// Mode is the SpMV kernel the superstep ran (Pull or Push — Auto is
 	// resolved per superstep before the multiply). A superstep that sent no
@@ -136,9 +139,11 @@ type IterationInfo struct {
 // When another superstep will run, its messages already exist when the
 // observer is called: the apply phase being reported sent them from the
 // properties it wrote (see Program). An observer must therefore not change
-// vertex state or the active set mid-run; a driver that changes them between
-// supersteps (PageRank re-activating every vertex) runs one-superstep runs
-// and changes them between runs instead.
+// vertex state or the active set mid-run. A program that keeps every vertex
+// active (PageRank) declares AllVerticesActive, and the engine re-activates
+// after the report; a driver that changes state between supersteps in any
+// other way (HITS alternating two programs) runs one-superstep runs and
+// changes it between runs instead.
 type Observer = func(IterationInfo) error
 
 // RunOption configures a RunContext call.

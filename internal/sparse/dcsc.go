@@ -39,8 +39,8 @@ type DCSC[E any] struct {
 
 	// split memoizes SplitBounds: the histogram sweep behind the boundary
 	// computation costs O(nnz), and the engine re-plans tasks on every run
-	// against the same pinned structure (drivers like PageRank invoke the
-	// engine once per superstep).
+	// against the same pinned structure (HITS invokes the engine once per
+	// half-step, and a server answers query after query on one snapshot).
 	split struct {
 		mu     sync.Mutex
 		nparts int
