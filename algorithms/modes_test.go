@@ -223,7 +223,11 @@ func TestRowWalkScope(t *testing.T) {
 // lookup reaches about one partition per vertex, and SSSP's wave never
 // outbids a sweep of every column — Auto is forced Push there, tally for
 // tally. (What the all-active algorithms report is asserted in
-// TestAllActiveDifferential.)
+// TestAllActiveDifferential.) The last input is the other side of the scope:
+// PageRank on RMAT-12 is all-active, and folds every edge flat at the default
+// partition count, where every pull task is a whole partition — but not at
+// one partition on two workers, which the task shaper cuts into row-clipped
+// tasks that never fold flat.
 func TestFlatFoldScopedToDenseFrontiers(t *testing.T) {
 	cases := map[string]struct {
 		algo  string
@@ -255,6 +259,25 @@ func TestFlatFoldScopedToDenseFrontiers(t *testing.T) {
 		}
 		if flat, edges := auto.Stats.FlatEdges, auto.Stats.EdgesProcessed; flat*100 > edges {
 			t.Errorf("%s: FlatEdges = %d of %d edges under Auto, want at most 1%%", name, flat, edges)
+		}
+	}
+
+	spec, _ := Lookup("pagerank")
+	adj := gen.RMAT(gen.RMATOptions{Scale: 12, EdgeFactor: 16, Seed: 42, MaxWeight: 10})
+	for _, c := range []struct {
+		parts, threads int
+		allFlat        bool
+	}{{0, 0, true}, {1, 2, false}} {
+		inst, err := spec.Build(adj.Clone(), c.parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := inst.Run(Params{Iterations: 3, Threads: c.threads}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flat, edges := res.Stats.FlatEdges, res.Stats.EdgesProcessed; (flat == edges) != c.allFlat {
+			t.Errorf("rmat12_pagerank partitions %d threads %d: FlatEdges = %d of %d edges, want all %v", c.parts, c.threads, flat, edges, c.allFlat)
 		}
 	}
 }

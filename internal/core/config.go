@@ -206,11 +206,14 @@ type Stats struct {
 	// stored column range reaches the vertex's frontier word.
 	ColumnsProbed int64
 	// FlatEdges is the part of EdgesProcessed the pull walk folded as flat
-	// edge ranges: batches of stored columns that all carried a message, in
-	// tasks covering their partition's whole row range. It equals
-	// EdgesProcessed on an all-active pull run over a plain graph and is 0
-	// for push supersteps, for block runs of two or more columns and for the
-	// boxed path.
+	// edge ranges: whole partitions, or batches of stored columns, that all
+	// carried a message, in tasks covering their partition's whole row
+	// range. It equals EdgesProcessed on an all-active pull run over a plain
+	// graph only when every pull task is a whole partition: row-clipped
+	// tasks, which the task shaper cuts from heavy partitions when there are
+	// few partitions per worker, never fold flat. It is 0 for push
+	// supersteps, for block runs of two or more columns and for the boxed
+	// path.
 	FlatEdges int64
 	// PushSupersteps counts supersteps executed with the push (SpMSpV)
 	// kernel; PullSupersteps counts supersteps executed with the pull

@@ -38,7 +38,7 @@ type localStats struct {
 	probes  int64
 	applies int64
 	// flat is the part of edges the pull walk folded through a sink's
-	// foldFlat (fully-live column batches).
+	// foldFlat (fully-live partitions and column batches).
 	flat int64
 	// degSum accumulates the traversal-structure degrees of the vertices
 	// that sent a message — the frontier's edge work, the numerator of the

@@ -52,8 +52,9 @@ import (
 //  3. an override with zero entries is a tombstone: it masks its base column
 //     and is neither visited nor counted as a probe, matching the fresh
 //     build in which the column does not exist;
-//  4. a fully-live batch of base columns is folded as one edge range; order
-//     and tallies as the column path;
+//  4. a fully-live plain partition is folded as one edge range, and so is a
+//     fully-live batch of base columns otherwise; order and tallies as the
+//     column path;
 //  5. the row walk reads the base only, so a layer with a pending delta
 //     keeps the column walk until compaction folds the delta away. Both
 //     write the same rows to the same bits, so they mix within a superstep.
@@ -84,14 +85,16 @@ const walkBatch = 64
 // are resolved once per run from the program and its vectors and shared
 // read-only by every task; the per-edge loop lives inside the concrete sink.
 //
-// A sink may also be a flatSink; the pull walk then hands it fully-live
-// column batches as one edge range instead of column by column.
+// A sink may also be a flatSink; the pull walk then hands it a fully-live
+// partition, or else each fully-live column batch, as one edge range instead
+// of column by column.
 type colSink[E any] interface {
 	fold(ir []uint32, val []E, cols []colRef) int
 }
 
 // flatSink is the optional second entry of a colSink: foldFlat folds a run
-// of consecutive stored columns that ALL carry a message as one flat loop
+// of consecutive stored columns that ALL carry a message — a whole plain
+// partition on an all-active superstep, one batch otherwise — as one flat loop
 // over their edges — edge k goes to row ir[k] with value val[k] from source
 // column src[k] (sparse.DCSC.EdgeCols) — in ascending k. That is the fold
 // sequence fold performs over the same columns (ascending column, ascending
@@ -153,12 +156,18 @@ func walkRows[E any](base *sparse.DCSC[E], xw []uint64, rlo, rhi uint32, sink ro
 // next override, then the override itself. A plain partition is one run —
 // a straight scan of the base.
 //
-// When gather finds every column of a batch live — each batch of an
-// all-active superstep, which is every superstep of PageRank, PPR and HITS —
-// and the call covers the partition's whole row range, the batch's edges
-// are the contiguous positions CP[bi]..CP[bi+n] and go to a flatSink as one
-// range. Anything else (a partly live batch, an override, a row-clipped
-// sub-partition task, a sink without foldFlat) takes the column path.
+// A call covering the partition's whole row range with a flatSink has two
+// flat folds. On a plain partition it first tests, once, whether every
+// stored column is live (allLive: the column bitmap against the frontier, a
+// word at a time) — true on every superstep of PageRank, PPR and HITS — and
+// if so hands the whole partition, CP[0]..CP[len(JC)], to one foldFlat call.
+// Otherwise it gathers walkBatch columns at a time, and a batch gather finds
+// all live — the stretches of a partly live frontier that happen to be full,
+// the base runs between an overlay's overrides — is folded as the one range
+// CP[bi]..CP[bi+n]. Anything else (a partly live batch, an override, a
+// row-clipped sub-partition task, a sink without foldFlat) takes the column
+// path. All three fold the same edges in the same order and tally the same
+// probes and edges.
 func walkPull[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink colSink[E], st *localStats) {
 	base, delta := l.Base, l.Delta
 	bjc, bcp := base.JC, base.CP
@@ -169,6 +178,14 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 	var flat flatSink[E]
 	if rlo <= base.RowLo && rhi >= base.RowHi {
 		flat, _ = sink.(flatSink[E])
+	}
+	if flat != nil && delta == nil && allLive(base, xw) {
+		lo, hi := bcp[0], bcp[len(bjc)]
+		flat.foldFlat(base.IR[lo:hi], base.Val[lo:hi], base.EdgeCols()[lo:hi])
+		st.probes += int64(len(bjc))
+		st.edges += int64(hi - lo)
+		st.flat += int64(hi - lo)
+		return
 	}
 	var src []uint32 // base.EdgeCols(), fetched on the first fully-live batch
 	var buf [walkBatch]colRef
@@ -305,6 +322,27 @@ func pushWords[E any](l sparse.Layered[E]) (loW, hiW int) {
 		return 0, 0
 	}
 	return int(loCol >> 6), int(hiCol>>6) + 1
+}
+
+// allLive reports whether every stored column of d holds a message in the
+// frontier words xw: one AND-NOT of each column-bitmap word against the
+// frontier word it covers, stopping at the first word with a dead column. The
+// bitmap must hold exactly len(JC) ids — a JC with a repeated id or one past
+// NCols (a malformed mapped file) indexes fewer and is never all live here —
+// and a structure with no stored column is not.
+func allLive[E any](d *sparse.DCSC[E], xw []uint64) bool {
+	x := d.ColumnIndex()
+	last := len(x.Bits) - 1
+	if last < 0 || int(x.Rank[last])+bits.OnesCount64(x.Bits[last]) != len(d.JC) || x.Lo+len(x.Bits) > len(xw) {
+		return false
+	}
+	xw = xw[x.Lo : x.Lo+len(x.Bits)]
+	for w, b := range x.Bits {
+		if b&^xw[w] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // gather probes the frontier words xw for each stored column jc[i] (at most

@@ -18,9 +18,11 @@ import (
 // a fresh DCSC build of the live edge set. The fold is a non-commutative
 // hash, so a reordered, repeated, dropped or misplaced edge fold changes the
 // result — value equality asserts the exact per-destination fold sequence,
-// not just the edge multiset. The pull walk's flat fold is covered by the
+// not just the edge multiset. The pull walk's flat folds are covered by the
 // same cases: a frontier that fills a column batch sends it down foldFlat,
-// and FlatEdges must equal the edges of exactly those batches. The row walk
+// and FlatEdges must equal the edges of exactly those batches — except that
+// a frontier reaching every column of a plain partition sends the whole
+// partition down in one foldFlat call, which the harness counts. The row walk
 // runs over firstProg, whose naive fold is "the first live in-neighbour of
 // each unsettled row, in ascending source order" — per column, for the block
 // sink's k-wide gather.
@@ -255,6 +257,24 @@ type walkOut struct {
 	cols          []uint64 // block only: per-row column masks
 	edges, probes int64
 	flat          int64 // the part of edges folded through foldFlat
+	// flatSpans: scalar only, the base edge positions [lo, hi) of each
+	// foldFlat call, in call order.
+	flatSpans [][2]int
+}
+
+// flatCounter wraps a scalar sink and records the base edge span of each
+// foldFlat call before passing it on. The flat folds read the base only, so
+// a call's ir is base[lo:hi], and lo is how much shorter its capacity is.
+type flatCounter[E any] struct {
+	colSink[E]
+	base  []uint32
+	spans *[][2]int
+}
+
+func (s flatCounter[E]) foldFlat(ir []uint32, val []E, src []uint32) {
+	lo := cap(s.base) - cap(ir)
+	*s.spans = append(*s.spans, [2]int{lo, lo + len(ir)})
+	s.colSink.(flatSink[E]).foldFlat(ir, val, src)
 }
 
 func (o walkOut) equal(p walkOut) error {
@@ -324,11 +344,12 @@ func scalarFold[V, E, M, R any, P Program[V, E, M, R]](c *walkCase, name string,
 			if rowWalk {
 				rows = sink.(rowSink[E])
 			}
+			counted := flatCounter[E]{colSink: sink, base: l.Base.IR, spans: new([][2]int)}
 			var st localStats
 			for _, cut := range cuts {
-				multiply(mode, l, x.Mask().Words(), cut[0], cut[1], sink, rows, &st)
+				multiply(mode, l, x.Mask().Words(), cut[0], cut[1], counted, rows, &st)
 			}
-			out := walkOut{mask: y.Mask().Words(), vals: make([]uint64, c.words()*64), edges: st.edges, probes: st.probes, flat: st.flat}
+			out := walkOut{mask: y.Mask().Words(), vals: make([]uint64, c.words()*64), edges: st.edges, probes: st.probes, flat: st.flat, flatSpans: *counted.spans}
 			for i, r := range y.Values() {
 				out.vals[i] = bitsOf(r)
 			}
@@ -509,6 +530,16 @@ func (c *walkCase) flatEdges(live func(j uint32) bool) int64 {
 	return flat
 }
 
+// allStoredLive reports whether every stored base column is live.
+func (c *walkCase) allStoredLive(live func(j uint32) bool) bool {
+	for _, j := range c.l.Base.JC {
+		if !live(j) {
+			return false
+		}
+	}
+	return true
+}
+
 // check asserts, for every sink: whole-partition pull == whole-partition
 // push == the naive fold, the pull probe count is the fresh build's column
 // count, and for every given row cut the bounded calls compose to the
@@ -538,6 +569,14 @@ func (c *walkCase) check(t *testing.T, picks []uint) {
 			}
 			if got.flat != wantFlat {
 				t.Fatalf("%s %s whole partition folded %d edges flat, want %d", f.name, mode, got.flat, wantFlat)
+			}
+			if mode == Pull && f.flat && c.l.Delta == nil && c.allStoredLive(f.live) {
+				// A fully-live plain partition is one foldFlat call over
+				// all of its edges, not one per column batch.
+				nnz := c.l.Base.NNZ()
+				if len(got.flatSpans) > 1 || (nnz > 0 && (len(got.flatSpans) == 0 || got.flatSpans[0] != [2]int{0, nnz})) {
+					t.Fatalf("%s pull over a fully-live plain partition of %d edges made foldFlat calls %v, want one over [0, %d)", f.name, nnz, got.flatSpans, nnz)
+				}
 			}
 			for _, pick := range picks {
 				cuts := c.rowCuts(pick)
@@ -609,6 +648,33 @@ func TestBoundedCallsCompose(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestAllLiveNeedsEveryColumnIndexed holds the whole-partition liveness test
+// to a JC its column bitmap indexes exactly: a repeated id, or one past NCols
+// as a malformed mapped file may hold, leaves the bitmap short of len(JC), and
+// such a partition takes the batch path even under a full frontier.
+func TestAllLiveNeedsEveryColumnIndexed(t *testing.T) {
+	full := []uint64{^uint64(0), ^uint64(0)}
+	for _, c := range []struct {
+		name string
+		jc   []uint32
+		want bool
+	}{
+		{"well_formed", []uint32{3, 40, 63}, true},
+		{"empty", nil, false},
+		{"repeated_id", []uint32{3, 3}, false},
+		{"id_past_ncols", []uint32{3, 70}, false},
+	} {
+		d := &sparse.DCSC[uint32]{NRows: 64, NCols: 64, JC: c.jc, RowHi: 64}
+		if got := allLive(d, full); got != c.want {
+			t.Errorf("%s: allLive = %v, want %v", c.name, got, c.want)
+		}
+	}
+	d := &sparse.DCSC[uint32]{NRows: 64, NCols: 64, JC: []uint32{3, 40, 63}, RowHi: 64}
+	if allLive(d, []uint64{^uint64(0) &^ (1 << 40), ^uint64(0)}) {
+		t.Error("allLive with column 40 off the frontier")
 	}
 }
 
@@ -711,6 +777,7 @@ func FuzzLayeredWalk(f *testing.F) {
 	f.Add(uint64(5), uint8(4), uint8(0), uint8(50), uint8(255), uint8(7), false)
 	f.Add(uint64(6), uint8(3), uint8(255), uint8(0), uint8(255), uint8(0), false) // plain, every batch flat
 	f.Add(uint64(7), uint8(4), uint8(220), uint8(70), uint8(255), uint8(2), true) // flat runs between overrides, bare literals
+	f.Add(uint64(8), uint8(3), uint8(200), uint8(0), uint8(255), uint8(6), true)  // plain, bare literal: the liveness test builds the column index
 	f.Fuzz(func(t *testing.T, seed uint64, nblk, nbase, nmut, density, pick uint8, bare bool) {
 		fill := int(density)
 		if fill == 255 {

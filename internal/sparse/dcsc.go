@@ -24,7 +24,9 @@ import (
 // which looks individual frontier columns up in every partition, reads the
 // ColumnIndex instead: a bitmap of JC over its word span plus a rank per
 // word, so a lookup is a bit test and a popcount with no dependent load
-// before CP — and it ANDs whole frontier words with the bitmap.
+// before CP — and it ANDs whole frontier words with the bitmap. The pull
+// kernel reads the bitmap too, once per call, to test whether every stored
+// column holds a message before it folds the whole structure in one pass.
 type DCSC[E any] struct {
 	NRows, NCols uint32
 	JC           []uint32
@@ -48,10 +50,12 @@ type DCSC[E any] struct {
 	}
 
 	// edgeCols memoizes EdgeCols, the per-edge source-column array the pull
-	// walk's flat fold reads: 4 B per stored edge, built on the first
-	// fully-live column batch a walk meets in this structure and never
-	// before, so a structure only ever traversed by sparse frontiers does
-	// not pay for it. It is derived state — never serialised.
+	// walk's flat fold reads — as one stream over every edge when the whole
+	// structure is live, a batch's slice of it otherwise: 4 B per stored
+	// edge, built on the first fully-live structure or column batch a walk
+	// meets here and never before, so a structure only ever traversed by
+	// sparse frontiers does not pay for it. It is derived state — never
+	// serialised.
 	edgeCols struct {
 		once sync.Once
 		cols []uint32
@@ -66,10 +70,12 @@ type DCSC[E any] struct {
 		idx  *RowIndex[E]
 	}
 
-	// colIndex memoizes ColumnIndex, the only way a column is found: built
-	// from JC by the first lookup, never before and never serialised, so a
-	// view over a mapped file stays O(1) to assemble and a hand-assembled
-	// literal indexes itself like any other.
+	// colIndex memoizes ColumnIndex, the only way a column is found by id
+	// and the bitmap the pull walk tests a frontier's liveness against:
+	// built from JC by the first reader — a lookup or a pull call that may
+	// fold the whole structure flat — never before and never serialised, so a view over a
+	// mapped file stays O(1) to assemble and a hand-assembled literal
+	// indexes itself like any other.
 	colIndex struct {
 		once sync.Once
 		idx  ColumnIndex
