@@ -179,8 +179,8 @@ func spmvBoxedSorted(part boxedPartition, xs *sparse.SortedVector[any], bp boxed
 }
 
 // runBoxed is the boxed ablation's front-end, over one-column state st:
-// type-erased scratch of its own, whole-partition multiply tasks (its kernels
-// take whole partitions), and no direction choice — the naive path predates
+// type-erased scratch of its own, one multiply task per partition like the
+// typed engine's, and no direction choice — the naive path predates
 // the kernel layer's push mode, so it always pulls. It keeps its own send and
 // apply rather than runPhases' typed word loops, and never fuses them into one
 // phase, because its interface-boxed callbacks are what Figure 7's "naive" and

@@ -201,19 +201,16 @@ type Stats struct {
 	// ActiveSum is the cumulative size of the active set over supersteps.
 	ActiveSum int64
 	// ColumnsProbed counts presence probes: per pull superstep, one per
-	// stored column of every task's partition; per push superstep, one
+	// stored column of every partition; per push superstep, one
 	// column-index lookup per frontier vertex in each partition whose
 	// stored column range reaches the vertex's frontier word.
 	ColumnsProbed int64
 	// FlatEdges is the part of EdgesProcessed the pull walk folded as flat
 	// edge ranges: whole partitions, or batches of stored columns, that all
-	// carried a message, in tasks covering their partition's whole row
-	// range. It equals EdgesProcessed on an all-active pull run over a plain
-	// graph only when every pull task is a whole partition: row-clipped
-	// tasks, which the task shaper cuts from heavy partitions when there are
-	// few partitions per worker, never fold flat. It is 0 for push
-	// supersteps, for block runs of two or more columns and for the boxed
-	// path.
+	// carried a message. It equals EdgesProcessed on an all-active pull run
+	// over a plain graph, at any partition and worker count. It is 0 for
+	// push supersteps, for block runs of two or more columns and for the
+	// boxed path.
 	FlatEdges int64
 	// PushSupersteps counts supersteps executed with the push (SpMSpV)
 	// kernel; PullSupersteps counts supersteps executed with the pull
@@ -280,8 +277,8 @@ type SchedStats struct {
 	// Workers is the configured worker count the run dispatched to.
 	Workers int
 	// Tasks counts scheduler tasks executed across all phases: chunk
-	// tasks in the send/apply phases plus (possibly row-split) SpMV tasks
-	// in the multiply phase.
+	// tasks in the send/apply phases plus one task per partition of each
+	// direction in play in the multiply phase.
 	Tasks int64
 	// Steals counts tasks that ran on a worker other than the one whose
 	// span initially held them.

@@ -29,13 +29,16 @@ import (
 // and in what order; what happens to a column's edges is the sink's business
 // (kernel_fold.go for the scalar engine, kernel_block.go for the k-wide block
 // engine), so both engines and the single-shot SpMV share the two column
-// walks. The row walk hands whole row ranges to a rowSink, which the generic
+// walks. The row walk hands a partition's rows to a rowSink, which the generic
 // fold of each engine is for a FirstMessageFinal program: the scalar gather
 // (kernel_fold.go) and the k-wide one (kernel_block.go).
 //
 // Every partition is a sparse.Layered — an immutable base DCSC plus an
 // optional delta DCSC of whole-column overrides carrying live edge updates;
-// a plain partition is the nil-Delta case of the same walk. The invariants
+// a plain partition is the nil-Delta case of the same walk. A walk call is
+// one multiply task and always covers its whole partition: the graph's row
+// partitions (graph.Options.Partitions, balanced by nonzeros at build time)
+// are the unit of parallel work, so no walk takes row bounds. The invariants
 // the engine depends on:
 //
 //  1. the partition owns a disjoint 64-aligned output row range (the delta
@@ -58,17 +61,9 @@ import (
 //  5. the row walk reads the base only, so a layer with a pending delta
 //     keeps the column walk until compaction folds the delta away. Both
 //     write the same rows to the same bits, so they mix within a superstep.
-//
-// rlo/rhi bound the destination rows a call folds (the scheduler's
-// nnz-weighted sub-partition tasks); the whole-partition sentinel is rlo=0,
-// rhi=^uint32(0). Rows ascend within each column, so a bounded call takes a
-// contiguous sub-run per column — per-destination fold order is exactly the
-// unbounded call's, and the bounded calls of any 64-aligned cut compose to
-// the whole-partition call.
 
 // colRef is one live column a walk hands its sink: the column id and the
-// position range of its edges in the owning layer's IR/Val arrays, already
-// clipped to the call's row bounds.
+// position range of its edges in the owning layer's IR/Val arrays.
 type colRef struct{ j, lo, hi uint32 }
 
 // walkBatch sizes the walks' column buffer. A sink is a dynamic call (the
@@ -106,47 +101,42 @@ type flatSink[E any] interface {
 	foldFlat(ir []uint32, val []E, src []uint32)
 }
 
-// rowSink is a colSink that can also gather: foldRows visits destination
-// rows [rlo, rhi) of rows' structure — in range by the caller's clipping —
-// and, for each one the program still reports unsettled, scans its sources
-// in ascending id for the first with a frontier bit in xw, folds that one
-// edge into the output and leaves the row — per column, in the block engine,
+// rowSink is a colSink that can also gather: foldRows visits every
+// destination row of rows' structure and, for each one the program still
+// reports unsettled, scans its sources in ascending id for the first with a
+// frontier bit in xw, folds that one edge into the output and leaves the
+// row — per column, in the block engine,
 // whose row scan ends when every waiting column has had its first. It
 // returns the number of edge slots it examined. The generic fold of a
 // FirstMessageFinal program is one, scalar (kernel_fold.go) or k-wide
 // (kernel_block.go); the fused sum and path sinks are not.
 type rowSink[E any] interface {
 	colSink[E]
-	foldRows(rows *sparse.RowIndex[E], xw []uint64, rlo, rhi uint32) int
+	foldRows(rows *sparse.RowIndex[E], xw []uint64) int
 }
 
-// multiply runs one multiply-phase task over partition l against the
-// frontier occupancy words xw, restricted to destination rows [rlo, rhi):
-// the row walk when the superstep chose it (rows non-nil) and the layer has
-// no pending delta, else the column walk mode selects (Auto must be resolved
-// first, see KernelCosts.Choose).
-func multiply[E any](mode Mode, l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink colSink[E], rows rowSink[E], st *localStats) {
+// multiply runs one multiply-phase task — partition l, whole — against the
+// frontier occupancy words xw: the row walk when the superstep chose it (rows
+// non-nil) and the layer has no pending delta, else the column walk mode
+// selects (Auto must be resolved first, see KernelCosts.Choose).
+func multiply[E any](mode Mode, l sparse.Layered[E], xw []uint64, sink colSink[E], rows rowSink[E], st *localStats) {
 	switch {
 	case rows != nil && l.Delta == nil:
-		walkRows(l.Base, xw, rlo, rhi, rows, st)
+		walkRows(l.Base, xw, rows, st)
 	case mode == Push:
-		walkPush(l, xw, rlo, rhi, sink, st)
+		walkPush(l, xw, sink, st)
 	default:
-		walkPull(l, xw, rlo, rhi, sink, st)
+		walkPull(l, xw, sink, st)
 	}
 }
 
-// walkRows is the destination-driven traversal: the rows of [rlo, rhi) that
-// fall in base's range, through the sink's gather, over base's row-major
-// view — built here, by the first task to need it, so the partitions of a
-// first row-walk superstep build theirs in parallel. It probes no columns;
-// the frontier tests it makes are the edge slots it examines.
-func walkRows[E any](base *sparse.DCSC[E], xw []uint64, rlo, rhi uint32, sink rowSink[E], st *localStats) {
-	rlo, rhi = max(rlo, base.RowLo), min(rhi, base.RowHi)
-	if rlo >= rhi {
-		return
-	}
-	st.edges += int64(sink.foldRows(base.RowIndex(), xw, rlo, rhi))
+// walkRows is the destination-driven traversal: every row of base, through
+// the sink's gather, over base's row-major view — built here, by the first
+// task to need it, so the partitions of a first row-walk superstep build
+// theirs in parallel. It probes no columns; the frontier tests it makes are
+// the edge slots it examines.
+func walkRows[E any](base *sparse.DCSC[E], xw []uint64, sink rowSink[E], st *localStats) {
+	st.edges += int64(sink.foldRows(base.RowIndex(), xw))
 }
 
 // walkPull is Algorithm 1's traversal: step through the partition's live
@@ -156,29 +146,25 @@ func walkRows[E any](base *sparse.DCSC[E], xw []uint64, rlo, rhi uint32, sink ro
 // next override, then the override itself. A plain partition is one run —
 // a straight scan of the base.
 //
-// A call covering the partition's whole row range with a flatSink has two
-// flat folds. On a plain partition it first tests, once, whether every
-// stored column is live (allLive: the column bitmap against the frontier, a
-// word at a time) — true on every superstep of PageRank, PPR and HITS — and
+// A call with a flatSink has two flat folds. On a plain partition it first
+// tests, once, whether every stored column is live (allLive: the column
+// bitmap against the frontier, a word at a time) — true on every superstep of
+// PageRank, PPR and HITS — and
 // if so hands the whole partition, CP[0]..CP[len(JC)], to one foldFlat call.
 // Otherwise it gathers walkBatch columns at a time, and a batch gather finds
 // all live — the stretches of a partly live frontier that happen to be full,
 // the base runs between an overlay's overrides — is folded as the one range
-// CP[bi]..CP[bi+n]. Anything else (a partly live batch, an override, a
-// row-clipped sub-partition task, a sink without foldFlat) takes the column
-// path. All three fold the same edges in the same order and tally the same
-// probes and edges.
-func walkPull[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink colSink[E], st *localStats) {
+// CP[bi]..CP[bi+n]. Anything else (a partly live batch, an override, a sink
+// without foldFlat) takes the column path. All three fold the same edges in
+// the same order and tally the same probes and edges.
+func walkPull[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *localStats) {
 	base, delta := l.Base, l.Delta
 	bjc, bcp := base.JC, base.CP
 	var djc []uint32
 	if delta != nil {
 		djc = delta.JC
 	}
-	var flat flatSink[E]
-	if rlo <= base.RowLo && rhi >= base.RowHi {
-		flat, _ = sink.(flatSink[E])
-	}
+	flat, _ := sink.(flatSink[E])
 	if flat != nil && delta == nil && allLive(base, xw) {
 		lo, hi := bcp[0], bcp[len(bjc)]
 		flat.foldFlat(base.IR[lo:hi], base.Val[lo:hi], base.EdgeCols()[lo:hi])
@@ -210,7 +196,7 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 				flat.foldFlat(base.IR[lo:hi], base.Val[lo:hi], src[lo:hi])
 				flatEdges += int(hi - lo)
 			} else if n > 0 {
-				edges += emit(sink, base, buf[:n], rlo, rhi)
+				edges += sink.fold(base.IR, base.Val, buf[:n])
 			}
 			bi += len(chunk)
 			run = run[len(chunk):]
@@ -226,7 +212,7 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 			probes++
 			if xw[j>>6]&(1<<(j&63)) != 0 {
 				buf[0] = colRef{j, lo, hi}
-				edges += emit(sink, delta, buf[:1], rlo, rhi)
+				edges += sink.fold(delta.IR, delta.Val, buf[:1])
 			}
 		}
 		di++
@@ -246,7 +232,7 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 // frontier's edges, not to the partition's live column count, which is what
 // makes a 10-vertex BFS frontier cheap on a scale-18 graph. Every frontier
 // bit in the span counts as a probe, hit or not.
-func walkPush[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink colSink[E], st *localStats) {
+func walkPush[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *localStats) {
 	base, delta := l.Base, l.Delta
 	// Only frontier words overlapping either layer's stored column range
 	// can match; everything outside is skipped wholesale.
@@ -292,7 +278,7 @@ func walkPush[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 				continue // tombstone
 			}
 			if n == len(buf) || (d != cur && n > 0) {
-				edges += emit(sink, cur, buf[:n], rlo, rhi)
+				edges += sink.fold(cur.IR, cur.Val, buf[:n])
 				n = 0
 			}
 			cur = d
@@ -301,7 +287,7 @@ func walkPush[E any](l sparse.Layered[E], xw []uint64, rlo, rhi uint32, sink col
 		}
 	}
 	if n > 0 {
-		edges += emit(sink, cur, buf[:n], rlo, rhi)
+		edges += sink.fold(cur.IR, cur.Val, buf[:n])
 	}
 	st.probes += int64(probes)
 	st.edges += int64(edges)
@@ -364,62 +350,6 @@ func gather(buf *[walkBatch]colRef, jc, cp []uint32, xw []uint64) int {
 	return n
 }
 
-// emit hands the gathered columns of layer d to the sink and returns its
-// edge-fold count. A sub-partition task — [rlo, rhi) narrower than the
-// layer's row range — first clips each column to those rows, in place,
-// dropping columns with no rows there.
-func emit[E any](sink colSink[E], d *sparse.DCSC[E], cols []colRef, rlo, rhi uint32) int {
-	if rlo > d.RowLo || rhi < d.RowHi {
-		kept := cols[:0]
-		for _, c := range cols {
-			if l, r := rowSpan(d.IR[c.lo:c.hi], rlo, rhi); l < r {
-				kept = append(kept, colRef{c.j, c.lo + uint32(l), c.lo + uint32(r)})
-			}
-		}
-		if cols = kept; len(cols) == 0 {
-			return 0
-		}
-	}
-	return sink.fold(d.IR, d.Val, cols)
-}
-
-// rowSpan returns the half-open index range of irc — one column's
-// ascending destination-row run — whose rows fall in [rlo, rhi): two binary
-// searches behind endpoint fast paths.
-func rowSpan(irc []uint32, rlo, rhi uint32) (int, int) {
-	// Endpoint fast paths: a bounded task checks every live column of its
-	// partition, but each column intersects only the few tasks its row
-	// extent spans — the disjoint and fully-contained cases resolve on two
-	// loads, no search.
-	n := len(irc)
-	if n == 0 || irc[0] >= rhi || irc[n-1] < rlo {
-		return 0, 0
-	}
-	if irc[0] >= rlo && irc[n-1] < rhi {
-		return 0, n
-	}
-	lo, hi := 0, len(irc)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if irc[mid] < rlo {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	l := lo
-	hi = len(irc)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if irc[mid] < rhi {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return l, lo
-}
-
 // pushProbeCost is how many pull probes one push probe is worth in the Auto
 // cost model. A pull probe is a sequential JC scan step with a bit test — a
 // load and a branch the prefetcher hides; a push probe is a frontier bit
@@ -454,13 +384,11 @@ type KernelCosts struct {
 
 // addLayers folds a layered partition set over n vertices into the cost
 // model using the LIVE quantities — the edge and column counts the walks
-// will actually see, not the base's. liveNNZ is the layers' live edge
-// weights (liveWeights), computed once per run and shared with the task
-// shaper.
-func addLayers[E any](c KernelCosts, layers []sparse.Layered[E], liveNNZ []int, n int) KernelCosts {
+// will actually see, not the base's.
+func addLayers[E any](c KernelCosts, layers []sparse.Layered[E], n int) KernelCosts {
 	span := 0
-	for i, l := range layers {
-		c.TotalEdges += int64(liveNNZ[i])
+	for _, l := range layers {
+		c.TotalEdges += int64(l.LiveNNZ())
 		c.TotalNZCols += int64(l.LiveNZColumns())
 		loW, hiW := pushWords(l)
 		span += (hiW - loW) * 64

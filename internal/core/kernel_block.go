@@ -139,16 +139,16 @@ func waitingCols[V any](settling FirstMessageFinal[V], prow []V) (waiting uint64
 	return waiting
 }
 
-// foldRows scans each row of [rlo, rhi) for the columns in which its vertex
-// is still unsettled: a frontier source retires the columns it carries a
-// message in, and the scan leaves the row when none is left. It returns the
+// foldRows scans each row of rows' structure for the columns in which its
+// vertex is still unsettled: a frontier source retires the columns it carries
+// a message in, and the scan leaves the row when none is left. It returns the
 // edge slots it examined, each counted once however many columns waited at
 // it.
-func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []uint64, rlo, rhi uint32) int {
+func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []uint64) int {
 	p, x, y, k := s.p, s.x, s.y, s.x.k
 	xcols, ysw, ycols := x.cols, y.summary.Words(), y.cols
 	var zeroV V
-	ptr := rows.Ptr[rlo-rows.RowLo : rhi-rows.RowLo+1]
+	ptr, rlo := rows.Ptr, rows.RowLo
 	examined := 0
 	for i := range ptr[1:] {
 		dst := rlo + uint32(i)

@@ -186,11 +186,11 @@ type gatherSink[V, E, M, R any, P Program[V, E, M, R]] struct {
 	settling FirstMessageFinal[V]
 }
 
-func (s *gatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []uint64, rlo, rhi uint32) int {
-	p, x, props, yw, y := s.p, s.x, s.props, s.yw, s.y
-	ptr := rows.Ptr[rlo-rows.RowLo : rhi-rows.RowLo+1]
+func (s *gatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []uint64) int {
+	p, x, yw, y := s.p, s.x, s.yw, s.y
+	ptr, rlo := rows.Ptr, rows.RowLo
 	examined := 0
-	for i, prop := range props[rlo:rhi] {
+	for i, prop := range s.props[rlo : rlo+uint32(len(ptr)-1)] {
 		if !s.settling.Unsettled(prop) {
 			continue
 		}

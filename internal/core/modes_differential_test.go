@@ -455,7 +455,7 @@ func TestMultiplyBareLiteral(t *testing.T) {
 	run := func(part *sparse.DCSC[float32], mode Mode) *sparse.Vector[float32] {
 		y := sparse.NewVector[float32](n)
 		var st localStats
-		multiply(mode, sparse.Layered[float32]{Base: part}, x.Mask().Words(), 0, ^uint32(0), scalarSink(ssspProg{}, x, props, y), nil, &st)
+		multiply(mode, sparse.Layered[float32]{Base: part}, x.Mask().Words(), scalarSink(ssspProg{}, x, props, y), nil, &st)
 		return y
 	}
 	ref := run(full, Pull)

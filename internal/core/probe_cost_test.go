@@ -59,7 +59,7 @@ func TestPushProbeCost(t *testing.T) {
 					st = localStats{}
 					start := time.Now()
 					for _, l := range g.OutLayers() {
-						multiply(mode, l, xw, 0, ^uint32(0), nopSink{}, nil, &st)
+						multiply(mode, l, xw, nopSink{}, nil, &st)
 					}
 					best = min(best, time.Since(start))
 				}

@@ -45,22 +45,23 @@ func withModes(profile []pinStep, modes ...Mode) []pinStep {
 // scalar engine under each mode at one and three workers, the block engine
 // at k=1 and k=3, and the boxed ablation with either message vector. The
 // workload — a seeded weighted RMAT in two partitions — is edge-dense enough
-// that a 3-worker pull superstep runs row-split tasks (ColumnsProbed doubles
-// against one worker) and an Auto run takes both push and pull supersteps.
-// A change to the loop, the cost model's inputs, the task shaper or the
-// phase dispatch that moves any value fails here by name.
+// that an Auto run takes both push and pull supersteps. A change to the loop,
+// the cost model's inputs or the phase dispatch that moves any value fails
+// here by name.
 //
 // Tasks was re-recorded once, when each apply phase began sending the next
 // superstep's messages: every superstep after the first lost its send phase,
 // one task per vertex chunk (4 at one worker, 11 at three), and nothing else
 // moved. The boxed rows never fuse and kept theirs.
 //
-// FlatEdges was added with the pull walk's flat fold. The two 118s are one
-// batch: the 8-column tail of a partition's 1352-column list, which one
-// mid-run frontier happens to cover; the 3-worker pull tasks are
-// row-clipped (block/k1 included: it runs the scalar phases, at three
-// workers), push supersteps never fold flat, and the k-wide block sinks and
-// the boxed path have no flat fold, so every other case pins 0.
+// FlatEdges was added with the pull walk's flat fold. Each 118 is one batch:
+// the 8-column tail of a partition's 1352-column list, which one mid-run
+// frontier happens to cover. Push supersteps never fold flat, and the k-wide
+// block sinks and the boxed path have no flat fold, so the push and k-wide
+// rows pin 0.
+//
+// Every multiply task is one whole partition, so a 3-worker row equals its
+// 1-worker row in every tally but Workers and Tasks.
 //
 // The row walk re-recorded nothing here: SSSP does not declare
 // FirstMessageFinal, so every row must stay as it was — the test now also
@@ -127,19 +128,19 @@ func TestStatsPinned(t *testing.T) {
 		{"scalar/auto/threads1", scalar(Config{Mode: Auto, Threads: 1}),
 			pinStats{9, 3999, 61592, 6449, 3999, 13595, 4, 5, Converged, 1, 58, 118}, auto},
 		{"scalar/auto/threads3", scalar(Config{Mode: Auto, Threads: 3}),
-			pinStats{9, 3999, 61592, 6449, 3999, 27030, 4, 5, Converged, 3, 138, 0}, auto},
+			pinStats{9, 3999, 61592, 6449, 3999, 13595, 4, 5, Converged, 3, 128, 118}, auto},
 		{"scalar/pull/threads1", scalar(Config{Mode: Pull, Threads: 1}),
 			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 1, 58, 118}, pull},
 		{"scalar/pull/threads3", scalar(Config{Mode: Pull, Threads: 3}),
-			pinStats{9, 3999, 61592, 6449, 3999, 48366, 0, 9, Converged, 3, 146, 0}, pull},
+			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 3, 128, 118}, pull},
 		{"scalar/push/threads1", scalar(Config{Mode: Push, Threads: 1}),
 			pinStats{9, 3999, 61592, 6449, 3999, 7998, 9, 0, Converged, 1, 58, 0}, push},
 		{"scalar/push/threads3", scalar(Config{Mode: Push, Threads: 3}),
 			pinStats{9, 3999, 61592, 6449, 3999, 7998, 9, 0, Converged, 3, 128, 0}, push},
 		{"block/k1", block(1),
-			pinStats{9, 3999, 61592, 6449, 3999, 27030, 4, 5, Converged, 3, 138, 0}, auto},
+			pinStats{9, 3999, 61592, 6449, 3999, 13595, 4, 5, Converged, 3, 128, 118}, auto},
 		{"block/k3", block(3),
-			pinStats{9, 7553, 118790, 12704, 5254, 27094, 4, 5, Converged, 3, 138, 0}, trio},
+			pinStats{9, 7553, 118790, 12704, 5254, 13659, 4, 5, Converged, 3, 128, 0}, trio},
 		{"boxed/bitvector", scalar(Config{Dispatch: Boxed, Vector: Bitvector, Threads: 3}),
 			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 3, 216, 0}, pull},
 		{"boxed/sorted", scalar(Config{Dispatch: Boxed, Vector: Sorted, Threads: 3}),
@@ -229,7 +230,7 @@ func TestStatsPinnedRowWalk(t *testing.T) {
 		{"auto/threads1", Config{Mode: Auto, Threads: 1}, rowStats{6, 1552, 3003, 1810, 1552, 536, 4, 2, 2}, "ssrrss"},
 		{"auto/threads3", Config{Mode: Auto, Threads: 3}, rowStats{6, 1552, 3003, 1810, 1552, 536, 4, 2, 2}, "ssrrss"},
 		{"pull/threads1", Config{Mode: Pull, Threads: 1}, rowStats{6, 1552, 2498, 1551, 1552, 5374, 0, 6, 4}, "llrrrr"},
-		{"pull/threads3", Config{Mode: Pull, Threads: 3}, rowStats{6, 1552, 2498, 1551, 1552, 10748, 0, 6, 4}, "llrrrr"},
+		{"pull/threads3", Config{Mode: Pull, Threads: 3}, rowStats{6, 1552, 2498, 1551, 1552, 5374, 0, 6, 4}, "llrrrr"},
 	}
 	var ref []uint32
 	for _, tc := range cases {

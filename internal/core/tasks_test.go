@@ -5,73 +5,37 @@ import (
 
 	"graphmat/internal/gen"
 	"graphmat/internal/graph"
+	"graphmat/internal/sched"
+	"graphmat/internal/sparse"
 )
 
-// TestShapeTasksSplitsStarvedPartitions pins what made the pool runtime beat
-// a partition-granular fan-out on a partition-starved graph: with 2
-// partitions and 8 workers, an edge-dense RMAT's pull task list is cut into
-// at least one task per worker — 64-aligned destination-row ranges that tile
-// each partition's rows exactly once, none carrying more than twice the mean
-// edge weight — while the push list stays one task per partition. Edge-dense
-// (edge factor 32) on purpose: pull sub-tasks re-sweep the partition's live
-// columns, and the shaper rightly keeps a column-rich hypersparse partition
-// coarse.
-func TestShapeTasksSplitsStarvedPartitions(t *testing.T) {
-	const workers = 8
-	adj := gen.RMAT(gen.RMATOptions{Scale: 12, EdgeFactor: 32, Seed: 20150831})
+// TestPartitionsAreTheTasks pins the multiply's task list on a
+// partition-starved graph — 2 edge-dense partitions, up to 8 workers: one
+// task per partition, whatever the worker count and walk. That is why no
+// engine tally but Sched depends on the worker count (TestStatsPinned's
+// 3-worker rows equal its 1-worker rows).
+func TestPartitionsAreTheTasks(t *testing.T) {
+	adj := gen.RMAT(gen.RMATOptions{Scale: 12, EdgeFactor: 32, Seed: 20150831, MaxWeight: 31})
 	adj.RemoveSelfLoops()
-	g, err := graph.NewFromCOO[float64, float32](adj, graph.Options{Partitions: 2})
+	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	layers := g.OutLayers()
-	plan := shapeTasks(layers, liveWeights(layers), workers)
-
-	push := plan.pick(Push)
-	if len(push) != len(layers) {
-		t.Fatalf("push list has %d tasks, want one per partition (%d)", len(push), len(layers))
+	n := int(g.NumVertices())
+	x := sparse.NewVector[float32](n)
+	for v := 0; v < n; v += 3 {
+		x.Set(uint32(v), float32(v))
 	}
-	for i, task := range push {
-		if task != (spmvTask{layer: int32(i), rhi: ^uint32(0)}) {
-			t.Errorf("push task %d = %+v, want the whole partition", i, task)
-		}
-	}
-
-	pull := plan.pick(Pull)
-	if len(pull) < workers {
-		t.Fatalf("pull list has %d tasks for %d workers", len(pull), workers)
-	}
-	// Tasks arrive grouped by layer in ascending row order, so tiling is
-	// "each task starts where the previous one of its layer ended".
-	next := make([]uint32, len(layers))
-	for i, l := range layers {
-		next[i] = l.Base.RowLo
-	}
-	total, heaviest := 0, 0
-	for _, task := range pull {
-		base := layers[task.layer].Base
-		if task.rlo != next[task.layer] || task.rhi <= task.rlo {
-			t.Fatalf("task %+v does not continue its partition's rows at %d", task, next[task.layer])
-		}
-		if task.rhi != base.RowHi && task.rhi%64 != 0 {
-			t.Errorf("task %+v ends on an unaligned interior row", task)
-		}
-		next[task.layer] = task.rhi
-		w := 0
-		for _, r := range base.IR {
-			if r >= task.rlo && r < task.rhi {
-				w++
+	for _, threads := range []int{1, 3, 8} {
+		for _, mode := range []Mode{Pull, Push} {
+			var tally sched.Tally
+			cfg := Config{Mode: mode, Threads: threads}
+			rp := planRun(g, graph.Out, cfg, false)
+			sink := scalarSink(ssspProg{}, x, g.Props(), sparse.NewVector[float32](n))
+			rp.multiplyPhase(cfg.exec(&tally), nil, mode, x.Mask().Words(), sink, nil, make([]localStats, threads))
+			if got := tally.Tasks.Load(); got != 2 {
+				t.Errorf("%s multiply over 2 partitions on %d workers ran %d tasks, want 2", mode, threads, got)
 			}
 		}
-		total += w
-		heaviest = max(heaviest, w)
-	}
-	for i, l := range layers {
-		if next[i] != l.Base.RowHi {
-			t.Errorf("partition %d: tasks cover rows up to %d of %d", i, next[i], l.Base.RowHi)
-		}
-	}
-	if mean := total / len(pull); heaviest > 2*mean {
-		t.Errorf("heaviest pull task carries %d edges, above twice the mean %d", heaviest, mean)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -13,19 +14,19 @@ import (
 	"graphmat/internal/sparse"
 )
 
-// Kernel-level tests of the three traversals: every (walk, sink, row cut)
-// combination over a plain or overlay partition must equal a naive fold over
-// a fresh DCSC build of the live edge set. The fold is a non-commutative
-// hash, so a reordered, repeated, dropped or misplaced edge fold changes the
-// result — value equality asserts the exact per-destination fold sequence,
-// not just the edge multiset. The pull walk's flat folds are covered by the
-// same cases: a frontier that fills a column batch sends it down foldFlat,
-// and FlatEdges must equal the edges of exactly those batches — except that
-// a frontier reaching every column of a plain partition sends the whole
-// partition down in one foldFlat call, which the harness counts. The row walk
-// runs over firstProg, whose naive fold is "the first live in-neighbour of
-// each unsettled row, in ascending source order" — per column, for the block
-// sink's k-wide gather.
+// Kernel-level tests of the three traversals: every (walk, sink,
+// partitioning) combination over a plain or overlay partition must equal a
+// naive fold over a fresh DCSC build of the live edge set. The fold is a
+// non-commutative hash, so a reordered, repeated, dropped or misplaced edge
+// fold changes the result — value equality asserts the exact per-destination
+// fold sequence, not just the edge multiset. The pull walk's flat folds are
+// covered by the same cases: a frontier that fills a column batch sends it
+// down foldFlat, and FlatEdges must equal the edges of exactly those batches
+// — except that a frontier reaching every column of a plain partition sends
+// the whole partition down in one foldFlat call, which the harness counts.
+// The row walk runs over firstProg, whose naive fold is "the first live
+// in-neighbour of each unsettled row, in ascending source order" — per
+// column, for the block sink's k-wide gather.
 
 // hashProg folds uint64 messages order-sensitively and reads the destination
 // property, so the scalar runs take the generic (non-DstIndependent) loop.
@@ -83,12 +84,18 @@ func sortedWalkKeys[V any](m map[walkKey]V) []walkKey {
 
 // walkCase is one generated partition with its frontier and oracle.
 type walkCase struct {
-	n      int                    // matrix dimension
-	l      sparse.Layered[uint32] // the partition under test
-	fresh  *sparse.DCSC[uint32]   // BuildDCSC of the live edge set, same row range
-	props  []uint64
-	x      *sparse.Vector[uint64] // scalar frontier
-	blocks map[int]*BlockVector[uint64]
+	n     int                    // matrix dimension
+	l     sparse.Layered[uint32] // the partition under test
+	fresh *sparse.DCSC[uint32]   // BuildDCSC of the live edge set, same row range
+	// baseCOO and batch are what l was built from — the base entries and
+	// the update batch — so layers can build the same edges at a finer
+	// partitioning; bare says l's layers are bare literals.
+	baseCOO *sparse.COO[uint32]
+	batch   []sparse.Mut[uint32]
+	bare    bool
+	props   []uint64
+	x       *sparse.Vector[uint64] // scalar frontier
+	blocks  map[int]*BlockVector[uint64]
 	// blockProps[k] is a random n×k property block: under firstProg, a
 	// random settled set per (vertex, column).
 	blockProps map[int][]uint64
@@ -150,14 +157,15 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, bare bool) *walkCa
 	for i := 0; i < nbase; i++ {
 		live[key{rng.Uint32n(uint32(n)), randRow()}] = uint32(rng.Uint64())
 	}
-	build := func() *sparse.DCSC[uint32] {
+	liveCOO := func() *sparse.COO[uint32] {
 		coo := sparse.NewCOO[uint32](uint32(n), uint32(n))
 		for _, k := range sortedWalkKeys(live) {
 			coo.Add(k.row, k.col, live[k])
 		}
-		return sparse.BuildDCSC(coo, rowLo, rowHi)
+		return coo
 	}
-	base := build()
+	baseCOO := liveCOO()
+	base := sparse.BuildDCSC(baseCOO, rowLo, rowHi)
 
 	// Mutations: last write per (row, col) wins, as the store's batches do.
 	type mut struct {
@@ -191,7 +199,11 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, bare bool) *walkCa
 			live[k] = m.val
 		}
 	}
-	c := &walkCase{n: n, l: sparse.Layered[uint32]{Base: base, Delta: sparse.MergeDelta(base, nil, batch)}, fresh: build()}
+	c := &walkCase{
+		n: n, l: sparse.Layered[uint32]{Base: base, Delta: sparse.MergeDelta(base, nil, batch)},
+		fresh:   sparse.BuildDCSC(liveCOO(), rowLo, rowHi),
+		baseCOO: baseCOO, batch: batch, bare: bare,
+	}
 	if bare {
 		c.l.Base, c.l.Delta = bareLiteral(c.l.Base), bareLiteral(c.l.Delta)
 	}
@@ -235,7 +247,8 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, bare bool) *walkCa
 }
 
 // rowCuts expands a subset of the partition's interior 64-row boundaries
-// (bit i of pick selects boundary i) into [rlo, rhi) task bounds.
+// (bit i of pick selects boundary i) into the [lo, hi) row ranges of a finer
+// partitioning.
 func (c *walkCase) rowCuts(pick uint) [][2]uint32 {
 	lo, hi := c.l.Base.RowLo, c.l.Base.RowHi
 	var cuts [][2]uint32
@@ -248,6 +261,44 @@ func (c *walkCase) rowCuts(pick uint) [][2]uint32 {
 		i++
 	}
 	return append(cuts, [2]uint32{lo, hi})
+}
+
+// layers returns the partitions a walk runs over: for nil cuts the case's own
+// partition, else one partition per cut — its own base built over the base
+// entries in its rows and its own delta merged from the batch's mutations
+// there, as a build at that partition count followed by the same batch
+// leaves them, bare literals where the case's are.
+func (c *walkCase) layers(cuts [][2]uint32) []sparse.Layered[uint32] {
+	if cuts == nil {
+		return []sparse.Layered[uint32]{c.l}
+	}
+	parts := make([]sparse.Layered[uint32], len(cuts))
+	for i, cut := range cuts {
+		base := sparse.BuildDCSC(c.baseCOO, cut[0], cut[1])
+		var muts []sparse.Mut[uint32]
+		for _, m := range c.batch {
+			if m.Row >= cut[0] && m.Row < cut[1] {
+				muts = append(muts, m)
+			}
+		}
+		parts[i] = sparse.Layered[uint32]{Base: base, Delta: sparse.MergeDelta(base, nil, muts)}
+		if c.bare {
+			parts[i] = sparse.Layered[uint32]{Base: bareLiteral(parts[i].Base), Delta: bareLiteral(parts[i].Delta)}
+		}
+	}
+	return parts
+}
+
+// layersF is layers with float32 edge values (f32Twin).
+func (c *walkCase) layersF(cuts [][2]uint32) []sparse.Layered[float32] {
+	if cuts == nil {
+		return []sparse.Layered[float32]{c.lf}
+	}
+	parts := make([]sparse.Layered[float32], 0, len(cuts))
+	for _, l := range c.layers(cuts) {
+		parts = append(parts, sparse.Layered[float32]{Base: f32Twin(l.Base), Delta: f32Twin(l.Delta)})
+	}
+	return parts
 }
 
 // walkOut is one multiply's output and tallies.
@@ -313,13 +364,14 @@ func (c *walkCase) words() int { return (c.n + 63) / 64 }
 // walkFold is one sink under test: its run through a walk and its oracle.
 type walkFold struct {
 	name string
-	// flat: the sink has a flat fold, so a pull call covering the partition's
-	// whole row range tallies its fully-live batches in FlatEdges.
+	// flat: the sink has a flat fold, so a pull call tallies its
+	// partition's fully-live batches in FlatEdges.
 	flat bool
 	live func(j uint32) bool // frontier membership
-	// run folds the partition through the walk mode selects — or, with
-	// rowWalk set, through the row walk where the layer can take it — one
-	// call per cut, into one output vector.
+	// run folds the case's partitions for cuts (walkCase.layers) through the
+	// walk mode selects — or, with rowWalk set, through the row walk where
+	// the layer can take it — one call per partition, into one output
+	// vector.
 	run func(mode Mode, rowWalk bool, cuts [][2]uint32) walkOut
 	// naive folds the fresh build of the live edge set column by column
 	// with no kernel code.
@@ -331,10 +383,11 @@ type walkFold struct {
 	naiveRows func() walkOut
 }
 
-// scalarFold builds the walkFold of program p's scalar sink over layered
-// partition l, against fresh (the live edge set built from scratch). bitsOf
-// maps a reduced value to the bits compared.
-func scalarFold[V, E, M, R any, P Program[V, E, M, R]](c *walkCase, name string, p P, l sparse.Layered[E], fresh *sparse.DCSC[E], x *sparse.Vector[M], props []V, bitsOf func(R) uint64) walkFold {
+// scalarFold builds the walkFold of program p's scalar sink over the
+// partitions layers returns (walkCase.layers or layersF), against fresh (the
+// live edge set built from scratch). bitsOf maps a reduced value to the bits
+// compared.
+func scalarFold[V, E, M, R any, P Program[V, E, M, R]](c *walkCase, name string, p P, layers func([][2]uint32) []sparse.Layered[E], fresh *sparse.DCSC[E], x *sparse.Vector[M], props []V, bitsOf func(R) uint64) walkFold {
 	f := walkFold{
 		name: name, flat: true, live: x.Has,
 		run: func(mode Mode, rowWalk bool, cuts [][2]uint32) walkOut {
@@ -344,10 +397,11 @@ func scalarFold[V, E, M, R any, P Program[V, E, M, R]](c *walkCase, name string,
 			if rowWalk {
 				rows = sink.(rowSink[E])
 			}
-			counted := flatCounter[E]{colSink: sink, base: l.Base.IR, spans: new([][2]int)}
+			counted := flatCounter[E]{colSink: sink, spans: new([][2]int)}
 			var st localStats
-			for _, cut := range cuts {
-				multiply(mode, l, x.Mask().Words(), cut[0], cut[1], counted, rows, &st)
+			for _, l := range layers(cuts) {
+				counted.base = l.Base.IR
+				multiply(mode, l, x.Mask().Words(), counted, rows, &st)
 			}
 			out := walkOut{mask: y.Mask().Words(), vals: make([]uint64, c.words()*64), edges: st.edges, probes: st.probes, flat: st.flat, flatSpans: *counted.spans}
 			for i, r := range y.Values() {
@@ -416,8 +470,8 @@ func blockFold[P interface {
 				rows = sink.(rowSink[uint32])
 			}
 			var st localStats
-			for _, cut := range cuts {
-				multiply(mode, c.l, x.summary.Words(), cut[0], cut[1], sink, rows, &st)
+			for _, l := range c.layers(cuts) {
+				multiply(mode, l, x.summary.Words(), sink, rows, &st)
 			}
 			out := newOut()
 			out.mask, out.edges, out.probes, out.flat = y.summary.Words(), st.edges, st.probes, st.flat
@@ -484,12 +538,12 @@ func (c *walkCase) folds() []walkFold {
 	u64 := func(r uint64) uint64 { return r }
 	f32 := func(r float32) uint64 { return uint64(math.Float32bits(r)) }
 	return []walkFold{
-		scalarFold(c, "generic", hashProg{}, c.l, c.fresh, c.x, c.props, u64),
-		scalarFold(c, "generic_dstfree", hashProgFree{}, c.l, c.fresh, c.x, c.props, u64),
-		scalarFold(c, "generic_gather", firstProg{}, c.l, c.fresh, c.x, c.props, u64),
-		scalarFold(c, "sum_f64", sumFoldProg{}, c.lf, c.freshf, c.xf64, make([]float64, c.n), math.Float64bits),
-		scalarFold(c, "minplus_f32", ssspFused{}, c.lf, c.freshf, c.xf32, make([]float32, c.n), f32),
-		scalarFold(c, "maxmin_f32", widestFused{}, c.lf, c.freshf, c.xf32, make([]float32, c.n), f32),
+		scalarFold(c, "generic", hashProg{}, c.layers, c.fresh, c.x, c.props, u64),
+		scalarFold(c, "generic_dstfree", hashProgFree{}, c.layers, c.fresh, c.x, c.props, u64),
+		scalarFold(c, "generic_gather", firstProg{}, c.layers, c.fresh, c.x, c.props, u64),
+		scalarFold(c, "sum_f64", sumFoldProg{}, c.layersF, c.freshf, c.xf64, make([]float64, c.n), math.Float64bits),
+		scalarFold(c, "minplus_f32", ssspFused{}, c.layersF, c.freshf, c.xf32, make([]float32, c.n), f32),
+		scalarFold(c, "maxmin_f32", widestFused{}, c.layersF, c.freshf, c.xf32, make([]float32, c.n), f32),
 		blockFold(c, "block", hashProgFree{}, 2),
 		blockFold(c, "block", hashProgFree{}, 3),
 		blockFold(c, "block_gather", firstProgFree{}, 2),
@@ -497,11 +551,11 @@ func (c *walkCase) folds() []walkFold {
 	}
 }
 
-// flatEdges is the FlatEdges oracle of one whole-partition pull call: the
+// flatEdges is the FlatEdges oracle of one pull call over partition l: the
 // edges of every batch — up to walkBatch consecutive stored base columns,
 // batches restarting after each delta column — whose columns are all live.
-func (c *walkCase) flatEdges(live func(j uint32) bool) int64 {
-	base := c.l.Base
+func flatEdges(l sparse.Layered[uint32], live func(j uint32) bool) int64 {
+	base := l.Base
 	var flat int64
 	bi := 0
 	run := func(end int) { // base columns [bi, end) lie between two delta columns
@@ -517,8 +571,8 @@ func (c *walkCase) flatEdges(live func(j uint32) bool) int64 {
 			bi = stop
 		}
 	}
-	if c.l.Delta != nil {
-		for _, dj := range c.l.Delta.JC {
+	if l.Delta != nil {
+		for _, dj := range l.Delta.JC {
 			at := sort.Search(len(base.JC), func(i int) bool { return base.JC[i] >= dj })
 			run(at)
 			if at < len(base.JC) && base.JC[at] == dj {
@@ -530,73 +584,90 @@ func (c *walkCase) flatEdges(live func(j uint32) bool) int64 {
 	return flat
 }
 
-// allStoredLive reports whether every stored base column is live.
-func (c *walkCase) allStoredLive(live func(j uint32) bool) bool {
-	for _, j := range c.l.Base.JC {
-		if !live(j) {
-			return false
+// flatCalls returns the foldFlat calls a pull over parts must make when
+// every part is plain and every stored column is live — one per nonempty
+// part, spanning all of its edges — and ok=false when some part is not, and
+// may fold flat by batches.
+func flatCalls(parts []sparse.Layered[uint32], live func(j uint32) bool) (spans [][2]int, ok bool) {
+	for _, l := range parts {
+		if l.Delta != nil {
+			return nil, false
+		}
+		for _, j := range l.Base.JC {
+			if !live(j) {
+				return nil, false
+			}
+		}
+		if nnz := l.Base.NNZ(); nnz > 0 {
+			spans = append(spans, [2]int{0, nnz})
 		}
 	}
-	return true
+	return spans, true
 }
 
-// check asserts, for every sink: whole-partition pull == whole-partition
-// push == the naive fold, the pull probe count is the fresh build's column
-// count, and for every given row cut the bounded calls compose to the
-// whole-partition call — output bits and summed edge tallies — in both
-// directions. FlatEdges must be the flatEdges oracle for a scalar sink's
-// unclipped pull call and 0 everywhere else: push, block sinks, and any cut
-// that clips the call's rows. A sink with a gather then runs the row walk
-// the same way: on a plain partition it must equal naiveRows having probed
-// no column, on an overlay it must have fallen back to the column walk and
-// equal that — and the bounded calls compose either way.
+// check asserts, for every sink: the case's partition pulled == pushed == the
+// naive fold, the pull probe count is the fresh build's column count, and for
+// every given row cut the same edges built as one partition per cut
+// (walkCase.layers), one call each, compose to that — output bits and summed
+// edge tallies — in both directions. FlatEdges must be the flatEdges oracle
+// summed over a scalar sink's pull partitions and 0 everywhere else: push and
+// block sinks. A pull over plain, fully-live partitions makes exactly one
+// foldFlat call per nonempty partition, over all of its edges. A sink with a
+// gather then runs the row walk the same way: on a plain partition it must
+// equal naiveRows having probed no column, on an overlay it must have fallen
+// back to the column walk and equal that — and the cut partitions compose
+// either way, unless an overlay's cut leaves some partitions plain and others
+// not, which gather and sweep different outputs.
 func (c *walkCase) check(t *testing.T, picks []uint) {
 	t.Helper()
-	whole := [][2]uint32{{0, ^uint32(0)}}
+	wantFlat := func(f walkFold, mode Mode, cuts [][2]uint32) (flat int64) {
+		if mode == Pull && f.flat {
+			for _, l := range c.layers(cuts) {
+				flat += flatEdges(l, f.live)
+			}
+		}
+		return flat
+	}
+	checkCalls := func(f walkFold, mode Mode, cuts [][2]uint32, got walkOut) {
+		if mode != Pull || !f.flat {
+			return
+		}
+		// A fully-live plain partition is one foldFlat call over all of its
+		// edges, not one per column batch.
+		if want, ok := flatCalls(c.layers(cuts), f.live); ok && !slices.Equal(got.flatSpans, want) {
+			t.Fatalf("%s pull over fully-live plain partitions %v made foldFlat calls %v, want %v", f.name, cuts, got.flatSpans, want)
+		}
+	}
 	for _, f := range c.folds() {
 		want := f.naive()
 		for _, mode := range []Mode{Pull, Push} {
-			got := f.run(mode, false, whole)
+			got := f.run(mode, false, nil)
 			if err := got.equal(want); err != nil {
 				t.Fatalf("%s %s whole partition vs naive fold: %v", f.name, mode, err)
 			}
 			if mode == Pull && got.probes != int64(c.fresh.NZColumns()) {
 				t.Fatalf("%s pull probed %d columns, fresh build has %d", f.name, got.probes, c.fresh.NZColumns())
 			}
-			var wantFlat int64
-			if mode == Pull && f.flat {
-				wantFlat = c.flatEdges(f.live)
+			if w := wantFlat(f, mode, nil); got.flat != w {
+				t.Fatalf("%s %s whole partition folded %d edges flat, want %d", f.name, mode, got.flat, w)
 			}
-			if got.flat != wantFlat {
-				t.Fatalf("%s %s whole partition folded %d edges flat, want %d", f.name, mode, got.flat, wantFlat)
-			}
-			if mode == Pull && f.flat && c.l.Delta == nil && c.allStoredLive(f.live) {
-				// A fully-live plain partition is one foldFlat call over
-				// all of its edges, not one per column batch.
-				nnz := c.l.Base.NNZ()
-				if len(got.flatSpans) > 1 || (nnz > 0 && (len(got.flatSpans) == 0 || got.flatSpans[0] != [2]int{0, nnz})) {
-					t.Fatalf("%s pull over a fully-live plain partition of %d edges made foldFlat calls %v, want one over [0, %d)", f.name, nnz, got.flatSpans, nnz)
-				}
-			}
+			checkCalls(f, mode, nil, got)
 			for _, pick := range picks {
 				cuts := c.rowCuts(pick)
 				cut := f.run(mode, false, cuts)
 				if err := cut.equal(got); err != nil {
-					t.Fatalf("%s %s cuts %v vs whole partition: %v", f.name, mode, cuts, err)
+					t.Fatalf("%s %s partitions %v vs whole partition: %v", f.name, mode, cuts, err)
 				}
-				wantCut := wantFlat // one cut is the partition's own row range
-				if len(cuts) > 1 {
-					wantCut = 0 // every call is row-clipped
+				if w := wantFlat(f, mode, cuts); cut.flat != w {
+					t.Fatalf("%s %s partitions %v folded %d edges flat, want %d", f.name, mode, cuts, cut.flat, w)
 				}
-				if cut.flat != wantCut {
-					t.Fatalf("%s %s cuts %v folded %d edges flat, want %d", f.name, mode, cuts, cut.flat, wantCut)
-				}
+				checkCalls(f, mode, cuts, cut)
 			}
 		}
 		if f.naiveRows == nil {
 			continue
 		}
-		got := f.run(Pull, true, whole)
+		got := f.run(Pull, true, nil)
 		if c.l.Delta == nil {
 			if err := got.equal(f.naiveRows()); err != nil {
 				t.Fatalf("%s row walk whole partition vs first live in-neighbour: %v", f.name, err)
@@ -609,19 +680,24 @@ func (c *walkCase) check(t *testing.T, picks []uint) {
 		}
 		for _, pick := range picks {
 			cuts := c.rowCuts(pick)
+			if c.l.Delta != nil && slices.ContainsFunc(c.layers(cuts), func(l sparse.Layered[uint32]) bool { return l.Delta == nil }) {
+				continue
+			}
 			if err := f.run(Pull, true, cuts).equal(got); err != nil {
-				t.Fatalf("%s row walk cuts %v vs whole partition: %v", f.name, cuts, err)
+				t.Fatalf("%s row walk partitions %v vs whole partition: %v", f.name, cuts, err)
 			}
 		}
 	}
 }
 
-// TestBoundedCallsCompose is the task shaper's licence: the union of
-// row-bounded kernel calls over ANY 64-aligned cut of a partition equals the
-// whole-partition call bit for bit — per-destination fold order unchanged,
-// EdgesProcessed summing to the same tally — on plain and overlay
-// partitions, built or as bare DCSC literals, pull, push and the row walk,
-// scalar and block sinks. The noaux_true subtests are the bare literals; the
+// TestBoundedCallsCompose is the partitioning's licence: the same edges and
+// update batch built as one partition per range of ANY 64-aligned cut, each
+// walked whole by its own call, equal the single partition's call bit for
+// bit — per-destination fold order unchanged, EdgesProcessed summing to the
+// same tally — on plain and overlay partitions, built or as bare DCSC
+// literals, pull, push and the row walk, scalar and block sinks. So neither
+// the partition count nor which worker takes which partition can show in a
+// result. The noaux_true subtests are the bare literals; the
 // label keeps its old spelling so the test ids stay stable.
 func TestBoundedCallsCompose(t *testing.T) {
 	allCuts := []uint{0, 1, 2, 3, 4, 5, 6, 7} // every subset of a 4-block partition's 3 interior boundaries
@@ -639,7 +715,7 @@ func TestBoundedCallsCompose(t *testing.T) {
 							// all of a plain partition, the base runs between
 							// the overrides of an overlay — or check's
 							// FlatEdges comparison is 0 == 0.
-							if flat, nnz := c.flatEdges(c.x.Has), int64(c.fresh.NNZ()); density == 256 && (flat == 0 || (nmut == 0 && flat != nnz)) {
+							if flat, nnz := flatEdges(c.l, c.x.Has), int64(c.fresh.NNZ()); density == 256 && (flat == 0 || (nmut == 0 && flat != nnz)) {
 								t.Fatalf("fixture: full frontier, %d mutations: %d of %d edges fold flat", nmut, flat, nnz)
 							}
 							c.check(t, allCuts)
@@ -684,7 +760,7 @@ func TestAllLiveNeedsEveryColumnIndexed(t *testing.T) {
 // result into its private output from the one shared array.
 func TestFlatIndexRace(t *testing.T) {
 	c := newWalkCase(11, 4, 20000, 0, 256, false)
-	want := scalarFold(c, "generic", hashProg{}, c.l, c.fresh, c.x, c.props, func(r uint64) uint64 { return r }).naive()
+	want := scalarFold(c, "generic", hashProg{}, c.layers, c.fresh, c.x, c.props, func(r uint64) uint64 { return r }).naive()
 	const racers = 8
 	type result struct {
 		y     *sparse.Vector[uint64]
@@ -701,7 +777,7 @@ func TestFlatIndexRace(t *testing.T) {
 			y := sparse.NewVector[uint64](c.n)
 			<-start
 			var st localStats
-			multiply(Pull, sparse.Layered[uint32]{Base: c.l.Base}, c.x.Mask().Words(), 0, ^uint32(0), scalarSink(hashProg{}, c.x, c.props, y), nil, &st)
+			multiply(Pull, sparse.Layered[uint32]{Base: c.l.Base}, c.x.Mask().Words(), scalarSink(hashProg{}, c.x, c.props, y), nil, &st)
 			results[i] = result{y, st.edges, &c.l.Base.EdgeCols()[0]}
 		}()
 	}
@@ -725,7 +801,7 @@ func TestFlatIndexRace(t *testing.T) {
 // into its private output from the one shared view.
 func TestRowIndexRace(t *testing.T) {
 	c := newWalkCase(12, 4, 20000, 0, 40, false)
-	want := scalarFold(c, "generic_gather", firstProg{}, c.l, c.fresh, c.x, c.props, func(r uint64) uint64 { return r }).naiveRows()
+	want := scalarFold(c, "generic_gather", firstProg{}, c.layers, c.fresh, c.x, c.props, func(r uint64) uint64 { return r }).naiveRows()
 	const racers = 8
 	type result struct {
 		y     *sparse.Vector[uint64]
@@ -743,7 +819,7 @@ func TestRowIndexRace(t *testing.T) {
 			sink := scalarSink(firstProg{}, c.x, c.props, y)
 			var st localStats
 			<-start
-			multiply(Pull, c.l, c.x.Mask().Words(), 0, ^uint32(0), sink, sink.(rowSink[uint32]), &st)
+			multiply(Pull, c.l, c.x.Mask().Words(), sink, sink.(rowSink[uint32]), &st)
 			results[i] = result{y, st.edges, c.l.Base.RowIndex()}
 		}()
 	}
@@ -763,9 +839,9 @@ func TestRowIndexRace(t *testing.T) {
 
 // FuzzLayeredWalk drives all three walks and both sink families over random
 // layered partitions — overrides, tombstones, delta-only columns, built
-// or as bare literals — with random frontiers, random settled sets and random
-// 64-aligned row cuts, against the naive folds over a fresh build of the
-// live edge set. Any out-of-range or misplaced write shows up as a diverging
+// or as bare literals — with random frontiers, random settled sets and a
+// random 64-aligned finer partitioning, against the naive folds over a fresh
+// build of the live edge set. Any out-of-range or misplaced write shows up as a diverging
 // output bit (the fold is order- and duplicate-sensitive); a panic fails the
 // target. density 255 is the full frontier, which sends whole batches down
 // the flat fold and stops every row walk at a row's first entry.

@@ -30,7 +30,9 @@ const (
 // Options configures graph construction.
 type Options struct {
 	// Partitions is the number of 1-D row partitions of the adjacency
-	// matrix. The paper's load-balancing recipe (§4.5) is "many more
+	// matrix. Each partition is one task of the engine's multiply phase, so
+	// a graph with fewer partitions than a run has workers leaves the rest
+	// idle there. The paper's load-balancing recipe (§4.5) is "many more
 	// partitions than threads" with dynamic scheduling; 0 means
 	// 8 × GOMAXPROCS.
 	Partitions int

@@ -39,16 +39,6 @@ type DCSC[E any] struct {
 	// are 0, NRows.
 	RowLo, RowHi uint32
 
-	// split memoizes SplitBounds: the histogram sweep behind the boundary
-	// computation costs O(nnz), and the engine re-plans tasks on every run
-	// against the same pinned structure (HITS invokes the engine once per
-	// half-step, and a server answers query after query on one snapshot).
-	split struct {
-		mu     sync.Mutex
-		nparts int
-		bounds []uint32
-	}
-
 	// edgeCols memoizes EdgeCols, the per-edge source-column array the pull
 	// walk's flat fold reads — as one stream over every edge when the whole
 	// structure is live, a batch's slice of it otherwise: 4 B per stored
@@ -199,30 +189,6 @@ func (m *DCSC[E]) EdgeCols() []uint32 {
 		m.edgeCols.cols = cols
 	})
 	return m.edgeCols.cols
-}
-
-// SplitBounds partitions this structure's destination rows [RowLo, RowHi)
-// into nparts contiguous sub-ranges of roughly equal nonzero weight, with
-// interior boundaries 64-aligned (the same cut PartitionRows applies at
-// build time, here at sub-partition scale). It returns nparts+1 absolute
-// row boundaries; the result is memoized per nparts and must be treated as
-// read-only. Safe for concurrent use.
-func (m *DCSC[E]) SplitBounds(nparts int) []uint32 {
-	m.split.mu.Lock()
-	defer m.split.mu.Unlock()
-	if m.split.nparts == nparts {
-		return m.split.bounds
-	}
-	counts := make([]uint32, m.RowHi-m.RowLo)
-	for _, r := range m.IR {
-		counts[r-m.RowLo]++
-	}
-	bounds := PartitionRows(counts, nparts)
-	for i := range bounds {
-		bounds[i] += m.RowLo
-	}
-	m.split.nparts, m.split.bounds = nparts, bounds
-	return bounds
 }
 
 // NNZ returns the number of stored nonzeros.
