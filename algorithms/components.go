@@ -106,8 +106,8 @@ func (p DegreeProgram) Direction() graphmat.Direction {
 func (DegreeProgram) ProcessIgnoresDst() {}
 
 // Degrees runs DegreeProgram for one superstep and returns the per-vertex
-// counts. The error is the engine's rejection of cfg (Sorted with Inlined
-// dispatch); the counts are nil then.
+// counts. The run has no context and one column, which every Config
+// supports, so the error is always nil.
 func Degrees(g *graphmat.Graph[uint32, float32], dir graphmat.Direction, cfg graphmat.Config) ([]uint32, graphmat.Stats, error) {
 	g.SetAllProps(0)
 	g.SetAllActive()

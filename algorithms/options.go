@@ -38,8 +38,8 @@ func newSettings(opts []Option) *settings {
 	return s
 }
 
-// WithConfig sets the full engine configuration (threads, kernel mode,
-// schedule, vector kind).
+// WithConfig sets the full engine configuration (threads, callback
+// dispatch, kernel mode).
 func WithConfig(cfg graphmat.Config) Option { return func(s *settings) { s.cfg = cfg } }
 
 // WithThreads sets the engine worker count; 0 means GOMAXPROCS. A
@@ -88,7 +88,7 @@ func callerWorkspace[M, R any](set *settings) (*graphmat.BlockWorkspace[M, R], e
 func settingsWorkspace[M, R any](n int, set *settings) (*graphmat.Workspace[M, R], error) {
 	ws, err := callerWorkspace[M, R](set)
 	if ws == nil && err == nil {
-		ws = graphmat.NewWorkspace[M, R](n, set.cfg.Vector)
+		ws = graphmat.NewWorkspace[M, R](n, graphmat.Bitvector)
 	}
 	return ws, err
 }

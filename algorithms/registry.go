@@ -486,7 +486,7 @@ var (
 		name:    "triangles",
 		desc:    "triangle count via the two-phase neighbor-intersection pipeline",
 		kind:    updUpperTriangle,
-		scratch: func(n int) any { return NewTriangleScratch(n, graphmat.Bitvector) },
+		scratch: func(n int) any { return NewTriangleScratch(n) },
 		run: func(ctx context.Context, g *graphmat.Graph[TCVertex, float32], _ Params, opt Option) (Result, error) {
 			count, stats, err := RunTriangleCount(ctx, g, opt)
 			return Result{Count: &count, Stats: stats}, err

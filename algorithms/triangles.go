@@ -104,10 +104,10 @@ type TriangleScratch struct {
 }
 
 // NewTriangleScratch allocates scratch for n-vertex triangle graphs.
-func NewTriangleScratch(n int, kind graphmat.VectorKind) *TriangleScratch {
+func NewTriangleScratch(n int) *TriangleScratch {
 	return &TriangleScratch{
-		Phase1: graphmat.NewWorkspace[uint32, []uint32](n, kind),
-		Phase2: graphmat.NewWorkspace[[]uint32, int64](n, kind),
+		Phase1: graphmat.NewWorkspace[uint32, []uint32](n, graphmat.Bitvector),
+		Phase2: graphmat.NewWorkspace[[]uint32, int64](n, graphmat.Bitvector),
 	}
 }
 
@@ -133,7 +133,7 @@ func RunTriangleCount(ctx context.Context, g *graphmat.Graph[TCVertex, float32],
 		return 0, graphmat.Stats{}, fmt.Errorf("algorithms: workspace type %T does not belong to this algorithm", set.ws)
 	}
 	if scratch == nil {
-		scratch = NewTriangleScratch(int(g.NumVertices()), set.cfg.Vector)
+		scratch = NewTriangleScratch(int(g.NumVertices()))
 	}
 	g.SetAllProps(TCVertex{})
 	g.SetAllActive()

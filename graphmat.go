@@ -118,19 +118,18 @@ type Stats = core.Stats
 // dispatched, steals, and busy nanoseconds for one run.
 type SchedStats = core.SchedStats
 
-// VectorKind selects the sparse message-vector representation. Sorted is
-// supported with Boxed dispatch only (together the Figure 7 "naive" step);
-// Sorted with Inlined is a configuration error.
+// VectorKind is NewWorkspace's ignored message-vector argument; Bitvector is
+// its one value.
 type VectorKind = core.VectorKind
 
-// Engine ablation knobs (see the Figure 7 reproduction).
+// Bitvector, and Config.Dispatch's values: Inlined (the zero value), Boxed
+// and BoxedSorted are Figure 7's "+ipo", "+bitvector" and "naive" steps. The
+// boxed dispatches run one column.
 const (
-	Bitvector = core.Bitvector
-	Sorted    = core.Sorted
-	Inlined   = core.Inlined
-	Boxed     = core.Boxed
-	Dynamic   = core.Dynamic
-	Static    = core.Static
+	Bitvector   = core.Bitvector
+	Inlined     = core.Inlined
+	Boxed       = core.Boxed
+	BoxedSorted = core.BoxedSorted
 )
 
 // Mode selects the SpMV kernel backend; see Config.Mode. All modes produce
@@ -182,8 +181,8 @@ func New[V, E any](adj *COO[E], opts Options) (*Graph[V, E], error) {
 }
 
 // Run executes a vertex program until convergence or cfg.MaxIterations. It
-// is RunContext without a context: it cannot be canceled, so the only error
-// is a rejected configuration (Sorted with Inlined dispatch).
+// is RunContext without a context: it cannot be canceled, and every Config
+// runs, so its error is always nil.
 func Run[V, E, M, R any, P Program[V, E, M, R]](g *Graph[V, E], p P, cfg Config) (Stats, error) {
 	return core.Run(g, p, cfg)
 }
@@ -233,8 +232,8 @@ func RunContext[V, E, M, R any, P Program[V, E, M, R]](
 type Workspace[M, R any] = core.Workspace[M, R]
 
 // NewWorkspace allocates one-column engine scratch for n-vertex graphs. The
-// vector kind is not recorded: one workspace serves every configuration (the
-// naive ablation's Boxed path keeps its own scratch).
+// vector kind is ignored: one workspace serves every configuration (the
+// boxed dispatches keep their own scratch).
 func NewWorkspace[M, R any](n int, kind VectorKind) *Workspace[M, R] {
 	return core.NewWorkspace[M, R](n, kind)
 }
@@ -270,8 +269,8 @@ func NewBlockWorkspace[M, R any](n, k int) *BlockWorkspace[M, R] {
 // what RunContext does — RunContext is that run over the graph's own vertex
 // state. The block fold is p's own ProcessMessage and Reduce, so a k-source
 // run is bit-identical per source to k scalar runs. Config is validated at
-// the run's width: Boxed dispatch runs one column only. See
-// core.RunBlockContext.
+// the run's width: the boxed dispatches (Boxed, BoxedSorted) run one column
+// only. See core.RunBlockContext.
 func RunBlockContext[V, E, M, R any, P interface {
 	Program[V, E, M, R]
 	DstIndependent
@@ -284,14 +283,16 @@ func RunBlockContext[V, E, M, R any, P interface {
 // SpMV performs a single generalized sparse matrix–sparse vector
 // multiplication with the program's ProcessMessage/Reduce (the Figure 1
 // primitive), without the surrounding superstep loop. It dispatches through
-// the same kernel layer as the engine: cfg.Mode selects pull, push, or a
-// per-call Auto density decision.
+// the same inlined kernel layer as the engine whatever cfg.Dispatch says:
+// cfg.Mode selects pull, push, or a per-call Auto density decision. No
+// Config is an error, so the result is never nil.
 func SpMV[V, E, M, R any, P Program[V, E, M, R]](g *Graph[V, E], x *Vector[M], p P, cfg Config) *Vector[R] {
 	return core.SpMV(g, x, p, cfg)
 }
 
 // SpMVContext is SpMV under a context: cancellation aborts the partition
-// loop cooperatively and the partial result is returned with ctx.Err().
+// loop cooperatively and the partial result is returned with ctx.Err(),
+// which is the only error it returns.
 func SpMVContext[V, E, M, R any, P Program[V, E, M, R]](ctx context.Context, g *Graph[V, E], x *Vector[M], p P, cfg Config) (*Vector[R], error) {
 	return core.SpMVContext[V, E, M, R, P](ctx, g, x, p, cfg)
 }

@@ -60,12 +60,12 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestPublicAPIAblationKnobs(t *testing.T) {
-	// All three supported knob combinations must agree (the Figure 7
-	// configurations change performance, never results).
+	// All three dispatches must agree (the Figure 7 configurations change
+	// performance, never results).
 	configs := []graphmat.Config{
-		{Vector: graphmat.Bitvector, Dispatch: graphmat.Inlined},
-		{Vector: graphmat.Bitvector, Dispatch: graphmat.Boxed},
-		{Vector: graphmat.Sorted, Dispatch: graphmat.Boxed, Schedule: graphmat.Static},
+		{Dispatch: graphmat.Inlined},
+		{Dispatch: graphmat.Boxed},
+		{Dispatch: graphmat.BoxedSorted},
 	}
 	for _, cfg := range configs {
 		g, err := graphmat.New[float32](fig3Edges(), graphmat.Options{})
@@ -81,14 +81,6 @@ func TestPublicAPIAblationKnobs(t *testing.T) {
 		if g.Prop(4) != 4 {
 			t.Errorf("cfg %+v: dist[E] = %v, want 4", cfg, g.Prop(4))
 		}
-	}
-	// The fourth combination has no code path and must say so.
-	g, err := graphmat.New[float32](fig3Edges(), graphmat.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := graphmat.Run(g, publicSSSP{}, graphmat.Config{Vector: graphmat.Sorted, Dispatch: graphmat.Inlined}); err == nil {
-		t.Error("Sorted+Inlined accepted")
 	}
 }
 

@@ -144,6 +144,40 @@ func TestFig7SpeedupsMonotoneEnough(t *testing.T) {
 	}
 }
 
+// TestFig7StepsAgree runs every Figure 7 step once on the tiny stand-ins, at
+// one and three threads: the steps change how the engine runs, never what it
+// computes, so PageRank's ranks and SSSP's distances must be bit-identical
+// across all five.
+func TestFig7StepsAgree(t *testing.T) {
+	o := tinyOpts()
+	prGraph, ssspGraph, ssspRoot := fig7Graphs(o)
+	var wantRanks []float64
+	var wantDist []float32
+	for _, threads := range []int{1, 3} {
+		for _, s := range fig7Steps {
+			cfg, parts := s.at(threads)
+			prGraph.Repartition(parts)
+			ssspGraph.Repartition(parts)
+			ranks := runPageRankAblation(prGraph, o.PRIters, cfg)
+			dist := runSSSPAblation(ssspGraph, ssspRoot, cfg)
+			if wantRanks == nil {
+				wantRanks, wantDist = ranks, dist
+				continue
+			}
+			for v := range wantRanks {
+				if math.Float64bits(ranks[v]) != math.Float64bits(wantRanks[v]) {
+					t.Fatalf("%s at %d threads × %d partitions: rank[%d] = %v, naive at 1 thread says %v", s.name, cfg.Threads, parts, v, ranks[v], wantRanks[v])
+				}
+			}
+			for v := range wantDist {
+				if math.Float32bits(dist[v]) != math.Float32bits(wantDist[v]) {
+					t.Fatalf("%s at %d threads × %d partitions: dist[%d] = %v, naive at 1 thread says %v", s.name, cfg.Threads, parts, v, dist[v], wantDist[v])
+				}
+			}
+		}
+	}
+}
+
 func TestTable1Renders(t *testing.T) {
 	o := tinyOpts()
 	tb := Table1(o)

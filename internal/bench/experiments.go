@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"graphmat"
 	"graphmat/internal/counters"
 	"graphmat/internal/sparse"
 )
@@ -441,56 +440,26 @@ func Fig6(results []*Fig4Result) []*Table {
 
 // Fig7 measures the optimization ablation (Figure 7): cumulative speedup of
 // the engine configurations from naive scalar code to the fully optimized
-// parallel engine, for PageRank on the Facebook stand-in and SSSP on the
-// Flickr stand-in. Both graphs are built once; each step repartitions them
-// before its runs are timed, so the steps run in order.
+// parallel engine (fig7Steps), for PageRank on the Facebook stand-in and
+// SSSP on the Flickr stand-in. Both graphs are built once; each step
+// repartitions them before its runs are timed, so the steps run in order.
 func Fig7(o Options) *Table {
 	o = o.withDefaults()
 	t := &Table{
 		Title: "Figure 7: effect of optimizations (cumulative speedup over naive)",
 		Caption: "paper reaches 27.3x (PageRank/facebook) and 19.9x (SSSP/flickr) on 24 cores;\n" +
-			"parallel steps scale with the cores available here",
+			"parallel steps scale with the cores available here; threads × partitions: " + fig7Shapes(o.Threads),
 		Header: []string{"configuration", "PageRank/facebook", "SSSP/flickr"},
 	}
-	steps := []struct {
-		name  string
-		cfg   graphmat.Config
-		parts int
-	}{
-		{"naive", graphmat.Config{Threads: 1, Vector: graphmat.Sorted, Dispatch: graphmat.Boxed}, 1},
-		{"+bitvector", graphmat.Config{Threads: 1, Vector: graphmat.Bitvector, Dispatch: graphmat.Boxed}, 1},
-		{"+ipo", graphmat.Config{Threads: 1, Vector: graphmat.Bitvector, Dispatch: graphmat.Inlined}, 1},
-		{"+parallel", graphmat.Config{Threads: o.Threads, Vector: graphmat.Bitvector, Dispatch: graphmat.Inlined, Schedule: graphmat.Static}, o.Threads},
-		{"+load balance", graphmat.Config{Threads: o.Threads, Vector: graphmat.Bitvector, Dispatch: graphmat.Inlined, Schedule: graphmat.Dynamic}, 8 * o.Threads},
-	}
-
-	fb, _ := DatasetByName("Facebook")
-	fl, _ := DatasetByName("Flickr")
-	prData := fb.Generate(o.Shift)
-	prData.RemoveSelfLoops()
-	prData.SortRowMajor()
-	prData.DedupKeepFirst()
-	prGraph, err := graphmat.New[prVertexAlias](prData, graphmat.Options{Partitions: 1})
-	if err != nil {
-		panic(err)
-	}
-	ssspData := fl.Generate(o.Shift)
-	ssspData.RemoveSelfLoops()
-	ssspData.SortRowMajor()
-	ssspData.DedupKeepFirst()
-	ssspRoot := maxOutDegreeVertex(ssspData)
-	ssspGraph, err := graphmat.New[float32](ssspData, graphmat.Options{Partitions: 1})
-	if err != nil {
-		panic(err)
-	}
-
+	prGraph, ssspGraph, ssspRoot := fig7Graphs(o)
 	var prBase, ssspBase float64
-	for i, s := range steps {
-		prGraph.Repartition(s.parts)
-		ssspGraph.Repartition(s.parts)
+	for i, s := range fig7Steps {
+		cfg, parts := s.at(o.Threads)
+		prGraph.Repartition(parts)
+		ssspGraph.Repartition(parts)
 		o.progress("Fig7 %s", s.name)
-		prSecs := timeBest(o.Repeats, func() { runPageRankAblation(prGraph, o.PRIters, s.cfg) })
-		ssspSecs := timeBest(o.Repeats, func() { runSSSPAblation(ssspGraph, ssspRoot, s.cfg) })
+		prSecs := timeBest(o.Repeats, func() { runPageRankAblation(prGraph, o.PRIters, cfg) })
+		ssspSecs := timeBest(o.Repeats, func() { runSSSPAblation(ssspGraph, ssspRoot, cfg) })
 		if i == 0 {
 			prBase, ssspBase = prSecs, ssspSecs
 		}

@@ -148,9 +148,9 @@ func (ws *BlockWorkspace[M, R]) Reset() {
 type Workspace[M, R any] = BlockWorkspace[M, R]
 
 // NewWorkspace allocates one-column scratch for n-vertex graphs. The vector
-// kind is not recorded: every inlined run reads the bitvector frontier, and
-// the boxed ablation, the only path the Sorted vector exists on, manages its
-// own scratch.
+// kind is ignored: every inlined run reads the bitvector frontier, and the
+// boxed ablation picks its message vector from Config.Dispatch and manages
+// its own scratch.
 func NewWorkspace[M, R any](n int, _ VectorKind) *Workspace[M, R] {
 	return NewBlockWorkspace[M, R](n, 1)
 }

@@ -200,11 +200,12 @@ func runBoxed[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, 
 		dirs = append(dirs, boxLayers(g.InLayers()))
 	}
 
-	// Exactly one of x and xs is the run's message vector.
+	// Exactly one of x (Boxed) and xs (BoxedSorted) is the run's message
+	// vector.
 	var x *sparse.Vector[any]
 	var xs *sparse.SortedVector[any]
 	var send func() (int64, int64)
-	if cfg.Vector == Bitvector {
+	if cfg.Dispatch == Boxed {
 		x = sparse.NewVector[any](n)
 		sendChunks := d.overChunks(func(lo, hi uint32, _ *localStats) {
 			active.IterateRange(lo, hi, func(v uint32) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 )
@@ -87,24 +86,18 @@ func ParseMode(s string) (Mode, error) {
 // |E|/20 heuristic.
 const DefaultPushThreshold = 20
 
-// VectorKind selects the sparse-vector representation for the message
-// vector (paper §4.4.2 discusses both and measures the bitvector faster).
-// The supported Vector × Dispatch combinations are Bitvector with either
-// dispatch and Sorted with Boxed; see Config.Vector.
+// VectorKind names a message-vector representation for NewWorkspace, which
+// ignores it: the typed engine reads the bitvector frontier only, and the
+// Figure 7 ablation picks its vector from Config.Dispatch.
 type VectorKind int
 
-const (
-	// Bitvector stores messages in a bitvector-masked dense array — the
-	// representation the paper selects, and the only one the kernel walks
-	// read.
-	Bitvector VectorKind = iota
-	// Sorted stores messages as a sorted (index, value) tuple array — the
-	// paper's rejected alternative. It exists on the Boxed dispatch path
-	// only, where together they form the Figure 7 "naive" baseline.
-	Sorted
-)
+// Bitvector is the bitvector-masked dense array the paper selects (§4.4.2).
+const Bitvector VectorKind = 0
 
-// Dispatch selects how user callbacks are invoked from the SpMV inner loop.
+// Dispatch selects how user callbacks are invoked from the SpMV inner loop
+// and, on the boxed path, which message vector they read: its three values
+// are the single-thread steps of the Figure 7 ablation, from BoxedSorted
+// ("naive") through Boxed ("+bitvector") to Inlined ("+ipo").
 type Dispatch int
 
 const (
@@ -121,22 +114,13 @@ const (
 	// the walks skip work a callback cannot say is dead.
 	Inlined Dispatch = iota
 	// Boxed routes every message and result through interface{} values and
-	// func-typed callbacks, preventing inlining — the pre-"+ipo" scalar
-	// code of Figure 7.
+	// func-typed callbacks, preventing inlining, over a bitvector-masked
+	// message vector — the pre-"+ipo" scalar code of Figure 7's "+bitvector"
+	// step.
 	Boxed
-)
-
-// Schedule selects how matrix partitions are assigned to worker goroutines.
-type Schedule int
-
-const (
-	// Dynamic has workers pull partitions from a shared queue; with many
-	// more partitions than threads this is the paper's load-balancing
-	// recipe (§4.5 item 4).
-	Dynamic Schedule = iota
-	// Static assigns partitions round-robin up front ("the number of graph
-	// partitions equals number of threads" regime of the ablation).
-	Static
+	// BoxedSorted is Boxed over a sorted (index, value) tuple array, the
+	// message vector the paper rejects (§4.4.2): Figure 7's "naive" step.
+	BoxedSorted
 )
 
 // Config controls one engine run. The zero value requests the fully
@@ -147,15 +131,10 @@ type Config struct {
 	// MaxIterations caps the superstep count; <= 0 means run until no
 	// vertex is active (the paper's -1 convention).
 	MaxIterations int
-	// Vector selects the message-vector representation. Sorted is valid
-	// only with Dispatch: Boxed (the Figure 7 "naive" step); Sorted with
-	// Inlined dispatch is a configuration error, not a fallback.
-	Vector VectorKind
-	// Dispatch selects inlined or boxed user-callback invocation. Boxed
-	// runs one column: a block run of two or more columns rejects it.
+	// Dispatch selects inlined or boxed user-callback invocation. The boxed
+	// dispatches run one column: a block run of two or more columns rejects
+	// them.
 	Dispatch Dispatch
-	// Schedule selects dynamic or static partition assignment.
-	Schedule Schedule
 	// Mode selects the SpMV kernel backend: Auto (default) switches between
 	// the push and pull kernels per superstep by frontier density; Pull and
 	// Push force one kernel. All three produce bit-identical results. The
@@ -163,15 +142,11 @@ type Config struct {
 	Mode Mode
 }
 
-// validate rejects the configurations with no code path at width k: the
-// inlined kernels read the bitvector frontier only, and the boxed ablation
-// runs one column.
+// validate rejects the one configuration with no code path: the boxed
+// ablation runs one column, so it is an error at width k >= 2.
 func (c Config) validate(k int) error {
-	if c.Vector == Sorted && c.Dispatch == Inlined {
-		return errors.New("core: Config{Vector: Sorted, Dispatch: Inlined} is not supported: the sorted message vector exists only on the Boxed dispatch path")
-	}
-	if c.Dispatch == Boxed && k > 1 {
-		return fmt.Errorf("core: Config{Dispatch: Boxed} is not supported on a %d-column run: the boxed ablation runs one column", k)
+	if c.Dispatch != Inlined && k > 1 {
+		return fmt.Errorf("core: a boxed Config.Dispatch is not supported on a %d-column run: the boxed ablation runs one column", k)
 	}
 	return nil
 }

@@ -20,9 +20,10 @@ import (
 // applies the reduced values (Apply), and activates the vertices whose state
 // changed. The run mutates g's vertex properties and active set.
 //
-// Run is RunContext without a context: it cannot be canceled, so the only
-// error is a rejected configuration (see Config.Vector). Callers that need
-// cancellation, deadlines or per-superstep observation use RunContext.
+// Run is RunContext without a context: it cannot be canceled, and a
+// one-column run accepts every Config, so its error is always nil. Callers
+// that need cancellation, deadlines or per-superstep observation use
+// RunContext.
 func Run[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config) (Stats, error) {
 	return RunContext[V, E, M, R, P](context.Background(), g, p, cfg, nil)
 }
@@ -95,16 +96,15 @@ func chunkWords(lo, hi uint32) (wlo, whi int) {
 }
 
 // execCfg carries one run's scheduling parameters into the phase dispatch
-// helper: worker count, schedule, and the per-run tally the scheduler work
-// is accounted to.
+// helper: worker count and the per-run tally the scheduler work is
+// accounted to.
 type execCfg struct {
 	workers int
-	sc      Schedule
 	tally   *sched.Tally
 }
 
 func (c Config) exec(t *sched.Tally) execCfg {
-	return execCfg{workers: c.Threads, sc: c.Schedule, tally: t}
+	return execCfg{workers: c.Threads, tally: t}
 }
 
 // schedStats converts a run tally into the Stats view.
@@ -118,17 +118,20 @@ func (ex execCfg) schedStats() SchedStats {
 	return s
 }
 
-// parallelFor runs fn(task, worker) over tasks [0, ntasks) on up to
-// ex.workers executors of the persistent shared worker pool: parked workers
-// are woken, not spawned, with Dynamic runs rebalanced by work stealing and
-// Static runs pinned to their initial contiguous spans. A phase with one
-// worker or one task runs inline on the caller through the same pool, so
-// its work still reaches the run tally and the pool counters. stop, when
-// non-nil, is polled before each task: once it goes nonzero the remaining
-// tasks are abandoned, which is how a cancellation aborts a multi-second
-// SpMV without waiting for the superstep to finish.
+// parallelFor runs fn(task, worker) over tasks [0, ntasks) on the run's own
+// shared pool, the one of ex.workers slots: parked workers are woken, not
+// spawned, on at most ntasks executors, and rebalanced by work stealing. A
+// phase with one worker or one task runs inline on the caller through the
+// same pool, so its work still reaches the run tally and that pool's
+// counters; a phase with no tasks touches no pool. stop, when non-nil, is
+// polled before each task: once it goes nonzero the remaining tasks are
+// abandoned, which is how a cancellation aborts a multi-second SpMV without
+// waiting for the superstep to finish.
 func parallelFor(ex execCfg, ntasks int, stop *atomic.Int32, fn func(task, worker int)) {
-	sched.Shared(min(ex.workers, ntasks)).RunOptions(ntasks, stop, sched.Options{NoSteal: ex.sc == Static, Tally: ex.tally}, fn)
+	if ntasks == 0 {
+		return
+	}
+	sched.Shared(ex.workers).RunOptions(ntasks, stop, sched.Options{Tally: ex.tally}, fn)
 }
 
 // phaseSet is what an engine front-end — runPhases, the one for every width,

@@ -42,12 +42,11 @@ import (
 // columns still unsettled in it, chosen by the same per-superstep test with
 // both sides billed per (vertex, column).
 //
-// Config is validated as RunContext validates it, at the run's width: the
-// Figure 7 ablation (boxed callbacks, the sorted message vector) is a
-// one-column path, so a one-column run with Dispatch: Boxed runs the boxed
-// front-end over st's column, while Boxed at two or more columns and Sorted
-// with Inlined dispatch at any width are configuration errors. Mode
-// (Auto/Pull/Push), Threads, Schedule, MaxIterations, observers and
+// Config is validated at the run's width: the Figure 7 ablation (boxed
+// callbacks, the sorted message vector) is a one-column path, so a
+// one-column run with Dispatch Boxed or BoxedSorted runs the boxed front-end
+// over st's column, while either at two or more columns is a configuration
+// error. Mode (Auto/Pull/Push), Threads, MaxIterations, observers and
 // cancellation are the shared superstep loop's (driver.run), so they behave
 // as documented on RunContext; the one difference is that Auto bills the
 // push probe cost per distinct sender vertex, not per (vertex, column)
@@ -92,7 +91,7 @@ func runColumns[V, E, M, R any, P Program[V, E, M, R]](
 	}
 	ctrl, release := newController(ctx, ro)
 	defer release()
-	if cfg.Dispatch == Boxed {
+	if cfg.Dispatch != Inlined {
 		// The boxed (naive) dispatch path manages its own type-erased
 		// scratch and ignores ws.
 		return runBoxed(g, p, cfg, ctrl, st)

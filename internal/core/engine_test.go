@@ -65,9 +65,9 @@ func TestSSSPFigure3(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
 		{Threads: 1},
-		{Threads: 2, Schedule: Static},
+		{Threads: 2},
 		{Dispatch: Boxed},
-		{Dispatch: Boxed, Vector: Sorted},
+		{Dispatch: BoxedSorted},
 	} {
 		g := fig3Graph(t, graph.Options{Partitions: 2})
 		stats, _ := Run(g, ssspProg{}, cfg)
@@ -237,9 +237,8 @@ func TestQuickConfigEquivalence(t *testing.T) {
 	configs := []Config{
 		{Threads: 1},
 		{Threads: 2},
-		{Threads: 2, Schedule: Static},
 		{Threads: 1, Dispatch: Boxed},
-		{Threads: 2, Dispatch: Boxed, Vector: Sorted},
+		{Threads: 2, Dispatch: BoxedSorted},
 	}
 	f := func(seed uint64) bool {
 		coo := gen.RMAT(gen.RMATOptions{Scale: 7, EdgeFactor: 4, Seed: seed, MaxWeight: 10})
@@ -426,5 +425,36 @@ func TestSingleWorkerRunReportsBusyTime(t *testing.T) {
 	after := sched.Shared(1).Stats()[0]
 	if after.Tasks-before.Tasks < pinnedTasks || after.BusyNS <= before.BusyNS {
 		t.Errorf("one-slot pool counters moved %+v -> %+v, want at least %d more tasks and more busy time", before, after, pinnedTasks)
+	}
+}
+
+// TestRunPhasesUseTheRunsPool: every phase of a run goes to the shared pool
+// of the run's own width, the multiply over fewer partitions than workers
+// included, so a run at a width no other test uses adds exactly its
+// Stats.Sched.Tasks to that pool's counters.
+func TestRunPhasesUseTheRunsPool(t *testing.T) {
+	const width = 13
+	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
+	adj.RemoveSelfLoops()
+	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetAllProps(inf)
+	g.SetProp(1, 0)
+	g.SetActive(1)
+	poolTasks := func() (sum int64) {
+		for _, w := range sched.Shared(width).Stats() {
+			sum += w.Tasks
+		}
+		return sum
+	}
+	before := poolTasks()
+	stats, err := Run(g, ssspProg{}, Config{Threads: width})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := poolTasks() - before; got != stats.Sched.Tasks {
+		t.Errorf("the %d-slot pool ran %d tasks, the run reports %d", width, got, stats.Sched.Tasks)
 	}
 }

@@ -95,8 +95,8 @@ func TestFloatDeterminismAcrossSchedules(t *testing.T) {
 		nparts int
 	}{
 		{Config{Threads: 2}, 8},
-		{Config{Threads: 4, Schedule: Static}, 16},
-		{Config{Threads: 3, Schedule: Dynamic}, 5},
+		{Config{Threads: 4}, 16},
+		{Config{Threads: 3}, 5},
 	} {
 		got := run(tc.cfg, tc.nparts)
 		for v := range ref {

@@ -290,10 +290,10 @@ func TestFusedSendMatchesResumedRuns(t *testing.T) {
 				}
 				if k == 1 {
 					for _, vec := range []struct {
-						name string
-						kind VectorKind
-					}{{"bitvector", Bitvector}, {"sorted", Sorted}} {
-						cfg := Config{Dispatch: Boxed, Vector: vec.kind, Threads: threads, MaxIterations: rankCap}
+						name     string
+						dispatch Dispatch
+					}{{"bitvector", Boxed}, {"sorted", BoxedSorted}} {
+						cfg := Config{Dispatch: vec.dispatch, Threads: threads, MaxIterations: rankCap}
 						t.Run(fmt.Sprintf("%s/k1/threads%d/boxed_%s/rank", gr.name, threads, vec.name), func(t *testing.T) {
 							checkFusedResumed(t, gr.d, rank, k, ranks, cfg)
 						})

@@ -132,7 +132,7 @@ func TestLayeredRunsMatchFreshBuild(t *testing.T) {
 		{Mode: Push},
 		{Mode: Auto},
 		{Dispatch: Boxed},
-		{Dispatch: Boxed, Vector: Sorted},
+		{Dispatch: BoxedSorted},
 	}
 	for _, prog := range programs {
 		// Reference: the fresh build under forced pull.
@@ -141,7 +141,7 @@ func TestLayeredRunsMatchFreshBuild(t *testing.T) {
 		refProps := append([]float32(nil), fresh.Props()...)
 		for _, cfg := range configs {
 			cfg.MaxIterations = 40
-			name := fmt.Sprintf("%s/mode_%s_vec_%d_disp_%d", prog.name, cfg.Mode, cfg.Vector, cfg.Dispatch)
+			name := fmt.Sprintf("%s/mode_%s_disp_%d", prog.name, cfg.Mode, cfg.Dispatch)
 			// Each run takes a fresh view of the pinned snapshot: shared
 			// immutable structure, private run state.
 			g := snap.View()
@@ -153,7 +153,7 @@ func TestLayeredRunsMatchFreshBuild(t *testing.T) {
 						name, v, got, math.Float32bits(got), want, math.Float32bits(want))
 				}
 			}
-			if cfg.Dispatch != Boxed {
+			if cfg.Dispatch == Inlined {
 				if stats.Iterations != refStats.Iterations ||
 					stats.MessagesSent != refStats.MessagesSent ||
 					stats.EdgesProcessed != refStats.EdgesProcessed ||
@@ -199,12 +199,12 @@ func TestLayeredSpMVMatchesFreshBuild(t *testing.T) {
 	for _, cfg := range []Config{{Mode: Pull}, {Mode: Push}, {Mode: Auto}} {
 		y := SpMV[float32, float32, float32, float32](snap.View(), x, ssspProg{}, cfg)
 		if y.NNZ() != ref.NNZ() {
-			t.Fatalf("mode %s vec %d: nnz %d vs %d", cfg.Mode, cfg.Vector, y.NNZ(), ref.NNZ())
+			t.Fatalf("mode %s: nnz %d vs %d", cfg.Mode, y.NNZ(), ref.NNZ())
 		}
 		ref.Iterate(func(i uint32, want float32) {
 			got, ok := y.GetChecked(i)
 			if !ok || math.Float32bits(got) != math.Float32bits(want) {
-				t.Fatalf("mode %s vec %d: y[%d] = %v,%v want %v", cfg.Mode, cfg.Vector, i, got, ok, want)
+				t.Fatalf("mode %s: y[%d] = %v,%v want %v", cfg.Mode, i, got, ok, want)
 			}
 		})
 	}

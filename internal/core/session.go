@@ -175,7 +175,7 @@ func (c *controller) signal(r StopReason) { c.stop.CompareAndSwap(0, int32(r)) }
 
 // stopped reports whether a stop was requested and why. The flag is the fast
 // path; the context is polled too so a cancellation is seen at the very next
-// superstep boundary even if the watcher goroutine has not run yet.
+// superstep boundary even if the watcher has not run yet.
 func (c *controller) stopped() (StopReason, bool) {
 	if r := StopReason(c.stop.Load()); r != ReasonNone {
 		return r, true
@@ -199,34 +199,22 @@ func (c *controller) flag() *atomic.Int32 {
 	return &c.stop
 }
 
-// newController builds the run's controller, arming the context watcher. The
-// returned release func must be called when the run ends; it stops the
-// watcher goroutine.
+// newController builds the run's controller, arming the context watcher: a
+// context.AfterFunc that raises the stop word when ctx is done. The returned
+// release func must be called when the run ends; it unregisters the watcher.
 func newController(ctx context.Context, ro runOptions) (*controller, func()) {
 	c := &controller{observer: ro.observer}
-	var watchDone chan struct{}
-	if ctx != nil && ctx.Done() != nil {
-		c.ctx = ctx
-		// Pre-canceled contexts stop the run before the first superstep.
-		if err := ctx.Err(); err != nil {
-			c.signal(ctxReason(err))
-		} else {
-			watchDone = make(chan struct{})
-			go func() {
-				select {
-				case <-ctx.Done():
-					c.signal(ctxReason(ctx.Err()))
-				case <-watchDone:
-				}
-			}()
-		}
+	if ctx == nil || ctx.Done() == nil {
+		return c, func() {}
 	}
-	release := func() {
-		if watchDone != nil {
-			close(watchDone)
-		}
+	c.ctx = ctx
+	// Pre-canceled contexts stop the run before the first superstep.
+	if err := ctx.Err(); err != nil {
+		c.signal(ctxReason(err))
+		return c, func() {}
 	}
-	return c, release
+	stop := context.AfterFunc(ctx, func() { c.signal(ctxReason(ctx.Err())) })
+	return c, func() { stop() }
 }
 
 // ctxReason maps a context error to the stop reason it represents.
@@ -244,12 +232,12 @@ func ctxReason(err error) StopReason {
 // must match the graph's vertex count); nil allocates fresh scratch. Options
 // attach a per-superstep observer and a wall-clock budget.
 //
-// A configuration with no code path (Vector: Sorted with Inlined dispatch,
-// see Config.Vector) or a mismatched workspace is rejected before any work.
-// Otherwise the returned Stats reflect the work actually done, and Stats.Reason
-// records why the run ended. The error is nil for normal terminations
-// (Converged, MaxIterations), ctx.Err() for Canceled/DeadlineExceeded, and
-// the observer's own error for StoppedByObserver. After a stopped run the
+// A mismatched workspace is rejected before any work; every Config runs on
+// one column. Otherwise the returned Stats reflect the work actually done,
+// and Stats.Reason records why the run ended. The error is nil for normal
+// terminations (Converged, MaxIterations), ctx.Err() for
+// Canceled/DeadlineExceeded, and the observer's own error for
+// StoppedByObserver. After a stopped run the
 // graph's vertex state and active set are partial — mid-algorithm — but the
 // workspace is reusable as-is: the engine clears each scratch block before
 // the phase that fills it, and a run's first superstep always sends anew.

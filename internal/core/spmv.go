@@ -10,8 +10,7 @@ import (
 // SpMV exposes one generalized multiplication y = Gᵀ ⊗ x outside the driver
 // loop: used by tests and by callers that want a single traversal step (the
 // in-degree example of Figure 1). The result vector maps destination vertex
-// to reduced value. It is SpMVContext without a context; the result is nil
-// when cfg is rejected.
+// to reduced value. It is SpMVContext without a context.
 func SpMV[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], x *sparse.Vector[M], p P, cfg Config) *sparse.Vector[R] {
 	y, _ := SpMVContext[V, E, M, R, P](context.Background(), g, x, p, cfg)
 	return y
@@ -22,15 +21,13 @@ func SpMV[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], x *sparse
 // the loop does (planRun + multiplyPhase) — every direction p.Direction()
 // names, cfg.Mode selecting pull, push, or the per-call Auto density decision
 // — and ctx cancellation aborts the partition loop cooperatively through
-// the same stop flag the engine polls. A canceled call returns the partial
-// y alongside ctx.Err(). A configuration with no code path (Vector: Sorted with
-// Inlined dispatch, see Config.Vector) returns a nil vector and an error.
+// the same stop flag the engine polls. It multiplies with the inlined
+// kernels whatever cfg.Dispatch says (the boxed dispatches are front-ends of
+// the superstep loop), so no Config is an error: the only error is ctx's,
+// returned alongside the partial y of a canceled call.
 func SpMVContext[V, E, M, R any, P Program[V, E, M, R]](
 	ctx context.Context, g *graph.Graph[V, E], x *sparse.Vector[M], p P, cfg Config,
 ) (*sparse.Vector[R], error) {
-	if err := cfg.validate(1); err != nil {
-		return nil, err
-	}
 	cfg = cfg.withDefaults()
 	ctrl, release := newController(ctx, runOptions{})
 	defer release()

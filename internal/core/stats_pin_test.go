@@ -141,9 +141,9 @@ func TestStatsPinned(t *testing.T) {
 			pinStats{9, 3999, 61592, 6449, 3999, 13595, 4, 5, Converged, 3, 128, 118}, auto},
 		{"block/k3", block(3),
 			pinStats{9, 7553, 118790, 12704, 5254, 13659, 4, 5, Converged, 3, 128, 0}, trio},
-		{"boxed/bitvector", scalar(Config{Dispatch: Boxed, Vector: Bitvector, Threads: 3}),
+		{"boxed/bitvector", scalar(Config{Dispatch: Boxed, Threads: 3}),
 			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 3, 216, 0}, pull},
-		{"boxed/sorted", scalar(Config{Dispatch: Boxed, Vector: Sorted, Threads: 3}),
+		{"boxed/sorted", scalar(Config{Dispatch: BoxedSorted, Threads: 3}),
 			pinStats{9, 3999, 61592, 6449, 3999, 24183, 0, 9, Converged, 3, 216, 0}, pull},
 	}
 	for _, tc := range cases {

@@ -72,20 +72,19 @@ const EnvVar = "GRAPHMAT_KERNEL"
 
 // table is one backend's implementation set. Entries a backend does not
 // accelerate point at the scalar reference, so dispatch is per primitive.
+// Primitives that are scalar on every backend (FlatAddF64 and the float32
+// scatters) are not in it: their exported functions call the scalar
+// reference directly.
 type table struct {
 	popcountSum   func(w []uint64) int
 	firstNonzero  func(w []uint64) int
 	spanLess      func(a []uint32, v uint32) int
 	blockAddF64   func(yrow, xrow []float64, cm, ym uint64)
 	scatterAddF64 func(yw []uint64, yvals []float64, idx []uint32, m float64)
-	flatAddF64    func(yw []uint64, yvals []float64, idx, src []uint32, x []float64)
 
-	// float32 path-semiring folds: (min, +) and (max, min). The block folds
-	// have AVX2 bodies; the scatters are scalar on every backend.
-	scatterMinPlusF32 func(yw []uint64, yvals []float32, idx []uint32, wv []float32, m float32)
-	scatterMaxMinF32  func(yw []uint64, yvals []float32, idx []uint32, wv []float32, m float32)
-	blockMinPlusF32   func(yrow, xrow []float32, w float32, cm, ym uint64)
-	blockMaxMinF32    func(yrow, xrow []float32, w float32, cm, ym uint64)
+	// float32 path-semiring block folds: (min, +) and (max, min).
+	blockMinPlusF32 func(yrow, xrow []float32, w float32, cm, ym uint64)
+	blockMaxMinF32  func(yrow, xrow []float32, w float32, cm, ym uint64)
 }
 
 // scalarTable is the always-available reference backend.
@@ -95,12 +94,9 @@ var scalarTable = table{
 	spanLess:      scalarSpanLess,
 	blockAddF64:   scalarBlockAddF64,
 	scatterAddF64: scalarScatterAddF64,
-	flatAddF64:    scalarFlatAddF64,
 
-	scatterMinPlusF32: scalarScatterMinPlusF32,
-	scatterMaxMinF32:  scalarScatterMaxMinF32,
-	blockMinPlusF32:   scalarBlockMinPlusF32,
-	blockMaxMinF32:    scalarBlockMaxMinF32,
+	blockMinPlusF32: scalarBlockMinPlusF32,
+	blockMaxMinF32:  scalarBlockMaxMinF32,
 }
 
 var (
@@ -219,11 +215,11 @@ func ScatterAddF64(yw []uint64, yvals []float64, idx []uint32, m float64) {
 // in ascending k, which is exactly ScatterAddF64 over the columns in order:
 // the same adds in the same sequence, without a loop exit per column.
 // len(src) must equal len(idx); src entries must be < len(x); idx and the
-// signaling-NaN boundary as in ScatterAddF64. Every backend serves it from
-// the scalar reference: the loop is a dependent gather feeding a scatter, and
-// the column loop's cost was its exits, not its arithmetic.
+// signaling-NaN boundary as in ScatterAddF64. Every backend runs the scalar
+// reference: the loop is a dependent gather feeding a scatter, and the column
+// loop's cost was its exits, not its arithmetic.
 func FlatAddF64(yw []uint64, yvals []float64, idx, src []uint32, x []float64) {
-	active.flatAddF64(yw, yvals, idx, src, x)
+	scalarFlatAddF64(yw, yvals, idx, src, x)
 }
 
 // ScatterMinPlusF32 is the scalar-engine (min, +) float32 fold of one
@@ -237,17 +233,18 @@ func FlatAddF64(yw []uint64, yvals []float64, idx, src []uint32, x []float64) {
 // len(wv) must equal len(idx); idx entries must be < len(yvals) with yw
 // covering them. The reduction is the builtin min in the exact argument
 // order the generic engine fold uses, so results are bit-identical to the
-// callback loop.
+// callback loop. Every backend runs the scalar reference.
 func ScatterMinPlusF32(yw []uint64, yvals []float32, idx []uint32, wv []float32, m float32) {
-	active.scatterMinPlusF32(yw, yvals, idx, wv, m)
+	scalarScatterMinPlusF32(yw, yvals, idx, wv, m)
 }
 
 // ScatterMaxMinF32 is the scalar-engine (max, min) float32 fold of one
 // adjacency column — the bottleneck semiring of widest paths. The candidate
 // is min(m, wv[k]) (path width capped by the edge capacity) and the
-// reduction keeps the maximum. Contract as in ScatterMinPlusF32.
+// reduction keeps the maximum. Contract as in ScatterMinPlusF32, scalar
+// reference included.
 func ScatterMaxMinF32(yw []uint64, yvals []float32, idx []uint32, wv []float32, m float32) {
-	active.scatterMaxMinF32(yw, yvals, idx, wv, m)
+	scalarScatterMaxMinF32(yw, yvals, idx, wv, m)
 }
 
 // BlockMinPlusF32 is the (min, +) float32 fold of the block (SpMM) kernels:

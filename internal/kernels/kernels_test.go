@@ -223,48 +223,45 @@ func TestScatterAddF64Parity(t *testing.T) {
 	}
 }
 
-// TestFlatAddF64Parity holds every backend's flat sum fold — the scalar
-// reference included, since it serves them all today — to its definition:
-// ScatterAddF64 over the same columns in order.
+// TestFlatAddF64Parity holds the flat sum fold — the scalar reference every
+// backend runs — to its definition: ScatterAddF64 over the same columns in
+// order.
 func TestFlatAddF64Parity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, b := range Supported() {
-		bt := backendTable(b)
-		for _, nv := range []int{1, 64, 65, 200} {
-			words := (nv + 63) / 64
-			for _, ncols := range []int{0, 1, 2, 7, 64} {
-				for trial := 0; trial < 8; trial++ {
-					x := randFloats(rng, nv)
-					wWords := randWords(rng, words)
-					wVals := randFloats(rng, nv)
-					gWords := append([]uint64(nil), wWords...)
-					gVals := append([]float64(nil), wVals...)
+	for _, nv := range []int{1, 64, 65, 200} {
+		words := (nv + 63) / 64
+		for _, ncols := range []int{0, 1, 2, 7, 64} {
+			for trial := 0; trial < 8; trial++ {
+				x := randFloats(rng, nv)
+				wWords := randWords(rng, words)
+				wVals := randFloats(rng, nv)
+				gWords := append([]uint64(nil), wWords...)
+				gVals := append([]float64(nil), wVals...)
 
-					// Columns of 1..8 edges each (duplicate destinations
-					// exercise the fold path), folded one scatter per column.
-					var idx, src []uint32
-					for c := 0; c < ncols; c++ {
-						j := uint32(rng.Intn(nv))
-						col := make([]uint32, 1+rng.Intn(8))
-						for i := range col {
-							col[i] = uint32(rng.Intn(nv))
-							src = append(src, j)
-						}
-						idx = append(idx, col...)
-						scalarScatterAddF64(wWords, wVals, col, x[j])
+				// Columns of 1..8 edges each (duplicate destinations
+				// exercise the fold path), folded one scatter per column.
+				var idx, src []uint32
+				for c := 0; c < ncols; c++ {
+					j := uint32(rng.Intn(nv))
+					col := make([]uint32, 1+rng.Intn(8))
+					for i := range col {
+						col[i] = uint32(rng.Intn(nv))
+						src = append(src, j)
 					}
-					bt.flatAddF64(gWords, gVals, idx, src, x)
+					idx = append(idx, col...)
+					scalarScatterAddF64(wWords, wVals, col, x[j])
+				}
+				FlatAddF64(gWords, gVals, idx, src, x)
 
-					for i := range wWords {
-						if wWords[i] != gWords[i] {
-							t.Fatalf("%s flatAddF64 nv=%d ncols=%d: mask word %d = %#x, column scatter %#x", b, nv, ncols, i, gWords[i], wWords[i])
-						}
+				for i := range wWords {
+					if wWords[i] != gWords[i] {
+						t.Fatalf("flatAddF64 nv=%d ncols=%d: mask word %d = %#x, column scatter %#x", nv, ncols, i, gWords[i], wWords[i])
 					}
-					for i := range wVals {
-						if math.Float64bits(wVals[i]) != math.Float64bits(gVals[i]) {
-							t.Fatalf("%s flatAddF64 nv=%d ncols=%d: val %d = %x, column scatter %x",
-								b, nv, ncols, i, math.Float64bits(gVals[i]), math.Float64bits(wVals[i]))
-						}
+				}
+				for i := range wVals {
+					if math.Float64bits(wVals[i]) != math.Float64bits(gVals[i]) {
+						t.Fatalf("flatAddF64 nv=%d ncols=%d: val %d = %x, column scatter %x",
+							nv, ncols, i, math.Float64bits(gVals[i]), math.Float64bits(wVals[i]))
 					}
 				}
 			}

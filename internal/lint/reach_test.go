@@ -20,7 +20,6 @@ import (
 // reaches, each with the reason it stays. Everything else exported in
 // internal/... must be reachable from a non-test file.
 var keptForTests = map[string]string{
-	"internal/sparse.BuildPartitionedDCSC":           "serial reference builder the parallel-build differentials compare against",
 	"internal/reference.Triangles":                   "triangle-count oracle of the algorithm and baseline tests",
 	"internal/reference.CFLoss":                      "collaborative-filtering loss oracle of the algorithm and baseline tests",
 	"internal/kernels.Supported":                     "backend roster the engine and algorithm parity suites iterate",

@@ -65,11 +65,6 @@ type Tally struct {
 
 // Options tunes one Run call.
 type Options struct {
-	// NoSteal pins tasks to their initial contiguous span assignment —
-	// the static-schedule ablation. Idle executors still claim whole
-	// unclaimed spans (liveness does not depend on any particular worker
-	// being free), but never take tasks from a claimed one.
-	NoSteal bool
 	// Tally, when non-nil, additionally accumulates this call's counts.
 	Tally *Tally
 }
@@ -105,18 +100,14 @@ type job struct {
 	claim     atomic.Int32
 	remaining atomic.Int64
 	done      chan struct{}
-	noSteal   bool
 	tally     *Tally
 }
 
 // hasWork reports whether an executor could still acquire a task: an
-// unclaimed span remains, or (with stealing) any span is nonempty.
+// unclaimed span remains, or any span is nonempty to steal from.
 func (j *job) hasWork() bool {
 	if int(j.claim.Load()) < len(j.spans) {
 		return true
-	}
-	if j.noSteal {
-		return false
 	}
 	for i := range j.spans {
 		v := j.spans[i].s.Load()
@@ -237,7 +228,7 @@ func (p *Pool) RunOptions(ntasks int, stop *atomic.Int32, opts Options, fn func(
 		p.runInline(ntasks, stop, opts, fn)
 		return
 	}
-	j := &job{fn: fn, stop: stop, noSteal: opts.NoSteal, tally: opts.Tally, done: make(chan struct{})}
+	j := &job{fn: fn, stop: stop, tally: opts.Tally, done: make(chan struct{})}
 	nspans := p.nworkers
 	if nspans > ntasks {
 		nspans = ntasks
@@ -351,9 +342,6 @@ func (p *Pool) work(wid int, j *job) {
 				ran += j.exec(task, wid)
 			}
 			continue
-		}
-		if j.noSteal {
-			break
 		}
 		task, si := -1, -1
 		for i := range j.spans {

@@ -31,22 +31,6 @@ func TestRunExecutesEveryTaskOnce(t *testing.T) {
 	}
 }
 
-// TestNoStealExecutesEveryTaskOnce covers the static-schedule ablation.
-func TestNoStealExecutesEveryTaskOnce(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	const nt = 257
-	hits := make([]atomic.Int32, nt)
-	p.RunOptions(nt, nil, Options{NoSteal: true}, func(task, _ int) {
-		hits[task].Add(1)
-	})
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Fatalf("task %d ran %d times", i, got)
-		}
-	}
-}
-
 // TestZeroTasks asserts Run with no tasks returns without touching the
 // pool (and that a nil fn is never called).
 func TestZeroTasks(t *testing.T) {

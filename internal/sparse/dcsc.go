@@ -329,11 +329,3 @@ func PartitionRows(rowWeights []uint32, nparts int) []uint32 {
 	}
 	return bounds
 }
-
-// BuildPartitionedDCSC splits the matrix into row partitions balanced by
-// nonzeros and builds one DCSC per partition, serially. The input must be
-// col-major sorted and deduplicated. BuildPartitionedDCSCParallel produces
-// the identical result on multiple goroutines.
-func BuildPartitionedDCSC[E any](c *COO[E], nparts int) []*DCSC[E] {
-	return BuildPartitionedDCSCParallel(c, nparts, 1)
-}

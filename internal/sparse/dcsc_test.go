@@ -164,7 +164,7 @@ func TestQuickPartitionsTile(t *testing.T) {
 	f := func(seed int64, partsRaw uint8) bool {
 		nparts := int(partsRaw%7) + 1
 		c := randCOO(seed, 64, 64, 400)
-		parts := BuildPartitionedDCSC(c, nparts)
+		parts := BuildPartitionedDCSCParallel(c, nparts, 1)
 		if len(parts) != nparts {
 			return false
 		}

@@ -177,12 +177,14 @@ func (c *COO[E]) DedupKeepFirstParallel(workers int) {
 	c.DedupSumParallel(func(a, _ E) E { return a }, workers)
 }
 
-// BuildPartitionedDCSCParallel is BuildPartitionedDCSC with the per-partition
-// builds running on workers goroutines (0 = GOMAXPROCS). A single stable
-// scatter pass buckets the entries by partition first, so total work is
-// O(nnz + Σ partition builds) instead of the naive O(nnz × nparts) rescan,
-// and each partition sees exactly the subsequence of entries BuildDCSC would
-// have filtered — the output is bit-identical either way.
+// BuildPartitionedDCSCParallel splits the matrix into nparts row partitions
+// balanced by nonzeros and builds one DCSC per partition, the builds running
+// on workers goroutines (0 = GOMAXPROCS). The input must be col-major sorted
+// and deduplicated. A single stable scatter pass buckets the entries by
+// partition first, so total work is O(nnz + Σ partition builds) instead of
+// the naive O(nnz × nparts) rescan, and each partition sees exactly the
+// subsequence of entries BuildDCSC would have filtered — the output is
+// bit-identical to a per-partition BuildDCSC at any worker count.
 func BuildPartitionedDCSCParallel[E any](c *COO[E], nparts, workers int) []*DCSC[E] {
 	workers = Workers(workers)
 	bounds := PartitionRows(c.RowCounts(), nparts)
