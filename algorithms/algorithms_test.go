@@ -301,7 +301,7 @@ func TestStoppedBatchKeepsEverySeries(t *testing.T) {
 
 func TestDegreesMatchGraph(t *testing.T) {
 	coo := rmatEdges(61, 7, 4, 0)
-	g, err := graphmat.New[uint32](coo, graphmat.Options{Partitions: 4})
+	g, err := graphmat.New[uint32](coo, graphmat.Options{Partitions: 4, Directions: graphmat.Both})
 	if err != nil {
 		t.Fatal(err)
 	}

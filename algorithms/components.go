@@ -107,7 +107,8 @@ func (DegreeProgram) ProcessIgnoresDst() {}
 
 // Degrees runs DegreeProgram for one superstep and returns the per-vertex
 // counts. The run has no context and one column, which every Config
-// supports, so the error is always nil.
+// supports, so the one possible error is a dir g was built without
+// (Options.Directions): counting out-degrees needs the In structure.
 func Degrees(g *graphmat.Graph[uint32, float32], dir graphmat.Direction, cfg graphmat.Config) ([]uint32, graphmat.Stats, error) {
 	g.SetAllProps(0)
 	g.SetAllActive()

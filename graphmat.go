@@ -94,7 +94,9 @@ type MaxMinFoldF32 = core.MaxMinFoldF32
 type Graph[V, E any] = graph.Graph[V, E]
 
 // Options configures graph construction (partition count, traversal
-// directions).
+// directions). A graph keeps the structures it was built with for its whole
+// life: running a program along a direction Options.Directions left out is
+// an error, never a late build.
 type Options = graph.Options
 
 // Direction selects which edges messages scatter along.
@@ -182,7 +184,8 @@ func New[V, E any](adj *COO[E], opts Options) (*Graph[V, E], error) {
 
 // Run executes a vertex program until convergence or cfg.MaxIterations. It
 // is RunContext without a context: it cannot be canceled, and every Config
-// runs, so its error is always nil.
+// runs, so its one possible error is a direction p scatters along that g was
+// built without (Options.Directions), returned before any superstep.
 func Run[V, E, M, R any, P Program[V, E, M, R]](g *Graph[V, E], p P, cfg Config) (Stats, error) {
 	return core.Run(g, p, cfg)
 }
@@ -218,8 +221,10 @@ func WithObserver(fn Observer) RunOption { return core.WithObserver(fn) }
 // RunContext executes a vertex program under ctx: cancellation and deadlines
 // stop the run cooperatively, checked between supersteps and inside the
 // parallel partition loops so long SpMVs abort promptly. ws may be nil (the
-// engine allocates scratch) or caller-managed. Stats.Reason records why the
-// run ended; the error is nil for Converged/MaxIterations, ctx.Err() for
+// engine allocates scratch) or caller-managed. A program whose Direction
+// names a structure g was built without (Options.Directions) is an error
+// before any superstep. Otherwise Stats.Reason records why the run ended;
+// the error is nil for Converged/MaxIterations, ctx.Err() for
 // Canceled/DeadlineExceeded, and the observer's error for StoppedByObserver.
 func RunContext[V, E, M, R any, P Program[V, E, M, R]](
 	ctx context.Context, g *Graph[V, E], p P, cfg Config, ws *Workspace[M, R], opts ...RunOption,
@@ -270,7 +275,8 @@ func NewBlockWorkspace[M, R any](n, k int) *BlockWorkspace[M, R] {
 // state. The block fold is p's own ProcessMessage and Reduce, so a k-source
 // run is bit-identical per source to k scalar runs. Config is validated at
 // the run's width: the boxed dispatches (Boxed, BoxedSorted) run one column
-// only. See core.RunBlockContext.
+// only. Like RunContext, a direction g was built without is an error before
+// any superstep. See core.RunBlockContext.
 func RunBlockContext[V, E, M, R any, P interface {
 	Program[V, E, M, R]
 	DstIndependent
@@ -285,14 +291,17 @@ func RunBlockContext[V, E, M, R any, P interface {
 // primitive), without the surrounding superstep loop. It dispatches through
 // the same inlined kernel layer as the engine whatever cfg.Dispatch says:
 // cfg.Mode selects pull, push, or a per-call Auto density decision. No
-// Config is an error, so the result is never nil.
+// Config is an error; a program whose Direction names a structure g was
+// built without is, and SpMV panics with it. Otherwise the result is never
+// nil.
 func SpMV[V, E, M, R any, P Program[V, E, M, R]](g *Graph[V, E], x *Vector[M], p P, cfg Config) *Vector[R] {
 	return core.SpMV(g, x, p, cfg)
 }
 
 // SpMVContext is SpMV under a context: cancellation aborts the partition
-// loop cooperatively and the partial result is returned with ctx.Err(),
-// which is the only error it returns.
+// loop cooperatively and the partial result is returned with ctx.Err(). Its
+// one other error is a direction g was built without, returned with a nil
+// result before any work.
 func SpMVContext[V, E, M, R any, P Program[V, E, M, R]](ctx context.Context, g *Graph[V, E], x *Vector[M], p P, cfg Config) (*Vector[R], error) {
 	return core.SpMVContext[V, E, M, R, P](ctx, g, x, p, cfg)
 }
@@ -320,7 +329,9 @@ func LoadFileOptions(path string, opt LoadOptions) (*COO[float32], error) {
 // graph.Store.
 type Store[V, E any] = graph.Store[V, E]
 
-// Snapshot is one pinned, immutable version of a store's graph.
+// Snapshot is one pinned, immutable version of a store's graph. Its View
+// gives a run private vertex state over the shared structures, which are
+// exactly the ones the store was built with.
 type Snapshot[V, E any] = graph.Snapshot[V, E]
 
 // Update is one edge mutation: an upsert (insert or value replace) or, with

@@ -63,17 +63,17 @@ func fig7Shapes(threads int) string {
 	return strings.Join(shapes, ", ")
 }
 
-// fig7Graphs builds Figure 7's two graphs, one partition each: PageRank's
-// Facebook stand-in, and SSSP's Flickr stand-in with its root, the vertex
-// of largest out-degree.
-func fig7Graphs(o Options) (*graphmat.Graph[algorithms.PRVertex, float32], *graphmat.Graph[float32, float32], uint32) {
+// fig7Graphs builds Figure 7's two graphs at parts partitions each:
+// PageRank's Facebook stand-in, and SSSP's Flickr stand-in with its root,
+// the vertex of largest out-degree.
+func fig7Graphs(o Options, parts int) (*graphmat.Graph[algorithms.PRVertex, float32], *graphmat.Graph[float32, float32], uint32) {
 	fb, _ := DatasetByName("Facebook")
 	fl, _ := DatasetByName("Flickr")
 	prData := fb.Generate(o.Shift)
 	prData.RemoveSelfLoops()
 	prData.SortRowMajor()
 	prData.DedupKeepFirst()
-	prGraph, err := graphmat.New[algorithms.PRVertex](prData, graphmat.Options{Partitions: 1})
+	prGraph, err := graphmat.New[algorithms.PRVertex](prData, graphmat.Options{Partitions: parts})
 	if err != nil {
 		panic(err)
 	}
@@ -82,7 +82,7 @@ func fig7Graphs(o Options) (*graphmat.Graph[algorithms.PRVertex, float32], *grap
 	ssspData.SortRowMajor()
 	ssspData.DedupKeepFirst()
 	ssspRoot := maxOutDegreeVertex(ssspData)
-	ssspGraph, err := graphmat.New[float32](ssspData, graphmat.Options{Partitions: 1})
+	ssspGraph, err := graphmat.New[float32](ssspData, graphmat.Options{Partitions: parts})
 	if err != nil {
 		panic(err)
 	}

@@ -150,14 +150,12 @@ func TestFig7SpeedupsMonotoneEnough(t *testing.T) {
 // across all five.
 func TestFig7StepsAgree(t *testing.T) {
 	o := tinyOpts()
-	prGraph, ssspGraph, ssspRoot := fig7Graphs(o)
 	var wantRanks []float64
 	var wantDist []float32
 	for _, threads := range []int{1, 3} {
 		for _, s := range fig7Steps {
 			cfg, parts := s.at(threads)
-			prGraph.Repartition(parts)
-			ssspGraph.Repartition(parts)
+			prGraph, ssspGraph, ssspRoot := fig7Graphs(o, parts)
 			ranks := runPageRankAblation(prGraph, o.PRIters, cfg)
 			dist := runSSSPAblation(ssspGraph, ssspRoot, cfg)
 			if wantRanks == nil {

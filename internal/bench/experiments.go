@@ -441,8 +441,8 @@ func Fig6(results []*Fig4Result) []*Table {
 // Fig7 measures the optimization ablation (Figure 7): cumulative speedup of
 // the engine configurations from naive scalar code to the fully optimized
 // parallel engine (fig7Steps), for PageRank on the Facebook stand-in and
-// SSSP on the Flickr stand-in. Both graphs are built once; each step
-// repartitions them before its runs are timed, so the steps run in order.
+// SSSP on the Flickr stand-in. Each step builds both graphs at its own
+// partition count before its runs are timed.
 func Fig7(o Options) *Table {
 	o = o.withDefaults()
 	t := &Table{
@@ -451,12 +451,10 @@ func Fig7(o Options) *Table {
 			"parallel steps scale with the cores available here; threads × partitions: " + fig7Shapes(o.Threads),
 		Header: []string{"configuration", "PageRank/facebook", "SSSP/flickr"},
 	}
-	prGraph, ssspGraph, ssspRoot := fig7Graphs(o)
 	var prBase, ssspBase float64
 	for i, s := range fig7Steps {
 		cfg, parts := s.at(o.Threads)
-		prGraph.Repartition(parts)
-		ssspGraph.Repartition(parts)
+		prGraph, ssspGraph, ssspRoot := fig7Graphs(o, parts)
 		o.progress("Fig7 %s", s.name)
 		prSecs := timeBest(o.Repeats, func() { runPageRankAblation(prGraph, o.PRIters, cfg) })
 		ssspSecs := timeBest(o.Repeats, func() { runSSSPAblation(ssspGraph, ssspRoot, cfg) })

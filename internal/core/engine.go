@@ -21,9 +21,9 @@ import (
 // changed. The run mutates g's vertex properties and active set.
 //
 // Run is RunContext without a context: it cannot be canceled, and a
-// one-column run accepts every Config, so its error is always nil. Callers
-// that need cancellation, deadlines or per-superstep observation use
-// RunContext.
+// one-column run accepts every Config, so its one possible error is a
+// direction p scatters along that g was built without. Callers that need
+// cancellation, deadlines or per-superstep observation use RunContext.
 func Run[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config) (Stats, error) {
 	return RunContext[V, E, M, R, P](context.Background(), g, p, cfg, nil)
 }

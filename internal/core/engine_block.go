@@ -46,11 +46,12 @@ import (
 // callbacks, the sorted message vector) is a one-column path, so a
 // one-column run with Dispatch Boxed or BoxedSorted runs the boxed front-end
 // over st's column, while either at two or more columns is a configuration
-// error. Mode (Auto/Pull/Push), Threads, MaxIterations, observers and
-// cancellation are the shared superstep loop's (driver.run), so they behave
-// as documented on RunContext; the one difference is that Auto bills the
-// push probe cost per distinct sender vertex, not per (vertex, column)
-// message.
+// error. A direction p scatters along that g was built without is an error
+// too, before any superstep. Mode (Auto/Pull/Push), Threads, MaxIterations,
+// observers and cancellation are the shared superstep loop's (driver.run),
+// so they behave as documented on RunContext; the one difference is that
+// Auto bills the push probe cost per distinct sender vertex, not per
+// (vertex, column) message.
 //
 // p must declare DstIndependent: one traversal of an edge serves every
 // column's own destination. The block sinks fold with p's ProcessMessage
@@ -70,7 +71,8 @@ func RunBlockContext[V, E, M, R any, P interface {
 }
 
 // runColumns is the entry body of every run, RunContext's and
-// RunBlockContext's: validate, arm the stop machinery, then run the boxed
+// RunBlockContext's: validate (Config, and that g has every direction p
+// scatters along), arm the stop machinery, then run the boxed
 // ablation over a one-column state or runPhases over st and ws. p may read
 // its destination only when st is one column wide (RunContext); wider
 // states come from RunBlockContext, whose signature demands DstIndependent.
@@ -82,6 +84,9 @@ func runColumns[V, E, M, R any, P Program[V, E, M, R]](
 		return Stats{}, fmt.Errorf("core: block state sized for %d vertices, graph has %d", st.n, n)
 	}
 	if err := cfg.validate(st.k); err != nil {
+		return Stats{}, err
+	}
+	if err := checkDirections(g, p.Direction()); err != nil {
 		return Stats{}, err
 	}
 	cfg = cfg.withDefaults()

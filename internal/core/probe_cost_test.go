@@ -17,10 +17,12 @@ func (nopSink) fold(_ []uint32, _ []float32, cols []colRef) int { return len(col
 
 // TestPushProbeCost measures pushProbeCost's input: the time of one push
 // probe against one pull probe, on lib_sparse's two graphs (the 768×768
-// grid, and RMAT-18 symmetrized) at random frontiers of four densities. Each
-// mode walks every partition through multiply into a fold-free sink, best of
-// seven; a probe is what ColumnsProbed counts. It only reports, and runs only
-// when GRAPHMAT_PROBE_COST is set (it builds both graphs, ~10 s):
+// grid, and RMAT-18 symmetrized) at random frontiers from 0.1 % to 99 %
+// dense. Each mode walks every partition through multiply into a fold-free
+// sink, best of seven; a probe is what ColumnsProbed counts. Beside the
+// per-probe times it prints each walk's total time and their ratio, the
+// figure Auto's choice should track. It only reports, and runs only when
+// GRAPHMAT_PROBE_COST is set (it builds both graphs, ~15 s):
 //
 //	GRAPHMAT_PROBE_COST=1 go test -run '^TestPushProbeCost$' -v ./internal/core
 func TestPushProbeCost(t *testing.T) {
@@ -44,7 +46,7 @@ func TestPushProbeCost(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := int(g.NumVertices())
-		for _, fill := range []float64{0.001, 0.01, 0.05, 0.25} {
+		for _, fill := range []float64{0.001, 0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.99} {
 			rng := gen.NewRNG(7)
 			xw := make([]uint64, (n+63)/64)
 			for v := range n {
@@ -52,7 +54,7 @@ func TestPushProbeCost(t *testing.T) {
 					xw[v>>6] |= 1 << (v & 63)
 				}
 			}
-			perProbe := func(mode Mode) float64 {
+			walk := func(mode Mode) (time.Duration, float64) {
 				best := time.Duration(1 << 62)
 				var st localStats
 				for range 7 {
@@ -63,10 +65,12 @@ func TestPushProbeCost(t *testing.T) {
 					}
 					best = min(best, time.Since(start))
 				}
-				return float64(best.Nanoseconds()) / float64(max(st.probes, 1))
+				return best, float64(best.Nanoseconds()) / float64(max(st.probes, 1))
 			}
-			push, pull := perProbe(Push), perProbe(Pull)
-			t.Logf("%s frontier %5.1f%%: push %6.2f ns/probe, pull %5.2f ns/probe, ratio %5.2f", c.name, 100*fill, push, pull, push/pull)
+			pushWalk, push := walk(Push)
+			pullWalk, pull := walk(Pull)
+			t.Logf("%s frontier %5.1f%%: push %6.2f ns/probe, pull %5.2f ns/probe, ratio %5.2f; walk push %v, pull %v, ratio %5.2f",
+				c.name, 100*fill, push, pull, push/pull, pushWalk, pullWalk, pushWalk.Seconds()/pullWalk.Seconds())
 		}
 	}
 }

@@ -232,11 +232,12 @@ func ctxReason(err error) StopReason {
 // must match the graph's vertex count); nil allocates fresh scratch. Options
 // attach a per-superstep observer and a wall-clock budget.
 //
-// A mismatched workspace is rejected before any work; every Config runs on
-// one column. Otherwise the returned Stats reflect the work actually done,
-// and Stats.Reason records why the run ended. The error is nil for normal
-// terminations (Converged, MaxIterations), ctx.Err() for
-// Canceled/DeadlineExceeded, and the observer's own error for
+// A mismatched workspace, or a program whose Direction names a traversal
+// structure g was built without (Options.Directions), is rejected before any
+// work; every Config runs on one column. Otherwise the returned Stats reflect
+// the work actually done, and Stats.Reason records why the run ended. The
+// error is nil for normal terminations (Converged, MaxIterations), ctx.Err()
+// for Canceled/DeadlineExceeded, and the observer's own error for
 // StoppedByObserver. After a stopped run the
 // graph's vertex state and active set are partial — mid-algorithm — but the
 // workspace is reusable as-is: the engine clears each scratch block before

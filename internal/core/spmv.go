@@ -10,9 +10,13 @@ import (
 // SpMV exposes one generalized multiplication y = Gᵀ ⊗ x outside the driver
 // loop: used by tests and by callers that want a single traversal step (the
 // in-degree example of Figure 1). The result vector maps destination vertex
-// to reduced value. It is SpMVContext without a context.
+// to reduced value. It is SpMVContext without a context, so its one possible
+// error is a direction g was built without, which it panics with.
 func SpMV[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], x *sparse.Vector[M], p P, cfg Config) *sparse.Vector[R] {
-	y, _ := SpMVContext[V, E, M, R, P](context.Background(), g, x, p, cfg)
+	y, err := SpMVContext[V, E, M, R, P](context.Background(), g, x, p, cfg)
+	if err != nil {
+		panic(err) //lint:graphmat bannedcalls SpMV has no error result; raised once, before any work
+	}
 	return y
 }
 
@@ -23,11 +27,15 @@ func SpMV[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], x *sparse
 // — and ctx cancellation aborts the partition loop cooperatively through
 // the same stop flag the engine polls. It multiplies with the inlined
 // kernels whatever cfg.Dispatch says (the boxed dispatches are front-ends of
-// the superstep loop), so no Config is an error: the only error is ctx's,
-// returned alongside the partial y of a canceled call.
+// the superstep loop), so no Config is an error. A direction p names that g
+// was built without is, with a nil y, before any work; the only other error
+// is ctx's, returned alongside the partial y of a canceled call.
 func SpMVContext[V, E, M, R any, P Program[V, E, M, R]](
 	ctx context.Context, g *graph.Graph[V, E], x *sparse.Vector[M], p P, cfg Config,
 ) (*sparse.Vector[R], error) {
+	if err := checkDirections(g, p.Direction()); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	ctrl, release := newController(ctx, runOptions{})
 	defer release()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"graphmat/internal/graph"
@@ -17,7 +18,7 @@ import (
 // without synchronization, and within a task the walks visit columns in
 // ascending id: the per-destination fold order never depends on the worker
 // count or the partition count. A graph with fewer partitions than workers
-// leaves workers idle in the multiply; Graph.Repartition is the remedy.
+// leaves workers idle in the multiply; build it with more (Options.Partitions).
 //
 // The same preparation serves the scalar engine, the block engine and the
 // single-shot SpMV: runPlan pins a run's layers once and runs each multiply
@@ -44,10 +45,27 @@ type runPlan[E any] struct {
 	recvDegs []uint32
 }
 
-// planRun pins g's traversal structures for the directions dir names.
-// Whatever the graph's owning store publishes later, the run keeps iterating
-// exactly this epoch's edge set. rowWalk says the program's sink can gather
-// (see rowSink).
+// checkDirections reports a direction dir names that g was built without: a
+// graph has exactly the traversal structures its Options.Directions built,
+// so a program scattering any other way has nothing to walk. Every run and
+// SpMV makes this one check before it pins anything.
+func checkDirections[V, E any](g *graph.Graph[V, E], dir graph.Direction) error {
+	var missing string
+	switch {
+	case dir&graph.Out != 0 && g.OutLayers() == nil:
+		missing = "Out"
+	case dir&graph.In != 0 && g.InLayers() == nil:
+		missing = "In"
+	default:
+		return nil
+	}
+	return fmt.Errorf("core: the program scatters along Direction %s, but the graph was built without it (Options.Directions)", missing)
+}
+
+// planRun pins g's traversal structures for the directions dir names, all
+// of which g has (checkDirections). Whatever the graph's owning store
+// publishes later, the run keeps iterating exactly this epoch's edge set.
+// rowWalk says the program's sink can gather (see rowSink).
 func planRun[V, E any](g *graph.Graph[V, E], dir graph.Direction, cfg Config, rowWalk bool) runPlan[E] {
 	var rp runPlan[E]
 	if dir&graph.Out != 0 {

@@ -54,25 +54,14 @@ func (g *Graph[V, E]) applyBatch(batch []Update[E]) (*Graph[V, E], ApplyResult, 
 	}
 	norm := normalizeUpdates(batch)
 
-	// Direction presence is decided from Options, not from runtime nil
-	// checks: the opts-requested structures were built eagerly at
-	// construction and are immutable, while a direction some run built
-	// LAZILY mutates the shared snapshot graph and may be mid-build on
-	// another goroutine right now. Such extras are deliberately not carried
-	// into the successor — it rebuilds them from its own live set if asked.
 	hasOut := g.opts.Directions&Out != 0
 	hasIn := g.opts.Directions&In != 0
 	ng := &Graph[V, E]{
 		n: g.n, m: g.m,
+		outParts: g.outParts, inParts: g.inParts,
 		opts:           g.opts,
 		epoch:          g.epoch + 1,
 		pendingUpdates: g.pendingUpdates + len(norm),
-	}
-	if hasOut {
-		ng.outParts = g.outParts
-	}
-	if hasIn {
-		ng.inParts = g.inParts
 	}
 	ng.outDeg = slices.Clone(g.outDeg)
 	ng.inDeg = slices.Clone(g.inDeg)
@@ -150,10 +139,8 @@ func findPartition[E any](parts []*sparse.DCSC[E], r uint32) int {
 }
 
 // HasEdge reports whether the directed edge src→dst is live, returning its
-// value. The probe goes through a traversal direction the graph was BUILT
-// with (per Options.Directions — those structures are immutable, unlike
-// lazily built extras) — delta override first (authoritative), base column
-// otherwise — and never triggers a lazy direction build.
+// value. The probe goes through a traversal direction the graph was built
+// with — delta override first (authoritative), base column otherwise.
 func (g *Graph[V, E]) HasEdge(src, dst uint32) (E, bool) {
 	// Forward structure: Row = dst, Col = src; backward: Row = src, Col = dst.
 	parts, deltas, row, col := g.outParts, g.outDelta, dst, src
@@ -196,8 +183,6 @@ func (g *Graph[V, E]) compacted() *Graph[V, E] {
 		return g
 	}
 	ng := &Graph[V, E]{n: g.n, m: g.m, opts: g.opts, epoch: g.epoch, outDeg: g.outDeg, inDeg: g.inDeg}
-	// Rebuild per Options.Directions, not per runtime nil checks — the
-	// same shared-mutation discipline applyBatch follows.
 	if g.opts.Directions&Out != 0 {
 		ng.outParts = ng.build(g.triples(Out))
 	}

@@ -84,8 +84,8 @@ func buildBoth(t *testing.T, adj *sparse.COO[float32], nparts, workers int) {
 		t.Fatalf("size mismatch: %d/%d vertices, %d/%d edges",
 			seq.NumVertices(), par.NumVertices(), seq.NumEdges(), par.NumEdges())
 	}
-	sameDCSCs(t, "out", seq.OutPartitions(), par.OutPartitions())
-	sameDCSCs(t, "in", seq.InPartitions(), par.InPartitions())
+	sameDCSCs(t, "out", seq.outParts, par.outParts)
+	sameDCSCs(t, "in", seq.inParts, par.inParts)
 	sameDegrees(t, "outdeg", seq.OutDegrees(), par.OutDegrees())
 	sameDegrees(t, "indeg", seq.InDegrees(), par.InDegrees())
 }
@@ -235,8 +235,8 @@ func TestParallelIngestRMAT18(t *testing.T) {
 	par, parTime := ingest(0) // 0 = GOMAXPROCS
 	t.Logf("scale %d: sequential %v, parallel %v (%d procs)", scale, seqTime, parTime, runtime.GOMAXPROCS(0))
 
-	sameDCSCs(t, "out", seq.OutPartitions(), par.OutPartitions())
-	sameDCSCs(t, "in", seq.InPartitions(), par.InPartitions())
+	sameDCSCs(t, "out", seq.outParts, par.outParts)
+	sameDCSCs(t, "in", seq.inParts, par.inParts)
 	sameDegrees(t, "outdeg", seq.OutDegrees(), par.OutDegrees())
 	sameDegrees(t, "indeg", seq.InDegrees(), par.InDegrees())
 

@@ -36,8 +36,10 @@ type Options struct {
 	// partitions than threads" with dynamic scheduling; 0 means
 	// 8 × GOMAXPROCS.
 	Partitions int
-	// Directions selects which traversal structures to build. Zero means
-	// Out. Building only what an algorithm needs halves memory.
+	// Directions selects which traversal structures to build, once: a
+	// graph never builds another, so running a program that scatters along
+	// a direction the graph lacks is an error. Zero means Out; bits outside
+	// Both are rejected. Building only what an algorithm needs halves memory.
 	Directions Direction
 	// Workers is the goroutine count for the ingestion pipeline (sorting,
 	// dedup and per-partition DCSC builds). 0 means GOMAXPROCS; 1 forces the
@@ -74,10 +76,10 @@ type Graph[V, E any] struct {
 
 	// outParts/inParts are the BASE row partitions of Gᵀ (Row = dst,
 	// Col = src — the orientation Algorithm 1 iterates) and of G (Row = src,
-	// Col = dst). With their deltas they are the graph's only copy of the
-	// edge set: whatever needs the edges as triples (compaction, Repartition,
-	// Adjacency, a lazily requested direction) materializes them from the
-	// layers on demand (see triples) and drops them again.
+	// Col = dst), nil for a direction Options.Directions did not name. With
+	// their deltas they are the graph's only copy of the edge set: whatever
+	// needs the edges as triples (compaction, Adjacency) materializes them
+	// from the layers on demand (see triples) and drops them again.
 	outParts []*sparse.DCSC[E]
 	inParts  []*sparse.DCSC[E]
 
@@ -119,6 +121,9 @@ func NewFromCOO[V, E any](adj *sparse.COO[E], opts Options) (*Graph[V, E], error
 	if err := adj.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.Directions&^Both != 0 {
+		return nil, fmt.Errorf("graph: Options.Directions %#x has bits outside Both", int(opts.Directions))
+	}
 	opts = opts.withDefaults()
 	g := &Graph[V, E]{n: adj.NRows, opts: opts}
 
@@ -154,19 +159,17 @@ func (g *Graph[V, E]) build(c *sparse.COO[E]) []*sparse.DCSC[E] {
 // triples materializes the live edge set as the col-major sorted triples of
 // one traversal matrix — Gᵀ (Row = dst, Col = src) for Out, G (Row = src,
 // Col = dst) for In — exactly the input a fresh build of that direction
-// takes. It walks the layers of a direction the graph was BUILT with (want's
-// own when Options.Directions has it, the other otherwise: those structures
-// are immutable, unlike lazily built extras), partition by partition in
-// ascending row range through Layered.Columns, and counting-scatters every
-// entry into its column's slot range, sized by the degree array the graph
-// maintains exactly. A column's entries arrive in ascending row order either
-// way — across partitions and then within each when the walk is want's own,
-// in the walked partition's column order when it is the transpose — so the
-// result needs no sort.
+// takes. want must be a direction the graph was built with. It walks want's
+// layers partition by partition in ascending row range through
+// Layered.Columns, and counting-scatters every entry into its column's slot
+// range, sized by the degree array the graph maintains exactly. A column's
+// entries arrive in ascending row order — across partitions and then within
+// each — so the result needs no sort.
 func (g *Graph[V, E]) triples(want Direction) *sparse.COO[E] {
-	colDeg := g.outDeg // the column counts of Gᵀ
+	// Gᵀ's columns are sources, so its column counts are the out-degrees.
+	colDeg, parts, deltas := g.outDeg, g.outParts, g.outDelta
 	if want == In {
-		colDeg = g.inDeg
+		colDeg, parts, deltas = g.inDeg, g.inParts, g.inDelta
 	}
 	next := make([]int, g.n) // next free slot of each column
 	slot := 0
@@ -174,33 +177,15 @@ func (g *Graph[V, E]) triples(want Direction) *sparse.COO[E] {
 		next[c] = slot
 		slot += int(d)
 	}
-	walked := want
-	if g.opts.Directions&want == 0 {
-		walked = g.opts.Directions
-	}
-	parts, deltas := g.outParts, g.outDelta
-	if walked == In {
-		parts, deltas = g.inParts, g.inDelta
-	}
 	entries := make([]sparse.Triple[E], g.m)
-	place := func(col uint32, rows []uint32, vals []E) {
-		at := next[col]
-		for i, r := range rows {
-			entries[at+i] = sparse.Triple[E]{Row: r, Col: col, Val: vals[i]}
-		}
-		next[col] = at + len(rows)
-	}
-	if walked != want {
-		// The walked matrix is want's transpose: its rows are want's columns.
-		place = func(col uint32, rows []uint32, vals []E) {
-			for i, r := range rows {
-				entries[next[r]] = sparse.Triple[E]{Row: col, Col: r, Val: vals[i]}
-				next[r]++
-			}
-		}
-	}
 	for _, l := range zipLayers(parts, deltas) {
-		l.Columns(place)
+		l.Columns(func(col uint32, rows []uint32, vals []E) {
+			at := next[col]
+			for i, r := range rows {
+				entries[at+i] = sparse.Triple[E]{Row: r, Col: col, Val: vals[i]}
+			}
+			next[col] = at + len(rows)
+		})
 	}
 	return &sparse.COO[E]{NRows: g.n, NCols: g.n, Entries: entries}
 }
@@ -260,41 +245,24 @@ func (g *Graph[V, E]) OutDegrees() []uint32 { return g.outDeg }
 // InDegrees returns the in-degree array indexed by vertex.
 func (g *Graph[V, E]) InDegrees() []uint32 { return g.inDeg }
 
-// OutPartitions returns the BASE row partitions of Gᵀ (out-edge scatter).
-// On a graph carrying live updates the base excludes the overlay; kernels
-// and materializers use OutLayers, which pairs each base partition with its
-// delta. A graph constructed without Direction Out builds them on first use
-// from the live edge set, so that base is current and carries no delta.
-func (g *Graph[V, E]) OutPartitions() []*sparse.DCSC[E] {
-	if g.outParts == nil {
-		g.outParts = g.build(g.triples(Out))
-	}
-	return g.outParts
-}
-
-// InPartitions returns the BASE row partitions of G (in-edge scatter),
-// building them on first use — from the live edge set, like OutPartitions —
-// if the graph was constructed without Direction In.
-func (g *Graph[V, E]) InPartitions() []*sparse.DCSC[E] {
-	if g.inParts == nil {
-		g.inParts = g.build(g.triples(In))
-	}
-	return g.inParts
-}
-
-// OutLayers returns the out-edge traversal structure as base+delta pairs —
-// the view the engine's column walks iterate. Partitions without pending
-// mutations have a nil Delta.
+// OutLayers returns the out-edge traversal structure — the row partitions
+// of Gᵀ — as base+delta pairs: the view the engine's column walks iterate.
+// Partitions without pending mutations have a nil Delta. It is nil when the
+// graph was built without Direction Out.
 func (g *Graph[V, E]) OutLayers() []sparse.Layered[E] {
-	return zipLayers(g.OutPartitions(), g.outDelta)
+	return zipLayers(g.outParts, g.outDelta)
 }
 
-// InLayers returns the in-edge traversal structure as base+delta pairs.
+// InLayers returns the in-edge traversal structure — the row partitions of
+// G — as base+delta pairs; nil when the graph was built without Direction In.
 func (g *Graph[V, E]) InLayers() []sparse.Layered[E] {
-	return zipLayers(g.InPartitions(), g.inDelta)
+	return zipLayers(g.inParts, g.inDelta)
 }
 
 func zipLayers[E any](parts, deltas []*sparse.DCSC[E]) []sparse.Layered[E] {
+	if parts == nil {
+		return nil
+	}
 	layers := make([]sparse.Layered[E], len(parts))
 	for i, p := range parts {
 		layers[i] = sparse.Layered[E]{Base: p}
@@ -309,38 +277,15 @@ func zipLayers[E any](parts, deltas []*sparse.DCSC[E]) []sparse.Layered[E] {
 // fully compacted graph).
 func (g *Graph[V, E]) OverlayNNZ() int64 { return g.overlayNNZ }
 
-// Partitions returns the current partition count.
-func (g *Graph[V, E]) Partitions() int { return g.opts.Partitions }
-
-// Repartition rebuilds the traversal structures with a new partition count.
-// The Figure 7 ablation uses this to compare partitions=threads (static)
-// against partitions=8×threads (dynamic load balancing). Every direction
-// that exists is rebuilt from the live edge set, so a graph carrying live
-// updates comes out with its overlay folded in. Repartition mutates the
-// receiver: it is for single-owner graphs, never published store snapshots.
-func (g *Graph[V, E]) Repartition(nparts int) {
-	var out, in *sparse.COO[E]
-	if g.outParts != nil {
-		out = g.triples(Out)
-	}
-	if g.inParts != nil {
-		in = g.triples(In)
-	}
-	g.opts.Partitions = max(nparts, 1)
-	g.outDelta, g.inDelta = nil, nil
-	g.overlayNNZ, g.pendingUpdates = 0, 0
-	if out != nil {
-		g.outParts = g.build(out)
-	}
-	if in != nil {
-		g.inParts = g.build(in)
-	}
-}
-
 // Adjacency returns the live forward adjacency (Row = src, Col = dst),
 // row-major sorted, as a fresh copy: the overlay of a graph carrying updates
 // is materialized in. Baseline engines use it to build their own structures.
 func (g *Graph[V, E]) Adjacency() *sparse.COO[E] {
+	if g.opts.Directions&Out == 0 {
+		adj := g.triples(In) // sorted by (dst, src)
+		adj.SortRowMajorParallel(g.opts.Workers)
+		return adj
+	}
 	adj := g.triples(Out) // sorted by (src, dst)
 	adj.Transpose()
 	return adj

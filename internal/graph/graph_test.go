@@ -37,12 +37,12 @@ func TestNewFromCOO(t *testing.T) {
 	if g.OutDegree(2) != 1 || g.InDegree(2) != 2 {
 		t.Errorf("vertex 2 degrees: out=%d in=%d", g.OutDegree(2), g.InDegree(2))
 	}
-	if len(g.OutPartitions()) != 2 {
-		t.Errorf("partitions = %d", len(g.OutPartitions()))
+	if len(g.outParts) != 2 {
+		t.Errorf("partitions = %d", len(g.outParts))
 	}
 	// Total nnz across partitions equals edge count.
 	total := 0
-	for _, p := range g.OutPartitions() {
+	for _, p := range g.outParts {
 		total += p.NNZ()
 	}
 	if total != 7 {
@@ -62,6 +62,19 @@ func TestRejectOutOfBounds(t *testing.T) {
 	c.Add(5, 0, 1)
 	if _, err := NewFromCOO[int, float32](c, Options{}); err == nil {
 		t.Error("out-of-bounds edge accepted")
+	}
+}
+
+// TestRejectUnknownDirections: a Directions bit outside Both names no
+// traversal structure, so the build refuses it rather than build none.
+func TestRejectUnknownDirections(t *testing.T) {
+	for _, dirs := range []Direction{4, Out | 8} {
+		if _, err := NewFromCOO[int, float32](fig3COO(), Options{Directions: dirs}); err == nil {
+			t.Errorf("Directions %#x accepted", int(dirs))
+		}
+		if _, err := NewStore[int, float32](fig3COO(), Options{Directions: dirs}); err == nil {
+			t.Errorf("store with Directions %#x accepted", int(dirs))
+		}
 	}
 }
 
@@ -107,59 +120,6 @@ func TestPropsAndActive(t *testing.T) {
 	g.ClearActive()
 	if g.Active().Any() {
 		t.Error("ClearActive failed")
-	}
-}
-
-func TestInPartitionsLazy(t *testing.T) {
-	g, err := NewFromCOO[int, float32](fig3COO(), Options{Partitions: 3, Directions: Out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := g.InPartitions()
-	if len(in) != 3 {
-		t.Fatalf("in partitions = %d", len(in))
-	}
-	total := 0
-	for _, p := range in {
-		total += p.NNZ()
-	}
-	if total != 7 {
-		t.Errorf("in partition nnz = %d", total)
-	}
-	// Out partitions hold G^T (row=dst); in partitions hold G (row=src).
-	// Column 0 of G = in-edges of A = {E->A}: rows = {4}.
-	found := false
-	for _, p := range in {
-		rows, _ := p.Column(0)
-		for _, r := range rows {
-			if r == 4 {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Error("in partitions missing E->A")
-	}
-}
-
-func TestRepartition(t *testing.T) {
-	g, err := NewFromCOO[int, float32](fig3COO(), Options{Partitions: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Repartition(4)
-	if len(g.OutPartitions()) != 4 {
-		t.Fatalf("partitions after Repartition = %d", len(g.OutPartitions()))
-	}
-	total := 0
-	for _, p := range g.OutPartitions() {
-		total += p.NNZ()
-	}
-	if total != 7 {
-		t.Errorf("nnz after repartition = %d", total)
-	}
-	if g.Partitions() != 4 {
-		t.Errorf("Partitions() = %d", g.Partitions())
 	}
 }
 

@@ -109,26 +109,6 @@ func TestTriplesMatchesAdjacencyChain(t *testing.T) {
 			sameDCSCs(t, what+" compacted out", cg.outParts, fresh.outParts)
 			sameDCSCs(t, what+" compacted in", cg.inParts, fresh.inParts)
 
-			// The direction the store was not built with comes up lazily as
-			// a fresh base of the live set: a fresh build's partitions, no
-			// delta. (On a view: the snapshot's own graph stays as built.)
-			v := snap.View()
-			both, err := NewFromCOO[uint32](ref.Clone(), Options{Partitions: 5, Directions: Both})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dirs&Out == 0 {
-				sameDCSCs(t, what+" lazy out", v.OutPartitions(), both.outParts)
-				if v.outDelta != nil {
-					t.Fatalf("%s: the lazily built out direction carries a delta", what)
-				}
-			}
-			if dirs&In == 0 {
-				sameDCSCs(t, what+" lazy in", v.InPartitions(), both.inParts)
-				if v.inDelta != nil {
-					t.Fatalf("%s: the lazily built in direction carries a delta", what)
-				}
-			}
 			snap.Release()
 		}
 		st.Compact()
@@ -139,40 +119,6 @@ func TestTriplesMatchesAdjacencyChain(t *testing.T) {
 		}
 		snap.Release()
 	}
-}
-
-// TestRepartitionFoldsOverlay repartitions a graph that carries an overlay
-// and one lazily built direction: every direction comes out as a fresh build
-// of the live set at the new count.
-func TestRepartitionFoldsOverlay(t *testing.T) {
-	base := gen.RMAT(gen.RMATOptions{Scale: 7, EdgeFactor: 6, Seed: 9, MaxWeight: 30})
-	NormalizeAdjacency(base, 1)
-	batches := materializerBatches(base)[:4]
-	g, err := NewFromCOO[uint32](base.Clone(), Options{Partitions: 3, Directions: Out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := base
-	for _, b := range batches {
-		if g, _, err = g.applyBatch(b); err != nil {
-			t.Fatal(err)
-		}
-		if ref, err = ApplyToAdjacency(ref, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.InPartitions()
-	g.Repartition(6)
-	fresh, err := NewFromCOO[uint32](ref.Clone(), Options{Partitions: 6, Directions: Both})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDCSCs(t, "repartitioned out", g.outParts, fresh.outParts)
-	sameDCSCs(t, "repartitioned in", g.inParts, fresh.inParts)
-	if g.OverlayNNZ() != 0 || g.pendingUpdates != 0 || g.outDelta != nil {
-		t.Fatalf("overlay survived Repartition: %d nnz, %d pending", g.OverlayNNZ(), g.pendingUpdates)
-	}
-	sameLiveSet(t, "repartitioned", g, ref, nil)
 }
 
 // oneCopyAdj is the fixed graph the size guards measure: RMAT scale 16,

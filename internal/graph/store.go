@@ -245,9 +245,9 @@ func (sn *Snapshot[V, E]) Release() {
 // View returns a graph sharing this snapshot's immutable structure (base
 // partitions, deltas, degrees) with FRESH vertex properties
 // and active set, so multiple runs can execute concurrently against one
-// pinned epoch without sharing mutable state. Build stores with the
-// Directions your programs need: a lazy direction build on a view is
-// per-view work.
+// pinned epoch without sharing mutable state. A view has exactly the
+// traversal structures the store was built with (Options.Directions): a run
+// of a program scattering along another direction fails before it starts.
 func (sn *Snapshot[V, E]) View() *Graph[V, E] {
 	v := *sn.g
 	v.props = make([]V, v.n)

@@ -293,41 +293,6 @@ func TestStoreSnapshotImmutability(t *testing.T) {
 	}
 }
 
-// TestStoreLazyDirectionReplay builds Out-only, applies updates, then asks
-// for the In direction: the lazy build must see the pending updates (it is
-// built from the live edge set, not the base).
-func TestStoreLazyDirectionReplay(t *testing.T) {
-	adj := testAdj(96, 11)
-	batches := [][]Update[float32]{
-		{{Src: 0, Dst: 95, Val: 42}, {Src: 1, Dst: 2, Del: true}},
-		{{Src: 95, Dst: 0, Val: 43}},
-	}
-	st, err := NewStore[uint32](adj.Clone(), Options{Partitions: 5, Directions: Out, CompactFraction: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches {
-		if _, err := st.ApplyEdges(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := st.Acquire()
-	defer snap.Release()
-	want, err := NewFromCOO[uint32](equivalentAdj(adj, batches), Options{Partitions: 5, Directions: Both})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gt, wt := liveTriples(snap.Graph().InLayers()), liveTriples(want.InLayers())
-	if len(gt) != len(wt) {
-		t.Fatalf("lazy In: %d triples vs %d", len(gt), len(wt))
-	}
-	for k, v := range wt {
-		if gt[k] != v {
-			t.Fatalf("lazy In: triple %v = %v, want %v", k, gt[k], v)
-		}
-	}
-}
-
 // TestStoreRejectsOutOfRange checks whole-batch rejection and that nothing
 // was published.
 func TestStoreRejectsOutOfRange(t *testing.T) {

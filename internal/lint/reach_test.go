@@ -32,7 +32,6 @@ var keptForTests = map[string]string{
 	"internal/core.BlockState.ClearActive":           "frontier reset of the block tests that reseed one state",
 	"internal/graph.Graph.ClearActive":               "frontier reset (graphmat.Graph's, publicly) of the engine tests that start runs from a chosen vertex",
 	"internal/graph.Graph.OverlayNNZ":                "overlay size (graphmat.Graph's, publicly) the store and layered-walk tests assert",
-	"internal/graph.Graph.Partitions":                "partition count (graphmat.Graph's, publicly) the repartition test asserts",
 	"internal/baselines/matrixengine.Matrix.Workers": "the grid² worker count the CombBLAS stand-in's test asserts",
 	"internal/counters.Set.Add":                      "multi-phase accumulation the counters test checks",
 	"internal/counters.AxisNames":                    "Figure 6 series labels the counters test holds the ratio order to",

@@ -17,6 +17,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -534,6 +535,10 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req runRequest
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// Threads is a performance knob (results never depend on it), but each
+	// width keeps a pool of that many workers for the life of the process
+	// (sched.Shared): a client may not ask for more than the daemon has.
+	params.Threads = min(params.Threads, runtime.GOMAXPROCS(0))
 	// The request-level mode wins over a "mode" algorithm parameter. Mode is
 	// a performance knob: all modes are bit-identical, so it does not
 	// participate in the result-cache key.

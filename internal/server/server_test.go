@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"graphmat"
 	"graphmat/algorithms"
 	"graphmat/internal/gen"
+	"graphmat/internal/sched"
 	"graphmat/internal/sparse"
 )
 
@@ -351,6 +353,25 @@ func TestBadRequests(t *testing.T) {
 				t.Fatalf("%s %s = %d (%s), want %d", tc.method, tc.path, code, body, tc.want)
 			}
 		})
+	}
+}
+
+// TestThreadsBoundedByGOMAXPROCS: a client's threads is clamped to the
+// daemon's GOMAXPROCS, so a huge one answers like any other run and leaves no
+// worker pool of its width behind (each width's pool lives as long as the
+// process).
+func TestThreadsBoundedByGOMAXPROCS(t *testing.T) {
+	_, ts := newTestServer(t)
+	addTestGraph(t, ts, "g")
+	const huge = 1 << 20
+	reply := runAlgo(t, ts, "g", "pagerank", map[string]any{"iters": 2, "threads": huge})
+	if procs := runtime.GOMAXPROCS(0); reply.Stats.Sched.Workers != procs {
+		t.Errorf("stats.sched.workers = %d, want GOMAXPROCS %d", reply.Stats.Sched.Workers, procs)
+	}
+	for _, ps := range sched.Snapshot() {
+		if ps.Workers == huge {
+			t.Fatalf("a %d-worker pool exists", huge)
+		}
 	}
 }
 
