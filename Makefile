@@ -97,8 +97,10 @@ race:
 # and one bitmap bit per stored column, tombstones included; the walk
 # target asserts pull ≡ push ≡ a naive fold of the live edge set and the row
 # walk ≡ a naive "first live in-neighbour of each unsettled row" over random
-# base+delta partitions, frontiers, settled sets and row cuts. CI runs this
-# target.
+# base+delta partitions, frontiers, settled sets and row cuts; the mask-walk
+# target asserts a boolean program's column-mask fold ≡ the value fold in
+# output masks and applied values, per walk, over the same kind of random
+# partitions, k-wide frontiers and settled masks. CI runs this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMTX$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/graph
@@ -111,6 +113,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDenseFold$$' -fuzztime=10s ./internal/kernels
 	$(GO) test -run='^$$' -fuzz='^FuzzColumnIndex$$' -fuzztime=10s ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzLayeredWalk$$' -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzMaskWalk$$' -fuzztime=10s ./internal/core
 
 # The kernel backend parity matrix (CI runs this target): the differential
 # suites under each backend forced via GRAPHMAT_KERNEL (unsupported names

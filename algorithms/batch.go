@@ -18,10 +18,12 @@ import (
 // purely a throughput knob:
 // the column probes and edge walks that dominate a traversal are paid once
 // per edge instead of once per (edge, source). What a single-source run
-// gains from its program's markers a batch gains too: bfs and reachability
-// batches gather their dense supersteps by destination row, all columns per
-// row scan (graphmat.FirstMessageFinal), and sssp and widest batches fold
-// each edge's columns eight SIMD lanes at a time.
+// gains from its program's markers a batch gains too, and more: bfs and
+// reachability batches (graphmat.SemiringBoolean with FirstMessageFinal)
+// fold no values at all — one OR of column masks per edge, and by
+// destination row on their dense supersteps, all columns per row scan — and
+// sssp and widest batches fold each edge's columns eight SIMD lanes at a
+// time.
 
 // ErrBatchUnsupported reports a RunBatch call on an algorithm with no
 // multi-source form (pagerank, components, triangles, hits — their runs are

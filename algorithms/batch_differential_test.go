@@ -3,6 +3,7 @@ package algorithms
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"graphmat"
@@ -138,31 +139,98 @@ func TestBatchDifferentialAllModes(t *testing.T) {
 	}
 }
 
-// TestBatchWideSplit runs a batch wider than one block (k > 64), asserting
-// the word-sized chunking reassembles per-source results in order.
+// TestBatchWideSplit runs bfs and reachability batches at the widths the
+// block layer treats differently — 2, the narrowest column-mask fold; 16;
+// 63; 64, one whole word; 65 and 100, which split into word-sized blocks,
+// 65's tail a one-column block folding through the scalar sinks — under
+// every mode at one and three workers, over the as-built graph, over a store
+// whose every layer carries a pending delta (so no superstep gathers by
+// rows), and over that store compacted. The chunking must reassemble the
+// per-source results in order, each column bit-identical to its source's
+// solo run on the same graph.
 func TestBatchWideSplit(t *testing.T) {
-	adj := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 8, Seed: 3, MaxWeight: 7})
-	g, err := NewBFSGraph(adj, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	adj := gen.RMAT(gen.RMATOptions{Scale: 10, EdgeFactor: 8, Seed: 3, MaxWeight: 7})
+	n := adj.NRows
 	sources := make([]uint32, 100)
 	for i := range sources {
-		sources[i] = uint32((i * 37) % 256)
+		sources[i] = uint32((i * 37) % int(n))
 	}
-	dists, _, err := RunBFSBatch(context.Background(), g, sources)
-	if err != nil {
-		t.Fatal(err)
+	// One new edge each way between v and v+1 for every 32nd v: every
+	// 64-aligned partition, of either scatter direction, takes a delta.
+	var touch []graphmat.Update[float32]
+	for v := uint32(0); v+1 < n; v += 32 {
+		touch = append(touch, graphmat.Update[float32]{Src: v, Dst: v + 1, Val: 2}, graphmat.Update[float32]{Src: v + 1, Dst: v, Val: 3})
 	}
-	for i, src := range sources {
-		oracle, _, err := RunBFS(context.Background(), g, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range oracle {
-			if dists[i][v] != oracle[v] {
-				t.Fatalf("source %d (batch index %d): dist[%d] = %d, want %d", src, i, v, dists[i][v], oracle[v])
+	type runner struct {
+		store func(*graphmat.COO[float32], int) (*graphmat.Store[uint32, float32], error)
+		batch func(context.Context, *graphmat.Graph[uint32, float32], []uint32, ...Option) ([][]uint32, graphmat.Stats, error)
+		solo  func(context.Context, *graphmat.Graph[uint32, float32], uint32, ...Option) ([]uint32, graphmat.Stats, error)
+	}
+	for algo, r := range map[string]runner{
+		"bfs":          {NewBFSStore, RunBFSBatch, RunBFS},
+		"reachability": {NewReachabilityStore, RunReachabilityBatch, RunReachability},
+	} {
+		t.Run(algo, func(t *testing.T) {
+			ctx := context.Background()
+			built, err := r.store(adj.Clone(), 4)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			plain := built.Acquire()
+			defer plain.Release()
+			store, err := r.store(adj.Clone(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := store.ApplyEdges(touch); err != nil {
+				t.Fatal(err)
+			}
+			if st := store.Stats(); st.Compactions != 0 || st.OverlayNNZ == 0 {
+				t.Fatalf("fixture: the touch batch left no pending overlay: %+v", st)
+			}
+			overlay := store.Acquire()
+			defer overlay.Release()
+			store.Compact()
+			compacted := store.Acquire()
+			defer compacted.Release()
+			if compacted.Graph().OverlayNNZ() != 0 {
+				t.Fatal("fixture: the compacted snapshot still carries an overlay")
+			}
+			worlds := map[string]*graphmat.Graph[uint32, float32]{
+				"plain": plain.Graph(), "overlay": overlay.Graph(), "compacted": compacted.Graph(),
+			}
+			for world, g := range worlds {
+				solo := make(map[uint32][]uint32)
+				for _, src := range sources {
+					if solo[src] == nil {
+						if solo[src], _, err = r.solo(ctx, g, src); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, k := range []int{2, 16, 63, 64, 65, 100} {
+					for _, mode := range []graphmat.Mode{graphmat.Push, graphmat.Pull, graphmat.Auto} {
+						for _, threads := range []int{1, 3} {
+							what := fmt.Sprintf("%s k=%d mode %s threads %d", world, k, mode, threads)
+							got, stats, err := r.batch(ctx, g, sources[:k], WithMode(mode), WithThreads(threads))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if len(got) != k {
+								t.Fatalf("%s: %d series for %d sources", what, len(got), k)
+							}
+							for i, src := range sources[:k] {
+								if !slices.Equal(got[i], solo[src]) {
+									t.Errorf("%s: column %d (source %d) differs from its solo run", what, i, src)
+								}
+							}
+							if world == "overlay" && stats.RowSupersteps != 0 {
+								t.Errorf("%s: %d row-walk supersteps over layers that all carry a delta", what, stats.RowSupersteps)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

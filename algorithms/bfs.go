@@ -50,6 +50,14 @@ func (BFSProgram) ProcessIgnoresDst() {}
 // ignores them there and min over them is the first.
 func (BFSProgram) Unsettled(prop uint32) bool { return prop == Unreached }
 
+// Semiring declares the boolean fold: under the same level-synchronous start,
+// every message of a superstep carries the current level, so within a source
+// column each processes to one value, over any edge. A batch of two or more
+// sources then folds one column mask per edge instead of one level per
+// (edge, source), and apply writes the column's level to the vertices that
+// first reached it.
+func (BFSProgram) Semiring() graphmat.Semiring { return graphmat.SemiringBoolean }
+
 // NewBFSGraph builds the BFS property graph, applying the paper's
 // preprocessing: self-loops removed and the edge set symmetrized ("we
 // replicate edges ... to obtain a symmetric graph"). The input is consumed.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -110,6 +111,11 @@ func TestFirstMessageFinalClassification(t *testing.T) {
 			case !has && row.declares:
 				t.Errorf("%s: %T lost its FirstMessageFinal declaration (%s)", name, p, row.why)
 			}
+			// The probe checks the boolean fold's promise beside
+			// FirstMessageFinal's, and only runs on declaring programs.
+			if sf, ok := p.(graphmat.SemiringFold); ok && sf.Semiring() == graphmat.SemiringBoolean && !row.declares {
+				t.Errorf("%s: %T declares the boolean fold without FirstMessageFinal, so no probe checks it", name, p)
+			}
 		}
 	}
 	for name := range firstMessageFinalTable {
@@ -119,19 +125,62 @@ func TestFirstMessageFinalClassification(t *testing.T) {
 	}
 }
 
-// firstOf pairs a running reduction with the first value folded into it.
-type firstOf[R any] struct{ first, all R }
+// firstOf pairs a running reduction with the first value folded into it;
+// mixed records that some value folded in differed from another.
+type firstOf[R any] struct {
+	first, all R
+	mixed      bool
+}
+
+// stepValue is the first processed message a superstep's Applies saw, which
+// the boolean check holds every other one to; the probe's observer clears it
+// after each superstep.
+type stepValue[R comparable] struct {
+	mu  sync.Mutex
+	set bool
+	v   R
+}
+
+// agrees records r as the superstep's value if it has none yet, and reports
+// whether r equals it.
+func (s *stepValue[R]) agrees(r R) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.set {
+		s.set, s.v = true, r
+	}
+	return s.v == r
+}
+
+func (s *stepValue[R]) reset() {
+	s.mu.Lock()
+	s.set = false
+	s.mu.Unlock()
+}
 
 // promiseProbe runs program P with its promise under watch. The reduction
 // carries the first folded result beside the real one — the scalar fold
 // stores a destination's first result raw and calls Reduce(accumulated, next)
 // after that, and the block fold does the same per column, so first survives
-// every fold — and Apply checks both halves of the promise on every vertex,
-// and in a block run every (vertex, column), that receives a value. Of P's
+// every fold — and Apply checks each bullet of the promise (mask, first
+// message final, settle) on every vertex, and in a block run every (vertex,
+// column), that receives a value. Of P's
 // markers the probe passes on only DstIndependent, which the block engine
 // requires: run under forced push it folds every frontier edge, which is the
 // behaviour the row walk's shortcut, scalar or k-wide, has to be equivalent
-// to.
+// to. Nor does it declare P's semiring, so the block engine folds the probe
+// value by value where P's own batch would fold column masks.
+//
+// When P declares graphmat.SemiringBoolean the probe checks that promise
+// too: every message a superstep processes is equal. Within a destination
+// the fold's mixed flag says so; across destinations Apply holds each
+// destination's first value to the superstep's (stepValue, cleared by the
+// observer). A one-column run checks exactly the promise, per superstep and
+// column. A block run's Apply cannot tell its columns apart, so there the
+// probe holds all of a superstep's columns to one value — stronger than the
+// promise, and kept by every batch probePromise seeds: each column starts at
+// its root on the first superstep, so a bfs superstep's columns all carry
+// one level and reachability's all carry 1.
 type promiseProbe[V, R comparable, M any, P interface {
 	graphmat.Program[V, float32, M, R]
 	graphmat.DstIndependent
@@ -143,6 +192,30 @@ type promiseProbe[V, R comparable, M any, P interface {
 		Errorf(format string, args ...any)
 	}
 	p P
+	// boolean: P declares graphmat.SemiringBoolean; step is then the
+	// superstep's value (stepValue).
+	boolean bool
+	step    *stepValue[R]
+}
+
+// newPromiseProbe returns the probe of p, reporting to t.
+func newPromiseProbe[V, R comparable, M any, P interface {
+	graphmat.Program[V, float32, M, R]
+	graphmat.DstIndependent
+	graphmat.FirstMessageFinal[V]
+}](t interface {
+	Errorf(format string, args ...any)
+}, p P) promiseProbe[V, R, M, P] {
+	sf, ok := any(p).(graphmat.SemiringFold)
+	return promiseProbe[V, R, M, P]{t: t, p: p, boolean: ok && sf.Semiring() == graphmat.SemiringBoolean, step: &stepValue[R]{}}
+}
+
+// observer ends a superstep for the boolean check.
+func (pp promiseProbe[V, R, M, P]) observer() graphmat.RunOption {
+	return graphmat.WithObserver(func(graphmat.IterationInfo) error {
+		pp.step.reset()
+		return nil
+	})
 }
 
 func (pp promiseProbe[V, R, M, P]) SendMessage(v graphmat.VertexID, prop V) (M, bool) {
@@ -151,11 +224,11 @@ func (pp promiseProbe[V, R, M, P]) SendMessage(v graphmat.VertexID, prop V) (M, 
 
 func (pp promiseProbe[V, R, M, P]) ProcessMessage(m M, e float32, dst V) firstOf[R] {
 	r := pp.p.ProcessMessage(m, e, dst)
-	return firstOf[R]{r, r}
+	return firstOf[R]{first: r, all: r}
 }
 
 func (pp promiseProbe[V, R, M, P]) Reduce(a, b firstOf[R]) firstOf[R] {
-	return firstOf[R]{a.first, pp.p.Reduce(a.all, b.all)}
+	return firstOf[R]{first: a.first, all: pp.p.Reduce(a.all, b.all), mixed: a.mixed || b.mixed || a.first != b.first}
 }
 
 func (pp promiseProbe[V, R, M, P]) ProcessIgnoresDst() {}
@@ -169,6 +242,11 @@ func (pp promiseProbe[V, R, M, P]) Apply(r firstOf[R], v graphmat.VertexID, prop
 		pp.t.Errorf("mask broken at vertex %d: settled with %v, Apply(%v) returned %v and left %v", v, before, r.all, activate, *prop)
 	case unsettled && r.all != r.first:
 		pp.t.Errorf("first message not final at unsettled vertex %d: first folded %v, all reduce to %v", v, r.first, r.all)
+	case unsettled && !activate && !pp.p.Unsettled(*prop):
+		pp.t.Errorf("settle broken at vertex %d: Apply(%v) settled it at %v and returned false", v, r.all, *prop)
+	}
+	if pp.boolean && (r.mixed || !pp.step.agrees(r.first)) {
+		pp.t.Errorf("boolean fold broken at vertex %d: a superstep's messages process to %v and to another value", v, r.first)
 	}
 	return activate
 }
@@ -189,7 +267,7 @@ func probePromise[P interface {
 	t.Helper()
 	ctx := context.Background()
 	cfg := graphmat.Config{Mode: graphmat.Push, Threads: 2}
-	probe := promiseProbe[uint32, uint32, uint32, P]{t, p}
+	probe := newPromiseProbe[uint32, uint32, uint32](t, p)
 	expect := make([][]uint32, len(roots))
 	for i, root := range roots {
 		expect[i] = want(root)
@@ -197,7 +275,7 @@ func probePromise[P interface {
 		g.SetProp(root, source)
 		g.ClearActive()
 		g.SetActive(root)
-		stats, err := graphmat.RunContext[uint32, float32, uint32, firstOf[uint32]](ctx, g, probe, cfg, nil)
+		stats, err := graphmat.RunContext[uint32, float32, uint32, firstOf[uint32]](ctx, g, probe, cfg, nil, probe.observer())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +292,7 @@ func probePromise[P interface {
 		st.SetProp(root, s, source)
 		st.Activate(root, s)
 	}
-	stats, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, g, probe, st, cfg, nil)
+	stats, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, g, probe, st, cfg, nil, probe.observer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,22 +366,46 @@ type ccMarked struct{ CCProgram }
 
 func (ccMarked) Unsettled(prop uint32) bool { return prop%2 == 0 }
 
+// reachSendsIDs is reachability sending its own vertex id while declaring
+// the boolean fold: a superstep's messages differ from sender to sender,
+// which breaks the boolean promise and, under Reduce's OR, the first-message
+// half too.
+type reachSendsIDs struct{ ReachabilityProgram }
+
+func (reachSendsIDs) SendMessage(v graphmat.VertexID, _ uint32) (uint32, bool) { return v, true }
+
+// bfsQuietSettle is BFS whose Apply sets a level but never activates: it
+// settles vertices the apply phase never learns about, which breaks the
+// promise's settle bullet.
+type bfsQuietSettle struct{ BFSProgram }
+
+func (p bfsQuietSettle) Apply(level uint32, v graphmat.VertexID, prop *uint32) bool {
+	p.BFSProgram.Apply(level, v, prop)
+	return false
+}
+
 // brokenPromises counts what a promiseProbe reports, from every worker's
 // Applies at once.
-type brokenPromises struct{ mask, first atomic.Int64 }
+type brokenPromises struct{ mask, first, settle, boolean atomic.Int64 }
 
 func (b *brokenPromises) Errorf(format string, _ ...any) {
-	if strings.HasPrefix(format, "mask broken") {
+	switch {
+	case strings.HasPrefix(format, "mask broken"):
 		b.mask.Add(1)
-	} else {
+	case strings.HasPrefix(format, "settle broken"):
+		b.settle.Add(1)
+	case strings.HasPrefix(format, "boolean fold broken"):
+		b.boolean.Add(1)
+	default:
 		b.first.Add(1)
 	}
 }
 
-// TestPromiseProbeCatchesBrokenPromise turns the probe on a program that
-// breaks the promise: both halves must be reported, by the scalar engine's
-// Applies and by the block engine's per-column ones — a probe that cannot
-// fail proves nothing about the programs that pass it.
+// TestPromiseProbeCatchesBrokenPromise turns the probe on programs that
+// break their promises: each bullet of FirstMessageFinal's must be reported,
+// and the boolean fold's, by the scalar engine's Applies and by the block
+// engine's per-column ones — a probe that cannot fail proves nothing about
+// the programs that pass it.
 func TestPromiseProbeCatchesBrokenPromise(t *testing.T) {
 	g, err := NewCCGraph(gen.RMAT(gen.RMATOptions{Scale: 9, EdgeFactor: 8, Seed: 7, MaxWeight: 9}), 3)
 	if err != nil {
@@ -315,7 +417,7 @@ func TestPromiseProbeCatchesBrokenPromise(t *testing.T) {
 	var scalar brokenPromises
 	g.InitProps(func(v uint32) uint32 { return v })
 	g.SetAllActive()
-	probe := promiseProbe[uint32, uint32, uint32, ccMarked]{&scalar, ccMarked{}}
+	probe := newPromiseProbe[uint32, uint32, uint32](&scalar, ccMarked{})
 	if _, err := graphmat.RunContext[uint32, float32, uint32, firstOf[uint32]](ctx, g, probe, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -336,5 +438,75 @@ func TestPromiseProbeCatchesBrokenPromise(t *testing.T) {
 	if bm, bf := block.mask.Load(), block.first.Load(); bm != k*mask || bf != k*first {
 		t.Errorf("block run of %d identical columns: the probe reported %d mask and %d first-message breaks, want %d times the scalar run's %d and %d",
 			k, bm, bf, k, mask, first)
+	}
+
+	// The boolean promise, planted broken: a scalar run from a hub and a
+	// block of four hub roots must both report it.
+	rg, err := NewReachabilityGraph(gen.RMAT(gen.RMATOptions{Scale: 9, EdgeFactor: 8, Seed: 7, MaxWeight: 9}), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roots []uint32 // four nonzero ids with out-edges to spread from: vertex 0 sends 0, which reaches nothing
+	for v, d := range rg.OutDegrees() {
+		if v > 0 && d >= 4 && len(roots) < 4 {
+			roots = append(roots, uint32(v))
+		}
+	}
+	var ids brokenPromises
+	idProbe := newPromiseProbe[uint32, uint32, uint32](&ids, reachSendsIDs{})
+	if !idProbe.boolean {
+		t.Fatal("the planted program's boolean declaration did not reach the probe")
+	}
+	rg.SetAllProps(0)
+	rg.SetProp(roots[0], 1)
+	rg.ClearActive()
+	rg.SetActive(roots[0])
+	if _, err := graphmat.RunContext[uint32, float32, uint32, firstOf[uint32]](ctx, rg, idProbe, cfg, nil, idProbe.observer()); err != nil {
+		t.Fatal(err)
+	}
+	if n := ids.boolean.Load(); n == 0 {
+		t.Error("scalar run: the probe reported no boolean-fold break of a program whose messages are its senders' ids")
+	}
+	var idsBlock brokenPromises
+	idProbe = newPromiseProbe[uint32, uint32, uint32](&idsBlock, reachSendsIDs{})
+	bst := graphmat.NewBlockState[uint32](int(rg.NumVertices()), len(roots))
+	for s, root := range roots {
+		bst.SetProp(root, s, 1)
+		bst.Activate(root, s)
+	}
+	if _, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, rg, idProbe, bst, cfg, nil, idProbe.observer()); err != nil {
+		t.Fatal(err)
+	}
+	if n := idsBlock.boolean.Load(); n == 0 {
+		t.Error("block run: the probe reported no boolean-fold break of a program whose messages are its senders' ids")
+	}
+
+	// The settle bullet, planted broken: Apply settles the root's
+	// neighbours without activating them.
+	var quiet brokenPromises
+	quietProbe := newPromiseProbe[uint32, uint32, uint32](&quiet, bfsQuietSettle{})
+	rg.SetAllProps(Unreached)
+	rg.SetProp(roots[0], 0)
+	rg.ClearActive()
+	rg.SetActive(roots[0])
+	if _, err := graphmat.RunContext[uint32, float32, uint32, firstOf[uint32]](ctx, rg, quietProbe, cfg, nil, quietProbe.observer()); err != nil {
+		t.Fatal(err)
+	}
+	if n := quiet.settle.Load(); n == 0 {
+		t.Error("scalar run: the probe reported no settle break of a program whose Apply settles without activating")
+	}
+	var quietBlock brokenPromises
+	quietProbe.t = &quietBlock
+	qst := graphmat.NewBlockState[uint32](int(rg.NumVertices()), len(roots))
+	qst.SetAllProps(Unreached)
+	for s, root := range roots {
+		qst.SetProp(root, s, 0)
+		qst.Activate(root, s)
+	}
+	if _, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, rg, quietProbe, qst, cfg, nil, quietProbe.observer()); err != nil {
+		t.Fatal(err)
+	}
+	if n := quietBlock.settle.Load(); n == 0 {
+		t.Error("block run: the probe reported no settle break of a program whose Apply settles without activating")
 	}
 }

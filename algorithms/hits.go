@@ -31,7 +31,7 @@ func (hitsAuthProg) Apply(r float64, _ graphmat.VertexID, prop *HITSVertex) bool
 }
 func (hitsAuthProg) Direction() graphmat.Direction { return graphmat.Out }
 func (hitsAuthProg) ProcessIgnoresDst()            {}
-func (hitsAuthProg) ReducesBySumF64()              {}
+func (hitsAuthProg) Semiring() graphmat.Semiring   { return graphmat.SemiringSumF64 }
 
 // hitsHubProg is the hub half-step: every vertex broadcasts its authority
 // score *backwards* along its in-edges (Direction In), so a hub accumulates
@@ -49,7 +49,7 @@ func (hitsHubProg) Apply(r float64, _ graphmat.VertexID, prop *HITSVertex) bool 
 }
 func (hitsHubProg) Direction() graphmat.Direction { return graphmat.In }
 func (hitsHubProg) ProcessIgnoresDst()            {}
-func (hitsHubProg) ReducesBySumF64()              {}
+func (hitsHubProg) Semiring() graphmat.Semiring   { return graphmat.SemiringSumF64 }
 
 // NewHITSGraph builds the HITS property graph (self-loops removed, both
 // traversal directions materialized). The input is consumed.

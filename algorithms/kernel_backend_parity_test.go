@@ -12,7 +12,7 @@ import (
 // every SIMD backend the CPU supports as it does under the scalar oracle —
 // which traversal a superstep takes, the row walk included, is decided from
 // counts no backend changes, so RowSupersteps is one of those tallies.
-// The SumFoldF64 programs (pagerank, ppr, hits) route through the SIMD
+// The SemiringSumF64 programs (pagerank, ppr, hits) route through the SIMD
 // scatter/fold fast paths; the rest prove the frontier word ops and scans the
 // generic kernels sit on are backend-oblivious too. Skipped on CPUs with no
 // SIMD backend (the matrix collapses to scalar vs scalar).

@@ -63,9 +63,9 @@ func (p PageRankProgram) Direction() graphmat.Direction { return graphmat.Out }
 // destination property, enabling the backend's fast path.
 func (PageRankProgram) ProcessIgnoresDst() {}
 
-// ReducesBySumF64 declares the (+, passthrough) float64 fold, routing the
-// column folds through the SIMD kernel backends.
-func (PageRankProgram) ReducesBySumF64() {}
+// Semiring declares the (+, passthrough) float64 fold, routing the column
+// folds through the SIMD kernel backends.
+func (PageRankProgram) Semiring() graphmat.Semiring { return graphmat.SemiringSumF64 }
 
 // KeepsAllVerticesActive declares graphmat.AllVerticesActive: equation (1)
 // sums contributions from every vertex on every iteration.

@@ -61,10 +61,10 @@ func (PersonalizedPageRankProgram) Direction() graphmat.Direction { return graph
 // multi-source block runs.
 func (PersonalizedPageRankProgram) ProcessIgnoresDst() {}
 
-// ReducesBySumF64 declares the (+, passthrough) float64 fold — for both the
-// scalar SpMV and the multi-source SpMM — routing the column folds through
-// the SIMD kernel backends.
-func (PersonalizedPageRankProgram) ReducesBySumF64() {}
+// Semiring declares the (+, passthrough) float64 fold — for both the scalar
+// SpMV and the multi-source SpMM — routing the column folds through the SIMD
+// kernel backends.
+func (PersonalizedPageRankProgram) Semiring() graphmat.Semiring { return graphmat.SemiringSumF64 }
 
 // KeepsAllVerticesActive declares graphmat.AllVerticesActive: every vertex
 // of a column that has not settled sends on every superstep.

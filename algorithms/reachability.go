@@ -10,8 +10,9 @@ import (
 // semiring: a vertex's property is 1 once any path from the source hits it,
 // 0 otherwise. It is BFS with the hop count dropped — the first workload
 // registered purely through the semiring surface rather than a numeric
-// recurrence, and the cheapest multi-source block citizen (one uint32 per
-// (vertex, source) pair, convergence as soon as the reachable set closes).
+// recurrence, and the cheapest multi-source block citizen: a batch's
+// multiply moves one bit per (vertex, source) pair, in the column masks, and
+// converges as soon as the reachable set closes.
 type ReachabilityProgram struct{}
 
 // SendMessage emits the reached flag; only reached vertices are ever active.
@@ -47,6 +48,12 @@ func (ReachabilityProgram) ProcessIgnoresDst() {}
 // and every message is a sender's reached flag — 1 — so the OR of a
 // superstep's messages is the first of them.
 func (ReachabilityProgram) Unsettled(prop uint32) bool { return prop == 0 }
+
+// Semiring declares the boolean fold: every message is 1, over any edge, so
+// a batch of two or more sources carries one bit per (vertex, source) through
+// the multiply — the column masks — and apply writes 1 to the pairs a
+// superstep reached for the first time.
+func (ReachabilityProgram) Semiring() graphmat.Semiring { return graphmat.SemiringBoolean }
 
 // NewReachabilityGraph builds the reachability property graph: self-loops
 // removed, directed edges kept as-is. The input is consumed.

@@ -45,10 +45,10 @@ func (SSSPProgram) Direction() graphmat.Direction { return graphmat.Out }
 // for multi-source block runs.
 func (SSSPProgram) ProcessIgnoresDst() {}
 
-// ReducesByMinPlusF32 declares the float32 (min, +) tropical fold, routing
-// the scalar and block column folds through the kernels layer's fused
-// path-fold primitives.
-func (SSSPProgram) ReducesByMinPlusF32() {}
+// Semiring declares the float32 (min, +) tropical fold, routing the scalar
+// and block column folds through the kernels layer's fused path-fold
+// primitives.
+func (SSSPProgram) Semiring() graphmat.Semiring { return graphmat.SemiringMinPlusF32 }
 
 // NewSSSPGraph builds the SSSP property graph: self-loops removed, directed
 // edges kept as-is with their weights (§5.1). The input is consumed.

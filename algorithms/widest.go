@@ -45,10 +45,10 @@ func (WidestPathProgram) Direction() graphmat.Direction { return graphmat.Out }
 // multi-source block runs.
 func (WidestPathProgram) ProcessIgnoresDst() {}
 
-// ReducesByMaxMinF32 declares the float32 (max, min) bottleneck fold,
-// routing the scalar and block column folds through the kernels layer's
-// fused path-fold primitives.
-func (WidestPathProgram) ReducesByMaxMinF32() {}
+// Semiring declares the float32 (max, min) bottleneck fold, routing the
+// scalar and block column folds through the kernels layer's fused path-fold
+// primitives.
+func (WidestPathProgram) Semiring() graphmat.Semiring { return graphmat.SemiringMaxMinF32 }
 
 // NewWidestPathGraph builds the widest-path property graph: self-loops
 // removed, directed weighted edges kept as-is (weights are capacities). The

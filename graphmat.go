@@ -56,11 +56,34 @@ type Program[V, E, M, R any] = core.Program[V, E, M, R]
 // multi-source block runs (RunBlockContext). See core.DstIndependent.
 type DstIndependent = core.DstIndependent
 
-// SumFoldF64 is the optional marker for programs whose fold is the
-// (+, passthrough) monoid over float64 (PageRank-shaped folds); implementing
-// it routes the SpMV/SpMM column folds through the arch-dispatched SIMD
-// kernel backends. See core.SumFoldF64.
-type SumFoldF64 = core.SumFoldF64
+// Semiring names a program's fold when it is one the engine knows; see
+// core.Semiring for each value's promise.
+type Semiring = core.Semiring
+
+// The folds a program can declare through SemiringFold.
+const (
+	// SemiringNone is the generic fold: ProcessMessage and Reduce per edge.
+	SemiringNone = core.SemiringNone
+	// SemiringSumF64 is the (+, passthrough) monoid over float64
+	// (PageRank-shaped folds): the SpMV/SpMM column folds run through the
+	// arch-dispatched SIMD kernel backends.
+	SemiringSumF64 = core.SemiringSumF64
+	// SemiringMinPlusF32 is the float32 (min, +) tropical semiring
+	// (SSSP-shaped folds): the kernel backends' fused path-fold primitives.
+	SemiringMinPlusF32 = core.SemiringMinPlusF32
+	// SemiringMaxMinF32 is the float32 (max, min) bottleneck semiring
+	// (widest-path-shaped folds), fused like SemiringMinPlusF32.
+	SemiringMaxMinF32 = core.SemiringMaxMinF32
+	// SemiringBoolean is the (OR, AND) shape of a traversal (BFS,
+	// reachability): a multi-source block run of a program that also
+	// declares FirstMessageFinal folds one column mask per edge, not one
+	// value per (edge, source).
+	SemiringBoolean = core.SemiringBoolean
+)
+
+// SemiringFold is the optional marker through which a program declares its
+// fold: Semiring returns one of the Semiring values. See core.Semiring.
+type SemiringFold = core.SemiringFold
 
 // FirstMessageFinal is the optional marker for traversal programs in which
 // the first message to reach a vertex decides it (BFS, reachability);
@@ -77,17 +100,6 @@ type FirstMessageFinal[V any] = core.FirstMessageFinal[V]
 // to convergence and Apply's result decides only convergence. See
 // core.AllVerticesActive.
 type AllVerticesActive = core.AllVerticesActive
-
-// MinPlusFoldF32 is the optional marker for programs whose fold is the
-// float32 (min, +) tropical semiring (SSSP-shaped folds); implementing it
-// routes the SpMV/SpMM column folds through the kernel backends' fused
-// path-fold primitives. See core.MinPlusFoldF32.
-type MinPlusFoldF32 = core.MinPlusFoldF32
-
-// MaxMinFoldF32 is the optional marker for programs whose fold is the
-// float32 (max, min) bottleneck semiring (widest-path-shaped folds). See
-// core.MaxMinFoldF32.
-type MaxMinFoldF32 = core.MaxMinFoldF32
 
 // Graph is a directed property graph with vertex properties V and edge
 // values E.

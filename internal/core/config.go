@@ -108,8 +108,8 @@ const (
 	// parameter's methods through that body's dictionary, so a CPU profile
 	// shows CCProgram.Reduce, CCProgram.ProcessMessage or SSSPProgram.Apply
 	// as frames of their own. What the paper's -ipo (§4.5 item 2) buys by
-	// inlining, this engine buys where it matters with the fused sinks
-	// (SumFoldF64, MinPlusFoldF32, MaxMinFoldF32), whose per-edge loops call
+	// inlining, this engine buys where it matters with the fused sinks of
+	// the declared semirings (SemiringFold), whose per-edge loops call
 	// nothing, and the markers (DstIndependent, FirstMessageFinal) that let
 	// the walks skip work a callback cannot say is dead.
 	Inlined Dispatch = iota
@@ -166,12 +166,17 @@ type Stats struct {
 	Iterations int
 	// MessagesSent counts SendMessage calls that produced a message.
 	MessagesSent int64
-	// EdgesProcessed counts edge traversals: ProcessMessage calls on a
-	// column-walk superstep — one per (edge, live source column) in a block
-	// run — and edge slots examined on a row-walk superstep, each counted
-	// once however many columns of a block waited at it (see RowSupersteps).
+	// EdgesProcessed counts edge traversals: on a column-walk superstep one
+	// per (edge, live source column) — a ProcessMessage call, or in a
+	// boolean block run (SemiringBoolean) the column bit the edge's mask OR
+	// carries — and on a row-walk superstep the edge slots examined, each
+	// counted once however many columns of a block waited at it (see
+	// RowSupersteps).
 	EdgesProcessed int64
-	// Applies counts Apply calls (vertices that received a reduced value).
+	// Applies counts the received values: vertices — (vertex, column) pairs
+	// of a block — that a superstep's multiply reached. Each is an Apply
+	// call, except in a boolean block run, which calls Apply only on the
+	// pairs not settled before and counts the settled ones all the same.
 	Applies int64
 	// ActiveSum is the cumulative size of the active set over supersteps.
 	ActiveSum int64

@@ -423,6 +423,13 @@ func runPhases[V, E, M, R any, P Program[V, E, M, R]](
 	if b.k == 1 {
 		b.slotVertex = 63
 	}
+	var prepare func() // the mask sink's per-superstep read of the frontier
+	switch s := sink.(type) {
+	case *blockGatherSink[V, E, M, R, P]:
+		b.settled = s.settled
+	case *blockMaskSink[V, E, M, R, P]:
+		b.settled, b.colVals, prepare = s.settled, s.vals, s.prepare
+	}
 	send, apply := d.overChunks(b.send), d.overChunks(b.apply)
 	messages := func() (int64, int64) {
 		senders, sent := x.Occupancy()
@@ -438,6 +445,9 @@ func runPhases[V, E, M, R any, P Program[V, E, M, R]](
 		reactivate: bst.reactivation(p),
 		multiply: func(mode Mode, rowWalk bool) {
 			y.Reset()
+			if prepare != nil {
+				prepare()
+			}
 			var gather rowSink[E] // nil: the column walk of mode
 			if rowWalk {
 				gather = rows
@@ -491,6 +501,15 @@ type phaseBody[V, E, M, R any, P Program[V, E, M, R]] struct {
 	// non-nil whenever recvDegs is.
 	sendDegs, recvDegs []uint32
 	settling           FirstMessageFinal[V]
+	// settled is the settled mask of a k-wide FirstMessageFinal run's sink
+	// (settledMask), which apply keeps current: a pair an Apply activated
+	// and left settled joins it. Nil at k = 1 and for other programs.
+	settled []uint64
+	// colVals, set with a mask sink (blockMaskSink), holds each column's one
+	// reduced value of the superstep: apply reads it in place of y's values,
+	// and calls Apply only on received pairs outside the settled mask, which
+	// by the mask promise would return false and change nothing.
+	colVals []R
 	// sendNext is apply's flag (phaseSet.apply), set before each dispatch.
 	sendNext bool
 }
@@ -539,8 +558,14 @@ func (b *phaseBody[V, E, M, R, P]) send(lo, hi uint32, st *localStats) {
 // next superstep's send phase too.
 func (b *phaseBody[V, E, M, R, P]) apply(lo, hi uint32, st *localStats) {
 	fused := b.sendNext
-	p, props, yv, slotVertex := b.p, b.props, b.yv, b.slotVertex
-	recvDegs, settling := b.recvDegs, b.settling
+	p, props, slotVertex := b.p, b.props, b.slotVertex
+	recvDegs, settling, settled := b.recvDegs, b.settling, b.settled
+	// A row's column s takes its reduced value from vals[vb+s]: y's own slot
+	// (vb = base), or with a mask sink its column's one value (vb = 0).
+	vals, perCol := b.yv, b.colVals != nil
+	if perCol {
+		vals = b.colVals
+	}
 	wlo, whi := chunkWords(lo, hi)
 	applies := 0
 	for wi := wlo; wi < whi; wi++ {
@@ -553,17 +578,27 @@ func (b *phaseBody[V, E, M, R, P]) apply(lo, hi uint32, st *localStats) {
 			v, m, base, rest := nextRow(wi, w, b.ycols, b.k)
 			w = rest
 			applies += bits.OnesCount64(m)
+			vb := base
+			if perCol {
+				vb, m = 0, m&^settled[v]
+			}
 			var am uint64
 			for ; m != 0; m &= m - 1 {
 				s := bits.TrailingZeros64(m)
 				u, i := v|uint32(s)&slotVertex, base+s
-				if p.Apply(yv[i], u, &props[i]) {
+				if p.Apply(vals[vb+s], u, &props[i]) {
 					am |= m & -m
-					// Only an unsettled pair activates (the mask promise),
-					// so one that did and is settled now was settled by
-					// this Apply.
-					if recvDegs != nil && !settling.Unsettled(props[i]) {
-						st.settled += int64(recvDegs[u])
+					// Only an unsettled pair activates (the mask bullet)
+					// and only an activating Apply settles one (the settle
+					// bullet), so one that did and is settled now was
+					// settled by this Apply.
+					if (recvDegs != nil || settled != nil) && !settling.Unsettled(props[i]) {
+						if settled != nil {
+							settled[v] |= m & -m
+						}
+						if recvDegs != nil {
+							st.settled += int64(recvDegs[u])
+						}
 					}
 				}
 			}
@@ -580,17 +615,20 @@ func (b *phaseBody[V, E, M, R, P]) apply(lo, hi uint32, st *localStats) {
 	st.applies += int64(applies)
 }
 
-// unsettled is phaseSet.unsettledEdges over vertex chunk [lo, hi).
+// unsettled is phaseSet.unsettledEdges over vertex chunk [lo, hi): from the
+// properties at k = 1, from the settled mask in a k-wide run.
 func (b *phaseBody[V, E, M, R, P]) unsettled(lo, hi uint32) (deg int64) {
-	// The chunk's slots in order; slot s of vertex v's row.
-	v, s := lo, 0
-	for _, prop := range b.props[int(lo)*b.k : int(hi)*b.k] {
-		if b.settling.Unsettled(prop) {
-			deg += int64(b.recvDegs[v])
+	if b.k == 1 {
+		for i, prop := range b.props[lo:hi] {
+			if b.settling.Unsettled(prop) {
+				deg += int64(b.recvDegs[lo+uint32(i)])
+			}
 		}
-		if s++; s == b.k {
-			v, s = v+1, 0
-		}
+		return deg
+	}
+	all := fullCols(b.k)
+	for i, sm := range b.settled[lo:hi] {
+		deg += int64(bits.OnesCount64(all&^sm)) * int64(b.recvDegs[lo+uint32(i)])
 	}
 	return deg
 }

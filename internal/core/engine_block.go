@@ -40,7 +40,9 @@ import (
 // a FirstMessageFinal program's dense Pull supersteps gather by destination
 // row (Stats.RowSupersteps): the k-wide gather scans a row once for all the
 // columns still unsettled in it, chosen by the same per-superstep test with
-// both sides billed per (vertex, column).
+// both sides billed per (vertex, column). At two or more columns a program
+// that also declares SemiringBoolean folds column masks, not values
+// (blockMaskSink): same columns, same frontier tallies.
 //
 // Config is validated at the run's width: the Figure 7 ablation (boxed
 // callbacks, the sorted message vector) is a one-column path, so a

@@ -10,19 +10,19 @@ import (
 	"graphmat/internal/graph"
 )
 
-// The float32 path-semiring fast paths (MinPlusFoldF32 / MaxMinFoldF32) make
-// the same promise SumFoldF64 does: the fused column fold must be
-// bit-identical to the generic callback loop. These tests run marked
-// programs against their unmarked twins — same fold, forced down the
-// generic path — across modes, threads, both engines, and plain versus
-// overlay (base+delta) partitions.
+// The float32 path-semiring fast paths (SemiringMinPlusF32 /
+// SemiringMaxMinF32) make the same promise SemiringSumF64 does: the fused
+// column fold must be bit-identical to the generic callback loop. These
+// tests run marked programs against their unmarked twins — same fold,
+// forced down the generic path — across modes, threads, both engines, and
+// plain versus overlay (base+delta) partitions.
 
 // ssspFused is ssspProg plus the (min, +) marker: the kernels must take the
 // fused float32 fold and produce identical bits.
 type ssspFused struct{ ssspProg }
 
-func (ssspFused) ProcessIgnoresDst()   {}
-func (ssspFused) ReducesByMinPlusF32() {}
+func (ssspFused) ProcessIgnoresDst() {}
+func (ssspFused) Semiring() Semiring { return SemiringMinPlusF32 }
 
 // widestProg is the (max, min) bottleneck-path program, generic path.
 type widestProg struct{}
@@ -42,8 +42,8 @@ func (widestProg) Direction() graph.Direction { return graph.Out }
 // widestFused is widestProg plus the (max, min) marker.
 type widestFused struct{ widestProg }
 
-func (widestFused) ProcessIgnoresDst()  {}
-func (widestFused) ReducesByMaxMinF32() {}
+func (widestFused) ProcessIgnoresDst() {}
+func (widestFused) Semiring() Semiring { return SemiringMaxMinF32 }
 
 func f32ParityGraph(t testing.TB, seed uint64, nparts int) *graph.Graph[float32, float32] {
 	t.Helper()
@@ -189,7 +189,7 @@ func testF32FoldParityScalar(t *testing.T, world string, g *graph.Graph[float32,
 // oracle is the unmarked ssspBlockProg.
 type ssspBlockFused struct{ ssspBlockProg }
 
-func (ssspBlockFused) ReducesByMinPlusF32() {}
+func (ssspBlockFused) Semiring() Semiring { return SemiringMinPlusF32 }
 
 func TestF32FoldFastPathParityBlockEngine(t *testing.T) {
 	for world, g := range f32ParityWorlds(t, 13, 4) {

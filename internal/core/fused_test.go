@@ -58,7 +58,7 @@ func (p rankProg) Apply(sum float64, _ VertexID, prop *float64) bool {
 }
 func (rankProg) Direction() graph.Direction { return graph.Out }
 func (rankProg) ProcessIgnoresDst()         {}
-func (rankProg) ReducesBySumF64()           {}
+func (rankProg) Semiring() Semiring         { return SemiringSumF64 }
 func (rankProg) KeepsAllVerticesActive()    {}
 
 // newRankProg is rankProg over g's out-degrees.

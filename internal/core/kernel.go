@@ -30,8 +30,9 @@ import (
 // (kernel_fold.go for the scalar engine, kernel_block.go for the k-wide block
 // engine), so both engines and the single-shot SpMV share the two column
 // walks. The row walk hands a partition's rows to a rowSink, which the generic
-// fold of each engine is for a FirstMessageFinal program: the scalar gather
-// (kernel_fold.go) and the k-wide one (kernel_block.go).
+// fold of each engine is for a FirstMessageFinal program — the scalar gather
+// (kernel_fold.go) and the k-wide one (kernel_block.go) — and so is the block
+// engine's column-mask fold of a boolean one (kernel_block.go).
 //
 // Every partition is a sparse.Layered — an immutable base DCSC plus an
 // optional delta DCSC of whole-column overrides carrying live edge updates;
@@ -109,7 +110,8 @@ type flatSink[E any] interface {
 // whose row scan ends when every waiting column has had its first. It
 // returns the number of edge slots it examined. The generic fold of a
 // FirstMessageFinal program is one, scalar (kernel_fold.go) or k-wide
-// (kernel_block.go); the fused sum and path sinks are not.
+// (kernel_block.go), and so is the column-mask fold of a boolean one; the
+// fused sum and path sinks are not.
 type rowSink[E any] interface {
 	colSink[E]
 	foldRows(rows *sparse.RowIndex[E], xw []uint64) int

@@ -15,14 +15,14 @@ import (
 // a run must be bit-identical — vertex properties, frontiers, work tallies —
 // to the same run under the scalar oracle, across the full kernel matrix:
 // {pull, push, auto} × {base, layered overlay}, for both the generic fold
-// path and the SumFoldF64 fast path, scalar (SpMV) and block (SpMM) engines.
+// path and the SemiringSumF64 fast path, scalar (SpMV) and block (SpMM) engines.
 // This is the engine-shaped complement of the primitive-level parity tests
 // in internal/kernels.
 
-// sumFoldProg is a (+, passthrough) float64 program carrying the SumFoldF64
-// marker, routing its column folds through ScatterAddF64 (scalar engine) and
-// BlockAddF64 (block engine). Mass grows hop by
-// hop, so every superstep up to the iteration cap keeps a live frontier.
+// sumFoldProg is a (+, passthrough) float64 program declaring
+// SemiringSumF64, routing its column folds through ScatterAddF64 (scalar
+// engine) and BlockAddF64 (block engine). Mass grows hop by hop, so every
+// superstep up to the iteration cap keeps a live frontier.
 type sumFoldProg struct{}
 
 func (sumFoldProg) SendMessage(_ VertexID, p float64) (float64, bool)      { return p * 0.25, p != 0 }
@@ -34,7 +34,7 @@ func (sumFoldProg) Apply(r float64, _ VertexID, p *float64) bool {
 }
 func (sumFoldProg) Direction() graph.Direction { return graph.Out }
 func (sumFoldProg) ProcessIgnoresDst()         {}
-func (sumFoldProg) ReducesBySumF64()           {}
+func (sumFoldProg) Semiring() Semiring         { return SemiringSumF64 }
 
 // backendParityFixture builds the two graph worlds once: a fresh base build
 // and a layered snapshot (base + overlay batches) of the equivalent edge set
@@ -171,7 +171,7 @@ func TestKernelBackendParityScalarEngine(t *testing.T) {
 	}
 }
 
-// TestKernelBackendParityGenericFold runs the non-SumFoldF64 path (float32
+// TestKernelBackendParityGenericFold runs the non-SemiringSumF64 path (float32
 // min-plus SSSP) across backends: the generic fold itself is pure Go, but the
 // frontier word ops, next-set-word scans and layered SpanLess merges it sits
 // on are backend-dispatched.

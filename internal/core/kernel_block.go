@@ -29,13 +29,23 @@ import (
 // edge traversal across k columns sound. First writes store the raw result
 // under a mask bit, exactly like the scalar fold. Edge folds are tallied per
 // (edge, live source column).
+//
+// A FirstMessageFinal program's sink keeps the run's settled mask: one word
+// per vertex holding the columns already decided, seeded from Unsettled when
+// the sink is resolved and kept current by the apply phase, so a row walk
+// reads one word per row where it would test k properties. A program that
+// also declares SemiringBoolean folds no values at all (blockMaskSink): a
+// column walk ORs the sender's column mask into the destination's, a row
+// walk gathers the mask of the columns still waiting, and apply hands each
+// newly reached (vertex, column) its column's one value of the superstep.
 
 // blockSink resolves block program p's column fold from message block x
 // into reduction block y, once per run — the block analogue of scalarSink,
-// with the same fused float64-sum and float32 path-semiring fast paths, and
-// the row walk's k-wide gather beside the generic fold when the program
+// with the same fused float64-sum and float32 path-semiring fast paths, the
+// mask sink of a boolean FirstMessageFinal program, and otherwise the
+// generic fold, with the row walk's k-wide gather beside it when the program
 // declares FirstMessageFinal (props is the run's n×k property block, which
-// only the gather reads). The block sinks read per-vertex column masks, so
+// seeds the settled mask). The block sinks read per-vertex column masks, so
 // they serve blocks of two or more columns; a one-column block, the sparse
 // vector it is, takes scalarSink. This is where a run's width selects its
 // sink. p must be DstIndependent when x is two or more columns wide, which
@@ -45,25 +55,44 @@ func blockSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *BlockVector[M], pr
 	if x.k == 1 {
 		return scalarSink(p, x.scalar, props, y.scalar)
 	}
-	if _, ok := any(p).(SumFoldF64); ok {
+	sr := semiringOf(p)
+	settling, fmf := any(p).(FirstMessageFinal[V])
+	if sr == SemiringBoolean && fmf {
+		return &blockMaskSink[V, E, M, R, P]{p: p, x: x, y: y, settled: settledMask(settling, props, x.k), vals: make([]R, x.k)}
+	}
+	switch sr {
+	case SemiringSumF64:
 		xf, okX := any(x).(*BlockVector[float64])
 		yf, okY := any(y).(*BlockVector[float64])
 		if okX && okY {
 			return &blockSumSinkF64[E]{x: xf, y: yf}
 		}
-	}
-	if kind := f32FoldKindOf(p); kind != f32FoldNone {
+	case SemiringMinPlusF32, SemiringMaxMinF32:
 		xf, okX := any(x).(*BlockVector[float32])
 		yf, okY := any(y).(*BlockVector[float32])
-		if s, okE := any(&blockPathSinkF32{kind: kind, x: xf, y: yf}).(colSink[E]); okX && okY && okE {
+		if s, okE := any(&blockPathSinkF32{kind: sr, x: xf, y: yf}).(colSink[E]); okX && okY && okE {
 			return s
 		}
 	}
 	fold := blockFoldSink[V, E, M, R, P]{p: p, x: x, y: y}
-	if settling, ok := any(p).(FirstMessageFinal[V]); ok {
-		return &blockGatherSink[V, E, M, R, P]{blockFoldSink: fold, props: props, settling: settling}
+	if !fmf {
+		return &fold
 	}
-	return &fold
+	return &blockGatherSink[V, E, M, R, P]{blockFoldSink: fold, settled: settledMask(settling, props, x.k)}
+}
+
+// settledMask returns the settled mask of the n×k property block props: per
+// vertex, the columns whose property settling no longer reports unsettled.
+func settledMask[V any](settling FirstMessageFinal[V], props []V, k int) []uint64 {
+	settled := make([]uint64, len(props)/k)
+	for v := range settled {
+		for c, prop := range props[v*k : v*k+k] {
+			if !settling.Unsettled(prop) {
+				settled[v] |= 1 << uint(c)
+			}
+		}
+	}
+	return settled
 }
 
 // touchRow returns vertex v's column mask in a block vector's two-level
@@ -124,19 +153,7 @@ func (s *blockFoldSink[V, E, M, R, P]) fold(ir []uint32, val []E, cols []colRef)
 // what the width shares is the scan of the row.
 type blockGatherSink[V, E, M, R any, P Program[V, E, M, R]] struct {
 	blockFoldSink[V, E, M, R, P]
-	props    []V // n×k, row-major like the blocks
-	settling FirstMessageFinal[V]
-}
-
-// waitingCols returns the mask of the columns of one vertex's property row
-// that are still unsettled.
-func waitingCols[V any](settling FirstMessageFinal[V], prow []V) (waiting uint64) {
-	for c, prop := range prow {
-		if settling.Unsettled(prop) {
-			waiting |= 1 << uint(c)
-		}
-	}
-	return waiting
+	settled []uint64 // the run's settled mask (settledMask), kept by apply
 }
 
 // foldRows scans each row of rows' structure for the columns in which its
@@ -145,17 +162,17 @@ func waitingCols[V any](settling FirstMessageFinal[V], prow []V) (waiting uint64
 // edge slots it examined, each counted once however many columns waited at
 // it.
 func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []uint64) int {
-	p, x, y, k := s.p, s.x, s.y, s.x.k
+	p, x, y, all := s.p, s.x, s.y, fullCols(s.x.k)
 	xcols, ysw, ycols := x.cols, y.summary.Words(), y.cols
 	var zeroV V
 	ptr, rlo := rows.Ptr, rows.RowLo
 	examined := 0
-	for i := range ptr[1:] {
-		dst := rlo + uint32(i)
-		waiting := waitingCols(s.settling, s.props[int(dst)*k:int(dst)*k+k])
+	for i, settled := range s.settled[rlo : rlo+uint32(len(ptr)-1)] {
+		waiting := all &^ settled
 		if waiting == 0 {
 			continue
 		}
+		dst := rlo + uint32(i)
 		var got uint64
 		yrow := y.Row(dst)
 		in := rows.Entries[ptr[i]:ptr[i+1]]
@@ -178,6 +195,103 @@ func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw [
 		if got != 0 {
 			// The row is this task's alone and a gathering layer writes it
 			// nowhere else, so its mask is stored, not merged.
+			ysw[dst>>6] |= 1 << (dst & 63)
+			ycols[dst] = got
+		}
+	}
+	return examined
+}
+
+// fullCols returns the mask of all k columns of a block.
+func fullCols(k int) uint64 {
+	return ^uint64(0) >> uint(64-k)
+}
+
+// blockMaskSink is the block fold of a program declaring both SemiringBoolean
+// and FirstMessageFinal. Its y is masks only: a (vertex, column) bit says a
+// message of the column arrived, and the boolean promise says what it
+// processed to — the column's one value of the superstep, which prepare
+// computes once per column into vals for the apply phase to hand out. So no
+// walk loads or stores a value: the column walks OR each sender's column
+// mask into its destinations', and the row walk gathers, per unsettled row,
+// the columns of its frontier in-neighbours that the row still waits in.
+//
+// A column walk's y is the generic fold's, bit for bit, so Applies keeps its
+// meaning; the row walk waits only in the frontier's live columns (a column
+// no sender carries cannot reach the row this superstep), so it leaves a row
+// no later than the generic gather does, and its y is that gather's too.
+type blockMaskSink[V, E, M, R any, P Program[V, E, M, R]] struct {
+	p       P
+	x       *BlockVector[M]
+	y       *BlockVector[R] // masks only; its values are never written
+	settled []uint64        // the run's settled mask (settledMask), kept by apply
+	// live is the OR of the frontier's column masks and vals[c] column c's
+	// processed message, both set by prepare before each multiply.
+	live uint64
+	vals []R
+}
+
+// prepare reads the superstep's frontier once, before its multiply: the
+// live columns, and for each the value its messages process to — any one
+// of them, by the boolean promise, folded over the zero edge value.
+func (s *blockMaskSink[V, E, M, R, P]) prepare() {
+	x, k := s.x, s.x.k
+	var zeroE E
+	var zeroV V
+	live := uint64(0)
+	for wi, w := range x.summary.Words() {
+		for ; w != 0; w &= w - 1 {
+			v := uint32(wi)<<6 | uint32(bits.TrailingZeros64(w))
+			for m := x.cols[v] &^ live; m != 0; m &= m - 1 {
+				c := bits.TrailingZeros64(m)
+				s.vals[c] = s.p.ProcessMessage(x.vals[int(v)*k+c], zeroE, zeroV)
+			}
+			live |= x.cols[v]
+		}
+	}
+	s.live = live
+}
+
+func (s *blockMaskSink[V, E, M, R, P]) fold(ir []uint32, _ []E, cols []colRef) int {
+	xcols, ysw, ycols := s.x.cols, s.y.summary.Words(), s.y.cols
+	edges := 0
+	for _, c := range cols {
+		cm := xcols[c.j]
+		irc := ir[c.lo:c.hi]
+		edges += len(irc) * bits.OnesCount64(cm)
+		for _, dst := range irc {
+			ycols[dst] = touchRow(ysw, ycols, dst) | cm
+		}
+	}
+	return edges
+}
+
+// foldRows is blockGatherSink.foldRows over masks: a row waits in the live
+// columns it has not settled, each frontier in-neighbour retires the ones
+// it carries, and the examined slots are tallied the same way.
+func (s *blockMaskSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []uint64) int {
+	xcols, ysw, ycols, live := s.x.cols, s.y.summary.Words(), s.y.cols, s.live
+	ptr, rlo := rows.Ptr, rows.RowLo
+	examined := 0
+	for i, settled := range s.settled[rlo : rlo+uint32(len(ptr)-1)] {
+		waiting := live &^ settled
+		if waiting == 0 {
+			continue
+		}
+		var got uint64
+		in := rows.Entries[ptr[i]:ptr[i+1]]
+		j := 0
+		for ; j < len(in) && waiting != 0; j++ {
+			src := in[j].Src
+			if xw[src>>6]&(1<<(src&63)) != 0 {
+				hit := xcols[src] & waiting
+				got |= hit
+				waiting &^= hit
+			}
+		}
+		examined += j
+		if got != 0 {
+			dst := rlo + uint32(i)
 			ysw[dst>>6] |= 1 << (dst & 63)
 			ycols[dst] = got
 		}

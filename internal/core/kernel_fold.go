@@ -10,31 +10,10 @@ import (
 // the seam to the arch-dispatched fold primitives in internal/kernels.
 // scalarSink resolves a program to its sink once per run: the fused float64
 // sum fold or a fused float32 path-semiring fold when the program declares
-// one and the element types really match, the generic callback loop
-// otherwise — with the row walk's gather beside it when the program declares
-// FirstMessageFinal.
-
-// SumFoldF64 is an optional marker for programs whose fold is the
-// (+, passthrough) monoid over float64: ProcessMessage returns the message
-// unchanged — bit-for-bit, for every edge value and destination — and Reduce
-// is float64 addition. PageRank, PPR and HITS are this shape: the per-edge
-// work is pure gather-and-accumulate.
-//
-// Declaring it lets the sinks replace the per-edge callback loop with the
-// kernels backend's fused primitives — ScatterAddF64 for the scalar column
-// fold, BlockAddF64 for the block fold's k-wide masked lane add — which is
-// where the AVX2/NEON backends earn their keep on the dense-frontier
-// algorithms. The declaration is a promise, like DstIndependent: the fused
-// fold must be indistinguishable from the generic loop. The differential
-// suites enforce it (fused vs generic, and every SIMD backend vs the scalar
-// oracle, all bit-identical).
-//
-// One boundary inherited from the branchless SIMD variants: messages must
-// never be signaling NaNs. Engine messages are arithmetic results, which are
-// never signaling, so this excludes nothing in practice.
-type SumFoldF64 interface {
-	ReducesBySumF64()
-}
+// one (SemiringFold) and the element types really match, the generic
+// callback loop otherwise — with the row walk's gather beside it when the
+// program declares FirstMessageFinal. A boolean program folds generically
+// here: a one-column fold has no column masks to shrink to.
 
 // scalarSink resolves program p's column fold from message vector x into
 // reduction vector y. The result only reads p and views of the vectors'
@@ -42,19 +21,19 @@ type SumFoldF64 interface {
 // every superstep of a run.
 func scalarSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *sparse.Vector[M], props []V, y *sparse.Vector[R]) colSink[E] {
 	yw := y.Mask().Words()
-	if _, ok := any(p).(SumFoldF64); ok {
+	switch sr := semiringOf(p); sr {
+	case SemiringSumF64:
 		xv, okX := any(x.Values()).([]float64)
 		yv, okY := any(y.Values()).([]float64)
 		if okX && okY {
 			return &sumSinkF64[E]{yw: yw, x: xv, y: yv}
 		}
-	}
-	if kind := f32FoldKindOf(p); kind != f32FoldNone {
+	case SemiringMinPlusF32, SemiringMaxMinF32:
 		xv, okX := any(x.Values()).([]float32)
 		yv, okY := any(y.Values()).([]float32)
 		// The weight operand must be float32 too: the sink is a colSink[E]
 		// only when E is.
-		if s, okE := any(&pathSinkF32{kind: kind, yw: yw, x: xv, y: yv}).(colSink[E]); okX && okY && okE {
+		if s, okE := any(&pathSinkF32{kind: sr, yw: yw, x: xv, y: yv}).(colSink[E]); okX && okY && okE {
 			return s
 		}
 	}

@@ -8,55 +8,16 @@ import (
 
 // This file extends the fused folds beyond the (+, passthrough) float64
 // monoid to the two float32 path semirings the traversal algorithms run on:
-// (min, +) — SSSP's Bellman-Ford step — and (max, min) — widest
-// (bottleneck) paths — as one scalar and one block sink. Unlike the sum
-// fold, these candidates depend on the edge value (message ⊗ weight), so
-// the sinks are colSink[float32] and serve only float32-weighted graphs.
-
-// MinPlusFoldF32 is an optional marker for programs whose fold is the
-// float32 tropical semiring: ProcessMessage is message + edge weight —
-// bit-for-bit, ignoring the destination property — and Reduce is the builtin
-// min. SSSP is this shape.
-//
-// Like SumFoldF64, the declaration is a promise the differential suites
-// enforce: the fused fold must be indistinguishable from the generic
-// callback loop, on every input, including NaN and ±0 edge cases (the
-// fused reduction applies the builtin min/max in the same argument order
-// the engine's generic fold does).
-type MinPlusFoldF32 interface {
-	ReducesByMinPlusF32()
-}
-
-// MaxMinFoldF32 is the (max, min) analogue: ProcessMessage is the builtin
-// min of message and edge weight, Reduce the builtin max. Widest paths are
-// this shape.
-type MaxMinFoldF32 interface {
-	ReducesByMaxMinF32()
-}
-
-// f32FoldKind discriminates the float32 path semiring a program declares.
-type f32FoldKind uint8
-
-const (
-	f32FoldNone f32FoldKind = iota
-	f32FoldMinPlus
-	f32FoldMaxMin
-)
-
-func f32FoldKindOf(p any) f32FoldKind {
-	if _, ok := p.(MinPlusFoldF32); ok {
-		return f32FoldMinPlus
-	}
-	if _, ok := p.(MaxMinFoldF32); ok {
-		return f32FoldMaxMin
-	}
-	return f32FoldNone
-}
+// (min, +) — SSSP's Bellman-Ford step, SemiringMinPlusF32 — and (max, min) —
+// widest (bottleneck) paths, SemiringMaxMinF32 — as one scalar and one block
+// sink, each told the semiring by its kind. Unlike the sum fold, these
+// candidates depend on the edge value (message ⊗ weight), so the sinks are
+// colSink[float32] and serve only float32-weighted graphs.
 
 // pathSinkF32 is the scalar fused fold: one arch-dispatched scatter per
 // column.
 type pathSinkF32 struct {
-	kind f32FoldKind
+	kind Semiring // SemiringMinPlusF32 or SemiringMaxMinF32
 	yw   []uint64
 	x, y []float32
 }
@@ -66,7 +27,7 @@ func (s *pathSinkF32) fold(ir []uint32, val []float32, cols []colRef) int {
 	for _, c := range cols {
 		irc, wc := ir[c.lo:c.hi], val[c.lo:c.hi]
 		edges += len(irc)
-		if s.kind == f32FoldMinPlus {
+		if s.kind == SemiringMinPlusF32 {
 			kernels.ScatterMinPlusF32(s.yw, s.y, irc, wc, s.x[c.j])
 		} else {
 			kernels.ScatterMaxMinF32(s.yw, s.y, irc, wc, s.x[c.j])
@@ -81,7 +42,7 @@ func (s *pathSinkF32) fold(ir []uint32, val []float32, cols []colRef) int {
 func (s *pathSinkF32) foldFlat(ir []uint32, val []float32, src []uint32) {
 	x, yw, y := s.x, s.yw, s.y
 	val, src = val[:len(ir)], src[:len(ir)]
-	if s.kind == f32FoldMinPlus {
+	if s.kind == SemiringMinPlusF32 {
 		for k, dst := range ir {
 			r := x[src[k]] + val[k]
 			w := &yw[dst>>6]
@@ -113,7 +74,7 @@ func (s *pathSinkF32) foldFlat(ir []uint32, val []float32, src []uint32) {
 // Identical fold semantics — lanes are independent and first writes store
 // the raw candidate, exactly like the generic loop.
 type blockPathSinkF32 struct {
-	kind f32FoldKind
+	kind Semiring // as pathSinkF32's
 	x, y *BlockVector[float32]
 }
 
@@ -128,7 +89,7 @@ func (s *blockPathSinkF32) fold(ir []uint32, val []float32, cols []colRef) int {
 		for kk, dst := range irc {
 			ym := touchRow(ysw, ycols, dst)
 			yrow := y.Row(dst)
-			if s.kind == f32FoldMinPlus {
+			if s.kind == SemiringMinPlusF32 {
 				kernels.BlockMinPlusF32(yrow, xrow, wc[kk], cm, ym)
 			} else {
 				kernels.BlockMaxMinF32(yrow, xrow, wc[kk], cm, ym)

@@ -68,9 +68,10 @@ type VertexID = uint32
 //
 // Optional marker interfaces let a program tell the backend what its
 // callbacks cannot say: DstIndependent (ProcessMessage ignores the
-// destination), SumFoldF64 and the float32 path folds (the fold is a known
-// semiring the kernels fuse), FirstMessageFinal (the first message to reach
-// a vertex decides it, so dense supersteps may gather by destination),
+// destination), SemiringFold (the fold is a known semiring — float64 sum,
+// a float32 path semiring or boolean — which the sinks fuse or shrink to a
+// column mask), FirstMessageFinal (the first message to reach a vertex
+// decides it, so dense supersteps may gather by destination),
 // AllVerticesActive (every vertex of a live column is active on every
 // superstep, so Apply's result decides only convergence). Each is a promise
 // the differential suites hold the program to.
@@ -133,11 +134,15 @@ type AllVerticesActive interface {
 //     its property unchanged, for any reduced value the run can deliver;
 //   - first message final: on an unsettled vertex, the reduction of all of a
 //     superstep's messages equals the result of the first one folded (in
-//     ascending source order, the order every traversal folds in).
+//     ascending source order, the order every traversal folds in);
+//   - settle: an Apply that leaves an unsettled vertex settled returns true.
 //
 // The promise lets a dense pull superstep run the row walk (kernel.go): skip
 // settled destinations outright and leave an unsettled one at its first
-// frontier in-neighbour. Vertex state, frontiers and the Iterations /
+// frontier in-neighbour. A block run of two or more columns reads which
+// columns are settled from a per-vertex mask, seeded from Unsettled once per
+// run and kept current by the apply phase, which tests Unsettled after each
+// Apply that activates — the only Applies that can settle a pair. Vertex state, frontiers and the Iterations /
 // MessagesSent / ActiveSum tallies are unchanged by it; the work tallies
 // change meaning on those supersteps (see Stats.RowSupersteps). A program
 // whose messages can differ within a superstep (SSSP, widest path, label
@@ -145,4 +150,65 @@ type AllVerticesActive interface {
 // get wrong answers on exactly the supersteps that gather.
 type FirstMessageFinal[V any] interface {
 	Unsettled(prop V) bool
+}
+
+// Semiring names the fold a program's ProcessMessage and Reduce compute,
+// when it is one the sinks know: a program declares it once, through
+// SemiringFold, and the sinks resolve it once per run. Each value is a
+// promise, like DstIndependent: the fused or shrunk fold must be
+// indistinguishable from the generic callback loop, which the differential
+// suites enforce (fused against generic, every SIMD backend against the
+// scalar oracle, each block column against its solo run — all bit-identical).
+type Semiring uint8
+
+const (
+	// SemiringNone declares nothing: the sinks call ProcessMessage and
+	// Reduce per edge. It is what a program without SemiringFold gets.
+	SemiringNone Semiring = iota
+	// SemiringSumF64 is the (+, passthrough) monoid over float64:
+	// ProcessMessage returns the message unchanged — bit for bit, for every
+	// edge value and destination — and Reduce is float64 addition. PageRank,
+	// PPR and HITS are this shape. The sinks fold through the kernels
+	// backend's ScatterAddF64 and FlatAddF64 (one column) and BlockAddF64
+	// (k masked lanes), which is where the AVX2/NEON backends earn their
+	// keep. One boundary inherited from the branchless SIMD variants:
+	// messages must never be signaling NaNs, which arithmetic results never
+	// are.
+	SemiringSumF64
+	// SemiringMinPlusF32 is the float32 tropical semiring: ProcessMessage is
+	// message + edge weight — bit for bit, ignoring the destination — and
+	// Reduce the builtin min. SSSP is this shape. The fused folds apply the
+	// builtin min in the generic fold's argument order, so NaN and ±0 come
+	// out the same. Only float32-weighted graphs take it.
+	SemiringMinPlusF32
+	// SemiringMaxMinF32 is the (max, min) analogue: ProcessMessage is the
+	// builtin min of message and edge weight, Reduce the builtin max. Widest
+	// paths are this shape.
+	SemiringMaxMinF32
+	// SemiringBoolean is the (OR, AND) shape of a traversal: what a message
+	// says is only that it arrived. The promise, which like
+	// FirstMessageFinal's holds for the level-synchronous starts the
+	// traversal drivers seed: within one superstep, every message one source
+	// column's senders produce processes to the same value, over any edge
+	// value (the zero one included). BFS and reachability are this shape. A
+	// block run of two or more columns of a program that also declares
+	// FirstMessageFinal then folds one column mask per edge instead of one
+	// value per (edge, column), and its apply hands each newly reached
+	// (vertex, column) the column's one value (blockMaskSink). A one-column
+	// run folds as it would without the declaration.
+	SemiringBoolean
+)
+
+// SemiringFold is the optional marker through which a program declares its
+// fold (Semiring). Semiring must return the same value on every call.
+type SemiringFold interface {
+	Semiring() Semiring
+}
+
+// semiringOf returns the fold program p declares.
+func semiringOf(p any) Semiring {
+	if s, ok := p.(SemiringFold); ok {
+		return s.Semiring()
+	}
+	return SemiringNone
 }

@@ -332,3 +332,83 @@ func TestStatsPinnedBlockRowWalk(t *testing.T) {
 		})
 	}
 }
+
+// bfsBoolean is bfsFirst declaring the boolean fold, which level-synchronous
+// hop counting keeps: a superstep's messages all carry one level.
+type bfsBoolean struct{ bfsFirst }
+
+func (bfsBoolean) Semiring() Semiring { return SemiringBoolean }
+
+// TestStatsPinnedBooleanBlock pins the column-mask fold (blockMaskSink) on
+// TestStatsPinnedBlockRowWalk's graph, sources and configurations, run by
+// bfsBoolean beside bfsFirst's value fold: Iterations, MessagesSent,
+// ActiveSum, Applies — every received (vertex, column) pair, settled or not
+// — and the per-superstep walks must be the value fold's, and every column
+// its distances. EdgesProcessed is pinned on its own: per (edge, live
+// column) on a column walk, as the value fold counts, and on a row walk the
+// slots examined while some column still waits — live columns only, so a
+// row whose other columns have no frontier left is left sooner than the
+// value fold's gather leaves it.
+func TestStatsPinnedBooleanBlock(t *testing.T) {
+	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
+	adj.RemoveSelfLoops()
+	g, err := graph.NewFromCOO[uint32, float32](adj, graph.Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(g.NumVertices())
+	sources := []uint32{1, 40, 700, 3, 9, 2047, 64, 65, 128, 1000, 1500, 5, 6, 7, 8, 300}
+	type boolStats struct {
+		EdgesProcessed, Applies int64
+		Rows                    int64
+	}
+	cases := []struct {
+		name  string
+		k     int
+		cfg   Config
+		stats boolStats
+	}{
+		{"k4/push", 4, Config{Mode: Push, Threads: 1}, boolStats{75678, 9029, 0}},
+		{"k4/auto/threads1", 4, Config{Mode: Auto, Threads: 1}, boolStats{5422, 5297, 2}},
+		{"k4/auto/threads3", 4, Config{Mode: Auto, Threads: 3}, boolStats{5422, 5297, 2}},
+		{"k4/pull/threads3", 4, Config{Mode: Pull, Threads: 3}, boolStats{5422, 5297, 2}},
+		{"k16/push", 16, Config{Mode: Push, Threads: 3}, boolStats{252256, 30045, 0}},
+		{"k16/auto/threads1", 16, Config{Mode: Auto, Threads: 1}, boolStats{31629, 15907, 3}},
+		{"k16/auto/threads3", 16, Config{Mode: Auto, Threads: 3}, boolStats{31629, 15907, 3}},
+		{"k16/pull/threads3", 16, Config{Mode: Pull, Threads: 3}, boolStats{31629, 15907, 3}},
+	}
+	run := func(k int, cfg Config, p interface {
+		Program[uint32, float32, uint32, uint32]
+		DstIndependent
+	}) (Stats, string, [][]uint32) {
+		st := NewBlockState[uint32](n, k)
+		st.SetAllProps(^uint32(0))
+		for s, src := range sources[:k] {
+			st.SetProp(src, s, 0)
+			st.Activate(src, s)
+		}
+		walks := ""
+		s, err := RunBlockContext(context.Background(), g, p, st, cfg, nil, WithObserver(walkLetters(&walks)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, walks, st.Columns()
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, refWalks, refCols := run(tc.k, tc.cfg, bfsFirst{})
+			s, walks, cols := run(tc.k, tc.cfg, bfsBoolean{})
+			if s.Iterations != ref.Iterations || s.MessagesSent != ref.MessagesSent || s.ActiveSum != ref.ActiveSum || s.Applies != ref.Applies || walks != refWalks {
+				t.Errorf("frontier tallies or walks differ from the value fold's\n got %+v %q\nwant %+v %q", s, walks, ref, refWalks)
+			}
+			if got := (boolStats{s.EdgesProcessed, s.Applies, s.RowSupersteps}); got != tc.stats {
+				t.Errorf("mask fold tallies\n got %+v\nwant %+v", got, tc.stats)
+			}
+			for c := range cols {
+				if !slices.Equal(cols[c], refCols[c]) {
+					t.Errorf("column %d (source %d) differs from the value fold's", c, sources[c])
+				}
+			}
+		})
+	}
+}
