@@ -96,11 +96,14 @@ race:
 # column-index target asserts FindColumn ≡ a linear search of JC for every id
 # and one bitmap bit per stored column, tombstones included; the walk
 # target asserts pull ≡ push ≡ a naive fold of the live edge set and the row
-# walk ≡ a naive "first live in-neighbour of each unsettled row" over random
-# base+delta partitions, frontiers, settled sets and row cuts; the mask-walk
-# target asserts a boolean program's column-mask fold ≡ the value fold in
-# output masks and applied values, per walk, over the same kind of random
-# partitions, k-wide frontiers and settled masks. CI runs this target.
+# walk ≡ a naive "first live in-neighbour of each unsettled row" of a fresh
+# build — output and live slots examined — over random plain and base+delta
+# partitions (the row walk merging each base row with its delta row), frontiers,
+# settled sets and row cuts; the mask-walk target asserts a boolean program's
+# column-mask fold ≡ the value fold in output masks and applied values, per
+# walk, and its row walk's examined slots ≡ the fresh build's, over the same
+# kind of random partitions, k-wide frontiers and settled masks. CI runs this
+# target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMTX$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/graph

@@ -210,11 +210,16 @@ type Stats struct {
 	// those two programs and no others: EdgesProcessed counts edge slots
 	// examined (settled rows are skipped, an unsettled row is left at its
 	// first frontier in-neighbour — usually far fewer than the frontier's
-	// edges, at most 14 times as many), ColumnsProbed counts nothing (layers
-	// with pending updates keep the column walk and its tallies) and Applies
-	// counts only the unsettled vertices — (vertex, column) pairs of a block
-	// — a message reached. Vertex state,
+	// edges, at most 14 times as many), ColumnsProbed counts nothing and
+	// Applies counts only the unsettled vertices — (vertex, column) pairs of
+	// a block — a message reached. Vertex state,
 	// Iterations, MessagesSent and ActiveSum do not depend on the walk.
+	// Layers with pending updates gather too, reading each row's live
+	// entries only: under Pull or Push a run over an overlay takes the walks
+	// a run over a fresh build of the same edge set takes, with the same
+	// tallies (ColumnsProbed aside, which counts per partition). Auto's push
+	// bill reads the layers' stored column ranges, so there the two may
+	// choose differently.
 	RowSupersteps int64
 	// Reason records why the run ended (Converged, MaxIterations, Canceled,
 	// DeadlineExceeded, StoppedByObserver). Aggregated stats — sums over

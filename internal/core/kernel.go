@@ -23,7 +23,8 @@ import (
 //     direction-optimizing BFS; GraphBLAST's masked pull): scan the
 //     in-neighbours of each still-unsettled destination and stop at the
 //     first one on the frontier. Only for programs that declare
-//     FirstMessageFinal, over the base's RowIndex.
+//     FirstMessageFinal, over the base's RowIndex — merged, on a partition
+//     with pending updates, with the delta's (liveRow).
 //
 // A column walk decides WHICH live columns of a partition a frontier reaches
 // and in what order; what happens to a column's edges is the sink's business
@@ -58,10 +59,12 @@ import (
 //     build in which the column does not exist;
 //  4. a fully-live plain partition is folded as one edge range, and so is a
 //     fully-live batch of base columns otherwise; order and tallies as the
-//     column path;
-//  5. the row walk reads the base only, so a layer with a pending delta
-//     keeps the column walk until compaction folds the delta away. Both
-//     write the same rows to the same bits, so they mix within a superstep.
+//     column path.
+//
+// The row walk keeps 2 and 3 by reading a row as the fresh build stores it:
+// the base row without the entries of overridden columns, merged with the
+// delta row. It counts only those live entries as examined slots, so its
+// tallies, like its output, are the fresh build's.
 
 // colRef is one live column a walk hands its sink: the column id and the
 // position range of its edges in the owning layer's IR/Val arrays.
@@ -108,23 +111,26 @@ type flatSink[E any] interface {
 // frontier bit in xw, folds that one edge into the output and leaves the
 // row — per column, in the block engine,
 // whose row scan ends when every waiting column has had its first. It
-// returns the number of edge slots it examined. The generic fold of a
-// FirstMessageFinal program is one, scalar (kernel_fold.go) or k-wide
-// (kernel_block.go), and so is the column-mask fold of a boolean one; the
-// fused sum and path sinks are not.
+// returns the number of edge slots it examined. foldLiveRows is the same
+// gather over a partition with a pending delta, each row read through a
+// liveRow cursor; a plain partition keeps foldRows' loop over one array. The
+// generic fold of a FirstMessageFinal program is a rowSink, scalar
+// (kernel_fold.go) or k-wide (kernel_block.go), and so is the column-mask
+// fold of a boolean one; the fused sum and path sinks are not.
 type rowSink[E any] interface {
 	colSink[E]
 	foldRows(rows *sparse.RowIndex[E], xw []uint64) int
+	foldLiveRows(rows liveRows[E], xw []uint64) int
 }
 
 // multiply runs one multiply-phase task — partition l, whole — against the
 // frontier occupancy words xw: the row walk when the superstep chose it (rows
-// non-nil) and the layer has no pending delta, else the column walk mode
-// selects (Auto must be resolved first, see KernelCosts.Choose).
+// non-nil), else the column walk mode selects (Auto must be resolved first,
+// see KernelCosts.Choose).
 func multiply[E any](mode Mode, l sparse.Layered[E], xw []uint64, sink colSink[E], rows rowSink[E], st *localStats) {
 	switch {
-	case rows != nil && l.Delta == nil:
-		walkRows(l.Base, xw, rows, st)
+	case rows != nil:
+		walkRows(l, xw, rows, st)
 	case mode == Push:
 		walkPush(l, xw, sink, st)
 	default:
@@ -132,13 +138,81 @@ func multiply[E any](mode Mode, l sparse.Layered[E], xw []uint64, sink colSink[E
 	}
 }
 
-// walkRows is the destination-driven traversal: every row of base, through
-// the sink's gather, over base's row-major view — built here, by the first
+// walkRows is the destination-driven traversal: every row of partition l,
+// through the sink's gather, over the base's row-major view and, when l has
+// a pending delta, the delta's beside it with the delta's column index as
+// the override set (liveRows). The views are built here, each by the first
 // task to need it, so the partitions of a first row-walk superstep build
-// theirs in parallel. It probes no columns; the frontier tests it makes are
-// the edge slots it examines.
-func walkRows[E any](base *sparse.DCSC[E], xw []uint64, sink rowSink[E], st *localStats) {
-	st.edges += int64(sink.foldRows(base.RowIndex(), xw))
+// theirs in parallel, and a delta's row view is one counting sort of its own
+// entries, once per delta. It probes no columns; the frontier tests it makes
+// are the edge slots it examines.
+func walkRows[E any](l sparse.Layered[E], xw []uint64, sink rowSink[E], st *localStats) {
+	if l.Delta == nil {
+		st.edges += int64(sink.foldRows(l.Base.RowIndex(), xw))
+		return
+	}
+	rows := liveRows[E]{base: l.Base.RowIndex(), delta: l.Delta.RowIndex(), over: l.Delta.ColumnIndex()}
+	st.edges += int64(sink.foldLiveRows(rows, xw))
+}
+
+// liveRows is the row walk's view of a partition with a pending delta: the
+// two layers' row-major views, which cover the same rows, and the delta's
+// column index — every column it overrides, tombstones included.
+type liveRows[E any] struct {
+	base, delta *sparse.RowIndex[E]
+	over        *sparse.ColumnIndex
+}
+
+// row returns a cursor over the view's i-th row.
+func (v liveRows[E]) row(i int) liveRow[E] {
+	b, d := v.base, v.delta
+	return liveRow[E]{base: b.Entries[b.Ptr[i]:b.Ptr[i+1]], delta: d.Entries[d.Ptr[i]:d.Ptr[i+1]], over: v.over}
+}
+
+// liveRow is the one merge of a base and a delta row the three gathers
+// share: the base row's entries whose source column the delta does not
+// override, merged in ascending source id with the delta row's entries —
+// exactly the row a fresh build of the live edge set stores. seen counts
+// the live slots next has examined; a skipped base entry is not one.
+type liveRow[E any] struct {
+	base, delta []sparse.RowEntry[E]
+	over        *sparse.ColumnIndex
+	seen        int
+}
+
+// next advances past the row's live entries off the frontier xw to the
+// next one on it and returns that entry, or ok = false at the row's end. It
+// takes the row in runs: the base entries below the delta row's next source,
+// each tested against the override set, then that delta entry.
+func (r *liveRow[E]) next(xw []uint64) (e sparse.RowEntry[E], ok bool) {
+	base, delta, over, seen := r.base, r.delta, r.over, r.seen
+	for {
+		lim := uint32(math.MaxUint32) // no vertex id reaches it
+		if len(delta) > 0 {
+			lim = delta[0].Src
+		}
+		for len(base) > 0 && base[0].Src < lim {
+			e, base = base[0], base[1:]
+			if over.Has(e.Src) {
+				continue // the delta holds this column's live entries
+			}
+			seen++
+			if xw[e.Src>>6]&(1<<(e.Src&63)) != 0 {
+				r.base, r.delta, r.seen = base, delta, seen
+				return e, true
+			}
+		}
+		if len(delta) == 0 {
+			r.base, r.delta, r.seen = base, delta, seen
+			return e, false
+		}
+		e, delta = delta[0], delta[1:]
+		seen++
+		if xw[e.Src>>6]&(1<<(e.Src&63)) != 0 {
+			r.base, r.delta, r.seen = base, delta, seen
+			return e, true
+		}
+	}
 }
 
 // walkPull is Algorithm 1's traversal: step through the partition's live

@@ -202,6 +202,47 @@ func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw [
 	return examined
 }
 
+// foldLiveRows is foldRows over a partition with a pending delta: each
+// row's frontier in-neighbours come from its liveRow, and the examined live
+// slots are tallied the same way.
+func (s *blockGatherSink[V, E, M, R, P]) foldLiveRows(rows liveRows[E], xw []uint64) int {
+	p, x, y, all := s.p, s.x, s.y, fullCols(s.x.k)
+	xcols, ysw, ycols := x.cols, y.summary.Words(), y.cols
+	var zeroV V
+	rlo := rows.base.RowLo
+	examined := 0
+	for i, settled := range s.settled[rlo : rlo+uint32(len(rows.base.Ptr)-1)] {
+		waiting := all &^ settled
+		if waiting == 0 {
+			continue
+		}
+		dst := rlo + uint32(i)
+		var got uint64
+		yrow := y.Row(dst)
+		r := rows.row(i)
+		for waiting != 0 {
+			e, ok := r.next(xw)
+			if !ok {
+				break
+			}
+			hit := xcols[e.Src] & waiting
+			xrow := x.Row(e.Src)
+			for m := hit; m != 0; m &= m - 1 {
+				col := bits.TrailingZeros64(m)
+				yrow[col] = p.ProcessMessage(xrow[col], e.Val, zeroV)
+			}
+			got |= hit
+			waiting &^= hit
+		}
+		examined += r.seen
+		if got != 0 {
+			ysw[dst>>6] |= 1 << (dst & 63)
+			ycols[dst] = got
+		}
+	}
+	return examined
+}
+
 // fullCols returns the mask of all k columns of a block.
 func fullCols(k int) uint64 {
 	return ^uint64(0) >> uint(64-k)
@@ -290,6 +331,38 @@ func (s *blockMaskSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []u
 			}
 		}
 		examined += j
+		if got != 0 {
+			dst := rlo + uint32(i)
+			ysw[dst>>6] |= 1 << (dst & 63)
+			ycols[dst] = got
+		}
+	}
+	return examined
+}
+
+// foldLiveRows is foldRows over a partition with a pending delta, each
+// row's frontier in-neighbours taken from its liveRow.
+func (s *blockMaskSink[V, E, M, R, P]) foldLiveRows(rows liveRows[E], xw []uint64) int {
+	xcols, ysw, ycols, live := s.x.cols, s.y.summary.Words(), s.y.cols, s.live
+	rlo := rows.base.RowLo
+	examined := 0
+	for i, settled := range s.settled[rlo : rlo+uint32(len(rows.base.Ptr)-1)] {
+		waiting := live &^ settled
+		if waiting == 0 {
+			continue
+		}
+		var got uint64
+		r := rows.row(i)
+		for waiting != 0 {
+			e, ok := r.next(xw)
+			if !ok {
+				break
+			}
+			hit := xcols[e.Src] & waiting
+			got |= hit
+			waiting &^= hit
+		}
+		examined += r.seen
 		if got != 0 {
 			dst := rlo + uint32(i)
 			ysw[dst>>6] |= 1 << (dst & 63)

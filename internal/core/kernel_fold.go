@@ -189,3 +189,26 @@ func (s *gatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []uint
 	}
 	return examined
 }
+
+// foldLiveRows is foldRows over a partition with a pending delta: each
+// unsettled row's first frontier in-neighbour comes from its liveRow.
+func (s *gatherSink[V, E, M, R, P]) foldLiveRows(rows liveRows[E], xw []uint64) int {
+	p, x, yw, y := s.p, s.x, s.yw, s.y
+	rlo := rows.base.RowLo
+	examined := 0
+	for i, prop := range s.props[rlo : rlo+uint32(len(rows.base.Ptr)-1)] {
+		if !s.settling.Unsettled(prop) {
+			continue
+		}
+		r := rows.row(i)
+		e, ok := r.next(xw)
+		examined += r.seen
+		if !ok {
+			continue // no live in-neighbour on the frontier
+		}
+		dst := rlo + uint32(i)
+		y[dst] = p.ProcessMessage(x[e.Src], e.Val, prop)
+		yw[dst>>6] |= 1 << (dst & 63)
+	}
+	return examined
+}

@@ -412,3 +412,104 @@ func TestStatsPinnedBooleanBlock(t *testing.T) {
 		})
 	}
 }
+
+// TestStatsPinnedRowWalkOverlay runs the row-walk pins' graph, sources and
+// programs over a store whose every layer carries a pending delta — inserts,
+// single-edge deletes and a vertex's whole out-edge list deleted, which
+// leaves tombstones — under forced Pull: the scalar gather at k = 1, the
+// k-wide gather at k = 4 and 16, and the column-mask fold at k = 4 and 16.
+// The row walk reads each overlay row as its live entries, so every tally,
+// the per-superstep walks and every column must be those of the same store
+// compacted, and the walk must gather on some superstep.
+func TestStatsPinnedRowWalkOverlay(t *testing.T) {
+	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
+	adj.RemoveSelfLoops()
+	n := adj.NRows
+	var batch []graph.Update[float32]
+	for i, e := range adj.Entries {
+		if i%16 == 5 {
+			batch = append(batch, graph.Update[float32]{Src: e.Row, Dst: e.Col, Del: true})
+		}
+		if e.Row == 2 {
+			batch = append(batch, graph.Update[float32]{Src: e.Row, Dst: e.Col, Del: true})
+		}
+	}
+	for v := uint32(0); v < n; v += 32 {
+		batch = append(batch, graph.Update[float32]{Src: (v*7 + 3) % n, Dst: v, Val: 1})
+	}
+	store, err := graph.NewStore[uint32, float32](adj, graph.Options{Partitions: 2, CompactFraction: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.ApplyEdges(batch); err != nil {
+		t.Fatal(err)
+	}
+	overlay := store.Acquire()
+	defer overlay.Release()
+	for i, l := range overlay.Graph().OutLayers() {
+		if l.Delta == nil {
+			t.Fatalf("fixture: layer %d carries no delta", i)
+		}
+	}
+	store.Compact()
+	compacted := store.Acquire()
+	defer compacted.Release()
+	if compacted.Graph().OverlayNNZ() != 0 {
+		t.Fatal("fixture: the compacted snapshot still carries an overlay")
+	}
+
+	sources := []uint32{1, 40, 700, 3, 9, 2047, 64, 65, 128, 1000, 1500, 5, 6, 7, 8, 300}
+	type rowStats struct {
+		Iterations                                       int
+		MessagesSent, ActiveSum, EdgesProcessed, Applies int64
+		PullSupersteps, Rows, ColumnsProbed              int64
+	}
+	run := func(snap *graph.Snapshot[uint32, float32], k int, p interface {
+		Program[uint32, float32, uint32, uint32]
+		DstIndependent
+	}) (rowStats, string, [][]uint32) {
+		g := snap.View()
+		st := NewBlockState[uint32](int(n), k)
+		st.SetAllProps(^uint32(0))
+		for s, src := range sources[:k] {
+			st.SetProp(src, s, 0)
+			st.Activate(src, s)
+		}
+		walks := ""
+		s, err := RunBlockContext(context.Background(), g, p, st, Config{Mode: Pull, Threads: 3}, nil, WithObserver(walkLetters(&walks)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rowStats{s.Iterations, s.MessagesSent, s.ActiveSum, s.EdgesProcessed, s.Applies, s.PullSupersteps, s.RowSupersteps, s.ColumnsProbed}, walks, st.Columns()
+	}
+	for _, tc := range []struct {
+		name string
+		k    int
+		p    interface {
+			Program[uint32, float32, uint32, uint32]
+			DstIndependent
+		}
+	}{
+		{"k1/gather", 1, bfsFirst{}},
+		{"k4/gather", 4, bfsFirst{}},
+		{"k16/gather", 16, bfsFirst{}},
+		{"k4/mask", 4, bfsBoolean{}},
+		{"k16/mask", 16, bfsBoolean{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, wantWalks, wantCols := run(compacted, tc.k, tc.p)
+			got, walks, cols := run(overlay, tc.k, tc.p)
+			if got != want || walks != wantWalks {
+				t.Errorf("overlay vs compacted stats, walks\n got %+v %q\nwant %+v %q", got, walks, want, wantWalks)
+			}
+			if got.Rows == 0 {
+				t.Errorf("no row-walk superstep over the overlay: %+v %q", got, walks)
+			}
+			for c := range cols {
+				if !slices.Equal(cols[c], wantCols[c]) {
+					t.Errorf("column %d (source %d) differs from the compacted store's", c, sources[c])
+				}
+			}
+		})
+	}
+}

@@ -38,10 +38,10 @@ type runPlan[E any] struct {
 	// Auto's, or the row walk's under configured Pull, so other fixed-mode
 	// runs skip the accounting entirely.
 	sendDegs []uint32
-	// recvDegs[v] is v's degree as a receiver — the length of its row in
-	// the layers, which the row walk scans. Nil unless the run, scalar or
-	// block, can take the row walk: the program asked for it and scatters one
-	// way, the mode is not forced Push and some layer has no pending delta.
+	// recvDegs[v] is v's degree as a receiver — the length of its live row
+	// in the layers, which the row walk scans, pending updates included. Nil
+	// unless the run, scalar or block, can take the row walk: the program
+	// asked for it and scatters one way, and the mode is not forced Push.
 	recvDegs []uint32
 }
 
@@ -65,7 +65,10 @@ func checkDirections[V, E any](g *graph.Graph[V, E], dir graph.Direction) error 
 // planRun pins g's traversal structures for the directions dir names, all
 // of which g has (checkDirections). Whatever the graph's owning store
 // publishes later, the run keeps iterating exactly this epoch's edge set.
-// rowWalk says the program's sink can gather (see rowSink).
+// rowWalk says the program's sink can gather (see rowSink); every layer can
+// then take the row walk, a layer with a pending delta through its live rows
+// (walkRows), so whether the run may gather depends on the program and the
+// mode alone, never on which layers carry updates.
 func planRun[V, E any](g *graph.Graph[V, E], dir graph.Direction, cfg Config, rowWalk bool) runPlan[E] {
 	var rp runPlan[E]
 	if dir&graph.Out != 0 {
@@ -74,19 +77,15 @@ func planRun[V, E any](g *graph.Graph[V, E], dir graph.Direction, cfg Config, ro
 	if dir&graph.In != 0 {
 		rp.dirs[1] = g.InLayers()
 	}
-	plain := false // some layer has no pending delta
-	for _, layers := range rp.dirs {
-		if cfg.Mode == Auto {
+	if cfg.Mode == Auto {
+		for _, layers := range rp.dirs {
 			rp.costs = addLayers(rp.costs, layers, int(g.NumVertices()))
-		}
-		for _, l := range layers {
-			plain = plain || l.Delta == nil
 		}
 	}
 	// A program scattering both ways keeps the column walks: its two
 	// directions fold into one y, and a gather per direction would fold two
 	// first messages where the promise covers one.
-	rowWalk = rowWalk && plain && cfg.Mode != Push && dir&graph.Both != graph.Both
+	rowWalk = rowWalk && cfg.Mode != Push && dir&graph.Both != graph.Both
 	if cfg.Mode == Auto || rowWalk {
 		rp.sendDegs = degreesAlong(g, dir)
 	}
@@ -116,7 +115,7 @@ func degreesAlong[V, E any](g *graph.Graph[V, E], dir graph.Direction) []uint32 
 // multiplyPhase runs one superstep's generalized multiply (Algorithm 1): every
 // partition of every direction in play, one task each, through the walk the
 // superstep chose — the column walk mode selects, or, with rows non-nil, the
-// row walk on every layer that can take it — against the frontier occupancy
+// row walk on every layer — against the frontier occupancy
 // words xw, folding into sink. Each partition owns a disjoint 64-aligned
 // output row range, so the sink's output needs no synchronization.
 func (rp *runPlan[E]) multiplyPhase(ex execCfg, stop *atomic.Int32, mode Mode, xw []uint64, sink colSink[E], rows rowSink[E], locals []localStats) {

@@ -613,11 +613,10 @@ func flatCalls(parts []sparse.Layered[uint32], live func(j uint32) bool) (spans 
 // summed over a scalar sink's pull partitions and 0 everywhere else: push and
 // block sinks. A pull over plain, fully-live partitions makes exactly one
 // foldFlat call per nonempty partition, over all of its edges. A sink with a
-// gather then runs the row walk the same way: on a plain partition it must
-// equal naiveRows having probed no column, on an overlay it must have fallen
-// back to the column walk and equal that — and the cut partitions compose
-// either way, unless an overlay's cut leaves some partitions plain and others
-// not, which gather and sweep different outputs.
+// gather then runs the row walk the same way: on a plain partition and on an
+// overlay alike it must equal naiveRows over the fresh build — output bits and
+// live slots examined — having probed no column, and the cut partitions, plain
+// or carrying a delta in any mix, compose to that.
 func (c *walkCase) check(t *testing.T, picks []uint) {
 	t.Helper()
 	wantFlat := func(f walkFold, mode Mode, cuts [][2]uint32) (flat int64) {
@@ -668,21 +667,14 @@ func (c *walkCase) check(t *testing.T, picks []uint) {
 			continue
 		}
 		got := f.run(Pull, true, nil)
-		if c.l.Delta == nil {
-			if err := got.equal(f.naiveRows()); err != nil {
-				t.Fatalf("%s row walk whole partition vs first live in-neighbour: %v", f.name, err)
-			}
-			if got.probes != 0 || got.flat != 0 {
-				t.Fatalf("%s row walk probed %d columns and folded %d edges flat", f.name, got.probes, got.flat)
-			}
-		} else if err := got.equal(want); err != nil {
-			t.Fatalf("%s row walk on an overlay vs the column walk it falls back to: %v", f.name, err)
+		if err := got.equal(f.naiveRows()); err != nil {
+			t.Fatalf("%s row walk whole partition vs first live in-neighbour: %v", f.name, err)
+		}
+		if got.probes != 0 || got.flat != 0 {
+			t.Fatalf("%s row walk probed %d columns and folded %d edges flat", f.name, got.probes, got.flat)
 		}
 		for _, pick := range picks {
 			cuts := c.rowCuts(pick)
-			if c.l.Delta != nil && slices.ContainsFunc(c.layers(cuts), func(l sparse.Layered[uint32]) bool { return l.Delta == nil }) {
-				continue
-			}
 			if err := f.run(Pull, true, cuts).equal(got); err != nil {
 				t.Fatalf("%s row walk partitions %v vs whole partition: %v", f.name, cuts, err)
 			}
@@ -795,45 +787,71 @@ func TestFlatIndexRace(t *testing.T) {
 	}
 }
 
-// TestRowIndexRace races the first row-walk multiply on one partition: the
-// goroutines all find the row-major view missing, one of them builds it, and
-// every call — the builder's and the waiters' — must gather the naive result
-// into its private output from the one shared view.
+// TestRowIndexRace races the first row-walk multiply on one partition, plain
+// and carrying a delta: the goroutines all find the row-major views — and on
+// the layered partition the delta's column index, its override set — missing,
+// one of them builds each, and every call — the builders' and the waiters' —
+// must gather the naive result over the fresh build into its private output
+// from the one shared copy of each view. The layered partition is a pair of
+// bare literals, so no view exists before the race.
 func TestRowIndexRace(t *testing.T) {
-	c := newWalkCase(12, 4, 20000, 0, 40, false)
-	want := scalarFold(c, "generic_gather", firstProg{}, c.layers, c.fresh, c.x, c.props, func(r uint64) uint64 { return r }).naiveRows()
-	const racers = 8
-	type result struct {
-		y     *sparse.Vector[uint64]
-		edges int64
-		index *sparse.RowIndex[uint32]
-	}
-	results := make([]result, racers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := range results {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			y := sparse.NewVector[uint64](c.n)
-			sink := scalarSink(firstProg{}, c.x, c.props, y)
-			var st localStats
-			<-start
-			multiply(Pull, c.l, c.x.Mask().Words(), sink, sink.(rowSink[uint32]), &st)
-			results[i] = result{y, st.edges, c.l.Base.RowIndex()}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	for i, r := range results {
-		got := walkOut{mask: r.y.Mask().Words(), vals: make([]uint64, c.words()*64), edges: r.edges}
-		copy(got.vals, r.y.Values())
-		if err := got.equal(want); err != nil {
-			t.Errorf("racer %d vs first live in-neighbour: %v", i, err)
-		}
-		if r.index != results[0].index {
-			t.Errorf("racer %d read a second copy of the row-major view", i)
-		}
+	for _, tc := range []struct {
+		name string
+		nmut int
+		bare bool
+	}{{"plain", 0, false}, {"layered", 400, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newWalkCase(12, 4, 20000, tc.nmut, 40, tc.bare)
+			if (c.l.Delta != nil) != (tc.nmut > 0) {
+				t.Fatalf("fixture: delta presence %v with %d mutations", c.l.Delta != nil, tc.nmut)
+			}
+			want := scalarFold(c, "generic_gather", firstProg{}, c.layers, c.fresh, c.x, c.props, func(r uint64) uint64 { return r }).naiveRows()
+			// views are the derived structures a racer read, by identity.
+			type views struct {
+				base, delta *sparse.RowIndex[uint32]
+				over        *uint64
+			}
+			viewsOf := func(l sparse.Layered[uint32]) views {
+				v := views{base: l.Base.RowIndex()}
+				if l.Delta != nil {
+					v.delta, v.over = l.Delta.RowIndex(), &l.Delta.ColumnIndex().Bits[0]
+				}
+				return v
+			}
+			const racers = 8
+			type result struct {
+				y     *sparse.Vector[uint64]
+				edges int64
+				views views
+			}
+			results := make([]result, racers)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := range results {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					y := sparse.NewVector[uint64](c.n)
+					sink := scalarSink(firstProg{}, c.x, c.props, y)
+					var st localStats
+					<-start
+					multiply(Pull, c.l, c.x.Mask().Words(), sink, sink.(rowSink[uint32]), &st)
+					results[i] = result{y, st.edges, viewsOf(c.l)}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for i, r := range results {
+				got := walkOut{mask: r.y.Mask().Words(), vals: make([]uint64, c.words()*64), edges: r.edges}
+				copy(got.vals, r.y.Values())
+				if err := got.equal(want); err != nil {
+					t.Errorf("racer %d vs first live in-neighbour: %v", i, err)
+				}
+				if r.views != results[0].views {
+					t.Errorf("racer %d read a second copy of a row-major view or of the override set", i)
+				}
+			}
+		})
 	}
 }
 
@@ -851,9 +869,10 @@ func FuzzLayeredWalk(f *testing.F) {
 	f.Add(uint64(3), uint8(4), uint8(250), uint8(60), uint8(200), uint8(5), false)
 	f.Add(uint64(4), uint8(3), uint8(40), uint8(90), uint8(30), uint8(3), true) // delta-heavy, bare literals
 	f.Add(uint64(5), uint8(4), uint8(0), uint8(50), uint8(255), uint8(7), false)
-	f.Add(uint64(6), uint8(3), uint8(255), uint8(0), uint8(255), uint8(0), false) // plain, every batch flat
-	f.Add(uint64(7), uint8(4), uint8(220), uint8(70), uint8(255), uint8(2), true) // flat runs between overrides, bare literals
-	f.Add(uint64(8), uint8(3), uint8(200), uint8(0), uint8(255), uint8(6), true)  // plain, bare literal: the liveness test builds the column index
+	f.Add(uint64(6), uint8(3), uint8(255), uint8(0), uint8(255), uint8(0), false)   // plain, every batch flat
+	f.Add(uint64(7), uint8(4), uint8(220), uint8(70), uint8(255), uint8(2), true)   // flat runs between overrides, bare literals
+	f.Add(uint64(8), uint8(3), uint8(200), uint8(0), uint8(255), uint8(6), true)    // plain, bare literal: the liveness test builds the column index
+	f.Add(uint64(9), uint8(3), uint8(200), uint8(120), uint8(120), uint8(7), false) // four 64-row cuts, every one carrying a delta; mid-density frontier
 	f.Fuzz(func(t *testing.T, seed uint64, nblk, nbase, nmut, density, pick uint8, bare bool) {
 		fill := int(density)
 		if fill == 255 {

@@ -13,11 +13,12 @@ import (
 
 // TestBatchRowWalkVisible follows the k-wide gather's decision to every
 // place an operator can read it: a 16-source bfs on a graph with no pending
-// updates reports RowSupersteps in its reply and in /v1/stats, its streamed
-// form marks exactly those supersteps row_walk, and right after an edge batch
-// that leaves a delta on every layer the same request reports 0 — the
-// fallback to the column walk is visible, not silent — with the same values
-// (the batch re-weights existing edges, which hop counts ignore).
+// updates reports RowSupersteps in its reply and in /v1/stats, and its
+// streamed form marks exactly those supersteps row_walk. Right after an edge
+// batch that leaves a delta on every layer, the same request gathers on the
+// same supersteps: the batch only re-weights existing edges, so no degree
+// and no decision moves, the row walk reads each layer's rows with the delta
+// merged in, and the values are the same (hop counts ignore weights).
 func TestBatchRowWalkVisible(t *testing.T) {
 	_, ts := newTestServer(t)
 	opts := gen.RMATOptions{Scale: 11, EdgeFactor: 12, Seed: testSeed, MaxWeight: 10}
@@ -31,21 +32,21 @@ func TestBatchRowWalkVisible(t *testing.T) {
 	for i := range sources {
 		sources[i] = uint32(i)
 	}
-	run := func(stream bool) (batchReply, int) {
+	run := func(stream bool) (batchReply, []int) {
 		t.Helper()
 		code, body := do(t, ts, http.MethodPost, "/v1/graphs/g/run", map[string]any{"algo": "bfs", "sources": sources, "stream": stream})
 		if code != http.StatusOK {
 			t.Fatalf("16-source bfs = %d: %s", code, body)
 		}
 		lines := splitNDJSON(t, body)
-		rowWalks := 0
+		var rowWalks []int // the supersteps the progress lines mark row_walk
 		for _, ln := range lines[:len(lines)-1] {
 			var p streamProgress
 			if err := json.Unmarshal(ln, &p); err != nil {
 				t.Fatalf("progress line %s: %v", ln, err)
 			}
 			if p.RowWalk {
-				rowWalks++
+				rowWalks = append(rowWalks, p.Iteration)
 			}
 		}
 		var reply batchReply
@@ -79,8 +80,8 @@ func TestBatchRowWalkVisible(t *testing.T) {
 		t.Errorf("/v1/stats engine RowSupersteps = %d after one run that reported %d", got, rows)
 	}
 	streamed, marked := run(true)
-	if streamed.Stats.RowSupersteps != rows || int64(marked) != rows {
-		t.Errorf("streamed run: RowSupersteps %d, %d progress lines marked row_walk, blocking run %d", streamed.Stats.RowSupersteps, marked, rows)
+	if streamed.Stats.RowSupersteps != rows || int64(len(marked)) != rows {
+		t.Errorf("streamed run: RowSupersteps %d, progress lines %v marked row_walk, blocking run %d", streamed.Stats.RowSupersteps, marked, rows)
 	}
 
 	// Re-weight one existing edge into every 32nd row: every 64-aligned
@@ -98,20 +99,23 @@ func TestBatchRowWalkVisible(t *testing.T) {
 	}
 	before := engineRows()
 	for _, stream := range []bool{false, true} {
-		updated, marked := run(stream)
+		updated, updatedMarked := run(stream)
 		if updated.Epoch != 1 {
 			t.Fatalf("run after the batch is at epoch %d", updated.Epoch)
 		}
-		if updated.Stats.RowSupersteps != 0 || marked != 0 {
-			t.Errorf("stream=%v right after an update: RowSupersteps %d, %d lines marked row_walk: layers with a pending delta keep the column walk", stream, updated.Stats.RowSupersteps, marked)
+		if updated.Stats.RowSupersteps != rows {
+			t.Errorf("stream=%v right after an update: RowSupersteps %d, %d before it", stream, updated.Stats.RowSupersteps, rows)
+		}
+		if stream && !slices.Equal(updatedMarked, marked) {
+			t.Errorf("right after an update the progress lines mark supersteps %v row_walk, %v before it", updatedMarked, marked)
 		}
 		for i := range sources {
 			if !slices.Equal(updated.Values[i], fresh.Values[i]) {
-				t.Errorf("stream=%v source %d: distances changed with the walk", stream, sources[i])
+				t.Errorf("stream=%v source %d: distances changed with the update", stream, sources[i])
 			}
 		}
 	}
-	if got := engineRows(); got != before {
-		t.Errorf("/v1/stats engine RowSupersteps moved %d -> %d over runs that reported 0", before, got)
+	if got := engineRows(); got != before+2*rows {
+		t.Errorf("/v1/stats engine RowSupersteps moved %d -> %d over two runs that reported %d each", before, got, rows)
 	}
 }

@@ -51,10 +51,12 @@ type DCSC[E any] struct {
 		cols []uint32
 	}
 
-	// rowIndex memoizes RowIndex, the row-major view the row walk scans:
-	// built by the first row-walk task that reaches this structure and never
-	// before, so a structure no settled-mask program ever pulls through does
-	// not pay for it. Derived state, like edgeCols — never serialised.
+	// rowIndex memoizes RowIndex, the row-major view the row walk scans —
+	// a base's, and a delta's beside it (Layered): built by the first
+	// row-walk task that reaches this structure and never before, so a
+	// structure no settled-mask program ever pulls through does not pay for
+	// it, and a delta pays O(its own entries) once, not per epoch. Derived
+	// state, like edgeCols — never serialised.
 	rowIndex struct {
 		once sync.Once
 		idx  *RowIndex[E]
@@ -116,6 +118,12 @@ func newColumnIndex(jc []uint32, ncols uint32) ColumnIndex {
 	return x
 }
 
+// Has reports whether column j is stored: one bit test, no rank.
+func (x *ColumnIndex) Has(j uint32) bool {
+	w := int(j>>6) - x.Lo
+	return uint(w) < uint(len(x.Bits)) && x.Bits[w]&(1<<(j&63)) != 0
+}
+
 // ColumnIndex returns m's column index, built on first use (O(len(JC) + span
 // words)) and memoized; it must be treated as read-only. Safe for concurrent
 // use: racing first callers build it once.
@@ -132,7 +140,9 @@ func (m *DCSC[E]) ColumnIndex() *ColumnIndex {
 // sequence. A scan of a row that stops early finds the value of the entry it
 // stopped at on the cache line it just read, which is why source and value
 // are interleaved. It costs 4 B plus one E per stored entry (8 B for float32
-// weights) and 4 B per row.
+// weights) and 4 B per row. A delta's RowIndex holds its override columns'
+// entries only (a tombstone has none); the row walk merges it with the base's
+// (see Layered).
 type RowIndex[E any] struct {
 	RowLo   uint32
 	Ptr     []uint32

@@ -25,6 +25,12 @@ type Mut[E any] struct {
 // DCSC plus an optional delta DCSC of whole-column overrides. A nil Delta
 // means the partition has no pending mutations: the plain partition is the
 // degenerate case of the same kernel walks, not a separate path.
+//
+// Read by rows, a partition's live row r is the base's row r minus every
+// entry whose column the delta stores (its ColumnIndex, tombstones
+// included), merged in ascending column with the delta's row r. So the two
+// layers' memoized RowIndex views and the delta's column index are all a row
+// reader needs: no merged row view is built, per epoch or ever.
 type Layered[E any] struct {
 	Base  *DCSC[E]
 	Delta *DCSC[E]
