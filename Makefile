@@ -131,9 +131,11 @@ kernel-parity:
 # wakes workers and steals across them. The same asserting tests cover both
 # paths side by side — in algorithms, the batch ≡ solo and store differentials,
 # which run the apply phase that also sends the next superstep's messages.
-# CI runs this target.
+# The server's admission tests run too: at -cpu 1 the hand-off from an ending
+# run to the batch gathered behind it has a single P. CI runs this target.
 test-cpus:
 	$(GO) test -count=1 -cpu=1,4 ./internal/sched ./internal/core ./algorithms
+	$(GO) test -count=1 -cpu=1,4 -run 'Batch|Coalesc|Width1' ./internal/server
 
 # The durability contract by name: a daemon SIGKILLed after acking update
 # batches but before any checkpoint reboots from snapshot + WAL with every

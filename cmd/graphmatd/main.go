@@ -28,9 +28,9 @@
 //	POST   /v1/graphs/{name}/run          unified run: {"algo":..., "sources":[...], "mode":..., "params":{...}, "timeout_ms":..., "stream":...}
 //	POST   /v1/graphs/{name}/run/{algo}   run an algorithm; body holds its parameters
 //
-// Concurrent single-source /v1 run requests for the same (graph, algorithm,
-// epoch, parameters) are coalesced into one multi-source block run within
-// -batch-window, with per-source results fanned back out bit-identically.
+// Single-source /v1 run requests for the same (graph, algorithm, epoch,
+// parameters) that arrive while a run of that graph and algorithm is in
+// flight share the next block run, with results fanned back out per source.
 package main
 
 import (
@@ -65,7 +65,6 @@ func main() {
 		partitions = flag.Int("partitions", 0, "matrix partitions per graph build (0 = auto)")
 		jobs       = flag.Int("j", 0, "ingestion workers for uploads and preloads (0 = GOMAXPROCS, 1 = sequential)")
 		maxUpload  = flag.Int64("max-upload", 0, "largest accepted POST /v1/graphs upload in bytes (0 = 1 GiB)")
-		batchWin   = flag.Duration("batch-window", 0, "admission window coalescing concurrent single-source /v1 runs into multi-source batches (0 = 2ms default, negative disables)")
 		dataDir    = flag.String("data-dir", "", "persistence root: graphs checkpoint to mmap-ready snapshots + WAL under this directory and reboot from them instantly (empty = volatile)")
 		quiet      = flag.Bool("quiet", false, "suppress per-request logging")
 		graphs     graphFlags
@@ -83,7 +82,6 @@ func main() {
 		Partitions:     *partitions,
 		Workers:        *jobs,
 		MaxUploadBytes: *maxUpload,
-		BatchWindow:    *batchWin,
 		DataDir:        *dataDir,
 		Logger:         reqLogger,
 	})

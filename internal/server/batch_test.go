@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"graphmat"
 	"graphmat/algorithms"
@@ -238,15 +237,20 @@ func TestRunV1Unified(t *testing.T) {
 }
 
 // TestRunV1Coalescing is the serving half of the batching differential:
-// concurrent single-source v1 requests must coalesce into shared block runs
-// AND return exactly the payload (values, epoch) an uncoalesced server
-// produces. A generous window guarantees the burst lands in one batch even
-// on slow single-core CI; the uncoalesced oracle runs with batching disabled.
+// single-source v1 requests that arrive while a run holds the instance must
+// coalesce into one shared block run AND return exactly the payload (values,
+// epoch) an uncoalesced server produces. Holding the instance while the
+// burst arrives makes the batch exact on any scheduler; the uncoalesced
+// oracle runs with batching disabled.
 func TestRunV1Coalescing(t *testing.T) {
-	srv := New(Config{BatchWindow: 300 * time.Millisecond})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	addTestGraph(t, ts, "g")
+	g, err := srv.reg.Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	solo := New(Config{BatchWindow: -1}) // coalescing disabled: width-1 batches
 	soloTS := httptest.NewServer(solo)
@@ -260,6 +264,7 @@ func TestRunV1Coalescing(t *testing.T) {
 		Epoch     uint64 `json:"epoch"`
 	}
 	replies := make([]v1Reply, len(sources))
+	release := holdInstance(t, g, "bfs")
 	var wg sync.WaitGroup
 	for i, src := range sources {
 		wg.Add(1)
@@ -276,12 +281,13 @@ func TestRunV1Coalescing(t *testing.T) {
 			}
 		}(i, src)
 	}
+	waitSubmitted(t, srv.batcher, int64(len(sources)))
+	release()
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
 	}
 
-	anyCoalesced := false
 	for i, src := range sources {
 		// Uncoalesced oracle: same request against the batching-disabled
 		// server; payloads must match on values and epoch. (Stats legitimately
@@ -309,32 +315,20 @@ func TestRunV1Coalescing(t *testing.T) {
 		if replies[i].Epoch != want.Epoch {
 			t.Fatalf("source %d: epoch %d vs %d", src, replies[i].Epoch, want.Epoch)
 		}
-		anyCoalesced = anyCoalesced || replies[i].Coalesced
-	}
-	if !anyCoalesced {
-		t.Fatal("no request reported coalescing despite the concurrent burst")
+		if !replies[i].Coalesced {
+			t.Errorf("source %d: reply not coalesced, though it arrived behind a held instance", src)
+		}
 	}
 
-	// The admission layer's own accounting: 8 admitted, fewer engine runs.
-	bs := srv.batcher.stats()
-	if bs.Submitted != int64(len(sources)) {
-		t.Fatalf("batcher submitted = %d, want %d", bs.Submitted, len(sources))
-	}
-	if bs.Batches >= int64(len(sources)) {
-		t.Fatalf("batcher ran %d batches for %d requests: nothing coalesced", bs.Batches, len(sources))
-	}
-	if bs.Coalesced == 0 {
-		t.Fatal("batcher recorded no coalesced requests")
+	// The admission layer's own accounting: 8 admitted, one width-8 run.
+	if bs := srv.batcher.stats(); bs != (batcherStats{Submitted: int64(len(sources)), Batches: 1, Coalesced: int64(len(sources))}) {
+		t.Fatalf("batcher stats = %+v, want %d requests in one coalesced batch", bs, len(sources))
 	}
 
 	// And the per-instance tallies surface the batching.
-	g, err := srv.reg.Get("g")
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := g.Stats()["bfs"]
-	if st.BatchRuns == 0 || st.BatchedSources != int64(len(sources)) {
-		t.Fatalf("bfs batch tallies = %+v, want %d sources over fewer runs", st, len(sources))
+	if st.BatchRuns != 1 || st.BatchedSources != int64(len(sources)) {
+		t.Fatalf("bfs batch tallies = %+v, want %d sources in one run", st, len(sources))
 	}
 }
 

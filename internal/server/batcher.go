@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"sync"
-	"time"
 
 	"graphmat"
 	"graphmat/algorithms"
@@ -18,22 +17,25 @@ import (
 // clients except in latency: each response carries exactly the values a solo
 // run would have produced.
 //
-// The coalescing window is deliberately short (default 2ms): it exists to
-// catch requests that are already in flight together, not to delay lone
-// queries hoping company shows up. A batch that reaches the block width
-// (graphmat.MaxBlockSources) flushes immediately. A window that closes with
-// one source in it — most of them, at two closed-loop clients — flushes like
-// any other: what a one-column block run costs is the engine's business.
-
-const defaultBatchWindow = 2 * time.Millisecond
+// Admission closes on occupancy, not on a timer. The request that opens a
+// batch starts its run at once, and the run closes admission when it gets
+// the instance (algoInstance.runMu). So a lone request on an idle instance
+// runs at once as a batch of one, and requests that arrive while another run
+// holds the instance share the run that starts when it frees. A batch that
+// reaches graphmat.MaxBlockSources closes admission under the lock that saw
+// it fill. Lock order: runMu, then b.mu.
+//
+// The trade-off: a burst of simultaneous requests on an idle instance runs
+// its first request alone and the rest together. Closed-loop clients almost
+// never send such a burst.
 
 // batchKey identifies requests that may share one block run. The epoch is
 // part of the key so requests straddling an update batch never share a
 // snapshot they would disagree about; the params key has the source stripped
 // (that is the dimension being batched over). The epoch is the instance
 // store's snapshot epoch, read from the pin taken at admission — the same
-// snapshot the flush will run on, so the promise the key makes is the one
-// the result keeps.
+// snapshot the run will use, so the promise the key makes is the one the
+// result keeps.
 type batchKey struct {
 	g      *GraphEntry
 	algo   string
@@ -47,22 +49,19 @@ func sharedParamsKey(p algorithms.Params) string {
 	return p.Key()
 }
 
-// pendingBatch is one open coalescing window: the sources gathered so far,
-// the snapshot pin taken when the window opened (the epoch every waiter was
-// promised by the batch key), and the completion the waiters block on.
+// pendingBatch is one batch open for admission: the sources gathered so far,
+// the snapshot pin taken when it opened (the epoch every waiter was promised
+// by the batch key), and the completion the waiters block on.
 type pendingBatch struct {
 	p       algorithms.Params // shared non-source parameters
-	pin     algorithms.Pin    // admission-time snapshot; released by flush
+	pin     algorithms.Pin    // admission-time snapshot; released by dispatch
 	sources []uint32
-	flushed bool
 	done    chan struct{}
 	res     algorithms.BatchResult
 	err     error
 }
 
 type batcher struct {
-	window time.Duration
-
 	mu      sync.Mutex
 	pending map[batchKey]*pendingBatch
 
@@ -76,11 +75,8 @@ type batcher struct {
 	onFlush func(width int)
 }
 
-func newBatcher(window time.Duration) *batcher {
-	if window == 0 {
-		window = defaultBatchWindow
-	}
-	return &batcher{window: window, pending: make(map[batchKey]*pendingBatch)}
+func newBatcher() *batcher {
+	return &batcher{pending: make(map[batchKey]*pendingBatch)}
 }
 
 // submit admits one single-source request. It joins (or opens) the pending
@@ -91,17 +87,17 @@ func newBatcher(window time.Duration) *batcher {
 // Stats of exactly its own run. The second return reports whether the run
 // was shared with other requests.
 //
-// ctx bounds only this caller's wait: a coalesced run is not canceled when
-// one of its waiters gives up, since the others still want the result.
+// ctx bounds only this caller's wait: a run is not canceled when one of its
+// waiters, the opener included, gives up, since the others still want it.
 func (b *batcher) submit(ctx context.Context, g *GraphEntry, algo string, p algorithms.Params) (algorithms.Result, bool, error) {
 	ai, err := g.instance(algo)
 	if err != nil {
 		return algorithms.Result{}, false, err
 	}
 	// Pin the snapshot BEFORE keying: the epoch in the batch key and the
-	// epoch the flush runs against are then the same pinned snapshot by
-	// construction, so an update landing inside the open window cannot skew
-	// the batch onto a newer edge set than its waiters were promised.
+	// epoch the run uses are then the same pinned snapshot by construction,
+	// so an update landing while the batch waits for the instance cannot
+	// skew it onto a newer edge set than its waiters were promised.
 	pin := ai.inst.AcquirePin()
 	key := batchKey{g: g, algo: algo, epoch: pin.Epoch(), params: sharedParamsKey(p)}
 	b.mu.Lock()
@@ -110,15 +106,12 @@ func (b *batcher) submit(ctx context.Context, g *GraphEntry, algo string, p algo
 	if !joined {
 		pb = &pendingBatch{p: p, pin: pin, done: make(chan struct{})}
 		b.pending[key] = pb
-		time.AfterFunc(b.window, func() { b.flush(key, pb) })
 	}
 	idx := len(pb.sources)
 	pb.sources = append(pb.sources, p.Source)
-	full := len(pb.sources) >= graphmat.MaxBlockSources
-	if full {
-		// Close admission under the SAME lock that detected fullness:
-		// removing the batch from pending here means no later submit can
-		// append a 65th source in the gap before flush re-locks.
+	if len(pb.sources) >= graphmat.MaxBlockSources {
+		// Close admission under the SAME lock that detected fullness, so no
+		// later submit can append a 65th source before the run takes them.
 		delete(b.pending, key)
 	}
 	b.mu.Unlock()
@@ -126,11 +119,8 @@ func (b *batcher) submit(ctx context.Context, g *GraphEntry, algo string, p algo
 		// The open batch already holds the pin its key promises; this
 		// request's own pin was only needed to compute the key.
 		pin.Release()
-	}
-	if full {
-		// A full block flushes in the submitting goroutine: the run happens
-		// here, and the AfterFunc finds the batch already flushed.
-		b.flush(key, pb)
+	} else {
+		go b.dispatch(key, pb)
 	}
 	select {
 	case <-pb.done:
@@ -147,17 +137,32 @@ func (b *batcher) submit(ctx context.Context, g *GraphEntry, algo string, p algo
 	}, len(pb.res.Sources) > 1, nil
 }
 
-// flush closes the batch's admission window and executes the batch run on
-// the snapshot pinned at admission, then releases the pin. Idempotent: the
-// width-triggered flush and the timer both call it, the first one wins. The
-// run uses a background context — see submit.
-func (b *batcher) flush(key batchKey, pb *pendingBatch) {
-	b.mu.Lock()
-	if pb.flushed {
-		b.mu.Unlock()
-		return
+// dispatch runs one batch on the snapshot pinned at admission, then releases
+// the pin and wakes the waiters. Admission stays open until the run holds
+// the instance; a run that fails before it gets there (an algorithm with no
+// source, an instance that will not build) closes admission on its way out,
+// so no later request joins a finished batch. The run uses a background
+// context — see submit.
+func (b *batcher) dispatch(key batchKey, pb *pendingBatch) {
+	admitted := false
+	pb.err = key.g.run(key.algo, true, func(inst algorithms.Instance) (graphmat.Stats, int, error) {
+		p := b.admit(key, pb)
+		admitted = true
+		var err error
+		pb.res, err = inst.RunBatch(context.Background(), pb.pin, p, nil)
+		return pb.res.Stats, len(pb.res.Sources), err
+	})
+	if !admitted {
+		b.admit(key, pb)
 	}
-	pb.flushed = true
+	pb.pin.Release()
+	close(pb.done)
+}
+
+// admit closes the batch's admission and returns its run's parameters: the
+// shared ones with the sources gathered so far.
+func (b *batcher) admit(key batchKey, pb *pendingBatch) algorithms.Params {
+	b.mu.Lock()
 	if b.pending[key] == pb {
 		delete(b.pending, key)
 	}
@@ -173,9 +178,7 @@ func (b *batcher) flush(key batchKey, pb *pendingBatch) {
 	if onFlush != nil {
 		onFlush(len(p.Sources))
 	}
-	pb.res, pb.err = key.g.RunBatchPinned(context.Background(), key.algo, pb.pin, p, nil)
-	pb.pin.Release()
-	close(pb.done)
+	return p
 }
 
 // batcherStats is the GET /v1/stats view of the admission layer.

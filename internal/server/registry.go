@@ -430,20 +430,14 @@ func (g *GraphEntry) RunContext(ctx context.Context, algo string, p algorithms.P
 }
 
 // RunBatch executes one multi-source query: one independent single-source run
-// per element of p.Sources on one pinned snapshot, advanced together as one
+// per element of p.Sources on the current snapshot, advanced together as one
 // block run, per-source results bit-identical to that many RunContext calls.
 // Algorithms without a source parameter return algorithms.ErrBatchUnsupported.
-func (g *GraphEntry) RunBatch(ctx context.Context, algo string, p algorithms.Params, obs algorithms.Observer) (algorithms.BatchResult, error) {
-	return g.RunBatchPinned(ctx, algo, nil, p, obs)
-}
-
-// RunBatchPinned is RunBatch against a snapshot the caller pinned earlier
-// with the instance's AcquirePin — the admission batcher's path, where the
-// epoch promised at admission must be the epoch the run executes on. The
-// pin stays owned by the caller; a nil pin means the current snapshot.
-func (g *GraphEntry) RunBatchPinned(ctx context.Context, algo string, pin algorithms.Pin, p algorithms.Params, obs algorithms.Observer) (res algorithms.BatchResult, err error) {
+// The v1 API's single-source requests take the batcher instead, which
+// coalesces those that arrive while a run of the same instance is in flight.
+func (g *GraphEntry) RunBatch(ctx context.Context, algo string, p algorithms.Params, obs algorithms.Observer) (res algorithms.BatchResult, err error) {
 	err = g.run(algo, true, func(inst algorithms.Instance) (graphmat.Stats, int, error) {
-		res, err = inst.RunBatch(ctx, pin, p, obs)
+		res, err = inst.RunBatch(ctx, nil, p, obs)
 		return res.Stats, len(res.Sources), err
 	})
 	return res, err

@@ -50,11 +50,11 @@ type Config struct {
 	// are acknowledged, and re-registering a persisted name boots from the
 	// mmap'd snapshots instead of re-parsing and re-building.
 	DataDir string
-	// BatchWindow is the admission-batching window of the v1 run API:
-	// single-source requests for the same (graph, algorithm, epoch, params)
-	// arriving within it coalesce into one multi-source block run. 0 means
-	// the default (2ms); negative disables coalescing (each request runs as a
-	// width-1 batch).
+	// BatchWindow < 0 turns admission batching of the v1 run API off: each
+	// single-source request runs as a width-1 batch of its own. Only its sign
+	// is read. Otherwise such requests for the same (graph, algorithm, epoch,
+	// params) that arrive while a run of that instance is in flight share the
+	// next run, and one that finds the instance idle runs at once.
 	BatchWindow time.Duration
 	// Logger, when set, receives one line per request.
 	Logger *log.Logger
@@ -95,7 +95,7 @@ func New(cfg Config) *Server {
 		modeRuns: make(map[string]int64),
 	}
 	if cfg.BatchWindow >= 0 {
-		s.batcher = newBatcher(cfg.BatchWindow)
+		s.batcher = newBatcher()
 	}
 	// Every endpoint lives under /v1 and nowhere else.
 	s.handle("GET /v1/healthz", s.handleHealthz)
@@ -586,13 +586,13 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req runRequest
 // what they mean — answered from the result cache when it can be and
 // published to it after. With sources it is k independent runs advanced as
 // one block batch, bit-identical per source to k solo runs. One source goes
-// through the admission batcher, which coalesces concurrent compatible
-// requests into shared block runs, and keeps the scalar reply shape; the
-// cache is deliberately not consulted on that path — shared sweeps, not
-// memoization, are the v1 dedup mechanism. A watched run (obs non-nil: a
-// stream) neither reads the cache nor joins the batcher — its client wants to
-// watch its own run — and any sources give it the batch shape. A failed run
-// returns the reason it stopped beside the error.
+// through the admission batcher, which coalesces compatible requests that
+// arrive while a run of the same instance is in flight, and keeps the scalar
+// reply shape; the cache is deliberately not consulted on that path —
+// shared sweeps, not memoization, are the v1 dedup mechanism. A watched run
+// (obs non-nil: a stream) neither reads the cache nor joins the batcher —
+// its client wants to watch its own run — and any sources give it the batch
+// shape. A failed run returns the reason it stopped beside the error.
 func (s *Server) execute(ctx context.Context, g *GraphEntry, name, algo string, sources []uint32, params algorithms.Params, obs algorithms.Observer) (runDoc, graphmat.StopReason, error) {
 	start := time.Now()
 	switch {

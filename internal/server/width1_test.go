@@ -137,7 +137,7 @@ func TestWidth1RacesBlockRunsScalarRunsAndUpdates(t *testing.T) {
 		readers = 3
 	)
 	adj := persistTestAdj(256)
-	srv := New(Config{BatchWindow: time.Millisecond})
+	srv := New(Config{})
 	if _, err := srv.reg.AddCOO("g", "seed", adj.Clone()); err != nil {
 		t.Fatal(err)
 	}
