@@ -78,7 +78,7 @@ race:
 	$(GO) test -race . ./internal/core/... ./internal/sched/... ./internal/kernels/... ./internal/sparse/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
 
 # Fuzz smoke over the graph readers, the update-stream parser, the snapshot
-# reader, WAL replay, the run-reply number encoder, the SIMD kernel backends, the
+# reader, WAL replay, the run-reply number and series encoder, the SIMD kernel backends, the
 # DCSC column index and the kernel walks: 10s per target (go test takes one
 # -fuzz pattern at a time).
 # The reader targets assert parallel parse ≡ sequential parse; the update
@@ -90,8 +90,12 @@ race:
 # 60 s budget would eat the whole run); the WAL target asserts ReadWAL/OpenWAL
 # never panic on torn, bit-flipped or re-signed logs, that the batches they
 # replay re-append to exactly the file's valid prefix, that OpenWAL truncates
-# to that prefix and that an append after it replays last; the reply target asserts every finite
-# float64 is encoded byte for byte as encoding/json encodes it; the kernel
+# to that prefix and that an append after it replays last; the reply targets assert every finite
+# float64, and every series of repeats and alternations (memoized repeats
+# included, and a NaN or ±Inf after one stopping the series), is encoded byte
+# for byte as encoding/json encodes it (the series target's minimizer is
+# capped too: its many small new-coverage inputs would otherwise stall the
+# workers for most of the run); the kernel
 # targets assert every SIMD backend ≡ the scalar oracle bit for bit; the
 # column-index target asserts FindColumn ≡ a linear search of JC for every id
 # and one bitmap bit per stored column, tombstones included; the walk
@@ -112,6 +116,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenSnap$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/snap
 	$(GO) test -run='^$$' -fuzz='^FuzzReadWAL$$' -fuzztime=10s ./internal/snap
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendJSONFloat$$' -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzReplySeries$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzBitvecWords$$' -fuzztime=10s ./internal/kernels
 	$(GO) test -run='^$$' -fuzz='^FuzzDenseFold$$' -fuzztime=10s ./internal/kernels
 	$(GO) test -run='^$$' -fuzz='^FuzzColumnIndex$$' -fuzztime=10s ./internal/sparse

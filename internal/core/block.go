@@ -208,8 +208,16 @@ func (st *BlockState[V]) InitProps(fn func(v uint32, s int) V) {
 	}
 }
 
+// columnTile is the vertex count Columns transposes at a time: a tile's rows
+// (at most 64 × 64 properties) stay in cache while each column's slice of
+// the tile is written, and each of those writes is a run of 64 consecutive
+// slots rather than one slot per column per vertex.
+const columnTile = 64
+
 // Columns returns every source column's per-vertex properties, cols[s][v] —
-// the whole batch's result extraction, in one pass over the property rows.
+// the whole batch's result extraction. A one-column block is one copy; a
+// wider one is transposed a tile of columnTile vertices at a time, filling
+// each column's [v0, v1) from the tile's rows.
 func (st *BlockState[V]) Columns() [][]V {
 	cols := make([][]V, st.k)
 	for s := range cols {
@@ -219,9 +227,15 @@ func (st *BlockState[V]) Columns() [][]V {
 		copy(cols[0], st.props)
 		return cols
 	}
-	for v := 0; v < st.n; v++ {
-		for s, p := range st.props[v*st.k : (v+1)*st.k] {
-			cols[s][v] = p
+	k := st.k
+	for v0 := 0; v0 < st.n; v0 += columnTile {
+		v1 := min(v0+columnTile, st.n)
+		rows := st.props[v0*k : v1*k]
+		for s, col := range cols {
+			dst := col[v0:v1]
+			for i := range dst {
+				dst[i] = rows[i*k+s]
+			}
 		}
 	}
 	return cols

@@ -21,9 +21,14 @@ import (
 // This writer appends each value with strconv into a pooled fixed-size
 // buffer and hands the buffer to the connection whenever it fills, so a
 // reply's memory is the buffer and its first bytes leave after 64 KB of
-// work. The output is exactly encoding/json's (field order, omitempty, map
-// key order, number formatting, trailing newline): reply_test.go holds whole
-// documents, and FuzzAppendJSONFloat every finite float64, to that.
+// work. Within a series, the integers 0–99 come from strconv's table, a
+// value repeating the last one formatted (such as the unreached sentinel on
+// every vertex outside a traversal's reach) copies that value's bytes, and
+// everything else is formatted as encoding/json formats it (see floats).
+// The output is exactly encoding/json's (field order, omitempty, map key
+// order, number formatting, trailing newline): reply_test.go holds whole
+// documents, FuzzAppendJSONFloat every finite float64 and FuzzReplySeries
+// every series of repeats and alternations, to that.
 
 // replyBufSize is the fill level at which a reply buffer is flushed to the
 // connection: large enough that an 11 MB reply is a couple of hundred
@@ -31,7 +36,7 @@ import (
 const replyBufSize = 64 << 10
 
 // replySlack is headroom past replyBufSize so the append that crosses the
-// fill level does not reallocate: the longest float64 takes 24 bytes.
+// fill level does not reallocate: the longest float64 takes 25 bytes.
 const replySlack = 64
 
 var replyBufs = sync.Pool{New: func() any {
@@ -86,22 +91,47 @@ func (rw *replyWriter) unsupported(f float64) {
 // floats appends vals as a JSON array (null for a nil slice, as
 // encoding/json has it), flushing whenever the buffer fills. This loop is the
 // encoder: it keeps the buffer in a local so each value costs an append, not
-// a load and store through rw.
+// a load and store through rw. Each value takes one of three paths:
+//   - the integers 0–99 (hop counts, short distances) are strconv's table
+//     lookup;
+//   - a repeat of the memo, the last value that took the third path, copies
+//     the bytes that value produced. The unreached sentinels
+//     (3.4028234663852886e+38 for sssp, 4294967295 for bfs) and a
+//     component's label recur all through a series with small values
+//     between them, which neither read nor replace the memo;
+//   - everything else goes through appendJSONFloat and becomes the memo. A
+//     NaN or ±Inf stops the reply there, so the memo only holds finite
+//     values.
+//
+// The memo compares bits, so 0 and -0 stay distinct.
 func (rw *replyWriter) floats(vals []float64) {
 	if vals == nil {
 		rw.raw("null")
 		return
 	}
+	var (
+		memo     [32]byte // the longest float64 takes 25 bytes: -0.0000010000000000000002
+		memoLen  int
+		memoBits uint64 // +0's bits, which never reach the memo: it starts empty
+	)
 	buf := append(rw.buf, '[')
 	for i, f := range vals {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		var ok bool
-		if buf, ok = appendJSONFloat(buf, f); !ok {
-			rw.buf = buf
-			rw.unsupported(f)
-			return
+		if f >= 0 && f < 100 && float64(uint8(f)) == f && (f != 0 || !math.Signbit(f)) {
+			buf = strconv.AppendUint(buf, uint64(f), 10)
+		} else if bits := math.Float64bits(f); bits == memoBits {
+			buf = append(buf, memo[:memoLen]...)
+		} else {
+			start := len(buf)
+			var ok bool
+			if buf, ok = appendJSONFloat(buf, f); !ok {
+				rw.buf = buf
+				rw.unsupported(f)
+				return
+			}
+			memoLen, memoBits = copy(memo[:], buf[start:]), bits
 		}
 		if len(buf) >= replyBufSize {
 			rw.buf = buf

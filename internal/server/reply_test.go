@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,6 +79,109 @@ func ramp(n int, f func(i int) float64) []float64 {
 	return out
 }
 
+// sentinelOr is sentinel on ~40 % of the indexes, in irregular runs — the
+// share of RMAT-16 a traversal leaves unreached — and v elsewhere.
+func sentinelOr(i int, sentinel, v float64) float64 {
+	if (i*7919)%100 < 40 {
+		return sentinel
+	}
+	return v
+}
+
+// seriesPalette maps one fuzz byte to a value: the low nibble picks a kind,
+// the high nibble an argument. Kinds favour what served series carry — the
+// sentinels, small integers and repeats — and raw bit patterns reach every
+// other float64, non-finite ones included.
+func seriesPalette(b byte, raw, prev float64) float64 {
+	arg := float64(b >> 4)
+	switch b & 15 {
+	case 0, 1:
+		return math.MaxFloat32
+	case 2:
+		return math.MaxUint32
+	case 3:
+		return 0
+	case 4:
+		return math.Copysign(0, -1)
+	case 5:
+		return arg * 6 // below 100
+	case 6:
+		return 92 + 2*arg // either side of 100
+	case 7:
+		return 1<<53 - arg // near 2^53, below it
+	case 8:
+		return 1<<53 + 2*arg // 2^53 and up
+	case 9:
+		if arg < 8 {
+			return 1e-7 * (arg + 1)
+		}
+		// Negative widened float32 weights in [1e-6, 1e-5): in 'f' form up
+		// to 25 bytes, the longest encoding/json writes for a float64.
+		return -float64(float32(1.1e-6 * (arg - 7)))
+	case 10:
+		return 1e21 * (arg + 1)
+	case 11:
+		return math.Float64frombits(uint64(b>>4) + 1) // subnormals
+	case 12:
+		return raw
+	case 13:
+		return prev // a repeat
+	case 14:
+		return float64(float32(arg) * 0.37) // a widened float32 distance
+	default:
+		return []float64{math.NaN(), math.Inf(1), math.Inf(-1), -arg, arg + 0.5}[b>>4%5]
+	}
+}
+
+// FuzzReplySeries asserts floats encodes a whole series exactly as
+// encoding/json encodes the slice, across the repeats and alternations the
+// memo sees, and that a NaN or ±Inf anywhere — right after a memoized repeat
+// included — stops the series with appendJSONFloat's error, having written
+// exactly the values before it.
+func FuzzReplySeries(f *testing.F) {
+	f.Add([]byte{0, 5, 0, 0x15, 0, 2, 0x25, 2, 3, 4, 3, 4}, uint64(0))
+	f.Add([]byte{0, 0, 13, 13, 15}, uint64(0))     // NaN after memoized repeats
+	f.Add([]byte{2, 0x35, 2, 13, 0x1f}, uint64(0)) // +Inf after a memoized bfs sentinel
+	f.Add([]byte{12, 13, 0, 12, 0x96, 12}, math.Float64bits(0.15))
+	f.Add([]byte{4, 3, 4, 3, 13, 7, 8, 7, 0x86, 0x96}, uint64(1))
+	f.Add([]byte{9, 10, 11, 0x9b, 14, 0x4e, 12}, uint64(0x7ff8000000000001))
+	f.Add([]byte{12, 0, 12, 13, 0x89, 3, 0x89, 13, 0x99, 12}, math.Float64bits(-math.Nextafter(1e-6, 1))) // 25-byte repeats
+	f.Fuzz(func(t *testing.T, data []byte, raw uint64) {
+		vals := make([]float64, len(data))
+		prev := 0.0
+		for i, b := range data {
+			vals[i] = seriesPalette(b, math.Float64frombits(raw), prev)
+			prev = vals[i]
+		}
+		var out bytes.Buffer
+		rw := &replyWriter{w: &out}
+		rw.floats(vals)
+		got := append(out.Bytes(), rw.buf...)
+		want, err := json.Marshal(vals)
+		if err == nil {
+			if rw.err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%v: got %q (err %v), encoding/json says %q", vals, got, rw.err, want)
+			}
+			return
+		}
+		j := slices.IndexFunc(vals, func(f float64) bool { return math.IsNaN(f) || math.IsInf(f, 0) })
+		if rw.err == nil || rw.err.Error() != err.Error() {
+			t.Fatalf("%v: error %v, encoding/json says %v", vals, rw.err, err)
+		}
+		if _, ok := appendJSONFloat(nil, vals[j]); ok {
+			t.Fatalf("%v: appendJSONFloat accepts %v", vals, vals[j])
+		}
+		prefix, _ := json.Marshal(vals[:j])
+		prefix = prefix[:len(prefix)-1] // drop ']'
+		if j > 0 {
+			prefix = append(prefix, ',')
+		}
+		if !bytes.Equal(got, prefix) {
+			t.Fatalf("%v: wrote %q before value %d, want %q", vals, got, j, prefix)
+		}
+	})
+}
+
 func goldenStats() graphmat.Stats {
 	return graphmat.Stats{Iterations: 7, MessagesSent: 1234, EdgesProcessed: 99999, Applies: 42, ActiveSum: 77,
 		ColumnsProbed: 5, PushSupersteps: 4, PullSupersteps: 3, Reason: graphmat.Converged,
@@ -100,7 +204,32 @@ func TestRunResponseMatchesEncodingJSON(t *testing.T) {
 	ranks := ramp(30000, func(i int) float64 { return 1 / float64(i+3) })
 	dists := ramp(30000, func(i int) float64 { return float64(float32(i) * 0.37) })
 	dists[17] = math.MaxFloat32
+	ssspLike := ramp(70000, func(i int) float64 { return sentinelOr(i, math.MaxFloat32, float64(i%60)) })
+	bfsLike := ramp(70000, func(i int) float64 { return sentinelOr(i, math.MaxUint32, float64(i%9)) })
+	labels := ramp(70000, func(i int) float64 { return float64(100 + 997*(i/9000)) })
+	for i := 4500; i < len(labels); i += 9000 {
+		labels[i] = float64(i % 100) // a small label inside a run leaves the run's memo in place
+	}
+	zeros := ramp(5000, func(i int) float64 { return math.Copysign(0, float64(1-2*(i%2))) })
+	// Widest-path values repeat a path's minimum weight on many vertices;
+	// negative weights in [1e-6, 1e-5) with 17 significant digits take 25
+	// bytes, e.g. -0.0000010000000000000002.
+	longest := ramp(5000, func(i int) float64 {
+		switch {
+		case i%7 == 3:
+			return float64(i % 60)
+		case i/50%2 == 0:
+			return -math.Nextafter(1e-6, 1)
+		default:
+			return float64(float32(-1.1e-6))
+		}
+	})
 	cases := map[string]runResponse{
+		"sssp sentinels":    {Graph: "g", Algorithm: "sssp", DurationMS: 84.5, Result: algorithms.Result{Values: ssspLike, Stats: goldenStats(), Epoch: 2}},
+		"bfs sentinels":     {Graph: "g", Algorithm: "bfs", DurationMS: 4.25, Result: algorithms.Result{Values: bfsLike, Stats: goldenStats()}},
+		"component labels":  {Graph: "g", Algorithm: "components", Result: algorithms.Result{Values: labels, Stats: goldenStats()}},
+		"zero signs":        {Graph: "g", Algorithm: "x", Result: algorithms.Result{Values: zeros, Series: map[string][]float64{"z": zeros[1:]}}},
+		"longest repeats":   {Graph: "g", Algorithm: "widest", Result: algorithms.Result{Values: longest, Stats: goldenStats()}},
 		"integers":          {Graph: "g", Algorithm: "bfs", DurationMS: 12.345, Result: algorithms.Result{Values: hops, Stats: goldenStats(), Epoch: 3}},
 		"coalesced":         {Graph: "g", Algorithm: "sssp", Coalesced: true, DurationMS: 0.004, Result: algorithms.Result{Values: dists, Stats: goldenStats()}},
 		"cached":            {Graph: "g", Algorithm: "pagerank", Cached: true, Result: algorithms.Result{Values: ranks, Epoch: 1 << 40}},
@@ -129,12 +258,26 @@ func TestBatchRunResponseMatchesEncodingJSON(t *testing.T) {
 	for s := range wide {
 		wide[s] = ramp(9000, func(i int) float64 { return float64((i*(s+1))%13) + float64(s%2)*0.25 })
 	}
+	sentinels := make([][]float64, 16)
+	for s := range sentinels {
+		switch s % 4 {
+		case 0:
+			sentinels[s] = ramp(9000, func(i int) float64 { return sentinelOr(i+s, math.MaxFloat32, float64((i+s)%60)) })
+		case 1:
+			sentinels[s] = ramp(9000, func(i int) float64 { return sentinelOr(i*s, math.MaxUint32, float64(i%9)) })
+		case 2:
+			sentinels[s] = ramp(9000, func(i int) float64 { return float64(100 + s*(i/2500)) })
+		default:
+			sentinels[s] = ramp(9000, func(i int) float64 { return math.Copysign(0, float64(1-2*((i+s)%2))) })
+		}
+	}
 	cases := map[string]batchRunResponse{
-		"k=16":    {Graph: "g", Algorithm: "sssp", DurationMS: 108.25, BatchResult: algorithms.BatchResult{Sources: []uint32{5, 4, 3, 2, 1, 0, 9, 8, 7, 6, 15, 14, 13, 12, 11, math.MaxUint32}, Values: wide, Stats: goldenStats(), Epoch: 12}},
-		"k=1":     {Graph: "g", Algorithm: "bfs", BatchResult: algorithms.BatchResult{Sources: []uint32{3}, Values: wide[:1]}},
-		"nothing": {},
-		"empties": {Graph: "<g>", Algorithm: "ppr", BatchResult: algorithms.BatchResult{Sources: []uint32{}, Values: [][]float64{}}},
-		"holes":   {Graph: "g", Algorithm: "ppr", BatchResult: algorithms.BatchResult{Sources: []uint32{1, 2, 3}, Values: [][]float64{nil, {}, {0.5}}}},
+		"k=16 sentinels": {Graph: "g", Algorithm: "sssp", DurationMS: 201.5, BatchResult: algorithms.BatchResult{Sources: make([]uint32, 16), Values: sentinels, Stats: goldenStats(), Epoch: 4}},
+		"k=16":           {Graph: "g", Algorithm: "sssp", DurationMS: 108.25, BatchResult: algorithms.BatchResult{Sources: []uint32{5, 4, 3, 2, 1, 0, 9, 8, 7, 6, 15, 14, 13, 12, 11, math.MaxUint32}, Values: wide, Stats: goldenStats(), Epoch: 12}},
+		"k=1":            {Graph: "g", Algorithm: "bfs", BatchResult: algorithms.BatchResult{Sources: []uint32{3}, Values: wide[:1]}},
+		"nothing":        {},
+		"empties":        {Graph: "<g>", Algorithm: "ppr", BatchResult: algorithms.BatchResult{Sources: []uint32{}, Values: [][]float64{}}},
+		"holes":          {Graph: "g", Algorithm: "ppr", BatchResult: algorithms.BatchResult{Sources: []uint32{1, 2, 3}, Values: [][]float64{nil, {}, {0.5}}}},
 	}
 	for name, r := range cases {
 		var got bytes.Buffer
@@ -258,5 +401,37 @@ func TestControlReplyThatWillNotMarshalIs500(t *testing.T) {
 	writeJSON(ok, http.StatusCreated, map[string]string{"a": "<b>"})
 	if ok.Code != http.StatusCreated || !bytes.Equal(ok.Body.Bytes(), viaEncodingJSON(t, map[string]string{"a": "<b>"})) {
 		t.Fatalf("status %d body %q", ok.Code, ok.Body.Bytes())
+	}
+}
+
+// BenchmarkReplySeries times floats on 2^16-value series of the three shapes
+// served replies carry, reporting ns/value:
+//
+//   - sssp: integer distances below 60, 40 % float32 MaxFloat32 (unreached);
+//   - bfs: levels below 9, 40 % MaxUint32 (unreached);
+//   - ppr: distinct non-integers.
+//
+// Run it with
+//
+//	go test -run='^$' -bench=ReplySeries ./internal/server
+func BenchmarkReplySeries(b *testing.B) {
+	const n = 1 << 16
+	shapes := []struct {
+		name string
+		vals []float64
+	}{
+		{"sssp", ramp(n, func(i int) float64 { return sentinelOr(i, math.MaxFloat32, float64(i%60)) })},
+		{"bfs", ramp(n, func(i int) float64 { return sentinelOr(i, math.MaxUint32, float64(i%9)) })},
+		{"ppr", ramp(n, func(i int) float64 { return 1 / float64(i+3) })},
+	}
+	for _, shape := range shapes {
+		b.Run(shape.name, func(b *testing.B) {
+			rw := &replyWriter{w: io.Discard, buf: make([]byte, 0, replyBufSize+replySlack)}
+			for b.Loop() {
+				rw.floats(shape.vals)
+				rw.flush()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
+		})
 	}
 }
