@@ -59,7 +59,7 @@ func fullMask(k int) uint64 {
 // the read-out: a stopped block yields each column's partial state and a
 // block that never ran its seeded one, so every column has its series.
 func runBlocks[V, M, R, C, T any](
-	g *graphmat.Graph[V, float32], cols []C, set *settings,
+	g *graphmat.Edges[float32], cols []C, set *settings,
 	seed func(st *graphmat.BlockState[V], chunk []C),
 	run func(st *graphmat.BlockState[V], ws *graphmat.BlockWorkspace[M, R]) (graphmat.Stats, error),
 	extract func(st *graphmat.BlockState[V]) [][]T,
@@ -93,35 +93,45 @@ func runBlocks[V, M, R, C, T any](
 	return out, stats, err
 }
 
-// runTraversalBatch is the one driver of the traversal family (BFS, SSSP,
-// reachability, widest paths): property, message and reduction types
-// coincide, every column starts as {unreached everywhere, sourceVal at its
-// source} with its source alone active, and the block run iterates until
-// every column's frontier dies. A single-source runner is its batch of one.
-func runTraversalBatch[V any, P interface {
+// traversal returns the one driver of the traversal family (BFS, SSSP,
+// reachability, widest paths) for program p: property, message and reduction
+// types coincide, every column starts as {unreached everywhere, sourceVal at
+// its source} with its source alone active, and the block run iterates until
+// every column's frontier dies. The driver runs on edges alone — all vertex
+// state is runBlocks' — and a single-source runner is its batch of one.
+func traversal[V any, P interface {
 	graphmat.Program[V, float32, V, V]
 	graphmat.DstIndependent
-}](
-	ctx context.Context, g *graphmat.Graph[V, float32], p P, sources []uint32,
-	unreached, sourceVal V, set *settings,
-) ([][]V, graphmat.Stats, error) {
-	if err := checkSources(sources, g.NumVertices(), "source"); err != nil {
-		return nil, graphmat.Stats{}, err
+}](p P, unreached, sourceVal V) func(ctx context.Context, g *graphmat.Edges[float32], sources []uint32, opts ...Option) ([][]V, graphmat.Stats, error) {
+	return func(ctx context.Context, g *graphmat.Edges[float32], sources []uint32, opts ...Option) ([][]V, graphmat.Stats, error) {
+		if err := checkSources(sources, g.NumVertices(), "source"); err != nil {
+			return nil, graphmat.Stats{}, err
+		}
+		set := newSettings(opts)
+		sess := newSession(set.obs)
+		return runBlocks(g, sources, set,
+			func(st *graphmat.BlockState[V], chunk []uint32) {
+				st.SetAllProps(unreached)
+				for s, src := range chunk {
+					st.SetProp(src, s, sourceVal)
+					st.Activate(src, s)
+				}
+			},
+			func(st *graphmat.BlockState[V], ws *graphmat.BlockWorkspace[V, V]) (graphmat.Stats, error) {
+				return graphmat.RunBlockContext(ctx, g, p, st, set.cfg, ws, sess.options()...)
+			},
+			(*graphmat.BlockState[V]).Columns)
 	}
-	sess := newSession(set.obs)
-	return runBlocks(g, sources, set,
-		func(st *graphmat.BlockState[V], chunk []uint32) {
-			st.SetAllProps(unreached)
-			for s, src := range chunk {
-				st.SetProp(src, s, sourceVal)
-				st.Activate(src, s)
-			}
-		},
-		func(st *graphmat.BlockState[V], ws *graphmat.BlockWorkspace[V, V]) (graphmat.Stats, error) {
-			return graphmat.RunBlockContext(ctx, g, p, st, set.cfg, ws, sess.options()...)
-		},
-		(*graphmat.BlockState[V]).Columns)
 }
+
+// The traversal family's drivers, shared by the Run*Batch functions and the
+// registry rows.
+var (
+	bfsBatch          = traversal[uint32](BFSProgram{}, Unreached, 0)
+	ssspBatch         = traversal[float32](SSSPProgram{}, InfDist, 0)
+	reachabilityBatch = traversal[uint32](ReachabilityProgram{}, 0, 1)
+	widestBatch       = traversal[float32](WidestPathProgram{}, 0, WidestSourceCap)
+)
 
 // batchOfOne is a single-source runner's result: the one series of its
 // batch of one, or none when the batch was rejected before it ran.
@@ -140,28 +150,28 @@ func batchOfOne[T any](out [][]T, stats graphmat.Stats, err error) ([]T, graphma
 // uint32] serves the chunk of its width). A stopped run returns every
 // source's partial distances with the stop cause.
 func RunBFSBatch(ctx context.Context, g *graphmat.Graph[uint32, float32], sources []uint32, opts ...Option) ([][]uint32, graphmat.Stats, error) {
-	return runTraversalBatch(ctx, g, BFSProgram{}, sources, uint32(Unreached), 0, newSettings(opts))
+	return bfsBatch(ctx, g.Edges, sources, opts...)
 }
 
 // RunSSSPBatch computes shortest-path distances from every source in one
 // multi-source block run; out[i] is bit-identical to RunSSSP from
 // sources[i]. Options as in RunBFSBatch.
 func RunSSSPBatch(ctx context.Context, g *graphmat.Graph[float32, float32], sources []uint32, opts ...Option) ([][]float32, graphmat.Stats, error) {
-	return runTraversalBatch(ctx, g, SSSPProgram{}, sources, InfDist, 0, newSettings(opts))
+	return ssspBatch(ctx, g.Edges, sources, opts...)
 }
 
 // RunReachabilityBatch computes directed reachability from every source in
 // one multi-source block run; out[i] is bit-identical to RunReachability
 // from sources[i]. Options as in RunBFSBatch.
 func RunReachabilityBatch(ctx context.Context, g *graphmat.Graph[uint32, float32], sources []uint32, opts ...Option) ([][]uint32, graphmat.Stats, error) {
-	return runTraversalBatch(ctx, g, ReachabilityProgram{}, sources, 0, 1, newSettings(opts))
+	return reachabilityBatch(ctx, g.Edges, sources, opts...)
 }
 
 // RunWidestPathBatch computes bottleneck path widths from every source in
 // one multi-source block run; out[i] is bit-identical to RunWidestPath from
 // sources[i]. Options as in RunBFSBatch.
 func RunWidestPathBatch(ctx context.Context, g *graphmat.Graph[float32, float32], sources []uint32, opts ...Option) ([][]float32, graphmat.Stats, error) {
-	return runTraversalBatch(ctx, g, WidestPathProgram{}, sources, 0, WidestSourceCap, newSettings(opts))
+	return widestBatch(ctx, g.Edges, sources, opts...)
 }
 
 // RunPersonalizedPageRankBatch runs one single-source personalized PageRank
@@ -173,6 +183,11 @@ func RunWidestPathBatch(ctx context.Context, g *graphmat.Graph[float32, float32]
 // WithTolerance/WithRestartProb plus the engine options, WithWorkspace
 // (*graphmat.BlockWorkspace[float64, float64]) as in RunBFSBatch.
 func RunPersonalizedPageRankBatch(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sources []uint32, opts ...Option) ([][]float64, graphmat.Stats, error) {
+	return pprBatch(ctx, g.Edges, sources, opts...)
+}
+
+// pprBatch is RunPersonalizedPageRankBatch on edges alone.
+func pprBatch(ctx context.Context, g *graphmat.Edges[float32], sources []uint32, opts ...Option) ([][]float64, graphmat.Stats, error) {
 	if err := checkSources(sources, g.NumVertices(), "source"); err != nil {
 		return nil, graphmat.Stats{}, err
 	}

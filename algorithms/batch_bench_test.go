@@ -17,7 +17,7 @@ func benchRMAT16() *graphmat.COO[float32] {
 
 // benchRoots is a seeded draw of 64 vertices of g with an edge; a width-k
 // benchmark run takes the first k.
-func benchRoots(g *graphmat.Graph[uint32, float32]) []uint32 {
+func benchRoots(g *graphmat.Edges[float32]) []uint32 {
 	var pool []uint32
 	for v, d := range g.OutDegrees() {
 		if d > 0 {
@@ -42,7 +42,7 @@ func BenchmarkBFSBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	roots := benchRoots(g)
+	roots := benchRoots(g.Edges)
 	ctx := context.Background()
 	for _, k := range []int{1, 16, 64} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
@@ -114,7 +114,7 @@ func BenchmarkBFSOverlay(b *testing.B) {
 				run := func() {
 					snap := store.Acquire()
 					defer snap.Release()
-					if _, _, err := RunBFSBatch(ctx, snap.Graph(), roots); err != nil {
+					if _, _, err := bfsBatch(ctx, snap.Graph(), roots); err != nil {
 						b.Fatal(err)
 					}
 				}

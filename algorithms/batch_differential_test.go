@@ -198,7 +198,7 @@ func TestBatchWideSplit(t *testing.T) {
 				t.Fatal("fixture: the compacted snapshot still carries an overlay")
 			}
 			worlds := map[string]*graphmat.Graph[uint32, float32]{
-				"plain": plain.Graph(), "overlay": overlay.Graph(), "compacted": compacted.Graph(),
+				"plain": withState[uint32](plain.Graph()), "overlay": withState[uint32](overlay.Graph()), "compacted": withState[uint32](compacted.Graph()),
 			}
 			for world, g := range worlds {
 				solo := make(map[uint32][]uint32)

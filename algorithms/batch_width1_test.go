@@ -9,7 +9,7 @@ import (
 )
 
 // The width-1 differential. The engine runs a one-column block on the scalar
-// phases (core.RunBlockContext), so nothing above it chooses an engine by
+// phases (core.RunContext), so nothing above it chooses an engine by
 // source count. These tests hold the spellings of one single-source query to
 // each other bit for bit — values, epoch and engine Stats — for every
 // batchable Spec: RunBatch with one source (by Source, by a one-element
@@ -19,11 +19,11 @@ import (
 // current.
 
 // blockK1 is the block-engine oracle: the row's batch closure — the public
-// Run<Algo>Batch function plus widening — on the pinned snapshot. Declared on
+// Run<Algo>Batch's driver plus widening — on the pinned snapshot. Declared on
 // the generic instance here so the tests can range over Specs() without a
 // per-algorithm table of typed graphs.
 func (i *instance[V]) blockK1(ctx context.Context, pin Pin, p Params, source uint32) ([]float64, error) {
-	values, _, err := i.row.batch(ctx, pin.(*graphmat.Snapshot[V, float32]).Graph(), []uint32{source}, p.option(nil, nil))
+	values, _, err := i.row.batch(ctx, pin.(*graphmat.Snapshot[any, float32]).Graph(), []uint32{source}, p.option(nil, nil))
 	if err != nil {
 		return nil, err
 	}

@@ -292,7 +292,7 @@ func probePromise[P interface {
 		st.SetProp(root, s, source)
 		st.Activate(root, s)
 	}
-	stats, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, g, probe, st, cfg, nil, probe.observer())
+	stats, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, g.Edges, probe, st, cfg, nil, probe.observer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestPromiseProbeCatchesBrokenPromise(t *testing.T) {
 	st.InitProps(func(v uint32, _ int) uint32 { return v })
 	st.ActivateAllMask(fullMask(k))
 	probe.t = &block
-	if _, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, g, probe, st, cfg, nil); err != nil {
+	if _, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, g.Edges, probe, st, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	if bm, bf := block.mask.Load(), block.first.Load(); bm != k*mask || bf != k*first {
@@ -474,7 +474,7 @@ func TestPromiseProbeCatchesBrokenPromise(t *testing.T) {
 		bst.SetProp(root, s, 1)
 		bst.Activate(root, s)
 	}
-	if _, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, rg, idProbe, bst, cfg, nil, idProbe.observer()); err != nil {
+	if _, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, rg.Edges, idProbe, bst, cfg, nil, idProbe.observer()); err != nil {
 		t.Fatal(err)
 	}
 	if n := idsBlock.boolean.Load(); n == 0 {
@@ -503,7 +503,7 @@ func TestPromiseProbeCatchesBrokenPromise(t *testing.T) {
 		qst.SetProp(root, s, 0)
 		qst.Activate(root, s)
 	}
-	if _, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, rg, quietProbe, qst, cfg, nil, quietProbe.observer()); err != nil {
+	if _, err := graphmat.RunBlockContext[uint32, float32, uint32, firstOf[uint32]](ctx, rg.Edges, quietProbe, qst, cfg, nil, quietProbe.observer()); err != nil {
 		t.Fatal(err)
 	}
 	if n := quietBlock.settle.Load(); n == 0 {

@@ -89,10 +89,15 @@ func NewPersonalizedPageRankStore(adj *graphmat.COO[float32], partitions int) (*
 // ~1 on source-reachable graphs). An empty source list or a source outside
 // the graph is an error. Options and session contract as in RunPageRank,
 // except that the workspace type is *graphmat.Workspace[float64, float64]
-// and the graph's vertex state is left alone: the run is the one-column case
+// and g's own vertex state is left alone: the run is the one-column case
 // of RunPersonalizedPageRankBatch's driver, its column personalized to the
 // whole set.
 func RunPersonalizedPageRank(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sources []uint32, opts ...Option) ([]float64, graphmat.Stats, error) {
+	return pprRun(ctx, g.Edges, sources, opts...)
+}
+
+// pprRun is RunPersonalizedPageRank on edges alone.
+func pprRun(ctx context.Context, g *graphmat.Edges[float32], sources []uint32, opts ...Option) ([]float64, graphmat.Stats, error) {
 	if len(sources) == 0 {
 		return nil, graphmat.Stats{}, errors.New("algorithms: personalized pagerank needs at least one source vertex")
 	}
@@ -110,7 +115,7 @@ func RunPersonalizedPageRank(ctx context.Context, g *graphmat.Graph[PPRVertex, f
 // program keeps every vertex of a still-unconverged column active, a column
 // whose ranks all settled within Tolerance drops out of the sweep, and the
 // run ends when every column has, or at the iteration cap.
-func runPPR(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], sets [][]uint32, set *settings) ([][]float64, graphmat.Stats, error) {
+func runPPR(ctx context.Context, g *graphmat.Edges[float32], sets [][]uint32, set *settings) ([][]float64, graphmat.Stats, error) {
 	n := int(g.NumVertices())
 	restart, maxIters := set.rankDefaults()
 	inv := make([]float64, n)

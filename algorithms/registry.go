@@ -117,14 +117,10 @@ type ParamSpec struct {
 // Instance is an algorithm bound to a built property graph, ready to run
 // queries. The property graph is versioned: ApplyUpdates publishes a new
 // epoch, runs pin the epoch current when they start, and a run in flight is
-// never disturbed by updates landing under it. Run and RunContext of the
-// algorithms with no source parameter (pagerank, components, triangles,
-// hits) mutate the pinned snapshot's vertex state, so they are NOT safe for
-// concurrent use on one Instance; callers serialize (the server holds a
-// per-instance lock). The source-parameterized ones (Spec.Batchable) run
-// every query, scalar or batch, over a run-owned BlockState and never write
-// the snapshot's vertex state. ApplyUpdates itself may race freely with runs
-// — that is the point.
+// never disturbed by updates landing under it. A pinned snapshot is edges
+// only: every run, scalar or batch, allocates its own vertex state, so runs
+// on one Instance may proceed concurrently, and ApplyUpdates may race freely
+// with them — that is the point.
 type Instance interface {
 	// Run executes the algorithm. scratch, if non-nil, must be a value
 	// returned by NewScratch on an instance over the same graph; nil
@@ -401,14 +397,15 @@ type algo[V any] struct {
 	// scratch allocates the reusable engine workspace for n vertices — the
 	// type the algorithm's Run function accepts through WithWorkspace.
 	scratch func(n int) any
-	// run calls the algorithm's Run function on g and projects its typed
-	// output into the uniform Result (Epoch is filled in by the instance).
-	// p arrives with its source parameters resolved and range-checked. A row
-	// that declares batch and no run runs its batch of one (register).
-	run func(ctx context.Context, g *graphmat.Graph[V, float32], p Params, opt Option) (Result, error)
+	// run calls the algorithm's Run function on edges g, over vertex state
+	// the run allocates for itself, and projects its typed output into the
+	// uniform Result (Epoch is filled in by the instance). p arrives with its
+	// source parameters resolved and range-checked. A row that declares batch
+	// and no run runs its batch of one (register).
+	run func(ctx context.Context, g *graphmat.Edges[float32], p Params, opt Option) (Result, error)
 	// batch is the multi-source form, one value series per source; nil for
 	// algorithms with no source to batch over.
-	batch func(ctx context.Context, g *graphmat.Graph[V, float32], sources []uint32, opts ...Option) ([][]float64, graphmat.Stats, error)
+	batch func(ctx context.Context, g *graphmat.Edges[float32], sources []uint32, opts ...Option) ([][]float64, graphmat.Stats, error)
 }
 
 // The table. Adding an algorithm is adding a row here (plus its program).
@@ -419,8 +416,8 @@ var (
 		params:  []ParamSpec{paramIters, paramTolerance, paramRestart},
 		kind:    updDirected,
 		scratch: workspace[float64, float64],
-		run: func(ctx context.Context, g *graphmat.Graph[PRVertex, float32], _ Params, opt Option) (Result, error) {
-			ranks, stats, err := RunPageRank(ctx, g, opt)
+		run: func(ctx context.Context, g *graphmat.Edges[float32], _ Params, opt Option) (Result, error) {
+			ranks, stats, err := RunPageRank(ctx, withState[PRVertex](g), opt)
 			return Result{Values: ranks, Stats: stats}, err
 		},
 	})
@@ -430,7 +427,7 @@ var (
 		params:  []ParamSpec{paramSource, paramSources},
 		kind:    updSymmetric,
 		scratch: workspace[uint32, uint32],
-		batch:   multi(RunBFSBatch),
+		batch:   multi(bfsBatch),
 	})
 	ssspAlgo = register(&algo[float32]{
 		name:    "sssp",
@@ -438,15 +435,15 @@ var (
 		params:  []ParamSpec{paramSource, paramSources},
 		kind:    updDirected,
 		scratch: workspace[float32, float32],
-		batch:   multi(RunSSSPBatch),
+		batch:   multi(ssspBatch),
 	})
 	ccAlgo = register(&algo[uint32]{
 		name:    "components",
 		desc:    "connected components by min-label propagation",
 		kind:    updSymmetric,
 		scratch: workspace[uint32, uint32],
-		run: func(ctx context.Context, g *graphmat.Graph[uint32, float32], _ Params, opt Option) (Result, error) {
-			labels, stats, err := RunConnectedComponents(ctx, g, opt)
+		run: func(ctx context.Context, g *graphmat.Edges[float32], _ Params, opt Option) (Result, error) {
+			labels, stats, err := RunConnectedComponents(ctx, withState[uint32](g), opt)
 			return Result{Values: widen(labels), Stats: stats}, err
 		},
 	})
@@ -457,14 +454,14 @@ var (
 		kind:      updDirected,
 		sourceSet: true,
 		scratch:   workspace[float64, float64],
-		run: func(ctx context.Context, g *graphmat.Graph[PPRVertex, float32], p Params, opt Option) (Result, error) {
-			ranks, stats, err := RunPersonalizedPageRank(ctx, g, p.Sources, opt)
+		run: func(ctx context.Context, g *graphmat.Edges[float32], p Params, opt Option) (Result, error) {
+			ranks, stats, err := pprRun(ctx, g, p.Sources, opt)
 			return Result{Values: ranks, Stats: stats}, err
 		},
 		// Note the semantic difference from run: run with k sources computes
 		// ONE rank vector personalized to the whole set, batch computes k
 		// independent vectors, one per source.
-		batch: RunPersonalizedPageRankBatch,
+		batch: pprBatch,
 	})
 	reachabilityAlgo = register(&algo[uint32]{
 		name:    "reachability",
@@ -472,7 +469,7 @@ var (
 		params:  []ParamSpec{paramSource, paramSources},
 		kind:    updDirected,
 		scratch: workspace[uint32, uint32],
-		batch:   multi(RunReachabilityBatch),
+		batch:   multi(reachabilityBatch),
 	})
 	widestAlgo = register(&algo[float32]{
 		name:    "widest",
@@ -480,15 +477,15 @@ var (
 		params:  []ParamSpec{paramSource, paramSources},
 		kind:    updDirected,
 		scratch: workspace[float32, float32],
-		batch:   multi(RunWidestPathBatch),
+		batch:   multi(widestBatch),
 	})
 	trianglesAlgo = register(&algo[TCVertex]{
 		name:    "triangles",
 		desc:    "triangle count via the two-phase neighbor-intersection pipeline",
 		kind:    updUpperTriangle,
 		scratch: func(n int) any { return NewTriangleScratch(n) },
-		run: func(ctx context.Context, g *graphmat.Graph[TCVertex, float32], _ Params, opt Option) (Result, error) {
-			count, stats, err := RunTriangleCount(ctx, g, opt)
+		run: func(ctx context.Context, g *graphmat.Edges[float32], _ Params, opt Option) (Result, error) {
+			count, stats, err := RunTriangleCount(ctx, withState[TCVertex](g), opt)
 			return Result{Count: &count, Stats: stats}, err
 		},
 	})
@@ -499,8 +496,8 @@ var (
 		kind:       updDirected,
 		directions: graphmat.Both,
 		scratch:    workspace[float64, float64],
-		run: func(ctx context.Context, g *graphmat.Graph[HITSVertex, float32], _ Params, opt Option) (Result, error) {
-			scores, stats, err := RunHITS(ctx, g, opt)
+		run: func(ctx context.Context, g *graphmat.Edges[float32], _ Params, opt Option) (Result, error) {
+			scores, stats, err := RunHITS(ctx, withState[HITSVertex](g), opt)
 			hub := make([]float64, len(scores))
 			auth := make([]float64, len(scores))
 			for v, s := range scores {
@@ -520,11 +517,11 @@ func register[V any](a *algo[V]) *algo[V] {
 	if a.run == nil {
 		a.run = a.batchOfOne
 	}
-	bind := func(st *graphmat.Store[V, float32], err error) (Instance, error) {
+	bind := func(st *graphmat.Store[any, float32], err error) (Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &instance[V]{liveGraph[V]{store: st, kind: a.kind}, a}, nil
+		return &instance[V]{liveGraph{store: st, kind: a.kind}, a}, nil
 	}
 	Register(Spec{
 		Name:        a.name,
@@ -535,7 +532,7 @@ func register[V any](a *algo[V]) *algo[V] {
 			return bind(a.newStore(adj, partitions))
 		},
 		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			return bind(graphmat.NewStoreFromImage[V](img))
+			return bind(graphmat.NewStoreFromImage[any](img))
 		},
 	})
 	return a
@@ -552,8 +549,9 @@ func (a *algo[V]) newGraph(adj *graphmat.COO[float32], partitions int) (*graphma
 	return graphmat.New[V](adj, a.buildOptions(adj, partitions))
 }
 
-func (a *algo[V]) newStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[V, float32], error) {
-	return graphmat.NewStore[V](adj, a.buildOptions(adj, partitions))
+// newStore builds the row's store; a store has no vertex type (Store's V is unused).
+func (a *algo[V]) newStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[any, float32], error) {
+	return graphmat.NewStore[any](adj, a.buildOptions(adj, partitions))
 }
 
 // bindSources decides, once for every algorithm, what a scalar run's source
@@ -597,10 +595,18 @@ func checkSource(v uint32, n uint32, what string) error {
 	return nil
 }
 
+// withState pairs edges g with a fresh one-column vertex state: the served
+// scalar run of an algorithm with no source parameter owns its state, so it
+// never writes the pinned snapshot and runs beside any other run on it.
+func withState[V any](g *graphmat.Edges[float32]) *graphmat.Graph[V, float32] {
+	return &graphmat.Graph[V, float32]{Edges: g, BlockState: graphmat.NewBlockState[V](int(g.NumVertices()), 1)}
+}
+
 // instance is the package's only Instance struct: a table row bound to a
-// versioned property graph.
+// versioned property graph. V is the vertex property type of the state its
+// runs allocate.
 type instance[V any] struct {
-	liveGraph[V]
+	liveGraph
 	row *algo[V]
 }
 
@@ -637,8 +643,8 @@ func (i *instance[V]) RunBatch(ctx context.Context, pin Pin, p Params, obs Obser
 		defer own.Release()
 		pin = own
 	}
-	snap, ok := pin.(*graphmat.Snapshot[V, float32])
-	if !ok {
+	snap, ok := pin.(*graphmat.Snapshot[any, float32])
+	if !ok || snap.Store() != i.store {
 		return BatchResult{}, fmt.Errorf("algorithms: pin of type %T does not belong to this algorithm's property graph", pin)
 	}
 	sources := p.Sources
@@ -676,15 +682,15 @@ func widen[T uint32 | float32](s []T) []float64 {
 
 // batchOfOne is the scalar run of a row with a batch closure and no run
 // closure: the batch over p.Source alone.
-func (a *algo[V]) batchOfOne(ctx context.Context, g *graphmat.Graph[V, float32], p Params, opt Option) (Result, error) {
+func (a *algo[V]) batchOfOne(ctx context.Context, g *graphmat.Edges[float32], p Params, opt Option) (Result, error) {
 	values, stats, err := batchOfOne(a.batch(ctx, g, []uint32{p.Source}, opt))
 	return Result{Values: values, Stats: stats}, err
 }
 
-// multi adapts a multi-source traversal (RunBFSBatch and friends) to a row's
+// multi adapts a multi-source traversal (bfsBatch and friends) to a row's
 // batch closure.
-func multi[V any, T uint32 | float32](run func(context.Context, *graphmat.Graph[V, float32], []uint32, ...Option) ([][]T, graphmat.Stats, error)) func(context.Context, *graphmat.Graph[V, float32], []uint32, ...Option) ([][]float64, graphmat.Stats, error) {
-	return func(ctx context.Context, g *graphmat.Graph[V, float32], sources []uint32, opts ...Option) ([][]float64, graphmat.Stats, error) {
+func multi[T uint32 | float32](run func(context.Context, *graphmat.Edges[float32], []uint32, ...Option) ([][]T, graphmat.Stats, error)) func(context.Context, *graphmat.Edges[float32], []uint32, ...Option) ([][]float64, graphmat.Stats, error) {
+	return func(ctx context.Context, g *graphmat.Edges[float32], sources []uint32, opts ...Option) ([][]float64, graphmat.Stats, error) {
 		rows, stats, err := run(ctx, g, sources, opts...)
 		values := make([][]float64, len(rows))
 		for s, row := range rows {

@@ -265,7 +265,7 @@ func allActiveDifferential[V any](t *testing.T, a *algo[V], adj *graphmat.COO[fl
 	snap := store.Acquire()
 	defer snap.Release()
 
-	for world, g := range map[string]*graphmat.Graph[V, float32]{"plain": plain, "overlay": snap.Graph()} {
+	for world, g := range map[string]*graphmat.Edges[float32]{"plain": plain.Edges, "overlay": snap.Graph()} {
 		for _, threads := range []int{1, 3} {
 			run := func(cfg graphmat.Config) Result {
 				cfg.Threads = threads

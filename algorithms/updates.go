@@ -115,16 +115,17 @@ func symState(src, dst uint32, wOwn float32, okOwn bool, wRev float32, okRev boo
 
 // liveGraph is the store-backed half every registry instance embeds: it owns
 // the versioned property graph and implements the Instance interface's
-// update and epoch surface. V is the algorithm's vertex property type.
-type liveGraph[V any] struct {
-	store *graphmat.Store[V, float32]
+// update and epoch surface. A store holds no vertex state, so its vertex
+// type parameter is unused (any).
+type liveGraph struct {
+	store *graphmat.Store[any, float32]
 	kind  updateKind
 }
 
 // ApplyUpdates translates a raw edge batch through the algorithm's
 // preprocessing and applies it to the property graph, publishing a new
 // snapshot epoch. Runs in flight keep their pinned epoch.
-func (l *liveGraph[V]) ApplyUpdates(batch []EdgeUpdate, lookup EdgeLookup) (UpdateResult, error) {
+func (l *liveGraph) ApplyUpdates(batch []EdgeUpdate, lookup EdgeLookup) (UpdateResult, error) {
 	prop, err := translateUpdates(l.kind, batch, lookup)
 	if err != nil {
 		return UpdateResult{}, err
@@ -134,33 +135,33 @@ func (l *liveGraph[V]) ApplyUpdates(batch []EdgeUpdate, lookup EdgeLookup) (Upda
 
 // Epoch reports the property graph's current snapshot epoch (batches applied
 // to this instance).
-func (l *liveGraph[V]) Epoch() uint64 { return l.store.Epoch() }
+func (l *liveGraph) Epoch() uint64 { return l.store.Epoch() }
 
 // StoreStats exposes the underlying store's counters (overlay size,
 // compactions, pinned snapshots).
-func (l *liveGraph[V]) StoreStats() graphmat.StoreStats { return l.store.Stats() }
+func (l *liveGraph) StoreStats() graphmat.StoreStats { return l.store.Stats() }
 
 // NumVertices reports the property graph's vertex count (fixed across
 // epochs).
-func (l *liveGraph[V]) NumVertices() uint32 { return l.store.NumVertices() }
+func (l *liveGraph) NumVertices() uint32 { return l.store.NumVertices() }
 
 // NumEdges reports the current snapshot's property edge count.
-func (l *liveGraph[V]) NumEdges() int64 { return l.store.NumEdges() }
+func (l *liveGraph) NumEdges() int64 { return l.store.NumEdges() }
 
 // SnapImage captures a persistable GMATSNAP image of the property graph,
 // compacting any pending overlay first (the snapshot format carries base
 // structures only; the WAL owns whatever landed since).
-func (l *liveGraph[V]) SnapImage(tag uint64) (*graphmat.SnapImage, error) {
-	return graphmat.StoreImage[V](l.store, tag)
+func (l *liveGraph) SnapImage(tag uint64) (*graphmat.SnapImage, error) {
+	return graphmat.StoreImage(l.store, tag)
 }
 
 // OnCompact registers the store's persistent-mode hook; see
 // graphmat.Store.OnCompact for the constraints on fn.
-func (l *liveGraph[V]) OnCompact(fn func(epoch uint64)) { l.store.OnCompact(fn) }
+func (l *liveGraph) OnCompact(fn func(epoch uint64)) { l.store.OnCompact(fn) }
 
 // AcquirePin pins the current property-graph snapshot, transferring
 // ownership (and the one-Release obligation) to the caller.
-func (l *liveGraph[V]) AcquirePin() Pin {
+func (l *liveGraph) AcquirePin() Pin {
 	return l.store.Acquire()
 }
 

@@ -38,6 +38,7 @@ import (
 	"context"
 	"io"
 
+	"graphmat/internal/bitvec"
 	"graphmat/internal/core"
 	"graphmat/internal/graph"
 	"graphmat/internal/snap"
@@ -101,9 +102,39 @@ type FirstMessageFinal[V any] = core.FirstMessageFinal[V]
 // core.AllVerticesActive.
 type AllVerticesActive = core.AllVerticesActive
 
+// Edges is a graph's edge set: partitions, pending-update overlays, degrees
+// and epoch. Runs only read it, so any number of them, each over its own
+// BlockState, share one (a Store's snapshots are Edges).
+type Edges[E any] = graph.Graph[E]
+
 // Graph is a directed property graph with vertex properties V and edge
-// values E.
-type Graph[V, E any] = graph.Graph[V, E]
+// values E, the paper's Graph<V>: Edges paired with the one-column
+// BlockState that Run, RunContext and SpMV run over, both embedded.
+type Graph[V, E any] struct {
+	*Edges[E]
+	*BlockState[V]
+}
+
+// Prop returns vertex v's property.
+func (g *Graph[V, E]) Prop(v uint32) V { return g.BlockState.Prop(v, 0) }
+
+// SetProp sets vertex v's property.
+func (g *Graph[V, E]) SetProp(v uint32, p V) { g.BlockState.SetProp(v, 0, p) }
+
+// InitProps sets each vertex property with a function of the vertex id.
+func (g *Graph[V, E]) InitProps(fn func(v uint32) V) {
+	g.BlockState.InitProps(func(v uint32, _ int) V { return fn(v) })
+}
+
+// Active exposes the active-vertex bitvector (paper §4.3: "the set of active
+// vertices is maintained using a boolean array for performance reasons").
+func (g *Graph[V, E]) Active() *bitvec.Vector { return g.BlockState.Active() }
+
+// SetActive marks vertex v active for the next superstep.
+func (g *Graph[V, E]) SetActive(v uint32) { g.Activate(v, 0) }
+
+// SetAllActive marks every vertex active.
+func (g *Graph[V, E]) SetAllActive() { g.ActivateAllMask(1) }
 
 // Options configures graph construction (partition count, traversal
 // directions). A graph keeps the structures it was built with for its whole
@@ -188,18 +219,23 @@ func NewVector[T any](n int) *Vector[T] {
 }
 
 // New builds a graph from adjacency triples (Triple.Row = source,
-// Triple.Col = destination). The input is consumed: sorted and deduplicated
-// in place.
+// Triple.Col = destination), with zero vertex properties and no vertex
+// active. The input is consumed: sorted and deduplicated in place.
 func New[V, E any](adj *COO[E], opts Options) (*Graph[V, E], error) {
-	return graph.NewFromCOO[V, E](adj, opts)
+	e, err := graph.NewFromCOO(adj, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Graph[V, E]{Edges: e, BlockState: core.NewBlockState[V](int(e.NumVertices()), 1)}, nil
 }
 
-// Run executes a vertex program until convergence or cfg.MaxIterations. It
-// is RunContext without a context: it cannot be canceled, and every Config
-// runs, so its one possible error is a direction p scatters along that g was
-// built without (Options.Directions), returned before any superstep.
+// Run executes a vertex program over g's vertex state until convergence or
+// cfg.MaxIterations. It is RunContext without a context: it cannot be
+// canceled, and every Config runs, so its one possible error is a direction
+// p scatters along that g was built without (Options.Directions), returned
+// before any superstep.
 func Run[V, E, M, R any, P Program[V, E, M, R]](g *Graph[V, E], p P, cfg Config) (Stats, error) {
-	return core.Run(g, p, cfg)
+	return core.Run(g.Edges, p, g.BlockState, cfg)
 }
 
 // StopReason classifies why a run ended; see Stats.Reason.
@@ -230,9 +266,10 @@ type RunOption = core.RunOption
 // error return stops the run.
 func WithObserver(fn Observer) RunOption { return core.WithObserver(fn) }
 
-// RunContext executes a vertex program under ctx: cancellation and deadlines
-// stop the run cooperatively, checked between supersteps and inside the
-// parallel partition loops so long SpMVs abort promptly. ws may be nil (the
+// RunContext executes a vertex program over g's vertex state under ctx:
+// cancellation and deadlines stop the run cooperatively, checked between
+// supersteps and inside the parallel partition loops so long SpMVs abort
+// promptly. ws may be nil (the
 // engine allocates scratch) or caller-managed. A program whose Direction
 // names a structure g was built without (Options.Directions) is an error
 // before any superstep. Otherwise Stats.Reason records why the run ended;
@@ -241,7 +278,7 @@ func WithObserver(fn Observer) RunOption { return core.WithObserver(fn) }
 func RunContext[V, E, M, R any, P Program[V, E, M, R]](
 	ctx context.Context, g *Graph[V, E], p P, cfg Config, ws *Workspace[M, R], opts ...RunOption,
 ) (Stats, error) {
-	return core.RunContext[V, E, M, R, P](ctx, g, p, cfg, ws, opts...)
+	return core.RunContext[V, E, M, R, P](ctx, g.Edges, p, g.BlockState, cfg, ws, opts...)
 }
 
 // Workspace is reusable engine scratch (the C++ API's graph_program_init /
@@ -261,8 +298,9 @@ func NewWorkspace[M, R any](n int, kind VectorKind) *Workspace[M, R] {
 const MaxBlockSources = core.MaxBlockSources
 
 // BlockState carries the per-(vertex, source) properties and active set of a
-// multi-source run; it replaces the graph's scalar vertex state, so block and
-// scalar runs can share one pinned snapshot.
+// run: a Graph's own state is one column of it, and a multi-source run owns
+// one of up to MaxBlockSources columns. Edges hold no vertex state, so any
+// number of runs can share one pinned snapshot.
 type BlockState[V any] = core.BlockState[V]
 
 // NewBlockState allocates vertex state for a k-source run over n vertices
@@ -278,24 +316,24 @@ func NewBlockWorkspace[M, R any](n, k int) *BlockWorkspace[M, R] {
 	return core.NewBlockWorkspace[M, R](n, k)
 }
 
-// RunBlockContext is the multi-source form of RunContext: one n×k SpMM
-// sweep per superstep advances up to 64 independent source columns, each
-// column dropping out of the sweep as it converges. Every width runs the
-// scalar engine's send and apply over st and ws, and one column folds
-// through the scalar engine's sinks, so a k = 1 block run costs and reports
-// what RunContext does — RunContext is that run over the graph's own vertex
-// state. The block fold is p's own ProcessMessage and Reduce, so a k-source
-// run is bit-identical per source to k scalar runs. Config is validated at
-// the run's width: the boxed dispatches (Boxed, BoxedSorted) run one column
-// only. Like RunContext, a direction g was built without is an error before
-// any superstep. See core.RunBlockContext.
+// RunBlockContext runs a vertex program on edges g over the k source
+// columns of the run's own state st: one n×k SpMM sweep per superstep
+// advances up to 64 independent source columns, each column dropping out of
+// the sweep as it converges. Every width runs the scalar engine's send and
+// apply over st and ws, and one column folds through the scalar engine's
+// sinks, so a k = 1 run costs and reports what RunContext does on a Graph
+// with the same state. The block fold is p's own ProcessMessage and Reduce,
+// so a k-source run is bit-identical per source to k scalar runs. Config is
+// validated at the run's width: the boxed dispatches (Boxed, BoxedSorted)
+// run one column only. Like RunContext, a direction g was built without is
+// an error before any superstep. See core.RunContext.
 func RunBlockContext[V, E, M, R any, P interface {
 	Program[V, E, M, R]
 	DstIndependent
 }](
-	ctx context.Context, g *Graph[V, E], p P, st *BlockState[V], cfg Config, ws *BlockWorkspace[M, R], opts ...RunOption,
+	ctx context.Context, g *Edges[E], p P, st *BlockState[V], cfg Config, ws *BlockWorkspace[M, R], opts ...RunOption,
 ) (Stats, error) {
-	return core.RunBlockContext[V, E, M, R, P](ctx, g, p, st, cfg, ws, opts...)
+	return core.RunContext[V, E, M, R, P](ctx, g, p, st, cfg, ws, opts...)
 }
 
 // SpMV performs a single generalized sparse matrix–sparse vector
@@ -304,10 +342,11 @@ func RunBlockContext[V, E, M, R any, P interface {
 // the same inlined kernel layer as the engine whatever cfg.Dispatch says:
 // cfg.Mode selects pull, push, or a per-call Auto density decision. No
 // Config is an error; a program whose Direction names a structure g was
-// built without is, and SpMV panics with it. Otherwise the result is never
-// nil.
+// built without is, and SpMV panics with it. ProcessMessage reads the
+// destination properties from g's vertex state. Otherwise the result is
+// never nil.
 func SpMV[V, E, M, R any, P Program[V, E, M, R]](g *Graph[V, E], x *Vector[M], p P, cfg Config) *Vector[R] {
-	return core.SpMV(g, x, p, cfg)
+	return core.SpMV(g.Edges, x, p, g.BlockState, cfg)
 }
 
 // SpMVContext is SpMV under a context: cancellation aborts the partition
@@ -315,7 +354,7 @@ func SpMV[V, E, M, R any, P Program[V, E, M, R]](g *Graph[V, E], x *Vector[M], p
 // one other error is a direction g was built without, returned with a nil
 // result before any work.
 func SpMVContext[V, E, M, R any, P Program[V, E, M, R]](ctx context.Context, g *Graph[V, E], x *Vector[M], p P, cfg Config) (*Vector[R], error) {
-	return core.SpMVContext[V, E, M, R, P](ctx, g, x, p, cfg)
+	return core.SpMVContext[V, E, M, R, P](ctx, g.Edges, x, p, g.BlockState, cfg)
 }
 
 // LoadFile reads a graph file (.mtx Matrix Market, .bin binary edge list —
@@ -335,16 +374,15 @@ func LoadFileOptions(path string, opt LoadOptions) (*COO[float32], error) {
 	return graph.LoadFileOptions(path, opt)
 }
 
-// Store is a versioned mutable graph: immutable epoch-numbered snapshots
-// advanced by batched edge updates, with refcounted pinning and automatic
-// compaction of the delta overlay back into the base structures. See
-// graph.Store.
-type Store[V, E any] = graph.Store[V, E]
+// Store is a versioned mutable graph: immutable epoch-numbered snapshots of
+// Edges advanced by batched edge updates, with refcounted pinning and
+// automatic compaction of the delta overlay back into the base structures.
+// It holds no vertex state, so V is unused: one store type serves every V.
+type Store[V, E any] = graph.Store[E]
 
-// Snapshot is one pinned, immutable version of a store's graph. Its View
-// gives a run private vertex state over the shared structures, which are
-// exactly the ones the store was built with.
-type Snapshot[V, E any] = graph.Snapshot[V, E]
+// Snapshot is one pinned, immutable version of a store's edges, read by any
+// number of runs at once, each over its own BlockState. V is unused.
+type Snapshot[V, E any] = graph.Snapshot[E]
 
 // Update is one edge mutation: an upsert (insert or value replace) or, with
 // Del set, a delete. Within a batch the last mutation of a (src, dst) key
@@ -369,7 +407,7 @@ const DefaultCompactFraction = graph.DefaultCompactFraction
 // NewStore builds a versioned store whose epoch-0 snapshot is the graph New
 // would build from the same input (the adjacency is consumed the same way).
 func NewStore[V, E any](adj *COO[E], opts Options) (*Store[V, E], error) {
-	return graph.NewStore[V, E](adj, opts)
+	return graph.NewStore(adj, opts)
 }
 
 // ParseUpdates parses an edge-update stream — NDJSON ({"src","dst","weight",
@@ -421,8 +459,8 @@ type SnapInfo = snap.Info
 // current graph, compacting any pending overlay first. tag is a caller
 // consistency mark stored verbatim in the image (the serving layer stamps
 // the master-copy epoch the image reflects).
-func StoreImage[V any](s *Store[V, float32], tag uint64) (*SnapImage, error) {
-	return graph.StoreImage[V](s, tag)
+func StoreImage(s *graph.Store[float32], tag uint64) (*SnapImage, error) {
+	return graph.StoreImage(s, tag)
 }
 
 // NewStoreFromImage rebuilds a versioned store from a snapshot image at the
@@ -430,7 +468,7 @@ func StoreImage[V any](s *Store[V, float32], tag uint64) (*SnapImage, error) {
 // — the zero-copy boot path. The on-heap build (NewStore over the original
 // input) is the differential oracle for it.
 func NewStoreFromImage[V any](img *SnapImage) (*Store[V, float32], error) {
-	return graph.NewStoreFromImage[V](img)
+	return graph.NewStoreFromImage(img)
 }
 
 // WriteSnap serializes an image to path crash-safely (temp file, fsync,

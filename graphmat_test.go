@@ -59,6 +59,39 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPropsAndActive covers the paper-shaped vertex-state accessors of a
+// Graph, which pair its edges with a one-column state.
+func TestPropsAndActive(t *testing.T) {
+	g, err := graphmat.New[float32](fig3Edges(), graphmat.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetAllProps(1.5)
+	if g.Prop(3) != 1.5 {
+		t.Error("SetAllProps failed")
+	}
+	g.SetProp(3, 7)
+	if g.Prop(3) != 7 || g.Prop(2) != 1.5 {
+		t.Error("SetProp failed")
+	}
+	g.InitProps(func(v uint32) float32 { return float32(v) })
+	if g.Prop(4) != 4 {
+		t.Error("InitProps failed")
+	}
+	g.SetActive(2)
+	if !g.Active().Get(2) || g.Active().Get(1) {
+		t.Error("SetActive failed")
+	}
+	g.SetAllActive()
+	if g.Active().Count() != 5 {
+		t.Error("SetAllActive failed")
+	}
+	g.ClearActive()
+	if g.Active().Any() {
+		t.Error("ClearActive failed")
+	}
+}
+
 func TestPublicAPIAblationKnobs(t *testing.T) {
 	// All three dispatches must agree (the Figure 7 configurations change
 	// performance, never results).

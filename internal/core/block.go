@@ -155,13 +155,12 @@ func NewWorkspace[M, R any](n int, _ VectorKind) *Workspace[M, R] {
 	return NewBlockWorkspace[M, R](n, 1)
 }
 
-// BlockState is the per-run vertex state of a block run: the n×k property
-// block (props[v*k+s] is vertex v's property in source column s) and the n×k
+// BlockState is the vertex state of one run: the n×k property block
+// (props[v*k+s] is vertex v's property in source column s) and the n×k
 // active set, stored like a BlockVector's occupancy (summary + per-vertex
-// column masks, lazily zeroed; the summary alone at k = 1). RunContext runs
-// over the graph's own props/active seen as a one-column BlockState; a
-// RunBlockContext run of any width owns its state and never touches the
-// graph's, so any number of them can share one pinned snapshot.
+// column masks, lazily zeroed; the summary alone at k = 1). The graph holds
+// no vertex state, so every run of any width owns its state, and any number
+// of runs can share one pinned snapshot.
 type BlockState[V any] struct {
 	n, k    int
 	props   []V
@@ -184,6 +183,15 @@ func NewBlockState[V any](n, k int) *BlockState[V] {
 
 // Width reports the source-column count.
 func (st *BlockState[V]) Width() int { return st.k }
+
+// Props exposes the n×k property block, row-major: vertex v's property in
+// column s is Props()[v*k+s], so a one-column state's block is indexed by
+// vertex.
+func (st *BlockState[V]) Props() []V { return st.props }
+
+// Active exposes the vertex-level active set: vertex v is in it when any of
+// its columns is active, so at k = 1 it is the active set itself.
+func (st *BlockState[V]) Active() *bitvec.Vector { return st.summary }
 
 // Prop returns vertex v's property in column s.
 func (st *BlockState[V]) Prop(v uint32, s int) V { return st.props[int(v)*st.k+s] }

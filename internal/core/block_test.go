@@ -19,11 +19,11 @@ type ssspBlockProg struct{ ssspProg }
 func (ssspBlockProg) ProcessIgnoresDst() {}
 
 // blockTestGraph builds a small RMAT-derived weighted graph.
-func blockTestGraph(t testing.TB, nparts int) *graph.Graph[float32, float32] {
+func blockTestGraph(t testing.TB, nparts int) *graph.Graph[float32] {
 	t.Helper()
 	adj := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 8, Seed: 7, MaxWeight: 31})
 	adj.RemoveSelfLoops()
-	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: nparts})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: nparts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func blockTestGraph(t testing.TB, nparts int) *graph.Graph[float32, float32] {
 // k = MaxBlockSources, on a 13×11 grid: column 63 is the mask's top bit, and
 // 143 vertices leave the last mask word partial.
 func TestBlockSSSPMatchesScalar(t *testing.T) {
-	grid, err := graph.NewFromCOO[float32, float32](gen.Grid(gen.GridOptions{Width: 13, Height: 11, Seed: 5}), graph.Options{Partitions: 3})
+	grid, err := graph.NewFromCOO[float32](gen.Grid(gen.GridOptions{Width: 13, Height: 11, Seed: 5}), graph.Options{Partitions: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestBlockSSSPMatchesScalar(t *testing.T) {
 	}
 	for _, in := range []struct {
 		name    string
-		g       *graph.Graph[float32, float32]
+		g       *graph.Graph[float32]
 		sources []uint32
 	}{
 		{"", blockTestGraph(t, 4), []uint32{0, 3, 17, 42, 100, 101, 200, 255}},
@@ -56,22 +56,23 @@ func TestBlockSSSPMatchesScalar(t *testing.T) {
 	}
 }
 
-func blockSSSPMatchesScalar(t *testing.T, name string, g *graph.Graph[float32, float32], sources []uint32) {
+func blockSSSPMatchesScalar(t *testing.T, name string, g *graph.Graph[float32], sources []uint32) {
 	n := int(g.NumVertices())
 	k := len(sources)
 
 	// Scalar oracle: one run per source on the same graph.
 	oracle := make([][]float32, k)
 	for s, src := range sources {
-		g.SetAllProps(inf)
-		g.SetProp(src, 0)
-		g.ClearActive()
-		g.SetActive(src)
-		if _, err := Run(g, ssspProg{}, Config{Mode: Pull}); err != nil {
+		scalar := NewBlockState[float32](n, 1)
+		scalar.SetAllProps(inf)
+		scalar.SetProp(src, 0, 0)
+		scalar.ClearActive()
+		scalar.Activate(src, 0)
+		if _, err := Run(g, ssspProg{}, scalar, Config{Mode: Pull}); err != nil {
 			t.Fatal(err)
 		}
 		dist := make([]float32, n)
-		copy(dist, g.Props())
+		copy(dist, scalar.Props())
 		oracle[s] = dist
 	}
 
@@ -84,7 +85,7 @@ func blockSSSPMatchesScalar(t *testing.T, name string, g *graph.Graph[float32, f
 					st.SetProp(src, s, 0)
 					st.Activate(src, s)
 				}
-				stats, err := RunBlockContext(context.Background(), g, ssspBlockProg{}, st, Config{Mode: mode, Threads: threads}, nil)
+				stats, err := RunContext(context.Background(), g, ssspBlockProg{}, st, Config{Mode: mode, Threads: threads}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -112,7 +113,7 @@ func singleColumnCase[V comparable, M, R any, P interface {
 	Program[V, float32, M, R]
 	DstIndependent
 }](
-	t *testing.T, g *graph.Graph[V, float32], p P, cfg Config, start func(*session[V, M, R, P]),
+	t *testing.T, g *graph.Graph[float32], p P, cfg Config, start func(*session[V, M, R, P]),
 ) Stats {
 	t.Helper()
 	var props [2][]V
@@ -155,7 +156,7 @@ func TestBlockSingleColumn(t *testing.T) {
 	}
 	t.Run("all_active_sum_fold", func(t *testing.T) {
 		adj := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 8, Seed: 7})
-		gf, err := graph.NewFromCOO[float64, float32](adj, graph.Options{Partitions: 3})
+		gf, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func TestBlockSingleColumnAccessors(t *testing.T) {
 	st.Activate(9, 0)
 
 	ws := NewBlockWorkspace[float32, float32](n, 1)
-	if _, err := RunBlockContext(context.Background(), g, ssspBlockProg{}, st, Config{}, ws); err != nil {
+	if _, err := RunContext(context.Background(), g, ssspBlockProg{}, st, Config{}, ws); err != nil {
 		t.Fatal(err)
 	}
 	if st.ActiveColumns() != 0 {
@@ -252,7 +253,7 @@ func TestBlockWorkspaceReuse(t *testing.T) {
 			st.SetProp(src, s, 0)
 			st.Activate(src, s)
 		}
-		if _, err := RunBlockContext(context.Background(), g, ssspBlockProg{}, st, Config{}, ws); err != nil {
+		if _, err := RunContext(context.Background(), g, ssspBlockProg{}, st, Config{}, ws); err != nil {
 			t.Fatal(err)
 		}
 		for s := 0; s < 2; s++ {

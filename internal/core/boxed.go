@@ -185,7 +185,7 @@ func spmvBoxedSorted(part boxedPartition, xs *sparse.SortedVector[any], bp boxed
 // apply rather than runPhases' typed word loops, and never fuses them into one
 // phase, because its interface-boxed callbacks are what Figure 7's "naive" and
 // "+bitvector" rows measure against "+ipo".
-func runBoxed[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config, ctrl *controller, st *BlockState[V]) (Stats, error) {
+func runBoxed[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[E], p P, cfg Config, ctrl *controller, st *BlockState[V]) (Stats, error) {
 	n := int(g.NumVertices())
 	d := newDriver(cfg, ctrl, n)
 	active := st.summary

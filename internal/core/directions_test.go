@@ -24,7 +24,7 @@ func (inBFS) Direction() graph.Direction { return graph.In }
 // would race) — and the graph still has no In layers afterwards.
 func TestUnbuiltDirectionIsAnError(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 7, EdgeFactor: 6, Seed: 3})
-	store, err := graph.NewStore[uint32, float32](adj, graph.Options{Partitions: 4, Directions: graph.Out})
+	store, err := graph.NewStore[float32](adj, graph.Options{Partitions: 4, Directions: graph.Out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,15 +39,15 @@ func TestUnbuiltDirectionIsAnError(t *testing.T) {
 		}
 	}
 
-	v := snap.View()
-	v.SetProp(0, 0)
-	v.SetActive(0)
-	stats, err := RunContext(context.Background(), v, inBFS{}, Config{Threads: 2}, nil)
+	st := NewBlockState[uint32](n, 1)
+	st.SetProp(0, 0, 0)
+	st.Activate(0, 0)
+	stats, err := RunContext(context.Background(), g, inBFS{}, st, Config{Threads: 2}, nil)
 	namesIn("RunContext", err)
 	if stats.Iterations != 0 {
 		t.Errorf("RunContext ran %d supersteps before failing", stats.Iterations)
 	}
-	_, err = RunContext(context.Background(), snap.View(), inBFS{}, Config{Dispatch: Boxed}, nil)
+	_, err = RunContext(context.Background(), g, inBFS{}, NewBlockState[uint32](n, 1), Config{Dispatch: Boxed}, nil)
 	namesIn("RunContext boxed", err)
 
 	var wg sync.WaitGroup
@@ -59,7 +59,7 @@ func TestUnbuiltDirectionIsAnError(t *testing.T) {
 			st := NewBlockState[uint32](n, 2)
 			st.SetProp(0, 0, 0)
 			st.Activate(0, 0)
-			_, errs[i] = RunBlockContext(context.Background(), g, inBFS{}, st, Config{Threads: 2}, nil)
+			_, errs[i] = RunContext(context.Background(), g, inBFS{}, st, Config{Threads: 2}, nil)
 		}()
 	}
 	wg.Wait()
@@ -69,7 +69,7 @@ func TestUnbuiltDirectionIsAnError(t *testing.T) {
 
 	x := sparse.NewVector[uint32](n)
 	x.Set(0, 0)
-	y, err := SpMVContext(context.Background(), g, x, inBFS{}, Config{})
+	y, err := SpMVContext(context.Background(), g, x, inBFS{}, NewBlockState[uint32](n, 1), Config{})
 	namesIn("SpMVContext", err)
 	if y != nil {
 		t.Error("SpMVContext returned a result with its error")
@@ -79,10 +79,10 @@ func TestUnbuiltDirectionIsAnError(t *testing.T) {
 			err, _ := recover().(error)
 			namesIn("SpMV panic", err)
 		}()
-		SpMV(g, x, inBFS{}, Config{})
+		SpMV(g, x, inBFS{}, NewBlockState[uint32](n, 1), Config{})
 	}()
 
-	if g.InLayers() != nil || v.InLayers() != nil {
+	if g.InLayers() != nil {
 		t.Error("a failed run built the In layers")
 	}
 }

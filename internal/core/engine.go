@@ -12,20 +12,21 @@ import (
 	"graphmat/internal/sched"
 )
 
-// Run executes program p on graph g until convergence or the configured
-// iteration cap, returning run statistics. It implements Algorithm 2 of the
-// paper: each superstep builds a sparse message vector from the active
-// vertices (SendMessage), multiplies it against the partitioned adjacency
-// structure with the generalized SpMV (ProcessMessage + Reduce, Algorithm 1),
-// applies the reduced values (Apply), and activates the vertices whose state
-// changed. The run mutates g's vertex properties and active set.
+// Run executes program p on graph g over the run's vertex state st until
+// convergence or the configured iteration cap, returning run statistics. It
+// implements Algorithm 2 of the paper: each superstep builds a sparse
+// message vector from the active vertices (SendMessage), multiplies it
+// against the partitioned adjacency structure with the generalized SpMV
+// (ProcessMessage + Reduce, Algorithm 1), applies the reduced values (Apply),
+// and activates the vertices whose state changed. The run mutates st's
+// properties and active set; g is only read.
 //
-// Run is RunContext without a context: it cannot be canceled, and a
-// one-column run accepts every Config, so its one possible error is a
-// direction p scatters along that g was built without. Callers that need
-// cancellation, deadlines or per-superstep observation use RunContext.
-func Run[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[V, E], p P, cfg Config) (Stats, error) {
-	return RunContext[V, E, M, R, P](context.Background(), g, p, cfg, nil)
+// Run is RunContext without a context or workspace: it cannot be canceled,
+// and its errors are RunContext's validation errors, returned before any
+// superstep. Callers that need cancellation, deadlines or per-superstep
+// observation use RunContext.
+func Run[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[E], p P, st *BlockState[V], cfg Config) (Stats, error) {
+	return RunContext[V, E, M, R, P](context.Background(), g, p, st, cfg, nil)
 }
 
 // localStats is one worker's tally, padded to a cache line so workers never
@@ -397,11 +398,10 @@ func putRow(out uint64, cols []uint64, v uint32, m uint64) uint64 {
 // generalized multiply through sink, and Apply, over the n×k vertex state bst
 // and the message and reduction blocks x and y, whose (vertex v, column s)
 // slot is v*k+s. The phases walk rows (nextRow) and each row's columns, so a
-// one-column block — the block engine at k = 1, and the scalar engine over
-// the graph's own state — runs the same loops as a wide one. Width selects
+// one-column block runs the same loops as a wide one. Width selects
 // the sink (blockSink, scalarSink) and the shape of a row, nothing else.
 func runPhases[V, E, M, R any, P Program[V, E, M, R]](
-	g *graph.Graph[V, E], p P, cfg Config, ctrl *controller,
+	g *graph.Graph[E], p P, cfg Config, ctrl *controller,
 	bst *BlockState[V], x *BlockVector[M], y *BlockVector[R], sink colSink[E],
 ) (Stats, error) {
 	d := newDriver(cfg, ctrl, int(g.NumVertices()))

@@ -41,7 +41,7 @@ func (countProg) Apply(r uint32, _ VertexID, prop *uint32) bool       { *prop = 
 func (p countProg) Direction() graph.Direction                        { return p.dir }
 
 // fig3Graph builds the Figure 3 worked example.
-func fig3Graph(t testing.TB, opts graph.Options) *graph.Graph[float32, float32] {
+func fig3Graph(t testing.TB, opts graph.Options) *graph.Graph[float32] {
 	t.Helper()
 	c := sparse.NewCOO[float32](5, 5)
 	c.Add(0, 1, 1)
@@ -51,13 +51,10 @@ func fig3Graph(t testing.TB, opts graph.Options) *graph.Graph[float32, float32] 
 	c.Add(3, 4, 2)
 	c.Add(4, 0, 4)
 	c.Add(2, 3, 2)
-	g, err := graph.NewFromCOO[float32, float32](c, opts)
+	g, err := graph.NewFromCOO[float32](c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetAllProps(inf)
-	g.SetProp(0, 0)
-	g.SetActive(0)
 	return g
 }
 
@@ -69,12 +66,12 @@ func TestSSSPFigure3(t *testing.T) {
 		{Dispatch: Boxed},
 		{Dispatch: BoxedSorted},
 	} {
-		g := fig3Graph(t, graph.Options{Partitions: 2})
-		stats, _ := Run(g, ssspProg{}, cfg)
+		g, st := fig3Graph(t, graph.Options{Partitions: 2}), ssspBlockState(1)
+		stats, _ := Run(g, ssspProg{}, st, cfg)
 		want := []float32{0, 1, 2, 2, 4}
 		for v, d := range want {
-			if g.Prop(uint32(v)) != d {
-				t.Errorf("cfg %+v: dist[%d] = %v, want %v", cfg, v, g.Prop(uint32(v)), d)
+			if st.Prop(uint32(v), 0) != d {
+				t.Errorf("cfg %+v: dist[%d] = %v, want %v", cfg, v, st.Prop(uint32(v), 0), d)
 			}
 		}
 		if stats.Iterations == 0 || stats.EdgesProcessed == 0 {
@@ -90,16 +87,17 @@ func TestInDegreeFigure1(t *testing.T) {
 	c.Add(0, 2, 1)
 	c.Add(1, 3, 1)
 	c.Add(2, 3, 1)
-	g, err := graph.NewFromCOO[uint32, float32](c, graph.Options{Partitions: 2})
+	g, err := graph.NewFromCOO[float32](c, graph.Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetAllActive()
-	Run(g, countProg{dir: graph.Out}, Config{MaxIterations: 1})
+	st := NewBlockState[uint32](int(g.NumVertices()), 1)
+	st.ActivateAllMask(1)
+	Run(g, countProg{dir: graph.Out}, st, Config{MaxIterations: 1})
 	want := []uint32{0, 1, 1, 2}
 	for v, d := range want {
-		if g.Prop(uint32(v)) != d {
-			t.Errorf("indegree[%d] = %d, want %d", v, g.Prop(uint32(v)), d)
+		if st.Prop(uint32(v), 0) != d {
+			t.Errorf("indegree[%d] = %d, want %d", v, st.Prop(uint32(v), 0), d)
 		}
 	}
 }
@@ -112,16 +110,17 @@ func TestDirectionIn(t *testing.T) {
 	c.Add(0, 2, 1)
 	c.Add(1, 3, 1)
 	c.Add(2, 3, 1)
-	g, err := graph.NewFromCOO[uint32, float32](c, graph.Options{Partitions: 2, Directions: graph.In})
+	g, err := graph.NewFromCOO[float32](c, graph.Options{Partitions: 2, Directions: graph.In})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetAllActive()
-	Run(g, countProg{dir: graph.In}, Config{MaxIterations: 1})
+	st := NewBlockState[uint32](int(g.NumVertices()), 1)
+	st.ActivateAllMask(1)
+	Run(g, countProg{dir: graph.In}, st, Config{MaxIterations: 1})
 	want := []uint32{2, 1, 1, 0} // out-degrees
 	for v, d := range want {
-		if g.Prop(uint32(v)) != d {
-			t.Errorf("outdegree[%d] = %d, want %d", v, g.Prop(uint32(v)), d)
+		if st.Prop(uint32(v), 0) != d {
+			t.Errorf("outdegree[%d] = %d, want %d", v, st.Prop(uint32(v), 0), d)
 		}
 	}
 }
@@ -132,16 +131,17 @@ func TestDirectionBoth(t *testing.T) {
 	c.Add(0, 2, 1)
 	c.Add(1, 3, 1)
 	c.Add(2, 3, 1)
-	g, err := graph.NewFromCOO[uint32, float32](c, graph.Options{Partitions: 2, Directions: graph.Both})
+	g, err := graph.NewFromCOO[float32](c, graph.Options{Partitions: 2, Directions: graph.Both})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetAllActive()
-	Run(g, countProg{dir: graph.Both}, Config{MaxIterations: 1})
+	st := NewBlockState[uint32](int(g.NumVertices()), 1)
+	st.ActivateAllMask(1)
+	Run(g, countProg{dir: graph.Both}, st, Config{MaxIterations: 1})
 	want := []uint32{2, 2, 2, 2} // total degree
 	for v, d := range want {
-		if g.Prop(uint32(v)) != d {
-			t.Errorf("degree[%d] = %d, want %d", v, g.Prop(uint32(v)), d)
+		if st.Prop(uint32(v), 0) != d {
+			t.Errorf("degree[%d] = %d, want %d", v, st.Prop(uint32(v), 0), d)
 		}
 	}
 }
@@ -159,22 +159,23 @@ func TestMaxIterations(t *testing.T) {
 	c := sparse.NewCOO[float32](2, 2)
 	c.Add(0, 1, 1)
 	c.Add(1, 0, 1)
-	g, err := graph.NewFromCOO[int64, float32](c, graph.Options{Partitions: 1})
+	g, err := graph.NewFromCOO[float32](c, graph.Options{Partitions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetAllProps(1)
-	g.SetAllActive()
-	stats, _ := Run(g, alwaysActive{}, Config{MaxIterations: 5})
+	st := NewBlockState[int64](int(g.NumVertices()), 1)
+	st.SetAllProps(1)
+	st.ActivateAllMask(1)
+	stats, _ := Run(g, alwaysActive{}, st, Config{MaxIterations: 5})
 	if stats.Iterations != 5 {
 		t.Errorf("Iterations = %d, want 5", stats.Iterations)
 	}
 }
 
 func TestNoActiveVerticesTerminatesImmediately(t *testing.T) {
-	g := fig3Graph(t, graph.Options{})
-	g.ClearActive()
-	stats, _ := Run(g, ssspProg{}, Config{})
+	g, st := fig3Graph(t, graph.Options{}), ssspBlockState(1)
+	st.ClearActive()
+	stats, _ := Run(g, ssspProg{}, st, Config{})
 	if stats.Iterations != 1 || stats.EdgesProcessed != 0 {
 		t.Errorf("stats = %+v, want 1 empty iteration", stats)
 	}
@@ -188,15 +189,16 @@ func TestBFSFrontierProgression(t *testing.T) {
 	c.Add(0, 1, 1)
 	c.Add(1, 2, 1)
 	c.Add(2, 3, 1)
-	g, err := graph.NewFromCOO[float32, float32](c, graph.Options{Partitions: 1})
+	g, err := graph.NewFromCOO[float32](c, graph.Options{Partitions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetAllProps(inf)
-	g.SetProp(0, 0)
-	g.SetActive(0)
-	stats, _ := Run(g, ssspProg{}, Config{})
-	if got := []float32{g.Prop(0), g.Prop(1), g.Prop(2), g.Prop(3)}; got[1] != 1 || got[2] != 2 || got[3] != 3 {
+	st := NewBlockState[float32](int(g.NumVertices()), 1)
+	st.SetAllProps(inf)
+	st.SetProp(0, 0, 0)
+	st.Activate(0, 0)
+	stats, _ := Run(g, ssspProg{}, st, Config{})
+	if got := []float32{st.Prop(0, 0), st.Prop(1, 0), st.Prop(2, 0), st.Prop(3, 0)}; got[1] != 1 || got[2] != 2 || got[3] != 3 {
 		t.Errorf("distances = %v", got)
 	}
 	if stats.Iterations != 4 {
@@ -255,17 +257,18 @@ func TestQuickConfigEquivalence(t *testing.T) {
 			for _, nparts := range []int{1, 3, 8} {
 				c := sparse.NewCOO[float32](coo.NRows, coo.NCols)
 				c.Entries = append([]sparse.Triple[float32](nil), edges...)
-				g, err := graph.NewFromCOO[float32, float32](c, graph.Options{Partitions: nparts})
+				g, err := graph.NewFromCOO[float32](c, graph.Options{Partitions: nparts})
 				if err != nil {
 					t.Fatal(err)
 				}
-				g.SetAllProps(inf)
-				g.SetProp(0, 0)
-				g.SetActive(0)
-				Run(g, ssspProg{}, cfg)
+				st := NewBlockState[float32](int(g.NumVertices()), 1)
+				st.SetAllProps(inf)
+				st.SetProp(0, 0, 0)
+				st.Activate(0, 0)
+				Run(g, ssspProg{}, st, cfg)
 				for v := uint32(0); v < coo.NRows; v++ {
-					if g.Prop(v) != want[v] {
-						t.Logf("cfg %+v parts %d: dist[%d] = %v, want %v", cfg, nparts, v, g.Prop(v), want[v])
+					if st.Prop(v, 0) != want[v] {
+						t.Logf("cfg %+v parts %d: dist[%d] = %v, want %v", cfg, nparts, v, st.Prop(v, 0), want[v])
 						return false
 					}
 				}
@@ -284,12 +287,13 @@ func TestQuickStatsConsistency(t *testing.T) {
 	f := func(seed uint64) bool {
 		coo := gen.RMAT(gen.RMATOptions{Scale: 6, EdgeFactor: 4, Seed: seed})
 		coo.RemoveSelfLoops()
-		g, err := graph.NewFromCOO[uint32, float32](coo, graph.Options{Partitions: 4})
+		g, err := graph.NewFromCOO[float32](coo, graph.Options{Partitions: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.SetAllActive()
-		stats, _ := Run(g, countProg{dir: graph.Out}, Config{MaxIterations: 1, Threads: 2})
+		st := NewBlockState[uint32](int(g.NumVertices()), 1)
+		st.ActivateAllMask(1)
+		stats, _ := Run(g, countProg{dir: graph.Out}, st, Config{MaxIterations: 1, Threads: 2})
 		return stats.EdgesProcessed == g.NumEdges() &&
 			stats.MessagesSent == int64(g.NumVertices()) &&
 			stats.Applies <= int64(g.NumVertices()) &&
@@ -306,15 +310,16 @@ func TestSpMVSingleShot(t *testing.T) {
 	c.Add(0, 2, 1)
 	c.Add(1, 3, 1)
 	c.Add(2, 3, 1)
-	g, err := graph.NewFromCOO[uint32, float32](c, graph.Options{Partitions: 2})
+	g, err := graph.NewFromCOO[float32](c, graph.Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := NewBlockState[uint32](int(g.NumVertices()), 1)
 	x := sparse.NewVector[uint32](4)
 	for v := uint32(0); v < 4; v++ {
 		x.Set(v, 1)
 	}
-	y := SpMV(g, x, countProg{dir: graph.Out}, Config{})
+	y := SpMV(g, x, countProg{dir: graph.Out}, st, Config{})
 	want := []uint32{0, 1, 1, 2}
 	for v, d := range want {
 		got, ok := y.GetChecked(uint32(v))
@@ -369,10 +374,11 @@ func TestSpMVDirectionsMatchNaiveFold(t *testing.T) {
 	coo.DedupSum(func(a, b float32) float32 { return min(a, b) })
 	edges := append([]sparse.Triple[float32](nil), coo.Entries...)
 	n := coo.NRows
-	g, err := graph.NewFromCOO[int64, float32](coo, graph.Options{Partitions: 3, Directions: graph.Both})
+	g, err := graph.NewFromCOO[float32](coo, graph.Options{Partitions: 3, Directions: graph.Both})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := NewBlockState[int64](int(g.NumVertices()), 1)
 	x := sparse.NewVector[int64](int(n))
 	for v := uint32(0); v < n; v += 3 {
 		x.Set(v, int64(v)+1)
@@ -389,7 +395,7 @@ func TestSpMVDirectionsMatchNaiveFold(t *testing.T) {
 			}
 		}
 		for _, mode := range []Mode{Pull, Push, Auto} {
-			y := SpMV(g, x, wsumProg{dir: dir}, Config{Mode: mode, Threads: 3})
+			y := SpMV(g, x, wsumProg{dir: dir}, st, Config{Mode: mode, Threads: 3})
 			for v := uint32(0); v < n; v++ {
 				if got, _ := y.GetChecked(v); got != want[v] {
 					t.Fatalf("dir %v mode %s: y[%d] = %d, want %d", dir, mode, v, got, want[v])
@@ -406,15 +412,16 @@ func TestSpMVDirectionsMatchNaiveFold(t *testing.T) {
 func TestSingleWorkerRunReportsBusyTime(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
 	adj.RemoveSelfLoops()
-	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: 2})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetAllProps(inf)
-	g.SetProp(1, 0)
-	g.SetActive(1)
+	st := NewBlockState[float32](int(g.NumVertices()), 1)
+	st.SetAllProps(inf)
+	st.SetProp(1, 0, 0)
+	st.Activate(1, 0)
 	before := sched.Shared(1).Stats()[0]
-	stats, err := Run(g, ssspProg{}, Config{Threads: 1})
+	stats, err := Run(g, ssspProg{}, st, Config{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,13 +443,14 @@ func TestRunPhasesUseTheRunsPool(t *testing.T) {
 	const width = 13
 	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
 	adj.RemoveSelfLoops()
-	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: 2})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetAllProps(inf)
-	g.SetProp(1, 0)
-	g.SetActive(1)
+	st := NewBlockState[float32](int(g.NumVertices()), 1)
+	st.SetAllProps(inf)
+	st.SetProp(1, 0, 0)
+	st.Activate(1, 0)
 	poolTasks := func() (sum int64) {
 		for _, w := range sched.Shared(width).Stats() {
 			sum += w.Tasks
@@ -450,7 +458,7 @@ func TestRunPhasesUseTheRunsPool(t *testing.T) {
 		return sum
 	}
 	before := poolTasks()
-	stats, err := Run(g, ssspProg{}, Config{Threads: width})
+	stats, err := Run(g, ssspProg{}, st, Config{Threads: width})
 	if err != nil {
 		t.Fatal(err)
 	}

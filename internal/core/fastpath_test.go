@@ -26,24 +26,25 @@ func (ssspReadsDst) ProcessMessage(m, e float32, dst float32) float32 {
 
 func TestDstIndependentFastPathEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
-		build := func() *graph.Graph[float32, float32] {
+		build := func() (*graph.Graph[float32], *BlockState[float32]) {
 			coo := gen.RMAT(gen.RMATOptions{Scale: 7, EdgeFactor: 4, Seed: seed, MaxWeight: 9})
 			coo.RemoveSelfLoops()
-			g, err := graph.NewFromCOO[float32, float32](coo, graph.Options{Partitions: 5})
+			g, err := graph.NewFromCOO[float32](coo, graph.Options{Partitions: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.SetAllProps(inf)
-			g.SetProp(0, 0)
-			g.SetActive(0)
-			return g
+			st := NewBlockState[float32](int(g.NumVertices()), 1)
+			st.SetAllProps(inf)
+			st.SetProp(0, 0, 0)
+			st.Activate(0, 0)
+			return g, st
 		}
-		g1 := build()
-		Run(g1, ssspMarked{}, Config{Threads: 2})
-		g2 := build()
-		Run(g2, ssspReadsDst{}, Config{Threads: 2})
+		g1, st1 := build()
+		Run(g1, ssspMarked{}, st1, Config{Threads: 2})
+		g2, st2 := build()
+		Run(g2, ssspReadsDst{}, st2, Config{Threads: 2})
 		for v := uint32(0); v < g1.NumVertices(); v++ {
-			if g1.Prop(v) != g2.Prop(v) {
+			if st1.Prop(v, 0) != st2.Prop(v, 0) {
 				return false
 			}
 		}
@@ -75,17 +76,18 @@ func TestFloatDeterminismAcrossSchedules(t *testing.T) {
 	coo.DedupKeepFirst()
 	run := func(cfg Config, nparts int) []float64 {
 		c := coo.Clone()
-		g, err := graph.NewFromCOO[float64, float32](c, graph.Options{Partitions: nparts})
+		g, err := graph.NewFromCOO[float32](c, graph.Options{Partitions: nparts})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.InitProps(func(v uint32) float64 { return float64(v%97) * 0.013 })
-		g.SetAllActive()
+		st := NewBlockState[float64](int(g.NumVertices()), 1)
+		st.InitProps(func(v uint32, _ int) float64 { return float64(v%97) * 0.013 })
+		st.ActivateAllMask(1)
 		cfg.MaxIterations = 1
-		Run(g, sumProg{}, cfg)
+		Run(g, sumProg{}, st, cfg)
 		out := make([]float64, g.NumVertices())
 		for v := range out {
-			out[v] = g.Prop(uint32(v))
+			out[v] = st.Prop(uint32(v), 0)
 		}
 		return out
 	}
@@ -111,15 +113,16 @@ func TestFloatDeterminismAcrossSchedules(t *testing.T) {
 // TestSingleVertexGraph and friends pin degenerate-input behavior.
 func TestSingleVertexGraph(t *testing.T) {
 	c := sparse.NewCOO[float32](1, 1)
-	g, err := graph.NewFromCOO[float32, float32](c, graph.Options{})
+	g, err := graph.NewFromCOO[float32](c, graph.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetAllProps(inf)
-	g.SetProp(0, 0)
-	g.SetActive(0)
-	stats, _ := Run(g, ssspProg{}, Config{})
-	if g.Prop(0) != 0 {
+	st := NewBlockState[float32](int(g.NumVertices()), 1)
+	st.SetAllProps(inf)
+	st.SetProp(0, 0, 0)
+	st.Activate(0, 0)
+	stats, _ := Run(g, ssspProg{}, st, Config{})
+	if st.Prop(0, 0) != 0 {
 		t.Error("vertex state disturbed")
 	}
 	if stats.Iterations != 1 {
@@ -129,19 +132,20 @@ func TestSingleVertexGraph(t *testing.T) {
 
 func TestEdgelessGraph(t *testing.T) {
 	c := sparse.NewCOO[float32](100, 100)
-	g, err := graph.NewFromCOO[float32, float32](c, graph.Options{Partitions: 4})
+	g, err := graph.NewFromCOO[float32](c, graph.Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetAllProps(inf)
-	g.SetProp(0, 0)
-	g.SetActive(0)
-	stats, _ := Run(g, ssspProg{}, Config{Threads: 2})
+	st := NewBlockState[float32](int(g.NumVertices()), 1)
+	st.SetAllProps(inf)
+	st.SetProp(0, 0, 0)
+	st.Activate(0, 0)
+	stats, _ := Run(g, ssspProg{}, st, Config{Threads: 2})
 	if stats.EdgesProcessed != 0 {
 		t.Errorf("EdgesProcessed = %d on edgeless graph", stats.EdgesProcessed)
 	}
 	for v := uint32(1); v < 100; v++ {
-		if g.Prop(v) != inf {
+		if st.Prop(v, 0) != inf {
 			t.Fatalf("vertex %d reached without edges", v)
 		}
 	}
@@ -153,18 +157,19 @@ func TestSelfLoopOnlyGraph(t *testing.T) {
 	c := sparse.NewCOO[float32](3, 3)
 	c.Add(0, 0, 1)
 	c.Add(0, 1, 2)
-	g, err := graph.NewFromCOO[float32, float32](c, graph.Options{})
+	g, err := graph.NewFromCOO[float32](c, graph.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetAllProps(inf)
-	g.SetProp(0, 0)
-	g.SetActive(0)
-	stats, _ := Run(g, ssspProg{}, Config{MaxIterations: 50})
+	st := NewBlockState[float32](int(g.NumVertices()), 1)
+	st.SetAllProps(inf)
+	st.SetProp(0, 0, 0)
+	st.Activate(0, 0)
+	stats, _ := Run(g, ssspProg{}, st, Config{MaxIterations: 50})
 	if stats.Iterations >= 50 {
 		t.Error("self loop caused livelock")
 	}
-	if g.Prop(1) != 2 {
-		t.Errorf("dist[1] = %v", g.Prop(1))
+	if st.Prop(1, 0) != 2 {
+		t.Errorf("dist[1] = %v", st.Prop(1, 0))
 	}
 }

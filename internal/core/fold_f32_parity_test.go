@@ -45,11 +45,11 @@ type widestFused struct{ widestProg }
 func (widestFused) ProcessIgnoresDst() {}
 func (widestFused) Semiring() Semiring { return SemiringMaxMinF32 }
 
-func f32ParityGraph(t testing.TB, seed uint64, nparts int) *graph.Graph[float32, float32] {
+func f32ParityGraph(t testing.TB, seed uint64, nparts int) *graph.Graph[float32] {
 	t.Helper()
 	adj := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 8, Seed: seed, MaxWeight: 31})
 	adj.RemoveSelfLoops()
-	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: nparts})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: nparts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func f32ParityGraph(t testing.TB, seed uint64, nparts int) *graph.Graph[float32,
 // sink vertex (a delta-only column). The fused folds must read all three
 // exactly as the generic loop does. The pinned snapshot is released with
 // the test.
-func f32ParityOverlay(t testing.TB, seed uint64, nparts int) *graph.Snapshot[float32, float32] {
+func f32ParityOverlay(t testing.TB, seed uint64, nparts int) *graph.Snapshot[float32] {
 	t.Helper()
 	adj := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 8, Seed: seed, MaxWeight: 31})
 	adj.RemoveSelfLoops()
@@ -99,7 +99,7 @@ func f32ParityOverlay(t testing.TB, seed uint64, nparts int) *graph.Snapshot[flo
 			batch = append(batch, graph.Update[float32]{Src: e.Row, Dst: e.Col, Del: true})
 		}
 	}
-	store, err := graph.NewStore[float32, float32](adj, graph.Options{Partitions: nparts, CompactFraction: -1})
+	store, err := graph.NewStore[float32](adj, graph.Options{Partitions: nparts, CompactFraction: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,26 +128,27 @@ func f32ParityOverlay(t testing.TB, seed uint64, nparts int) *graph.Snapshot[flo
 }
 
 func runF32Prog[P Program[float32, float32, float32, float32]](
-	t *testing.T, g *graph.Graph[float32, float32], p P, cfg Config, init float32, src uint32, srcVal float32,
+	t *testing.T, g *graph.Graph[float32], p P, cfg Config, init float32, src uint32, srcVal float32,
 ) []float32 {
 	t.Helper()
-	g.SetAllProps(init)
-	g.SetProp(src, srcVal)
-	g.ClearActive()
-	g.SetActive(src)
-	if _, err := Run(g, p, cfg); err != nil {
+	st := NewBlockState[float32](int(g.NumVertices()), 1)
+	st.SetAllProps(init)
+	st.SetProp(src, 0, srcVal)
+	st.ClearActive()
+	st.Activate(src, 0)
+	if _, err := Run(g, p, st, cfg); err != nil {
 		t.Fatal(err)
 	}
 	props := make([]float32, g.NumVertices())
-	copy(props, g.Props())
+	copy(props, st.Props())
 	return props
 }
 
 // f32ParityWorlds is the plain build and its overlay twin.
-func f32ParityWorlds(t testing.TB, seed uint64, nparts int) map[string]*graph.Graph[float32, float32] {
-	return map[string]*graph.Graph[float32, float32]{
+func f32ParityWorlds(t testing.TB, seed uint64, nparts int) map[string]*graph.Graph[float32] {
+	return map[string]*graph.Graph[float32]{
 		"plain":   f32ParityGraph(t, seed, nparts),
-		"overlay": f32ParityOverlay(t, seed, nparts).View(),
+		"overlay": f32ParityOverlay(t, seed, nparts).Graph(),
 	}
 }
 
@@ -157,7 +158,7 @@ func TestF32FoldFastPathParityScalarEngine(t *testing.T) {
 	}
 }
 
-func testF32FoldParityScalar(t *testing.T, world string, g *graph.Graph[float32, float32]) {
+func testF32FoldParityScalar(t *testing.T, world string, g *graph.Graph[float32]) {
 	for _, mode := range []Mode{Pull, Push, Auto} {
 		for _, threads := range []int{1, 3} {
 			cfg := Config{Mode: mode, Threads: threads}
@@ -197,7 +198,7 @@ func TestF32FoldFastPathParityBlockEngine(t *testing.T) {
 	}
 }
 
-func testF32FoldParityBlock(t *testing.T, world string, g *graph.Graph[float32, float32]) {
+func testF32FoldParityBlock(t *testing.T, world string, g *graph.Graph[float32]) {
 	n := int(g.NumVertices())
 	sources := []uint32{0, 3, 17, 42, 100, 101, 200, 255}
 	k := len(sources)
@@ -212,7 +213,7 @@ func testF32FoldParityBlock(t *testing.T, world string, g *graph.Graph[float32, 
 			st.SetProp(src, s, 0)
 			st.Activate(src, s)
 		}
-		if _, err := RunBlockContext(context.Background(), g, p, st, Config{Mode: mode, Threads: 3}, nil); err != nil {
+		if _, err := RunContext(context.Background(), g, p, st, Config{Mode: mode, Threads: 3}, nil); err != nil {
 			t.Fatal(err)
 		}
 		return st.Columns()

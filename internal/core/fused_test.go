@@ -62,7 +62,7 @@ func (rankProg) Semiring() Semiring         { return SemiringSumF64 }
 func (rankProg) KeepsAllVerticesActive()    {}
 
 // newRankProg is rankProg over g's out-degrees.
-func newRankProg[V any](g *graph.Graph[V, float32], tol float64) rankProg {
+func newRankProg(g *graph.Graph[float32], tol float64) rankProg {
 	inv := make([]float64, g.NumVertices())
 	for v := range inv {
 		if d := g.OutDegree(uint32(v)); d > 0 {
@@ -109,13 +109,13 @@ func propBits[V any](v V) uint64 {
 func checkFusedResumed[V any, M, R any, P interface {
 	Program[V, float32, M, R]
 	DstIndependent
-}](t *testing.T, g *graph.Graph[V, float32], p P, k int, init func(*BlockState[V]), cfg Config) {
+}](t *testing.T, g *graph.Graph[float32], p P, k int, init func(*BlockState[V]), cfg Config) {
 	t.Helper()
 	n := int(g.NumVertices())
 	_, allActive := any(p).(AllVerticesActive)
 	run := func(st *BlockState[V], cfg Config, steps *[]stepKey) Stats {
 		t.Helper()
-		s, err := RunBlockContext(context.Background(), g, p, st, cfg, nil, WithObserver(func(info IterationInfo) error {
+		s, err := RunContext(context.Background(), g, p, st, cfg, nil, WithObserver(func(info IterationInfo) error {
 			*steps = append(*steps, keyOf(info))
 			return nil
 		}))
@@ -184,28 +184,28 @@ func TestFusedSendMatchesResumedRuns(t *testing.T) {
 	base.SortRowMajor()
 	base.DedupKeepFirst()
 	nv := base.NRows
-	plainF, err := graph.NewFromCOO[float32, float32](base.Clone(), graph.Options{Partitions: 4})
+	plainF, err := graph.NewFromCOO[float32](base.Clone(), graph.Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainU, err := graph.NewFromCOO[uint32, float32](base.Clone(), graph.Options{Partitions: 4})
+	plainU, err := graph.NewFromCOO[float32](base.Clone(), graph.Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainD, err := graph.NewFromCOO[float64, float32](base.Clone(), graph.Options{Partitions: 4})
+	plainD, err := graph.NewFromCOO[float32](base.Clone(), graph.Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := graph.Options{Partitions: 4, CompactFraction: -1}
-	storeF, err := graph.NewStore[float32, float32](base.Clone(), opts)
+	storeF, err := graph.NewStore[float32](base.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	storeU, err := graph.NewStore[uint32, float32](base.Clone(), opts)
+	storeU, err := graph.NewStore[float32](base.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	storeD, err := graph.NewStore[float64, float32](base.Clone(), opts)
+	storeD, err := graph.NewStore[float32](base.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +258,12 @@ func TestFusedSendMatchesResumedRuns(t *testing.T) {
 
 	graphs := []struct {
 		name string
-		f    *graph.Graph[float32, float32]
-		u    *graph.Graph[uint32, float32]
-		d    *graph.Graph[float64, float32]
+		f    *graph.Graph[float32]
+		u    *graph.Graph[float32]
+		d    *graph.Graph[float32]
 	}{
 		{"plain", plainF, plainU, plainD},
-		{"overlay", snapF.View(), snapU.View(), snapD.View()},
+		{"overlay", snapF.Graph(), snapU.Graph(), snapD.Graph()},
 	}
 	for _, gr := range graphs {
 		// The rank rows converge in well under rankCap supersteps; the cap
@@ -348,15 +348,15 @@ func (p countedRank) SendMessage(v VertexID, prop float64) (float64, bool) {
 // nothing reads.
 func TestNoSpeculativeSend(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 9, EdgeFactor: 8, Seed: 3, MaxWeight: 9})
-	gf, err := graph.NewFromCOO[float32, float32](adj.Clone(), graph.Options{Partitions: 3})
+	gf, err := graph.NewFromCOO[float32](adj.Clone(), graph.Options{Partitions: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, err := graph.NewFromCOO[float64, float32](adj.Clone(), graph.Options{Partitions: 3})
+	gd, err := graph.NewFromCOO[float32](adj.Clone(), graph.Options{Partitions: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi, err := graph.NewFromCOO[int64, float32](adj, graph.Options{Partitions: 3})
+	gi, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestNoSpeculativeSend(t *testing.T) {
 					st.SetProp(uint32(7*s), s, 0)
 					st.Activate(uint32(7*s), s)
 				}
-				s, err := RunBlockContext(context.Background(), gf, countedSSSP{calls: &calls}, st, Config{Threads: 2}, nil)
+				s, err := RunContext(context.Background(), gf, countedSSSP{calls: &calls}, st, Config{Threads: 2}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -392,7 +392,7 @@ func TestNoSpeculativeSend(t *testing.T) {
 				st := NewBlockState[int64](n, k)
 				st.SetAllProps(1)
 				st.ActivateAllMask(all)
-				s, err := RunBlockContext(context.Background(), gi, countedEndless{calls: &calls}, st, Config{Threads: 2, MaxIterations: 4}, nil)
+				s, err := RunContext(context.Background(), gi, countedEndless{calls: &calls}, st, Config{Threads: 2, MaxIterations: 4}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -416,7 +416,7 @@ func TestNoSpeculativeSend(t *testing.T) {
 					st.ActivateAllMask(all)
 					p := countedRank{rankProg: newRankProg(gd, c.tol), calls: &calls}
 					var last IterationInfo
-					s, err := RunBlockContext(context.Background(), gd, p, st, Config{Threads: 2, MaxIterations: c.cap}, nil, WithObserver(func(info IterationInfo) error {
+					s, err := RunContext(context.Background(), gd, p, st, Config{Threads: 2, MaxIterations: c.cap}, nil, WithObserver(func(info IterationInfo) error {
 						last = info
 						return nil
 					}))

@@ -40,8 +40,8 @@ func (sumFoldProg) Semiring() Semiring         { return SemiringSumF64 }
 // and a layered snapshot (base + overlay batches) of the equivalent edge set
 // plus extra overlay columns, both with Both directions materialized.
 type backendParityFixture struct {
-	base    *graph.Graph[float64, float32]
-	layered *graph.Snapshot[float64, float32]
+	base    *graph.Graph[float32]
+	layered *graph.Snapshot[float32]
 	roots   []uint32
 	n       uint32
 }
@@ -53,11 +53,11 @@ func newBackendParityFixture(t *testing.T) *backendParityFixture {
 	coo.DedupKeepFirst()
 	n := coo.NRows
 	opts := graph.Options{Partitions: 5, Directions: graph.Both, CompactFraction: -1}
-	base, err := graph.NewFromCOO[float64, float32](coo.Clone(), opts)
+	base, err := graph.NewFromCOO[float32](coo.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := graph.NewStore[float64, float32](coo, opts)
+	store, err := graph.NewStore[float32](coo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +74,9 @@ func newBackendParityFixture(t *testing.T) *backendParityFixture {
 	return &backendParityFixture{base: base, layered: snap, roots: []uint32{0, 3, n - 1}, n: n}
 }
 
-func (f *backendParityFixture) graph(layered bool) *graph.Graph[float64, float32] {
+func (f *backendParityFixture) graph(layered bool) *graph.Graph[float32] {
 	if layered {
-		return f.layered.View()
+		return f.layered.Graph()
 	}
 	return f.base
 }
@@ -106,28 +106,29 @@ func TestKernelBackendParityScalarEngine(t *testing.T) {
 
 	type progCase struct {
 		name string
-		run  func(g *graph.Graph[float64, float32], cfg Config) (Stats, error)
+		run  func(g *graph.Graph[float32], st *BlockState[float64], cfg Config) (Stats, error)
 	}
 	progs := []progCase{
-		{"sumfold", func(g *graph.Graph[float64, float32], cfg Config) (Stats, error) {
-			return Run[float64, float32, float64, float64](g, sumFoldProg{}, cfg)
+		{"sumfold", func(g *graph.Graph[float32], st *BlockState[float64], cfg Config) (Stats, error) {
+			return Run[float64, float32, float64, float64](g, sumFoldProg{}, st, cfg)
 		}},
 	}
 	runOne := func(t *testing.T, p progCase, layered bool, cfg Config) scalarOutcome {
 		g := fix.graph(layered)
-		g.SetAllProps(0)
-		g.ClearActive()
+		st := NewBlockState[float64](int(g.NumVertices()), 1)
+		st.SetAllProps(0)
+		st.ClearActive()
 		for _, r := range fix.roots {
-			g.SetProp(r, 1)
-			g.SetActive(r)
+			st.SetProp(r, 0, 1)
+			st.Activate(r, 0)
 		}
-		stats, err := p.run(g, cfg)
+		stats, err := p.run(g, st, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return scalarOutcome{
-			props:  append([]float64(nil), g.Props()...),
-			active: append([]uint64(nil), g.Active().Words()...),
+			props:  append([]float64(nil), st.Props()...),
+			active: append([]uint64(nil), st.Active().Words()...),
 			stats:  stats,
 		}
 	}
@@ -185,7 +186,7 @@ func TestKernelBackendParityGenericFold(t *testing.T) {
 	coo.DedupKeepFirst()
 	n := coo.NRows
 	opts := graph.Options{Partitions: 5, CompactFraction: -1}
-	store, err := graph.NewStore[float32, float32](coo, opts)
+	store, err := graph.NewStore[float32](coo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +199,13 @@ func TestKernelBackendParityGenericFold(t *testing.T) {
 	defer snap.Release()
 
 	runOne := func(t *testing.T, cfg Config) ([]float32, Stats) {
-		g := snap.View()
-		initDiffState(g, []uint32{0, n - 1})
-		stats, err := Run[float32, float32, float32, float32](g, ssspProg{}, cfg)
+		g := snap.Graph()
+		st := initDiffState(g, []uint32{0, n - 1})
+		stats, err := Run[float32, float32, float32, float32](g, ssspProg{}, st, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append([]float32(nil), g.Props()...), stats
+		return append([]float32(nil), st.Props()...), stats
 	}
 	for _, mode := range []Mode{Pull, Push, Auto} {
 		t.Run(fmt.Sprintf("mode_%s", mode), func(t *testing.T) {
@@ -250,7 +251,7 @@ func TestKernelBackendParityBlockEngine(t *testing.T) {
 			st.SetProp(src, s, 1)
 			st.Activate(src, s)
 		}
-		stats, err := RunBlockContext(context.Background(), g, sumFoldProg{}, st, cfg, nil)
+		stats, err := RunContext(context.Background(), g, sumFoldProg{}, st, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ import (
 // they serve blocks of two or more columns; a one-column block, the sparse
 // vector it is, takes scalarSink. This is where a run's width selects its
 // sink. p must be DstIndependent when x is two or more columns wide, which
-// RunBlockContext's signature guarantees; a one-column run may read its
+// RunContext checks before any superstep; a one-column run may read its
 // destination (scalarSink).
 func blockSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *BlockVector[M], props []V, y *BlockVector[R]) colSink[E] {
 	if x.k == 1 {

@@ -72,13 +72,15 @@ func applyBrute(coo *sparse.COO[float32], batches [][]graph.Update[float32]) *sp
 	return out
 }
 
-func initDiffState(g *graph.Graph[float32, float32], roots []uint32) {
-	g.SetAllProps(inf)
-	g.ClearActive()
+func initDiffState(g *graph.Graph[float32], roots []uint32) *BlockState[float32] {
+	st := NewBlockState[float32](int(g.NumVertices()), 1)
+	st.SetAllProps(inf)
+	st.ClearActive()
 	for _, r := range roots {
-		g.SetProp(r, 0)
-		g.SetActive(r)
+		st.SetProp(r, 0, 0)
+		st.Activate(r, 0)
 	}
+	return st
 }
 
 func TestLayeredRunsMatchFreshBuild(t *testing.T) {
@@ -89,7 +91,7 @@ func TestLayeredRunsMatchFreshBuild(t *testing.T) {
 	batches := layeredBatches(n)
 
 	opts := graph.Options{Partitions: 6, Directions: graph.Both, CompactFraction: -1}
-	store, err := graph.NewStore[float32, float32](base.Clone(), opts)
+	store, err := graph.NewStore[float32](base.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestLayeredRunsMatchFreshBuild(t *testing.T) {
 		t.Fatal("test is vacuous: no overlay survived the batches")
 	}
 
-	fresh, err := graph.NewFromCOO[float32, float32](applyBrute(base, batches), opts)
+	fresh, err := graph.NewFromCOO[float32](applyBrute(base, batches), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,18 +114,18 @@ func TestLayeredRunsMatchFreshBuild(t *testing.T) {
 	roots := []uint32{0, n - 1}
 	programs := []struct {
 		name string
-		run  func(g *graph.Graph[float32, float32], cfg Config) Stats
+		run  func(g *graph.Graph[float32], st *BlockState[float32], cfg Config) Stats
 	}{
-		{"sssp_out", func(g *graph.Graph[float32, float32], cfg Config) Stats {
-			s, _ := Run[float32, float32, float32, float32](g, ssspProg{}, cfg)
+		{"sssp_out", func(g *graph.Graph[float32], st *BlockState[float32], cfg Config) Stats {
+			s, _ := Run[float32, float32, float32, float32](g, ssspProg{}, st, cfg)
 			return s
 		}},
-		{"sssp_in", func(g *graph.Graph[float32, float32], cfg Config) Stats {
-			s, _ := Run[float32, float32, float32, float32](g, inDir{}, cfg)
+		{"sssp_in", func(g *graph.Graph[float32], st *BlockState[float32], cfg Config) Stats {
+			s, _ := Run[float32, float32, float32, float32](g, inDir{}, st, cfg)
 			return s
 		}},
-		{"sssp_both", func(g *graph.Graph[float32, float32], cfg Config) Stats {
-			s, _ := Run[float32, float32, float32, float32](g, bothDir{}, cfg)
+		{"sssp_both", func(g *graph.Graph[float32], st *BlockState[float32], cfg Config) Stats {
+			s, _ := Run[float32, float32, float32, float32](g, bothDir{}, st, cfg)
 			return s
 		}},
 	}
@@ -136,19 +138,19 @@ func TestLayeredRunsMatchFreshBuild(t *testing.T) {
 	}
 	for _, prog := range programs {
 		// Reference: the fresh build under forced pull.
-		initDiffState(fresh, roots)
-		refStats := prog.run(fresh, Config{Mode: Pull, MaxIterations: 40})
-		refProps := append([]float32(nil), fresh.Props()...)
+		ref := initDiffState(fresh, roots)
+		refStats := prog.run(fresh, ref, Config{Mode: Pull, MaxIterations: 40})
+		refProps := append([]float32(nil), ref.Props()...)
 		for _, cfg := range configs {
 			cfg.MaxIterations = 40
 			name := fmt.Sprintf("%s/mode_%s_disp_%d", prog.name, cfg.Mode, cfg.Dispatch)
-			// Each run takes a fresh view of the pinned snapshot: shared
-			// immutable structure, private run state.
-			g := snap.View()
-			initDiffState(g, roots)
-			stats := prog.run(g, cfg)
+			// Each run reads the pinned snapshot over its own fresh state:
+			// shared immutable structure, private run state.
+			g := snap.Graph()
+			st := initDiffState(g, roots)
+			stats := prog.run(g, st, cfg)
 			for v, want := range refProps {
-				if got := g.Props()[v]; math.Float32bits(got) != math.Float32bits(want) {
+				if got := st.Props()[v]; math.Float32bits(got) != math.Float32bits(want) {
 					t.Fatalf("%s: prop[%d] = %v (%x), fresh pull = %v (%x)",
 						name, v, got, math.Float32bits(got), want, math.Float32bits(want))
 				}
@@ -175,7 +177,7 @@ func TestLayeredSpMVMatchesFreshBuild(t *testing.T) {
 	batches := layeredBatches(n)
 
 	opts := graph.Options{Partitions: 5, CompactFraction: -1}
-	store, err := graph.NewStore[float32, float32](base.Clone(), opts)
+	store, err := graph.NewStore[float32](base.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func TestLayeredSpMVMatchesFreshBuild(t *testing.T) {
 	}
 	snap := store.Acquire()
 	defer snap.Release()
-	fresh, err := graph.NewFromCOO[float32, float32](applyBrute(base, batches), opts)
+	fresh, err := graph.NewFromCOO[float32](applyBrute(base, batches), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +197,9 @@ func TestLayeredSpMVMatchesFreshBuild(t *testing.T) {
 	for v := uint32(0); v < n; v += 3 {
 		x.Set(v, float32(v%11))
 	}
-	ref := SpMV[float32, float32, float32, float32](fresh, x, ssspProg{}, Config{Mode: Pull})
+	ref := SpMV[float32, float32, float32, float32](fresh, x, ssspProg{}, NewBlockState[float32](int(n), 1), Config{Mode: Pull})
 	for _, cfg := range []Config{{Mode: Pull}, {Mode: Push}, {Mode: Auto}} {
-		y := SpMV[float32, float32, float32, float32](snap.View(), x, ssspProg{}, cfg)
+		y := SpMV[float32, float32, float32, float32](snap.Graph(), x, ssspProg{}, NewBlockState[float32](int(n), 1), cfg)
 		if y.NNZ() != ref.NNZ() {
 			t.Fatalf("mode %s: nnz %d vs %d", cfg.Mode, y.NNZ(), ref.NNZ())
 		}

@@ -304,7 +304,7 @@ func (floodValues) Semiring() Semiring { return SemiringNone }
 func TestMaskRunColumnValues(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 10, EdgeFactor: 8, Seed: 5, MaxWeight: 9})
 	adj.RemoveSelfLoops()
-	g, err := graph.NewFromCOO[uint32, float32](adj, graph.Options{Partitions: 4})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestMaskRunColumnValues(t *testing.T) {
 			st.SetProp(src, s, uint32(s)+1)
 			st.Activate(src, s)
 		}
-		stats, err := RunBlockContext(context.Background(), g, p, st, cfg, nil)
+		stats, err := RunContext(context.Background(), g, p, st, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,36 +87,38 @@ func diffGraphs() []diffGraph {
 	}
 }
 
-// buildDiff constructs the property graph for one golden under a direction.
-func buildDiff(t *testing.T, d diffGraph, dirs graph.Direction, parts int) *graph.Graph[float32, float32] {
+// buildDiff constructs the graph for one golden under a direction, with the
+// golden's starting state.
+func buildDiff(t *testing.T, d diffGraph, dirs graph.Direction, parts int) (*graph.Graph[float32], *BlockState[float32]) {
 	t.Helper()
 	coo := d.coo()
 	coo.SortRowMajor()
 	coo.DedupKeepFirst()
-	g, err := graph.NewFromCOO[float32, float32](coo, graph.Options{Partitions: parts, Directions: dirs})
+	g, err := graph.NewFromCOO[float32](coo, graph.Options{Partitions: parts, Directions: dirs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetAllProps(inf)
+	st := NewBlockState[float32](int(g.NumVertices()), 1)
+	st.SetAllProps(inf)
 	if d.roots == nil {
 		for v := uint32(0); v < g.NumVertices(); v++ {
-			g.SetProp(v, float32(v%17))
-			g.SetActive(v)
+			st.SetProp(v, 0, float32(v%17))
+			st.Activate(v, 0)
 		}
 	} else {
 		for _, r := range d.roots {
-			g.SetProp(r, 0)
-			g.SetActive(r)
+			st.SetProp(r, 0, 0)
+			st.Activate(r, 0)
 		}
 	}
-	return g
+	return g, st
 }
 
 // captureStep captures everything a superstep produced for comparison.
-func captureStep[V any, M, R comparable](t *testing.T, g *graph.Graph[V, float32], ws *Workspace[M, R]) (props []V, active []uint64, yMask []uint64, yVals []R) {
+func captureStep[V any, M, R comparable](t *testing.T, st *BlockState[V], ws *Workspace[M, R]) (props []V, active []uint64, yMask []uint64, yVals []R) {
 	t.Helper()
-	props = append(props, g.Props()...)
-	active = append(active, g.Active().Words()...)
+	props = append(props, st.Props()...)
+	active = append(active, st.Active().Words()...)
 	yMask = append(yMask, ws.y.scalar.Mask().Words()...)
 	// Only masked y values are meaningful; normalize the rest to zero.
 	vals := ws.y.scalar.Values()
@@ -167,32 +169,33 @@ func TestModesDifferentialBFSFastPath(t *testing.T) {
 				coo := d.coo()
 				coo.SortRowMajor()
 				coo.DedupKeepFirst()
-				g, err := graph.NewFromCOO[uint32, float32](coo, graph.Options{Partitions: 7})
+				g, err := graph.NewFromCOO[float32](coo, graph.Options{Partitions: 7})
 				if err != nil {
 					t.Fatal(err)
 				}
-				g.SetAllProps(^uint32(0))
+				st := NewBlockState[uint32](int(g.NumVertices()), 1)
+				st.SetAllProps(^uint32(0))
 				if d.roots == nil {
 					for v := uint32(0); v < g.NumVertices(); v++ {
-						g.SetProp(v, 0)
-						g.SetActive(v)
+						st.SetProp(v, 0, 0)
+						st.Activate(v, 0)
 					}
 				} else {
 					for _, r := range d.roots {
-						g.SetProp(r, 0)
-						g.SetActive(r)
+						st.SetProp(r, 0, 0)
+						st.Activate(r, 0)
 					}
 				}
-				if _, err := Run(g, bfsProg{}, Config{Threads: 2, Mode: mode}); err != nil {
+				if _, err := Run(g, bfsProg{}, st, Config{Threads: 2, Mode: mode}); err != nil {
 					t.Fatal(err)
 				}
 				if ref == nil {
-					ref = append(ref, g.Props()...)
+					ref = append(ref, st.Props()...)
 					continue
 				}
 				for v := range ref {
-					if g.Prop(uint32(v)) != ref[v] {
-						t.Fatalf("prop[%d] %s=%d pull=%d", v, mode, g.Prop(uint32(v)), ref[v])
+					if st.Prop(uint32(v), 0) != ref[v] {
+						t.Fatalf("prop[%d] %s=%d pull=%d", v, mode, st.Prop(uint32(v), 0), ref[v])
 					}
 				}
 			}
@@ -218,10 +221,11 @@ func (p bfsFirstDir) Direction() graph.Direction { return p.dir }
 func TestRowWalkDirections(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 10, EdgeFactor: 12, Seed: 5, MaxWeight: 9})
 	adj.RemoveSelfLoops()
-	g, err := graph.NewFromCOO[uint32, float32](adj, graph.Options{Partitions: 4, Directions: graph.Both})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 4, Directions: graph.Both})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := NewBlockState[uint32](int(g.NumVertices()), 1)
 	hub := uint32(0)
 	for v := uint32(0); v < g.NumVertices(); v++ {
 		if g.OutDegree(v)+g.InDegree(v) > g.OutDegree(hub)+g.InDegree(hub) {
@@ -230,15 +234,15 @@ func TestRowWalkDirections(t *testing.T) {
 	}
 	for _, dir := range []graph.Direction{graph.Out, graph.In, graph.Both} {
 		run := func(mode Mode) ([]uint32, Stats) {
-			g.SetAllProps(^uint32(0))
-			g.SetProp(hub, 0)
-			g.ClearActive()
-			g.SetActive(hub)
-			s, err := Run(g, bfsFirstDir{dir: dir}, Config{Mode: mode, Threads: 2})
+			st.SetAllProps(^uint32(0))
+			st.SetProp(hub, 0, 0)
+			st.ClearActive()
+			st.Activate(hub, 0)
+			s, err := Run(g, bfsFirstDir{dir: dir}, st, Config{Mode: mode, Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return slices.Clone(g.Props()), s
+			return slices.Clone(st.Props()), s
 		}
 		want, push := run(Push)
 		got, pull := run(Pull)
@@ -262,10 +266,11 @@ func runDifferentialWS[P Program[float32, float32, float32, float32]](t *testing
 	t.Helper()
 	modes := []Mode{Pull, Push, Auto}
 	dirs := p.Direction()
-	graphs := make([]*graph.Graph[float32, float32], len(modes))
+	graphs := make([]*graph.Graph[float32], len(modes))
+	states := make([]*BlockState[float32], len(modes))
 	wss := make([]*Workspace[float32, float32], len(modes))
 	for i := range modes {
-		graphs[i] = buildDiff(t, d, dirs, 5)
+		graphs[i], states[i] = buildDiff(t, d, dirs, 5)
 		wss[i] = NewWorkspace[float32, float32](int(graphs[i].NumVertices()), Bitvector)
 	}
 	for step := 1; step <= 64; step++ {
@@ -275,11 +280,11 @@ func runDifferentialWS[P Program[float32, float32, float32, float32]](t *testing
 		var refYVals []float32
 		for i, mode := range modes {
 			cfg := Config{Threads: 3, MaxIterations: 1, Mode: mode}
-			stats, err := RunContext(context.Background(), graphs[i], p, cfg, wss[i])
+			stats, err := RunContext(context.Background(), graphs[i], p, states[i], cfg, wss[i])
 			if err != nil {
 				t.Fatalf("%s mode %s step %d: %v", d.name, mode, step, err)
 			}
-			props, active, yMask, yVals := captureStep(t, graphs[i], wss[i])
+			props, active, yMask, yVals := captureStep(t, states[i], wss[i])
 			if i == 0 {
 				refProps, refActive, refYMask, refYVals = props, active, yMask, yVals
 				converged = stats.Reason == Converged
@@ -354,7 +359,7 @@ func TestChooseMode(t *testing.T) {
 // every Auto decision on RMAT is the one the partition-count rule made.
 func TestPlanRunReach(t *testing.T) {
 	reach := func(adj *sparse.COO[float32], parts int) float64 {
-		g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: parts})
+		g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: parts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,17 +385,18 @@ func TestPlanRunReach(t *testing.T) {
 // more than a twentieth of its edges per superstep and the edge rule pulls.)
 func TestAutoPushesGridSSSP(t *testing.T) {
 	adj := gen.Grid(gen.GridOptions{Width: 128, Height: 128, Seed: 5, MaxWeight: 2})
-	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: 32})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := NewBlockState[float32](int(g.NumVertices()), 1)
 	run := func(mode Mode) Stats {
 		src := uint32(64*128 + 64)
-		g.SetAllProps(inf)
-		g.SetProp(src, 0)
-		g.ClearActive()
-		g.SetActive(src)
-		stats, err := Run(g, ssspProg{}, Config{Mode: mode, Threads: 2})
+		st.SetAllProps(inf)
+		st.SetProp(src, 0, 0)
+		st.ClearActive()
+		st.Activate(src, 0)
+		stats, err := Run(g, ssspProg{}, st, Config{Mode: mode, Threads: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func TestPushProbeCost(t *testing.T) {
 		c.adj.SortRowMajor()
 		c.adj.DedupKeepFirst()
 		c.adj.RemoveSelfLoops()
-		g, err := graph.NewFromCOO[float32, float32](c.adj, graph.Options{})
+		g, err := graph.NewFromCOO[float32](c.adj, graph.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

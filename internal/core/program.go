@@ -19,8 +19,7 @@
 // the loop; everything per vertex or per edge lives in the front-ends. A
 // vector is a one-column block: runPhases walks the frontier's rows and each
 // row's column mask, where a row is one vertex of a block with per-vertex
-// masks and, at k = 1 — the scalar engine over the graph's own state and a
-// block of width 1 — a whole mask word whose columns are its vertices. So
+// masks and, at k = 1, a whole mask word whose columns are its vertices. So
 // width selects the fold sink and the shape of a row, nothing else, and
 // callers never choose an engine by source count.
 //
@@ -107,7 +106,8 @@ type Program[V, E, M, R any] interface {
 // from template inlining and dead-code elimination; Go's generic dictionaries
 // cannot prove the load dead, so the contract is explicit: the folds pass
 // such a program the zero V. It is also what admits a program to the block
-// engine (RunBlockContext), where one edge serves k columns' destinations.
+// engine (a RunContext over two or more columns), where one edge serves k
+// columns' destinations.
 type DstIndependent interface {
 	ProcessIgnoresDst()
 }

@@ -13,7 +13,7 @@ import (
 // superstep loop as Run, but the run is observable (a per-superstep callback)
 // and stoppable (context cancellation, a wall-clock budget, or the observer
 // itself). Run is a thin wrapper over RunContext, and RunContext over the
-// entry body it shares with RunBlockContext (runColumns, engine_block.go).
+// entry body runColumns (engine_block.go).
 
 // StopReason classifies why a run ended; it is recorded in Stats.Reason.
 type StopReason int
@@ -225,29 +225,55 @@ func ctxReason(err error) StopReason {
 	return Canceled
 }
 
-// RunContext executes program p on graph g like Run, under ctx: cancellation
-// and deadlines stop the run cooperatively — checked between supersteps and
-// via an atomic flag inside the parallel partition loops, so even long SpMVs
-// abort promptly. ws, when non-nil, is caller-managed one-column scratch (it
-// must match the graph's vertex count); nil allocates fresh scratch. Options
-// attach a per-superstep observer and a wall-clock budget.
+// RunContext executes program p on graph g over the k source columns of the
+// run's vertex state st, under ctx. st carries the per-(vertex, column)
+// properties and active set: initialize each column's starting state there
+// before the call, and read the results from it after (BlockState.Columns).
+// g is only read, so any number of runs, each over its own state, can share
+// one graph or one pinned snapshot. ws, when non-nil, is caller-managed
+// scratch (it must match g's vertex count and st's width); nil allocates
+// fresh scratch. Options attach a per-superstep observer.
 //
-// A mismatched workspace, or a program whose Direction names a traversal
-// structure g was built without (Options.Directions), is rejected before any
-// work; every Config runs on one column. Otherwise the returned Stats reflect
-// the work actually done, and Stats.Reason records why the run ended. The
-// error is nil for normal terminations (Converged, MaxIterations), ctx.Err()
-// for Canceled/DeadlineExceeded, and the observer's own error for
-// StoppedByObserver. After a stopped run the
-// graph's vertex state and active set are partial — mid-algorithm — but the
-// workspace is reusable as-is: the engine clears each scratch block before
-// the phase that fills it, and a run's first superstep always sends anew.
+// Cancellation and deadlines stop the run cooperatively: they are checked
+// between supersteps and through an atomic flag inside the parallel partition
+// loops, so even long SpMVs abort promptly. The returned Stats reflect the
+// work actually done, and Stats.Reason records why the run ended. The error
+// is nil for normal terminations (Converged, MaxIterations), ctx.Err() for
+// Canceled/DeadlineExceeded, and the observer's own error for
+// StoppedByObserver. After a stopped run st is partial — mid-algorithm — but
+// the workspace is reusable as-is: the engine clears each scratch block
+// before the phase that fills it, and a run's first superstep always sends
+// anew.
 //
-// RunContext is the one-column case of RunBlockContext, over the graph's own
-// vertex state.
+// Every width runs the same send and apply over st and ws. A one-column run
+// folds through the scalar sinks, flat fold included; two or more columns
+// fold through the k-wide block sinks, whose Stats.FlatEdges is 0. Either way
+// a FirstMessageFinal program's dense Pull supersteps gather by destination
+// row (Stats.RowSupersteps): the k-wide gather scans a row once for all the
+// columns still unsettled in it, chosen by the same per-superstep test with
+// both sides billed per (vertex, column). At two or more columns a program
+// that also declares SemiringBoolean folds column masks, not values
+// (blockMaskSink): same columns, same frontier tallies. Auto bills the push
+// probe cost per distinct sender vertex, not per (vertex, column) message.
+//
+// Before any superstep RunContext rejects a state or workspace that does not
+// fit g, a program whose Direction names a traversal structure g was built
+// without (Options.Directions), and a Config invalid at st's width: the
+// Figure 7 ablation (Dispatch Boxed or BoxedSorted) runs one column. It also
+// rejects a state of two or more columns for a program that does not
+// declare DstIndependent: one traversal of an edge serves every column's
+// destination, so the block sinks fold with p's ProcessMessage given the
+// zero V (as the scalar fold gives such a program) and Reduce in the scalar
+// engine's order. Each column's result is then bit-identical to a
+// one-column run of p from that column's starting state alone.
 func RunContext[V, E, M, R any, P Program[V, E, M, R]](
-	ctx context.Context, g *graph.Graph[V, E], p P, cfg Config, ws *Workspace[M, R], opts ...RunOption,
+	ctx context.Context, g *graph.Graph[E], p P, st *BlockState[V], cfg Config, ws *BlockWorkspace[M, R], opts ...RunOption,
 ) (Stats, error) {
-	st := &BlockState[V]{n: int(g.NumVertices()), k: 1, props: g.Props(), summary: g.Active()}
+	if st == nil {
+		return Stats{}, fmt.Errorf("core: a run requires a BlockState")
+	}
+	if _, ok := any(p).(DstIndependent); !ok && st.k > 1 {
+		return Stats{}, fmt.Errorf("core: %T does not declare DstIndependent, so it runs on one column, not %d", p, st.k)
+	}
 	return runColumns(ctx, g, p, st, cfg, ws, opts)
 }

@@ -39,15 +39,15 @@ func eachFrontEnd(t *testing.T, fn func(t *testing.T, fe frontEnd)) {
 }
 
 // session binds program p and graph g to one front-end's vertex state and
-// reusable scratch, hiding where each keeps them: the graph and a Workspace
-// for the scalar engine (the boxed path ignores the workspace), a BlockState
-// and BlockWorkspace for the block engine.
+// reusable scratch: a one-column BlockState and a Workspace for the scalar
+// engine (the boxed path ignores the workspace), a BlockState and
+// BlockWorkspace for the block engine.
 type session[V, M, R any, P interface {
 	Program[V, float32, M, R]
 	DstIndependent
 }] struct {
 	fe  frontEnd
-	g   *graph.Graph[V, float32]
+	g   *graph.Graph[float32]
 	p   P
 	ws  *Workspace[M, R]
 	bws *BlockWorkspace[M, R]
@@ -57,7 +57,7 @@ type session[V, M, R any, P interface {
 func newSession[V, M, R any, P interface {
 	Program[V, float32, M, R]
 	DstIndependent
-}](fe frontEnd, g *graph.Graph[V, float32], p P) *session[V, M, R, P] {
+}](fe frontEnd, g *graph.Graph[float32], p P) *session[V, M, R, P] {
 	n := int(g.NumVertices())
 	s := &session[V, M, R, P]{fe: fe, g: g, p: p}
 	switch fe {
@@ -66,7 +66,7 @@ func newSession[V, M, R any, P interface {
 	case block1FE:
 		s.bws, s.st = NewBlockWorkspace[M, R](n, 1), NewBlockState[V](n, 1)
 	default:
-		s.ws = NewWorkspace[M, R](n, Bitvector)
+		s.ws, s.st = NewWorkspace[M, R](n, Bitvector), NewBlockState[V](n, 1)
 	}
 	return s
 }
@@ -74,53 +74,32 @@ func newSession[V, M, R any, P interface {
 // reset sets every property to prop and activates exactly the given
 // vertices, or all of them when none are given (in column 0 of a block).
 func (s *session[V, M, R, P]) reset(prop V, active ...uint32) {
-	if s.st != nil {
-		s.st.SetAllProps(prop)
-		s.st.ClearActive()
-		if len(active) == 0 {
-			s.st.ActivateAllMask(1)
-		}
-		for _, v := range active {
-			s.st.Activate(v, 0)
-		}
-		return
-	}
-	s.g.SetAllProps(prop)
-	s.g.ClearActive()
+	s.st.SetAllProps(prop)
+	s.st.ClearActive()
 	if len(active) == 0 {
-		s.g.SetAllActive()
+		s.st.ActivateAllMask(1)
 	}
 	for _, v := range active {
-		s.g.SetActive(v)
+		s.st.Activate(v, 0)
 	}
 }
 
 func (s *session[V, M, R, P]) setProp(v uint32, prop V) {
-	if s.st != nil {
-		s.st.SetProp(v, 0, prop)
-	} else {
-		s.g.SetProp(v, prop)
-	}
+	s.st.SetProp(v, 0, prop)
 }
 
 func (s *session[V, M, R, P]) props() []V {
-	out := make([]V, s.g.NumVertices())
-	if s.st != nil {
-		copy(out, s.st.Columns()[0])
-	} else {
-		copy(out, s.g.Props())
-	}
-	return out
+	return s.st.Columns()[0]
 }
 
 func (s *session[V, M, R, P]) run(ctx context.Context, cfg Config, opts ...RunOption) (Stats, error) {
 	switch s.fe {
 	case blockFE, block1FE:
-		return RunBlockContext(ctx, s.g, s.p, s.st, cfg, s.bws, opts...)
+		return RunContext(ctx, s.g, s.p, s.st, cfg, s.bws, opts...)
 	case boxedFE:
 		cfg.Dispatch = Boxed
 	}
-	return RunContext(ctx, s.g, s.p, cfg, s.ws, opts...)
+	return RunContext(ctx, s.g, s.p, s.st, cfg, s.ws, opts...)
 }
 
 // alwaysActiveBlock is alwaysActive declared DstIndependent, which admits it
@@ -131,10 +110,10 @@ func (alwaysActiveBlock) ProcessIgnoresDst() {}
 
 // endlessGraph builds an RMAT graph whose alwaysActive run never converges —
 // the cancellation tests' workload.
-func endlessGraph(t testing.TB, scale int) *graph.Graph[int64, float32] {
+func endlessGraph(t testing.TB, scale int) *graph.Graph[float32] {
 	t.Helper()
 	adj := gen.RMAT(gen.RMATOptions{Scale: scale, EdgeFactor: 8, Seed: 7, NoPermute: true})
-	g, err := graph.NewFromCOO[int64, float32](adj, graph.Options{})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +130,7 @@ func endlessSession(t *testing.T, fe frontEnd, scale int) *session[int64, int64,
 
 // ssspSession is single-source SSSP from vertex 0 on front-end fe; restart
 // re-arms it for another run on the same scratch.
-func ssspSession(fe frontEnd, g *graph.Graph[float32, float32]) (s *session[float32, float32, float32, ssspBlockProg], restart func()) {
+func ssspSession(fe frontEnd, g *graph.Graph[float32]) (s *session[float32, float32, float32, ssspBlockProg], restart func()) {
 	s = newSession(fe, g, ssspBlockProg{})
 	restart = func() {
 		s.reset(inf, 0)
@@ -248,18 +227,19 @@ func TestStopMidMultiplySkipsApply(t *testing.T) {
 // it — the rerun's distances must match a fresh-workspace run bit for bit.
 func TestWorkspaceReusableAfterCancel(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 12, EdgeFactor: 8, Seed: 11, MaxWeight: 10, NoPermute: true})
-	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := NewBlockState[float32](int(g.NumVertices()), 1)
 	// Reference run with fresh scratch.
-	g.SetAllProps(inf)
-	g.SetProp(0, 0)
-	g.SetActive(0)
-	if _, err := Run(g, ssspProg{}, Config{}); err != nil {
+	st.SetAllProps(inf)
+	st.SetProp(0, 0, 0)
+	st.Activate(0, 0)
+	if _, err := Run(g, ssspProg{}, st, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	want := append([]float32(nil), g.Props()...)
+	want := append([]float32(nil), st.Props()...)
 
 	eachFrontEnd(t, func(t *testing.T, fe frontEnd) {
 		s, restart := ssspSession(fe, g)
@@ -385,7 +365,7 @@ func TestObserverIterationInfo(t *testing.T) {
 func TestObserverModeInputs(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
 	adj.RemoveSelfLoops()
-	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: 2})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

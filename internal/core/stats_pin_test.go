@@ -72,7 +72,7 @@ func withModes(profile []pinStep, modes ...Mode) []pinStep {
 func TestStatsPinned(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
 	adj.RemoveSelfLoops()
-	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: 2})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,12 @@ func TestStatsPinned(t *testing.T) {
 
 	scalar := func(cfg Config) func(Observer) (Stats, error) {
 		return func(obs Observer) (Stats, error) {
-			g.SetAllProps(inf)
-			g.SetProp(sources[0], 0)
-			g.ClearActive()
-			g.SetActive(sources[0])
-			return RunContext(context.Background(), g, ssspProg{}, cfg, nil, WithObserver(obs))
+			sc := NewBlockState[float32](n, 1)
+			sc.SetAllProps(inf)
+			sc.SetProp(sources[0], 0, 0)
+			sc.ClearActive()
+			sc.Activate(sources[0], 0)
+			return RunContext(context.Background(), g, ssspProg{}, sc, cfg, nil, WithObserver(obs))
 		}
 	}
 	block := func(k int) func(Observer) (Stats, error) {
@@ -96,7 +97,7 @@ func TestStatsPinned(t *testing.T) {
 				st.SetProp(src, s, 0)
 				st.Activate(src, s)
 			}
-			return RunBlockContext(context.Background(), g, ssspBlockProg{}, st, Config{Threads: 3}, nil, WithObserver(obs))
+			return RunContext(context.Background(), g, ssspBlockProg{}, st, Config{Threads: 3}, nil, WithObserver(obs))
 		}
 	}
 
@@ -210,7 +211,7 @@ func walkLetters(walks *string) Observer {
 func TestStatsPinnedRowWalk(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
 	adj.RemoveSelfLoops()
-	g, err := graph.NewFromCOO[uint32, float32](adj, graph.Options{Partitions: 2})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +236,13 @@ func TestStatsPinnedRowWalk(t *testing.T) {
 	var ref []uint32
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g.SetAllProps(^uint32(0))
-			g.SetProp(1, 0)
-			g.ClearActive()
-			g.SetActive(1)
+			sc := NewBlockState[uint32](int(g.NumVertices()), 1)
+			sc.SetAllProps(^uint32(0))
+			sc.SetProp(1, 0, 0)
+			sc.ClearActive()
+			sc.Activate(1, 0)
 			walks := ""
-			s, err := RunContext(context.Background(), g, bfsFirst{}, tc.cfg, nil, WithObserver(walkLetters(&walks)))
+			s, err := RunContext(context.Background(), g, bfsFirst{}, sc, tc.cfg, nil, WithObserver(walkLetters(&walks)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,8 +254,8 @@ func TestStatsPinnedRowWalk(t *testing.T) {
 				t.Errorf("stats, walks\n got %+v %q\nwant %+v %q", got, walks, tc.stats, tc.walks)
 			}
 			if ref == nil {
-				ref = slices.Clone(g.Props())
-			} else if !slices.Equal(g.Props(), ref) {
+				ref = slices.Clone(sc.Props())
+			} else if !slices.Equal(sc.Props(), ref) {
 				t.Errorf("distances differ from the forced-push run's")
 			}
 		})
@@ -269,7 +271,7 @@ func TestStatsPinnedRowWalk(t *testing.T) {
 func TestStatsPinnedBlockRowWalk(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
 	adj.RemoveSelfLoops()
-	g, err := graph.NewFromCOO[uint32, float32](adj, graph.Options{Partitions: 2})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,14 +279,15 @@ func TestStatsPinnedBlockRowWalk(t *testing.T) {
 	sources := []uint32{1, 40, 700, 3, 9, 2047, 64, 65, 128, 1000, 1500, 5, 6, 7, 8, 300}
 	solo := make([][]uint32, len(sources))
 	for s, src := range sources {
-		g.SetAllProps(^uint32(0))
-		g.SetProp(src, 0)
-		g.ClearActive()
-		g.SetActive(src)
-		if _, err := RunContext(context.Background(), g, bfsFirst{}, Config{Mode: Push, Threads: 1}, nil); err != nil {
+		sc := NewBlockState[uint32](n, 1)
+		sc.SetAllProps(^uint32(0))
+		sc.SetProp(src, 0, 0)
+		sc.ClearActive()
+		sc.Activate(src, 0)
+		if _, err := RunContext(context.Background(), g, bfsFirst{}, sc, Config{Mode: Push, Threads: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
-		solo[s] = slices.Clone(g.Props())
+		solo[s] = slices.Clone(sc.Props())
 	}
 	type rowStats struct {
 		Iterations                                       int
@@ -316,7 +319,7 @@ func TestStatsPinnedBlockRowWalk(t *testing.T) {
 				st.Activate(src, s)
 			}
 			walks := ""
-			s, err := RunBlockContext(context.Background(), g, bfsFirst{}, st, tc.cfg, nil, WithObserver(walkLetters(&walks)))
+			s, err := RunContext(context.Background(), g, bfsFirst{}, st, tc.cfg, nil, WithObserver(walkLetters(&walks)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,7 +355,7 @@ func (bfsBoolean) Semiring() Semiring { return SemiringBoolean }
 func TestStatsPinnedBooleanBlock(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
 	adj.RemoveSelfLoops()
-	g, err := graph.NewFromCOO[uint32, float32](adj, graph.Options{Partitions: 2})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +391,7 @@ func TestStatsPinnedBooleanBlock(t *testing.T) {
 			st.Activate(src, s)
 		}
 		walks := ""
-		s, err := RunBlockContext(context.Background(), g, p, st, cfg, nil, WithObserver(walkLetters(&walks)))
+		s, err := RunContext(context.Background(), g, p, st, cfg, nil, WithObserver(walkLetters(&walks)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +440,7 @@ func TestStatsPinnedRowWalkOverlay(t *testing.T) {
 	for v := uint32(0); v < n; v += 32 {
 		batch = append(batch, graph.Update[float32]{Src: (v*7 + 3) % n, Dst: v, Val: 1})
 	}
-	store, err := graph.NewStore[uint32, float32](adj, graph.Options{Partitions: 2, CompactFraction: -1})
+	store, err := graph.NewStore[float32](adj, graph.Options{Partitions: 2, CompactFraction: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,11 +467,11 @@ func TestStatsPinnedRowWalkOverlay(t *testing.T) {
 		MessagesSent, ActiveSum, EdgesProcessed, Applies int64
 		PullSupersteps, Rows, ColumnsProbed              int64
 	}
-	run := func(snap *graph.Snapshot[uint32, float32], k int, p interface {
+	run := func(snap *graph.Snapshot[float32], k int, p interface {
 		Program[uint32, float32, uint32, uint32]
 		DstIndependent
 	}) (rowStats, string, [][]uint32) {
-		g := snap.View()
+		g := snap.Graph()
 		st := NewBlockState[uint32](int(n), k)
 		st.SetAllProps(^uint32(0))
 		for s, src := range sources[:k] {
@@ -476,7 +479,7 @@ func TestStatsPinnedRowWalkOverlay(t *testing.T) {
 			st.Activate(src, s)
 		}
 		walks := ""
-		s, err := RunBlockContext(context.Background(), g, p, st, Config{Mode: Pull, Threads: 3}, nil, WithObserver(walkLetters(&walks)))
+		s, err := RunContext(context.Background(), g, p, st, Config{Mode: Pull, Threads: 3}, nil, WithObserver(walkLetters(&walks)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ type runPlan[E any] struct {
 // graph has exactly the traversal structures its Options.Directions built,
 // so a program scattering any other way has nothing to walk. Every run and
 // SpMV makes this one check before it pins anything.
-func checkDirections[V, E any](g *graph.Graph[V, E], dir graph.Direction) error {
+func checkDirections[E any](g *graph.Graph[E], dir graph.Direction) error {
 	var missing string
 	switch {
 	case dir&graph.Out != 0 && g.OutLayers() == nil:
@@ -69,7 +69,7 @@ func checkDirections[V, E any](g *graph.Graph[V, E], dir graph.Direction) error 
 // then take the row walk, a layer with a pending delta through its live rows
 // (walkRows), so whether the run may gather depends on the program and the
 // mode alone, never on which layers carry updates.
-func planRun[V, E any](g *graph.Graph[V, E], dir graph.Direction, cfg Config, rowWalk bool) runPlan[E] {
+func planRun[E any](g *graph.Graph[E], dir graph.Direction, cfg Config, rowWalk bool) runPlan[E] {
 	var rp runPlan[E]
 	if dir&graph.Out != 0 {
 		rp.dirs[0] = g.OutLayers()
@@ -97,7 +97,7 @@ func planRun[V, E any](g *graph.Graph[V, E], dir graph.Direction, cfg Config, ro
 }
 
 // degreesAlong returns each vertex's edge count along the directions of dir.
-func degreesAlong[V, E any](g *graph.Graph[V, E], dir graph.Direction) []uint32 {
+func degreesAlong[E any](g *graph.Graph[E], dir graph.Direction) []uint32 {
 	switch dir & graph.Both {
 	case graph.Out:
 		return g.OutDegrees()

@@ -17,10 +17,11 @@ import (
 func TestPartitionsAreTheTasks(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 12, EdgeFactor: 32, Seed: 20150831, MaxWeight: 31})
 	adj.RemoveSelfLoops()
-	g, err := graph.NewFromCOO[float32, float32](adj, graph.Options{Partitions: 2})
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := NewBlockState[float32](int(g.NumVertices()), 1)
 	n := int(g.NumVertices())
 	x := sparse.NewVector[float32](n)
 	for v := 0; v < n; v += 3 {
@@ -31,7 +32,7 @@ func TestPartitionsAreTheTasks(t *testing.T) {
 			var tally sched.Tally
 			cfg := Config{Mode: mode, Threads: threads}
 			rp := planRun(g, graph.Out, cfg, false)
-			sink := scalarSink(ssspProg{}, x, g.Props(), sparse.NewVector[float32](n))
+			sink := scalarSink(ssspProg{}, x, st.Props(), sparse.NewVector[float32](n))
 			rp.multiplyPhase(cfg.exec(&tally), nil, mode, x.Mask().Words(), sink, nil, make([]localStats, threads))
 			if got := tally.Tasks.Load(); got != 2 {
 				t.Errorf("%s multiply over 2 partitions on %d workers ran %d tasks, want 2", mode, threads, got)

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"graphmat/internal/bitvec"
 	"graphmat/internal/sparse"
 )
 
@@ -45,7 +44,7 @@ type ApplyResult struct {
 // shares its base structures. Degrees, edge count and both traversal
 // directions stay coherent with what a from-scratch build of the same edge
 // set would produce.
-func (g *Graph[V, E]) applyBatch(batch []Update[E]) (*Graph[V, E], ApplyResult, error) {
+func (g *Graph[E]) applyBatch(batch []Update[E]) (*Graph[E], ApplyResult, error) {
 	var res ApplyResult
 	for _, u := range batch {
 		if u.Src >= g.n || u.Dst >= g.n {
@@ -56,7 +55,7 @@ func (g *Graph[V, E]) applyBatch(batch []Update[E]) (*Graph[V, E], ApplyResult, 
 
 	hasOut := g.opts.Directions&Out != 0
 	hasIn := g.opts.Directions&In != 0
-	ng := &Graph[V, E]{
+	ng := &Graph[E]{
 		n: g.n, m: g.m,
 		outParts: g.outParts, inParts: g.inParts,
 		opts:           g.opts,
@@ -95,9 +94,6 @@ func (g *Graph[V, E]) applyBatch(batch []Update[E]) (*Graph[V, E], ApplyResult, 
 		ng.inDelta = buildDeltas(ng.inParts, g.inDelta, bwdMuts(norm), g.opts.Workers)
 	}
 	ng.overlayNNZ = sparse.OverheadNNZ(ng.outDelta) + sparse.OverheadNNZ(ng.inDelta)
-
-	ng.props = make([]V, g.n)
-	ng.active = bitvec.New(int(g.n))
 	res.Epoch = ng.epoch
 	return ng, res, nil
 }
@@ -141,7 +137,7 @@ func findPartition[E any](parts []*sparse.DCSC[E], r uint32) int {
 // HasEdge reports whether the directed edge src→dst is live, returning its
 // value. The probe goes through a traversal direction the graph was built
 // with — delta override first (authoritative), base column otherwise.
-func (g *Graph[V, E]) HasEdge(src, dst uint32) (E, bool) {
+func (g *Graph[E]) HasEdge(src, dst uint32) (E, bool) {
 	// Forward structure: Row = dst, Col = src; backward: Row = src, Col = dst.
 	parts, deltas, row, col := g.outParts, g.outDelta, dst, src
 	if g.opts.Directions&Out == 0 {
@@ -178,18 +174,16 @@ func findRow(rows []uint32, r uint32) (int, bool) {
 // partition pipeline. Degrees and the edge count describe the live set
 // already and carry over. The receiver is untouched, so pinned snapshots of
 // it stay valid.
-func (g *Graph[V, E]) compacted() *Graph[V, E] {
+func (g *Graph[E]) compacted() *Graph[E] {
 	if g.pendingUpdates == 0 {
 		return g
 	}
-	ng := &Graph[V, E]{n: g.n, m: g.m, opts: g.opts, epoch: g.epoch, outDeg: g.outDeg, inDeg: g.inDeg}
+	ng := &Graph[E]{n: g.n, m: g.m, opts: g.opts, epoch: g.epoch, outDeg: g.outDeg, inDeg: g.inDeg}
 	if g.opts.Directions&Out != 0 {
 		ng.outParts = ng.build(g.triples(Out))
 	}
 	if g.opts.Directions&In != 0 {
 		ng.inParts = ng.build(g.triples(In))
 	}
-	ng.props = make([]V, g.n)
-	ng.active = bitvec.New(int(g.n))
 	return ng
 }

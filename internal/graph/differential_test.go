@@ -218,7 +218,7 @@ func TestParallelIngestRMAT18(t *testing.T) {
 	}
 	nparts := 8 * runtime.GOMAXPROCS(0)
 
-	ingest := func(workers int) (*Graph[float32, float32], time.Duration) {
+	ingest := func(workers int) (*Graph[float32], time.Duration) {
 		start := time.Now()
 		coo, err := LoadFileOptions(path, LoadOptions{Parallelism: workers})
 		if err != nil {

@@ -1,14 +1,16 @@
-// Package graph provides the property graph GraphMat programs run against:
-// a partitioned DCSC adjacency structure (paper §4.4.1), a per-vertex
-// property array, the active-vertex set (§4.3), preprocessing used to prepare
-// the paper's datasets (§5.1), and graph file I/O.
+// Package graph provides the edges GraphMat programs run against: a
+// partitioned DCSC adjacency structure (paper §4.4.1) with its degrees and
+// pending-update overlays, the versioned store that publishes it epoch by
+// epoch, preprocessing used to prepare the paper's datasets (§5.1), and
+// graph file I/O. Vertex state is not here: every run owns its own
+// (core.BlockState), so a published graph is read-only input to any number
+// of concurrent runs.
 package graph
 
 import (
 	"fmt"
 	"runtime"
 
-	"graphmat/internal/bitvec"
 	"graphmat/internal/sparse"
 )
 
@@ -67,10 +69,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Graph is a directed property graph with vertex properties of type V and
-// edge values of type E. It corresponds to Graph<V> in the paper's API
-// (appendix); edge values generalize the int edge weights used there.
-type Graph[V, E any] struct {
+// Graph is the edge set of a directed graph with edge values of type E: the
+// adjacency matrix GraphMat's generalized SpMV multiplies. It is the
+// structural half of Graph<V> in the paper's API (appendix); edge values
+// generalize the int edge weights used there, and the vertex half is a
+// run's own state.
+type Graph[E any] struct {
 	n uint32
 	m int64
 
@@ -100,9 +104,6 @@ type Graph[V, E any] struct {
 	// representation, not the edge set, so it keeps the epoch.
 	epoch uint64
 
-	props  []V
-	active *bitvec.Vector
-
 	outDeg, inDeg []uint32
 
 	opts Options
@@ -114,7 +115,7 @@ type Graph[V, E any] struct {
 // value of any duplicate edge — and the graph does not retain it: the
 // partitions built from it are the edge set. Self-loops are preserved; use
 // COO.RemoveSelfLoops first to follow the paper's preprocessing.
-func NewFromCOO[V, E any](adj *sparse.COO[E], opts Options) (*Graph[V, E], error) {
+func NewFromCOO[E any](adj *sparse.COO[E], opts Options) (*Graph[E], error) {
 	if adj.NRows != adj.NCols {
 		return nil, fmt.Errorf("graph: adjacency matrix must be square, got %dx%d", adj.NRows, adj.NCols)
 	}
@@ -125,7 +126,7 @@ func NewFromCOO[V, E any](adj *sparse.COO[E], opts Options) (*Graph[V, E], error
 		return nil, fmt.Errorf("graph: Options.Directions %#x has bits outside Both", int(opts.Directions))
 	}
 	opts = opts.withDefaults()
-	g := &Graph[V, E]{n: adj.NRows, opts: opts}
+	g := &Graph[E]{n: adj.NRows, opts: opts}
 
 	// Reorient to Gᵀ: row = dst, col = src.
 	adj.Transpose()
@@ -145,14 +146,11 @@ func NewFromCOO[V, E any](adj *sparse.COO[E], opts Options) (*Graph[V, E], error
 		adj.SortColMajorParallel(opts.Workers)
 		g.inParts = g.build(adj)
 	}
-
-	g.props = make([]V, g.n)
-	g.active = bitvec.New(int(g.n))
 	return g, nil
 }
 
 // build partitions col-major sorted triples at the graph's partition count.
-func (g *Graph[V, E]) build(c *sparse.COO[E]) []*sparse.DCSC[E] {
+func (g *Graph[E]) build(c *sparse.COO[E]) []*sparse.DCSC[E] {
 	return sparse.BuildPartitionedDCSCParallel(c, g.opts.Partitions, g.opts.Workers)
 }
 
@@ -165,7 +163,7 @@ func (g *Graph[V, E]) build(c *sparse.COO[E]) []*sparse.DCSC[E] {
 // range, sized by the degree array the graph maintains exactly. A column's
 // entries arrive in ascending row order — across partitions and then within
 // each — so the result needs no sort.
-func (g *Graph[V, E]) triples(want Direction) *sparse.COO[E] {
+func (g *Graph[E]) triples(want Direction) *sparse.COO[E] {
 	// Gᵀ's columns are sources, so its column counts are the out-degrees.
 	colDeg, parts, deltas := g.outDeg, g.outParts, g.outDelta
 	if want == In {
@@ -191,71 +189,34 @@ func (g *Graph[V, E]) triples(want Direction) *sparse.COO[E] {
 }
 
 // NumVertices returns the number of vertices.
-func (g *Graph[V, E]) NumVertices() uint32 { return g.n }
+func (g *Graph[E]) NumVertices() uint32 { return g.n }
 
 // NumEdges returns the number of (deduplicated) directed edges.
-func (g *Graph[V, E]) NumEdges() int64 { return g.m }
-
-// Props exposes the vertex property array; index is the vertex id.
-func (g *Graph[V, E]) Props() []V { return g.props }
-
-// Prop returns vertex v's property.
-func (g *Graph[V, E]) Prop(v uint32) V { return g.props[v] }
-
-// SetProp sets vertex v's property.
-func (g *Graph[V, E]) SetProp(v uint32, p V) { g.props[v] = p }
-
-// SetAllProps sets every vertex property to p (the paper's
-// setAllVertexproperty).
-func (g *Graph[V, E]) SetAllProps(p V) {
-	for i := range g.props {
-		g.props[i] = p
-	}
-}
-
-// InitProps sets each vertex property with a function of the vertex id.
-func (g *Graph[V, E]) InitProps(fn func(v uint32) V) {
-	for i := range g.props {
-		g.props[i] = fn(uint32(i))
-	}
-}
-
-// Active exposes the active-vertex bitvector (paper §4.3: "the set of active
-// vertices is maintained using a boolean array for performance reasons").
-func (g *Graph[V, E]) Active() *bitvec.Vector { return g.active }
-
-// SetActive marks vertex v active for the next superstep.
-func (g *Graph[V, E]) SetActive(v uint32) { g.active.Set(v) }
-
-// SetAllActive marks every vertex active.
-func (g *Graph[V, E]) SetAllActive() { g.active.SetAll() }
-
-// ClearActive deactivates every vertex.
-func (g *Graph[V, E]) ClearActive() { g.active.Reset() }
+func (g *Graph[E]) NumEdges() int64 { return g.m }
 
 // OutDegree returns the out-degree of v.
-func (g *Graph[V, E]) OutDegree(v uint32) uint32 { return g.outDeg[v] }
+func (g *Graph[E]) OutDegree(v uint32) uint32 { return g.outDeg[v] }
 
 // InDegree returns the in-degree of v.
-func (g *Graph[V, E]) InDegree(v uint32) uint32 { return g.inDeg[v] }
+func (g *Graph[E]) InDegree(v uint32) uint32 { return g.inDeg[v] }
 
 // OutDegrees returns the out-degree array indexed by vertex.
-func (g *Graph[V, E]) OutDegrees() []uint32 { return g.outDeg }
+func (g *Graph[E]) OutDegrees() []uint32 { return g.outDeg }
 
 // InDegrees returns the in-degree array indexed by vertex.
-func (g *Graph[V, E]) InDegrees() []uint32 { return g.inDeg }
+func (g *Graph[E]) InDegrees() []uint32 { return g.inDeg }
 
 // OutLayers returns the out-edge traversal structure — the row partitions
 // of Gᵀ — as base+delta pairs: the view the engine's column walks iterate.
 // Partitions without pending mutations have a nil Delta. It is nil when the
 // graph was built without Direction Out.
-func (g *Graph[V, E]) OutLayers() []sparse.Layered[E] {
+func (g *Graph[E]) OutLayers() []sparse.Layered[E] {
 	return zipLayers(g.outParts, g.outDelta)
 }
 
 // InLayers returns the in-edge traversal structure — the row partitions of
 // G — as base+delta pairs; nil when the graph was built without Direction In.
-func (g *Graph[V, E]) InLayers() []sparse.Layered[E] {
+func (g *Graph[E]) InLayers() []sparse.Layered[E] {
 	return zipLayers(g.inParts, g.inDelta)
 }
 
@@ -275,12 +236,12 @@ func zipLayers[E any](parts, deltas []*sparse.DCSC[E]) []sparse.Layered[E] {
 
 // OverlayNNZ reports the delta overlay's storage cost in entries (0 on a
 // fully compacted graph).
-func (g *Graph[V, E]) OverlayNNZ() int64 { return g.overlayNNZ }
+func (g *Graph[E]) OverlayNNZ() int64 { return g.overlayNNZ }
 
 // Adjacency returns the live forward adjacency (Row = src, Col = dst),
 // row-major sorted, as a fresh copy: the overlay of a graph carrying updates
 // is materialized in. Baseline engines use it to build their own structures.
-func (g *Graph[V, E]) Adjacency() *sparse.COO[E] {
+func (g *Graph[E]) Adjacency() *sparse.COO[E] {
 	if g.opts.Directions&Out == 0 {
 		adj := g.triples(In) // sorted by (dst, src)
 		adj.SortRowMajorParallel(g.opts.Workers)

@@ -21,7 +21,7 @@ func fig3COO() *sparse.COO[float32] {
 }
 
 func TestNewFromCOO(t *testing.T) {
-	g, err := NewFromCOO[float32, float32](fig3COO(), Options{Partitions: 2})
+	g, err := NewFromCOO[float32](fig3COO(), Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestNewFromCOO(t *testing.T) {
 
 func TestRejectNonSquare(t *testing.T) {
 	c := sparse.NewCOO[float32](3, 4)
-	if _, err := NewFromCOO[int, float32](c, Options{}); err == nil {
+	if _, err := NewFromCOO[float32](c, Options{}); err == nil {
 		t.Error("non-square adjacency accepted")
 	}
 }
@@ -60,7 +60,7 @@ func TestRejectNonSquare(t *testing.T) {
 func TestRejectOutOfBounds(t *testing.T) {
 	c := sparse.NewCOO[float32](2, 2)
 	c.Add(5, 0, 1)
-	if _, err := NewFromCOO[int, float32](c, Options{}); err == nil {
+	if _, err := NewFromCOO[float32](c, Options{}); err == nil {
 		t.Error("out-of-bounds edge accepted")
 	}
 }
@@ -69,10 +69,10 @@ func TestRejectOutOfBounds(t *testing.T) {
 // traversal structure, so the build refuses it rather than build none.
 func TestRejectUnknownDirections(t *testing.T) {
 	for _, dirs := range []Direction{4, Out | 8} {
-		if _, err := NewFromCOO[int, float32](fig3COO(), Options{Directions: dirs}); err == nil {
+		if _, err := NewFromCOO[float32](fig3COO(), Options{Directions: dirs}); err == nil {
 			t.Errorf("Directions %#x accepted", int(dirs))
 		}
-		if _, err := NewStore[int, float32](fig3COO(), Options{Directions: dirs}); err == nil {
+		if _, err := NewStore[float32](fig3COO(), Options{Directions: dirs}); err == nil {
 			t.Errorf("store with Directions %#x accepted", int(dirs))
 		}
 	}
@@ -83,7 +83,7 @@ func TestDedupOnBuild(t *testing.T) {
 	c.Add(0, 1, 1)
 	c.Add(0, 1, 9)
 	c.Add(1, 2, 1)
-	g, err := NewFromCOO[int, float32](c, Options{Partitions: 1})
+	g, err := NewFromCOO[float32](c, Options{Partitions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,42 +92,11 @@ func TestDedupOnBuild(t *testing.T) {
 	}
 }
 
-func TestPropsAndActive(t *testing.T) {
-	g, err := NewFromCOO[float32, float32](fig3COO(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.SetAllProps(1.5)
-	if g.Prop(3) != 1.5 {
-		t.Error("SetAllProps failed")
-	}
-	g.SetProp(3, 7)
-	if g.Prop(3) != 7 || g.Prop(2) != 1.5 {
-		t.Error("SetProp failed")
-	}
-	g.InitProps(func(v uint32) float32 { return float32(v) })
-	if g.Prop(4) != 4 {
-		t.Error("InitProps failed")
-	}
-	g.SetActive(2)
-	if !g.Active().Get(2) || g.Active().Get(1) {
-		t.Error("SetActive failed")
-	}
-	g.SetAllActive()
-	if g.Active().Count() != 5 {
-		t.Error("SetAllActive failed")
-	}
-	g.ClearActive()
-	if g.Active().Any() {
-		t.Error("ClearActive failed")
-	}
-}
-
 func TestAdjacencyRoundTrip(t *testing.T) {
 	orig := fig3COO()
 	want := orig.Clone()
 	want.SortRowMajor()
-	g, err := NewFromCOO[int, float32](orig, Options{})
+	g, err := NewFromCOO[float32](orig, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

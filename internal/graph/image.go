@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 
-	"graphmat/internal/bitvec"
 	"graphmat/internal/snap"
 	"graphmat/internal/sparse"
 )
@@ -29,14 +28,14 @@ import (
 // The image's arrays ALIAS the published graph's: they are immutable by the
 // store's snapshot contract, but the caller must finish serializing before
 // dropping its store reference.
-func StoreImage[V any](s *Store[V, float32], tag uint64) (*snap.Image, error) {
+func StoreImage(s *Store[float32], tag uint64) (*snap.Image, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.cur.Load()
 	g := old.g
 	if g.pendingUpdates != 0 {
 		g = g.compacted()
-		s.cur.Store(&Snapshot[V, float32]{store: s, g: g})
+		s.cur.Store(&Snapshot[float32]{store: s, g: g})
 		s.compactions.Add(1)
 		s.notifyCompact(g.epoch)
 	}
@@ -44,7 +43,7 @@ func StoreImage[V any](s *Store[V, float32], tag uint64) (*snap.Image, error) {
 }
 
 // imageOf dumps one overlay-free graph's internals as a snapshot image.
-func imageOf[V any](g *Graph[V, float32], tag uint64) (*snap.Image, error) {
+func imageOf(g *Graph[float32], tag uint64) (*snap.Image, error) {
 	if g.pendingUpdates != 0 {
 		return nil, fmt.Errorf("graph: cannot image a graph with %d pending updates (compact first)", g.pendingUpdates)
 	}
@@ -93,7 +92,7 @@ func partImages(parts []*sparse.DCSC[float32]) []snap.PartImage {
 // structural arrays live in the page cache — the on-heap build path
 // (NewFromCOO over the same input) remains the differential oracle
 // asserting the two are bit-identical.
-func NewGraphFromImage[V any](img *snap.Image) (*Graph[V, float32], error) {
+func NewGraphFromImage(img *snap.Image) (*Graph[float32], error) {
 	if img.Directions == 0 {
 		return nil, fmt.Errorf("graph: image is a raw adjacency dump, not a property graph")
 	}
@@ -109,7 +108,7 @@ func NewGraphFromImage[V any](img *snap.Image) (*Graph[V, float32], error) {
 	}
 	opts = opts.withDefaults()
 	n := img.NRows
-	g := &Graph[V, float32]{
+	g := &Graph[float32]{
 		n:      n,
 		m:      int64(img.NEdges),
 		epoch:  img.Epoch,
@@ -128,8 +127,6 @@ func NewGraphFromImage[V any](img *snap.Image) (*Graph[V, float32], error) {
 			return nil, fmt.Errorf("graph: in %w", err)
 		}
 	}
-	g.props = make([]V, n)
-	g.active = bitvec.New(int(n))
 	return g, nil
 }
 
@@ -151,12 +148,12 @@ func viewParts(parts []snap.PartImage, n uint32) ([]*sparse.DCSC[float32], error
 // layer delta overlays over the mapped base exactly as they would over a
 // built one; the first compaction folds everything onto the heap and the
 // mapping stops being referenced by newer epochs.
-func NewStoreFromImage[V any](img *snap.Image) (*Store[V, float32], error) {
-	g, err := NewGraphFromImage[V](img)
+func NewStoreFromImage(img *snap.Image) (*Store[float32], error) {
+	g, err := NewGraphFromImage(img)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store[V, float32]{}
-	s.cur.Store(&Snapshot[V, float32]{store: s, g: g})
+	s := &Store[float32]{}
+	s.cur.Store(&Snapshot[float32]{store: s, g: g})
 	return s, nil
 }

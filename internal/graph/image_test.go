@@ -26,7 +26,7 @@ func imageTestAdj() *sparse.COO[float32] {
 // partition arrays — and keeps accepting update batches afterwards.
 func TestStoreImageRoundTrip(t *testing.T) {
 	adj := imageTestAdj()
-	st, err := NewStore[uint32, float32](adj.Clone(), Options{Partitions: 3, Directions: Both})
+	st, err := NewStore[float32](adj.Clone(), Options{Partitions: 3, Directions: Both})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestStoreImageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	img, err := StoreImage[uint32](st, 42)
+	img, err := StoreImage(st, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestStoreImageRoundTrip(t *testing.T) {
 	}
 	defer sf.Close()
 
-	st2, err := NewStoreFromImage[uint32](sf.Image())
+	st2, err := NewStoreFromImage(sf.Image())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestStoreImageRoundTrip(t *testing.T) {
 func TestImageRejectsRawForStore(t *testing.T) {
 	raw := &snap.Image{NRows: 4, NCols: 4, NEdges: 1,
 		Fwd: []sparse.Triple[float32]{{Row: 0, Col: 1, Val: 1}}}
-	if _, err := NewStoreFromImage[uint32](raw); err == nil {
+	if _, err := NewStoreFromImage(raw); err == nil {
 		t.Fatal("raw adjacency image accepted as a property graph")
 	}
 }
@@ -112,11 +112,11 @@ func TestImageRejectsRawForStore(t *testing.T) {
 // GMATSNAP file is at most 12 bytes per edge and has no triple section (with
 // the forward triples riding along it was 22.9 at this size).
 func TestPropertyImageIsPartitionsOnly(t *testing.T) {
-	st, err := NewStore[uint32](oneCopyAdj(), Options{Partitions: 16})
+	st, err := NewStore(oneCopyAdj(), Options{Partitions: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := StoreImage[uint32](st, 0)
+	img, err := StoreImage(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

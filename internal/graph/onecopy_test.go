@@ -19,7 +19,7 @@ import (
 // sameLiveSet asserts g's observable edge set — Adjacency, edge count,
 // degrees, HasEdge on every live edge and on every key the last batch
 // touched — equals the normalized adjacency ref.
-func sameLiveSet(t *testing.T, what string, g *Graph[uint32, float32], ref *sparse.COO[float32], batch []Update[float32]) {
+func sameLiveSet(t *testing.T, what string, g *Graph[float32], ref *sparse.COO[float32], batch []Update[float32]) {
 	t.Helper()
 	sameCOO(t, what+" adjacency", ref, g.Adjacency(), true)
 	if g.NumEdges() != int64(len(ref.Entries)) {
@@ -81,7 +81,7 @@ func TestTriplesMatchesAdjacencyChain(t *testing.T) {
 	batches := materializerBatches(base)
 	for _, dirs := range []Direction{Out, In, Both} {
 		opts := Options{Partitions: 5, Directions: dirs, CompactFraction: -1}
-		st, err := NewStore[uint32](base.Clone(), opts)
+		st, err := NewStore(base.Clone(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestTriplesMatchesAdjacencyChain(t *testing.T) {
 			// growing across the whole stream.
 			cg := g.compacted()
 			sameLiveSet(t, what+" compacted", cg, ref, b)
-			fresh, err := NewFromCOO[uint32](ref.Clone(), opts)
+			fresh, err := NewFromCOO(ref.Clone(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestBuiltGraphHoldsOneCopyOfEdges(t *testing.T) {
 	}
 	before := heap()
 	// Workers > 1 so the build goes through the shared pool even on one CPU.
-	st, err := NewStore[uint32](oneCopyAdj(), Options{Partitions: 16, Workers: 4})
+	st, err := NewStore(oneCopyAdj(), Options{Partitions: 16, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

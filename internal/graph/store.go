@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"graphmat/internal/bitvec"
 	"graphmat/internal/sparse"
 )
 
@@ -18,9 +17,9 @@ import (
 // folds everything back into freshly built base partitions (the PR-3
 // parallel ingestion path), so steady-state update cost stays amortized
 // O(batch) while reads never pay more than one bounded overlay.
-type Store[V, E any] struct {
+type Store[E any] struct {
 	mu  sync.Mutex // serializes writers: ApplyEdges, Compact
-	cur atomic.Pointer[Snapshot[V, E]]
+	cur atomic.Pointer[Snapshot[E]]
 
 	// onCompact, when set, runs synchronously after every compaction
 	// publish — the store's persistent mode (see OnCompact).
@@ -35,9 +34,9 @@ type Store[V, E any] struct {
 // exposes never changes once published; the pin refcount tracks how many
 // readers still hold it (surfaced in StoreStats, and the contract future
 // buffer-recycling must honor).
-type Snapshot[V, E any] struct {
-	store *Store[V, E]
-	g     *Graph[V, E]
+type Snapshot[E any] struct {
+	store *Store[E]
+	g     *Graph[E]
 	pins  atomic.Int64
 }
 
@@ -48,13 +47,13 @@ const DefaultCompactFraction = 0.25
 // NewStore builds a versioned store whose epoch-0 snapshot is the graph
 // NewFromCOO would build from the same input (the adjacency is consumed the
 // same way).
-func NewStore[V, E any](adj *sparse.COO[E], opts Options) (*Store[V, E], error) {
-	g, err := NewFromCOO[V, E](adj, opts)
+func NewStore[E any](adj *sparse.COO[E], opts Options) (*Store[E], error) {
+	g, err := NewFromCOO(adj, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store[V, E]{}
-	s.cur.Store(&Snapshot[V, E]{store: s, g: g})
+	s := &Store[E]{}
+	s.cur.Store(&Snapshot[E]{store: s, g: g})
 	return s, nil
 }
 
@@ -74,7 +73,7 @@ func NewStore[V, E any](adj *sparse.COO[E], opts Options) (*Store[V, E], error) 
 // memory reachable and makes StoreStats.Pinned drift upward. The snappin
 // analyzer (internal/lint, run by `make lint` and CI) enforces this contract
 // statically.
-func (s *Store[V, E]) Acquire() *Snapshot[V, E] {
+func (s *Store[E]) Acquire() *Snapshot[E] {
 	sn := s.cur.Load()
 	sn.pins.Add(1)
 	s.pinned.Add(1)
@@ -82,14 +81,14 @@ func (s *Store[V, E]) Acquire() *Snapshot[V, E] {
 }
 
 // Epoch reports the current (latest-published) edge-set version.
-func (s *Store[V, E]) Epoch() uint64 { return s.cur.Load().g.epoch }
+func (s *Store[E]) Epoch() uint64 { return s.cur.Load().g.epoch }
 
 // NumVertices reports the vertex count (fixed at construction; updates
 // mutate edges only).
-func (s *Store[V, E]) NumVertices() uint32 { return s.cur.Load().g.n }
+func (s *Store[E]) NumVertices() uint32 { return s.cur.Load().g.n }
 
 // NumEdges reports the current snapshot's live edge count.
-func (s *Store[V, E]) NumEdges() int64 { return s.cur.Load().g.m }
+func (s *Store[E]) NumEdges() int64 { return s.cur.Load().g.m }
 
 // ApplyEdges applies one batch of edge updates and publishes the successor
 // snapshot, one epoch later. Within a batch the last mutation of a (src,
@@ -97,7 +96,7 @@ func (s *Store[V, E]) NumEdges() int64 { return s.cur.Load().g.m }
 // whole batch; nothing is published. When the resulting overlay exceeds the
 // compaction fraction the new snapshot is published pre-compacted (same
 // epoch, same edge set, fresh base).
-func (s *Store[V, E]) ApplyEdges(batch []Update[E]) (ApplyResult, error) {
+func (s *Store[E]) ApplyEdges(batch []Update[E]) (ApplyResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.cur.Load()
@@ -114,7 +113,7 @@ func (s *Store[V, E]) ApplyEdges(batch []Update[E]) (ApplyResult, error) {
 		s.compactions.Add(1)
 		res.Compacted = true
 	}
-	s.cur.Store(&Snapshot[V, E]{store: s, g: ng})
+	s.cur.Store(&Snapshot[E]{store: s, g: ng})
 	s.batches.Add(1)
 	if res.Compacted {
 		s.notifyCompact(ng.epoch)
@@ -130,14 +129,14 @@ func (s *Store[V, E]) ApplyEdges(batch []Update[E]) (ApplyResult, error) {
 // must be fast and must not call back into the store's writer methods
 // (ApplyEdges, Compact, StoreImage); setting a flag or writing an already
 // captured image is the intended shape.
-func (s *Store[V, E]) OnCompact(fn func(epoch uint64)) {
+func (s *Store[E]) OnCompact(fn func(epoch uint64)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.onCompact = fn
 }
 
 // notifyCompact invokes the persistent-mode hook; callers hold s.mu.
-func (s *Store[V, E]) notifyCompact(epoch uint64) {
+func (s *Store[E]) notifyCompact(epoch uint64) {
 	if s.onCompact != nil {
 		s.onCompact(epoch)
 	}
@@ -145,7 +144,7 @@ func (s *Store[V, E]) notifyCompact(epoch uint64) {
 
 // baseNNZ is the base structures' stored entry count: the base's edges once
 // per built direction — the denominator of the compaction trigger.
-func (g *Graph[V, E]) baseNNZ() int64 {
+func (g *Graph[E]) baseNNZ() int64 {
 	n := g.baseEdges()
 	if g.opts.Directions == Both {
 		n *= 2
@@ -155,7 +154,7 @@ func (g *Graph[V, E]) baseNNZ() int64 {
 
 // baseEdges is the edge count of the base structures: the stored entries
 // of one built direction's base partitions.
-func (g *Graph[V, E]) baseEdges() int64 {
+func (g *Graph[E]) baseEdges() int64 {
 	parts := g.outParts
 	if g.opts.Directions&Out == 0 {
 		parts = g.inParts
@@ -171,7 +170,7 @@ func (g *Graph[V, E]) baseEdges() int64 {
 // structures and publishes the result at the SAME epoch (compaction changes
 // the representation, never the edge set). Pinned older snapshots remain
 // valid. No-op when there is no overlay.
-func (s *Store[V, E]) Compact() {
+func (s *Store[E]) Compact() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.cur.Load()
@@ -179,7 +178,7 @@ func (s *Store[V, E]) Compact() {
 		return
 	}
 	ng := old.g.compacted()
-	s.cur.Store(&Snapshot[V, E]{store: s, g: ng})
+	s.cur.Store(&Snapshot[E]{store: s, g: ng})
 	s.compactions.Add(1)
 	s.notifyCompact(ng.epoch)
 }
@@ -208,7 +207,7 @@ type StoreStats struct {
 }
 
 // Stats snapshots the store's counters.
-func (s *Store[V, E]) Stats() StoreStats {
+func (s *Store[E]) Stats() StoreStats {
 	g := s.cur.Load().g
 	return StoreStats{
 		Epoch:          g.epoch,
@@ -222,35 +221,25 @@ func (s *Store[V, E]) Stats() StoreStats {
 	}
 }
 
-// Graph exposes the snapshot's graph. It is frozen structurally, but its
-// vertex properties and active set are run state: one engine run at a time
-// per Graph. Concurrent runs on the same snapshot each take a View.
-func (sn *Snapshot[V, E]) Graph() *Graph[V, E] { return sn.g }
+// Graph exposes the snapshot's graph. A published graph never changes and
+// holds no vertex state, so any number of runs read it at once, each over
+// its own state.
+func (sn *Snapshot[E]) Graph() *Graph[E] { return sn.g }
+
+// Store returns the store that published the snapshot.
+func (sn *Snapshot[E]) Store() *Store[E] { return sn.store }
 
 // Epoch reports the snapshot's edge-set version.
-func (sn *Snapshot[V, E]) Epoch() uint64 { return sn.g.epoch }
+func (sn *Snapshot[E]) Epoch() uint64 { return sn.g.epoch }
 
 // Release unpins the snapshot. Call it exactly once per Acquire: releasing
 // twice corrupts the pin accounting (the counts go negative and a compaction
 // may reclaim an epoch another holder still reads), and never releasing
 // leaks the epoch's memory for the store's lifetime. Reads through the
-// snapshot (Graph, Epoch, View) do not discharge the obligation — only
+// snapshot (Graph, Epoch) do not discharge the obligation — only
 // Release does. The snappin analyzer (internal/lint) checks the
 // release-on-every-path half of this contract at compile time.
-func (sn *Snapshot[V, E]) Release() {
+func (sn *Snapshot[E]) Release() {
 	sn.pins.Add(-1)
 	sn.store.pinned.Add(-1)
-}
-
-// View returns a graph sharing this snapshot's immutable structure (base
-// partitions, deltas, degrees) with FRESH vertex properties
-// and active set, so multiple runs can execute concurrently against one
-// pinned epoch without sharing mutable state. A view has exactly the
-// traversal structures the store was built with (Options.Directions): a run
-// of a program scattering along another direction fails before it starts.
-func (sn *Snapshot[V, E]) View() *Graph[V, E] {
-	v := *sn.g
-	v.props = make([]V, v.n)
-	v.active = bitvec.New(int(v.n))
-	return &v
 }

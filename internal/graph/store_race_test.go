@@ -43,6 +43,13 @@ func isolationBatches(n uint32, rounds int) [][]graphmat.EdgeUpdate {
 	return out
 }
 
+// freshState pairs a pinned snapshot's edges with a run's own one-column
+// vertex state.
+func freshState(snap *graphmat.Snapshot[uint32, float32]) *graphmat.Graph[uint32, float32] {
+	g := snap.Graph()
+	return &graphmat.Graph[uint32, float32]{Edges: g, BlockState: graphmat.NewBlockState[uint32](int(g.NumVertices()), 1)}
+}
+
 func TestStoreSnapshotIsolationRace(t *testing.T) {
 	scale := 9
 	if testing.Short() {
@@ -66,7 +73,7 @@ func TestStoreSnapshotIsolationRace(t *testing.T) {
 	record := func(epoch uint64) {
 		snap := oracle.Acquire()
 		defer snap.Release()
-		dist, _, err := algorithms.RunBFS(context.Background(), snap.View(), root, algorithms.WithThreads(2))
+		dist, _, err := algorithms.RunBFS(context.Background(), freshState(snap), root, algorithms.WithThreads(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +116,7 @@ func TestStoreSnapshotIsolationRace(t *testing.T) {
 				}
 				snap := live.Acquire()
 				epoch := snap.Epoch()
-				g := snap.View() // private run state over shared structure
+				g := freshState(snap) // private run state over shared structure
 				edgesBefore := g.NumEdges()
 				dist, _, err := algorithms.RunBFS(context.Background(), g, root, algorithms.WithThreads(2), algorithms.WithWorkspace(ws))
 				if err != nil {

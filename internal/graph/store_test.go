@@ -49,7 +49,7 @@ func liveTriples(layers []sparse.Layered[float32]) map[[2]uint32]float32 {
 // sameGraph asserts got's live structure equals a fresh build (want) in every
 // observable: triples of both directions, degrees, edge count, and push-probe
 // visibility of every live column.
-func sameGraph(t *testing.T, what string, got, want *Graph[uint32, float32]) {
+func sameGraph(t *testing.T, what string, got, want *Graph[float32]) {
 	t.Helper()
 	if got.NumVertices() != want.NumVertices() {
 		t.Fatalf("%s: vertices %d vs %d", what, got.NumVertices(), want.NumVertices())
@@ -174,7 +174,7 @@ func TestStoreApplyMatchesFreshBuild(t *testing.T) {
 	adj := testAdj(n, 99)
 	for _, workers := range []int{1, 4} {
 		opts := Options{Partitions: 7, Directions: Both, Workers: workers, CompactFraction: -1}
-		st, err := NewStore[uint32](adj.Clone(), opts)
+		st, err := NewStore(adj.Clone(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestStoreApplyMatchesFreshBuild(t *testing.T) {
 			if res.Epoch != uint64(i+1) {
 				t.Fatalf("batch %d: epoch %d", i, res.Epoch)
 			}
-			want, err := NewFromCOO[uint32](equivalentAdj(adj, batches[:i+1]), opts)
+			want, err := NewFromCOO(equivalentAdj(adj, batches[:i+1]), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +209,7 @@ func TestStoreApplyMatchesFreshBuild(t *testing.T) {
 			t.Fatalf("overlay survived compaction: %d nnz, %d pending",
 				snap.Graph().OverlayNNZ(), snap.Graph().pendingUpdates)
 		}
-		want, err := NewFromCOO[uint32](equivalentAdj(adj, batches), opts)
+		want, err := NewFromCOO(equivalentAdj(adj, batches), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestStoreApplyMatchesFreshBuild(t *testing.T) {
 func TestStoreAutoCompaction(t *testing.T) {
 	const n = 128
 	adj := testAdj(n, 5)
-	st, err := NewStore[uint32](adj.Clone(), Options{Partitions: 4, CompactFraction: 0.1})
+	st, err := NewStore(adj.Clone(), Options{Partitions: 4, CompactFraction: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestStoreAutoCompaction(t *testing.T) {
 	if st.Stats().Compactions == 0 {
 		t.Fatalf("no compaction after 12 churn batches at fraction 0.1: %+v", st.Stats())
 	}
-	want, err := NewFromCOO[uint32](equivalentAdj(adj, batches), Options{Partitions: 4})
+	want, err := NewFromCOO(equivalentAdj(adj, batches), Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestStoreAutoCompaction(t *testing.T) {
 // new one.
 func TestStoreSnapshotImmutability(t *testing.T) {
 	adj := testAdj(100, 3)
-	st, err := NewStore[uint32](adj.Clone(), Options{Partitions: 3})
+	st, err := NewStore(adj.Clone(), Options{Partitions: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestStoreSnapshotImmutability(t *testing.T) {
 // TestStoreRejectsOutOfRange checks whole-batch rejection and that nothing
 // was published.
 func TestStoreRejectsOutOfRange(t *testing.T) {
-	st, err := NewStore[uint32](testAdj(32, 1), Options{})
+	st, err := NewStore(testAdj(32, 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestHasEdgeThroughOverlay(t *testing.T) {
 	adj := sparse.NewCOO[float32](16, 16)
 	adj.Add(1, 2, 10)
 	adj.Add(3, 4, 11)
-	st, err := NewStore[uint32](adj, Options{Partitions: 2, CompactFraction: -1})
+	st, err := NewStore(adj, Options{Partitions: 2, CompactFraction: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

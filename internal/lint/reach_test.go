@@ -28,10 +28,8 @@ var keptForTests = map[string]string{
 	"internal/sparse.DCSC.ToCOO":                     "round-trip oracle of the DCSC build test",
 	"internal/sparse.Vector.GetChecked":              "presence-aware read (graphmat.Vector's, publicly) the SpMV and mode differentials compare outputs through",
 	"internal/core.BlockVector.ColMask":              "occupancy-checked mask read of the block kernel tests' naive folds",
-	"internal/graph.Snapshot.View":                   "private-state view of a pinned epoch (graphmat.Snapshot's, publicly) the store race and overlay differentials run on",
 	"internal/core.BlockState.ClearActive":           "frontier reset of the block tests that reseed one state",
-	"internal/graph.Graph.ClearActive":               "frontier reset (graphmat.Graph's, publicly) of the engine tests that start runs from a chosen vertex",
-	"internal/graph.Graph.OverlayNNZ":                "overlay size (graphmat.Graph's, publicly) the store and layered-walk tests assert",
+	"internal/graph.Graph.OverlayNNZ":                "overlay size (graphmat.Edges', publicly) the store and layered-walk tests assert",
 	"internal/baselines/matrixengine.Matrix.Workers": "the grid² worker count the CombBLAS stand-in's test asserts",
 	"internal/counters.Set.Add":                      "multi-phase accumulation the counters test checks",
 	"internal/counters.AxisNames":                    "Figure 6 series labels the counters test holds the ratio order to",
@@ -95,63 +93,8 @@ func (l *loader) Import(ipath string) (*types.Package, error) {
 // interface the standard library calls (stdlibIfaces). A type named only in
 // its own methods' receivers is not used.
 func TestInternalFuncsAreReachable(t *testing.T) {
-	const module = "graphmat"
-	root := filepath.Join("..", "..")
-	fset := token.NewFileSet()
-
-	l := &loader{
-		fset: fset, files: map[string][]*ast.File{},
-		pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{},
-		std: importer.ForCompiler(fset, "source", nil),
-	}
-	recvIdents := map[*ast.Ident]bool{} // type names in method receivers
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name, dir := d.Name(), filepath.Dir(p)
-		if d.IsDir() {
-			if p != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		if ok, err := build.Default.MatchFile(dir, name); !ok || err != nil {
-			return err
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
-				ast.Inspect(fn.Recv, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						recvIdents[id] = true
-					}
-					return true
-				})
-			}
-		}
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return err
-		}
-		ipath := path.Join(module, filepath.ToSlash(rel))
-		l.files[ipath] = append(l.files[ipath], f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ipath := range l.files {
-		if _, err := l.Import(ipath); err != nil {
-			t.Fatal(err)
-		}
-	}
+	l, recvIdents := loadModule(t)
+	fset := l.fset
 	internal := func(ipath string) (dir string, ok bool) {
 		dir = strings.TrimPrefix(ipath, module+"/")
 		return dir, strings.HasPrefix(dir, "internal/")
@@ -277,6 +220,109 @@ func TestInternalFuncsAreReachable(t *testing.T) {
 			t.Errorf("keptForTests lists %s, which no longer exists", name)
 		} else if reached(obj) {
 			t.Errorf("keptForTests lists %s, which non-test code now uses: drop the entry", name)
+		}
+	}
+}
+
+const module = "graphmat"
+
+// loadModule type-checks the module and benchmark/ from their non-test files
+// (see TestInternalFuncsAreReachable) and returns the loader with the type
+// names that appear in method receivers.
+func loadModule(t *testing.T) (*loader, map[*ast.Ident]bool) {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+
+	l := &loader{
+		fset: fset, files: map[string][]*ast.File{},
+		pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{},
+		std: importer.ForCompiler(fset, "source", nil),
+	}
+	recvIdents := map[*ast.Ident]bool{} // type names in method receivers
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name, dir := d.Name(), filepath.Dir(p)
+		if d.IsDir() {
+			if p != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(dir, name); !ok || err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
+				ast.Inspect(fn.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						recvIdents[id] = true
+					}
+					return true
+				})
+			}
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		ipath := path.Join(module, filepath.ToSlash(rel))
+		l.files[ipath] = append(l.files[ipath], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ipath := range l.files {
+		if _, err := l.Import(ipath); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l, recvIdents
+}
+
+// TestEdgesLayerBoundary pins the split between a graph's edges and a run's
+// vertex state. internal/graph (partitions, overlays, degrees, the store) and
+// internal/snap (its file format) import neither internal/bitvec, where an
+// active set would come from, nor internal/core, where a run's state lives;
+// and every exported type of internal/graph is generic in at most the edge
+// type E, never in a vertex type.
+func TestEdgesLayerBoundary(t *testing.T) {
+	l, _ := loadModule(t)
+	for _, dir := range []string{"internal/graph", "internal/snap"} {
+		p := l.pkgs[module+"/"+dir]
+		if p == nil {
+			t.Fatalf("%s did not load", dir)
+		}
+		for _, imp := range p.Imports() {
+			if imp.Path() == module+"/internal/bitvec" || imp.Path() == module+"/internal/core" {
+				t.Errorf("%s imports %s: vertex state belongs to the run, not the edges", dir, imp.Path())
+			}
+		}
+	}
+	scope := l.pkgs[module+"/internal/graph"].Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		for i := 0; i < named.TypeParams().Len(); i++ {
+			if tp := named.TypeParams().At(i).Obj().Name(); tp != "E" {
+				t.Errorf("graph.%s takes type parameter %s: a graph type is generic in its edge type E alone", name, tp)
+			}
 		}
 	}
 }

@@ -393,7 +393,7 @@ func TestPersistBootsLegacyTripleSections(t *testing.T) {
 			t.Fatal(err)
 		}
 		img := *sf.Image()
-		g, err := graph.NewGraphFromImage[uint32](&img)
+		g, err := graph.NewGraphFromImage(&img)
 		if err != nil {
 			t.Fatal(err)
 		}

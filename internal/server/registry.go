@@ -78,10 +78,11 @@ type GraphEntry struct {
 }
 
 // algoInstance is one built (graph, algorithm) pair: the property graph and
-// its run tallies. Every run allocates its own engine scratch. Runs serialize
-// on runMu: a run of an algorithm with no source parameter writes the pinned
-// snapshot's vertex state, and the lock keeps each instance to one engine run
-// on the worker pool at a time.
+// its run tallies. Every run allocates its own engine scratch and vertex
+// state, so no run writes the pinned snapshot. Runs still serialize on
+// runMu, for two reasons only: it keeps each instance to one engine run on
+// the worker pool at a time, and taking it is what closes a batch's
+// admission (batcher.admit).
 type algoInstance struct {
 	spec algorithms.Spec
 	inst algorithms.Instance

@@ -93,7 +93,7 @@ func FuzzOpenSnap(f *testing.F) {
 		if img.Directions == 0 {
 			return
 		}
-		st, err := graph.NewStoreFromImage[uint32](img)
+		st, err := graph.NewStoreFromImage(img)
 		if err != nil {
 			t.Fatalf("an accepted property image does not assemble: %v", err)
 		}
