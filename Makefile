@@ -79,9 +79,10 @@ race:
 
 # Fuzz smoke over the graph readers, the update-stream parser, the snapshot
 # reader, WAL replay, the run-reply number and series encoder, the SIMD kernel backends, the
-# DCSC column index and the kernel walks: 10s per target (go test takes one
-# -fuzz pattern at a time).
-# The reader targets assert parallel parse ≡ sequential parse; the update
+# COO counting sort, the DCSC column index and the kernel walks: 10s per
+# target (go test takes one -fuzz pattern at a time).
+# The reader targets assert parallel parse ≡ sequential parse, and the binary
+# reader that every file it accepts holds only ids inside its dimensions; the update
 # target asserts the single-pass NDJSON parser ≡ the per-line encoding/json
 # oracle and that an accepted batch round-trips through WriteUpdates; the
 # snapshot target asserts GMATSNAP Open/Verify never panic on torn, mutated or
@@ -96,9 +97,12 @@ race:
 # for byte as encoding/json encodes it (the series target's minimizer is
 # capped too: its many small new-coverage inputs would otherwise stall the
 # workers for most of the run); the kernel
-# targets assert every SIMD backend ≡ the scalar oracle bit for bit; the
-# column-index target asserts FindColumn ≡ a linear search of JC for every id
-# and one bitmap bit per stored column, tombstones included; the walk
+# targets assert every SIMD backend ≡ the scalar oracle bit for bit; the sort
+# target asserts the row- and col-major counting sort at 1–8 workers ≡
+# slices.SortStableFunc, equal keys in input order (its minimizer is capped
+# like the series target's, for the same reason); the column-index target
+# asserts FindColumn ≡ a linear search of JC for every id and one bitmap bit
+# per stored column, tombstones included; the walk
 # target asserts pull ≡ push ≡ a naive fold of the live edge set and the row
 # walk ≡ a naive "first live in-neighbour of each unsettled row" of a fresh
 # build — output and live slots examined — over random plain and base+delta
@@ -119,6 +123,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReplySeries$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzBitvecWords$$' -fuzztime=10s ./internal/kernels
 	$(GO) test -run='^$$' -fuzz='^FuzzDenseFold$$' -fuzztime=10s ./internal/kernels
+	$(GO) test -run='^$$' -fuzz='^FuzzCountingSort$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzColumnIndex$$' -fuzztime=10s ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzLayeredWalk$$' -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzMaskWalk$$' -fuzztime=10s ./internal/core

@@ -92,10 +92,7 @@ func (o CFOptions) withDefaults() CFOptions {
 // (§5.1: "for collaborative filtering, the graphs have to be bipartite").
 // The input is consumed.
 func NewCFGraph(ratings *graphmat.COO[float32], partitions int) (*graphmat.Graph[CFVec, float32], error) {
-	ratings.RemoveSelfLoops()
-	ratings.SortRowMajor()
-	ratings.DedupKeepFirst()
-	ratings.Symmetrize()
+	updSymmetric.preprocess(ratings)
 	return graphmat.New[CFVec](ratings, graphmat.Options{Partitions: partitions})
 }
 

@@ -50,14 +50,15 @@ const (
 // always go; the symmetric kinds then replicate every edge in reverse ("we
 // replicate edges ... to obtain a symmetric graph"), original edges taking
 // value precedence, and the upper-triangle kind discards the lower triangle
-// so the graph is a DAG with every edge u→v satisfying u < v.
+// so the graph is a DAG with every edge u→v satisfying u < v. Symmetrize's
+// one sort gives originals that precedence. An adj that is not a graph's
+// adjacency is left for graphmat.New to reject: the sort requires every
+// entry inside the matrix.
 func (k updateKind) preprocess(adj *graphmat.COO[float32]) {
 	adj.RemoveSelfLoops()
-	if k == updDirected {
+	if k == updDirected || graphmat.CheckAdjacency(adj) != nil {
 		return
 	}
-	adj.SortRowMajor()
-	adj.DedupKeepFirst()
 	adj.Symmetrize()
 	if k == updUpperTriangle {
 		adj.UpperTriangle()

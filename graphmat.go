@@ -229,6 +229,10 @@ func New[V, E any](adj *COO[E], opts Options) (*Graph[V, E], error) {
 	return &Graph[V, E]{Edges: e, BlockState: core.NewBlockState[V](int(e.NumVertices()), 1)}, nil
 }
 
+// CheckAdjacency returns the error New would return for adj's shape: a
+// matrix that is not square, or an entry outside it.
+func CheckAdjacency[E any](adj *COO[E]) error { return graph.CheckAdjacency(adj) }
+
 // Run executes a vertex program over g's vertex state until convergence or
 // cfg.MaxIterations. It is RunContext without a context: it cannot be
 // canceled, and every Config runs, so its one possible error is a direction

@@ -143,11 +143,21 @@ func FuzzReadBinary(f *testing.F) {
 	bad3 := bytes.Clone(valid)
 	binary.LittleEndian.PutUint64(bad3[28:36], 2) // sections don't tile
 	f.Add(bad3)
+	bad4 := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(bad4[len(bad4)-8:], 3) // last record's col outside 3x3
+	f.Add(bad4)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sameParse(t, "binary", func(p int) (*COOF, error) {
 			return ParseBinary(data, LoadOptions{Parallelism: p})
 		})
+		// Every accepted file holds only ids inside its dimensions, so the
+		// sorts a build runs on it cannot fail.
+		if coo, err := ParseBinary(data, LoadOptions{Parallelism: 1}); err == nil {
+			if err := coo.Validate(); err != nil {
+				t.Fatalf("accepted file fails Validate: %v", err)
+			}
+		}
 		if bytes.HasPrefix(data, []byte("GMATBIN1")) {
 			if _, err := ParseBinary(data, LoadOptions{}); !errors.Is(err, ErrBinaryV1) {
 				t.Fatalf("GMATBIN1 input: err = %v, want ErrBinaryV1", err)

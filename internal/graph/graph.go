@@ -43,9 +43,10 @@ type Options struct {
 	// a direction the graph lacks is an error. Zero means Out; bits outside
 	// Both are rejected. Building only what an algorithm needs halves memory.
 	Directions Direction
-	// Workers is the goroutine count for the ingestion pipeline (sorting,
-	// dedup and per-partition DCSC builds). 0 means GOMAXPROCS; 1 forces the
-	// sequential path. Both paths produce bit-identical graphs — the
+	// Workers is the goroutine count for the ingestion pipeline: the
+	// counting sort's histogram and scatter chunks, the dedup ranges and the
+	// per-partition DCSC builds. 0 means GOMAXPROCS; 1 runs each of them in
+	// one piece. Every worker count produces a bit-identical graph — the
 	// differential tests assert it — so parallel is the default.
 	Workers int
 	// CompactFraction is the store's compaction trigger: once the delta
@@ -116,10 +117,7 @@ type Graph[E any] struct {
 // partitions built from it are the edge set. Self-loops are preserved; use
 // COO.RemoveSelfLoops first to follow the paper's preprocessing.
 func NewFromCOO[E any](adj *sparse.COO[E], opts Options) (*Graph[E], error) {
-	if adj.NRows != adj.NCols {
-		return nil, fmt.Errorf("graph: adjacency matrix must be square, got %dx%d", adj.NRows, adj.NCols)
-	}
-	if err := adj.Validate(); err != nil {
+	if err := CheckAdjacency(adj); err != nil {
 		return nil, err
 	}
 	if opts.Directions&^Both != 0 {
@@ -147,6 +145,17 @@ func NewFromCOO[E any](adj *sparse.COO[E], opts Options) (*Graph[E], error) {
 		g.inParts = g.build(adj)
 	}
 	return g, nil
+}
+
+// CheckAdjacency reports why adj cannot be a graph's adjacency matrix: it is
+// not square, or an entry lies outside it. NewFromCOO rejects such an input
+// with this error; a caller that sorts adj before building (symmetrization
+// does) checks first, because the sort requires every entry inside the matrix.
+func CheckAdjacency[E any](adj *sparse.COO[E]) error {
+	if adj.NRows != adj.NCols {
+		return fmt.Errorf("graph: adjacency matrix must be square, got %dx%d", adj.NRows, adj.NCols)
+	}
+	return adj.Validate()
 }
 
 // build partitions col-major sorted triples at the graph's partition count.

@@ -564,36 +564,37 @@ func parseBinaryV2(data []byte, opt LoadOptions) (*sparse.COO[float32], error) {
 
 	coo := sparse.NewCOO[float32](nrows, ncols)
 	coo.Entries = make([]sparse.Triple[float32], m)
+	errs := make([]error, len(sections))
 	sparse.ParallelFor(len(sections), opt.workers(), func(s int) {
 		sec := sections[s]
-		decodeRecords(coo.Entries[sec.start:sec.start+sec.count],
-			payload[sec.start*binRecordSize:(sec.start+sec.count)*binRecordSize], 1)
+		errs[s] = decodeRecords(coo.Entries[sec.start:sec.start+sec.count],
+			payload[sec.start*binRecordSize:(sec.start+sec.count)*binRecordSize], sec.start, nrows, ncols)
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	return coo, nil
 }
 
-// decodeRecords fills dst from consecutive 12-byte records, splitting the
-// range across workers.
-func decodeRecords(dst []sparse.Triple[float32], payload []byte, workers int) {
-	n := len(dst)
-	nchunks := workers
-	if nchunks > n {
-		nchunks = n
-	}
-	if nchunks < 1 {
-		nchunks = 1
-	}
-	sparse.ParallelFor(nchunks, workers, func(c int) {
-		lo, hi := c*n/nchunks, (c+1)*n/nchunks
-		for i := lo; i < hi; i++ {
-			off := i * binRecordSize
-			dst[i] = sparse.Triple[float32]{
-				Row: binary.LittleEndian.Uint32(payload[off : off+4]),
-				Col: binary.LittleEndian.Uint32(payload[off+4 : off+8]),
-				Val: floatFromBits(binary.LittleEndian.Uint32(payload[off+8 : off+12])),
-			}
+// decodeRecords fills dst from consecutive 12-byte records, the first of
+// which is record first of the file. It stops at the first record whose ids
+// lie outside the header's nrows×ncols, naming it.
+func decodeRecords(dst []sparse.Triple[float32], payload []byte, first uint64, nrows, ncols uint32) error {
+	for i := range dst {
+		off := i * binRecordSize
+		t := sparse.Triple[float32]{
+			Row: binary.LittleEndian.Uint32(payload[off : off+4]),
+			Col: binary.LittleEndian.Uint32(payload[off+4 : off+8]),
+			Val: floatFromBits(binary.LittleEndian.Uint32(payload[off+8 : off+12])),
 		}
-	})
+		if t.Row >= nrows || t.Col >= ncols {
+			return fmt.Errorf("binary graph: record %d (%d,%d) outside %dx%d", first+uint64(i), t.Row, t.Col, nrows, ncols)
+		}
+		dst[i] = t
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

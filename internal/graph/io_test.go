@@ -193,6 +193,35 @@ func TestBinaryErrors(t *testing.T) {
 	}
 }
 
+// TestBinaryRecordsOutsideDimensions: a GMATBIN2 record whose ids lie
+// outside the header's nrows×ncols is rejected at parse time, as ParseMTX
+// rejects such an entry, with the record named, at any parallelism.
+func TestBinaryRecordsOutsideDimensions(t *testing.T) {
+	for _, tc := range []struct {
+		row, col uint32
+		want     string
+	}{
+		{3, 0, "record 5 (3,0) outside 3x2"},
+		{0, 2, "record 5 (0,2) outside 3x2"},
+	} {
+		coo := sparse.NewCOO[float32](3, 2)
+		for i := 0; i < 8; i++ {
+			coo.Add(uint32(i%3), uint32(i%2), 1)
+		}
+		coo.Entries[5].Row, coo.Entries[5].Col = tc.row, tc.col
+		var buf bytes.Buffer
+		if err := WriteBinary2(&buf, coo, 4); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 4} {
+			_, err := ParseBinary(buf.Bytes(), LoadOptions{Parallelism: p})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("(%d,%d) parallelism %d: err = %v, want it to name %q", tc.row, tc.col, p, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestLoadFileDispatch(t *testing.T) {
 	dir := t.TempDir()
 

@@ -85,10 +85,12 @@ func bwdMuts[E any](norm []Update[E]) []sparse.Mut[E] {
 	return muts
 }
 
-// NormalizeAdjacency sorts adjacency triples row-major and collapses
-// duplicate edges keeping the first occurrence — the same edge set every
-// algorithm's preprocessing would keep, so normalizing a master copy before
-// builds changes nothing downstream. workers ≤ 0 means GOMAXPROCS.
+// NormalizeAdjacency sorts adjacency triples row-major with the counting
+// sort and collapses duplicate edges keeping the first occurrence — the same
+// edge set every algorithm's preprocessing would keep, so normalizing a
+// master copy before builds changes nothing downstream. Both steps run on
+// workers goroutines (≤ 0 means GOMAXPROCS). Every entry must lie inside the
+// matrix: the sort panics on one outside (COO.Validate checks first).
 func NormalizeAdjacency[E any](adj *sparse.COO[E], workers int) {
 	adj.SortRowMajorParallel(workers)
 	adj.DedupKeepFirstParallel(workers)

@@ -283,13 +283,8 @@ func (s *Server) handleUploadGraph(w http.ResponseWriter, r *http.Request, forma
 		return
 	}
 	// Reject unusable graphs at POST time rather than registering an entry
-	// every /run would 400 on: algorithms need a square adjacency, and
-	// binary records carry ids the format itself does not bounds-check.
-	if coo.NRows != coo.NCols {
-		writeError(w, http.StatusBadRequest, "upload: adjacency must be square, got %dx%d", coo.NRows, coo.NCols)
-		return
-	}
-	if err := coo.Validate(); err != nil {
+	// every /run would 400 on: algorithms need a square adjacency.
+	if err := graph.CheckAdjacency(coo); err != nil {
 		writeError(w, http.StatusBadRequest, "upload: %v", err)
 		return
 	}

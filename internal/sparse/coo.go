@@ -51,52 +51,16 @@ func (c *COO[E]) Validate() error {
 	return nil
 }
 
-// cmpColMajor orders triples by (col, row); cmpRowMajor by (row, col). Both
-// leave duplicate (row, col) keys equal so a stable sort preserves their
-// input order — DedupKeepFirst's "first" is then the first occurrence in the
-// input, not an artifact of the sort.
-func cmpColMajor[E any](a, b Triple[E]) int {
-	if a.Col != b.Col {
-		if a.Col < b.Col {
-			return -1
-		}
-		return 1
-	}
-	if a.Row != b.Row {
-		if a.Row < b.Row {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-func cmpRowMajor[E any](a, b Triple[E]) int {
-	if a.Row != b.Row {
-		if a.Row < b.Row {
-			return -1
-		}
-		return 1
-	}
-	if a.Col != b.Col {
-		if a.Col < b.Col {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-// SortColMajor stably sorts entries by (col, row). DCSC construction requires
-// this order.
+// SortColMajor stably sorts entries by (col, row) with sortTriples on one
+// worker. DCSC construction requires this order.
 func (c *COO[E]) SortColMajor() {
-	slices.SortStableFunc(c.Entries, cmpColMajor[E])
+	sortTriples(c, true, 1)
 }
 
-// SortRowMajor stably sorts entries by (row, col). CSR construction requires
-// this order.
+// SortRowMajor stably sorts entries by (row, col) with sortTriples on one
+// worker. CSR construction requires this order.
 func (c *COO[E]) SortRowMajor() {
-	slices.SortStableFunc(c.Entries, cmpRowMajor[E])
+	sortTriples(c, false, 1)
 }
 
 // DedupSum collapses duplicate (row,col) entries in place, combining values
@@ -154,9 +118,13 @@ func (c *COO[E]) Clone() *COO[E] {
 
 // Symmetrize appends the reverse of every off-diagonal edge and removes the
 // duplicates this may create (paper §5.1 BFS preparation: "we replicate edges
-// ... to obtain a symmetric graph"). The result is row-major sorted.
+// ... to obtain a symmetric graph"). The result is row-major sorted. The
+// reversals go after every original and the sort is stable, so of the
+// entries sharing a key, the first original in input order survives, else
+// the first reversal: an input need not be deduplicated first.
 func (c *COO[E]) Symmetrize() {
 	n := len(c.Entries)
+	c.Entries = slices.Grow(c.Entries, n)
 	for i := 0; i < n; i++ {
 		t := c.Entries[i]
 		if t.Row != t.Col {

@@ -1,26 +1,21 @@
 package sparse
 
 import (
+	"fmt"
 	"runtime"
-	"slices"
 
 	"graphmat/internal/sched"
 )
 
-// This file is the parallel half of the ingestion pipeline: a stable parallel
-// merge sort and a boundary-aligned parallel dedup over COO, and a concurrent
-// per-partition DCSC build. Every function here is bit-identical to its
-// sequential counterpart — same entry order, same partition arrays — which is
+// This file is the parallel half of the ingestion pipeline: the counting sort
+// behind every COO sort, a boundary-aligned parallel dedup over COO, and a
+// concurrent per-partition DCSC build. Every function here is bit-identical
+// at every worker count — same entry order, same partition arrays — which is
 // what makes parallel ingestion safe to enable by default (and what the
 // differential tests assert).
 
-const (
-	// minParallelSort is the slice length below which chunked sorting is not
-	// worth the goroutine overhead.
-	minParallelSort = 1 << 13
-	// minParallelDedup is the slice length below which dedup runs serially.
-	minParallelDedup = 1 << 15
-)
+// minParallelDedup is the slice length below which dedup runs serially.
+const minParallelDedup = 1 << 15
 
 // Workers resolves a worker-count option: 0 (or negative) means GOMAXPROCS,
 // anything else is taken literally.
@@ -49,83 +44,89 @@ func ParallelFor(n, workers int, fn func(i int)) {
 }
 
 // SortColMajorParallel is SortColMajor on workers goroutines (0 =
-// GOMAXPROCS): sorted chunks merged pairwise, stable end to end, so the
-// result is identical to the sequential sort.
+// GOMAXPROCS); the result is the same at every worker count.
 func (c *COO[E]) SortColMajorParallel(workers int) {
-	parallelSortStable(c.Entries, cmpColMajor[E], Workers(workers))
+	sortTriples(c, true, Workers(workers))
 }
 
 // SortRowMajorParallel is SortRowMajor on workers goroutines (0 = GOMAXPROCS).
 func (c *COO[E]) SortRowMajorParallel(workers int) {
-	parallelSortStable(c.Entries, cmpRowMajor[E], Workers(workers))
+	sortTriples(c, false, Workers(workers))
 }
 
-// parallelSortStable sorts entries with cmp: the slice is cut into one chunk
-// per worker, chunks sort concurrently, then adjacent runs merge pairwise
-// (ties taken from the left run) until one remains. Left-preference makes
-// every round stable, so the final order equals a sequential stable sort.
-func parallelSortStable[E any](entries []Triple[E], cmp func(a, b Triple[E]) int, workers int) {
-	n := len(entries)
-	if workers <= 1 || n < minParallelSort {
-		slices.SortStableFunc(entries, cmp)
-		return
+// sortTriples stably sorts c's entries by (col, row) when byCol, else by
+// (row, col): a least-significant-key-first radix sort of two counting
+// passes, by the minor key and then by the major key, O(m + NRows + NCols).
+// Both passes are stable, so entries with equal keys keep their input order —
+// DedupKeepFirst's "first" is then the first occurrence in the input, not an
+// artifact of the sort. The first pass moves the entries into one m-sized
+// buffer and the second moves them back.
+//
+// Every entry must lie inside the NRows×NCols matrix (Validate checks it); an
+// entry outside panics, naming the entry and the dimensions.
+func sortTriples[E any](c *COO[E], byCol bool, workers int) {
+	buf := make([]Triple[E], len(c.Entries))
+	countingPass(buf, c.Entries, c.NRows, c.NCols, !byCol, workers)
+	countingPass(c.Entries, buf, c.NRows, c.NCols, byCol, workers)
+}
+
+// countingPass stably scatters src into dst by Col when byCol, else by Row.
+// The histogram and the scatter each run over up to workers contiguous chunks
+// of src, only as many as each hold at least one key range's worth of
+// entries. A key's slots in dst go to the chunks in chunk order, so the
+// result is the same at every chunk count.
+func countingPass[E any](dst, src []Triple[E], nrows, ncols uint32, byCol bool, workers int) {
+	nkeys := int(nrows)
+	if byCol {
+		nkeys = int(ncols)
 	}
-	nchunks := workers
-	if nchunks > n/minParallelSort+1 {
-		nchunks = n/minParallelSort + 1
-	}
-	bounds := make([]int, nchunks+1)
-	for i := 0; i <= nchunks; i++ {
-		bounds[i] = i * n / nchunks
-	}
-	ParallelFor(nchunks, workers, func(i int) {
-		slices.SortStableFunc(entries[bounds[i]:bounds[i+1]], cmp)
+	m := len(src)
+	nchunks := max(1, min(workers, m/max(nkeys, 1)))
+	chunk := func(ch int) []Triple[E] { return src[ch*m/nchunks : (ch+1)*m/nchunks] }
+	// next[ch*nkeys+k] counts chunk ch's entries with key k, then holds the
+	// dst slot of the next one.
+	next := make([]int, nchunks*nkeys)
+	// bad[ch] is 1 + the src index of chunk ch's first entry outside the
+	// matrix, or 0.
+	bad := make([]int, nchunks)
+	ParallelFor(nchunks, workers, func(ch int) {
+		cnt := next[ch*nkeys : (ch+1)*nkeys]
+		for i, t := range chunk(ch) {
+			if t.Row >= nrows || t.Col >= ncols {
+				bad[ch] = ch*m/nchunks + i + 1
+				return
+			}
+			k := t.Row
+			if byCol {
+				k = t.Col
+			}
+			cnt[k]++
+		}
 	})
-
-	buf := make([]Triple[E], n)
-	src, dst := entries, buf
-	for len(bounds) > 2 {
-		merged := make([]int, 0, len(bounds)/2+2)
-		merged = append(merged, 0)
-		type job struct{ lo, mid, hi int }
-		var jobs []job
-		i := 0
-		for ; i+2 < len(bounds); i += 2 {
-			jobs = append(jobs, job{bounds[i], bounds[i+1], bounds[i+2]})
-			merged = append(merged, bounds[i+2])
+	for _, i := range bad {
+		if i > 0 {
+			t := src[i-1]
+			panic(fmt.Sprintf("sparse: sorting entry %d (%d,%d) outside %dx%d matrix", i-1, t.Row, t.Col, nrows, ncols)) //lint:graphmat bannedcalls the sort's precondition, raised once on the caller, off the per-entry loops
 		}
-		if i+1 < len(bounds) { // odd run out: carry it over unmerged
-			copy(dst[bounds[i]:bounds[i+1]], src[bounds[i]:bounds[i+1]])
-			merged = append(merged, bounds[i+1])
+	}
+	slot := 0
+	for k := 0; k < nkeys; k++ {
+		for ch := 0; ch < nchunks; ch++ {
+			i := ch*nkeys + k
+			next[i], slot = slot, slot+next[i]
 		}
-		ParallelFor(len(jobs), workers, func(j int) {
-			jb := jobs[j]
-			mergeStable(dst[jb.lo:jb.hi], src[jb.lo:jb.mid], src[jb.mid:jb.hi], cmp)
-		})
-		bounds = merged
-		src, dst = dst, src
 	}
-	if n > 0 && &src[0] != &entries[0] {
-		copy(entries, src)
-	}
-}
-
-// mergeStable merges sorted runs a and b into dst (len(dst) = len(a)+len(b)),
-// taking from a on ties.
-func mergeStable[E any](dst, a, b []Triple[E], cmp func(x, y Triple[E]) int) {
-	k := 0
-	for len(a) > 0 && len(b) > 0 {
-		if cmp(b[0], a[0]) < 0 {
-			dst[k] = b[0]
-			b = b[1:]
-		} else {
-			dst[k] = a[0]
-			a = a[1:]
+	ParallelFor(nchunks, workers, func(ch int) {
+		at := next[ch*nkeys : (ch+1)*nkeys]
+		for _, t := range chunk(ch) {
+			k := t.Row
+			if byCol {
+				k = t.Col
+			}
+			dst[at[k]] = t
+			at[k]++
 		}
-		k++
-	}
-	copy(dst[k:], a)
-	copy(dst[k+len(a):], b)
+	})
 }
 
 // DedupSumParallel is DedupSum on workers goroutines (0 = GOMAXPROCS). The
