@@ -60,14 +60,42 @@ func (c *COO[E]) SortRowMajorParallel(workers int) {
 // Both passes are stable, so entries with equal keys keep their input order —
 // DedupKeepFirst's "first" is then the first occurrence in the input, not an
 // artifact of the sort. The first pass moves the entries into one m-sized
-// buffer and the second moves them back.
+// buffer and the second moves them back. An input already in order inside
+// the matrix — a row-major sorted adjacency transposed for a col-major sort,
+// as every graph build does with a normalized or symmetrized input — is left
+// as it is after one O(m) check, before the buffer is allocated.
 //
 // Every entry must lie inside the NRows×NCols matrix (Validate checks it); an
 // entry outside panics, naming the entry and the dimensions.
 func sortTriples[E any](c *COO[E], byCol bool, workers int) {
+	if sortedInside(c.Entries, c.NRows, c.NCols, byCol) {
+		return
+	}
 	buf := make([]Triple[E], len(c.Entries))
 	countingPass(buf, c.Entries, c.NRows, c.NCols, !byCol, workers)
 	countingPass(c.Entries, buf, c.NRows, c.NCols, byCol, workers)
+}
+
+// sortedInside reports whether every entry lies inside the nrows×ncols
+// matrix and the keys — (col, row) when byCol, else (row, col) — never
+// decrease: then the stable sort is the identity. An entry outside the matrix
+// answers false, so the sort itself raises the panic.
+func sortedInside[E any](entries []Triple[E], nrows, ncols uint32, byCol bool) bool {
+	var prev uint64
+	for _, t := range entries {
+		if t.Row >= nrows || t.Col >= ncols {
+			return false
+		}
+		key := uint64(t.Row)<<32 | uint64(t.Col)
+		if byCol {
+			key = uint64(t.Col)<<32 | uint64(t.Row)
+		}
+		if key < prev {
+			return false
+		}
+		prev = key
+	}
+	return true
 }
 
 // countingPass stably scatters src into dst by Col when byCol, else by Row.

@@ -47,6 +47,14 @@ func FuzzCountingSort(f *testing.F) {
 		dup[i] = byte(i*7) % 4
 	}
 	f.Add(uint8(3), uint8(3), dup) // m = 300 over 16 keys: 8 chunks per pass
+	// Already in row-major order (so col-major sorts it for real), and the
+	// same with its last pair swapped: the sortedness check must not stop
+	// one entry short. Equal keys with different values stay in input order.
+	f.Add(uint8(3), uint8(4), []byte{0, 0, 0, 2, 0, 2, 1, 1, 2, 0, 2, 4, 3, 3})
+	f.Add(uint8(3), uint8(4), []byte{0, 0, 0, 2, 0, 2, 1, 1, 2, 0, 3, 3, 2, 4})
+	// Already in col-major order, and the same with its last pair swapped.
+	f.Add(uint8(4), uint8(2), []byte{0, 0, 3, 0, 1, 1, 1, 1, 4, 1, 2, 2})
+	f.Add(uint8(4), uint8(2), []byte{0, 0, 3, 0, 1, 1, 1, 1, 2, 2, 4, 1})
 	f.Fuzz(func(t *testing.T, rowSel, colSel uint8, ids []byte) {
 		nrows, ncols := uint32(rowSel)+1, uint32(colSel)+1
 		c := NewCOO[float32](nrows, ncols)
@@ -103,5 +111,37 @@ func TestSortPanicsOutsideMatrix(t *testing.T) {
 				t.Errorf("workers=%d byCol=%v: panic %q, want it to name %q", workers, byCol, msg, want)
 			}
 		}
+	}
+}
+
+// TestSortSortedAllocatesNothing: an input already in the requested order
+// inside the matrix is left as it is, at every worker count, without the
+// counting passes' buffer or histograms — the sort of every graph build,
+// whose transposed input is a row-major sorted adjacency.
+func TestSortSortedAllocatesNothing(t *testing.T) {
+	c := NewCOO[float32](64, 64)
+	for i := 0; i < 4096; i++ {
+		c.Add(uint32(i/64), uint32(i*7%64), float32(i))
+	}
+	c.SortRowMajor()
+	want := slices.Clone(c.Entries)
+	for _, workers := range []int{1, 4} {
+		if allocs := testing.AllocsPerRun(20, func() { c.SortRowMajorParallel(workers) }); allocs != 0 {
+			t.Errorf("workers=%d: a row-major sorted input allocated %v times", workers, allocs)
+		}
+		if !slices.Equal(c.Entries, want) {
+			t.Fatalf("workers=%d: sorting a sorted input moved entries", workers)
+		}
+	}
+	c.Transpose()
+	if allocs := testing.AllocsPerRun(20, c.SortColMajor); allocs != 0 {
+		t.Errorf("a transposed row-major input allocated %v times in a col-major sort", allocs)
+	}
+	c.Entries[17], c.Entries[18] = c.Entries[18], c.Entries[17]
+	c.SortColMajor()
+	if !slices.IsSortedFunc(c.Entries, func(a, b Triple[float32]) int {
+		return cmpRowMajor(Triple[float32]{Row: a.Col, Col: a.Row}, Triple[float32]{Row: b.Col, Col: b.Row})
+	}) {
+		t.Fatal("an input out of order by one swap stayed unsorted")
 	}
 }
