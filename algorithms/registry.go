@@ -72,9 +72,10 @@ type Result struct {
 	Count  *int64               `json:"count,omitempty"`
 	Stats  graphmat.Stats       `json:"stats"`
 	// Epoch is the snapshot version the run executed against: 0 for the
-	// as-built graph, +1 per update batch applied to the instance before the
-	// run started. A run in flight keeps its epoch whatever updates land
-	// meanwhile.
+	// as-built graph, +1 per update batch applied to the algorithm's property
+	// graph before the run started — through this instance or any other bound
+	// to the same store (Spec.Bind). A run in flight keeps its epoch whatever
+	// updates land meanwhile.
 	Epoch uint64 `json:"epoch"`
 }
 
@@ -165,7 +166,8 @@ type Instance interface {
 	// lookup must reflect the raw edge set AFTER the batch; algorithms whose
 	// preprocessing keeps edges directed ignore it and accept nil.
 	ApplyUpdates(batch []EdgeUpdate, lookup EdgeLookup) (UpdateResult, error)
-	// Epoch reports the property graph's current snapshot epoch.
+	// Epoch reports the property graph's current snapshot epoch: the update
+	// batches applied to its store, by every instance bound to it.
 	Epoch() uint64
 	// StoreStats exposes the versioned store's counters (overlay size,
 	// compactions, pinned snapshots).
@@ -216,6 +218,13 @@ type Spec struct {
 	// Built from the original input — the snapshot differential suite
 	// asserts it for every registered algorithm.
 	Open func(img *graphmat.SnapImage) (Instance, error) `json:"-"`
+	// Key names the property graph Build makes and Open restores; every
+	// algorithm of one key builds the same one (see StoreKey).
+	Key StoreKey `json:"-"`
+	// Bind returns this algorithm's Instance over other's store, copying
+	// nothing: updates applied through either instance reach both. It fails
+	// when other was not made by a registry Spec or its key is not Key.
+	Bind func(other Instance) (Instance, error) `json:"-"`
 }
 
 // engineParams are accepted by every algorithm: both are engine performance
@@ -517,11 +526,12 @@ func register[V any](a *algo[V]) *algo[V] {
 	if a.run == nil {
 		a.run = a.batchOfOne
 	}
+	key := a.key()
 	bind := func(st *graphmat.Store[any, float32], err error) (Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &instance[V]{liveGraph{store: st, kind: a.kind}, a}, nil
+		return &instance[V]{liveGraph{store: st, key: key}, a}, nil
 	}
 	Register(Spec{
 		Name:        a.name,
@@ -534,8 +544,30 @@ func register[V any](a *algo[V]) *algo[V] {
 		Open: func(img *graphmat.SnapImage) (Instance, error) {
 			return bind(graphmat.NewStoreFromImage[any](img))
 		},
+		Key: key,
+		Bind: func(other Instance) (Instance, error) {
+			shared, ok := other.(interface{ live() liveGraph })
+			if !ok {
+				return nil, fmt.Errorf("algorithms: binding %s: %T is not a registry instance", a.name, other)
+			}
+			l := shared.live()
+			if l.key != key {
+				return nil, fmt.Errorf("algorithms: binding %s (%s) to a %s store", a.name, key, l.key)
+			}
+			return &instance[V]{l, a}, nil
+		},
 	})
 	return a
+}
+
+// key is the row's StoreKey: its preprocessing kind and built directions, a
+// zero directions field meaning Out as the graph builder reads it.
+func (a *algo[V]) key() StoreKey {
+	dirs := a.directions
+	if dirs == 0 {
+		dirs = graphmat.Out
+	}
+	return StoreKey{kind: a.kind, directions: dirs}
 }
 
 // buildOptions is the graph-construction half of the row. The input is

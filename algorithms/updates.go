@@ -46,6 +46,33 @@ const (
 	updUpperTriangle
 )
 
+// StoreKey names the property graph an algorithm builds from the raw edges:
+// its preprocessing (directed, symmetric or upper-triangle) and the traversal
+// directions it builds. Two algorithms of one key build the same graph, take
+// the same translation of every update batch and can serve from one store, so
+// a serving layer keeps one store per key and binds every algorithm of the key
+// to it (Spec.Bind). Keys are comparable; String names them stably. The key
+// does not yet say whether the stored edges carry weights: every property
+// graph stores float32 weights today, so every algorithm of one key can share.
+type StoreKey struct {
+	kind       updateKind
+	directions graphmat.Direction
+}
+
+// String names the key: the preprocessing ("directed", "symmetric",
+// "upper"), followed by "-both" or "-in" when the key builds other directions
+// than the default Out.
+func (k StoreKey) String() string {
+	name := [...]string{updDirected: "directed", updSymmetric: "symmetric", updUpperTriangle: "upper"}[k.kind]
+	switch k.directions {
+	case graphmat.Both:
+		name += "-both"
+	case graphmat.In:
+		name += "-in"
+	}
+	return name
+}
+
 // preprocess applies the kind's §5.1 recipe to adj in place: self-loops
 // always go; the symmetric kinds then replicate every edge in reverse ("we
 // replicate edges ... to obtain a symmetric graph"), original edges taking
@@ -114,28 +141,33 @@ func symState(src, dst uint32, wOwn float32, okOwn bool, wRev float32, okRev boo
 	}
 }
 
-// liveGraph is the store-backed half every registry instance embeds: it owns
-// the versioned property graph and implements the Instance interface's
-// update and epoch surface. A store holds no vertex state, so its vertex
-// type parameter is unused (any).
+// liveGraph is the store-backed half every registry instance embeds: the
+// versioned property graph and the key it was built by, implementing the
+// Instance interface's update and epoch surface. It is the half instances of
+// one key share: Spec.Bind copies it, never the store. A store holds no
+// vertex state, so its vertex type parameter is unused (any).
 type liveGraph struct {
 	store *graphmat.Store[any, float32]
-	kind  updateKind
+	key   StoreKey
 }
 
-// ApplyUpdates translates a raw edge batch through the algorithm's
-// preprocessing and applies it to the property graph, publishing a new
-// snapshot epoch. Runs in flight keep their pinned epoch.
+// live exposes the shared half of any registry instance to Spec.Bind.
+func (l *liveGraph) live() liveGraph { return *l }
+
+// ApplyUpdates translates a raw edge batch through the key's preprocessing
+// and applies it to the property graph, publishing a new snapshot epoch. Runs
+// in flight keep their pinned epoch. Every instance bound to the store sees
+// the batch: apply it through one of them.
 func (l *liveGraph) ApplyUpdates(batch []EdgeUpdate, lookup EdgeLookup) (UpdateResult, error) {
-	prop, err := translateUpdates(l.kind, batch, lookup)
+	prop, err := translateUpdates(l.key.kind, batch, lookup)
 	if err != nil {
 		return UpdateResult{}, err
 	}
 	return l.store.ApplyEdges(prop)
 }
 
-// Epoch reports the property graph's current snapshot epoch (batches applied
-// to this instance).
+// Epoch reports the property graph's current snapshot epoch: the batches
+// applied to the store, through any instance bound to it.
 func (l *liveGraph) Epoch() uint64 { return l.store.Epoch() }
 
 // StoreStats exposes the underlying store's counters (overlay size,

@@ -2,8 +2,10 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,12 +25,19 @@ import (
 //     write-ahead log BEFORE any in-memory state advances, so an acknowledged
 //     batch survives a crash at any later point.
 //   - A checkpoint captures the whole entry at one tag — the raw master,
-//     folded so its base is the whole edge set, plus every built algorithm
-//     instance's property graph — as GMATSNAP files, rotates the WAL, and
-//     atomically flips the CURRENT manifest. Checkpoints ride on the store's
-//     own compaction cadence (the OnCompact hook marks the entry dirty; the
-//     update batch that compacted pays for the rotation), so WAL length stays
-//     proportional to the un-compacted overlay.
+//     folded so its base is the whole edge set, plus one image per built
+//     store, whichever algorithms are bound to it — as GMATSNAP files,
+//     rotates the WAL, and atomically flips the CURRENT manifest. Checkpoints
+//     ride on the stores' own compaction cadence (the OnCompact hook marks
+//     the entry dirty; the update batch that compacted pays for the
+//     rotation), so WAL length stays proportional to the un-compacted
+//     overlay.
+//   - The manifest keeps one "algo:<name>" entry per bound algorithm; the
+//     entries of one store key all name its file, store-<key>-<tag>.snap.
+//     A directory written when every algorithm had its own image names one
+//     inst-<algo>-<tag>.snap file per algorithm instead: boot opens the
+//     key's highest-tagged one for the shared store, and the next
+//     checkpoint rewrites the directory in the store layout.
 //   - Boot mmaps the manifest's snapshot files and serves queries over
 //     zero-copy views of the mappings, replaying WAL records newer than each
 //     component's tag. A damaged current generation falls back to the
@@ -40,13 +49,16 @@ const (
 	compMaster    = "master"
 	algoCompPfx   = "algo:"
 	masterFilePfx = "master-"
-	instFilePfx   = "inst-"
-	walFilePfx    = "wal-"
+	storeFilePfx  = "store-"
+	// instFilePfx starts the per-algorithm image files of the layout before
+	// stores were shared; boot reads them and garbage collection removes them.
+	instFilePfx = "inst-"
+	walFilePfx  = "wal-"
 )
 
 func masterFileName(tag uint64) string { return fmt.Sprintf("%s%d.snap", masterFilePfx, tag) }
-func instFileName(algo string, tag uint64) string {
-	return fmt.Sprintf("%s%s-%d.snap", instFilePfx, algo, tag)
+func storeFileName(key algorithms.StoreKey, tag uint64) string {
+	return fmt.Sprintf("%s%s-%d.snap", storeFilePfx, key, tag)
 }
 func walFileName(tag uint64) string { return fmt.Sprintf("%s%d.log", walFilePfx, tag) }
 
@@ -56,7 +68,7 @@ type persister struct {
 
 	// mu serializes manifest flips and WAL handle swaps. WAL appends happen
 	// under the entry's updMu (the append order must be the batch order);
-	// checkpoint and persistInstance also hold updMu, so mu is really
+	// checkpoint and persistBinding also hold updMu, so mu is really
 	// guarding against stats readers.
 	mu  sync.Mutex
 	wal *snap.WAL
@@ -68,8 +80,8 @@ type persister struct {
 	// may reference them indefinitely.
 	maps []*snap.Snapshot
 
-	// dirty is set by the stores' OnCompact hooks: some instance folded its
-	// overlay, so the WAL now contains records the next checkpoint should
+	// dirty is set by the stores' OnCompact hooks (markDirty): some store
+	// folded its overlay, so the WAL now contains records the next checkpoint should
 	// retire. The update batch that observes it pays for the checkpoint.
 	dirty atomic.Bool
 
@@ -120,39 +132,34 @@ func (p *persister) logBatch(epoch uint64, batch []graphmat.EdgeUpdate) error {
 
 // checkpoint captures the whole entry at its current epoch: the master
 // (folded first — the one O(|E|) merge a checkpoint adds to the O(|E|) file
-// write) and every built instance as snapshot files at one tag, a fresh WAL,
-// and an atomic manifest flip. Caller holds the entry's updMu (no batch can be
-// in flight), so the master and every instance agree on the edge set. Files of
-// the grandparent generation are deleted after the flip; the previous
-// generation stays as the fallback target.
+// write) and every built store as snapshot files at one tag, a fresh WAL, and
+// an atomic manifest flip naming each bound algorithm's store file. Caller
+// holds the entry's updMu (no batch can be in flight), so the master and
+// every store agree on the edge set. Files of the grandparent generation are
+// deleted after the flip; the previous generation stays as the fallback
+// target.
 func (p *persister) checkpoint(g *GraphEntry) error {
 	adj := g.master.Fold()
 	g.verMu.RLock()
 	tag, updates := g.epoch, g.updates
 	g.verMu.RUnlock()
 
-	g.mu.Lock()
-	insts := make(map[string]*algoInstance, len(g.insts))
-	for n, ai := range g.insts {
-		insts[n] = ai
-	}
-	g.mu.Unlock()
-
 	files := map[string]string{compMaster: masterFileName(tag)}
 	if err := snap.Write(filepath.Join(p.dir, files[compMaster]), masterImage(adj, tag)); err != nil {
 		return err
 	}
-	for algo, ai := range insts {
-		img, err := ai.inst.SnapImage(tag)
-		if err != nil {
-			return fmt.Errorf("persist: imaging %s: %w", algo, err)
-		}
-		name := instFileName(algo, tag)
-		if err := snap.Write(filepath.Join(p.dir, name), img); err != nil {
+	for _, st := range g.builtStores() {
+		if err := p.writeStore(st, tag); err != nil {
 			return err
 		}
-		files[algoCompPfx+algo] = name
 	}
+	// A store built since builtStores has no file yet: the persistBinding
+	// that follows its build captures it.
+	g.eachBound(func(algo string, st *propStore) {
+		if st.file != "" {
+			files[algoCompPfx+algo] = st.file
+		}
+	})
 	walName := walFileName(tag)
 	nw, err := snap.CreateWAL(filepath.Join(p.dir, walName))
 	if err != nil {
@@ -160,7 +167,14 @@ func (p *persister) checkpoint(g *GraphEntry) error {
 	}
 
 	p.mu.Lock()
-	man := &snap.Manifest{Tag: tag, Updates: updates, Files: files, WAL: walName, Prev: p.man}
+	// The new generation keeps one previous generation, as the stored
+	// manifest does, so collectGarbage deletes everything older.
+	man := &snap.Manifest{Tag: tag, Updates: updates, Files: files, WAL: walName}
+	if p.man != nil {
+		prev := *p.man
+		prev.Prev = nil
+		man.Prev = &prev
+	}
 	if err := snap.WriteManifest(p.dir, man); err != nil {
 		p.mu.Unlock()
 		nw.Close()
@@ -179,21 +193,34 @@ func (p *persister) checkpoint(g *GraphEntry) error {
 	return nil
 }
 
-// persistInstance captures one just-built instance into the current
-// generation without a full checkpoint: the instance file is written at the
-// entry's current epoch and the manifest re-flipped with the extra entry
-// (same tag, same WAL). On boot, WAL records at or below the instance file's
-// own tag are skipped for it — the build already contained them. Caller
-// holds the entry's updMu.
-func (p *persister) persistInstance(g *GraphEntry, algo string, ai *algoInstance) error {
-	tag := g.Epoch()
-	img, err := ai.inst.SnapImage(tag)
+// writeStore writes st's image at tag and makes it the store's file.
+// Caller holds the entry's updMu.
+func (p *persister) writeStore(st *propStore, tag uint64) error {
+	img, err := st.inst.SnapImage(tag)
 	if err != nil {
-		return fmt.Errorf("persist: imaging %s: %w", algo, err)
+		return fmt.Errorf("persist: imaging the %s store: %w", st.key, err)
 	}
-	name := instFileName(algo, tag)
+	name := storeFileName(st.key, tag)
 	if err := snap.Write(filepath.Join(p.dir, name), img); err != nil {
 		return err
+	}
+	st.file = name
+	return nil
+}
+
+// persistBinding captures one new binding into the current generation
+// without a full checkpoint. The binding of a store with no file yet — one
+// just built — writes the store's image at the entry's current epoch; the
+// binding of a store already persisted writes nothing. Either way the
+// manifest is re-flipped with the algorithm's entry naming the store's file
+// (same tag, same WAL). On boot, WAL records at or below the file's own tag
+// are skipped for the store — the build already contained them. Caller
+// holds the entry's updMu.
+func (p *persister) persistBinding(g *GraphEntry, algo string, st *propStore) error {
+	if st.file == "" {
+		if err := p.writeStore(st, g.Epoch()); err != nil {
+			return err
+		}
 	}
 
 	p.mu.Lock()
@@ -206,7 +233,7 @@ func (p *persister) persistInstance(g *GraphEntry, algo string, ai *algoInstance
 	for k, v := range p.man.Files {
 		man.Files[k] = v
 	}
-	man.Files[algoCompPfx+algo] = name
+	man.Files[algoCompPfx+algo] = st.file
 	if err := snap.WriteManifest(p.dir, &man); err != nil {
 		return err
 	}
@@ -235,13 +262,14 @@ func (p *persister) collectGarbage(man *snap.Manifest) {
 		if keep[name] || e.IsDir() {
 			continue
 		}
-		if strings.HasPrefix(name, masterFilePfx) || strings.HasPrefix(name, instFilePfx) || strings.HasPrefix(name, walFilePfx) {
+		if strings.HasPrefix(name, masterFilePfx) || strings.HasPrefix(name, storeFilePfx) ||
+			strings.HasPrefix(name, instFilePfx) || strings.HasPrefix(name, walFilePfx) {
 			os.Remove(filepath.Join(p.dir, name))
 		}
 	}
 }
 
-// maybeCheckpoint runs a checkpoint if an instance compacted since the last
+// maybeCheckpoint runs a checkpoint if a store compacted since the last
 // one. Called at the tail of ApplyEdges under updMu; a failed checkpoint
 // leaves dirty set (the next batch retries) and is surfaced in stats, not as
 // a request error — the batch itself is already durable in the WAL.
@@ -254,11 +282,14 @@ func (p *persister) maybeCheckpoint(g *GraphEntry) {
 	}
 }
 
-// onBuild registers the compaction hook on a new instance and captures it
-// into the manifest. Called under updMu, right after the lazy build.
-func (p *persister) onBuild(g *GraphEntry, algo string, ai *algoInstance) {
-	ai.inst.OnCompact(func(uint64) { p.dirty.Store(true) })
-	if err := p.persistInstance(g, algo, ai); err != nil {
+// markDirty is every persisted store's OnCompact hook.
+func (p *persister) markDirty(uint64) { p.dirty.Store(true) }
+
+// onBind captures a new binding into the manifest. Called under updMu, right
+// after the lazy bind. A failure is counted, not returned: the WAL holds every
+// batch, and the next checkpoint captures the store.
+func (p *persister) onBind(g *GraphEntry, algo string, ai *algoInstance) {
+	if err := p.persistBinding(g, algo, ai.store); err != nil {
 		p.checkpointErrs.Add(1)
 	}
 }
@@ -277,7 +308,7 @@ func masterImage(adj *sparse.COO[float32], tag uint64) *snap.Image {
 }
 
 // initPersist attaches a fresh persister to a newly registered entry and
-// writes its first generation (master only; instances checkpoint as they are
+// writes its first generation (master only; stores are captured as they are
 // built). Called before the entry is published.
 func (r *Registry) initPersist(entry *GraphEntry) error {
 	p, err := newPersister(filepath.Join(r.dataDir, entry.name))
@@ -326,7 +357,7 @@ func (r *Registry) openPersisted(name, source, dir string) (*GraphEntry, error) 
 // replays the listed WALs in order. appendWAL names the log opened for
 // subsequent appends (its torn tail, if any, is truncated); the others are
 // read-only. Per component, only records newer than the component's own tag
-// are applied — an instance persisted after later batches already contains
+// are applied — a store persisted after later batches already contains
 // them.
 func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, walNames []string, appendWAL string) (entry *GraphEntry, err error) {
 	p := &persister{dir: dir, man: gen}
@@ -358,11 +389,16 @@ func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, 
 		epoch:      gen.Tag,
 		updates:    gen.Updates,
 		insts:      make(map[string]*algoInstance),
+		stores:     make(map[algorithms.StoreKey]*propStore),
 		pers:       p,
 	}
 
-	instTags := make(map[string]uint64)
-	for comp, file := range gen.Files {
+	// The algorithms by store key, each key with the distinct files its
+	// entries name: one in the store layout, one per algorithm in the
+	// layout before it.
+	algos := make(map[algorithms.StoreKey][]algorithms.Spec)
+	files := make(map[algorithms.StoreKey][]string)
+	for _, comp := range slices.Sorted(maps.Keys(gen.Files)) {
 		algo, isAlgo := strings.CutPrefix(comp, algoCompPfx)
 		if !isAlgo {
 			continue
@@ -371,17 +407,33 @@ func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, 
 		if !known || spec.Open == nil {
 			continue // an algorithm this build no longer registers; rebuild lazily
 		}
-		sf, err := snap.Open(filepath.Join(dir, file))
+		algos[spec.Key] = append(algos[spec.Key], spec)
+		if file := gen.Files[comp]; !slices.Contains(files[spec.Key], file) {
+			files[spec.Key] = append(files[spec.Key], file)
+		}
+	}
+	tags := make(map[*propStore]uint64)
+	for key, specs := range algos {
+		img, file, err := p.openNewest(files[key])
 		if err != nil {
 			return nil, err
 		}
-		p.maps = append(p.maps, sf)
-		inst, err := spec.Open(sf.Image())
-		if err != nil {
-			return nil, fmt.Errorf("persist: opening %s from %s: %w", algo, file, err)
+		st := &propStore{key: key, file: file}
+		for _, spec := range specs {
+			var inst algorithms.Instance
+			if st.inst == nil {
+				inst, err = spec.Open(img)
+				st.inst = inst
+			} else {
+				inst, err = spec.Bind(st.inst)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("persist: opening %s from %s: %w", spec.Name, file, err)
+			}
+			entry.insts[spec.Name] = &algoInstance{spec: spec, inst: inst, store: st}
 		}
-		entry.insts[algo] = &algoInstance{spec: spec, inst: inst}
-		instTags[algo] = sf.Image().Tag
+		entry.stores[key] = st
+		tags[st] = img.Tag
 	}
 
 	for _, wn := range walNames {
@@ -404,7 +456,7 @@ func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, 
 			if b.Epoch <= entry.epoch {
 				continue // already folded into the snapshots (or the other log)
 			}
-			if err := replayBatch(entry, instTags, b); err != nil {
+			if err := replayBatch(entry, tags, b); err != nil {
 				return nil, err
 			}
 			p.replayedBatches++
@@ -412,8 +464,8 @@ func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, 
 		}
 	}
 
-	for _, ai := range entry.insts {
-		ai.inst.OnCompact(func(uint64) { p.dirty.Store(true) })
+	for _, st := range entry.stores {
+		st.inst.OnCompact(p.markDirty)
 	}
 	if p.replayedBatches > 0 {
 		p.boot = "snapshot+wal"
@@ -423,10 +475,37 @@ func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, 
 	return entry, nil
 }
 
+// openNewest opens the snapshot files one store key's manifest entries name
+// and returns the image of the one with the highest tag, and its name,
+// closing the others. A key names one file, unless the directory was written
+// when every algorithm had its own image: then the newest image holds the
+// most batches, and WAL replay brings it to the entry's epoch.
+func (p *persister) openNewest(files []string) (*snap.Image, string, error) {
+	var newest *snap.Snapshot
+	var name string
+	for _, file := range files {
+		sf, err := snap.Open(filepath.Join(p.dir, file))
+		if err != nil {
+			if newest != nil {
+				newest.Close()
+			}
+			return nil, "", err
+		}
+		if newest == nil || sf.Image().Tag > newest.Image().Tag {
+			sf, newest, name = newest, sf, file
+		}
+		if sf != nil {
+			sf.Close()
+		}
+	}
+	p.maps = append(p.maps, newest)
+	return newest.Image(), name, nil
+}
+
 // replayBatch re-applies one logged batch during boot: into the master's
-// overlay, then fan-out to each instance whose snapshot predates the batch.
+// overlay, then once into each store whose snapshot predates the batch.
 // The entry is unpublished, so no locking.
-func replayBatch(entry *GraphEntry, instTags map[string]uint64, b snap.WALBatch) error {
+func replayBatch(entry *GraphEntry, tags map[*propStore]uint64, b snap.WALBatch) error {
 	batch := make([]graphmat.EdgeUpdate, len(b.Updates))
 	for i, u := range b.Updates {
 		batch[i] = graphmat.EdgeUpdate{Src: u.Src, Dst: u.Dst, Val: u.Val, Del: u.Del}
@@ -434,12 +513,12 @@ func replayBatch(entry *GraphEntry, instTags map[string]uint64, b snap.WALBatch)
 	if err := entry.master.Apply(batch); err != nil {
 		return fmt.Errorf("persist: replaying WAL batch for epoch %d: %w", b.Epoch, err)
 	}
-	for algo, ai := range entry.insts {
-		if b.Epoch <= instTags[algo] {
+	for st, tag := range tags {
+		if b.Epoch <= tag {
 			continue
 		}
-		if _, err := ai.inst.ApplyUpdates(batch, entry.master.Lookup); err != nil {
-			return fmt.Errorf("persist: replaying WAL batch for epoch %d into %s: %w", b.Epoch, algo, err)
+		if _, err := st.inst.ApplyUpdates(batch, entry.master.Lookup); err != nil {
+			return fmt.Errorf("persist: replaying WAL batch for epoch %d into the %s store: %w", b.Epoch, st.key, err)
 		}
 	}
 	entry.epoch = b.Epoch

@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,8 +22,9 @@ import (
 
 // Registry is the server's concurrent-safe table of loaded graphs. Each
 // entry keeps the raw edge set in a log-structured master (graph.Master);
-// algorithm-specific property graphs (which preprocess the edges in place)
-// are built lazily from materialized copies of it and cached per algorithm.
+// the property graphs the algorithms run on are built lazily from
+// materialized copies of it, one store per preprocessing key
+// (algorithms.StoreKey) shared by every algorithm of that key.
 type Registry struct {
 	partitions int
 	workers    int
@@ -49,17 +52,20 @@ func NewRegistry(partitions, workers int, dataDir string) *Registry {
 // overlay into base happens only where O(|E|) is being paid anyway: a lazy
 // instance build materializes a private copy, a checkpoint folds and writes
 // the base, and the master folds by itself once the overlay outgrows
-// graph.DefaultCompactFraction of the base. Per-algorithm property graphs
-// are versioned stores; an update batch fans out to every built instance
-// through its own preprocessing.
+// graph.DefaultCompactFraction of the base. The property graphs are
+// versioned stores, one per preprocessing key: pagerank, ppr, sssp,
+// reachability and widest share the directed store, bfs and components the
+// symmetric one, hits and triangles each have their own. An algorithm's first
+// query binds it to its key's store, building the store only when the key has
+// none. An update batch is translated and applied once per store.
 type GraphEntry struct {
 	name       string
 	source     string
 	partitions int
 	workers    int
 
-	// updMu serializes whole update batches (master apply + instance
-	// fan-out) so every instance sees batches in the same order.
+	// updMu serializes whole update batches (master apply + one apply per
+	// store) so every store sees batches in the same order.
 	updMu sync.Mutex
 
 	master *graph.Master[float32]
@@ -68,8 +74,10 @@ type GraphEntry struct {
 	epoch   uint64
 	updates int64 // raw edge updates applied over the entry's lifetime
 
-	mu    sync.Mutex
-	insts map[string]*algoInstance
+	// mu guards insts and stores.
+	mu     sync.Mutex
+	insts  map[string]*algoInstance
+	stores map[algorithms.StoreKey]*propStore
 
 	// pers, when non-nil, makes the entry durable: WAL-before-ack on every
 	// update batch, compaction-driven checkpoints, mmap boot. Set before the
@@ -77,15 +85,28 @@ type GraphEntry struct {
 	pers *persister
 }
 
-// algoInstance is one built (graph, algorithm) pair: the property graph and
-// its run tallies. Every run allocates its own engine scratch and vertex
-// state, so no run writes the pinned snapshot. Runs still serialize on
-// runMu, for two reasons only: it keeps each instance to one engine run on
-// the worker pool at a time, and taking it is what closes a batch's
-// admission (batcher.admit).
-type algoInstance struct {
-	spec algorithms.Spec
+// propStore is one property graph of an entry: the versioned store every
+// algorithm of its key is bound to, reached through the instance that built
+// or opened it.
+type propStore struct {
+	key  algorithms.StoreKey
 	inst algorithms.Instance
+	// file is the snapshot file the store's image was last written to or
+	// opened from, "" until it has one; persistence state, under the entry's
+	// updMu.
+	file string
+}
+
+// algoInstance is one built (graph, algorithm) pair: the algorithm bound to
+// its key's store, and its run tallies. Every run allocates its own engine
+// scratch and vertex state, so no run writes the pinned snapshot. Runs still
+// serialize on runMu, for two reasons only: it keeps each algorithm to one
+// engine run on the worker pool at a time, and taking it is what closes a
+// batch's admission (batcher.admit).
+type algoInstance struct {
+	spec  algorithms.Spec
+	inst  algorithms.Instance
+	store *propStore
 
 	runMu sync.Mutex
 	runs  atomic.Int64
@@ -195,6 +216,7 @@ func (r *Registry) AddCOO(name, source string, adj *sparse.COO[float32]) (*Graph
 		partitions: r.partitions,
 		workers:    r.workers,
 		insts:      make(map[string]*algoInstance),
+		stores:     make(map[algorithms.StoreKey]*propStore),
 	}
 	if r.dataDir != "" {
 		// Registration is the entry's first durability point: master
@@ -267,9 +289,9 @@ func (g *GraphEntry) NumEdges() int { return g.master.NumEdges() }
 func (g *GraphEntry) MasterStats() graph.MasterStats { return g.master.Stats() }
 
 // Epoch reports the entry's raw edge-set version: 0 at registration, +1 per
-// applied update batch. Instances built after updates landed start life
-// already containing them (their own store epochs count batches applied to
-// the instance, not the entry).
+// applied update batch. Stores built after updates landed start life already
+// containing them (their own epochs count batches applied to the store, not
+// the entry).
 func (g *GraphEntry) Epoch() uint64 {
 	g.verMu.RLock()
 	defer g.verMu.RUnlock()
@@ -284,17 +306,17 @@ func (g *GraphEntry) UpdatesApplied() int64 {
 }
 
 // ApplyEdges applies one batch of raw edge updates to the entry: the master
-// absorbs the batch in O(batch) and every BUILT per-algorithm property graph
-// receives the batch through its own preprocessing (a new store snapshot —
-// queries in flight keep the epoch they pinned). Instances built later start
-// from the updated master, so built-before and built-after converge on the
-// same edge set; re-application races during a concurrent lazy build are
-// benign because batch application is idempotent (upserts and deletes are
+// absorbs the batch in O(batch) and every BUILT store receives the batch
+// once, through its key's preprocessing (a new store snapshot — queries in
+// flight keep the epoch they pinned). Stores built later start from the
+// updated master, so built-before and built-after converge on the same edge
+// set; re-application races during a concurrent lazy build are benign
+// because batch application is idempotent (upserts and deletes are
 // last-write-wins). An error wrapping ErrInvalidBatch means the batch was
 // rejected whole and nothing changed; any other error is a server-side fault
 // (the batch could not be logged, or — after it became durable and the epoch
-// advanced — an instance diverged). Returns the entry's new epoch and
-// per-instance results.
+// advanced — a store diverged). Returns the entry's new epoch and, per built
+// algorithm, the result of its store's apply.
 func (g *GraphEntry) ApplyEdges(batch []algorithms.EdgeUpdate) (uint64, map[string]graphmat.ApplyResult, error) {
 	g.updMu.Lock()
 	defer g.updMu.Unlock()
@@ -313,9 +335,9 @@ func (g *GraphEntry) ApplyEdges(batch []algorithms.EdgeUpdate) (uint64, map[stri
 		}
 	}
 	// Ordering matters for the epoch-keyed result cache: the master takes
-	// the batch first (lazy instance builds and lookups must see the
-	// post-batch edge set), the ENTRY EPOCH advances LAST, after every built
-	// instance has the batch. A run that reads the new epoch therefore
+	// the batch first (lazy store builds and lookups must see the post-batch
+	// edge set), the ENTRY EPOCH advances LAST, after every built store has
+	// the batch. A run that reads the new epoch therefore
 	// always pins a post-batch snapshot, so nothing stale can ever be cached
 	// under the new epoch's key. The reverse window is benign: a run that
 	// read the OLD epoch may cache a result of either side of the batch
@@ -325,35 +347,35 @@ func (g *GraphEntry) ApplyEdges(batch []algorithms.EdgeUpdate) (uint64, map[stri
 		return 0, nil, err // unreachable: Check passed and updMu is held
 	}
 
-	g.mu.Lock()
-	insts := make(map[string]*algoInstance, len(g.insts))
-	for n, ai := range g.insts {
-		insts[n] = ai
-	}
-	g.mu.Unlock()
-	results := make(map[string]graphmat.ApplyResult, len(insts))
+	applied := make(map[*propStore]graphmat.ApplyResult)
 	var fanErr error
-	for name, ai := range insts {
-		res, err := ai.inst.ApplyUpdates(batch, g.master.Lookup)
+	for _, st := range g.builtStores() {
+		res, err := st.inst.ApplyUpdates(batch, g.master.Lookup)
 		if err != nil {
-			// The master already advanced and earlier instances applied;
+			// The master already advanced and earlier stores applied;
 			// surface the divergence loudly rather than hiding it, but
 			// still advance the epoch below — the raw edge set DID change,
 			// and leaving the epoch behind would let post-batch results be
 			// cached under the old key forever. (With ids validated by the
 			// master's Check above, translation cannot fail in practice.)
-			fanErr = fmt.Errorf("applying updates to %s/%s: %w", g.name, name, err)
+			fanErr = fmt.Errorf("applying updates to %s's %s store: %w", g.name, st.key, err)
 			break
 		}
-		results[name] = res
+		applied[st] = res
 	}
+	results := make(map[string]graphmat.ApplyResult)
+	g.eachBound(func(algo string, st *propStore) {
+		if res, ok := applied[st]; ok {
+			results[algo] = res
+		}
+	})
 	g.verMu.Lock()
 	g.epoch++
 	g.updates += int64(len(batch))
 	epoch := g.epoch
 	g.verMu.Unlock()
-	// If the batch compacted some instance's overlay (the OnCompact hooks
-	// set the dirty flag), rotate the generation while still under updMu:
+	// If the batch compacted some store's overlay (the OnCompact hooks set
+	// the dirty flag), rotate the generation while still under updMu:
 	// snapshot files at this epoch, fresh WAL, atomic CURRENT flip. The WAL
 	// the batch just landed in is retired only after its contents are in the
 	// snapshots.
@@ -363,7 +385,25 @@ func (g *GraphEntry) ApplyEdges(batch []algorithms.EdgeUpdate) (uint64, map[stri
 	return epoch, results, fanErr
 }
 
-// BuiltAlgorithms returns the algorithms with a built property graph, sorted.
+// builtStores returns the entry's stores, for the caller to iterate without
+// the entry's lock.
+func (g *GraphEntry) builtStores() []*propStore {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return slices.Collect(maps.Values(g.stores))
+}
+
+// eachBound calls fn for every built algorithm and its store, under the
+// entry's lock: fn must not block or take it.
+func (g *GraphEntry) eachBound(fn func(algo string, st *propStore)) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for algo, ai := range g.insts {
+		fn(algo, ai.store)
+	}
+}
+
+// BuiltAlgorithms returns the algorithms bound to a built store, sorted.
 func (g *GraphEntry) BuiltAlgorithms() []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -375,28 +415,29 @@ func (g *GraphEntry) BuiltAlgorithms() []string {
 	return names
 }
 
-// instance returns the built (graph, algorithm) pair, building it on first
-// use. The build consumes a materialized copy, so the master stays pristine
-// for the other algorithms' preprocessing. On a persistent entry a fresh
-// build is captured into the current generation so the next boot opens it
-// instead of rebuilding.
+// instance returns the built (graph, algorithm) pair, binding the algorithm
+// to its key's store on first use. On a persistent entry a new binding is
+// captured into the current generation so the next boot opens it instead of
+// rebuilding.
 func (g *GraphEntry) instance(algo string) (*algoInstance, error) {
-	ai, built, err := g.lockedInstance(algo)
+	ai, added, err := g.lockedInstance(algo)
 	if err != nil {
 		return nil, err
 	}
-	if built && g.pers != nil {
+	if added && g.pers != nil {
 		// Outside g.mu (the capture takes the update lock, which nests
 		// outside the instance lock everywhere else).
 		g.updMu.Lock()
-		g.pers.onBuild(g, algo, ai)
+		g.pers.onBind(g, algo, ai)
 		g.updMu.Unlock()
 	}
 	return ai, nil
 }
 
-// lockedInstance is instance's cache-or-build core; built reports whether
-// this call performed the build.
+// lockedInstance is instance's cache-or-bind core; added reports whether
+// this call bound the algorithm. It binds to the store of the algorithm's
+// key and builds that store — from a materialized copy of the master, which
+// the build's preprocessing consumes — only when the key has none.
 func (g *GraphEntry) lockedInstance(algo string) (*algoInstance, bool, error) {
 	spec, ok := algorithms.Lookup(algo)
 	if !ok {
@@ -407,11 +448,24 @@ func (g *GraphEntry) lockedInstance(algo string) (*algoInstance, bool, error) {
 	if ai, ok := g.insts[algo]; ok {
 		return ai, false, nil
 	}
-	inst, err := spec.Build(g.master.Materialize(), g.partitions)
+	st := g.stores[spec.Key]
+	var (
+		inst algorithms.Instance
+		err  error
+	)
+	if st != nil {
+		inst, err = spec.Bind(st.inst)
+	} else if inst, err = spec.Build(g.master.Materialize(), g.partitions); err == nil {
+		st = &propStore{key: spec.Key, inst: inst}
+		if g.pers != nil {
+			inst.OnCompact(g.pers.markDirty)
+		}
+	}
 	if err != nil {
 		return nil, false, fmt.Errorf("building %s graph for %s: %w", algo, g.name, err)
 	}
-	ai := &algoInstance{spec: spec, inst: inst}
+	g.stores[spec.Key] = st
+	ai := &algoInstance{spec: spec, inst: inst, store: st}
 	g.insts[algo] = ai
 	return ai, true, nil
 }
@@ -484,9 +538,31 @@ type AlgoStats struct {
 	BatchedSources int64          `json:"batched_sources"`
 	Engine         graphmat.Stats `json:"engine"`
 	Counters       counters.Set   `json:"counters"`
-	// Store is the instance's versioned-store view: snapshot epoch, overlay
-	// size, compactions, pinned snapshots.
+	// Store is the view of the store the algorithm is bound to: snapshot
+	// epoch, overlay size, compactions, pinned snapshots. Algorithms of one
+	// key show the same store.
 	Store graphmat.StoreStats `json:"store"`
+}
+
+// StoreInfo is the /stats view of one store of a graph: the preprocessing
+// key it was built by, the algorithms bound to it, sorted, and its counters.
+type StoreInfo struct {
+	Key        string              `json:"key"`
+	Algorithms []string            `json:"algorithms"`
+	Store      graphmat.StoreStats `json:"store"`
+}
+
+// Stores reports the graph's built stores, sorted by key.
+func (g *GraphEntry) Stores() []StoreInfo {
+	bound := map[*propStore][]string{}
+	g.eachBound(func(algo string, st *propStore) { bound[st] = append(bound[st], algo) })
+	out := make([]StoreInfo, 0, len(bound))
+	for st, algos := range bound {
+		slices.Sort(algos)
+		out = append(out, StoreInfo{Key: st.key.String(), Algorithms: algos, Store: st.inst.StoreStats()})
+	}
+	slices.SortFunc(out, func(a, b StoreInfo) int { return strings.Compare(a.Key, b.Key) })
+	return out
 }
 
 // Stats snapshots the per-algorithm tallies for this graph.

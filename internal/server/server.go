@@ -745,7 +745,7 @@ func (s *Server) streamRun(ctx context.Context, w http.ResponseWriter, g *GraphE
 }
 
 // GraphStats is the /stats view of one registered graph: its edge-set
-// version, update traffic, and the per-algorithm tallies.
+// version, update traffic, its stores, and the per-algorithm tallies.
 type GraphStats struct {
 	// Epoch is the graph's edge-set version (0 at registration, +1 per
 	// update batch).
@@ -757,8 +757,11 @@ type GraphStats struct {
 	// edge counts, overlay size, and folds (a batch whose duration_ms stands
 	// out against a fold-count step paid an O(|E|) merge).
 	Master graph.MasterStats `json:"master"`
-	// Algorithms is the per-(graph, algorithm) view, including each
-	// instance's versioned-store counters.
+	// Stores lists the graph's property-graph stores, one per preprocessing
+	// key, with the algorithms bound to each.
+	Stores []StoreInfo `json:"stores"`
+	// Algorithms is the per-(graph, algorithm) view, including the counters
+	// of the store each algorithm is bound to.
 	Algorithms map[string]AlgoStats `json:"algorithms"`
 	// Persist is the graph's durability view: boot provenance, checkpoint
 	// and WAL counters. Omitted when the server runs without -data-dir.
@@ -803,6 +806,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				Epoch:          g.Epoch(),
 				UpdatesApplied: g.UpdatesApplied(),
 				Master:         g.MasterStats(),
+				Stores:         g.Stores(),
 				Algorithms:     g.Stats(),
 			}
 			if ps := g.PersistStats(); ps.Enabled {
