@@ -95,9 +95,15 @@ func TestPersistBootsLegacyPerAlgoImages(t *testing.T) {
 			_, err := fentry.RunContext(t.Context(), "pagerank", algorithms.Params{Iterations: 10}, nil)
 			return err
 		},
-		func() error { _, err := fentry.RunContext(t.Context(), "sssp", algorithms.Params{Source: 0}, nil); return err },
+		func() error {
+			_, err := fentry.RunContext(t.Context(), "sssp", algorithms.Params{Source: 0}, nil)
+			return err
+		},
 		func() error { _, _, err := fentry.ApplyEdges(batches[1]); return err },
-		func() error { _, err := fentry.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil); return err },
+		func() error {
+			_, err := fentry.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil)
+			return err
+		},
 		func() error { _, _, err := fentry.ApplyEdges(batches[2]); return err },
 		func() error { _, _, err := fentry.ApplyEdges(batches[3]); return err },
 	}
