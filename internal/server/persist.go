@@ -418,17 +418,15 @@ func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, 
 		if err != nil {
 			return nil, err
 		}
-		st := &propStore{key: key, file: file}
+		owner, err := specs[0].Open(img)
+		if err != nil {
+			return nil, fmt.Errorf("persist: opening the %s store from %s: %w", key, file, err)
+		}
+		st := &propStore{key: key, inst: owner, file: file}
 		for _, spec := range specs {
-			var inst algorithms.Instance
-			if st.inst == nil {
-				inst, err = spec.Open(img)
-				st.inst = inst
-			} else {
-				inst, err = spec.Bind(st.inst)
-			}
+			inst, err := spec.Bind(owner)
 			if err != nil {
-				return nil, fmt.Errorf("persist: opening %s from %s: %w", spec.Name, file, err)
+				return nil, fmt.Errorf("persist: binding %s to the %s store: %w", spec.Name, key, err)
 			}
 			entry.insts[spec.Name] = &algoInstance{spec: spec, inst: inst, store: st}
 		}

@@ -449,22 +449,21 @@ func (g *GraphEntry) lockedInstance(algo string) (*algoInstance, bool, error) {
 		return ai, false, nil
 	}
 	st := g.stores[spec.Key]
-	var (
-		inst algorithms.Instance
-		err  error
-	)
-	if st != nil {
-		inst, err = spec.Bind(st.inst)
-	} else if inst, err = spec.Build(g.master.Materialize(), g.partitions); err == nil {
-		st = &propStore{key: spec.Key, inst: inst}
-		if g.pers != nil {
-			inst.OnCompact(g.pers.markDirty)
+	if st == nil {
+		owner, err := spec.Build(g.master.Materialize(), g.partitions)
+		if err != nil {
+			return nil, false, fmt.Errorf("building %s graph for %s: %w", algo, g.name, err)
 		}
+		if g.pers != nil {
+			owner.OnCompact(g.pers.markDirty)
+		}
+		st = &propStore{key: spec.Key, inst: owner}
+		g.stores[spec.Key] = st
 	}
+	inst, err := spec.Bind(st.inst)
 	if err != nil {
-		return nil, false, fmt.Errorf("building %s graph for %s: %w", algo, g.name, err)
+		return nil, false, fmt.Errorf("binding %s to %s's %s store: %w", algo, g.name, spec.Key, err)
 	}
-	g.stores[spec.Key] = st
 	ai := &algoInstance{spec: spec, inst: inst, store: st}
 	g.insts[algo] = ai
 	return ai, true, nil
