@@ -47,10 +47,10 @@ func NewRegistry(partitions, workers int, dataDir string) *Registry {
 // source of truth: the adjacency normalized (row-major sorted, deduplicated)
 // at registration is its immutable base, and each update batch lands in its
 // overlay — the final state of every touched edge — in O(batch), under the
-// master's lock, so readers (lazy instance builds, update translation
+// master's lock, so readers (lazy store builds, update translation
 // lookups, edge counts) always see a complete epoch. The O(|E|) merge of
 // overlay into base happens only where O(|E|) is being paid anyway: a lazy
-// instance build materializes a private copy, a checkpoint folds and writes
+// store build materializes a private copy, a checkpoint folds and writes
 // the base, and the master folds by itself once the overlay outgrows
 // graph.DefaultCompactFraction of the base. The property graphs are
 // versioned stores, one per preprocessing key: pagerank, ppr, sssp,
