@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt lint graphmatlint staticcheck govulncheck test bench-module race fuzz kernel-parity test-cpus crash ci
+.PHONY: all build fmt lint graphmatlint staticcheck govulncheck test examples bench-module race fuzz kernel-parity test-cpus crash ci
 
 all: build
 
@@ -56,6 +56,18 @@ govulncheck:
 
 test:
 	$(GO) test ./...
+
+# Every example built and run to completion, failing on the first non-zero
+# exit: `build` only compiles them, and an example can compile and still
+# fail at run time. All eight take about 5 s on two cores (multisource most
+# of it). CI runs this target.
+examples:
+	@bin="$$(mktemp -d)"; trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin/" ./examples/... || exit 1; \
+	for ex in "$$bin"/*; do \
+		echo "run example $$(basename "$$ex")"; \
+		"$$ex" >/dev/null || { echo "example $$(basename "$$ex") failed"; exit 1; }; \
+	done
 
 # benchmark/ is its own Go module (replace graphmat => ../), so the root
 # `go build/vet/test ./...` never compile it: without this target an API
@@ -149,10 +161,11 @@ test-cpus:
 
 # The durability contract by name: a daemon SIGKILLed after acking update
 # batches but before any checkpoint reboots from snapshot + WAL with every
-# acked batch intact, and a torn snapshot falls back to the previous
-# generation. `test` runs these too; the separate target keeps crash safety
-# visible as its own gate. CI runs this target.
+# acked batch intact, a torn snapshot falls back to the previous generation,
+# and a deleted graph's durable state goes with it, so a re-registration of
+# its name parses its own source. `test` runs these too; the separate target
+# keeps crash safety visible as its own gate. CI runs this target.
 crash:
-	$(GO) test -run='TestPersistCrashRecovery|TestPersistTornSnapshotFallback' -v -count=1 ./internal/server
+	$(GO) test -run='TestPersistCrashRecovery|TestPersistTornSnapshotFallback|TestDeleteDurableGraphThenReRegister' -v -count=1 ./internal/server
 
-ci: build lint test bench-module kernel-parity race fuzz test-cpus crash
+ci: build lint test examples bench-module kernel-parity race fuzz test-cpus crash

@@ -73,15 +73,15 @@ func TestBatchDifferentialAllModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, b := range batches {
-				if _, err := updated.ApplyUpdates(b, lookup); err != nil {
+				if _, err := updated.Store().ApplyUpdates(b, lookup); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if st := updated.StoreStats(); st.Compactions != 0 {
+			if st := updated.Store().Stats(); st.Compactions != 0 {
 				t.Fatalf("updates unexpectedly compacted away the overlay: %+v", st)
 			}
 			for name, inst := range map[string]Instance{"base": base, "overlay": updated} {
-				wantEpoch := inst.Epoch()
+				wantEpoch := inst.Store().Epoch()
 				// Scalar oracle: one single-source run per source.
 				oracle := make([][]float64, len(sources))
 				for i, src := range sources {

@@ -23,7 +23,7 @@ import (
 // the generic instance here so the tests can range over Specs() without a
 // per-algorithm table of typed graphs.
 func (i *instance[V]) blockK1(ctx context.Context, pin Pin, p Params, source uint32) ([]float64, error) {
-	values, _, err := i.row.batch(ctx, pin.(*graphmat.Snapshot[any, float32]).Graph(), []uint32{source}, p.option(nil, nil))
+	values, _, err := i.row.batch(ctx, pin.Graph(), []uint32{source}, p.option(nil, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func sameAsScalar(t *testing.T, what string, want Result, got BatchResult) {
 func checkWidth1(t *testing.T, what string, spec Spec, inst Instance) map[uint32]Result {
 	t.Helper()
 	ctx := context.Background()
-	pin := inst.AcquirePin()
+	pin := inst.Store().Acquire()
 	defer pin.Release()
 	scalar := map[uint32]Result{}
 	for _, src := range width1Sources {
@@ -141,14 +141,14 @@ func TestBatchWidth1IsTheScalarRun(t *testing.T) {
 			// Pin the as-built epoch, then move the instance past it: the
 			// pinned width-1 run must answer from the old edge set under the
 			// old epoch while the new one is current.
-			old := inst.AcquirePin()
+			old := inst.Store().Acquire()
 			defer old.Release()
 			for _, b := range batches {
-				if _, err := inst.ApplyUpdates(b, lookup); err != nil {
+				if _, err := inst.Store().ApplyUpdates(b, lookup); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if st := inst.StoreStats(); st.Compactions != 0 || st.OverlayNNZ == 0 {
+			if st := inst.Store().Stats(); st.Compactions != 0 || st.OverlayNNZ == 0 {
 				t.Fatalf("want the batches pending in the overlay, got %+v", st)
 			}
 			after := checkWidth1(t, "pending overlay", spec, inst)
@@ -162,7 +162,7 @@ func TestBatchWidth1IsTheScalarRun(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameAsScalar(t, "pin taken before the updates", before[src], got)
-				if got.Epoch == inst.Epoch() {
+				if got.Epoch == inst.Store().Epoch() {
 					t.Fatalf("old pin answered under the current epoch %d", got.Epoch)
 				}
 				block, err := inst.(blockOracle).blockK1(ctx, old, p, src)

@@ -35,12 +35,6 @@ func conformanceParams(s Spec) Params {
 	return p
 }
 
-// foreignPin is a Pin no instance handed out.
-type foreignPin struct{}
-
-func (foreignPin) Epoch() uint64 { return 0 }
-func (foreignPin) Release()      {}
-
 func TestRegistryConformance(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 8, Seed: 42, MaxWeight: 10})
 	ctx := context.Background()
@@ -50,7 +44,7 @@ func TestRegistryConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := inst.NumVertices()
+			n := inst.Store().NumVertices()
 			p := conformanceParams(spec)
 			want, err := inst.Run(p, nil)
 			if err != nil {
@@ -58,7 +52,7 @@ func TestRegistryConformance(t *testing.T) {
 			}
 
 			t.Run("batchable iff RunBatch is supported", func(t *testing.T) {
-				pin := inst.AcquirePin()
+				pin := inst.Store().Acquire()
 				defer pin.Release()
 				_, errPinned := inst.RunBatch(ctx, pin, p, nil)
 				batch, err := inst.RunBatch(ctx, nil, p, nil)
@@ -87,8 +81,14 @@ func TestRegistryConformance(t *testing.T) {
 				if _, err := inst.Run(p, new(int)); err == nil {
 					t.Error("Run accepted scratch of a foreign type")
 				}
-				if _, err := inst.RunBatch(ctx, foreignPin{}, p, nil); err == nil {
-					t.Error("RunBatch accepted a pin no instance handed out")
+				other, err := NewStore(spec.Key, adj.Clone(), 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pin := other.Acquire()
+				defer pin.Release()
+				if _, err := inst.RunBatch(ctx, pin, p, nil); err == nil {
+					t.Error("RunBatch accepted a pin of another store")
 				}
 			})
 
@@ -181,11 +181,15 @@ func TestRegistryConformance(t *testing.T) {
 			})
 
 			t.Run("Open is bit-identical to Build", func(t *testing.T) {
-				img, err := inst.SnapImage(7)
+				img, err := inst.Store().SnapImage(7)
 				if err != nil {
 					t.Fatal(err)
 				}
-				opened, err := spec.Open(img)
+				st, err := OpenStore(spec.Key, img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opened, err := spec.Bind(st)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,7 +6,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"strings"
 
 	"graphmat"
 )
@@ -53,9 +52,7 @@ type Params struct {
 // Key returns a canonical cache key for the parameters. Threads and Mode are
 // excluded: neither can change the result, only how fast it arrives.
 func (p Params) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "src=%d;srcs=%v;it=%d;tol=%g;r=%g", p.Source, p.Sources, p.Iterations, p.Tolerance, p.RestartProb)
-	return b.String()
+	return fmt.Sprintf("src=%d;srcs=%v;it=%d;tol=%g;r=%g", p.Source, p.Sources, p.Iterations, p.Tolerance, p.RestartProb)
 }
 
 func (p Params) config() graphmat.Config {
@@ -72,9 +69,8 @@ type Result struct {
 	Count  *int64               `json:"count,omitempty"`
 	Stats  graphmat.Stats       `json:"stats"`
 	// Epoch is the snapshot version the run executed against: 0 for the
-	// as-built graph, +1 per update batch applied to the algorithm's property
-	// graph before the run started — through this instance or any other bound
-	// to the same store (Spec.Bind). A run in flight keeps its epoch whatever
+	// as-built graph, +1 per update batch applied to the algorithm's Store
+	// before the run started. A run in flight keeps its epoch whatever
 	// updates land meanwhile.
 	Epoch uint64 `json:"epoch"`
 }
@@ -115,13 +111,12 @@ type ParamSpec struct {
 	set func(p *Params, raw any) error
 }
 
-// Instance is an algorithm bound to a built property graph, ready to run
-// queries. The property graph is versioned: ApplyUpdates publishes a new
-// epoch, runs pin the epoch current when they start, and a run in flight is
-// never disturbed by updates landing under it. A pinned snapshot is edges
-// only: every run, scalar or batch, allocates its own vertex state, so runs
-// on one Instance may proceed concurrently, and ApplyUpdates may race freely
-// with them — that is the point.
+// Instance is an algorithm bound to a Store, ready to run queries. The store
+// is versioned: Store.ApplyUpdates publishes a new epoch, runs pin the epoch
+// current when they start, and a run in flight is never disturbed by updates
+// landing under it. A pinned snapshot is edges only: every run, scalar or
+// batch, allocates its own vertex state, so runs on one Instance may proceed
+// concurrently, and updates may race freely with them — that is the point.
 type Instance interface {
 	// Run executes the algorithm. scratch, if non-nil, must be a value
 	// returned by NewScratch on an instance over the same graph; nil
@@ -139,60 +134,28 @@ type Instance interface {
 	// multi-source block run: chunks of up to graphmat.MaxBlockSources share
 	// each adjacency sweep, and per-source results are bit-identical to the
 	// corresponding single-source Run calls. pin, when non-nil, is a snapshot
-	// the caller pinned with AcquirePin — the run executes on exactly that
-	// epoch's edge set, whatever updates landed since, and the pin stays
-	// owned by the caller (Release after the call returns); nil pins the
-	// current snapshot for the duration of the call. A batch run of any
-	// width keeps all vertex state in scratch allocated per run and never
-	// writes the snapshot's. Algorithms with no source parameter return
-	// ErrBatchUnsupported (their Spec says Batchable: false).
+	// the caller pinned with Store().Acquire — the run executes on exactly
+	// that epoch's edge set, whatever updates landed since, and the pin stays
+	// owned by the caller (Release after the call returns); a pin of another
+	// store is an error. nil pins the current snapshot for the duration of
+	// the call. A batch run of any width keeps all vertex state in scratch
+	// allocated per run and never writes the snapshot's. Algorithms with no
+	// source parameter return ErrBatchUnsupported (their Spec says
+	// Batchable: false).
 	RunBatch(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error)
-	// AcquirePin pins the instance's current property-graph snapshot and
-	// hands ownership to the caller: exactly one Release per pin. The
-	// serving layer's admission batcher pins at admission time so a batch
-	// window that straddles an update still answers every waiter from the
-	// epoch its batch key promised.
-	AcquirePin() Pin
 	// NewScratch allocates the reusable engine workspace for this
 	// (algorithm, graph) pair, for callers that pool scratch across runs.
 	NewScratch() any
-	// NumVertices reports the built property graph's vertex count.
-	NumVertices() uint32
-	// NumEdges reports the current snapshot's property edge count.
-	NumEdges() int64
-	// ApplyUpdates applies a batch of RAW edge updates, translated through
-	// the algorithm's preprocessing (self-loop removal, symmetrization,
-	// upper-triangle restriction), and publishes a new snapshot epoch.
-	// lookup must reflect the raw edge set AFTER the batch; algorithms whose
-	// preprocessing keeps edges directed ignore it and accept nil.
-	ApplyUpdates(batch []EdgeUpdate, lookup EdgeLookup) (UpdateResult, error)
-	// Epoch reports the property graph's current snapshot epoch: the update
-	// batches applied to its store, by every instance bound to it.
-	Epoch() uint64
-	// StoreStats exposes the versioned store's counters (overlay size,
-	// compactions, pinned snapshots).
-	StoreStats() graphmat.StoreStats
-	// SnapImage captures a persistable GMATSNAP image of the property
-	// graph's current state, compacting any pending overlay first. tag is
-	// the serving layer's consistency mark (the raw master-copy epoch the
-	// image reflects), stored verbatim.
-	SnapImage(tag uint64) (*graphmat.SnapImage, error)
-	// OnCompact registers the property-graph store's persistent-mode hook:
-	// fn runs synchronously after every compaction publish, before the
-	// write that triggered it returns. See graphmat.Store.OnCompact for
-	// the constraints on fn.
-	OnCompact(fn func(epoch uint64))
+	// Store returns the store the algorithm is bound to: its updates, epoch,
+	// counters and snapshot image.
+	Store() *Store
 }
 
-// Pin is one pinned property-graph snapshot, held across calls so a run
-// can be scheduled now and executed later against the same epoch. Epoch
-// reports the pinned version; Release discharges the pin (exactly once).
-// Values are produced by Instance.AcquirePin and consumed by
-// Instance.RunBatch.
-type Pin interface {
-	Epoch() uint64
-	Release()
-}
+// Pin is one pinned snapshot of a Store, held across calls so a run can be
+// scheduled now and executed later against the same epoch. Epoch reports
+// the pinned version; Release discharges the pin (exactly once). Values are
+// produced by Store.Acquire and consumed by Instance.RunBatch.
+type Pin = *graphmat.Snapshot[any, float32]
 
 // Spec is one registry entry.
 type Spec struct {
@@ -205,26 +168,18 @@ type Spec struct {
 	// For the built-in algorithms it is derived from the row having a batch
 	// closure, so it cannot disagree with what RunBatch does.
 	Batchable bool `json:"batchable"`
-	// Build constructs the algorithm's property graph from adjacency
-	// triples, applying the algorithm's preprocessing. The input is
-	// consumed (sorted, deduplicated, possibly symmetrized in place); pass
-	// a clone to keep the original.
+	// Build constructs the algorithm's store from adjacency triples and binds
+	// the algorithm to it: NewStore(Key, adj, partitions), then Bind. The
+	// input is consumed (sorted, deduplicated, possibly symmetrized in
+	// place); pass a clone to keep the original.
 	Build func(adj *graphmat.COO[float32], partitions int) (Instance, error) `json:"-"`
-	// Open rebuilds the algorithm's instance from a persisted snapshot
-	// image of its property graph (written by Instance.SnapImage) without
-	// re-running Build's preprocessing or any partition construction: the
-	// image already IS the preprocessed, partitioned graph. This is the
-	// instant-restart path; results must be bit-identical to an instance
-	// Built from the original input — the snapshot differential suite
-	// asserts it for every registered algorithm.
-	Open func(img *graphmat.SnapImage) (Instance, error) `json:"-"`
-	// Key names the property graph Build makes and Open restores; every
-	// algorithm of one key builds the same one (see StoreKey).
+	// Key names the property graph the algorithm runs on; every algorithm of
+	// one key runs on the same one (see StoreKey).
 	Key StoreKey `json:"-"`
-	// Bind returns this algorithm's Instance over other's store, copying
-	// nothing: updates applied through either instance reach both. It fails
-	// when other was not made by a registry Spec or its key is not Key.
-	Bind func(other Instance) (Instance, error) `json:"-"`
+	// Bind returns this algorithm's Instance over st, copying nothing: updates
+	// applied to st reach every instance bound to it. It fails when st's key
+	// is not Key.
+	Bind func(st *Store) (Instance, error) `json:"-"`
 }
 
 // engineParams are accepted by every algorithm: both are engine performance
@@ -335,15 +290,6 @@ func asFloat(v any) (float64, error) {
 
 var registry = map[string]Spec{}
 
-// Register adds a spec to the registry; duplicate names panic (registration
-// happens at init time).
-func Register(s Spec) {
-	if _, dup := registry[s.Name]; dup {
-		panic("algorithms: duplicate registration of " + s.Name)
-	}
-	registry[s.Name] = s
-}
-
 // Lookup returns the spec registered under name.
 func Lookup(name string) (Spec, bool) {
 	s, ok := registry[name]
@@ -388,8 +334,8 @@ var (
 
 // algo is one row of the algorithm table: everything the registry needs to
 // serve a vertex program over property type V. The row is the single place an
-// algorithm's preprocessing kind is stated — its New*Graph and New*Store
-// constructors, Spec.Build, Spec.Open and the live-update translation all
+// algorithm's preprocessing kind is stated — its StoreKey, its New*Graph and
+// New*Store constructors, Spec.Build and the live-update translation all
 // derive from it.
 type algo[V any] struct {
 	name, desc string
@@ -521,42 +467,37 @@ var (
 
 // register publishes a row as a Spec and returns it, so the table's var
 // block both names each row (for the New*Graph constructors) and registers
-// it in one statement. A single-source row's scalar run is its batch of one.
+// it in one statement; a duplicate name panics (registration happens at init
+// time). A single-source row's scalar run is its batch of one.
 func register[V any](a *algo[V]) *algo[V] {
+	if _, dup := registry[a.name]; dup {
+		panic("algorithms: duplicate registration of " + a.name)
+	}
 	if a.run == nil {
 		a.run = a.batchOfOne
 	}
 	key := a.key()
-	bind := func(st *graphmat.Store[any, float32], err error) (Instance, error) {
-		if err != nil {
-			return nil, err
+	bind := func(st *Store) (Instance, error) {
+		if st.key != key {
+			return nil, fmt.Errorf("algorithms: binding %s (%s) to a %s store", a.name, key, st.key)
 		}
-		return &instance[V]{liveGraph{store: st, key: key}, a}, nil
+		return &instance[V]{st, a}, nil
 	}
-	Register(Spec{
+	registry[a.name] = Spec{
 		Name:        a.name,
 		Description: a.desc,
 		Params:      a.params,
 		Batchable:   a.batch != nil,
 		Build: func(adj *graphmat.COO[float32], partitions int) (Instance, error) {
-			return bind(a.newStore(adj, partitions))
-		},
-		Open: func(img *graphmat.SnapImage) (Instance, error) {
-			return bind(graphmat.NewStoreFromImage[any](img))
-		},
-		Key: key,
-		Bind: func(other Instance) (Instance, error) {
-			shared, ok := other.(interface{ live() liveGraph })
-			if !ok {
-				return nil, fmt.Errorf("algorithms: binding %s: %T is not a registry instance", a.name, other)
+			st, err := NewStore(key, adj, partitions)
+			if err != nil {
+				return nil, err
 			}
-			l := shared.live()
-			if l.key != key {
-				return nil, fmt.Errorf("algorithms: binding %s (%s) to a %s store", a.name, key, l.key)
-			}
-			return &instance[V]{l, a}, nil
+			return bind(st)
 		},
-	})
+		Key:  key,
+		Bind: bind,
+	}
 	return a
 }
 
@@ -570,20 +511,15 @@ func (a *algo[V]) key() StoreKey {
 	return StoreKey{kind: a.kind, directions: dirs}
 }
 
-// buildOptions is the graph-construction half of the row. The input is
-// consumed: preprocess rewrites it in place.
-func (a *algo[V]) buildOptions(adj *graphmat.COO[float32], partitions int) graphmat.Options {
-	a.kind.preprocess(adj)
-	return graphmat.Options{Partitions: partitions, Directions: a.directions}
-}
-
+// newGraph builds the row's graph; the input is consumed.
 func (a *algo[V]) newGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[V, float32], error) {
-	return graphmat.New[V](adj, a.buildOptions(adj, partitions))
+	return graphmat.New[V](adj, a.key().buildOptions(adj, partitions))
 }
 
-// newStore builds the row's store; a store has no vertex type (Store's V is unused).
+// newStore builds the row's versioned store; a store has no vertex type
+// (Store's V is unused).
 func (a *algo[V]) newStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[any, float32], error) {
-	return graphmat.NewStore[any](adj, a.buildOptions(adj, partitions))
+	return graphmat.NewStore[any](adj, a.key().buildOptions(adj, partitions))
 }
 
 // bindSources decides, once for every algorithm, what a scalar run's source
@@ -635,14 +571,15 @@ func withState[V any](g *graphmat.Edges[float32]) *graphmat.Graph[V, float32] {
 }
 
 // instance is the package's only Instance struct: a table row bound to a
-// versioned property graph. V is the vertex property type of the state its
-// runs allocate.
+// Store. V is the vertex property type of the state its runs allocate.
 type instance[V any] struct {
-	liveGraph
-	row *algo[V]
+	store *Store
+	row   *algo[V]
 }
 
-func (i *instance[V]) NewScratch() any { return i.row.scratch(int(i.NumVertices())) }
+func (i *instance[V]) Store() *Store { return i.store }
+
+func (i *instance[V]) NewScratch() any { return i.row.scratch(int(i.store.NumVertices())) }
 
 func (i *instance[V]) Run(p Params, scratch any) (Result, error) {
 	return i.RunContext(context.Background(), p, scratch, nil)
@@ -652,7 +589,7 @@ func (i *instance[V]) Run(p Params, scratch any) (Result, error) {
 // sources, pin a snapshot, run on it with the caller's (type-checked by the
 // Run function) or fresh scratch, stamp the pinned epoch.
 func (i *instance[V]) RunContext(ctx context.Context, p Params, scratch any, obs Observer) (Result, error) {
-	if err := i.row.bindSources(&p, i.NumVertices()); err != nil {
+	if err := i.row.bindSources(&p, i.store.NumVertices()); err != nil {
 		return Result{}, err
 	}
 	snap := i.store.Acquire()
@@ -662,10 +599,10 @@ func (i *instance[V]) RunContext(ctx context.Context, p Params, scratch any, obs
 	return res, err
 }
 
-// RunBatch coerces a caller's Pin back to this instance's snapshot type. A
-// mismatch means the caller pinned a different algorithm's graph — surfaced
-// as an error, not a panic, because the serving layer routes pins across
-// goroutines. The batch functions range-check the sources themselves.
+// RunBatch runs on the caller's pin or, with none, on one it takes for the
+// call. A pin of another store is an error, not a panic, because the serving
+// layer routes pins across goroutines. The batch functions range-check the
+// sources themselves.
 func (i *instance[V]) RunBatch(ctx context.Context, pin Pin, p Params, obs Observer) (BatchResult, error) {
 	if i.row.batch == nil {
 		return BatchResult{}, ErrBatchUnsupported
@@ -675,16 +612,15 @@ func (i *instance[V]) RunBatch(ctx context.Context, pin Pin, p Params, obs Obser
 		defer own.Release()
 		pin = own
 	}
-	snap, ok := pin.(*graphmat.Snapshot[any, float32])
-	if !ok || snap.Store() != i.store {
-		return BatchResult{}, fmt.Errorf("algorithms: pin of type %T does not belong to this algorithm's property graph", pin)
+	if pin.Store() != i.store.versioned {
+		return BatchResult{}, fmt.Errorf("algorithms: the pin (epoch %d) is not a snapshot of %s's %s store", pin.Epoch(), i.row.name, i.store.key)
 	}
 	sources := p.Sources
 	if len(sources) == 0 {
 		sources = []uint32{p.Source}
 	}
-	values, stats, err := i.row.batch(ctx, snap.Graph(), sources, p.option(nil, obs))
-	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: snap.Epoch()}, err
+	values, stats, err := i.row.batch(ctx, pin.Graph(), sources, p.option(nil, obs))
+	return BatchResult{Sources: sources, Values: values, Stats: stats, Epoch: pin.Epoch()}, err
 }
 
 // option lowers parsed parameters plus a run's scratch and observer into the

@@ -74,7 +74,7 @@ func TestInstanceScalarRunsShareNoState(t *testing.T) {
 		}
 	}
 	for a, name := range names {
-		if pinned := insts[a].StoreStats().Pinned; pinned != 0 {
+		if pinned := insts[a].Store().Stats().Pinned; pinned != 0 {
 			t.Errorf("%s: %d snapshots still pinned after the runs", name, pinned)
 		}
 	}

@@ -42,14 +42,11 @@ func TestSnapDifferentialAllAlgorithmsAllModes(t *testing.T) {
 		}
 		t.Run(algo, func(t *testing.T) {
 			spec, _ := Lookup(algo)
-			if spec.Open == nil {
-				t.Fatalf("%s has no Open constructor: every registered algorithm must boot from a snapshot", algo)
-			}
 			heap, err := spec.Build(baseAdj.Clone(), 6)
 			if err != nil {
 				t.Fatal(err)
 			}
-			img, err := heap.SnapImage(99)
+			img, err := heap.Store().SnapImage(99)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,12 +62,16 @@ func TestSnapDifferentialAllAlgorithmsAllModes(t *testing.T) {
 			if sf.Image().Tag != 99 {
 				t.Errorf("tag = %d, want the writer's mark 99", sf.Image().Tag)
 			}
-			mapped, err := spec.Open(sf.Image())
+			st, err := OpenStore(spec.Key, sf.Image())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mapped.NumEdges() != heap.NumEdges() {
-				t.Fatalf("edge counts diverge: mapped %d vs heap %d", mapped.NumEdges(), heap.NumEdges())
+			mapped, err := spec.Bind(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mapped.Store().NumEdges() != heap.Store().NumEdges() {
+				t.Fatalf("edge counts diverge: mapped %d vs heap %d", mapped.Store().NumEdges(), heap.Store().NumEdges())
 			}
 
 			for _, mode := range []graphmat.Mode{graphmat.Pull, graphmat.Push, graphmat.Auto} {
@@ -137,11 +138,11 @@ func TestSnapDifferentialAllAlgorithmsAllModes(t *testing.T) {
 					t.Fatal(err)
 				}
 				lookup := NewRawEdgeLookup(m)
-				refApply, err := heap.ApplyUpdates(b, lookup)
+				refApply, err := heap.Store().ApplyUpdates(b, lookup)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotApply, err := mapped.ApplyUpdates(b, lookup)
+				gotApply, err := mapped.Store().ApplyUpdates(b, lookup)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -168,7 +168,7 @@ func TestStoreDifferentialAllAlgorithmsAllModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, b := range batches {
-				res, err := updated.ApplyUpdates(b, lookup)
+				res, err := updated.Store().ApplyUpdates(b, lookup)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -180,8 +180,8 @@ func TestStoreDifferentialAllAlgorithmsAllModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if updated.NumEdges() != fresh.NumEdges() {
-				t.Fatalf("edge counts diverge: updated %d vs fresh %d", updated.NumEdges(), fresh.NumEdges())
+			if updated.Store().NumEdges() != fresh.Store().NumEdges() {
+				t.Fatalf("edge counts diverge: updated %d vs fresh %d", updated.Store().NumEdges(), fresh.Store().NumEdges())
 			}
 			// Push first: forced push folds every frontier edge whatever the
 			// layout, so the two push runs agree on every tally and are what
@@ -337,11 +337,11 @@ func TestStoreBatchOverOverlay(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, b := range batches {
-				if _, err := updated.ApplyUpdates(b, lookup); err != nil {
+				if _, err := updated.Store().ApplyUpdates(b, lookup); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if st := updated.StoreStats(); st.Compactions != 0 {
+			if st := updated.Store().Stats(); st.Compactions != 0 {
 				t.Fatalf("fixture: the updates compacted the overlay away: %+v", st)
 			}
 			fresh, err := spec.Build(equivalent.Clone(), 6)
@@ -412,12 +412,12 @@ func TestStoreDifferentialAfterCompaction(t *testing.T) {
 			if m, err = graphmat.ApplyToAdjacency(m, b); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := updated.ApplyUpdates(b, NewRawEdgeLookup(m)); err != nil {
+			if _, err := updated.Store().ApplyUpdates(b, NewRawEdgeLookup(m)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if updated.StoreStats().Compactions == 0 {
-			t.Fatalf("%s: churn did not trigger compaction: %+v", algo, updated.StoreStats())
+		if updated.Store().Stats().Compactions == 0 {
+			t.Fatalf("%s: churn did not trigger compaction: %+v", algo, updated.Store().Stats())
 		}
 		fresh, err := spec.Build(equivalent.Clone(), 5)
 		if err != nil {

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"slices"
@@ -40,11 +41,11 @@ func TestStoreKeys(t *testing.T) {
 	}
 }
 
-// TestBindSharesTheStore binds every algorithm to an instance of another
-// algorithm of its key. Updates applied through the owner reach the bound
-// instance — same store, same epoch — and its answers stay bit-identical to
-// a solo Build of the same raw edges at the same epoch. Binding across keys
-// or to an instance the registry did not make fails.
+// TestBindSharesTheStore binds every algorithm to the store of an instance
+// of another algorithm of its key. Updates applied to that store reach the
+// bound instance — same store, same epoch — and its answers stay
+// bit-identical to a solo Build of the same raw edges at the same epoch.
+// Binding across keys fails.
 func TestBindSharesTheStore(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 10, EdgeFactor: 4, Seed: 31, MaxWeight: 9})
 	byKey := map[StoreKey][]Spec{}
@@ -70,7 +71,7 @@ func TestBindSharesTheStore(t *testing.T) {
 		}
 		bound := make([]Instance, len(specs))
 		for i, spec := range specs {
-			if bound[i], err = spec.Bind(owner); err != nil {
+			if bound[i], err = spec.Bind(owner.Store()); err != nil {
 				t.Fatalf("%s: binding to %s's store: %v", spec.Name, specs[0].Name, err)
 			}
 		}
@@ -79,12 +80,12 @@ func TestBindSharesTheStore(t *testing.T) {
 			if raw, err = graphmat.ApplyToAdjacency(raw, b); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := owner.ApplyUpdates(b, NewRawEdgeLookup(raw)); err != nil {
+			if _, err := owner.Store().ApplyUpdates(b, NewRawEdgeLookup(raw)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i, spec := range specs {
-			if got := bound[i].Epoch(); got != uint64(len(batches)) {
+			if got := bound[i].Store().Epoch(); got != uint64(len(batches)) {
 				t.Errorf("%s (%s): bound epoch %d, want %d", spec.Name, key, got, len(batches))
 			}
 			solo, err := spec.Build(final.Clone(), 4)
@@ -104,7 +105,7 @@ func TestBindSharesTheStore(t *testing.T) {
 				t.Errorf("%s: result epoch %d, want %d", spec.Name, res.Epoch, len(batches))
 			}
 		}
-		if st := owner.StoreStats(); st.Pinned != 0 || st.Batches != int64(len(batches)) {
+		if st := owner.Store().Stats(); st.Pinned != 0 || st.Batches != int64(len(batches)) {
 			t.Errorf("%s: store after the runs = %+v", key, st)
 		}
 	}
@@ -114,13 +115,50 @@ func TestBindSharesTheStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := byKey[keys[0]][0].Bind(other); err == nil || !strings.Contains(err.Error(), keys[1].String()) {
+	if _, err := byKey[keys[0]][0].Bind(other.Store()); err == nil || !strings.Contains(err.Error(), keys[1].String()) {
 		t.Errorf("binding a %s algorithm to a %s store: err = %v", keys[0], keys[1], err)
-	}
-	if _, err := byKey[keys[0]][0].Bind(foreignInstance{other}); err == nil {
-		t.Error("binding to an instance the registry did not make succeeded")
 	}
 }
 
-// foreignInstance is an Instance the registry did not make.
-type foreignInstance struct{ Instance }
+// TestRunBatchRejectsAnotherKeysPin hands every batchable algorithm a pin of
+// a store of another key: the run must fail, naming the store it expected,
+// and leave both stores unpinned once the caller releases.
+func TestRunBatchRejectsAnotherKeysPin(t *testing.T) {
+	adj := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 4, Seed: 5, MaxWeight: 9})
+	stores := map[StoreKey]*Store{}
+	for _, spec := range Specs() {
+		if stores[spec.Key] != nil {
+			continue
+		}
+		st, err := NewStore(spec.Key, adj.Clone(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[spec.Key] = st
+	}
+	for _, spec := range Specs() {
+		if !spec.Batchable {
+			continue
+		}
+		inst, err := spec.Bind(stores[spec.Key])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key, other := range stores {
+			if key == spec.Key {
+				continue
+			}
+			pin := other.Acquire()
+			_, err := inst.RunBatch(context.Background(), pin, Params{Sources: []uint32{0, 1}}, nil)
+			pin.Release()
+			if err == nil || !strings.Contains(err.Error(), spec.Key.String()) {
+				t.Errorf("%s given a pin of the %s store: err = %v", spec.Name, key, err)
+			}
+		}
+	}
+	for key, st := range stores {
+		if pinned := st.Stats().Pinned; pinned != 0 {
+			t.Errorf("%s store: %d pins left", key, pinned)
+		}
+	}
+}

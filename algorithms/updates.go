@@ -141,62 +141,94 @@ func symState(src, dst uint32, wOwn float32, okOwn bool, wRev float32, okRev boo
 	}
 }
 
-// liveGraph is the store-backed half every registry instance embeds: the
-// versioned property graph and the key it was built by, implementing the
-// Instance interface's update and epoch surface. It is the half instances of
-// one key share: Spec.Bind copies it, never the store. A store holds no
-// vertex state, so its vertex type parameter is unused (any).
-type liveGraph struct {
-	store *graphmat.Store[any, float32]
-	key   StoreKey
+// Store is one property graph: the versioned store (graphmat.Store) a
+// StoreKey's preprocessing builds from the raw edges. Spec.Bind binds an
+// algorithm of the key to it, copying nothing, so a batch applied to the
+// Store reaches every algorithm bound to it; runs pin a snapshot (Acquire)
+// and never see updates that land under them. A store holds no vertex state,
+// so the versioned store's vertex type parameter is unused (any).
+type Store struct {
+	versioned *graphmat.Store[any, float32]
+	key       StoreKey
 }
 
-// live exposes the shared half of any registry instance to Spec.Bind.
-func (l *liveGraph) live() liveGraph { return *l }
+// NewStore builds key's property graph from adjacency triples: the key's
+// preprocessing, then the partitioned build of its directions. The input is
+// consumed (sorted, deduplicated, possibly symmetrized in place); pass a
+// clone to keep the original.
+func NewStore(key StoreKey, adj *graphmat.COO[float32], partitions int) (*Store, error) {
+	st, err := graphmat.NewStore[any](adj, key.buildOptions(adj, partitions))
+	if err != nil {
+		return nil, err
+	}
+	return &Store{versioned: st, key: key}, nil
+}
+
+// OpenStore rebuilds key's property graph from a snapshot image of it
+// (Store.SnapImage) without re-running the preprocessing or any partition
+// construction — the instant-restart path. Results are bit-identical to a
+// store NewStore built from the original input; the snapshot differential
+// suite asserts it for every registered algorithm.
+func OpenStore(key StoreKey, img *graphmat.SnapImage) (*Store, error) {
+	st, err := graphmat.NewStoreFromImage[any](img)
+	if err != nil {
+		return nil, err
+	}
+	return &Store{versioned: st, key: key}, nil
+}
+
+// buildOptions applies the key's preprocessing to adj in place and returns
+// the options of the graph build over it.
+func (k StoreKey) buildOptions(adj *graphmat.COO[float32], partitions int) graphmat.Options {
+	k.kind.preprocess(adj)
+	return graphmat.Options{Partitions: partitions, Directions: k.directions}
+}
+
+// Key reports the key the store was built or opened by.
+func (s *Store) Key() StoreKey { return s.key }
+
+// Acquire pins the current snapshot and hands ownership to the caller:
+// exactly one Release per pin.
+func (s *Store) Acquire() Pin { return s.versioned.Acquire() }
 
 // ApplyUpdates translates a raw edge batch through the key's preprocessing
 // and applies it to the property graph, publishing a new snapshot epoch. Runs
-// in flight keep their pinned epoch. Every instance bound to the store sees
-// the batch: apply it through one of them.
-func (l *liveGraph) ApplyUpdates(batch []EdgeUpdate, lookup EdgeLookup) (UpdateResult, error) {
-	prop, err := translateUpdates(l.key.kind, batch, lookup)
+// in flight keep their pinned epoch. lookup must reflect the raw edge set
+// AFTER the batch; keys whose preprocessing keeps edges directed ignore it
+// and accept nil.
+func (s *Store) ApplyUpdates(batch []EdgeUpdate, lookup EdgeLookup) (UpdateResult, error) {
+	prop, err := translateUpdates(s.key.kind, batch, lookup)
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	return l.store.ApplyEdges(prop)
+	return s.versioned.ApplyEdges(prop)
 }
 
-// Epoch reports the property graph's current snapshot epoch: the batches
-// applied to the store, through any instance bound to it.
-func (l *liveGraph) Epoch() uint64 { return l.store.Epoch() }
+// Epoch reports the current snapshot epoch: the update batches applied to
+// the store.
+func (s *Store) Epoch() uint64 { return s.versioned.Epoch() }
 
-// StoreStats exposes the underlying store's counters (overlay size,
-// compactions, pinned snapshots).
-func (l *liveGraph) StoreStats() graphmat.StoreStats { return l.store.Stats() }
+// Stats exposes the versioned store's counters (overlay size, compactions,
+// pinned snapshots).
+func (s *Store) Stats() graphmat.StoreStats { return s.versioned.Stats() }
 
 // NumVertices reports the property graph's vertex count (fixed across
 // epochs).
-func (l *liveGraph) NumVertices() uint32 { return l.store.NumVertices() }
+func (s *Store) NumVertices() uint32 { return s.versioned.NumVertices() }
 
 // NumEdges reports the current snapshot's property edge count.
-func (l *liveGraph) NumEdges() int64 { return l.store.NumEdges() }
+func (s *Store) NumEdges() int64 { return s.versioned.NumEdges() }
 
 // SnapImage captures a persistable GMATSNAP image of the property graph,
-// compacting any pending overlay first (the snapshot format carries base
-// structures only; the WAL owns whatever landed since).
-func (l *liveGraph) SnapImage(tag uint64) (*graphmat.SnapImage, error) {
-	return graphmat.StoreImage(l.store, tag)
+// compacting any pending overlay first (the format carries base structures
+// only). tag is a caller's consistency mark, stored verbatim.
+func (s *Store) SnapImage(tag uint64) (*graphmat.SnapImage, error) {
+	return graphmat.StoreImage(s.versioned, tag)
 }
 
 // OnCompact registers the store's persistent-mode hook; see
-// graphmat.Store.OnCompact for the constraints on fn.
-func (l *liveGraph) OnCompact(fn func(epoch uint64)) { l.store.OnCompact(fn) }
-
-// AcquirePin pins the current property-graph snapshot, transferring
-// ownership (and the one-Release obligation) to the caller.
-func (l *liveGraph) AcquirePin() Pin {
-	return l.store.Acquire()
-}
+// graphmat.Store.OnCompact for when fn runs and its constraints.
+func (s *Store) OnCompact(fn func(epoch uint64)) { s.versioned.OnCompact(fn) }
 
 // NewRawEdgeLookup adapts a normalized raw adjacency (row-major sorted,
 // deduplicated — graphmat.NormalizeAdjacency) into the EdgeLookup oracle

@@ -200,7 +200,7 @@ func main() {
 		if master, err = graphmat.ApplyToAdjacency(master, batch); err != nil {
 			fatal("%v", err)
 		}
-		res, err := inst.ApplyUpdates(batch, algorithms.NewRawEdgeLookup(master))
+		res, err := inst.Store().ApplyUpdates(batch, algorithms.NewRawEdgeLookup(master))
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -412,11 +412,11 @@ func snapConvert(args []string) {
 		if !ok {
 			fatal("unknown algorithm %q (have %s)", *algo, strings.Join(algorithms.Names(), ", "))
 		}
-		inst, err := spec.Build(adj, *partitions)
+		store, err := algorithms.NewStore(spec.Key, adj, *partitions)
 		if err != nil {
 			fatal("%v", err)
 		}
-		if img, err = inst.SnapImage(0); err != nil {
+		if img, err = store.SnapImage(0); err != nil {
 			fatal("%v", err)
 		}
 	}

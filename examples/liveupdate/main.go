@@ -28,12 +28,14 @@ func main() {
 	}
 	adj.Add(0, 1, 1)
 
-	// The registry's build path gives us a versioned store under the hood.
+	// The registry's build path gives us a versioned store under the hood:
+	// the algorithm runs on it, and the batches below go to it.
 	spec, _ := algorithms.Lookup("pagerank")
 	inst, err := spec.Build(adj.Clone(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}
+	live := inst.Store()
 	// The raw master copy: updates are translated against it (the serving
 	// layer keeps exactly this).
 	master := adj
@@ -54,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("epoch %d: top page is %d (rank %.3f), %d edges\n",
-		res.Epoch, top(res), res.Values[top(res)], inst.NumEdges())
+		res.Epoch, top(res), res.Values[top(res)], live.NumEdges())
 
 	// The crowd moves on: batches strip the hub's inlinks and point them at
 	// site 42. Each batch is one POST /v1/graphs/{name}/edges in graphmatd.
@@ -70,12 +72,12 @@ func main() {
 		if master, err = graphmat.ApplyToAdjacency(master, batch); err != nil {
 			log.Fatal(err)
 		}
-		upd, err := inst.ApplyUpdates(batch, algorithms.NewRawEdgeLookup(master))
+		upd, err := live.ApplyUpdates(batch, algorithms.NewRawEdgeLookup(master))
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("batch %d: epoch %d, +%d -%d property edges, overlay %d entries, compacted=%v\n",
-			b+1, upd.Epoch, upd.Inserted, upd.Deleted, inst.StoreStats().OverlayNNZ, upd.Compacted)
+			b+1, upd.Epoch, upd.Inserted, upd.Deleted, live.Stats().OverlayNNZ, upd.Compacted)
 	}
 
 	res, err = inst.Run(algorithms.Params{Iterations: 20}, nil)
@@ -83,9 +85,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("epoch %d: top page is now %d (rank %.3f), %d edges\n",
-		res.Epoch, top(res), res.Values[top(res)], inst.NumEdges())
+		res.Epoch, top(res), res.Values[top(res)], live.NumEdges())
 
-	st := inst.StoreStats()
+	st := live.Stats()
 	fmt.Printf("store: %d batches, %d compactions, overlay %d entries over %d base edges\n",
 		st.Batches, st.Compactions, st.OverlayNNZ, st.BaseEdges)
 

@@ -32,8 +32,8 @@ import (
 // batchKey identifies requests that may share one block run. The epoch is
 // part of the key so requests straddling an update batch never share a
 // snapshot they would disagree about; the params key has the source stripped
-// (that is the dimension being batched over). The epoch is the instance
-// store's snapshot epoch, read from the pin taken at admission — the same
+// (that is the dimension being batched over). The epoch is the snapshot
+// epoch of the algorithm's store, read from the pin taken at admission — the same
 // snapshot the run will use, so the promise the key makes is the one the
 // result keeps.
 type batchKey struct {
@@ -98,12 +98,16 @@ func (b *batcher) submit(ctx context.Context, g *GraphEntry, algo string, p algo
 	// epoch the run uses are then the same pinned snapshot by construction,
 	// so an update landing while the batch waits for the instance cannot
 	// skew it onto a newer edge set than its waiters were promised.
-	pin := ai.inst.AcquirePin()
+	pin := ai.store.Acquire()
 	key := batchKey{g: g, algo: algo, epoch: pin.Epoch(), params: sharedParamsKey(p)}
 	b.mu.Lock()
 	b.submitted++
 	pb, joined := b.pending[key]
-	if !joined {
+	if joined {
+		// The open batch already holds the pin its key promises; this
+		// request's own pin was only needed to compute the key.
+		pin.Release()
+	} else {
 		pb = &pendingBatch{p: p, pin: pin, done: make(chan struct{})}
 		b.pending[key] = pb
 	}
@@ -115,11 +119,7 @@ func (b *batcher) submit(ctx context.Context, g *GraphEntry, algo string, p algo
 		delete(b.pending, key)
 	}
 	b.mu.Unlock()
-	if joined {
-		// The open batch already holds the pin its key promises; this
-		// request's own pin was only needed to compute the key.
-		pin.Release()
-	} else {
+	if !joined {
 		go b.dispatch(key, pb)
 	}
 	select {

@@ -234,7 +234,7 @@ func TestBatcherOpenerMayLeave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := ai.inst.StoreStats(); st.Pinned != 0 {
+	if st := ai.store.Stats(); st.Pinned != 0 {
 		t.Errorf("%d snapshots still pinned after the batch ran", st.Pinned)
 	}
 }
@@ -258,7 +258,7 @@ func TestBatcherFailedRunClosesAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := ai.inst.StoreStats(); st.Pinned != 0 {
+	if st := ai.store.Stats(); st.Pinned != 0 {
 		t.Errorf("%d snapshots still pinned after the run failed", st.Pinned)
 	}
 }

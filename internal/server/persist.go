@@ -74,6 +74,11 @@ type persister struct {
 	wal *snap.WAL
 	man *snap.Manifest
 
+	// closed is set when the graph is deleted (remove): every later write is
+	// refused, so a deleted entry cannot write into the directory a
+	// re-registration of its name creates. Set under updMu and mu.
+	closed bool
+
 	// maps holds every snapshot mapping opened at boot, for the process
 	// lifetime: the entry's current state may reference mapped arrays until
 	// the first compaction folds them onto the heap, and pinned older epochs
@@ -102,6 +107,27 @@ func newPersister(dir string) (*persister, error) {
 	return &persister{dir: dir}, nil
 }
 
+// errDeleted is the error of every write of a deleted graph's persister.
+var errDeleted = fmt.Errorf("%w: the graph was deleted", ErrGraphNotFound)
+
+// remove retires a deleted graph's persistence: the log is closed, every
+// later write is refused and the directory is removed. The mappings stay
+// open: runs in flight, and the deleted entry's stores, may still read them,
+// and a mapping outlives its unlinked file. Caller holds the entry's updMu.
+func (p *persister) remove() error {
+	p.mu.Lock()
+	p.closed = true
+	if p.wal != nil {
+		p.wal.Close()
+		p.wal = nil
+	}
+	p.mu.Unlock()
+	if err := os.RemoveAll(p.dir); err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	return nil
+}
+
 func (p *persister) closeAll() {
 	for _, m := range p.maps {
 		m.Close()
@@ -124,6 +150,9 @@ func (p *persister) logBatch(epoch uint64, batch []graphmat.EdgeUpdate) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return errDeleted
+	}
 	if p.wal == nil {
 		return fmt.Errorf("persist: no open WAL for %s", p.dir)
 	}
@@ -139,6 +168,9 @@ func (p *persister) logBatch(epoch uint64, batch []graphmat.EdgeUpdate) error {
 // deleted after the flip; the previous generation stays as the fallback
 // target.
 func (p *persister) checkpoint(g *GraphEntry) error {
+	if p.closed {
+		return errDeleted
+	}
 	adj := g.master.Fold()
 	g.verMu.RLock()
 	tag, updates := g.epoch, g.updates
@@ -196,11 +228,11 @@ func (p *persister) checkpoint(g *GraphEntry) error {
 // writeStore writes st's image at tag and makes it the store's file.
 // Caller holds the entry's updMu.
 func (p *persister) writeStore(st *propStore, tag uint64) error {
-	img, err := st.inst.SnapImage(tag)
+	img, err := st.SnapImage(tag)
 	if err != nil {
-		return fmt.Errorf("persist: imaging the %s store: %w", st.key, err)
+		return fmt.Errorf("persist: imaging the %s store: %w", st.Key(), err)
 	}
-	name := storeFileName(st.key, tag)
+	name := storeFileName(st.Key(), tag)
 	if err := snap.Write(filepath.Join(p.dir, name), img); err != nil {
 		return err
 	}
@@ -217,6 +249,9 @@ func (p *persister) writeStore(st *propStore, tag uint64) error {
 // are skipped for the store — the build already contained them. Caller
 // holds the entry's updMu.
 func (p *persister) persistBinding(g *GraphEntry, algo string, st *propStore) error {
+	if p.closed {
+		return errDeleted
+	}
 	if st.file == "" {
 		if err := p.writeStore(st, g.Epoch()); err != nil {
 			return err
@@ -284,15 +319,6 @@ func (p *persister) maybeCheckpoint(g *GraphEntry) {
 
 // markDirty is every persisted store's OnCompact hook.
 func (p *persister) markDirty(uint64) { p.dirty.Store(true) }
-
-// onBind captures a new binding into the manifest. Called under updMu, right
-// after the lazy bind. A failure is counted, not returned: the WAL holds every
-// batch, and the next checkpoint captures the store.
-func (p *persister) onBind(g *GraphEntry, algo string, ai *algoInstance) {
-	if err := p.persistBinding(g, algo, ai.store); err != nil {
-		p.checkpointErrs.Add(1)
-	}
-}
 
 // masterImage wraps the raw master's folded base as a snapshot image
 // (Directions 0: dims and row-major triples only).
@@ -404,7 +430,7 @@ func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, 
 			continue
 		}
 		spec, known := algorithms.Lookup(algo)
-		if !known || spec.Open == nil {
+		if !known {
 			continue // an algorithm this build no longer registers; rebuild lazily
 		}
 		algos[spec.Key] = append(algos[spec.Key], spec)
@@ -418,13 +444,13 @@ func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, 
 		if err != nil {
 			return nil, err
 		}
-		owner, err := specs[0].Open(img)
+		store, err := algorithms.OpenStore(key, img)
 		if err != nil {
 			return nil, fmt.Errorf("persist: opening the %s store from %s: %w", key, file, err)
 		}
-		st := &propStore{key: key, inst: owner, file: file}
+		st := &propStore{Store: store, file: file}
 		for _, spec := range specs {
-			inst, err := spec.Bind(owner)
+			inst, err := spec.Bind(store)
 			if err != nil {
 				return nil, fmt.Errorf("persist: binding %s to the %s store: %w", spec.Name, key, err)
 			}
@@ -463,7 +489,7 @@ func (r *Registry) loadGeneration(name, source, dir string, gen *snap.Manifest, 
 	}
 
 	for _, st := range entry.stores {
-		st.inst.OnCompact(p.markDirty)
+		st.OnCompact(p.markDirty)
 	}
 	if p.replayedBatches > 0 {
 		p.boot = "snapshot+wal"
@@ -515,8 +541,8 @@ func replayBatch(entry *GraphEntry, tags map[*propStore]uint64, b snap.WALBatch)
 		if b.Epoch <= tag {
 			continue
 		}
-		if _, err := st.inst.ApplyUpdates(batch, entry.master.Lookup); err != nil {
-			return fmt.Errorf("persist: replaying WAL batch for epoch %d into the %s store: %w", b.Epoch, st.key, err)
+		if _, err := st.ApplyUpdates(batch, entry.master.Lookup); err != nil {
+			return fmt.Errorf("persist: replaying WAL batch for epoch %d into the %s store: %w", b.Epoch, st.Key(), err)
 		}
 	}
 	entry.epoch = b.Epoch

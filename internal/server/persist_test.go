@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"testing"
 
 	"graphmat/algorithms"
@@ -510,5 +512,111 @@ func TestPersistBootsLegacyAuxSections(t *testing.T) {
 		if l, f := clock.ReplaceAll(lbody, nil), clock.ReplaceAll(fbody, nil); !bytes.Equal(l, f) {
 			t.Errorf("bfs from %d after legacy boot:\n%s\nfresh build:\n%s", src, l, f)
 		}
+	}
+}
+
+// TestDeleteDurableGraphThenReRegister deletes a durable graph that has a
+// store file and a logged batch, then registers a different graph under the
+// same name: the new source must be parsed, not the deleted graph booted from
+// its manifest, and the directory must hold only the new generation. A
+// writer racing the delete stops at it, and a handle to the deleted entry
+// kept across the delete may still run queries, but an update through it
+// fails and nothing it does reaches the directory.
+func TestDeleteDurableGraphThenReRegister(t *testing.T) {
+	dir := t.TempDir()
+	reg := NewRegistry(0, 1, dir)
+	old, err := reg.Add("g", Source{Generator: "grid", Width: 8, Height: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	batch := []algorithms.EdgeUpdate{{Src: 0, Dst: 63, Val: 2}}
+	if _, _, err := old.ApplyEdges(batch); err != nil {
+		t.Fatal(err)
+	}
+	// The writer's last batch starts after Remove returned, if none failed
+	// before.
+	stop, writerDone := make(chan struct{}), make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				_, _, err := old.ApplyEdges(batch)
+				writerDone <- err
+				return
+			default:
+			}
+			if _, _, err := old.ApplyEdges(batch); err != nil {
+				writerDone <- err
+				return
+			}
+		}
+	}()
+	if err := reg.Remove("g"); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	if err := <-writerDone; !errors.Is(err, ErrGraphNotFound) {
+		t.Fatalf("writer racing the delete stopped with %v, want ErrGraphNotFound", err)
+	}
+
+	src := Source{Generator: "grid", Width: 20, Height: 20, Seed: 1}
+	entry, err := reg.Add("g", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entry.NumVertices() != 400 || entry.Source() != src.Describe() || entry.Epoch() != 0 {
+		t.Fatalf("re-registered g: %d vertices, source %q, epoch %d; want 400, %q, 0",
+			entry.NumVertices(), entry.Source(), entry.Epoch(), src.Describe())
+	}
+	if boot := entry.PersistStats().Boot; boot != "created" {
+		t.Fatalf("re-registered g booted %q, want created", boot)
+	}
+	gdir := filepath.Join(dir, "g")
+	listing := func() []string {
+		t.Helper()
+		des, err := os.ReadDir(gdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(des))
+		for i, de := range des {
+			names[i] = de.Name()
+		}
+		return names
+	}
+	want := []string{snap.CurrentFile, masterFileName(0), walFileName(0)}
+	slices.Sort(want)
+	if got := listing(); !slices.Equal(got, want) {
+		t.Fatalf("directory after re-registration = %v, want only the new generation %v", got, want)
+	}
+	if man, err := snap.ReadManifest(gdir); err != nil || man.Prev != nil || len(man.Files) != 1 {
+		t.Fatalf("manifest after re-registration = %+v, %v; want one generation, master only", man, err)
+	}
+
+	// The stale handle: an update fails as a deleted graph's, a first query
+	// of a new algorithm runs but persists no binding.
+	if _, _, err := old.ApplyEdges(batch); !errors.Is(err, ErrGraphNotFound) {
+		t.Fatalf("update through the deleted entry: err = %v, want ErrGraphNotFound", err)
+	}
+	if _, err := old.RunContext(t.Context(), "sssp", algorithms.Params{Source: 0}, nil); err != nil {
+		t.Fatalf("query through the deleted entry: %v", err)
+	}
+	if got := listing(); !slices.Equal(got, want) {
+		t.Fatalf("directory after the deleted entry's writes = %v, want %v", got, want)
+	}
+	if ps := entry.PersistStats(); ps.WALBatches != 0 || entry.Epoch() != 0 {
+		t.Fatalf("new entry after the deleted entry's update: %+v, epoch %d", ps, entry.Epoch())
+	}
+
+	// A restart boots the new graph.
+	entry2, err := NewRegistry(0, 1, dir).Add("g", mustNotParseSource(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entry2.NumVertices() != 400 || entry2.Epoch() != 0 {
+		t.Fatalf("rebooted g: %d vertices, epoch %d; want 400, 0", entry2.NumVertices(), entry2.Epoch())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"maps"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,12 +84,10 @@ type GraphEntry struct {
 	pers *persister
 }
 
-// propStore is one property graph of an entry: the versioned store every
-// algorithm of its key is bound to, reached through the instance that built
-// or opened it.
+// propStore is one property graph of an entry: the store every algorithm of
+// its key is bound to.
 type propStore struct {
-	key  algorithms.StoreKey
-	inst algorithms.Instance
+	*algorithms.Store
 	// file is the snapshot file the store's image was last written to or
 	// opened from, "" until it has one; persistence state, under the entry's
 	// updMu.
@@ -200,10 +197,10 @@ func (r *Registry) publish(entry *GraphEntry) (*GraphEntry, error) {
 
 // AddCOO registers already-parsed adjacency triples under name — the upload
 // path, where the edges arrived in the request body rather than from a
-// Source. The entry lazily builds per-algorithm property graphs exactly like
-// a Source-loaded graph. The triples are normalized in place into the
-// canonical master form (every builder deduplicates the same way, so results
-// are unchanged) and become the master's base.
+// Source. The entry lazily builds its stores, one per preprocessing key,
+// exactly like a Source-loaded graph. The triples are normalized in place
+// into the canonical master form (every builder deduplicates the same way,
+// so results are unchanged) and become the master's base.
 func (r *Registry) AddCOO(name, source string, adj *sparse.COO[float32]) (*GraphEntry, error) {
 	if name == "" || strings.ContainsAny(name, "\x00/") {
 		return nil, fmt.Errorf("invalid graph name %q", name)
@@ -249,26 +246,33 @@ func (r *Registry) Has(entry *GraphEntry) bool {
 }
 
 // Remove unregisters a graph; in-flight runs on the entry finish normally.
+// A durable graph's state goes with it: once no update batch or checkpoint
+// of the entry is in flight (its updMu), the persister closes the log,
+// refuses every later write and removes the graph's directory, so a later
+// registration of the name parses its own source instead of booting the
+// deleted graph. The registry stays locked until the directory is gone, so
+// that registration cannot find it half removed.
 func (r *Registry) Remove(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.graphs[name]; !ok {
+	entry, ok := r.graphs[name]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrGraphNotFound, name)
 	}
 	delete(r.graphs, name)
-	return nil
+	if entry.pers == nil {
+		return nil
+	}
+	entry.updMu.Lock()
+	defer entry.updMu.Unlock()
+	return entry.pers.remove()
 }
 
 // Names returns the registered graph names, sorted.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.graphs))
-	for n := range r.graphs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(r.graphs))
 }
 
 // Name returns the graph's registered name.
@@ -350,7 +354,7 @@ func (g *GraphEntry) ApplyEdges(batch []algorithms.EdgeUpdate) (uint64, map[stri
 	applied := make(map[*propStore]graphmat.ApplyResult)
 	var fanErr error
 	for _, st := range g.builtStores() {
-		res, err := st.inst.ApplyUpdates(batch, g.master.Lookup)
+		res, err := st.ApplyUpdates(batch, g.master.Lookup)
 		if err != nil {
 			// The master already advanced and earlier stores applied;
 			// surface the divergence loudly rather than hiding it, but
@@ -358,7 +362,7 @@ func (g *GraphEntry) ApplyEdges(batch []algorithms.EdgeUpdate) (uint64, map[stri
 			// and leaving the epoch behind would let post-batch results be
 			// cached under the old key forever. (With ids validated by the
 			// master's Check above, translation cannot fail in practice.)
-			fanErr = fmt.Errorf("applying updates to %s's %s store: %w", g.name, st.key, err)
+			fanErr = fmt.Errorf("applying updates to %s's %s store: %w", g.name, st.Key(), err)
 			break
 		}
 		applied[st] = res
@@ -407,12 +411,7 @@ func (g *GraphEntry) eachBound(fn func(algo string, st *propStore)) {
 func (g *GraphEntry) BuiltAlgorithms() []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	names := make([]string, 0, len(g.insts))
-	for n := range g.insts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(g.insts))
 }
 
 // instance returns the built (graph, algorithm) pair, binding the algorithm
@@ -426,9 +425,13 @@ func (g *GraphEntry) instance(algo string) (*algoInstance, error) {
 	}
 	if added && g.pers != nil {
 		// Outside g.mu (the capture takes the update lock, which nests
-		// outside the instance lock everywhere else).
+		// outside the instance lock everywhere else). A failure is counted,
+		// not returned: the WAL holds every batch, and the next checkpoint
+		// captures the store.
 		g.updMu.Lock()
-		g.pers.onBind(g, algo, ai)
+		if err := g.pers.persistBinding(g, algo, ai.store); err != nil {
+			g.pers.checkpointErrs.Add(1)
+		}
 		g.updMu.Unlock()
 	}
 	return ai, nil
@@ -450,17 +453,17 @@ func (g *GraphEntry) lockedInstance(algo string) (*algoInstance, bool, error) {
 	}
 	st := g.stores[spec.Key]
 	if st == nil {
-		owner, err := spec.Build(g.master.Materialize(), g.partitions)
+		store, err := algorithms.NewStore(spec.Key, g.master.Materialize(), g.partitions)
 		if err != nil {
 			return nil, false, fmt.Errorf("building %s graph for %s: %w", algo, g.name, err)
 		}
 		if g.pers != nil {
-			owner.OnCompact(g.pers.markDirty)
+			store.OnCompact(g.pers.markDirty)
 		}
-		st = &propStore{key: spec.Key, inst: owner}
+		st = &propStore{Store: store}
 		g.stores[spec.Key] = st
 	}
-	inst, err := spec.Bind(st.inst)
+	inst, err := spec.Bind(st.Store)
 	if err != nil {
 		return nil, false, fmt.Errorf("binding %s to %s's %s store: %w", algo, g.name, spec.Key, err)
 	}
@@ -558,7 +561,7 @@ func (g *GraphEntry) Stores() []StoreInfo {
 	out := make([]StoreInfo, 0, len(bound))
 	for st, algos := range bound {
 		slices.Sort(algos)
-		out = append(out, StoreInfo{Key: st.key.String(), Algorithms: algos, Store: st.inst.StoreStats()})
+		out = append(out, StoreInfo{Key: st.Key().String(), Algorithms: algos, Store: st.Stats()})
 	}
 	slices.SortFunc(out, func(a, b StoreInfo) int { return strings.Compare(a.Key, b.Key) })
 	return out
@@ -567,10 +570,7 @@ func (g *GraphEntry) Stores() []StoreInfo {
 // Stats snapshots the per-algorithm tallies for this graph.
 func (g *GraphEntry) Stats() map[string]AlgoStats {
 	g.mu.Lock()
-	insts := make(map[string]*algoInstance, len(g.insts))
-	for n, ai := range g.insts {
-		insts[n] = ai
-	}
+	insts := maps.Clone(g.insts)
 	g.mu.Unlock()
 
 	out := make(map[string]AlgoStats, len(insts))
@@ -584,7 +584,7 @@ func (g *GraphEntry) Stats() map[string]AlgoStats {
 			BatchedSources: ai.batchedSources.Load(),
 			Engine:         engine,
 			Counters:       counterSet(engine, wall),
-			Store:          ai.inst.StoreStats(),
+			Store:          ai.store.Stats(),
 		}
 	}
 	return out

@@ -241,9 +241,9 @@ func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 
 // handleUploadGraph is the upload half of POST /v1/graphs: build the graph from
 // the request body and register it. An uploaded graph is indistinguishable
-// from one loaded at boot — same registry entry, same lazily built
-// per-algorithm property graphs — so /run results match a boot-loaded copy
-// of the same edges exactly.
+// from one loaded at boot — same registry entry, same lazily built stores,
+// one per preprocessing key — so /run results match a boot-loaded copy of the
+// same edges exactly.
 func (s *Server) handleUploadGraph(w http.ResponseWriter, r *http.Request, format string) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
@@ -304,9 +304,10 @@ type updateResponse struct {
 	// Updates is the raw batch size accepted.
 	Updates    int     `json:"updates"`
 	DurationMS float64 `json:"duration_ms"`
-	// Instances reports what the batch did to each built property graph
-	// (inserted/deleted/updated counts are post-preprocessing, so a raw
-	// insert can appear as two symmetrized property edges).
+	// Instances reports, per built algorithm, what the batch did to the
+	// store the algorithm is bound to: algorithms of one store key show the
+	// same result (inserted/deleted/updated counts are post-preprocessing,
+	// so a raw insert can appear as two symmetrized property edges).
 	Instances map[string]graphmat.ApplyResult `json:"instances"`
 }
 
@@ -314,10 +315,9 @@ type updateResponse struct {
 // batch — NDJSON ({"src","dst","weight","del"} per line) or the text form
 // ([add|del] src dst [weight]); ?format=ndjson|edgelist overrides the
 // first-byte sniff. The batch lands atomically: the master adjacency
-// advances one epoch, every built algorithm instance receives the batch
-// through its own preprocessing, and cached results of older epochs are
-// dropped. Queries running while the batch lands finish on the snapshot
-// they pinned.
+// advances one epoch, every built store receives the batch once, through its
+// key's preprocessing, and cached results of older epochs are dropped.
+// Queries running while the batch lands finish on the snapshot they pinned.
 func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
 	g, err := s.reg.Get(r.PathValue("name"))
 	if err != nil {
@@ -360,12 +360,13 @@ func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
 	s.cache.invalidateGraph(g.Name())
 	if err != nil {
 		// Only a batch the master's validation rejected is the client's
-		// fault. A failed WAL append left everything at the old epoch; an
-		// instance fan-out divergence happened after the batch became
-		// durable and the epoch advanced. Both are server faults.
+		// fault, and a graph deleted after the lookup above is not found. A
+		// failed WAL append left everything at the old epoch; a store that
+		// failed to apply the batch diverged after it became durable and the
+		// epoch advanced. Both are server faults.
 		code := http.StatusInternalServerError
-		if errors.Is(err, ErrInvalidBatch) {
-			code = http.StatusBadRequest
+		if errors.Is(err, ErrInvalidBatch) || errors.Is(err, ErrGraphNotFound) {
+			code = errorCode(err)
 		}
 		writeError(w, code, "%v", err)
 		return
@@ -390,11 +391,13 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if err := s.reg.Remove(name); err != nil {
+	err := s.reg.Remove(name)
+	// Even a Remove whose directory deletion failed unregistered the graph.
+	s.cache.invalidateGraph(name)
+	if err != nil {
 		writeError(w, errorCode(err), "%v", err)
 		return
 	}
-	s.cache.invalidateGraph(name)
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 

@@ -175,7 +175,7 @@ func TestWidth1RacesBlockRunsScalarRunsAndUpdates(t *testing.T) {
 		if epoch == batches {
 			break
 		}
-		if _, err := oracle.ApplyUpdates(updates[epoch], nil); err != nil {
+		if _, err := oracle.Store().ApplyUpdates(updates[epoch], nil); err != nil {
 			t.Fatal(err)
 		}
 	}

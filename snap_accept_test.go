@@ -72,7 +72,7 @@ func TestSnapshotRestart18(t *testing.T) {
 
 	// Checkpoint the built instance — what graphmatd's -data-dir does after
 	// registration — then time the restart path: map the file and assemble.
-	img, err := heap.SnapImage(1)
+	img, err := heap.Store().SnapImage(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,11 @@ func TestSnapshotRestart18(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst, err := spec.Open(sf.Image())
+		st, err := algorithms.OpenStore(spec.Key, sf.Image())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := spec.Bind(st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +107,11 @@ func TestSnapshotRestart18(t *testing.T) {
 
 	// First query straight off the mapping: no rebuild may have happened,
 	// and the distances must match the on-heap oracle bit for bit.
-	if got := mapped.StoreStats(); got.Compactions != 0 {
+	if got := mapped.Store().Stats(); got.Compactions != 0 {
 		t.Fatalf("mapped instance rebuilt before first query: %+v", got)
 	}
-	if mapped.NumEdges() != heap.NumEdges() {
-		t.Fatalf("edge counts diverge: mapped %d vs heap %d", mapped.NumEdges(), heap.NumEdges())
+	if mapped.Store().NumEdges() != heap.Store().NumEdges() {
+		t.Fatalf("edge counts diverge: mapped %d vs heap %d", mapped.Store().NumEdges(), heap.Store().NumEdges())
 	}
 	queryStart := time.Now()
 	gotRes, err := mapped.Run(algorithms.Params{Source: 0}, nil)

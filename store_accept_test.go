@@ -60,7 +60,7 @@ func TestLiveUpdateBFS18(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	upd, err := live.ApplyUpdates(batch, algorithms.NewRawEdgeLookup(master))
+	upd, err := live.Store().ApplyUpdates(batch, algorithms.NewRawEdgeLookup(master))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +126,8 @@ func TestLiveUpdateBFS18(t *testing.T) {
 	freshRunTime := time.Since(freshStart)
 
 	// Identity: quiet-root and hub-root BFS, bit for bit.
-	if live.NumEdges() != fresh.NumEdges() {
-		t.Fatalf("edge counts diverge: live %d vs fresh %d", live.NumEdges(), fresh.NumEdges())
+	if live.Store().NumEdges() != fresh.Store().NumEdges() {
+		t.Fatalf("edge counts diverge: live %d vs fresh %d", live.Store().NumEdges(), fresh.Store().NumEdges())
 	}
 	for v := range freshRes.Values {
 		if math.Float64bits(liveDist[v]) != math.Float64bits(freshRes.Values[v]) {
@@ -150,7 +150,7 @@ func TestLiveUpdateBFS18(t *testing.T) {
 	t.Logf("scale %d (%d procs): live apply %v + run %v = %v; re-ingest %v + run %v = %v (%.1fx, batch %d, overlay %d)",
 		scale, runtime.GOMAXPROCS(0), applyTime, liveRunTime, liveTotal,
 		buildTime, freshRunTime, oldTotal,
-		float64(oldTotal)/float64(liveTotal), len(batch), live.StoreStats().OverlayNNZ)
+		float64(oldTotal)/float64(liveTotal), len(batch), live.Store().Stats().OverlayNNZ)
 	if timed && liveTotal*5 > oldTotal {
 		t.Errorf("live update path %v not ≥5× faster than re-ingest %v at GOMAXPROCS=%d",
 			liveTotal, oldTotal, runtime.GOMAXPROCS(0))
