@@ -163,9 +163,11 @@ test-cpus:
 # batches but before any checkpoint reboots from snapshot + WAL with every
 # acked batch intact, a torn snapshot falls back to the previous generation,
 # and a deleted graph's durable state goes with it, so a re-registration of
-# its name parses its own source. `test` runs these too; the separate target
-# keeps crash safety visible as its own gate. CI runs this target.
+# its name parses its own source, and of two registrations of one name racing
+# each other only the winner writes the name's directory. `test` runs these
+# too; the separate target keeps crash safety visible as its own gate. CI
+# runs this target.
 crash:
-	$(GO) test -run='TestPersistCrashRecovery|TestPersistTornSnapshotFallback|TestDeleteDurableGraphThenReRegister' -v -count=1 ./internal/server
+	$(GO) test -run='TestPersistCrashRecovery|TestPersistTornSnapshotFallback|TestDeleteDurableGraphThenReRegister|TestConcurrentDurableAddOneName' -v -count=1 ./internal/server
 
 ci: build lint test examples bench-module kernel-parity race fuzz test-cpus crash

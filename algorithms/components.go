@@ -39,6 +39,10 @@ func (CCProgram) Direction() graphmat.Direction { return graphmat.Out }
 // destination property, enabling the backend's fast path.
 func (CCProgram) ProcessIgnoresDst() {}
 
+// Semiring declares the (min, passthrough) uint32 fold, routing the scalar
+// engine's column folds through its call-free min loop.
+func (CCProgram) Semiring() graphmat.Semiring { return graphmat.SemiringMinU32 }
+
 // NewCCGraph builds the connected-components graph: self-loops removed and
 // the edge set symmetrized so components are those of the underlying
 // undirected graph. The input is consumed.

@@ -80,6 +80,10 @@ const (
 	// declares FirstMessageFinal folds one column mask per edge, not one
 	// value per (edge, source).
 	SemiringBoolean = core.SemiringBoolean
+	// SemiringMinU32 is the (min, passthrough) monoid over uint32 (label
+	// propagation, connected components): a one-column fold with no
+	// callback in its per-edge loop, scalar on every backend.
+	SemiringMinU32 = core.SemiringMinU32
 )
 
 // SemiringFold is the optional marker through which a program declares its

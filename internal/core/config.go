@@ -106,7 +106,7 @@ const (
 	// callback goes through an interface value. It does NOT inline the
 	// callbacks: Go 1.24 compiles one body per GC shape and calls a type
 	// parameter's methods through that body's dictionary, so a CPU profile
-	// shows CCProgram.Reduce, CCProgram.ProcessMessage or SSSPProgram.Apply
+	// shows tcPhase2.Reduce, CFProgram.ProcessMessage or SSSPProgram.Apply
 	// as frames of their own. What the paper's -ipo (§4.5 item 2) buys by
 	// inlining, this engine buys where it matters with the fused sinks of
 	// the declared semirings (SemiringFold), whose per-edge loops call

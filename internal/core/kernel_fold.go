@@ -9,11 +9,12 @@ import (
 // the walks of kernel.go feed when the output is one reduction vector, and
 // the seam to the arch-dispatched fold primitives in internal/kernels.
 // scalarSink resolves a program to its sink once per run: the fused float64
-// sum fold or a fused float32 path-semiring fold when the program declares
-// one (SemiringFold) and the element types really match, the generic
-// callback loop otherwise — with the row walk's gather beside it when the
-// program declares FirstMessageFinal. A boolean program folds generically
-// here: a one-column fold has no column masks to shrink to.
+// sum fold, a fused float32 path-semiring fold or the fused uint32 min fold
+// when the program declares one (SemiringFold) and the element types really
+// match, the generic callback loop otherwise — with the row walk's gather
+// beside it when the program declares FirstMessageFinal. A boolean program
+// folds generically here: a one-column fold has no column masks to shrink
+// to.
 
 // scalarSink resolves program p's column fold from message vector x into
 // reduction vector y. The result only reads p and views of the vectors'
@@ -35,6 +36,12 @@ func scalarSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *sparse.Vector[M],
 		// only when E is.
 		if s, okE := any(&pathSinkF32{kind: sr, yw: yw, x: xv, y: yv}).(colSink[E]); okX && okY && okE {
 			return s
+		}
+	case SemiringMinU32:
+		xv, okX := any(x.Values()).([]uint32)
+		yv, okY := any(y.Values()).([]uint32)
+		if okX && okY {
+			return &minSinkU32[E]{yw: yw, x: xv, y: yv}
 		}
 	}
 	_, dstFree := any(p).(DstIndependent)
@@ -66,14 +73,60 @@ func (s *sumSinkF64[E]) foldFlat(ir []uint32, _ []E, src []uint32) {
 	kernels.FlatAddF64(s.yw, s.y, ir, src, s.x)
 }
 
+// minSinkU32 is the (min, passthrough) uint32 fold: the builtin min or a
+// first write per edge, in the generic fold's argument order, and no call.
+// It stays scalar on every backend for FlatAddF64's reason: the loop is a
+// dependent gather feeding a scatter.
+type minSinkU32[E any] struct {
+	yw   []uint64
+	x, y []uint32
+}
+
+func (s *minSinkU32[E]) fold(ir []uint32, _ []E, cols []colRef) int {
+	yw, y := s.yw, s.y
+	edges := 0
+	for _, c := range cols {
+		m := s.x[c.j]
+		irc := ir[c.lo:c.hi]
+		edges += len(irc)
+		for _, dst := range irc {
+			w := &yw[dst>>6]
+			bit := uint64(1) << (dst & 63)
+			if *w&bit != 0 {
+				y[dst] = min(y[dst], m)
+			} else {
+				y[dst] = m
+				*w |= bit
+			}
+		}
+	}
+	return edges
+}
+
+func (s *minSinkU32[E]) foldFlat(ir []uint32, _ []E, src []uint32) {
+	x, yw, y := s.x, s.yw, s.y
+	src = src[:len(ir)]
+	for k, dst := range ir {
+		m := x[src[k]]
+		w := &yw[dst>>6]
+		bit := uint64(1) << (dst & 63)
+		if *w&bit != 0 {
+			y[dst] = min(y[dst], m)
+		} else {
+			y[dst] = m
+			*w |= bit
+		}
+	}
+}
+
 // foldSink is the generic fold: ProcessMessage on every edge, Reduce on
 // collisions, first writes stored raw under a mask bit. Messages and results
 // stay unboxed, but the two callbacks are real calls: Go instantiates the
 // loop per GC shape, not per program, and calls P's methods through the
-// instantiation's dictionary, so a profile shows e.g. CCProgram.Reduce as
-// its own frame. The fused sinks (sumSinkF64, pathSinkF32) are where this
-// engine gets what compiling the C++ with -ipo (§4.5 item 2) gets: a
-// per-edge loop with no call in it.
+// instantiation's dictionary, so a profile shows e.g. tcPhase2.Reduce as
+// its own frame. The fused sinks (sumSinkF64, pathSinkF32, minSinkU32) are
+// where this engine gets what compiling the C++ with -ipo (§4.5 item 2)
+// gets: a per-edge loop with no call in it.
 type foldSink[V, E, M, R any, P Program[V, E, M, R]] struct {
 	p P
 	// dstFree: the program declared ProcessMessage ignores the destination

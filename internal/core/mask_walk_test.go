@@ -231,10 +231,11 @@ func sinkKind[V, M any, P Program[V, float32, M, M]](p P, k int) string {
 }
 
 // TestSemiringSinks pins which sink each declaration resolves to, per width:
-// a fused fold only where the element types match the declared semiring, the
-// column-mask fold only for a boolean FirstMessageFinal program at two or
-// more columns, and the value fold — with the gather beside it for a
-// FirstMessageFinal program — everywhere else.
+// a fused fold only where the element types match the declared semiring (the
+// uint32 min fold at one column only), the column-mask fold only for a
+// boolean FirstMessageFinal program at two or more columns, and the value
+// fold — with the gather beside it for a FirstMessageFinal program —
+// everywhere else.
 func TestSemiringSinks(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -245,6 +246,8 @@ func TestSemiringSinks(t *testing.T) {
 		{"minplus_f32", func(k int) string { return sinkKind[float32, float32](ssspFused{}, k) }, "pathSinkF32", "blockPathSinkF32"},
 		{"maxmin_f32", func(k int) string { return sinkKind[float32, float32](widestFused{}, k) }, "pathSinkF32", "blockPathSinkF32"},
 		{"sum_f64_wrong_types", func(k int) string { return sinkKind[uint32, uint32](sumOverWords{}, k) }, "foldSink", "blockFoldSink"},
+		{"min_u32", func(k int) string { return sinkKind[uint32, uint32](ccFused{}, k) }, "minSinkU32", "blockFoldSink"},
+		{"min_u32_wrong_types", func(k int) string { return sinkKind[float32, float32](minOverFloats{}, k) }, "foldSink", "blockFoldSink"},
 		{"boolean_first", func(k int) string { return sinkKind[uint32, uint32](bfsBoolean{}, k) }, "gatherSink", "blockMaskSink"},
 		{"none_first", func(k int) string { return sinkKind[uint32, uint32](bfsFirst{}, k) }, "gatherSink", "blockGatherSink"},
 		{"boolean_without_first", func(k int) string { return sinkKind[uint32, uint32](booleanOnly{}, k) }, "foldSink", "blockFoldSink"},
@@ -270,6 +273,12 @@ func (booleanOnly) Semiring() Semiring { return SemiringBoolean }
 type sumOverWords struct{ bfsProg }
 
 func (sumOverWords) Semiring() Semiring { return SemiringSumF64 }
+
+// minOverFloats declares the uint32 min over float32 values, which the fused
+// min sink cannot fold.
+type minOverFloats struct{ ssspProg }
+
+func (minOverFloats) Semiring() Semiring { return SemiringMinU32 }
 
 // floodProg floods each source's label through its column: a vertex is
 // unsettled while its label is 0 and takes the label that first reaches it.

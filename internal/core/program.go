@@ -68,9 +68,9 @@ type VertexID = uint32
 // Optional marker interfaces let a program tell the backend what its
 // callbacks cannot say: DstIndependent (ProcessMessage ignores the
 // destination), SemiringFold (the fold is a known semiring — float64 sum,
-// a float32 path semiring or boolean — which the sinks fuse or shrink to a
-// column mask), FirstMessageFinal (the first message to reach a vertex
-// decides it, so dense supersteps may gather by destination),
+// a float32 path semiring, uint32 min or boolean — which the sinks fuse or
+// shrink to a column mask), FirstMessageFinal (the first message to reach a
+// vertex decides it, so dense supersteps may gather by destination),
 // AllVerticesActive (every vertex of a live column is active on every
 // superstep, so Apply's result decides only convergence). Each is a promise
 // the differential suites hold the program to.
@@ -197,6 +197,13 @@ const (
 	// (vertex, column) the column's one value (blockMaskSink). A one-column
 	// run folds as it would without the declaration.
 	SemiringBoolean
+	// SemiringMinU32 is the (min, passthrough) monoid over uint32:
+	// ProcessMessage returns the message unchanged — bit for bit, for every
+	// edge value and destination — and Reduce is the builtin min. Label
+	// propagation (connected components) is this shape. A one-column run
+	// folds it in a loop that calls nothing (minSinkU32), scalar on every
+	// backend; a block run of two or more columns folds it generically.
+	SemiringMinU32
 )
 
 // SemiringFold is the optional marker through which a program declares its

@@ -101,12 +101,13 @@ type walkCase struct {
 	blockProps map[int][]uint64
 
 	// The same partition, fresh build and frontier with float32 edge values
-	// and float messages, for the fused sum and path sinks (a pathSinkF32 is
-	// a colSink[float32] only).
+	// and float or uint32 messages, for the fused sum, path and min sinks (a
+	// pathSinkF32 is a colSink[float32] only).
 	lf     sparse.Layered[float32]
 	freshf *sparse.DCSC[float32]
 	xf64   *sparse.Vector[float64]
 	xf32   *sparse.Vector[float32]
+	xu32   *sparse.Vector[uint32] // labels, for the fused uint32 min sink
 }
 
 // f32Twin is d with its edge values mapped to small float32 weights; the
@@ -213,7 +214,7 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, bare bool) *walkCa
 
 	c.props = make([]uint64, n)
 	c.x = sparse.NewVector[uint64](n)
-	c.xf64, c.xf32 = sparse.NewVector[float64](n), sparse.NewVector[float32](n)
+	c.xf64, c.xf32, c.xu32 = sparse.NewVector[float64](n), sparse.NewVector[float32](n), sparse.NewVector[uint32](n)
 	c.blocks = map[int]*BlockVector[uint64]{2: NewBlockVector[uint64](n, 2), 3: NewBlockVector[uint64](n, 3)}
 	c.blockProps = map[int][]uint64{}
 	prng := gen.NewRNG(seed ^ 0xB10C) // its own stream: the draws below keep their sequence
@@ -234,6 +235,7 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, bare bool) *walkCa
 		// on the order of the adds.
 		c.xf64.Set(uint32(v), math.Ldexp(1+float64(m>>12)/(1<<52), int(m%41)-20))
 		c.xf32.Set(uint32(v), float32(m%4096)/16)
+		c.xu32.Set(uint32(v), uint32(m>>32))
 		for k, b := range c.blocks {
 			cm := uint64(1 + rng.Intn(1<<k-1))
 			b.summary.Set(uint32(v))
@@ -532,11 +534,12 @@ func blockFold[P interface {
 
 // folds lists every sink the walks feed: the generic scalar fold with and
 // without the destination read and with the row walk's gather beside it, the
-// three fused scalar folds, and the block fold at two widths, each with the
+// four fused scalar folds, and the block fold at two widths, each with the
 // k-wide gather beside it.
 func (c *walkCase) folds() []walkFold {
 	u64 := func(r uint64) uint64 { return r }
 	f32 := func(r float32) uint64 { return uint64(math.Float32bits(r)) }
+	u32 := func(r uint32) uint64 { return uint64(r) }
 	return []walkFold{
 		scalarFold(c, "generic", hashProg{}, c.layers, c.fresh, c.x, c.props, u64),
 		scalarFold(c, "generic_dstfree", hashProgFree{}, c.layers, c.fresh, c.x, c.props, u64),
@@ -544,6 +547,7 @@ func (c *walkCase) folds() []walkFold {
 		scalarFold(c, "sum_f64", sumFoldProg{}, c.layersF, c.freshf, c.xf64, make([]float64, c.n), math.Float64bits),
 		scalarFold(c, "minplus_f32", ssspFused{}, c.layersF, c.freshf, c.xf32, make([]float32, c.n), f32),
 		scalarFold(c, "maxmin_f32", widestFused{}, c.layersF, c.freshf, c.xf32, make([]float32, c.n), f32),
+		scalarFold(c, "min_u32", ccFused{}, c.layersF, c.freshf, c.xu32, make([]uint32, c.n), u32),
 		blockFold(c, "block", hashProgFree{}, 2),
 		blockFold(c, "block", hashProgFree{}, 3),
 		blockFold(c, "block_gather", firstProgFree{}, 2),

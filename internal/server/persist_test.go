@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"sync"
 	"testing"
 
 	"graphmat/algorithms"
@@ -618,5 +620,61 @@ func TestDeleteDurableGraphThenReRegister(t *testing.T) {
 	}
 	if entry2.NumVertices() != 400 || entry2.Epoch() != 0 {
 		t.Fatalf("rebooted g: %d vertices, epoch %d; want 400, 0", entry2.NumVertices(), entry2.Epoch())
+	}
+}
+
+// TestConcurrentDurableAddOneName races two durable registrations of one
+// name with different graphs. Exactly one may win, the other must be told
+// the name is taken, and the directory must hold the winner's graph: a
+// fresh registry booting the name serves the winner's vertex count. The
+// loser must not have written the directory at all, which is why the name
+// is reserved before any of its files is touched.
+func TestConcurrentDurableAddOneName(t *testing.T) {
+	sizes := [2]uint32{64, 100}
+	for round := range 40 {
+		dir := t.TempDir()
+		reg := NewRegistry(0, 1, dir)
+		var (
+			start   = make(chan struct{})
+			wg      sync.WaitGroup
+			entries [2]*GraphEntry
+			errs    [2]error
+		)
+		for i, n := range sizes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				adj := persistTestAdj(n)
+				<-start
+				entries[i], errs[i] = reg.AddCOO("g", fmt.Sprintf("n%d", n), adj)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		win := -1
+		for i, err := range errs {
+			switch {
+			case err == nil:
+				if win >= 0 {
+					t.Fatalf("round %d: both registrations of g succeeded", round)
+				}
+				win = i
+			case !errors.Is(err, ErrGraphExists):
+				t.Fatalf("round %d: the %d-vertex registration failed with %v, want ErrGraphExists", round, sizes[i], err)
+			}
+		}
+		if win < 0 {
+			t.Fatalf("round %d: neither registration succeeded: %v", round, errs)
+		}
+		if got := entries[win].NumVertices(); got != sizes[win] {
+			t.Fatalf("round %d: the winner serves %d vertices, want %d", round, got, sizes[win])
+		}
+		booted, err := NewRegistry(0, 1, dir).Add("g", mustNotParseSource(dir))
+		if err != nil {
+			t.Fatalf("round %d: boot: %v", round, err)
+		}
+		if got := booted.NumVertices(); got != sizes[win] {
+			t.Fatalf("round %d: the %d-vertex registration won, yet the directory boots %d vertices", round, sizes[win], got)
+		}
 	}
 }

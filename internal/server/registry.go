@@ -30,6 +30,11 @@ type Registry struct {
 	dataDir    string // persistence root; empty = in-memory only
 	mu         sync.RWMutex
 	graphs     map[string]*GraphEntry
+	// reserved holds the names whose registration is in progress: taken
+	// before any of the name's files is written or opened, filled or
+	// released when the registration ends, so two registrations of one
+	// name never both reach <dataDir>/<name>.
+	reserved map[string]struct{}
 }
 
 // NewRegistry returns an empty registry. partitions is passed to every graph
@@ -39,7 +44,7 @@ type Registry struct {
 // checkpoints and a write-ahead log, and registration of a name that already
 // has a valid manifest boots from the mmap'd snapshots instead of parsing.
 func NewRegistry(partitions, workers int, dataDir string) *Registry {
-	return &Registry{partitions: partitions, workers: workers, dataDir: dataDir, graphs: make(map[string]*GraphEntry)}
+	return &Registry{partitions: partitions, workers: workers, dataDir: dataDir, graphs: make(map[string]*GraphEntry), reserved: make(map[string]struct{})}
 }
 
 // GraphEntry is one registered graph. The master is the raw edge set's
@@ -139,60 +144,76 @@ var (
 	ErrInvalidBatch = fmt.Errorf("invalid update batch")
 )
 
-// CheckName rejects unusable or already-taken graph names. Callers about to
-// pay for a load or an upload parse should call it first; AddCOO re-checks
-// under the lock, so this is a fast-fail, not the authority.
+// CheckName rejects unusable or already-taken graph names: a registered
+// name, or one whose registration is in progress. Callers about to pay for
+// a load or an upload parse should call it first; Add and AddCOO re-check
+// when they reserve the name, so this is a fast-fail, not the authority.
 func (r *Registry) CheckName(name string) error {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.checkNameLocked(name)
+}
+
+func (r *Registry) checkNameLocked(name string) error {
 	if name == "" || strings.ContainsAny(name, "\x00/") {
 		return fmt.Errorf("invalid graph name %q", name)
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if _, dup := r.graphs[name]; dup {
+	_, dup := r.graphs[name]
+	_, busy := r.reserved[name]
+	if dup || busy {
 		return fmt.Errorf("%w: %s", ErrGraphExists, name)
 	}
 	return nil
 }
 
-// Add loads a source and registers it under name. The name is validated
+// register reserves name, assembles its entry with build and publishes it.
+// The reservation comes first, so a registration that finds the name taken
+// fails before build writes or opens any of its files; a build that fails
+// releases it.
+func (r *Registry) register(name string, build func() (*GraphEntry, error)) (entry *GraphEntry, err error) {
+	r.mu.Lock()
+	err = r.checkNameLocked(name)
+	if err == nil {
+		r.reserved[name] = struct{}{}
+	}
+	r.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		delete(r.reserved, name)
+		if entry != nil {
+			r.graphs[name] = entry
+		}
+	}()
+	return build()
+}
+
+// Add loads a source and registers it under name. The name is reserved
 // before the load so a bad or duplicate name cannot waste a multi-gigabyte
 // file parse. With persistence enabled, a name whose directory holds a valid
 // manifest boots from the mmap'd snapshots (plus WAL replay) instead of
 // parsing the source; a damaged persisted state falls back to parsing.
 func (r *Registry) Add(name string, src Source) (*GraphEntry, error) {
-	if err := r.CheckName(name); err != nil {
-		return nil, err
-	}
-	if r.dataDir != "" {
-		dir := filepath.Join(r.dataDir, name)
-		if snap.HasManifest(dir) {
-			entry, err := r.openPersisted(name, src.Describe(), dir)
-			if err == nil {
-				return r.publish(entry)
+	return r.register(name, func() (*GraphEntry, error) {
+		if r.dataDir != "" {
+			dir := filepath.Join(r.dataDir, name)
+			if snap.HasManifest(dir) {
+				if entry, err := r.openPersisted(name, src.Describe(), dir); err == nil {
+					return entry, nil
+				}
+				// Unrecoverable persisted state: re-parse the source below
+				// and let the registration's fresh checkpoint overwrite it.
 			}
-			// Unrecoverable persisted state: re-parse the source below and
-			// let the registration's fresh checkpoint overwrite it.
 		}
-	}
-	adj, err := src.LoadWorkers(r.workers)
-	if err != nil {
-		return nil, err
-	}
-	return r.AddCOO(name, src.Describe(), adj)
-}
-
-// publish registers a fully assembled entry under its name.
-func (r *Registry) publish(entry *GraphEntry) (*GraphEntry, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.graphs[entry.name]; dup {
-		if entry.pers != nil {
-			entry.pers.closeAll()
+		adj, err := src.LoadWorkers(r.workers)
+		if err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("%w: %s", ErrGraphExists, entry.name)
-	}
-	r.graphs[entry.name] = entry
-	return entry, nil
+		return r.newEntry(name, src.Describe(), adj)
+	})
 }
 
 // AddCOO registers already-parsed adjacency triples under name — the upload
@@ -202,9 +223,12 @@ func (r *Registry) publish(entry *GraphEntry) (*GraphEntry, error) {
 // into the canonical master form (every builder deduplicates the same way,
 // so results are unchanged) and become the master's base.
 func (r *Registry) AddCOO(name, source string, adj *sparse.COO[float32]) (*GraphEntry, error) {
-	if name == "" || strings.ContainsAny(name, "\x00/") {
-		return nil, fmt.Errorf("invalid graph name %q", name)
-	}
+	return r.register(name, func() (*GraphEntry, error) { return r.newEntry(name, source, adj) })
+}
+
+// newEntry assembles the entry of a reserved name from its adjacency and,
+// with persistence enabled, writes its first checkpoint.
+func (r *Registry) newEntry(name, source string, adj *sparse.COO[float32]) (*GraphEntry, error) {
 	graph.NormalizeAdjacency(adj, r.workers)
 	entry := &GraphEntry{
 		name:       name,
@@ -223,7 +247,7 @@ func (r *Registry) AddCOO(name, source string, adj *sparse.COO[float32]) (*Graph
 			return nil, err
 		}
 	}
-	return r.publish(entry)
+	return entry, nil
 }
 
 // Get looks a graph up by name.
