@@ -154,6 +154,7 @@ func (r *Registry) CheckName(name string) error {
 	return r.checkNameLocked(name)
 }
 
+// checkNameLocked is CheckName for a caller holding r.mu.
 func (r *Registry) checkNameLocked(name string) error {
 	if name == "" || strings.ContainsAny(name, "\x00/") {
 		return fmt.Errorf("invalid graph name %q", name)
