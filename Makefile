@@ -122,8 +122,9 @@ race:
 # settled sets and row cuts; the mask-walk target asserts a boolean program's
 # column-mask fold ≡ the value fold in output masks and applied values, per
 # walk, and its row walk's examined slots ≡ the fresh build's, over the same
-# kind of random partitions, k-wide frontiers and settled masks. CI runs this
-# target.
+# kind of random partitions, frontiers of every width from one column (the
+# scalar mask fold and its settled bitmap) to 64, and settled masks. CI runs
+# this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMTX$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/graph
@@ -163,11 +164,12 @@ test-cpus:
 # batches but before any checkpoint reboots from snapshot + WAL with every
 # acked batch intact, a torn snapshot falls back to the previous generation,
 # and a deleted graph's durable state goes with it, so a re-registration of
-# its name parses its own source, and of two registrations of one name racing
+# its name parses its own source and its snapshot mappings close once the
+# last request reading them ends, and of two registrations of one name racing
 # each other only the winner writes the name's directory. `test` runs these
 # too; the separate target keeps crash safety visible as its own gate. CI
 # runs this target.
 crash:
-	$(GO) test -run='TestPersistCrashRecovery|TestPersistTornSnapshotFallback|TestDeleteDurableGraphThenReRegister|TestConcurrentDurableAddOneName' -v -count=1 ./internal/server
+	$(GO) test -run='TestPersistCrashRecovery|TestPersistTornSnapshotFallback|TestDeleteDurableGraphThenReRegister|TestConcurrentDurableAddOneName|TestDeletedDurableGraphUnmaps' -v -count=1 ./internal/server
 
 ci: build lint test examples bench-module kernel-parity race fuzz test-cpus crash

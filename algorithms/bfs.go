@@ -52,10 +52,11 @@ func (BFSProgram) Unsettled(prop uint32) bool { return prop == Unreached }
 
 // Semiring declares the boolean fold: under the same level-synchronous start,
 // every message of a superstep carries the current level, so within a source
-// column each processes to one value, over any edge. A batch of two or more
-// sources then folds one column mask per edge instead of one level per
-// (edge, source), and apply writes the column's level to the vertices that
-// first reached it.
+// column each processes to one value, over any edge. Every run then folds
+// masks, not levels: a single-source run one bit per edge, and its row walk
+// reads sources only; a batch of two or more sources one column mask per
+// edge instead of one level per (edge, source). Apply writes the column's
+// level, computed once per superstep, to the vertices that first reached it.
 func (BFSProgram) Semiring() graphmat.Semiring { return graphmat.SemiringBoolean }
 
 // NewBFSGraph builds the BFS property graph, applying the paper's

@@ -50,9 +50,9 @@ func (ReachabilityProgram) ProcessIgnoresDst() {}
 func (ReachabilityProgram) Unsettled(prop uint32) bool { return prop == 0 }
 
 // Semiring declares the boolean fold: every message is 1, over any edge, so
-// a batch of two or more sources carries one bit per (vertex, source) through
-// the multiply — the column masks — and apply writes 1 to the pairs a
-// superstep reached for the first time.
+// a run carries one bit per (vertex, source) through the multiply — a
+// single-source run's y mask, a batch's column masks — and apply writes 1 to
+// the pairs a superstep reached for the first time.
 func (ReachabilityProgram) Semiring() graphmat.Semiring { return graphmat.SemiringBoolean }
 
 // NewReachabilityGraph builds the reachability property graph: self-loops

@@ -21,9 +21,13 @@ import (
 // program gaining or losing a declaration, fails by name. Each declaring
 // program's ProcessMessage and Reduce are then sampled — on extreme, special
 // and random operands — and must agree bit for bit with the declared
-// formula. The boolean programs are only listed here: their promise is about
-// a superstep's messages, not single operands, and first_message_final_test.go
-// probes it in whole runs.
+// formula. A boolean program declares no formula: what it promises is that a
+// message processes to one value whatever the edge and the destination, which
+// the column-mask folds hand to every vertex a superstep reaches without
+// calling ProcessMessage per edge. Its ProcessMessage is sampled for exactly
+// that, and its Reduce must return an operand it is given twice; how the
+// promise spans a superstep's messages, first_message_final_test.go probes
+// in whole runs.
 
 // semiringTable classifies the vertex program(s) behind every registry name
 // by the fold they declare (graphmat.SemiringNone: no declaration).
@@ -162,11 +166,15 @@ func TestSemiringPromise(t *testing.T) {
 	for _, name := range slices.Sorted(maps.Keys(semiringTable)) {
 		row := semiringTable[name]
 		f, ok := semiringFormulas[row.declares]
-		if !ok {
-			continue // SemiringNone, or boolean (see the file comment)
+		if !ok && row.declares != graphmat.SemiringBoolean {
+			continue // SemiringNone
 		}
 		for _, p := range row.programs {
 			t.Run(fmt.Sprintf("%s/%T", name, p), func(t *testing.T) {
+				if !ok {
+					checkBooleanPromise(t, p)
+					return
+				}
 				checkSemiringPromise(t, p, f)
 			})
 		}
@@ -190,15 +198,7 @@ func checkSemiringPromise(t *testing.T, p any, f semiringFormula) {
 	if mt := process.Type(); mt.In(0) != opType || mt.Out(0) != opType || reduce.Type().In(0) != opType {
 		t.Fatalf("%T folds %v messages into %v results; its declared fold is over %v", p, mt.In(0), mt.Out(0), opType)
 	}
-	dstType := process.Type().In(2)
-	dsts := []reflect.Value{reflect.Zero(dstType)}
-	for range 3 {
-		d, ok := quick.Value(dstType, rng)
-		if !ok {
-			t.Fatalf("no random value of %v", dstType)
-		}
-		dsts = append(dsts, d)
-	}
+	dsts := sampleDsts(t, process.Type().In(2), rng)
 	for _, m := range operands {
 		for _, e := range edges {
 			want := sampleBits(f.process(m, e))
@@ -215,6 +215,55 @@ func checkSemiringPromise(t *testing.T, p any, f semiringFormula) {
 			got := reduce.Call([]reflect.Value{reflect.ValueOf(a), reflect.ValueOf(b)})[0].Interface()
 			if want := sampleBits(f.reduce(a, b)); sampleBits(got) != want {
 				t.Fatalf("Reduce(%v, %v) = %v (%#x), the declared fold gives %#x", a, b, got, sampleBits(got), want)
+			}
+		}
+	}
+}
+
+// sampleDsts returns destination properties of type dstType to call
+// ProcessMessage with: the zero one and three random ones.
+func sampleDsts(t *testing.T, dstType reflect.Type, rng *rand.Rand) []reflect.Value {
+	dsts := []reflect.Value{reflect.Zero(dstType)}
+	for range 3 {
+		d, ok := quick.Value(dstType, rng)
+		if !ok {
+			t.Fatalf("no random value of %v", dstType)
+		}
+		dsts = append(dsts, d)
+	}
+	return dsts
+}
+
+// checkBooleanPromise holds boolean program p to its declaration, over
+// uint32 messages: for each sampled message, ProcessMessage returns one
+// value, bit for bit, across every edge sample (zeros of both signs, both
+// infinities, NaN, subnormals, the extremes and random bits) and every
+// destination sample, the zero one included; and Reduce of any sampled
+// message or processed value with itself returns it.
+func checkBooleanPromise(t *testing.T, p any) {
+	rng := rand.New(rand.NewSource(45))
+	pv := reflect.ValueOf(p)
+	process, reduce := pv.MethodByName("ProcessMessage"), pv.MethodByName("Reduce")
+	if mt := process.Type(); mt.In(0) != reflect.TypeFor[uint32]() || mt.Out(0) != reflect.TypeFor[uint32]() {
+		t.Fatalf("%T folds %v messages into %v results; the sampled boolean programs fold uint32", p, mt.In(0), mt.Out(0))
+	}
+	dsts := sampleDsts(t, process.Type().In(2), rng)
+	edges := f32Samples(rng)
+	for _, m := range u32Samples(rng) {
+		call := func(e any, d reflect.Value) uint32 {
+			return process.Call([]reflect.Value{reflect.ValueOf(m), reflect.ValueOf(e), d})[0].Interface().(uint32)
+		}
+		one := call(float32(0), dsts[0])
+		for _, e := range edges {
+			for _, d := range dsts {
+				if got := call(e, d); got != one {
+					t.Fatalf("ProcessMessage(%v, %v, %v) = %#x, but %#x over the zero edge and destination", m, e, d, got, one)
+				}
+			}
+		}
+		for _, a := range []uint32{m.(uint32), one} {
+			if got := reduce.Call([]reflect.Value{reflect.ValueOf(a), reflect.ValueOf(a)})[0].Interface().(uint32); got != a {
+				t.Fatalf("Reduce(%#x, %#x) = %#x", a, a, got)
 			}
 		}
 	}

@@ -421,14 +421,19 @@ func runPhases[V, E, M, R any, P Program[V, E, M, R]](
 	}
 	b.settling, _ = any(p).(FirstMessageFinal[V]) // non-nil whenever recvDegs is
 	if b.k == 1 {
-		b.slotVertex = 63
+		b.slotVertex, b.rowShift = 63, 6
 	}
-	var prepare func() // the mask sink's per-superstep read of the frontier
+	var prepare func() // a mask sink's per-superstep read of the frontier
 	switch s := sink.(type) {
 	case *blockGatherSink[V, E, M, R, P]:
 		b.settled = s.settled
 	case *blockMaskSink[V, E, M, R, P]:
 		b.settled, b.colVals, prepare = s.settled, s.vals, s.prepare
+	case *maskSink[V, E, M, R, P]:
+		b.settled, b.colVals, prepare = s.settled, s.vals[:], s.prepare
+	}
+	if b.settled != nil {
+		d.overChunks(func(lo, hi uint32, _ *localStats) { seedSettled(b.settled, b.settling, b.props, b.k, lo, hi) })()
 	}
 	send, apply := d.overChunks(b.send), d.overChunks(b.apply)
 	messages := func() (int64, int64) {
@@ -496,19 +501,23 @@ type phaseBody[V, E, M, R any, P Program[V, E, M, R]] struct {
 	// slotVertex masks the bits of a row's column s that name the slot's
 	// vertex within the row: all six at k = 1, where a row's columns are its
 	// vertices, and none at k ≥ 2, where every column is the row's vertex's.
-	slotVertex uint32
+	// rowShift turns a row's first vertex into its row index: 6 at k = 1,
+	// where a row is a mask word, and 0 at k ≥ 2.
+	slotVertex, rowShift uint32
 	// sendDegs and recvDegs are runPlan's; settling is p's FirstMessageFinal,
 	// non-nil whenever recvDegs is.
 	sendDegs, recvDegs []uint32
 	settling           FirstMessageFinal[V]
-	// settled is the settled mask of a k-wide FirstMessageFinal run's sink
-	// (settledMask), which apply keeps current: a pair an Apply activated
-	// and left settled joins it. Nil at k = 1 and for other programs.
+	// settled is the settled mask of a FirstMessageFinal run's sink, one
+	// word per row (seedSettled), which apply keeps current: a pair an Apply
+	// activated and left settled joins it. Nil for a one-column gather
+	// (gatherSink), which reads the properties, and for other programs.
 	settled []uint64
-	// colVals, set with a mask sink (blockMaskSink), holds each column's one
-	// reduced value of the superstep: apply reads it in place of y's values,
-	// and calls Apply only on received pairs outside the settled mask, which
-	// by the mask promise would return false and change nothing.
+	// colVals, set with a mask sink (blockMaskSink, maskSink), holds each
+	// column's one reduced value of the superstep: apply reads it in place
+	// of y's values, and calls Apply only on received pairs outside the
+	// settled mask, which by the mask promise would return false and change
+	// nothing.
 	colVals []R
 	// sendNext is apply's flag (phaseSet.apply), set before each dispatch.
 	sendNext bool
@@ -578,9 +587,9 @@ func (b *phaseBody[V, E, M, R, P]) apply(lo, hi uint32, st *localStats) {
 			v, m, base, rest := nextRow(wi, w, b.ycols, b.k)
 			w = rest
 			applies += bits.OnesCount64(m)
-			vb := base
+			vb, row := base, v>>b.rowShift
 			if perCol {
-				vb, m = 0, m&^settled[v]
+				vb, m = 0, m&^settled[row]
 			}
 			var am uint64
 			for ; m != 0; m &= m - 1 {
@@ -594,7 +603,7 @@ func (b *phaseBody[V, E, M, R, P]) apply(lo, hi uint32, st *localStats) {
 					// settled by this Apply.
 					if (recvDegs != nil || settled != nil) && !settling.Unsettled(props[i]) {
 						if settled != nil {
-							settled[v] |= m & -m
+							settled[row] |= m & -m
 						}
 						if recvDegs != nil {
 							st.settled += int64(recvDegs[u])
@@ -616,19 +625,50 @@ func (b *phaseBody[V, E, M, R, P]) apply(lo, hi uint32, st *localStats) {
 }
 
 // unsettled is phaseSet.unsettledEdges over vertex chunk [lo, hi): from the
-// properties at k = 1, from the settled mask in a k-wide run.
+// properties for a one-column gather, else from the settled mask — a bitmap
+// at k = 1, per-vertex column masks in a k-wide run.
 func (b *phaseBody[V, E, M, R, P]) unsettled(lo, hi uint32) (deg int64) {
-	if b.k == 1 {
+	switch {
+	case b.settled == nil:
 		for i, prop := range b.props[lo:hi] {
 			if b.settling.Unsettled(prop) {
 				deg += int64(b.recvDegs[lo+uint32(i)])
 			}
 		}
-		return deg
-	}
-	all := fullCols(b.k)
-	for i, sm := range b.settled[lo:hi] {
-		deg += int64(bits.OnesCount64(all&^sm)) * int64(b.recvDegs[lo+uint32(i)])
+	case b.k == 1:
+		wlo, whi := chunkWords(lo, hi)
+		for wi := wlo; wi < whi; wi++ {
+			for w := ^b.settled[wi] & rangeWord(wi, lo, hi); w != 0; w &= w - 1 {
+				deg += int64(b.recvDegs[wi<<6|bits.TrailingZeros64(w)])
+			}
+		}
+	default:
+		all := fullCols(b.k)
+		for i, sm := range b.settled[lo:hi] {
+			deg += int64(bits.OnesCount64(all&^sm)) * int64(b.recvDegs[lo+uint32(i)])
+		}
 	}
 	return deg
+}
+
+// seedSettled sets the rows of settled mask settled over vertex chunk
+// [lo, hi) of the n×k property block props: bit s of a row for each of its
+// slots whose property settling no longer reports unsettled. A row is
+// nextRow's: a vertex's k slots at k ≥ 2, a mask word's 64 vertices at
+// k = 1. runPhases seeds a run's mask over its vertex chunks in parallel.
+func seedSettled[V any](settled []uint64, settling FirstMessageFinal[V], props []V, k int, lo, hi uint32) {
+	width := k // slots per row
+	if k == 1 {
+		width = 64
+	}
+	end := int(hi) * k
+	for r := int(lo) * k / width; r*width < end; r++ {
+		var m uint64
+		for s, prop := range props[r*width : min(r*width+width, end)] {
+			if !settling.Unsettled(prop) {
+				m |= 1 << s
+			}
+		}
+		settled[r] = m
+	}
 }

@@ -32,8 +32,9 @@ import (
 // engine), so both engines and the single-shot SpMV share the two column
 // walks. The row walk hands a partition's rows to a rowSink, which the generic
 // fold of each engine is for a FirstMessageFinal program — the scalar gather
-// (kernel_fold.go) and the k-wide one (kernel_block.go) — and so is the block
-// engine's column-mask fold of a boolean one (kernel_block.go).
+// (kernel_fold.go) and the k-wide one (kernel_block.go) — and so is the
+// column-mask fold of a boolean one, at one column (kernel_fold.go) or k
+// (kernel_block.go).
 //
 // Every partition is a sparse.Layered — an immutable base DCSC plus an
 // optional delta DCSC of whole-column overrides carrying live edge updates;
@@ -106,21 +107,19 @@ type flatSink[E any] interface {
 }
 
 // rowSink is a colSink that can also gather: foldRows visits every
-// destination row of rows' structure and, for each one the program still
-// reports unsettled, scans its sources in ascending id for the first with a
+// destination row of rows and, for each one the program still reports
+// unsettled, scans its sources in ascending id for the first with a
 // frontier bit in xw, folds that one edge into the output and leaves the
-// row — per column, in the block engine,
-// whose row scan ends when every waiting column has had its first. It
-// returns the number of edge slots it examined. foldLiveRows is the same
-// gather over a partition with a pending delta, each row read through a
-// liveRow cursor; a plain partition keeps foldRows' loop over one array. The
-// generic fold of a FirstMessageFinal program is a rowSink, scalar
-// (kernel_fold.go) or k-wide (kernel_block.go), and so is the column-mask
-// fold of a boolean one; the fused sum and path sinks are not.
+// row — per column, in the block engine, whose row scan ends when every
+// waiting column has had its first. It returns the number of edge slots it
+// examined. A plain partition's rows are scanned as one array, a partition
+// with a pending delta's through a liveRow cursor. The generic fold of a
+// FirstMessageFinal program is a rowSink, scalar (kernel_fold.go) or k-wide
+// (kernel_block.go), and so is the column-mask fold of a boolean one, at
+// every width; the fused sum and path sinks are not.
 type rowSink[E any] interface {
 	colSink[E]
-	foldRows(rows *sparse.RowIndex[E], xw []uint64) int
-	foldLiveRows(rows liveRows[E], xw []uint64) int
+	foldRows(rows liveRows[E], xw []uint64) int
 }
 
 // multiply runs one multiply-phase task — partition l, whole — against the
@@ -147,70 +146,85 @@ func multiply[E any](mode Mode, l sparse.Layered[E], xw []uint64, sink colSink[E
 // entries, once per delta. It probes no columns; the frontier tests it makes
 // are the edge slots it examines.
 func walkRows[E any](l sparse.Layered[E], xw []uint64, sink rowSink[E], st *localStats) {
-	if l.Delta == nil {
-		st.edges += int64(sink.foldRows(l.Base.RowIndex(), xw))
-		return
+	rows := liveRows[E]{base: l.Base.RowIndex()}
+	if l.Delta != nil {
+		rows.delta, rows.over = l.Delta.RowIndex(), l.Delta.ColumnIndex()
 	}
-	rows := liveRows[E]{base: l.Base.RowIndex(), delta: l.Delta.RowIndex(), over: l.Delta.ColumnIndex()}
-	st.edges += int64(sink.foldLiveRows(rows, xw))
+	st.edges += int64(sink.foldRows(rows, xw))
 }
 
-// liveRows is the row walk's view of a partition with a pending delta: the
-// two layers' row-major views, which cover the same rows, and the delta's
-// column index — every column it overrides, tombstones included.
+// liveRows is the row walk's view of a partition: the base's row-major view
+// and, when the partition has a pending delta (else nil), the delta's, which
+// covers the same rows, and its column index — every column it overrides,
+// tombstones included.
 type liveRows[E any] struct {
 	base, delta *sparse.RowIndex[E]
 	over        *sparse.ColumnIndex
 }
 
 // row returns a cursor over the view's i-th row.
-func (v liveRows[E]) row(i int) liveRow[E] {
+func (v liveRows[E]) row(i int) liveRow {
 	b, d := v.base, v.delta
-	return liveRow[E]{base: b.Entries[b.Ptr[i]:b.Ptr[i+1]], delta: d.Entries[d.Ptr[i]:d.Ptr[i+1]], over: v.over}
+	bend, dend := b.Ptr[i+1], d.Ptr[i+1]
+	return liveRow{base: b.Src[b.Ptr[i]:bend], delta: d.Src[d.Ptr[i]:dend], bend: int(bend), dend: int(dend), over: v.over}
 }
 
-// liveRow is the one merge of a base and a delta row the three gathers
-// share: the base row's entries whose source column the delta does not
-// override, merged in ascending source id with the delta row's entries —
-// exactly the row a fresh build of the live edge set stores. seen counts
-// the live slots next has examined; a skipped base entry is not one.
-type liveRow[E any] struct {
-	base, delta []sparse.RowEntry[E]
+// val returns the value of the entry at position at, as liveRow.next hands
+// it back: at in the base's arrays, or ^at in the delta's.
+func (v liveRows[E]) val(at int) E {
+	if at < 0 {
+		return v.delta.Val[^at]
+	}
+	return v.base.Val[at]
+}
+
+// liveRow is the one merge of a base and a delta row the gathers share: the
+// base row's entries whose source column the delta does not override,
+// merged in ascending source id with the delta row's entries — exactly the
+// row a fresh build of the live edge set stores. It reads sources only;
+// base and delta are each row's sources not yet passed, and bend and dend
+// the rows' end positions in their layers' arrays, from which next tells
+// where a hit's value is. seen counts the live slots next has examined; a
+// skipped base entry is not one.
+type liveRow struct {
+	base, delta []uint32
+	bend, dend  int
 	over        *sparse.ColumnIndex
 	seen        int
 }
 
 // next advances past the row's live entries off the frontier xw to the
-// next one on it and returns that entry, or ok = false at the row's end. It
-// takes the row in runs: the base entries below the delta row's next source,
-// each tested against the override set, then that delta entry.
-func (r *liveRow[E]) next(xw []uint64) (e sparse.RowEntry[E], ok bool) {
+// next one on it and returns its source and position (liveRows.val), or
+// ok = false at the row's end. It takes the row in runs: the base entries
+// below the delta row's next source, each tested against the override set,
+// then that delta entry.
+func (r *liveRow) next(xw []uint64) (src uint32, at int, ok bool) {
 	base, delta, over, seen := r.base, r.delta, r.over, r.seen
 	for {
 		lim := uint32(math.MaxUint32) // no vertex id reaches it
 		if len(delta) > 0 {
-			lim = delta[0].Src
+			lim = delta[0]
 		}
-		for len(base) > 0 && base[0].Src < lim {
-			e, base = base[0], base[1:]
-			if over.Has(e.Src) {
+		for len(base) > 0 && base[0] < lim {
+			src, base = base[0], base[1:]
+			if over.Has(src) {
 				continue // the delta holds this column's live entries
 			}
 			seen++
-			if xw[e.Src>>6]&(1<<(e.Src&63)) != 0 {
+			if xw[src>>6]&(1<<(src&63)) != 0 {
 				r.base, r.delta, r.seen = base, delta, seen
-				return e, true
+				return src, r.bend - len(base) - 1, true
 			}
 		}
 		if len(delta) == 0 {
 			r.base, r.delta, r.seen = base, delta, seen
-			return e, false
+			return 0, 0, false
 		}
-		e, delta = delta[0], delta[1:]
+		src, delta = delta[0], delta[1:]
 		seen++
-		if xw[e.Src>>6]&(1<<(e.Src&63)) != 0 {
+		if xw[src>>6]&(1<<(src&63)) != 0 {
 			r.base, r.delta, r.seen = base, delta, seen
-			return e, true
+			return src, ^(r.dend - len(delta) - 1), true
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"graphmat/internal/kernels"
-	"graphmat/internal/sparse"
 )
 
 // This file is the block engine's fold half of the kernel layer: the column
@@ -31,34 +30,40 @@ import (
 // (edge, live source column).
 //
 // A FirstMessageFinal program's sink keeps the run's settled mask: one word
-// per vertex holding the columns already decided, seeded from Unsettled when
-// the sink is resolved and kept current by the apply phase, so a row walk
-// reads one word per row where it would test k properties. A program that
-// also declares SemiringBoolean folds no values at all (blockMaskSink): a
-// column walk ORs the sender's column mask into the destination's, a row
-// walk gathers the mask of the columns still waiting, and apply hands each
-// newly reached (vertex, column) its column's one value of the superstep.
+// per vertex holding the columns already decided, seeded from Unsettled by
+// runPhases, over the run's vertex chunks in parallel, and kept current by
+// the apply phase, so a row walk reads one word per row where it would test
+// k properties. A program that also declares SemiringBoolean folds no values
+// at all (blockMaskSink): a column walk ORs the sender's column mask into
+// the destination's, a row walk gathers the mask of the columns still
+// waiting, and apply hands each newly reached (vertex, column) its column's
+// one value of the superstep. At one column the same fold is maskSink
+// (kernel_fold.go), whose settled mask is a bitmap.
 
 // blockSink resolves block program p's column fold from message block x
 // into reduction block y, once per run — the block analogue of scalarSink,
 // with the same fused float64-sum and float32 path-semiring fast paths, the
-// mask sink of a boolean FirstMessageFinal program, and otherwise the
-// generic fold, with the row walk's k-wide gather beside it when the program
-// declares FirstMessageFinal (props is the run's n×k property block, which
-// seeds the settled mask). The block sinks read per-vertex column masks, so
-// they serve blocks of two or more columns; a one-column block, the sparse
-// vector it is, takes scalarSink. This is where a run's width selects its
-// sink. p must be DstIndependent when x is two or more columns wide, which
-// RunContext checks before any superstep; a one-column run may read its
-// destination (scalarSink).
+// mask sink of a boolean, FirstMessageFinal, DstIndependent program at every
+// width, and otherwise the generic fold, with the row walk's k-wide gather
+// beside it when the program declares FirstMessageFinal (props is the run's
+// n×k property block, which sizes the settled mask runPhases seeds). The
+// block sinks read per-vertex column masks, so they serve blocks of two or
+// more columns; a one-column block, the sparse vector it is, takes maskSink
+// or scalarSink. This is where a run's width selects its sink. p must be
+// DstIndependent when x is two or more columns wide, which RunContext checks
+// before any superstep; a one-column run may read its destination
+// (scalarSink).
 func blockSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *BlockVector[M], props []V, y *BlockVector[R]) colSink[E] {
-	if x.k == 1 {
-		return scalarSink(p, x.scalar, props, y.scalar)
-	}
 	sr := semiringOf(p)
-	settling, fmf := any(p).(FirstMessageFinal[V])
-	if sr == SemiringBoolean && fmf {
-		return &blockMaskSink[V, E, M, R, P]{p: p, x: x, y: y, settled: settledMask(settling, props, x.k), vals: make([]R, x.k)}
+	_, fmf := any(p).(FirstMessageFinal[V])
+	_, dstFree := any(p).(DstIndependent)
+	switch {
+	case sr == SemiringBoolean && fmf && dstFree && x.k == 1:
+		return &maskSink[V, E, M, R, P]{p: p, x: x.scalar, yw: y.summary.Words(), settled: make([]uint64, len(y.summary.Words()))}
+	case sr == SemiringBoolean && fmf && dstFree:
+		return &blockMaskSink[V, E, M, R, P]{p: p, x: x, y: y, settled: make([]uint64, len(props)/x.k), vals: make([]R, x.k)}
+	case x.k == 1:
+		return scalarSink(p, x.scalar, props, y.scalar)
 	}
 	switch sr {
 	case SemiringSumF64:
@@ -78,21 +83,7 @@ func blockSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *BlockVector[M], pr
 	if !fmf {
 		return &fold
 	}
-	return &blockGatherSink[V, E, M, R, P]{blockFoldSink: fold, settled: settledMask(settling, props, x.k)}
-}
-
-// settledMask returns the settled mask of the n×k property block props: per
-// vertex, the columns whose property settling no longer reports unsettled.
-func settledMask[V any](settling FirstMessageFinal[V], props []V, k int) []uint64 {
-	settled := make([]uint64, len(props)/k)
-	for v := range settled {
-		for c, prop := range props[v*k : v*k+k] {
-			if !settling.Unsettled(prop) {
-				settled[v] |= 1 << uint(c)
-			}
-		}
-	}
-	return settled
+	return &blockGatherSink[V, E, M, R, P]{blockFoldSink: fold, settled: make([]uint64, len(props)/x.k)}
 }
 
 // touchRow returns vertex v's column mask in a block vector's two-level
@@ -153,19 +144,19 @@ func (s *blockFoldSink[V, E, M, R, P]) fold(ir []uint32, val []E, cols []colRef)
 // what the width shares is the scan of the row.
 type blockGatherSink[V, E, M, R any, P Program[V, E, M, R]] struct {
 	blockFoldSink[V, E, M, R, P]
-	settled []uint64 // the run's settled mask (settledMask), kept by apply
+	settled []uint64 // the run's settled mask, seeded and kept by runPhases
 }
 
-// foldRows scans each row of rows' structure for the columns in which its
-// vertex is still unsettled: a frontier source retires the columns it carries
-// a message in, and the scan leaves the row when none is left. It returns the
+// foldRows scans each row of rows for the columns in which its vertex is
+// still unsettled: a frontier source retires the columns it carries a
+// message in, and the scan leaves the row when none is left. It returns the
 // edge slots it examined, each counted once however many columns waited at
 // it.
-func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []uint64) int {
+func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
 	p, x, y, all := s.p, s.x, s.y, fullCols(s.x.k)
 	xcols, ysw, ycols := x.cols, y.summary.Words(), y.cols
 	var zeroV V
-	ptr, rlo := rows.Ptr, rows.RowLo
+	ptr, rlo := rows.base.Ptr, rows.base.RowLo
 	examined := 0
 	for i, settled := range s.settled[rlo : rlo+uint32(len(ptr)-1)] {
 		waiting := all &^ settled
@@ -175,67 +166,43 @@ func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw [
 		dst := rlo + uint32(i)
 		var got uint64
 		yrow := y.Row(dst)
-		in := rows.Entries[ptr[i]:ptr[i+1]]
-		j := 0
-		for ; j < len(in) && waiting != 0; j++ {
-			src := in[j].Src
-			if xw[src>>6]&(1<<(src&63)) == 0 {
-				continue
+		if rows.delta == nil {
+			in, val := rows.base.Src[ptr[i]:ptr[i+1]], rows.base.Val[ptr[i]:ptr[i+1]]
+			j := 0
+			for ; j < len(in) && waiting != 0; j++ {
+				src := in[j]
+				if xw[src>>6]&(1<<(src&63)) == 0 {
+					continue
+				}
+				hit, e, xrow := xcols[src]&waiting, val[j], x.Row(src)
+				for m := hit; m != 0; m &= m - 1 {
+					col := bits.TrailingZeros64(m)
+					yrow[col] = p.ProcessMessage(xrow[col], e, zeroV)
+				}
+				got |= hit
+				waiting &^= hit
 			}
-			hit := xcols[src] & waiting
-			xrow := x.Row(src)
-			for m := hit; m != 0; m &= m - 1 {
-				col := bits.TrailingZeros64(m)
-				yrow[col] = p.ProcessMessage(xrow[col], in[j].Val, zeroV)
+			examined += j
+		} else {
+			r := rows.row(i)
+			for waiting != 0 {
+				src, at, ok := r.next(xw)
+				if !ok {
+					break
+				}
+				hit, e, xrow := xcols[src]&waiting, rows.val(at), x.Row(src)
+				for m := hit; m != 0; m &= m - 1 {
+					col := bits.TrailingZeros64(m)
+					yrow[col] = p.ProcessMessage(xrow[col], e, zeroV)
+				}
+				got |= hit
+				waiting &^= hit
 			}
-			got |= hit
-			waiting &^= hit
+			examined += r.seen
 		}
-		examined += j
 		if got != 0 {
 			// The row is this task's alone and a gathering layer writes it
 			// nowhere else, so its mask is stored, not merged.
-			ysw[dst>>6] |= 1 << (dst & 63)
-			ycols[dst] = got
-		}
-	}
-	return examined
-}
-
-// foldLiveRows is foldRows over a partition with a pending delta: each
-// row's frontier in-neighbours come from its liveRow, and the examined live
-// slots are tallied the same way.
-func (s *blockGatherSink[V, E, M, R, P]) foldLiveRows(rows liveRows[E], xw []uint64) int {
-	p, x, y, all := s.p, s.x, s.y, fullCols(s.x.k)
-	xcols, ysw, ycols := x.cols, y.summary.Words(), y.cols
-	var zeroV V
-	rlo := rows.base.RowLo
-	examined := 0
-	for i, settled := range s.settled[rlo : rlo+uint32(len(rows.base.Ptr)-1)] {
-		waiting := all &^ settled
-		if waiting == 0 {
-			continue
-		}
-		dst := rlo + uint32(i)
-		var got uint64
-		yrow := y.Row(dst)
-		r := rows.row(i)
-		for waiting != 0 {
-			e, ok := r.next(xw)
-			if !ok {
-				break
-			}
-			hit := xcols[e.Src] & waiting
-			xrow := x.Row(e.Src)
-			for m := hit; m != 0; m &= m - 1 {
-				col := bits.TrailingZeros64(m)
-				yrow[col] = p.ProcessMessage(xrow[col], e.Val, zeroV)
-			}
-			got |= hit
-			waiting &^= hit
-		}
-		examined += r.seen
-		if got != 0 {
 			ysw[dst>>6] |= 1 << (dst & 63)
 			ycols[dst] = got
 		}
@@ -265,7 +232,7 @@ type blockMaskSink[V, E, M, R any, P Program[V, E, M, R]] struct {
 	p       P
 	x       *BlockVector[M]
 	y       *BlockVector[R] // masks only; its values are never written
-	settled []uint64        // the run's settled mask (settledMask), kept by apply
+	settled []uint64        // the run's settled mask, seeded and kept by runPhases
 	// live is the OR of the frontier's column masks and vals[c] column c's
 	// processed message, both set by prepare before each multiply.
 	live uint64
@@ -310,9 +277,9 @@ func (s *blockMaskSink[V, E, M, R, P]) fold(ir []uint32, _ []E, cols []colRef) i
 // foldRows is blockGatherSink.foldRows over masks: a row waits in the live
 // columns it has not settled, each frontier in-neighbour retires the ones
 // it carries, and the examined slots are tallied the same way.
-func (s *blockMaskSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []uint64) int {
+func (s *blockMaskSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
 	xcols, ysw, ycols, live := s.x.cols, s.y.summary.Words(), s.y.cols, s.live
-	ptr, rlo := rows.Ptr, rows.RowLo
+	ptr, rlo := rows.base.Ptr, rows.base.RowLo
 	examined := 0
 	for i, settled := range s.settled[rlo : rlo+uint32(len(ptr)-1)] {
 		waiting := live &^ settled
@@ -320,49 +287,30 @@ func (s *blockMaskSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []u
 			continue
 		}
 		var got uint64
-		in := rows.Entries[ptr[i]:ptr[i+1]]
-		j := 0
-		for ; j < len(in) && waiting != 0; j++ {
-			src := in[j].Src
-			if xw[src>>6]&(1<<(src&63)) != 0 {
+		if rows.delta == nil {
+			in := rows.base.Src[ptr[i]:ptr[i+1]]
+			j := 0
+			for ; j < len(in) && waiting != 0; j++ {
+				if src := in[j]; xw[src>>6]&(1<<(src&63)) != 0 {
+					hit := xcols[src] & waiting
+					got |= hit
+					waiting &^= hit
+				}
+			}
+			examined += j
+		} else {
+			r := rows.row(i)
+			for waiting != 0 {
+				src, _, ok := r.next(xw)
+				if !ok {
+					break
+				}
 				hit := xcols[src] & waiting
 				got |= hit
 				waiting &^= hit
 			}
+			examined += r.seen
 		}
-		examined += j
-		if got != 0 {
-			dst := rlo + uint32(i)
-			ysw[dst>>6] |= 1 << (dst & 63)
-			ycols[dst] = got
-		}
-	}
-	return examined
-}
-
-// foldLiveRows is foldRows over a partition with a pending delta, each
-// row's frontier in-neighbours taken from its liveRow.
-func (s *blockMaskSink[V, E, M, R, P]) foldLiveRows(rows liveRows[E], xw []uint64) int {
-	xcols, ysw, ycols, live := s.x.cols, s.y.summary.Words(), s.y.cols, s.live
-	rlo := rows.base.RowLo
-	examined := 0
-	for i, settled := range s.settled[rlo : rlo+uint32(len(rows.base.Ptr)-1)] {
-		waiting := live &^ settled
-		if waiting == 0 {
-			continue
-		}
-		var got uint64
-		r := rows.row(i)
-		for waiting != 0 {
-			e, ok := r.next(xw)
-			if !ok {
-				break
-			}
-			hit := xcols[e.Src] & waiting
-			got |= hit
-			waiting &^= hit
-		}
-		examined += r.seen
 		if got != 0 {
 			dst := rlo + uint32(i)
 			ysw[dst>>6] |= 1 << (dst & 63)

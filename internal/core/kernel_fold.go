@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"graphmat/internal/kernels"
 	"graphmat/internal/sparse"
 )
@@ -12,9 +14,9 @@ import (
 // sum fold, a fused float32 path-semiring fold or the fused uint32 min fold
 // when the program declares one (SemiringFold) and the element types really
 // match, the generic callback loop otherwise — with the row walk's gather
-// beside it when the program declares FirstMessageFinal. A boolean program
-// folds generically here: a one-column fold has no column masks to shrink
-// to.
+// beside it when the program declares FirstMessageFinal. A boolean
+// FirstMessageFinal program that ignores its destination never gets here:
+// blockSink gives it maskSink, the one-column mask fold, defined below.
 
 // scalarSink resolves program p's column fold from message vector x into
 // reduction vector y. The result only reads p and views of the vectors'
@@ -218,50 +220,137 @@ type gatherSink[V, E, M, R any, P Program[V, E, M, R]] struct {
 	settling FirstMessageFinal[V]
 }
 
-func (s *gatherSink[V, E, M, R, P]) foldRows(rows *sparse.RowIndex[E], xw []uint64) int {
+func (s *gatherSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
 	p, x, yw, y := s.p, s.x, s.yw, s.y
-	ptr, rlo := rows.Ptr, rows.RowLo
+	ptr, rlo := rows.base.Ptr, rows.base.RowLo
 	examined := 0
 	for i, prop := range s.props[rlo : rlo+uint32(len(ptr)-1)] {
 		if !s.settling.Unsettled(prop) {
 			continue
 		}
-		in := rows.Entries[ptr[i]:ptr[i+1]]
-		k := 0
-		for k < len(in) && xw[in[k].Src>>6]&(1<<(in[k].Src&63)) == 0 {
-			k++
+		var src uint32
+		var at int
+		ok := false
+		if rows.delta == nil {
+			in := rows.base.Src[ptr[i]:ptr[i+1]]
+			k := 0
+			for k < len(in) && xw[in[k]>>6]&(1<<(in[k]&63)) == 0 {
+				k++
+			}
+			if ok = k < len(in); ok {
+				src, at = in[k], int(ptr[i])+k
+				k++
+			}
+			examined += k
+		} else {
+			r := rows.row(i)
+			src, at, ok = r.next(xw)
+			examined += r.seen
 		}
-		examined += k
-		if k == len(in) {
-			continue // no in-neighbour on the frontier
+		if !ok {
+			continue // no live in-neighbour on the frontier
 		}
-		examined++
 		dst := rlo + uint32(i)
-		y[dst] = p.ProcessMessage(x[in[k].Src], in[k].Val, prop)
+		y[dst] = p.ProcessMessage(x[src], rows.val(at), prop)
 		yw[dst>>6] |= 1 << (dst & 63)
 	}
 	return examined
 }
 
-// foldLiveRows is foldRows over a partition with a pending delta: each
-// unsettled row's first frontier in-neighbour comes from its liveRow.
-func (s *gatherSink[V, E, M, R, P]) foldLiveRows(rows liveRows[E], xw []uint64) int {
-	p, x, yw, y := s.p, s.x, s.yw, s.y
-	rlo := rows.base.RowLo
-	examined := 0
-	for i, prop := range s.props[rlo : rlo+uint32(len(rows.base.Ptr)-1)] {
-		if !s.settling.Unsettled(prop) {
-			continue
+// maskSink is blockMaskSink at one column, for a program that also declares
+// DstIndependent: y is its mask only, and apply hands every received vertex
+// still unsettled the superstep's one value, which prepare computes. No fold
+// calls the program or reads a message or an edge value. The settled set is
+// a bitmap, one bit per vertex — a row of nextRow's k = 1 convention, so
+// runPhases seeds it and apply keeps it as it does a block's settled mask.
+type maskSink[V, E, M, R any, P Program[V, E, M, R]] struct {
+	p       P
+	x       *sparse.Vector[M]
+	yw      []uint64
+	settled []uint64
+	// live is whether x holds a message, and vals the value it processes
+	// to, set by prepare: 64 copies, as apply reads a row's column s from
+	// vals[s] and a one-column row is a mask word of 64 vertices.
+	live bool
+	vals [64]R
+}
+
+// prepare processes the superstep's first message over the zero edge
+// value: by the boolean promise, every message processes to the same.
+func (s *maskSink[V, E, M, R, P]) prepare() {
+	xw := s.x.Mask().Words()
+	wi := kernels.FirstNonzero(xw)
+	if s.live = wi >= 0; s.live {
+		var zeroE E
+		var zeroV V
+		val := s.p.ProcessMessage(s.x.Values()[wi<<6|bits.TrailingZeros64(xw[wi])], zeroE, zeroV)
+		for c := range s.vals {
+			s.vals[c] = val
 		}
-		r := rows.row(i)
-		e, ok := r.next(xw)
-		examined += r.seen
-		if !ok {
-			continue // no live in-neighbour on the frontier
-		}
-		dst := rlo + uint32(i)
-		y[dst] = p.ProcessMessage(x[e.Src], e.Val, prop)
+	}
+}
+
+func (s *maskSink[V, E, M, R, P]) fold(ir []uint32, _ []E, cols []colRef) int {
+	edges := 0
+	for _, c := range cols {
+		edges += int(c.hi - c.lo)
+		s.foldFlat(ir[c.lo:c.hi], nil, nil)
+	}
+	return edges
+}
+
+func (s *maskSink[V, E, M, R, P]) foldFlat(ir []uint32, _ []E, _ []uint32) {
+	yw := s.yw
+	for _, dst := range ir {
 		yw[dst>>6] |= 1 << (dst & 63)
 	}
+}
+
+// foldRows walks the complement of the settled bitmap over rows' range a
+// word at a time: each unsettled row's first frontier source sets its y
+// bit, and the examined slots are gatherSink's. With no message (live
+// false) no row can be reached, and none is scanned.
+func (s *maskSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
+	ptr, rlo := rows.base.Ptr, rows.base.RowLo
+	rhi := rlo + uint32(len(ptr)-1)
+	examined := 0
+	for wi := int(rlo >> 6); s.live && wi<<6 < int(rhi); wi++ {
+		for w := ^s.settled[wi] & rangeWord(wi, rlo, rhi); w != 0; w &= w - 1 {
+			i := (uint32(wi)<<6 | uint32(bits.TrailingZeros64(w))) - rlo
+			ok := false
+			if rows.delta == nil {
+				in := rows.base.Src[ptr[i]:ptr[i+1]]
+				k := 0
+				for k < len(in) && xw[in[k]>>6]&(1<<(in[k]&63)) == 0 {
+					k++
+				}
+				if ok = k < len(in); ok {
+					k++
+				}
+				examined += k
+			} else {
+				r := rows.row(int(i))
+				_, _, ok = r.next(xw)
+				examined += r.seen
+			}
+			if ok {
+				s.yw[wi] |= w & -w
+			}
+		}
+	}
 	return examined
+}
+
+// rangeWord returns the bits of mask word wi that fall in vertex range
+// [lo, hi). A partition's range is 64-aligned but for its end, the vertex
+// count, where an empty trailing partition also starts.
+func rangeWord(wi int, lo, hi uint32) uint64 {
+	base, m := uint32(wi)<<6, ^uint64(0)
+	if lo > base {
+		m <<= lo - base
+	}
+	if hi-base < 64 {
+		m &= 1<<(hi-base) - 1
+	}
+	return m
 }

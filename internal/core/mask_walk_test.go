@@ -15,8 +15,8 @@ import (
 // maskProg is hop counting over uint64 properties declaring the boolean fold:
 // a vertex is unsettled while its property is ^0 and takes the first level
 // that reaches it. maskValues is the same program without the declaration,
-// so its block runs fold values (blockGatherSink) where maskProg's fold
-// column masks (blockMaskSink).
+// so its runs fold values (gatherSink, blockGatherSink) where maskProg's
+// fold masks (maskSink, blockMaskSink).
 type maskProg struct{}
 
 func (maskProg) SendMessage(_ VertexID, p uint64) (uint64, bool)    { return p, true }
@@ -66,7 +66,9 @@ func newMaskCase(seed uint64, nblk, nbase, nmut, density, settledFill, k int, ba
 				cm = 1
 			}
 			c.x.summary.Set(uint32(v))
-			c.x.cols[v] = cm
+			if c.x.cols != nil {
+				c.x.cols[v] = cm
+			}
 			for m := cm; m != 0; m &= m - 1 {
 				s := bits.TrailingZeros64(m)
 				c.x.vals[v*k+s] = level[s]
@@ -100,9 +102,21 @@ func runMask[P interface {
 	y := NewBlockVector[uint64](c.n, c.k)
 	sink := blockSink[uint64, uint32, uint64, uint64](p, c.x, c.props, y)
 	value := func(v uint32, s int) uint64 { return y.Row(v)[s] }
-	if ms, ok := sink.(*blockMaskSink[uint64, uint32, uint64, uint64, P]); ok {
-		ms.prepare()
-		value = func(_ uint32, s int) uint64 { return ms.vals[s] }
+	// Seed the settled mask and read the frontier as runPhases does.
+	seed := func(settled []uint64) {
+		seedSettled(settled, any(p).(FirstMessageFinal[uint64]), c.props, c.k, 0, uint32(c.n))
+	}
+	switch s := sink.(type) {
+	case *blockMaskSink[uint64, uint32, uint64, uint64, P]:
+		seed(s.settled)
+		s.prepare()
+		value = func(_ uint32, col int) uint64 { return s.vals[col] }
+	case *maskSink[uint64, uint32, uint64, uint64, P]:
+		seed(s.settled)
+		s.prepare()
+		value = func(_ uint32, col int) uint64 { return s.vals[col] }
+	case *blockGatherSink[uint64, uint32, uint64, uint64, P]:
+		seed(s.settled)
 	}
 	var rows rowSink[uint32]
 	if rowWalk {
@@ -115,8 +129,8 @@ func runMask[P interface {
 	out := maskOut{mask: y.summary.Words(), cols: make([]uint64, c.n), applied: make([]uint64, c.n*c.k), edges: st.edges}
 	for v := range out.cols {
 		if y.summary.Get(uint32(v)) {
-			out.cols[v] = y.cols[v]
-			for m := y.cols[v] &^ c.settled[v]; m != 0; m &= m - 1 {
+			out.cols[v] = y.ColMask(uint32(v))
+			for m := out.cols[v] &^ c.settled[v]; m != 0; m &= m - 1 {
 				s := bits.TrailingZeros64(m)
 				out.applied[v*c.k+s] = value(uint32(v), s)
 			}
@@ -199,23 +213,25 @@ func (c *maskCase) check(t *testing.T, cuts [][2]uint32) {
 
 // FuzzMaskWalk holds the column-mask fold to the value fold over random
 // layered partitions — overrides, tombstones, delta-only columns, built or
-// as bare literals — with random k-wide frontiers that keep the boolean
-// promise, random settled sets and a random 64-aligned finer partitioning,
-// through the pull and push column walks and the row walk.
+// as bare literals — with random frontiers 1 to 64 columns wide that keep
+// the boolean promise, random settled sets and a random 64-aligned finer
+// partitioning, through the pull and push column walks and the row walk.
 func FuzzMaskWalk(f *testing.F) {
-	f.Add(uint64(1), uint8(2), uint8(200), uint8(0), uint8(128), uint8(64), uint8(0), uint8(1), false)   // plain, k=2
-	f.Add(uint64(2), uint8(4), uint8(250), uint8(60), uint8(200), uint8(30), uint8(14), uint8(5), false) // overlay, k=16
-	f.Add(uint64(3), uint8(3), uint8(255), uint8(0), uint8(255), uint8(0), uint8(62), uint8(3), true)    // full frontier, nothing settled, k=64
-	f.Add(uint64(4), uint8(3), uint8(40), uint8(90), uint8(30), uint8(200), uint8(61), uint8(6), true)   // delta-heavy, mostly settled, k=63
-	f.Add(uint64(58), uint8(3), uint8(5), uint8(5), uint8(4), uint8(252), uint8(36), uint8(52), true)    // an overlay cut into plain and delta partitions
-	f.Add(uint64(5), uint8(3), uint8(255), uint8(0), uint8(60), uint8(100), uint8(0), uint8(7), false)   // plain, sparse frontier, k=2
-	f.Add(uint64(6), uint8(3), uint8(255), uint8(40), uint8(160), uint8(10), uint8(62), uint8(2), false) // overlay, dense frontier, k=64
+	f.Add(uint64(1), uint8(2), uint8(200), uint8(0), uint8(128), uint8(64), uint8(1), uint8(1), false)   // plain, k=2
+	f.Add(uint64(2), uint8(4), uint8(250), uint8(60), uint8(200), uint8(30), uint8(15), uint8(5), false) // overlay, k=16
+	f.Add(uint64(3), uint8(3), uint8(255), uint8(0), uint8(255), uint8(0), uint8(63), uint8(3), true)    // full frontier, nothing settled, k=64
+	f.Add(uint64(4), uint8(3), uint8(40), uint8(90), uint8(30), uint8(200), uint8(62), uint8(6), true)   // delta-heavy, mostly settled, k=63
+	f.Add(uint64(58), uint8(3), uint8(5), uint8(5), uint8(4), uint8(252), uint8(37), uint8(52), true)    // an overlay cut into plain and delta partitions
+	f.Add(uint64(5), uint8(3), uint8(255), uint8(0), uint8(60), uint8(100), uint8(1), uint8(7), false)   // plain, sparse frontier, k=2
+	f.Add(uint64(6), uint8(3), uint8(255), uint8(40), uint8(160), uint8(10), uint8(63), uint8(2), false) // overlay, dense frontier, k=64
+	f.Add(uint64(7), uint8(3), uint8(220), uint8(0), uint8(40), uint8(90), uint8(0), uint8(4), false)    // plain, k=1
+	f.Add(uint64(8), uint8(4), uint8(200), uint8(70), uint8(90), uint8(60), uint8(64), uint8(6), false)  // overlay, k=1
 	f.Fuzz(func(t *testing.T, seed uint64, nblk, nbase, nmut, density, settledFill, width, pick uint8, bare bool) {
 		fill := int(density)
 		if fill == 255 {
 			fill = 256 // the top of the range is the full frontier
 		}
-		k := 2 + int(width)%63 // a mask sink's widths: 2..64
+		k := 1 + int(width)%64 // a mask sink's widths: 1..64
 		c := newMaskCase(seed, 1+int(nblk%4), int(nbase), int(nmut), fill, int(settledFill), k, bare)
 		c.check(t, c.rowCuts(uint(pick)))
 	})
@@ -233,9 +249,9 @@ func sinkKind[V, M any, P Program[V, float32, M, M]](p P, k int) string {
 // TestSemiringSinks pins which sink each declaration resolves to, per width:
 // a fused fold only where the element types match the declared semiring (the
 // uint32 min fold at one column only), the column-mask fold only for a
-// boolean FirstMessageFinal program at two or more columns, and the value
-// fold — with the gather beside it for a FirstMessageFinal program —
-// everywhere else.
+// boolean FirstMessageFinal program, at every width, and the value fold —
+// with the gather beside it for a FirstMessageFinal program — everywhere
+// else.
 func TestSemiringSinks(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -248,7 +264,7 @@ func TestSemiringSinks(t *testing.T) {
 		{"sum_f64_wrong_types", func(k int) string { return sinkKind[uint32, uint32](sumOverWords{}, k) }, "foldSink", "blockFoldSink"},
 		{"min_u32", func(k int) string { return sinkKind[uint32, uint32](ccFused{}, k) }, "minSinkU32", "blockFoldSink"},
 		{"min_u32_wrong_types", func(k int) string { return sinkKind[float32, float32](minOverFloats{}, k) }, "foldSink", "blockFoldSink"},
-		{"boolean_first", func(k int) string { return sinkKind[uint32, uint32](bfsBoolean{}, k) }, "gatherSink", "blockMaskSink"},
+		{"boolean_first", func(k int) string { return sinkKind[uint32, uint32](bfsBoolean{}, k) }, "maskSink", "blockMaskSink"},
 		{"none_first", func(k int) string { return sinkKind[uint32, uint32](bfsFirst{}, k) }, "gatherSink", "blockGatherSink"},
 		{"boolean_without_first", func(k int) string { return sinkKind[uint32, uint32](booleanOnly{}, k) }, "foldSink", "blockFoldSink"},
 		{"none", func(k int) string { return sinkKind[uint32, uint32](bfsProg{}, k) }, "foldSink", "blockFoldSink"},

@@ -191,11 +191,14 @@ const (
 	// traversal drivers seed: within one superstep, every message one source
 	// column's senders produce processes to the same value, over any edge
 	// value (the zero one included). BFS and reachability are this shape. A
-	// block run of two or more columns of a program that also declares
-	// FirstMessageFinal then folds one column mask per edge instead of one
-	// value per (edge, column), and its apply hands each newly reached
-	// (vertex, column) the column's one value (blockMaskSink). A one-column
-	// run folds as it would without the declaration.
+	// run of a program that also declares FirstMessageFinal and
+	// DstIndependent then folds masks, not values: one column mask per edge
+	// instead of one value per (edge, column) in a block of two or more
+	// columns (blockMaskSink), one bit per edge at one column (maskSink),
+	// and its apply hands each newly reached (vertex, column) the column's
+	// one value, which ProcessMessage computes once per superstep. No fold
+	// then calls ProcessMessage or Reduce per edge, and the row walk reads
+	// sources only. Reduce must return any value it is given twice.
 	SemiringBoolean
 	// SemiringMinU32 is the (min, passthrough) monoid over uint32:
 	// ProcessMessage returns the message unchanged — bit for bit, for every

@@ -467,6 +467,10 @@ func blockFold[P interface {
 		run: func(mode Mode, rowWalk bool, cuts [][2]uint32) walkOut {
 			y := NewBlockVector[uint64](c.n, k)
 			sink := blockSink[uint64, uint32, uint64, uint64](p, x, props, y)
+			if g, ok := sink.(*blockGatherSink[uint64, uint32, uint64, uint64, P]); ok {
+				// runPhases seeds a run's settled mask; so must a bare sink.
+				seedSettled(g.settled, any(p).(FirstMessageFinal[uint64]), props, k, 0, uint32(c.n))
+			}
 			var rows rowSink[uint32]
 			if rowWalk {
 				rows = sink.(rowSink[uint32])

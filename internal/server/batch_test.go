@@ -247,10 +247,11 @@ func TestRunV1Coalescing(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	addTestGraph(t, ts, "g")
-	g, err := srv.reg.Get("g")
+	g, done, err := srv.reg.Acquire("g")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer done()
 
 	solo := New(Config{BatchWindow: -1}) // coalescing disabled: width-1 batches
 	soloTS := httptest.NewServer(solo)

@@ -120,6 +120,9 @@ func (b *batcher) submit(ctx context.Context, g *GraphEntry, algo string, p algo
 	}
 	b.mu.Unlock()
 	if !joined {
+		// The run may outlive this request (a waiter can leave early), so
+		// it counts as in flight on the entry on its own (dispatch exits).
+		g.inflight.Add(1)
 		go b.dispatch(key, pb)
 	}
 	select {
@@ -144,6 +147,7 @@ func (b *batcher) submit(ctx context.Context, g *GraphEntry, algo string, p algo
 // so no later request joins a finished batch. The run uses a background
 // context — see submit.
 func (b *batcher) dispatch(key batchKey, pb *pendingBatch) {
+	defer key.g.exit()
 	admitted := false
 	pb.err = key.g.run(key.algo, true, func(inst algorithms.Instance) (graphmat.Stats, int, error) {
 		p := b.admit(key, pb)

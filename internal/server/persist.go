@@ -79,10 +79,11 @@ type persister struct {
 	// re-registration of its name creates. Set under updMu and mu.
 	closed bool
 
-	// maps holds every snapshot mapping opened at boot, for the process
+	// maps holds every snapshot mapping opened at boot, for the entry's
 	// lifetime: the entry's current state may reference mapped arrays until
 	// the first compaction folds them onto the heap, and pinned older epochs
-	// may reference them indefinitely.
+	// may reference them indefinitely. A deleted entry closes them once no
+	// request reads it (GraphEntry.unmapIfIdle). Guarded by mu after boot.
 	maps []*snap.Snapshot
 
 	// dirty is set by the stores' OnCompact hooks (markDirty): some store
@@ -112,8 +113,9 @@ var errDeleted = fmt.Errorf("%w: the graph was deleted", ErrGraphNotFound)
 
 // remove retires a deleted graph's persistence: the log is closed, every
 // later write is refused and the directory is removed. The mappings stay
-// open: runs in flight, and the deleted entry's stores, may still read them,
-// and a mapping outlives its unlinked file. Caller holds the entry's updMu.
+// open: runs in flight may still read them, and a mapping outlives its
+// unlinked file; unmap closes them once none does. Caller holds the entry's
+// updMu.
 func (p *persister) remove() error {
 	p.mu.Lock()
 	p.closed = true
@@ -126,6 +128,17 @@ func (p *persister) remove() error {
 		return fmt.Errorf("persist: %w", err)
 	}
 	return nil
+}
+
+// unmap closes the boot mappings: the entry was deleted and nothing reads
+// them any more. Later calls find none.
+func (p *persister) unmap() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, m := range p.maps {
+		m.Close()
+	}
+	p.maps = nil
 }
 
 func (p *persister) closeAll() {

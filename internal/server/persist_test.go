@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -11,8 +13,10 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"graphmat/algorithms"
 	"graphmat/internal/graph"
@@ -675,6 +679,95 @@ func TestConcurrentDurableAddOneName(t *testing.T) {
 		}
 		if got := booted.NumVertices(); got != sizes[win] {
 			t.Fatalf("round %d: the %d-vertex registration won, yet the directory boots %d vertices", round, sizes[win], got)
+		}
+	}
+}
+
+// TestDeletedDurableGraphUnmaps deletes a durable graph booted from its
+// snapshot files while a bfs run on it is in flight: the run must finish
+// with the graph's answer, and once it has, the process must map none of
+// the graph's snapshot files — a deleted graph's mappings do not outlive
+// the last request reading them. The mapping check reads /proc/self/maps
+// and is skipped where there is none.
+func TestDeletedDurableGraphUnmaps(t *testing.T) {
+	dir := t.TempDir()
+	src := Source{Generator: "rmat", Scale: 12, EdgeFactor: 8, Seed: 3}
+	first, err := NewRegistry(0, 1, dir).Add("g", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := first.RunContext(t.Context(), "bfs", algorithms.Params{Source: 0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv := New(Config{DataDir: dir})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	g, err := srv.reg.Add("g", mustNotParseSource(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gdir := filepath.Join(dir, "g") + string(filepath.Separator)
+	mapped := func() []string {
+		b, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			return nil
+		}
+		var files []string
+		for line := range strings.Lines(string(b)) {
+			if i := strings.Index(line, gdir); i >= 0 {
+				files = append(files, strings.TrimSpace(line[i:]))
+			}
+		}
+		return files
+	}
+	_, procErr := os.Stat("/proc/self/maps")
+	if procErr == nil && len(mapped()) == 0 {
+		t.Fatal("vacuous: the booted graph maps none of its snapshot files")
+	}
+
+	// The run, a batch of one behind the held instance, takes the instance
+	// after the delete: it is in flight across it.
+	hold := holdInstance(t, g, "bfs")
+	type reply struct {
+		code int
+		body []byte
+		err  error
+	}
+	done := make(chan reply)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/graphs/g/run", "application/json", strings.NewReader(`{"algo":"bfs","sources":[0]}`))
+		if err != nil {
+			done <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		done <- reply{resp.StatusCode, body, err}
+	}()
+	waitSubmitted(t, srv.batcher, 1)
+	if code, body := do(t, ts, http.MethodDelete, "/v1/graphs/g", nil); code != http.StatusOK {
+		t.Fatalf("DELETE = %d: %s", code, body)
+	}
+	hold()
+	r := <-done
+	if r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("bfs run across the delete = %d, %v: %s", r.code, r.err, r.body)
+	}
+	var got runReply
+	if err := json.Unmarshal(r.body, &got); err != nil {
+		t.Fatal(err)
+	}
+	sameValues(t, "bfs run across the delete", ref.Values, got.Values)
+
+	if procErr != nil {
+		t.Skipf("no /proc/self/maps to check the mappings in: %v", procErr)
+	}
+	// The handler's release may trail its reply by a moment.
+	for deadline := time.Now().Add(10 * time.Second); len(mapped()) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the deleted graph's snapshot files are still mapped: %v", mapped())
 		}
 	}
 }

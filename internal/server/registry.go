@@ -87,6 +87,13 @@ type GraphEntry struct {
 	// update batch, compaction-driven checkpoints, mmap boot. Set before the
 	// entry is published, never changed after.
 	pers *persister
+
+	// inflight counts the requests using the entry (Registry.Acquire) and
+	// the batch runs they dispatched; removed is set by Remove. A removed
+	// entry's boot mappings are closed once both the count and its stores'
+	// pins are zero (unmapIfIdle).
+	inflight atomic.Int64
+	removed  atomic.Bool
 }
 
 // propStore is one property graph of an entry: the store every algorithm of
@@ -251,15 +258,45 @@ func (r *Registry) newEntry(name, source string, adj *sparse.COO[float32]) (*Gra
 	return entry, nil
 }
 
-// Get looks a graph up by name.
-func (r *Registry) Get(name string) (*GraphEntry, error) {
+// Acquire looks a graph up by name for a request that uses it: the entry
+// counts the request in flight until release is called, so a deleted
+// durable graph's snapshot mappings stay open under every request still
+// reading them.
+func (r *Registry) Acquire(name string) (entry *GraphEntry, release func(), err error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	entry, ok := r.graphs[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrGraphNotFound, name)
+		return nil, nil, fmt.Errorf("%w: %s", ErrGraphNotFound, name)
 	}
-	return entry, nil
+	entry.inflight.Add(1)
+	return entry, entry.exit, nil
+}
+
+// exit ends one in-flight use of the entry (Acquire's release).
+func (g *GraphEntry) exit() {
+	if g.inflight.Add(-1) == 0 && g.removed.Load() {
+		g.unmapIfIdle()
+	}
+}
+
+// unmapIfIdle closes a removed durable entry's boot mappings when nothing
+// can read them any more: no request is in flight and no snapshot of its
+// stores is pinned. Remove and the last exit both try, so whichever comes
+// second closes them.
+func (g *GraphEntry) unmapIfIdle() {
+	if g.pers == nil || g.inflight.Load() != 0 {
+		return
+	}
+	g.mu.Lock()
+	for _, st := range g.stores {
+		if st.Stats().Pinned != 0 {
+			g.mu.Unlock()
+			return
+		}
+	}
+	g.mu.Unlock()
+	g.pers.unmap()
 }
 
 // Has reports whether the exact entry is still registered (used to avoid
@@ -276,7 +313,8 @@ func (r *Registry) Has(entry *GraphEntry) bool {
 // refuses every later write and removes the graph's directory, so a later
 // registration of the name parses its own source instead of booting the
 // deleted graph. The registry stays locked until the directory is gone, so
-// that registration cannot find it half removed.
+// that registration cannot find it half removed. The boot mappings close
+// when the last request in flight on the entry ends (unmapIfIdle).
 func (r *Registry) Remove(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -290,7 +328,10 @@ func (r *Registry) Remove(name string) error {
 	}
 	entry.updMu.Lock()
 	defer entry.updMu.Unlock()
-	return entry.pers.remove()
+	err := entry.pers.remove()
+	entry.removed.Store(true)
+	entry.unmapIfIdle()
+	return err
 }
 
 // Names returns the registered graph names, sorted.

@@ -35,8 +35,8 @@ func TestRegistryAddRejectsRecordsOutsideDimensions(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "record 2 (2,9) outside 4x4") {
 			t.Errorf("data dir %q: Add err = %v, want the out-of-range record named", dataDir, err)
 		}
-		if _, err := reg.Get("oob"); !errors.Is(err, ErrGraphNotFound) {
-			t.Errorf("data dir %q: after a failed Add, Get err = %v, want ErrGraphNotFound", dataDir, err)
+		if _, _, err := reg.Acquire("oob"); !errors.Is(err, ErrGraphNotFound) {
+			t.Errorf("data dir %q: after a failed Add, Acquire err = %v, want ErrGraphNotFound", dataDir, err)
 		}
 		if names := reg.Names(); len(names) != 0 {
 			t.Errorf("data dir %q: registered %v after a failed Add", dataDir, names)

@@ -202,8 +202,9 @@ func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 	names := s.reg.Names()
 	infos := make([]graphInfo, 0, len(names))
 	for _, n := range names {
-		if g, err := s.reg.Get(n); err == nil {
+		if g, release, err := s.reg.Acquire(n); err == nil {
 			infos = append(infos, infoOf(g))
+			release()
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"graphs": infos})
@@ -319,11 +320,12 @@ type updateResponse struct {
 // key's preprocessing, and cached results of older epochs are dropped.
 // Queries running while the batch lands finish on the snapshot they pinned.
 func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
-	g, err := s.reg.Get(r.PathValue("name"))
+	g, release, err := s.reg.Acquire(r.PathValue("name"))
 	if err != nil {
 		writeError(w, errorCode(err), "%v", err)
 		return
 	}
+	defer release()
 	maxBytes := s.cfg.MaxUploadBytes
 	if maxBytes <= 0 {
 		maxBytes = defaultMaxUpload
@@ -381,11 +383,12 @@ func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
-	g, err := s.reg.Get(r.PathValue("name"))
+	g, release, err := s.reg.Acquire(r.PathValue("name"))
 	if err != nil {
 		writeError(w, errorCode(err), "%v", err)
 		return
 	}
+	defer release()
 	writeJSON(w, http.StatusOK, infoOf(g))
 }
 
@@ -518,11 +521,12 @@ const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 // engine work.
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, req runRequest) {
 	name := r.PathValue("name")
-	g, err := s.reg.Get(name)
+	g, release, err := s.reg.Acquire(name)
 	if err != nil {
 		writeError(w, errorCode(err), "%v", err)
 		return
 	}
+	defer release()
 	spec, ok := algorithms.Lookup(req.Algo)
 	if !ok {
 		writeError(w, http.StatusNotFound, "%v: %q (have %v)", ErrAlgoNotFound, req.Algo, algorithms.Names())
@@ -804,7 +808,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 	graphs := make(map[string]GraphStats)
 	for _, n := range s.reg.Names() {
-		if g, err := s.reg.Get(n); err == nil {
+		if g, release, err := s.reg.Acquire(n); err == nil {
 			gs := GraphStats{
 				Epoch:          g.Epoch(),
 				UpdatesApplied: g.UpdatesApplied(),
@@ -816,6 +820,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				gs.Persist = &ps
 			}
 			graphs[n] = gs
+			release()
 		}
 	}
 	var bs batcherStats

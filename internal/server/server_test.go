@@ -218,10 +218,11 @@ func TestConcurrentRequests(t *testing.T) {
 
 	// The identical "components" queries may be served from the result
 	// cache; every other query is a computed run.
-	g, err := srv.reg.Get("g")
+	g, release, err := srv.reg.Acquire("g")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 	var runs int64
 	for algo, st := range g.Stats() {
 		if st.Runs == 0 {

@@ -205,10 +205,11 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 func TestRegistryRunContextReason(t *testing.T) {
 	srv, ts := newTestServer(t)
 	addTestGraph(t, ts, "g")
-	g, err := srv.reg.Get("g")
+	g, release, err := srv.reg.Acquire("g")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 
 	params := algorithms.Params{Iterations: 3}
 	res, err := g.RunContext(context.Background(), "pagerank", params, nil)

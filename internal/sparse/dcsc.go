@@ -134,25 +134,20 @@ func (m *DCSC[E]) ColumnIndex() *ColumnIndex {
 
 // RowIndex is the row-major (CSR) view of one DCSC: the same stored entries
 // grouped by destination row instead of by source column. Row r of the
-// structure's range holds Entries[Ptr[r-RowLo]:Ptr[r-RowLo+1]] — its entries
-// in ascending source column id. That is exactly the order in which the
-// column walks deliver a row's entries, so a fold over a row visits the same
-// sequence. A scan of a row that stops early finds the value of the entry it
-// stopped at on the cache line it just read, which is why source and value
-// are interleaved. It costs 4 B plus one E per stored entry (8 B for float32
-// weights) and 4 B per row. A delta's RowIndex holds its override columns'
-// entries only (a tombstone has none); the row walk merges it with the base's
-// (see Layered).
+// structure's range holds positions Ptr[r-RowLo]..Ptr[r-RowLo+1] of Src and
+// Val — its entries' source column ids, ascending, and their values. That is
+// exactly the order in which the column walks deliver a row's entries, so a
+// fold over a row visits the same sequence. Sources and values are two
+// arrays: a row scan reads sources only, and a gather reads one value, at
+// the entry it stops at, while a boolean fold reads none. It costs 4 B plus
+// one E per stored entry (8 B for float32 weights) and 4 B per row. A
+// delta's RowIndex holds its override columns' entries only (a tombstone has
+// none); the row walk merges it with the base's (see Layered).
 type RowIndex[E any] struct {
-	RowLo   uint32
-	Ptr     []uint32
-	Entries []RowEntry[E]
-}
-
-// RowEntry is one stored entry of a RowIndex row: its source column and value.
-type RowEntry[E any] struct {
-	Src uint32
-	Val E
+	RowLo uint32
+	Ptr   []uint32
+	Src   []uint32
+	Val   []E
 }
 
 // RowIndex returns the row-major view of m. It is built on first use (one
@@ -167,18 +162,18 @@ func (m *DCSC[E]) RowIndex() *RowIndex[E] {
 		for i := 1; i < len(ptr); i++ {
 			ptr[i] += ptr[i-1]
 		}
-		entries := make([]RowEntry[E], len(m.IR))
+		src, val := make([]uint32, len(m.IR)), make([]E, len(m.IR))
 		// Columns ascend, so filling each row left to right leaves its
 		// sources ascending. next[r] is row r's fill position.
 		next := slices.Clone(ptr[:len(ptr)-1])
 		for ci, j := range m.JC {
 			for k := m.CP[ci]; k < m.CP[ci+1]; k++ {
 				at := &next[m.IR[k]-m.RowLo]
-				entries[*at] = RowEntry[E]{Src: j, Val: m.Val[k]}
+				src[*at], val[*at] = j, m.Val[k]
 				*at++
 			}
 		}
-		m.rowIndex.idx = &RowIndex[E]{RowLo: m.RowLo, Ptr: ptr, Entries: entries}
+		m.rowIndex.idx = &RowIndex[E]{RowLo: m.RowLo, Ptr: ptr, Src: src, Val: val}
 	})
 	return m.rowIndex.idx
 }

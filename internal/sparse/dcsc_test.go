@@ -115,21 +115,23 @@ func TestRowIndex(t *testing.T) {
 		"empty":       BuildDCSC(NewCOO[int](8, 8), 0, 8),
 	} {
 		idx := m.RowIndex()
-		if idx.RowLo != m.RowLo || len(idx.Ptr) != int(m.RowHi-m.RowLo)+1 || len(idx.Entries) != m.NNZ() {
-			t.Fatalf("%s: RowIndex from row %d with %d pointers and %d entries; structure covers [%d, %d) with %d",
-				name, idx.RowLo, len(idx.Ptr), len(idx.Entries), m.RowLo, m.RowHi, m.NNZ())
+		if idx.RowLo != m.RowLo || len(idx.Ptr) != int(m.RowHi-m.RowLo)+1 || len(idx.Src) != m.NNZ() || len(idx.Val) != m.NNZ() {
+			t.Fatalf("%s: RowIndex from row %d with %d pointers, %d sources and %d values; structure covers [%d, %d) with %d",
+				name, idx.RowLo, len(idx.Ptr), len(idx.Src), len(idx.Val), m.RowLo, m.RowHi, m.NNZ())
 		}
 		// Iterate is column-major with columns ascending, so appending each
-		// entry to its row's list leaves every list in ascending source order.
-		want := make([][]RowEntry[int], m.RowHi-m.RowLo)
+		// entry to its row's lists leaves every list in ascending source order.
+		wantSrc := make([][]uint32, m.RowHi-m.RowLo)
+		wantVal := make([][]int, m.RowHi-m.RowLo)
 		m.Iterate(func(row, col uint32, v int) {
-			want[row-m.RowLo] = append(want[row-m.RowLo], RowEntry[int]{col, v})
+			wantSrc[row-m.RowLo] = append(wantSrc[row-m.RowLo], col)
+			wantVal[row-m.RowLo] = append(wantVal[row-m.RowLo], v)
 		})
 		empty := 0
-		for r, w := range want {
-			got := idx.Entries[idx.Ptr[r]:idx.Ptr[r+1]]
-			if !slices.Equal(got, w) {
-				t.Fatalf("%s: row %d = %v, want %v", name, int(m.RowLo)+r, got, w)
+		for r, w := range wantSrc {
+			lo, hi := idx.Ptr[r], idx.Ptr[r+1]
+			if !slices.Equal(idx.Src[lo:hi], w) || !slices.Equal(idx.Val[lo:hi], wantVal[r]) {
+				t.Fatalf("%s: row %d = %v %v, want %v %v", name, int(m.RowLo)+r, idx.Src[lo:hi], idx.Val[lo:hi], w, wantVal[r])
 			}
 			if len(w) == 0 {
 				empty++
