@@ -119,10 +119,14 @@ race:
 # walk ≡ a naive "first live in-neighbour of each unsettled row" of a fresh
 # build — output and live slots examined — over random plain and base+delta
 # partitions (the row walk merging each base row with its delta row), frontiers,
-# settled sets and row cuts; the mask-walk target asserts a boolean program's
-# column-mask fold ≡ the value fold in output masks and applied values, per
-# walk, and its row walk's examined slots ≡ the fresh build's, over the same
-# kind of random partitions, frontiers of every width from one column (the
+# settled sets and row cuts — its float64 and uint32 frontiers carrying signed
+# zeros, infinities, quiet NaNs with distinct payloads, subnormals and the
+# labels 0 and MaxUint32, so its full-frontier seeds (density 255, bare
+# literals included) fold whole plain partitions through the sum and min
+# sinks' identity seeds and mask-free loops; the mask-walk target asserts a
+# boolean program's column-mask fold ≡ the value fold in output masks and
+# applied values, per walk, and its row walk's examined slots ≡ the fresh
+# build's, over the same kind of random partitions, frontiers of every width from one column (the
 # scalar mask fold and its settled bitmap) to 64, and settled masks. CI runs
 # this target.
 fuzz:

@@ -56,6 +56,51 @@ func BenchmarkBFSBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkPageRank measures one 10-iteration PageRank run on benchRMAT16:
+// every superstep pulls every partition whole through the float64 sum fold.
+// It reports FlatEdges/op, the edges folded as flat ranges, beside ns/op.
+// Run it with
+//
+//	go test -run='^$' -bench='^BenchmarkPageRank$' -benchtime=20x ./algorithms
+func BenchmarkPageRank(b *testing.B) {
+	g, err := NewPageRankGraph(benchRMAT16(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var flat int64
+	for b.Loop() {
+		_, st, err := RunPageRank(ctx, g, WithIterations(10))
+		if err != nil {
+			b.Fatal(err)
+		}
+		flat = st.FlatEdges
+	}
+	b.ReportMetric(float64(flat), "FlatEdges/op")
+}
+
+// BenchmarkComponents measures one connected-components run on benchRMAT16,
+// whose early supersteps pull whole partitions through the uint32 min fold.
+// It reports FlatEdges/op beside ns/op. Run it with
+//
+//	go test -run='^$' -bench='^BenchmarkComponents$' -benchtime=20x ./algorithms
+func BenchmarkComponents(b *testing.B) {
+	g, err := NewCCGraph(benchRMAT16(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var flat int64
+	for b.Loop() {
+		_, st, err := RunConnectedComponents(ctx, g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		flat = st.FlatEdges
+	}
+	b.ReportMetric(float64(flat), "FlatEdges/op")
+}
+
 // BenchmarkBFSOverlay measures a BFS read between two compactions: k = 1 and
 // k = 16 runs from benchRoots on a BFS store of benchRMAT16, each world its
 // own store —

@@ -102,8 +102,22 @@ type colSink[E any] interface {
 // drops is the per-column loop nest, whose exit mispredicts once per column
 // on graphs averaging a handful of edges per column segment. The scalar
 // sinks implement it; the block sinks keep the column fold.
+//
+// rows is set only when the edges are a whole partition's: then it holds
+// exactly the rows ir lands on, and a sink whose reduction has a bit-exact
+// identity may seed those rows with it and fold with no occupancy test
+// (sumSinkF64, minSinkU32). A batch, or a partition without a row mask,
+// comes with the zero rowMask, and every sink folds it masked.
 type flatSink[E any] interface {
-	foldFlat(ir []uint32, val []E, src []uint32)
+	foldFlat(ir []uint32, val []E, src []uint32, rows rowMask)
+}
+
+// rowMask is the set of destination rows of a whole partition's edges,
+// sparse.DCSC.RowMask: words[i] lines up with the output's mask word w0+i.
+// words is nil when there is none to use.
+type rowMask struct {
+	w0    int
+	words []uint64
 }
 
 // rowSink is a colSink that can also gather: foldRows visits every
@@ -240,7 +254,8 @@ func (r *liveRow) next(xw []uint64) (src uint32, at int, ok bool) {
 // tests, once, whether every stored column is live (allLive: the column
 // bitmap against the frontier, a word at a time) — true on every superstep of
 // PageRank, PPR and HITS — and
-// if so hands the whole partition, CP[0]..CP[len(JC)], to one foldFlat call.
+// if so hands the whole partition, CP[0]..CP[len(JC)], to one foldFlat call
+// together with its row mask, so the sum and min sinks fold it mask-free.
 // Otherwise it gathers walkBatch columns at a time, and a batch gather finds
 // all live — the stretches of a partly live frontier that happen to be full,
 // the base runs between an overlay's overrides — is folded as the one range
@@ -257,7 +272,8 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *loca
 	flat, _ := sink.(flatSink[E])
 	if flat != nil && delta == nil && allLive(base, xw) {
 		lo, hi := bcp[0], bcp[len(bjc)]
-		flat.foldFlat(base.IR[lo:hi], base.Val[lo:hi], base.EdgeCols()[lo:hi])
+		rows := rowMask{int(base.RowLo >> 6), base.RowMask()}
+		flat.foldFlat(base.IR[lo:hi], base.Val[lo:hi], base.EdgeCols()[lo:hi], rows)
 		st.probes += int64(len(bjc))
 		st.edges += int64(hi - lo)
 		st.flat += int64(hi - lo)
@@ -283,7 +299,7 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *loca
 					src = base.EdgeCols()
 				}
 				lo, hi := bcp[bi], bcp[bi+n]
-				flat.foldFlat(base.IR[lo:hi], base.Val[lo:hi], src[lo:hi])
+				flat.foldFlat(base.IR[lo:hi], base.Val[lo:hi], src[lo:hi], rowMask{})
 				flatEdges += int(hi - lo)
 			} else if n > 0 {
 				edges += sink.fold(base.IR, base.Val, buf[:n])

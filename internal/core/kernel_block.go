@@ -322,7 +322,10 @@ func (s *blockMaskSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) i
 
 // blockSumSinkF64 is the (+, passthrough) float64 block fold: per edge, one
 // masked k-lane add through the kernels backend. Lanes are independent and
-// first writes store the raw message, exactly like the generic loop.
+// first writes store the raw message, exactly like the generic loop. It has
+// no flat fold, so no mask-free one either: the lanes a row receives are
+// the union of its sources' column masks, which the frontier sets and the
+// structure cannot, so every edge keeps its lane test.
 type blockSumSinkF64[E any] struct {
 	x, y *BlockVector[float64]
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 
 	"graphmat/internal/kernels"
@@ -17,6 +18,22 @@ import (
 // beside it when the program declares FirstMessageFinal. A boolean
 // FirstMessageFinal program that ignores its destination never gets here:
 // blockSink gives it maskSink, the one-column mask fold, defined below.
+//
+// Every flat fold tests an occupancy bit per edge to tell a first write from
+// a reduction, except one: a whole fully-live partition handed to the sum or
+// the min sink with its row mask (walkPull). The rows that partition writes
+// are known from its structure, so the sink seeds each one not yet written
+// with its reduction's exact identity — −0 for float64 +, MaxUint32 for
+// uint32 min — marks them all at once (seedRows), and folds every edge with
+// no mask load and no branch. Column batches, partitions without a row mask
+// and the other sinks keep the masked fold; results and tallies are the
+// same either way.
+//
+// A new helper on a per-partition, per-row or per-word fold path is
+// generic, so that it inlines where the engine is instantiated (package
+// algorithms, which sees internal/core only through the facade); a
+// non-generic one such as rangeWord stays a call there. internal/lint's
+// inlinedHelpers lists the helpers the build must inline.
 
 // scalarSink resolves program p's column fold from message vector x into
 // reduction vector y. The result only reads p and views of the vectors'
@@ -71,8 +88,23 @@ func (s *sumSinkF64[E]) fold(ir []uint32, _ []E, cols []colRef) int {
 	return edges
 }
 
-func (s *sumSinkF64[E]) foldFlat(ir []uint32, _ []E, src []uint32) {
-	kernels.FlatAddF64(s.yw, s.y, ir, src, s.x)
+// foldFlat folds a whole partition mask-free when walkPull hands one with
+// its rows (seedRows): −0 is the exact identity of float64 +, as −0 + m has
+// m's bits for every m the engine folds — ±0, subnormals, ±Inf, quiet NaNs
+// with their payloads — so y[dst] += x[src[k]] from the seed stores what the
+// masked fold's first write stores, and every later add is the same add. A
+// batch folds masked, through FlatAddF64.
+func (s *sumSinkF64[E]) foldFlat(ir []uint32, _ []E, src []uint32, rows rowMask) {
+	if rows.words == nil {
+		kernels.FlatAddF64(s.yw, s.y, ir, src, s.x)
+		return
+	}
+	x, y := s.x, s.y
+	seedRows(s.yw, y, rows, math.Copysign(0, -1))
+	src = src[:len(ir)]
+	for k, dst := range ir {
+		y[dst] += x[src[k]]
+	}
 }
 
 // minSinkU32 is the (min, passthrough) uint32 fold: the builtin min or a
@@ -105,9 +137,18 @@ func (s *minSinkU32[E]) fold(ir []uint32, _ []E, cols []colRef) int {
 	return edges
 }
 
-func (s *minSinkU32[E]) foldFlat(ir []uint32, _ []E, src []uint32) {
+// foldFlat folds a whole partition mask-free, as sumSinkF64's does, from
+// the identity of uint32 min, MaxUint32: min(MaxUint32, m) is m.
+func (s *minSinkU32[E]) foldFlat(ir []uint32, _ []E, src []uint32, rows rowMask) {
 	x, yw, y := s.x, s.yw, s.y
 	src = src[:len(ir)]
+	if rows.words != nil {
+		seedRows(yw, y, rows, math.MaxUint32)
+		for k, dst := range ir {
+			y[dst] = min(y[dst], x[src[k]])
+		}
+		return
+	}
 	for k, dst := range ir {
 		m := x[src[k]]
 		w := &yw[dst>>6]
@@ -178,7 +219,7 @@ func (s *foldSink[V, E, M, R, P]) fold(ir []uint32, val []E, cols []colRef) int 
 	return edges
 }
 
-func (s *foldSink[V, E, M, R, P]) foldFlat(ir []uint32, val []E, src []uint32) {
+func (s *foldSink[V, E, M, R, P]) foldFlat(ir []uint32, val []E, src []uint32, _ rowMask) {
 	p, x, props, yw, y := s.p, s.x, s.props, s.yw, s.y
 	var zeroV V
 	// Reslice to ir's length so the loops are bounds-check free.
@@ -294,12 +335,12 @@ func (s *maskSink[V, E, M, R, P]) fold(ir []uint32, _ []E, cols []colRef) int {
 	edges := 0
 	for _, c := range cols {
 		edges += int(c.hi - c.lo)
-		s.foldFlat(ir[c.lo:c.hi], nil, nil)
+		s.foldFlat(ir[c.lo:c.hi], nil, nil, rowMask{})
 	}
 	return edges
 }
 
-func (s *maskSink[V, E, M, R, P]) foldFlat(ir []uint32, _ []E, _ []uint32) {
+func (s *maskSink[V, E, M, R, P]) foldFlat(ir []uint32, _ []E, _ []uint32, _ rowMask) {
 	yw := s.yw
 	for _, dst := range ir {
 		yw[dst>>6] |= 1 << (dst & 63)
@@ -339,6 +380,21 @@ func (s *maskSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
 		}
 	}
 	return examined
+}
+
+// seedRows readies y for a whole partition's mask-free fold: every row of
+// rows that yw does not mark yet takes id, the reduction's identity, and yw
+// then marks all of rows — the marks the masked fold's first writes would
+// leave. A row already marked keeps its value: a two-direction run's second
+// layer set folds into rows its first one wrote.
+func seedRows[T any](yw []uint64, y []T, rows rowMask, id T) {
+	yw = yw[rows.w0 : rows.w0+len(rows.words)]
+	for i, pm := range rows.words {
+		for m := pm &^ yw[i]; m != 0; m &= m - 1 {
+			y[(rows.w0+i)<<6|bits.TrailingZeros64(m)] = id
+		}
+		yw[i] |= pm
+	}
 }
 
 // rangeWord returns the bits of mask word wi that fall in vertex range

@@ -38,8 +38,11 @@ func (s *pathSinkF32) fold(ir []uint32, val []float32, cols []colRef) int {
 
 // foldFlat is the same fold over a fully-live run of columns: the candidate
 // and the builtin min/max argument order are the scatter primitives', with
-// the message read per edge.
-func (s *pathSinkF32) foldFlat(ir []uint32, val []float32, src []uint32) {
+// the message read per edge. A whole partition folds masked too, its rows
+// unused: Go's builtin min and max do not promise which NaN's payload they
+// return, so no seed value is an identity bit for bit, and grid SSSP, the
+// run this sink is for, never folds a whole partition flat.
+func (s *pathSinkF32) foldFlat(ir []uint32, val []float32, src []uint32, _ rowMask) {
 	x, yw, y := s.x, s.yw, s.y
 	val, src = val[:len(ir)], src[:len(ir)]
 	if s.kind == SemiringMinPlusF32 {
@@ -72,7 +75,8 @@ func (s *pathSinkF32) foldFlat(ir []uint32, val []float32, src []uint32) {
 // blockPathSinkF32 is the block fused fold: per edge, one masked k-lane
 // fold through the kernels backend instead of a per-source callback loop.
 // Identical fold semantics — lanes are independent and first writes store
-// the raw candidate, exactly like the generic loop.
+// the raw candidate, exactly like the generic loop. It stays masked for
+// blockSumSinkF64's reason and pathSinkF32's.
 type blockPathSinkF32 struct {
 	kind Semiring // as pathSinkF32's
 	x, y *BlockVector[float32]

@@ -232,10 +232,16 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, bare bool) *walkCa
 		m := rng.Uint64()
 		c.x.Set(uint32(v), m)
 		// Spread the float64 messages over 40 binades so their sum depends
-		// on the order of the adds.
+		// on the order of the adds; one in 16 is a special value instead,
+		// from the same draw, so a full frontier also folds the values a
+		// whole partition's identity seed must pass through unchanged.
 		c.xf64.Set(uint32(v), math.Ldexp(1+float64(m>>12)/(1<<52), int(m%41)-20))
 		c.xf32.Set(uint32(v), float32(m%4096)/16)
 		c.xu32.Set(uint32(v), uint32(m>>32))
+		if m>>60 == 0 {
+			c.xf64.Set(uint32(v), walkSpecialsF64[(m>>4)%uint64(len(walkSpecialsF64))])
+			c.xu32.Set(uint32(v), walkSpecialsU32[(m>>4)%uint64(len(walkSpecialsU32))])
+		}
 		for k, b := range c.blocks {
 			cm := uint64(1 + rng.Intn(1<<k-1))
 			b.summary.Set(uint32(v))
@@ -247,6 +253,18 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, bare bool) *walkCa
 	}
 	return c
 }
+
+// walkSpecialsF64 and walkSpecialsU32 are the special messages of a walk
+// case's sum and min frontiers: signed zeros, infinities, quiet NaNs with
+// distinct payloads and subnormals; the extreme labels.
+var (
+	walkSpecialsF64 = []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff800000000beef),
+		math.Float64frombits(1), -math.Float64frombits(0x000ffffffffffff0),
+	}
+	walkSpecialsU32 = []uint32{0, math.MaxUint32}
+)
 
 // rowCuts expands a subset of the partition's interior 64-row boundaries
 // (bit i of pick selects boundary i) into the [lo, hi) row ranges of a finer
@@ -324,10 +342,10 @@ type flatCounter[E any] struct {
 	spans *[][2]int
 }
 
-func (s flatCounter[E]) foldFlat(ir []uint32, val []E, src []uint32) {
+func (s flatCounter[E]) foldFlat(ir []uint32, val []E, src []uint32, rows rowMask) {
 	lo := cap(s.base) - cap(ir)
 	*s.spans = append(*s.spans, [2]int{lo, lo + len(ir)})
-	s.colSink.(flatSink[E]).foldFlat(ir, val, src)
+	s.colSink.(flatSink[E]).foldFlat(ir, val, src, rows)
 }
 
 func (o walkOut) equal(p walkOut) error {

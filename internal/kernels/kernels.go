@@ -218,6 +218,12 @@ func ScatterAddF64(yw []uint64, yvals []float64, idx []uint32, m float64) {
 // signaling-NaN boundary as in ScatterAddF64. Every backend runs the scalar
 // reference: the loop is a dependent gather feeding a scatter, and the column
 // loop's cost was its exits, not its arithmetic.
+//
+// It is the masked fold of a fully-live column batch, and of a whole
+// partition without a row mask. A whole partition with one does not come
+// here: its sum sink (internal/core) seeds the rows the partition writes
+// with −0, the exact identity of float64 +, and runs the same adds with no
+// occupancy load or branch, which leaves the same bits.
 func FlatAddF64(yw []uint64, yvals []float64, idx, src []uint32, x []float64) {
 	scalarFlatAddF64(yw, yvals, idx, src, x)
 }

@@ -39,16 +39,18 @@ type DCSC[E any] struct {
 	// are 0, NRows.
 	RowLo, RowHi uint32
 
-	// edgeCols memoizes EdgeCols, the per-edge source-column array the pull
-	// walk's flat fold reads — as one stream over every edge when the whole
-	// structure is live, a batch's slice of it otherwise: 4 B per stored
-	// edge, built on the first fully-live structure or column batch a walk
-	// meets here and never before, so a structure only ever traversed by
-	// sparse frontiers does not pay for it. It is derived state — never
-	// serialised.
-	edgeCols struct {
+	// flat memoizes the pull walk's flat-fold view, EdgeCols and RowMask,
+	// built in one pass: the per-edge source-column array it reads — as one
+	// stream over every edge when the whole structure is live, a batch's
+	// slice of it otherwise: 4 B per stored edge — and the bitmap of the rows
+	// IR holds, one bit per row of the range. Built on the first fully-live
+	// structure or column batch a walk meets here and never before, so a
+	// structure only ever traversed by sparse frontiers does not pay for it.
+	// It is derived state — never serialised.
+	flat struct {
 		once sync.Once
 		cols []uint32
+		rows []uint64
 	}
 
 	// rowIndex memoizes RowIndex, the row-major view the row walk scans —
@@ -180,20 +182,49 @@ func (m *DCSC[E]) RowIndex() *RowIndex[E] {
 
 // EdgeCols returns the COO expansion of JC/CP: EdgeCols()[k] is the column
 // id of the edge stored at IR[k]/Val[k]. The array is built on first use
-// (O(nnz)), memoized, and must be treated as read-only. Safe for concurrent
-// use: racing first callers build it once.
+// (O(nnz)), together with RowMask, memoized, and must be treated as
+// read-only. Safe for concurrent use: racing first callers build it once.
 func (m *DCSC[E]) EdgeCols() []uint32 {
-	m.edgeCols.once.Do(func() {
-		cols := make([]uint32, len(m.IR))
-		for ci, j := range m.JC {
-			seg := cols[m.CP[ci]:m.CP[ci+1]]
-			for k := range seg {
-				seg[k] = j
-			}
+	m.flat.once.Do(m.buildFlat)
+	return m.flat.cols
+}
+
+// RowMask returns the rows the stored edges land on: bit i&63 of word i>>6
+// is set exactly when row RowLo+i appears in IR, so word i lines up with
+// mask word RowLo/64+i of a vector over all rows. It is nil when some IR
+// entry lies outside [RowLo, RowHi) or RowLo is not 64-aligned — a view is
+// shape-checked only (NewDCSCView), so it may hold either — and for a
+// structure whose range is empty or inverted. Built with EdgeCols, memoized
+// and read-only like it.
+func (m *DCSC[E]) RowMask() []uint64 {
+	m.flat.once.Do(m.buildFlat)
+	return m.flat.rows
+}
+
+// buildFlat fills the flat-fold view: EdgeCols and RowMask, one pass each
+// over CP and IR.
+func (m *DCSC[E]) buildFlat() {
+	cols := make([]uint32, len(m.IR))
+	for ci, j := range m.JC {
+		seg := cols[m.CP[ci]:m.CP[ci+1]]
+		for k := range seg {
+			seg[k] = j
 		}
-		m.edgeCols.cols = cols
-	})
-	return m.edgeCols.cols
+	}
+	m.flat.cols = cols
+	if m.RowLo&63 != 0 || m.RowLo >= m.RowHi {
+		return
+	}
+	span := m.RowHi - m.RowLo
+	rows := make([]uint64, (span+63)/64)
+	for _, r := range m.IR {
+		i := r - m.RowLo // wraps past span for a row below RowLo
+		if i >= span {
+			return
+		}
+		rows[i>>6] |= 1 << (i & 63)
+	}
+	m.flat.rows = rows
 }
 
 // NNZ returns the number of stored nonzeros.

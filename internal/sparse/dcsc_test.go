@@ -81,25 +81,33 @@ func TestDCSCRowRange(t *testing.T) {
 
 // TestEdgeCols holds the memoized per-edge column array to the traversal
 // order: EdgeCols()[k] is the column Iterate reports for the k-th edge, on a
-// partition of a hypersparse matrix and on an empty one.
+// partition of a hypersparse matrix, one whose range ends off a 64-row
+// boundary and an empty one. The row mask built with it has one bit per row
+// of the range, set exactly for the rows Iterate reports.
 func TestEdgeCols(t *testing.T) {
 	for _, m := range []*DCSC[int]{
 		BuildDCSC(randCOO(3, 256, 4096, 900), 64, 192),
+		BuildDCSC(randCOO(5, 200, 200, 700), 128, 200),
 		BuildDCSC(NewCOO[int](8, 8), 0, 8),
 	} {
 		cols := m.EdgeCols()
 		if len(cols) != m.NNZ() {
 			t.Fatalf("EdgeCols has %d entries for %d edges", len(cols), m.NNZ())
 		}
+		wantRows := make([]uint64, (m.RowHi-m.RowLo+63)/64)
 		k := 0
-		m.Iterate(func(_, col uint32, _ int) {
+		m.Iterate(func(row, col uint32, _ int) {
 			if cols[k] != col {
 				t.Fatalf("EdgeCols()[%d] = %d, edge %d lies in column %d", k, cols[k], k, col)
 			}
+			wantRows[(row-m.RowLo)>>6] |= 1 << ((row - m.RowLo) & 63)
 			k++
 		})
 		if again := m.EdgeCols(); len(again) > 0 && &again[0] != &cols[0] {
 			t.Error("second EdgeCols call rebuilt the array")
+		}
+		if rows := m.RowMask(); rows == nil || !slices.Equal(rows, wantRows) {
+			t.Errorf("rows [%d, %d): row mask %#x, want %#x", m.RowLo, m.RowHi, rows, wantRows)
 		}
 	}
 }
