@@ -85,9 +85,13 @@ bench-module:
 # swaps it under test). The root package's acceptance tests (batch PPR,
 # direction-optimized BFS, snapshot restart, live-update BFS) drive the whole
 # stack at once, scaled down under -race (raceEnabled). All matter under
-# -race. CI runs this target, so the package list lives here only.
+# -race. The pool's hold tests (workers spinning between jobs, jobs reused
+# from its free list) run ten times over, since a spin racing a publish or
+# a release is timing-dependent. CI runs this target, so the package list
+# lives here only.
 race:
 	$(GO) test -race . ./internal/core/... ./internal/sched/... ./internal/kernels/... ./internal/sparse/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
+	$(GO) test -race -count=10 -run 'Hold' ./internal/sched
 
 # Fuzz smoke over the graph readers, the update-stream parser, the snapshot
 # reader, WAL replay, the run-reply number and series encoder, the SIMD kernel backends, the
@@ -155,7 +159,10 @@ kernel-parity:
 
 # The scheduler, the engine and the algorithms at one and four procs: -cpu 1
 # runs every phase inline on the caller (the one-slot pool), -cpu 4 parks and
-# wakes workers and steals across them. The same asserting tests cover both
+# wakes workers and steals across them — on a machine with fewer than four
+# CPUs a held pool never spins there (a hold never oversubscribes), so the
+# parking path is covered, and the spinning one at -cpu 4 on four or more
+# CPUs and in the sched hold tests. The same asserting tests cover both
 # paths side by side — in algorithms, the batch ≡ solo and store differentials,
 # which run the apply phase that also sends the next superstep's messages.
 # The server's admission tests run too: at -cpu 1 the hand-off from an ending

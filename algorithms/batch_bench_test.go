@@ -7,6 +7,7 @@ import (
 
 	"graphmat"
 	"graphmat/internal/gen"
+	"graphmat/internal/sched"
 )
 
 // benchRMAT16 is the graph the served workloads use: RMAT scale 16, edge
@@ -99,6 +100,45 @@ func BenchmarkComponents(b *testing.B) {
 		flat = st.FlatEdges
 	}
 	b.ReportMetric(float64(flat), "FlatEdges/op")
+}
+
+// BenchmarkSSSPGrid measures one SSSP run on a 768 × 768 grid from its
+// central vertex: ~800 push supersteps with small frontiers, so the
+// per-superstep fixed cost (two pool dispatches, the mask sweeps) is most of
+// the run. It reports wakes/op, the park-to-run transitions of every shared
+// pool's workers per run (sched.Snapshot), beside ns/op and allocs/op. Run it
+// with
+//
+//	go test -run='^$' -bench='^BenchmarkSSSPGrid$' -benchtime=20x -benchmem ./algorithms
+func BenchmarkSSSPGrid(b *testing.B) {
+	const side = 768
+	g, err := NewSSSPGraph(gen.Grid(gen.GridOptions{Width: side, Height: side, Seed: 1}), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := uint32(side/2*side + side/2)
+	ctx := context.Background()
+	if _, _, err := RunSSSP(ctx, g, src); err != nil { // first-use views off the clock
+		b.Fatal(err)
+	}
+	wakes0 := poolWakes()
+	for b.Loop() {
+		if _, _, err := RunSSSP(ctx, g, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(poolWakes()-wakes0)/float64(b.N), "wakes/op")
+}
+
+// poolWakes sums the wakes of every shared pool's worker slots so far.
+func poolWakes() int64 {
+	var n int64
+	for _, p := range sched.Snapshot() {
+		for _, w := range p.PerWorker {
+			n += w.Wakes
+		}
+	}
+	return n
 }
 
 // BenchmarkBFSOverlay measures a BFS read between two compactions: k = 1 and

@@ -29,13 +29,24 @@ func Run[V, E, M, R any, P Program[V, E, M, R]](g *graph.Graph[E], p P, st *Bloc
 	return RunContext[V, E, M, R, P](context.Background(), g, p, st, cfg, nil)
 }
 
-// localStats is one worker's tally, padded to a cache line so workers never
-// share one. Frontier-size counts (messages sent, distinct senders, next
-// actives) are NOT tallied here: the occupancy masks already hold them, so
-// the engines read them after each phase with one popcount word sweep
-// (bitvec.Count through the kernels backend) instead of bumping a counter
-// per Set in the hot loops.
+// localStats is one worker's scratch: its tallies and its column buffer,
+// padded to a cache line so workers never share one. Frontier-size counts
+// (messages sent, distinct senders, next actives) are NOT tallied here: the
+// occupancy masks already hold them, so the engines read them after each
+// phase with one popcount word sweep (bitvec.Count through the kernels
+// backend) instead of bumping a counter per Set in the hot loops.
 type localStats struct {
+	tallies
+	// buf is the column buffer walkPull and walkPush gather found columns
+	// into before each sink fold. It lives here, one per worker, because a
+	// walk's own array escapes through the sink interface: a buffer per
+	// walk call would be an allocation per partition per superstep.
+	buf [walkBatch]colRef
+	_   [16]byte
+}
+
+// tallies is the part of localStats a phase's absorb reads and resets.
+type tallies struct {
 	edges   int64
 	probes  int64
 	applies int64
@@ -52,19 +63,19 @@ type localStats struct {
 	// edge slots shrinks by. Only tallied when the run can take the row
 	// walk (runPlan.recvDegs).
 	settled int64
-	_       [16]byte
 }
 
 func (s *Stats) absorb(locals []localStats) (applies, degSum, settled int64) {
 	for i := range locals {
-		s.EdgesProcessed += locals[i].edges
-		s.ColumnsProbed += locals[i].probes
-		s.FlatEdges += locals[i].flat
-		s.Applies += locals[i].applies
-		applies += locals[i].applies
-		degSum += locals[i].degSum
-		settled += locals[i].settled
-		locals[i] = localStats{}
+		t := &locals[i].tallies
+		s.EdgesProcessed += t.edges
+		s.ColumnsProbed += t.probes
+		s.FlatEdges += t.flat
+		s.Applies += t.applies
+		applies += t.applies
+		degSum += t.degSum
+		settled += t.settled
+		*t = tallies{}
 	}
 	return applies, degSum, settled
 }
@@ -97,15 +108,16 @@ func chunkWords(lo, hi uint32) (wlo, whi int) {
 }
 
 // execCfg carries one run's scheduling parameters into the phase dispatch
-// helper: worker count and the per-run tally the scheduler work is
-// accounted to.
+// helper: worker count, the shared pool of that many slots, resolved once
+// per run, and the per-run tally the scheduler work is accounted to.
 type execCfg struct {
 	workers int
+	pool    *sched.Pool
 	tally   *sched.Tally
 }
 
 func (c Config) exec(t *sched.Tally) execCfg {
-	return execCfg{workers: c.Threads, tally: t}
+	return execCfg{workers: c.Threads, pool: sched.Shared(c.Threads), tally: t}
 }
 
 // schedStats converts a run tally into the Stats view.
@@ -120,20 +132,26 @@ func (ex execCfg) schedStats() SchedStats {
 }
 
 // parallelFor runs fn(task, worker) over tasks [0, ntasks) on the run's own
-// shared pool, the one of ex.workers slots: parked workers are woken, not
-// spawned, on at most ntasks executors, and rebalanced by work stealing. A
-// phase with one worker or one task runs inline on the caller through the
-// same pool, so its work still reaches the run tally and that pool's
-// counters; a phase with no tasks touches no pool. stop, when non-nil, is
-// polled before each task: once it goes nonzero the remaining tasks are
-// abandoned, which is how a cancellation aborts a multi-second SpMV without
-// waiting for the superstep to finish.
+// shared pool, the one of ex.workers slots, on at most ntasks executors
+// rebalanced by work stealing. Inside a run's superstep loop the pool is
+// held (driver.run), so its workers spin between phases rather than park,
+// and a phase starts without a wake; elsewhere (one-shot SpMV, the phases
+// before the loop) parked workers are woken. A phase with one worker or one
+// task runs inline on the caller through the same pool, so its work still
+// reaches the run tally and that pool's counters; a phase with no tasks
+// touches no pool. stop, when non-nil, is polled before each task: once it
+// goes nonzero the remaining tasks are abandoned, which is how a
+// cancellation aborts a multi-second SpMV without waiting for the superstep
+// to finish.
 func parallelFor(ex execCfg, ntasks int, stop *atomic.Int32, fn func(task, worker int)) {
 	if ntasks == 0 {
 		return
 	}
-	sched.Shared(ex.workers).RunOptions(ntasks, stop, sched.Options{Tally: ex.tally}, fn)
+	ex.pool.RunOptions(ntasks, stop, sched.Options{Tally: ex.tally}, fn)
 }
+
+// holdPool opens a run's hold on its pool (sched.Pool.Hold); a test hook.
+var holdPool = (*sched.Pool).Hold
 
 // phaseSet is what an engine front-end — runPhases, the one for every width,
 // or the boxed ablation (runBoxed) — contributes to the one superstep loop:
@@ -239,9 +257,14 @@ func (d *driver) sumChunks(fn func(lo, hi uint32) int64) int64 {
 // run is the BSP superstep loop (Algorithm 2), the only one: iteration cap,
 // stop checks, clocks, Stats, the per-superstep direction choice, the
 // observer report, the convergence test and an AllVerticesActive program's
-// re-activation, around ps's phases.
+// re-activation, around ps's phases. It holds the run's pool for the whole
+// loop and releases it on every return.
 func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 	defer func() { stats.Sched = d.ex.schedStats() }()
+	// Keep the pool's workers hot from the first superstep to the last:
+	// each superstep is two or three dispatches, and a park and wake
+	// between them costs more than a small superstep's work.
+	defer holdPool(d.ex.pool)()
 	halt := func(r StopReason) (Stats, error) {
 		stats.Reason = r
 		return stats, r.err()
@@ -525,11 +548,12 @@ type phaseBody[V, E, M, R any, P Program[V, E, M, R]] struct {
 
 // sendRow is the send step of row v (nextRow), written once for the send
 // phase and a fused apply: SendMessage on each of the row's columns in m,
-// each message into x and, under Auto, each sender's degree into the
-// frontier's edge work. It returns the columns that sent. A fused apply calls
-// it on a row right after the Apply calls that activated m, while the
+// each message into x. It returns the columns that sent and, under Auto,
+// the sum of their senders' degrees, the row's share of the frontier's edge
+// work, which the caller adds to its tally once per chunk. A fused apply
+// calls it on a row right after the Apply calls that activated m, while the
 // properties they wrote are in cache.
-func (b *phaseBody[V, E, M, R, P]) sendRow(v uint32, m uint64, base int, st *localStats) (sent uint64) {
+func (b *phaseBody[V, E, M, R, P]) sendRow(v uint32, m uint64, base int) (sent uint64, deg int64) {
 	p, props, xv, sendDegs, slotVertex := b.p, b.props, b.xv, b.sendDegs, b.slotVertex
 	for ; m != 0; m &= m - 1 {
 		s := bits.TrailingZeros64(m)
@@ -538,16 +562,17 @@ func (b *phaseBody[V, E, M, R, P]) sendRow(v uint32, m uint64, base int, st *loc
 			xv[i] = msg
 			sent |= m & -m
 			if sendDegs != nil {
-				st.degSum += int64(sendDegs[u])
+				deg += int64(sendDegs[u])
 			}
 		}
 	}
-	return sent
+	return sent, deg
 }
 
 // send is the send phase over vertex chunk [lo, hi).
 func (b *phaseBody[V, E, M, R, P]) send(lo, hi uint32, st *localStats) {
 	wlo, whi := chunkWords(lo, hi)
+	var degSum int64
 	for wi := wlo; wi < whi; wi++ {
 		w := b.aw[wi]
 		if w == 0 {
@@ -557,10 +582,13 @@ func (b *phaseBody[V, E, M, R, P]) send(lo, hi uint32, st *localStats) {
 		for w != 0 {
 			v, m, base, rest := nextRow(wi, w, b.acols, b.k)
 			w = rest
-			out = putRow(out, b.xcols, v, b.sendRow(v, m, base, st))
+			sent, deg := b.sendRow(v, m, base)
+			out = putRow(out, b.xcols, v, sent)
+			degSum += deg
 		}
 		b.xw[wi] = out
 	}
+	st.degSum += degSum
 }
 
 // apply is the apply phase over vertex chunk [lo, hi), and with sendNext the
@@ -577,6 +605,7 @@ func (b *phaseBody[V, E, M, R, P]) apply(lo, hi uint32, st *localStats) {
 	}
 	wlo, whi := chunkWords(lo, hi)
 	applies := 0
+	var degSum, settledDeg int64
 	for wi := wlo; wi < whi; wi++ {
 		w := b.yw[wi]
 		if w == 0 {
@@ -606,14 +635,16 @@ func (b *phaseBody[V, E, M, R, P]) apply(lo, hi uint32, st *localStats) {
 							settled[row] |= m & -m
 						}
 						if recvDegs != nil {
-							st.settled += int64(recvDegs[u])
+							settledDeg += int64(recvDegs[u])
 						}
 					}
 				}
 			}
 			next = putRow(next, b.acols, v, am)
 			if fused {
-				out = putRow(out, b.xcols, v, b.sendRow(v, am, base, st))
+				sent, deg := b.sendRow(v, am, base)
+				out = putRow(out, b.xcols, v, sent)
+				degSum += deg
 			}
 		}
 		b.aw[wi] = next
@@ -622,6 +653,8 @@ func (b *phaseBody[V, E, M, R, P]) apply(lo, hi uint32, st *localStats) {
 		}
 	}
 	st.applies += int64(applies)
+	st.degSum += degSum
+	st.settled += settledDeg
 }
 
 // unsettled is phaseSet.unsettledEdges over vertex chunk [lo, hi): from the

@@ -280,7 +280,7 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *loca
 		return
 	}
 	var src []uint32 // base.EdgeCols(), fetched on the first fully-live batch
-	var buf [walkBatch]colRef
+	buf := &st.buf
 	probes, edges, flatEdges := 0, 0, 0
 	bi, di := 0, 0
 	for {
@@ -294,7 +294,7 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *loca
 		// full speed.
 		for len(run) > 0 {
 			chunk := run[:min(len(run), walkBatch)]
-			if n := gather(&buf, chunk, bcp[bi:], xw); n == len(chunk) && flat != nil {
+			if n := gather(buf, chunk, bcp[bi:], xw); n == len(chunk) && flat != nil {
 				if src == nil {
 					src = base.EdgeCols()
 				}
@@ -349,7 +349,7 @@ func walkPush[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *loca
 		dx = delta.ColumnIndex()
 	}
 	// buf[:n] holds found columns of layer cur awaiting their fold.
-	var buf [walkBatch]colRef
+	buf := &st.buf
 	cur, n := base, 0
 	probes, edges := 0, 0
 	for wi := loW; wi < hiW; wi++ {

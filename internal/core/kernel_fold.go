@@ -29,10 +29,10 @@ import (
 // and the other sinks keep the masked fold; results and tallies are the
 // same either way.
 //
-// A new helper on a per-partition, per-row or per-word fold path is
-// generic, so that it inlines where the engine is instantiated (package
-// algorithms, which sees internal/core only through the facade); a
-// non-generic one such as rangeWord stays a call there. internal/lint's
+// A helper on a per-partition, per-row or per-word fold path is generic, so
+// that it inlines where the engine is instantiated (package algorithms,
+// which sees internal/core only through the facade); a non-generic one
+// stays a call there. seedRows and rangeWord follow the rule; internal/lint's
 // inlinedHelpers lists the helpers the build must inline.
 
 // scalarSink resolves program p's column fold from message vector x into
@@ -399,9 +399,10 @@ func seedRows[T any](yw []uint64, y []T, rows rowMask, id T) {
 
 // rangeWord returns the bits of mask word wi that fall in vertex range
 // [lo, hi). A partition's range is 64-aligned but for its end, the vertex
-// count, where an empty trailing partition also starts.
-func rangeWord(wi int, lo, hi uint32) uint64 {
-	base, m := uint32(wi)<<6, ^uint64(0)
+// count, where an empty trailing partition also starts. It is generic only
+// so that it inlines where the engine is instantiated; T is always uint32.
+func rangeWord[T ~uint32](wi int, lo, hi T) uint64 {
+	base, m := T(wi)<<6, ^uint64(0)
 	if lo > base {
 		m <<= lo - base
 	}

@@ -43,6 +43,18 @@ type runPlan[E any] struct {
 	// unless the run, scalar or block, can take the row walk: the program
 	// asked for it and scatters one way, and the mode is not forced Push.
 	recvDegs []uint32
+	// mul is what the multiply phase's task reads, set before each
+	// dispatch, and mulTask that task, bound once per run so that a
+	// superstep's dispatch allocates no closure.
+	mul struct {
+		mode   Mode
+		layers []sparse.Layered[E]
+		xw     []uint64
+		sink   colSink[E]
+		rows   rowSink[E]
+		locals []localStats
+	}
+	mulTask func(ti, w int)
 }
 
 // checkDirections reports a direction dir names that g was built without: a
@@ -119,9 +131,13 @@ func degreesAlong[E any](g *graph.Graph[E], dir graph.Direction) []uint32 {
 // words xw, folding into sink. Each partition owns a disjoint 64-aligned
 // output row range, so the sink's output needs no synchronization.
 func (rp *runPlan[E]) multiplyPhase(ex execCfg, stop *atomic.Int32, mode Mode, xw []uint64, sink colSink[E], rows rowSink[E], locals []localStats) {
+	m := &rp.mul
+	m.mode, m.xw, m.sink, m.rows, m.locals = mode, xw, sink, rows, locals
+	if rp.mulTask == nil {
+		rp.mulTask = func(ti, w int) { multiply(m.mode, m.layers[ti], m.xw, m.sink, m.rows, &m.locals[w]) }
+	}
 	for _, layers := range rp.dirs {
-		parallelFor(ex, len(layers), stop, func(ti, w int) {
-			multiply(mode, layers[ti], xw, sink, rows, &locals[w])
-		})
+		m.layers = layers
+		parallelFor(ex, len(layers), stop, rp.mulTask)
 	}
 }

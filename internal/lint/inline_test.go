@@ -16,9 +16,9 @@ import (
 // per-row or per-word fold path that must inline where the engine is
 // instantiated. That is package algorithms, which imports only the graphmat
 // facade, so the compiler inlines a helper there only if it is generic: a
-// non-generic one (rangeWord, nextRow, putRow, chunkWords, touchRow today)
-// stays a call. A helper joins this list once it inlines there.
-var inlinedHelpers = []string{"seedRows"}
+// non-generic one (nextRow, putRow, chunkWords, touchRow today) stays a
+// call. A helper joins this list once it inlines there.
+var inlinedHelpers = []string{"seedRows", "rangeWord"}
 
 // TestHotHelpersInline builds ./algorithms with the compiler's inlining
 // report and fails for every call site of an inlinedHelpers entry in

@@ -1,11 +1,33 @@
 // Package sched is the engine's one parallel runtime, a persistent worker
-// pool: one set of long-lived worker goroutines per worker count, parked on a
-// condition variable between phases and woken in O(1) when a run arrives.
-// Every engine phase — a run's first send, then multiply and apply (which
-// also sends the next superstep's messages) × supersteps — dispatches
-// through it, single-worker phases included (they run inline on the caller
-// and are counted like any other), so no phase pays a goroutine spawn and a
+// pool: one set of long-lived worker goroutines per worker count. Every
+// engine phase — a run's first send, then multiply and apply (which also
+// sends the next superstep's messages) × supersteps — dispatches through it,
+// single-worker phases included (they run inline on the caller and are
+// counted like any other), so no phase pays a goroutine spawn and a
 // WaitGroup barrier.
+//
+// Hot and parked workers. A worker that finds no job parks on a condition
+// variable and is woken in O(1) when a job arrives. A wake is not free: the
+// woken goroutine starts tens of microseconds after the signal on a busy
+// host, and a run of small supersteps pays it twice per superstep. So a
+// caller that is about to issue many phases back to back — an engine run's
+// superstep loop — opens a Hold for its length. While a hold is open, a
+// worker that finds no job spins on the pool's job-arrival counter, yielding
+// its processor between polls (runtime.Gosched), and the caller of a job
+// waits for the job's last task by polling its remaining count the same
+// way; each gives up after spinBudget (1 ms) and parks or blocks as it
+// would without a hold. A hold never oversubscribes: executors spin only
+// while the open holds' callers and the pool's workers fit on
+// min(GOMAXPROCS, NumCPU) processors, since past that a spinner takes a
+// processor from the work it waits for. So a pool with more workers than
+// that never spins, nor does a 2-worker pool on two CPUs while two held
+// runs share it. Outside every hold —
+// one-shot calls, builds, an idle daemon — a worker parks as soon as it
+// finds no job.
+//
+// A dispatch allocates nothing once the pool is warm: a finished job goes
+// to the pool's free list as soon as its caller has returned and no worker
+// still looks at it, and the next Run reuses it.
 //
 // Execution model. A Run call packs its tasks into per-slot spans —
 // contiguous [lo, hi) index ranges, one per worker slot, stored as a single
@@ -29,12 +51,19 @@
 package sched
 
 import (
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
+
+// spinBudget bounds how long an executor of a held pool polls before it
+// parks: a worker between jobs, or a caller waiting for its job's last task.
+// It covers the gap between two phases of one superstep and a phase's last
+// partition task; 50 µs measured too short for the latter on grid SSSP.
+const spinBudget = time.Millisecond
 
 // WorkerStats is a snapshot of one worker slot's cumulative counters.
 // Slot 0 belongs to callers (Run participates in its own job); slots
@@ -49,7 +78,8 @@ type WorkerStats struct {
 	// jobs (claiming, executing and stealing tasks).
 	BusyNS int64 `json:"busy_ns"`
 	// Wakes counts park→run transitions: how many times the slot was
-	// woken from the condition variable and found work.
+	// woken from the condition variable and found work. A worker that
+	// finds its next job while spinning under a Hold is not woken.
 	Wakes int64 `json:"wakes"`
 }
 
@@ -99,8 +129,17 @@ type job struct {
 	spans     []span
 	claim     atomic.Int32
 	remaining atomic.Int64
-	done      chan struct{}
-	tally     *Tally
+	// done carries the last executor's completion signal; buffered, so the
+	// send never blocks and a reused job keeps its channel.
+	done  chan struct{}
+	tally *Tally
+	// refs counts the pool workers that took the job from the queue and
+	// have not come back for another; retired marks a job its caller has
+	// finished with. A job is reused once both hold (Pool.recycle), so no
+	// worker still reading its spans meets the next job's. Both are
+	// guarded by Pool.mu.
+	refs    int
+	retired bool
 }
 
 // hasWork reports whether an executor could still acquire a task: an
@@ -157,9 +196,16 @@ type Pool struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	jobs     []*job
+	free     []*job // finished jobs no worker holds, for the next Run
 	closed   bool
 	wg       sync.WaitGroup
 	counters []counters
+	// holds counts the open Holds and cpus is min(GOMAXPROCS, NumCPU) as
+	// the last Hold read it (see hot); arrivals counts published jobs (and
+	// Close), which a spinning worker polls for new work.
+	holds    atomic.Int32
+	cpus     atomic.Int32
+	arrivals atomic.Uint64
 }
 
 // NewPool creates a pool with n worker slots (minimum 1), spawning n-1
@@ -186,9 +232,52 @@ func (p *Pool) Workers() int { return p.nworkers }
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
+	p.arrivals.Add(1)
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	p.wg.Wait()
+}
+
+// Hold keeps the pool's workers hot until release is called: between jobs
+// a worker spins for up to spinBudget before it parks, and a Run caller
+// polls for its job's completion as long before it blocks. A caller about to
+// issue many short phases in a row takes one hold around all of them. Holds
+// nest and may be released from any goroutine; release is idempotent. A
+// hold only spins where it does not oversubscribe the machine (see hot).
+func (p *Pool) Hold() (release func()) {
+	p.cpus.Store(int32(min(runtime.GOMAXPROCS(0), runtime.NumCPU())))
+	p.holds.Add(1)
+	var released atomic.Bool
+	return func() {
+		if released.CompareAndSwap(false, true) {
+			p.holds.Add(-1)
+		}
+	}
+}
+
+// hot reports whether the pool's executors spin rather than park: a hold is
+// open, and its holders — each the caller of at most one job at a time —
+// and the pool's workers fit on min(GOMAXPROCS, NumCPU) processors. Past
+// that a spinner takes a processor from the work it waits for: a pool wider
+// than the machine never spins, nor does a 2-worker pool on two CPUs while
+// two held runs share it.
+func (p *Pool) hot() bool {
+	h := p.holds.Load()
+	return h > 0 && h+int32(p.nworkers)-1 <= p.cpus.Load()
+}
+
+// spin polls done, yielding the processor between polls, until it reports
+// true or spinBudget passes, and returns done's last answer.
+func spin(done func() bool) bool {
+	deadline := time.Now().Add(spinBudget)
+	for !done() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+		osYield()
+	}
+	return true
 }
 
 // Stats snapshots the pool's per-slot cumulative counters.
@@ -228,40 +317,67 @@ func (p *Pool) RunOptions(ntasks int, stop *atomic.Int32, opts Options, fn func(
 		p.runInline(ntasks, stop, opts, fn)
 		return
 	}
-	j := &job{fn: fn, stop: stop, tally: opts.Tally, done: make(chan struct{})}
-	nspans := p.nworkers
-	if nspans > ntasks {
-		nspans = ntasks
-	}
-	j.spans = make([]span, nspans)
+	nspans := min(p.nworkers, ntasks)
+	p.mu.Lock()
+	j := p.newJob()
+	j.fn, j.stop, j.tally = fn, stop, opts.Tally
+	j.spans = j.spans[:nspans]
 	for s := 0; s < nspans; s++ {
 		j.spans[s].s.Store(packSpan(uint32(s*ntasks/nspans), uint32((s+1)*ntasks/nspans)))
 	}
+	j.claim.Store(0)
 	j.remaining.Store(int64(ntasks))
-
-	p.mu.Lock()
 	p.jobs = append(p.jobs, j)
+	p.arrivals.Add(1)
 	p.mu.Unlock()
 	// Wake one parked worker per span beyond the caller's own slot: a
 	// broadcast would schedule every worker just to find nothing
 	// acquirable when the job has fewer spans than the pool has workers.
 	// A signal that lands while its target is still busy on another job is
-	// not lost — workers re-check the job list before parking.
+	// not lost — workers re-check the job list before parking — and one
+	// that finds no worker parked (they are spinning under a Hold) costs
+	// nothing.
 	for w := 1; w < nspans; w++ {
 		p.cond.Signal()
 	}
 
 	p.work(0, j)
+	if p.hot() {
+		spin(func() bool { return j.remaining.Load() == 0 })
+	}
 	<-j.done
 
-	// slices.Delete zeroes the vacated tail slot: a plain append-shift would
-	// leave the finished job — and everything its closure captured —
-	// reachable from the backing array until the next job overwrote it.
+	// Drop the closure now, so nothing it captured stays reachable from
+	// the pool. slices.Delete zeroes the vacated tail slot of the queue.
+	j.fn, j.stop, j.tally = nil, nil, nil
 	p.mu.Lock()
 	if i := slices.Index(p.jobs, j); i >= 0 {
 		p.jobs = slices.Delete(p.jobs, i, i+1)
 	}
+	j.retired = true
+	p.recycle(j)
 	p.mu.Unlock()
+}
+
+// newJob returns a reset job from the free list, or a new one. Called with
+// p.mu held.
+func (p *Pool) newJob() *job {
+	if n := len(p.free); n > 0 {
+		j := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		j.retired = false
+		return j
+	}
+	return &job{spans: make([]span, p.nworkers), done: make(chan struct{}, 1)}
+}
+
+// recycle returns j to the free list once it is retired and no worker
+// holds it. Called with p.mu held.
+func (p *Pool) recycle(j *job) {
+	if j.retired && j.refs == 0 {
+		p.free = append(p.free, j)
+	}
 }
 
 // runInline executes the job on the calling goroutine alone (single-slot
@@ -286,39 +402,55 @@ func (p *Pool) runInline(ntasks int, stop *atomic.Int32, opts Options, fn func(t
 	}
 }
 
-// worker is one parked goroutine's loop: wait for a job with acquirable
+// worker is one pool goroutine's loop: wait for a job with acquirable
 // work, participate, repeat.
 func (p *Pool) worker(wid int) {
 	defer p.wg.Done()
+	var last *job
 	for {
-		j := p.nextJob(wid)
+		j := p.nextJob(wid, last)
 		if j == nil {
 			return
 		}
 		p.work(wid, j)
+		last = j
 	}
 }
 
-// nextJob blocks until some queued job has acquirable work (or the pool
-// closes). Work only ever appears with a new job — tasks never re-enter a
-// span — so waiting on the job-arrival broadcast cannot miss a wakeup.
-func (p *Pool) nextJob(wid int) *job {
+// nextJob lets go of the worker's previous job, last, and blocks until some
+// queued job has acquirable work (or the pool closes). Work only ever
+// appears with a new job — tasks never re-enter a span — so waiting on the
+// job-arrival signal cannot miss a wakeup; under a Hold the worker first
+// spins on the arrival counter, read under the lock that publishes jobs.
+func (p *Pool) nextJob(wid int, last *job) *job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	waited := false
+	if last != nil {
+		last.refs--
+		p.recycle(last)
+	}
+	waited, hot := false, true
 	for {
 		if p.closed {
 			return nil
 		}
 		for _, j := range p.jobs {
 			if j.hasWork() {
+				j.refs++
 				if waited {
 					p.counters[wid].wakes.Add(1)
 				}
 				return j
 			}
 		}
-		waited = true
+		if hot && p.hot() {
+			seen := p.arrivals.Load()
+			p.mu.Unlock()
+			hot = spin(func() bool { return p.arrivals.Load() != seen || !p.hot() })
+			p.mu.Lock()
+			continue
+		}
+		waited, hot = true, true
 		p.cond.Wait()
 	}
 }
@@ -375,7 +507,7 @@ func (p *Pool) work(wid int, j *job) {
 	// The executor that accounts for the last outstanding task completes
 	// the job.
 	if j.remaining.Add(-taken) == 0 {
-		close(j.done)
+		j.done <- struct{}{}
 	}
 }
 
@@ -390,7 +522,7 @@ func (j *job) exec(task, wid int) int64 {
 }
 
 // Shared pools, keyed by worker count: the process-wide persistent runtime.
-// A pool is spawned on first request for its size and parked forever after
+// A pool is spawned on first request for its size and kept forever after
 // — workers survive across runs, workspaces and sessions, which is what
 // removes the per-phase spawn cost. Shared pools are never closed.
 var (

@@ -294,3 +294,171 @@ func TestPoolReleasesFinishedJob(t *testing.T) {
 		})
 	}
 }
+
+// hotPool returns a 2-worker pool a Hold keeps hot, skipping the test where
+// the machine is too small for one to spin.
+func hotPool(t *testing.T) *Pool {
+	if min(runtime.GOMAXPROCS(0), runtime.NumCPU()) < 2 {
+		t.Skip("a hold spins only with two processors and two CPUs")
+	}
+	p := NewPool(2)
+	t.Cleanup(p.Close)
+	return p
+}
+
+// pairedJob runs one 2-task job on a 2-worker pool whose tasks wait for each
+// other to start, so they run at once on both executors: the caller and the
+// pool's worker run one task each.
+func pairedJob(t *testing.T, p *Pool) {
+	var arrived atomic.Int32
+	p.Run(2, nil, func(int, int) {
+		arrived.Add(1)
+		deadline := time.Now().Add(5 * time.Second)
+		for arrived.Load() < 2 {
+			if time.Now().After(deadline) {
+				t.Error("the job's two tasks never ran at once")
+				return
+			}
+			runtime.Gosched()
+		}
+	})
+}
+
+// TestHoldKeepsWorkersHot: under a hold, back-to-back jobs find the worker
+// spinning, not parked, so its Wakes stay nearly flat across 200 jobs it
+// takes part in; after release it parks, and the next job, sent well after
+// the spin budget, wakes it exactly once.
+func TestHoldKeepsWorkersHot(t *testing.T) {
+	p := hotPool(t)
+	pairedJob(t, p) // start the worker: its first job may find it not yet parked
+	release := p.Hold()
+	before := p.Stats()[1]
+	const jobs = 200
+	for range jobs {
+		pairedJob(t, p)
+	}
+	held := p.Stats()[1]
+	release()
+	if got := held.Tasks - before.Tasks; got != jobs {
+		t.Fatalf("the worker ran %d tasks of %d jobs, want one each", got, jobs)
+	}
+	if got := held.Wakes - before.Wakes; got > jobs/10 {
+		t.Errorf("%d wakes over %d held jobs, want at most %d", got, jobs, jobs/10)
+	}
+	time.Sleep(20 * spinBudget)
+	pairedJob(t, p)
+	if got := p.Stats()[1].Wakes - held.Wakes; got != 1 {
+		t.Errorf("a job after release woke the worker %d times, want 1", got)
+	}
+}
+
+// TestHoldsNest: holds count up and down, release is idempotent, and two
+// holds released at once from two goroutines leave none open; the pool
+// keeps running jobs correctly throughout.
+func TestHoldsNest(t *testing.T) {
+	p := hotPool(t)
+	outer, inner := p.Hold(), p.Hold()
+	if got := p.holds.Load(); got != 2 {
+		t.Fatalf("%d holds open after two Holds, want 2", got)
+	}
+	pairedJob(t, p)
+	inner()
+	inner()
+	if got := p.holds.Load(); got != 1 {
+		t.Fatalf("%d holds open after one release (called twice), want 1", got)
+	}
+	again := p.Hold()
+	var wg sync.WaitGroup
+	for _, release := range []func(){outer, again} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			release()
+			release()
+		}()
+	}
+	wg.Wait()
+	if got := p.holds.Load(); got != 0 {
+		t.Fatalf("%d holds open after every release, want 0", got)
+	}
+	pairedJob(t, p)
+}
+
+// TestHoldNeverOversubscribes: a pool with more workers than
+// min(GOMAXPROCS, NumCPU) never spins under a hold — on a 2-CPU machine
+// this is every pool of the -cpu=4 leg of make test-cpus — and neither does
+// one whose held callers and workers together outnumber those processors;
+// its workers still park between jobs and run every task.
+func TestHoldNeverOversubscribes(t *testing.T) {
+	cpus := min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+	wide := NewPool(cpus + 1)
+	defer wide.Close()
+	release := wide.Hold()
+	if wide.hot() {
+		t.Fatalf("a %d-worker pool on %d usable CPUs spins under a hold", cpus+1, cpus)
+	}
+	var ran atomic.Int64
+	for range 20 {
+		wide.Run(64, nil, func(int, int) { ran.Add(1) })
+	}
+	release()
+	if got := ran.Load(); got != 20*64 {
+		t.Fatalf("ran %d tasks, want %d", got, 20*64)
+	}
+	if cpus < 2 {
+		return
+	}
+	// cpus workers fit with one held caller, not with two.
+	full := NewPool(cpus)
+	defer full.Close()
+	first := full.Hold()
+	defer first()
+	if !full.hot() {
+		t.Fatalf("a %d-worker pool on %d usable CPUs does not spin under one hold", cpus, cpus)
+	}
+	second := full.Hold()
+	if full.hot() {
+		t.Fatalf("a %d-worker pool on %d usable CPUs spins under two holds", cpus, cpus)
+	}
+	second()
+	if !full.hot() {
+		t.Fatal("releasing the second hold did not make the pool hot again")
+	}
+}
+
+// TestHoldConcurrentRuns is TestConcurrentRuns with holds opening and
+// closing around the jobs: jobs are reused from the pool's free list, and a
+// worker may still be looking at a finished job when its caller returns, so
+// under -race this checks a reused job never mixes two Runs' tasks.
+func TestHoldConcurrentRuns(t *testing.T) {
+	p := NewPool(min(runtime.GOMAXPROCS(0), runtime.NumCPU(), 4))
+	defer p.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				release := p.Hold()
+				nt := 1 + (g*7+r)%40
+				hits := make([]int32, nt)
+				scratch := make([]int, p.Workers())
+				p.Run(nt, nil, func(task, worker int) {
+					hits[task]++
+					scratch[worker]++
+				})
+				release()
+				for i, h := range hits {
+					if h != 1 {
+						t.Errorf("task %d of %d ran %d times", i, nt, h)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := p.holds.Load(); got != 0 {
+		t.Fatalf("%d holds open after every release, want 0", got)
+	}
+}
