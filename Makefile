@@ -108,8 +108,9 @@ race:
 # never panic on torn, bit-flipped or re-signed logs, that the batches they
 # replay re-append to exactly the file's valid prefix, that OpenWAL truncates
 # to that prefix and that an append after it replays last; the reply targets assert every finite
-# float64, and every series of repeats and alternations (memoized repeats
-# included, and a NaN or ±Inf after one stopping the series), is encoded byte
+# float64, and every series of repeats, alternations and more distinct values
+# than the series' value cache has slots (cache hits and evictions included,
+# and a NaN or ±Inf after either stopping the series), is encoded byte
 # for byte as encoding/json encodes it (the series target's minimizer is
 # capped too: its many small new-coverage inputs would otherwise stall the
 # workers for most of the run); the kernel

@@ -102,8 +102,9 @@ func chunkBounds(n, k int) []uint32 {
 
 // chunkWords returns the mask words [wlo, whi) holding the bits of vertex
 // chunk [lo, hi): lo is 64-aligned, and hi is too unless it is the vertex
-// count, whose tail bits no mask sets.
-func chunkWords(lo, hi uint32) (wlo, whi int) {
+// count, whose tail bits no mask sets. It is generic only so that it inlines
+// where the engine is instantiated; T is always uint32.
+func chunkWords[T ~uint32](lo, hi T) (wlo, whi int) {
 	return int(lo >> 6), (int(hi) + 63) >> 6
 }
 
@@ -393,20 +394,23 @@ func (d *driver) run(ps phaseSet) (stats Stats, err error) {
 // block keeps no per-vertex masks, the whole word, whose 64 columns are its
 // vertices — vertex v|s at slot v|s. So a one-column run walks its mask
 // words bit by bit, as the scalar engine always has, with no per-vertex
-// column loop.
-func nextRow(wi int, w uint64, cols []uint64, k int) (v uint32, m uint64, base int, rest uint64) {
+// column loop. It is generic only so that it inlines where the engine is
+// instantiated; W is always uint64.
+func nextRow[W ~uint64](wi int, w W, cols []W, k int) (v uint32, m W, base int, rest W) {
 	if cols == nil {
 		v = uint32(wi) << 6
 		return v, w, int(v), 0
 	}
-	v = uint32(wi)<<6 | uint32(bits.TrailingZeros64(w))
+	v = uint32(wi)<<6 | uint32(bits.TrailingZeros64(uint64(w)))
 	return v, cols[v], int(v) * k, w & (w - 1)
 }
 
 // putRow is nextRow's inverse for an output mask: it adds row v, with column
 // mask m, to the mask word out being assembled, storing m as v's column mask
-// where the block keeps them (cols non-nil), and returns the word.
-func putRow(out uint64, cols []uint64, v uint32, m uint64) uint64 {
+// where the block keeps them (cols non-nil), and returns the word. It is
+// generic only so that it inlines where the engine is instantiated; T is
+// always uint32.
+func putRow[T ~uint32](out uint64, cols []uint64, v T, m uint64) uint64 {
 	if cols == nil {
 		return m // the row is the word
 	}

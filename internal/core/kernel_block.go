@@ -89,8 +89,9 @@ func blockSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *BlockVector[M], pr
 // touchRow returns vertex v's column mask in a block vector's two-level
 // occupancy (summary words, per-vertex masks), zeroing it on the first
 // touch of v after a Reset. Single-writer per 64-aligned vertex range, like
-// all engine vector writes.
-func touchRow(summary, cols []uint64, v uint32) uint64 {
+// all engine vector writes. It is generic only so that it inlines where the
+// engine is instantiated; T is always uint32.
+func touchRow[T ~uint32](summary, cols []uint64, v T) uint64 {
 	w := &summary[v>>6]
 	bit := uint64(1) << (v & 63)
 	if *w&bit == 0 {

@@ -32,8 +32,9 @@ import (
 // A helper on a per-partition, per-row or per-word fold path is generic, so
 // that it inlines where the engine is instantiated (package algorithms,
 // which sees internal/core only through the facade); a non-generic one
-// stays a call there. seedRows and rangeWord follow the rule; internal/lint's
-// inlinedHelpers lists the helpers the build must inline.
+// stays a call there. seedRows, rangeWord, chunkWords, nextRow, putRow and
+// touchRow follow the rule; internal/lint's inlinedHelpers lists them, the
+// helpers the build must inline.
 
 // scalarSink resolves program p's column fold from message vector x into
 // reduction vector y. The result only reads p and views of the vectors'

@@ -21,14 +21,15 @@ import (
 // This writer appends each value with strconv into a pooled fixed-size
 // buffer and hands the buffer to the connection whenever it fills, so a
 // reply's memory is the buffer and its first bytes leave after 64 KB of
-// work. Within a series, the integers 0–99 come from strconv's table, a
-// value repeating the last one formatted (such as the unreached sentinel on
-// every vertex outside a traversal's reach) copies that value's bytes, and
-// everything else is formatted as encoding/json formats it (see floats).
+// work. A served series holds few distinct values (levels, integer
+// distances, the unreached sentinel), so each series formats each distinct
+// value once, as encoding/json formats it, and copies its bytes from a small
+// value cache after that (see floats).
 // The output is exactly encoding/json's (field order, omitempty, map key
 // order, number formatting, trailing newline): reply_test.go holds whole
 // documents, FuzzAppendJSONFloat every finite float64 and FuzzReplySeries
-// every series of repeats and alternations, to that.
+// and TestReplySeriesCacheEviction every series of hits, misses and
+// evictions, to that.
 
 // replyBufSize is the fill level at which a reply buffer is flushed to the
 // connection: large enough that an 11 MB reply is a couple of hundred
@@ -36,7 +37,9 @@ import (
 const replyBufSize = 64 << 10
 
 // replySlack is headroom past replyBufSize so the append that crosses the
-// fill level does not reallocate: the longest float64 takes 25 bytes.
+// fill level does not reallocate, and floats' 32-byte copy of a cached value
+// past the fill level stays inside the buffer: the longest float64 takes 25
+// bytes.
 const replySlack = 64
 
 var replyBufs = sync.Pool{New: func() any {
@@ -88,53 +91,94 @@ func (rw *replyWriter) unsupported(f float64) {
 	}
 }
 
+// seriesSlots is the number of slots in floats' value cache: more than a bfs
+// or sssp series on the served graphs has distinct values (levels or
+// integer distances, and the unreached sentinel), few enough for the stack.
+const seriesSlots = 64
+
+// seriesSlot is the cache slot of a value with float64 bits b: a
+// multiplicative hash, whose top bits depend on every bit of b. Small
+// integers differ only in the exponent and the top of the mantissa, and
+// would all share one slot under b's low bits.
+func seriesSlot(b uint64) int { return int(b * 0x9e3779b97f4a7c15 >> 58) }
+
+// cachedValue is one slot of floats' value cache: the float64 bits of the
+// value it holds and the bytes that value encodes to, comma first.
+type cachedValue struct {
+	bits uint64
+	n    int
+	text [32]byte // ",value": the longest float64 takes 25 bytes, -0.0000010000000000000002
+}
+
+// emptySeriesCache is floats' cache with every slot empty. An empty slot's
+// key is a NaN that hashes to another slot, so no value's bits ever match
+// it; and since a NaN or ±Inf stops the series, no non-finite value ever
+// fills a slot either.
+var emptySeriesCache = func() (c [seriesSlots]cachedValue) {
+	for h := range c {
+		nan := uint64(0x7ff8000000000001)
+		for seriesSlot(nan) == h {
+			nan++
+		}
+		c[h].bits = nan
+	}
+	return c
+}()
+
 // floats appends vals as a JSON array (null for a nil slice, as
 // encoding/json has it), flushing whenever the buffer fills. This loop is the
 // encoder: it keeps the buffer in a local so each value costs an append, not
-// a load and store through rw. Each value takes one of three paths:
-//   - the integers 0–99 (hop counts, short distances) are strconv's table
-//     lookup;
-//   - a repeat of the memo, the last value that took the third path, copies
-//     the bytes that value produced. The unreached sentinels
-//     (3.4028234663852886e+38 for sssp, 4294967295 for bfs) and a
-//     component's label recur all through a series with small values
-//     between them, which neither read nor replace the memo;
-//   - everything else goes through appendJSONFloat and becomes the memo. A
-//     NaN or ±Inf stops the reply there, so the memo only holds finite
-//     values.
+// a load and store through rw.
 //
-// The memo compares bits, so 0 and -0 stay distinct.
+// A served series is a few distinct values in random order — bfs levels,
+// integer sssp distances, the unreached sentinel (4294967295 for bfs,
+// 3.4028234663852886e+38 for sssp) — so each series formats each distinct
+// value once, through a direct-mapped cache on the stack keyed by the
+// value's bits (so 0 and -0 stay distinct). A hit copies the slot's whole
+// 32-byte array to the end of the buffer and advances by the value's
+// length: no call and no variable-length copy. A miss formats the value
+// through appendJSONFloat, after its comma, and takes the slot over. The
+// first value's comma becomes the array's '['. A NaN or ±Inf misses every
+// slot and stops the reply with everything before it written, its own comma
+// (or the '[') included.
 func (rw *replyWriter) floats(vals []float64) {
-	if vals == nil {
-		rw.raw("null")
+	if len(vals) == 0 {
+		if vals == nil {
+			rw.raw("null")
+		} else {
+			rw.raw("[]")
+		}
 		return
 	}
-	var (
-		memo     [32]byte // the longest float64 takes 25 bytes: -0.0000010000000000000002
-		memoLen  int
-		memoBits uint64 // +0's bits, which never reach the memo: it starts empty
-	)
-	buf := append(rw.buf, '[')
+	// A hit or a miss copies 32 bytes at the fill level, which the loop keeps
+	// below replyBufSize: the pooled buffer's replySlack covers that. Only a
+	// buffer with less room grows: a caller's own, or one whose envelope
+	// already ran past replyBufSize.
+	buf := rw.buf
+	if need := max(len(buf), replyBufSize) + replySlack; cap(buf) < need {
+		buf = slices.Grow(buf, need-len(buf))
+	}
+	cache := emptySeriesCache
 	for i, f := range vals {
-		if i > 0 {
-			buf = append(buf, ',')
+		bits := math.Float64bits(f)
+		slot := &cache[seriesSlot(bits)]
+		n := len(buf)
+		ok := slot.bits == bits
+		if ok {
+			*(*[32]byte)(buf[n : n+32]) = slot.text
+			buf = buf[:n+slot.n]
+		} else if buf, ok = appendJSONFloat(append(buf, ','), f); ok {
+			slot.bits, slot.n, slot.text = bits, len(buf)-n, *(*[32]byte)(buf[n : n+32])
 		}
-		if f >= 0 && f < 100 && float64(uint8(f)) == f && (f != 0 || !math.Signbit(f)) {
-			buf = strconv.AppendUint(buf, uint64(f), 10)
-		} else if bits := math.Float64bits(f); bits == memoBits {
-			buf = append(buf, memo[:memoLen]...)
-		} else {
-			start := len(buf)
-			var ok bool
-			if buf, ok = appendJSONFloat(buf, f); !ok {
-				rw.buf = buf
+		if i == 0 {
+			buf[n] = '['
+		}
+		if !ok || len(buf) >= replyBufSize {
+			rw.buf = buf
+			if !ok {
 				rw.unsupported(f)
 				return
 			}
-			memoLen, memoBits = copy(memo[:], buf[start:]), bits
-		}
-		if len(buf) >= replyBufSize {
-			rw.buf = buf
 			if rw.flush(); rw.werr != nil {
 				return // nobody is reading: skip formatting the rest
 			}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -133,19 +134,63 @@ func seriesPalette(b byte, raw, prev float64) float64 {
 	}
 }
 
+// checkSeries asserts floats encodes vals exactly as encoding/json encodes
+// the slice, or, when a NaN or ±Inf makes encoding/json refuse it, that floats
+// stops there with encoding/json's error, having written exactly the values
+// before it and the comma after the last of them. The writer's buffer starts
+// with pre bytes of earlier output and no spare capacity.
+func checkSeries(t *testing.T, vals []float64, pre int) {
+	t.Helper()
+	var out bytes.Buffer
+	rw := &replyWriter{w: &out, buf: bytes.Repeat([]byte{'x'}, pre)}
+	rw.floats(vals)
+	got := append(out.Bytes(), rw.buf...)[pre:]
+	want, err := json.Marshal(vals)
+	if err == nil {
+		if rw.err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%v: got %q (err %v), encoding/json says %q", vals, got, rw.err, want)
+		}
+		return
+	}
+	j := slices.IndexFunc(vals, func(f float64) bool { return math.IsNaN(f) || math.IsInf(f, 0) })
+	if rw.err == nil || rw.err.Error() != err.Error() {
+		t.Fatalf("%v: error %v, encoding/json says %v", vals, rw.err, err)
+	}
+	if _, ok := appendJSONFloat(nil, vals[j]); ok {
+		t.Fatalf("%v: appendJSONFloat accepts %v", vals, vals[j])
+	}
+	prefix, _ := json.Marshal(vals[:j])
+	prefix = prefix[:len(prefix)-1] // drop ']'
+	if j > 0 {
+		prefix = append(prefix, ',')
+	}
+	if !bytes.Equal(got, prefix) {
+		t.Fatalf("%v: wrote %q before value %d, want %q", vals, got, j, prefix)
+	}
+}
+
 // FuzzReplySeries asserts floats encodes a whole series exactly as
-// encoding/json encodes the slice, across the repeats and alternations the
-// memo sees, and that a NaN or ±Inf anywhere — right after a memoized repeat
-// included — stops the series with appendJSONFloat's error, having written
-// exactly the values before it.
+// encoding/json encodes the slice, across the hits, misses and evictions of
+// its value cache, and that a NaN or ±Inf anywhere — right after a hit or an
+// eviction included — stops the series with appendJSONFloat's error, having
+// written exactly the values before it (checkSeries). One seed walks every
+// argument of the palette's numeric kinds, more distinct values than the
+// cache has slots, twice over.
 func FuzzReplySeries(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 0x15, 0, 2, 0x25, 2, 3, 4, 3, 4}, uint64(0))
-	f.Add([]byte{0, 0, 13, 13, 15}, uint64(0))     // NaN after memoized repeats
-	f.Add([]byte{2, 0x35, 2, 13, 0x1f}, uint64(0)) // +Inf after a memoized bfs sentinel
+	f.Add([]byte{0, 0, 13, 13, 15}, uint64(0))     // NaN after cached repeats
+	f.Add([]byte{2, 0x35, 2, 13, 0x1f}, uint64(0)) // +Inf after a cached bfs sentinel
 	f.Add([]byte{12, 13, 0, 12, 0x96, 12}, math.Float64bits(0.15))
 	f.Add([]byte{4, 3, 4, 3, 13, 7, 8, 7, 0x86, 0x96}, uint64(1))
 	f.Add([]byte{9, 10, 11, 0x9b, 14, 0x4e, 12}, uint64(0x7ff8000000000001))
 	f.Add([]byte{12, 0, 12, 13, 0x89, 3, 0x89, 13, 0x99, 12}, math.Float64bits(-math.Nextafter(1e-6, 1))) // 25-byte repeats
+	var evict []byte
+	for _, kind := range []byte{5, 6, 7, 8, 9, 14} {
+		for arg := range byte(16) {
+			evict = append(evict, arg<<4|kind)
+		}
+	}
+	f.Add(append(evict, evict...), uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, raw uint64) {
 		vals := make([]float64, len(data))
 		prev := 0.0
@@ -153,33 +198,54 @@ func FuzzReplySeries(f *testing.F) {
 			vals[i] = seriesPalette(b, math.Float64frombits(raw), prev)
 			prev = vals[i]
 		}
-		var out bytes.Buffer
-		rw := &replyWriter{w: &out}
-		rw.floats(vals)
-		got := append(out.Bytes(), rw.buf...)
-		want, err := json.Marshal(vals)
-		if err == nil {
-			if rw.err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("%v: got %q (err %v), encoding/json says %q", vals, got, rw.err, want)
-			}
-			return
-		}
-		j := slices.IndexFunc(vals, func(f float64) bool { return math.IsNaN(f) || math.IsInf(f, 0) })
-		if rw.err == nil || rw.err.Error() != err.Error() {
-			t.Fatalf("%v: error %v, encoding/json says %v", vals, rw.err, err)
-		}
-		if _, ok := appendJSONFloat(nil, vals[j]); ok {
-			t.Fatalf("%v: appendJSONFloat accepts %v", vals, vals[j])
-		}
-		prefix, _ := json.Marshal(vals[:j])
-		prefix = prefix[:len(prefix)-1] // drop ']'
-		if j > 0 {
-			prefix = append(prefix, ',')
-		}
-		if !bytes.Equal(got, prefix) {
-			t.Fatalf("%v: wrote %q before value %d, want %q", vals, got, j, prefix)
-		}
+		checkSeries(t, vals, 0)
 	})
+}
+
+// TestReplySeriesCacheEviction lines up, by seriesSlot, the cache traffic
+// random series rarely produce: values that share a slot, more distinct
+// values than slots, both zeros, the longest values, and NaN and ±Inf right
+// after a hit, right after an eviction and under every empty slot's key.
+// Each series is also encoded behind a buffer at and past the flush level.
+func TestReplySeriesCacheEviction(t *testing.T) {
+	// sharing returns n integers other than v in v's slot.
+	sharing := func(v float64, n int) []float64 {
+		var out []float64
+		for i := 0; len(out) < n; i++ {
+			if f := float64(i); f != v && seriesSlot(math.Float64bits(f)) == seriesSlot(math.Float64bits(v)) {
+				out = append(out, f)
+			}
+		}
+		return out
+	}
+	negZero := math.Copysign(0, -1)
+	long1, long2 := -math.Nextafter(1e-6, 1), float64(float32(-1.1e-6)) // 25 bytes each
+	nan, inf := math.NaN(), math.Inf(1)
+	a := sharing(math.MaxUint32, 2)
+	many := ramp(3*seriesSlots, func(i int) float64 { return float64(i) })
+	for i := range seriesSlots {
+		many = append(many, float64(i*37%(3*seriesSlots)), float64(i))
+	}
+	series := [][]float64{
+		{a[0], a[1], a[0], a[1], a[1], a[0], math.MaxUint32, a[0], math.MaxUint32},
+		append(many, many...),
+		{0, negZero, negZero, 0, 0, negZero, sharing(negZero, 1)[0], negZero, 0},
+		append([]float64{long1, long2, long1, 3, long2, long2}, append(sharing(long1, 2), long1, long2, long1)...),
+		{a[0], a[0], nan},
+		{7, a[0], a[0], inf},
+		{a[0], a[1], math.Inf(-1)},
+		{a[0], a[1], a[0], nan},
+		{nan},
+	}
+	for h := range seriesSlots {
+		key := math.Float64frombits(emptySeriesCache[h].bits)
+		series = append(series, []float64{float64(h), key}, []float64{key})
+	}
+	for _, vals := range series {
+		for _, pre := range []int{0, replyBufSize - 1, replyBufSize + 40} {
+			checkSeries(t, vals, pre)
+		}
+	}
 }
 
 func goldenStats() graphmat.Stats {
@@ -404,34 +470,62 @@ func TestControlReplyThatWillNotMarshalIs500(t *testing.T) {
 	}
 }
 
-// BenchmarkReplySeries times floats on 2^16-value series of the three shapes
-// served replies carry, reporting ns/value:
+// BenchmarkReplyEncode times whole run replies as graphmatd encodes them,
+// reporting ns/value:
 //
-//   - sssp: integer distances below 60, 40 % float32 MaxFloat32 (unreached);
-//   - bfs: levels below 9, 40 % MaxUint32 (unreached);
-//   - ppr: distinct non-integers.
+//   - bfs, sssp: 16-source batch replies (16 × 65 536 values) from k = 16
+//     runs on the served workloads' graph, RMAT scale 16, edge factor 16,
+//     graph seed 1, weights up to 16;
+//   - distinct: a 65 536-value series shaped like a ppr reply, every value
+//     a different non-integer.
 //
 // Run it with
 //
-//	go test -run='^$' -bench=ReplySeries ./internal/server
-func BenchmarkReplySeries(b *testing.B) {
-	const n = 1 << 16
-	shapes := []struct {
-		name string
-		vals []float64
-	}{
-		{"sssp", ramp(n, func(i int) float64 { return sentinelOr(i, math.MaxFloat32, float64(i%60)) })},
-		{"bfs", ramp(n, func(i int) float64 { return sentinelOr(i, math.MaxUint32, float64(i%9)) })},
-		{"ppr", ramp(n, func(i int) float64 { return 1 / float64(i+3) })},
+//	go test -run='^$' -bench=ReplyEncode -benchtime=20x ./internal/server
+func BenchmarkReplyEncode(b *testing.B) {
+	type reply struct {
+		name   string
+		doc    runDoc
+		values int
 	}
-	for _, shape := range shapes {
-		b.Run(shape.name, func(b *testing.B) {
-			rw := &replyWriter{w: io.Discard, buf: make([]byte, 0, replyBufSize+replySlack)}
+	adj := gen.RMAT(gen.RMATOptions{Scale: 16, EdgeFactor: 16, Seed: 1, MaxWeight: 16})
+	var pool []uint32 // vertices with an out-edge, so every source reaches part of the graph
+	for _, e := range adj.Entries {
+		if e.Row != e.Col {
+			pool = append(pool, e.Row)
+		}
+	}
+	slices.Sort(pool)
+	pool = slices.Compact(pool)
+	rng := gen.NewRNG(36)
+	for i := range 16 {
+		j := i + int(rng.Uint64()%uint64(len(pool)-i))
+		pool[i], pool[j] = pool[j], pool[i]
+	}
+	sources := pool[:16]
+	var replies []reply
+	for _, name := range []string{"bfs", "sssp"} {
+		spec, _ := algorithms.Lookup(name)
+		inst, err := spec.Build(adj.Clone(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := inst.RunBatch(context.Background(), nil, algorithms.Params{Sources: sources}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		replies = append(replies, reply{name, batchRunResponse{Graph: "web", Algorithm: name, BatchResult: res}, len(sources) * len(res.Values[0])})
+	}
+	ppr := ramp(1<<16, func(i int) float64 { return 1 / float64(i+3) })
+	replies = append(replies, reply{"distinct", runResponse{Graph: "web", Algorithm: "ppr", Result: algorithms.Result{Values: ppr}}, len(ppr)})
+	for _, r := range replies {
+		b.Run(r.name, func(b *testing.B) {
 			for b.Loop() {
-				rw.floats(shape.vals)
-				rw.flush()
+				if err := r.doc.encode(io.Discard); err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.values), "ns/value")
 		})
 	}
 }
