@@ -87,11 +87,13 @@ bench-module:
 # stack at once, scaled down under -race (raceEnabled). All matter under
 # -race. The pool's hold tests (workers spinning between jobs, jobs reused
 # from its free list) run ten times over, since a spin racing a publish or
-# a release is timing-dependent. CI runs this target, so the package list
-# lives here only.
+# a release is timing-dependent; so does the shared-store model test on one
+# CPU, where a reader most often sees the master a batch ahead of its epoch.
+# CI runs this target, so the package list lives here only.
 race:
 	$(GO) test -race . ./internal/core/... ./internal/sched/... ./internal/kernels/... ./internal/sparse/... ./internal/server/... ./internal/graph/... ./internal/bitvec/... ./internal/gen/... ./internal/snap/... ./algorithms/...
 	$(GO) test -race -count=10 -run 'Hold' ./internal/sched
+	$(GO) test -race -count=20 -cpu=1 -run '^TestStoreSharedModel$$' ./internal/graph
 
 # Fuzz smoke over the graph readers, the update-stream parser, the snapshot
 # reader, WAL replay, the run-reply number and series encoder, the SIMD kernel backends, the

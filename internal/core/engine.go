@@ -196,11 +196,11 @@ type phaseSet struct {
 	// returns the receiving-side degree sum of the vertices still unsettled
 	// — counted once per unsettled column, as degSum counts a sender once
 	// per message — which bounds the edge slots a row walk could examine,
-	// from one chunked pass over the properties. The loop calls it once, on
-	// the first superstep that resolves to Pull, and keeps the sum current
-	// from what each later apply phase reports settled (localStats.settled):
-	// a run that never pulls never pays the pass, and one that always does
-	// pays no extra dispatch per superstep.
+	// from one chunked pass over the sink's settled mask. The loop calls it
+	// once, on the first superstep that resolves to Pull, and keeps the sum
+	// current from what each later apply phase reports settled
+	// (localStats.settled): a run that never pulls never pays the pass, and
+	// one that always does pays no extra dispatch per superstep.
 	unsettledEdges func() int64
 	// multiply clears the reduction vector and runs the generalized
 	// multiply (Algorithm 1) in the resolved mode — by the row walk when
@@ -452,6 +452,8 @@ func runPhases[V, E, M, R any, P Program[V, E, M, R]](
 	}
 	var prepare func() // a mask sink's per-superstep read of the frontier
 	switch s := sink.(type) {
+	case *gatherSink[V, E, M, R, P]:
+		b.settled = s.settled
 	case *blockGatherSink[V, E, M, R, P]:
 		b.settled = s.settled
 	case *blockMaskSink[V, E, M, R, P]:
@@ -536,9 +538,9 @@ type phaseBody[V, E, M, R any, P Program[V, E, M, R]] struct {
 	sendDegs, recvDegs []uint32
 	settling           FirstMessageFinal[V]
 	// settled is the settled mask of a FirstMessageFinal run's sink, one
-	// word per row (seedSettled), which apply keeps current: a pair an Apply
-	// activated and left settled joins it. Nil for a one-column gather
-	// (gatherSink), which reads the properties, and for other programs.
+	// word per row (seedSettled; a bitmap at k = 1), which apply keeps
+	// current: a pair an Apply activated and left settled joins it. Nil for
+	// other programs.
 	settled []uint64
 	// colVals, set with a mask sink (blockMaskSink, maskSink), holds each
 	// column's one reduced value of the superstep: apply reads it in place
@@ -634,10 +636,8 @@ func (b *phaseBody[V, E, M, R, P]) apply(lo, hi uint32, st *localStats) {
 					// and only an activating Apply settles one (the settle
 					// bullet), so one that did and is settled now was
 					// settled by this Apply.
-					if (recvDegs != nil || settled != nil) && !settling.Unsettled(props[i]) {
-						if settled != nil {
-							settled[row] |= m & -m
-						}
+					if settled != nil && !settling.Unsettled(props[i]) {
+						settled[row] |= m & -m
 						if recvDegs != nil {
 							settledDeg += int64(recvDegs[u])
 						}
@@ -661,17 +661,10 @@ func (b *phaseBody[V, E, M, R, P]) apply(lo, hi uint32, st *localStats) {
 	st.settled += settledDeg
 }
 
-// unsettled is phaseSet.unsettledEdges over vertex chunk [lo, hi): from the
-// properties for a one-column gather, else from the settled mask — a bitmap
-// at k = 1, per-vertex column masks in a k-wide run.
+// unsettled is phaseSet.unsettledEdges over vertex chunk [lo, hi), from the
+// settled mask: a bitmap at k = 1, per-vertex column masks in a k-wide run.
 func (b *phaseBody[V, E, M, R, P]) unsettled(lo, hi uint32) (deg int64) {
 	switch {
-	case b.settled == nil:
-		for i, prop := range b.props[lo:hi] {
-			if b.settling.Unsettled(prop) {
-				deg += int64(b.recvDegs[lo+uint32(i)])
-			}
-		}
 	case b.k == 1:
 		wlo, whi := chunkWords(lo, hi)
 		for wi := wlo; wi < whi; wi++ {

@@ -31,8 +31,8 @@ import (
 // (kernel_fold.go for the scalar engine, kernel_block.go for the k-wide block
 // engine), so both engines and the single-shot SpMV share the two column
 // walks. The row walk hands a partition's rows to a rowSink, which the generic
-// fold of each engine is for a FirstMessageFinal program — the scalar gather
-// (kernel_fold.go) and the k-wide one (kernel_block.go) — and so is the
+// fold of each engine is for a FirstMessageFinal program — through one value
+// gather for every width (rowGather, kernel_block.go) — and so is the
 // column-mask fold of a boolean one, at one column (kernel_fold.go) or k
 // (kernel_block.go).
 //
@@ -121,16 +121,16 @@ type rowMask struct {
 }
 
 // rowSink is a colSink that can also gather: foldRows visits every
-// destination row of rows and, for each one the program still reports
+// destination row of rows and, for each one the run's settled mask leaves
 // unsettled, scans its sources in ascending id for the first with a
 // frontier bit in xw, folds that one edge into the output and leaves the
 // row — per column, in the block engine, whose row scan ends when every
 // waiting column has had its first. It returns the number of edge slots it
 // examined. A plain partition's rows are scanned as one array, a partition
 // with a pending delta's through a liveRow cursor. The generic fold of a
-// FirstMessageFinal program is a rowSink, scalar (kernel_fold.go) or k-wide
-// (kernel_block.go), and so is the column-mask fold of a boolean one, at
-// every width; the fused sum and path sinks are not.
+// FirstMessageFinal program is a rowSink at every width (rowGather), and so
+// is the column-mask fold of a boolean one; each keeps the run's settled
+// mask. The fused sum and path sinks are not.
 type rowSink[E any] interface {
 	colSink[E]
 	foldRows(rows liveRows[E], xw []uint64) int

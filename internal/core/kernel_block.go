@@ -33,12 +33,13 @@ import (
 // per vertex holding the columns already decided, seeded from Unsettled by
 // runPhases, over the run's vertex chunks in parallel, and kept current by
 // the apply phase, so a row walk reads one word per row where it would test
-// k properties. A program that also declares SemiringBoolean folds no values
-// at all (blockMaskSink): a column walk ORs the sender's column mask into
-// the destination's, a row walk gathers the mask of the columns still
-// waiting, and apply hands each newly reached (vertex, column) its column's
-// one value of the superstep. At one column the same fold is maskSink
-// (kernel_fold.go), whose settled mask is a bitmap.
+// k properties; at one column it is a bitmap. The value gather is one row
+// walk at every width (rowGather). A program that also declares
+// SemiringBoolean folds no values at all (blockMaskSink): a column walk ORs
+// the sender's column mask into the destination's, a row walk gathers the
+// mask of the columns still waiting, and apply hands each newly reached
+// (vertex, column) its column's one value of the superstep. At one column
+// the same fold is maskSink (kernel_fold.go).
 
 // blockSink resolves block program p's column fold from message block x
 // into reduction block y, once per run — the block analogue of scalarSink,
@@ -83,7 +84,8 @@ func blockSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *BlockVector[M], pr
 	if !fmf {
 		return &fold
 	}
-	return &blockGatherSink[V, E, M, R, P]{blockFoldSink: fold, settled: make([]uint64, len(props)/x.k)}
+	g := rowGather[V, E, M, R, P]{p: p, dstFree: dstFree, props: props, zeros: make([]V, x.k), x: x, y: y, settled: make([]uint64, len(props)/x.k)}
+	return &blockGatherSink[V, E, M, R, P]{blockFoldSink: fold, rowGather: g}
 }
 
 // touchRow returns vertex v's column mask in a block vector's two-level
@@ -139,13 +141,26 @@ func (s *blockFoldSink[V, E, M, R, P]) fold(ir []uint32, val []E, cols []colRef)
 
 // blockGatherSink is the generic block fold of a FirstMessageFinal program:
 // the column folds of blockFoldSink, plus the row walk's gather over all k
-// columns at once. Per column the gather is gatherSink's — skip a settled
-// (vertex, column), take the first frontier in-neighbour in ascending source
-// id — so each column's y, and what Apply makes of it, is its solo run's;
-// what the width shares is the scan of the row.
+// columns at once (rowGather).
 type blockGatherSink[V, E, M, R any, P Program[V, E, M, R]] struct {
 	blockFoldSink[V, E, M, R, P]
-	settled []uint64 // the run's settled mask, seeded and kept by runPhases
+	rowGather[V, E, M, R, P]
+}
+
+// rowGather is the row walk's value gather at every width (gatherSink,
+// blockGatherSink): per column, skip a settled (vertex, column) and take the
+// first frontier in-neighbour in ascending source id, so each column's y is
+// its solo run's; a width shares the scan of the row. At k = 1 it follows
+// nextRow's convention: a frontier source carries the one column, and a
+// row's settled bit is its vertex's bit of a bitmap word. Only a program
+// that is not DstIndependent, run at one column, reads its destination.
+type rowGather[V, E, M, R any, P Program[V, E, M, R]] struct {
+	p            P
+	dstFree      bool
+	props, zeros []V // zeros: k zero properties
+	x            *BlockVector[M]
+	y            *BlockVector[R]
+	settled      []uint64 // the run's settled mask, seeded and kept by runPhases
 }
 
 // foldRows scans each row of rows for the columns in which its vertex is
@@ -153,20 +168,28 @@ type blockGatherSink[V, E, M, R any, P Program[V, E, M, R]] struct {
 // message in, and the scan leaves the row when none is left. It returns the
 // edge slots it examined, each counted once however many columns waited at
 // it.
-func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
-	p, x, y, all := s.p, s.x, s.y, fullCols(s.x.k)
-	xcols, ysw, ycols := x.cols, y.summary.Words(), y.cols
-	var zeroV V
+func (g *rowGather[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
+	p, x, y, k := g.p, g.x, g.y, g.x.k
+	ysw, ycols := y.summary.Words(), y.cols
+	// Row dst's settled columns are settled[dst>>shift] >> (dst&vbit): its
+	// own word at k ≥ 2, its bit of a bitmap word at k = 1.
+	shift, vbit, all := uint32(0), uint32(0), fullCols(k)
+	if k == 1 {
+		shift, vbit = 6, 63
+	}
 	ptr, rlo := rows.base.Ptr, rows.base.RowLo
 	examined := 0
-	for i, settled := range s.settled[rlo : rlo+uint32(len(ptr)-1)] {
-		waiting := all &^ settled
+	for i := range len(ptr) - 1 {
+		dst := rlo + uint32(i)
+		waiting := all &^ (g.settled[dst>>shift] >> (dst & vbit))
 		if waiting == 0 {
 			continue
 		}
-		dst := rlo + uint32(i)
 		var got uint64
-		yrow := y.Row(dst)
+		yrow, dp := y.Row(dst), g.zeros // a DstIndependent program's properties
+		if !g.dstFree {
+			dp = g.props[int(dst)*k : int(dst)*k+k]
+		}
 		if rows.delta == nil {
 			in, val := rows.base.Src[ptr[i]:ptr[i+1]], rows.base.Val[ptr[i]:ptr[i+1]]
 			j := 0
@@ -175,10 +198,10 @@ func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64)
 				if xw[src>>6]&(1<<(src&63)) == 0 {
 					continue
 				}
-				hit, e, xrow := xcols[src]&waiting, val[j], x.Row(src)
+				hit, e, xrow := x.ColMask(src)&waiting, val[j], x.Row(src)
 				for m := hit; m != 0; m &= m - 1 {
 					col := bits.TrailingZeros64(m)
-					yrow[col] = p.ProcessMessage(xrow[col], e, zeroV)
+					yrow[col] = p.ProcessMessage(xrow[col], e, dp[col])
 				}
 				got |= hit
 				waiting &^= hit
@@ -191,10 +214,10 @@ func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64)
 				if !ok {
 					break
 				}
-				hit, e, xrow := xcols[src]&waiting, rows.val(at), x.Row(src)
+				hit, e, xrow := x.ColMask(src)&waiting, rows.val(at), x.Row(src)
 				for m := hit; m != 0; m &= m - 1 {
 					col := bits.TrailingZeros64(m)
-					yrow[col] = p.ProcessMessage(xrow[col], e, zeroV)
+					yrow[col] = p.ProcessMessage(xrow[col], e, dp[col])
 				}
 				got |= hit
 				waiting &^= hit
@@ -205,7 +228,9 @@ func (s *blockGatherSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64)
 			// The row is this task's alone and a gathering layer writes it
 			// nowhere else, so its mask is stored, not merged.
 			ysw[dst>>6] |= 1 << (dst & 63)
-			ycols[dst] = got
+			if ycols != nil {
+				ycols[dst] = got
+			}
 		}
 	}
 	return examined
@@ -275,9 +300,16 @@ func (s *blockMaskSink[V, E, M, R, P]) fold(ir []uint32, _ []E, cols []colRef) i
 	return edges
 }
 
-// foldRows is blockGatherSink.foldRows over masks: a row waits in the live
+// foldRows is rowGather.foldRows over masks: a row waits in the live
 // columns it has not settled, each frontier in-neighbour retires the ones
 // it carries, and the examined slots are tallied the same way.
+//
+// It is written out apart from rowGather's walk because sharing measured
+// slower on the k = 16 bfs batch (BenchmarkBFSBatch, 2-vCPU shared VM,
+// alternating rounds, µs/source medians): one foldRows for the k-wide mask
+// and value gathers went 1 746 → 1 959 at -cpu 1, faster in only 2 of 10
+// rounds, and a generic scan helper that inlines at every site 1 340 →
+// 1 513, slower in 5 of 6.
 func (s *blockMaskSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
 	xcols, ysw, ycols, live := s.x.cols, s.y.summary.Words(), s.y.cols, s.live
 	ptr, rlo := rows.base.Ptr, rows.base.RowLo

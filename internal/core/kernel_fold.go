@@ -14,10 +14,10 @@ import (
 // scalarSink resolves a program to its sink once per run: the fused float64
 // sum fold, a fused float32 path-semiring fold or the fused uint32 min fold
 // when the program declares one (SemiringFold) and the element types really
-// match, the generic callback loop otherwise — with the row walk's gather
-// beside it when the program declares FirstMessageFinal. A boolean
-// FirstMessageFinal program that ignores its destination never gets here:
-// blockSink gives it maskSink, the one-column mask fold, defined below.
+// match, the generic callback loop otherwise — with the row walk's value
+// gather (rowGather) beside it when the program declares FirstMessageFinal.
+// A boolean FirstMessageFinal program that ignores its destination never
+// gets here: blockSink gives it maskSink, the one-column mask fold.
 //
 // Every flat fold tests an occupancy bit per edge to tell a first write from
 // a reduction, except one: a whole fully-live partition handed to the sum or
@@ -66,8 +66,9 @@ func scalarSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *sparse.Vector[M],
 	}
 	_, dstFree := any(p).(DstIndependent)
 	fold := foldSink[V, E, M, R, P]{p: p, dstFree: dstFree, x: x.Values(), props: props, yw: yw, y: y.Values()}
-	if settling, ok := any(p).(FirstMessageFinal[V]); ok {
-		return &gatherSink[V, E, M, R, P]{foldSink: fold, settling: settling}
+	if _, ok := any(p).(FirstMessageFinal[V]); ok {
+		g := rowGather[V, E, M, R, P]{p: p, dstFree: dstFree, props: props, zeros: make([]V, 1), x: vectorBlock(x), y: vectorBlock(y), settled: make([]uint64, len(yw))}
+		return &gatherSink[V, E, M, R, P]{foldSink: fold, rowGather: g}
 	}
 	return &fold
 }
@@ -253,50 +254,14 @@ func (s *foldSink[V, E, M, R, P]) foldFlat(ir []uint32, val []E, src []uint32, _
 }
 
 // gatherSink is the generic fold of a FirstMessageFinal program: the column
-// folds of foldSink, plus the row walk's gather. The two produce different y
-// vectors — the gather leaves settled rows and all but the first message of
-// an unsettled row unfolded — that Apply, by the program's promise, turns
-// into the same vertex state.
+// folds of foldSink, plus the row walk's gather (rowGather), whose settled
+// mask is a bitmap here, as maskSink's. The two produce different y vectors
+// — the gather leaves settled rows and all but the first message of an
+// unsettled row unfolded — that Apply, by the program's promise, turns into
+// the same vertex state.
 type gatherSink[V, E, M, R any, P Program[V, E, M, R]] struct {
 	foldSink[V, E, M, R, P]
-	settling FirstMessageFinal[V]
-}
-
-func (s *gatherSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
-	p, x, yw, y := s.p, s.x, s.yw, s.y
-	ptr, rlo := rows.base.Ptr, rows.base.RowLo
-	examined := 0
-	for i, prop := range s.props[rlo : rlo+uint32(len(ptr)-1)] {
-		if !s.settling.Unsettled(prop) {
-			continue
-		}
-		var src uint32
-		var at int
-		ok := false
-		if rows.delta == nil {
-			in := rows.base.Src[ptr[i]:ptr[i+1]]
-			k := 0
-			for k < len(in) && xw[in[k]>>6]&(1<<(in[k]&63)) == 0 {
-				k++
-			}
-			if ok = k < len(in); ok {
-				src, at = in[k], int(ptr[i])+k
-				k++
-			}
-			examined += k
-		} else {
-			r := rows.row(i)
-			src, at, ok = r.next(xw)
-			examined += r.seen
-		}
-		if !ok {
-			continue // no live in-neighbour on the frontier
-		}
-		dst := rlo + uint32(i)
-		y[dst] = p.ProcessMessage(x[src], rows.val(at), prop)
-		yw[dst>>6] |= 1 << (dst & 63)
-	}
-	return examined
+	rowGather[V, E, M, R, P]
 }
 
 // maskSink is blockMaskSink at one column, for a program that also declares
@@ -352,6 +317,11 @@ func (s *maskSink[V, E, M, R, P]) foldFlat(ir []uint32, _ []E, _ []uint32, _ row
 // word at a time: each unsettled row's first frontier source sets its y
 // bit, and the examined slots are gatherSink's. With no message (live
 // false) no row can be reached, and none is scanned.
+//
+// It is written out apart from the other gathers because every shared form
+// measured slower on the k = 1 bfs batch (BenchmarkBFSBatch, 2-vCPU shared
+// VM, alternating rounds, µs/source medians): the block gather's row loop
+// at k = 1 went 2 821 → 3 032, slower in 6 of 8 rounds.
 func (s *maskSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
 	ptr, rlo := rows.base.Ptr, rows.base.RowLo
 	rhi := rlo + uint32(len(ptr)-1)

@@ -13,10 +13,10 @@ import (
 // A one-column run of a program declaring SemiringBoolean, FirstMessageFinal
 // and DstIndependent folds masks (maskSink) where its undeclared twin folds
 // values (gatherSink). TestBooleanMaskFoldOneColumnParity holds the two to
-// exact equality from one root, across modes, threads and plain versus
-// overlay (base+delta) partitions: maskProg against maskValues over uint32
-// weights, bfsBoolean against bfsFirst over float32 ones. Properties and
-// every Stats field but the wall-clock Sched must match.
+// exact equality from two starts (checkMaskParity), across modes, threads
+// and plain versus overlay (base+delta) partitions: maskProg against
+// maskValues over uint32 weights, bfsBoolean against bfsFirst over float32
+// ones. Properties and every Stats field but the wall-clock Sched must match.
 
 // u32ParityWorlds is f32ParityWorlds over uint32 weights: the same RMAT edge
 // set built plain, and served from a store whose pending overlay re-weights
@@ -79,17 +79,29 @@ func u32Overlay(t *testing.T, adj *sparse.COO[uint32], batch []graph.Update[uint
 	return snap
 }
 
-// runHops runs hop-counting program p from root 0 over one column, every
+// hopStart is where a runHops run starts: its roots at level zero, and the
+// vertices already settled at level, which never send.
+type hopStart[V any] struct {
+	roots, settled []VertexID
+	level          V
+}
+
+// runHops runs hop-counting program p from start over one column, every
 // other vertex starting at unreached, and returns the properties and the
 // Stats without Sched.
-func runHops[V, E any, P Program[V, E, V, V]](t *testing.T, g *graph.Graph[E], p P, unreached V, cfg Config) ([]V, Stats) {
+func runHops[V, E any, P Program[V, E, V, V]](t *testing.T, g *graph.Graph[E], p P, unreached V, start hopStart[V], cfg Config) ([]V, Stats) {
 	t.Helper()
 	st := NewBlockState[V](int(g.NumVertices()), 1)
 	st.SetAllProps(unreached)
-	var root V
-	st.SetProp(0, 0, root)
+	for _, v := range start.settled {
+		st.SetProp(v, 0, start.level)
+	}
 	st.ClearActive()
-	st.Activate(0, 0)
+	var root V
+	for _, v := range start.roots {
+		st.SetProp(v, 0, root)
+		st.Activate(v, 0)
+	}
 	stats, err := Run(g, p, st, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -98,29 +110,46 @@ func runHops[V, E any, P Program[V, E, V, V]](t *testing.T, g *graph.Graph[E], p
 	return slices.Clone(st.Props()), stats
 }
 
-func checkMaskParity[V comparable, E any, PM, PV Program[V, E, V, V]](t *testing.T, worlds map[string]*graph.Graph[E], name string, mask PM, values PV, unreached V) {
+// checkMaskParity runs mask and values from two starts: root 0 alone, every
+// other vertex unsettled, and ("_seeded") three roots beside a scattered set
+// of vertices settled at level 1, which the settled masks must skip from
+// the first superstep on. No message processes to less than 1, so bfsProg's
+// min Apply keeps the mask promise on them.
+func checkMaskParity[V interface{ ~uint32 | ~uint64 }, E any, PM, PV Program[V, E, V, V]](t *testing.T, worlds map[string]*graph.Graph[E], name string, mask PM, values PV, unreached V) {
 	for world, g := range worlds {
-		for _, mode := range []Mode{Pull, Push, Auto} {
-			for _, threads := range []int{1, 3} {
-				cfg := Config{Mode: mode, Threads: threads}
-				t.Run(fmt.Sprintf("%s/%s/mode_%s_threads_%d", name, world, mode, threads), func(t *testing.T) {
-					ref, refStats := runHops(t, g, values, unreached, cfg)
-					got, gotStats := runHops(t, g, mask, unreached, cfg)
-					if refStats.Iterations < 3 {
-						t.Fatalf("vacuous: the run converged in %d supersteps", refStats.Iterations)
-					}
-					if mode != Push && refStats.RowSupersteps == 0 {
-						t.Fatal("vacuous: no superstep took the row walk")
-					}
-					for v := range ref {
-						if got[v] != ref[v] {
-							t.Fatalf("prop[%d] = %v, value fold %v", v, got[v], ref[v])
+		n := g.NumVertices()
+		seeded := hopStart[V]{roots: []VertexID{0, n / 3, 2 * n / 3}, level: 1}
+		for v := VertexID(5); v < n; v += 7 {
+			if !slices.Contains(seeded.roots, v) {
+				seeded.settled = append(seeded.settled, v)
+			}
+		}
+		for _, start := range []struct {
+			suffix string
+			hopStart[V]
+		}{{"", hopStart[V]{roots: []VertexID{0}}}, {"_seeded", seeded}} {
+			for _, mode := range []Mode{Pull, Push, Auto} {
+				for _, threads := range []int{1, 3} {
+					cfg := Config{Mode: mode, Threads: threads}
+					t.Run(fmt.Sprintf("%s%s/%s/mode_%s_threads_%d", name, start.suffix, world, mode, threads), func(t *testing.T) {
+						ref, refStats := runHops(t, g, values, unreached, start.hopStart, cfg)
+						got, gotStats := runHops(t, g, mask, unreached, start.hopStart, cfg)
+						if refStats.Iterations < 3 {
+							t.Fatalf("vacuous: the run converged in %d supersteps", refStats.Iterations)
 						}
-					}
-					if gotStats != refStats {
-						t.Errorf("stats\n  mask %+v\nvalues %+v", gotStats, refStats)
-					}
-				})
+						if mode != Push && refStats.RowSupersteps == 0 {
+							t.Fatal("vacuous: no superstep took the row walk")
+						}
+						for v := range ref {
+							if got[v] != ref[v] {
+								t.Fatalf("prop[%d] = %v, value fold %v", v, got[v], ref[v])
+							}
+						}
+						if gotStats != refStats {
+							t.Errorf("stats\n  mask %+v\nvalues %+v", gotStats, refStats)
+						}
+					})
+				}
 			}
 		}
 	}

@@ -117,6 +117,8 @@ func runMask[P interface {
 		value = func(_ uint32, col int) uint64 { return s.vals[col] }
 	case *blockGatherSink[uint64, uint32, uint64, uint64, P]:
 		seed(s.settled)
+	case *gatherSink[uint64, uint32, uint64, uint64, P]:
+		seed(s.settled)
 	}
 	var rows rowSink[uint32]
 	if rowWalk {

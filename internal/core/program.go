@@ -139,15 +139,16 @@ type AllVerticesActive interface {
 //
 // The promise lets a dense pull superstep run the row walk (kernel.go): skip
 // settled destinations outright and leave an unsettled one at its first
-// frontier in-neighbour. A block run of two or more columns reads which
-// columns are settled from a per-vertex mask, seeded from Unsettled once per
-// run and kept current by the apply phase, which tests Unsettled after each
-// Apply that activates — the only Applies that can settle a pair. Vertex state, frontiers and the Iterations /
-// MessagesSent / ActiveSum tallies are unchanged by it; the work tallies
-// change meaning on those supersteps (see Stats.RowSupersteps). A program
-// whose messages can differ within a superstep (SSSP, widest path, label
-// propagation) or that accumulates (PageRank) must not declare it: it would
-// get wrong answers on exactly the supersteps that gather.
+// frontier in-neighbour. A run of any width reads which (vertex, column)
+// pairs are settled from a mask (a bitmap at one column), seeded from
+// Unsettled once per run and kept current by the apply phase, which tests
+// Unsettled after each Apply that activates — the only Applies that can
+// settle a pair. Vertex state, frontiers and the Iterations / MessagesSent
+// / ActiveSum tallies are unchanged by it; the work tallies change meaning
+// on those supersteps (see Stats.RowSupersteps). A program whose messages
+// can differ within a superstep (SSSP, widest path, label propagation) or
+// that accumulates (PageRank) must not declare it: it would get wrong
+// answers on exactly the supersteps that gather.
 type FirstMessageFinal[V any] interface {
 	Unsettled(prop V) bool
 }

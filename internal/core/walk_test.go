@@ -413,6 +413,10 @@ func scalarFold[V, E, M, R any, P Program[V, E, M, R]](c *walkCase, name string,
 		run: func(mode Mode, rowWalk bool, cuts [][2]uint32) walkOut {
 			y := sparse.NewVector[R](c.n)
 			sink := scalarSink(p, x, props, y)
+			if g, ok := sink.(*gatherSink[V, E, M, R, P]); ok {
+				// runPhases seeds a run's settled mask; so must a bare sink.
+				seedSettled(g.settled, any(p).(FirstMessageFinal[V]), props, 1, 0, uint32(c.n))
+			}
 			var rows rowSink[E]
 			if rowWalk {
 				rows = sink.(rowSink[E])
@@ -859,6 +863,8 @@ func TestRowIndexRace(t *testing.T) {
 					defer wg.Done()
 					y := sparse.NewVector[uint64](c.n)
 					sink := scalarSink(firstProg{}, c.x, c.props, y)
+					g := sink.(*gatherSink[uint64, uint32, uint64, uint64, firstProg])
+					seedSettled(g.settled, FirstMessageFinal[uint64](firstProg{}), c.props, 1, 0, uint32(c.n))
 					var st localStats
 					<-start
 					multiply(Pull, c.l, c.x.Mask().Words(), sink, sink.(rowSink[uint32]), &st)

@@ -27,7 +27,6 @@ var keptForTests = map[string]string{
 	"internal/sparse.CSR.ToCOO":                      "round-trip oracle of the CSR build test",
 	"internal/sparse.DCSC.ToCOO":                     "round-trip oracle of the DCSC build test",
 	"internal/sparse.Vector.GetChecked":              "presence-aware read (graphmat.Vector's, publicly) the SpMV and mode differentials compare outputs through",
-	"internal/core.BlockVector.ColMask":              "occupancy-checked mask read of the block kernel tests' naive folds",
 	"internal/core.BlockState.ClearActive":           "frontier reset of the block tests that reseed one state",
 	"internal/graph.Graph.OverlayNNZ":                "overlay size (graphmat.Edges', publicly) the store and layered-walk tests assert",
 	"internal/baselines/matrixengine.Matrix.Workers": "the grid² worker count the CombBLAS stand-in's test asserts",
