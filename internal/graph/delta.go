@@ -17,8 +17,8 @@ import (
 // locking.
 
 // minParallelDeltaMuts is the mutation count below which delta merges run on
-// the calling goroutine. MergeDelta is a linear merge over the touched
-// columns; for typical small batches the per-batch goroutine fan-out/park
+// the calling goroutine. MergeBlocks is a linear merge over the touched
+// blocks; for typical small batches the per-batch goroutine fan-out/park
 // cycle dominates the merge itself (the board's graph.apply_ms at 4 workers).
 const minParallelDeltaMuts = 1 << 12
 
@@ -102,15 +102,16 @@ func (g *Graph[E]) applyBatch(batch []Update[E]) (*Graph[E], ApplyResult, error)
 // scattering by output row first (the same stable scatter the parallel
 // partition build uses, so each partition sees its mutations in column-major
 // order) and merging partitions concurrently. Untouched partitions share the
-// old delta.
-func buildDeltas[E any](parts, old []*sparse.DCSC[E], muts []sparse.Mut[E], workers int) []*sparse.DCSC[E] {
+// old delta, and a touched one every block the batch leaves alone
+// (sparse.MergeBlocks).
+func buildDeltas[E any](parts []*sparse.DCSC[E], old []*sparse.Delta[E], muts []sparse.Mut[E], workers int) []*sparse.Delta[E] {
 	nparts := len(parts)
 	frags := make([][]sparse.Mut[E], nparts)
 	for _, m := range muts {
 		p := findPartition(parts, m.Row)
 		frags[p] = append(frags[p], m)
 	}
-	out := make([]*sparse.DCSC[E], nparts)
+	out := make([]*sparse.Delta[E], nparts)
 	nworkers := sparse.Workers(workers)
 	if len(muts) < minParallelDeltaMuts {
 		// Small batches merge inline: spawning and parking goroutines costs
@@ -118,11 +119,11 @@ func buildDeltas[E any](parts, old []*sparse.DCSC[E], muts []sparse.Mut[E], work
 		nworkers = 1
 	}
 	sparse.ParallelFor(nparts, nworkers, func(p int) {
-		var prev *sparse.DCSC[E]
+		var prev *sparse.Delta[E]
 		if old != nil {
 			prev = old[p]
 		}
-		out[p] = sparse.MergeDelta(parts[p], prev, frags[p])
+		out[p] = sparse.MergeBlocks(parts[p], prev, frags[p])
 	})
 	return out
 }

@@ -35,6 +35,8 @@ var keptForTests = map[string]string{
 	"internal/sched.Pool.Workers":                    "worker-slot count the pool tests assert",
 	"internal/sparse.CSR.HasEdge":                    "edge lookup of the CSR build test",
 	"internal/sparse.Layered.Iterate":                "merged live-edge walk the overlay tests compare against",
+	"internal/sparse.MergeDelta":                     "one whole-column merge, the reference the overlay tests hold block deltas to (MergeBlocks runs its body per block)",
+	"internal/sparse.NewDelta":                       "hand-assembled deltas of the overlay and walk tests (one-block, bare-literal and float32 twins)",
 	"internal/sparse.Vector.Len":                     "dimension read of the sparse vector tests",
 	"internal/sparse.Vector.Clear":                   "single-entry removal of the sparse vector tests",
 	"internal/sparse.SortedVector.Len":               "dimension read of the sparse vector tests",

@@ -100,7 +100,7 @@ func TestMergeDeltaAgainstBruteForce(t *testing.T) {
 				}
 			}
 			delta := MergeDelta(dc, nil, muts)
-			l := Layered[int]{Base: dc, Delta: delta}
+			l := Layered[int]{Base: dc, Delta: NewDelta(dc, delta)}
 			want := applyMuts(base, tc.muts, b[0], b[1])
 			got := collect(t, l)
 			if len(got) != len(want) {
@@ -140,7 +140,7 @@ func TestMergeDeltaStacked(t *testing.T) {
 		{Row: 3, Col: 1, Del: true}, // undo the col-1 insert
 		{Row: 4, Col: 4, Val: 22},   // resurrect col 4 with a new value
 	}))
-	l := Layered[int]{Base: dc, Delta: d2}
+	l := Layered[int]{Base: dc, Delta: NewDelta(dc, d2)}
 	got := collect(t, l)
 	want := map[[2]uint32]int{
 		{1, 1}: 10, {2, 1}: 11, // col 1 back to base content (via override)
@@ -202,7 +202,7 @@ func TestMergeDeltaRandomStacked(t *testing.T) {
 				}
 			}
 			delta = MergeDelta(dc, delta, sortMuts(muts))
-			got := collect(t, Layered[int]{Base: dc, Delta: delta})
+			got := collect(t, Layered[int]{Base: dc, Delta: NewDelta(dc, delta)})
 			if len(got) != len(live) {
 				t.Fatalf("rows[%d,%d) round %d: %d live entries, want %d", b[0], b[1], round, len(got), len(live))
 			}
@@ -250,7 +250,7 @@ func TestMergeDeltaTombstoneDrops(t *testing.T) {
 	if d3 == nil || d3.NZColumns() != 1 || d3.NNZ() != 0 {
 		t.Fatalf("tombstone for a stored column missing: %+v", d3)
 	}
-	l := Layered[int]{Base: dc, Delta: d3}
+	l := Layered[int]{Base: dc, Delta: NewDelta(dc, d3)}
 	if n := l.LiveNNZ(); n != 0 {
 		t.Errorf("LiveNNZ with tombstone = %d", n)
 	}
