@@ -37,26 +37,26 @@ func (b boxedDCSC[E]) edge(ci, k int) (uint32, any) {
 }
 
 // overlayColRef locates one live column of a layered partition: which layer
-// stores it — the base (blk < 0) or delta block blk — and at which position.
+// stores it and at which position.
 type overlayColRef struct {
-	col     uint32
-	blk, ci int32
+	col   uint32
+	delta bool
+	ci    int32
 }
 
 // boxedOverlay walks a base+delta partition in merged column order. The
 // column refs are precomputed at boxing time (O(columns), no edge copying),
 // preserving the boxed path's no-materialization property.
 type boxedOverlay[E any] struct {
-	base   *sparse.DCSC[E]
-	blocks []*sparse.DCSC[E]
-	cols   []overlayColRef
+	base, delta *sparse.DCSC[E]
+	cols        []overlayColRef
 }
 
 func (b *boxedOverlay[E]) numColumns() int { return len(b.cols) }
 func (b *boxedOverlay[E]) layer(ci int) (*sparse.DCSC[E], int) {
 	ref := b.cols[ci]
-	if ref.blk >= 0 {
-		return b.blocks[ref.blk], int(ref.ci)
+	if ref.delta {
+		return b.delta, int(ref.ci)
 	}
 	return b.base, int(ref.ci)
 }
@@ -77,26 +77,25 @@ func boxLayers[E any](layers []sparse.Layered[E]) []boxedPartition {
 			out[i] = boxedDCSC[E]{part: l.Base}
 			continue
 		}
-		b := l.Base
-		cols := make([]overlayColRef, 0, len(b.JC)+l.Delta.NZColumns())
-		bi := 0
-		for k, d := range l.Delta.Blocks {
-			for di, j := range d.JC {
-				for ; bi < len(b.JC) && b.JC[bi] < j; bi++ {
-					cols = append(cols, overlayColRef{col: b.JC[bi], blk: -1, ci: int32(bi)})
-				}
-				if bi < len(b.JC) && b.JC[bi] == j {
-					bi++ // overridden
-				}
-				if d.CP[di+1] > d.CP[di] { // tombstones are not live columns
-					cols = append(cols, overlayColRef{col: j, blk: int32(k), ci: int32(di)})
-				}
+		b, d := l.Base, l.Delta
+		cols := make([]overlayColRef, 0, len(b.JC)+len(d.JC))
+		bi, di := 0, 0
+		for bi < len(b.JC) || di < len(d.JC) {
+			if di >= len(d.JC) || (bi < len(b.JC) && b.JC[bi] < d.JC[di]) {
+				cols = append(cols, overlayColRef{col: b.JC[bi], ci: int32(bi)})
+				bi++
+				continue
 			}
+			j := d.JC[di]
+			if bi < len(b.JC) && b.JC[bi] == j {
+				bi++ // overridden
+			}
+			if d.CP[di+1] > d.CP[di] { // tombstones are not live columns
+				cols = append(cols, overlayColRef{col: j, delta: true, ci: int32(di)})
+			}
+			di++
 		}
-		for ; bi < len(b.JC); bi++ {
-			cols = append(cols, overlayColRef{col: b.JC[bi], blk: -1, ci: int32(bi)})
-		}
-		out[i] = &boxedOverlay[E]{base: b, blocks: l.Delta.Blocks, cols: cols}
+		out[i] = &boxedOverlay[E]{base: b, delta: d, cols: cols}
 	}
 	return out
 }

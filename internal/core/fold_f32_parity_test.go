@@ -113,13 +113,11 @@ func f32ParityOverlay(t testing.TB, seed uint64, nparts int) *graph.Snapshot[flo
 		if l.Delta == nil {
 			continue
 		}
-		for _, d := range l.Delta.Blocks {
-			for ci, j := range d.JC {
-				if _, inBase := l.Base.FindColumn(j); !inBase {
-					deltaOnly++
-				} else if d.CP[ci] == d.CP[ci+1] {
-					tombstones++
-				}
+		for ci, j := range l.Delta.JC {
+			if _, inBase := l.Base.FindColumn(j); !inBase {
+				deltaOnly++
+			} else if l.Delta.CP[ci] == l.Delta.CP[ci+1] {
+				tombstones++
 			}
 		}
 	}

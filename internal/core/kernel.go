@@ -37,9 +37,8 @@ import (
 // (kernel_block.go).
 //
 // Every partition is a sparse.Layered — an immutable base DCSC plus an
-// optional delta of whole-column overrides carrying live edge updates, kept
-// as column blocks that the walks visit in column order; a plain partition
-// is the nil-Delta case of the same walk. A walk call is
+// optional delta DCSC of whole-column overrides carrying live edge updates;
+// a plain partition is the nil-Delta case of the same walk. A walk call is
 // one multiply task and always covers its whole partition: the graph's row
 // partitions (graph.Options.Partitions, balanced by nonzeros at build time)
 // are the unit of parallel work, so no walk takes row bounds. The invariants
@@ -157,9 +156,8 @@ func multiply[E any](mode Mode, l sparse.Layered[E], xw []uint64, sink colSink[E
 // a pending delta, the delta's beside it with the delta's column index as
 // the override set (liveRows). The views are built here, each by the first
 // task to need it, so the partitions of a first row-walk superstep build
-// theirs in parallel, and a delta's row view is one counting sort of its
-// blocks' entries, once per delta — once per epoch of a partition a batch
-// touched. It probes no columns; the frontier tests it makes
+// theirs in parallel, and a delta's row view is one counting sort of its own
+// entries, once per delta. It probes no columns; the frontier tests it makes
 // are the edge slots it examines.
 func walkRows[E any](l sparse.Layered[E], xw []uint64, sink rowSink[E], st *localStats) {
 	rows := liveRows[E]{base: l.Base.RowIndex()}
@@ -265,14 +263,14 @@ func (r *liveRow) next(xw []uint64) (src uint32, at int, ok bool) {
 // without foldFlat) takes the column path. All three fold the same edges in
 // the same order and tally the same probes and edges.
 func walkPull[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *localStats) {
-	base := l.Base
+	base, delta := l.Base, l.Delta
 	bjc, bcp := base.JC, base.CP
-	var blocks []*sparse.DCSC[E] // the delta's, whose columns merge in as overrides
-	if l.Delta != nil {
-		blocks = l.Delta.Blocks
+	var djc []uint32
+	if delta != nil {
+		djc = delta.JC
 	}
 	flat, _ := sink.(flatSink[E])
-	if flat != nil && blocks == nil && allLive(base, xw) {
+	if flat != nil && delta == nil && allLive(base, xw) {
 		lo, hi := bcp[0], bcp[len(bjc)]
 		rows := rowMask{int(base.RowLo >> 6), base.RowMask()}
 		flat.foldFlat(base.IR[lo:hi], base.Val[lo:hi], base.EdgeCols()[lo:hi], rows)
@@ -284,12 +282,11 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *loca
 	var src []uint32 // base.EdgeCols(), fetched on the first fully-live batch
 	buf := &st.buf
 	probes, edges, flatEdges := 0, 0, 0
-	bi := 0
-	bk, di := 0, 0 // the next override is column di of block bk; every block holds one
+	bi, di := 0, 0
 	for {
 		run := bjc[bi:]
-		if bk < len(blocks) {
-			run = run[:kernels.SpanLess(run, blocks[bk].JC[di])]
+		if di < len(djc) {
+			run = run[:kernels.SpanLess(run, djc[di])]
 		}
 		probes += len(run)
 		// Gather a buffer's worth of columns at a time: the probe loop
@@ -310,24 +307,21 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *loca
 			bi += len(chunk)
 			run = run[len(chunk):]
 		}
-		if bk == len(blocks) {
+		if di == len(djc) {
 			break
 		}
-		d := blocks[bk]
-		j := d.JC[di]
+		j := djc[di]
 		if bi < len(bjc) && bjc[bi] == j {
 			bi++ // base column overridden
 		}
-		if lo, hi := d.CP[di], d.CP[di+1]; lo != hi { // else a tombstone: not live, not probed
+		if lo, hi := delta.CP[di], delta.CP[di+1]; lo != hi { // else a tombstone: not live, not probed
 			probes++
 			if xw[j>>6]&(1<<(j&63)) != 0 {
 				buf[0] = colRef{j, lo, hi}
-				edges += sink.fold(d.IR, d.Val, buf[:1])
+				edges += sink.fold(delta.IR, delta.Val, buf[:1])
 			}
 		}
-		if di++; di == len(d.JC) {
-			bk, di = bk+1, 0
-		}
+		di++
 	}
 	st.probes += int64(probes)
 	st.edges += int64(edges + flatEdges)
@@ -338,32 +332,22 @@ func walkPull[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *loca
 // words in ascending order and AND each with the words of both layers'
 // column bitmaps (sparse.ColumnIndex), so only frontier vertices with a
 // stored column survive, and take each survivor's JC position by rank — a
-// popcount, with no dependent load before CP. The delta's bitmap is its
-// blocks' own, each memoized on its block and so shared by every epoch that
-// shares the block. A delta bit is authoritative: the column is read from
-// the delta, and an empty one is a tombstone. Work
+// popcount, with no dependent load before CP. A delta bit is authoritative:
+// the column is read from the delta, and an empty one is a tombstone. Work
 // is proportional to the frontier's words in the layer's span plus the
 // frontier's edges, not to the partition's live column count, which is what
 // makes a 10-vertex BFS frontier cheap on a scale-18 graph. Every frontier
 // bit in the span counts as a probe, hit or not.
 func walkPush[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *localStats) {
-	base := l.Base
+	base, delta := l.Base, l.Delta
 	// Only frontier words overlapping either layer's stored column range
 	// can match; everything outside is skipped wholesale.
 	loW, hiW := pushWords(l)
 	hiW = min(hiW, len(xw))
-	var blocks []*sparse.DCSC[E]
-	if l.Delta != nil {
-		blocks = l.Delta.Blocks
-	}
-	// bk is the first delta block whose columns do not end before the
-	// current frontier word, found from the delta's block spans without
-	// loading a block; dx indexes dblk, the last block a frontier word fell
-	// in. Frontier words ascend and no two blocks share a word, so a block's
-	// memoized index is built, or loaded, only if the frontier reaches it.
 	bx, dx := base.ColumnIndex(), &sparse.ColumnIndex{}
-	var dblk *sparse.DCSC[E]
-	bk := 0
+	if delta != nil {
+		dx = delta.ColumnIndex()
+	}
 	// buf[:n] holds found columns of layer cur awaiting their fold.
 	buf := &st.buf
 	cur, n := base, 0
@@ -381,20 +365,10 @@ func walkPush[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *loca
 			w = xw[wi]
 		}
 		probes += bits.OnesCount64(w)
-		var first, last uint32
-		for bk < len(blocks) {
-			if first, last = l.Delta.ColumnRange(bk); int(last>>6) >= wi {
-				break
-			}
-			bk++
-		}
 		var bw, dw uint64
 		var br, dr uint32
 		if k := wi - bx.Lo; uint(k) < uint(len(bx.Bits)) {
 			bw, br = bx.Bits[k], bx.Rank[k]
-		}
-		if bk < len(blocks) && int(first>>6) <= wi && blocks[bk] != dblk {
-			dblk, dx = blocks[bk], blocks[bk].ColumnIndex()
 		}
 		if k := wi - dx.Lo; uint(k) < uint(len(dx.Bits)) {
 			dw, dr = dx.Bits[k], dx.Rank[k]
@@ -403,7 +377,7 @@ func walkPush[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *loca
 			bit := hit & -hit
 			d, ci := base, int(br)+bits.OnesCount64(bw&(bit-1))
 			if dw&bit != 0 {
-				d, ci = dblk, int(dr)+bits.OnesCount64(dw&(bit-1))
+				d, ci = delta, int(dr)+bits.OnesCount64(dw&(bit-1))
 			}
 			lo, hi := d.CP[ci], d.CP[ci+1]
 			if lo == hi {
@@ -430,12 +404,7 @@ func walkPush[E any](l sparse.Layered[E], xw []uint64, sink colSink[E], st *loca
 // included. The range is empty when neither layer stores a column.
 func pushWords[E any](l sparse.Layered[E]) (loW, hiW int) {
 	loCol, hiCol := uint32(math.MaxUint32), uint32(0)
-	ends := [3]*sparse.DCSC[E]{l.Base} // and the delta's first and last blocks
-	if l.Delta != nil {
-		b := l.Delta.Blocks
-		ends[1], ends[2] = b[0], b[len(b)-1]
-	}
-	for _, d := range ends {
+	for _, d := range [2]*sparse.DCSC[E]{l.Base, l.Delta} {
 		if d != nil && len(d.JC) > 0 {
 			loCol = min(loCol, d.JC[0])
 			hiCol = max(hiCol, d.JC[len(d.JC)-1])

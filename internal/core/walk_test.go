@@ -139,20 +139,6 @@ func bareLiteral(d *sparse.DCSC[uint32]) *sparse.DCSC[uint32] {
 	}
 }
 
-// deltaOf is d with every block mapped through f (bareLiteral, f32Twin), its
-// live counts taken against f's copy of base, which is then dropped: the
-// partition's own base stays as its caller built it.
-func deltaOf[E any](base *sparse.DCSC[uint32], d *sparse.Delta[uint32], f func(*sparse.DCSC[uint32]) *sparse.DCSC[E]) *sparse.Delta[E] {
-	if d == nil {
-		return nil
-	}
-	blocks := make([]*sparse.DCSC[E], len(d.Blocks))
-	for i, b := range d.Blocks {
-		blocks[i] = f(b)
-	}
-	return sparse.NewDelta(f(base), blocks...)
-}
-
 // newWalkCase generates a partition of nblk 64-row blocks inside an n×n
 // matrix: nbase random base entries, then nmut mutations merged into a delta
 // — upserts into existing and brand-new columns (overrides, delta-only
@@ -214,17 +200,16 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, bare bool) *walkCa
 			live[k] = m.val
 		}
 	}
-	delta := sparse.MergeBlocks(base, nil, batch)
 	c := &walkCase{
-		n: n, l: sparse.Layered[uint32]{Base: base, Delta: delta},
+		n: n, l: sparse.Layered[uint32]{Base: base, Delta: sparse.MergeDelta(base, nil, batch)},
 		fresh:   sparse.BuildDCSC(liveCOO(), rowLo, rowHi),
 		baseCOO: baseCOO, batch: batch, bare: bare,
 	}
 	if bare {
-		c.l.Base, c.l.Delta = bareLiteral(base), deltaOf(base, delta, bareLiteral)
+		c.l.Base, c.l.Delta = bareLiteral(c.l.Base), bareLiteral(c.l.Delta)
 	}
 
-	c.lf = sparse.Layered[float32]{Base: f32Twin(c.l.Base), Delta: deltaOf(c.l.Base, c.l.Delta, f32Twin)}
+	c.lf = sparse.Layered[float32]{Base: f32Twin(c.l.Base), Delta: f32Twin(c.l.Delta)}
 	c.freshf = f32Twin(c.fresh)
 
 	c.props = make([]uint64, n)
@@ -316,9 +301,9 @@ func (c *walkCase) layers(cuts [][2]uint32) []sparse.Layered[uint32] {
 				muts = append(muts, m)
 			}
 		}
-		parts[i] = sparse.Layered[uint32]{Base: base, Delta: sparse.MergeBlocks(base, nil, muts)}
+		parts[i] = sparse.Layered[uint32]{Base: base, Delta: sparse.MergeDelta(base, nil, muts)}
 		if c.bare {
-			parts[i] = sparse.Layered[uint32]{Base: bareLiteral(base), Delta: deltaOf(base, parts[i].Delta, bareLiteral)}
+			parts[i] = sparse.Layered[uint32]{Base: bareLiteral(parts[i].Base), Delta: bareLiteral(parts[i].Delta)}
 		}
 	}
 	return parts
@@ -331,7 +316,7 @@ func (c *walkCase) layersF(cuts [][2]uint32) []sparse.Layered[float32] {
 	}
 	parts := make([]sparse.Layered[float32], 0, len(cuts))
 	for _, l := range c.layers(cuts) {
-		parts = append(parts, sparse.Layered[float32]{Base: f32Twin(l.Base), Delta: deltaOf(l.Base, l.Delta, f32Twin)})
+		parts = append(parts, sparse.Layered[float32]{Base: f32Twin(l.Base), Delta: f32Twin(l.Delta)})
 	}
 	return parts
 }
@@ -617,13 +602,11 @@ func flatEdges(l sparse.Layered[uint32], live func(j uint32) bool) int64 {
 		}
 	}
 	if l.Delta != nil {
-		for _, d := range l.Delta.Blocks {
-			for _, dj := range d.JC {
-				at := sort.Search(len(base.JC), func(i int) bool { return base.JC[i] >= dj })
-				run(at)
-				if at < len(base.JC) && base.JC[at] == dj {
-					bi = at + 1 // overridden: the delta's column, never a flat one
-				}
+		for _, dj := range l.Delta.JC {
+			at := sort.Search(len(base.JC), func(i int) bool { return base.JC[i] >= dj })
+			run(at)
+			if at < len(base.JC) && base.JC[at] == dj {
+				bi = at + 1 // overridden: the delta's column, never a flat one
 			}
 		}
 	}
@@ -904,58 +887,6 @@ func TestRowIndexRace(t *testing.T) {
 	}
 }
 
-// blockSeeds are FuzzLayeredWalk inputs aimed at a delta's column blocks
-// (sparse.DeltaBlockCols wide); TestLayeredWalkBlockSeeds checks that each
-// still builds the shape it is named for.
-var blockSeeds = []struct {
-	name                             string
-	seed                             uint64
-	nblk, nbase, nmut, density, pick uint8
-	bare                             bool
-}{
-	{"every block touched", 100, 2, 120, 6, 128, 0, false},
-	{"columns on both sides of a boundary", 103, 3, 120, 120, 128, 0, false},
-	{"a block of tombstones only", 105, 3, 120, 6, 128, 0, false},
-	{"a partition the batch leaves alone", 100, 3, 120, 4, 128, 7, true},
-}
-
-// TestLayeredWalkBlockSeeds checks the shapes blockSeeds are named for and
-// runs each through the walk checks.
-func TestLayeredWalkBlockSeeds(t *testing.T) {
-	for _, s := range blockSeeds {
-		c := newWalkCase(s.seed, 1+int(s.nblk%4), int(s.nbase), int(s.nmut), int(s.density), s.bare)
-		d := c.l.Delta
-		if d == nil {
-			t.Fatalf("%s: no delta", s.name)
-		}
-		cols := map[uint32]bool{}
-		tombBlock := false
-		for _, b := range d.Blocks {
-			for _, j := range b.JC {
-				cols[j] = true
-			}
-			tombBlock = tombBlock || b.NNZ() == 0
-		}
-		var shaped bool
-		switch s.name {
-		case "every block touched":
-			shaped = len(d.Blocks) >= 2 && len(d.Blocks) == (c.n+sparse.DeltaBlockCols-1)/sparse.DeltaBlockCols
-		case "columns on both sides of a boundary":
-			shaped = cols[sparse.DeltaBlockCols-1] && cols[sparse.DeltaBlockCols]
-		case "a block of tombstones only":
-			shaped = len(d.Blocks) >= 2 && tombBlock
-		case "a partition the batch leaves alone":
-			for _, l := range c.layers(c.rowCuts(uint(s.pick))) {
-				shaped = shaped || l.Delta == nil
-			}
-		}
-		if !shaped {
-			t.Fatalf("%s: seed %d no longer builds that shape", s.name, s.seed)
-		}
-		c.check(t, []uint{uint(s.pick)})
-	}
-}
-
 // FuzzLayeredWalk drives all three walks and both sink families over random
 // layered partitions — overrides, tombstones, delta-only columns, built
 // or as bare literals — with random frontiers, random settled sets and a
@@ -974,9 +905,6 @@ func FuzzLayeredWalk(f *testing.F) {
 	f.Add(uint64(7), uint8(4), uint8(220), uint8(70), uint8(255), uint8(2), true)   // flat runs between overrides, bare literals
 	f.Add(uint64(8), uint8(3), uint8(200), uint8(0), uint8(255), uint8(6), true)    // plain, bare literal: the liveness test builds the column index
 	f.Add(uint64(9), uint8(3), uint8(200), uint8(120), uint8(120), uint8(7), false) // four 64-row cuts, every one carrying a delta; mid-density frontier
-	for _, s := range blockSeeds {
-		f.Add(s.seed, s.nblk, s.nbase, s.nmut, s.density, s.pick, s.bare)
-	}
 	f.Fuzz(func(t *testing.T, seed uint64, nblk, nbase, nmut, density, pick uint8, bare bool) {
 		fill := int(density)
 		if fill == 255 {

@@ -17,8 +17,8 @@ import (
 // locking.
 
 // minParallelDeltaMuts is the mutation count below which delta merges run on
-// the calling goroutine. MergeBlocks is a linear merge over the touched
-// blocks; for typical small batches the per-batch goroutine fan-out/park
+// the calling goroutine. MergeDelta is a linear merge over the touched
+// columns; for typical small batches the per-batch goroutine fan-out/park
 // cycle dominates the merge itself (the board's graph.apply_ms at 4 workers).
 const minParallelDeltaMuts = 1 << 12
 
@@ -67,31 +67,37 @@ func (g *Graph[E]) applyBatch(batch []Update[E]) (*Graph[E], ApplyResult, error)
 
 	// Accounting against the OLD live set decides degree and edge-count
 	// deltas exactly: an upsert moves nothing, a no-op delete moves nothing.
-	for _, u := range norm {
-		_, present := g.HasEdge(u.Src, u.Dst)
+	// The merge of the direction HasEdge probes finds each update's entry in
+	// the old live set as it merges, so no update is looked up twice.
+	account := func(src, dst uint32, del, present bool) {
 		switch {
-		case u.Del && present:
+		case del && present:
 			res.Deleted++
-			ng.outDeg[u.Src]--
-			ng.inDeg[u.Dst]--
+			ng.outDeg[src]--
+			ng.inDeg[dst]--
 			ng.m--
-		case u.Del:
+		case del:
 			res.NoOps++
 		case present:
 			res.Updated++
 		default:
 			res.Inserted++
-			ng.outDeg[u.Src]++
-			ng.inDeg[u.Dst]++
+			ng.outDeg[src]++
+			ng.inDeg[dst]++
 			ng.m++
 		}
 	}
-
 	if hasOut {
-		ng.outDelta = buildDeltas(ng.outParts, g.outDelta, fwdMuts(norm), g.opts.Workers)
+		ng.outDelta = buildDeltas(ng.outParts, g.outDelta, fwdMuts(norm), g.opts.Workers, func(m sparse.Mut[E]) {
+			account(m.Col, m.Row, m.Del, m.Existed)
+		})
 	}
 	if hasIn {
-		ng.inDelta = buildDeltas(ng.inParts, g.inDelta, bwdMuts(norm), g.opts.Workers)
+		var inAccount func(sparse.Mut[E])
+		if !hasOut {
+			inAccount = func(m sparse.Mut[E]) { account(m.Row, m.Col, m.Del, m.Existed) }
+		}
+		ng.inDelta = buildDeltas(ng.inParts, g.inDelta, bwdMuts(norm), g.opts.Workers, inAccount)
 	}
 	ng.overlayNNZ = sparse.OverheadNNZ(ng.outDelta) + sparse.OverheadNNZ(ng.inDelta)
 	res.Epoch = ng.epoch
@@ -102,16 +108,16 @@ func (g *Graph[E]) applyBatch(batch []Update[E]) (*Graph[E], ApplyResult, error)
 // scattering by output row first (the same stable scatter the parallel
 // partition build uses, so each partition sees its mutations in column-major
 // order) and merging partitions concurrently. Untouched partitions share the
-// old delta, and a touched one every block the batch leaves alone
-// (sparse.MergeBlocks).
-func buildDeltas[E any](parts []*sparse.DCSC[E], old []*sparse.Delta[E], muts []sparse.Mut[E], workers int) []*sparse.Delta[E] {
+// old delta. A non-nil account is then called once per mutation, on the
+// calling goroutine, with its Existed set by the merge.
+func buildDeltas[E any](parts, old []*sparse.DCSC[E], muts []sparse.Mut[E], workers int, account func(sparse.Mut[E])) []*sparse.DCSC[E] {
 	nparts := len(parts)
 	frags := make([][]sparse.Mut[E], nparts)
 	for _, m := range muts {
 		p := findPartition(parts, m.Row)
 		frags[p] = append(frags[p], m)
 	}
-	out := make([]*sparse.Delta[E], nparts)
+	out := make([]*sparse.DCSC[E], nparts)
 	nworkers := sparse.Workers(workers)
 	if len(muts) < minParallelDeltaMuts {
 		// Small batches merge inline: spawning and parking goroutines costs
@@ -119,12 +125,19 @@ func buildDeltas[E any](parts []*sparse.DCSC[E], old []*sparse.Delta[E], muts []
 		nworkers = 1
 	}
 	sparse.ParallelFor(nparts, nworkers, func(p int) {
-		var prev *sparse.Delta[E]
+		var prev *sparse.DCSC[E]
 		if old != nil {
 			prev = old[p]
 		}
-		out[p] = sparse.MergeBlocks(parts[p], prev, frags[p])
+		out[p] = sparse.MergeDelta(parts[p], prev, frags[p])
 	})
+	if account != nil {
+		for _, frag := range frags {
+			for _, m := range frag {
+				account(m)
+			}
+		}
+	}
 	return out
 }
 

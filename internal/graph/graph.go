@@ -89,11 +89,10 @@ type Graph[E any] struct {
 	inParts  []*sparse.DCSC[E]
 
 	// outDelta/inDelta are per-partition whole-column overrides holding the
-	// live edge set's divergence from the base partitions, as blocks shared
-	// with the epochs before wherever a batch left them alone; nil (or nil
-	// per entry) when a partition has no pending mutations. They are
-	// produced by applyBatch and folded back into the base by compaction.
-	outDelta, inDelta []*sparse.Delta[E]
+	// live edge set's divergence from the base partitions; nil (or nil per
+	// entry) when a partition has no pending mutations. They are produced by
+	// applyBatch and folded back into the base by compaction.
+	outDelta, inDelta []*sparse.DCSC[E]
 	// overlayNNZ is the overlay's storage cost in entries across both
 	// directions — the compaction trigger input.
 	overlayNNZ int64
@@ -230,7 +229,7 @@ func (g *Graph[E]) InLayers() []sparse.Layered[E] {
 	return zipLayers(g.inParts, g.inDelta)
 }
 
-func zipLayers[E any](parts []*sparse.DCSC[E], deltas []*sparse.Delta[E]) []sparse.Layered[E] {
+func zipLayers[E any](parts, deltas []*sparse.DCSC[E]) []sparse.Layered[E] {
 	if parts == nil {
 		return nil
 	}

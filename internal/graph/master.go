@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 	"sync"
@@ -17,7 +18,7 @@ import (
 //
 //   - Apply records the batch in the overlay and keeps the live edge count
 //     incrementally.
-//   - Lookup consults the overlay, then binary-searches the base.
+//   - Lookup consults the overlay, then binary-searches the base's row.
 //   - Materialize and Fold are the only O(|E|) operations, and run where an
 //     O(|E|) cost is being paid anyway: a lazy instance build consumes a
 //     materialized copy, a checkpoint folds and writes the base, and Apply
@@ -33,6 +34,7 @@ type Master[E any] struct {
 
 	mu      sync.RWMutex
 	base    *sparse.COO[E] // normalized; never mutated, replaced by fold
+	rows    []int          // base row r is base.Entries[rows[r]:rows[r+1]]
 	overlay map[uint64]overlayState[E]
 	edges   int // live edge count: base adjusted by the overlay
 	folds   int64
@@ -54,6 +56,7 @@ func NewMaster[E any](base *sparse.COO[E]) *Master[E] {
 		nrows:   base.NRows,
 		ncols:   base.NCols,
 		base:    base,
+		rows:    rowStarts(base),
 		overlay: make(map[uint64]overlayState[E]),
 		edges:   len(base.Entries),
 	}
@@ -89,7 +92,7 @@ func (m *Master[E]) Apply(batch []Update[E]) error {
 		prior, touched := m.overlay[key]
 		live := touched && !prior.del
 		if !touched {
-			_, live = LookupEdge(m.base, u.Src, u.Dst)
+			_, live = m.lookupBase(u.Src, u.Dst)
 			if u.Del && !live {
 				continue // never existed: nothing to mask
 			}
@@ -115,12 +118,39 @@ func (m *Master[E]) Lookup(src, dst uint32) (E, bool) {
 	st, touched := m.overlay[edgeKey(src, dst)]
 	switch {
 	case !touched:
-		return LookupEdge(m.base, src, dst)
+		return m.lookupBase(src, dst)
 	case st.del:
 		var zero E
 		return zero, false
 	}
 	return st.val, true
+}
+
+// lookupBase binary-searches base row src for dst: a search of one row's
+// entries, not of the whole base.
+func (m *Master[E]) lookupBase(src, dst uint32) (E, bool) {
+	row := m.base.Entries[m.rows[src]:m.rows[src+1]]
+	i, ok := slices.BinarySearchFunc(row, dst, func(t sparse.Triple[E], dst uint32) int {
+		return cmp.Compare(t.Col, dst)
+	})
+	if !ok {
+		var zero E
+		return zero, false
+	}
+	return row[i].Val, true
+}
+
+// rowStarts returns the offset of each row of a row-major sorted adjacency
+// in its entries, and the entry count last.
+func rowStarts[E any](adj *sparse.COO[E]) []int {
+	rows := make([]int, adj.NRows+1)
+	for _, t := range adj.Entries {
+		rows[t.Row+1]++
+	}
+	for r := range adj.NRows {
+		rows[r+1] += rows[r]
+	}
+	return rows
 }
 
 // Materialize returns the live edge set as a fresh normalized adjacency the
@@ -155,6 +185,7 @@ func (m *Master[E]) fold() {
 		return
 	}
 	m.base = m.materialize()
+	m.rows = rowStarts(m.base)
 	m.overlay = make(map[uint64]overlayState[E])
 	m.folds++
 }

@@ -154,3 +154,51 @@ func TestBuiltGraphHoldsOneCopyOfEdges(t *testing.T) {
 	}
 	runtime.KeepAlive(st)
 }
+
+// TestApplyResultMatchesAdjacencyChain checks the counts a batch reports,
+// which the merge of one direction decides as it finds each update's entry,
+// for stores built Out, In and Both: against the live set before the batch,
+// a key's last write is an insert, an update, a delete or a no-op.
+func TestApplyResultMatchesAdjacencyChain(t *testing.T) {
+	base := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 6, Seed: 5, MaxWeight: 30})
+	NormalizeAdjacency(base, 1)
+	batches := materializerBatches(base)
+	for _, dirs := range []Direction{Out, In, Both} {
+		st, err := NewStore(base.Clone(), Options{Partitions: 5, Directions: dirs, CompactFraction: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := base
+		for i, b := range batches {
+			last := map[[2]uint32]Update[float32]{}
+			for _, u := range b {
+				last[[2]uint32{u.Src, u.Dst}] = u
+			}
+			var want ApplyResult
+			for _, u := range last {
+				_, present := LookupEdge(ref, u.Src, u.Dst)
+				switch {
+				case u.Del && present:
+					want.Deleted++
+				case u.Del:
+					want.NoOps++
+				case present:
+					want.Updated++
+				default:
+					want.Inserted++
+				}
+			}
+			got, err := st.ApplyEdges(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Epoch, want.Compacted = got.Epoch, got.Compacted
+			if got != want {
+				t.Fatalf("directions=%d batch=%d: result %+v, want %+v", dirs, i, got, want)
+			}
+			if ref, err = ApplyToAdjacency(ref, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

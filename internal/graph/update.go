@@ -19,35 +19,26 @@ type Update[E any] struct {
 
 // normalizeUpdates sorts a batch by (src, dst) and collapses repeated keys to
 // the last mutation — the final state a sequential application would leave.
-// The input is not modified.
+// The input is not modified. Only the distinct keys are sorted; each update
+// is then written to its key's slot in batch order, so the last write of a
+// key is the one that stays.
 func normalizeUpdates[E any](batch []Update[E]) []Update[E] {
-	out := slices.Clone(batch)
-	slices.SortStableFunc(out, func(a, b Update[E]) int {
-		if a.Src != b.Src {
-			if a.Src < b.Src {
-				return -1
-			}
-			return 1
-		}
-		if a.Dst != b.Dst {
-			if a.Dst < b.Dst {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	w := 0
-	for i := range out {
-		if w > 0 && out[w-1].Src == out[i].Src && out[w-1].Dst == out[i].Dst {
-			out[w-1] = out[i]
-		} else {
-			out[w] = out[i]
-			w++
-		}
+	keys := make([]uint64, len(batch))
+	for i, u := range batch {
+		keys[i] = updateKey(u)
 	}
-	return out[:w]
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	out := make([]Update[E], len(keys))
+	for _, u := range batch {
+		i, _ := slices.BinarySearch(keys, updateKey(u))
+		out[i] = u
+	}
+	return out
 }
+
+// updateKey orders updates by (src, dst).
+func updateKey[E any](u Update[E]) uint64 { return uint64(u.Src)<<32 | uint64(u.Dst) }
 
 // fwdMuts maps normalized updates onto mutations of the forward structure
 // (Gᵀ: Row = dst, Col = src). The (src, dst) sort order of the input is

@@ -29,14 +29,13 @@ var keptForTests = map[string]string{
 	"internal/sparse.Vector.GetChecked":              "presence-aware read (graphmat.Vector's, publicly) the SpMV and mode differentials compare outputs through",
 	"internal/core.BlockState.ClearActive":           "frontier reset of the block tests that reseed one state",
 	"internal/graph.Graph.OverlayNNZ":                "overlay size (graphmat.Edges', publicly) the store and layered-walk tests assert",
+	"internal/graph.Graph.HasEdge":                   "point probe of the live set the store and overlay tests read edges through",
 	"internal/baselines/matrixengine.Matrix.Workers": "the grid² worker count the CombBLAS stand-in's test asserts",
 	"internal/counters.Set.Add":                      "multi-phase accumulation the counters test checks",
 	"internal/counters.AxisNames":                    "Figure 6 series labels the counters test holds the ratio order to",
 	"internal/sched.Pool.Workers":                    "worker-slot count the pool tests assert",
 	"internal/sparse.CSR.HasEdge":                    "edge lookup of the CSR build test",
 	"internal/sparse.Layered.Iterate":                "merged live-edge walk the overlay tests compare against",
-	"internal/sparse.MergeDelta":                     "one whole-column merge, the reference the overlay tests hold block deltas to (MergeBlocks runs its body per block)",
-	"internal/sparse.NewDelta":                       "hand-assembled deltas of the overlay and walk tests (one-block, bare-literal and float32 twins)",
 	"internal/sparse.Vector.Len":                     "dimension read of the sparse vector tests",
 	"internal/sparse.Vector.Clear":                   "single-entry removal of the sparse vector tests",
 	"internal/sparse.SortedVector.Len":               "dimension read of the sparse vector tests",

@@ -53,11 +53,12 @@ type DCSC[E any] struct {
 		rows []uint64
 	}
 
-	// rowIndex memoizes RowIndex, the row-major view the row walk scans
-	// over a base (a delta's is Delta.RowIndex): built by the first
+	// rowIndex memoizes RowIndex, the row-major view the row walk scans —
+	// a base's, and a delta's beside it (Layered): built by the first
 	// row-walk task that reaches this structure and never before, so a
 	// structure no settled-mask program ever pulls through does not pay for
-	// it. Derived state, like edgeCols — never serialised.
+	// it, and a delta pays O(its own entries) once, not per epoch. Derived
+	// state, like edgeCols — never serialised.
 	rowIndex struct {
 		once sync.Once
 		idx  *RowIndex[E]
@@ -72,6 +73,16 @@ type DCSC[E any] struct {
 	colIndex struct {
 		once sync.Once
 		idx  ColumnIndex
+	}
+
+	// live memoizes, on a delta, what its overrides change about its base's
+	// live counts (Layered.LiveNNZ, LiveNZColumns): recorded by MergeDelta
+	// from the previous delta's in O(touched columns), counted by the first
+	// reader of a delta built any other way. Derived state — never
+	// serialised.
+	live struct {
+		once   sync.Once
+		change liveChange
 	}
 }
 
@@ -142,9 +153,8 @@ func (m *DCSC[E]) ColumnIndex() *ColumnIndex {
 // arrays: a row scan reads sources only, and a gather reads one value, at
 // the entry it stops at, while a boolean fold reads none. It costs 4 B plus
 // one E per stored entry (8 B for float32 weights) and 4 B per row. A
-// delta's RowIndex (Delta.RowIndex) holds its override columns' entries only
-// (a tombstone has none); the row walk merges it with the base's (see
-// Layered).
+// delta's RowIndex holds its override columns' entries only (a tombstone has
+// none); the row walk merges it with the base's (see Layered).
 type RowIndex[E any] struct {
 	RowLo uint32
 	Ptr   []uint32
@@ -156,38 +166,28 @@ type RowIndex[E any] struct {
 // counting sort, O(nnz + rows)), memoized, and must be treated as read-only.
 // Safe for concurrent use: racing first callers build it once.
 func (m *DCSC[E]) RowIndex() *RowIndex[E] {
-	m.rowIndex.once.Do(func() { m.rowIndex.idx = newRowIndex(m.RowLo, m.RowHi, []*DCSC[E]{m}) })
-	return m.rowIndex.idx
-}
-
-// newRowIndex counting-sorts the entries of parts — structures over rows
-// [rowLo, rowHi) whose column ranges ascend part by part — into one
-// row-major view.
-func newRowIndex[E any](rowLo, rowHi uint32, parts []*DCSC[E]) *RowIndex[E] {
-	ptr := make([]uint32, rowHi-rowLo+1)
-	for _, m := range parts {
+	m.rowIndex.once.Do(func() {
+		ptr := make([]uint32, m.RowHi-m.RowLo+1)
 		for _, r := range m.IR {
-			ptr[r-rowLo+1]++
+			ptr[r-m.RowLo+1]++
 		}
-	}
-	for i := 1; i < len(ptr); i++ {
-		ptr[i] += ptr[i-1]
-	}
-	nnz := ptr[len(ptr)-1]
-	src, val := make([]uint32, nnz), make([]E, nnz)
-	// Columns ascend, so filling each row left to right leaves its
-	// sources ascending. next[r] is row r's fill position.
-	next := slices.Clone(ptr[:len(ptr)-1])
-	for _, m := range parts {
+		for i := 1; i < len(ptr); i++ {
+			ptr[i] += ptr[i-1]
+		}
+		src, val := make([]uint32, len(m.IR)), make([]E, len(m.IR))
+		// Columns ascend, so filling each row left to right leaves its
+		// sources ascending. next[r] is row r's fill position.
+		next := slices.Clone(ptr[:len(ptr)-1])
 		for ci, j := range m.JC {
 			for k := m.CP[ci]; k < m.CP[ci+1]; k++ {
-				at := &next[m.IR[k]-rowLo]
+				at := &next[m.IR[k]-m.RowLo]
 				src[*at], val[*at] = j, m.Val[k]
 				*at++
 			}
 		}
-	}
-	return &RowIndex[E]{RowLo: rowLo, Ptr: ptr, Src: src, Val: val}
+		m.rowIndex.idx = &RowIndex[E]{RowLo: m.RowLo, Ptr: ptr, Src: src, Val: val}
+	})
+	return m.rowIndex.idx
 }
 
 // EdgeCols returns the COO expansion of JC/CP: EdgeCols()[k] is the column

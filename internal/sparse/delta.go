@@ -1,12 +1,9 @@
 package sparse
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // This file is the overlay half of the versioned storage layer: a DCSC
-// partition plus an optional delta of whole-column overrides, built from
+// partition plus an optional delta DCSC of whole-column overrides, built from
 // batched edge mutations. The delta granularity is the column, not the entry:
 // a column present in the delta carries the *entire live content* of that
 // column (base entries merged with inserts, minus deletes), so a kernel that
@@ -15,235 +12,79 @@ import (
 // results on an overlay bit-identical to a fresh build of the same edge set.
 // A column stored in the delta with zero entries is a tombstone: it masks a
 // base column whose every edge was deleted.
-//
-// A delta is stored as blocks: one immutable DCSC per DeltaBlockCols-wide
-// column range that holds an override. A batch re-merges only the blocks its
-// mutations touch (MergeDelta on each) and shares every other block with the
-// previous epoch by pointer, memoized column index included, so applying a
-// batch copies O(touched blocks), not the whole overlay.
-
-// DeltaBlockCols is the column width of one delta block. A batch re-copies
-// the old overrides of every block it touches, so a narrower block copies
-// less; a wider one costs the walks fewer block steps and cache misses, and
-// the store fewer allocations. On 500-update batches into a two-direction
-// RMAT-16 store, 256 merged fastest of 64, 128, 256 and 512 (a batch there
-// touches about one block per mutation, and no width merged faster than one
-// whole-column delta per partition). It is a multiple of 64, so no frontier
-// word spans two blocks.
-const DeltaBlockCols = 256
 
 // Mut is one edge mutation against a matrix: an upsert (Del false) or a
-// delete (Del true) of entry (Row, Col).
+// delete (Del true) of entry (Row, Col). MergeDelta sets Existed to whether
+// the entry was live before the mutation, so a caller learns an upsert's or
+// a delete's effect on the edge count without a lookup of its own.
 type Mut[E any] struct {
 	Row, Col uint32
 	Val      E
 	Del      bool
+	Existed  bool
 }
 
 // Layered is one row partition of a versioned matrix: the immutable base
-// DCSC plus an optional Delta of whole-column overrides. A nil Delta means
-// the partition has no pending mutations: the plain partition is the
-// degenerate case of the same kernel walks, not a separate path. Readers
-// visit the delta's blocks in column order, each block's columns ascending,
-// so to a reader the blocks are one override column list.
+// DCSC plus an optional delta DCSC of whole-column overrides. A nil Delta
+// means the partition has no pending mutations: the plain partition is the
+// degenerate case of the same kernel walks, not a separate path.
 //
 // Read by rows, a partition's live row r is the base's row r minus every
-// entry whose column the delta stores (Delta.ColumnIndex, tombstones
-// included), merged in ascending column with the delta's row r
-// (Delta.RowIndex). Those two whole-delta views are built once per delta, so
-// once per epoch of a partition a batch touched, from its blocks.
+// entry whose column the delta stores (its ColumnIndex, tombstones
+// included), merged in ascending column with the delta's row r. So the two
+// layers' memoized RowIndex views and the delta's column index are all a row
+// reader needs: no merged row view is built, per epoch or ever.
 type Layered[E any] struct {
 	Base  *DCSC[E]
-	Delta *Delta[E]
+	Delta *DCSC[E]
 }
 
-// Delta is the pending overrides of one partition: ascending, disjoint
-// blocks, each a DCSC over the partition's rows holding at least one
-// override column, no two blocks sharing a 64-column word. A block is
-// immutable and may be shared by many epochs' deltas; the Delta itself is
-// per epoch and carries the summed counts and the memoized whole-delta row
-// views.
-type Delta[E any] struct {
-	Blocks []*DCSC[E]
-	// spans describes each block — its column range and its change to the
-	// partition's live counts, recorded when it was merged — in one
-	// contiguous array, so a merge or a lookup steps over blocks without
-	// loading them.
-	spans []blockSpan
-	// nnz and cols sum the blocks' stored entries and override columns,
-	// tombstones included; live sums their spans' live changes.
-	nnz, cols int
-	live      struct{ nnz, cols int }
-	rows      struct {
-		once sync.Once
-		idx  *RowIndex[E]
-		over ColumnIndex
-	}
-}
-
-// blockSpan is one delta block's first and last override column and its
-// liveChange.
-type blockSpan struct {
-	lo, hi uint32
-	live   liveChange
-}
-
-// liveChange is what a block or an override column changes in its
-// partition's live entry and nonzero-column counts against the base: its
-// own entries and nonempty new columns, less the base columns it overrides.
-type liveChange struct{ nnz, cols int32 }
-
-// overrideChange is the liveChange of an override with n entries of a
-// column the base stores bn entries of (inBase), or none of.
-func overrideChange(n, bn int, inBase bool) liveChange {
-	c := liveChange{nnz: int32(n - bn)}
-	if n > 0 {
-		c.cols++
-	}
-	if inBase {
-		c.cols--
-	}
-	return c
-}
-
-// tally adds block b, whose live change is c, to the delta's totals — or
-// takes it out, for sign -1.
-func (d *Delta[E]) tally(b *DCSC[E], c liveChange, sign int) {
-	d.nnz += sign * b.NNZ()
-	d.cols += sign * b.NZColumns()
-	d.live.nnz += sign * int(c.nnz)
-	d.live.cols += sign * int(c.cols)
-}
-
-// push appends block b, whose live change is c, after the delta's last
-// block.
-func (d *Delta[E]) push(b *DCSC[E], c liveChange) {
-	d.Blocks = append(d.Blocks, b)
-	d.spans = append(d.spans, blockSpan{b.JC[0], b.JC[len(b.JC)-1], c})
-	d.tally(b, c, 1)
-}
-
-// NewDelta assembles a delta over base from hand-built blocks, in order,
-// dropping nil and column-free ones; nil when none is left. The blocks must
-// be ascending and disjoint with no two sharing a 64-column word, and each
-// must override columns of base's partition; it panics on an overlap. A
-// single block may span any range — the whole partition's overrides as one
-// DCSC, say.
-func NewDelta[E any](base *DCSC[E], blocks ...*DCSC[E]) *Delta[E] {
-	d := &Delta[E]{}
-	for _, b := range blocks {
-		if b == nil || len(b.JC) == 0 {
-			continue
-		}
-		if n := len(d.spans); n > 0 && d.spans[n-1].hi>>6 >= b.JC[0]>>6 {
-			panic("sparse: delta blocks overlap or share a column word")
-		}
-		var c liveChange
-		for ci, j := range b.JC {
-			bi, inBase := base.FindColumn(j)
-			bn := 0
-			if inBase {
-				bn = int(base.CP[bi+1] - base.CP[bi])
-			}
-			c.add(overrideChange(int(b.CP[ci+1]-b.CP[ci]), bn, inBase), 1)
-		}
-		d.push(b, c)
-	}
-	if len(d.Blocks) == 0 {
-		return nil
-	}
-	return d
-}
-
-// add adds o to c, sign times.
-func (c *liveChange) add(o liveChange, sign int32) {
-	c.nnz += sign * o.nnz
-	c.cols += sign * o.cols
-}
-
-// ColumnRange returns the lowest and highest column block i overrides, read
-// from the delta's own spans, so a walk can step over blocks without loading
-// them.
-func (d *Delta[E]) ColumnRange(i int) (first, last uint32) { return d.spans[i].lo, d.spans[i].hi }
-
-// NNZ returns the delta's stored entries, over every block.
-func (d *Delta[E]) NNZ() int { return d.nnz }
-
-// NZColumns returns the delta's override columns, tombstones included.
-func (d *Delta[E]) NZColumns() int { return d.cols }
-
-// column returns the override of column col — possibly empty, a tombstone —
-// and ok = false when the delta does not override it: a binary search of
-// the spans for the block, then of the block's columns. A merged block is at
-// most DeltaBlockCols columns, so the search builds no column index: a
-// writer's lookups never pay for the index of a block it just merged.
-func (d *Delta[E]) column(col uint32) ([]uint32, []E, bool) {
-	lo, hi := 0, len(d.spans)
-	for lo < hi { // the first block whose last column is at or past col
-		mid := int(uint(lo+hi) >> 1)
-		if d.spans[mid].hi < col {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(d.spans) || d.spans[lo].lo > col {
-		return nil, nil, false
-	}
-	b := d.Blocks[lo]
-	ci, ok := slices.BinarySearch(b.JC, col)
-	if !ok {
-		return nil, nil, false
-	}
-	s, e := b.CP[ci], b.CP[ci+1]
-	return b.IR[s:e], b.Val[s:e], true
-}
-
-// RowIndex returns the row-major view of the whole delta — every block's
-// entries grouped by row, sources ascending — for the row walk. It is built
-// with ColumnIndex on first use by one counting sort over the blocks, O(the
-// delta's entries + rows), memoized, and must be treated as read-only. Safe
-// for concurrent use: racing first callers build it once.
-func (d *Delta[E]) RowIndex() *RowIndex[E] {
-	d.rows.once.Do(d.buildRows)
-	return d.rows.idx
-}
-
-// ColumnIndex returns the index of every column the delta overrides,
-// tombstones included — the set a row walk skips base entries by. Built
-// with RowIndex, memoized and read-only like it.
-func (d *Delta[E]) ColumnIndex() *ColumnIndex {
-	d.rows.once.Do(d.buildRows)
-	return &d.rows.over
-}
-
-// buildRows fills the whole-delta row view and override index.
-func (d *Delta[E]) buildRows() {
-	b := d.Blocks[0]
-	d.rows.idx = newRowIndex(b.RowLo, b.RowHi, d.Blocks)
-	jc := make([]uint32, 0, d.cols)
-	for _, b := range d.Blocks {
-		jc = append(jc, b.JC...)
-	}
-	d.rows.over = newColumnIndex(jc, b.NCols)
-}
-
-// LiveNNZ returns the partition's live nonzero count under the overlay: the
-// base's plus each block's recorded change, O(1).
+// LiveNNZ returns the partition's live nonzero count under the overlay.
 func (l Layered[E]) LiveNNZ() int {
 	if l.Delta == nil {
 		return l.Base.NNZ()
 	}
-	return l.Base.NNZ() + l.Delta.live.nnz
+	return l.Base.NNZ() + l.Delta.liveChange(l.Base).nnz
 }
 
-// LiveNZColumns returns the number of columns with at least one live
-// nonzero, O(1) like LiveNNZ.
+// LiveNZColumns returns the number of columns with at least one live nonzero.
 func (l Layered[E]) LiveNZColumns() int {
 	if l.Delta == nil {
 		return l.Base.NZColumns()
 	}
-	return l.Base.NZColumns() + l.Delta.live.cols
+	return l.Base.NZColumns() + l.Delta.liveChange(l.Base).cols
+}
+
+// liveChange is what a delta's overrides change about its base's live
+// counts: the entries, and the columns holding at least one entry.
+type liveChange struct{ nnz, cols int }
+
+// replace accounts for a column whose live entry count goes from before to
+// after.
+func (c *liveChange) replace(before, after int) {
+	c.nnz += after - before
+	if before > 0 {
+		c.cols--
+	}
+	if after > 0 {
+		c.cols++
+	}
+}
+
+// liveChange returns what delta d's overrides change about base's live
+// counts, memoized on d: every override replaces the base column it masks
+// (a base stores no empty column).
+func (d *DCSC[E]) liveChange(base *DCSC[E]) liveChange {
+	d.live.once.Do(func() {
+		for ci, j := range d.JC {
+			before := 0
+			if bi, ok := base.FindColumn(j); ok {
+				before = int(base.CP[bi+1] - base.CP[bi])
+			}
+			d.live.change.replace(before, int(d.CP[ci+1]-d.CP[ci]))
+		}
+	})
+	return d.live.change
 }
 
 // Column returns the live rows and values of column col: the delta override
@@ -251,8 +92,9 @@ func (l Layered[E]) LiveNZColumns() int {
 // otherwise.
 func (l Layered[E]) Column(col uint32) ([]uint32, []E) {
 	if l.Delta != nil {
-		if rows, vals, ok := l.Delta.column(col); ok {
-			return rows, vals
+		if ci, ok := l.Delta.FindColumn(col); ok {
+			s, e := l.Delta.CP[ci], l.Delta.CP[ci+1]
+			return l.Delta.IR[s:e], l.Delta.Val[s:e]
 		}
 	}
 	return l.Base.Column(col)
@@ -264,26 +106,25 @@ func (l Layered[E]) Column(col uint32) ([]uint32, []E) {
 // within a column, so entry by entry this is the visit order a fresh DCSC
 // build of the live edge set would produce. The slices alias the partition.
 func (l Layered[E]) Columns(fn func(col uint32, rows []uint32, vals []E)) {
-	b := l.Base
-	bi := 0
-	if l.Delta != nil {
-		for _, d := range l.Delta.Blocks {
-			for di, col := range d.JC {
-				for ; bi < len(b.JC) && b.JC[bi] < col; bi++ {
-					s, e := b.CP[bi], b.CP[bi+1]
-					fn(b.JC[bi], b.IR[s:e], b.Val[s:e])
-				}
-				if bi < len(b.JC) && b.JC[bi] == col {
-					bi++ // base column overridden
-				}
-				s, e := d.CP[di], d.CP[di+1]
-				fn(col, d.IR[s:e], d.Val[s:e])
-			}
-		}
+	b, d := l.Base, l.Delta
+	if d == nil {
+		d = &DCSC[E]{}
 	}
-	for ; bi < len(b.JC); bi++ {
-		s, e := b.CP[bi], b.CP[bi+1]
-		fn(b.JC[bi], b.IR[s:e], b.Val[s:e])
+	bi, di := 0, 0
+	for bi < len(b.JC) || di < len(d.JC) {
+		if di >= len(d.JC) || (bi < len(b.JC) && b.JC[bi] < d.JC[di]) {
+			s, e := b.CP[bi], b.CP[bi+1]
+			fn(b.JC[bi], b.IR[s:e], b.Val[s:e])
+			bi++
+			continue
+		}
+		col := d.JC[di]
+		if bi < len(b.JC) && b.JC[bi] == col {
+			bi++ // base column overridden
+		}
+		s, e := d.CP[di], d.CP[di+1]
+		fn(col, d.IR[s:e], d.Val[s:e])
+		di++
 	}
 }
 
@@ -311,65 +152,43 @@ func Assemble[E any](nrows, ncols, rowLo, rowHi uint32, jc, cp, ir []uint32, val
 // touched column the new delta stores the full live column (prior content
 // merged with the mutations, where the prior content is the old override if
 // one exists, the base column otherwise); untouched old overrides carry over
-// unchanged. Returns old (possibly nil) when muts is empty, and nil when the
-// merge leaves no overrides.
+// unchanged. Each mutation's Existed is set to whether its entry was in that
+// prior content, and the new delta records its live-count change against
+// the base from the old one's, so LiveNNZ and LiveNZColumns cost O(1) on it.
+// Returns old (possibly nil) when muts is empty, and nil when the merge
+// leaves no overrides.
 //
-// The output arrays are sized exactly by a first walk over the touched
-// columns (a binary search per mutation), which keeps each one, and filled
-// by a second over the kept columns: maximal runs of untouched overrides are
-// copied in bulk, touched columns merge straight into place.
+// A first walk finds each touched column's prior content once (one column
+// lookup in the base) and sizes the output exactly; a second fills it:
+// maximal runs of untouched overrides are copied in bulk, touched columns
+// merge straight into place.
 func MergeDelta[E any](base, old *DCSC[E], muts []Mut[E]) *DCSC[E] {
-	d, _ := mergeDelta(base, old, muts)
-	return d
-}
-
-// mergeDelta is MergeDelta, also returning what the merge changes in the
-// partition's live counts: each touched column's old override taken out and
-// its new one put in.
-func mergeDelta[E any](base, old *DCSC[E], muts []Mut[E]) (*DCSC[E], liveChange) {
-	var change liveChange
 	if len(muts) == 0 {
-		return old, change
+		return old
 	}
-	var none DCSC[E] // old, when there is none: a delta without columns
-	prev := &none
-	if old != nil {
-		prev = old
+	if old == nil {
+		old = &DCSC[E]{}
 	}
-	var buf [8]touchedColumn[E] // a block's few touched columns stay off the heap
-	touched := buf[:0]
-	ncols, nnz := len(prev.JC), len(prev.IR)
-	for t := nextTouched(base, prev, muts, 0); t.muts != nil; t = nextTouched(base, prev, t.rest, t.oi) {
+	touched := touchedColumns(base, old, muts)
+	ncols, nnz := len(old.JC), len(old.IR)
+	change := old.liveChange(base)
+	for _, t := range touched {
+		change.replace(len(t.rows), t.n)
 		if t.overridden {
 			ncols--
 			nnz -= len(t.rows)
-			change.add(overrideChange(len(t.rows), t.baseLen, t.inBase), -1)
 		}
-		n, rows := len(t.rows), t.rows
-		for _, m := range t.muts {
-			i, hit := slices.BinarySearch(rows, m.Row)
-			rows = rows[i:]
-			if hit && m.Del {
-				n--
-			} else if !hit && !m.Del {
-				n++
-			}
-		}
-		if n > 0 || t.inBase {
+		if t.n > 0 || t.inBase {
 			ncols++
-			nnz += n
-			change.add(overrideChange(n, t.baseLen, t.inBase), 1)
+			nnz += t.n
 		}
-		touched = append(touched, t)
 	}
 	if ncols == 0 {
-		return nil, change
+		return nil
 	}
-	// JC, CP and IR share one allocation, each capped to its own length.
-	idx := make([]uint32, 2*ncols+1+nnz)
-	jc := idx[:0:ncols]
-	cp := idx[ncols : ncols : 2*ncols+1]
-	ir := idx[2*ncols+1 : 2*ncols+1]
+	jc := make([]uint32, 0, ncols)
+	cp := make([]uint32, 0, ncols+1)
+	ir := make([]uint32, 0, nnz)
 	val := make([]E, 0, nnz)
 	// carry copies the old override columns [lo, hi) — a maximal untouched
 	// run — in bulk, rebasing their column pointers.
@@ -377,14 +196,16 @@ func mergeDelta[E any](base, old *DCSC[E], muts []Mut[E]) (*DCSC[E], liveChange)
 		if lo == hi {
 			return
 		}
-		s, e := prev.CP[lo], prev.CP[hi]
+		s, e := old.CP[lo], old.CP[hi]
 		shift := uint32(len(ir)) - s
-		jc = append(jc, prev.JC[lo:hi]...)
-		for _, c := range prev.CP[lo:hi] {
-			cp = append(cp, c+shift)
+		jc = append(jc, old.JC[lo:hi]...)
+		at := len(cp)
+		cp = cp[:at+hi-lo]
+		for i, c := range old.CP[lo:hi] {
+			cp[at+i] = c + shift
 		}
-		ir = append(ir, prev.IR[s:e]...)
-		val = append(val, prev.Val[s:e]...)
+		ir = append(ir, old.IR[s:e]...)
+		val = append(val, old.Val[s:e]...)
 	}
 	carried := 0 // old override columns below this index are placed or replaced
 	for _, t := range touched {
@@ -415,120 +236,78 @@ func mergeDelta[E any](base, old *DCSC[E], muts []Mut[E]) (*DCSC[E], liveChange)
 			cp = append(cp, uint32(start))
 		}
 	}
-	carry(carried, len(prev.JC))
+	carry(carried, len(old.JC))
 	cp = append(cp, uint32(len(ir)))
-	return Assemble(base.NRows, base.NCols, base.RowLo, base.RowHi, jc, cp, ir, val), change
+	d := Assemble(base.NRows, base.NCols, base.RowLo, base.RowHi, jc, cp, ir, val)
+	d.live.once.Do(func() { d.live.change = change })
+	return d
 }
 
-// touchedColumn is one column a mutation batch touches: its mutation group,
-// the mutations after it, and the column's prior content — the old override
-// when one exists (overridden; it is old.JC[oi]), the base column otherwise
-// (inBase: the base stores the column at all, baseLen entries of it). oi
-// counts the old override columns below this one.
+// touchedColumn is one column a mutation batch touches: its mutation group
+// and the column's prior content — the old override when one exists
+// (overridden; it is old.JC[oi]), the base column otherwise (inBase: the
+// base stores the column at all). oi counts the old override columns below
+// this one; n is the column's live entry count after the mutations.
 type touchedColumn[E any] struct {
-	muts, rest         []Mut[E]
-	oi, baseLen        int
+	muts               []Mut[E]
+	oi, n              int
 	rows               []uint32
 	vals               []E
 	overridden, inBase bool
 }
 
-// nextTouched describes the first column muts touches, scanning old's
-// override columns from index oi on. Its muts field is nil once muts is
-// exhausted.
-func nextTouched[E any](base, old *DCSC[E], muts []Mut[E], oi int) touchedColumn[E] {
-	if len(muts) == 0 {
-		return touchedColumn[E]{}
-	}
-	j := muts[0].Col
-	me := 1
-	for me < len(muts) && muts[me].Col == j {
-		me++
-	}
-	for oi < len(old.JC) && old.JC[oi] < j {
-		oi++
-	}
-	t := touchedColumn[E]{muts: muts[:me], rest: muts[me:], oi: oi}
-	bi, inBase := base.FindColumn(j)
-	if t.inBase = inBase; inBase {
-		t.baseLen = int(base.CP[bi+1] - base.CP[bi])
-	}
-	if t.overridden = oi < len(old.JC) && old.JC[oi] == j; t.overridden {
-		s, e := old.CP[oi], old.CP[oi+1]
-		t.rows, t.vals = old.IR[s:e], old.Val[s:e]
-	} else if t.inBase {
-		s, e := base.CP[bi], base.CP[bi+1]
-		t.rows, t.vals = base.IR[s:e], base.Val[s:e]
-	}
-	return t
-}
-
-// MergeBlocks builds the partition's next delta from the previous one (nil,
-// or built by MergeBlocks) and a batch of mutations, under MergeDelta's
-// contract on muts. It groups the mutations by DeltaBlockCols-wide column
-// block and runs MergeDelta on each touched block alone, which also yields
-// the block's new live change; every other block of old is shared by
-// pointer, with its recorded live change and its memoized column index. A
-// touched block the merge empties is dropped. Returns old when muts is
-// empty, and nil when no block is left.
-func MergeBlocks[E any](base *DCSC[E], old *Delta[E], muts []Mut[E]) *Delta[E] {
-	if len(muts) == 0 {
-		return old
-	}
-	nd := &Delta[E]{}
-	var blocks []*DCSC[E]
-	var spans []blockSpan
-	if old != nil {
-		blocks, spans = old.Blocks, old.spans
-		nd.nnz, nd.cols, nd.live = old.nnz, old.cols, old.live
-	}
-	touched := 1
-	for i := 1; i < len(muts); i++ {
-		if muts[i].Col/DeltaBlockCols != muts[i-1].Col/DeltaBlockCols {
-			touched++
+// touchedColumns describes, in column order, every column muts touches, and
+// sets each mutation's Existed against its column's prior content.
+func touchedColumns[E any](base, old *DCSC[E], muts []Mut[E]) []touchedColumn[E] {
+	ncols := 0
+	for i := range muts {
+		if i == 0 || muts[i].Col != muts[i-1].Col {
+			ncols++
 		}
 	}
-	nd.Blocks = make([]*DCSC[E], 0, len(blocks)+touched)
-	nd.spans = make([]blockSpan, 0, len(blocks)+touched)
+	out := make([]touchedColumn[E], 0, ncols)
 	oi := 0
 	for len(muts) > 0 {
-		blk := muts[0].Col / DeltaBlockCols
+		j := muts[0].Col
 		me := 1
-		for me < len(muts) && muts[me].Col/DeltaBlockCols == blk {
+		for me < len(muts) && muts[me].Col == j {
 			me++
 		}
-		run := oi // old blocks [oi, run) lie before blk: shared as they are
-		for run < len(spans) && spans[run].lo/DeltaBlockCols < blk {
-			run++
+		k, _ := slices.BinarySearch(old.JC[oi:], j)
+		oi += k
+		t := touchedColumn[E]{muts: muts[:me], oi: oi}
+		bi, inBase := base.FindColumn(j)
+		t.inBase = inBase
+		if t.overridden = oi < len(old.JC) && old.JC[oi] == j; t.overridden {
+			s, e := old.CP[oi], old.CP[oi+1]
+			t.rows, t.vals = old.IR[s:e], old.Val[s:e]
+		} else if inBase {
+			s, e := base.CP[bi], base.CP[bi+1]
+			t.rows, t.vals = base.IR[s:e], base.Val[s:e]
 		}
-		nd.Blocks = append(nd.Blocks, blocks[oi:run]...)
-		nd.spans = append(nd.spans, spans[oi:run]...)
-		oi = run
-		var prev *DCSC[E]
-		var c liveChange
-		if oi < len(spans) && spans[oi].lo/DeltaBlockCols == blk {
-			prev, c = blocks[oi], spans[oi].live
-			nd.tally(prev, c, -1)
-			oi++
+		t.n = len(t.rows)
+		rows := t.rows
+		for mi := range t.muts {
+			m := &t.muts[mi]
+			i, hit := slices.BinarySearch(rows, m.Row)
+			rows = rows[i:]
+			m.Existed = hit
+			if hit && m.Del {
+				t.n--
+			} else if !hit && !m.Del {
+				t.n++
+			}
 		}
-		if b, change := mergeDelta(base, prev, muts[:me]); b != nil {
-			c.add(change, 1)
-			nd.push(b, c)
-		}
+		out = append(out, t)
 		muts = muts[me:]
 	}
-	nd.Blocks = append(nd.Blocks, blocks[oi:]...)
-	nd.spans = append(nd.spans, spans[oi:]...)
-	if len(nd.Blocks) == 0 {
-		return nil
-	}
-	return nd
+	return out
 }
 
 // OverheadNNZ is the overlay's storage cost in entries: stored nonzeros plus
 // one per override column (the JC/CP slot). Compaction policies compare it
 // against the base structure's size.
-func OverheadNNZ[E any](deltas []*Delta[E]) int64 {
+func OverheadNNZ[E any](deltas []*DCSC[E]) int64 {
 	var n int64
 	for _, d := range deltas {
 		if d != nil {

@@ -100,7 +100,7 @@ func TestMergeDeltaAgainstBruteForce(t *testing.T) {
 				}
 			}
 			delta := MergeDelta(dc, nil, muts)
-			l := Layered[int]{Base: dc, Delta: NewDelta(dc, delta)}
+			l := Layered[int]{Base: dc, Delta: delta}
 			want := applyMuts(base, tc.muts, b[0], b[1])
 			got := collect(t, l)
 			if len(got) != len(want) {
@@ -140,7 +140,7 @@ func TestMergeDeltaStacked(t *testing.T) {
 		{Row: 3, Col: 1, Del: true}, // undo the col-1 insert
 		{Row: 4, Col: 4, Val: 22},   // resurrect col 4 with a new value
 	}))
-	l := Layered[int]{Base: dc, Delta: NewDelta(dc, d2)}
+	l := Layered[int]{Base: dc, Delta: d2}
 	got := collect(t, l)
 	want := map[[2]uint32]int{
 		{1, 1}: 10, {2, 1}: 11, // col 1 back to base content (via override)
@@ -202,7 +202,7 @@ func TestMergeDeltaRandomStacked(t *testing.T) {
 				}
 			}
 			delta = MergeDelta(dc, delta, sortMuts(muts))
-			got := collect(t, Layered[int]{Base: dc, Delta: NewDelta(dc, delta)})
+			got := collect(t, Layered[int]{Base: dc, Delta: delta})
 			if len(got) != len(live) {
 				t.Fatalf("rows[%d,%d) round %d: %d live entries, want %d", b[0], b[1], round, len(got), len(live))
 			}
@@ -250,7 +250,7 @@ func TestMergeDeltaTombstoneDrops(t *testing.T) {
 	if d3 == nil || d3.NZColumns() != 1 || d3.NNZ() != 0 {
 		t.Fatalf("tombstone for a stored column missing: %+v", d3)
 	}
-	l := Layered[int]{Base: dc, Delta: NewDelta(dc, d3)}
+	l := Layered[int]{Base: dc, Delta: d3}
 	if n := l.LiveNNZ(); n != 0 {
 		t.Errorf("LiveNNZ with tombstone = %d", n)
 	}
@@ -277,6 +277,73 @@ func TestAssembleAuxLookup(t *testing.T) {
 	for _, col := range []uint32{0, 1, 3, 4, 6, 8, 10, 15} {
 		if _, ok := d.FindColumn(col); ok {
 			t.Fatalf("FindColumn(%d) found a missing column", col)
+		}
+	}
+}
+
+// TestDeltaLiveCountsMatchRecount stacks seeded random batches on one
+// partition and checks, after every batch, that the live counts MergeDelta
+// records on each delta equal both the brute-force live set's and a recount
+// over the same arrays reassembled without the record. Each mutation's
+// Existed must say whether its entry was live before the batch.
+func TestDeltaLiveCountsMatchRecount(t *testing.T) {
+	const n = 40
+	rng := rand.New(rand.NewSource(52))
+	var seed [][3]int
+	for i := 0; i < 150; i++ {
+		seed = append(seed, [3]int{rng.Intn(n), rng.Intn(n), 1 + rng.Intn(9)})
+	}
+	base := buildCOO(n, seed)
+	for _, b := range [][2]uint32{{0, n}, {7, 29}} {
+		dc := BuildDCSC(base, b[0], b[1])
+		live := applyMuts(base, nil, b[0], b[1])
+		var delta *DCSC[int]
+		for round := 0; round < 120; round++ {
+			byKey := map[[2]uint32]Mut[int]{}
+			for k := rng.Intn(12); k >= 0; k-- {
+				m := Mut[int]{
+					Row: b[0] + uint32(rng.Intn(int(b[1]-b[0]))),
+					Col: uint32(rng.Intn(n)),
+					Val: 10 + round,
+					Del: rng.Intn(2) == 0,
+				}
+				byKey[[2]uint32{m.Row, m.Col}] = m
+			}
+			var muts []Mut[int]
+			for _, m := range byKey {
+				muts = append(muts, m)
+			}
+			muts = sortMuts(muts)
+			delta = MergeDelta(dc, delta, muts)
+			for _, m := range muts {
+				key := [2]uint32{m.Row, m.Col}
+				if _, was := live[key]; m.Existed != was {
+					t.Fatalf("rows[%d,%d) round %d: mutation %+v Existed = %v, want %v", b[0], b[1], round, m, m.Existed, was)
+				}
+				if m.Del {
+					delete(live, key)
+				} else {
+					live[key] = m.Val
+				}
+			}
+			cols := map[uint32]bool{}
+			for k := range live {
+				cols[k[1]] = true
+			}
+			l := Layered[int]{Base: dc, Delta: delta}
+			if got := l.LiveNNZ(); got != len(live) {
+				t.Fatalf("rows[%d,%d) round %d: recorded LiveNNZ = %d, want %d", b[0], b[1], round, got, len(live))
+			}
+			if got := l.LiveNZColumns(); got != len(cols) {
+				t.Fatalf("rows[%d,%d) round %d: recorded LiveNZColumns = %d, want %d", b[0], b[1], round, got, len(cols))
+			}
+			if delta == nil {
+				continue
+			}
+			re := Layered[int]{Base: dc, Delta: Assemble(delta.NRows, delta.NCols, delta.RowLo, delta.RowHi, delta.JC, delta.CP, delta.IR, delta.Val)}
+			if re.LiveNNZ() != len(live) || re.LiveNZColumns() != len(cols) {
+				t.Fatalf("rows[%d,%d) round %d: recount %d entries in %d columns, want %d in %d", b[0], b[1], round, re.LiveNNZ(), re.LiveNZColumns(), len(live), len(cols))
+			}
 		}
 	}
 }
