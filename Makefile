@@ -31,10 +31,13 @@ lint: staticcheck govulncheck graphmatlint
 # graphmatlint statically enforces the engine's correctness invariants
 # (snapshot pin release, fold determinism, cancellation polling, operator
 # purity, hot-path call bans — see internal/lint). It runs through go vet's
-# unitchecker protocol so test files are covered and results are cached.
+# unitchecker protocol so test files are covered and results are cached. The
+# vet tool is built into a temporary directory, removed on exit, so the
+# target writes nothing outside the checkout's build cache.
 graphmatlint:
-	$(GO) install ./cmd/graphmatlint
-	$(GO) vet -vettool="$$($(GO) env GOPATH)/bin/graphmatlint" ./...
+	@bin="$$(mktemp -d)"; trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin/graphmatlint" ./cmd/graphmatlint || exit 1; \
+	$(GO) vet -vettool="$$bin/graphmatlint" ./...
 
 # CI installs staticcheck at the version pinned in tools/go.mod; locally it
 # runs only if already on PATH, so the target works on offline machines.

@@ -163,7 +163,7 @@ func TestBatchWideSplit(t *testing.T) {
 		touch = append(touch, graphmat.Update[float32]{Src: v, Dst: v + 1, Val: 2}, graphmat.Update[float32]{Src: v + 1, Dst: v, Val: 3})
 	}
 	type runner struct {
-		store func(*graphmat.COO[float32], int) (*graphmat.Store[uint32, float32], error)
+		store func(*graphmat.COO[float32], int) (*graphmat.Store[float32], error)
 		batch func(context.Context, *graphmat.Graph[uint32, float32], []uint32, ...Option) ([][]uint32, graphmat.Stats, error)
 		solo  func(context.Context, *graphmat.Graph[uint32, float32], uint32, ...Option) ([]uint32, graphmat.Stats, error)
 	}

@@ -68,7 +68,7 @@ func NewBFSGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[ui
 
 // NewBFSStore is NewBFSGraph as a versioned store: the same preprocessing
 // and epoch-0 graph, plus live edge updates via ApplyEdges.
-func NewBFSStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[uint32, float32], error) {
+func NewBFSStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32], error) {
 	return bfsAlgo.newStore(adj, partitions)
 }
 

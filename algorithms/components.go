@@ -52,7 +52,7 @@ func NewCCGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[uin
 
 // NewCCStore is NewCCGraph as a versioned store: the same preprocessing and
 // epoch-0 graph, plus live edge updates via ApplyEdges.
-func NewCCStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[uint32, float32], error) {
+func NewCCStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32], error) {
 	return ccAlgo.newStore(adj, partitions)
 }
 

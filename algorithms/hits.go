@@ -60,7 +60,7 @@ func NewHITSGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[H
 // NewHITSStore is NewHITSGraph as a versioned store: the same preprocessing
 // and epoch-0 graph (both directions materialized), plus live edge updates
 // via ApplyEdges.
-func NewHITSStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[HITSVertex, float32], error) {
+func NewHITSStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32], error) {
 	return hitsAlgo.newStore(adj, partitions)
 }
 

@@ -80,7 +80,7 @@ func NewPageRankGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Gra
 
 // NewPageRankStore is NewPageRankGraph as a versioned store: the same
 // preprocessing and epoch-0 graph, plus live edge updates via ApplyEdges.
-func NewPageRankStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[PRVertex, float32], error) {
+func NewPageRankStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32], error) {
 	return pagerankAlgo.newStore(adj, partitions)
 }
 

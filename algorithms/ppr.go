@@ -79,7 +79,7 @@ func NewPersonalizedPageRankGraph(adj *graphmat.COO[float32], partitions int) (*
 // NewPersonalizedPageRankStore is NewPersonalizedPageRankGraph as a
 // versioned store: the same preprocessing and epoch-0 graph, plus live edge
 // updates via ApplyEdges.
-func NewPersonalizedPageRankStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[PPRVertex, float32], error) {
+func NewPersonalizedPageRankStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32], error) {
 	return pprAlgo.newStore(adj, partitions)
 }
 

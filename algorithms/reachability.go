@@ -62,7 +62,7 @@ func NewReachabilityGraph(adj *graphmat.COO[float32], partitions int) (*graphmat
 }
 
 // NewReachabilityStore is NewReachabilityGraph as a versioned store.
-func NewReachabilityStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[uint32, float32], error) {
+func NewReachabilityStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32], error) {
 	return reachabilityAlgo.newStore(adj, partitions)
 }
 

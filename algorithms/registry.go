@@ -155,7 +155,7 @@ type Instance interface {
 // scheduled now and executed later against the same epoch. Epoch reports
 // the pinned version; Release discharges the pin (exactly once). Values are
 // produced by Store.Acquire and consumed by Instance.RunBatch.
-type Pin = *graphmat.Snapshot[any, float32]
+type Pin = *graphmat.Snapshot[float32]
 
 // Spec is one registry entry.
 type Spec struct {
@@ -516,10 +516,9 @@ func (a *algo[V]) newGraph(adj *graphmat.COO[float32], partitions int) (*graphma
 	return graphmat.New[V](adj, a.key().buildOptions(adj, partitions))
 }
 
-// newStore builds the row's versioned store; a store has no vertex type
-// (Store's V is unused).
-func (a *algo[V]) newStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[any, float32], error) {
-	return graphmat.NewStore[any](adj, a.key().buildOptions(adj, partitions))
+// newStore builds the row's versioned store.
+func (a *algo[V]) newStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32], error) {
+	return graphmat.NewStore(adj, a.key().buildOptions(adj, partitions))
 }
 
 // bindSources decides, once for every algorithm, what a scalar run's source

@@ -58,7 +58,7 @@ func NewSSSPGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Graph[f
 
 // NewSSSPStore is NewSSSPGraph as a versioned store: the same preprocessing
 // and epoch-0 graph, plus live edge updates via ApplyEdges.
-func NewSSSPStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32, float32], error) {
+func NewSSSPStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32], error) {
 	return ssspAlgo.newStore(adj, partitions)
 }
 

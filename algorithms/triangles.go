@@ -91,7 +91,7 @@ func NewTriangleGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.Gra
 
 // NewTriangleStore is NewTriangleGraph as a versioned store: the same
 // preprocessing and epoch-0 graph, plus live edge updates via ApplyEdges.
-func NewTriangleStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[TCVertex, float32], error) {
+func NewTriangleStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32], error) {
 	return trianglesAlgo.newStore(adj, partitions)
 }
 

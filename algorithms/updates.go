@@ -145,10 +145,9 @@ func symState(src, dst uint32, wOwn float32, okOwn bool, wRev float32, okRev boo
 // StoreKey's preprocessing builds from the raw edges. Spec.Bind binds an
 // algorithm of the key to it, copying nothing, so a batch applied to the
 // Store reaches every algorithm bound to it; runs pin a snapshot (Acquire)
-// and never see updates that land under them. A store holds no vertex state,
-// so the versioned store's vertex type parameter is unused (any).
+// and never see updates that land under them. A store holds no vertex state.
 type Store struct {
-	versioned *graphmat.Store[any, float32]
+	versioned *graphmat.Store[float32]
 	key       StoreKey
 }
 
@@ -157,7 +156,7 @@ type Store struct {
 // consumed (sorted, deduplicated, possibly symmetrized in place); pass a
 // clone to keep the original.
 func NewStore(key StoreKey, adj *graphmat.COO[float32], partitions int) (*Store, error) {
-	st, err := graphmat.NewStore[any](adj, key.buildOptions(adj, partitions))
+	st, err := graphmat.NewStore(adj, key.buildOptions(adj, partitions))
 	if err != nil {
 		return nil, err
 	}

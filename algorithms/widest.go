@@ -58,7 +58,7 @@ func NewWidestPathGraph(adj *graphmat.COO[float32], partitions int) (*graphmat.G
 }
 
 // NewWidestPathStore is NewWidestPathGraph as a versioned store.
-func NewWidestPathStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32, float32], error) {
+func NewWidestPathStore(adj *graphmat.COO[float32], partitions int) (*graphmat.Store[float32], error) {
 	return widestAlgo.newStore(adj, partitions)
 }
 

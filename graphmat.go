@@ -385,12 +385,12 @@ func LoadFileOptions(path string, opt LoadOptions) (*COO[float32], error) {
 // Store is a versioned mutable graph: immutable epoch-numbered snapshots of
 // Edges advanced by batched edge updates, with refcounted pinning and
 // automatic compaction of the delta overlay back into the base structures.
-// It holds no vertex state, so V is unused: one store type serves every V.
-type Store[V, E any] = graph.Store[E]
+// It holds no vertex state: one store serves every program over its edges.
+type Store[E any] = graph.Store[E]
 
 // Snapshot is one pinned, immutable version of a store's edges, read by any
-// number of runs at once, each over its own BlockState. V is unused.
-type Snapshot[V, E any] = graph.Snapshot[E]
+// number of runs at once, each over its own BlockState.
+type Snapshot[E any] = graph.Snapshot[E]
 
 // Update is one edge mutation: an upsert (insert or value replace) or, with
 // Del set, a delete. Within a batch the last mutation of a (src, dst) key
@@ -414,7 +414,7 @@ const DefaultCompactFraction = graph.DefaultCompactFraction
 
 // NewStore builds a versioned store whose epoch-0 snapshot is the graph New
 // would build from the same input (the adjacency is consumed the same way).
-func NewStore[V, E any](adj *COO[E], opts Options) (*Store[V, E], error) {
+func NewStore[E any](adj *COO[E], opts Options) (*Store[E], error) {
 	return graph.NewStore(adj, opts)
 }
 
@@ -467,15 +467,16 @@ type SnapInfo = snap.Info
 // current graph, compacting any pending overlay first. tag is a caller
 // consistency mark stored verbatim in the image (the serving layer stamps
 // the master-copy epoch the image reflects).
-func StoreImage(s *graph.Store[float32], tag uint64) (*SnapImage, error) {
+func StoreImage(s *Store[float32], tag uint64) (*SnapImage, error) {
 	return graph.StoreImage(s, tag)
 }
 
 // NewStoreFromImage rebuilds a versioned store from a snapshot image at the
 // image's epoch, adopting the image's arrays without copying or rebuilding
 // — the zero-copy boot path. The on-heap build (NewStore over the original
-// input) is the differential oracle for it.
-func NewStoreFromImage[V any](img *SnapImage) (*Store[V, float32], error) {
+// input) is the differential oracle for it. V is unused: it remains only so
+// existing callers that name it (NewStoreFromImage[float32]) still compile.
+func NewStoreFromImage[V any](img *SnapImage) (*Store[float32], error) {
 	return graph.NewStoreFromImage(img)
 }
 

@@ -128,10 +128,6 @@ func NewMatrix(adj *sparse.COO[float32], threads int) *Matrix {
 // N returns the matrix dimension.
 func (m *Matrix) N() uint32 { return m.n }
 
-// Workers returns the parallelism the engine actually uses (grid²) — the
-// CombBLAS square-process-count restriction.
-func (m *Matrix) Workers() int { return m.grid * m.grid }
-
 // SpMV computes y = Gᵀ ⊗ x over the semiring. Each of the grid² blocks
 // produces a partial vector in parallel (one worker per block, CombBLAS
 // style); a second phase merges the per-block-row partials.

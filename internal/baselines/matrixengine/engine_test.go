@@ -31,8 +31,8 @@ func TestMatrixBlocksTile(t *testing.T) {
 	coo := prepared(1, 7, 4, 0)
 	want := len(coo.Entries)
 	m := NewMatrix(coo, 9) // 3x3 grid
-	if m.grid != 3 || m.Workers() != 9 {
-		t.Fatalf("grid = %d workers = %d", m.grid, m.Workers())
+	if m.grid != 3 || len(m.blocks)*len(m.blocks[0]) != 9 {
+		t.Fatalf("grid = %d, %d block rows", m.grid, len(m.blocks))
 	}
 	total := 0
 	for i := 0; i < m.grid; i++ {

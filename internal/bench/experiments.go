@@ -408,7 +408,7 @@ func Fig6(results []*Fig4Result) []*Table {
 			Title: fmt.Sprintf("Figure 6: hardware-counter proxies, %s (normalized to GraphMat)", r.Algorithm),
 			Caption: "instructions & stall cycles: lower is better; read bandwidth & IPC: higher is better\n" +
 				"(software proxies; see internal/counters and DESIGN.md §3)",
-			Header: []string{"framework", "Instructions", "Stall cycles", "Read Bandwidth", "IPC"},
+			Header: append([]string{"framework"}, counters.AxisNames[:]...),
 		}
 		for _, f := range []string{FwGraphMat, FwGraphLab, FwCombBLAS, FwGalois} {
 			ratios := make([][]float64, 4)

@@ -72,6 +72,34 @@ func applyBrute(coo *sparse.COO[float32], batches [][]graph.Update[float32]) *sp
 	return out
 }
 
+// clearColumn returns a batch deleting every out-edge of src: each Out
+// partition that stored src's column is left a tombstone for it.
+func clearColumn(coo *sparse.COO[float32], src uint32) []graph.Update[float32] {
+	var b []graph.Update[float32]
+	for _, t := range coo.Entries {
+		if t.Row == src {
+			b = append(b, graph.Update[float32]{Src: src, Dst: t.Col, Del: true})
+		}
+	}
+	return b
+}
+
+// tombstones counts the empty delta columns of layers.
+func tombstones(layers []sparse.Layered[float32]) int {
+	n := 0
+	for _, l := range layers {
+		if l.Delta == nil {
+			continue
+		}
+		for ci := range l.Delta.JC {
+			if l.Delta.CP[ci] == l.Delta.CP[ci+1] {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 func initDiffState(g *graph.Graph[float32], roots []uint32) *BlockState[float32] {
 	st := NewBlockState[float32](int(g.NumVertices()), 1)
 	st.SetAllProps(inf)
@@ -88,7 +116,9 @@ func TestLayeredRunsMatchFreshBuild(t *testing.T) {
 	base.SortRowMajor()
 	base.DedupKeepFirst()
 	n := base.NRows
-	batches := layeredBatches(n)
+	// Clearing vertex 3's out-edges leaves tombstones in the Out layers,
+	// which the boxed walk must neither probe nor fold.
+	batches := append(layeredBatches(n), clearColumn(base, 3))
 
 	opts := graph.Options{Partitions: 6, Directions: graph.Both, CompactFraction: -1}
 	store, err := graph.NewStore[float32](base.Clone(), opts)
@@ -104,6 +134,9 @@ func TestLayeredRunsMatchFreshBuild(t *testing.T) {
 	defer snap.Release()
 	if snap.Graph().OverlayNNZ() == 0 {
 		t.Fatal("test is vacuous: no overlay survived the batches")
+	}
+	if tombstones(snap.Graph().OutLayers()) == 0 {
+		t.Fatal("test is vacuous: the batches left no tombstone")
 	}
 
 	fresh, err := graph.NewFromCOO[float32](applyBrute(base, batches), opts)
@@ -141,6 +174,7 @@ func TestLayeredRunsMatchFreshBuild(t *testing.T) {
 		ref := initDiffState(fresh, roots)
 		refStats := prog.run(fresh, ref, Config{Mode: Pull, MaxIterations: 40})
 		refProps := append([]float32(nil), ref.Props()...)
+		var pull Stats // the overlay's own Pull run, configs' first
 		for _, cfg := range configs {
 			cfg.MaxIterations = 40
 			name := fmt.Sprintf("%s/mode_%s_disp_%d", prog.name, cfg.Mode, cfg.Dispatch)
@@ -162,6 +196,12 @@ func TestLayeredRunsMatchFreshBuild(t *testing.T) {
 					stats.Applies != refStats.Applies {
 					t.Errorf("%s: stats diverge: %+v vs fresh %+v", name, stats, refStats)
 				}
+			} else if stats.ColumnsProbed != pull.ColumnsProbed || stats.EdgesProcessed != pull.EdgesProcessed {
+				t.Errorf("%s: probed %d columns and %d edges, the overlay's Pull run %d and %d",
+					name, stats.ColumnsProbed, stats.EdgesProcessed, pull.ColumnsProbed, pull.EdgesProcessed)
+			}
+			if cfg.Mode == Pull {
+				pull = stats
 			}
 		}
 	}

@@ -50,14 +50,6 @@ func FromEngine(messagesSent, edgesProcessed, applies, columnsProbed int64, wall
 	}
 }
 
-// Add accumulates another record (multi-phase runs).
-func (s *Set) Add(o Set) {
-	s.WorkItems += o.WorkItems
-	s.RandomTouches += o.RandomTouches
-	s.StreamedBytes += o.StreamedBytes
-	s.WallSeconds += o.WallSeconds
-}
-
 // ReadBandwidth returns the streamed-bytes rate (the Figure 6 "read
 // bandwidth" axis).
 func (s Set) ReadBandwidth() float64 {

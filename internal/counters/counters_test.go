@@ -6,15 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestAdd(t *testing.T) {
-	a := Set{WorkItems: 1, RandomTouches: 2, StreamedBytes: 3, WallSeconds: 0.5}
-	b := Set{WorkItems: 10, RandomTouches: 20, StreamedBytes: 30, WallSeconds: 1.5}
-	a.Add(b)
-	if a.WorkItems != 11 || a.RandomTouches != 22 || a.StreamedBytes != 33 || a.WallSeconds != 2 {
-		t.Errorf("Add = %+v", a)
-	}
-}
-
 func TestRates(t *testing.T) {
 	s := Set{WorkItems: 100, StreamedBytes: 400, WallSeconds: 2}
 	if s.ReadBandwidth() != 200 {

@@ -67,8 +67,9 @@ func (g *Graph[E]) applyBatch(batch []Update[E]) (*Graph[E], ApplyResult, error)
 
 	// Accounting against the OLD live set decides degree and edge-count
 	// deltas exactly: an upsert moves nothing, a no-op delete moves nothing.
-	// The merge of the direction HasEdge probes finds each update's entry in
-	// the old live set as it merges, so no update is looked up twice.
+	// The merge of one built direction (Out when the graph has it) finds
+	// each update's entry in the old live set as it merges, so no update is
+	// looked up twice.
 	account := func(src, dst uint32, del, present bool) {
 		switch {
 		case del && present:
@@ -146,40 +147,6 @@ func buildDeltas[E any](parts, old []*sparse.DCSC[E], muts []sparse.Mut[E], work
 // binary search over the upper bounds.
 func findPartition[E any](parts []*sparse.DCSC[E], r uint32) int {
 	return sort.Search(len(parts), func(i int) bool { return parts[i].RowHi > r })
-}
-
-// HasEdge reports whether the directed edge src→dst is live, returning its
-// value. The probe goes through a traversal direction the graph was built
-// with — delta override first (authoritative), base column otherwise.
-func (g *Graph[E]) HasEdge(src, dst uint32) (E, bool) {
-	// Forward structure: Row = dst, Col = src; backward: Row = src, Col = dst.
-	parts, deltas, row, col := g.outParts, g.outDelta, dst, src
-	if g.opts.Directions&Out == 0 {
-		parts, deltas, row, col = g.inParts, g.inDelta, src, dst
-	}
-	var zero E
-	p := findPartition(parts, row)
-	if p >= len(parts) {
-		return zero, false
-	}
-	l := sparse.Layered[E]{Base: parts[p]}
-	if deltas != nil {
-		l.Delta = deltas[p]
-	}
-	rows, vals := l.Column(col)
-	if i, ok := findRow(rows, row); ok {
-		return vals[i], true
-	}
-	return zero, false
-}
-
-// findRow binary-searches an ascending row list.
-func findRow(rows []uint32, r uint32) (int, bool) {
-	i := sort.Search(len(rows), func(k int) bool { return rows[k] >= r })
-	if i < len(rows) && rows[i] == r {
-		return i, true
-	}
-	return 0, false
 }
 
 // compacted returns a Graph with the same epoch and live edge set but no

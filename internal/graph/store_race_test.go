@@ -45,7 +45,7 @@ func isolationBatches(n uint32, rounds int) [][]graphmat.EdgeUpdate {
 
 // freshState pairs a pinned snapshot's edges with a run's own one-column
 // vertex state.
-func freshState(snap *graphmat.Snapshot[uint32, float32]) *graphmat.Graph[uint32, float32] {
+func freshState(snap *graphmat.Snapshot[float32]) *graphmat.Graph[uint32, float32] {
 	g := snap.Graph()
 	return &graphmat.Graph[uint32, float32]{Edges: g, BlockState: graphmat.NewBlockState[uint32](int(g.NumVertices()), 1)}
 }

@@ -39,11 +39,29 @@ func testAdj(n uint32, seed uint64) *sparse.COO[float32] {
 func liveTriples(layers []sparse.Layered[float32]) map[[2]uint32]float32 {
 	out := map[[2]uint32]float32{}
 	for _, l := range layers {
-		l.Iterate(func(row, col uint32, val float32) {
-			out[[2]uint32{row, col}] = val
+		l.Columns(func(col uint32, rows []uint32, vals []float32) {
+			for i, row := range rows {
+				out[[2]uint32{row, col}] = vals[i]
+			}
 		})
 	}
 	return out
+}
+
+// probeColumn finds column col of l the way the push walk does: through the
+// delta's column index first (an override is authoritative, possibly
+// empty), the base's otherwise.
+func probeColumn(l sparse.Layered[float32], col uint32) ([]uint32, []float32) {
+	for _, m := range []*sparse.DCSC[float32]{l.Delta, l.Base} {
+		if m == nil {
+			continue
+		}
+		if ci, ok := m.FindColumn(col); ok {
+			s, e := m.CP[ci], m.CP[ci+1]
+			return m.IR[s:e], m.Val[s:e]
+		}
+	}
+	return nil, nil
 }
 
 // sameGraph asserts got's live structure equals a fresh build (want) in every
@@ -82,7 +100,7 @@ func sameGraph(t *testing.T, what string, got, want *Graph[float32]) {
 		}
 		for _, l := range gl {
 			for col := range cols {
-				rows, vals := l.Column(col)
+				rows, vals := probeColumn(l, col)
 				wantRows := map[uint32]float32{}
 				for k, v := range wt {
 					if k[1] == col && k[0] >= l.Base.RowLo && k[0] < l.Base.RowHi {
@@ -309,9 +327,9 @@ func TestStoreRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestHasEdgeThroughOverlay covers the live-edge probe across base, delta
-// and tombstoned columns.
-func TestHasEdgeThroughOverlay(t *testing.T) {
+// TestLookupEdgeThroughOverlay covers the live edge set across base, delta
+// and tombstoned columns, read through the materialized adjacency.
+func TestLookupEdgeThroughOverlay(t *testing.T) {
 	adj := sparse.NewCOO[float32](16, 16)
 	adj.Add(1, 2, 10)
 	adj.Add(3, 4, 11)
@@ -328,17 +346,17 @@ func TestHasEdgeThroughOverlay(t *testing.T) {
 	}
 	snap := st.Acquire()
 	defer snap.Release()
-	g := snap.Graph()
-	if v, ok := g.HasEdge(1, 2); !ok || v != 13 {
-		t.Errorf("HasEdge(1,2) = %v,%v want 13,true", v, ok)
+	live := snap.Graph().Adjacency()
+	if v, ok := LookupEdge(live, 1, 2); !ok || v != 13 {
+		t.Errorf("edge (1,2) = %v,%v want 13,true", v, ok)
 	}
-	if _, ok := g.HasEdge(3, 4); ok {
+	if _, ok := LookupEdge(live, 3, 4); ok {
 		t.Errorf("deleted edge (3,4) still live")
 	}
-	if v, ok := g.HasEdge(5, 6); !ok || v != 12 {
-		t.Errorf("HasEdge(5,6) = %v,%v want 12,true", v, ok)
+	if v, ok := LookupEdge(live, 5, 6); !ok || v != 12 {
+		t.Errorf("edge (5,6) = %v,%v want 12,true", v, ok)
 	}
-	if _, ok := g.HasEdge(2, 1); ok {
+	if _, ok := LookupEdge(live, 2, 1); ok {
 		t.Errorf("phantom edge (2,1)")
 	}
 }

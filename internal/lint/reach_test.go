@@ -20,26 +20,17 @@ import (
 // reaches, each with the reason it stays. Everything else exported in
 // internal/... must be reachable from a non-test file.
 var keptForTests = map[string]string{
-	"internal/reference.Triangles":                   "triangle-count oracle of the algorithm and baseline tests",
-	"internal/reference.CFLoss":                      "collaborative-filtering loss oracle of the algorithm and baseline tests",
-	"internal/kernels.Supported":                     "backend roster the engine and algorithm parity suites iterate",
-	"internal/lint/analysistest.Run":                 "fixture harness of the analyzer tests",
-	"internal/sparse.CSR.ToCOO":                      "round-trip oracle of the CSR build test",
-	"internal/sparse.DCSC.ToCOO":                     "round-trip oracle of the DCSC build test",
-	"internal/sparse.Vector.GetChecked":              "presence-aware read (graphmat.Vector's, publicly) the SpMV and mode differentials compare outputs through",
-	"internal/core.BlockState.ClearActive":           "frontier reset of the block tests that reseed one state",
-	"internal/graph.Graph.OverlayNNZ":                "overlay size (graphmat.Edges', publicly) the store and layered-walk tests assert",
-	"internal/graph.Graph.HasEdge":                   "point probe of the live set the store and overlay tests read edges through",
-	"internal/baselines/matrixengine.Matrix.Workers": "the grid² worker count the CombBLAS stand-in's test asserts",
-	"internal/counters.Set.Add":                      "multi-phase accumulation the counters test checks",
-	"internal/counters.AxisNames":                    "Figure 6 series labels the counters test holds the ratio order to",
-	"internal/sched.Pool.Workers":                    "worker-slot count the pool tests assert",
-	"internal/sparse.CSR.HasEdge":                    "edge lookup of the CSR build test",
-	"internal/sparse.Layered.Iterate":                "merged live-edge walk the overlay tests compare against",
-	"internal/sparse.Vector.Len":                     "dimension read of the sparse vector tests",
-	"internal/sparse.Vector.Clear":                   "single-entry removal of the sparse vector tests",
-	"internal/sparse.SortedVector.Len":               "dimension read of the sparse vector tests",
-	"internal/sparse.SortedVector.Iterate":           "ordered walk of the sparse vector tests",
+	"internal/reference.Triangles":         "triangle-count oracle of the algorithm and baseline tests",
+	"internal/reference.CFLoss":            "collaborative-filtering loss oracle of the algorithm and baseline tests",
+	"internal/kernels.Supported":           "backend roster the engine and algorithm parity suites iterate",
+	"internal/lint/analysistest.Run":       "fixture harness of the analyzer tests",
+	"internal/sparse.CSR.ToCOO":            "round-trip oracle of the CSR build test",
+	"internal/sparse.DCSC.ToCOO":           "round-trip oracle of the DCSC build test",
+	"internal/sparse.Vector.GetChecked":    "presence-aware read (graphmat.Vector's, publicly) the SpMV and mode differentials compare outputs through",
+	"internal/core.BlockState.ClearActive": "frontier reset of the block tests that reseed one state",
+	"internal/graph.Graph.OverlayNNZ":      "overlay size (graphmat.Edges', publicly) the store and layered-walk tests assert",
+	"internal/sparse.Vector.Len":           "dimension read of the sparse vector tests",
+	"internal/sparse.Vector.Clear":         "single-entry removal of the sparse vector tests",
 }
 
 // stdlibIfaces are the standard-library interfaces through which the

@@ -224,9 +224,6 @@ func NewPool(n int) *Pool {
 	return p
 }
 
-// Workers returns the pool's worker-slot count.
-func (p *Pool) Workers() int { return p.nworkers }
-
 // Close shuts the pool's worker goroutines down and waits for them to
 // exit. It must not race with Run. Shared pools are never closed.
 func (p *Pool) Close() {
@@ -295,10 +292,10 @@ func (p *Pool) Stats() []WorkerStats {
 	return out
 }
 
-// Run executes fn(task, worker) for every task in [0, ntasks) on up to
-// Workers() executors (the pool's parked workers plus the caller) and
-// returns when all tasks have finished. worker indices are unique among
-// the job's concurrent executors and < Workers(), so callers may index
+// Run executes fn(task, worker) for every task in [0, ntasks) on up to n
+// executors, n the pool's worker-slot count (its parked workers plus the
+// caller), and returns when all tasks have finished. worker indices are
+// unique among the job's concurrent executors and < n, so callers may index
 // per-worker scratch with them. stop, when non-nil, is polled before every
 // task: once nonzero, remaining tasks are abandoned. Tasks are dealt as
 // contiguous per-slot spans and rebalanced by work stealing, so no

@@ -79,7 +79,7 @@ func TestConcurrentRuns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 50; r++ {
-				scratch := make([][]int, p.Workers())
+				scratch := make([][]int, len(p.Stats()))
 				p.Run(29, nil, func(task, worker int) {
 					scratch[worker] = append(scratch[worker], task)
 				})
@@ -442,7 +442,7 @@ func TestHoldConcurrentRuns(t *testing.T) {
 				release := p.Hold()
 				nt := 1 + (g*7+r)%40
 				hits := make([]int32, nt)
-				scratch := make([]int, p.Workers())
+				scratch := make([]int, len(p.Stats()))
 				p.Run(nt, nil, func(task, worker int) {
 					hits[task]++
 					scratch[worker]++

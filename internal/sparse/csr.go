@@ -60,22 +60,6 @@ func (m *CSR[E]) Iterate(fn func(row, col uint32, val E)) {
 	}
 }
 
-// HasEdge reports whether entry (r, c) is present, by binary search within
-// the row.
-func (m *CSR[E]) HasEdge(r, c uint32) bool {
-	cols, _ := m.Row(r)
-	lo, hi := 0, len(cols)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cols[mid] < c {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(cols) && cols[lo] == c
-}
-
 // ToCOO converts back to triples in row-major order.
 func (m *CSR[E]) ToCOO() *COO[E] {
 	out := NewCOO[E](m.NRows, m.NCols)

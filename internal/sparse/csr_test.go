@@ -28,8 +28,11 @@ func TestCSRBasic(t *testing.T) {
 	if m.Degree(0) != 2 || m.Degree(3) != 0 {
 		t.Errorf("degrees wrong: %d %d", m.Degree(0), m.Degree(3))
 	}
-	if !m.HasEdge(1, 3) || m.HasEdge(3, 1) || m.HasEdge(0, 0) {
-		t.Error("HasEdge wrong")
+	if cols, _ := m.Row(1); len(cols) != 1 || cols[0] != 3 {
+		t.Errorf("Row(1) = %v, want [3]", cols)
+	}
+	if cols, _ := m.Row(3); len(cols) != 0 {
+		t.Errorf("Row(3) = %v, want empty", cols)
 	}
 }
 
@@ -68,7 +71,7 @@ func TestQuickDCSCMatchesCSRTranspose(t *testing.T) {
 		// Every CSR edge (r,c) should appear in DCSC as (row=c, col=r).
 		ok := true
 		csr.Iterate(func(r, cc uint32, v int) {
-			rows, vals := dcsc.Column(r)
+			rows, vals := column(dcsc, r)
 			found := false
 			for i, rr := range rows {
 				if rr == cc && vals[i] == v {
@@ -87,8 +90,9 @@ func TestQuickDCSCMatchesCSRTranspose(t *testing.T) {
 	}
 }
 
-// Property: HasEdge agrees with a map reference.
-func TestQuickHasEdge(t *testing.T) {
+// Property: every row holds exactly its entries of a map reference, in
+// ascending column order.
+func TestQuickRowEntries(t *testing.T) {
 	f := func(seed int64) bool {
 		c := randCOO(seed, 20, 20, 80)
 		c.SortRowMajor()
@@ -98,10 +102,19 @@ func TestQuickHasEdge(t *testing.T) {
 			ref[[2]uint32{e.Row, e.Col}] = true
 		}
 		for r := uint32(0); r < 20; r++ {
+			cols, _ := m.Row(r)
+			k := 0
 			for cc := uint32(0); cc < 20; cc++ {
-				if m.HasEdge(r, cc) != ref[[2]uint32{r, cc}] {
+				if !ref[[2]uint32{r, cc}] {
+					continue
+				}
+				if k == len(cols) || cols[k] != cc {
 					return false
 				}
+				k++
+			}
+			if k != len(cols) {
+				return false
 			}
 		}
 		return true

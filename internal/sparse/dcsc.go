@@ -295,17 +295,6 @@ func (m *DCSC[E]) FindColumn(col uint32) (int, bool) {
 	return int(x.Rank[w]) + bits.OnesCount64(b&(bit-1)), true
 }
 
-// Column returns the row indices and values of column col, or nils if the
-// column is empty.
-func (m *DCSC[E]) Column(col uint32) ([]uint32, []E) {
-	ci, ok := m.FindColumn(col)
-	if !ok {
-		return nil, nil
-	}
-	s, e := m.CP[ci], m.CP[ci+1]
-	return m.IR[s:e], m.Val[s:e]
-}
-
 // Iterate calls fn(row, col, val) for every nonzero in column-major order.
 func (m *DCSC[E]) Iterate(fn func(row, col uint32, val E)) {
 	for ci, col := range m.JC {

@@ -87,19 +87,6 @@ func (d *DCSC[E]) liveChange(base *DCSC[E]) liveChange {
 	return d.live.change
 }
 
-// Column returns the live rows and values of column col: the delta override
-// when one exists (it is authoritative, possibly empty), the base column
-// otherwise.
-func (l Layered[E]) Column(col uint32) ([]uint32, []E) {
-	if l.Delta != nil {
-		if ci, ok := l.Delta.FindColumn(col); ok {
-			s, e := l.Delta.CP[ci], l.Delta.CP[ci+1]
-			return l.Delta.IR[s:e], l.Delta.Val[s:e]
-		}
-	}
-	return l.Base.Column(col)
-}
-
 // Columns calls fn(col, rows, vals) for every stored column of the live
 // partition in ascending column order: the delta override where one exists
 // (a tombstone arrives with no rows), the base column otherwise. Rows ascend
@@ -126,16 +113,6 @@ func (l Layered[E]) Columns(fn func(col uint32, rows []uint32, vals []E)) {
 		fn(col, d.IR[s:e], d.Val[s:e])
 		di++
 	}
-}
-
-// Iterate calls fn(row, col, val) for every live nonzero in column-major
-// order (see Columns).
-func (l Layered[E]) Iterate(fn func(row, col uint32, val E)) {
-	l.Columns(func(col uint32, rows []uint32, vals []E) {
-		for i, r := range rows {
-			fn(r, col, vals[i])
-		}
-	})
 }
 
 // Assemble builds a DCSC directly from pre-constructed arrays. Unlike

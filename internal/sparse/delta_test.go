@@ -37,20 +37,34 @@ func applyMuts(c *COO[int], muts []Mut[int], rowLo, rowHi uint32) map[[2]uint32]
 	return live
 }
 
+// liveColumn returns the rows and values Columns visits for column col: the
+// override where the delta stores one, the base column otherwise, nils for a
+// column neither layer stores.
+func liveColumn[E any](l Layered[E], col uint32) (rows []uint32, vals []E) {
+	l.Columns(func(j uint32, r []uint32, v []E) {
+		if j == col {
+			rows, vals = r, v
+		}
+	})
+	return rows, vals
+}
+
 // collect walks the overlay and checks column-major visit order.
 func collect(t *testing.T, l Layered[int]) map[[2]uint32]int {
 	t.Helper()
 	got := map[[2]uint32]int{}
 	lastCol, lastRow := int64(-1), int64(-1)
-	l.Iterate(func(row, col uint32, val int) {
-		if int64(col) < lastCol || (int64(col) == lastCol && int64(row) <= lastRow) {
-			t.Fatalf("overlay iteration out of order: (%d,%d) after (%d,%d)", row, col, lastRow, lastCol)
+	l.Columns(func(col uint32, rows []uint32, vals []int) {
+		for i, row := range rows {
+			if int64(col) < lastCol || (int64(col) == lastCol && int64(row) <= lastRow) {
+				t.Fatalf("overlay iteration out of order: (%d,%d) after (%d,%d)", row, col, lastRow, lastCol)
+			}
+			lastCol, lastRow = int64(col), int64(row)
+			if _, dup := got[[2]uint32{row, col}]; dup {
+				t.Fatalf("overlay yielded (%d,%d) twice", row, col)
+			}
+			got[[2]uint32{row, col}] = vals[i]
 		}
-		lastCol, lastRow = int64(col), int64(row)
-		if _, dup := got[[2]uint32{row, col}]; dup {
-			t.Fatalf("overlay yielded (%d,%d) twice", row, col)
-		}
-		got[[2]uint32{row, col}] = val
 	})
 	return got
 }
@@ -156,11 +170,11 @@ func TestMergeDeltaStacked(t *testing.T) {
 		}
 	}
 	// Column must be served from the override layer where one exists.
-	rows, vals := l.Column(4)
+	rows, vals := liveColumn(l, 4)
 	if len(rows) != 1 || rows[0] != 4 || vals[0] != 22 {
 		t.Errorf("Column(4) = %v %v", rows, vals)
 	}
-	if rows, _ := l.Column(5); rows != nil {
+	if rows, _ := liveColumn(l, 5); rows != nil {
 		t.Errorf("Column(5) = %v, want empty", rows)
 	}
 }
@@ -254,7 +268,7 @@ func TestMergeDeltaTombstoneDrops(t *testing.T) {
 	if n := l.LiveNNZ(); n != 0 {
 		t.Errorf("LiveNNZ with tombstone = %d", n)
 	}
-	if rows, _ := l.Column(0); len(rows) != 0 {
+	if rows, _ := liveColumn(l, 0); len(rows) != 0 {
 		t.Errorf("tombstoned Column(0) = %v", rows)
 	}
 }

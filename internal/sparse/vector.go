@@ -79,19 +79,10 @@ type Entry[T any] struct {
 // SortedVector is the paper's *other* sparse-vector option (§4.4.2): "a
 // variable sized array of sorted (index, value) tuples". The paper measures
 // it slower across all algorithms; it is retained as the "naive" mode of the
-// Figure 7 ablation.
+// Figure 7 ablation. The zero value is an empty vector.
 type SortedVector[T any] struct {
-	n       int
 	entries []Entry[T]
 }
-
-// NewSortedVector returns an empty sorted vector of dimension n.
-func NewSortedVector[T any](n int) *SortedVector[T] {
-	return &SortedVector[T]{n: n}
-}
-
-// Len returns the dimension.
-func (v *SortedVector[T]) Len() int { return v.n }
 
 // NNZ returns the number of entries.
 func (v *SortedVector[T]) NNZ() int { return len(v.entries) }
@@ -134,10 +125,3 @@ func (v *SortedVector[T]) Get(i uint32) T {
 
 // Reset removes all entries, retaining capacity.
 func (v *SortedVector[T]) Reset() { v.entries = v.entries[:0] }
-
-// Iterate calls fn(i, val) in ascending index order.
-func (v *SortedVector[T]) Iterate(fn func(i uint32, val T)) {
-	for _, e := range v.entries {
-		fn(e.Idx, e.Val)
-	}
-}

@@ -156,3 +156,31 @@ func TestLiveUpdateBFS18(t *testing.T) {
 			liveTotal, oldTotal, runtime.GOMAXPROCS(0))
 	}
 }
+
+// applyAndCount applies batch to store and counts the edges of the epoch it
+// published, with the edge type a type parameter: the store and snapshot
+// aliases take the edge type alone, so generic code names them by its own E
+// and needs no placeholder vertex type.
+func applyAndCount[E any](t *testing.T, store *graphmat.Store[E], batch []graphmat.Update[E]) (epoch uint64, edges int64) {
+	t.Helper()
+	if _, err := store.ApplyEdges(batch); err != nil {
+		t.Fatal(err)
+	}
+	var sn *graphmat.Snapshot[E] = store.Acquire()
+	defer sn.Release()
+	return sn.Epoch(), sn.Graph().NumEdges()
+}
+
+func TestStoreGenericEdgeType(t *testing.T) {
+	adj := graphmat.NewCOO[float32](4)
+	adj.Add(0, 1, 1)
+	adj.Add(1, 2, 2)
+	store, err := graphmat.NewStore(adj, graphmat.Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch, edges := applyAndCount(t, store, []graphmat.Update[float32]{{Src: 2, Dst: 3, Val: 3}})
+	if epoch != 1 || edges != 3 {
+		t.Fatalf("after one insert: epoch %d, %d edges; want epoch 1, 3 edges", epoch, edges)
+	}
+}
