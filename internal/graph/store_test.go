@@ -327,9 +327,9 @@ func TestStoreRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestLookupEdgeThroughOverlay covers the live edge set across base, delta
+// TestHasEdgeThroughOverlay covers the live edge set across base, delta
 // and tombstoned columns, read through the materialized adjacency.
-func TestLookupEdgeThroughOverlay(t *testing.T) {
+func TestHasEdgeThroughOverlay(t *testing.T) {
 	adj := sparse.NewCOO[float32](16, 16)
 	adj.Add(1, 2, 10)
 	adj.Add(3, 4, 11)

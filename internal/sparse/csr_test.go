@@ -90,9 +90,9 @@ func TestQuickDCSCMatchesCSRTranspose(t *testing.T) {
 	}
 }
 
-// Property: every row holds exactly its entries of a map reference, in
-// ascending column order.
-func TestQuickRowEntries(t *testing.T) {
+// Property: a row has edge (r, c) exactly when a map reference does, and
+// holds its columns in ascending order.
+func TestQuickHasEdge(t *testing.T) {
 	f := func(seed int64) bool {
 		c := randCOO(seed, 20, 20, 80)
 		c.SortRowMajor()
