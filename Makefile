@@ -125,20 +125,21 @@ race:
 # like the series target's, for the same reason); the column-index target
 # asserts FindColumn ≡ a linear search of JC for every id and one bitmap bit
 # per stored column, tombstones included; the walk
-# target asserts pull ≡ push ≡ a naive fold of the live edge set and the row
-# walk ≡ a naive "first live in-neighbour of each unsettled row" of a fresh
-# build — output and live slots examined — over random plain and base+delta
-# partitions (the row walk merging each base row with its delta row), frontiers,
-# settled sets and row cuts — its float64 and uint32 frontiers carrying signed
-# zeros, infinities, quiet NaNs with distinct payloads, subnormals and the
-# labels 0 and MaxUint32, so its full-frontier seeds (density 255, bare
-# literals included) fold whole plain partitions through the sum and min
-# sinks' identity seeds and mask-free loops; the mask-walk target asserts a
-# boolean program's column-mask fold ≡ the value fold in output masks and
-# applied values, per walk, and its row walk's examined slots ≡ the fresh
-# build's, over the same kind of random partitions, frontiers of every width from one column (the
-# scalar mask fold and its settled bitmap) to 64, and settled masks. CI runs
-# this target.
+# target asserts the value sinks' pull ≡ push ≡ a naive fold of the live
+# edge set — output, edges and flat edges — over random plain and
+# base+delta partitions, frontiers and row cuts — its float64 and uint32
+# frontiers carrying signed zeros, infinities, quiet NaNs with distinct
+# payloads, subnormals and the labels 0 and MaxUint32, so its full-frontier
+# seeds (density 255, bare literals included) fold whole plain partitions
+# through the sum and min sinks' identity seeds and mask-free loops; the
+# mask-walk target asserts a boolean program's column-mask fold ≡ the value
+# fold in output masks, applied values and edges through pull and push, and
+# its row walk ≡ a naive "first live in-neighbour of each unsettled row" of
+# a fresh build — output masks, applied values and live slots examined —
+# over the same kind of random partitions (the row walk merging each base
+# row with its delta row), frontiers of every width from one column (the
+# scalar mask fold and its settled bitmap) to 64, settled masks and row
+# cuts. CI runs this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMTX$$' -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=10s ./internal/graph

@@ -24,7 +24,9 @@ import (
 // Apply of every superstep for a broken promise.
 
 // firstMessageFinalTable classifies the vertex program(s) behind every
-// registry name.
+// registry name. A program that declares the marker must declare
+// SemiringBoolean and DstIndependent too (TestFirstMessageFinalClassification):
+// the engine acts on the three together only.
 var firstMessageFinalTable = map[string]struct {
 	programs []any
 	declares bool
@@ -113,8 +115,17 @@ func TestFirstMessageFinalClassification(t *testing.T) {
 			}
 			// The probe checks the boolean fold's promise beside
 			// FirstMessageFinal's, and only runs on declaring programs.
-			if sf, ok := p.(graphmat.SemiringFold); ok && sf.Semiring() == graphmat.SemiringBoolean && !row.declares {
+			sf, ok := p.(graphmat.SemiringFold)
+			boolean := ok && sf.Semiring() == graphmat.SemiringBoolean
+			if boolean && !row.declares {
 				t.Errorf("%s: %T declares the boolean fold without FirstMessageFinal, so no probe checks it", name, p)
+			}
+			// The engine walks rows only for a boolean, destination-free
+			// program: one declaring the marker alone would silently keep
+			// the column walks.
+			_, dstFree := p.(graphmat.DstIndependent)
+			if has && !(boolean && dstFree) {
+				t.Errorf("%s: %T declares FirstMessageFinal without SemiringBoolean and DstIndependent (boolean %v, DstIndependent %v), so it never takes the row walk", name, p, boolean, dstFree)
 			}
 		}
 	}

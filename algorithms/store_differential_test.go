@@ -219,7 +219,9 @@ func TestStoreDifferentialAllAlgorithmsAllModes(t *testing.T) {
 // components (the generic sink; all-active on its first superstep only) must
 // give the boxed oracle's bits under Pull, Push and Auto, at one and three
 // workers, on a plain graph and on a store snapshot with a pending overlay —
-// where overrides and tombstones split the flat runs. 16 partitions keep the
+// where overrides and tombstones split the flat runs: after updateBatches a
+// last batch deletes every edge of vertex 1, so each partition that stored
+// its out-column holds a tombstone in its delta. 16 partitions keep the
 // three-worker pull tasks whole, so the plain PageRank run is flat edge for
 // edge.
 func TestAllActiveDifferential(t *testing.T) {
@@ -231,9 +233,10 @@ func TestAllActiveDifferential(t *testing.T) {
 	t.Run("components", func(t *testing.T) { allActiveDifferential(t, ccAlgo, adj, Params{}, false) })
 }
 
-// allActiveDifferential runs row a on adj, plain and with updateBatches
-// pending in a store's overlay. allFlat: every superstep is all-active, so a
-// plain-graph pull run must fold every edge flat.
+// allActiveDifferential runs row a on adj, plain and with updateBatches and
+// a batch isolating vertex 1 pending in a store's overlay. allFlat: every
+// superstep is all-active, so a plain-graph pull run must fold every edge
+// flat.
 func allActiveDifferential[V any](t *testing.T, a *algo[V], adj *graphmat.COO[float32], p Params, allFlat bool) {
 	const parts = 16
 	ctx := context.Background()
@@ -247,7 +250,8 @@ func allActiveDifferential[V any](t *testing.T, a *algo[V], adj *graphmat.COO[fl
 	}
 	master := adj.Clone()
 	graphmat.NormalizeAdjacency(master, 0)
-	for _, b := range updateBatches(adj.NRows) {
+	apply := func(b []EdgeUpdate) {
+		t.Helper()
 		if master, err = graphmat.ApplyToAdjacency(master, b); err != nil {
 			t.Fatal(err)
 		}
@@ -259,11 +263,37 @@ func allActiveDifferential[V any](t *testing.T, a *algo[V], adj *graphmat.COO[fl
 			t.Fatal(err)
 		}
 	}
+	for _, b := range updateBatches(adj.NRows) {
+		apply(b)
+	}
+	// Every edge into or out of vertex 1 goes, so whichever way a store
+	// keeps its edges, vertex 1's column empties in every partition that
+	// stored it.
+	var isolate []EdgeUpdate
+	for _, e := range master.Entries {
+		if e.Row == 1 || e.Col == 1 {
+			isolate = append(isolate, EdgeUpdate{Src: e.Row, Dst: e.Col, Del: true})
+		}
+	}
+	apply(isolate)
 	if st := store.Stats(); st.OverlayNNZ == 0 {
 		t.Fatalf("fixture: the batches left no pending overlay: %+v", st)
 	}
 	snap := store.Acquire()
 	defer snap.Release()
+	tombstones := 0
+	for _, l := range snap.Graph().OutLayers() {
+		if l.Delta != nil {
+			l.Columns(func(_ uint32, rows []uint32, _ []float32) {
+				if len(rows) == 0 {
+					tombstones++
+				}
+			})
+		}
+	}
+	if tombstones == 0 {
+		t.Fatalf("fixture: no partition's delta holds an empty column after deleting %d edges of vertex 1", len(isolate))
+	}
 
 	for world, g := range map[string]*graphmat.Edges[float32]{"plain": plain.Edges, "overlay": snap.Graph()} {
 		for _, threads := range []int{1, 3} {

@@ -76,9 +76,9 @@ const (
 	// (widest-path-shaped folds), fused like SemiringMinPlusF32.
 	SemiringMaxMinF32 = core.SemiringMaxMinF32
 	// SemiringBoolean is the (OR, AND) shape of a traversal (BFS,
-	// reachability): a multi-source block run of a program that also
-	// declares FirstMessageFinal folds one column mask per edge, not one
-	// value per (edge, source).
+	// reachability): a run of a program that also declares FirstMessageFinal
+	// and DstIndependent folds column masks, not values, at every width, and
+	// its dense pull supersteps may gather by destination row.
 	SemiringBoolean = core.SemiringBoolean
 	// SemiringMinU32 is the (min, passthrough) monoid over uint32 (label
 	// propagation, connected components): a one-column fold with no
@@ -92,10 +92,10 @@ type SemiringFold = core.SemiringFold
 
 // FirstMessageFinal is the optional marker for traversal programs in which
 // the first message to reach a vertex decides it (BFS, reachability);
-// implementing it lets dense pull supersteps gather by destination row —
-// skip settled vertices, stop at the first frontier in-neighbour — instead
-// of sweeping every stored column. See core.FirstMessageFinal for the
-// promise it makes.
+// implementing it beside SemiringBoolean and DstIndependent lets dense pull
+// supersteps gather by destination row — skip settled vertices, stop at the
+// first frontier in-neighbour — instead of sweeping every stored column.
+// See core.FirstMessageFinal for the promise it makes.
 type FirstMessageFinal[V any] = core.FirstMessageFinal[V]
 
 // AllVerticesActive is the optional marker for programs in which every

@@ -466,9 +466,14 @@ func Fig7(o Options) *Table {
 	return t
 }
 
+// timeBest returns the best wall time of repeats calls of fn. Each call
+// starts from a fresh heap: a collection runs before it, outside the timed
+// window, so a run that allocates heavily (Fig. 7's boxed rows) is not
+// charged for the garbage of the one before it.
 func timeBest(repeats int, fn func()) float64 {
 	best := -1.0
 	for i := 0; i < repeats; i++ {
+		runtime.GC()
 		start := time.Now()
 		fn()
 		el := time.Since(start).Seconds()

@@ -65,17 +65,6 @@ func vectorBlock[T any](sv *sparse.Vector[T]) *BlockVector[T] {
 // Reset removes all entries in O(n/64) by clearing the summary alone.
 func (b *BlockVector[T]) Reset() { b.summary.Reset() }
 
-// ColMask returns vertex v's live-column mask (0 when v has no entries).
-func (b *BlockVector[T]) ColMask(v uint32) uint64 {
-	if !b.summary.Get(v) {
-		return 0
-	}
-	if b.cols == nil {
-		return 1
-	}
-	return b.cols[v]
-}
-
 // Row returns vertex v's k-wide value row; entries are meaningful only at
 // set mask bits.
 func (b *BlockVector[T]) Row(v uint32) []T {

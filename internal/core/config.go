@@ -10,8 +10,8 @@ import (
 // the paper wrote it) versus a frontier-driven SpMSpV that looks each sender
 // up in the column index ("push"). Both are scatters; the direction change
 // of GraphBLAST/Ligra-style direction optimization is the row walk, which a
-// Pull superstep takes on its own for FirstMessageFinal programs (see
-// Stats.RowSupersteps). Every mode produces bit-identical results — all
+// Pull superstep takes on its own for boolean FirstMessageFinal programs
+// (see Stats.RowSupersteps). Every mode produces bit-identical results — all
 // three traversals fold a destination's messages in ascending source order
 // within each partition's disjoint output row range — so Mode, like
 // Threads, is purely a performance knob.
@@ -200,25 +200,26 @@ type Stats struct {
 	// PullSupersteps counts supersteps executed with the pull kernel.
 	PullSupersteps int64
 	// RowSupersteps counts the Pull supersteps (they are in PullSupersteps
-	// too) that ran the row walk: the destination-driven gather a
-	// FirstMessageFinal program — BFS, reachability — takes once its
-	// frontier's edge work outweighs what is left unsettled; a block run
-	// takes it over all its columns at once, scanning a row for the columns
-	// still unsettled in it. It is 0 for every other program, under forced
-	// Push and on the boxed path. On these supersteps the work
-	// tallies are walk-dependent, which is why they differ between modes for
-	// those two programs and no others: EdgesProcessed counts edge slots
-	// examined (settled rows are skipped, an unsettled row is left at its
-	// first frontier in-neighbour — usually far fewer than the frontier's
-	// edges, at most 14 times as many), ColumnsProbed counts nothing and
-	// Applies counts only the unsettled vertices — (vertex, column) pairs of
-	// a block — a message reached. Vertex state,
-	// Iterations, MessagesSent and ActiveSum do not depend on the walk.
-	// Layers with pending updates gather too, reading each row's live
-	// entries only: under Pull or Push a run over an overlay takes the walks
-	// a run over a fresh build of the same edge set takes, with the same
-	// tallies (ColumnsProbed aside, which counts per partition). Auto's push
-	// bill reads the layers' stored column ranges, so there the two may
+	// too) that ran the row walk: the destination-driven gather a program
+	// declaring SemiringBoolean, FirstMessageFinal and DstIndependent —
+	// BFS, reachability — takes once its frontier's edge work outweighs
+	// what is left unsettled; a block run takes it over all its columns at
+	// once, scanning a row for the columns still unsettled in it. It is 0
+	// for every other program (one that declares FirstMessageFinal alone
+	// included), under forced Push and on the boxed path. On these
+	// supersteps the work tallies are walk-dependent, which is why they
+	// differ between modes for those two programs and no others:
+	// EdgesProcessed counts edge slots examined (settled rows are skipped,
+	// an unsettled row is left at its first frontier in-neighbour — usually
+	// far fewer than the frontier's edges, at most 14 times as many),
+	// ColumnsProbed counts nothing and Applies counts only the unsettled
+	// vertices — (vertex, column) pairs of a block — a message reached.
+	// Vertex state, Iterations, MessagesSent and ActiveSum do not depend on
+	// the walk. Layers with pending updates gather too, reading each row's
+	// live entries only: under Pull or Push a run over an overlay takes the
+	// walks a run over a fresh build of the same edge set takes, with the
+	// same tallies (ColumnsProbed aside, which counts per partition). Auto's
+	// push bill reads the layers' stored column ranges, so there the two may
 	// choose differently.
 	RowSupersteps int64
 	// Reason records why the run ended (Converged, MaxIterations, Canceled,

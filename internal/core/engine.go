@@ -192,7 +192,7 @@ type phaseSet struct {
 	// test — and it returns the re-activated frontier's vertex count.
 	reactivate func() int64
 	// unsettledEdges is nil unless the front-end can run the row walk
-	// (runPhases for a FirstMessageFinal program, see runPlan.recvDegs). It
+	// (runPhases with a mask sink, see runPlan.recvDegs). It
 	// returns the receiving-side degree sum of the vertices still unsettled
 	// — counted once per unsettled column, as degSum counts a sender once
 	// per message — which bounds the edge slots a row walk could examine,
@@ -446,22 +446,18 @@ func runPhases[V, E, M, R any, P Program[V, E, M, R]](
 		xv: x.vals, yv: y.vals,
 		sendDegs: rp.sendDegs, recvDegs: rp.recvDegs,
 	}
-	b.settling, _ = any(p).(FirstMessageFinal[V]) // non-nil whenever recvDegs is
 	if b.k == 1 {
 		b.slotVertex, b.rowShift = 63, 6
 	}
 	var prepare func() // a mask sink's per-superstep read of the frontier
 	switch s := sink.(type) {
-	case *gatherSink[V, E, M, R, P]:
-		b.settled = s.settled
-	case *blockGatherSink[V, E, M, R, P]:
-		b.settled = s.settled
 	case *blockMaskSink[V, E, M, R, P]:
 		b.settled, b.colVals, prepare = s.settled, s.vals, s.prepare
 	case *maskSink[V, E, M, R, P]:
 		b.settled, b.colVals, prepare = s.settled, s.vals[:], s.prepare
 	}
 	if b.settled != nil {
+		b.settling = any(p).(FirstMessageFinal[V])
 		d.overChunks(func(lo, hi uint32, _ *localStats) { seedSettled(b.settled, b.settling, b.props, b.k, lo, hi) })()
 	}
 	send, apply := d.overChunks(b.send), d.overChunks(b.apply)
@@ -534,13 +530,13 @@ type phaseBody[V, E, M, R any, P Program[V, E, M, R]] struct {
 	// where a row is a mask word, and 0 at k ≥ 2.
 	slotVertex, rowShift uint32
 	// sendDegs and recvDegs are runPlan's; settling is p's FirstMessageFinal,
-	// non-nil whenever recvDegs is.
+	// set with settled.
 	sendDegs, recvDegs []uint32
 	settling           FirstMessageFinal[V]
-	// settled is the settled mask of a FirstMessageFinal run's sink, one
-	// word per row (seedSettled; a bitmap at k = 1), which apply keeps
+	// settled is the settled mask of a mask sink (blockMaskSink, maskSink),
+	// one word per row (seedSettled; a bitmap at k = 1), which apply keeps
 	// current: a pair an Apply activated and left settled joins it. Nil for
-	// other programs.
+	// every other sink.
 	settled []uint64
 	// colVals, set with a mask sink (blockMaskSink, maskSink), holds each
 	// column's one reduced value of the superstep: apply reads it in place

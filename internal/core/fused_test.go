@@ -174,8 +174,8 @@ func checkFusedResumed[V any, M, R any, P interface {
 }
 
 // TestFusedSendMatchesResumedRuns is the differential behind the fused send:
-// sssp, a FirstMessageFinal bfs (which takes the row walk under Pull and
-// Auto) and min-label components, at one and three columns, one and three
+// sssp, a boolean FirstMessageFinal bfs (which takes the row walk under Pull
+// and Auto) and min-label components, at one and three columns, one and three
 // workers, under every mode, on a plain graph and on a base+delta overlay
 // snapshot. The AllVerticesActive rank program runs the same grid, plus the
 // boxed front-end at one column over both message vectors.
@@ -279,7 +279,7 @@ func TestFusedSendMatchesResumedRuns(t *testing.T) {
 						checkFusedResumed(t, gr.f, ssspBlockProg{}, k, rooted, cfg)
 					})
 					t.Run(name+"/bfs_first", func(t *testing.T) {
-						checkFusedResumed(t, gr.u, bfsFirst{}, k, levels, cfg)
+						checkFusedResumed(t, gr.u, bfsBoolean{}, k, levels, cfg)
 					})
 					t.Run(name+"/components", func(t *testing.T) {
 						checkFusedResumed(t, gr.u, ccProg{}, k, labels, cfg)

@@ -23,18 +23,19 @@ import (
 //     direction-optimizing BFS; GraphBLAST's masked pull): scan the
 //     in-neighbours of each still-unsettled destination and stop at the
 //     first one on the frontier. Only for programs that declare
-//     FirstMessageFinal, over the base's RowIndex — merged, on a partition
-//     with pending updates, with the delta's (liveRow).
+//     SemiringBoolean, FirstMessageFinal and DstIndependent, over the
+//     base's RowIndex — merged, on a partition with pending updates, with
+//     the delta's (liveRow).
 //
 // A column walk decides WHICH live columns of a partition a frontier reaches
 // and in what order; what happens to a column's edges is the sink's business
 // (kernel_fold.go for the scalar engine, kernel_block.go for the k-wide block
 // engine), so both engines and the single-shot SpMV share the two column
-// walks. The row walk hands a partition's rows to a rowSink, which the generic
-// fold of each engine is for a FirstMessageFinal program — through one value
-// gather for every width (rowGather, kernel_block.go) — and so is the
-// column-mask fold of a boolean one, at one column (kernel_fold.go) or k
-// (kernel_block.go).
+// walks. The row walk hands a partition's rows to a rowSink, which only the
+// column-mask fold is, at one column (maskSink, kernel_fold.go) or k
+// (blockMaskSink, kernel_block.go): a row walk reads which sources reach a
+// row, never an edge value, a message or a property, so it is a structure
+// scan like GraphBLAST's boolean masked pull.
 //
 // Every partition is a sparse.Layered — an immutable base DCSC plus an
 // optional delta DCSC of whole-column overrides carrying live edge updates;
@@ -120,20 +121,20 @@ type rowMask struct {
 	words []uint64
 }
 
-// rowSink is a colSink that can also gather: foldRows visits every
+// rowSink is a column-mask fold that can also gather: foldRows visits every
 // destination row of rows and, for each one the run's settled mask leaves
 // unsettled, scans its sources in ascending id for the first with a
-// frontier bit in xw, folds that one edge into the output and leaves the
-// row — per column, in the block engine, whose row scan ends when every
-// waiting column has had its first. It returns the number of edge slots it
-// examined. A plain partition's rows are scanned as one array, a partition
-// with a pending delta's through a liveRow cursor. The generic fold of a
-// FirstMessageFinal program is a rowSink at every width (rowGather), and so
-// is the column-mask fold of a boolean one; each keeps the run's settled
-// mask. The fused sum and path sinks are not.
+// frontier bit in xw, marks the row received and leaves it — per column, in
+// the block engine, whose row scan ends when every waiting column has had
+// its first. It returns the number of edge slots it examined. A plain
+// partition's rows are scanned as one array, a partition with a pending
+// delta's through a liveRow cursor. No value is read or folded: only a
+// program declaring SemiringBoolean, FirstMessageFinal and DstIndependent
+// gathers, and its messages all process to one value per column, which the
+// apply phase hands out (maskSink, blockMaskSink).
 type rowSink[E any] interface {
 	colSink[E]
-	foldRows(rows liveRows[E], xw []uint64) int
+	foldRows(rows liveRows, xw []uint64) int
 }
 
 // multiply runs one multiply-phase task — partition l, whole — against the
@@ -160,7 +161,7 @@ func multiply[E any](mode Mode, l sparse.Layered[E], xw []uint64, sink colSink[E
 // entries, once per delta. It probes no columns; the frontier tests it makes
 // are the edge slots it examines.
 func walkRows[E any](l sparse.Layered[E], xw []uint64, sink rowSink[E], st *localStats) {
-	rows := liveRows[E]{base: l.Base.RowIndex()}
+	rows := liveRows{base: l.Base.RowIndex()}
 	if l.Delta != nil {
 		rows.delta, rows.over = l.Delta.RowIndex(), l.Delta.ColumnIndex()
 	}
@@ -171,48 +172,34 @@ func walkRows[E any](l sparse.Layered[E], xw []uint64, sink rowSink[E], st *loca
 // and, when the partition has a pending delta (else nil), the delta's, which
 // covers the same rows, and its column index — every column it overrides,
 // tombstones included.
-type liveRows[E any] struct {
-	base, delta *sparse.RowIndex[E]
+type liveRows struct {
+	base, delta *sparse.RowIndex
 	over        *sparse.ColumnIndex
 }
 
 // row returns a cursor over the view's i-th row.
-func (v liveRows[E]) row(i int) liveRow {
+func (v liveRows) row(i int) liveRow {
 	b, d := v.base, v.delta
-	bend, dend := b.Ptr[i+1], d.Ptr[i+1]
-	return liveRow{base: b.Src[b.Ptr[i]:bend], delta: d.Src[d.Ptr[i]:dend], bend: int(bend), dend: int(dend), over: v.over}
+	return liveRow{base: b.Src[b.Ptr[i]:b.Ptr[i+1]], delta: d.Src[d.Ptr[i]:d.Ptr[i+1]], over: v.over}
 }
 
-// val returns the value of the entry at position at, as liveRow.next hands
-// it back: at in the base's arrays, or ^at in the delta's.
-func (v liveRows[E]) val(at int) E {
-	if at < 0 {
-		return v.delta.Val[^at]
-	}
-	return v.base.Val[at]
-}
-
-// liveRow is the one merge of a base and a delta row the gathers share: the
-// base row's entries whose source column the delta does not override,
-// merged in ascending source id with the delta row's entries — exactly the
-// row a fresh build of the live edge set stores. It reads sources only;
-// base and delta are each row's sources not yet passed, and bend and dend
-// the rows' end positions in their layers' arrays, from which next tells
-// where a hit's value is. seen counts the live slots next has examined; a
-// skipped base entry is not one.
+// liveRow is the one merge of a base and a delta row the two mask gathers
+// share: the base row's entries whose source column the delta does not
+// override, merged in ascending source id with the delta row's entries —
+// exactly the row a fresh build of the live edge set stores. base and delta
+// are each row's sources not yet passed. seen counts the live slots next has
+// examined; a skipped base entry is not one.
 type liveRow struct {
 	base, delta []uint32
-	bend, dend  int
 	over        *sparse.ColumnIndex
 	seen        int
 }
 
 // next advances past the row's live entries off the frontier xw to the
-// next one on it and returns its source and position (liveRows.val), or
-// ok = false at the row's end. It takes the row in runs: the base entries
-// below the delta row's next source, each tested against the override set,
-// then that delta entry.
-func (r *liveRow) next(xw []uint64) (src uint32, at int, ok bool) {
+// next one on it and returns its source, or ok = false at the row's end. It
+// takes the row in runs: the base entries below the delta row's next
+// source, each tested against the override set, then that delta entry.
+func (r *liveRow) next(xw []uint64) (src uint32, ok bool) {
 	base, delta, over, seen := r.base, r.delta, r.over, r.seen
 	for {
 		lim := uint32(math.MaxUint32) // no vertex id reaches it
@@ -227,18 +214,18 @@ func (r *liveRow) next(xw []uint64) (src uint32, at int, ok bool) {
 			seen++
 			if xw[src>>6]&(1<<(src&63)) != 0 {
 				r.base, r.delta, r.seen = base, delta, seen
-				return src, r.bend - len(base) - 1, true
+				return src, true
 			}
 		}
 		if len(delta) == 0 {
 			r.base, r.delta, r.seen = base, delta, seen
-			return 0, 0, false
+			return 0, false
 		}
 		src, delta = delta[0], delta[1:]
 		seen++
 		if xw[src>>6]&(1<<(src&63)) != 0 {
 			r.base, r.delta, r.seen = base, delta, seen
-			return src, ^(r.dend - len(delta) - 1), true
+			return src, true
 		}
 	}
 }
@@ -523,10 +510,10 @@ func addLayers[E any](c KernelCosts, layers []sparse.Layered[E], n int) KernelCo
 // sequential sweep of the columns. Both outcomes are scatters driven by
 // source columns — this is a choice of how to find the frontier's columns,
 // not of direction. The direction change of Beamer-style BFS is the third
-// traversal, the row walk, which a Pull superstep of a FirstMessageFinal
-// program takes when rowWalkPays. All three fold each destination's
-// messages in ascending source id, which is why the choice never shows in
-// the results.
+// traversal, the row walk, which a Pull superstep of a row-walking program
+// (SemiringBoolean, FirstMessageFinal and DstIndependent) takes when
+// rowWalkPays. All three fold each destination's messages in ascending
+// source id, which is why the choice never shows in the results.
 func (c KernelCosts) Choose(mode Mode, frontierSize, frontierEdges int64) Mode {
 	if mode != Auto {
 		return mode
@@ -550,18 +537,18 @@ func (c KernelCosts) pushBill(frontierSize int64) int64 {
 
 // rowWalkGain is the Beamer ratio of the row-walk decision: how many edge
 // slots of unsettled rows one frontier edge is worth. The column sweep pays
-// a fold — a random read-modify-write of y through two callbacks — for every
-// frontier edge, settled destination or not; the row walk pays a frontier
+// a fold — a random read-modify-write of y's mask — for every frontier
+// edge, settled destination or not; the row walk pays a frontier
 // bit test on a sequentially read source id per slot, and stops at the first
 // hit, so it rarely examines all of them.
 const rowWalkGain = 14
 
-// rowWalkPays is the Beamer test for one Pull superstep of a
-// FirstMessageFinal program: gather when the frontier's edge work — every
-// edge the column sweep would fold — times rowWalkGain exceeds the degree
-// sum of the still-unsettled vertices, which bounds the slots a row walk can
-// examine. A handful of frontier vertices in a mostly unsettled graph keeps
-// the sweep; BFS's middle supersteps, and every superstep once most of the
+// rowWalkPays is the Beamer test for one Pull superstep of a row-walking
+// program: gather when the frontier's edge work — every edge the column
+// sweep would fold — times rowWalkGain exceeds the degree sum of the
+// still-unsettled vertices, which bounds the slots a row walk can examine.
+// A handful of frontier vertices in a mostly unsettled graph keeps the
+// sweep; BFS's middle supersteps, and every superstep once most of the
 // graph is settled, gather.
 func rowWalkPays(frontierEdges, unsettledEdges int64) bool {
 	return frontierEdges*rowWalkGain > unsettledEdges

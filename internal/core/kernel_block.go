@@ -29,28 +29,28 @@ import (
 // under a mask bit, exactly like the scalar fold. Edge folds are tallied per
 // (edge, live source column).
 //
-// A FirstMessageFinal program's sink keeps the run's settled mask: one word
+// The one program kind that row-walks — SemiringBoolean, FirstMessageFinal
+// and DstIndependent, as bfs and reachability declare — folds no values at
+// all (blockMaskSink): a column walk ORs the sender's column mask into the
+// destination's, a row walk gathers the mask of the columns still waiting,
+// and apply hands each newly reached (vertex, column) its column's one
+// value of the superstep. Its sink keeps the run's settled mask: one word
 // per vertex holding the columns already decided, seeded from Unsettled by
 // runPhases, over the run's vertex chunks in parallel, and kept current by
 // the apply phase, so a row walk reads one word per row where it would test
-// k properties; at one column it is a bitmap. The value gather is one row
-// walk at every width (rowGather). A program that also declares
-// SemiringBoolean folds no values at all (blockMaskSink): a column walk ORs
-// the sender's column mask into the destination's, a row walk gathers the
-// mask of the columns still waiting, and apply hands each newly reached
-// (vertex, column) its column's one value of the superstep. At one column
-// the same fold is maskSink (kernel_fold.go).
+// k properties. At one column the same fold is maskSink (kernel_fold.go),
+// whose settled mask is a bitmap. Every other program takes the column
+// walks only, through the fused or the generic fold.
 
 // blockSink resolves block program p's column fold from message block x
 // into reduction block y, once per run — the block analogue of scalarSink,
 // with the same fused float64-sum and float32 path-semiring fast paths, the
 // mask sink of a boolean, FirstMessageFinal, DstIndependent program at every
-// width, and otherwise the generic fold, with the row walk's k-wide gather
-// beside it when the program declares FirstMessageFinal (props is the run's
-// n×k property block, which sizes the settled mask runPhases seeds). The
-// block sinks read per-vertex column masks, so they serve blocks of two or
-// more columns; a one-column block, the sparse vector it is, takes maskSink
-// or scalarSink. This is where a run's width selects its sink. p must be
+// width (props is the run's n×k property block, which sizes the settled
+// mask runPhases seeds), and otherwise the generic fold. The block sinks
+// read per-vertex column masks, so they serve blocks of two or more
+// columns; a one-column block, the sparse vector it is, takes maskSink or
+// scalarSink. This is where a run's width selects its sink. p must be
 // DstIndependent when x is two or more columns wide, which RunContext checks
 // before any superstep; a one-column run may read its destination
 // (scalarSink).
@@ -80,12 +80,7 @@ func blockSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *BlockVector[M], pr
 			return s
 		}
 	}
-	fold := blockFoldSink[V, E, M, R, P]{p: p, x: x, y: y}
-	if !fmf {
-		return &fold
-	}
-	g := rowGather[V, E, M, R, P]{p: p, dstFree: dstFree, props: props, zeros: make([]V, x.k), x: x, y: y, settled: make([]uint64, len(props)/x.k)}
-	return &blockGatherSink[V, E, M, R, P]{blockFoldSink: fold, rowGather: g}
+	return &blockFoldSink[V, E, M, R, P]{p: p, x: x, y: y}
 }
 
 // touchRow returns vertex v's column mask in a block vector's two-level
@@ -139,121 +134,27 @@ func (s *blockFoldSink[V, E, M, R, P]) fold(ir []uint32, val []E, cols []colRef)
 	return edges
 }
 
-// blockGatherSink is the generic block fold of a FirstMessageFinal program:
-// the column folds of blockFoldSink, plus the row walk's gather over all k
-// columns at once (rowGather).
-type blockGatherSink[V, E, M, R any, P Program[V, E, M, R]] struct {
-	blockFoldSink[V, E, M, R, P]
-	rowGather[V, E, M, R, P]
-}
-
-// rowGather is the row walk's value gather at every width (gatherSink,
-// blockGatherSink): per column, skip a settled (vertex, column) and take the
-// first frontier in-neighbour in ascending source id, so each column's y is
-// its solo run's; a width shares the scan of the row. At k = 1 it follows
-// nextRow's convention: a frontier source carries the one column, and a
-// row's settled bit is its vertex's bit of a bitmap word. Only a program
-// that is not DstIndependent, run at one column, reads its destination.
-type rowGather[V, E, M, R any, P Program[V, E, M, R]] struct {
-	p            P
-	dstFree      bool
-	props, zeros []V // zeros: k zero properties
-	x            *BlockVector[M]
-	y            *BlockVector[R]
-	settled      []uint64 // the run's settled mask, seeded and kept by runPhases
-}
-
-// foldRows scans each row of rows for the columns in which its vertex is
-// still unsettled: a frontier source retires the columns it carries a
-// message in, and the scan leaves the row when none is left. It returns the
-// edge slots it examined, each counted once however many columns waited at
-// it.
-func (g *rowGather[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
-	p, x, y, k := g.p, g.x, g.y, g.x.k
-	ysw, ycols := y.summary.Words(), y.cols
-	// Row dst's settled columns are settled[dst>>shift] >> (dst&vbit): its
-	// own word at k ≥ 2, its bit of a bitmap word at k = 1.
-	shift, vbit, all := uint32(0), uint32(0), fullCols(k)
-	if k == 1 {
-		shift, vbit = 6, 63
-	}
-	ptr, rlo := rows.base.Ptr, rows.base.RowLo
-	examined := 0
-	for i := range len(ptr) - 1 {
-		dst := rlo + uint32(i)
-		waiting := all &^ (g.settled[dst>>shift] >> (dst & vbit))
-		if waiting == 0 {
-			continue
-		}
-		var got uint64
-		yrow, dp := y.Row(dst), g.zeros // a DstIndependent program's properties
-		if !g.dstFree {
-			dp = g.props[int(dst)*k : int(dst)*k+k]
-		}
-		if rows.delta == nil {
-			in, val := rows.base.Src[ptr[i]:ptr[i+1]], rows.base.Val[ptr[i]:ptr[i+1]]
-			j := 0
-			for ; j < len(in) && waiting != 0; j++ {
-				src := in[j]
-				if xw[src>>6]&(1<<(src&63)) == 0 {
-					continue
-				}
-				hit, e, xrow := x.ColMask(src)&waiting, val[j], x.Row(src)
-				for m := hit; m != 0; m &= m - 1 {
-					col := bits.TrailingZeros64(m)
-					yrow[col] = p.ProcessMessage(xrow[col], e, dp[col])
-				}
-				got |= hit
-				waiting &^= hit
-			}
-			examined += j
-		} else {
-			r := rows.row(i)
-			for waiting != 0 {
-				src, at, ok := r.next(xw)
-				if !ok {
-					break
-				}
-				hit, e, xrow := x.ColMask(src)&waiting, rows.val(at), x.Row(src)
-				for m := hit; m != 0; m &= m - 1 {
-					col := bits.TrailingZeros64(m)
-					yrow[col] = p.ProcessMessage(xrow[col], e, dp[col])
-				}
-				got |= hit
-				waiting &^= hit
-			}
-			examined += r.seen
-		}
-		if got != 0 {
-			// The row is this task's alone and a gathering layer writes it
-			// nowhere else, so its mask is stored, not merged.
-			ysw[dst>>6] |= 1 << (dst & 63)
-			if ycols != nil {
-				ycols[dst] = got
-			}
-		}
-	}
-	return examined
-}
-
 // fullCols returns the mask of all k columns of a block.
 func fullCols(k int) uint64 {
 	return ^uint64(0) >> uint(64-k)
 }
 
-// blockMaskSink is the block fold of a program declaring both SemiringBoolean
-// and FirstMessageFinal. Its y is masks only: a (vertex, column) bit says a
-// message of the column arrived, and the boolean promise says what it
-// processed to — the column's one value of the superstep, which prepare
-// computes once per column into vals for the apply phase to hand out. So no
-// walk loads or stores a value: the column walks OR each sender's column
-// mask into its destinations', and the row walk gathers, per unsettled row,
-// the columns of its frontier in-neighbours that the row still waits in.
+// blockMaskSink is the block fold of a program declaring SemiringBoolean,
+// FirstMessageFinal and DstIndependent. Its y is masks only: a (vertex,
+// column) bit says a message of the column arrived, and the boolean promise
+// says what it processed to — the column's one value of the superstep,
+// which prepare computes once per column into vals for the apply phase to
+// hand out. So no walk loads or stores a value: the column walks OR each
+// sender's column mask into its destinations', and the row walk gathers,
+// per unsettled row, the columns of its frontier in-neighbours that the row
+// still waits in.
 //
 // A column walk's y is the generic fold's, bit for bit, so Applies keeps its
-// meaning; the row walk waits only in the frontier's live columns (a column
-// no sender carries cannot reach the row this superstep), so it leaves a row
-// no later than the generic gather does, and its y is that gather's too.
+// meaning. The row walk marks each (row, column) still unsettled at the
+// row's first frontier in-neighbour carrying the column; it waits only in
+// the frontier's live columns (a column no sender carries cannot reach the
+// row this superstep), so it leaves a row as soon as nothing it could still
+// receive is left.
 type blockMaskSink[V, E, M, R any, P Program[V, E, M, R]] struct {
 	p       P
 	x       *BlockVector[M]
@@ -300,17 +201,12 @@ func (s *blockMaskSink[V, E, M, R, P]) fold(ir []uint32, _ []E, cols []colRef) i
 	return edges
 }
 
-// foldRows is rowGather.foldRows over masks: a row waits in the live
-// columns it has not settled, each frontier in-neighbour retires the ones
-// it carries, and the examined slots are tallied the same way.
-//
-// It is written out apart from rowGather's walk because sharing measured
-// slower on the k = 16 bfs batch (BenchmarkBFSBatch, 2-vCPU shared VM,
-// alternating rounds, µs/source medians): one foldRows for the k-wide mask
-// and value gathers went 1 746 → 1 959 at -cpu 1, faster in only 2 of 10
-// rounds, and a generic scan helper that inlines at every site 1 340 →
-// 1 513, slower in 5 of 6.
-func (s *blockMaskSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
+// foldRows is the k-wide gather: a row waits in the live columns it has not
+// settled, each frontier in-neighbour in ascending source id retires the
+// ones it carries, and the scan leaves the row when none is left. It returns
+// the edge slots it examined, each counted once however many columns waited
+// at it.
+func (s *blockMaskSink[V, E, M, R, P]) foldRows(rows liveRows, xw []uint64) int {
 	xcols, ysw, ycols, live := s.x.cols, s.y.summary.Words(), s.y.cols, s.live
 	ptr, rlo := rows.base.Ptr, rows.base.RowLo
 	examined := 0
@@ -334,7 +230,7 @@ func (s *blockMaskSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) i
 		} else {
 			r := rows.row(i)
 			for waiting != 0 {
-				src, _, ok := r.next(xw)
+				src, ok := r.next(xw)
 				if !ok {
 					break
 				}

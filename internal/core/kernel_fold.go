@@ -14,10 +14,11 @@ import (
 // scalarSink resolves a program to its sink once per run: the fused float64
 // sum fold, a fused float32 path-semiring fold or the fused uint32 min fold
 // when the program declares one (SemiringFold) and the element types really
-// match, the generic callback loop otherwise — with the row walk's value
-// gather (rowGather) beside it when the program declares FirstMessageFinal.
-// A boolean FirstMessageFinal program that ignores its destination never
-// gets here: blockSink gives it maskSink, the one-column mask fold.
+// match, the generic callback loop otherwise. None of them gathers by rows:
+// a run of the one kind of program that row-walks — boolean,
+// FirstMessageFinal and DstIndependent — never gets here, as blockSink gives
+// it maskSink, the one-column mask fold; SpMV, which walks columns only,
+// gives it the generic fold.
 //
 // Every flat fold tests an occupancy bit per edge to tell a first write from
 // a reduction, except one: a whole fully-live partition handed to the sum or
@@ -65,12 +66,7 @@ func scalarSink[V, E, M, R any, P Program[V, E, M, R]](p P, x *sparse.Vector[M],
 		}
 	}
 	_, dstFree := any(p).(DstIndependent)
-	fold := foldSink[V, E, M, R, P]{p: p, dstFree: dstFree, x: x.Values(), props: props, yw: yw, y: y.Values()}
-	if _, ok := any(p).(FirstMessageFinal[V]); ok {
-		g := rowGather[V, E, M, R, P]{p: p, dstFree: dstFree, props: props, zeros: make([]V, 1), x: vectorBlock(x), y: vectorBlock(y), settled: make([]uint64, len(yw))}
-		return &gatherSink[V, E, M, R, P]{foldSink: fold, rowGather: g}
-	}
-	return &fold
+	return &foldSink[V, E, M, R, P]{p: p, dstFree: dstFree, x: x.Values(), props: props, yw: yw, y: y.Values()}
 }
 
 // sumSinkF64 is the (+, passthrough) float64 fold: the whole per-edge loop
@@ -253,17 +249,6 @@ func (s *foldSink[V, E, M, R, P]) foldFlat(ir []uint32, val []E, src []uint32, _
 	}
 }
 
-// gatherSink is the generic fold of a FirstMessageFinal program: the column
-// folds of foldSink, plus the row walk's gather (rowGather), whose settled
-// mask is a bitmap here, as maskSink's. The two produce different y vectors
-// — the gather leaves settled rows and all but the first message of an
-// unsettled row unfolded — that Apply, by the program's promise, turns into
-// the same vertex state.
-type gatherSink[V, E, M, R any, P Program[V, E, M, R]] struct {
-	foldSink[V, E, M, R, P]
-	rowGather[V, E, M, R, P]
-}
-
 // maskSink is blockMaskSink at one column, for a program that also declares
 // DstIndependent: y is its mask only, and apply hands every received vertex
 // still unsettled the superstep's one value, which prepare computes. No fold
@@ -315,14 +300,14 @@ func (s *maskSink[V, E, M, R, P]) foldFlat(ir []uint32, _ []E, _ []uint32, _ row
 
 // foldRows walks the complement of the settled bitmap over rows' range a
 // word at a time: each unsettled row's first frontier source sets its y
-// bit, and the examined slots are gatherSink's. With no message (live
-// false) no row can be reached, and none is scanned.
+// bit, and the slots examined on the way to it are tallied. With no message
+// (live false) no row can be reached, and none is scanned.
 //
-// It is written out apart from the other gathers because every shared form
+// It is written out apart from blockMaskSink's gather because a shared form
 // measured slower on the k = 1 bfs batch (BenchmarkBFSBatch, 2-vCPU shared
 // VM, alternating rounds, µs/source medians): the block gather's row loop
 // at k = 1 went 2 821 → 3 032, slower in 6 of 8 rounds.
-func (s *maskSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
+func (s *maskSink[V, E, M, R, P]) foldRows(rows liveRows, xw []uint64) int {
 	ptr, rlo := rows.base.Ptr, rows.base.RowLo
 	rhi := rlo + uint32(len(ptr)-1)
 	examined := 0
@@ -342,7 +327,7 @@ func (s *maskSink[V, E, M, R, P]) foldRows(rows liveRows[E], xw []uint64) int {
 				examined += k
 			} else {
 				r := rows.row(int(i))
-				_, _, ok = r.next(xw)
+				_, ok = r.next(xw)
 				examined += r.seen
 			}
 			if ok {

@@ -11,12 +11,14 @@ import (
 )
 
 // A one-column run of a program declaring SemiringBoolean, FirstMessageFinal
-// and DstIndependent folds masks (maskSink) where its undeclared twin folds
-// values (gatherSink). TestBooleanMaskFoldOneColumnParity holds the two to
-// exact equality from two starts (checkMaskParity), across modes, threads
-// and plain versus overlay (base+delta) partitions: maskProg against
-// maskValues over uint32 weights, bfsBoolean against bfsFirst over float32
-// ones. Properties and every Stats field but the wall-clock Sched must match.
+// and DstIndependent folds masks (maskSink) and may walk rows, where its
+// twin without the boolean declaration folds values (foldSink) by the column
+// walks only. TestBooleanMaskFoldOneColumnParity holds the two to each other
+// from two starts (checkMaskParity), across modes, threads and plain versus
+// overlay (base+delta) partitions: maskProg against maskValues over uint32
+// weights, bfsBoolean against bfsFirst over float32 ones. Properties and the
+// walk-independent Stats fields must match always, and every Stats field
+// but the wall-clock Sched on a run that took no row walk — forced Push.
 
 // u32ParityWorlds is f32ParityWorlds over uint32 weights: the same RMAT edge
 // set built plain, and served from a store whose pending overlay re-weights
@@ -137,7 +139,10 @@ func checkMaskParity[V interface{ ~uint32 | ~uint64 }, E any, PM, PV Program[V, 
 						if refStats.Iterations < 3 {
 							t.Fatalf("vacuous: the run converged in %d supersteps", refStats.Iterations)
 						}
-						if mode != Push && refStats.RowSupersteps == 0 {
+						if refStats.RowSupersteps != 0 {
+							t.Fatalf("the value fold took %d row-walk supersteps", refStats.RowSupersteps)
+						}
+						if mode != Push && gotStats.RowSupersteps == 0 {
 							t.Fatal("vacuous: no superstep took the row walk")
 						}
 						for v := range ref {
@@ -145,8 +150,11 @@ func checkMaskParity[V interface{ ~uint32 | ~uint64 }, E any, PM, PV Program[V, 
 								t.Fatalf("prop[%d] = %v, value fold %v", v, got[v], ref[v])
 							}
 						}
-						if gotStats != refStats {
-							t.Errorf("stats\n  mask %+v\nvalues %+v", gotStats, refStats)
+						if gotStats.Iterations != refStats.Iterations || gotStats.MessagesSent != refStats.MessagesSent || gotStats.ActiveSum != refStats.ActiveSum {
+							t.Errorf("frontier tallies\n  mask %+v\nvalues %+v", gotStats, refStats)
+						}
+						if gotStats.RowSupersteps == 0 && gotStats != refStats {
+							t.Errorf("stats of a run without a row walk\n  mask %+v\nvalues %+v", gotStats, refStats)
 						}
 					})
 				}
@@ -162,7 +170,8 @@ func TestBooleanMaskFoldOneColumnParity(t *testing.T) {
 
 // booleanReadsDst declares the boolean fold and FirstMessageFinal but not
 // DstIndependent: its ProcessMessage may read the destination, which a mask
-// fold never passes it, so a one-column run keeps the value gather.
+// fold never passes it, so a one-column run keeps the value fold and the
+// column walks.
 type booleanReadsDst struct{}
 
 func (booleanReadsDst) SendMessage(_ VertexID, p uint32) (uint32, bool)     { return p, true }
@@ -174,7 +183,7 @@ func (booleanReadsDst) Unsettled(p uint32) bool                             { re
 func (booleanReadsDst) Semiring() Semiring                                  { return SemiringBoolean }
 
 func TestBooleanMaskFoldNeedsDstIndependent(t *testing.T) {
-	if got := sinkKind[uint32, uint32](booleanReadsDst{}, 1); got != "gatherSink" {
-		t.Errorf("a boolean FirstMessageFinal program that may read its destination folds through %s at k=1, want gatherSink", got)
+	if got := sinkKind[uint32, uint32](booleanReadsDst{}, 1); got != "foldSink" {
+		t.Errorf("a boolean FirstMessageFinal program that may read its destination folds through %s at k=1, want foldSink", got)
 	}
 }

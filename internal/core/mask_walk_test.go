@@ -10,13 +10,15 @@ import (
 
 	"graphmat/internal/gen"
 	"graphmat/internal/graph"
+	"graphmat/internal/sparse"
 )
 
 // maskProg is hop counting over uint64 properties declaring the boolean fold:
 // a vertex is unsettled while its property is ^0 and takes the first level
 // that reaches it. maskValues is the same program without the declaration,
-// so its runs fold values (gatherSink, blockGatherSink) where maskProg's
-// fold masks (maskSink, blockMaskSink).
+// so its runs fold values (foldSink, blockFoldSink) and take the column walks
+// only, where maskProg's fold masks (maskSink, blockMaskSink) and may walk
+// rows.
 type maskProg struct{}
 
 func (maskProg) SendMessage(_ VertexID, p uint64) (uint64, bool)    { return p, true }
@@ -38,23 +40,30 @@ type maskValues struct{ maskProg }
 
 func (maskValues) Semiring() Semiring { return SemiringNone }
 
-// maskCase is one FuzzMaskWalk input: a walkCase's layered partition with a
+// maskCase is one mask-walk input: a walkCase's layered partition with a
 // k-wide frontier whose column c carries the message level[c] at every
 // sender — the boolean promise — and a settled set per (vertex, column).
 type maskCase struct {
 	*walkCase
 	k       int
+	level   []uint64 // level[c]: every message of column c
 	x       *BlockVector[uint64]
 	props   []uint64 // n×k: ^0 unsettled, else settled
 	settled []uint64 // the settled set as per-vertex masks
 }
 
 func newMaskCase(seed uint64, nblk, nbase, nmut, density, settledFill, k int, bare bool) *maskCase {
-	c := &maskCase{walkCase: newWalkCase(seed, nblk, nbase, nmut, 0, bare), k: k}
+	return maskCaseOf(newWalkCase(seed, nblk, nbase, nmut, 0, bare), seed, density, settledFill, k)
+}
+
+// maskCaseOf draws a k-wide frontier of fill density/256 and a settled set
+// of fill settledFill/256 over walk case w's partition.
+func maskCaseOf(w *walkCase, seed uint64, density, settledFill, k int) *maskCase {
+	c := &maskCase{walkCase: w, k: k}
 	rng := gen.NewRNG(seed ^ 0x3A5C)
-	level := make([]uint64, k)
-	for s := range level {
-		level[s] = rng.Uint64() >> 1
+	c.level = make([]uint64, k)
+	for s := range c.level {
+		c.level[s] = rng.Uint64() >> 1
 	}
 	c.x = NewBlockVector[uint64](c.n, k)
 	c.props = make([]uint64, c.n*k)
@@ -71,7 +80,7 @@ func newMaskCase(seed uint64, nblk, nbase, nmut, density, settledFill, k int, ba
 			}
 			for m := cm; m != 0; m &= m - 1 {
 				s := bits.TrailingZeros64(m)
-				c.x.vals[v*k+s] = level[s]
+				c.x.vals[v*k+s] = c.level[s]
 			}
 		}
 		for s := 0; s < k; s++ {
@@ -86,59 +95,83 @@ func newMaskCase(seed uint64, nblk, nbase, nmut, density, settledFill, k int, ba
 }
 
 // maskOut is one multiply's output: the reduction block's masks, the value
-// each received unsettled (vertex, column) would be applied, and the edge
-// tally.
+// each received unsettled (vertex, column) would be applied, and the
+// tallies.
 type maskOut struct {
 	mask, cols, applied []uint64
-	edges               int64
+	edges, probes       int64
 }
 
-// runMask folds c's partitions for cuts through the walk mode selects, or
-// the row walk where a layer can take it, with program p's block sink.
-func runMask[P interface {
+// maskRun is one bare sink of program p over a mask case, readied as
+// runPhases readies it: a mask sink's settled mask seeded and its frontier
+// read. value is what apply hands received pair (v, s).
+type maskRun struct {
+	c     *maskCase
+	y     *BlockVector[uint64]
+	sink  colSink[uint32]
+	value func(v uint32, s int) uint64
+}
+
+func newMaskRun[P interface {
 	Program[uint64, uint32, uint64, uint64]
 	DstIndependent
-}](c *maskCase, p P, mode Mode, rowWalk bool, cuts [][2]uint32) maskOut {
-	y := NewBlockVector[uint64](c.n, c.k)
-	sink := blockSink[uint64, uint32, uint64, uint64](p, c.x, c.props, y)
-	value := func(v uint32, s int) uint64 { return y.Row(v)[s] }
-	// Seed the settled mask and read the frontier as runPhases does.
+}](c *maskCase, p P) *maskRun {
+	r := &maskRun{c: c, y: NewBlockVector[uint64](c.n, c.k)}
+	r.sink = blockSink[uint64, uint32, uint64, uint64](p, c.x, c.props, r.y)
+	r.value = func(v uint32, s int) uint64 { return r.y.Row(v)[s] }
 	seed := func(settled []uint64) {
 		seedSettled(settled, any(p).(FirstMessageFinal[uint64]), c.props, c.k, 0, uint32(c.n))
 	}
-	switch s := sink.(type) {
+	switch s := r.sink.(type) {
 	case *blockMaskSink[uint64, uint32, uint64, uint64, P]:
 		seed(s.settled)
 		s.prepare()
-		value = func(_ uint32, col int) uint64 { return s.vals[col] }
+		r.value = func(_ uint32, col int) uint64 { return s.vals[col] }
 	case *maskSink[uint64, uint32, uint64, uint64, P]:
 		seed(s.settled)
 		s.prepare()
-		value = func(_ uint32, col int) uint64 { return s.vals[col] }
-	case *blockGatherSink[uint64, uint32, uint64, uint64, P]:
-		seed(s.settled)
-	case *gatherSink[uint64, uint32, uint64, uint64, P]:
-		seed(s.settled)
+		r.value = func(_ uint32, col int) uint64 { return s.vals[col] }
 	}
+	return r
+}
+
+// multiply folds partition l through the walk mode selects, or the row walk.
+func (r *maskRun) multiply(l sparse.Layered[uint32], mode Mode, rowWalk bool, st *localStats) {
 	var rows rowSink[uint32]
 	if rowWalk {
-		rows = sink.(rowSink[uint32])
+		rows = r.sink.(rowSink[uint32])
 	}
-	var st localStats
-	for _, l := range c.layers(cuts) {
-		multiply(mode, l, c.x.summary.Words(), sink, rows, &st)
-	}
-	out := maskOut{mask: y.summary.Words(), cols: make([]uint64, c.n), applied: make([]uint64, c.n*c.k), edges: st.edges}
+	multiply(mode, l, r.c.x.summary.Words(), r.sink, rows, st)
+}
+
+// out reads the run's output after its multiplies tallied st.
+func (r *maskRun) out(st localStats) maskOut {
+	c, y := r.c, r.y
+	out := maskOut{mask: y.summary.Words(), cols: make([]uint64, c.n), applied: make([]uint64, c.n*c.k), edges: st.edges, probes: st.probes}
 	for v := range out.cols {
 		if y.summary.Get(uint32(v)) {
-			out.cols[v] = y.ColMask(uint32(v))
+			out.cols[v] = colMask(y, uint32(v))
 			for m := out.cols[v] &^ c.settled[v]; m != 0; m &= m - 1 {
 				s := bits.TrailingZeros64(m)
-				out.applied[v*c.k+s] = value(uint32(v), s)
+				out.applied[v*c.k+s] = r.value(uint32(v), s)
 			}
 		}
 	}
 	return out
+}
+
+// runMask folds c's partitions for cuts through the walk mode selects, or
+// the row walk, with program p's block sink.
+func runMask[P interface {
+	Program[uint64, uint32, uint64, uint64]
+	DstIndependent
+}](c *maskCase, p P, mode Mode, rowWalk bool, cuts [][2]uint32) maskOut {
+	r := newMaskRun(c, p)
+	var st localStats
+	for _, l := range c.layers(cuts) {
+		r.multiply(l, mode, rowWalk, &st)
+	}
+	return r.out(st)
 }
 
 func (o maskOut) diff(p maskOut) error {
@@ -161,63 +194,85 @@ func (o maskOut) diff(p maskOut) error {
 	return nil
 }
 
-// rowSlots is the mask row walk's edge oracle over the fresh build: each row
-// waits in the frontier's live columns it has not settled, and each slot
-// looked at while some column still waits retires the columns its source
-// carries.
-func (c *maskCase) rowSlots() int64 {
+// naiveRows is the row walk's oracle over the fresh build of the live edge
+// set: each row waits in the frontier's live columns it has not settled,
+// and reading its sources in ascending id, each one looked at while some
+// column still waits retires the columns it carries — received, and applied
+// their column's processed level. Its edges are the slots looked at.
+func (c *maskCase) naiveRows() maskOut {
 	var live uint64
 	for v := range c.n {
-		live |= c.x.ColMask(uint32(v))
+		live |= colMask(c.x, uint32(v))
 	}
 	waiting := make([]uint64, c.n)
 	for v := range waiting {
 		waiting[v] = live &^ c.settled[v]
 	}
-	var slots int64
+	out := maskOut{mask: make([]uint64, c.words()), cols: make([]uint64, c.n), applied: make([]uint64, c.n*c.k)}
+	// Column-major, columns ascending: a row's entries come in ascending
+	// source id.
 	c.fresh.Iterate(func(row, col uint32, _ uint32) {
-		if waiting[row] != 0 {
-			slots++
-			waiting[row] &^= c.x.ColMask(col)
+		if waiting[row] == 0 {
+			return
+		}
+		out.edges++
+		hit := colMask(c.x, col) & waiting[row]
+		waiting[row] &^= hit
+		if hit != 0 {
+			out.mask[row>>6] |= 1 << (row & 63)
+			out.cols[row] |= hit
+		}
+		for ; hit != 0; hit &= hit - 1 {
+			s := bits.TrailingZeros64(hit)
+			out.applied[int(row)*c.k+s] = maskProg{}.ProcessMessage(c.level[s], 0, 0)
 		}
 	})
-	return slots
+	return out
 }
 
-// check asserts, for each walk over the whole partition and over the cut
-// partitions: the column-mask fold's output masks and applied values are the
-// value fold's, its column walks tally the value fold's edges, and its row
-// walk examines exactly the oracle's slots over the fresh build — on plain
-// partitions and on ones carrying a delta, in any mix a cut makes.
-func (c *maskCase) check(t *testing.T, cuts [][2]uint32) {
+// check asserts, for the whole partition and for each given row cut of it
+// (walkCase.rowCuts): the column-mask fold's column walks give the value
+// fold's output masks, applied values and edge tally, and its row walk the
+// naive oracle's — output masks, applied values and live slots examined —
+// over the fresh build, having probed no column, on plain partitions and on
+// ones carrying a delta, in any mix a cut makes.
+func (c *maskCase) check(t *testing.T, picks []uint) {
 	t.Helper()
-	for _, cut := range [][][2]uint32{nil, cuts} {
-		for _, walk := range []struct {
-			mode    Mode
-			rowWalk bool
-		}{{Pull, false}, {Push, false}, {Pull, true}} {
-			want := runMask(c, maskValues{}, walk.mode, walk.rowWalk, cut)
-			got := runMask(c, maskProg{}, walk.mode, walk.rowWalk, cut)
-			what := fmt.Sprintf("k=%d %s rowWalk=%v cuts %v", c.k, walk.mode, walk.rowWalk, cut)
+	naive := c.naiveRows()
+	cuts := [][][2]uint32{nil}
+	for _, pick := range picks {
+		cuts = append(cuts, c.rowCuts(pick))
+	}
+	for _, cut := range cuts {
+		for _, mode := range []Mode{Pull, Push} {
+			want := runMask(c, maskValues{}, mode, false, cut)
+			got := runMask(c, maskProg{}, mode, false, cut)
+			what := fmt.Sprintf("k=%d %s cuts %v", c.k, mode, cut)
 			if err := got.diff(want); err != nil {
 				t.Fatalf("%s: mask fold vs value fold: %v", what, err)
 			}
-			if !walk.rowWalk {
-				if got.edges != want.edges {
-					t.Fatalf("%s: mask fold tallied %d edges, value fold %d", what, got.edges, want.edges)
-				}
-			} else if slots := c.rowSlots(); got.edges != slots {
-				t.Fatalf("%s: mask row walk examined %d slots, want %d", what, got.edges, slots)
+			if got.edges != want.edges {
+				t.Fatalf("%s: mask fold tallied %d edges, value fold %d", what, got.edges, want.edges)
 			}
+		}
+		got := runMask(c, maskProg{}, Pull, true, cut)
+		what := fmt.Sprintf("k=%d row walk cuts %v", c.k, cut)
+		if err := got.diff(naive); err != nil {
+			t.Fatalf("%s: vs first live in-neighbours: %v", what, err)
+		}
+		if got.edges != naive.edges || got.probes != 0 {
+			t.Fatalf("%s: examined %d slots, want %d, and probed %d columns", what, got.edges, naive.edges, got.probes)
 		}
 	}
 }
 
-// FuzzMaskWalk holds the column-mask fold to the value fold over random
-// layered partitions — overrides, tombstones, delta-only columns, built or
-// as bare literals — with random frontiers 1 to 64 columns wide that keep
-// the boolean promise, random settled sets and a random 64-aligned finer
-// partitioning, through the pull and push column walks and the row walk.
+// FuzzMaskWalk holds the column-mask fold to the value fold through the pull
+// and push column walks, and its row walk to the naive "first live
+// in-neighbour of each unsettled row" of a fresh build, over random layered
+// partitions — overrides, tombstones, delta-only columns, built or as bare
+// literals — with random frontiers 1 to 64 columns wide that keep the
+// boolean promise, random settled sets and a random 64-aligned finer
+// partitioning.
 func FuzzMaskWalk(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(200), uint8(0), uint8(128), uint8(64), uint8(1), uint8(1), false)   // plain, k=2
 	f.Add(uint64(2), uint8(4), uint8(250), uint8(60), uint8(200), uint8(30), uint8(15), uint8(5), false) // overlay, k=16
@@ -235,7 +290,7 @@ func FuzzMaskWalk(f *testing.F) {
 		}
 		k := 1 + int(width)%64 // a mask sink's widths: 1..64
 		c := newMaskCase(seed, 1+int(nblk%4), int(nbase), int(nmut), fill, int(settledFill), k, bare)
-		c.check(t, c.rowCuts(uint(pick)))
+		c.check(t, []uint{uint(pick)})
 	})
 }
 
@@ -251,9 +306,9 @@ func sinkKind[V, M any, P Program[V, float32, M, M]](p P, k int) string {
 // TestSemiringSinks pins which sink each declaration resolves to, per width:
 // a fused fold only where the element types match the declared semiring (the
 // uint32 min fold at one column only), the column-mask fold only for a
-// boolean FirstMessageFinal program, at every width, and the value fold —
-// with the gather beside it for a FirstMessageFinal program — everywhere
-// else.
+// boolean FirstMessageFinal program, at every width, and the value fold
+// everywhere else — for a FirstMessageFinal program that is not boolean
+// too, which therefore takes the column walks only.
 func TestSemiringSinks(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -267,7 +322,7 @@ func TestSemiringSinks(t *testing.T) {
 		{"min_u32", func(k int) string { return sinkKind[uint32, uint32](ccFused{}, k) }, "minSinkU32", "blockFoldSink"},
 		{"min_u32_wrong_types", func(k int) string { return sinkKind[float32, float32](minOverFloats{}, k) }, "foldSink", "blockFoldSink"},
 		{"boolean_first", func(k int) string { return sinkKind[uint32, uint32](bfsBoolean{}, k) }, "maskSink", "blockMaskSink"},
-		{"none_first", func(k int) string { return sinkKind[uint32, uint32](bfsFirst{}, k) }, "gatherSink", "blockGatherSink"},
+		{"none_first", func(k int) string { return sinkKind[uint32, uint32](bfsFirst{}, k) }, "foldSink", "blockFoldSink"},
 		{"boolean_without_first", func(k int) string { return sinkKind[uint32, uint32](booleanOnly{}, k) }, "foldSink", "blockFoldSink"},
 		{"none", func(k int) string { return sinkKind[uint32, uint32](bfsProg{}, k) }, "foldSink", "blockFoldSink"},
 	} {
@@ -327,7 +382,9 @@ func (floodValues) Semiring() Semiring { return SemiringNone }
 // TestMaskRunColumnValues runs floodProg blocks, whose columns each carry
 // their own label, through the column-mask fold under every mode at one and
 // three workers: each column must be the value fold's and its solo run's,
-// with the value fold's frontier tallies.
+// with the value fold's frontier tallies. The value fold takes the column
+// walks only, so Applies, which a row walk counts over unsettled pairs
+// alone, must match it only on a run that never walked rows.
 func TestMaskRunColumnValues(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 10, EdgeFactor: 8, Seed: 5, MaxWeight: 9})
 	adj.RemoveSelfLoops()
@@ -362,7 +419,7 @@ func TestMaskRunColumnValues(t *testing.T) {
 				what := fmt.Sprintf("k=%d mode %s threads %d", k, mode, threads)
 				ref, refCols := run(floodValues{}, sources[:k], cfg)
 				got, cols := run(floodProg{}, sources[:k], cfg)
-				if got.Iterations != ref.Iterations || got.MessagesSent != ref.MessagesSent || got.ActiveSum != ref.ActiveSum || got.Applies != ref.Applies {
+				if got.Iterations != ref.Iterations || got.MessagesSent != ref.MessagesSent || got.ActiveSum != ref.ActiveSum || (got.RowSupersteps == 0 && got.Applies != ref.Applies) {
 					t.Errorf("%s: frontier tallies differ from the value fold's\n got %+v\nwant %+v", what, got, ref)
 				}
 				for s := range cols {

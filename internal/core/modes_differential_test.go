@@ -203,15 +203,15 @@ func TestModesDifferentialBFSFastPath(t *testing.T) {
 	}
 }
 
-// bfsFirstDir is bfsFirst scattering along dir.
-type bfsFirstDir struct {
-	bfsFirst
+// bfsBooleanDir is bfsBoolean scattering along dir.
+type bfsBooleanDir struct {
+	bfsBoolean
 	dir graph.Direction
 }
 
-func (p bfsFirstDir) Direction() graph.Direction { return p.dir }
+func (p bfsBooleanDir) Direction() graph.Direction { return p.dir }
 
-// TestRowWalkDirections runs the marker program along each scatter direction
+// TestRowWalkDirections runs the row-walking program along each scatter direction
 // from the hub of a directed RMAT graph. Out and In both gather under Pull —
 // the row walk reads whichever layers the direction names, and weighs the
 // frontier by the degrees on its sending side against the unsettled by
@@ -238,7 +238,7 @@ func TestRowWalkDirections(t *testing.T) {
 			st.SetProp(hub, 0, 0)
 			st.ClearActive()
 			st.Activate(hub, 0)
-			s, err := Run(g, bfsFirstDir{dir: dir}, st, Config{Mode: mode, Threads: 2})
+			s, err := Run(g, bfsBooleanDir{dir: dir}, st, Config{Mode: mode, Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -32,10 +32,11 @@
 // can hold the vertex — against a sweep of every column. The third is the
 // row walk, a gather driven by destinations — the bottom-up step of
 // direction-optimizing BFS — which a Pull superstep takes for programs that
-// declare FirstMessageFinal once the frontier's edge work outweighs what is
-// left unsettled, in the scalar engine and, k columns per row scan, in the
-// block engine. All three fold a destination's messages in ascending
-// source order, so every mode produces bit-identical results.
+// declare SemiringBoolean, FirstMessageFinal and DstIndependent once the
+// frontier's edge work outweighs what is left unsettled, at one column and,
+// k columns per row scan, in a block. All three fold a destination's
+// messages in ascending source order, so every mode produces bit-identical
+// results.
 package core
 
 import "graphmat/internal/graph"
@@ -70,7 +71,8 @@ type VertexID = uint32
 // destination), SemiringFold (the fold is a known semiring — float64 sum,
 // a float32 path semiring, uint32 min or boolean — which the sinks fuse or
 // shrink to a column mask), FirstMessageFinal (the first message to reach a
-// vertex decides it, so dense supersteps may gather by destination),
+// vertex decides it, so a boolean fold's dense supersteps may gather by
+// destination),
 // AllVerticesActive (every vertex of a live column is active on every
 // superstep, so Apply's result decides only convergence). Each is a promise
 // the differential suites hold the program to.
@@ -137,18 +139,24 @@ type AllVerticesActive interface {
 //     ascending source order, the order every traversal folds in);
 //   - settle: an Apply that leaves an unsettled vertex settled returns true.
 //
-// The promise lets a dense pull superstep run the row walk (kernel.go): skip
-// settled destinations outright and leave an unsettled one at its first
-// frontier in-neighbour. A run of any width reads which (vertex, column)
-// pairs are settled from a mask (a bitmap at one column), seeded from
-// Unsettled once per run and kept current by the apply phase, which tests
-// Unsettled after each Apply that activates — the only Applies that can
-// settle a pair. Vertex state, frontiers and the Iterations / MessagesSent
-// / ActiveSum tallies are unchanged by it; the work tallies change meaning
-// on those supersteps (see Stats.RowSupersteps). A program whose messages
-// can differ within a superstep (SSSP, widest path, label propagation) or
-// that accumulates (PageRank) must not declare it: it would get wrong
-// answers on exactly the supersteps that gather.
+// The engine acts on the marker only together with SemiringBoolean and
+// DstIndependent, as bfs and reachability declare them: such a run folds
+// column masks (SemiringBoolean), and the promise then lets a dense pull
+// superstep run the row walk (kernel.go) — skip settled destinations
+// outright and leave an unsettled one at its first frontier in-neighbour, a
+// scan of the structure that reads no edge value, message or property. A
+// run of any width reads which (vertex, column) pairs are settled from a
+// mask (a bitmap at one column), seeded from Unsettled once per run and
+// kept current by the apply phase, which tests Unsettled after each Apply
+// that activates — the only Applies that can settle a pair. Vertex state,
+// frontiers and the Iterations / MessagesSent / ActiveSum tallies are
+// unchanged by it; the work tallies change meaning on those supersteps (see
+// Stats.RowSupersteps). A program that declares the marker alone takes the
+// column walks and folds every message, which by the promise gives the same
+// vertex state. A program whose messages can differ within a superstep
+// (SSSP, widest path, label propagation) or that accumulates (PageRank)
+// must not declare it: it would get wrong answers on exactly the supersteps
+// that gather.
 type FirstMessageFinal[V any] interface {
 	Unsettled(prop V) bool
 }

@@ -109,7 +109,9 @@ type IterationInfo struct {
 	// chosen.
 	Mode Mode `json:"mode"`
 	// RowWalk reports that this Pull superstep gathered by destination row
-	// instead of sweeping columns (see Stats.RowSupersteps). Applies is
+	// instead of sweeping columns (see Stats.RowSupersteps), which only a
+	// program declaring SemiringBoolean, FirstMessageFinal and
+	// DstIndependent does. Applies is
 	// walk-dependent: it then counts only the unsettled vertices a message
 	// reached. Active, Sent and NextActive are not.
 	RowWalk bool `json:"row_walk"`
@@ -247,14 +249,14 @@ func ctxReason(err error) StopReason {
 //
 // Every width runs the same send and apply over st and ws. A one-column run
 // folds through the scalar sinks, flat fold included; two or more columns
-// fold through the k-wide block sinks, whose Stats.FlatEdges is 0. Either way
-// a FirstMessageFinal program's dense Pull supersteps gather by destination
-// row (Stats.RowSupersteps): the k-wide gather scans a row once for all the
-// columns still unsettled in it, chosen by the same per-superstep test with
-// both sides billed per (vertex, column). At two or more columns a program
-// that also declares SemiringBoolean folds column masks, not values
-// (blockMaskSink): same columns, same frontier tallies. Auto bills the push
-// probe cost per distinct sender vertex, not per (vertex, column) message.
+// fold through the k-wide block sinks, whose Stats.FlatEdges is 0. A program
+// declaring SemiringBoolean, FirstMessageFinal and DstIndependent folds
+// column masks, not values, at every width (maskSink, blockMaskSink), and
+// its dense Pull supersteps gather by destination row (Stats.RowSupersteps):
+// the k-wide gather scans a row once for all the columns still unsettled in
+// it, chosen by the same per-superstep test with both sides billed per
+// (vertex, column). Auto bills the push probe cost per distinct sender
+// vertex, not per (vertex, column) message.
 //
 // Before any superstep RunContext rejects a state or workspace that does not
 // fit g, a program whose Direction names a traversal structure g was built

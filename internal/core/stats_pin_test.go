@@ -180,7 +180,8 @@ func TestStatsPinned(t *testing.T) {
 }
 
 // bfsFirst is bfsProg declaring FirstMessageFinal, which single-root hop
-// counting keeps: all of a superstep's messages carry one level.
+// counting keeps: all of a superstep's messages carry one level. Without the
+// boolean fold it takes the column walks only (TestFirstMessageFinalAlone).
 type bfsFirst struct{ bfsProg }
 
 func (bfsFirst) Unsettled(prop uint32) bool { return prop == ^uint32(0) }
@@ -202,7 +203,8 @@ func walkLetters(walks *string) Observer {
 }
 
 // TestStatsPinnedRowWalk pins what the row walk changes, on TestStatsPinned's
-// graph under single-root BFS with the marker declared: forced Push and the
+// graph under single-root BFS declaring the boolean fold and FirstMessageFinal
+// (bfsBoolean, whose one-column sink is maskSink): forced Push and the
 // boxed ablation are the all-edges baseline (every tally equal, no row-walk
 // superstep), and each run that may pull pins which supersteps gathered —
 // RowSupersteps, the observer's RowWalk flags — and the smaller
@@ -242,7 +244,7 @@ func TestStatsPinnedRowWalk(t *testing.T) {
 			sc.ClearActive()
 			sc.Activate(1, 0)
 			walks := ""
-			s, err := RunContext(context.Background(), g, bfsFirst{}, sc, tc.cfg, nil, WithObserver(walkLetters(&walks)))
+			s, err := RunContext(context.Background(), g, bfsBoolean{}, sc, tc.cfg, nil, WithObserver(walkLetters(&walks)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,12 +264,14 @@ func TestStatsPinnedRowWalk(t *testing.T) {
 	}
 }
 
-// TestStatsPinnedBlockRowWalk pins the k-wide gather on TestStatsPinned's
-// graph: a 4-source and a 16-source BFS block under forced Push — the
-// column-walk run — and under Auto and Pull, which gather. Iterations,
-// MessagesSent and ActiveSum are the column-walk run's; EdgesProcessed,
-// Applies and the per-superstep walks are what the gather makes of them; and
-// every column is its solo run's distances under every mode.
+// TestStatsPinnedBlockRowWalk pins the k-wide gather (blockMaskSink) on
+// TestStatsPinned's graph: a 4-source and a 16-source bfsBoolean block under
+// forced Push — the column-walk run — and under Auto and Pull, which gather.
+// Iterations, MessagesSent and ActiveSum are the column-walk run's;
+// EdgesProcessed, Applies and the per-superstep walks are what the gather
+// makes of them — slots examined while some live column still waits, so a
+// row whose other columns have no frontier left is left early; and every
+// column is its solo run's distances under every mode.
 func TestStatsPinnedBlockRowWalk(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
 	adj.RemoveSelfLoops()
@@ -284,7 +288,7 @@ func TestStatsPinnedBlockRowWalk(t *testing.T) {
 		sc.SetProp(src, 0, 0)
 		sc.ClearActive()
 		sc.Activate(src, 0)
-		if _, err := RunContext(context.Background(), g, bfsFirst{}, sc, Config{Mode: Push, Threads: 1}, nil); err != nil {
+		if _, err := RunContext(context.Background(), g, bfsBoolean{}, sc, Config{Mode: Push, Threads: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 		solo[s] = slices.Clone(sc.Props())
@@ -302,13 +306,13 @@ func TestStatsPinnedBlockRowWalk(t *testing.T) {
 		walks string // see walkLetters
 	}{
 		{"k4/push", 4, Config{Mode: Push, Threads: 1}, rowStats{6, 4658, 2596, 75678, 9029, 0}, "ssssss"},
-		{"k4/auto/threads1", 4, Config{Mode: Auto, Threads: 1}, rowStats{6, 4658, 2596, 53244, 5297, 2}, "ssrrls"},
-		{"k4/auto/threads3", 4, Config{Mode: Auto, Threads: 3}, rowStats{6, 4658, 2596, 53244, 5297, 2}, "ssrrls"},
-		{"k4/pull/threads3", 4, Config{Mode: Pull, Threads: 3}, rowStats{6, 4658, 2596, 53244, 5297, 2}, "llrrll"},
+		{"k4/auto/threads1", 4, Config{Mode: Auto, Threads: 1}, rowStats{6, 4658, 2596, 5422, 5297, 2}, "ssrrls"},
+		{"k4/auto/threads3", 4, Config{Mode: Auto, Threads: 3}, rowStats{6, 4658, 2596, 5422, 5297, 2}, "ssrrls"},
+		{"k4/pull/threads3", 4, Config{Mode: Pull, Threads: 3}, rowStats{6, 4658, 2596, 5422, 5297, 2}, "llrrll"},
 		{"k16/push", 16, Config{Mode: Push, Threads: 3}, rowStats{7, 15529, 4431, 252256, 30045, 0}, "sssssss"},
-		{"k16/auto/threads1", 16, Config{Mode: Auto, Threads: 1}, rowStats{7, 15529, 4431, 83196, 15907, 3}, "slrrrss"},
-		{"k16/auto/threads3", 16, Config{Mode: Auto, Threads: 3}, rowStats{7, 15529, 4431, 83196, 15907, 3}, "slrrrss"},
-		{"k16/pull/threads3", 16, Config{Mode: Pull, Threads: 3}, rowStats{7, 15529, 4431, 83196, 15907, 3}, "llrrrll"},
+		{"k16/auto/threads1", 16, Config{Mode: Auto, Threads: 1}, rowStats{7, 15529, 4431, 31629, 15907, 3}, "slrrrss"},
+		{"k16/auto/threads3", 16, Config{Mode: Auto, Threads: 3}, rowStats{7, 15529, 4431, 31629, 15907, 3}, "slrrrss"},
+		{"k16/pull/threads3", 16, Config{Mode: Pull, Threads: 3}, rowStats{7, 15529, 4431, 31629, 15907, 3}, "llrrrll"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -319,7 +323,7 @@ func TestStatsPinnedBlockRowWalk(t *testing.T) {
 				st.Activate(src, s)
 			}
 			walks := ""
-			s, err := RunContext(context.Background(), g, bfsFirst{}, st, tc.cfg, nil, WithObserver(walkLetters(&walks)))
+			s, err := RunContext(context.Background(), g, bfsBoolean{}, st, tc.cfg, nil, WithObserver(walkLetters(&walks)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -344,14 +348,12 @@ func (bfsBoolean) Semiring() Semiring { return SemiringBoolean }
 
 // TestStatsPinnedBooleanBlock pins the column-mask fold (blockMaskSink) on
 // TestStatsPinnedBlockRowWalk's graph, sources and configurations, run by
-// bfsBoolean beside bfsFirst's value fold: Iterations, MessagesSent,
-// ActiveSum, Applies — every received (vertex, column) pair, settled or not
-// — and the per-superstep walks must be the value fold's, and every column
-// its distances. EdgesProcessed is pinned on its own: per (edge, live
-// column) on a column walk, as the value fold counts, and on a row walk the
-// slots examined while some column still waits — live columns only, so a
-// row whose other columns have no frontier left is left sooner than the
-// value fold's gather leaves it.
+// bfsBoolean beside bfsFirst's value fold, which takes the column walks
+// only: Iterations, MessagesSent, ActiveSum and every column must be the
+// value fold's, and on a run that walks no rows (forced Push) Applies —
+// every received (vertex, column) pair, settled or not — EdgesProcessed,
+// per (edge, live column), and the per-superstep walks too. EdgesProcessed,
+// Applies and the row-walk supersteps are pinned.
 func TestStatsPinnedBooleanBlock(t *testing.T) {
 	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
 	adj.RemoveSelfLoops()
@@ -401,8 +403,14 @@ func TestStatsPinnedBooleanBlock(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ref, refWalks, refCols := run(tc.k, tc.cfg, bfsFirst{})
 			s, walks, cols := run(tc.k, tc.cfg, bfsBoolean{})
-			if s.Iterations != ref.Iterations || s.MessagesSent != ref.MessagesSent || s.ActiveSum != ref.ActiveSum || s.Applies != ref.Applies || walks != refWalks {
-				t.Errorf("frontier tallies or walks differ from the value fold's\n got %+v %q\nwant %+v %q", s, walks, ref, refWalks)
+			if ref.RowSupersteps != 0 {
+				t.Errorf("the value fold walked rows: %+v %q", ref, refWalks)
+			}
+			if s.Iterations != ref.Iterations || s.MessagesSent != ref.MessagesSent || s.ActiveSum != ref.ActiveSum {
+				t.Errorf("frontier tallies differ from the value fold's\n got %+v %q\nwant %+v %q", s, walks, ref, refWalks)
+			}
+			if s.RowSupersteps == 0 && (s.Applies != ref.Applies || s.EdgesProcessed != ref.EdgesProcessed || walks != refWalks) {
+				t.Errorf("work tallies or walks of a run without a row walk differ from the value fold's\n got %+v %q\nwant %+v %q", s, walks, ref, refWalks)
 			}
 			if got := (boolStats{s.EdgesProcessed, s.Applies, s.RowSupersteps}); got != tc.stats {
 				t.Errorf("mask fold tallies\n got %+v\nwant %+v", got, tc.stats)
@@ -417,10 +425,10 @@ func TestStatsPinnedBooleanBlock(t *testing.T) {
 }
 
 // TestStatsPinnedRowWalkOverlay runs the row-walk pins' graph, sources and
-// programs over a store whose every layer carries a pending delta — inserts,
+// program over a store whose every layer carries a pending delta — inserts,
 // single-edge deletes and a vertex's whole out-edge list deleted, which
-// leaves tombstones — under forced Pull: the scalar gather at k = 1, the
-// k-wide gather at k = 4 and 16, and the column-mask fold at k = 4 and 16.
+// leaves tombstones — under forced Pull: the one-column mask fold (maskSink)
+// at k = 1 and the k-wide one (blockMaskSink) at k = 4 and 16.
 // The row walk reads each overlay row as its live entries, so every tally,
 // the per-superstep walks and every column must be those of the same store
 // compacted, and the walk must gather on some superstep.
@@ -493,9 +501,7 @@ func TestStatsPinnedRowWalkOverlay(t *testing.T) {
 			DstIndependent
 		}
 	}{
-		{"k1/gather", 1, bfsFirst{}},
-		{"k4/gather", 4, bfsFirst{}},
-		{"k16/gather", 16, bfsFirst{}},
+		{"k1/mask", 1, bfsBoolean{}},
 		{"k4/mask", 4, bfsBoolean{}},
 		{"k16/mask", 16, bfsBoolean{}},
 	} {
@@ -514,5 +520,55 @@ func TestStatsPinnedRowWalkOverlay(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFirstMessageFinalAlone runs bfsFirst — FirstMessageFinal declared,
+// the boolean fold not — on the row-walk pins' graph and sources at one and
+// four columns under Pull and Auto: the engine acts on the marker only
+// beside SemiringBoolean and DstIndependent, so no superstep walks rows,
+// and the value fold's column walks give bfsBoolean's vertex state.
+func TestFirstMessageFinalAlone(t *testing.T) {
+	adj := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 16, Seed: 17, MaxWeight: 31})
+	adj.RemoveSelfLoops()
+	g, err := graph.NewFromCOO[float32](adj, graph.Options{Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := []uint32{1, 40, 700, 3}
+	run := func(k int, cfg Config, p interface {
+		Program[uint32, float32, uint32, uint32]
+		DstIndependent
+	}) (Stats, [][]uint32) {
+		st := NewBlockState[uint32](int(g.NumVertices()), k)
+		st.SetAllProps(^uint32(0))
+		st.ClearActive()
+		for s, src := range sources[:k] {
+			st.SetProp(src, s, 0)
+			st.Activate(src, s)
+		}
+		s, err := RunContext(context.Background(), g, p, st, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, st.Columns()
+	}
+	for _, k := range []int{1, 4} {
+		for _, mode := range []Mode{Pull, Auto} {
+			cfg := Config{Mode: mode, Threads: 2}
+			first, cols := run(k, cfg, bfsFirst{})
+			boolean, want := run(k, cfg, bfsBoolean{})
+			if first.RowSupersteps != 0 {
+				t.Errorf("k=%d %s: bfsFirst took %d row-walk supersteps", k, mode, first.RowSupersteps)
+			}
+			if boolean.RowSupersteps == 0 {
+				t.Errorf("k=%d %s: vacuous, bfsBoolean took no row walk either", k, mode)
+			}
+			for c := range cols {
+				if !slices.Equal(cols[c], want[c]) {
+					t.Errorf("k=%d %s: column %d (source %d) differs from bfsBoolean's", k, mode, c, sources[c])
+				}
+			}
+		}
 	}
 }

@@ -40,8 +40,9 @@ type runPlan[E any] struct {
 	sendDegs []uint32
 	// recvDegs[v] is v's degree as a receiver — the length of its live row
 	// in the layers, which the row walk scans, pending updates included. Nil
-	// unless the run, scalar or block, can take the row walk: the program
-	// asked for it and scatters one way, and the mode is not forced Push.
+	// unless the run, at any width, can take the row walk: its sink is a
+	// mask sink, the program scatters one way, and the mode is not forced
+	// Push.
 	recvDegs []uint32
 	// mul is what the multiply phase's task reads, set before each
 	// dispatch, and mulTask that task, bound once per run so that a

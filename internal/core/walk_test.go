@@ -14,7 +14,7 @@ import (
 	"graphmat/internal/sparse"
 )
 
-// Kernel-level tests of the three traversals: every (walk, sink,
+// Kernel-level tests of the two column walks: every (walk, sink,
 // partitioning) combination over a plain or overlay partition must equal a
 // naive fold over a fresh DCSC build of the live edge set. The fold is a
 // non-commutative hash, so a reordered, repeated, dropped or misplaced edge
@@ -24,9 +24,8 @@ import (
 // down foldFlat, and FlatEdges must equal the edges of exactly those batches
 // — except that a frontier reaching every column of a plain partition sends
 // the whole partition down in one foldFlat call, which the harness counts.
-// The row walk runs over firstProg, whose naive fold is "the first live
-// in-neighbour of each unsettled row, in ascending source order" — per
-// column, for the block sink's k-wide gather.
+// The row walk, which only the column-mask sinks take, has its kernel-level
+// tests in mask_walk_test.go, over the same generated partitions.
 
 // hashProg folds uint64 messages order-sensitively and reads the destination
 // property, so the scalar runs take the generic (non-DstIndependent) loop.
@@ -48,21 +47,6 @@ func (hashProg) ProcessMessage(m uint64, e uint32, dst uint64) uint64 {
 func (hashProg) Reduce(a, b uint64) uint64            { return a*1099511628211 + b }
 func (hashProg) Apply(uint64, VertexID, *uint64) bool { return false }
 func (hashProg) Direction() graph.Direction           { return graph.Out }
-
-// firstProg is hashProg declaring FirstMessageFinal over the property's low
-// bit, so the random properties of a walkCase are a random settled set. It
-// keeps no such promise — its Reduce is a hash — which no kernel-level test
-// needs: they compare the y a walk wrote, and the row walk's is defined by
-// the marker alone.
-type firstProg struct{ hashProg }
-
-func (firstProg) Unsettled(prop uint64) bool { return prop&1 == 0 }
-
-// firstProgFree is hashProgFree with the same declaration: the k-wide
-// gather's program.
-type firstProgFree struct{ hashProgFree }
-
-func (firstProgFree) Unsettled(prop uint64) bool { return prop&1 == 0 }
 
 // walkKey addresses one matrix entry; sortedWalkKeys orders a set of them
 // column-major, the order DCSC builds and mutation batches require.
@@ -96,9 +80,6 @@ type walkCase struct {
 	props   []uint64
 	x       *sparse.Vector[uint64] // scalar frontier
 	blocks  map[int]*BlockVector[uint64]
-	// blockProps[k] is a random n×k property block: under firstProg, a
-	// random settled set per (vertex, column).
-	blockProps map[int][]uint64
 
 	// The same partition, fresh build and frontier with float32 edge values
 	// and float or uint32 messages, for the fused sum, path and min sinks (a
@@ -216,14 +197,6 @@ func newWalkCase(seed uint64, nblk, nbase, nmut, density int, bare bool) *walkCa
 	c.x = sparse.NewVector[uint64](n)
 	c.xf64, c.xf32, c.xu32 = sparse.NewVector[float64](n), sparse.NewVector[float32](n), sparse.NewVector[uint32](n)
 	c.blocks = map[int]*BlockVector[uint64]{2: NewBlockVector[uint64](n, 2), 3: NewBlockVector[uint64](n, 3)}
-	c.blockProps = map[int][]uint64{}
-	prng := gen.NewRNG(seed ^ 0xB10C) // its own stream: the draws below keep their sequence
-	for _, k := range []int{2, 3} {
-		c.blockProps[k] = make([]uint64, n*k)
-		for i := range c.blockProps[k] {
-			c.blockProps[k][i] = prng.Uint64()
-		}
-	}
 	for v := 0; v < n; v++ {
 		c.props[v] = rng.Uint64()
 		if rng.Intn(256) >= density {
@@ -389,18 +362,11 @@ type walkFold struct {
 	flat bool
 	live func(j uint32) bool // frontier membership
 	// run folds the case's partitions for cuts (walkCase.layers) through the
-	// walk mode selects — or, with rowWalk set, through the row walk where
-	// the layer can take it — one call per partition, into one output
-	// vector.
-	run func(mode Mode, rowWalk bool, cuts [][2]uint32) walkOut
+	// walk mode selects, one call per partition, into one output vector.
+	run func(mode Mode, cuts [][2]uint32) walkOut
 	// naive folds the fresh build of the live edge set column by column
 	// with no kernel code.
 	naive func() walkOut
-	// naiveRows, set for the sink of a FirstMessageFinal program only, is
-	// the row walk's oracle: each unsettled row of the fresh build takes the
-	// first live source of its ascending list; edges counts the entries
-	// looked at on the way.
-	naiveRows func() walkOut
 }
 
 // scalarFold builds the walkFold of program p's scalar sink over the
@@ -410,22 +376,13 @@ type walkFold struct {
 func scalarFold[V, E, M, R any, P Program[V, E, M, R]](c *walkCase, name string, p P, layers func([][2]uint32) []sparse.Layered[E], fresh *sparse.DCSC[E], x *sparse.Vector[M], props []V, bitsOf func(R) uint64) walkFold {
 	f := walkFold{
 		name: name, flat: true, live: x.Has,
-		run: func(mode Mode, rowWalk bool, cuts [][2]uint32) walkOut {
+		run: func(mode Mode, cuts [][2]uint32) walkOut {
 			y := sparse.NewVector[R](c.n)
-			sink := scalarSink(p, x, props, y)
-			if g, ok := sink.(*gatherSink[V, E, M, R, P]); ok {
-				// runPhases seeds a run's settled mask; so must a bare sink.
-				seedSettled(g.settled, any(p).(FirstMessageFinal[V]), props, 1, 0, uint32(c.n))
-			}
-			var rows rowSink[E]
-			if rowWalk {
-				rows = sink.(rowSink[E])
-			}
-			counted := flatCounter[E]{colSink: sink, spans: new([][2]int)}
+			counted := flatCounter[E]{colSink: scalarSink(p, x, props, y), spans: new([][2]int)}
 			var st localStats
 			for _, l := range layers(cuts) {
 				counted.base = l.Base.IR
-				multiply(mode, l, x.Mask().Words(), counted, rows, &st)
+				multiply(mode, l, x.Mask().Words(), counted, nil, &st)
 			}
 			out := walkOut{mask: y.Mask().Words(), vals: make([]uint64, c.words()*64), edges: st.edges, probes: st.probes, flat: st.flat, flatSpans: *counted.spans}
 			for i, r := range y.Values() {
@@ -452,54 +409,26 @@ func scalarFold[V, E, M, R any, P Program[V, E, M, R]](c *walkCase, name string,
 			return out
 		},
 	}
-	if settling, ok := any(p).(FirstMessageFinal[V]); ok {
-		f.naiveRows = func() walkOut {
-			out := walkOut{mask: make([]uint64, c.words()), vals: make([]uint64, c.words()*64)}
-			// Column-major, columns ascending: the first live entry Iterate
-			// reports for a row is its first live source.
-			fresh.Iterate(func(row, col uint32, e E) {
-				if !settling.Unsettled(props[row]) || out.mask[row>>6]&(1<<(row&63)) != 0 {
-					return
-				}
-				out.edges++
-				if x.Has(col) {
-					out.vals[row] = bitsOf(p.ProcessMessage(x.Get(col), e, props[row]))
-					out.mask[row>>6] |= 1 << (row & 63)
-				}
-			})
-			return out
-		}
-	}
 	return f
 }
 
-// blockFold is the walkFold of p's k-wide block sink: hashProgFree for the
-// column folds alone, firstProgFree for the k-wide gather beside them, over
-// the case's random per-(vertex, column) settled masks.
+// blockFold is the walkFold of p's k-wide block sink.
 func blockFold[P interface {
 	Program[uint64, uint32, uint64, uint64]
 	DstIndependent
 }](c *walkCase, name string, p P, k int) walkFold {
-	x, props := c.blocks[k], c.blockProps[k]
+	x := c.blocks[k]
 	newOut := func() walkOut {
 		return walkOut{mask: make([]uint64, c.words()), vals: make([]uint64, c.words()*64*k), cols: make([]uint64, c.words()*64)}
 	}
 	f := walkFold{
 		name: fmt.Sprintf("%s_k%d", name, k), live: x.summary.Get,
-		run: func(mode Mode, rowWalk bool, cuts [][2]uint32) walkOut {
+		run: func(mode Mode, cuts [][2]uint32) walkOut {
 			y := NewBlockVector[uint64](c.n, k)
-			sink := blockSink[uint64, uint32, uint64, uint64](p, x, props, y)
-			if g, ok := sink.(*blockGatherSink[uint64, uint32, uint64, uint64, P]); ok {
-				// runPhases seeds a run's settled mask; so must a bare sink.
-				seedSettled(g.settled, any(p).(FirstMessageFinal[uint64]), props, k, 0, uint32(c.n))
-			}
-			var rows rowSink[uint32]
-			if rowWalk {
-				rows = sink.(rowSink[uint32])
-			}
+			sink := blockSink[uint64, uint32, uint64, uint64](p, x, nil, y) // props size only a mask sink
 			var st localStats
 			for _, l := range c.layers(cuts) {
-				multiply(mode, l, x.summary.Words(), sink, rows, &st)
+				multiply(mode, l, x.summary.Words(), sink, nil, &st)
 			}
 			out := newOut()
 			out.mask, out.edges, out.probes, out.flat = y.summary.Words(), st.edges, st.probes, st.flat
@@ -510,7 +439,7 @@ func blockFold[P interface {
 		naive: func() walkOut {
 			out := newOut()
 			c.fresh.Iterate(func(row, col uint32, e uint32) {
-				for cm := x.ColMask(col); cm != 0; cm &= cm - 1 {
+				for cm := colMask(x, col); cm != 0; cm &= cm - 1 {
 					s := bits.TrailingZeros64(cm)
 					r := p.ProcessMessage(x.Row(col)[s], e, 0)
 					i := int(row)*k + s
@@ -526,42 +455,12 @@ func blockFold[P interface {
 			return out
 		},
 	}
-	if settling, ok := any(p).(FirstMessageFinal[uint64]); ok {
-		// Per column, the first live in-neighbour in ascending source order
-		// of each (row, column) still unsettled; a slot counts as examined
-		// while any column of its row is still waiting.
-		f.naiveRows = func() walkOut {
-			out := newOut()
-			waiting := make([]uint64, c.n)
-			for i, prop := range props {
-				if settling.Unsettled(prop) {
-					waiting[i/k] |= 1 << (i % k)
-				}
-			}
-			c.fresh.Iterate(func(row, col uint32, e uint32) {
-				if waiting[row] == 0 {
-					return
-				}
-				out.edges++
-				hit := x.ColMask(col) & waiting[row]
-				waiting[row] &^= hit
-				for ; hit != 0; hit &= hit - 1 {
-					s := bits.TrailingZeros64(hit)
-					out.vals[int(row)*k+s] = p.ProcessMessage(x.Row(col)[s], e, 0)
-					out.cols[row] |= 1 << s
-					out.mask[row>>6] |= 1 << (row & 63)
-				}
-			})
-			return out
-		}
-	}
 	return f
 }
 
-// folds lists every sink the walks feed: the generic scalar fold with and
-// without the destination read and with the row walk's gather beside it, the
-// four fused scalar folds, and the block fold at two widths, each with the
-// k-wide gather beside it.
+// folds lists every value sink the column walks feed: the generic scalar
+// fold with and without the destination read, the four fused scalar folds,
+// and the generic block fold at two widths.
 func (c *walkCase) folds() []walkFold {
 	u64 := func(r uint64) uint64 { return r }
 	f32 := func(r float32) uint64 { return uint64(math.Float32bits(r)) }
@@ -569,15 +468,12 @@ func (c *walkCase) folds() []walkFold {
 	return []walkFold{
 		scalarFold(c, "generic", hashProg{}, c.layers, c.fresh, c.x, c.props, u64),
 		scalarFold(c, "generic_dstfree", hashProgFree{}, c.layers, c.fresh, c.x, c.props, u64),
-		scalarFold(c, "generic_gather", firstProg{}, c.layers, c.fresh, c.x, c.props, u64),
 		scalarFold(c, "sum_f64", sumFoldProg{}, c.layersF, c.freshf, c.xf64, make([]float64, c.n), math.Float64bits),
 		scalarFold(c, "minplus_f32", ssspFused{}, c.layersF, c.freshf, c.xf32, make([]float32, c.n), f32),
 		scalarFold(c, "maxmin_f32", widestFused{}, c.layersF, c.freshf, c.xf32, make([]float32, c.n), f32),
 		scalarFold(c, "min_u32", ccFused{}, c.layersF, c.freshf, c.xu32, make([]uint32, c.n), u32),
 		blockFold(c, "block", hashProgFree{}, 2),
 		blockFold(c, "block", hashProgFree{}, 3),
-		blockFold(c, "block_gather", firstProgFree{}, 2),
-		blockFold(c, "block_gather", firstProgFree{}, 3),
 	}
 }
 
@@ -642,11 +538,7 @@ func flatCalls(parts []sparse.Layered[uint32], live func(j uint32) bool) (spans 
 // edge tallies — in both directions. FlatEdges must be the flatEdges oracle
 // summed over a scalar sink's pull partitions and 0 everywhere else: push and
 // block sinks. A pull over plain, fully-live partitions makes exactly one
-// foldFlat call per nonempty partition, over all of its edges. A sink with a
-// gather then runs the row walk the same way: on a plain partition and on an
-// overlay alike it must equal naiveRows over the fresh build — output bits and
-// live slots examined — having probed no column, and the cut partitions, plain
-// or carrying a delta in any mix, compose to that.
+// foldFlat call per nonempty partition, over all of its edges.
 func (c *walkCase) check(t *testing.T, picks []uint) {
 	t.Helper()
 	wantFlat := func(f walkFold, mode Mode, cuts [][2]uint32) (flat int64) {
@@ -670,7 +562,7 @@ func (c *walkCase) check(t *testing.T, picks []uint) {
 	for _, f := range c.folds() {
 		want := f.naive()
 		for _, mode := range []Mode{Pull, Push} {
-			got := f.run(mode, false, nil)
+			got := f.run(mode, nil)
 			if err := got.equal(want); err != nil {
 				t.Fatalf("%s %s whole partition vs naive fold: %v", f.name, mode, err)
 			}
@@ -683,7 +575,7 @@ func (c *walkCase) check(t *testing.T, picks []uint) {
 			checkCalls(f, mode, nil, got)
 			for _, pick := range picks {
 				cuts := c.rowCuts(pick)
-				cut := f.run(mode, false, cuts)
+				cut := f.run(mode, cuts)
 				if err := cut.equal(got); err != nil {
 					t.Fatalf("%s %s partitions %v vs whole partition: %v", f.name, mode, cuts, err)
 				}
@@ -691,22 +583,6 @@ func (c *walkCase) check(t *testing.T, picks []uint) {
 					t.Fatalf("%s %s partitions %v folded %d edges flat, want %d", f.name, mode, cuts, cut.flat, w)
 				}
 				checkCalls(f, mode, cuts, cut)
-			}
-		}
-		if f.naiveRows == nil {
-			continue
-		}
-		got := f.run(Pull, true, nil)
-		if err := got.equal(f.naiveRows()); err != nil {
-			t.Fatalf("%s row walk whole partition vs first live in-neighbour: %v", f.name, err)
-		}
-		if got.probes != 0 || got.flat != 0 {
-			t.Fatalf("%s row walk probed %d columns and folded %d edges flat", f.name, got.probes, got.flat)
-		}
-		for _, pick := range picks {
-			cuts := c.rowCuts(pick)
-			if err := f.run(Pull, true, cuts).equal(got); err != nil {
-				t.Fatalf("%s row walk partitions %v vs whole partition: %v", f.name, cuts, err)
 			}
 		}
 	}
@@ -717,9 +593,11 @@ func (c *walkCase) check(t *testing.T, picks []uint) {
 // walked whole by its own call, equal the single partition's call bit for
 // bit — per-destination fold order unchanged, EdgesProcessed summing to the
 // same tally — on plain and overlay partitions, built or as bare DCSC
-// literals, pull, push and the row walk, scalar and block sinks. So neither
-// the partition count nor which worker takes which partition can show in a
-// result. The noaux_true subtests are the bare literals; the
+// literals, pull and push through the value sinks, and pull, push and the
+// row walk through the column-mask sinks at one and three columns (the
+// walk case's partition under a maskCaseOf frontier and settled set). So
+// neither the partition count nor which worker takes which partition can
+// show in a result. The noaux_true subtests are the bare literals; the
 // label keeps its old spelling so the test ids stay stable.
 func TestBoundedCallsCompose(t *testing.T) {
 	allCuts := []uint{0, 1, 2, 3, 4, 5, 6, 7} // every subset of a 4-block partition's 3 interior boundaries
@@ -741,6 +619,9 @@ func TestBoundedCallsCompose(t *testing.T) {
 								t.Fatalf("fixture: full frontier, %d mutations: %d of %d edges fold flat", nmut, flat, nnz)
 							}
 							c.check(t, allCuts)
+							for _, k := range []int{1, 3} {
+								maskCaseOf(c, seed, density, 64, k).check(t, allCuts)
+							}
 						})
 					}
 				})
@@ -822,8 +703,9 @@ func TestFlatIndexRace(t *testing.T) {
 // the layered partition the delta's column index, its override set — missing,
 // one of them builds each, and every call — the builders' and the waiters' —
 // must gather the naive result over the fresh build into its private output
-// from the one shared copy of each view. The layered partition is a pair of
-// bare literals, so no view exists before the race.
+// through its own one-column mask sink, from the one shared copy of each
+// view. The layered partition is a pair of bare literals, so no view exists
+// before the race.
 func TestRowIndexRace(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -831,14 +713,14 @@ func TestRowIndexRace(t *testing.T) {
 		bare bool
 	}{{"plain", 0, false}, {"layered", 400, true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newWalkCase(12, 4, 20000, tc.nmut, 40, tc.bare)
+			c := newMaskCase(12, 4, 20000, tc.nmut, 40, 128, 1, tc.bare)
 			if (c.l.Delta != nil) != (tc.nmut > 0) {
 				t.Fatalf("fixture: delta presence %v with %d mutations", c.l.Delta != nil, tc.nmut)
 			}
-			want := scalarFold(c, "generic_gather", firstProg{}, c.layers, c.fresh, c.x, c.props, func(r uint64) uint64 { return r }).naiveRows()
+			want := c.naiveRows()
 			// views are the derived structures a racer read, by identity.
 			type views struct {
-				base, delta *sparse.RowIndex[uint32]
+				base, delta *sparse.RowIndex
 				over        *uint64
 			}
 			viewsOf := func(l sparse.Layered[uint32]) views {
@@ -850,8 +732,7 @@ func TestRowIndexRace(t *testing.T) {
 			}
 			const racers = 8
 			type result struct {
-				y     *sparse.Vector[uint64]
-				edges int64
+				out   maskOut
 				views views
 			}
 			results := make([]result, racers)
@@ -861,23 +742,21 @@ func TestRowIndexRace(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					y := sparse.NewVector[uint64](c.n)
-					sink := scalarSink(firstProg{}, c.x, c.props, y)
-					g := sink.(*gatherSink[uint64, uint32, uint64, uint64, firstProg])
-					seedSettled(g.settled, FirstMessageFinal[uint64](firstProg{}), c.props, 1, 0, uint32(c.n))
+					r := newMaskRun(c, maskProg{})
+					if _, ok := r.sink.(*maskSink[uint64, uint32, uint64, uint64, maskProg]); !ok {
+						panic(fmt.Sprintf("fixture: a one-column maskProg run folds through %T", r.sink))
+					}
 					var st localStats
 					<-start
-					multiply(Pull, c.l, c.x.Mask().Words(), sink, sink.(rowSink[uint32]), &st)
-					results[i] = result{y, st.edges, viewsOf(c.l)}
+					r.multiply(c.l, Pull, true, &st)
+					results[i] = result{r.out(st), viewsOf(c.l)}
 				}()
 			}
 			close(start)
 			wg.Wait()
 			for i, r := range results {
-				got := walkOut{mask: r.y.Mask().Words(), vals: make([]uint64, c.words()*64), edges: r.edges}
-				copy(got.vals, r.y.Values())
-				if err := got.equal(want); err != nil {
-					t.Errorf("racer %d vs first live in-neighbour: %v", i, err)
+				if err := r.out.diff(want); err != nil || r.out.edges != want.edges {
+					t.Errorf("racer %d vs first live in-neighbour: %v; examined %d slots, want %d", i, err, r.out.edges, want.edges)
 				}
 				if r.views != results[0].views {
 					t.Errorf("racer %d read a second copy of a row-major view or of the override set", i)
@@ -887,14 +766,14 @@ func TestRowIndexRace(t *testing.T) {
 	}
 }
 
-// FuzzLayeredWalk drives all three walks and both sink families over random
-// layered partitions — overrides, tombstones, delta-only columns, built
-// or as bare literals — with random frontiers, random settled sets and a
-// random 64-aligned finer partitioning, against the naive folds over a fresh
-// build of the live edge set. Any out-of-range or misplaced write shows up as a diverging
-// output bit (the fold is order- and duplicate-sensitive); a panic fails the
-// target. density 255 is the full frontier, which sends whole batches down
-// the flat fold and stops every row walk at a row's first entry.
+// FuzzLayeredWalk drives both column walks and both value-sink families
+// over random layered partitions — overrides, tombstones, delta-only
+// columns, built or as bare literals — with random frontiers and a random
+// 64-aligned finer partitioning, against the naive folds over a fresh build
+// of the live edge set. Any out-of-range or misplaced write shows up as a
+// diverging output bit (the fold is order- and duplicate-sensitive); a panic
+// fails the target. density 255 is the full frontier, which sends whole
+// batches down the flat fold. The row walk is FuzzMaskWalk's.
 func FuzzLayeredWalk(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(0), uint8(0), uint8(255), uint8(0), false)   // empty partition, full frontier
 	f.Add(uint64(2), uint8(2), uint8(200), uint8(0), uint8(128), uint8(1), false) // plain

@@ -31,13 +31,11 @@ type Store[E any] struct {
 }
 
 // Snapshot is one pinned, immutable version of a store's graph. The Graph it
-// exposes never changes once published; the pin refcount tracks how many
-// readers still hold it (surfaced in StoreStats, and the contract future
-// buffer-recycling must honor).
+// exposes never changes once published; the store counts the pins its
+// readers hold across all its snapshots (StoreStats.Pinned).
 type Snapshot[E any] struct {
 	store *Store[E]
 	g     *Graph[E]
-	pins  atomic.Int64
 }
 
 // DefaultCompactFraction is the overlay-to-base size ratio beyond which
@@ -75,7 +73,6 @@ func NewStore[E any](adj *sparse.COO[E], opts Options) (*Store[E], error) {
 // statically.
 func (s *Store[E]) Acquire() *Snapshot[E] {
 	sn := s.cur.Load()
-	sn.pins.Add(1)
 	s.pinned.Add(1)
 	return sn
 }
@@ -240,6 +237,5 @@ func (sn *Snapshot[E]) Epoch() uint64 { return sn.g.epoch }
 // Release does. The snappin analyzer (internal/lint) checks the
 // release-on-every-path half of this contract at compile time.
 func (sn *Snapshot[E]) Release() {
-	sn.pins.Add(-1)
 	sn.store.pinned.Add(-1)
 }

@@ -302,8 +302,8 @@ func TestStoreSnapshotImmutability(t *testing.T) {
 	if st.Epoch() != 1 {
 		t.Fatalf("store epoch = %d", st.Epoch())
 	}
-	if old.pins.Load() != 1 {
-		t.Fatalf("pins = %d", old.pins.Load())
+	if st.Stats().Pinned != 1 {
+		t.Fatalf("store pinned = %d while the old snapshot is held", st.Stats().Pinned)
 	}
 	old.Release()
 	if st.Stats().Pinned != 0 {

@@ -61,7 +61,7 @@ type DCSC[E any] struct {
 	// state, like edgeCols — never serialised.
 	rowIndex struct {
 		once sync.Once
-		idx  *RowIndex[E]
+		idx  *RowIndex
 	}
 
 	// colIndex memoizes ColumnIndex, the only way a column is found by id
@@ -144,28 +144,25 @@ func (m *DCSC[E]) ColumnIndex() *ColumnIndex {
 	return &m.colIndex.idx
 }
 
-// RowIndex is the row-major (CSR) view of one DCSC: the same stored entries
-// grouped by destination row instead of by source column. Row r of the
-// structure's range holds positions Ptr[r-RowLo]..Ptr[r-RowLo+1] of Src and
-// Val — its entries' source column ids, ascending, and their values. That is
-// exactly the order in which the column walks deliver a row's entries, so a
-// fold over a row visits the same sequence. Sources and values are two
-// arrays: a row scan reads sources only, and a gather reads one value, at
-// the entry it stops at, while a boolean fold reads none. It costs 4 B plus
-// one E per stored entry (8 B for float32 weights) and 4 B per row. A
-// delta's RowIndex holds its override columns' entries only (a tombstone has
-// none); the row walk merges it with the base's (see Layered).
-type RowIndex[E any] struct {
+// RowIndex is the row-major (CSR) view of one DCSC's structure: the same
+// stored entries grouped by destination row instead of by source column. Row
+// r of the structure's range holds positions Ptr[r-RowLo]..Ptr[r-RowLo+1] of
+// Src — its entries' source column ids, ascending. That is exactly the order
+// in which the column walks deliver a row's entries, so a scan of a row
+// visits the same sequence. It holds no edge values: the row walk only asks
+// which sources reach a row. It costs 4 B per stored entry and 4 B per row.
+// A delta's RowIndex holds its override columns' entries only (a tombstone
+// has none); the row walk merges it with the base's (see Layered).
+type RowIndex struct {
 	RowLo uint32
 	Ptr   []uint32
 	Src   []uint32
-	Val   []E
 }
 
 // RowIndex returns the row-major view of m. It is built on first use (one
 // counting sort, O(nnz + rows)), memoized, and must be treated as read-only.
 // Safe for concurrent use: racing first callers build it once.
-func (m *DCSC[E]) RowIndex() *RowIndex[E] {
+func (m *DCSC[E]) RowIndex() *RowIndex {
 	m.rowIndex.once.Do(func() {
 		ptr := make([]uint32, m.RowHi-m.RowLo+1)
 		for _, r := range m.IR {
@@ -174,18 +171,18 @@ func (m *DCSC[E]) RowIndex() *RowIndex[E] {
 		for i := 1; i < len(ptr); i++ {
 			ptr[i] += ptr[i-1]
 		}
-		src, val := make([]uint32, len(m.IR)), make([]E, len(m.IR))
+		src := make([]uint32, len(m.IR))
 		// Columns ascend, so filling each row left to right leaves its
 		// sources ascending. next[r] is row r's fill position.
 		next := slices.Clone(ptr[:len(ptr)-1])
 		for ci, j := range m.JC {
-			for k := m.CP[ci]; k < m.CP[ci+1]; k++ {
-				at := &next[m.IR[k]-m.RowLo]
-				src[*at], val[*at] = j, m.Val[k]
+			for _, r := range m.IR[m.CP[ci]:m.CP[ci+1]] {
+				at := &next[r-m.RowLo]
+				src[*at] = j
 				*at++
 			}
 		}
-		m.rowIndex.idx = &RowIndex[E]{RowLo: m.RowLo, Ptr: ptr, Src: src, Val: val}
+		m.rowIndex.idx = &RowIndex{RowLo: m.RowLo, Ptr: ptr, Src: src}
 	})
 	return m.rowIndex.idx
 }
